@@ -41,13 +41,13 @@ def main() -> None:
     levels = sorted({leaf.level for leaf in tree.leaves()})
     print(f"octree: {tree.n_nodes} nodes, {tree.n_leaves} leaves on "
           f"levels {levels}")
-    t0 = mesh.totals()
+    t0 = mesh.conserved_totals()
     print(f"initial: mass={t0['mass']:.6f} egas={t0['egas']:.6f}")
 
     for _ in range(12):
         dt = min(mesh.compute_dt(), 0.003)
         mesh.step(dt)
-    t1 = mesh.totals()
+    t1 = mesh.conserved_totals()
     print(f"t={mesh.time:.4f} ({mesh.steps} steps)")
     print(f"mass drift across AMR boundaries: "
           f"{abs(t1['mass'] - t0['mass']) / t0['mass']:.2e}")

@@ -108,6 +108,20 @@ REPRO010 *unsanitized-task-buffer-write*
     first gathers dispatched-callable names over the whole tree, then
     lints each file against that set; single-file ``lint_source`` runs
     collect the same-file dispatches only.)
+
+REPRO011 *layering*
+    An import — top-level *or* function-local — against the package
+    direction ``sanitize <- runtime <- network <- core | simulator <-
+    resilience <- validation <- analysis``: a package may import only
+    from packages to its left (``core`` and ``simulator`` are peers and
+    import neither each other nor anything above).  A function-local
+    import does not break a cycle, it hides one: ``import repro.runtime``
+    must never drag in ``repro.resilience``.  Move the shared piece down
+    a layer (as the fault exception types live in ``runtime/faults.py``
+    and ``RetryPolicy`` in ``network/retry.py``) or inject it.  The
+    against-direction imports that remain are listed by file and target
+    module in :data:`LAYERING_EXCEPTIONS`, each with its reason, so they
+    cannot grow.
 """
 
 from __future__ import annotations
@@ -121,8 +135,8 @@ from typing import Iterable, Iterator
 
 from ..runtime.counters import KNOWN_SECTIONS
 
-__all__ = ["Violation", "RULES", "lint_source", "lint_file", "lint_paths",
-           "main"]
+__all__ = ["Violation", "RULES", "LAYERS", "LAYERING_EXCEPTIONS",
+           "lint_source", "lint_file", "lint_paths", "main"]
 
 
 @dataclass(frozen=True)
@@ -175,6 +189,34 @@ RULES: dict[str, tuple[str, str]] = {
                  "core/ task bodies mutating engine-owned buffers (out=/ws/"
                  "_pool_out and aliases) must declare sanitize.access so the "
                  "race detector sees the write"),
+    "REPRO011": ("layering",
+                 "imports (top-level or function-local) follow sanitize <- "
+                 "runtime <- network <- core|simulator <- resilience <- "
+                 "validation <- analysis; exceptions are named in "
+                 "LAYERING_EXCEPTIONS"),
+}
+
+#: package -> layer (REPRO011): a package imports only from lower layers
+LAYERS = {"sanitize": 0, "runtime": 1, "network": 2, "core": 3,
+          "simulator": 3, "resilience": 4, "validation": 5, "analysis": 6}
+
+#: (file under repro/, imported module) -> why this against-direction
+#: import is tolerated (REPRO011); anything not listed is a violation
+LAYERING_EXCEPTIONS = {
+    ("sanitize/__init__.py", "runtime.counters"):
+        "publish_counters() writes finding tallies into the registry",
+    ("sanitize/state.py", "runtime.counters"):
+        "a recorded finding bumps its /sanitize counter",
+    ("sanitize/racecheck.py", "runtime.counters"):
+        "publish_counters() writes detector tallies into the registry",
+    ("sanitize/schedules.py", "runtime.counters"):
+        "publish_counters() writes explorer tallies into the registry",
+    ("sanitize/futuregraph.py", "runtime.scheduler"):
+        "the blocked-worker check reads the scheduler's worker TLS",
+    ("simulator/nodelevel.py", "analysis.flops"):
+        "FLOP constants; the analysis.profile harness sits above simulator",
+    ("simulator/distributed.py", "analysis.flops"):
+        "FLOP constants; the analysis.profile harness sits above simulator",
 }
 
 #: scheduler entry points whose callable arguments become task bodies
@@ -293,6 +335,11 @@ class _Linter(ast.NodeVisitor):
         #: engine-dispatched callable names from the collection pass
         #: (REPRO010 scope: core/ functions with one of these names)
         self.task_names = task_names or set()
+        #: path components below ``repro/`` (REPRO011 resolves imports
+        #: against them)
+        parts = self.rel.split("/")
+        self.parts = (parts[parts.index("repro") + 1:] if "repro" in parts
+                      else parts)
 
     def _hit(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
@@ -633,6 +680,46 @@ class _Linter(ast.NodeVisitor):
             self._check_ckpt_store_target(target)
         self.generic_visit(node)
 
+    # -- REPRO011 ---------------------------------------------------------
+
+    def _check_layering(self, node: ast.AST, modules: list[str]) -> None:
+        """``modules`` are dotted paths under ``repro`` (``"runtime.faults"``)
+        that ``node`` imports."""
+        parts = self.parts
+        if len(parts) < 2 or parts[0] not in LAYERS:
+            return
+        here = "/".join(parts)
+        for dotted in modules:
+            target = dotted.split(".")[0]
+            if (target == parts[0] or target not in LAYERS
+                    or LAYERS[target] < LAYERS[parts[0]]
+                    or (here, dotted) in LAYERING_EXCEPTIONS):
+                continue
+            self._hit(node, "REPRO011",
+                      f"{parts[0]}/ imports repro.{dotted}, which is not a "
+                      "lower layer; move the shared piece down or inject it")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_layering(node, [a.name[len("repro."):]
+                                    for a in node.names
+                                    if a.name.startswith("repro.")])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = node.module.split(".") if node.module else []
+        if node.level == 0:
+            if module[:1] != ["repro"]:
+                return
+            base = module[1:]
+        else:
+            # the file's package path below repro/, climbed level-1 times
+            up = len(self.parts) - node.level
+            if up < 0:
+                return
+            base = self.parts[:up] + module
+        # ``from .. import sanitize`` names sub-packages in the alias list
+        self._check_layering(node, [".".join(base)] if base else
+                             [a.name for a in node.names])
+
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if self.guarded_scope and node.type is None:
             self._hit(node, "REPRO005",
@@ -701,7 +788,7 @@ def lint_paths(paths: Iterable[str]) -> list[Violation]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="repo-specific AST lint pass (REPRO001..REPRO010)")
+        description="repo-specific AST lint pass (REPRO001..REPRO011)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--rules", action="store_true",

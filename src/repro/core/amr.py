@@ -12,6 +12,10 @@ CFL timestep, mirroring Octo-Tiger's execution per level (Sec. 4.2):
   energy totals are conserved across resolution jumps to machine
   precision — the property the conservation tests assert.
 
+The time integration itself is the stepping core shared with the
+uniform meshes (:func:`repro.core.mesh.rk2_step`); this module injects
+the tree ghost fill and the refluxed right-hand side.
+
 The driver requires a 2:1 balanced tree (which :class:`Octree.refine`
 maintains).  Gravity on AMR trees is available through
 ``Octree.fmm_levels`` + :class:`~repro.core.gravity.fmm.FmmSolver`; the
@@ -24,10 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 from .eos import IdealGas
-from .grid import NF, NGHOST, RHO, SUBGRID_N, SX, TAU
-from .hydro.solver import HydroOptions, apply_floors, compute_rhs
-from .hydro.riemann import conserved_to_primitive
-from .octree import Octree, OctreeNode, prolong, restrict
+from .grid import NF, NGHOST
+from .hydro.solver import HydroOptions, compute_rhs
+from .mesh import (_conserved_totals, _interior, fill_wall, min_cfl_dt,
+                   rk2_step)
+from .octree import Octree, OctreeNode, restrict
 
 __all__ = ["AmrMesh"]
 
@@ -44,6 +49,12 @@ class AmrMesh:
         self.bc = bc
         self.time = 0.0
         self.steps = 0
+        self._stage: dict = {}
+
+    @property
+    def blocks(self) -> dict:
+        """``{leaf key: ghosted block}`` of the current tree."""
+        return {leaf.key: leaf.grid.U for leaf in self.tree.leaves()}
 
     # -- ghost filling ----------------------------------------------------
 
@@ -63,8 +74,14 @@ class AmrMesh:
 
     def fill_ghosts(self) -> None:
         """Populate every leaf's ghost shell from the tree."""
-        self._virtual_cache: dict = {}
+        self._fill(self.blocks, 0)
+
+    def _fill(self, blocks: dict, stage: int) -> None:
+        """Ghost shells of ``blocks`` (leaf key -> block) from each other:
+        tree neighbours first, then the domain walls."""
+        virtual: dict = {}
         for node in self.tree.leaves():
+            U = blocks[node.key]
             for off in np.ndindex(3, 3, 3):
                 d = tuple(int(c) - 1 for c in off)
                 if d == (0, 0, 0):
@@ -72,28 +89,32 @@ class AmrMesh:
                 nb = self._find_neighbor(node, d)
                 if nb is None:
                     continue        # wall handled below
-                self._copy_halo(node, nb, d)
-            self._wall_boundaries(node)
+                self._copy_halo(U, node, nb, d, blocks, virtual)
+            for ax in range(3):
+                for side in (-1, 1):
+                    if not 0 <= node.ipos[ax] + side < (1 << node.level):
+                        fill_wall(U, ax, side, self.bc)
 
-    def _virtual_interior(self, node: OctreeNode) -> np.ndarray:
+    def _virtual_interior(self, node: OctreeNode, blocks: dict,
+                          virtual: dict) -> np.ndarray:
         """Interior of a node at its own level; refined nodes assemble
-        and conservatively restrict their children (recursively)."""
+        and conservatively restrict their children (recursively, cached
+        in ``virtual`` for the duration of one fill)."""
         if not node.refined:
-            return node.grid.interior
-        cached = self._virtual_cache.get(node.key)
+            return _interior(blocks[node.key])
+        cached = virtual.get(node.key)
         if cached is not None:
             return cached
         n = self.tree.subgrid_n
         merged = np.zeros((NF, 2 * n, 2 * n, 2 * n))
         for cip in node.children_ipos():
             child = self.tree.get(node.level + 1, cip)
-            sub = self._virtual_interior(child)
+            sub = self._virtual_interior(child, blocks, virtual)
             a = (cip[0] & 1) * n
             b = (cip[1] & 1) * n
             c = (cip[2] & 1) * n
             merged[:, a:a + n, b:b + n, c:c + n] = sub
-        out = restrict(merged)
-        self._virtual_cache[node.key] = out
+        out = virtual[node.key] = restrict(merged)
         return out
 
     def _region(self, d: int, side: int, n: int, ghost: bool
@@ -115,71 +136,38 @@ class AmrMesh:
             return slice(0, n)
         return slice(0, g) if side < 0 else slice(n - g, n)
 
-    def _copy_halo(self, node: OctreeNode, nb: OctreeNode,
-                   d: tuple[int, int, int]) -> None:
+    def _copy_halo(self, U: np.ndarray, node: OctreeNode, nb: OctreeNode,
+                   d: tuple[int, int, int], blocks: dict,
+                   virtual: dict) -> None:
+        """Fill the ghost region of ``U`` (the block of ``node``) that
+        faces the neighbour ``nb`` at offset ``d``."""
         n = self.tree.subgrid_n
         g = NGHOST
         dst = tuple([slice(None)]
                     + [self._region(ax, d[ax], n, ghost=True)
                        for ax in range(3)])
+        src = self._virtual_interior(nb, blocks, virtual)
         if nb.level == node.level:
             # interior-coordinate source strip (virtual if nb is refined)
-            src = tuple([slice(None)]
-                        + [self._interior_region(ax, -d[ax], n)
-                           for ax in range(3)])
-            node.grid.U[dst] = self._virtual_interior(nb)[src]
+            U[dst] = src[tuple([slice(None)]
+                               + [self._interior_region(ax, -d[ax], n)
+                                  for ax in range(3)])]
         elif nb.level == node.level - 1:
-            # coarse neighbour: prolong the coarse strip covering our halo
-            self._fill_from_coarse(node, nb, d, dst)
+            # coarse neighbour: piecewise-constant prolongation of the
+            # coarse strip covering our halo — fine ghost cell (node
+            # frame) -> global fine index -> coarse cell
+            idx = []
+            for ax in range(3):
+                r = dst[1 + ax]
+                fine_local = np.arange(r.start, r.stop) - g
+                fine_global = node.ipos[ax] * n + fine_local
+                coarse_local = fine_global // 2 - nb.ipos[ax] * n
+                idx.append(np.clip(coarse_local, 0, n - 1))
+            I, J, K = np.meshgrid(idx[0], idx[1], idx[2], indexing="ij")
+            U[dst] = src[:, I, J, K]
         else:
             raise RuntimeError(
                 f"tree not 2:1 balanced at {node.key} vs {nb.key}")
-
-    def _fill_from_coarse(self, node, nb, d, dst) -> None:
-        """Piecewise-constant prolongation of a coarse neighbour strip."""
-        n = self.tree.subgrid_n
-        g = NGHOST
-        # fine ghost cell (node frame) -> global fine index -> coarse cell
-        out = node.grid.U[dst]
-        shape = out.shape[1:]
-        src = self._virtual_interior(nb)    # interior coords, no ghosts
-        idx = []
-        for ax in range(3):
-            r = dst[1 + ax]
-            fine_local = np.arange(r.start, r.stop) - g
-            fine_global = node.ipos[ax] * n + fine_local
-            coarse_local = fine_global // 2 - nb.ipos[ax] * n
-            idx.append(np.clip(coarse_local, 0, n - 1))
-        I, J, K = np.meshgrid(idx[0], idx[1], idx[2], indexing="ij")
-        node.grid.U[dst] = src[:, I, J, K]
-
-    def _wall_boundaries(self, node: OctreeNode) -> None:
-        n = self.tree.subgrid_n
-        g = NGHOST
-        U = node.grid.U
-        for ax in range(3):
-            for side in (-1, 1):
-                nbpos = node.ipos[ax] + side
-                if 0 <= nbpos < (1 << node.level):
-                    continue
-                sl = [slice(None)] * 4
-                for k in range(g):
-                    dsti = g - 1 - k if side < 0 else g + n + k
-                    if self.bc == "outflow":
-                        srci = g if side < 0 else g + n - 1
-                    else:
-                        srci = g + k if side < 0 else g + n - 1 - k
-                    dsts = sl.copy()
-                    dsts[1 + ax] = slice(dsti, dsti + 1)
-                    srcs = sl.copy()
-                    srcs[1 + ax] = slice(srci, srci + 1)
-                    U[tuple(dsts)] = U[tuple(srcs)]
-                if self.bc == "reflect":
-                    m = sl.copy()
-                    m[0] = SX + ax
-                    m[1 + ax] = slice(0, g) if side < 0 \
-                        else slice(g + n, g + n + g)
-                    U[tuple(m)] *= -1.0
 
     # -- refluxing ----------------------------------------------------------
 
@@ -255,64 +243,32 @@ class AmrMesh:
     # -- stepping --------------------------------------------------------------
 
     def compute_dt(self) -> float:
-        from .hydro.solver import cfl_dt
-        self.fill_ghosts()
-        return min(cfl_dt(leaf.grid.U, self.tree.cell_width(leaf.level),
-                          self.options) for leaf in self.tree.leaves())
+        return min_cfl_dt(((leaf.grid.U, self.tree.cell_width(leaf.level))
+                           for leaf in self.tree.leaves()), self.options)
 
-    def _rhs_all(self) -> tuple[dict, dict]:
+    def _rhs(self, blocks: dict, acc, stage: int) -> dict:
+        """Refluxed right-hand sides of every leaf (hydro only)."""
         rhs: dict = {}
         fluxes: dict = {}
         for node in self.tree.leaves():
-            r, f = compute_rhs(node.grid.U,
-                               self.tree.cell_width(node.level),
-                               self.options,
-                               origin=node.grid.origin,
-                               return_fluxes=True)
-            rhs[node.key] = r
-            fluxes[node.key] = f
+            rhs[node.key], fluxes[node.key] = compute_rhs(
+                blocks[node.key], self.tree.cell_width(node.level),
+                self.options, origin=node.grid.origin, return_fluxes=True)
         self._reflux(rhs, fluxes)
-        return rhs, fluxes
+        return rhs
 
-    def step(self, dt: float) -> None:
-        """One SSP-RK2 step over all leaves with refluxing."""
-        g = NGHOST
-        n = self.tree.subgrid_n
-        inner = (slice(None),) + (slice(g, g + n),) * 3
-        self.fill_ghosts()
-        rhs1, _ = self._rhs_all()
-        saved = {key: self.tree.nodes[key].grid.U.copy() for key in rhs1}
-        for key, r in rhs1.items():
-            U = self.tree.nodes[key].grid.U
-            U[inner] += dt * r
-            apply_floors(U, self.options)
-        self.fill_ghosts()
-        rhs2, _ = self._rhs_all()
-        for key in rhs1:
-            U = self.tree.nodes[key].grid.U
-            U[...] = saved[key]
-            U[inner] += 0.5 * dt * (rhs1[key] + rhs2[key])
-            apply_floors(U, self.options)
-            eos = self.options.eos
-            I = U[inner]
-            I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
-                                  I[4], I[TAU])
-        self.time += dt
-        self.steps += 1
+    def step(self, dt: float | None = None) -> float:
+        """One SSP-RK2 step over all leaves with refluxing; returns the
+        dt used."""
+        return rk2_step(self, self.blocks, dt, self._fill, self._rhs)
 
     # -- diagnostics ------------------------------------------------------------
 
-    def totals(self) -> dict[str, float]:
-        mass = 0.0
-        mom = np.zeros(3)
-        egas = 0.0
-        for leaf in self.tree.leaves():
-            v = leaf.grid.cell_volume
-            I = leaf.grid.interior
-            mass += float(I[RHO].sum()) * v
-            for d in range(3):
-                mom[d] += float(I[SX + d].sum()) * v
-            egas += float(I[4].sum()) * v
-        return {"mass": mass, "momentum_x": float(mom[0]),
-                "momentum_y": float(mom[1]), "momentum_z": float(mom[2]),
-                "egas": egas}
+    def conserved_totals(self) -> dict[str, float | np.ndarray]:
+        """Mass, momentum, gas energy, angular momentum summed over the
+        leaves (same keys as the uniform meshes; no potential energy)."""
+        parts = [_conserved_totals(leaf.grid.interior,
+                                   self.tree.cell_width(leaf.level),
+                                   leaf.grid.origin, None)
+                 for leaf in self.tree.leaves()]
+        return {key: sum(part[key] for part in parts) for key in parts[0]}

@@ -205,7 +205,7 @@ class DistBlockMesh(BlockMesh):
 
     # -- halo exchange --------------------------------------------------------
 
-    def _halo_exchange(self, generation: int) -> None:
+    def _halo_exchange(self, blocks: dict, generation: int) -> None:
         """One stage of halos, with cross-locality sends charged.
 
         Same structure as the node-level exchange — receives posted
@@ -220,17 +220,17 @@ class DistBlockMesh(BlockMesh):
         pending = [(ip, off, ch.get(generation)) for ip, off, ch in recv]
         for ip, off, ch in send:
             nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
-            transport.send(ch, self._extract_halo(self.blocks[ip], off),
+            transport.send(ch, self._extract_halo(blocks[ip], off),
                            generation, owner[ip], owner[nb])
         transport.flush()
         self.registry.increment("/distmesh/halo/sets", len(send))
         for ip, off, fut in pending:
-            self._insert_halo(self.blocks[ip], off, fut.get())
+            self._insert_halo(blocks[ip], off, fut.get())
         self.registry.increment("/distmesh/halo/gets", len(pending))
-        for ip, blk in self.blocks.items():
-            self._physical_boundary(ip, blk)
+        for ip in blocks:
+            self._physical_boundary(blocks, ip)
 
-    def _physical_boundary(self, ip, blk) -> None:
+    def _physical_boundary(self, blocks: dict, ip) -> None:
         """Domain BC, with cross-locality periodic wraps charged.
 
         A periodic wrap reads the wrapped block's interior directly —
@@ -239,15 +239,15 @@ class DistBlockMesh(BlockMesh):
         the node-level path: bitwise identity is untouched).
         """
         if self.bc != "periodic":
-            super()._physical_boundary(ip, blk)
+            super()._physical_boundary(blocks, ip)
             return
         owner = self._owner
         dst = owner[ip]
         for off, src_ip in self._periodic_wraps(ip):
             mirror = (-off[0], -off[1], -off[2])
-            data = self._extract_halo(self.blocks[src_ip], mirror)
+            data = self._extract_halo(blocks[src_ip], mirror)
             self.transport.charge_onesided(data.nbytes, owner[src_ip], dst)
-            self._insert_halo(blk, off, data)
+            self._insert_halo(blocks[ip], off, data)
 
     # -- rollback -------------------------------------------------------------
 

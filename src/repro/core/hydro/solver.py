@@ -16,12 +16,14 @@ The module is dimension-agnostic: blocks are (NF, m, m, m) arrays with
 ``NGHOST`` ghost layers, of any interior size (one 8^3 sub-grid or a whole
 mesh block).
 
-Scratch and fusion (Sec. 4.3 kernel rework): :func:`compute_rhs`,
-:func:`rk2_step` and :func:`cfl_dt` accept a
-:class:`repro.core.workspace.Workspace` (and ``compute_rhs`` an ``out=``
-array) so steady-state stepping reuses the primitive block, face states
-and flux arrays across stages and steps instead of reallocating ~14
-full-field temporaries per axis per stage.  The fused path is bitwise
+Time integration is not here: the SSP-RK2 stepping core every mesh shares
+is :func:`repro.core.mesh.rk2_step`.
+
+Scratch and fusion (Sec. 4.3 kernel rework): :func:`compute_rhs` and
+:func:`cfl_dt` accept a :class:`repro.core.workspace.Workspace` (and
+``compute_rhs`` an ``out=`` array) so steady-state stepping reuses the
+primitive block, face states and flux arrays across stages and steps
+instead of reallocating ~14 full-field temporaries per axis per stage.  The fused path is bitwise
 identical to :func:`compute_rhs_reference`, which keeps the original
 allocate-per-stage kernel composition as the test oracle and
 microbenchmark baseline.
@@ -42,7 +44,7 @@ from .riemann import (conserved_signal_speed, conserved_to_primitive,
                       kt_flux, kt_flux_reference)
 
 __all__ = ["HydroOptions", "compute_rhs", "compute_rhs_reference",
-           "cfl_dt", "rk2_step", "apply_floors"]
+           "cfl_dt", "apply_floors"]
 
 
 @dataclass
@@ -259,44 +261,6 @@ def cfl_dt(U: np.ndarray, dx: float, options: HydroOptions,
     return options.cfl * dx / peak
 
 
-def rk2_step(U: np.ndarray, dt: float, dx: float, options: HydroOptions,
-             fill_ghosts, origin=(0.0, 0.0, 0.0),
-             gravity: np.ndarray | None = None, ws=None) -> None:
-    """Heun (SSP-RK2) update of a block, in place.
-
-    ``fill_ghosts(U)`` must populate the ghost shell (boundary conditions
-    and/or neighbour exchange); it is called before each stage.  With a
-    workspace, both stage RHS arrays and the predictor state live in
-    reused scratch.
-    """
-    g = NGHOST
-    n = U.shape[1] - 2 * g
-    inner = (slice(None),) + (slice(g, g + n),) * 3
-    if _sanitize_state.ACTIVE:
-        # the whole step mutates U in place (stage update + floors + tau)
-        _racecheck.access(U, "w", owner="hydro/rk2-U")
-        if gravity is not None:
-            _racecheck.access(gravity, "r", owner="hydro/gravity")
-    fill_ghosts(U)
-    if ws is not None:
-        k1 = compute_rhs(U, dx, options, origin, gravity,
-                         out=ws.buf("rk2:k1", (NF, n, n, n)), ws=ws)
-        U1 = ws.buf("rk2:U1", U.shape)
-        np.copyto(U1, U)
-    else:
-        k1 = compute_rhs(U, dx, options, origin, gravity)
-        U1 = U.copy()
-    U1[inner] += dt * k1
-    apply_floors(U1, options)
-    fill_ghosts(U1)
-    k2 = compute_rhs(U1, dx, options, origin, gravity,
-                     out=ws.buf("rk2:k2", (NF, n, n, n))
-                     if ws is not None else None, ws=ws)
-    U[inner] += 0.5 * dt * (k1 + k2)
-    apply_floors(U, options)
-    _dual_energy_sync(U, inner, options)
-
-
 def apply_floors(U: np.ndarray, options: HydroOptions) -> None:
     """Vacuum floors, in place: raise rho, zero the raised cells' momenta,
     clamp tau nonnegative.
@@ -315,14 +279,3 @@ def apply_floors(U: np.ndarray, options: HydroOptions) -> None:
             U[SX + d][floored] = 0.0
     np.maximum(rho, options.rho_floor, out=rho)
     np.maximum(U[TAU], 0.0, out=U[TAU])
-
-
-# back-compat spelling; the floors are part of the public stepping contract
-_apply_floors = apply_floors
-
-
-def _dual_energy_sync(U: np.ndarray, inner, options: HydroOptions) -> None:
-    eos = options.eos
-    Ui = U[inner]
-    Ui[TAU] = eos.sync_tau(Ui[RHO], Ui[SX], Ui[SX + 1], Ui[SX + 2],
-                           Ui[EGAS], Ui[TAU])

@@ -19,8 +19,11 @@ Two implementations with identical physics:
   slot-buffer launches instead of hundreds of per-kernel ones.  Its
   results match :class:`Mesh` bit-for-bit given the same inputs
   (tested), demonstrating that the runtime integration "does not change
-  the physics".  ``DistributedMesh`` remains as an alias of its former
-  name.
+  the physics".
+
+Both — and :class:`repro.core.amr.AmrMesh` — advance through the one
+stepping core, :func:`rk2_step`; a mesh injects only its ghost fill, its
+right-hand-side evaluation and, optionally, a :class:`GravityCoupling`.
 
 Boundary conditions: ``outflow`` (zero gradient), ``reflect`` (mirror,
 normal momentum negated) and ``periodic``.
@@ -34,7 +37,7 @@ the solve is reused, keeping the cost at two solves per step).
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,7 +50,14 @@ from .gravity.fmm import FmmSolver
 from .hydro.solver import HydroOptions, apply_floors, cfl_dt, compute_rhs
 from .workspace import Workspace
 
-__all__ = ["Mesh", "BlockMesh", "DistributedMesh", "apply_boundary"]
+__all__ = ["Mesh", "BlockMesh", "GravityCoupling", "apply_boundary",
+           "fill_wall", "min_cfl_dt", "rk2_step"]
+
+
+def _interior(U: np.ndarray) -> np.ndarray:
+    """View of a ghosted block without its ghost shell."""
+    g = NGHOST
+    return U[:, g:-g, g:-g, g:-g]
 
 
 def _conserved_totals(I: np.ndarray, dx: float,
@@ -75,46 +85,257 @@ def _conserved_totals(I: np.ndarray, dx: float,
     return out
 
 
-def _uniform_acc(solver: FmmSolver, rho: np.ndarray, engine
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """One gravity solve on a uniform density grid: (phi, acc (3,n,n,n))."""
-    depth = solver._uniform_shape[0]
-    solver.set_leaf_density({depth: rho})
-    phi, acc = solver.uniform_field(solver.solve(executor=engine))
-    return phi, np.moveaxis(acc, -1, 0)
+# -- domain walls ---------------------------------------------------------------
 
 _BCS = ("outflow", "reflect", "periodic")
+
+
+def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
+    """Fill the ghost slab of the low (``side`` -1) or high (+1) domain
+    face along ``axis``.  The slab spans the full transverse extent, ghosts
+    included, so sweeping the axes in order also fills edges and corners.
+    ``periodic`` wraps the block onto itself (single-block meshes only;
+    tiled meshes wrap through their neighbour blocks)."""
+    g = NGHOST
+    n = U.shape[1 + axis] - 2 * g
+
+    def sl(a, b):
+        s = [slice(None)] * 4
+        s[1 + axis] = slice(a, b)
+        return tuple(s)
+
+    if side < 0:
+        ghost, edge, mirror, wrap = (sl(0, g), sl(g, g + 1), sl(g, 2 * g),
+                                     sl(n, n + g))
+    else:
+        ghost, edge, mirror, wrap = (sl(n + g, n + 2 * g),
+                                     sl(n + g - 1, n + g), sl(n, n + g),
+                                     sl(g, 2 * g))
+    if bc == "outflow":
+        U[ghost] = U[edge]
+    elif bc == "periodic":
+        U[ghost] = U[wrap]
+    else:  # reflect
+        U[ghost] = np.flip(U[mirror], 1 + axis)
+        U[(SX + axis,) + ghost[1:]] *= -1.0
 
 
 def apply_boundary(U: np.ndarray, bc: str) -> None:
     """Fill the ghost shell of a block according to ``bc``."""
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    g = NGHOST
     for axis in range(3):
-        n = U.shape[1 + axis] - 2 * g
-
-        def sl(a, b):
-            s = [slice(None)] * 4
-            s[1 + axis] = slice(a, b)
-            return tuple(s)
-
-        if bc == "periodic":
-            U[sl(0, g)] = U[sl(n, n + g)]
-            U[sl(n + g, n + 2 * g)] = U[sl(g, 2 * g)]
-        elif bc == "outflow":
-            U[sl(0, g)] = U[sl(g, g + 1)]
-            U[sl(n + g, n + 2 * g)] = U[sl(n + g - 1, n + g)]
-        else:  # reflect
-            for k in range(g):
-                U[sl(g - 1 - k, g - k)] = U[sl(g + k, g + k + 1)]
-                U[sl(n + g + k, n + g + k + 1)] = \
-                    U[sl(n + g - 1 - k, n + g - k)]
-            U[(SX + axis,) + sl(0, g)[1:]] *= -1.0
-            U[(SX + axis,) + sl(n + g, n + 2 * g)[1:]] *= -1.0
+        for side in (-1, 1):
+            fill_wall(U, axis, side, bc)
 
 
-class Mesh:
+# -- gravity coupling -----------------------------------------------------------
+
+class GravityCoupling:
+    """The FMM side of a self-gravitating uniform mesh: the shared
+    :class:`FmmSolver` (built once, interaction lists recorded on the
+    first solve), the contiguous ``(n, n, n)`` density staging buffer it
+    wants, and the end-of-step cache — the closing solve of step N, keyed
+    by the density it was solved for, serves the first stage of step N+1
+    (bit-identical to a fresh solve: same solver, same recorded pair
+    script, same input).  ``mesh`` supplies ``n``, ``dx`` and ``engine``
+    (read at every solve: harnesses swap it)."""
+
+    def __init__(self, mesh) -> None:
+        self._mesh = mesh
+        self.solver: FmmSolver | None = None
+        self.phi: np.ndarray | None = None
+        self._rho: np.ndarray | None = None
+        self._cache_rho: np.ndarray | None = None
+        self._cache_acc: np.ndarray | None = None
+
+    def _density(self, blocks: dict) -> np.ndarray:
+        """Gather block-interior densities into the staging buffer."""
+        if self._rho is None:
+            self._rho = np.empty((self._mesh.n,) * 3)
+        for (i, j, k), blk in blocks.items():
+            rho = _interior(blk)[RHO]
+            a, b, c = rho.shape
+            self._rho[i * a:(i + 1) * a, j * b:(j + 1) * b,
+                      k * c:(k + 1) * c] = rho
+        return self._rho
+
+    def _solve(self, rho: np.ndarray) -> np.ndarray:
+        if self.solver is None:
+            self.solver = FmmSolver.from_uniform(rho, self._mesh.dx,
+                                                 subgrid_n=SUBGRID_N)
+        depth = self.solver._uniform_shape[0]
+        self.solver.set_leaf_density({depth: rho})
+        self.phi, acc = self.solver.uniform_field(
+            self.solver.solve(executor=self._mesh.engine))
+        return np.moveaxis(acc, -1, 0)
+
+    def solve(self, blocks: dict) -> np.ndarray:
+        """Fresh solve: acceleration ``(3, n, n, n)``; stores ``phi``."""
+        return self._solve(self._density(blocks))
+
+    def for_state(self, blocks: dict) -> np.ndarray:
+        """Acceleration for ``blocks``, from the cache when their density
+        is the one it was solved for (compared, never assumed)."""
+        rho = self._density(blocks)
+        if self._cache_rho is not None and np.array_equal(self._cache_rho,
+                                                          rho):
+            return self._cache_acc
+        return self._solve(rho)
+
+    def close_step(self, blocks: dict) -> None:
+        """Post-step solve: ``phi`` matches the final density and the
+        acceleration is cached for the next step's first stage."""
+        self._cache_acc = self.solve(blocks)
+        # the staging buffer holds the post-step density: swap, don't copy
+        self._cache_rho, self._rho = self._rho, self._cache_rho
+
+    def reset(self) -> None:
+        """Drop the cache (after a rollback it describes a dead timeline)."""
+        self._cache_rho = None
+        self._cache_acc = None
+
+
+# -- the stepping core ----------------------------------------------------------
+
+def min_cfl_dt(blocks_dx: Iterable[tuple[np.ndarray, float]],
+               options: HydroOptions, ws=None) -> float:
+    """CFL reduction over ``(block, dx)`` pairs.  :func:`cfl_dt` reads
+    interiors only, so ghost shells need not be filled first."""
+    return min(cfl_dt(U, dx, options, ws=ws) for U, dx in blocks_dx)
+
+
+def rk2_step(mesh, blocks: dict, dt: float | None,
+             fill: Callable[[dict, int], None],
+             rhs: Callable[[dict, np.ndarray | None, int], dict],
+             gravity: GravityCoupling | None = None) -> float:
+    """One SSP-RK2 (Heun) step of ``blocks`` ({key: ghosted block}) in
+    place; returns the dt used.  Every mesh class steps through here and
+    injects what differs:
+
+    ``fill(blocks, stage)``
+        populate the ghost shells (walls, neighbour exchange), stage 0/1;
+    ``rhs(blocks, acc, stage) -> {key: dU/dt}``
+        interior right-hand sides of ghost-filled ``blocks`` under the
+        acceleration ``acc`` (or ``None``) — per-block cell width and
+        origin, task dispatch and refluxing live here;
+    ``gravity``
+        the mesh's :class:`GravityCoupling`, or ``None``.
+
+    The predictor lives in ``mesh._stage`` buffers handed to the
+    strategies explicitly — the mesh's own blocks are never rebound, so a
+    fault raised mid-step leaves them in place for a checkpoint restore.
+    """
+    if dt is None:
+        dt = mesh.compute_dt()
+    options = mesh.options
+    eos = options.eos
+    acc = gravity.for_state(blocks) if gravity is not None else None
+    fill(blocks, 0)
+    k1 = rhs(blocks, acc, 0)
+    predicted = {}
+    for key, U in blocks.items():
+        U1 = mesh._stage.get(key)
+        if U1 is None:
+            U1 = mesh._stage[key] = np.empty_like(U)
+        np.copyto(U1, U)
+        I = _interior(U1)
+        I += dt * k1[key]
+        apply_floors(U1, options)
+        predicted[key] = U1
+    fill(predicted, 1)
+    if gravity is not None:
+        acc = gravity.solve(predicted)
+    k2 = rhs(predicted, acc, 1)
+    for key, U in blocks.items():
+        I = _interior(U)
+        I += 0.5 * dt * (k1[key] + k2[key])
+        apply_floors(U, options)
+        I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
+                              I[EGAS], I[TAU])
+    if gravity is not None:
+        gravity.close_step(blocks)
+    mesh.time += dt
+    mesh.steps += 1
+    default_registry().increment("/hydro/steps")
+    return dt
+
+
+class _UniformMesh:
+    """What :class:`Mesh` and :class:`BlockMesh` share: lattice-keyed
+    blocks of one cell width ``dx`` stepped by :func:`rk2_step`, with an
+    optional :class:`GravityCoupling`."""
+
+    def _init_stepping(self, blocks: dict, self_gravity: bool) -> None:
+        self._blocks = blocks
+        self.time = 0.0
+        self.steps = 0
+        self.self_gravity = self_gravity
+        self._gravity = GravityCoupling(self) if self_gravity else None
+        # predictor copies and per-stage RHS outputs of every block plus
+        # the kernel scratch, all reused across steps (the workspace is
+        # thread-local inside, so futurized RHS tasks never alias)
+        self._stage: dict = {}
+        self._rhs_out: dict = {}
+        self._ws = Workspace()
+
+    @property
+    def phi(self) -> np.ndarray | None:
+        """Potential of the last gravity solve (``None`` before one)."""
+        return self._gravity.phi if self._gravity is not None else None
+
+    def solve_gravity(self) -> np.ndarray:
+        """FMM solve of the current density (futurized through
+        ``self.engine`` when set); returns acceleration (3, n, n, n) and
+        stores ``phi``."""
+        if self._gravity is None:
+            raise RuntimeError(
+                f"{type(self).__name__} built without self_gravity")
+        return self._gravity.solve(self._blocks)
+
+    def compute_dt(self) -> float:
+        """CFL reduction over all blocks."""
+        return min_cfl_dt(((blk, self.dx) for blk in self._blocks.values()),
+                          self.options, ws=self._ws)
+
+    def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int,
+             engine=None) -> dict:
+        """Per-block :func:`compute_rhs`: a loop, or one ``engine.map``.
+        The two stages' outputs must coexist, so each stage owns a dict of
+        per-block buffers, allocated once."""
+        outs = self._rhs_out.get(stage)
+        if outs is None:
+            outs = self._rhs_out[stage] = {
+                ip: np.empty(_interior(blk).shape)
+                for ip, blk in blocks.items()}
+        args = []
+        for ip, blk in blocks.items():
+            shape = outs[ip].shape[1:]
+            lo = [ip[d] * shape[d] for d in range(3)]
+            origin = tuple(self.origin[d] + lo[d] * self.dx
+                           for d in range(3))
+            block_acc = None if acc is None else acc[
+                :, lo[0]:lo[0] + shape[0], lo[1]:lo[1] + shape[1],
+                lo[2]:lo[2] + shape[2]]
+            args.append((blk, self.dx, self.options, origin, block_acc,
+                         False, outs[ip], self._ws))
+        if engine is None:
+            return {ip: compute_rhs(*a) for ip, a in zip(blocks, args)}
+        # per-block RHS tasks stay on CPU workers (use_device=False): the
+        # engine still chunks them into aggregation-region tasks, so the
+        # scheduler sees slot-buffer granularity, not per-block tasks
+        futures = engine.map(compute_rhs, args, use_device=False)
+        return {ip: fut.get() for ip, fut in zip(blocks, futures)}
+
+    def on_restore(self) -> None:
+        """Rollback hook of
+        :class:`repro.resilience.checkpoint.CheckpointManager`: the gravity
+        cache holds post-fault state."""
+        if self._gravity is not None:
+            self._gravity.reset()
+
+
+class Mesh(_UniformMesh):
     """A single uniform block with optional FMM self-gravity.
 
     Parameters
@@ -146,33 +367,18 @@ class Mesh:
         self.dx = self.domain / self.shape[0]
         self.options = options or HydroOptions(eos=IdealGas())
         self.bc = bc
-        self.self_gravity = self_gravity
         self.engine = engine
         if self_gravity and len(set(self.shape)) != 1:
             raise ValueError("self-gravity requires a cubic mesh")
         dims = tuple(s + 2 * NGHOST for s in self.shape)
         self.U = np.zeros((NF,) + dims)
-        self.time = 0.0
-        self.steps = 0
-        self.phi: np.ndarray | None = None
-        self._solver: FmmSolver | None = None
-        # reusable contiguous-density staging buffer plus the end-of-step
-        # gravity cache (acc + the density it was solved for): step N's
-        # closing solve is step N+1's first-stage solve
-        self._rho_buf: np.ndarray | None = None
-        self._grav_rho: np.ndarray | None = None
-        self._grav_acc: np.ndarray | None = None
-        # kernel scratch: primitive block, face states, fluxes, stage
-        # RHS/predictor buffers all live here and are reused every step
-        self._ws = Workspace()
+        self._init_stepping({(0, 0, 0): self.U}, self_gravity)
 
     # -- geometry / views --------------------------------------------------------
 
     @property
     def interior(self) -> np.ndarray:
-        g = NGHOST
-        return self.U[:, g:g + self.shape[0], g:g + self.shape[1],
-                      g:g + self.shape[2]]
+        return _interior(self.U)
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ax = [self.origin[d] + (np.arange(self.shape[d]) + 0.5) * self.dx
@@ -198,93 +404,19 @@ class Mesh:
         I[EGAS] = eint + kin
         I[TAU] = eos.tau_from_eint(eint)
 
-    # -- gravity -------------------------------------------------------------------
-
-    def _rho_contig(self, field: np.ndarray) -> np.ndarray:
-        """Copy a strided interior field into the reusable staging buffer
-        (the solver wants a contiguous cubic grid; reallocating one per
-        stage was pure churn)."""
-        if self._rho_buf is None:
-            self._rho_buf = np.empty(self.shape)
-        np.copyto(self._rho_buf, field)
-        return self._rho_buf
-
-    def solve_gravity(self) -> np.ndarray:
-        """FMM solve; returns acceleration (3, n, n, n), stores phi."""
-        rho = self._rho_contig(self.interior[RHO])
-        if self._solver is None:
-            self._solver = FmmSolver.from_uniform(rho, self.dx,
-                                                  subgrid_n=SUBGRID_N)
-        phi, acc = _uniform_acc(self._solver, rho, self.engine)
-        self.phi = phi
-        return acc
-
-    def _gravity_for_state(self) -> np.ndarray:
-        """Acceleration for the current density, reusing the end-of-step
-        solve when the density has not changed since (bit-identical to a
-        fresh solve: same solver, same recorded pair script, same input)."""
-        if self._grav_rho is not None and np.array_equal(
-                self._grav_rho, self.interior[RHO]):
-            return self._grav_acc
-        return self.solve_gravity()
-
-    def _close_step_gravity(self) -> None:
-        """Fresh post-step solve: ``phi`` matches the final density, and
-        the acceleration is cached for the next step's first stage."""
-        self._grav_acc = self.solve_gravity()
-        # the staging buffer now holds the post-step density; swap it into
-        # the cache slot instead of copying (double-buffering)
-        self._grav_rho, self._rho_buf = self._rho_buf, self._grav_rho
-
     # -- stepping ----------------------------------------------------------------------
 
-    def fill_ghosts(self, U: np.ndarray | None = None) -> None:
-        apply_boundary(self.U if U is None else U, self.bc)
+    def _fill(self, blocks: dict, stage: int) -> None:
+        for U in blocks.values():
+            apply_boundary(U, self.bc)
 
-    def compute_dt(self) -> float:
-        self.fill_ghosts()
-        return cfl_dt(self.U, self.dx, self.options, ws=self._ws)
+    def fill_ghosts(self) -> None:
+        self._fill(self._blocks, 0)
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step; returns the dt used."""
-        if dt is None:
-            dt = self.compute_dt()
-        g = NGHOST
-        inner = (slice(None),) + tuple(
-            slice(g, g + self.shape[d]) for d in range(3))
-        gravity = self._gravity_for_state() if self.self_gravity else None
-        self.fill_ghosts()
-        ws = self._ws
-        k1 = compute_rhs(self.U, self.dx, self.options, self.origin, gravity,
-                         out=ws.buf("step:k1", (NF,) + self.shape), ws=ws)
-        U1 = ws.buf("step:U1", self.U.shape)
-        np.copyto(U1, self.U)
-        U1[inner] += dt * k1
-        self._floors(U1[inner])
-        apply_boundary(U1, self.bc)
-        if self.self_gravity:
-            _, gravity = _uniform_acc(
-                self._solver, self._rho_contig(U1[inner][RHO]), self.engine)
-        k2 = compute_rhs(U1, self.dx, self.options, self.origin, gravity,
-                         out=ws.buf("step:k2", (NF,) + self.shape), ws=ws)
-        self.U[inner] += 0.5 * dt * (k1 + k2)
-        self._floors(self.interior)
-        self._sync_tau()
-        if self.self_gravity:
-            self._close_step_gravity()
-        self.time += dt
-        self.steps += 1
-        default_registry().increment("/hydro/steps")
-        return dt
-
-    def _floors(self, I: np.ndarray) -> None:
-        apply_floors(I, self.options)
-
-    def _sync_tau(self) -> None:
-        I = self.interior
-        eos = self.options.eos
-        I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
-                              I[EGAS], I[TAU])
+        return rk2_step(self, self._blocks, dt, self._fill, self._rhs,
+                        self._gravity)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -294,7 +426,7 @@ class Mesh:
                                  self.phi)
 
 
-class BlockMesh:
+class BlockMesh(_UniformMesh):
     """The same physics tiled into 8^3 sub-grids with channel halos.
 
     Each sub-grid is an HPX-component-like unit: per step and per stage
@@ -335,7 +467,6 @@ class BlockMesh:
         self.engine = engine
         self.scheduler = scheduler if scheduler is not None else (
             engine.scheduler if engine is not None else None)
-        self.self_gravity = self_gravity
         if self_gravity and (blocks_per_edge & (blocks_per_edge - 1)):
             raise ValueError(
                 "self-gravity needs blocks_per_edge = 2^k (the FMM level "
@@ -346,20 +477,7 @@ class BlockMesh:
             self.blocks[ip] = np.zeros((NF, m, m, m))
         self.channels: dict = {}
         self._Channel = Channel
-        self.time = 0.0
-        self.steps = 0
-        self.phi: np.ndarray | None = None
-        self._solver: FmmSolver | None = None
-        self._rho_buf: np.ndarray | None = None
-        self._grav_rho: np.ndarray | None = None
-        self._grav_acc: np.ndarray | None = None
-        # per-step stage copies of every block, reused across steps
-        self._stage: dict[tuple[int, int, int], np.ndarray] | None = None
-        # kernel scratch (thread-local inside, so futurized per-block RHS
-        # tasks on scheduler workers never alias) and the per-block stage
-        # RHS output buffers, reused across steps
-        self._ws = Workspace()
-        self._rhs_out: dict[str, dict] = {}
+        self._init_stepping(self.blocks, self_gravity)
         # halo topology is fixed: precompute the 26-offset list, the
         # neighbour pairs and their channels once instead of per stage
         self._offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
@@ -409,8 +527,8 @@ class BlockMesh:
                     send.append((ip, off, self._channel((ip, off))))
         return recv, send
 
-    def _halo_exchange(self, generation: int) -> None:
-        """Publish and consume all halos for one stage via channels.
+    def _halo_exchange(self, blocks: dict, generation: int) -> None:
+        """Publish and consume all halos of ``blocks`` for one stage.
 
         Receives are posted first (futures), sends second, then futures
         are drained — the paper's "the receiving end may fetch futures ...
@@ -420,11 +538,11 @@ class BlockMesh:
         recv, send = self._halo_plan
         pending = [(ip, off, ch.get(generation)) for ip, off, ch in recv]
         for ip, off, ch in send:
-            ch.set(self._extract_halo(self.blocks[ip], off), generation)
+            ch.set(self._extract_halo(blocks[ip], off), generation)
         for ip, off, fut in pending:
-            self._insert_halo(self.blocks[ip], off, fut.get())
-        for ip, blk in self.blocks.items():
-            self._physical_boundary(ip, blk)
+            self._insert_halo(blocks[ip], off, fut.get())
+        for ip in blocks:
+            self._physical_boundary(blocks, ip)
 
     def _extract_halo(self, blk: np.ndarray, off: tuple[int, int, int]
                       ) -> np.ndarray:
@@ -479,199 +597,36 @@ class BlockMesh:
             wraps.append((off, src_ip))
         return wraps
 
-    def _physical_boundary(self, ip, blk) -> None:
-        """Apply the domain BC on faces without neighbours."""
-        g = NGHOST
-        s = self.nsub
+    def _physical_boundary(self, blocks: dict, ip) -> None:
+        """Apply the domain BC on the faces of ``ip`` without neighbours."""
+        blk = blocks[ip]
         if self.bc == "periodic":
             # wrap ALL out-of-lattice offsets (faces, edges, corners):
-            # the old per-axis loop wrapped only the six face offsets and
-            # copied the wrong side of the source block — the axis-sweep
-            # reconstruction never read the stale edge/corner ghosts, but
-            # per-neighbour distributed halos do
+            # per-neighbour distributed halos read every one of them
             for off, src_ip in self._periodic_wraps(ip):
                 mirror = (-off[0], -off[1], -off[2])
                 self._insert_halo(blk, off,
-                                  self._extract_halo(self.blocks[src_ip],
-                                                     mirror))
+                                  self._extract_halo(blocks[src_ip], mirror))
             return
         for axis in range(3):
             for side in (-1, 1):
-                nb = list(ip)
-                nb[axis] += side
-                if 0 <= nb[axis] < self.bpe:
-                    continue
-                # fill by copying the edge interior layer (outflow) or
-                # mirroring (reflect)
-                sl = [slice(None)] * 4
-                if side == -1:
-                    for k in range(g):
-                        dst = sl.copy()
-                        dst[1 + axis] = slice(g - 1 - k, g - k)
-                        srcs = sl.copy()
-                        srci = g if self.bc == "outflow" else g + k
-                        srcs[1 + axis] = slice(srci, srci + 1)
-                        blk[tuple(dst)] = blk[tuple(srcs)]
-                    if self.bc == "reflect":
-                        m = sl.copy()
-                        m[0] = SX + axis
-                        m[1 + axis] = slice(0, g)
-                        blk[tuple(m)] *= -1.0
-                else:
-                    for k in range(g):
-                        dst = sl.copy()
-                        dst[1 + axis] = slice(g + s + k, g + s + k + 1)
-                        srcs = sl.copy()
-                        srci = g + s - 1 if self.bc == "outflow" \
-                            else g + s - 1 - k
-                        srcs[1 + axis] = slice(srci, srci + 1)
-                        blk[tuple(dst)] = blk[tuple(srcs)]
-                    if self.bc == "reflect":
-                        m = sl.copy()
-                        m[0] = SX + axis
-                        m[1 + axis] = slice(g + s, g + s + g)
-                        blk[tuple(m)] *= -1.0
+                if not 0 <= ip[axis] + side < self.bpe:
+                    fill_wall(blk, axis, side, self.bc)
 
     # -- stepping ------------------------------------------------------------------
 
-    def _block_origin(self, ip) -> tuple[float, float, float]:
-        s = self.nsub
-        return tuple(self.origin[d] + ip[d] * s * self.dx for d in range(3))
+    def _fill(self, blocks: dict, stage: int) -> None:
+        # one channel generation per RK stage of every step
+        self._halo_exchange(blocks, 2 * self.steps + stage)
 
-    # -- gravity -------------------------------------------------------------------
-
-    def _gather_rho(self) -> np.ndarray:
-        """Gather block-interior densities into the reusable full grid."""
-        if self._rho_buf is None:
-            self._rho_buf = np.empty((self.n,) * 3)
-        g = NGHOST
-        s = self.nsub
-        for ip, blk in self.blocks.items():
-            i, j, k = ip
-            self._rho_buf[i * s:(i + 1) * s, j * s:(j + 1) * s,
-                          k * s:(k + 1) * s] = blk[RHO, g:g + s, g:g + s,
-                                                   g:g + s]
-        return self._rho_buf
-
-    def solve_gravity(self, rho: np.ndarray | None = None) -> np.ndarray:
-        """Shared-solver FMM solve over all blocks; returns (3, n, n, n).
-
-        The solver is built once from the block geometry; subsequent
-        solves only re-set leaf densities and replay the cached
-        interaction lists (futurized through ``self.engine`` when set).
-        """
-        if not self.self_gravity:
-            raise RuntimeError("BlockMesh built without self_gravity")
-        if rho is None:
-            rho = self._gather_rho()
-        if self._solver is None:
-            self._solver = FmmSolver.from_uniform(rho, self.dx,
-                                                  subgrid_n=SUBGRID_N)
-        phi, acc = _uniform_acc(self._solver, rho, self.engine)
-        self.phi = phi
-        return acc
-
-    def _gravity_for_state(self) -> np.ndarray:
-        """Current-density acceleration, reusing the end-of-step solve
-        when nothing changed (see :meth:`Mesh._gravity_for_state`)."""
-        rho = self._gather_rho()
-        if self._grav_rho is not None and np.array_equal(
-                self._grav_rho, rho):
-            return self._grav_acc
-        return self.solve_gravity(rho)
-
-    def _close_step_gravity(self) -> None:
-        self._grav_acc = self.solve_gravity()
-        self._grav_rho, self._rho_buf = self._rho_buf, self._grav_rho
-
-    def _block_gravity(self, gravity: np.ndarray | None, ip
-                       ) -> np.ndarray | None:
-        if gravity is None:
-            return None
-        i, j, k = ip
-        s = self.nsub
-        return gravity[:, i * s:(i + 1) * s, j * s:(j + 1) * s,
-                       k * s:(k + 1) * s]
-
-    # -- stepping ------------------------------------------------------------------
-
-    def compute_dt(self) -> float:
-        """CFL reduction over all blocks (min of per-block ``cfl_dt``)."""
-        return min(cfl_dt(blk, self.dx, self.options, ws=self._ws)
-                   for blk in self.blocks.values())
+    def _rhs(self, blocks: dict, acc, stage: int) -> dict:
+        return super()._rhs(blocks, acc, stage, self.engine)
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step across all sub-grids (futurized when a
         scheduler/engine is present); returns the dt used."""
-        if dt is None:
-            dt = self.compute_dt()
-        g = NGHOST
-        s = self.nsub
-        inner = (slice(None),) + (slice(g, g + s),) * 3
-        gen = 2 * self.steps
-        gravity = self._gravity_for_state() if self.self_gravity else None
-        self._halo_exchange(gen)
-        k1 = self._rhs_all(self.blocks, gravity, self._stage_out("k1"))
-        if self._stage is None:
-            self._stage = {ip: np.empty_like(blk)
-                           for ip, blk in self.blocks.items()}
-        stage = self._stage
-        for ip, blk in self.blocks.items():
-            np.copyto(stage[ip], blk)
-            stage[ip][inner] += dt * k1[ip]
-            apply_floors(stage[ip], self.options)
-        saved, self.blocks = self.blocks, stage
-        self._halo_exchange(gen + 1)
-        if self.self_gravity:
-            _, gravity = _uniform_acc(self._solver, self._gather_rho(),
-                                      self.engine)
-        k2 = self._rhs_all(self.blocks, gravity, self._stage_out("k2"))
-        self.blocks = saved
-        for ip, blk in self.blocks.items():
-            blk[inner] += 0.5 * dt * (k1[ip] + k2[ip])
-            apply_floors(blk, self.options)
-            I = blk[inner]
-            eos = self.options.eos
-            I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
-                                  I[EGAS], I[TAU])
-        if self.self_gravity:
-            self._close_step_gravity()
-        self.time += dt
-        self.steps += 1
-        default_registry().increment("/hydro/steps")
-        return dt
-
-    def _stage_out(self, stage: str) -> dict:
-        """Per-block RHS output buffers for one RK stage (k1 and k2 must
-        coexist, so each stage owns a dict), allocated once per mesh."""
-        outs = self._rhs_out.get(stage)
-        if outs is None:
-            s = self.nsub
-            outs = self._rhs_out[stage] = {
-                ip: np.empty((NF, s, s, s)) for ip in self.blocks}
-        return outs
-
-    def _rhs_all(self, blocks, gravity: np.ndarray | None = None,
-                 outs: dict | None = None) -> dict:
-        # per-block RHS tasks stay on CPU workers (use_device=False): the
-        # engine still chunks them into aggregation-region tasks, so the
-        # scheduler sees slot-buffer granularity, not per-block tasks
-        items = list(blocks.items())
-        if outs is None:
-            outs = {ip: None for ip, _ in items}
-        if self.engine is None:
-            return {ip: compute_rhs(blk, self.dx, self.options,
-                                    self._block_origin(ip),
-                                    self._block_gravity(gravity, ip),
-                                    False, outs[ip], self._ws)
-                    for ip, blk in items}
-        futures = self.engine.map(
-            compute_rhs,
-            [(blk, self.dx, self.options, self._block_origin(ip),
-              self._block_gravity(gravity, ip), False, outs[ip], self._ws)
-             for ip, blk in items],
-            use_device=False)
-        return {ip: fut.get() for (ip, _), fut in zip(items, futures)}
+        return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
+                        self._gravity)
 
     # -- rollback ----------------------------------------------------------------
 
@@ -683,8 +638,7 @@ class BlockMesh:
         cache is also dropped — it holds post-fault state."""
         for ch in self.channels.values():
             ch.reset()
-        self._grav_rho = None
-        self._grav_acc = None
+        super().on_restore()
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -692,7 +646,3 @@ class BlockMesh:
         """Mass, momentum, gas energy, total angular momentum (+spin)."""
         return _conserved_totals(self.gather_interior(), self.dx,
                                  self.origin, self.phi)
-
-
-#: former name of :class:`BlockMesh`, kept as an alias
-DistributedMesh = BlockMesh

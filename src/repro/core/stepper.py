@@ -7,25 +7,19 @@ and total energy (gas + potential) — so examples and tests can
 assert/report drifts.
 
 Any object exposing ``compute_dt() -> float``, ``step(dt)``,
-``conserved_totals()``, ``time`` and ``steps`` can be driven: both
-:class:`~repro.core.mesh.Mesh` and the multi-sub-grid
+``conserved_totals()``, ``time`` and ``steps`` can be driven:
+:class:`~repro.core.mesh.Mesh`, the multi-sub-grid
 :class:`~repro.core.mesh.BlockMesh` (whose futurized scheduler/GPU
-execution is thereby exercised end to end).  Checkpoint/rollback
-requires a ``U`` state array (single-block :class:`Mesh`) or a
-``blocks`` dict (:class:`~repro.core.mesh.BlockMesh`).
+execution is thereby exercised end to end) and
+:class:`~repro.core.amr.AmrMesh`.  Checkpoint/rollback requires a ``U``
+state array (single-block :class:`Mesh`) or a ``blocks`` dict.
 
-Two drivers share the machinery:
-
-* :func:`evolve` — recovers from *announced* faults
-  (:class:`~repro.resilience.faults.InjectedFault` raised mid-step).
-* :class:`GuardedStepper` — additionally *validates* each step's result:
-  NaN/Inf anywhere in the state or a negative density rejects the step,
-  rolls back to the latest checkpoint and replays.  A transient cause
-  (injected silent corruption, a once-off bad kernel) is retried at the
-  **same** dt — the fault's budget is consumed, so the replay is clean
-  and the run stays byte-identical to a fault-free one.  Only when the
-  guard rejects *the same step again* is the dt halved (a genuinely
-  stiff state), with a bounded halving budget.
+There is one drive loop, :func:`drive`; what it does about a failed step
+is a :class:`Recovery` policy.  :func:`evolve` runs the plain one (an
+*announced* :class:`~repro.runtime.faults.InjectedFault` rolls back to the
+newest checkpoint and replays);
+:class:`repro.resilience.guard.GuardedStepper` extends it to *validate*
+each step's result and to halve the dt of a step that keeps failing.
 """
 
 from __future__ import annotations
@@ -34,23 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..resilience.faults import InjectedFault
-from ..runtime import trace
-from ..runtime.counters import default_registry
-from .grid import NGHOST, RHO
-from .mesh import Mesh
+from ..runtime.faults import InjectedFault
 
-__all__ = ["ConservationRecord", "ConservationMonitor", "evolve",
-           "FaultRecoveryExhausted", "GuardViolation", "GuardedStepper"]
+__all__ = ["ConservationRecord", "ConservationMonitor", "evolve", "drive",
+           "Recovery", "FaultRecoveryExhausted"]
 
 
 class FaultRecoveryExhausted(RuntimeError):
     """Checkpoint restores exceeded ``max_restores`` during :func:`evolve`."""
-
-
-class GuardViolation(RuntimeError):
-    """A post-stage guard rejected a step and recovery is impossible
-    (no checkpoint manager, or the halving/restore budget ran out)."""
 
 
 @dataclass(frozen=True)
@@ -111,50 +96,67 @@ class ConservationMonitor:
         }
 
 
-def evolve(mesh, t_end: float, max_steps: int = 10_000,
-           monitor: ConservationMonitor | None = None,
-           callback=None, checkpoint_interval: int | None = None,
-           checkpoints=None, fault_injector=None,
-           max_restores: int = 8) -> ConservationMonitor:
-    """Advance ``mesh`` to ``t_end`` with CFL-limited steps.
+class Recovery:
+    """What :func:`drive` does about a step that failed.  The plain
+    policy: roll mesh and monitor back to the newest verified checkpoint,
+    at most ``max_restores`` times — a stuck run fails loudly with
+    :class:`FaultRecoveryExhausted` rather than looping forever."""
 
-    With ``checkpoint_interval`` (steps) or an explicit ``checkpoints``
-    manager (:class:`repro.resilience.checkpoint.CheckpointManager`), the
-    mesh state is snapshotted periodically and any
-    :class:`~repro.resilience.faults.InjectedFault` raised mid-step — by
-    ``fault_injector.maybe_step_fault`` or from within the step itself —
-    rolls back to the last checkpoint and replays.  Restores are
-    bit-exact, so a faulty run reproduces the fault-free conservation
-    drifts (Sec. 4.2/4.3) step for step.  More than ``max_restores``
-    rollbacks raises :class:`FaultRecoveryExhausted` — a stuck run fails
-    loudly rather than looping forever.
-    """
-    monitor = monitor or ConservationMonitor()
+    def __init__(self, mesh, checkpoints, monitor: ConservationMonitor,
+                 fault_injector=None, max_restores: int = 8):
+        self.mesh = mesh
+        self.checkpoints = checkpoints
+        self.monitor = monitor
+        self.injector = fault_injector
+        self.max_restores = max_restores
+        self.restores = 0
+
+    def rollback(self, why: str) -> None:
+        self.restores += 1
+        if self.restores > self.max_restores:
+            raise FaultRecoveryExhausted(
+                f"gave up after {self.max_restores} checkpoint restores "
+                f"(last cause: {why})")
+        self.checkpoints.restore_latest(self.mesh, self.monitor)
+
+    def adjust_dt(self, step: int, dt: float) -> float:
+        """The dt step ``step`` is attempted with, given the CFL ``dt``."""
+        return dt
+
+    def accept(self, step: int) -> bool:
+        """Judge the state after step ``step`` completed; returning False
+        means the policy already rolled it back."""
+        return True
+
+
+def drive(recovery: Recovery, t_end: float, max_steps: int,
+          callback=None) -> ConservationMonitor:
+    """The one drive loop: advance ``recovery.mesh`` to ``t_end`` with
+    CFL-limited steps.  An :class:`~repro.runtime.faults.InjectedFault` —
+    from the injector or from within the step itself — goes to
+    ``recovery.rollback`` and the step is replayed; without a checkpoint
+    manager it propagates."""
+    mesh, monitor = recovery.mesh, recovery.monitor
+    manager, injector = recovery.checkpoints, recovery.injector
     if not monitor.records:
         monitor.sample(mesh)
-    manager = checkpoints
-    if manager is None and checkpoint_interval is not None:
-        from ..resilience.checkpoint import CheckpointManager
-        manager = CheckpointManager(interval=checkpoint_interval)
     if manager is not None:
         manager.save(mesh, monitor)
-    restores = 0
     while mesh.time < t_end and mesh.steps < max_steps:
+        step = mesh.steps
         try:
-            if fault_injector is not None:
-                fault_injector.maybe_step_fault(mesh.steps)
+            if injector is not None:
+                injector.maybe_step_fault(step)
             dt = min(mesh.compute_dt(), t_end - mesh.time)
             if not np.isfinite(dt) or dt <= 0:
                 raise RuntimeError(f"invalid timestep {dt}")
-            mesh.step(dt)
+            mesh.step(recovery.adjust_dt(step, dt))
         except InjectedFault:
             if manager is None:
                 raise
-            restores += 1
-            if restores > max_restores:
-                raise FaultRecoveryExhausted(
-                    f"gave up after {max_restores} checkpoint restores")
-            manager.restore_latest(mesh, monitor)
+            recovery.rollback("injected step fault")
+            continue
+        if not recovery.accept(step):
             continue
         monitor.sample(mesh)
         if callback is not None:
@@ -164,153 +166,22 @@ def evolve(mesh, t_end: float, max_steps: int = 10_000,
     return monitor
 
 
-class GuardedStepper:
-    """Checkpointed evolution with post-stage state validation.
+def evolve(mesh, t_end: float, max_steps: int = 10_000,
+           monitor: ConservationMonitor | None = None,
+           callback=None, checkpoints=None, fault_injector=None,
+           max_restores: int = 8) -> ConservationMonitor:
+    """Advance ``mesh`` to ``t_end`` with CFL-limited steps.
 
-    After every step the full state is checked for NaN/Inf and negative
-    density.  A violation *rejects* the step: the mesh rolls back to the
-    latest :class:`~repro.resilience.checkpoint.CheckpointManager`
-    snapshot and replays.  The first retry of a step runs at the same dt
-    (transient causes — injected corruption with a consumed budget, a
-    once-off bad kernel — will not recur, and the replay stays
-    byte-identical to the fault-free run); a second rejection of the
-    *same* step halves its dt, up to ``max_halvings`` times, after which
-    :class:`GuardViolation` is raised.  Announced
-    :class:`~repro.resilience.faults.InjectedFault` step faults are
-    recovered exactly as in :func:`evolve`, sharing the restore budget.
-
-    With a ``fault_injector`` whose ``corrupt_at_steps`` is set, the
-    stepper is its own adversary: after the listed step completes, one
-    interior density value is overwritten with NaN — silent data
-    corruption that only the guards can catch.
-
-    Counters: ``/resilience/steps/guard-checks``,
-    ``/resilience/steps/rejected``, ``/resilience/steps/dt-halvings``,
-    ``/resilience/steps/restores``.
+    With a ``checkpoints`` manager
+    (:class:`repro.resilience.checkpoint.CheckpointManager`), the mesh
+    state is snapshotted periodically and any
+    :class:`~repro.runtime.faults.InjectedFault` raised mid-step — by
+    ``fault_injector.maybe_step_fault`` or from within the step itself —
+    rolls back to the last checkpoint and replays.  Restores are
+    bit-exact, so a faulty run reproduces the fault-free conservation
+    drifts (Sec. 4.2/4.3) step for step.  More than ``max_restores``
+    rollbacks raises :class:`FaultRecoveryExhausted`.
     """
-
-    def __init__(self, mesh, *, checkpoints=None, checkpoint_interval=5,
-                 monitor: ConservationMonitor | None = None,
-                 fault_injector=None, max_restores: int = 16,
-                 max_halvings: int = 4, registry=None):
-        if max_halvings < 0:
-            raise ValueError("max_halvings must be >= 0")
-        self.mesh = mesh
-        self.registry = registry or default_registry()
-        if checkpoints is None:
-            from ..resilience.checkpoint import CheckpointManager
-            # the injector is threaded into the store too: torn-write and
-            # checkpoint-corruption faults strike the very snapshots the
-            # guards roll back to, so restores exercise verified fallback
-            checkpoints = CheckpointManager(interval=checkpoint_interval,
-                                            registry=self.registry,
-                                            injector=fault_injector)
-        self.checkpoints = checkpoints
-        self.monitor = monitor or ConservationMonitor()
-        self.injector = fault_injector
-        self.max_restores = max_restores
-        self.max_halvings = max_halvings
-        self.restores = 0
-        self.rejected = 0
-        self.halvings = 0
-        # which step the guard last rejected, and how many times its dt
-        # has been halved so far (reset when the step finally passes)
-        self._reject_step: int | None = None
-        self._step_halvings = 0
-
-    # -- guards --------------------------------------------------------------
-
-    @staticmethod
-    def _state_arrays(mesh) -> list[np.ndarray]:
-        blocks = getattr(mesh, "blocks", None)
-        if blocks is not None:
-            return list(blocks.values())
-        return [mesh.U]
-
-    def violation(self) -> str | None:
-        """Why the current state is unacceptable, or ``None`` if it is fine."""
-        self.registry.increment("/resilience/steps/guard-checks")
-        for arr in self._state_arrays(self.mesh):
-            if not np.all(np.isfinite(arr)):
-                return "non-finite state"
-            if float(arr[RHO].min()) < 0.0:
-                return "negative density"
-        return None
-
-    def _corrupt(self) -> None:
-        """Deterministic silent damage: NaN one interior density value."""
-        arr = self._state_arrays(self.mesh)[0]
-        g = NGHOST
-        c = g + (arr.shape[1] - 2 * g) // 2
-        arr[RHO, c, c, c] = np.nan
-        trace.instant("state-corrupted", "resilience", step=self.mesh.steps)
-
-    # -- recovery ------------------------------------------------------------
-
-    def _rollback(self, why: str) -> None:
-        self.restores += 1
-        if self.restores > self.max_restores:
-            raise FaultRecoveryExhausted(
-                f"gave up after {self.max_restores} checkpoint restores "
-                f"(last cause: {why})")
-        self.registry.increment("/resilience/steps/restores")
-        self.checkpoints.restore_latest(self.mesh, self.monitor)
-
-    def _reject(self, why: str, step: int) -> None:
-        self.rejected += 1
-        self.registry.increment("/resilience/steps/rejected")
-        trace.instant("step-rejected", "resilience", step=step, cause=why)
-        if self._reject_step == step:
-            # same step failed again after a clean replay: transiency is
-            # ruled out, so shrink the step
-            if self._step_halvings >= self.max_halvings:
-                raise GuardViolation(
-                    f"step {step} still rejected ({why}) after "
-                    f"{self.max_halvings} dt halvings")
-            self._step_halvings += 1
-            self.halvings += 1
-            self.registry.increment("/resilience/steps/dt-halvings")
-        else:
-            self._reject_step = step
-            self._step_halvings = 0
-        self._rollback(why)
-
-    # -- driving -------------------------------------------------------------
-
-    def evolve(self, t_end: float, max_steps: int = 10_000,
-               callback=None) -> ConservationMonitor:
-        """Advance to ``t_end`` under guard supervision; see class docs."""
-        mesh, monitor = self.mesh, self.monitor
-        if not monitor.records:
-            monitor.sample(mesh)
-        self.checkpoints.save(mesh, monitor)
-        while mesh.time < t_end and mesh.steps < max_steps:
-            step_index = mesh.steps
-            try:
-                if self.injector is not None:
-                    self.injector.maybe_step_fault(step_index)
-                dt = min(mesh.compute_dt(), t_end - mesh.time)
-                if not np.isfinite(dt) or dt <= 0:
-                    raise RuntimeError(f"invalid timestep {dt}")
-                if self._reject_step == step_index and self._step_halvings:
-                    dt *= 0.5 ** self._step_halvings
-                mesh.step(dt)
-            except InjectedFault:
-                self._rollback("injected step fault")
-                continue
-            if self.injector is not None \
-                    and self.injector.corruption_due(step_index):
-                self._corrupt()
-            why = self.violation()
-            if why is not None:
-                self._reject(why, step_index)
-                continue
-            if self._reject_step == step_index:
-                # the problem step finally passed
-                self._reject_step = None
-                self._step_halvings = 0
-            monitor.sample(mesh)
-            if callback is not None:
-                callback(mesh)
-            self.checkpoints.maybe_save(mesh, monitor)
-        return monitor
+    return drive(Recovery(mesh, checkpoints, monitor or ConservationMonitor(),
+                          fault_injector, max_restores),
+                 t_end, max_steps, callback)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 #: model and the parcel serializer can never disagree on the boundary
 from ..runtime.parcel import EAGER_THRESHOLD as EAGER_BYTES
 from ..runtime.counters import CounterRegistry, default_registry
+from .retry import NETWORK_RETRY_POLICY
 
 __all__ = ["MessageCost", "Parcelport", "PARCELPORTS", "EAGER_BYTES",
            "PortStats", "port_stats", "reset_port_stats", "publish_counters",
@@ -225,7 +226,6 @@ class DegradedParcelport(Parcelport):
     def _policy(self):
         if self.retry_policy is not None:
             return self.retry_policy
-        from ..resilience.retry import NETWORK_RETRY_POLICY
         return NETWORK_RETRY_POLICY
 
     def message_cost(self, size: int, hops: int = 1,

@@ -1,0 +1,90 @@
+"""Retry budget and backoff schedule for acknowledged sends: a pure
+policy object.  It sits in the network layer because the degraded
+parcelport cost model and the cluster simulator price retries with it;
+the sender that *executes* the schedule is
+:class:`repro.resilience.retry.ResilientParcelSender`."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY"]
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Attempt budget and backoff schedule for resilient sends.
+
+    Times are in seconds.  The defaults keep worst-case test wall time in
+    the milliseconds while still exercising a real exponential schedule.
+    """
+
+    max_attempts: int = 4
+    base_backoff: float = 1e-3
+    backoff_factor: float = 2.0
+    max_backoff: float = 0.1
+    ack_timeout: float = 0.25
+    #: decorrelated jitter (AWS-style): each wait is drawn uniformly from
+    #: ``[base_backoff, 3 * previous wait]``, capped at ``max_backoff``.
+    #: Spreads synchronized retry storms; the draw stream lives in the
+    #: sender (seeded), so the policy object stays shareable and frozen.
+    jitter: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.backoff_factor < 1.0:
+            raise ValueError("backoff_factor must be >= 1")
+
+    def backoff(self, attempt: int) -> float:
+        """Deterministic wait after failed attempt number ``attempt``
+        (the no-jitter schedule, and the jittered schedule's anchor)."""
+        return min(self.base_backoff * self.backoff_factor ** (attempt - 1),
+                   self.max_backoff)
+
+    def jittered_backoff(self, previous: float,
+                         rng: random.Random) -> float:
+        """One decorrelated-jitter draw: ``min(cap, U(base, 3 * prev))``.
+
+        ``previous`` is the last wait (use ``base_backoff`` before the
+        first retry).  Growth is still geometric *in expectation* (~2x
+        per retry, like ``backoff_factor=2``), but two senders whose
+        failures coincide draw from different seeded streams and land in
+        different windows — the desynchronization property the
+        regression test asserts.
+        """
+        high = max(previous * 3.0, self.base_backoff)
+        return min(self.max_backoff,
+                   rng.uniform(self.base_backoff, high))
+
+    # -- expectation helpers (used by the scaling model) --------------------
+
+    def expected_attempts(self, loss_rate: float) -> float:
+        """E[number of sends] per parcel under iid loss, budget-capped."""
+        p = min(max(loss_rate, 0.0), 1.0)
+        if p == 0.0:
+            return 1.0
+        if p == 1.0:
+            return float(self.max_attempts)
+        return (1.0 - p ** self.max_attempts) / (1.0 - p)
+
+    def expected_backoff(self, loss_rate: float) -> float:
+        """E[total backoff wait] per parcel under iid loss (seconds)."""
+        p = min(max(loss_rate, 0.0), 1.0)
+        return sum(p ** k * self.backoff(k)
+                   for k in range(1, self.max_attempts))
+
+    def delivery_probability(self, loss_rate: float) -> float:
+        p = min(max(loss_rate, 0.0), 1.0)
+        return 1.0 - p ** self.max_attempts
+
+
+DEFAULT_RETRY_POLICY = RetryPolicy()
+
+#: backoff on interconnect timescales (a few RTTs, not wall-clock millis) —
+#: the right schedule for the *cost model* in the cluster simulator, where
+#: message costs are microseconds and a millisecond backoff would dwarf them
+NETWORK_RETRY_POLICY = RetryPolicy(max_attempts=4, base_backoff=10e-6,
+                                   backoff_factor=2.0, max_backoff=1e-3,
+                                   ack_timeout=1e-3)

@@ -16,7 +16,7 @@ AMR astrophysics.  This package supplies both halves of the story:
   migration / invalidation on node death), :class:`CheckpointManager`
   (periodic mesh snapshots consumed by
   :func:`repro.core.stepper.evolve` and
-  :class:`repro.core.stepper.GuardedStepper`) and stream quarantine in
+  :class:`repro.resilience.guard.GuardedStepper`) and stream quarantine in
   :mod:`repro.runtime.cuda`.
 
 Everything publishes ``/resilience/...`` counters into the registry from
@@ -32,6 +32,7 @@ from .checkpoint import (CheckpointError, CheckpointManager, MeshCheckpoint,
 from .durability import (BlockRecord, BuddyReplicatedStore, ManifestRecord,
                          RecoveryCoordinator, RecoveryReport)
 from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
+from .guard import GuardViolation, GuardedStepper
 from .health import (DEFAULT_HEARTBEAT_INTERVAL_S, DEFAULT_PHI_THRESHOLD,
                      FailureDetector)
 from .chaos import ChaosConfig, ChaosResult, run_chaos_merger
@@ -49,6 +50,7 @@ __all__ = [
     "BlockRecord", "ManifestRecord", "BuddyReplicatedStore",
     "RecoveryCoordinator", "RecoveryReport",
     "SupervisedEngine", "DEFAULT_TASK_RETRIES",
+    "GuardedStepper", "GuardViolation",
     "FailureDetector", "DEFAULT_PHI_THRESHOLD",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
     "ChaosConfig", "ChaosResult", "run_chaos_merger",

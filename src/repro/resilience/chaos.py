@@ -15,7 +15,7 @@ interferes:
   :class:`~repro.resilience.health.FailureDetector` notices and AGAS
   evacuates its components — no manual ``fail_locality`` call anywhere;
 * an announced step fault and a silent state corruption strike the
-  timestep loop; :class:`~repro.core.stepper.GuardedStepper` rolls back
+  timestep loop; :class:`~repro.resilience.guard.GuardedStepper` rolls back
   to checkpoint and replays.
 
 The acceptance bar (asserted by the integration test, reported by
@@ -35,6 +35,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.exec import ExecutionEngine
+from ..core.grid import NGHOST, RHO
+from ..core.scenario import v1309_binary
+from ..core.stepper import evolve
 from ..runtime.agas import AgasRuntime, Component
 from ..runtime.counters import CounterRegistry, default_registry
 from ..runtime.cuda import CudaDevice
@@ -42,6 +46,7 @@ from ..runtime.parcel import Parcel, ParcelHandler
 from ..runtime.scheduler import WorkStealingScheduler
 from ..simulator.events import EventQueue
 from .faults import FaultInjector
+from .guard import GuardedStepper
 from .health import FailureDetector
 from .retry import ResilientParcelSender, RetryPolicy
 from .supervisor import SupervisedEngine
@@ -192,17 +197,9 @@ def run_chaos_merger(config: ChaosConfig | None = None,
     publishes), so pass ``registry=default_registry()`` — the default —
     when asserting on ``/cuda/quarantined``.
     """
-    # imported here, not at module top: repro.core.stepper itself imports
-    # from this package, so a module-level import would be circular
-    from ..core.exec import ExecutionEngine
-    from ..core.grid import NGHOST, RHO
-    from ..core.stepper import GuardedStepper, evolve
-
     cfg = config or ChaosConfig()
     registry = registry or default_registry()
     if build is None:
-        from ..core.scenario import v1309_binary
-
         def build() -> object:
             return v1309_binary(M=cfg.M, scf_iters=cfg.scf_iters)
 

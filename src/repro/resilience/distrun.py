@@ -37,7 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.distmesh import DistBlockMesh
+from ..core.exec import ExecutionEngine
+from ..core.grid import SUBGRID_N
+from ..core.mesh import BlockMesh
+from ..core.scenario import v1309_binary
+from ..core.stepper import ConservationMonitor, evolve
 from ..runtime.counters import CounterRegistry
+from ..runtime.scheduler import WorkStealingScheduler
 from ..simulator.events import EventQueue
 from .checkpoint import CheckpointManager
 from .durability import RecoveryCoordinator, RecoveryReport
@@ -158,15 +165,6 @@ def run_distributed_merger(config: DistributedMergerConfig | None = None,
     reconciliation; ``default_registry()`` works but accumulates across
     runs.
     """
-    # imported here, not at module top: repro.core.stepper imports from
-    # this package, so a module-level import would be circular
-    from ..core.distmesh import DistBlockMesh
-    from ..core.exec import ExecutionEngine
-    from ..core.mesh import SUBGRID_N, BlockMesh
-    from ..core.scenario import v1309_binary
-    from ..core.stepper import ConservationMonitor, evolve
-    from ..runtime.scheduler import WorkStealingScheduler
-
     cfg = config or DistributedMergerConfig()
     registry = registry if registry is not None else CounterRegistry()
     if cfg.M % SUBGRID_N:
@@ -409,13 +407,6 @@ def run_recovery_merger(config: RecoveryMergerConfig | None = None,
     generation, remaps ownership over the survivors, resurrects the lost
     GIDs, and the run replays to completion.
     """
-    from ..core.distmesh import DistBlockMesh
-    from ..core.exec import ExecutionEngine
-    from ..core.mesh import SUBGRID_N, BlockMesh
-    from ..core.scenario import v1309_binary
-    from ..core.stepper import ConservationMonitor, evolve
-    from ..runtime.scheduler import WorkStealingScheduler
-
     cfg = config or RecoveryMergerConfig()
     registry = registry if registry is not None else CounterRegistry()
     if cfg.M % SUBGRID_N:

@@ -48,23 +48,13 @@ import random
 import threading
 
 from ..runtime.counters import CounterRegistry, default_registry
+from ..runtime.faults import (InjectedFault, SimulationFault,
+                              TransientActionFault)
 
 __all__ = [
     "InjectedFault", "TransientActionFault", "SimulationFault",
     "FaultInjector",
 ]
-
-
-class InjectedFault(RuntimeError):
-    """Base class for all injected failures (catch this to recover)."""
-
-
-class TransientActionFault(InjectedFault):
-    """A remotely-invoked action failed transiently; a retry may succeed."""
-
-
-class SimulationFault(InjectedFault):
-    """A failure mid-timestep; recoverable from the last checkpoint."""
 
 
 class FaultInjector:
@@ -90,7 +80,7 @@ class FaultInjector:
     corrupt_at_steps:
         Step numbers at which :meth:`corruption_due` answers True (each
         fires once): silent data corruption for the post-stage guards of
-        :class:`repro.core.stepper.GuardedStepper` to catch.  Unlike a
+        :class:`repro.resilience.guard.GuardedStepper` to catch.  Unlike a
         step fault, nothing raises — the run only survives if somebody
         *checks* the state.
     fail_locality_at:
@@ -219,7 +209,7 @@ class FaultInjector:
         """True when step ``step``'s result should be silently corrupted.
 
         Fires at most once per listed step; the caller (e.g.
-        :class:`repro.core.stepper.GuardedStepper`) applies the actual
+        :class:`repro.resilience.guard.GuardedStepper`) applies the actual
         state damage, so the injector stays physics-agnostic.
         """
         with self._lock:

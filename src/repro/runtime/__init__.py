@@ -12,6 +12,7 @@ from .future import (Future, Promise, FutureError, FutureTimeout,
                      async_execute)
 from .scheduler import WorkStealingScheduler, TaskStats
 from .agas import AgasRuntime, Component, Gid, AgasError, LocalityFailed
+from .faults import InjectedFault, SimulationFault, TransientActionFault
 from .parcel import Parcel, ParcelHandler, EAGER_THRESHOLD, serialized_size
 from .channel import (Channel, ChannelError, ChannelClosed, ChannelReset,
                       ChannelGenerationError)
@@ -27,6 +28,7 @@ __all__ = [
     "dataflow", "async_execute",
     "WorkStealingScheduler", "TaskStats",
     "AgasRuntime", "Component", "Gid", "AgasError", "LocalityFailed",
+    "InjectedFault", "SimulationFault", "TransientActionFault",
     "Parcel", "ParcelHandler", "EAGER_THRESHOLD", "serialized_size",
     "Channel", "ChannelError", "ChannelClosed", "ChannelReset",
     "ChannelGenerationError",

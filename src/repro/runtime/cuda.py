@@ -60,6 +60,7 @@ from ..sanitize import protocol as _sanitize_protocol
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
+from .faults import TransientActionFault
 from .future import Future, Promise
 
 __all__ = ["CudaDevice", "CudaStream", "StreamPool", "StreamLease",
@@ -290,7 +291,6 @@ class CudaStream:
             factory = self._poison_exc
         if factory is not None:
             return factory()
-        from ..resilience.faults import TransientActionFault
         return TransientActionFault(
             f"poisoned stream {self.index} on {self.device.name}")
 

@@ -34,8 +34,8 @@ import numpy as np
 from ..analysis.flops import (MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
                               OTHER_FLOPS_PER_SUBGRID)
 from ..network.parcelport import Parcelport
+from ..network.retry import NETWORK_RETRY_POLICY, RetryPolicy
 from ..network.topology import DragonflyTopology
-from ..resilience.retry import NETWORK_RETRY_POLICY, RetryPolicy
 from ..runtime.counters import CounterRegistry
 from .machine import NodeSpec
 from .taskgraph import WorkloadProfile

@@ -407,6 +407,58 @@ def test_repro010_collection_crosses_files(tmp_path):
     assert lint_paths([str(pkg / "kern.py")]) == []
 
 
+# -- REPRO011: package layering -------------------------------------------
+
+def test_repro011_lazy_import_against_the_direction_is_flagged():
+    vs = _lint("""
+        def _consume_poison(self):
+            from ..resilience.faults import TransientActionFault
+            return TransientActionFault("poisoned")
+    """, rel="repro/runtime/cuda.py")
+    assert [v.rule for v in vs] == ["REPRO011"]
+    assert "runtime/ imports repro.resilience.faults" in vs[0].message
+
+
+def test_repro011_every_import_spelling_counts():
+    for src, rel in [
+            ("from repro.resilience.retry import RetryPolicy",
+             "repro/network/parcelport.py"),
+            ("import repro.resilience.retry", "repro/simulator/distributed.py"),
+            ("from .. import resilience", "repro/core/stepper.py"),
+            ("from ...resilience import faults", "repro/core/hydro/solver.py"),
+            ("from ..simulator.events import EventQueue",
+             "repro/core/mesh.py"),       # peers do not import each other
+    ]:
+        assert [v.rule for v in _lint(src, rel=rel)] == ["REPRO011"], src
+
+
+def test_repro011_downward_and_same_package_imports_are_clean():
+    assert _lint("""
+        from ..core.stepper import evolve
+        from ..runtime.faults import InjectedFault
+        from ..simulator.events import EventQueue
+        from .checkpoint import CheckpointManager
+        import numpy as np
+    """, rel="repro/resilience/guard.py") == []
+    assert _lint("from ...sanitize import racecheck\nfrom ..grid import NF",
+                 rel="repro/core/hydro/solver.py") == []
+    # top-level modules and files outside the package are out of scope
+    assert _lint("from . import analysis, core", rel="repro/__init__.py") == []
+    assert _lint("from repro.resilience import evolve",
+                 rel="tests/core/test_x.py") == []
+
+
+def test_repro011_named_exceptions_cannot_grow():
+    ok = "def publish():\n    from ..runtime.counters import default_registry"
+    assert _lint(ok, rel="repro/sanitize/state.py") == []
+    # same file, different target; same target, different file
+    vs = _lint("from ..runtime.scheduler import _TLS",
+               rel="repro/sanitize/state.py")
+    assert [v.rule for v in vs] == ["REPRO011"]
+    vs = _lint(ok, rel="repro/sanitize/lockdep.py")
+    assert [v.rule for v in vs] == ["REPRO011"]
+
+
 # -- syntax errors, repo cleanliness, CLI ---------------------------------
 
 def test_syntax_error_is_reported_not_raised():

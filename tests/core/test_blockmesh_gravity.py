@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BlockMesh, DistributedMesh, IdealGas, Mesh, evolve
+from repro.core import BlockMesh, IdealGas, Mesh, evolve
 from repro.core.hydro.solver import HydroOptions
 from repro.core.scenario import equilibrium_star
 
@@ -96,7 +96,7 @@ class TestPhiFreshness:
         saved = mesh.U.copy()
         mesh.step()
         mesh.U[:] = saved  # simulate CheckpointManager.restore
-        acc = mesh._gravity_for_state()
+        acc = mesh._gravity.for_state(mesh._blocks)
         fresh = equilibrium_star(n=16, domain=4.0)
         assert np.array_equal(acc, fresh.solve_gravity())
 
@@ -110,6 +110,3 @@ class TestValidation:
         block = BlockMesh(blocks_per_edge=2)
         with pytest.raises(RuntimeError):
             block.solve_gravity()
-
-    def test_distributed_mesh_alias(self):
-        assert DistributedMesh is BlockMesh

@@ -37,7 +37,7 @@ class TestPeriodicGhostShell:
         """After one exchange, each padded block must equal the periodic
         extension of the global interior — faces, edges AND corners."""
         _single, blocks, full = _loaded_pair(rng)
-        blocks._halo_exchange(0)
+        blocks._halo_exchange(blocks.blocks, 0)
         g, s, n = NGHOST, SUBGRID_N, blocks.n
         for ip, blk in blocks.blocks.items():
             idx = [[(ip[d] * s + local - g) % n for local in range(s + 2 * g)]
@@ -50,7 +50,7 @@ class TestPeriodicGhostShell:
         corner of the domain — exactly the region the old code left
         stale."""
         _single, blocks, full = _loaded_pair(rng)
-        blocks._halo_exchange(0)
+        blocks._halo_exchange(blocks.blocks, 0)
         g = NGHOST
         corner = blocks.blocks[(0, 0, 0)][:, :g, :g, :g]
         np.testing.assert_array_equal(corner, full[:, -g:, -g:, -g:])

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (ConservationMonitor, FaultRecoveryExhausted,
-                        GuardViolation, GuardedStepper, NGHOST, RHO,
-                        evolve, sedov_blast)
-from repro.resilience import FaultInjector
+from repro.core import (ConservationMonitor, FaultRecoveryExhausted, NGHOST,
+                        RHO, evolve, sedov_blast)
+from repro.resilience import FaultInjector, GuardViolation, GuardedStepper
 from repro.runtime import CounterRegistry
 
 

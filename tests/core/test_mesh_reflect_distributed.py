@@ -1,10 +1,10 @@
-"""DistributedMesh with reflect walls matches the single block, and
+"""BlockMesh with reflect walls matches the single block, and
 physical wall behaviour is sane."""
 
 import numpy as np
 import pytest
 
-from repro.core import EGAS, RHO, SX, DistributedMesh, IdealGas, Mesh
+from repro.core import EGAS, RHO, SX, BlockMesh, IdealGas, Mesh
 from repro.core.hydro.solver import HydroOptions
 
 
@@ -16,8 +16,8 @@ class TestReflectEquivalence:
         rho = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y) \
             + 0.0 * z
         single.load_primitives(rho, 0.05, -0.03, 0.0, 1.0 + 0.1 * rho)
-        dist = DistributedMesh(blocks_per_edge=2, domain=1.0,
-                               options=opts, bc="reflect")
+        dist = BlockMesh(blocks_per_edge=2, domain=1.0,
+                         options=opts, bc="reflect")
         dist.load_interior(single.interior.copy())
         for _ in range(3):
             single.step(0.002)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import RHO, evolve, v1309_binary
-from repro.resilience import (FaultInjector, ResilientParcelSender,
-                              RetryBudgetExhausted, RetryPolicy)
+from repro.resilience import (CheckpointManager, FaultInjector,
+                              ResilientParcelSender, RetryBudgetExhausted,
+                              RetryPolicy)
 from repro.runtime import (AgasRuntime, Component, CounterRegistry, Parcel,
                            ParcelHandler)
 
@@ -32,7 +33,8 @@ class TestMergerUnderFaults:
         inj = FaultInjector(seed=1309, fail_at_steps=(1,),
                             registry=CounterRegistry())
         mon_faulty = evolve(faulty, t_end=1.0, max_steps=3,
-                            checkpoint_interval=1, fault_injector=inj)
+                            checkpoints=CheckpointManager(interval=1),
+                            fault_injector=inj)
 
         assert inj.stats()["step"] == 1            # the failure happened
         assert faulty.steps == clean.steps == 3    # and the run completed

@@ -151,7 +151,8 @@ class TestFaultTolerantEvolve:
         inj = FaultInjector(seed=11, fail_at_steps=(3,),
                             registry=CounterRegistry())
         mon_faulty = evolve(faulty, 0.05, max_steps=6,
-                            checkpoint_interval=2, fault_injector=inj)
+                            checkpoints=CheckpointManager(interval=2),
+                            fault_injector=inj)
         assert inj.stats()["step"] == 1                # the fault fired
         assert np.array_equal(clean.U, faulty.U)       # bitwise replay
         assert faulty.steps == clean.steps
@@ -176,5 +177,6 @@ class TestFaultTolerantEvolve:
         inj = FaultInjector(seed=0, step_fault_rate=1.0,
                             registry=CounterRegistry())
         with pytest.raises(FaultRecoveryExhausted):
-            evolve(small_mesh(), 0.05, max_steps=4, checkpoint_interval=1,
+            evolve(small_mesh(), 0.05, max_steps=4,
+                   checkpoints=CheckpointManager(interval=1),
                    fault_injector=inj, max_restores=3)
