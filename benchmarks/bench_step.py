@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                                  agg_slots=args.agg_slots)
         serial_mesh = build_mesh(bpe)
         fut_mesh = build_mesh(bpe, engine=engine)
-        for _ in range(args.warmup):  # records the FMM pair script
+        for _ in range(args.warmup):  # builds the FMM plan
             serial_mesh.step()
             fut_mesh.step()
         serial_walls: list[float] = []
@@ -193,7 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         "/cuda/agg-launches", "/cuda/agg-tasks", "/cuda/aggregated-per-launch",
         "/threads/stolen", "/threads/executed", "/exec/batches",
         "/exec/tasks", "/fmm/solves", "/fmm/solves-futurized",
-        "/fmm/staged-bytes",
         "/fmm/interactions/multipole", "/fmm/interactions/monopole")}
     report = {
         "config": {

@@ -2,8 +2,11 @@
 
 Times each building-block kernel on representative batch sizes and
 reports ns per interaction (gravity pair kernels) or ns per zone/face
-(hydro kernels).  Where a reference implementation exists (the einsum
-``m2l_pair_reference`` and the allocate-per-stage
+(hydro kernels).  ``p2p_dense`` is the Green-table sweep of a whole 32^3
+leaf level, per leaf pair, beside the pair-list ``p2p`` kernel it
+replaced there (which additionally pays gathers and scatter-adds the
+microbenchmark does not time).  Where a reference implementation exists
+(the einsum ``m2l_pair_reference`` and the allocate-per-stage
 ``compute_rhs_reference``) both variants are timed and the speedup of
 the fused path is reported — the CI gate asserts fused >= 1.5x for m2l
 and the full RHS.
@@ -32,8 +35,10 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import IdealGas, NF, NGHOST, RHO, EGAS, TAU  # noqa: E402
-from repro.core.gravity.kernels import (greens, m2l_pair,  # noqa: E402
-                                        m2l_pair_reference, p2p_pair)
+from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
+                                        m2l_pair, m2l_pair_reference,
+                                        p2p_pair, p2p_pair_staged)
+from repro.core.gravity.stencil import leaf_sweep_offsets  # noqa: E402
 from repro.core.hydro.reconstruct import ppm_faces  # noqa: E402
 from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
                                       kt_flux, kt_flux_reference)
@@ -44,6 +49,8 @@ from repro.core.workspace import Workspace  # noqa: E402
 
 #: pair-batch size for the gravity kernels (one aggregated launch's worth)
 PAIR_N = 16384
+#: parent-grid edge of the dense leaf sweep (a 32^3 leaf level)
+DENSE_EDGE = 16
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
 
@@ -106,6 +113,15 @@ def run_kernels_micro(repeats: int = 5) -> dict:
                       repeats=repeats)
     t_greens = _time(lambda: greens(dR), repeats=repeats)
 
+    child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
+    sweeps, n_dense = green_sweeps(DENSE_EDGE,
+                                   leaf_sweep_offsets(DENSE_EDGE), child,
+                                   0.5 / DENSE_EDGE)
+    m8 = np.random.default_rng(8).uniform(0.5, 2.0, (DENSE_EDGE,) * 3 + (8,))
+    dense_out = np.empty((DENSE_EDGE,) * 3 + (32,))
+    t_dense = _time(lambda: p2p_pair_staged(m8, sweeps, out=dense_out),
+                    repeats=repeats)
+
     U, opts = _hydro_block()
     ws = Workspace()
     W = conserved_to_primitive(U, opts.eos, opts.rho_floor)
@@ -138,6 +154,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
+        "p2p_dense": entry(t_dense, n_dense),
         "m2l": entry(t_m2l, n_pairs),
         "m2l_reference": entry(t_m2l_ref, n_pairs),
         "greens": entry(t_greens, n_pairs),
@@ -153,8 +170,9 @@ def run_kernels_micro(repeats: int = 5) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     kernels = run_kernels_micro()
-    for name in ("p2p", "m2l", "m2l_reference", "greens", "reconstruct",
-                 "kt_flux", "kt_flux_reference", "rhs", "rhs_reference"):
+    for name in ("p2p", "p2p_dense", "m2l", "m2l_reference", "greens",
+                 "reconstruct", "kt_flux", "kt_flux_reference", "rhs",
+                 "rhs_reference"):
         e = kernels[name]
         print(f"  {name:18s} {e['ns_per_item']:10.1f} ns/item "
               f"({e['items']} items, best {1e3 * e['seconds']:.3f} ms)")

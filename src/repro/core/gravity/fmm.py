@@ -17,16 +17,32 @@ Steps, exactly as the paper lays them out:
 3. **Downward** (top-down): Taylor expansions (potential, acceleration,
    Hessian) shift from parents to children (L2L) and accumulate.
 
-Conservation comes from construction: every pair force is computed once
-and applied antisymmetrically, and the Hessian term of the downward pass
-realizes the quadrupole (tidal) torques on child cells, so total linear
-and angular momentum of the resulting field are conserved to machine
+Conservation comes from construction: every pair force is applied
+antisymmetrically, and the Hessian term of the downward pass realizes
+the quadrupole (tidal) torques on child cells, so total linear and
+angular momentum of the resulting field are conserved to machine
 precision (see ``tests/core/test_fmm_conservation.py``).
 
-The implementation is struct-of-arrays NumPy throughout — per level, per
-stencil offset, cells are matched by Morton-key ``searchsorted`` and whole
-pair batches run through the vectorized kernels, mirroring the paper's
-stencil-based SoA redesign of Sec. 4.3.
+Step 2 has two forms, chosen per level from the level's own shape:
+
+* **Dense Green-table sweep** — a fully populated all-leaf level (the
+  finest level of every :meth:`FmmSolver.from_uniform` solver) is viewed
+  as a ``(P, P, P, 8)`` grid of parents.  Two leaves interact at leaf
+  level exactly when their parents are not well separated, and for each
+  such parent offset the 8 x 8 child separations are constants of the
+  grid.  So the whole leaf-level near field is one ``(8, 32)`` Green
+  table per offset (:func:`.kernels.green_table`, built once) and, per
+  solve, one shifted-slice matmul per offset
+  (:func:`.kernels.p2p_pair_staged`): no index arrays, no gathers, no
+  scatter-adds — the paper's stencil-over-SoA redesign of Sec. 4.3.
+* **Pair lists** — everything else (root- and interior-level M2L, every
+  level of an adaptive tree, mixed-level AMR boundaries): cells matched
+  per stencil offset by Morton-key ``searchsorted`` once, when the plan
+  is built, then whole pair batches gathered tile by tile through the
+  vectorized kernels and scatter-added with ``bincount``.
+
+Both forms are entries of one plan that every solve walks the same way,
+inline or through an execution engine.
 """
 
 from __future__ import annotations
@@ -40,26 +56,29 @@ from ...runtime.counters import default_registry
 from ...sanitize import racecheck as _racecheck
 from ...sanitize import state as _sanitize_state
 from ...util import morton_key
-from ..workspace import Workspace
-from .kernels import m2l_pair, p2p_pair, p2p_pair_staged
+from .kernels import green_sweeps, m2l_pair, p2p_pair, p2p_pair_staged
 from .multipole import aggregate_m2m, taylor_shift
-from .stencil import (OPENING_R2, canonical_stencil, p2p_stencil,
+from .stencil import (OPENING_R2, leaf_sweep_offsets, p2p_stencil,
                       parity_stencils, root_stencil)
 
 __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 
 _TINY = 1e-300
 
+#: number of plan entries the dense sweep's offsets are cut into — a
+#: constant, so every solve (inline, futurized, distributed) runs the same
+#: matmuls in the same groups and adds the same partials in the same
+#: order.  Eight keeps an aggregated launch well filled.
+_DENSE_GROUPS = 8
 
-def _fresh_p2p_out(n: int) -> tuple[np.ndarray, ...]:
-    """Freshly allocated (phiA, phiB, accA, accB) batch outputs."""
-    return (np.empty(n), np.empty(n), np.empty((n, 3)), np.empty((n, 3)))
-
-
-def _fresh_m2l_out(n: int) -> tuple[np.ndarray, ...]:
-    """Freshly allocated (phiA, phiB, accA, accB, HA, HB) batch outputs."""
-    return (np.empty(n), np.empty(n), np.empty((n, 3)), np.empty((n, 3)),
-            np.empty((n, 3, 3)), np.empty((n, 3, 3)))
+#: trailing shapes of one entry's batch outputs, per plan-entry kind:
+#: (phiA, phiB, accA, accB[, HA, HB]) per pair, or the 32 values per
+#: parent of a dense sweep (see :func:`.kernels.green_table`)
+_OUT_SHAPES = {
+    "p2p": ((), (), (3,), (3,)),
+    "m2l": ((), (), (3,), (3,), (3, 3), (3, 3)),
+    "dense": ((32,),),
+}
 
 
 @dataclass
@@ -160,6 +179,40 @@ def _accumulate(lv: FmmLevel, idx: np.ndarray, phi: np.ndarray,
                     lv.hess[:, j, i] += h
 
 
+@dataclass
+class _DenseLeaf:
+    """Dense-sweep state of one fully populated all-leaf level: the
+    level seen as a ``(P, P, P)`` grid of parents with 8 children each.
+
+    Morton order keeps siblings contiguous, so ``lv.m.reshape(-1, 8)``
+    is already (parent, child); only the parents need permuting between
+    Morton and grid order, and one index grid does both directions."""
+
+    lv: FmmLevel
+    to_grid: np.ndarray      # (P, P, P): Morton parent slot at grid index
+    m8: np.ndarray           # (P, P, P, 8) leaf masses, refilled per solve
+    groups: list[tuple[list, int]]  # per group: sweeps, leaf pairs covered
+
+    @classmethod
+    def of(cls, lv: FmmLevel, root: bool) -> "_DenseLeaf | None":
+        """The dense plan of ``lv``, or ``None`` if its shape rules it
+        out (not all-leaf, not a full cube, or an odd edge)."""
+        edge = round(lv.n ** (1.0 / 3.0))
+        if not (lv.n and lv.leaf.all()) or edge % 2 or edge ** 3 != lv.n \
+                or lv.coords.max() != edge - 1:
+            return None
+        P = edge // 2
+        parents = lv.coords[::8] >> 1
+        to_grid = np.empty((P, P, P), dtype=np.int64)
+        to_grid[parents[:, 0], parents[:, 1], parents[:, 2]] = \
+            np.arange(P ** 3)
+        child = lv.coords[:8] & 1
+        groups = [green_sweeps(P, offsets, child, lv.width)
+                  for offsets in np.array_split(leaf_sweep_offsets(P, root),
+                                                _DENSE_GROUPS)]
+        return cls(lv, to_grid, np.empty((P, P, P, 8)), groups)
+
+
 class FmmSolver:
     """Gravity solve over a hierarchy of FMM levels.
 
@@ -172,27 +225,15 @@ class FmmSolver:
             raise ValueError("need at least one level")
         self.levels = levels
         self._link_parents()
-        # interaction pair lists depend only on geometry: record them on
-        # the first solve and replay on subsequent ones (Mesh re-solves
-        # gravity every hydro stage on a fixed grid)
-        self._pair_script: list[tuple[str, int, np.ndarray, int,
-                                      np.ndarray]] | None = None
-        self._recording = False
-        # aggregated-replay plan: script entries resolved to level objects
-        # plus per-entry staging buffers (see _prepare_replay)
+        # the interaction plan depends only on geometry: built on the
+        # first solve and walked by every one (Mesh re-solves gravity
+        # every hydro stage on a fixed grid) — see _build_plan
         self._plan: list[tuple] | None = None
-        self._stage: list[tuple | None] | None = None
-        self._stage_bytes = 0
-        # scratch for the serial compute path: pair gathers and kernel
-        # outputs live in capacity-grown buffers reused across batches
-        # and solves (each batch is fully accumulated before the next
-        # compute, so reuse is safe; the futurized path draws per-entry
-        # outputs from a slot-indexed pool instead — see _compute_entry)
-        self._ws = Workspace()
-        # futurized per-entry output pool, keyed by (kind, chunk slot):
-        # _replay_futurized fully accumulates each dispatched chunk
-        # before issuing the next, so slot j's buffers are free again by
-        # the time the next chunk's entry j starts computing
+        self._dense: list[_DenseLeaf] = []
+        # per-entry output pool, keyed by (kind, chunk slot): _run_plan
+        # fully accumulates each dispatched chunk before issuing the
+        # next, so slot j's buffers are free again by the time the next
+        # chunk's entry j starts computing
         self._out_pool: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
 
     # -- constructors -----------------------------------------------------
@@ -207,6 +248,9 @@ class FmmSolver:
         M = rho.shape[0]
         if rho.shape != (M, M, M):
             raise ValueError("density grid must be cubic")
+        if not (np.isfinite(dx) and dx > 0):
+            raise ValueError(f"cell width dx must be finite and positive, "
+                             f"got {dx!r}")
         depth = 0
         while subgrid_n * (1 << depth) < M:
             depth += 1
@@ -257,7 +301,9 @@ class FmmSolver:
 
         ``rho_by_level[l]`` is either a flat array over that level's leaf
         cells (in the level's Morton order) or, for a fully-leaf uniform
-        level, a cubic grid indexed by integer coordinates.
+        level, a cubic grid indexed by integer coordinates.  Densities
+        must be finite and non-negative: a NaN here would otherwise
+        surface as a NaN field twenty calls later.
         """
         for lvl_obj in self.levels:
             mask = lvl_obj.leaf
@@ -272,8 +318,11 @@ class FmmSolver:
                 vals = rho[c[:, 0], c[:, 1], c[:, 2]]
             else:
                 vals = rho
+            if not np.isfinite(vals).all():
+                raise ValueError(
+                    f"non-finite density on level {lvl_obj.level}")
             if np.any(vals < 0):
-                raise ValueError("negative density")
+                raise ValueError(f"negative density on level {lvl_obj.level}")
             vol = lvl_obj.width ** 3
             lvl_obj.m[mask] = vals * vol
             lvl_obj.com[mask] = lvl_obj.centers()[mask]
@@ -285,126 +334,41 @@ class FmmSolver:
         """Run the three FMM steps; returns the leaf field.
 
         ``executor`` is an optional
-        :class:`~repro.core.exec.ExecutionEngine`: the recorded same-level
-        interaction batches are then dispatched as independent tasks onto
-        scheduler workers and (when the engine holds a device) coalesced
-        into aggregated launches on GPU streams with CPU overflow — the
+        :class:`~repro.core.exec.ExecutionEngine`: the same-level plan
+        entries are then dispatched as independent tasks onto scheduler
+        workers and (when the engine holds a device) coalesced into
+        aggregated launches on GPU streams with CPU overflow — the
         paper's futurized per-subgrid gravity (Sec. 5.1) plus the
-        work-aggregation layer (arXiv 2210.06438).  Pair contributions
-        are *accumulated* on the calling thread in recorded batch order,
-        so a futurized solve is bit-identical to a serial one.
+        work-aggregation layer (arXiv 2210.06438).  Entry outputs are
+        *accumulated* on the calling thread in plan order, so a
+        futurized solve is bit-identical to a serial one.
 
-        The very first solve records the geometry-dependent pair script
-        and therefore runs serially; every subsequent solve replays it,
+        The very first solve builds the geometry-dependent plan and
+        runs it inline; every subsequent solve walks the same plan,
         futurized when an executor is given.
         """
         reg = default_registry()
         reg.increment("/fmm/solves")
         self._reset_taylor()
         self._upward()
-        if self._pair_script is None:
-            self._pair_script = []
-            self._recording = True
-            self._same_level()
-            self._recording = False
+        if self._plan is None:
+            self._build_plan()
+            executor = None
         elif executor is not None:
             reg.increment("/fmm/solves-futurized")
-            self._replay_futurized(executor)
-        else:
-            self._replay()
+        self._run_plan(executor)
         self._downward()
         return self._collect()
 
-    def _replay(self) -> None:
-        reg = default_registry()
-        by_id = {lv.level: lv for lv in self.levels}
-        for kind, la_lvl, a, lb_lvl, b in self._pair_script:
-            la, lb = by_id[la_lvl], by_id[lb_lvl]
-            if kind == "m2l":
-                reg.increment("/fmm/interactions/multipole", len(a))
-                self._m2l_kernel(la, a, lb, b)
-            else:
-                reg.increment("/fmm/interactions/monopole", len(a))
-                self._p2p_kernel(la, a, lb, b)
-
-    #: staging-buffer memory budget (bytes) for the aggregated replay
-    #: path; entries past the budget compute their geometry per solve.
-    #: Kept deliberately modest: past a few hundred MB the extra
-    #: resident set costs more in memory traffic than the saved
-    #: Green-function arithmetic returns.
-    _STAGE_BUDGET_BYTES = 256 * 1024 ** 2
-
-    def _prepare_replay(self) -> None:
-        """Resolve the pair script into the aggregated replay plan.
-
-        Per entry we keep the level objects (no dict lookup per replay)
-        and, for leaf-leaf P2P batches, **staging buffers**: the
-        separations ``dR`` and inverse-distance factors of the batch.
-        Leaf centres of mass are pinned to the geometric cell centres by
-        :meth:`set_leaf_density`, so these are constants of the solver's
-        geometry — the slot-buffer reuse of the work-aggregation design,
-        amortizing the per-launch gather/Green-function setup across
-        solves.  Staging stops at ``_STAGE_BUDGET_BYTES``; the total is
-        published as the ``/fmm/staged-bytes`` gauge.
-
-        The factors are computed with exactly the expressions of
-        :func:`repro.core.gravity.kernels.p2p_pair`, so the staged kernel
-        stays bit-identical to the serial reference.
-        """
-        by_id = {lv.level: lv for lv in self.levels}
-        plan: list[tuple] = []
-        stage: list[tuple | None] = []
-        used = 0
-        for kind, la_lvl, a, lb_lvl, b in self._pair_script:
-            la, lb = by_id[la_lvl], by_id[lb_lvl]
-            plan.append((kind, la, a, lb, b))
-            staged = None
-            if (kind == "p2p" and bool(la.leaf[a].all())
-                    and bool(lb.leaf[b].all())):
-                need = a.size * 5 * 8  # dR (n,3) + inv + inv3, float64
-                if used + need <= self._STAGE_BUDGET_BYTES:
-                    dR = la.com[a] - lb.com[b]
-                    x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
-                    r2 = x * x + y * y + z * z
-                    inv = 1.0 / np.sqrt(r2)
-                    inv3 = inv / r2
-                    staged = (dR, inv, inv3)
-                    used += need
-            stage.append(staged)
-        self._plan, self._stage, self._stage_bytes = plan, stage, used
-        default_registry().set_gauge("/fmm/staged-bytes", float(used))
-
-    #: pair-tile size of the aggregated compute path.  A recorded M2L
-    #: batch of ~250k pairs churns hundreds of MB of Green-function
-    #: temporaries (``g3`` alone is 216 B/pair); running the kernel over
-    #: cache-sized sub-batches keeps the temporaries resident and is
-    #: measurably faster on the same flops.  All pair kernels are
-    #: elementwise along the pair axis, so tiling + concatenation is
-    #: bitwise identical to the one-shot call.
+    #: pair-tile size of the pair-list compute path.  A recorded batch
+    #: can be any size (a level's near-field and AMR-boundary lists are
+    #: one entry each) and a large one churns hundreds of MB of
+    #: Green-function temporaries (``g3`` alone is 216 B/pair); running
+    #: the kernel over cache-sized sub-batches keeps the temporaries
+    #: resident and is measurably faster on the same flops.  All pair
+    #: kernels are elementwise along the pair axis, so tiling is bitwise
+    #: identical to the one-shot call.
     _TILE = 16384
-
-    @staticmethod
-    def _run_tiled(kernel, n: int, tile_args, make_out):
-        """Run an elementwise pair ``kernel`` in :attr:`_TILE`-sized
-        sub-batches; ``tile_args(sl)`` gathers one tile's inputs.
-
-        Gathering *per tile* (rather than the whole batch up front)
-        keeps each gathered tile cache-resident through the kernel
-        call.  Every tile writes its results straight into slices of
-        the preallocated batch outputs ``make_out(n)`` via the kernels'
-        ``out=`` parameter — no per-tile result lists, no concatenate.
-        """
-        tile = FmmSolver._TILE
-        outs = make_out(n)
-        if _sanitize_state.ACTIVE:
-            # whole-batch write declaration for the (possibly pooled)
-            # output buffers this task is about to fill
-            for o in outs:
-                _racecheck.access(o, "w", owner="fmm/pair-out")
-        for lo in range(0, n, tile):
-            sl = slice(lo, min(lo + tile, n))
-            kernel(*tile_args(sl), out=tuple(o[sl] for o in outs))
-        return outs
 
     def _pool_out(self, kind: str, slot: int, n: int
                   ) -> tuple[np.ndarray, ...]:
@@ -417,108 +381,110 @@ class FmmSolver:
         entries never share a slot and reuse across chunks is safe.
         """
         key = (kind, slot)
-        trailing = ((), (), (3,), (3,)) if kind == "p2p" \
-            else ((), (), (3,), (3,), (3, 3), (3, 3))
         cur = self._out_pool.get(key)
         if cur is None or len(cur[0]) < n:
-            cur = tuple(np.empty((n,) + t) for t in trailing)
+            cur = tuple(np.empty((n,) + t) for t in _OUT_SHAPES[kind])
             self._out_pool[key] = cur
         return tuple(o[:n] for o in cur)
 
-    def _compute_entry(self, i: int, slot: int | None = None):
-        """Pure compute half of replay-plan entry ``i`` (engine task).
+    def _compute_entry(self, i: int, slot: int):
+        """Pure compute half of plan entry ``i`` (engine task).
 
-        Runs the pair kernel tiled with per-tile gathers (see
-        :attr:`_TILE` and :meth:`_run_tiled`).  No accumulation happens
-        here, so entries are safe to compute concurrently and in any
-        order.  Outputs come from the slot-indexed pool (``slot`` is the
-        entry's position within its dispatched chunk — see
-        :meth:`_pool_out`), or are freshly allocated when no slot is
-        given; the calling thread is still accumulating earlier entries
-        while workers compute later ones, so the serial path's single
-        set of workspace output buffers must not be shared here.
+        A pair-list entry runs its kernel in :attr:`_TILE`-sized
+        sub-batches, gathering *per tile* (rather than the whole batch
+        up front) so each gathered tile stays cache-resident through the
+        kernel call, and every tile writes straight into slices of the
+        batch outputs via the kernels' ``out=``.  A dense entry runs its
+        group of shifted-slice matmuls into one partial.  No
+        accumulation happens here, so entries are safe to compute
+        concurrently and in any order.  Outputs come from the
+        slot-indexed pool (see :meth:`_pool_out`).
         """
-        kind, la, a, lb, b = self._plan[i]
-        if kind == "m2l":
-            make_out = _fresh_m2l_out if slot is None \
-                else (lambda n: self._pool_out("m2l", slot, n))
+        entry = self._plan[i]
+        kind = entry[0]
+        n = entry[1].lv.n // 8 if kind == "dense" else len(entry[2])
+        outs = self._pool_out(kind, slot, n)
+        if _sanitize_state.ACTIVE:
+            # whole-batch write declaration for the pooled output
+            # buffers this task is about to fill
+            for o in outs:
+                _racecheck.access(o, "w", owner="fmm/pair-out")
+        if kind == "dense":
+            _, dense, sweeps, _ = entry
+            p2p_pair_staged(dense.m8, sweeps,
+                            out=outs[0].reshape(dense.m8.shape[:3] + (32,)))
+            return outs
+        _, la, a, lb, b = entry
+        for lo in range(0, n, self._TILE):
+            sl = slice(lo, min(lo + self._TILE, n))
+            at, bt = a[sl], b[sl]
+            args = (la.com[at] - lb.com[bt],
+                    np.maximum(la.m[at], _TINY), np.maximum(lb.m[bt], _TINY))
+            out = tuple(o[sl] for o in outs)
+            if kind == "m2l":
+                m2l_pair(*args, la.M2[at], lb.M2[bt], out=out)
+            else:
+                p2p_pair(*args, out=out)
+        return outs
 
-            def tile_args(sl):
-                at, bt = a[sl], b[sl]
-                return (la.com[at] - lb.com[bt],
-                        np.maximum(la.m[at], _TINY),
-                        np.maximum(lb.m[bt], _TINY),
-                        la.M2[at], lb.M2[bt])
-            return self._run_tiled(m2l_pair, len(a), tile_args, make_out)
-        make_out = _fresh_p2p_out if slot is None \
-            else (lambda n: self._pool_out("p2p", slot, n))
-        staged = self._stage[i]
-        if staged is None:
-            def tile_args(sl):
-                at, bt = a[sl], b[sl]
-                return (la.com[at] - lb.com[bt],
-                        np.maximum(la.m[at], _TINY),
-                        np.maximum(lb.m[bt], _TINY))
-            return self._run_tiled(p2p_pair, len(a), tile_args,
-                                   make_out)
-        dR, inv, inv3 = staged
-
-        def tile_args(sl):
-            return (dR[sl], inv[sl], inv3[sl],
-                    np.maximum(la.m[a[sl]], _TINY),
-                    np.maximum(lb.m[b[sl]], _TINY))
-        return self._run_tiled(p2p_pair_staged, len(a), tile_args,
-                               make_out)
-
-    def _replay_futurized(self, engine) -> None:
-        """Dispatch the pair script through an execution engine.
-
-        Each script entry becomes one task computing its kernel batch
-        (the compute-heavy gather + vectorized pair kernel, with staged
-        geometry where available — see :meth:`_prepare_replay`); the
-        engine coalesces each slot-buffer-sized chunk of entries into
-        one aggregated stream launch.  Launches are dispatched **one at
-        a time**, each fully scatter-accumulated before the next is
-        issued: a chunk of large batches produces hundreds of MB of
-        kernel output, and letting multiple chunks compute or queue
-        concurrently costs more in cache/memory traffic than the
-        overlap buys back (time-sliced on a busy host, two in-flight
-        aggregated ops simply evict each other).  Accumulation runs
-        here, in script order, so the result is byte-identical to
-        :meth:`_replay` regardless of how the batches were placed,
-        aggregated or interleaved.
-        """
+    def _accumulate_entry(self, entry: tuple, outs) -> None:
+        """Add one computed entry into the level accumulators (calling
+        thread only, plan order)."""
         reg = default_registry()
-        script = self._pair_script
-        if self._plan is None:
-            self._prepare_replay()
-        n = len(script)
-        chunk = max(int(getattr(engine, "agg_slots", 1)), 1)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
+        if _sanitize_state.ACTIVE:
+            # the future's resolution edge orders these reads after the
+            # computing worker's writes; slot reuse in the next chunk is
+            # ordered through the re-dispatch
+            for o in outs:
+                _racecheck.access(o, "r", owner="fmm/pair-out")
+        if entry[0] == "dense":
+            _, dense, _, pairs = entry
+            reg.increment("/fmm/interactions/monopole", pairs)
+            lv = dense.lv
+            part = outs[0].reshape(dense.m8.shape + (4,))
+            lv.phi.reshape(-1, 8)[dense.to_grid] += part[..., 0]
+            lv.acc.reshape(-1, 8, 3)[dense.to_grid] += part[..., 1:]
+            return
+        kind, la, a, lb, b = entry
+        if kind == "m2l":
+            reg.increment("/fmm/interactions/multipole", len(a))
+            phiA, phiB, accA, accB, HA, HB = outs
+        else:
+            reg.increment("/fmm/interactions/monopole", len(a))
+            phiA, phiB, accA, accB = outs
+            HA = HB = None
+        _accumulate(la, a, phiA, accA, HA)
+        _accumulate(lb, b, phiB, accB, HB)
+
+    def _run_plan(self, engine) -> None:
+        """Step 2: compute every plan entry and accumulate it.
+
+        Each entry is one task computing its kernel batch.  Without an
+        ``engine`` they run inline, one at a time.  With one, each
+        slot-buffer-sized chunk of entries is one ``engine.map``
+        (coalesced into one aggregated stream launch when the engine
+        holds a device).  Chunks are dispatched **one at a time**, each
+        fully accumulated before the next is issued: a chunk of large
+        batches produces hundreds of MB of kernel output, and two
+        in-flight aggregated launches simply evict each other on a busy
+        host.  Accumulation runs here, in plan order, so the result is
+        byte-identical however the entries were placed or aggregated.
+        """
+        for dense in self._dense:
+            np.take(dense.lv.m.reshape(-1, 8), dense.to_grid, axis=0,
+                    out=dense.m8)
+        plan = self._plan
+        if engine is None:
+            for i, entry in enumerate(plan):
+                self._accumulate_entry(entry, self._compute_entry(i, 0))
+            return
+        chunk = engine.agg_slots
+        for lo in range(0, len(plan), chunk):
+            entries = plan[lo:lo + chunk]
             futs = engine.map(self._compute_entry,
-                              [(i, j) for j, i in enumerate(range(lo, hi))])
-            for j, i in enumerate(range(lo, hi)):
-                kind, la, a, lb, b = self._plan[i]
-                out = futs[j].get()
-                futs[j] = None  # release the output once accumulated
-                if _sanitize_state.ACTIVE:
-                    # the future's resolution edge orders these reads
-                    # after the computing worker's writes; slot reuse in
-                    # the next chunk is ordered through the re-dispatch
-                    for o in out:
-                        _racecheck.access(o, "r", owner="fmm/pair-out")
-                if kind == "m2l":
-                    reg.increment("/fmm/interactions/multipole", len(a))
-                    phiA, phiB, accA, accB, HA, HB = out
-                    _accumulate(la, a, phiA, accA, HA)
-                    _accumulate(lb, b, phiB, accB, HB)
-                else:
-                    reg.increment("/fmm/interactions/monopole", len(a))
-                    phiA, phiB, accA, accB = out
-                    _accumulate(la, a, phiA, accA, None)
-                    _accumulate(lb, b, phiB, accB, None)
-                del out
+                              [(lo + j, j) for j in range(len(entries))])
+            for entry, fut in zip(entries, futs):
+                self._accumulate_entry(entry, fut.get())
 
     def _reset_taylor(self) -> None:
         for lv in self.levels:
@@ -540,20 +506,31 @@ class FmmSolver:
             parent.com[interior] = com[interior]
             parent.M2[interior] = M2[interior]
 
-    # -- step 2: same-level + near-field -------------------------------------------
+    # -- step 2: the plan ---------------------------------------------------------
 
-    def _same_level(self) -> None:
+    def _build_plan(self) -> None:
+        """Record every same-level and near-field interaction, geometry
+        only: ``("dense", level state, sweeps, pairs)`` per offset group
+        of a level the dense sweep covers, ``(kind, la, a, lb, b)`` pair
+        lists for everything else."""
+        self._plan, self._dense = [], []
         mixed: list[tuple[int, np.ndarray, int, np.ndarray]] = []
         root_offsets = _lex_positive(root_stencil())
         offsets_p, par_ok = _parity_offset_table()
         for li, lv in enumerate(self.levels):
+            dense = _DenseLeaf.of(lv, root=li == 0)
+            if dense is not None:
+                self._dense.append(dense)
+                self._plan += [("dense", dense, sweeps, pairs)
+                               for sweeps, pairs in dense.groups]
+                continue
             par_code = ((lv.coords[:, 0] & 1) << 2) \
                 | ((lv.coords[:, 1] & 1) << 1) | (lv.coords[:, 2] & 1)
             if li == 0:
                 self._m2l_offsets(lv, root_offsets, par_code, None)
             else:
                 self._m2l_offsets(lv, offsets_p, par_code, par_ok)
-            self._near_field(lv, par_code, mixed)
+            self._near_field(lv, mixed)
         self._mixed_descent(mixed)
 
     #: pair-batch flush threshold (keeps kernel temporaries ~100 MB)
@@ -577,114 +554,44 @@ class FmmSolver:
             buf_b.append(slots[sel])
             buffered += len(buf_a[-1])
             if buffered >= self._CHUNK:
-                self._apply_m2l(lv, np.concatenate(buf_a), lv,
-                                np.concatenate(buf_b))
+                self._record_m2l(lv, np.concatenate(buf_a), lv,
+                                 np.concatenate(buf_b))
                 buf_a, buf_b, buffered = [], [], 0
         if buffered:
-            self._apply_m2l(lv, np.concatenate(buf_a), lv,
-                            np.concatenate(buf_b))
+            self._record_m2l(lv, np.concatenate(buf_a), lv,
+                             np.concatenate(buf_b))
 
-    def _apply_m2l(self, la: FmmLevel, a: np.ndarray,
-                   lb: FmmLevel, b: np.ndarray) -> None:
+    def _record_m2l(self, la: FmmLevel, a: np.ndarray,
+                    lb: FmmLevel, b: np.ndarray) -> None:
         # leaf-leaf pairs carry no quadrupoles (M2 = 0) and need no
         # Hessian (no children to shift to): route them through the cheap
         # monopole kernel — the paper's 12-flop vs 455-flop split
         both_leaf = la.leaf[a] & lb.leaf[b]
-        if both_leaf.all():
-            self._apply_p2p(la, a, lb, b)
-            return
         if both_leaf.any():
-            self._apply_p2p(la, a[both_leaf], lb, b[both_leaf])
-            rest = ~both_leaf
-            a, b = a[rest], b[rest]
-        if self._recording:
-            self._validate_pairs(la, a, lb, b)
-            self._pair_script.append(("m2l", la.level, a, lb.level, b))
-        default_registry().increment("/fmm/interactions/multipole", len(a))
-        self._m2l_kernel(la, a, lb, b)
+            self._record("p2p", la, a[both_leaf], lb, b[both_leaf])
+            a, b = a[~both_leaf], b[~both_leaf]
+        if len(a):
+            self._record("m2l", la, a, lb, b)
 
-    @staticmethod
-    def _validate_pairs(la: FmmLevel, a: np.ndarray,
-                        lb: FmmLevel, b: np.ndarray) -> None:
-        """Plan-build-time separation guard, hoisted out of the kernels.
+    def _record(self, kind: str, la: FmmLevel, a: np.ndarray,
+                lb: FmmLevel, b: np.ndarray) -> None:
+        """Append one validated pair-list entry to the plan.
 
-        Distinct cells always have distinct geometric centres (and the
-        COMs the kernels divide by lie strictly inside their cells), so
-        a zero geometric separation means the pair lists are broken —
-        e.g. a cell paired with itself.  Checking once per recorded
-        batch replaces the old per-call ``r2 == 0`` scan inside
-        ``greens`` on every solve.
+        The separation guard is hoisted out of the kernels: distinct
+        cells always have distinct geometric centres (and the COMs the
+        kernels divide by lie strictly inside their cells), so a zero
+        geometric separation means the pair lists are broken — e.g. a
+        cell paired with itself.  Checking once per recorded batch
+        replaces a per-call ``r2 == 0`` scan on every solve.
         """
         cA = (la.coords[a] + 0.5) * la.width
         cB = (lb.coords[b] + 0.5) * lb.width
         d = cA - cB
         if np.any(np.einsum("ni,ni->n", d, d) == 0.0):
             raise ValueError("coincident cells in interaction kernel")
+        self._plan.append((kind, la, a, lb, b))
 
-    def _gather_pairs(self, la: FmmLevel, a: np.ndarray,
-                      lb: FmmLevel, b: np.ndarray, tag: str
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather (dR, mA, mB) of one pair batch into workspace buffers."""
-        ws = self._ws
-        n = len(a)
-        cA = np.take(la.com, a, axis=0, out=ws.take(tag + ":cA", n, (3,)))
-        cB = np.take(lb.com, b, axis=0, out=ws.take(tag + ":cB", n, (3,)))
-        dR = np.subtract(cA, cB, out=cA)
-        mA = np.take(la.m, a, out=ws.take(tag + ":mA", n))
-        np.maximum(mA, _TINY, out=mA)
-        mB = np.take(lb.m, b, out=ws.take(tag + ":mB", n))
-        np.maximum(mB, _TINY, out=mB)
-        return dR, mA, mB
-
-    def _m2l_compute(self, la: FmmLevel, a: np.ndarray,
-                     lb: FmmLevel, b: np.ndarray):
-        """Serial compute half of M2L: workspace gathers + fused pair
-        kernel writing into reused workspace outputs.  Safe because the
-        caller accumulates the batch before the next compute begins."""
-        ws = self._ws
-        n = len(a)
-        dR, mA, mB = self._gather_pairs(la, a, lb, b, "m2l")
-        M2A = np.take(la.M2, a, axis=0, out=ws.take("m2l:M2A", n, (3, 3)))
-        M2B = np.take(lb.M2, b, axis=0, out=ws.take("m2l:M2B", n, (3, 3)))
-        out = (ws.take("m2l:phiA", n), ws.take("m2l:phiB", n),
-               ws.take("m2l:accA", n, (3,)), ws.take("m2l:accB", n, (3,)),
-               ws.take("m2l:HA", n, (3, 3)), ws.take("m2l:HB", n, (3, 3)))
-        return m2l_pair(dR, mA, mB, M2A, M2B, out=out)
-
-    def _m2l_kernel(self, la: FmmLevel, a: np.ndarray,
-                    lb: FmmLevel, b: np.ndarray) -> None:
-        phiA, phiB, accA, accB, HA, HB = self._m2l_compute(la, a, lb, b)
-        _accumulate(la, a, phiA, accA, HA)
-        _accumulate(lb, b, phiB, accB, HB)
-
-    def _apply_p2p(self, la: FmmLevel, a: np.ndarray,
-                   lb: FmmLevel, b: np.ndarray) -> None:
-        if self._recording:
-            self._validate_pairs(la, a, lb, b)
-            self._pair_script.append(("p2p", la.level, a, lb.level, b))
-        default_registry().increment("/fmm/interactions/monopole", len(a))
-        self._p2p_kernel(la, a, lb, b)
-
-    def _p2p_compute(self, la: FmmLevel, a: np.ndarray,
-                     lb: FmmLevel, b: np.ndarray):
-        """Serial compute half of P2P (see :meth:`_m2l_compute`)."""
-        ws = self._ws
-        n = len(a)
-        dR, mA, mB = self._gather_pairs(la, a, lb, b, "p2p")
-        out = (ws.take("p2p:phiA", n), ws.take("p2p:phiB", n),
-               ws.take("p2p:accA", n, (3,)), ws.take("p2p:accB", n, (3,)))
-        return p2p_pair(dR, mA, mB, out=out)
-
-    def _p2p_kernel(self, la: FmmLevel, a: np.ndarray,
-                    lb: FmmLevel, b: np.ndarray) -> None:
-        phiA, phiB, accA, accB = self._p2p_compute(la, a, lb, b)
-        _accumulate(la, a, phiA, accA, None)
-        _accumulate(lb, b, phiB, accB, None)
-
-    def _near_field(self, lv: FmmLevel,
-                    par_code: np.ndarray,
-                    mixed: list) -> None:
-        li = lv.level
+    def _near_field(self, lv: FmmLevel, mixed: list) -> None:
         buf_a: list[np.ndarray] = []
         buf_b: list[np.ndarray] = []
         for w in _lex_positive(p2p_stencil()):
@@ -703,14 +610,14 @@ class FmmSolver:
             # leaf x interior: descend on the interior side
             am = a_leaf & ~b_leaf
             if am.any():
-                mixed.append((li, a[am], li, b[am]))
+                mixed.append((lv.level, a[am], lv.level, b[am]))
             bm = ~a_leaf & b_leaf
             if bm.any():
-                mixed.append((li, b[bm], li, a[bm]))
+                mixed.append((lv.level, b[bm], lv.level, a[bm]))
             # interior x interior: children handle it (parity partition)
         if buf_a:
-            self._apply_p2p(lv, np.concatenate(buf_a), lv,
-                            np.concatenate(buf_b))
+            self._record("p2p", lv, np.concatenate(buf_a), lv,
+                         np.concatenate(buf_b))
 
     def _mixed_descent(self, queue: list) -> None:
         """AMR-boundary near-field: leaf cell vs refined cell.
@@ -727,7 +634,7 @@ class FmmSolver:
             lchild = level_by_id.get(int_lvl + 1)
             if lchild is None:
                 # unbalanced input tree: treat as direct interaction
-                self._apply_p2p(lleaf, leaf_idx, lint, int_idx)
+                self._record("p2p", lleaf, leaf_idx, lint, int_idx)
                 continue
             # children of the interior cells (Morton-contiguous)
             child_parent = lchild.parent_slot
@@ -747,14 +654,14 @@ class FmmSolver:
             d2 = ((ctr_leaf - ctr_child) ** 2).sum(axis=1)
             far = d2 > OPENING_R2 * lchild.width ** 2
             if far.any():
-                self._apply_m2l(lleaf, leaf_rep[far], lchild,
-                                child_slots[far])
+                self._record_m2l(lleaf, leaf_rep[far], lchild,
+                                 child_slots[far])
             near = ~far
             if near.any():
                 c_leaf = lchild.leaf[child_slots[near]]
                 if c_leaf.any():
-                    self._apply_p2p(lleaf, leaf_rep[near][c_leaf],
-                                    lchild, child_slots[near][c_leaf])
+                    self._record("p2p", lleaf, leaf_rep[near][c_leaf],
+                                 lchild, child_slots[near][c_leaf])
                 deeper = ~c_leaf
                 if deeper.any():
                     queue.append((leaf_lvl, leaf_rep[near][deeper],

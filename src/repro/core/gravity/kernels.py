@@ -31,23 +31,31 @@ per pair for ``g3`` alone — plus einsum contraction temporaries.  The
 production kernels (:func:`m2l_pair`, :func:`p2p_pair`,
 :func:`pair_torque`) now expand the contractions into explicit
 arithmetic over only the unique components, and every pair kernel takes
-``out=`` so the solver's tiled replay writes results straight into
+``out=`` so the solver's tiled compute writes results straight into
 preallocated batch outputs.  :func:`m2l_pair_reference` keeps the tensor
 formulation as the property-test oracle and microbenchmark baseline.
 
+On a fully populated leaf level the pair lists themselves go away:
+:func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
+child separations of every near parent offset once, and
+:func:`p2p_pair_staged` is the whole leaf-level near field as one
+shifted-slice matmul per offset.
+
 Hot-path kernels do **not** guard against coincident points: the solver
-validates pair separations geometrically once, at plan-record time
+validates separations geometrically once, when its plan is built
 (:meth:`repro.core.gravity.fmm.FmmSolver` — distinct cells always have
-distinct geometric centres), instead of scanning ``r2 == 0`` on every
-call.  The test-facing :func:`greens` keeps its guard.
+distinct geometric centres; :func:`green_table` for the dense tables),
+instead of scanning ``r2 == 0`` on every call.  The test-facing
+:func:`greens` keeps its guard.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["greens", "p2p_pair", "p2p_pair_staged", "m2l_pair",
-           "m2l_pair_reference", "pair_torque", "LEVI_CIVITA"]
+__all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
+           "p2p_pair_staged",
+           "m2l_pair", "m2l_pair_reference", "pair_torque", "LEVI_CIVITA"]
 
 #: Levi-Civita tensor for torque contractions
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -145,7 +153,7 @@ def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
     Returns ``(phiA, phiB, accA, accB)``: potentials and accelerations.
     ``accB`` is derived from the same force vector as ``accA`` so the pair
     momentum change is exactly zero.  ``out`` (same four arrays) lets the
-    tiled replay write results in place.
+    tiled solver path write results in place.
     """
     dR = np.asarray(dR, dtype=np.float64)
     x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
@@ -167,34 +175,77 @@ def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
     return phiA, phiB, accA, accB
 
 
-def p2p_pair_staged(dR: np.ndarray, inv: np.ndarray, inv3: np.ndarray,
-                    mA: np.ndarray, mB: np.ndarray, out=None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                               np.ndarray]:
-    """P2P with pre-staged Green-function factors (work aggregation).
+def green_table(w, child: np.ndarray, width: float) -> np.ndarray:
+    """The (8, 32) monopole Green table of one parent offset ``w``.
 
-    The aggregated replay path keeps per-batch staging buffers alive
-    across launches (the slot-buffer reuse of the aggregation design):
-    leaf centres of mass are pinned to the cell centres, so ``dR`` and
-    the inverse-distance factors ``inv = 1/r`` / ``inv3 = 1/r^3`` of a
-    recorded leaf-leaf batch are geometric constants and only the
-    mass-dependent factors change between solves.
+    On a fully populated leaf level the eight children of the parent at
+    ``I + w`` (sources, row ``j``) sit at fixed separations from the
+    eight children of the parent at ``I`` (targets, column block ``i``):
+    ``dR = (child[i] - 2 w - child[j]) * width``, whatever ``I`` is.
+    Column ``4 i`` holds ``-1/r`` and columns ``4 i + 1 .. 4 i + 3`` hold
+    ``-dR/r^3``, so ``m8 @ table`` is the potential and acceleration the
+    source parent's masses ``m8`` exert on every target child.
 
-    Bit-identical to :func:`p2p_pair` given matching staged factors: the
-    remaining expressions are the same operations in the same order.
+    ``w == 0`` pairs a parent with itself: the diagonal (a cell and
+    itself) is zeroed.  Any other zero separation means broken geometry
+    and is rejected here, once, the way the pair lists are validated when
+    they are recorded.
     """
-    if out is None:
-        n = len(dR)
-        out = (np.empty(n), np.empty(n), np.empty((n, 3)),
-               np.empty((n, 3)))
-    phiA, phiB, accA, accB = out
-    phiA[...] = -mB * inv
-    phiB[...] = -mA * inv
-    f = -(mA * mB * inv3)[:, None] * dR
-    np.divide(f, mA[:, None], out=accA)
-    np.divide(f, mB[:, None], out=accB)
-    np.negative(accB, out=accB)
-    return phiA, phiB, accA, accB
+    w = np.asarray(w, dtype=np.int64)
+    dR = (child[None, :, :] - 2 * w - child[:, None, :]) * float(width)
+    r2 = np.einsum("jic,jic->ji", dR, dR)
+    if not w.any():
+        r2[np.diag_indices(8)] = np.inf
+    if np.any(r2 == 0.0):
+        raise ValueError("coincident cells in interaction kernel")
+    inv = 1.0 / np.sqrt(r2)
+    inv3 = inv / r2
+    table = np.empty((8, 8, 4))
+    table[:, :, 0] = -inv
+    table[:, :, 1:] = -dR * inv3[:, :, None]
+    return table.reshape(8, 32)
+
+
+def green_sweeps(edge: int, offsets: np.ndarray, child: np.ndarray,
+                 width: float) -> tuple[list[tuple], int]:
+    """Stage parent ``offsets`` for :func:`p2p_pair_staged` on an
+    ``edge``^3 parent grid: ``(sweeps, pairs)``.
+
+    ``sweeps`` holds one ``(target slices, source slices, table)`` per
+    offset — the parents ``I`` with ``I + w`` inside the grid, the same
+    block shifted by ``w``, and the offset's :func:`green_table`.
+    ``pairs`` is the number of leaf pairs the offsets cover, each counted
+    once: ``w`` and ``-w`` visit every pair once per direction, so an
+    offset contributes half of what it sweeps.
+    """
+    sweeps, swept = [], 0
+    for w in np.asarray(offsets).tolist():
+        target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
+        source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
+        sweeps.append((target, source, green_table(w, child, width)))
+        blocks = 1
+        for x in w:
+            blocks *= edge - abs(x)
+        # siblings pair 8 * 7 ways, two distinct parents 8 * 8
+        swept += (64 if any(w) else 56) * blocks
+    return sweeps, swept // 2
+
+
+def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray) -> np.ndarray:
+    """Dense leaf P2P over pre-staged Green tables (Sec. 4.3's stencil
+    kernel): ``out[I] = sum_w m8[I + w] @ table_w``.
+
+    ``m8`` is the ``(P, P, P, 8)`` parent grid of leaf masses, ``sweeps``
+    the staged offsets (:func:`green_sweeps`) and ``out`` the
+    ``(P, P, P, 32)`` result (4 values per target child, see
+    :func:`green_table`), overwritten.  No index arrays, no scatter: the
+    separations are constants of the grid, so only the masses move.
+    Offsets are summed in the order given.
+    """
+    out[...] = 0.0
+    for target, source, table in sweeps:
+        out[target] += m8[source] @ table
+    return out
 
 
 def m2l_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,

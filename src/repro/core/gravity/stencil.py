@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = ["OPENING_R2", "well_separated", "canonical_stencil",
            "parity_stencils", "root_stencil", "p2p_stencil",
-           "STENCIL_HALF_WIDTH"]
+           "leaf_sweep_offsets", "STENCIL_HALF_WIDTH"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
@@ -103,3 +103,20 @@ def p2p_stencil() -> np.ndarray:
                    dtype=np.int64)
     pts = pts[(pts != 0).any(axis=1)]
     return pts[~well_separated(pts)]
+
+
+def leaf_sweep_offsets(edge: int, root: bool = False) -> np.ndarray:
+    """Parent offsets of the dense leaf-level sweep on an ``edge``^3
+    parent grid, in lexicographic order (``W = 0`` included: siblings).
+
+    Two leaf cells interact at leaf level exactly when their parents are
+    *not* well separated (:func:`parity_stencils` plus
+    :func:`p2p_stencil`, seen from the parents): ``||W||^2 <=
+    OPENING_R2``, 257 offsets.  On the ``root`` level nothing coarser
+    exists, so every pair is handled here and every offset that fits the
+    grid is swept.
+    """
+    r = edge - 1 if root else min(edge - 1, int(OPENING_R2 ** 0.5))
+    pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)),
+                   dtype=np.int64)
+    return pts if root else pts[~well_separated(pts)]

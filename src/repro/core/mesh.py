@@ -133,12 +133,12 @@ def apply_boundary(U: np.ndarray, bc: str) -> None:
 
 class GravityCoupling:
     """The FMM side of a self-gravitating uniform mesh: the shared
-    :class:`FmmSolver` (built once, interaction lists recorded on the
-    first solve), the contiguous ``(n, n, n)`` density staging buffer it
-    wants, and the end-of-step cache — the closing solve of step N, keyed
-    by the density it was solved for, serves the first stage of step N+1
-    (bit-identical to a fresh solve: same solver, same recorded pair
-    script, same input).  ``mesh`` supplies ``n``, ``dx`` and ``engine``
+    :class:`FmmSolver` (built once, interaction plan built on the first
+    solve), the contiguous ``(n, n, n)`` density staging buffer it wants,
+    and the end-of-step cache — the closing solve of step N, keyed by the
+    density it was solved for, serves the first stage of step N+1
+    (bit-identical to a fresh solve: same solver, same plan, same
+    input).  ``mesh`` supplies ``n``, ``dx`` and ``engine``
     (read at every solve: harnesses swap it)."""
 
     def __init__(self, mesh) -> None:
@@ -437,7 +437,7 @@ class BlockMesh(_UniformMesh):
 
     With ``self_gravity=True`` (requires ``blocks_per_edge`` a power of
     two) one FMM solver is shared across all blocks: it is built once
-    from the block geometry, its interaction lists are recorded on the
+    from the block geometry, its interaction plan is built on the
     first solve, and every stage re-sets only the leaf densities from the
     gathered block interiors.  Supplying a ``scheduler`` and/or
     ``device`` (wrapped into an :class:`repro.core.exec.ExecutionEngine`,

@@ -14,7 +14,7 @@ rely on: a retried task *recomputes into fresh buffers* (the kernel
 function is pure — same args in, new output array out), and callers such
 as :meth:`repro.core.gravity.fmm.FmmSolver.solve` and
 :meth:`repro.core.mesh.BlockMesh._rhs_all` accumulate results by calling
-``fut.get()`` in recorded script order.  A task that failed twice and
+``fut.get()`` in plan order.  A task that failed twice and
 succeeded on the third attempt therefore contributes exactly the bytes it
 would have contributed in a fault-free run — the accumulation order never
 depends on *when* futures completed.
@@ -69,7 +69,7 @@ class SupervisedEngine:
     Drop-in for the engine everywhere one is accepted (``Mesh``,
     ``BlockMesh``, ``FmmSolver.solve``): exposes the same ``submit`` /
     ``map`` / ``synchronize`` / ``publish_counters`` surface and the same
-    ``scheduler`` / ``devices`` / ``pool`` attributes.
+    ``scheduler`` / ``devices`` / ``pool`` / ``agg_slots`` attributes.
 
     Parameters
     ----------
@@ -130,6 +130,10 @@ class SupervisedEngine:
     @property
     def pool(self):
         return self.engine.pool
+
+    @property
+    def agg_slots(self) -> int:
+        return self.engine.agg_slots
 
     @property
     def gpu_fraction(self) -> float:

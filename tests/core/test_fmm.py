@@ -73,6 +73,21 @@ class TestUniformSolver:
         with pytest.raises(ValueError):
             solver.set_leaf_density({0: -np.ones((8, 8, 8))})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_rejected_naming_the_level(self, bad):
+        rho = np.ones((16, 16, 16))
+        solver = FmmSolver.from_uniform(rho, 0.1)
+        rho[3, 4, 5] = bad
+        with pytest.raises(ValueError, match="density on level 1"):
+            solver.set_leaf_density({1: rho})
+        with pytest.raises(ValueError, match="density on level 1"):
+            FmmSolver.from_uniform(rho, 0.1)
+
+    @pytest.mark.parametrize("dx", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_cell_width_rejected(self, dx):
+        with pytest.raises(ValueError, match="dx"):
+            FmmSolver.from_uniform(np.ones((8, 8, 8)), dx)
+
     def test_acc_matches_direct_summation(self, uniform16):
         rng, M, rho, solver, result = uniform16
         phi, acc = solver.uniform_field(result)

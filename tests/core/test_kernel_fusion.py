@@ -154,8 +154,8 @@ def test_pair_torque_matches_levi_civita_oracle():
 
 
 def test_coincidence_guard_hoisted_out_of_hot_kernels():
-    # the r2 == 0 scan moved to plan-build time (FmmSolver._validate_pairs
-    # checks each recorded batch once); the per-call hot kernels no longer
+    # the r2 == 0 scan moved to plan-build time (FmmSolver._record checks
+    # each recorded batch once); the per-call hot kernels no longer
     # pay for it, while the geometry-level helpers keep their guard
     dR = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     m = np.ones(2)

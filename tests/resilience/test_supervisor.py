@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.exec import ExecutionEngine
+from repro.core.gravity.fmm import FmmSolver
 from repro.resilience import (FaultInjector, SupervisedEngine,
                               TransientActionFault)
-from repro.runtime import CounterRegistry, WorkStealingScheduler
+from repro.runtime import (CounterRegistry, CudaDevice,
+                           WorkStealingScheduler)
 
 
 class TestSupervisedExecution:
@@ -125,6 +127,24 @@ class TestSupervisedExecution:
             assert eng.devices == []
             assert eng.gpu_fraction == 0.0
             eng.synchronize()
+
+    def test_supervised_fmm_solve_aggregates_launches(self):
+        """The solver sizes its chunks from the engine's ``agg_slots``;
+        supervision must forward it, or every batch is its own launch."""
+        rng = np.random.default_rng(4)
+        solver = FmmSolver.from_uniform(rng.uniform(0.1, 1.0, (16,) * 3),
+                                        1.0 / 16)
+        ref = solver.solve().phi[1]     # builds the plan, runs inline
+        with WorkStealingScheduler(1) as sched, \
+                CudaDevice(n_streams=2, n_workers=1, name="sup-gpu") as gpu:
+            inner = ExecutionEngine(scheduler=sched, devices=[gpu])
+            eng = SupervisedEngine(inner, registry=CounterRegistry())
+            assert eng.agg_slots == inner.agg_slots > 1
+            got = solver.solve(executor=eng).phi[1]
+            eng.synchronize()
+        assert np.array_equal(got, ref)
+        assert inner.agg_launches > 0
+        assert inner.aggregated_per_launch > 1.0
 
     def test_rejects_engine_plus_resources(self):
         with pytest.raises(ValueError):
