@@ -9,7 +9,9 @@ microbenchmark does not time).  Where a reference implementation exists
 (the einsum ``m2l_pair_reference`` and the allocate-per-stage
 ``compute_rhs_reference``) both variants are timed and the speedup of
 the fused path is reported — the CI gate asserts fused >= 1.5x for m2l
-and the full RHS.
+and the full RHS.  ``rhs_batched`` is what the meshes run: 1, 8 and 27
+8^3 sub-grids through one batched ``compute_rhs`` call, beside the same
+sub-grids through a per-block loop of batch-of-one calls.
 
 Used two ways:
 
@@ -34,7 +36,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import IdealGas, NF, NGHOST, RHO, EGAS, TAU  # noqa: E402
+from repro.core import (IdealGas, NF, NGHOST, RHO, EGAS,  # noqa: E402
+                        SUBGRID_N, TAU)
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         m2l_pair, m2l_pair_reference,
                                         p2p_pair, p2p_pair_staged)
@@ -53,6 +56,9 @@ PAIR_N = 16384
 DENSE_EDGE = 16
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
+#: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
+#: serial meshes' chunk, a whole 24^3 mesh
+RHS_BATCHES = (1, 8, 27)
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -150,7 +156,24 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         return {"seconds": seconds, "items": items,
                 "ns_per_item": 1e9 * seconds / items}
 
+    sub, _ = _hydro_block(SUBGRID_N)
+    subs = [sub.copy() for _ in range(max(RHS_BATCHES))]
+    one_out = np.empty((NF,) + (SUBGRID_N,) * 3)
+    dx = 1.0 / SUBGRID_N
+    rhs_batched = {}
+    for B in RHS_BATCHES:
+        all_out = np.empty((NF, B) + (SUBGRID_N,) * 3)
+        t_loop = _time(lambda: [compute_rhs(U1, dx, opts, out=one_out, ws=ws)
+                                for U1 in subs[:B]], repeats=repeats)
+        t_batch = _time(lambda: compute_rhs(subs[:B], dx, opts, out=all_out,
+                                            ws=ws), repeats=repeats)
+        zones = B * SUBGRID_N ** 3
+        rhs_batched[str(B)] = {"per_block": entry(t_loop, zones),
+                               "batched": entry(t_batch, zones),
+                               "speedup": t_loop / t_batch}
+
     return {
+        "rhs_batched": rhs_batched,
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -168,6 +191,15 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     }
 
 
+def rhs_batched_lines(kernels: dict) -> list[str]:
+    """The ``rhs_batched`` rows as report lines (ns per zone)."""
+    return [f"  rhs_batched B={B:>2s}     "
+            f"{row['per_block']['ns_per_item']:8.1f} ns/zone per-block loop, "
+            f"{row['batched']['ns_per_item']:8.1f} one batched call "
+            f"({row['speedup']:.2f}x)"
+            for B, row in kernels["rhs_batched"].items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     kernels = run_kernels_micro()
     for name in ("p2p", "p2p_dense", "m2l", "m2l_reference", "greens",
@@ -178,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
               f"({e['items']} items, best {1e3 * e['seconds']:.3f} ms)")
     print(f"  m2l fused speedup  {kernels['m2l_speedup']:.2f}x")
     print(f"  rhs fused speedup  {kernels['rhs_speedup']:.2f}x")
+    for line in rhs_batched_lines(kernels):
+        print(line)
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

@@ -9,8 +9,9 @@ overflows onto the CPU worker itself.  The :class:`ExecutionEngine`
 reproduces exactly that routing for *real* solver work —
 :meth:`repro.core.gravity.fmm.FmmSolver.solve` hands it the recorded
 M2L/P2P interaction batches, :class:`repro.core.mesh.BlockMesh` hands it
-per-block hydro right-hand sides — instead of only for the synthetic
-kernels of the simulator.
+the hydro right-hand side of one aggregation chunk of sub-grids per task
+(``agg_slots`` blocks, one batched ``compute_rhs`` call) — instead of
+only for the synthetic kernels of the simulator.
 
 On top of that routing sits **work aggregation** (Daiß et al., arXiv
 2210.06438; :mod:`repro.runtime.aggregate`): :meth:`map` splits a batch
@@ -167,15 +168,18 @@ class ExecutionEngine:
         argtuples = [tuple(args) for args in argtuples]
         promises = [Promise() for _ in argtuples]
         if _sanitize_state.ACTIVE:
-            # declare every ndarray argument as read at dispatch: the
-            # post/future edges order these against the kernels, so an
-            # unsynchronized mutation of a buffer already handed to the
-            # engine surfaces as a two-access report
+            # declare every ndarray argument (and every ndarray of a
+            # list argument: a batched kernel's blocks) as read at
+            # dispatch: the post/future edges order these against the
+            # kernels, so an unsynchronized mutation of a buffer already
+            # handed to the engine surfaces as a two-access report
             label = f"exec:{getattr(fn, '__name__', 'kernel')}"
             for args in argtuples:
-                for a in args:
-                    if isinstance(a, np.ndarray):
-                        _racecheck.access(a, "r", owner=label)
+                for arg in args:
+                    for a in (arg if isinstance(arg, (list, tuple))
+                              else (arg,)):
+                        if isinstance(a, np.ndarray):
+                            _racecheck.access(a, "r", owner=label)
         self.registry.increment("/exec/batches")
         self.registry.increment("/exec/tasks", float(len(argtuples)))
         if self.scheduler is None:

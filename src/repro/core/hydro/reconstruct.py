@@ -16,9 +16,17 @@ the per-stage face-state churn, and ``ws=`` (a
 :class:`repro.core.workspace.Workspace`) for the fully fused path: every
 intermediate lives in reused scratch, nothing is allocated, and the
 returned face arrays are views into workspace buffers (valid until the
-next reconstruction of the same shape along the same axis).  The values
-written are bitwise identical to the allocating path — only buffer
-reuse and ``out=`` routing change, never the arithmetic expressions.
+next reconstruction through the same workspace: one capacity-grown
+buffer per role serves every axis and shape).  The values written are
+bitwise identical to the allocating path — only buffer reuse and
+``out=`` routing change, never the arithmetic expressions.
+
+Layout: the kernels are elementwise across every dimension but ``axis``,
+so they accept any array.  The hydro RHS hands them *pencil-major*
+batches ``(NF, m, B, n, n)`` — reconstruction axis right behind the
+field index, ``B`` sub-grids side by side — where every :func:`_ax`
+slice of one field is a single contiguous run of at least ``B * n^2``
+doubles instead of ``n`` strided rows of ``n``.
 """
 
 from __future__ import annotations
@@ -42,8 +50,7 @@ def minmod_faces(q: np.ndarray, ng: int, axis: int,
     if out is None and ws is not None:
         fshape = list(q.shape)
         fshape[axis] = n + 1
-        out = (ws.buf(f"mm:L{axis}", tuple(fshape)),
-               ws.buf(f"mm:R{axis}", tuple(fshape)))
+        out = (ws.buf("mm:L", tuple(fshape)), ws.buf("mm:R", tuple(fshape)))
     qm = _ax(q, ng - 2, ng + n + 2, axis)           # cells -2 .. n+1
     d_lo = _ax(qm, 1, -1, axis) - _ax(qm, 0, -2, axis)
     d_hi = _ax(qm, 2, None, axis) - _ax(qm, 1, -1, axis)
@@ -123,23 +130,29 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
     masked ``np.copyto`` onto the same "else" values, and ``np.clip``
     runs with ``out=`` — so the results are bitwise identical.
 
-    Field-major blocks are processed one field at a time: the ~10
-    intermediate arrays then cover a single field and stay resident in
-    cache across the ~30 elementwise passes instead of streaming the
-    whole block from DRAM every pass.  Per-field chunking of elementwise
-    arithmetic is bitwise-neutral.
+    Field-major arrays (any reconstruction axis but the leading one) are
+    processed one field at a time: the ~10 intermediate arrays then cover
+    a single field and stay resident in cache across the ~30 elementwise
+    passes instead of streaming the whole batch from DRAM every pass.
+    Per-field chunking of elementwise arithmetic is bitwise-neutral.
     """
+    fieldless = axis == 0
+    if fieldless:                                   # one field, unbatched
+        q, axis = q[None], 1
     n = q.shape[axis] - 2 * ng
-    sh2 = list(q.shape)
-    sh2[axis] = n + 2
-    sh2 = tuple(sh2)
-    lo = ws.buf(f"ppm:lo{axis}", sh2)
-    hi = ws.buf(f"ppm:hi{axis}", sh2)
-    if q.ndim == 4 and axis != 0:
-        for f in range(q.shape[0]):                 # per-field chunking
-            _ppm_one_ws(q[f], ng, axis - 1, lo[f], hi[f], ws)
-    else:
-        _ppm_one_ws(q, ng, axis, lo, hi, ws)
+    sh2 = q.shape[:axis] + (n + 2,) + q.shape[axis + 1:]
+    shF = q.shape[1:axis] + (n + 3,) + q.shape[axis + 1:]
+    lo = ws.buf("ppm:lo", sh2)
+    hi = ws.buf("ppm:hi", sh2)
+    # one field's intermediates, shared by all fields
+    scratch = (ws.buf("ppm:F", shF), ws.buf("ppm:t", shF),
+               ws.buf("ppm:a", sh2[1:]), ws.buf("ppm:b", sh2[1:]),
+               ws.buf("ppm:dqf", sh2[1:]), ws.buf("ppm:six", sh2[1:]),
+               ws.buf("ppm:mask", sh2[1:], dtype=bool))
+    for f in range(q.shape[0]):
+        _ppm_one_ws(q[f], ng, axis - 1, lo[f], hi[f], scratch)
+    if fieldless:
+        lo, hi, axis = lo[0], hi[0], 0
     if out is None:
         return _ax(hi, 0, -1, axis), _ax(lo, 1, None, axis)
     qL, qR = out
@@ -149,17 +162,14 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
 
 
 def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,
-                lo: np.ndarray, hi: np.ndarray, ws) -> None:
-    """One PPM reconstruction into ``lo``/``hi`` using ``ws`` scratch."""
+                lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
+    """One PPM reconstruction into ``lo``/``hi`` using the caller's
+    ``scratch`` arrays (two of ``n + 3`` faces, four of ``n + 2`` cells
+    and a mask of ``n + 2`` cells along ``axis``)."""
     n = q.shape[axis] - 2 * ng
-    shF = list(q.shape)
-    shF[axis] = n + 3
-    shF = tuple(shF)
-    sh2 = lo.shape
+    F, t, a, b, dqf, six, mask = scratch
 
     C = _ax(q, ng - 3, ng + n + 3, axis)            # view: cells -3 .. n+2
-    F = ws.buf(f"ppm:F{axis}", shF)
-    t = ws.buf(f"ppm:t{axis}", shF)
     # F = 7/12 (C1 + C2) - 1/12 (C0 + C3)
     np.add(_ax(C, 1, -2, axis), _ax(C, 2, -1, axis), out=F)
     F *= 7.0 / 12.0
@@ -170,9 +180,6 @@ def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,
     c = _ax(C, 2, -2, axis)
     left = _ax(C, 1, -3, axis)
     right = _ax(C, 3, -1, axis)
-    a = ws.buf(f"ppm:a{axis}", sh2)
-    b = ws.buf(f"ppm:b{axis}", sh2)
-    mask = ws.buf(f"ppm:mask{axis}", sh2, dtype=bool)
 
     np.minimum(left, c, out=a)
     np.maximum(left, c, out=b)
@@ -189,12 +196,10 @@ def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,
     np.copyto(lo, c, where=mask)
     np.copyto(hi, c, where=mask)
 
-    dqf = ws.buf(f"ppm:dqf{axis}", sh2)
     np.subtract(hi, lo, out=dqf)
     # avg = 0.5 * (lo + hi); six = dqf * dqf / 6
     np.add(lo, hi, out=a)
     a *= 0.5
-    six = ws.buf(f"ppm:six{axis}", sh2)
     np.multiply(dqf, dqf, out=six)
     six /= 6.0
     # prod = dqf * (c - avg): computed once; the reference evaluates the

@@ -53,8 +53,7 @@ def _scratch(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def conserved_to_primitive(U: np.ndarray, eos: IdealGas,
                            rho_floor: float = 1e-12,
-                           out: np.ndarray | None = None,
-                           ws=None) -> np.ndarray:
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Primitive variables W from a conserved block (NF, ...).
 
     W layout matches U, with velocities in slots 1..3 and pressure in the
@@ -63,14 +62,10 @@ def conserved_to_primitive(U: np.ndarray, eos: IdealGas,
     zeroed (see the module docstring) — dividing their momenta by the
     floored density would manufacture enormous velocities out of noise.
 
-    ``out`` (an (NF, ...) array matching ``U``) or ``ws`` (a
-    :class:`repro.core.workspace.Workspace`) make the conversion
-    allocation-free on the hot path.
+    ``out`` (an (NF, ...) array matching ``U``, any strides: the hydro RHS
+    passes one block's slot of its batch) receives the result.
     """
-    if out is not None:
-        W = out
-    else:
-        W = _scratch(ws, "c2p:W", U.shape)
+    W = out if out is not None else np.empty(U.shape)
     np.maximum(U[RHO], rho_floor, out=W[RHO])
     rho = W[RHO]
     inv = 1.0 / rho
@@ -182,7 +177,7 @@ def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
     unL, unR = WL[SX + axis], WR[SX + axis]
     pL, pR = WL[EGAS], WR[EGAS]
     if out is None:
-        out = _scratch(ws, f"kt:F{axis}", WL.shape)
+        out = _scratch(ws, "kt:F", WL.shape)
     F = out
     # a = max(|u|+c over L,R); the 0.5 a prefactor is shared by all fields
     half_a = 0.5 * np.maximum(np.abs(unL) + eos.sound_speed(rhoL, pL),

@@ -1,10 +1,11 @@
 """The unsplit finite-volume update (Sec. 4.2).
 
 Combines PPM/minmod reconstruction with Kurganov-Tadmor fluxes into the
-conservative right-hand side of one block, adds gravity and rotating-frame
-sources, and implements the angular-momentum bookkeeping of Despres &
-Labourasse (2015) as used by Octo-Tiger: a spin field absorbs exactly the
-angular momentum the cell-centred momentum update cannot represent, so
+conservative right-hand side of a batch of blocks, adds gravity and
+rotating-frame sources, and implements the angular-momentum bookkeeping
+of Despres & Labourasse (2015) as used by Octo-Tiger: a spin field absorbs
+exactly the angular momentum the cell-centred momentum update cannot
+represent, so
 
     sum_cells [ x cross s + l ]
 
@@ -19,14 +20,33 @@ mesh block).
 Time integration is not here: the SSP-RK2 stepping core every mesh shares
 is :func:`repro.core.mesh.rk2_step`.
 
-Scratch and fusion (Sec. 4.3 kernel rework): :func:`compute_rhs` and
-:func:`cfl_dt` accept a :class:`repro.core.workspace.Workspace` (and
-``compute_rhs`` an ``out=`` array) so steady-state stepping reuses the
-primitive block, face states and flux arrays across stages and steps
-instead of reallocating ~14 full-field temporaries per axis per stage.  The fused path is bitwise
-identical to :func:`compute_rhs_reference`, which keeps the original
-allocate-per-stage kernel composition as the test oracle and
+Batching and layout (Sec. 4.3 kernel rework, and the work aggregation of
+arXiv 2210.06438): :func:`compute_rhs` evaluates a whole *batch* of
+equally shaped blocks — one aggregation chunk of 8^3 sub-grids — in one
+pass, field-major ``(NF, B, ...)`` inside; a single block is a batch of
+one through the same body.  An 8^3 sub-grid alone is too small for numpy:
+its PPM sweep is ~33 ufunc calls per field on strided views of at most
+896 doubles, all interpreter and dispatch overhead.  So every sweep is
+*pencil-major*: per axis the primitives, restricted to the interior
+transversally, are copied once into ``(NF, m, B, n, n)`` with the sweep
+axis leading; reconstruction and fluxes then stream contiguous runs of
+at least ``B * n^2`` doubles, and the flux difference is added back
+through a ``moveaxis`` view of the output.  This is layout only — every
+expression keeps its operands and order and is elementwise across
+blocks — so each block's result is bitwise
+:func:`compute_rhs_reference` of that block, which keeps the original
+per-block allocate-per-stage kernel composition as the test oracle and
 microbenchmark baseline.
+
+Scratch: :func:`compute_rhs` and :func:`cfl_dt` accept a
+:class:`repro.core.workspace.Workspace` (and ``compute_rhs`` an ``out=``
+array) so steady-state stepping reuses the primitive batch, pencils, face
+states and flux arrays across axes, chunks, stages and steps.  Memory is
+the constraint on the batch size: the scratch of an 8-block batch of 8^3
+sub-grids is ~5 MB per calling thread (the primitive batch is half of
+it), so blocks are converted to primitives one by one straight into the
+batch and sources are added per block from the live blocks — nothing
+conserved is staged.
 """
 
 from __future__ import annotations
@@ -39,12 +59,16 @@ from ...sanitize import racecheck as _racecheck
 from ...sanitize import state as _sanitize_state
 from ..eos import IdealGas
 from ..grid import EGAS, LX, NF, NGHOST, RHO, SX, TAU
+from ..workspace import Workspace
 from .reconstruct import minmod_faces, ppm_faces
 from .riemann import (conserved_signal_speed, conserved_to_primitive,
                       kt_flux, kt_flux_reference)
 
 __all__ = ["HydroOptions", "compute_rhs", "compute_rhs_reference",
            "cfl_dt", "apply_floors"]
+
+
+_RECONSTRUCTIONS = {"ppm": ppm_faces, "minmod": minmod_faces}
 
 
 @dataclass
@@ -62,6 +86,16 @@ class HydroOptions:
     spin_correction: bool = True
 
     def __post_init__(self):
+        if self.reconstruction not in _RECONSTRUCTIONS:
+            raise ValueError(
+                f"reconstruction: unknown scheme {self.reconstruction!r}, "
+                f"expected one of {sorted(_RECONSTRUCTIONS)}")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ValueError(f"cfl: need 0 < cfl <= 1, got {self.cfl!r}")
+        if not (np.isfinite(self.rho_floor) and self.rho_floor > 0.0):
+            raise ValueError(
+                f"rho_floor: need a finite positive density, got "
+                f"{self.rho_floor!r}")
         # one definition of vacuum for the whole stack: the EOS clamps in
         # sound_speed/kinetic must agree with the floor applied to the
         # state, or a cell below the solver floor divides by a smaller
@@ -69,93 +103,157 @@ class HydroOptions:
         self.eos.rho_floor = self.rho_floor
 
 
-def _faces(q: np.ndarray, axis: int, options: HydroOptions, ws=None):
-    # spatial axis `axis` is array dimension axis + 1 (dim 0 = field)
-    ax = axis + 1
-    if options.reconstruction == "ppm":
-        return ppm_faces(q, NGHOST, ax, ws=ws)
-    if options.reconstruction == "minmod":
-        return minmod_faces(q, NGHOST, ax, ws=ws)
-    raise ValueError(f"unknown reconstruction {options.reconstruction!r}")
+def _faces(q: np.ndarray, ax: int, options: HydroOptions, ws=None):
+    """Face states of ``q`` along array dimension ``ax``."""
+    return _RECONSTRUCTIONS[options.reconstruction](q, NGHOST, ax, ws=ws)
 
 
-def compute_rhs(U: np.ndarray, dx: float, options: HydroOptions,
-                origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                gravity: np.ndarray | None = None,
-                return_fluxes: bool = False,
+def _check_batch(blocks, single: bool, origin, gravity, out) -> tuple:
+    """Reject a malformed batch before any arithmetic; returns the
+    interior shape shared by its blocks."""
+    g = NGHOST
+    if not blocks:
+        raise ValueError("compute_rhs needs at least one block")
+    full = np.shape(blocks[0])
+    if len(full) != 4 or full[0] != NF or min(full[1:]) <= 2 * g:
+        raise ValueError(
+            f"blocks must be ghosted (NF={NF}, m, m, m) arrays with "
+            f"m > {2 * g}, got {full}")
+    for b, blk in enumerate(blocks):
+        if np.shape(blk) != full:
+            raise ValueError(
+                f"ragged batch: block {b} has shape {np.shape(blk)}, "
+                f"block 0 {full}")
+    shape = tuple(m - 2 * g for m in full[1:])
+    B = len(blocks)
+    if origin is not None and np.shape(origin) != (B, 3):
+        raise ValueError(
+            f"origin: need one (x, y, z) per block, shape ({B}, 3), "
+            f"got {np.shape(origin)}")
+    if gravity is not None:
+        if len(gravity) != B:
+            raise ValueError(
+                f"gravity: {len(gravity)} fields for {B} blocks")
+        for b, acc in enumerate(gravity):
+            if np.shape(acc) != (3,) + shape:
+                raise ValueError(
+                    f"gravity: block {b} needs shape {(3,) + shape}, "
+                    f"got {np.shape(acc)}")
+    if out is not None:
+        want = (NF,) + shape if single else (NF, B) + shape
+        if np.shape(out) != want:
+            raise ValueError(
+                f"out: need shape {want}, got {np.shape(out)}")
+    return shape
+
+
+def compute_rhs(U, dx: float, options: HydroOptions,
+                origin=None, gravity=None, return_fluxes: bool = False,
                 out: np.ndarray | None = None, ws=None):
-    """dU/dt of the interior of a ghost-filled block (fused path).
+    """dU/dt of the interiors of a batch of ghost-filled blocks.
 
     Parameters
     ----------
     U:
-        Conserved block (NF, n+2g, n+2g, n+2g), ghosts filled.
+        A list of ``B`` equally shaped conserved blocks
+        (NF, n+2g, n+2g, n+2g), ghosts filled — one aggregation chunk of
+        sub-grids — or a single such array (a batch of one; every
+        per-block argument and result below then loses its batch
+        dimension).
     dx:
-        Cell width.
+        Cell width, shared by the batch.
     origin:
-        Physical coordinates of the lower corner of the interior (needed
-        for the spin correction torque arms and frame sources).
+        Per block, the physical coordinates of the lower corner of its
+        interior (spin-correction torque arms and frame sources);
+        ``None`` puts every block at the coordinate origin.
     gravity:
-        Optional (3, n, n, n) acceleration field on the interior.
+        Optional per-block (3, n, n, n) acceleration fields on the
+        interiors.
     return_fluxes:
-        Also return the per-axis face-flux arrays (for AMR refluxing).
-        Flux arrays are then freshly allocated — never workspace views —
-        so the caller may hold them across further solver calls.
+        Also return the per-axis face-flux arrays (for AMR refluxing),
+        in block layout (NF, B, ...).  They are freshly allocated —
+        never workspace views — so the caller may hold them across
+        further solver calls.
     out:
-        Optional (NF, n, n, n) output; fully overwritten.
+        Optional (NF, B, n, n, n) output; fully overwritten, so running
+        the same call again (a supervised retry) is idempotent.
     ws:
         Optional :class:`repro.core.workspace.Workspace` backing the
-        primitive block, face states and flux scratch.
+        primitive batch, pencils, face states and flux scratch.
 
-    Returns ``rhs`` with shape (NF, n, n, n) (plus fluxes if requested).
+    Returns ``rhs`` with shape (NF, B, n, n, n) (plus fluxes if requested);
+    block ``b`` of the batch is ``rhs[:, b]``.
+
+    Every expression is elementwise across blocks and transverse columns,
+    so the result of block ``b`` does not depend on what else is in the
+    batch, on ``B``, or on the order of the blocks: it is bitwise
+    :func:`compute_rhs_reference` of that block alone.
     """
     g = NGHOST
-    shape = tuple(U.shape[1 + d] - 2 * g for d in range(3))
+    single = isinstance(U, np.ndarray)
+    if single:
+        U = [U]
+        origin = None if origin is None else [origin]
+        gravity = None if gravity is None else [gravity]
+    shape = _check_batch(U, single, origin, gravity, out)
+    B = len(U)
+    if origin is None:
+        origin = [(0.0, 0.0, 0.0)] * B
+    if gravity is None:
+        gravity = [None] * B
     eos = options.eos
-    W = conserved_to_primitive(U, eos, options.rho_floor, ws=ws)
-    if out is not None:
-        rhs = out
-    elif ws is not None:
-        rhs = ws.buf("rhs:out", (NF,) + shape)
-    else:
-        rhs = np.empty((NF,) + shape)
+    if ws is None:
+        ws = Workspace()
+    if out is None:
+        out = np.empty((NF,) + shape if single else (NF, B) + shape)
+    rhs = out[:, None] if single else out
     if _sanitize_state.ACTIVE:
-        # shadow-access declarations: this task body reads the conserved
-        # block (and gravity) and overwrites the shared out= buffer
-        _racecheck.access(U, "r", owner="hydro/U")
-        if gravity is not None:
-            _racecheck.access(gravity, "r", owner="hydro/gravity")
-        _racecheck.access(rhs, "w", owner="hydro/rhs-out")
+        # shadow-access declarations: this task body reads its conserved
+        # blocks (and their gravity) and overwrites the shared out= buffer
+        for blk, acc in zip(U, gravity):
+            _racecheck.access(blk, "r", owner="hydro/U")
+            if acc is not None:
+                _racecheck.access(acc, "r", owner="hydro/gravity")
+        _racecheck.access(out, "w", owner="hydro/rhs-out")
+    # primitives, each block converted straight into its slot of the batch
+    W = ws.buf("rhs:W", (NF, B) + tuple(n + 2 * g for n in shape))
+    for b, blk in enumerate(U):
+        conserved_to_primitive(blk, eos, options.rho_floor, out=W[:, b])
     rhs[...] = 0.0
     fluxes = []
 
     for axis in range(3):
-        # restrict the transverse extents to the interior *before*
-        # reconstructing: PPM is elementwise across transverse columns,
-        # so skipping ghost columns whose faces would be discarded is
-        # bitwise-neutral and trims (n+2g)^2/n^2 of the reconstruction
-        sl = [slice(None)] + [slice(g, g + shape[d]) for d in range(3)]
-        sl[1 + axis] = slice(None)
-        WL, WR = _faces(W[tuple(sl)], axis, options, ws)
-        if return_fluxes:
-            F = kt_flux(WL, WR, eos, axis)
-        else:
-            F = kt_flux(WL, WR, eos, axis, ws=ws)
+        # Pencil-major sweep: copy the primitives once into
+        # (NF, m, B, n, n), sweep axis leading, so every slice the
+        # reconstruction takes along it is one contiguous run.  The
+        # transverse extents are restricted to the interior on the way:
+        # PPM is elementwise across transverse columns, so skipping ghost
+        # columns whose faces would be discarded is bitwise-neutral and
+        # trims (n+2g)^2/n^2 of the reconstruction.
+        sl = [slice(None), slice(None)] + [slice(g, g + n) for n in shape]
+        sl[2 + axis] = slice(None)
+        pencil = np.moveaxis(W[tuple(sl)], 2 + axis, 1)
+        Wp = ws.buf("rhs:pencil", pencil.shape)
+        np.copyto(Wp, pencil)
+        WL, WR = _faces(Wp, 1, options, ws)
+        F = kt_flux(WL, WR, eos, axis, ws=ws)
         n = shape[axis]
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[1 + axis] = slice(0, n)
-        hi[1 + axis] = slice(1, n + 1)
-        rhs += (F[tuple(lo)] - F[tuple(hi)]) / dx
+        Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
+        sweep = np.moveaxis(rhs, 2 + axis, 1)       # rhs, pencil-major view
+        sweep += (Flo - Fhi) / dx
         if options.spin_correction:
-            _add_spin_correction(rhs, F, axis, n)
+            _add_spin_correction(sweep, Flo, Fhi, axis)
         if return_fluxes:
-            fluxes.append(F)
+            fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
 
-    _add_sources(rhs, U, shape, dx, origin, options, gravity)
+    for b, blk in enumerate(U):
+        _add_sources(rhs[:, b], blk, shape, dx, origin[b], options,
+                     gravity[b])
     if return_fluxes:
-        return rhs, fluxes
-    return rhs
+        if single:
+            fluxes = [F[:, 0] for F in fluxes]
+        return out, fluxes
+    return out
 
 
 def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
@@ -173,7 +271,7 @@ def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
     W = conserved_to_primitive(U, eos, options.rho_floor)
     rhs = np.zeros((NF,) + shape)
     for axis in range(3):
-        WL, WR = _faces(W, axis, options)
+        WL, WR = _faces(W, axis + 1, options)
         sl = [slice(None)] + [slice(g, g + shape[d]) for d in range(3)]
         sl[1 + axis] = slice(None)
         F = kt_flux_reference(WL[tuple(sl)], WR[tuple(sl)], eos, axis)
@@ -184,25 +282,23 @@ def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
         hi[1 + axis] = slice(1, n + 1)
         rhs += (F[tuple(lo)] - F[tuple(hi)]) / dx
         if options.spin_correction:
-            _add_spin_correction(rhs, F, axis, n)
+            _add_spin_correction(rhs, F[tuple(lo)], F[tuple(hi)], axis)
     _add_sources(rhs, U, shape, dx, origin, options, gravity)
     return rhs
 
 
-def _add_spin_correction(rhs: np.ndarray, F: np.ndarray, axis: int,
-                         n: int) -> None:
+def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
+                         axis: int) -> None:
     """Despres-Labourasse spin source: the face momentum fluxes deposit
     the angular momentum that the cell-centred arms x_i cross s_i miss.
+    ``Flo``/``Fhi`` are the fluxes through the low/high face of every
+    cell of ``rhs`` along physical axis ``axis``, in ``rhs``'s layout.
 
     Derivation: choosing dl_i/dt = -(dx/2) e_ax cross (F_{i+1/2} +
     F_{i-1/2}) / dx makes sum(x cross s + l) follow the conservative
     angular-momentum flux x_face cross F_face, which telescopes.
     """
-    lo = [slice(None)] * 4
-    hi = [slice(None)] * 4
-    lo[1 + axis] = slice(0, n)
-    hi[1 + axis] = slice(1, n + 1)
-    fsum = F[tuple(lo)] + F[tuple(hi)]          # F_minus + F_plus
+    fsum = Flo + Fhi                            # F_minus + F_plus
     sx, sy, sz = fsum[SX], fsum[SX + 1], fsum[SX + 2]
     # e_ax cross (sx, sy, sz); factor -(1/2) from the derivation
     if axis == 0:

@@ -1,4 +1,4 @@
-"""Shape-keyed scratch buffers for the hot solver kernels.
+"""Capacity-grown scratch buffers for the hot solver kernels.
 
 The fused SoA kernels (hydro RHS, FMM pair batches) are memory-bound:
 at production sizes the per-stage ``np.empty`` churn — primitive blocks,
@@ -13,11 +13,14 @@ Contract
   that takes a workspace must fully overwrite what it reads back.  No
   kernel result may depend on prior buffer contents — this is what keeps
   workspace-backed runs bit-identical to allocation-per-call runs.
-* Buffers are keyed by ``(name, shape, dtype)`` (:meth:`buf`) or grown to
-  a high-water capacity per ``name`` (:meth:`take`), so one workspace
-  serves every block/batch size that flows through it.
+* One buffer is kept per ``(name, dtype)`` role and grown to the largest
+  request ever made of it; :meth:`buf` and :meth:`take` hand out views
+  of its front.  One workspace therefore serves every block/batch size
+  that flows through it — the three sweep axes of a hydro batch and its
+  short last chunk share one allocation per role.  Two requests under
+  one name alias: a name is a role, never two live arrays.
 * Storage is **thread-local**: a single workspace may be shared by a
-  futurized mesh whose per-block tasks run on scheduler workers — each
+  futurized mesh whose batched tasks run on scheduler workers — each
   worker sees its own buffer set, so concurrent kernels never alias.
 * A workspace holds *no live state* between kernel calls.  Dropping or
   recreating one is always safe; checkpoint/restore never snapshots it
@@ -26,6 +29,7 @@ Contract
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -49,27 +53,20 @@ class Workspace:
 
     def buf(self, name: str, shape: tuple[int, ...],
             dtype=np.float64) -> np.ndarray:
-        """An uninitialized scratch array of exactly ``shape``.
-
-        The same ``(name, shape, dtype)`` always returns the same array
-        (per thread), so per-stage temporaries cost one allocation for
-        the lifetime of the workspace.
+        """An uninitialized C-contiguous scratch array of exactly ``shape``,
+        carved from the front of the role's capacity-grown buffer
+        (:meth:`take`): per-stage temporaries cost one allocation for the
+        lifetime of the workspace, whatever mix of shapes asks for them.
         """
-        bufs = self._bufs()
-        key = (name, shape, np.dtype(dtype).str)
-        arr = bufs.get(key)
-        if arr is None:
-            arr = bufs[key] = np.empty(shape, dtype)
-        return arr
+        return self.take(name, math.prod(shape), dtype=dtype).reshape(shape)
 
     def take(self, name: str, n: int, trailing: tuple[int, ...] = (),
              dtype=np.float64) -> np.ndarray:
         """A view of length ``n`` into a capacity-grown buffer.
 
-        Unlike :meth:`buf`, one buffer per ``name`` is kept and grown to
-        the largest ``(n,) + trailing`` ever requested; the returned view
-        covers the first ``n`` rows.  This is the right shape policy for
-        pair batches whose sizes vary per plan entry.
+        One buffer per ``name`` (and ``trailing``, ``dtype``) is kept and
+        grown to the largest ``n`` ever requested; the returned view
+        covers the first ``n`` rows.
         """
         bufs = self._bufs()
         key = (name, trailing, np.dtype(dtype).str)

@@ -12,12 +12,13 @@ up to ``max_retries`` times before surfacing the failure.
 The supervisor preserves the bitwise-replay property the acceptance tests
 rely on: a retried task *recomputes into fresh buffers* (the kernel
 function is pure — same args in, new output array out), and callers such
-as :meth:`repro.core.gravity.fmm.FmmSolver.solve` and
-:meth:`repro.core.mesh.BlockMesh._rhs_all` accumulate results by calling
-``fut.get()`` in plan order.  A task that failed twice and
-succeeded on the third attempt therefore contributes exactly the bytes it
-would have contributed in a fault-free run — the accumulation order never
-depends on *when* futures completed.
+as :meth:`repro.core.gravity.fmm.FmmSolver.solve` accumulate results by
+calling ``fut.get()`` in plan order; a batched hydro RHS task
+(``repro.core.mesh._UniformMesh._rhs``) fully overwrites the chunk
+output it was handed, so re-running it is idempotent.  A task that
+failed twice and succeeded on the third attempt therefore contributes
+exactly the bytes it would have contributed in a fault-free run — the
+accumulation order never depends on *when* futures completed.
 
 Supervision is fully asynchronous: retries are chained through future
 callbacks (never a blocking wait inside the engine), so a retry posted

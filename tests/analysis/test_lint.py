@@ -358,6 +358,29 @@ def test_repro010_workspace_pool_and_alias_mutations_fire():
         assert [v.rule for v in vs] == ["REPRO010"], body
 
 
+def test_repro010_batched_task_body_writing_pooled_scratch():
+    # a batched kernel (a list of blocks per task) that stages its pencils
+    # in pooled workspace scratch and fills the chunk output, undeclared
+    batched = """
+        def batched_rhs(blocks, out, ws):
+            {declare}
+            Wp = ws.buf("rhs:pencil", (14, len(blocks), 8, 8))
+            for b, U in enumerate(blocks):
+                np.copyto(Wp[:, b], U)
+            out[...] = Wp.sum(axis=0)
+
+        for chunk, out in zip(chunks, outs):
+            engine.submit(batched_rhs, chunk, out, ws, use_device=False)
+    """
+    vs = _lint(batched.format(declare="pass"), rel="repro/core/hydro/mod.py")
+    # both writes: the pooled pencil scratch and the chunk output
+    assert [v.rule for v in vs] == ["REPRO010", "REPRO010"]
+    # one shadow-access declaration brings the body under the detector
+    assert _lint(batched.format(
+        declare='_racecheck.access(out, "w", owner="hydro/rhs-out")'),
+        rel="repro/core/hydro/mod.py") == []
+
+
 def test_repro010_access_declaration_exempts_the_function():
     assert _lint("""
         def kern(x, out):

@@ -1,0 +1,290 @@
+"""Batched pencil-major hydro RHS: layout and batching only, never bits.
+
+``compute_rhs`` evaluates a whole aggregation chunk of sub-grids in one
+call.  The contract asserted here: block ``b`` of a batch is bitwise
+``compute_rhs_reference`` of that block alone — whatever else is in the
+batch, however the blocks are split into chunks and in whichever order —
+so serial, futurized (any ``agg_slots``), distributed and retried runs
+stay byte-identical; malformed input is rejected before any arithmetic;
+and the scratch a mesh holds stays inside the ledger's memory budget.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.mesh as mesh_module
+from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
+                        ExecutionEngine, IdealGas, sedov_blast)
+from repro.core.grid import EGAS, RHO, SX, TAU
+from repro.core.hydro.solver import (HydroOptions, compute_rhs,
+                                     compute_rhs_reference)
+from repro.core.workspace import Workspace
+from repro.resilience import (FaultInjector, SupervisedEngine,
+                              TransientActionFault)
+from repro.runtime import CounterRegistry, WorkStealingScheduler
+
+DX = 0.05
+
+
+def _block(rng, shape, floored):
+    """A random ghosted conserved block with ``floored`` vacuum cells."""
+    m = tuple(n + 2 * NGHOST for n in shape)
+    U = np.zeros((NF,) + m)
+    U[RHO] = rng.uniform(0.5, 2.0, m)
+    U[SX:SX + 3] = 0.3 * rng.standard_normal((3,) + m)
+    U[EGAS] = rng.uniform(2.0, 3.0, m)
+    U[TAU] = rng.uniform(0.5, 1.0, m)
+    U[TAU + 1:] = rng.uniform(0.0, 1.0, (NF - TAU - 1,) + m) * U[RHO]
+    for _ in range(floored):
+        U[(RHO,) + tuple(rng.integers(0, k) for k in m)] = 1e-14
+    return U
+
+
+# -- the kernel: batched == per-block == reference ---------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(reconstruction=st.sampled_from(["ppm", "minmod"]),
+       omega=st.sampled_from([0.0, 0.3]),
+       with_gravity=st.booleans(), spin=st.booleans(),
+       shape=st.sampled_from([(8, 8, 8), (6, 4, 5)]),
+       B=st.integers(1, 9), floored=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_batched_equals_per_block_equals_reference(
+        reconstruction, omega, with_gravity, spin, shape, B, floored, seed,
+        data):
+    rng = np.random.default_rng(seed)
+    opts = HydroOptions(eos=IdealGas(), reconstruction=reconstruction,
+                        omega=omega, spin_correction=spin)
+    blocks = [_block(rng, shape, floored) for _ in range(B)]
+    origins = [tuple(rng.normal(size=3)) for _ in range(B)]
+    gravity = ([0.1 * rng.standard_normal((3,) + shape) for _ in range(B)]
+               if with_gravity else None)
+
+    def grav(idx):
+        return None if gravity is None else [gravity[i] for i in idx]
+
+    ref = [compute_rhs_reference(
+        blocks[b], DX, opts, origin=origins[b],
+        gravity=None if gravity is None else gravity[b]) for b in range(B)]
+
+    ws = Workspace()
+    whole = compute_rhs(blocks, DX, opts, origin=origins, gravity=gravity,
+                        ws=ws)
+    assert whole.shape == (NF, B) + shape
+    for b in range(B):
+        np.testing.assert_array_equal(whole[:, b], ref[b])
+        # a single block is a batch of one through the same body
+        one = compute_rhs(blocks[b], DX, opts, origin=origins[b],
+                          gravity=None if gravity is None else gravity[b],
+                          ws=ws)
+        np.testing.assert_array_equal(one, ref[b])
+
+    # any order, any split into chunks, one shared workspace
+    order = data.draw(st.permutations(range(B)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, B - 1)))) if B > 1 else []
+    for lo, hi in zip([0] + cuts, cuts + [B]):
+        idx = order[lo:hi]
+        out = np.full((NF, len(idx)) + shape, np.nan)
+        got = compute_rhs([blocks[i] for i in idx], DX, opts,
+                          origin=[origins[i] for i in idx],
+                          gravity=grav(idx), out=out, ws=ws)
+        assert got is out
+        for slot, i in enumerate(idx):
+            np.testing.assert_array_equal(out[:, slot], ref[i])
+
+
+def test_batched_fluxes_are_fresh_block_layout_arrays():
+    rng = np.random.default_rng(3)
+    opts = HydroOptions(eos=IdealGas())
+    blocks = [_block(rng, (8, 8, 8), 0) for _ in range(3)]
+    ws = Workspace()
+    _, fluxes = compute_rhs(blocks, DX, opts, return_fluxes=True, ws=ws)
+    singles = [compute_rhs(U, DX, opts, return_fluxes=True)[1]
+               for U in blocks]
+    kept = [F.copy() for F in fluxes]
+    compute_rhs(blocks, 0.04, opts, ws=ws)      # must not touch held fluxes
+    for axis, F in enumerate(fluxes):
+        face = [8, 8, 8]
+        face[axis] = 9
+        assert F.shape == (NF, 3) + tuple(face)
+        np.testing.assert_array_equal(F, kept[axis])
+        for b in range(3):
+            np.testing.assert_array_equal(F[:, b], singles[b][axis])
+
+
+# -- fail at the boundary -----------------------------------------------------
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("reconstruction", {"reconstruction": "pmm"}),
+    ("cfl", {"cfl": 0.0}), ("cfl", {"cfl": 1.5}),
+    ("cfl", {"cfl": float("nan")}),
+    ("rho_floor", {"rho_floor": 0.0}), ("rho_floor", {"rho_floor": -1e-12}),
+    ("rho_floor", {"rho_floor": float("inf")}),
+    ("rho_floor", {"rho_floor": float("nan")}),
+])
+def test_hydro_options_reject_bad_values_naming_the_field(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        HydroOptions(eos=IdealGas(), **kwargs)
+
+
+def test_hydro_options_accept_the_range_ends():
+    HydroOptions(eos=IdealGas(), cfl=1.0, reconstruction="minmod",
+                 rho_floor=1e-300)
+
+
+def test_compute_rhs_rejects_malformed_batches_before_any_arithmetic():
+    rng = np.random.default_rng(5)
+    opts = HydroOptions(eos=IdealGas())
+    shape = (8, 8, 8)
+    blocks = [_block(rng, shape, 0) for _ in range(3)]
+    origins = [(0.0, 0.0, 0.0)] * 3
+    gravity = [np.zeros((3,) + shape)] * 3
+    out = np.full((NF, 3) + shape, 7.0)
+
+    def rejected(match, U=blocks, **kwargs):
+        kwargs.setdefault("out", out)
+        with pytest.raises(ValueError, match=match):
+            compute_rhs(U, DX, opts, **kwargs)
+        assert (out == 7.0).all()               # nothing was written
+
+    rejected("at least one block", U=[])
+    rejected("ragged", U=blocks[:2] + [_block(rng, (6, 4, 5), 0)])
+    rejected("ghosted", U=[np.zeros((NF, 6, 6, 6))])
+    rejected("ghosted", U=[np.zeros((3, 14, 14, 14))])
+    rejected("origin", origin=origins[:2])
+    rejected("origin", origin=(0.0, 0.0, 0.0))  # one tuple for three blocks
+    rejected("gravity", gravity=gravity[:2])
+    rejected("gravity", gravity=gravity[:2] + [np.zeros((3, 8, 8, 7))])
+    rejected("out", out=np.empty((NF, 2) + shape))
+    rejected("out", out=np.empty((NF,) + shape))
+    # a single block takes a single (NF, n, n, n) output
+    with pytest.raises(ValueError, match="out"):
+        compute_rhs(blocks[0], DX, opts, out=out)
+
+
+# -- the meshes: serial == futurized (any chunking) == distributed ------------
+
+def _random_interior(n, seed=0xBEEF):
+    rng = np.random.default_rng(seed)
+    full = np.zeros((NF, n, n, n))
+    full[RHO] = 1.0 + 0.2 * rng.random((n, n, n))
+    full[SX:SX + 3] = 0.1 * rng.standard_normal((3, n, n, n))
+    full[EGAS] = 1.5 + 0.2 * rng.random((n, n, n))
+    full[TAU] = 0.5 * full[EGAS]
+    return full
+
+
+BPE = 3
+
+
+def _run(mesh, steps=3):
+    mesh.load_interior(_random_interior(BPE * SUBGRID_N))
+    dts = [mesh.step() for _ in range(steps)]
+    return dts, mesh.gather_interior()
+
+
+@pytest.fixture(scope="module")
+def serial():
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    return _run(BlockMesh(BPE, options=opts, bc="periodic"))
+
+
+@pytest.mark.parametrize("agg_slots", [1, 3, 16])
+def test_futurized_is_byte_identical_for_any_chunking(serial, agg_slots):
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    with WorkStealingScheduler(2) as sched:
+        engine = ExecutionEngine(scheduler=sched, agg_slots=agg_slots,
+                                 registry=CounterRegistry())
+        dts, state = _run(BlockMesh(BPE, options=opts, bc="periodic",
+                                    engine=engine))
+    assert dts == serial[0]
+    np.testing.assert_array_equal(state, serial[1])
+
+
+def test_distributed_is_byte_identical(serial):
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    dts, state = _run(DistBlockMesh(BPE, n_localities=3, port="mpi",
+                                    reorder_seed=7,
+                                    registry=CounterRegistry(),
+                                    options=opts, bc="periodic"))
+    assert dts == serial[0]
+    np.testing.assert_array_equal(state, serial[1])
+
+
+# -- supervised retry of a batched task is idempotent -------------------------
+
+def test_injected_action_fault_in_a_batched_task_is_retried(serial):
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    reg = CounterRegistry()
+    inj = FaultInjector(seed=15, action_fault_rate=0.4, max_action_faults=5,
+                        registry=reg)
+    with WorkStealingScheduler(2) as sched:
+        engine = SupervisedEngine(
+            ExecutionEngine(scheduler=sched, agg_slots=4, registry=reg),
+            injector=inj, max_retries=6, registry=reg)
+        dts, state = _run(BlockMesh(BPE, options=opts, bc="periodic",
+                                    engine=engine))
+    snap = reg.snapshot()
+    assert snap["/resilience/tasks/retried"] == 5.0
+    assert snap["/resilience/tasks/recovered"] >= 1.0
+    assert dts == serial[0]
+    np.testing.assert_array_equal(state, serial[1])
+
+
+def test_fault_after_a_partial_write_is_overwritten_by_the_retry(
+        serial, monkeypatch):
+    """The worst case for idempotency: the first attempt of every third
+    chunk task scribbles over its whole output and only then fails."""
+    calls = {"n": 0, "faults": 0}
+
+    def faulty(U, dx, options, origin, gravity, return_fluxes, out, ws):
+        calls["n"] += 1
+        if calls["n"] % 3 == 0:
+            calls["faults"] += 1
+            out[...] = np.nan
+            raise TransientActionFault("fault after a partial write")
+        return compute_rhs(U, dx, options, origin, gravity, return_fluxes,
+                           out, ws)
+
+    monkeypatch.setattr(mesh_module, "compute_rhs", faulty)
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    reg = CounterRegistry()
+    with WorkStealingScheduler(1) as sched:
+        engine = SupervisedEngine(
+            ExecutionEngine(scheduler=sched, agg_slots=4, registry=reg),
+            max_retries=3, registry=reg)
+        dts, state = _run(BlockMesh(BPE, options=opts, bc="periodic",
+                                    engine=engine))
+    assert calls["faults"] > 0
+    assert reg.snapshot()["/resilience/tasks/retried"] == calls["faults"]
+    assert dts == serial[0]
+    np.testing.assert_array_equal(state, serial[1])
+
+
+# -- the ledger's memory bound, as a tier-1 guard -----------------------------
+
+#: bytes of hydro scratch one thread of a 27-sub-grid mesh may hold.  The
+#: ledger bounds ``peak_rss_mb`` at +10 % and the interpreter plus imports
+#: are ~83 MB of ``sedov_serial``'s ~111 MB, so the whole step has ~11 MB
+#: of headroom; 8-block batches hold ~5.3 MB, 16-block ones ~10.5 MB.
+WORKSPACE_BUDGET = 8 * 2 ** 20
+
+
+def test_workspace_stays_inside_the_memory_budget():
+    blast = sedov_blast(n=24)
+    mesh = BlockMesh(3, domain=blast.domain, options=blast.options,
+                     bc=blast.bc)
+    mesh.load_interior(blast.interior)
+    mesh.step()
+    held = {key: id(arr) for key, arr in mesh._ws._bufs().items()}
+    mesh.step()
+    assert mesh._ws.nbytes() < WORKSPACE_BUDGET
+    # one buffer per role: the three sweep axes, the two stages and the
+    # 3-block last chunk (27 = 8 + 8 + 8 + 3) all reuse the allocations
+    # of the first full chunk
+    names = [name for name, _, _ in held]
+    assert len(names) == len(set(names))
+    assert {key: id(arr) for key, arr in mesh._ws._bufs().items()} == held
+    # and per-stage outputs are per chunk, not per block
+    assert [out.shape[1] for out in mesh._rhs_out[0]] == [8, 8, 8, 3]
