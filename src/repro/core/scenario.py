@@ -34,6 +34,13 @@ V1309_SEPARATION_RSUN = 6.37
 V1309_DOMAIN_RSUN = 1.02e3
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a non-positive size or extent here, not as a NaN deep inside."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def sod_tube(n: tuple[int, int, int] = (128, 8, 8), gamma: float = 1.4
              ) -> Mesh:
     """The Sod tube along x on a thin box; analytic solution in
@@ -54,6 +61,7 @@ def sod_tube(n: tuple[int, int, int] = (128, 8, 8), gamma: float = 1.4
 def sedov_blast(n: int = 32, gamma: float = 1.4, E: float = 1.0,
                 rho0: float = 1.0, r_init: float | None = None) -> Mesh:
     """Sedov-Taylor blast: energy E deposited in a small central sphere."""
+    _require_positive(n=n)
     opts = HydroOptions(eos=IdealGas(gamma=gamma))
     mesh = Mesh(n=n, domain=1.0, options=opts, bc="outflow")
     x, y, z = mesh.cell_centers()
@@ -81,6 +89,7 @@ def equilibrium_star(n: int = 32, domain: float = 4.0, n_poly: float = 1.5,
     Verification tests 3/4 of Sec. 4.2: the structure should persist.
     gamma = 1 + 1/n so the polytropic relation is adiabatic.
     """
+    _require_positive(n=n, domain=domain)
     gamma = 1.0 + 1.0 / n_poly
     opts = HydroOptions(eos=IdealGas(gamma=gamma), rho_floor=rho_floor)
     mesh = Mesh(n=n, domain=domain, origin=(-domain / 2,) * 3,
@@ -105,6 +114,10 @@ def v1309_binary(M: int = 32, mass_ratio: float = V1309_MASS_RATIO,
     orbital frequency); passive scalars tag the two components and the
     common envelope, as in Sec. 4.2.
     """
+    _require_positive(M=M, separation=separation, domain_factor=domain_factor,
+                      scf_iters=scf_iters)
+    if not 0.0 < mass_ratio <= 1.0:
+        raise ValueError(f"mass_ratio must be in (0, 1], got {mass_ratio}")
     scf = scf_binary(M=M, domain=separation * domain_factor,
                      separation=separation, mass_ratio=mass_ratio,
                      max_iter=scf_iters)

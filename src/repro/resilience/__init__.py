@@ -35,10 +35,9 @@ from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
 from .guard import GuardViolation, GuardedStepper
 from .health import (DEFAULT_HEARTBEAT_INTERVAL_S, DEFAULT_PHI_THRESHOLD,
                      FailureDetector)
-from .chaos import ChaosConfig, ChaosResult, run_chaos_merger
-from .distrun import (DistributedMergerConfig, DistributedMergerResult,
-                      RecoveryMergerConfig, RecoveryMergerResult,
-                      run_distributed_merger, run_recovery_merger)
+from .merger import (CHAOS, DUAL_KILL_CORRUPT, LOCALITY_KILL, FaultPlan,
+                     MergerResult, Topology, kill_and_recover, run_merger,
+                     run_reference)
 
 __all__ = [
     "FaultInjector", "InjectedFault", "SimulationFault",
@@ -53,8 +52,7 @@ __all__ = [
     "GuardedStepper", "GuardViolation",
     "FailureDetector", "DEFAULT_PHI_THRESHOLD",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "ChaosConfig", "ChaosResult", "run_chaos_merger",
-    "DistributedMergerConfig", "DistributedMergerResult",
-    "run_distributed_merger",
-    "RecoveryMergerConfig", "RecoveryMergerResult", "run_recovery_merger",
+    "Topology", "FaultPlan", "MergerResult", "run_reference", "run_merger",
+    "kill_and_recover",
+    "CHAOS", "LOCALITY_KILL", "DUAL_KILL_CORRUPT",
 ]

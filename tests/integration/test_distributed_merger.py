@@ -1,7 +1,7 @@
 """PR 7 acceptance: the real V1309 merger distributed over localities.
 
-One supervised distributed run
-(:func:`repro.resilience.distrun.run_distributed_merger`): blocks
+One supervised distributed run (:func:`repro.resilience.merger.run_merger`
+under the :data:`~repro.resilience.merger.LOCALITY_KILL` plan): blocks
 AGAS-sharded over four localities, halos charged through the parcelport
 and delivered in a seeded shuffled order, one locality silenced
 mid-merger.  The acceptance bar (ISSUE 7):
@@ -19,15 +19,15 @@ mid-merger.  The acceptance bar (ISSUE 7):
 import numpy as np
 import pytest
 
-from repro.resilience.distrun import (DistributedMergerConfig,
-                                      run_distributed_merger)
+from repro.resilience.merger import LOCALITY_KILL, Topology, run_merger
 from repro.runtime.counters import CounterRegistry
 
 
 @pytest.fixture(scope="module")
-def merger():
+def merger(merger_scenario, merger_reference):
     registry = CounterRegistry()
-    result = run_distributed_merger(DistributedMergerConfig(), registry)
+    result = run_merger(merger_scenario, Topology(), LOCALITY_KILL, registry,
+                        reference=merger_reference)
     return result, registry.snapshot()
 
 
@@ -35,20 +35,22 @@ def merger():
 class TestDistributedMerger:
     def test_completes_bit_identical_to_node_level(self, merger):
         res, _snap = merger
-        assert res.dist.steps == res.config.steps
+        assert res.dist.steps == res.plan.steps
         assert res.bitwise_identical
         assert res.reports_identical
 
     def test_locality_was_killed_detected_and_evacuated(self, merger):
         res, snap = merger
-        victim = res.config.kill_locality
-        assert res.killed_locality == victim
+        (victim,) = res.plan.kill
+        assert res.killed == [victim]
         # nobody called fail_locality by hand — the detector did
         assert victim in res.detector.declared_failed
         assert snap["/resilience/health/detected"] == 1
         assert snap["/resilience/health/silenced"] == 1
-        assert res.evacuated
+        # every block the victim hosted, plus its side-channel store
+        assert len(res.evacuated) > 1
         assert snap["/resilience/health/evacuated"] == len(res.evacuated)
+        assert res.lost == [] and res.report is None
         # the victim hosts nothing now; its blocks moved, none were lost
         assert res.dist.locality_blocks()[victim] == 0
         assert snap["/resilience/agas/components-lost"] == 0
@@ -57,7 +59,7 @@ class TestDistributedMerger:
 
     def test_rollback_and_replay_engaged(self, merger):
         res, snap = merger
-        assert res.checkpoints.restores >= 1
+        assert res.coordinator.manager.restores >= 1
         assert snap["/resilience/checkpoint/restores"] >= 1
         # the replay re-ran at least one step's worth of supervised tasks
         assert snap["/resilience/tasks/submitted"] > 0
@@ -79,7 +81,7 @@ class TestDistributedMerger:
         assert published >= port["messages"]
         total_blocks = sum(res.dist.locality_blocks().values())
         assert sum(int(snap[f"/distmesh/blocks/loc{i}"])
-                   for i in range(res.config.n_localities)) == total_blocks
+                   for i in range(res.topology.n_localities)) == total_blocks
 
     def test_conservation_drifts_are_finite_and_small(self, merger):
         res, _snap = merger

@@ -1,0 +1,165 @@
+"""The fault-plan *space* of :func:`repro.resilience.merger.run_merger`.
+
+The three preset modules next door each assert one scripted disaster in
+depth; this one checks what the single driver makes cheap:
+
+* bad input fails at the boundary with a ``ValueError`` — before any mesh
+  is built — one table row per rejection;
+* the degraded-network plan really loses parcels (its counters differ
+  from the clean-network plan's) while the final state stays
+  byte-identical;
+* over drawn (kill set, kill step, corrupt saves, torn saves, reorder
+  seed, fault seed) tuples a run either ends byte-identical to the
+  node-level reference with reconciling counters, or raises a typed
+  error — never a hang (the suite-wide pytest timeout), never silent
+  divergence.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from repro.core.scenario import equilibrium_star, sedov_blast, v1309_binary
+from repro.core.stepper import FaultRecoveryExhausted
+from repro.resilience import CheckpointError, GuardViolation
+from repro.resilience.merger import (DUAL_KILL_CORRUPT, FaultPlan, Topology,
+                                     run_merger)
+
+
+def _stub(n: int) -> SimpleNamespace:
+    """A scenario only validation may touch: building a mesh from it
+    (``options=None``) would raise something other than ``ValueError``."""
+    return SimpleNamespace(n=n, domain=1.0, origin=(0.0, 0.0, 0.0),
+                           options=None, bc="outflow", self_gravity=False)
+
+
+def _run(n=16, n_localities=4, **plan):
+    return lambda: run_merger(_stub(n), Topology(n_localities=n_localities),
+                              FaultPlan(**plan))
+
+
+REJECTIONS = {
+    "edge not a multiple of the sub-grid": (_run(n=12), "multiple"),
+    "no locality": (lambda: Topology(n_localities=0), "locality"),
+    "kill set repeats a locality":
+        (lambda: FaultPlan(kill=(1, 1)), "twice"),
+    "kill set outside the topology": (_run(kill=(4,)), "outside"),
+    "kill set takes every locality":
+        (_run(n_localities=2, kill=(0, 1)), "survive"),
+    "kill set takes an owner and its buddy": (_run(kill=(1, 2)), "buddies"),
+    "kill set takes the last owner and its cyclic buddy":
+        (_run(kill=(0, 3)), "buddies"),
+    "negative kill index": (lambda: FaultPlan(kill=(-1,)), "negative"),
+    "negative kill step":
+        (lambda: FaultPlan(kill_after_steps=-1), "kill_after_steps"),
+    "no steps": (lambda: FaultPlan(steps=0), "steps"),
+    "negative step-fault index":
+        (lambda: FaultPlan(fail_at_steps=(-1,)), "negative"),
+    "negative corruption step":
+        (lambda: FaultPlan(corrupt_at_steps=(0, -2)), "negative"),
+    "negative corrupt-save index":
+        (lambda: FaultPlan(corrupt_saves=(-1,)), "negative"),
+    "negative torn-save index":
+        (lambda: FaultPlan(torn_saves=(-3,)), "negative"),
+    "loss rate above one": (_run(loss_rate=1.5), "loss_rate"),
+    "negative delay rate": (_run(delay_rate=-0.1), "delay_rate"),
+    "action-fault rate above one":
+        (_run(action_fault_rate=2.0), "action_fault_rate"),
+    "v1309: no cells": (lambda: v1309_binary(M=0), "M must be positive"),
+    "v1309: negative cells": (lambda: v1309_binary(M=-8), "M must be"),
+    "v1309: zero mass ratio":
+        (lambda: v1309_binary(M=8, mass_ratio=0.0), "mass_ratio"),
+    "v1309: mass ratio above one":
+        (lambda: v1309_binary(M=8, mass_ratio=1.5), "mass_ratio"),
+    "v1309: no separation":
+        (lambda: v1309_binary(M=8, separation=0.0), "separation"),
+    "v1309: negative domain":
+        (lambda: v1309_binary(M=8, domain_factor=-1.0), "domain_factor"),
+    "v1309: no SCF iteration":
+        (lambda: v1309_binary(M=8, scf_iters=0), "scf_iters"),
+    "star: no cells": (lambda: equilibrium_star(n=0), "n must be"),
+    "star: no domain": (lambda: equilibrium_star(n=8, domain=0.0), "domain"),
+    "sedov: no cells": (lambda: sedov_blast(n=0), "n must be"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS, ids=list(REJECTIONS))
+def test_bad_input_is_rejected_at_the_boundary(case):
+    call, match = REJECTIONS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_degraded_network_loses_parcels_but_not_the_state(
+        merger_scenario, merger_reference):
+    """Regression: ``loss_rate`` / ``delay_rate`` once reached an injector
+    no sender consulted, so the degraded soak was the clean soak."""
+    runs = []
+    for plan in (DUAL_KILL_CORRUPT,
+                 replace(DUAL_KILL_CORRUPT, loss_rate=0.2, delay_rate=0.2)):
+        res = run_merger(merger_scenario, Topology(), plan,
+                         reference=merger_reference)
+        # judged before the next run: the halo port's tallies are
+        # process-wide, so a later run's traffic would show up in this
+        # transport's share
+        assert res.bitwise_identical
+        assert res.reports_identical
+        assert res.counters_reconcile
+        runs.append((res, res.registry.snapshot()))
+    (clean, clean_snap), (degraded, snap) = runs
+    assert snap["/resilience/injected/loss"] >= 1
+    assert snap["/resilience/injected/delay"] >= 1
+    assert snap["/resilience/parcels/retries"] >= 1
+    assert clean_snap.get("/resilience/injected/loss", 0.0) == 0
+    assert clean_snap.get("/resilience/parcels/retries", 0.0) == 0
+    # every lost parcel was retried to an ack; none was given up on
+    assert snap.get("/resilience/parcels/exhausted", 0.0) == 0
+    assert degraded.halo_failed == 0
+    assert degraded.halo_acked == clean.halo_acked
+    assert np.array_equal(clean.dist.gather_interior(),
+                          degraded.dist.gather_interior())
+
+
+#: what a plan the boundary let through may still end in, typed: every
+#: generation a restore could use was corrupt or torn, or a recovery
+#: budget ran out
+TYPED_FAILURES = (ValueError, CheckpointError, FaultRecoveryExhausted,
+                  GuardViolation)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kill=st.sets(st.integers(0, 3), min_size=1, max_size=2) | st.just(set()),
+       kill_after_steps=st.integers(0, 4),
+       corrupt_saves=st.sets(st.integers(0, 5), max_size=3),
+       torn_saves=st.sets(st.integers(0, 5), max_size=3),
+       reorder_seed=st.one_of(st.none(), st.integers(0, 2 ** 16)),
+       seed=st.integers(0, 2 ** 16))
+def test_any_plan_is_byte_identical_or_fails_typed(
+        merger_scenario, merger_reference, kill, kill_after_steps,
+        corrupt_saves, torn_saves, reorder_seed, seed):
+    try:
+        plan = FaultPlan(seed=seed, kill=tuple(sorted(kill)),
+                         kill_after_steps=kill_after_steps,
+                         corrupt_saves=tuple(sorted(corrupt_saves)),
+                         torn_saves=tuple(sorted(torn_saves)))
+        res = run_merger(merger_scenario, Topology(reorder_seed=reorder_seed),
+                         plan, reference=merger_reference)
+    except TYPED_FAILURES as exc:
+        # `pytest --hypothesis-show-statistics` shows the outcome mix
+        event(f"typed failure: {type(exc).__name__}")
+        return
+    event("byte-identical via " + ("global rollback" if res.report else
+                                   "local rollback" if res.killed else
+                                   "no kill"))
+    assert res.dist.steps == plan.steps
+    assert res.bitwise_identical
+    assert res.reports_identical
+    assert res.counters_reconcile
+    expect_kill = bool(kill) and kill_after_steps <= plan.steps
+    assert res.killed == (sorted(kill) if expect_kill else [])
+    assert (res.report is not None) == (expect_kill and len(kill) > 1)

@@ -1,7 +1,7 @@
 """PR 9 acceptance: durable recovery of the distributed V1309 merger.
 
-One scripted disaster
-(:func:`repro.resilience.distrun.run_recovery_merger`): the merger runs
+One scripted disaster (:func:`repro.resilience.merger.run_merger` under
+the :data:`~repro.resilience.merger.DUAL_KILL_CORRUPT` plan): the merger runs
 over four localities with every committed checkpoint buddy-replicated;
 two non-adjacent localities are killed *together* mid-run (more than
 evacuation capacity — their blocks' GIDs are lost with their memory),
@@ -20,15 +20,16 @@ store.  The acceptance bar (ISSUE 9):
 
 import pytest
 
-from repro.resilience.distrun import (RecoveryMergerConfig,
-                                      run_recovery_merger)
+from repro.resilience.merger import (DUAL_KILL_CORRUPT, Topology,
+                                     run_merger)
 from repro.runtime.counters import CounterRegistry
 
 
 @pytest.fixture(scope="module")
-def recovery():
+def recovery(merger_scenario, merger_reference):
     registry = CounterRegistry()
-    result = run_recovery_merger(RecoveryMergerConfig(), registry)
+    result = run_merger(merger_scenario, Topology(), DUAL_KILL_CORRUPT,
+                        registry, reference=merger_reference)
     return result, registry.snapshot()
 
 
@@ -36,20 +37,21 @@ def recovery():
 class TestRecoveryMerger:
     def test_completes_bit_identical_to_node_level(self, recovery):
         res, _snap = recovery
-        assert res.dist.steps == res.config.steps
+        assert res.dist.steps == res.plan.steps
         assert res.bitwise_identical
         assert res.reports_identical
 
     def test_both_victims_detected_without_manual_calls(self, recovery):
         res, snap = recovery
-        assert res.killed == sorted(res.config.kill_localities)
+        assert res.killed == sorted(res.plan.kill)
         assert sorted(res.detector.declared_failed) == res.killed
         assert snap["/resilience/health/detected"] == len(res.killed)
         assert snap["/resilience/health/silenced"] == len(res.killed)
         # correlated loss: nothing was evacuated, the GIDs died with
         # the nodes and only the replicated store could bring them back
         assert snap.get("/resilience/health/evacuated", 0.0) == 0.0
-        assert snap["/resilience/agas/components-lost"] > 0
+        assert res.evacuated == []
+        assert snap["/resilience/agas/components-lost"] == len(res.lost) > 0
 
     def test_global_rollback_fell_back_past_the_corrupt_generation(
             self, recovery):
@@ -64,12 +66,12 @@ class TestRecoveryMerger:
         assert snap["/resilience/ckpt/fallback"] >= 1.0
         assert snap["/resilience/ckpt/corrupt"] >= 1.0
         assert snap["/resilience/ckpt/verified"] >= 1.0
-        assert rep.step < res.config.kill_after_steps
+        assert rep.step < res.plan.kill_after_steps
 
     def test_elastic_restart_on_the_survivors(self, recovery):
         res, snap = recovery
         rep = res.report
-        survivors = sorted(set(range(res.config.n_localities))
+        survivors = sorted(set(range(res.topology.n_localities))
                            - set(res.killed))
         assert rep.survivors == survivors
         assert snap["/recovery/localities-remaining"] == len(survivors)
