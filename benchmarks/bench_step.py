@@ -44,11 +44,13 @@ step).
 
 The report also carries a ``kernels`` block from
 :mod:`kernels_micro` — per-kernel ns/interaction (p2p, m2l
-fused-vs-reference, greens) and ns/zone (reconstruct, kt_flux, full
-RHS fused-vs-reference, batched RHS vs a per-block loop) — and
-``--check`` additionally requires the block to be present and the fused
-m2l and hydro-RHS kernels to beat their retained reference
-implementations by ``--min-kernel-speedup`` (default 1.5x).
+fused-vs-reference, both dense M2L tilings vs the pair lists over the
+same pairs, greens) and ns/zone (reconstruct, kt_flux, full RHS
+fused-vs-reference, batched RHS vs a per-block loop) — and ``--check``
+additionally requires the block to be present and the fused m2l and
+hydro-RHS kernels to beat their retained reference implementations, and
+the dense M2L tilings the pair lists, by ``--min-kernel-speedup``
+(default 1.5x).
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ from repro.core.scenario import equilibrium_star  # noqa: E402
 from repro.runtime import CudaDevice, WorkStealingScheduler  # noqa: E402
 from repro.runtime.counters import default_registry  # noqa: E402
 
-from kernels_micro import rhs_batched_lines, run_kernels_micro  # noqa: E402
+from kernels_micro import (M2L_ROWS, m2l_dense_lines,  # noqa: E402
+                           rhs_batched_lines, run_kernels_micro)
 
 #: counters whose per-step delta feeds the interaction rate
 _RATE_KEYS = ("/fmm/interactions/multipole", "/fmm/interactions/monopole")
@@ -145,9 +148,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="minimum /cuda/aggregated-per-launch ratio "
                              "for --check (default 4)")
     parser.add_argument("--min-kernel-speedup", type=float, default=1.5,
-                        help="minimum fused/reference speedup of the m2l "
-                             "and hydro-RHS microbenchmarks for --check "
-                             "(default 1.5)")
+                        help="minimum fused/reference speedup of the m2l, "
+                             "hydro-RHS and dense-M2L microbenchmarks for "
+                             "--check (default 1.5)")
     parser.add_argument("--skip-kernels", action="store_true",
                         help="skip the per-kernel microbenchmarks (the "
                              "kernels block is then absent and --check "
@@ -251,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
               f"({k['m2l_speedup']:.2f}x ref), "
               f"rhs {k['rhs']['ns_per_item']:.0f} ns/zone "
               f"({k['rhs_speedup']:.2f}x ref)")
-        for line in rhs_batched_lines(k):
+        for line in m2l_dense_lines(k) + rhs_batched_lines(k):
             print(line)
     print(f"wrote {args.out}")
 
@@ -284,10 +287,10 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
         kernels = report["kernels"]
-        for name in ("m2l", "rhs"):
+        for name in ("m2l", "rhs", *M2L_ROWS):
             speedup = kernels[f"{name}_speedup"]
             if speedup < args.min_kernel_speedup:
-                print(f"CHECK FAILED: fused {name} only {speedup:.2f}x its "
+                print(f"CHECK FAILED: {name} only {speedup:.2f}x its "
                       f"reference < {args.min_kernel_speedup:.2f}x",
                       file=sys.stderr)
                 return 1

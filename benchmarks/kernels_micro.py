@@ -5,13 +5,19 @@ reports ns per interaction (gravity pair kernels) or ns per zone/face
 (hydro kernels).  ``p2p_dense`` is the Green-table sweep of a whole 32^3
 leaf level, per leaf pair, beside the pair-list ``p2p`` kernel it
 replaced there (which additionally pays gathers and scatter-adds the
-microbenchmark does not time).  Where a reference implementation exists
-(the einsum ``m2l_pair_reference`` and the allocate-per-stage
-``compute_rhs_reference``) both variants are timed and the speedup of
-the fused path is reported — the CI gate asserts fused >= 1.5x for m2l
-and the full RHS.  ``rhs_batched`` is what the meshes run: 1, 8 and 27
-8^3 sub-grids through one batched ``compute_rhs`` call, beside the same
-sub-grids through a per-block loop of batch-of-one calls.
+microbenchmark does not time).  ``m2l_root_dense`` (the 8^3 root level)
+and ``m2l_sweep`` (the 16^3 interior level, P = 8) are the two tilings of
+the dense M2L, each beside the pair-list path over the very same pairs of
+a 32^3 hierarchy (gathers, ``m2l_pair`` and ``bincount`` scatter-adds
+against Green blocks, matmuls and per-cell assembly): ns per *useful*
+pair plus the evaluated/useful ratio the static masks cost.  Where a
+reference implementation exists (the einsum ``m2l_pair_reference`` and
+the allocate-per-stage ``compute_rhs_reference``) both variants are timed
+and the speedup of the fused path is reported — the CI gate asserts
+>= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
+``rhs_batched`` is what the meshes run: 1, 8 and 27 8^3 sub-grids through
+one batched ``compute_rhs`` call, beside the same sub-grids through a
+per-block loop of batch-of-one calls.
 
 Used two ways:
 
@@ -31,6 +37,7 @@ import json
 import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -38,6 +45,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import (IdealGas, NF, NGHOST, RHO, EGAS,  # noqa: E402
                         SUBGRID_N, TAU)
+from repro.core.gravity import fmm  # noqa: E402
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         m2l_pair, m2l_pair_reference,
                                         p2p_pair, p2p_pair_staged)
@@ -54,6 +62,11 @@ from repro.core.workspace import Workspace  # noqa: E402
 PAIR_N = 16384
 #: parent-grid edge of the dense leaf sweep (a 32^3 leaf level)
 DENSE_EDGE = 16
+#: grid edge of the hierarchy the dense M2L rows run on: an 8^3 root
+#: (matrix tiling) over a 16^3 interior level (P = 8 sweep)
+M2L_GRID = 32
+#: dense M2L row name -> level of that hierarchy
+M2L_ROWS = {"m2l_root_dense": 0, "m2l_sweep": 1}
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
@@ -92,6 +105,54 @@ def _hydro_block(n: int = HYDRO_N):
     U[TAU] = opts.eos.tau_from_eint(U[EGAS])
     apply_boundary(U, "periodic")
     return U, opts
+
+
+def _m2l_level_rows(repeats: int) -> dict:
+    """The ``M2L_ROWS``: per level, every dense M2L plan entry computed
+    and accumulated, beside the pair-list entries of the same solver
+    with the dense M2L declined — the same pairs, counted the same."""
+    rho = np.random.default_rng(9).uniform(0.1, 1.0, (M2L_GRID,) * 3)
+    dense = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
+    dense.solve()
+    lists = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
+    with mock.patch.object(fmm._DenseM2L, "of",
+                           classmethod(lambda cls, *args: None)):
+        lists.solve()
+
+    def run(solver, entries):
+        for i in entries:
+            solver._accumulate_entry(solver._plan[i],
+                                     solver._compute_entry(i, 0))
+
+    rows = {}
+    for name, level in M2L_ROWS.items():
+        on_dense = [i for i, e in enumerate(dense._plan)
+                    if e.kind == "m2l-dense" and e.dense.lv.level == level]
+        on_lists = [i for i, e in enumerate(lists._plan)
+                    if e.kind == "m2l" and e.la.level == level]
+        pairs = sum(dense._plan[i].pairs for i in on_dense)
+        assert pairs == sum(lists._plan[i].pairs for i in on_lists)
+        V = dense._plan[on_dense[0]].dense.V
+        evaluated = sum(V[tgt][..., 0].size * V[src].shape[-2]
+                        for i in on_dense
+                        for tgt, src, _ in dense._plan[i].tiles)
+        t_dense = _time(lambda: run(dense, on_dense), repeats=repeats)
+        t_lists = _time(lambda: run(lists, on_lists), repeats=repeats)
+        rows[name] = {"seconds": t_dense, "items": pairs,
+                      "ns_per_item": 1e9 * t_dense / pairs,
+                      "pair_list_ns_per_item": 1e9 * t_lists / pairs,
+                      "evaluated_per_useful": evaluated / pairs}
+        rows[f"{name}_speedup"] = t_lists / t_dense
+    return rows
+
+
+def m2l_dense_lines(kernels: dict) -> list[str]:
+    """The dense M2L rows as report lines (ns per useful pair)."""
+    return [f"  {name:18s} {kernels[name]['ns_per_item']:10.1f} ns/pair, "
+            f"pair lists {kernels[name]['pair_list_ns_per_item']:.1f} "
+            f"({kernels[name + '_speedup']:.2f}x; {kernels[name]['items']} "
+            f"pairs, {kernels[name]['evaluated_per_useful']:.2f} evaluated "
+            f"per useful)" for name in M2L_ROWS]
 
 
 def run_kernels_micro(repeats: int = 5) -> dict:
@@ -173,6 +234,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
                                "speedup": t_loop / t_batch}
 
     return {
+        **_m2l_level_rows(repeats),
         "rhs_batched": rhs_batched,
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
@@ -208,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         e = kernels[name]
         print(f"  {name:18s} {e['ns_per_item']:10.1f} ns/item "
               f"({e['items']} items, best {1e3 * e['seconds']:.3f} ms)")
+    for line in m2l_dense_lines(kernels):
+        print(line)
     print(f"  m2l fused speedup  {kernels['m2l_speedup']:.2f}x")
     print(f"  rhs fused speedup  {kernels['rhs_speedup']:.2f}x")
     for line in rhs_batched_lines(kernels):

@@ -23,7 +23,8 @@ the quadrupole (tidal) torques on child cells, so total linear and
 angular momentum of the resulting field are conserved to machine
 precision (see ``tests/core/test_fmm_conservation.py``).
 
-Step 2 has two forms, chosen per level from the level's own shape:
+Step 2 has three forms, chosen per level from the level's own shape and
+nothing else:
 
 * **Dense Green-table sweep** — a fully populated all-leaf level (the
   finest level of every :meth:`FmmSolver.from_uniform` solver) is viewed
@@ -35,14 +36,32 @@ Step 2 has two forms, chosen per level from the level's own shape:
   solve, one shifted-slice matmul per offset
   (:func:`.kernels.p2p_pair_staged`): no index arrays, no gathers, no
   scatter-adds — the paper's stencil-over-SoA redesign of Sec. 4.3.
-* **Pair lists** — everything else (root- and interior-level M2L, every
-  level of an adaptive tree, mixed-level AMR boundaries): cells matched
-  per stencil offset by Morton-key ``searchsorted`` once, when the plan
-  is built, then whole pair batches gathered tile by tile through the
-  vectorized kernels and scatter-added with ``bincount``.
+* **Dense M2L** — a level without leaf cells runs its same-level
+  multipole interactions through one kernel (:func:`.kernels.m2l_dense`)
+  in one of two tilings.  Expansions are centred on centres of mass, so
+  the Green tensors depend on the density and are evaluated every solve;
+  what the dense form removes is everything around them.  Separations are
+  broadcast differences of two slices of the staged level, a static
+  ``0 / +inf`` mask on ``r^2`` selects the pairs that belong to the level,
+  each Green component is contracted against the packed moments of all
+  partners by one matmul per side (both partners from one evaluation),
+  and the Taylor coefficients are assembled per cell.  The **root** level
+  is tiled as row blocks of its whole-level matrix, upper trapezoid only;
+  an **interior** level that is a full cube with an even edge is swept
+  one shifted-slice pair per lex-positive near parent offset over the
+  same parent grid the leaf sweep uses, the parity partition being the
+  static 8 x 8 mask.
+* **Pair lists** — everything irregular (every level of an adaptive tree
+  that has leaf cells or is not a full even cube, odd edges, mixed-level
+  AMR boundaries): cells matched per stencil offset by Morton-key
+  ``searchsorted`` once, when the plan is built, then whole pair batches
+  gathered tile by tile through the vectorized pair kernels and
+  scatter-added with ``bincount``.
 
-Both forms are entries of one plan that every solve walks the same way,
-inline or through an execution engine.
+All three are entries of one plan with one shape (``kind``, ``pairs``,
+``compute(outs)``, ``accumulate(outs)``) that every solve walks the same
+way, inline or through an execution engine; an even-edged uniform solver
+records no pair list at any level.
 """
 
 from __future__ import annotations
@@ -56,29 +75,35 @@ from ...runtime.counters import default_registry
 from ...sanitize import racecheck as _racecheck
 from ...sanitize import state as _sanitize_state
 from ...util import morton_key
-from .kernels import green_sweeps, m2l_pair, p2p_pair, p2p_pair_staged
+from ..workspace import Workspace
+from .kernels import (N_GREEN, N_MOMENT, TINY_MASS, green_sweeps,
+                      m2l_assemble, m2l_dense, m2l_pair, p2p_pair,
+                      p2p_pair_staged, pack_moments)
 from .multipole import aggregate_m2m, taylor_shift
-from .stencil import (OPENING_R2, leaf_sweep_offsets, p2p_stencil,
-                      parity_stencils, root_stencil)
+from .stencil import (OPENING_R2, leaf_sweep_offsets, lex_positive,
+                      m2l_root_tiles, m2l_sweep_offsets, m2l_sweep_tiles,
+                      p2p_stencil, parity_stencils, root_stencil)
 
 __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 
-_TINY = 1e-300
-
-#: number of plan entries the dense sweep's offsets are cut into — a
-#: constant, so every solve (inline, futurized, distributed) runs the same
-#: matmuls in the same groups and adds the same partials in the same
-#: order.  Eight keeps an aggregated launch well filled.
+#: number of plan entries a dense level's offsets (or root row tiles) are
+#: cut into — a constant, so every solve (inline, futurized, distributed)
+#: runs the same matmuls in the same groups and adds the same partials in
+#: the same order.  Eight keeps an aggregated launch well filled.
 _DENSE_GROUPS = 8
 
-#: trailing shapes of one entry's batch outputs, per plan-entry kind:
-#: (phiA, phiB, accA, accB[, HA, HB]) per pair, or the 32 values per
-#: parent of a dense sweep (see :func:`.kernels.green_table`)
-_OUT_SHAPES = {
-    "p2p": ((), (), (3,), (3,)),
-    "m2l": ((), (), (3,), (3,), (3, 3), (3, 3)),
-    "dense": ((32,),),
-}
+#: rows per tile of the root level's whole-level M2L matrix (measured
+#: best on the 8^3 root: 64 x 512 separations per pass)
+_ROOT_ROWS = 64
+
+#: parents per tile of the interior-level M2L sweep: keeps a tile's
+#: Green block (8 KB per parent pair) and scratch cache-sized, the way
+#: ``_TILE`` does for the pair lists (measured flat from 128 to 1024 on a
+#: P = 8 level, slower below)
+_SWEEP_BLOCKS = 256
+
+_MONOPOLE = "/fmm/interactions/monopole"
+_MULTIPOLE = "/fmm/interactions/multipole"
 
 
 @dataclass
@@ -144,7 +169,7 @@ def _parity_offset_table() -> tuple[np.ndarray, np.ndarray]:
     of which parities use it."""
     par_lists = parity_stencils()
     union = {tuple(w) for lst in par_lists.values() for w in lst}
-    offsets = _lex_positive(np.array(sorted(union), dtype=np.int64))
+    offsets = lex_positive(np.array(sorted(union), dtype=np.int64))
     sets = {p: {tuple(w) for w in lst} for p, lst in par_lists.items()}
     par_ok = np.zeros((len(offsets), 8), dtype=bool)
     for wi, w in enumerate(offsets):
@@ -152,15 +177,6 @@ def _parity_offset_table() -> tuple[np.ndarray, np.ndarray]:
         for p, lst in sets.items():
             par_ok[wi, (p[0] << 2) | (p[1] << 1) | p[2]] = tw in lst
     return offsets, par_ok
-
-
-def _lex_positive(offsets: np.ndarray) -> np.ndarray:
-    """Keep one representative of every {w, -w} pair (w lexicographically
-    greater than zero)."""
-    w = offsets
-    key = (w[:, 0] > 0) | ((w[:, 0] == 0) & (w[:, 1] > 0)) \
-        | ((w[:, 0] == 0) & (w[:, 1] == 0) & (w[:, 2] > 0))
-    return w[key]
 
 
 def _accumulate(lv: FmmLevel, idx: np.ndarray, phi: np.ndarray,
@@ -179,14 +195,109 @@ def _accumulate(lv: FmmLevel, idx: np.ndarray, phi: np.ndarray,
                     lv.hess[:, j, i] += h
 
 
+#: pair-tile size of the pair-list compute path.  A recorded batch can be
+#: any size (a level's near-field and AMR-boundary lists are one entry
+#: each) and a large one churns hundreds of MB of Green-function
+#: temporaries (``g3`` alone is 216 B/pair); running the kernel over
+#: cache-sized sub-batches keeps the temporaries resident and is
+#: measurably faster on the same flops.  All pair kernels are elementwise
+#: along the pair axis, so tiling is bitwise identical to the one-shot
+#: call.
+_TILE = 16384
+
+
+# -- plan entries --------------------------------------------------------------
+#
+# Every entry of a solver's plan answers to the same names: ``kind`` (which
+# also keys the output pool), ``pairs`` (interactions it covers, each
+# counted once, advanced on ``counter``), ``rows`` and ``out_shapes``
+# (its pooled outputs: one ``(rows,) + shape`` array per shape; ``owner``
+# names them to the race detector), ``compute(outs)`` — the pure kernel
+# half, safe on any worker — and ``accumulate(outs)``, which adds the
+# result into the level accumulators on the calling thread.
+
+
 @dataclass
-class _DenseLeaf:
-    """Dense-sweep state of one fully populated all-leaf level: the
-    level seen as a ``(P, P, P)`` grid of parents with 8 children each.
+class _PairList:
+    """One recorded batch of cell pairs: the irregular path (adaptive
+    levels, odd edges, mixed-level boundaries)."""
+
+    kind: str                 # "p2p" | "m2l"
+    la: FmmLevel
+    a: np.ndarray
+    lb: FmmLevel
+    b: np.ndarray
+    owner = "fmm/pair-out"
+
+    @property
+    def pairs(self) -> int:
+        return len(self.a)
+
+    rows = pairs              # one output row per pair
+
+    @property
+    def counter(self) -> str:
+        return _MULTIPOLE if self.kind == "m2l" else _MONOPOLE
+
+    @property
+    def out_shapes(self) -> tuple:
+        # (phiA, phiB, accA, accB[, HA, HB]) per pair
+        pair = ((), (), (3,), (3,))
+        return pair + ((3, 3), (3, 3)) if self.kind == "m2l" else pair
+
+    def compute(self, outs) -> None:
+        """Run the pair kernel in :data:`_TILE`-sized sub-batches,
+        gathering *per tile* (rather than the whole batch up front) so
+        each gathered tile stays cache-resident through the kernel call;
+        every tile writes straight into slices of the batch outputs via
+        the kernels' ``out=``."""
+        la, a, lb, b = self.la, self.a, self.lb, self.b
+        for lo in range(0, len(a), _TILE):
+            sl = slice(lo, min(lo + _TILE, len(a)))
+            at, bt = a[sl], b[sl]
+            args = (la.com[at] - lb.com[bt],
+                    np.maximum(la.m[at], TINY_MASS),
+                    np.maximum(lb.m[bt], TINY_MASS))
+            out = tuple(o[sl] for o in outs)
+            if self.kind == "m2l":
+                m2l_pair(*args, la.M2[at], lb.M2[bt], out=out)
+            else:
+                p2p_pair(*args, out=out)
+
+    def accumulate(self, outs) -> None:
+        if self.kind == "m2l":
+            phiA, phiB, accA, accB, HA, HB = outs
+        else:
+            phiA, phiB, accA, accB = outs
+            HA = HB = None
+        _accumulate(self.la, self.a, phiA, accA, HA)
+        _accumulate(self.lb, self.b, phiB, accB, HB)
+
+
+def _parent_grid(lv: FmmLevel) -> np.ndarray | None:
+    """A fully populated level with an even edge seen as a ``(P, P, P)``
+    grid of parents: the Morton parent slot at each grid index, or
+    ``None`` if the level's shape rules the view out.
 
     Morton order keeps siblings contiguous, so ``lv.m.reshape(-1, 8)``
     is already (parent, child); only the parents need permuting between
     Morton and grid order, and one index grid does both directions."""
+    edge = round(lv.n ** (1.0 / 3.0))
+    if not lv.n or edge % 2 or edge ** 3 != lv.n \
+            or lv.coords.max() != edge - 1:
+        return None
+    P = edge // 2
+    parents = lv.coords[::8] >> 1
+    to_grid = np.empty((P, P, P), dtype=np.int64)
+    to_grid[parents[:, 0], parents[:, 1], parents[:, 2]] = np.arange(P ** 3)
+    return to_grid
+
+
+@dataclass
+class _DenseLeaf:
+    """Dense-sweep state of one fully populated all-leaf level: the
+    level seen as a ``(P, P, P)`` grid of parents with 8 children each
+    (:func:`_parent_grid`)."""
 
     lv: FmmLevel
     to_grid: np.ndarray      # (P, P, P): Morton parent slot at grid index
@@ -197,20 +308,148 @@ class _DenseLeaf:
     def of(cls, lv: FmmLevel, root: bool) -> "_DenseLeaf | None":
         """The dense plan of ``lv``, or ``None`` if its shape rules it
         out (not all-leaf, not a full cube, or an odd edge)."""
-        edge = round(lv.n ** (1.0 / 3.0))
-        if not (lv.n and lv.leaf.all()) or edge % 2 or edge ** 3 != lv.n \
-                or lv.coords.max() != edge - 1:
+        to_grid = _parent_grid(lv) if lv.leaf.all() else None
+        if to_grid is None:
             return None
-        P = edge // 2
-        parents = lv.coords[::8] >> 1
-        to_grid = np.empty((P, P, P), dtype=np.int64)
-        to_grid[parents[:, 0], parents[:, 1], parents[:, 2]] = \
-            np.arange(P ** 3)
+        P = len(to_grid)
         child = lv.coords[:8] & 1
         groups = [green_sweeps(P, offsets, child, lv.width)
                   for offsets in np.array_split(leaf_sweep_offsets(P, root),
                                                 _DENSE_GROUPS)]
         return cls(lv, to_grid, np.empty((P, P, P, 8)), groups)
+
+    def stage(self) -> None:
+        """Refill the mass grid from the level (once per solve)."""
+        np.take(self.lv.m.reshape(-1, 8), self.to_grid, axis=0, out=self.m8)
+
+
+@dataclass
+class _LeafSweep:
+    """One offset group of a dense leaf level's Green-table sweep."""
+
+    dense: _DenseLeaf
+    sweeps: list
+    pairs: int
+    kind = "dense"
+    owner = "fmm/pair-out"
+    counter = _MONOPOLE
+    #: 4 values per target child (see :func:`.kernels.green_table`)
+    out_shapes = ((32,),)
+
+    @property
+    def rows(self) -> int:
+        return self.dense.lv.n // 8
+
+    def compute(self, outs) -> None:
+        m8 = self.dense.m8
+        p2p_pair_staged(m8, self.sweeps,
+                        out=outs[0].reshape(m8.shape[:3] + (32,)))
+
+    def accumulate(self, outs) -> None:
+        dense = self.dense
+        lv = dense.lv
+        part = outs[0].reshape(dense.m8.shape + (4,))
+        lv.phi.reshape(-1, 8)[dense.to_grid] += part[..., 0]
+        lv.acc.reshape(-1, 8, 3)[dense.to_grid] += part[..., 1:]
+
+
+#: column of a dense M2L partial (phi, acc x3, H xx yy zz xy xz yz) that
+#: holds each entry of the flattened symmetric 3 x 3 Hessian
+_HESS_OF = 4 + np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+
+
+@dataclass
+class _DenseM2L:
+    """Dense same-level M2L state of one level without leaf cells: its
+    moments staged once per solve in the layout its tiling slices.
+
+    Two tilings, one kernel (:func:`.kernels.m2l_dense`):
+
+    * the **root** level has no parent to sweep over and most of its
+      pairs are far (73 % on an 8^3 root), so it is tiled as row blocks
+      of the whole-level matrix, upper trapezoid only
+      (:func:`.stencil.m2l_root_tiles`), cells in Morton order;
+    * an **interior** level that is a fully populated cube with an even
+      edge is seen as a ``(P, P, P, 8)`` parent grid as in
+      :class:`_DenseLeaf` and swept one shifted-slice pair per
+      lex-positive near parent offset
+      (:func:`.stencil.m2l_sweep_tiles`).
+    """
+
+    lv: FmmLevel
+    order: np.ndarray | slice   # Morton slot of each staged cell
+    com: np.ndarray             # (3, *cells) centres of mass
+    V: np.ndarray               # (*cells, N_MOMENT) packed moments
+    groups: list[tuple[list, int]]  # per group: tiles, far pairs covered
+
+    @classmethod
+    def of(cls, lv: FmmLevel, root: bool) -> "_DenseM2L | None":
+        """The dense M2L plan of ``lv``, or ``None`` if its shape rules
+        it out (leaf cells; below the root also not a full cube or an
+        odd edge)."""
+        if lv.leaf.any():
+            return None
+        if root:
+            starts = np.arange(0, lv.n, _ROOT_ROWS)
+            groups = [m2l_root_tiles(lv.coords, _ROOT_ROWS, part)
+                      for part in np.array_split(
+                          starts, min(_DENSE_GROUPS, len(starts)))]
+            order, cells = slice(None), (lv.n,)
+        else:
+            to_grid = _parent_grid(lv)
+            if to_grid is None:
+                return None
+            P = len(to_grid)
+            child = lv.coords[:8] & 1
+            groups = [m2l_sweep_tiles(P, offsets, child, _SWEEP_BLOCKS)
+                      for offsets in np.array_split(m2l_sweep_offsets(P),
+                                                    _DENSE_GROUPS)]
+            order = (8 * to_grid[..., None] + np.arange(8)).reshape(-1)
+            cells = (P, P, P, 8)
+        return cls(lv, order, np.empty((3,) + cells),
+                   np.empty(cells + (N_MOMENT,)),
+                   [g for g in groups if g[1]])
+
+    def stage(self) -> None:
+        """Restage moments and centres of mass from the level (once per
+        solve, after the upward pass)."""
+        lv, order = self.lv, self.order
+        pack_moments(lv.m[order], lv.M2[order],
+                     self.V.reshape(-1, N_MOMENT))
+        self.com.reshape(3, -1)[...] = lv.com.T[:, order]
+
+
+@dataclass
+class _M2LSweep:
+    """One tile group of a level's dense M2L."""
+
+    dense: _DenseM2L
+    tiles: list
+    pairs: int
+    ws: Workspace             # thread-local kernel scratch
+    kind = "m2l-dense"
+    owner = "fmm/m2l-out"
+    counter = _MULTIPOLE
+    #: phi, acc (3), six unique Hessian components per staged cell
+    out_shapes = ((10,),)
+
+    @property
+    def rows(self) -> int:
+        return self.dense.lv.n
+
+    def compute(self, outs) -> None:
+        d = self.dense
+        # two spare rows: m2l_assemble's derived components
+        P = self.ws.buf("m2l:P", (N_GREEN + 2,) + d.V.shape)
+        m2l_dense(d.com, d.V, self.tiles, P[:N_GREEN], self.ws)
+        m2l_assemble(P.reshape(N_GREEN + 2, -1, N_MOMENT),
+                     d.V.reshape(-1, N_MOMENT), outs[0])
+
+    def accumulate(self, outs) -> None:
+        lv, order, part = self.dense.lv, self.dense.order, outs[0]
+        lv.phi[order] += part[:, 0]
+        lv.acc[order] += part[:, 1:4]
+        lv.hess.reshape(-1, 9)[order] += part[:, _HESS_OF]
 
 
 class FmmSolver:
@@ -225,16 +464,30 @@ class FmmSolver:
             raise ValueError("need at least one level")
         self.levels = levels
         self._link_parents()
+        # leaf geometry is fixed: point masses at the cell centres
+        # (M2 = 0, the zero-initialised state); a solve only writes m.
+        # Staged per leaf-bearing level: the leaf slots and, once a cubic
+        # density grid has been seen, (its shape, the leaves' flat index)
+        self._leaf_slots: dict[int, np.ndarray] = {}
+        self._leaf_flat: dict[int, tuple[tuple, np.ndarray]] = {}
+        for lv in levels:
+            if lv.leaf.any():
+                slots = np.nonzero(lv.leaf)[0]
+                lv.com[slots] = lv.centers()[slots]
+                self._leaf_slots[lv.level] = slots
         # the interaction plan depends only on geometry: built on the
         # first solve and walked by every one (Mesh re-solves gravity
         # every hydro stage on a fixed grid) — see _build_plan
-        self._plan: list[tuple] | None = None
+        self._plan: list | None = None
         self._dense: list[_DenseLeaf] = []
+        self._dense_m2l: list[_DenseM2L] = []
         # per-entry output pool, keyed by (kind, chunk slot): _run_plan
         # fully accumulates each dispatched chunk before issuing the
         # next, so slot j's buffers are free again by the time the next
         # chunk's entry j starts computing
         self._out_pool: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
+        # thread-local kernel scratch of the dense M2L tiles
+        self._ws = Workspace()
 
     # -- constructors -----------------------------------------------------
 
@@ -305,28 +558,29 @@ class FmmSolver:
         must be finite and non-negative: a NaN here would otherwise
         surface as a NaN field twenty calls later.
         """
-        for lvl_obj in self.levels:
-            mask = lvl_obj.leaf
-            if not mask.any():
+        for lv in self.levels:
+            slots = self._leaf_slots.get(lv.level)
+            if slots is None:
                 continue
-            rho = rho_by_level.get(lvl_obj.level)
+            rho = rho_by_level.get(lv.level)
             if rho is None:
-                raise ValueError(f"missing density for level {lvl_obj.level}")
+                raise ValueError(f"missing density for level {lv.level}")
             rho = np.asarray(rho, dtype=np.float64)
             if rho.ndim == 3:
-                c = lvl_obj.coords[mask]
-                vals = rho[c[:, 0], c[:, 1], c[:, 2]]
+                shape, flat = self._leaf_flat.get(lv.level, (None, None))
+                if rho.shape != shape:
+                    c = lv.coords[slots]
+                    flat = np.ravel_multi_index((c[:, 0], c[:, 1], c[:, 2]),
+                                                rho.shape)
+                    self._leaf_flat[lv.level] = rho.shape, flat
+                vals = rho.reshape(-1)[flat]
             else:
                 vals = rho
             if not np.isfinite(vals).all():
-                raise ValueError(
-                    f"non-finite density on level {lvl_obj.level}")
+                raise ValueError(f"non-finite density on level {lv.level}")
             if np.any(vals < 0):
-                raise ValueError(f"negative density on level {lvl_obj.level}")
-            vol = lvl_obj.width ** 3
-            lvl_obj.m[mask] = vals * vol
-            lvl_obj.com[mask] = lvl_obj.centers()[mask]
-            lvl_obj.M2[mask] = 0.0
+                raise ValueError(f"negative density on level {lv.level}")
+            lv.m[slots] = vals * lv.width ** 3
 
     # -- the three FMM steps -----------------------------------------------------
 
@@ -360,19 +614,9 @@ class FmmSolver:
         self._downward()
         return self._collect()
 
-    #: pair-tile size of the pair-list compute path.  A recorded batch
-    #: can be any size (a level's near-field and AMR-boundary lists are
-    #: one entry each) and a large one churns hundreds of MB of
-    #: Green-function temporaries (``g3`` alone is 216 B/pair); running
-    #: the kernel over cache-sized sub-batches keeps the temporaries
-    #: resident and is measurably faster on the same flops.  All pair
-    #: kernels are elementwise along the pair axis, so tiling is bitwise
-    #: identical to the one-shot call.
-    _TILE = 16384
-
-    def _pool_out(self, kind: str, slot: int, n: int
-                  ) -> tuple[np.ndarray, ...]:
-        """Capacity-grown per-entry output buffers for chunk slot ``slot``.
+    def _pool_out(self, entry, slot: int) -> tuple[np.ndarray, ...]:
+        """Capacity-grown output buffers of ``entry`` in chunk slot
+        ``slot``.
 
         The pool is NOT thread-local: slot ``j``'s buffers are written
         by whichever worker computes a chunk's ``j``-th entry and read
@@ -380,81 +624,43 @@ class FmmSolver:
         before the next one is dispatched — so distinct in-flight
         entries never share a slot and reuse across chunks is safe.
         """
-        key = (kind, slot)
+        key = (entry.kind, slot)
+        n = entry.rows
         cur = self._out_pool.get(key)
         if cur is None or len(cur[0]) < n:
-            cur = tuple(np.empty((n,) + t) for t in _OUT_SHAPES[kind])
+            cur = tuple(np.empty((n,) + t) for t in entry.out_shapes)
             self._out_pool[key] = cur
         return tuple(o[:n] for o in cur)
 
     def _compute_entry(self, i: int, slot: int):
-        """Pure compute half of plan entry ``i`` (engine task).
-
-        A pair-list entry runs its kernel in :attr:`_TILE`-sized
-        sub-batches, gathering *per tile* (rather than the whole batch
-        up front) so each gathered tile stays cache-resident through the
-        kernel call, and every tile writes straight into slices of the
-        batch outputs via the kernels' ``out=``.  A dense entry runs its
-        group of shifted-slice matmuls into one partial.  No
-        accumulation happens here, so entries are safe to compute
-        concurrently and in any order.  Outputs come from the
-        slot-indexed pool (see :meth:`_pool_out`).
+        """Pure compute half of plan entry ``i`` (engine task): its
+        kernel batch — a tiled pair list, a group of shifted-slice
+        matmuls, a group of dense M2L tiles — written into outputs from
+        the slot-indexed pool (see :meth:`_pool_out`).  No accumulation
+        happens here, so entries are safe to compute concurrently and in
+        any order.
         """
         entry = self._plan[i]
-        kind = entry[0]
-        n = entry[1].lv.n // 8 if kind == "dense" else len(entry[2])
-        outs = self._pool_out(kind, slot, n)
+        outs = self._pool_out(entry, slot)
         if _sanitize_state.ACTIVE:
             # whole-batch write declaration for the pooled output
             # buffers this task is about to fill
             for o in outs:
-                _racecheck.access(o, "w", owner="fmm/pair-out")
-        if kind == "dense":
-            _, dense, sweeps, _ = entry
-            p2p_pair_staged(dense.m8, sweeps,
-                            out=outs[0].reshape(dense.m8.shape[:3] + (32,)))
-            return outs
-        _, la, a, lb, b = entry
-        for lo in range(0, n, self._TILE):
-            sl = slice(lo, min(lo + self._TILE, n))
-            at, bt = a[sl], b[sl]
-            args = (la.com[at] - lb.com[bt],
-                    np.maximum(la.m[at], _TINY), np.maximum(lb.m[bt], _TINY))
-            out = tuple(o[sl] for o in outs)
-            if kind == "m2l":
-                m2l_pair(*args, la.M2[at], lb.M2[bt], out=out)
-            else:
-                p2p_pair(*args, out=out)
+                _racecheck.access(o, "w", owner=entry.owner)
+        entry.compute(outs)
         return outs
 
-    def _accumulate_entry(self, entry: tuple, outs) -> None:
+    def _accumulate_entry(self, entry, outs) -> None:
         """Add one computed entry into the level accumulators (calling
         thread only, plan order)."""
-        reg = default_registry()
         if _sanitize_state.ACTIVE:
             # the future's resolution edge orders these reads after the
             # computing worker's writes; slot reuse in the next chunk is
             # ordered through the re-dispatch
             for o in outs:
-                _racecheck.access(o, "r", owner="fmm/pair-out")
-        if entry[0] == "dense":
-            _, dense, _, pairs = entry
-            reg.increment("/fmm/interactions/monopole", pairs)
-            lv = dense.lv
-            part = outs[0].reshape(dense.m8.shape + (4,))
-            lv.phi.reshape(-1, 8)[dense.to_grid] += part[..., 0]
-            lv.acc.reshape(-1, 8, 3)[dense.to_grid] += part[..., 1:]
-            return
-        kind, la, a, lb, b = entry
-        if kind == "m2l":
-            reg.increment("/fmm/interactions/multipole", len(a))
-            phiA, phiB, accA, accB, HA, HB = outs
-        else:
-            reg.increment("/fmm/interactions/monopole", len(a))
-            phiA, phiB, accA, accB = outs
-            HA = HB = None
-        _accumulate(la, a, phiA, accA, HA)
-        _accumulate(lb, b, phiB, accB, HB)
+                _racecheck.access(o, "r", owner=entry.owner)
+        default_registry().increment(entry.counter, entry.pairs)
+        entry.accumulate(outs)
 
     def _run_plan(self, engine) -> None:
         """Step 2: compute every plan entry and accumulate it.
@@ -470,9 +676,8 @@ class FmmSolver:
         host.  Accumulation runs here, in plan order, so the result is
         byte-identical however the entries were placed or aggregated.
         """
-        for dense in self._dense:
-            np.take(dense.lv.m.reshape(-1, 8), dense.to_grid, axis=0,
-                    out=dense.m8)
+        for staged in self._dense + self._dense_m2l:
+            staged.stage()
         plan = self._plan
         if engine is None:
             for i, entry in enumerate(plan):
@@ -510,19 +715,28 @@ class FmmSolver:
 
     def _build_plan(self) -> None:
         """Record every same-level and near-field interaction, geometry
-        only: ``("dense", level state, sweeps, pairs)`` per offset group
-        of a level the dense sweep covers, ``(kind, la, a, lb, b)`` pair
-        lists for everything else."""
-        self._plan, self._dense = [], []
+        only, as entries with one shape (see "plan entries" above).  The
+        form of step 2 on a level follows from the level's own shape: a
+        dense leaf level is :class:`_LeafSweep` groups, a level without
+        leaf cells :class:`_M2LSweep` groups (it has no near field of its
+        own: interior x interior near pairs are their children's), and
+        anything else records :class:`_PairList` batches."""
+        self._plan, self._dense, self._dense_m2l = [], [], []
         mixed: list[tuple[int, np.ndarray, int, np.ndarray]] = []
-        root_offsets = _lex_positive(root_stencil())
+        root_offsets = lex_positive(root_stencil())
         offsets_p, par_ok = _parity_offset_table()
         for li, lv in enumerate(self.levels):
-            dense = _DenseLeaf.of(lv, root=li == 0)
-            if dense is not None:
-                self._dense.append(dense)
-                self._plan += [("dense", dense, sweeps, pairs)
-                               for sweeps, pairs in dense.groups]
+            leaf = _DenseLeaf.of(lv, li == 0)
+            if leaf is not None:
+                self._dense.append(leaf)
+                self._plan += [_LeafSweep(leaf, sweeps, pairs)
+                               for sweeps, pairs in leaf.groups]
+                continue
+            m2l = _DenseM2L.of(lv, li == 0)
+            if m2l is not None:
+                self._dense_m2l.append(m2l)
+                self._plan += [_M2LSweep(m2l, tiles, pairs, self._ws)
+                               for tiles, pairs in m2l.groups]
                 continue
             par_code = ((lv.coords[:, 0] & 1) << 2) \
                 | ((lv.coords[:, 1] & 1) << 1) | (lv.coords[:, 2] & 1)
@@ -589,12 +803,12 @@ class FmmSolver:
         d = cA - cB
         if np.any(np.einsum("ni,ni->n", d, d) == 0.0):
             raise ValueError("coincident cells in interaction kernel")
-        self._plan.append((kind, la, a, lb, b))
+        self._plan.append(_PairList(kind, la, a, lb, b))
 
     def _near_field(self, lv: FmmLevel, mixed: list) -> None:
         buf_a: list[np.ndarray] = []
         buf_b: list[np.ndarray] = []
-        for w in _lex_positive(p2p_stencil()):
+        for w in lex_positive(p2p_stencil()):
             nb = lv.coords + w
             slots, found = lv.find(nb)
             if not found.any():
@@ -687,9 +901,8 @@ class FmmSolver:
         acc: dict[int, np.ndarray] = {}
         slots: dict[int, np.ndarray] = {}
         for lv in self.levels:
-            mask = lv.leaf
-            if mask.any():
-                sel = np.nonzero(mask)[0]
+            sel = self._leaf_slots.get(lv.level)
+            if sel is not None:
                 phi[lv.level] = lv.phi[sel]
                 acc[lv.level] = lv.acc[sel]
                 slots[lv.level] = sel

@@ -41,11 +41,23 @@ child separations of every near parent offset once, and
 :func:`p2p_pair_staged` is the whole leaf-level near field as one
 shifted-slice matmul per offset.
 
+On a level without leaf cells the same happens to M2L, except that its
+separations join centres of mass and so cannot be tabulated:
+:func:`m2l_dense` evaluates the independent Green components of a whole
+block of separations (:func:`green_block`: broadcast slice differences,
+a static ``+inf`` mask on ``r^2`` for the pairs that do not belong),
+contracts each against the packed moments (:func:`pack_moments`) with one
+matmul per side, and :func:`m2l_assemble` turns the contracted components
+into ``phi`` / ``acc`` / Hessian per cell — the per-pair 455-flop body of
+:func:`m2l_pair` becomes BLAS plus ~50 array passes.  The tilings
+(which slices, which mask) are :mod:`.stencil`'s.
+
 Hot-path kernels do **not** guard against coincident points: the solver
 validates separations geometrically once, when its plan is built
 (:meth:`repro.core.gravity.fmm.FmmSolver` — distinct cells always have
-distinct geometric centres; :func:`green_table` for the dense tables),
-instead of scanning ``r2 == 0`` on every call.  The test-facing
+distinct geometric centres; :func:`green_table` for the dense tables;
+the dense M2L masks out everything that is not a well-separated pair of
+distinct cells), instead of scanning ``r2 == 0`` on every call.  The test-facing
 :func:`greens` keeps its guard.
 """
 
@@ -55,7 +67,13 @@ import numpy as np
 
 __all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
            "p2p_pair_staged",
-           "m2l_pair", "m2l_pair_reference", "pair_torque", "LEVI_CIVITA"]
+           "m2l_pair", "m2l_pair_reference", "pair_torque", "LEVI_CIVITA",
+           "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
+           "green_block", "m2l_dense", "m2l_assemble"]
+
+#: stand-in for a zero receiving mass wherever a pair force is divided
+#: back into an acceleration
+TINY_MASS = 1e-300
 
 #: Levi-Civita tensor for torque contractions
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -327,6 +345,189 @@ def m2l_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
     _hessian(HA, -mB, g2xx, g2yy, g2zz, g2xy, g2xz, g2yz)
     _hessian(HB, -mA, g2xx, g2yy, g2zz, g2xy, g2xz, g2yz)
     return phiA, phiB, accA, accB, HA, HB
+
+
+#: independent Green components of the dense M2L block, even-parity ones
+#: first: g0 | g2 xx yy xy xz yz | g1 x y z | g3 xxx xxy xxz xyy xyz yyy
+#: yyz.  The derivative tensors of 1/r are traceless on every index pair
+#: (Laplace), so of the 6 + 10 unique g2 / g3 components those with a
+#: ``zz`` follow from the rest (``g2_zz = -g2_xx - g2_yy``, ``g3_azz =
+#: -g3_axx - g3_ayy``) and are never evaluated.  Under R -> -R the first
+#: ``_N_EVEN`` keep their sign and the rest flip, which is all the
+#: partner side of a pair needs to know.
+N_GREEN = 16
+_N_EVEN = 6
+#: packed moment columns ``[m, M2xx - M2zz, M2yy - M2zz, 2 M2xy, 2 M2xz,
+#: 2 M2yz]``: with the ``zz`` components eliminated, ``M2 : g2`` is a
+#: plain dot of columns 1.. with the five g2 components (the
+#: off-diagonals carry their multiplicity), and likewise for g3
+N_MOMENT = 6
+#: ``_G3_OF[a, v - 1]``: row of ``g3_{a kl}`` for the ``kl`` of moment
+#: column ``v`` (xx yy xy xz yz); rows ``N_GREEN`` and ``N_GREEN + 1`` are
+#: the derived ``g3_xzz`` and ``g3_yzz`` :func:`m2l_assemble` fills in
+_G3_OF = np.array([[9, 12, 10, 11, 13],
+                   [10, 14, 12, 13, 15],
+                   [11, 15, 13, 16, 17]])
+
+
+def pack_moments(m: np.ndarray, M2: np.ndarray, out: np.ndarray
+                 ) -> np.ndarray:
+    """Fill ``out`` ``(n, N_MOMENT)`` with the packed moment matrix of
+    cells with masses ``m`` and raw second moments ``M2``."""
+    out[:, 0] = m
+    np.subtract(M2[:, 0, 0], M2[:, 2, 2], out=out[:, 1])
+    np.subtract(M2[:, 1, 1], M2[:, 2, 2], out=out[:, 2])
+    np.multiply(2.0, M2[:, 0, 1], out=out[:, 3])
+    np.multiply(2.0, M2[:, 0, 2], out=out[:, 4])
+    np.multiply(2.0, M2[:, 1, 2], out=out[:, 5])
+    return out
+
+
+def green_block(x, y, z, mask, G, scratch) -> None:
+    """The ``N_GREEN`` independent derivative components of ``1/r`` on a
+    block of separations, in 43 in-place passes over contiguous planes.
+
+    ``x, y, z`` are equally shaped separation blocks, ``mask`` broadcasts
+    against them and holds ``0`` (evaluate) or ``+inf`` (skip), ``G`` is
+    ``(N_GREEN,) + x.shape`` and is overwritten, ``scratch`` is
+    ``(7,) + x.shape``.  The mask is added to ``r^2``: a masked entry
+    has ``1/r == 0`` and with it every component exactly ``0`` — no
+    ``inf * 0`` is ever formed, whatever ``x, y, z`` hold there (the
+    diagonal of a level paired with itself included).
+    """
+    xx, yy, inv2, inv3, p3, n15, a = scratch
+    inv = G[0]
+    np.multiply(x, x, out=xx)
+    np.multiply(y, y, out=yy)
+    np.multiply(z, z, out=a)
+    np.add(xx, yy, out=inv)
+    inv += a
+    inv += mask
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)                  # g0 = 1/r
+    np.multiply(inv, inv, out=inv2)
+    np.multiply(inv, inv2, out=inv3)
+    np.multiply(inv3, inv2, out=p3)
+    np.multiply(p3, inv2, out=n15)
+    n15 *= -15.0                                 # -15/r^7
+    p3 *= 3.0                                    # 3/r^5
+    # g2_ij = 3 x_i x_j / r^5 - delta_ij / r^3
+    np.multiply(p3, xx, out=G[1])
+    G[1] -= inv3
+    np.multiply(p3, yy, out=G[2])
+    G[2] -= inv3
+    np.multiply(x, y, out=a)
+    np.multiply(p3, a, out=G[3])
+    a *= z
+    np.multiply(n15, a, out=G[13])               # g3_xyz = -15 xyz / r^7
+    np.multiply(x, z, out=a)
+    np.multiply(p3, a, out=G[4])
+    np.multiply(y, z, out=a)
+    np.multiply(p3, a, out=G[5])
+    # g1_i = -x_i / r^3
+    np.negative(inv3, out=inv3)
+    np.multiply(x, inv3, out=G[6])
+    np.multiply(y, inv3, out=G[7])
+    np.multiply(z, inv3, out=G[8])
+    # g3_iij = x_j A_i (j != i), g3_iii = x_i (A_i + 6/r^5),
+    # A_i = 3/r^5 - 15 x_i^2 / r^7
+    for ss in (xx, yy):
+        ss *= n15
+        ss += p3
+    np.multiply(y, xx, out=G[10])
+    np.multiply(z, xx, out=G[11])
+    np.multiply(x, yy, out=G[12])
+    np.multiply(z, yy, out=G[15])
+    p3 *= 2.0
+    xx += p3
+    np.multiply(x, xx, out=G[9])
+    yy += p3
+    np.multiply(y, yy, out=G[14])
+
+
+def m2l_dense(com: np.ndarray, V: np.ndarray, tiles, P: np.ndarray,
+              ws) -> np.ndarray:
+    """Dense same-level M2L over staged tiles: the Green components of
+    every tile contracted against the packed moments, both partners of a
+    pair updated from one evaluation.
+
+    ``com`` is ``(3, *cells)`` (centres of mass, one contiguous plane per
+    axis), ``V`` the ``(*cells, N_MOMENT)`` packed moments
+    (:func:`pack_moments`) and ``P`` the ``(N_GREEN, *cells, N_MOMENT)``
+    result, overwritten: ``P[c, i] = sum_j +-G_c(x_i - x_j) V[j]`` over
+    the unmasked pairs of ``tiles`` (``(target index, partner index,
+    mask)``, see :func:`.stencil.m2l_sweep_tiles` /
+    :func:`.stencil.m2l_root_tiles`; the last cell axis is the one a tile
+    pairs ``I x J``, leading ones are batch).  Separations are broadcast
+    differences of slices of ``com`` — no index arrays, no gathers — and
+    each side is one batched matmul per tile: ``G_c @ V[j]`` into the
+    targets, ``G_c^T @ V[i]`` into the partners with the odd components'
+    sign flipped, so a pair's two contributions come from the very same
+    Green values.  ``ws`` is a :class:`~repro.core.workspace.Workspace`.
+    """
+    P[...] = 0.0
+    for tgt, src, mask in tiles:
+        Vi, Vj = V[tgt], V[src]
+        block = Vi.shape[:-1] + Vj.shape[-2:-1]          # (*batch, I, J)
+        t = ws.buf("m2l:t", (10,) + block)
+        for d in range(3):
+            np.subtract(com[d][tgt][..., :, None],
+                        com[d][src][..., None, :], out=t[d])
+        G = ws.buf("m2l:G", (N_GREEN,) + block)
+        green_block(t[0], t[1], t[2], mask, G, t[3:])
+        r = ws.buf("m2l:Pi", (N_GREEN,) + Vi.shape)
+        np.matmul(G, Vj, out=r)
+        P[(slice(None),) + tgt] += r
+        r = ws.buf("m2l:Pj", (N_GREEN,) + Vj.shape)
+        np.matmul(np.swapaxes(G, -1, -2), Vi, out=r)
+        Pj = P[(slice(None),) + src]
+        Pj[:_N_EVEN] += r[:_N_EVEN]
+        Pj[_N_EVEN:] -= r[_N_EVEN:]
+    return P
+
+
+def m2l_assemble(P: np.ndarray, V: np.ndarray, out: np.ndarray
+                 ) -> np.ndarray:
+    """Taylor coefficients from contracted Green components, O(cells).
+
+    ``V`` ``(n, N_MOMENT)`` as in :func:`m2l_dense`, ``P`` ``(N_GREEN + 2,
+    n, N_MOMENT)`` its result with two spare rows behind it (overwritten
+    here with the derived ``g3_xzz``, ``g3_yzz``); ``out`` ``(n, 10)``
+    receives ``phi``, ``acc`` (3) and the six unique Hessian components
+    (xx yy zz xy xz yz) — what :func:`m2l_pair` returns per pair, summed
+    over each cell's partners:
+
+        phi   = -(P_g0.m + 1/2 sum_kl P_g2kl.M2_kl)
+        H_kl  = -P_g2kl.m
+        acc_a = P_g1a.m + 1/2 sum_kl P_g3akl.M2_kl
+                + 1/2 sum_kl M2_i,kl / m_i  P_g3akl.m
+
+    where ``P_c.v`` is column ``v`` of component ``c`` and the ``kl``
+    sums run over the five packed columns with the ``zz`` components
+    eliminated (see :data:`N_GREEN`, :data:`N_MOMENT`); ``H_zz`` and the
+    two ``g3_azz`` rows ``acc_z`` needs follow from tracelessness.  The
+    last term is the receiver's own quadrupole coupling to the field
+    gradient — the part of the pair force that makes ``m_i acc_i ==
+    -m_j acc_j`` — divided by the receiving mass (:data:`TINY_MASS` for
+    an empty cell, whose ``M2`` is zero too).
+    """
+    own = 0.5 * V[:, 1:]
+    own /= np.maximum(V[:, 0], TINY_MASS)[:, None]
+    # g3_xzz = -(g3_xxx + g3_xyy), g3_yzz = -(g3_xxy + g3_yyy)
+    for row, c1, c2 in ((N_GREEN, 9, 12), (N_GREEN + 1, 10, 14)):
+        np.add(P[c1], P[c2], out=P[row])
+        np.negative(P[row], out=P[row])
+    out[:, 0] = P[0, :, 0] + 0.5 * np.einsum("knk->n", P[1:6, :, 1:])
+    np.negative(out[:, 0], out=out[:, 0])
+    for a in range(3):
+        S = P[_G3_OF[a]]
+        out[:, 1 + a] = (P[6 + a, :, 0]
+                         + 0.5 * np.einsum("knk->n", S[:, :, 1:])
+                         + np.einsum("nk,kn->n", own, S[:, :, 0]))
+    np.negative(P[1:3, :, 0].T, out=out[:, 4:6])
+    np.add(P[1, :, 0], P[2, :, 0], out=out[:, 6])      # H_zz = -H_xx - H_yy
+    np.negative(P[3:6, :, 0].T, out=out[:, 7:])
+    return out
 
 
 def _sym_contract(M2, g2xx, g2yy, g2zz, g2xy, g2xz, g2yz):

@@ -17,6 +17,11 @@ Two related objects live here:
   kernels iterate, the parity lists are what makes the mathematical
   partition exact (every pair handled exactly once, the property the
   FMM-vs-direct tests rely on).
+
+The dense step-2 forms of :mod:`.fmm` take their geometry from here too:
+:func:`leaf_sweep_offsets` (parent offsets of the leaf-level near field)
+and, for the dense M2L, :func:`m2l_sweep_tiles` / :func:`m2l_root_tiles`
+— the same partition restated as shifted slices plus static masks.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import numpy as np
 
 __all__ = ["OPENING_R2", "well_separated", "canonical_stencil",
            "parity_stencils", "root_stencil", "p2p_stencil",
-           "leaf_sweep_offsets", "STENCIL_HALF_WIDTH"]
+           "leaf_sweep_offsets", "m2l_sweep_offsets", "m2l_sweep_tiles",
+           "m2l_root_tiles", "lex_positive", "STENCIL_HALF_WIDTH"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
@@ -120,3 +126,88 @@ def leaf_sweep_offsets(edge: int, root: bool = False) -> np.ndarray:
     pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)),
                    dtype=np.int64)
     return pts if root else pts[~well_separated(pts)]
+
+
+def lex_positive(offsets: np.ndarray) -> np.ndarray:
+    """Keep one representative of every ``{w, -w}`` pair (``w``
+    lexicographically greater than zero)."""
+    w = offsets
+    key = (w[:, 0] > 0) | ((w[:, 0] == 0) & (w[:, 1] > 0)) \
+        | ((w[:, 0] == 0) & (w[:, 1] == 0) & (w[:, 2] > 0))
+    return w[key]
+
+
+def m2l_sweep_offsets(edge: int) -> np.ndarray:
+    """Parent offsets of the dense interior-level M2L sweep on an
+    ``edge``^3 parent grid: the lex-positive half of the near parent
+    offsets (128 of :func:`leaf_sweep_offsets`' 257 once the grid is
+    wide enough).
+
+    Two cells meet in the same-level M2L pass exactly when they are well
+    separated and their parents are not (:func:`parity_stencils`, seen
+    from the parents); siblings (``W = 0``) are never well separated,
+    and ``W`` / ``-W`` visit the same parent pairs, so one of each is
+    swept and both partners are updated from it.
+    """
+    return lex_positive(leaf_sweep_offsets(edge))
+
+
+def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
+                    blocks: int) -> tuple[list[tuple], int]:
+    """Stage parent ``offsets`` of the interior-level M2L sweep on an
+    ``edge``^3 parent grid: ``(tiles, pairs)``.
+
+    A tile is ``(target slices, partner slices, mask)``: a slab of at
+    most ~``blocks`` parents ``I`` with ``I + W`` inside the grid, the
+    same slab shifted by ``W``, and the offset's static ``(8, 8)`` mask —
+    ``0`` where target child ``i`` and partner child ``j`` (cell
+    separation ``child[i] - 2 W - child[j]``) are well separated, i.e.
+    the pair belongs to this level, ``+inf`` where it descends.  The
+    mask is *added to r^2*, which zeroes every Green component of a
+    masked entry exactly.  ``pairs`` counts the unmasked cell pairs, each
+    once.  Offsets none of whose child pairs are far are dropped.
+    """
+    tiles, pairs = [], 0
+    for w in np.asarray(offsets).tolist():
+        sep = child[:, None, :] - 2 * np.asarray(w) - child[None, :, :]
+        far = well_separated(sep)
+        if not far.any():
+            continue
+        mask = np.where(far, 0.0, np.inf)
+        ext = [edge - abs(x) for x in w]
+        rest_t = tuple(slice(max(0, -x), edge - max(0, x)) for x in w[1:])
+        rest_s = tuple(slice(max(0, x), edge + min(0, x)) for x in w[1:])
+        t0, s0 = max(0, -w[0]), max(0, w[0])
+        step = max(1, blocks // (ext[1] * ext[2]))
+        for lo in range(0, ext[0], step):
+            hi = min(lo + step, ext[0])
+            tiles.append(((slice(t0 + lo, t0 + hi),) + rest_t,
+                          (slice(s0 + lo, s0 + hi),) + rest_s, mask))
+        pairs += int(far.sum()) * ext[0] * ext[1] * ext[2]
+    return tiles, pairs
+
+
+def m2l_root_tiles(coords: np.ndarray, rows: int, starts
+                   ) -> tuple[list[tuple], int]:
+    """Row-block tiles of the root level's whole-level M2L matrix, one
+    per first row in ``starts``: ``(tiles, pairs)`` as
+    :func:`m2l_sweep_tiles` returns them.
+
+    Nothing coarser exists on the root level, so every well-separated
+    pair is handled there (:func:`root_stencil`).  A tile is ``rows``
+    cells ``[lo:hi]`` against every cell from ``lo`` on — the upper
+    trapezoid, each pair evaluated once — and its mask is ``0`` where
+    ``j > i`` and the integer cell separation is well separated, else
+    ``+inf``.  Tiles without a far pair are dropped.
+    """
+    n = len(coords)
+    tiles, pairs = [], 0
+    for lo in np.asarray(starts).tolist():
+        hi = min(lo + rows, n)
+        far = well_separated(coords[lo:hi, None, :] - coords[None, lo:, :])
+        far &= np.arange(lo, n)[None, :] > np.arange(lo, hi)[:, None]
+        if far.any():
+            tiles.append(((slice(lo, hi),), (slice(lo, n),),
+                          np.where(far, 0.0, np.inf)))
+            pairs += int(far.sum())
+    return tiles, pairs

@@ -381,6 +381,32 @@ def test_repro010_batched_task_body_writing_pooled_scratch():
         rel="repro/core/hydro/mod.py") == []
 
 
+def test_repro010_sweep_task_body_writing_its_partial():
+    # a dense-M2L style task: zeroes and fills the slot's pooled partial
+    # over a group of shifted-slice tiles, staging in workspace scratch
+    sweep = """
+        def _compute_entry(self, i, slot):
+            entry = self._plan[i]
+            outs = self._pool_out(entry, slot)
+            part = outs[0]
+            {declare}
+            part[...] = 0.0
+            for tgt, src, mask in entry.tiles:
+                G = self._ws.buf("m2l:G", (16,) + mask.shape)
+                G[0] = mask
+                part[tgt] += G[0].sum(axis=-1)
+            return part
+
+        futs = engine.map(self._compute_entry, [(i, i) for i in range(n)])
+    """
+    vs = _lint(sweep.format(declare="pass"), rel="repro/core/gravity/fmm.py")
+    # the pooled partial (zeroed, then accumulated) and the scratch block
+    assert [v.rule for v in vs] == ["REPRO010"] * 3
+    assert _lint(sweep.format(
+        declare='_racecheck.access(part, "w", owner="fmm/m2l-out")'),
+        rel="repro/core/gravity/fmm.py") == []
+
+
 def test_repro010_access_declaration_exempts_the_function():
     assert _lint("""
         def kern(x, out):
