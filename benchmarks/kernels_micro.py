@@ -18,6 +18,10 @@ and the speedup of the fused path is reported — the CI gate asserts
 ``rhs_batched`` is what the meshes run: 1, 8 and 27 8^3 sub-grids through
 one batched ``compute_rhs`` call, beside the same sub-grids through a
 per-block loop of batch-of-one calls.
+``halo_fill`` is one ghost-fill stage of a 27-block ``DistBlockMesh`` with
+every neighbour pair on the channel route (27 localities) beside every
+pair on the direct-copy route (one locality): us per halo, and the bytes
+one fill moves (computed from the plan, not measured).
 
 Used two ways:
 
@@ -33,6 +37,7 @@ over repeats discards scheduling noise and shared-host contention.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -45,6 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import (IdealGas, NF, NGHOST, RHO, EGAS,  # noqa: E402
                         SUBGRID_N, TAU)
+from repro.core.distmesh import DistBlockMesh  # noqa: E402
 from repro.core.gravity import fmm  # noqa: E402
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         m2l_pair, m2l_pair_reference,
@@ -57,6 +63,7 @@ from repro.core.hydro.solver import (HydroOptions, compute_rhs,  # noqa: E402
                                      compute_rhs_reference)
 from repro.core.mesh import apply_boundary  # noqa: E402
 from repro.core.workspace import Workspace  # noqa: E402
+from repro.runtime.counters import CounterRegistry  # noqa: E402
 
 #: pair-batch size for the gravity kernels (one aggregated launch's worth)
 PAIR_N = 16384
@@ -72,6 +79,8 @@ HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
 #: serial meshes' chunk, a whole 24^3 mesh
 RHS_BATCHES = (1, 8, 27)
+#: sub-grids per edge of the ``halo_fill`` mesh (27 blocks, 316 pairs)
+HALO_BPE = 3
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -155,6 +164,39 @@ def m2l_dense_lines(kernels: dict) -> list[str]:
             f"per useful)" for name in M2L_ROWS]
 
 
+def _halo_fill_row(repeats: int) -> dict:
+    """One ghost-fill stage of the ``HALO_BPE``^3-block mesh per route:
+    one locality per block puts every pair on extract -> send -> channel
+    -> insert, a single locality puts every pair on the direct copy."""
+    n_blocks = HALO_BPE ** 3
+    row = {}
+    for route, n_localities in (("remote", n_blocks), ("local", 1)):
+        mesh = DistBlockMesh(HALO_BPE, n_localities=n_localities,
+                             registry=CounterRegistry())
+        generation = itertools.count()
+        seconds = _time(lambda: mesh._halo_exchange(mesh.blocks,
+                                                    next(generation)),
+                        repeats=repeats)
+        pairs = mesh._fill_plan.pairs
+        stats = mesh.transport.stats
+        assert getattr(stats, f"{route}_msgs") == (repeats + 1) * len(pairs)
+        row[route] = {"seconds": seconds, "items": len(pairs),
+                      "us_per_halo": 1e6 * seconds / len(pairs)}
+    row["bytes_per_fill"] = sum(nbytes for *_, nbytes in pairs)
+    row["speedup"] = row["remote"]["seconds"] / row["local"]["seconds"]
+    return row
+
+
+def halo_fill_line(kernels: dict) -> str:
+    """The ``halo_fill`` row as a report line (us per halo)."""
+    row = kernels["halo_fill"]
+    return (f"  halo_fill          {row['remote']['us_per_halo']:8.2f} "
+            f"us/halo all remote (channels), "
+            f"{row['local']['us_per_halo']:.2f} all local (direct copy) "
+            f"({row['speedup']:.2f}x; {row['local']['items']} halos, "
+            f"{row['bytes_per_fill']} bytes per fill)")
+
+
 def run_kernels_micro(repeats: int = 5) -> dict:
     """Time every kernel; return the ``kernels`` block for the report.
 
@@ -236,6 +278,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     return {
         **_m2l_level_rows(repeats),
         "rhs_batched": rhs_batched,
+        "halo_fill": _halo_fill_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -276,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  rhs fused speedup  {kernels['rhs_speedup']:.2f}x")
     for line in rhs_batched_lines(kernels):
         print(line)
+    print(halo_fill_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

@@ -53,15 +53,21 @@ REPRO006 *unaggregated-enqueue*
     into aggregated launches and counted by the engine's placement
     accounting; a bypassing enqueue is an unaggregated, uncounted launch.
 
-REPRO007 *unaccounted-channel-set*
-    A direct ``Channel.set(...)`` in a ``core/`` module that imports from
-    ``repro.network``.  Such a module is distribution-aware: its halos may
-    cross localities, and a direct set bypasses the
-    :class:`repro.network.transport.HaloTransport` local/remote split —
-    the parcelport is never charged, and the ``/distmesh/*`` vs
-    ``/parcels/*`` reconciliation silently rots.  Route every send
-    through the transport (``transport.send(channel, ...)``).  The
-    node-level ``core/mesh.py`` does not import the network layer and is
+REPRO007 *unaccounted-halo*
+    In a ``core/`` module that imports from ``repro.network``: a direct
+    ``Channel.set(...)``, or a function that writes one block's slab
+    straight into another's (``blocks[a][ghost] = blocks[b][layer]``)
+    without booking anything with the transport (``tally_local`` /
+    ``charge_onesided``).  Such a module is distribution-aware: the route
+    of each of its halos depends on who owns the two blocks, and the
+    :class:`repro.network.transport.HaloTransport` is where both routes
+    are counted — a direct set is a cross-locality halo the parcelport
+    never charged, an untallied direct copy a same-locality halo nobody
+    counted, and either way the ``/distmesh/*`` vs ``/parcels/*``
+    reconciliation silently rots.  Send remote halos through
+    ``transport.send(channel, ...)``; copy local ones with the node-level
+    ``BlockMesh._copy_halos`` and tally them.  The node-level
+    ``core/mesh.py`` does not import the network layer and is
     deliberately out of scope.
 
 REPRO008 *alloc-in-hot-kernel*
@@ -173,10 +179,12 @@ RULES: dict[str, tuple[str, str]] = {
                  "direct lease/stream enqueue in core/ bypasses the work-"
                  "aggregation region; route kernels through "
                  "ExecutionEngine.map / AggregationRegion"),
-    "REPRO007": ("unaccounted-channel-set",
-                 "direct Channel.set in a network-aware core/ module "
-                 "bypasses the parcelport accounting; send halos through "
-                 "HaloTransport.send"),
+    "REPRO007": ("unaccounted-halo",
+                 "a direct Channel.set, or a block-to-block ghost write in "
+                 "a function that tallies nothing, in a network-aware "
+                 "core/ module bypasses the halo accounting; send remote "
+                 "halos through HaloTransport.send, tally local copies "
+                 "with HaloTransport.tally_local"),
     "REPRO008": ("alloc-in-hot-kernel",
                  "core/gravity/ and core/hydro/ kernels taking out=/ws "
                  "must not allocate unconditionally via np.empty/np.zeros/"
@@ -311,6 +319,21 @@ def _looks_like_channel(expr: ast.expr) -> bool:
     """Heuristic: does this receiver expression name a channel?"""
     tail = ast.unparse(expr).lower().split(".")[-1]
     return tail == "ch" or "chan" in tail
+
+
+def _looks_like_block(expr: ast.expr) -> bool:
+    """Heuristic: is this a slab of a mesh block (``blocks[ip][sl]``,
+    ``blk[sl]``)?"""
+    if not isinstance(expr, ast.Subscript):
+        return False
+    while isinstance(expr, ast.Subscript):
+        expr = expr.value
+    tail = ast.unparse(expr).lower().split(".")[-1]
+    return "block" in tail or "blk" in tail
+
+
+#: transport calls that book a direct (channel-less) halo copy
+_HALO_TALLIES = ("tally_local", "charge_onesided")
 
 
 class _Linter(ast.NodeVisitor):
@@ -552,6 +575,33 @@ class _Linter(ast.NodeVisitor):
                 if name in owned:
                     hit(sub, "np.copyto into", name)
 
+    # -- REPRO007 (direct copies) -----------------------------------------
+
+    def _check_untallied_ghost_writes(self, fn) -> None:
+        """REPRO007: block-to-block slab writes in a function of a
+        network-aware ``core/`` module that books nothing with the
+        transport.  One ``tally_local`` / ``charge_onesided`` call
+        anywhere in the body exempts the function."""
+        if not (self.in_core and self.imports_network):
+            return
+        writes = []
+        for sub in ast.walk(fn):
+            if (isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in _HALO_TALLIES):
+                return
+            if (isinstance(sub, ast.Assign)
+                    and _looks_like_block(sub.value)
+                    and any(_looks_like_block(t) for t in sub.targets)):
+                writes.append(sub)
+        for sub in writes:
+            self._hit(sub, "REPRO007",
+                      f"direct block-to-block ghost write in {fn.name!r} "
+                      "of a network-aware core/ module with no transport "
+                      "tally: the halo is counted on neither route; book "
+                      "it with HaloTransport.tally_local (or "
+                      "charge_onesided for a one-sided read)")
+
     # -- visitors ---------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -596,8 +646,8 @@ class _Linter(ast.NodeVisitor):
             self._hit(node, "REPRO007",
                       f"direct {ast.unparse(func.value)}.set() in a "
                       "network-aware core/ module bypasses the parcelport "
-                      "accounting (local/remote split, eager/rendezvous "
-                      "tally); send through HaloTransport.send instead")
+                      "accounting (remote charge, eager/rendezvous tally); "
+                      "send through HaloTransport.send instead")
         # REPRO009: checkpoint records must round-trip through the store
         if self.outside_ckpt_store:
             ctor = (func.id if isinstance(func, ast.Name)
@@ -642,12 +692,14 @@ class _Linter(ast.NodeVisitor):
         self._check_lease_guards(node)
         self._check_hot_kernel_allocs(node)
         self._check_task_buffer_writes(node)
+        self._check_untallied_ghost_writes(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_lease_guards(node)
         self._check_hot_kernel_allocs(node)
         self._check_task_buffer_writes(node)
+        self._check_untallied_ghost_writes(node)
         self.generic_visit(node)
 
     # REPRO009: assignment / deletion targets that rewrite a checkpoint

@@ -190,7 +190,7 @@ def format_report(registry: CounterRegistry | None = None) -> str:
             sections.append(format_table(
                 ["counter", "value"], halo_rows,
                 title="distributed halo traffic (/distmesh/halo) — "
-                      "local fast path vs parcelport-charged"))
+                      "local direct copies vs parcelport-charged"))
 
     res = groups.get("resilience")
     if res:

@@ -1,18 +1,28 @@
 """Distributed block mesh: AGAS-sharded sub-grids with parcelport halos.
 
-The node-level :class:`~repro.core.mesh.BlockMesh` already speaks the
-paper's protocol — one generation-matched channel per neighbour direction
-per sub-grid (Sec. 5.2) — but every block lives in one address space and
-no halo ever crosses a locality.  :class:`DistBlockMesh` closes ROADMAP
-item 2's first gap: each block becomes an AGAS-registered, migratable
+The node-level :class:`~repro.core.mesh.BlockMesh` fills every ghost
+shell by reading the neighbour block's memory directly — all its blocks
+share one address space and no halo ever crosses a locality.
+:class:`DistBlockMesh` closes ROADMAP item 2's first gap: each block
+becomes an AGAS-registered, migratable
 :class:`~repro.runtime.agas.Component` homed on one of ``n_localities``
-simulated localities, and every halo send is routed through a
-:class:`~repro.network.transport.HaloTransport` that charges
-cross-locality traffic to the parcelport cost model (eager vs rendezvous
-vs RMA by ``EAGER_BYTES``) and may deliver it out of order — the
-generation matching of the channel protocol is what keeps the physics
-byte-identical anyway (Sec. 4.1: "semantic and syntactic equivalence of
-local and remote operations").
+simulated localities, and the route of every halo is decided from the
+current owners of its two blocks, each time it is exchanged:
+
+* a **same-locality** pair is the node-level direct slab copy, tallied
+  by the :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
+  local-communication optimisation: no channel, no charge);
+* a **cross-locality** pair speaks the paper's protocol — one
+  generation-matched channel per neighbour direction per sub-grid
+  (Sec. 5.2) — with the send routed through the transport, which charges
+  it to the parcelport cost model (eager vs rendezvous vs RMA by
+  ``EAGER_BYTES``) and may deliver it out of order; the generation
+  matching of the channel protocol is what keeps the physics
+  byte-identical anyway.
+
+The two routes write the same bytes into the same ghost cells (Sec. 4.1:
+"semantic and syntactic equivalence of local and remote operations" — of
+the results, not of the road taken).
 
 Contracts this class maintains (asserted by the distributed tests):
 
@@ -21,15 +31,16 @@ Contracts this class maintains (asserted by the distributed tests):
   parcelport, and any delivery order;
 * killing a locality (via :meth:`fail_locality` or the phi-accrual
   detector) evacuates its block components through AGAS — the blocks'
-  GIDs stay valid, ownership moves, and subsequent halo traffic is
-  re-charged along the new local/remote split;
-* every cross-locality halo is charged to the parcelport: the
-  ``/distmesh/*`` and ``/parcels/halo:<port>/*`` counters reconcile
-  exactly (halo sets == halo gets; transport tallies == port tallies).
+  GIDs stay valid, ownership moves, and subsequent halo traffic takes
+  (and is charged along) the new local/remote split with no plan rebuild;
+* every cross-locality halo is charged to the parcelport and every
+  same-locality one tallied: the ``/distmesh/*`` and
+  ``/parcels/halo:<port>/*`` counters reconcile exactly (halo sets ==
+  halo gets; transport tallies == port tallies).
 
-Direct ``Channel.set`` calls are banned here by lint rule REPRO007 —
-every send must go through the transport so the accounting above cannot
-silently rot.
+Direct ``Channel.set`` calls, and block-to-block ghost writes in a
+function that books nothing with the transport, are banned here by lint
+rule REPRO007 — the accounting above cannot silently rot.
 """
 
 from __future__ import annotations
@@ -38,7 +49,10 @@ from typing import Callable
 
 from ..network.transport import HaloTransport
 from ..runtime.agas import AgasRuntime, Component, Gid, LocalityFailed
+from ..runtime.channel import Channel
 from ..runtime.counters import CounterRegistry, default_registry
+from ..sanitize import racecheck as _racecheck
+from ..sanitize import state as _sanitize_state
 from .mesh import BlockMesh
 
 __all__ = ["DistBlockMesh", "BlockComponent", "slab_partition"]
@@ -126,6 +140,9 @@ class DistBlockMesh(BlockMesh):
         #: blocks whose last live copy died with a locality (their GIDs
         #: resolve to LocalityFailed until apply_ownership restores them)
         self._lost_blocks: set[tuple[int, int, int]] = set()
+        #: (src block, dst block) -> channel, created the first time the
+        #: pair's halo crosses a locality
+        self.channels: dict[tuple, Channel] = {}
 
     # -- ownership ------------------------------------------------------------
 
@@ -206,55 +223,70 @@ class DistBlockMesh(BlockMesh):
     # -- halo exchange --------------------------------------------------------
 
     def _halo_exchange(self, blocks: dict, generation: int) -> None:
-        """One stage of halos, with cross-locality sends charged.
+        """One stage of halos, each routed by who owns its two blocks now
+        (so a migration flips a pair between routes by itself).
 
-        Same structure as the node-level exchange — receives posted
-        first, sends second, futures drained, physical boundaries last —
-        but every send goes through the transport (local fast path or
-        parcelport charge), and buffered remote deliveries are flushed in
-        the transport's (possibly shuffled) order before the drain.
+        Cross-locality pairs keep the channel protocol — receives posted
+        first, sends second (each charged by the transport), buffered
+        deliveries flushed in the transport's possibly shuffled order,
+        futures drained into the ghost slabs.  Same-locality pairs are the
+        node-level direct copies, tallied.  Periodic wraps read the
+        wrapped block's interior directly whoever owns it — a one-sided
+        get, charged when it crosses a locality.  Same data into the same
+        cells as the node-level fill: bitwise identity is untouched.
         """
-        recv, send = self._halo_plan
         owner = self._owner
         transport = self.transport
-        pending = [(ip, off, ch.get(generation)) for ip, off, ch in recv]
-        for ip, off, ch in send:
-            nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
-            transport.send(ch, self._extract_halo(blocks[ip], off),
-                           generation, owner[ip], owner[nb])
+        plan = self._fill_plan
+        local, remote = [], []
+        for halo in plan.pairs:
+            dst, _, src, _, _ = halo
+            (local if owner[dst] == owner[src] else remote).append(halo)
+        channels = [self._channel(src, dst) for dst, _, src, _, _ in remote]
+        pending = [ch.get(generation) for ch in channels]
+        sanitize = _sanitize_state.ACTIVE
+        for (dst, _, src, layer, _), ch in zip(remote, channels):
+            if sanitize:
+                _racecheck.access(blocks[src], "r", owner="halo/src-block")
+            transport.send(ch, blocks[src][layer].copy(), generation,
+                           owner[src], owner[dst])
         transport.flush()
-        self.registry.increment("/distmesh/halo/sets", len(send))
-        for ip, off, fut in pending:
-            self._insert_halo(blocks[ip], off, fut.get())
-        self.registry.increment("/distmesh/halo/gets", len(pending))
-        for ip in blocks:
-            self._physical_boundary(blocks, ip)
+        self._copy_halos(blocks, local)
+        transport.tally_local(len(local),
+                              sum(nbytes for *_, nbytes in local))
+        self.registry.increment("/distmesh/halo/sets",
+                                len(local) + len(remote))
+        for (dst, ghost, _, _, _), fut in zip(remote, pending):
+            data = fut.get()
+            if sanitize:
+                _racecheck.access(data, "r", owner="halo/payload")
+                _racecheck.access(blocks[dst], "w", owner="halo/dst-block")
+            blocks[dst][ghost] = data
+        self.registry.increment("/distmesh/halo/gets",
+                                len(local) + len(pending))
+        for dst, _, src, _, nbytes in plan.wraps:
+            transport.charge_onesided(nbytes, owner[src], owner[dst])
+        self._copy_halos(blocks, plan.wraps)
+        self._fill_walls(blocks)
 
-    def _physical_boundary(self, blocks: dict, ip) -> None:
-        """Domain BC, with cross-locality periodic wraps charged.
-
-        A periodic wrap reads the wrapped block's interior directly —
-        a one-sided get when that block lives elsewhere, so its bytes
-        are booked through the transport (same data, same insertion as
-        the node-level path: bitwise identity is untouched).
-        """
-        if self.bc != "periodic":
-            super()._physical_boundary(blocks, ip)
-            return
-        owner = self._owner
-        dst = owner[ip]
-        for off, src_ip in self._periodic_wraps(ip):
-            mirror = (-off[0], -off[1], -off[2])
-            data = self._extract_halo(blocks[src_ip], mirror)
-            self.transport.charge_onesided(data.nbytes, owner[src_ip], dst)
-            self._insert_halo(blocks[ip], off, data)
+    def _channel(self, src: tuple[int, int, int],
+                 dst: tuple[int, int, int]) -> Channel:
+        ch = self.channels.get((src, dst))
+        if ch is None:
+            ch = self.channels[src, dst] = Channel(name=f"{src}->{dst}")
+        return ch
 
     # -- rollback -------------------------------------------------------------
 
     def on_restore(self) -> None:
-        """Rollback hook: also drop halos buffered for reordered delivery
-        (they belong to the timeline being discarded)."""
+        """Rollback hook: halo generations are derived from the step
+        counter, so the replayed steps would collide with consumed
+        generations unless every channel forgets its history; halos
+        buffered for reordered delivery belong to the timeline being
+        discarded and are dropped too."""
         super().on_restore()
+        for ch in self.channels.values():
+            ch.reset()
         self.transport.discard_pending()
 
     # -- counters -------------------------------------------------------------

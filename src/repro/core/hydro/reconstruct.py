@@ -183,10 +183,14 @@ def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,
 
     np.minimum(left, c, out=a)
     np.maximum(left, c, out=b)
-    np.clip(_ax(F, 0, -1, axis), a, b, out=lo)
+    # clip(F, a, b) spelled as its two halves (a <= b by construction):
+    # same bits, half the ufunc dispatch cost at this size
+    np.maximum(_ax(F, 0, -1, axis), a, out=lo)
+    np.minimum(lo, b, out=lo)
     np.minimum(c, right, out=a)
     np.maximum(c, right, out=b)
-    np.clip(_ax(F, 1, None, axis), a, b, out=hi)
+    np.maximum(_ax(F, 1, None, axis), a, out=hi)
+    np.minimum(hi, b, out=hi)
 
     # extremum = (hi - c) * (c - lo) <= 0  ->  lo = hi = c there
     np.subtract(hi, c, out=a)

@@ -240,7 +240,10 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         n = shape[axis]
         Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
         sweep = np.moveaxis(rhs, 2 + axis, 1)       # rhs, pencil-major view
-        sweep += (Flo - Fhi) / dx
+        dF = ws.buf("rhs:dF", Flo.shape)
+        np.subtract(Flo, Fhi, out=dF)
+        dF /= dx
+        sweep += dF
         if options.spin_correction:
             _add_spin_correction(sweep, Flo, Fhi, axis)
         if return_fluxes:

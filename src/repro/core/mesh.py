@@ -9,7 +9,9 @@ Two implementations with identical physics:
 
 * :class:`BlockMesh` — the same domain tiled into 8^3 sub-grids (the
   paper's octree leaves at a fixed level, one multi-sub-grid node) with
-  halo exchange through :class:`repro.runtime.Channel` objects,
+  ghost shells filled by direct slab copies out of the neighbour blocks
+  (one address space; only a halo that crosses a locality needs a
+  channel, see :class:`repro.core.distmesh.DistBlockMesh`),
   batched hydro tasks and futurized FMM gravity dispatched through
   a :class:`repro.core.exec.ExecutionEngine` (work-stealing scheduler +
   GPU streams with CPU overflow) — the futurized execution style of
@@ -39,7 +41,7 @@ the solve is reused, keeping the cost at two solves per step).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -451,16 +453,29 @@ class Mesh(_UniformMesh):
                                  self.phi)
 
 
+class _FillPlan(NamedTuple):
+    """The frozen ghost fill of a :class:`BlockMesh`.  ``pairs`` and
+    ``wraps`` hold ``(dst block, ghost slab, src block, interior-layer
+    slab, nbytes)`` copy entries — neighbours inside the lattice and
+    periodic images across the seam; ``walls`` holds ``(block, axis,
+    side)`` domain faces for :func:`fill_wall`."""
+
+    pairs: tuple
+    wraps: tuple
+    walls: tuple
+
+
 class BlockMesh(_UniformMesh):
-    """The same physics tiled into 8^3 sub-grids with channel halos.
+    """The same physics tiled into 8^3 sub-grids with direct-copy halos.
 
     Each sub-grid is an HPX-component-like unit: per step and per stage
-    it publishes its halo layers into per-neighbour channels and consumes
-    its neighbours' futures, and its RHS is evaluated together with the
-    rest of its aggregation chunk in one batched task on a work-stealing
-    scheduler when one is supplied — the paper's futurized execution
-    (Sec. 4.1) at the granularity of its work aggregation.  Physics is
-    identical to :class:`Mesh`.
+    its ghost shell is filled from the interior layers of its 26
+    neighbours — read straight out of their memory, since every block of
+    a node-level mesh shares one address space — and its RHS is evaluated
+    together with the rest of its aggregation chunk in one batched task
+    on a work-stealing scheduler when one is supplied — the paper's
+    futurized execution (Sec. 4.1) at the granularity of its work
+    aggregation.  Physics is identical to :class:`Mesh`.
 
     With ``self_gravity=True`` (requires ``blocks_per_edge`` a power of
     two) one FMM solver is shared across all blocks: it is built once
@@ -479,7 +494,6 @@ class BlockMesh(_UniformMesh):
                  options: HydroOptions | None = None, bc: str = "outflow",
                  scheduler=None, device=None, engine=None,
                  self_gravity: bool = False):
-        from ..runtime.channel import Channel
         self.bpe = blocks_per_edge
         self.nsub = SUBGRID_N
         self.n = blocks_per_edge * SUBGRID_N
@@ -502,14 +516,8 @@ class BlockMesh(_UniformMesh):
         self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
         for ip in np.ndindex(self.bpe, self.bpe, self.bpe):
             self.blocks[ip] = np.zeros((NF, m, m, m))
-        self.channels: dict = {}
-        self._Channel = Channel
         self._init_stepping(self.blocks, self_gravity)
-        # halo topology is fixed: precompute the 26-offset list, the
-        # neighbour pairs and their channels once instead of per stage
-        self._offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
-                         if o != (0, 0, 0)]
-        self._halo_plan = self._build_halo_plan()
+        self._fill_plan = self._build_fill_plan()
 
     # -- state interchange with a flat array ------------------------------------
 
@@ -533,117 +541,82 @@ class BlockMesh(_UniformMesh):
                  k * s:(k + 1) * s] = blk[:, g:g + s, g:g + s, g:g + s]
         return full
 
-    # -- halo exchange through channels ---------------------------------------------
+    # -- ghost fill by direct slab copy ------------------------------------------
 
-    def _channel(self, key):
-        return self.channels.setdefault(key, self._Channel(name=str(key)))
+    def _build_fill_plan(self) -> _FillPlan:
+        """Freeze the ghost fill.  The topology is fixed, so every slice
+        is derived once: one copy entry per (block, offset) of the 26
+        directions — a neighbour ``pair`` when the source is inside the
+        lattice, a periodic ``wrap`` (source wrapped coordinate-wise:
+        faces, edges *and* corners) when it is not — and, for the other
+        boundary conditions, one wall entry per block face on the domain
+        boundary.  Pairs are listed source-major, the order a sender
+        publishes in; wraps and walls destination-major."""
+        g, s = NGHOST, self.nsub
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
+                   if o != (0, 0, 0)]
 
-    def _build_halo_plan(self):
-        """Freeze the per-stage exchange: (ip, offset, channel) triples
-        for every interior neighbour pair, receives and sends, with the
-        channels created up front (they used to be key-tupled and looked
-        up 26 times per block per stage)."""
-        offsets = self._offsets
-        recv, send = [], []
+        def slabs(low, middle, high):
+            return {off: (slice(None),) + tuple(
+                (low, middle, high)[o + 1] for o in off) for off in offsets}
+
+        # the interior layer a block shows its neighbour at ``off`` and
+        # the ghost slab that receives what the neighbour at ``off`` shows
+        layer = slabs(slice(g, 2 * g), slice(g, g + s), slice(s, g + s))
+        ghost = slabs(slice(0, g), slice(g, g + s),
+                      slice(g + s, 2 * g + s))
+        nbytes = {off: self.blocks[0, 0, 0][layer[off]].nbytes
+                  for off in offsets}
+        pairs, wraps, walls = [], [], []
         for ip in self.blocks:
             for off in offsets:
                 nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
+                mirror = (-off[0], -off[1], -off[2])
                 if nb in self.blocks:
-                    mirror = (-off[0], -off[1], -off[2])
-                    recv.append((ip, off, self._channel((nb, mirror))))
-                    send.append((ip, off, self._channel((ip, off))))
-        return recv, send
+                    pairs.append((nb, ghost[mirror], ip, layer[off],
+                                  nbytes[off]))
+                elif self.bc == "periodic":
+                    src = tuple(c % self.bpe for c in nb)
+                    wraps.append((ip, ghost[off], src, layer[mirror],
+                                  nbytes[off]))
+            if self.bc != "periodic":
+                walls.extend((ip, axis, side) for axis in range(3)
+                             for side in (-1, 1)
+                             if not 0 <= ip[axis] + side < self.bpe)
+        return _FillPlan(tuple(pairs), tuple(wraps), tuple(walls))
+
+    @staticmethod
+    def _copy_halos(blocks: dict, halos) -> None:
+        """``dst[ghost] = src[layer]`` for every entry: a strided copy
+        straight out of the source block's interior."""
+        sanitize = _sanitize_state.ACTIVE
+        for dst, ghost, src, layer, _ in halos:
+            if sanitize:
+                _racecheck.access(blocks[src], "r", owner="halo/src-block")
+                _racecheck.access(blocks[dst], "w", owner="halo/dst-block")
+            blocks[dst][ghost] = blocks[src][layer]
+
+    def _fill_walls(self, blocks: dict) -> None:
+        """Domain walls, after the copies: a wall slab spans the
+        transverse ghosts the neighbours just filled."""
+        for ip, axis, side in self._fill_plan.walls:
+            fill_wall(blocks[ip], axis, side, self.bc)
 
     def _halo_exchange(self, blocks: dict, generation: int) -> None:
-        """Publish and consume all halos of ``blocks`` for one stage.
-
-        Receives are posted first (futures), sends second, then futures
-        are drained — the paper's "the receiving end may fetch futures ...
-        the sending end may push data into [the channel] as it is
-        generated" (Sec. 5.2).
-        """
-        recv, send = self._halo_plan
-        pending = [(ip, off, ch.get(generation)) for ip, off, ch in recv]
-        for ip, off, ch in send:
-            ch.set(self._extract_halo(blocks[ip], off), generation)
-        for ip, off, fut in pending:
-            self._insert_halo(blocks[ip], off, fut.get())
-        for ip in blocks:
-            self._physical_boundary(blocks, ip)
-
-    def _extract_halo(self, blk: np.ndarray, off: tuple[int, int, int]
-                      ) -> np.ndarray:
-        """Interior layer a neighbour at ``off`` needs (from the sender)."""
-        g = NGHOST
-        s = self.nsub
-        if _sanitize_state.ACTIVE:
-            _racecheck.access(blk, "r", owner="halo/src-block")
-        sl = [slice(None)]
-        for d in range(3):
-            if off[d] == -1:
-                sl.append(slice(g, 2 * g))
-            elif off[d] == 1:
-                sl.append(slice(g + s - g, g + s))
-            else:
-                sl.append(slice(g, g + s))
-        return blk[tuple(sl)].copy()
-
-    def _insert_halo(self, blk: np.ndarray, off: tuple[int, int, int],
-                     data: np.ndarray) -> None:
-        """Write a received halo from the neighbour at ``off``."""
-        g = NGHOST
-        s = self.nsub
-        if _sanitize_state.ACTIVE:
-            _racecheck.access(data, "r", owner="halo/payload")
-            _racecheck.access(blk, "w", owner="halo/dst-block")
-        sl = [slice(None)]
-        for d in range(3):
-            if off[d] == 1:
-                sl.append(slice(g + s, g + s + g))
-            elif off[d] == -1:
-                sl.append(slice(0, g))
-            else:
-                sl.append(slice(g, g + s))
-        blk[tuple(sl)] = data
-
-    def _periodic_wraps(self, ip) -> list[tuple[tuple[int, int, int],
-                                                tuple[int, int, int]]]:
-        """``(offset, source block)`` pairs for ghost regions of ``ip``
-        that cross the periodic seam — every one of the 26 offsets whose
-        neighbour falls outside the block lattice, wrapped coordinate-wise.
-        Face, edge *and* corner regions are all covered; the data each one
-        needs is the wrapped block's interior layer facing back at us
-        (the mirror of the offset), exactly as a channel neighbour would
-        have published it."""
-        wraps = []
-        for off in self._offsets:
-            nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
-            if nb in self.blocks:
-                continue
-            src_ip = tuple((ip[d] + off[d]) % self.bpe for d in range(3))
-            wraps.append((off, src_ip))
-        return wraps
-
-    def _physical_boundary(self, blocks: dict, ip) -> None:
-        """Apply the domain BC on the faces of ``ip`` without neighbours."""
-        blk = blocks[ip]
-        if self.bc == "periodic":
-            # wrap ALL out-of-lattice offsets (faces, edges, corners):
-            # per-neighbour distributed halos read every one of them
-            for off, src_ip in self._periodic_wraps(ip):
-                mirror = (-off[0], -off[1], -off[2])
-                self._insert_halo(blk, off,
-                                  self._extract_halo(blocks[src_ip], mirror))
-            return
-        for axis in range(3):
-            for side in (-1, 1):
-                if not 0 <= ip[axis] + side < self.bpe:
-                    fill_wall(blk, axis, side, self.bc)
+        """Fill every ghost shell of ``blocks`` for one stage.  All blocks
+        share one address space, so a block reads its neighbours' memory
+        directly (Octo-Tiger's local-communication optimisation);
+        ``generation`` only matters to the distributed override, whose
+        cross-locality halos are matched by it."""
+        plan = self._fill_plan
+        self._copy_halos(blocks, plan.pairs)
+        self._copy_halos(blocks, plan.wraps)
+        self._fill_walls(blocks)
 
     # -- stepping ------------------------------------------------------------------
 
     def _fill(self, blocks: dict, stage: int) -> None:
-        # one channel generation per RK stage of every step
+        # one halo generation per RK stage of every step
         self._halo_exchange(blocks, 2 * self.steps + stage)
 
     def _rhs(self, blocks: dict, acc, stage: int) -> dict:
@@ -654,18 +627,6 @@ class BlockMesh(_UniformMesh):
         scheduler/engine is present); returns the dt used."""
         return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
                         self._gravity)
-
-    # -- rollback ----------------------------------------------------------------
-
-    def on_restore(self) -> None:
-        """Called by :class:`repro.resilience.checkpoint.CheckpointManager`
-        after a rollback: halo channel generations are derived from the
-        step counter, so the replayed steps would collide with consumed
-        generations unless every channel forgets its history.  The gravity
-        cache is also dropped — it holds post-fault state."""
-        for ch in self.channels.values():
-            ch.reset()
-        super().on_restore()
 
     # -- diagnostics ------------------------------------------------------------
 

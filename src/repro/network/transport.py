@@ -1,25 +1,25 @@
-"""Halo transport: channel delivery charged through a parcelport.
+"""Halo transport: the accounting seam between a mesh and the parcelport.
 
-The distributed :class:`~repro.core.distmesh.DistBlockMesh` keeps the
-node-level halo protocol — one generation-matched
-:class:`~repro.runtime.channel.Channel` per neighbour direction per block
-(Sec. 5.2) — but a halo whose sender and receiver live on *different*
-localities is a parcel: it must be charged through the
-:class:`~repro.network.parcelport.Parcelport` cost model (eager vs
-rendezvous vs RMA by ``EAGER_BYTES``) like any other message, and it may
-arrive out of order.  This module is the seam between the two layers:
+The distributed :class:`~repro.core.distmesh.DistBlockMesh` decides the
+route of every halo from the current owners of the two blocks, and books
+each one here:
 
-* **local fast path** — sender and receiver share a locality; the value
-  goes straight into the channel, no parcelport charge (an intra-node
-  copy, exactly what HPX does when the AGAS resolution is local);
-* **remote path** — the payload is charged to a *dedicated* port (the
-  configured transport renamed ``halo:<name>``, so ``/parcels/halo:...``
-  counters isolate halo traffic from other parcel users), then delivered
-  into the channel.  With a ``reorder_seed`` the deliveries of one stage
-  are buffered and :meth:`~HaloTransport.flush`-ed in a seeded random
-  order — the generation matching of the channel protocol is what makes
-  that reordering invisible to the receiver, and the distributed tests
-  assert exactly that;
+* **local tally** — sender and receiver share a locality; the mesh copies
+  the slab straight out of the neighbour's memory (an intra-node copy,
+  exactly what HPX does when the AGAS resolution is local) and
+  :meth:`~HaloTransport.tally_local` counts it: no channel, no parcelport
+  charge, nothing to reorder;
+* **remote path** — the halo is a parcel: :meth:`~HaloTransport.send`
+  charges the payload to a *dedicated* port (the configured transport
+  renamed ``halo:<name>``, so ``/parcels/halo:...`` counters isolate halo
+  traffic from other parcel users: eager vs rendezvous vs RMA by
+  ``EAGER_BYTES``), then delivers it into the pair's generation-matched
+  :class:`~repro.runtime.channel.Channel` (Sec. 5.2).  With a
+  ``reorder_seed`` the deliveries of one stage are buffered and
+  :meth:`~HaloTransport.flush`-ed in a seeded random order — the
+  generation matching of the channel protocol is what makes that
+  reordering invisible to the receiver, and the distributed tests assert
+  exactly that;
 * **one-sided charge** — periodic wraps are direct RMA-style copies with
   no channel in between; :meth:`~HaloTransport.charge_onesided` books
   their cross-locality cost so "every cross-locality halo is charged"
@@ -67,7 +67,8 @@ class TransportStats:
 
 
 class HaloTransport:
-    """Deliver halo values into channels, charging cross-locality traffic.
+    """Tally same-locality halos; charge cross-locality ones and deliver
+    them into their channels.
 
     Parameters
     ----------
@@ -79,8 +80,8 @@ class HaloTransport:
     reorder_seed:
         When not ``None``, remote deliveries are buffered per stage and
         :meth:`flush` hands them to the channels in a seeded random
-        order, modelling out-of-order parcel arrival.  Local deliveries
-        are never reordered (there is no wire to reorder them on).
+        order, modelling out-of-order parcel arrival.  Local halos never
+        come through here (there is no wire to reorder them on).
     """
 
     def __init__(self, port: Parcelport | str = "libfabric",
@@ -98,29 +99,36 @@ class HaloTransport:
         #: several meshes share the halo port in one process
         self._baseline = port_stats(self.port.name).snapshot()
 
+    # -- local tally ----------------------------------------------------------
+
+    def tally_local(self, msgs: int, nbytes: int) -> None:
+        """Count ``msgs`` same-locality halos of ``nbytes`` in total that
+        the mesh copied directly: never charged, never reordered."""
+        self.stats.local_msgs += msgs
+        self.stats.local_bytes += nbytes
+
     # -- channel path ---------------------------------------------------------
 
     def send(self, channel, value, generation: int,
              src_locality: int, dst_locality: int) -> None:
-        """Publish ``value`` for ``generation`` on ``channel``.
-
-        Same-locality sends take the intra-node fast path; cross-locality
-        sends are charged to the parcelport first and — under a reorder
-        seed — buffered until :meth:`flush`.
+        """Publish ``value`` for ``generation`` on ``channel``, charged to
+        the parcelport and — under a reorder seed — buffered until
+        :meth:`flush`.  Cross-locality only: a same-locality halo is a
+        direct copy booked with :meth:`tally_local`, and sending one would
+        charge the wire for bytes that never left the node.
         """
+        if src_locality == dst_locality:
+            raise ValueError(
+                f"halo send within locality {src_locality}: same-locality "
+                "halos are direct copies (tally_local), not parcels")
         nbytes = int(getattr(value, "nbytes", 0) or len(value))
         if _sanitize_state.ACTIVE:
             # the payload is read (serialized) at send time: any
             # unsynchronized later write to it would corrupt the wire copy
             _racecheck.access(value, "r",
                               owner=f"halo:{getattr(channel, 'name', '?')}")
-        st = self.stats
-        if src_locality == dst_locality:
-            st.local_msgs += 1
-            st.local_bytes += nbytes
-            channel.set(value, generation)
-            return
         self._charge(nbytes)
+        st = self.stats
         st.remote_msgs += 1
         st.remote_bytes += nbytes
         if self._rng is None:

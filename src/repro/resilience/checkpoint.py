@@ -32,9 +32,10 @@ generation survives.  Verification traffic is tallied under
 ``/resilience/ckpt/{verified,corrupt,torn,fallback}``.
 
 After copying state back, a restore invokes the mesh's optional
-``on_restore()`` hook — :class:`~repro.core.mesh.BlockMesh` uses it to
-reset its halo channels, whose generation numbers are derived from the
-step counter and would otherwise reject the replayed generations.
+``on_restore()`` hook — the uniform meshes drop their gravity cache, and
+:class:`~repro.core.distmesh.DistBlockMesh` resets the channels of its
+cross-locality halos, whose generation numbers are derived from the step
+counter and would otherwise reject the replayed generations.
 
 Checkpoints live in memory (``keep`` most recent are retained; the model
 has no node-local disk to lose) — replication of records across

@@ -219,6 +219,42 @@ def test_repro007_absolute_import_spelling_also_counts():
     assert [v.rule for v in vs] == ["REPRO007"]
 
 
+_DIRECT_COPY = """
+def _halo_exchange(self, blocks, generation):
+    for dst, ghost, src, layer, nbytes in self._fill_plan.pairs:
+        blocks[dst][ghost] = blocks[src][layer]
+"""
+
+
+def test_repro007_untallied_block_to_block_ghost_write():
+    vs = _lint(_NETWORK_IMPORT + _DIRECT_COPY, rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    assert "tally_local" in vs[0].message
+    assert "_halo_exchange" in vs[0].message
+    # other spellings of a block slab
+    vs = _lint(_NETWORK_IMPORT + "def f(self, blk, ip, sl):\n"
+               "    self.blocks[ip][sl] = blk[sl]",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+
+
+def test_repro007_tallied_or_out_of_scope_ghost_writes_are_clean():
+    # booking the copies with the transport is the sanctioned route ...
+    for tally in ("self.transport.tally_local(n, nbytes)",
+                  "transport.charge_onesided(nbytes, a, b)"):
+        assert _lint(_NETWORK_IMPORT + _DIRECT_COPY + f"    {tally}\n",
+                     rel="repro/core/distmesh.py") == []
+    # ... the node-level mesh has no transport to book with ...
+    assert _lint(_DIRECT_COPY, rel="repro/core/mesh.py") == []
+    assert _lint(_NETWORK_IMPORT + _DIRECT_COPY,
+                 rel="repro/resilience/durability.py") == []
+    # ... and a received payload is not another block's memory
+    assert _lint(_NETWORK_IMPORT + "def f(blocks, dst, ghost, fut):\n"
+                 "    blocks[dst][ghost] = fut.get()\n"
+                 "    blocks[dst][ghost] = data",
+                 rel="repro/core/distmesh.py") == []
+
+
 # -- REPRO008: unconditional allocations in out=/ws hot kernels -----------
 
 def test_repro008_unconditional_alloc_with_out_param():

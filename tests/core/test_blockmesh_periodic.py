@@ -12,16 +12,17 @@ equality with the single-block mesh (both failed on the old code).
 import itertools
 
 import numpy as np
+import pytest
 
 from repro.core import NF, NGHOST, SUBGRID_N, BlockMesh, IdealGas, Mesh
 from repro.core.hydro.solver import HydroOptions
 
 
-def _loaded_pair(rng, bpe=2):
+def _loaded_pair(rng, bpe=2, bc="periodic"):
     n = bpe * SUBGRID_N
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
-    single = Mesh(n=n, domain=1.0, options=opts, bc="periodic")
-    blocks = BlockMesh(bpe, domain=1.0, options=opts, bc="periodic")
+    single = Mesh(n=n, domain=1.0, options=opts, bc=bc)
+    blocks = BlockMesh(bpe, domain=1.0, options=opts, bc=bc)
     full = np.zeros((NF, n, n, n))
     full[0] = 1.0 + 0.2 * rng.random((n, n, n))
     full[1:4] = 0.1 * rng.standard_normal((3, n, n, n))
@@ -30,6 +31,23 @@ def _loaded_pair(rng, bpe=2):
     single.interior[...] = full
     blocks.load_interior(full)
     return single, blocks, full
+
+
+@pytest.mark.parametrize("bc", ["outflow", "reflect", "periodic"])
+@pytest.mark.parametrize("bpe", [2, 3])
+def test_fill_plan_reproduces_the_single_mesh_ghost_shell(rng, bpe, bc):
+    """One pass over the frozen plan (neighbour copies, wraps, then
+    walls) leaves in every ghost cell of every block — faces, edges and
+    corners, seam or wall — exactly what the single-block mesh holds in
+    the same place; 3^3 blocks include one with all 26 neighbours."""
+    single, blocks, _full = _loaded_pair(rng, bpe, bc)
+    single.fill_ghosts()
+    blocks._halo_exchange(blocks.blocks, 0)
+    g, s = NGHOST, SUBGRID_N
+    for ip, blk in blocks.blocks.items():
+        window = (slice(None),) + tuple(
+            slice(ip[d] * s, ip[d] * s + s + 2 * g) for d in range(3))
+        np.testing.assert_array_equal(blk, single.U[window])
 
 
 class TestPeriodicGhostShell:
@@ -64,18 +82,37 @@ class TestPeriodicGhostShell:
                                       single.interior)
 
     def test_offsets_cover_all_26_directions(self):
+        """The frozen fill plan gives every block all 26 ghost regions
+        exactly once: a neighbour pair where the source is inside the
+        lattice, a wrap from the coordinate-wise wrapped block where it
+        is not."""
         blocks = BlockMesh(2, bc="periodic")
-        assert sorted(blocks._offsets) == sorted(
-            o for o in itertools.product((-1, 0, 1), repeat=3)
-            if o != (0, 0, 0))
-        # every block of a 2^3 lattice has all 26 neighbours outside or
-        # inside; the wrap list must cover exactly the outside ones
-        for ip in blocks.blocks:
-            wraps = dict(blocks._periodic_wraps(ip))
-            for off in blocks._offsets:
-                nb = tuple(ip[d] + off[d] for d in range(3))
+        g, s = NGHOST, SUBGRID_N
+        side_of = {(0, g): -1, (g, g + s): 0, (g + s, 2 * g + s): 1}
+        layer_of = {(g, 2 * g): -1, (g, g + s): 0, (s, g + s): 1}
+
+        def off(slab, table):
+            return tuple(table[sl.start, sl.stop] for sl in slab[1:])
+
+        plan = blocks._fill_plan
+        assert not plan.walls
+        filled = {ip: {} for ip in blocks.blocks}
+        for kind, halos in (("pair", plan.pairs), ("wrap", plan.wraps)):
+            for dst, ghost, src, layer, nbytes in halos:
+                o = off(ghost, side_of)
+                assert o not in filled[dst]
+                # the source shows the layer facing back at us
+                assert off(layer, layer_of) == tuple(-c for c in o)
+                assert nbytes == blocks.blocks[dst][ghost].nbytes
+                filled[dst][o] = (kind, src)
+        every = sorted(o for o in itertools.product((-1, 0, 1), repeat=3)
+                       if o != (0, 0, 0))
+        for ip, regions in filled.items():
+            assert sorted(regions) == every
+            for o, (kind, src) in regions.items():
+                nb = tuple(ip[d] + o[d] for d in range(3))
                 if nb in blocks.blocks:
-                    assert off not in wraps
+                    assert (kind, src) == ("pair", nb)
                 else:
-                    assert wraps[off] == tuple(
-                        (ip[d] + off[d]) % blocks.bpe for d in range(3))
+                    assert (kind, src) == ("wrap", tuple(
+                        c % blocks.bpe for c in nb))

@@ -7,12 +7,17 @@ ownership tracked; every cross-locality halo is charged and the counters
 reconcile exactly.
 """
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import NF, SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas
+from repro.core import (NF, SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas,
+                        Mesh)
 from repro.core.distmesh import slab_partition
-from repro.core.hydro.solver import HydroOptions
+from repro.core.hydro.solver import HydroOptions, compute_rhs
+from repro.core.mesh import apply_boundary
 from repro.runtime.counters import CounterRegistry
 
 
@@ -82,6 +87,68 @@ class TestBitwiseEquivalence:
                                       ref.gather_interior())
 
 
+_STEPS = 2
+
+
+@pytest.fixture(scope="module")
+def node_level():
+    """Per boundary condition: the initial data and the state ``_STEPS``
+    steps later — stepped on a node-level ``BlockMesh`` and on the
+    single-block ``Mesh``, which must already agree."""
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    n = 2 * SUBGRID_N
+    full = _initial_data(np.random.default_rng(0xBEEF), n)
+    runs = {}
+    for bc in ("outflow", "reflect", "periodic"):
+        single = Mesh(n=n, domain=1.0, options=opts, bc=bc)
+        single.interior[...] = full
+        blocks = BlockMesh(2, domain=1.0, options=opts, bc=bc)
+        blocks.load_interior(full)
+        dts = [blocks.step() for _ in range(_STEPS)]
+        assert [single.step() for _ in range(_STEPS)] == dts
+        np.testing.assert_array_equal(blocks.gather_interior(),
+                                      single.interior)
+        runs[bc] = (opts, full, dts, single.interior.copy())
+    return runs
+
+
+class TestAnyRouteSplit:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(owners=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+           reorder_seed=st.one_of(st.none(), st.integers(0, 2 ** 16)),
+           bc=st.sampled_from(["outflow", "reflect", "periodic"]))
+    def test_any_partition_and_delivery_order_is_byte_identical(
+            self, node_level, owners, reorder_seed, bc):
+        """Whatever mix of direct copies and channel halos a partition
+        produces, and in whatever order the remote ones arrive, the step
+        is the node-level one — and every halo is counted on exactly one
+        route."""
+        opts, full, dts, expected = node_level[bc]
+        reg = CounterRegistry()
+        dist = DistBlockMesh(2, n_localities=4, port="libfabric",
+                             reorder_seed=reorder_seed, registry=reg,
+                             partition=lambda i, n, k: owners[i],
+                             domain=1.0, options=opts, bc=bc)
+        dist.load_interior(full)
+        assert [dist.step() for _ in range(_STEPS)] == dts
+        np.testing.assert_array_equal(dist.gather_interior(), expected)
+        pairs = dist._fill_plan.pairs
+        where = dist.owners()
+        n_local = sum(where[dst] == where[src]
+                      for dst, _, src, _, _ in pairs)
+        stats = dist.transport.stats
+        stages = 2 * _STEPS
+        assert stats.local_msgs == n_local * stages
+        assert stats.remote_msgs == (len(pairs) - n_local) * stages
+        assert stats.local_bytes + stats.remote_bytes == stages * sum(
+            nbytes for *_, nbytes in pairs)
+        assert len(dist.channels) == len(pairs) - n_local
+        snap = reg.snapshot()
+        assert snap["/distmesh/halo/sets"] == snap["/distmesh/halo/gets"] \
+            == len(pairs) * stages
+        assert dist.transport.reconciles()
+
+
 class TestOwnership:
     def test_slab_partition_covers_all_localities(self):
         locs = [slab_partition(i, 8, 3) for i in range(8)]
@@ -140,6 +207,52 @@ class TestOwnership:
         assert reg.snapshot()["/distmesh/localities-failed"] == 1
 
 
+    def test_ownership_flips_switch_routes_mid_run(self, rng):
+        """Evacuation makes remote pairs local, an ownership remap makes
+        some of them remote again: each exchange routes by the owners of
+        the moment, nothing is left posted on a channel whose pair went
+        local, and neither the counters nor the physics notice."""
+        reg = CounterRegistry()
+        ref, dist = _pair(rng, registry=reg)
+        pairs = [(src, dst) for dst, _, src, _, _ in dist._fill_plan.pairs]
+        expected = {"local": 0, "remote": 0}
+
+        def remote_pairs():
+            where = dist.owners()
+            return {p for p in pairs if where[p[0]] != where[p[1]]}
+
+        def step():
+            assert ref.step() == dist.step()
+            np.testing.assert_array_equal(dist.gather_interior(),
+                                          ref.gather_interior())
+            for ch in dist.channels.values():
+                assert ch.pending_generations() == []
+                assert ch.buffered_generations() == []
+            n_remote = len(remote_pairs())
+            expected["remote"] += 2 * n_remote
+            expected["local"] += 2 * (len(pairs) - n_remote)
+            stats = dist.transport.stats
+            assert stats.local_msgs == expected["local"]
+            assert stats.remote_msgs == expected["remote"]
+
+        start = remote_pairs()
+        step()
+        assert set(dist.channels) == start
+        dist.fail_locality(0, evacuate=True)
+        went_local = start - remote_pairs()
+        assert went_local
+        step()
+        ips = sorted(dist.blocks)
+        dist.apply_ownership({ip: 1 + i % 2 for i, ip in enumerate(ips)})
+        assert went_local & remote_pairs()        # ... and back
+        step()
+        step()
+        snap = reg.snapshot()
+        assert snap["/distmesh/halo/sets"] == snap["/distmesh/halo/gets"] \
+            == len(pairs) * 2 * dist.steps
+        assert dist.transport.reconciles()
+
+
 class TestCounters:
     def test_sets_equal_gets_and_transport_reconciles(self, rng):
         reg = CounterRegistry()
@@ -152,7 +265,7 @@ class TestCounters:
         assert dist.transport.reconciles()
         st = dist.transport.stats
         # every halo went one way or the other, none both
-        plan_sends = len(dist._halo_plan[1])
+        plan_sends = len(dist._fill_plan.pairs)
         stages = 2 * dist.steps
         assert st.local_msgs + st.remote_msgs == plan_sends * stages
         # periodic wraps crossed localities and were charged one-sided
@@ -182,9 +295,48 @@ class TestCounters:
         dist.step()
         manager.save(dist)
         dist.step()                    # the step about to be discarded
+        # ... which took both routes: direct copies and channel halos
+        stats = dist.transport.stats
+        assert stats.local_msgs > 0 and stats.remote_msgs > 0
+        consumed = [ch for ch in dist.channels.values()
+                    if ch._consumed_floor > 0]
+        assert consumed
         manager.restore_latest(dist)   # back to step 1, channels reset
+        assert not any(ch._consumed_floor for ch in consumed)
         dist.step()                    # replay must re-use the generations
         ref.step()
         assert ref.steps == dist.steps == 2
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
+        assert dist.transport.reconciles()
+
+
+class TestRaceDeclarations:
+    def test_direct_copy_into_a_block_an_rhs_task_reads_is_reported(
+            self, san):
+        """Planted race: the direct route writes a neighbour's layer into
+        a block's ghost shell while an un-awaited RHS task still reads
+        that block.  The channel route had a future to order the two; the
+        direct copy has only its access declarations."""
+        opts = HydroOptions(eos=IdealGas(gamma=1.4))
+        dist = DistBlockMesh(2, n_localities=1, registry=CounterRegistry(),
+                             domain=1.0, options=opts)
+        dist.load_interior(_initial_data(np.random.default_rng(3),
+                                         2 * SUBGRID_N))
+        for blk in dist.blocks.values():
+            apply_boundary(blk, "outflow")      # valid ghosts, undeclared
+        victim = dist.blocks[0, 0, 0]
+        task = threading.Thread(
+            target=compute_rhs, args=(victim, dist.dx, opts),
+            name="rhs-task")
+        with san.scope() as caught:
+            task.start()
+            task.join()     # serialized in time; NOT a happens-before edge
+            # BUG: the task's future was never awaited before the refill
+            dist._halo_exchange(dist.blocks, 0)
+        assert [f.kind for f in caught] == ["data-race"]
+        f = caught[0]
+        assert f.details["buffer"] == "halo/dst-block"
+        assert "write" in f.details["current_access"]
+        assert "read" in f.details["prior_access"]
+        assert "rhs-task" in f.details["prior_access"]

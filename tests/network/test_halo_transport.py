@@ -1,4 +1,4 @@
-"""HaloTransport: local fast path, parcelport charging, reordering."""
+"""HaloTransport: local tally, parcelport charging, reordering."""
 
 import numpy as np
 import pytest
@@ -25,13 +25,20 @@ def _buf(nbytes):
 
 class TestPaths:
     def test_local_send_is_not_charged(self):
+        """A same-locality halo is the mesh's direct copy: the transport
+        only tallies it, and refuses to carry one as a parcel."""
         tr = HaloTransport("libfabric")
-        ch = _FakeChannel()
-        tr.send(ch, _buf(100), 3, src_locality=1, dst_locality=1)
-        assert ch.delivered == [(ch.delivered[0][0], 3)]
-        assert tr.stats.local_msgs == 1
-        assert tr.stats.local_bytes == 100
+        tr.tally_local(1, 100)
+        tr.tally_local(3, 60)
+        assert tr.stats.local_msgs == 4
+        assert tr.stats.local_bytes == 160
         assert tr.stats.remote_msgs == 0
+        assert tr.port_snapshot()["messages"] == 0
+        ch = _FakeChannel()
+        with pytest.raises(ValueError, match="within locality 1"):
+            tr.send(ch, _buf(100), 3, src_locality=1, dst_locality=1)
+        assert ch.delivered == []
+        assert tr.stats.local_msgs == 4
         assert tr.port_snapshot()["messages"] == 0
 
     def test_remote_send_is_charged_to_the_halo_port(self):
@@ -116,10 +123,12 @@ class TestReordering:
         assert orders[0] == orders[1]
 
     def test_local_sends_never_buffered(self):
+        """The local tally never touches the reorder buffer."""
         tr = HaloTransport("libfabric", reorder_seed=1)
-        ch = _FakeChannel()
-        tr.send(ch, _buf(8), 0, 2, 2)
-        assert len(ch.delivered) == 1
+        tr.tally_local(1, 8)
+        assert tr.flush() == 0
+        assert tr.discard_pending() == 0
+        assert tr.stats.reordered == 0
 
     def test_discard_pending_drops_but_keeps_the_charge(self):
         tr = HaloTransport("libfabric", reorder_seed=1)
@@ -149,7 +158,7 @@ class TestReconciliation:
     def test_reconciles_counts_exactly(self):
         tr = HaloTransport("mpi")
         ch = _FakeChannel()
-        tr.send(ch, _buf(64), 0, 0, 0)               # local, uncharged
+        tr.tally_local(1, 64)                        # local, uncharged
         tr.send(ch, _buf(64), 1, 0, 1)               # eager
         tr.send(ch, _buf(EAGER_BYTES + 1), 2, 1, 0)  # rendezvous
         tr.charge_onesided(32, 0, 1)

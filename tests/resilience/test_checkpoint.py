@@ -121,8 +121,8 @@ class TestBlockMeshCheckpoint:
 
     def test_restore_then_replay_is_bit_identical(self):
         """Restoring mid-run and replaying reproduces the uninterrupted
-        run exactly — including re-driving the halo channels whose
-        generation numbers restarted (the ``on_restore`` hook)."""
+        run exactly — including re-filling the ghost shells at halo
+        generations that restarted (the ``on_restore`` hook)."""
         straight, replayed = small_blockmesh(), small_blockmesh()
         for _ in range(3):
             straight.step()
