@@ -21,10 +21,12 @@ strikes the distributed run is the ``--plan``:
 Every flag below overrides one field of the preset.  The exit gates (what
 CI's ``merger-soak`` job enforces) are the same for every plan: the final
 state is **byte-identical** to the reference, the drift reports match
-record for record, the halo / checkpoint counters reconcile, a kill
-beyond evacuation capacity did trigger the global rollback, a degraded
-network (``--loss-rate``) did lose and retry parcels, and — with
-``REPRO_SANITIZE=1`` — the quiesce-point sanitizer sweep is clean.
+record for record, the halo / checkpoint counters reconcile, a checkpoint
+record is exactly the block interiors (no ghost shell is saved, replicated
+or fetched), a kill beyond evacuation capacity did trigger the global
+rollback, a degraded network (``--loss-rate``) did lose and retry
+parcels, and — with ``REPRO_SANITIZE=1`` — the quiesce-point sanitizer
+sweep is clean.
 
 Run:  python examples/merger_soak.py --plan chaos
       python examples/merger_soak.py --plan kill --localities 8 --port mpi
@@ -37,6 +39,7 @@ from dataclasses import replace
 
 from repro import sanitize
 from repro.analysis import format_report
+from repro.core.mesh import interior
 from repro.core.scenario import v1309_binary
 from repro.resilience.merger import (CHAOS, DUAL_KILL_CORRUPT, LOCALITY_KILL,
                                      Topology, run_merger)
@@ -110,6 +113,14 @@ def main() -> None:
     print()
     print(format_report(registry))
 
+    # the record a restore would land on, against the state it protects
+    record = result.coordinator.manager.latest_verified
+    interior_bytes = sum(interior(blk).nbytes
+                         for blk in result.dist.blocks.values())
+    print()
+    print(f"checkpoint bytes / save : {record.nbytes if record else None} "
+          f"(block interiors: {interior_bytes})")
+
     if sanitize.enabled():
         sanitize.sweep()
         sanitize.publish_counters(registry)
@@ -125,6 +136,9 @@ def main() -> None:
         raise SystemExit("conservation reports differ")
     if not result.counters_reconcile:
         raise SystemExit("halo / checkpoint counters do not reconcile")
+    if record is None or record.nbytes != interior_bytes:
+        raise SystemExit("a checkpoint record is not the block interiors: "
+                         "ghost shells are scratch and must not be saved")
     if len(result.killed) > 1 and result.report is None:
         raise SystemExit("global rollback never triggered")
     if plan.loss_rate > 0 and not (

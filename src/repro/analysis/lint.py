@@ -85,15 +85,17 @@ REPRO008 *alloc-in-hot-kernel*
     construction.
 
 REPRO009 *unverified-checkpoint-record*
-    Checkpoint records must round-trip through the verified store API of
-    ``resilience/checkpoint.py``: constructing a ``MeshCheckpoint``
-    directly bypasses checksum stamping (the record would never fail
-    verification, however damaged), and mutating a manager's
-    ``_checkpoints`` list — append/pop/assignment/deletion — bypasses
-    the write-then-commit protocol and the fallback accounting.  Both
-    are flagged everywhere outside ``resilience/checkpoint.py``;
+    ``resilience/checkpoint.py`` is the only module that knows the
+    record format (a ``ManifestRecord`` header + ``{block: interior}``
+    payloads in a ``MeshCheckpoint``), so records must round-trip through
+    its verified store API: constructing a ``MeshCheckpoint`` or a
+    ``ManifestRecord`` directly bypasses checksum stamping (the record
+    would never fail verification, however damaged), and mutating a
+    manager's ``_checkpoints`` list — append/pop/assignment/deletion —
+    bypasses the write-then-commit protocol and the fallback accounting.
+    Both are flagged everywhere outside ``resilience/checkpoint.py``;
     snapshot through ``CheckpointManager.save`` and restore through
-    ``restore_latest``.
+    ``restore_latest`` (or ``restore_state`` with a fetched record).
 
 REPRO010 *unsanitized-task-buffer-write*
     A ``core/`` function that is dispatched as an engine/scheduler task
@@ -191,8 +193,8 @@ RULES: dict[str, tuple[str, str]] = {
                  "np.concatenate; allocate only in the no-workspace branch"),
     "REPRO009": ("unverified-checkpoint-record",
                  "checkpoint records round-trip through the verified store: "
-                 "no MeshCheckpoint construction or _checkpoints mutation "
-                 "outside resilience/checkpoint.py"),
+                 "no MeshCheckpoint / ManifestRecord construction or "
+                 "_checkpoints mutation outside resilience/checkpoint.py"),
     "REPRO010": ("unsanitized-task-buffer-write",
                  "core/ task bodies mutating engine-owned buffers (out=/ws/"
                  "_pool_out and aliases) must declare sanitize.access so the "
@@ -653,13 +655,13 @@ class _Linter(ast.NodeVisitor):
             ctor = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
-            if ctor == "MeshCheckpoint":
+            if ctor in ("MeshCheckpoint", "ManifestRecord"):
                 self._hit(node, "REPRO009",
-                          "constructing MeshCheckpoint outside "
+                          f"constructing {ctor} outside "
                           "resilience/checkpoint.py bypasses checksum "
                           "stamping (the record could never fail "
-                          "verification); snapshot through "
-                          "CheckpointManager.save")
+                          "verification) and forks the record format; "
+                          "snapshot through CheckpointManager.save")
             if (isinstance(func, ast.Attribute)
                     and func.attr in _CKPT_MUTATORS
                     and isinstance(func.value, ast.Attribute)

@@ -30,7 +30,7 @@ import numpy as np
 from .eos import IdealGas
 from .grid import NF, NGHOST
 from .hydro.solver import HydroOptions, compute_rhs
-from .mesh import (_conserved_totals, _interior, fill_wall, min_cfl_dt,
+from .mesh import (_conserved_totals, fill_wall, interior, min_cfl_dt,
                    rk2_step)
 from .octree import Octree, OctreeNode, restrict
 
@@ -101,7 +101,7 @@ class AmrMesh:
         and conservatively restrict their children (recursively, cached
         in ``virtual`` for the duration of one fill)."""
         if not node.refined:
-            return _interior(blocks[node.key])
+            return interior(blocks[node.key])
         cached = virtual.get(node.key)
         if cached is not None:
             return cached

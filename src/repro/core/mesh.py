@@ -55,11 +55,12 @@ from .hydro.solver import HydroOptions, apply_floors, cfl_dt, compute_rhs
 from .workspace import Workspace
 
 __all__ = ["Mesh", "BlockMesh", "GravityCoupling", "apply_boundary",
-           "fill_wall", "min_cfl_dt", "rk2_step"]
+           "fill_wall", "interior", "min_cfl_dt", "rk2_step"]
 
 
-def _interior(U: np.ndarray) -> np.ndarray:
-    """View of a ghosted block without its ghost shell."""
+def interior(U: np.ndarray) -> np.ndarray:
+    """View of a ghosted block without its ghost shell — the evolution
+    state: the shell is scratch that every stage's fill rewrites."""
     g = NGHOST
     return U[:, g:-g, g:-g, g:-g]
 
@@ -158,7 +159,7 @@ class GravityCoupling:
         if self._rho is None:
             self._rho = np.empty((self._mesh.n,) * 3)
         for (i, j, k), blk in blocks.items():
-            rho = _interior(blk)[RHO]
+            rho = interior(blk)[RHO]
             a, b, c = rho.shape
             self._rho[i * a:(i + 1) * a, j * b:(j + 1) * b,
                       k * c:(k + 1) * c] = rho
@@ -243,7 +244,7 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
         if U1 is None:
             U1 = mesh._stage[key] = np.empty_like(U)
         np.copyto(U1, U)
-        I = _interior(U1)
+        I = interior(U1)
         I += dt * k1[key]
         apply_floors(U1, options)
         predicted[key] = U1
@@ -252,7 +253,7 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
         acc = gravity.solve(predicted)
     k2 = rhs(predicted, acc, 1)
     for key, U in blocks.items():
-        I = _interior(U)
+        I = interior(U)
         I += 0.5 * dt * (k1[key] + k2[key])
         apply_floors(U, options)
         I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
@@ -279,7 +280,9 @@ class _UniformMesh:
     optional :class:`GravityCoupling`."""
 
     def _init_stepping(self, blocks: dict, self_gravity: bool) -> None:
-        self._blocks = blocks
+        #: ``{lattice index: ghosted block}``; the interiors are the
+        #: evolution state (what checkpoints store and guards scan)
+        self.blocks: dict[tuple[int, int, int], np.ndarray] = blocks
         self.time = 0.0
         self.steps = 0
         self.self_gravity = self_gravity
@@ -304,11 +307,11 @@ class _UniformMesh:
         if self._gravity is None:
             raise RuntimeError(
                 f"{type(self).__name__} built without self_gravity")
-        return self._gravity.solve(self._blocks)
+        return self._gravity.solve(self.blocks)
 
     def compute_dt(self) -> float:
         """CFL reduction over all blocks."""
-        return min_cfl_dt(((blk, self.dx) for blk in self._blocks.values()),
+        return min_cfl_dt(((blk, self.dx) for blk in self.blocks.values()),
                           self.options, ws=self._ws)
 
     def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int,
@@ -324,7 +327,7 @@ class _UniformMesh:
         keys = list(blocks)
         size = engine.agg_slots if engine is not None else _RHS_BATCH
         chunks = [keys[lo:lo + size] for lo in range(0, len(keys), size)]
-        shape = _interior(blocks[keys[0]]).shape[1:]
+        shape = interior(blocks[keys[0]]).shape[1:]
         outs = self._rhs_out.get(stage)
         if outs is None or [o.shape[1] for o in outs] != [
                 len(chunk) for chunk in chunks]:
@@ -399,13 +402,14 @@ class Mesh(_UniformMesh):
             raise ValueError("self-gravity requires a cubic mesh")
         dims = tuple(s + 2 * NGHOST for s in self.shape)
         self.U = np.zeros((NF,) + dims)
+        # the single block speaks the same ``blocks`` protocol as a tiling
         self._init_stepping({(0, 0, 0): self.U}, self_gravity)
 
     # -- geometry / views --------------------------------------------------------
 
     @property
     def interior(self) -> np.ndarray:
-        return _interior(self.U)
+        return interior(self.U)
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ax = [self.origin[d] + (np.arange(self.shape[d]) + 0.5) * self.dx
@@ -438,11 +442,11 @@ class Mesh(_UniformMesh):
             apply_boundary(U, self.bc)
 
     def fill_ghosts(self) -> None:
-        self._fill(self._blocks, 0)
+        self._fill(self.blocks, 0)
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step; returns the dt used."""
-        return rk2_step(self, self._blocks, dt, self._fill, self._rhs,
+        return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
                         self._gravity)
 
     # -- diagnostics ------------------------------------------------------------
@@ -513,32 +517,27 @@ class BlockMesh(_UniformMesh):
                 "self-gravity needs blocks_per_edge = 2^k (the FMM level "
                 "hierarchy must reach a single root sub-grid)")
         m = self.nsub + 2 * NGHOST
-        self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        for ip in np.ndindex(self.bpe, self.bpe, self.bpe):
-            self.blocks[ip] = np.zeros((NF, m, m, m))
-        self._init_stepping(self.blocks, self_gravity)
+        self._init_stepping(
+            {ip: np.zeros((NF, m, m, m))
+             for ip in np.ndindex(self.bpe, self.bpe, self.bpe)},
+            self_gravity)
         self._fill_plan = self._build_fill_plan()
 
     # -- state interchange with a flat array ------------------------------------
 
     def load_interior(self, full: np.ndarray) -> None:
         """Scatter a (NF, n, n, n) interior into the sub-grid blocks."""
-        g = NGHOST
         s = self.nsub
-        for ip, blk in self.blocks.items():
-            i, j, k = ip
-            blk[:, g:g + s, g:g + s, g:g + s] = \
-                full[:, i * s:(i + 1) * s, j * s:(j + 1) * s,
-                     k * s:(k + 1) * s]
+        for (i, j, k), blk in self.blocks.items():
+            interior(blk)[...] = full[:, i * s:(i + 1) * s,
+                                      j * s:(j + 1) * s, k * s:(k + 1) * s]
 
     def gather_interior(self) -> np.ndarray:
-        g = NGHOST
         s = self.nsub
         full = np.zeros((NF, self.n, self.n, self.n))
-        for ip, blk in self.blocks.items():
-            i, j, k = ip
+        for (i, j, k), blk in self.blocks.items():
             full[:, i * s:(i + 1) * s, j * s:(j + 1) * s,
-                 k * s:(k + 1) * s] = blk[:, g:g + s, g:g + s, g:g + s]
+                 k * s:(k + 1) * s] = interior(blk)
         return full
 
     # -- ghost fill by direct slab copy ------------------------------------------

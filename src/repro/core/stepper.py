@@ -11,8 +11,11 @@ Any object exposing ``compute_dt() -> float``, ``step(dt)``,
 :class:`~repro.core.mesh.Mesh`, the multi-sub-grid
 :class:`~repro.core.mesh.BlockMesh` (whose futurized scheduler/GPU
 execution is thereby exercised end to end) and
-:class:`~repro.core.amr.AmrMesh`.  Checkpoint/rollback requires a ``U``
-state array (single-block :class:`Mesh`) or a ``blocks`` dict.
+:class:`~repro.core.amr.AmrMesh`.  Checkpoint/rollback additionally reads
+``blocks`` — ``{key: ghosted block}``, which all three expose — and treats
+the block *interiors* as the state: ``step`` refills every ghost shell
+before reading it, so a rollback restores interiors and leaves the shells
+to that fill.
 
 There is one drive loop, :func:`drive`; what it does about a failed step
 is a :class:`Recovery` policy.  :func:`evolve` runs the plain one (an

@@ -14,7 +14,7 @@ AMR astrophysics.  This package supplies both halves of the story:
   localities with automatic AGAS evacuation),
   :meth:`repro.runtime.agas.AgasRuntime.fail_locality` (component
   migration / invalidation on node death), :class:`CheckpointManager`
-  (periodic mesh snapshots consumed by
+  (periodic verified snapshots of the block interiors, consumed by
   :func:`repro.core.stepper.evolve` and
   :class:`repro.resilience.guard.GuardedStepper`) and stream quarantine in
   :mod:`repro.runtime.cuda`.
@@ -27,9 +27,9 @@ from .faults import (FaultInjector, InjectedFault, SimulationFault,
                      TransientActionFault)
 from .retry import (DEFAULT_RETRY_POLICY, NETWORK_RETRY_POLICY,
                     ResilientParcelSender, RetryBudgetExhausted, RetryPolicy)
-from .checkpoint import (CheckpointError, CheckpointManager, MeshCheckpoint,
-                         block_checksum)
-from .durability import (BlockRecord, BuddyReplicatedStore, ManifestRecord,
+from .checkpoint import (CheckpointError, CheckpointManager, ManifestRecord,
+                         MeshCheckpoint, block_checksum)
+from .durability import (BlockRecord, BuddyReplicatedStore,
                          RecoveryCoordinator, RecoveryReport)
 from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
 from .guard import GuardViolation, GuardedStepper
@@ -44,9 +44,9 @@ __all__ = [
     "TransientActionFault",
     "RetryPolicy", "RetryBudgetExhausted", "ResilientParcelSender",
     "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY",
-    "CheckpointError", "CheckpointManager", "MeshCheckpoint",
-    "block_checksum",
-    "BlockRecord", "ManifestRecord", "BuddyReplicatedStore",
+    "CheckpointError", "CheckpointManager", "ManifestRecord",
+    "MeshCheckpoint", "block_checksum",
+    "BlockRecord", "BuddyReplicatedStore",
     "RecoveryCoordinator", "RecoveryReport",
     "SupervisedEngine", "DEFAULT_TASK_RETRIES",
     "GuardedStepper", "GuardViolation",

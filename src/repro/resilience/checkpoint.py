@@ -2,17 +2,30 @@
 
 The conservation results of Sec. 4.2/4.3 (mass and angular momentum to
 machine precision) are only worth having if a fault mid-run does not force
-a restart from t=0.  A :class:`CheckpointManager` snapshots the *complete*
-evolution state of a mesh — for a single-block
-:class:`~repro.core.mesh.Mesh` the conserved-variable array ``U`` (ghosts
-included), for a :class:`~repro.core.mesh.BlockMesh` every per-sub-grid
-block — plus the simulation time and the step counter, and the length of
-the conservation monitor's record list — every ``interval`` steps.  A
-restore copies the arrays back bit-for-bit and truncates the monitor, so a
-run that fails and restores produces a state stream *identical* to the
-fault-free run: same dt sequence, same floating-point operations, same
-drifts.  That bitwise-replay property is what the resilience acceptance
-tests assert, on both the serial and the futurized path.
+a restart from t=0.  A :class:`CheckpointManager` snapshots the evolution
+state of a mesh every ``interval`` steps.  **Interiors are the state**:
+every mesh steps through :func:`repro.core.mesh.rk2_step`, whose first act
+is the stage-0 ghost fill, so a ghost shell is scratch that the next step
+rewrites before anything reads it.  A record therefore holds, for every
+block of ``mesh.blocks`` (one for a :class:`~repro.core.mesh.Mesh`, one per
+sub-grid for a :class:`~repro.core.mesh.BlockMesh`, one per leaf for an
+:class:`~repro.core.amr.AmrMesh`), a contiguous copy of its *interior* —
+plus the simulation time, the step counter and the length of the
+conservation monitor's record list.  A restore copies the interiors back
+bit-for-bit, leaves the ghost shells to that fill, and truncates the
+monitor, so a run that fails and restores produces a state stream
+*identical* to the fault-free run: same dt sequence, same floating-point
+operations, same drifts.  That bitwise-replay property is what the
+resilience acceptance tests assert, on both the serial and the futurized
+path.
+
+This module alone knows the **record format**: a :class:`ManifestRecord`
+header (generation, step, time, monitor length, per-block stamps, manifest
+CRC) and a :class:`MeshCheckpoint` = header + ``{block key: interior}``
+payloads.  Headers are built, committed and verified here;
+:func:`restore_state` is the one routine that writes a record back into a
+mesh, shared by :meth:`CheckpointManager.restore_latest` and the global
+rollback of :class:`repro.resilience.durability.RecoveryCoordinator`.
 
 Snapshots are **verified records** (the durable-recovery layer of
 arXiv 2412.15518's fault-tolerance gap): every per-block payload is
@@ -49,24 +62,26 @@ append in :meth:`CheckpointManager.save` are one atomic claim: two worker
 threads asking at the same step cannot double-save it.
 
 Records round-trip through this module's API only: constructing a
-:class:`MeshCheckpoint` elsewhere bypasses checksum stamping, and mutating
-``CheckpointManager._checkpoints`` directly bypasses the commit protocol —
-both are flagged by lint rule REPRO009.
+:class:`MeshCheckpoint` or a :class:`ManifestRecord` elsewhere bypasses
+checksum stamping, and mutating ``CheckpointManager._checkpoints``
+directly bypasses the commit protocol — both are flagged by lint rule
+REPRO009.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..core.mesh import interior
 from ..runtime import trace
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import lockdep as _sanitize_lockdep
 
-__all__ = ["CheckpointError", "MeshCheckpoint", "CheckpointManager",
-           "block_checksum"]
+__all__ = ["CheckpointError", "ManifestRecord", "MeshCheckpoint",
+           "CheckpointManager", "block_checksum", "restore_state"]
 
 
 class CheckpointError(RuntimeError):
@@ -81,81 +96,111 @@ def block_checksum(arr: np.ndarray) -> int:
     """
     a = np.ascontiguousarray(arr)
     head = f"{a.dtype.str}:{a.shape}".encode()
-    return zlib.crc32(a.tobytes(), zlib.crc32(head)) & 0xFFFFFFFF
-
-
-def _manifest_checksum(step: int, time: float, monitor_len: int,
-                       checksums: dict) -> int:
-    """Checksum over the record metadata and the sorted per-block stamps."""
-    parts = [f"{step}:{time!r}:{monitor_len}"]
-    parts.extend(f"{key!r}={crc}" for key, crc in sorted(checksums.items(),
-                                                         key=lambda kv: repr(kv[0])))
-    return zlib.crc32("|".join(parts).encode()) & 0xFFFFFFFF
+    # crc32 reads the contiguous array's buffer in place (no tobytes copy)
+    return zlib.crc32(a, zlib.crc32(head)) & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
-class MeshCheckpoint:
-    """A frozen, checksummed snapshot of a mesh's evolution state.
+class ManifestRecord:
+    """The header of a record: metadata, per-block stamps, commit marker.
 
-    Exactly one of ``U`` (single-block :class:`~repro.core.mesh.Mesh`) or
-    ``blocks`` (per-sub-grid state of a :class:`~repro.core.mesh.BlockMesh`)
-    is populated.  ``checksums`` maps each payload key (the block index
-    triple, or ``"U"``) to its content checksum; ``manifest`` is the
-    committed checksum over metadata + stamps, and is ``None`` for a
-    record whose write was torn before commit.
+    Small (no payloads), so the durable layer replicates it to *every*
+    survivor — any one of them can then validate any generation's block
+    records.
     """
 
+    #: monotonically increasing save index within one manager/store
+    generation: int
     step: int
     time: float
-    U: np.ndarray | None
     monitor_len: int
-    blocks: dict[tuple[int, int, int], np.ndarray] | None = field(
-        default=None)
-    #: monotonically increasing save index within one manager/store
-    generation: int = 0
-    #: payload key -> content checksum, stamped at snapshot time
-    checksums: dict | None = None
+    #: block key -> content checksum, stamped at snapshot time
+    checksums: dict
     #: commit marker: checksum over (metadata, sorted stamps); ``None``
     #: means the write never committed (torn)
     manifest: int | None = None
 
     @property
     def nbytes(self) -> int:
-        if self.blocks is not None:
-            return sum(b.nbytes for b in self.blocks.values())
-        return self.U.nbytes if self.U is not None else 0
+        # modelled wire size: fixed header + one (key, crc) entry per block
+        return 48 + 24 * len(self.checksums)
+
+    def _manifest_checksum(self) -> int:
+        """Checksum over the metadata and the sorted per-block stamps."""
+        parts = [f"{self.step}:{self.time!r}:{self.monitor_len}"]
+        parts.extend(f"{key!r}={crc}" for key, crc in sorted(
+            self.checksums.items(), key=lambda kv: repr(kv[0])))
+        return zlib.crc32("|".join(parts).encode()) & 0xFFFFFFFF
+
+    def commit(self) -> "ManifestRecord":
+        """This header with its manifest stamped."""
+        return replace(self, manifest=self._manifest_checksum())
+
+    def verify(self) -> bool:
+        return self.manifest == self._manifest_checksum()
+
+
+@dataclass(frozen=True)
+class MeshCheckpoint:
+    """A frozen, checksummed snapshot of a mesh's evolution state: the
+    ``header`` and, per block of ``mesh.blocks`` in sorted key order, a
+    contiguous copy of its interior (no ghost shell)."""
+
+    header: ManifestRecord
+    blocks: dict
+
+    @property
+    def generation(self) -> int:
+        return self.header.generation
+
+    @property
+    def step(self) -> int:
+        return self.header.step
+
+    @property
+    def monitor_len(self) -> int:
+        return self.header.monitor_len
 
     @property
     def committed(self) -> bool:
-        return self.manifest is not None
+        return self.header.manifest is not None
 
-    def payload_items(self) -> list[tuple[object, np.ndarray]]:
-        """The (key, array) payloads this record protects."""
-        if self.blocks is not None:
-            return sorted(self.blocks.items())
-        return [("U", self.U)] if self.U is not None else []
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.blocks.values())
 
     def verify(self) -> bool:
-        """Re-derive every stamp and the manifest; True iff all match."""
-        if self.manifest is None or self.checksums is None:
-            return False
-        payloads = dict(self.payload_items())
-        if set(payloads) != set(self.checksums):
-            return False
-        for key, arr in payloads.items():
-            if block_checksum(arr) != self.checksums[key]:
-                return False
-        return self.manifest == _manifest_checksum(
-            self.step, self.time, self.monitor_len, self.checksums)
+        """Re-derive the manifest and every stamp; True iff all match."""
+        stamps = self.header.checksums
+        return (self.header.verify() and set(self.blocks) == set(stamps)
+                and all(block_checksum(arr) == stamps[key]
+                        for key, arr in self.blocks.items()))
+
+
+def restore_state(mesh, header: ManifestRecord, payloads: dict,
+                  monitor=None) -> None:
+    """Write a verified record back into ``mesh``: interiors in, time and
+    step counter set, the ``on_restore()`` hook run, ``monitor`` truncated.
+    Ghost shells are left as they are — every stepping path refills them
+    (stage-0 fill of :func:`repro.core.mesh.rk2_step`) before reading."""
+    blocks = mesh.blocks
+    for key, payload in payloads.items():
+        interior(blocks[key])[...] = payload
+    mesh.time = header.time
+    mesh.steps = header.step
+    hook = getattr(mesh, "on_restore", None)
+    if hook is not None:
+        hook()
+    if monitor is not None:
+        del monitor.records[header.monitor_len:]
 
 
 class CheckpointManager:
     """Keeps the ``keep`` most recent verified snapshots of one mesh.
 
     Works with any object exposing ``time`` (float), ``steps`` (int) and
-    either ``U`` (ndarray — :class:`repro.core.mesh.Mesh`) or ``blocks``
-    (dict of per-sub-grid ndarrays — :class:`repro.core.mesh.BlockMesh`);
-    the optional monitor argument is a
+    ``blocks`` (``{key: ghosted block}`` — every mesh of
+    :mod:`repro.core`); the optional monitor argument is a
     :class:`repro.core.stepper.ConservationMonitor` whose record list is
     truncated on restore so post-restore samples line up with the replay.
 
@@ -194,25 +239,17 @@ class CheckpointManager:
     # -- saving -------------------------------------------------------------
 
     def _snapshot(self, mesh, monitor) -> MeshCheckpoint:
-        """Copy the mesh state and stamp every payload (no manifest yet)."""
-        monitor_len = len(monitor.records) if monitor is not None else 0
-        blocks = getattr(mesh, "blocks", None)
+        """Copy the interiors and stamp every payload (no manifest yet)."""
         with self._lock:
             generation = self._generation
             self._generation += 1
-        if blocks is not None:
-            copies = {ip: blk.copy() for ip, blk in blocks.items()}
-            cp = MeshCheckpoint(
-                step=mesh.steps, time=mesh.time, U=None,
-                monitor_len=monitor_len, blocks=copies,
-                generation=generation)
-        else:
-            cp = MeshCheckpoint(step=mesh.steps, time=mesh.time,
-                                U=mesh.U.copy(), monitor_len=monitor_len,
-                                generation=generation)
-        checksums = {key: block_checksum(arr)
-                     for key, arr in cp.payload_items()}
-        return replace(cp, checksums=checksums)
+        monitor_len = len(monitor.records) if monitor is not None else 0
+        copies = {key: interior(blk).copy()
+                  for key, blk in sorted(mesh.blocks.items())}
+        stamps = {key: block_checksum(arr) for key, arr in copies.items()}
+        return MeshCheckpoint(
+            ManifestRecord(generation, mesh.steps, mesh.time, monitor_len,
+                           stamps), copies)
 
     def _commit(self, cp: MeshCheckpoint) -> MeshCheckpoint:
         """Write-then-commit: stage payloads, then stamp the manifest.
@@ -224,22 +261,16 @@ class CheckpointManager:
         """
         inj = self.injector
         if inj is not None and inj.torn_write_due():
-            items = cp.payload_items()
+            items = list(cp.blocks.items())
             kept = dict(items[:len(items) // 2])
-            if cp.blocks is not None:
-                torn = replace(cp, blocks=kept, manifest=None,
-                               checksums={k: cp.checksums[k] for k in kept})
-            else:
-                # single-payload record: staged bytes, commit never ran
-                torn = replace(cp, manifest=None)
             self.registry.increment("/resilience/ckpt/torn")
             trace.instant("checkpoint-torn", "resilience", step=cp.step)
-            return torn
-        committed = replace(cp, manifest=_manifest_checksum(
-            cp.step, cp.time, cp.monitor_len, cp.checksums))
+            return MeshCheckpoint(replace(cp.header, checksums={
+                key: cp.header.checksums[key] for key in kept}), kept)
+        committed = replace(cp, header=cp.header.commit())
         if inj is not None and inj.checkpoint_corruption_due():
             # bit rot strikes the first payload: flip one byte in place
-            _, arr = committed.payload_items()[0]
+            arr = next(iter(committed.blocks.values()))
             arr.view(np.uint8).reshape(-1)[0] ^= 0xFF
             trace.instant("checkpoint-corrupted", "resilience", step=cp.step)
         return committed
@@ -310,18 +341,7 @@ class CheckpointManager:
             self.restores += 1
             # replay re-arms the save cadence from the restored step
             self._last_saved_step = cp.step
-        if cp.blocks is not None:
-            for ip, blk in cp.blocks.items():
-                mesh.blocks[ip][...] = blk
-        else:
-            mesh.U[...] = cp.U
-        mesh.time = cp.time
-        mesh.steps = cp.step
-        hook = getattr(mesh, "on_restore", None)
-        if hook is not None:
-            hook()
-        if monitor is not None:
-            del monitor.records[cp.monitor_len:]
+        restore_state(mesh, cp.header, cp.blocks, monitor)
         self.registry.increment("/resilience/checkpoint/restores")
         trace.instant("checkpoint-restore", "resilience", step=cp.step)
         return cp

@@ -9,15 +9,18 @@ takes the checkpoints down with the blocks.  This module supplies the
 two missing layers:
 
 * :class:`BuddyReplicatedStore` — a write-through replica store wired to
-  the manager's commit hook.  Each committed block record is kept on the
-  block's *owner* locality and copied to a **buddy** (the next surviving
+  the manager's commit hook.  Each committed block payload (a block's
+  *interior*: ghost shells are scratch the next fill rewrites, so they
+  are neither stored, replicated nor fetched) is kept on the block's
+  *owner* locality and copied to a **buddy** (the next surviving
   locality, cyclically), with the copy charged to the mesh's halo
   parcelport via one-sided puts — replication is honest traffic, not
   free magic, and the ``/parcels/*`` reconciliation still holds.  The
-  per-generation *manifest* (metadata + the per-block checksum stamps)
-  is broadcast to every survivor, so any survivor can validate any
-  generation.  Losing a locality wipes its shard; one replica survives
-  any single loss, and the pair survives one of the two.
+  record's header (:class:`~repro.resilience.checkpoint.ManifestRecord`:
+  metadata + the per-block checksum stamps) is stored as is on every
+  survivor, so any survivor can validate any generation.  Losing a
+  locality wipes its shard; one replica survives any single loss, and
+  the pair survives one of the two.
 
 * :class:`RecoveryCoordinator` — the global-rollback driver.  When
   concurrent failures exceed evacuation capacity, or a block's last live
@@ -28,7 +31,9 @@ two missing layers:
   :func:`~repro.core.distmesh.slab_partition`, resurrects lost GIDs via
   :meth:`~repro.runtime.agas.AgasRuntime.restore_component`, fetches the
   payloads from whichever shard holds a good copy (charged
-  holder→new-owner), and rolls the whole run back — an **elastic
+  holder→new-owner), and rolls the whole run back through the one
+  restore routine,
+  :func:`~repro.resilience.checkpoint.restore_state` — an **elastic
   restart** on fewer localities that, by the partition-independence
   contract of :class:`~repro.core.distmesh.DistBlockMesh`, finishes
   byte-identical to a clean run.
@@ -44,19 +49,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.distmesh import slab_partition
 from ..runtime import trace
+from ..runtime.agas import LocalityFailed
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import lockdep as _sanitize_lockdep
-from .checkpoint import (CheckpointError, CheckpointManager, MeshCheckpoint,
-                         _manifest_checksum, block_checksum)
+from .checkpoint import (CheckpointError, CheckpointManager, ManifestRecord,
+                         MeshCheckpoint, block_checksum, restore_state)
 
-__all__ = ["BlockRecord", "ManifestRecord", "BuddyReplicatedStore",
-           "RecoveryCoordinator", "RecoveryReport"]
+__all__ = ["BlockRecord", "BuddyReplicatedStore", "RecoveryCoordinator",
+           "RecoveryReport"]
 
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """One replicated block payload: a copy, its stamp, its generation."""
+    """One replicated block payload: a copy of the block's interior, its
+    stamp, its generation."""
 
     generation: int
     key: object
@@ -67,38 +75,14 @@ class BlockRecord:
         return block_checksum(self.payload) == self.checksum
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    """The broadcast half of a generation: metadata + per-block stamps.
-
-    Small (no payloads), so it is replicated to *every* survivor — any
-    one of them can then validate any generation's block records.
-    """
-
-    generation: int
-    step: int
-    time: float
-    monitor_len: int
-    checksums: dict
-    manifest: int
-
-    @property
-    def nbytes(self) -> int:
-        # modelled wire size: fixed header + one (key, crc) entry per block
-        return 48 + 24 * len(self.checksums)
-
-    def verify(self) -> bool:
-        return self.manifest == _manifest_checksum(
-            self.step, self.time, self.monitor_len, self.checksums)
-
-
 class BuddyReplicatedStore:
     """Per-locality checkpoint shards with buddy replication.
 
     Wire it to a manager with ``manager.on_commit = store.replicate`` (or
     let :class:`RecoveryCoordinator` do so): every committed checkpoint
     is split into per-block records, each stored on its block's owner
-    locality and copied to the next surviving locality.  The copies are
+    locality and copied to the next surviving locality; its header is
+    stored unchanged on every survivor.  The copies are
     independent arrays — damaging one replica (bit rot on one node) does
     not touch the other, which is the whole point.
 
@@ -147,17 +131,17 @@ class BuddyReplicatedStore:
         if not cp.committed:
             return
         transport = self.mesh.transport
-        owners = self.mesh.owners() if hasattr(self.mesh, "owners") else {}
+        owners = self.mesh.owners()
         r = self.registry
         with self._lock:
             alive = sorted(self._alive)
             if not alive:
                 return
-            for key, arr in cp.payload_items():
-                owner = owners.get(key, alive[0])
+            for key, arr in cp.blocks.items():
+                owner = owners[key]
                 if owner not in self._alive:
                     owner = alive[0]
-                crc = cp.checksums[key]
+                crc = cp.header.checksums[key]
                 self._shards[owner][(cp.generation, key)] = BlockRecord(
                     cp.generation, key, arr.copy(), crc)
                 buddy = self._buddy_of(owner, alive)
@@ -168,13 +152,10 @@ class BuddyReplicatedStore:
                     r.increment("/resilience/ckpt/replicas")
                     r.increment("/resilience/ckpt/replica-bytes",
                                 float(arr.nbytes))
-            man = ManifestRecord(cp.generation, cp.step, cp.time,
-                                 cp.monitor_len, dict(cp.checksums),
-                                 cp.manifest)
             origin = alive[0]
             for loc in alive:
-                self._manifests[loc][cp.generation] = man
-                transport.charge_onesided(man.nbytes, origin, loc)
+                self._manifests[loc][cp.generation] = cp.header
+                transport.charge_onesided(cp.header.nbytes, origin, loc)
             self.replicated += 1
             self._prune(alive)
         trace.instant("checkpoint-replicated", "resilience",
@@ -363,9 +344,8 @@ class RecoveryCoordinator:
 
     def lost_blocks(self) -> list:
         """Blocks whose GID currently resolves to a dead locality."""
-        from ..runtime.agas import LocalityFailed
         lost = []
-        for ip, gid in sorted(getattr(self.mesh, "gids", {}).items()):
+        for ip, gid in sorted(self.mesh.gids.items()):
             try:
                 self.mesh.agas.resolve(gid)
             except LocalityFailed:
@@ -395,8 +375,6 @@ class RecoveryCoordinator:
         local manager (its records described a dead timeline) and re-seed
         durability with a fresh checkpoint of the restored state.
         """
-        from ..core.distmesh import slab_partition
-
         mesh = self.mesh
         failed = mesh.agas.failed_localities
         for loc in sorted(failed):
@@ -412,18 +390,7 @@ class RecoveryCoordinator:
                      for i, ip in enumerate(ips)}
         moves = mesh.apply_ownership(new_owner)
         payloads = self.store.fetch(manifest, holders, new_owner)
-        for key, arr in payloads.items():
-            if key == "U":
-                mesh.U[...] = arr
-            else:
-                mesh.blocks[key][...] = arr
-        mesh.time = manifest.time
-        mesh.steps = manifest.step
-        hook = getattr(mesh, "on_restore", None)
-        if hook is not None:
-            hook()
-        if monitor is not None:
-            del monitor.records[manifest.monitor_len:]
+        restore_state(mesh, manifest, payloads, monitor)
 
         # the local manager's records describe the abandoned timeline —
         # and possibly memory that died with the failed localities

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.grid import NGHOST, RHO
+from ..core.grid import RHO
+from ..core.mesh import interior
 from ..core.stepper import ConservationMonitor, Recovery, drive
 from ..runtime import trace
 from ..runtime.counters import default_registry
@@ -23,10 +24,13 @@ class GuardViolation(RuntimeError):
 class GuardedStepper(Recovery):
     """Checkpointed evolution with post-stage state validation.
 
-    After every step the full state is checked for NaN/Inf and negative
-    density.  A violation *rejects* the step: the mesh rolls back to the
-    latest :class:`~repro.resilience.checkpoint.CheckpointManager`
-    snapshot and replays.  The first retry of a step runs at the same dt
+    After every step the state — the interior of every block of
+    ``mesh.blocks``, what a checkpoint stores; ghost shells are scratch the
+    next fill rewrites, so a stale one cannot trip the guard — is checked
+    for NaN/Inf and negative density.  A violation *rejects* the step:
+    the mesh rolls back to the latest
+    :class:`~repro.resilience.checkpoint.CheckpointManager` snapshot and
+    replays.  The first retry of a step runs at the same dt
     (transient causes — injected corruption with a consumed budget, a
     once-off bad kernel — will not recur, and the replay stays
     byte-identical to the fault-free run); a second rejection of the
@@ -72,29 +76,22 @@ class GuardedStepper(Recovery):
 
     # -- guards --------------------------------------------------------------
 
-    @staticmethod
-    def _state_arrays(mesh) -> list[np.ndarray]:
-        blocks = getattr(mesh, "blocks", None)
-        if blocks is not None:
-            return list(blocks.values())
-        return [mesh.U]
-
     def violation(self) -> str | None:
         """Why the current state is unacceptable, or ``None`` if it is fine."""
         self.registry.increment("/resilience/steps/guard-checks")
-        for arr in self._state_arrays(self.mesh):
-            if not np.all(np.isfinite(arr)):
+        for blk in self.mesh.blocks.values():
+            state = interior(blk)
+            if not np.all(np.isfinite(state)):
                 return "non-finite state"
-            if float(arr[RHO].min()) < 0.0:
+            if float(state[RHO].min()) < 0.0:
                 return "negative density"
         return None
 
     def _corrupt(self) -> None:
         """Deterministic silent damage: NaN one interior density value."""
-        arr = self._state_arrays(self.mesh)[0]
-        g = NGHOST
-        c = g + (arr.shape[1] - 2 * g) // 2
-        arr[RHO, c, c, c] = np.nan
+        state = interior(next(iter(self.mesh.blocks.values())))
+        c = state.shape[1] // 2
+        state[RHO, c, c, c] = np.nan
         trace.instant("state-corrupted", "resilience", step=self.mesh.steps)
 
     # -- recovery policy -----------------------------------------------------

@@ -333,12 +333,16 @@ def test_repro008_nested_def_with_own_out_param_fires():
 # -- REPRO009: checkpoint records bypassing the verified store ------------
 
 def test_repro009_mesh_checkpoint_construction_outside_store():
-    vs = _lint("cp = MeshCheckpoint(step=3, time=0.1, U=mesh.U.copy())")
+    vs = _lint("cp = MeshCheckpoint(header, {key: blk.copy()})")
     assert [v.rule for v in vs] == ["REPRO009"]
     assert "checksum stamping" in vs[0].message
     # the qualified spelling counts too
-    vs = _lint("cp = checkpoint.MeshCheckpoint(step=0, time=0.0, U=U)")
+    vs = _lint("cp = checkpoint.MeshCheckpoint(header, blocks)")
     assert [v.rule for v in vs] == ["REPRO009"]
+    # ...and so does the header: the stamps live there
+    vs = _lint("man = ManifestRecord(gen, step, time, 0, dict(crcs), crc)")
+    assert [v.rule for v in vs] == ["REPRO009"]
+    assert "ManifestRecord" in vs[0].message
 
 
 def test_repro009_checkpoint_list_mutation_fires():
@@ -356,7 +360,7 @@ def test_repro009_checkpoint_list_mutation_fires():
 def test_repro009_store_module_and_reads_are_clean():
     # the verified store itself implements the protocol
     assert _lint("""
-        cp = MeshCheckpoint(step=0, time=0.0, U=U)
+        cp = MeshCheckpoint(ManifestRecord(0, 0, 0.0, 0, stamps), blocks)
         self._checkpoints.append(cp)
         del self._checkpoints[:-self.keep]
     """, rel="repro/resilience/checkpoint.py") == []

@@ -96,7 +96,7 @@ class TestPhiFreshness:
         saved = mesh.U.copy()
         mesh.step()
         mesh.U[:] = saved  # simulate CheckpointManager.restore
-        acc = mesh._gravity.for_state(mesh._blocks)
+        acc = mesh._gravity.for_state(mesh.blocks)
         fresh = equilibrium_star(n=16, domain=4.0)
         assert np.array_equal(acc, fresh.solve_gravity())
 

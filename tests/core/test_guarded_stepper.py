@@ -25,6 +25,7 @@ class FakeMesh:
     def __init__(self, n=8, bad=None, poison=np.nan):
         side = n + 2 * NGHOST
         self.U = np.ones((4, side, side, side))
+        self.blocks = {(0, 0, 0): self.U}
         self.time = 0.0
         self.steps = 0
         self.bad = bad or {}

@@ -1,15 +1,19 @@
 """Checkpoint/restore of mesh state and fault-tolerant evolve()."""
 
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.core import (BlockMesh, ConservationMonitor,
-                        FaultRecoveryExhausted, equilibrium_star, evolve,
+from repro.core import (EGAS, NF, RHO, SUBGRID_N, TAU, AmrMesh, BlockMesh,
+                        ConservationMonitor, DistBlockMesh,
+                        FaultRecoveryExhausted, HydroOptions, IdealGas,
+                        Octree, equilibrium_star, evolve, interior,
                         sedov_blast)
 from repro.resilience import (CheckpointError, CheckpointManager,
-                              FaultInjector, SimulationFault)
+                              FaultInjector, RecoveryCoordinator,
+                              SimulationFault, block_checksum)
 from repro.runtime import CounterRegistry
 
 
@@ -26,6 +30,138 @@ def small_blockmesh():
     return block
 
 
+def small_distmesh(n_localities=4, registry=None):
+    star = equilibrium_star(n=16, domain=4.0)
+    dist = DistBlockMesh(2, n_localities=n_localities, port="libfabric",
+                         domain=star.domain, origin=star.origin,
+                         options=star.options, bc=star.bc,
+                         self_gravity=True,
+                         registry=registry or CounterRegistry())
+    dist.load_interior(star.interior.copy())
+    return dist
+
+
+def small_amrmesh():
+    """Three levels with coarse-fine faces, a smooth blob on every leaf."""
+    tree = Octree(domain=1.0)
+    tree.refine(0, (0, 0, 0))
+    tree.refine(1, (1, 1, 1))
+    eos = IdealGas()
+    for leaf in tree.leaves():
+        I = leaf.grid.interior
+        x, y, z = leaf.grid.cell_centers()
+        blob = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2
+                        + (z - 0.5) ** 2) / 0.02)
+        I[RHO] = 1.0 + 0.5 * blob
+        I[EGAS] = 1.0 + blob
+        I[TAU] = eos.tau_from_eint(I[EGAS])
+    return AmrMesh(tree, HydroOptions(eos=eos), bc="reflect")
+
+
+class TestInteriorsAreTheState:
+    """The record contract, for every mesh that steps through
+    ``rk2_step``: a record holds block interiors and nothing else; a
+    restore writes interiors and nothing else; the next stage-0 fill
+    rebuilds every ghost shell, so the replay is byte-identical."""
+
+    CASES = {
+        "Mesh": (small_mesh, False),
+        "BlockMesh": (small_blockmesh, False),
+        "DistBlockMesh": (small_distmesh, False),
+        "DistBlockMesh-recover": (small_distmesh, True),
+        "AmrMesh": (small_amrmesh, False),
+    }
+
+    @pytest.mark.parametrize("build,global_recovery", CASES.values(),
+                             ids=CASES)
+    def test_fault_restore_replay_is_byte_identical(self, build,
+                                                    global_recovery):
+        clean, faulted = build(), build()
+        for _ in range(3):
+            clean.step()
+        mgr = CheckpointManager(interval=1, registry=CounterRegistry())
+        coordinator = (RecoveryCoordinator(faulted, mgr)
+                       if global_recovery else None)
+        faulted.step()
+        mgr.save(faulted)
+        faulted.step()
+        # the fault: every ghost shell *and* every interior is garbage
+        for blk in faulted.blocks.values():
+            blk[...] = np.nan
+        if coordinator is None:
+            mgr.restore_latest(faulted)
+        else:
+            # correlated dual kill: the victims' GIDs die with the memory
+            for victim in (1, 3):
+                faulted.fail_locality(victim, evacuate=False)
+            coordinator.recover()
+        assert faulted.steps == 1
+        for blk in faulted.blocks.values():
+            assert np.isfinite(interior(blk)).all()
+            assert np.isnan(blk).any()      # the shell was not restored
+        faulted.step()
+        # one step on, the stage-0 fill has rebuilt every ghost cell
+        for blk in faulted.blocks.values():
+            assert np.isfinite(blk).all()
+        faulted.step()
+        assert faulted.steps == clean.steps and faulted.time == clean.time
+        for key, blk in clean.blocks.items():
+            assert np.array_equal(interior(blk),
+                                  interior(faulted.blocks[key]))
+
+    def test_record_holds_interiors_only(self):
+        reg = CounterRegistry()
+        mesh = small_distmesh(n_localities=2, registry=reg)
+        mgr = CheckpointManager(interval=1, registry=reg)
+        RecoveryCoordinator(mesh, mgr, registry=reg)
+        cp = mgr.save(mesh)
+        assert cp.nbytes == len(mesh.blocks) * NF * SUBGRID_N ** 3 * 8
+        for arr in cp.blocks.values():
+            assert arr.shape == (NF,) + (SUBGRID_N,) * 3
+            assert arr.flags.c_contiguous
+        assert reg.value("/resilience/checkpoint/bytes-saved") == cp.nbytes
+        # on two localities every block has a buddy: one replica each
+        assert reg.value("/resilience/ckpt/replica-bytes") == cp.nbytes
+
+    def test_torn_single_block_record_falls_back_one_generation(self):
+        """A one-block record torn mid-write staged no payload at all; the
+        missing manifest is what marks it, and the restore skips it."""
+        reg = CounterRegistry()
+        inj = FaultInjector(seed=3, torn_write_at_saves=(1,), registry=reg)
+        mgr = CheckpointManager(interval=1, keep=3, registry=reg,
+                                injector=inj)
+        mesh = small_mesh()
+        good = mgr.save(mesh)
+        saved = mesh.interior.copy()
+        mesh.step()
+        torn = mgr.save(mesh)
+        assert not torn.committed and not torn.verify()
+        assert torn.blocks == {}
+        mesh.step()
+        assert mgr.restore_latest(mesh) is good
+        assert mesh.steps == 0 and np.array_equal(mesh.interior, saved)
+        assert reg.value("/resilience/ckpt/torn") == 1.0
+        assert reg.value("/resilience/ckpt/fallback") == 1.0
+        assert reg.value("/resilience/ckpt/verified") == 1.0
+
+
+class TestBlockChecksum:
+    @staticmethod
+    def old_formula(arr):
+        a = np.ascontiguousarray(arr)
+        head = f"{a.dtype.str}:{a.shape}".encode()
+        return zlib.crc32(a.tobytes(), zlib.crc32(head)) & 0xFFFFFFFF
+
+    def test_buffer_crc_equals_the_tobytes_formula(self):
+        a = np.arange(2 * 5 * 6 * 7, dtype=np.float64).reshape(2, 5, 6, 7)
+        assert block_checksum(a) == self.old_formula(a) == 1489406647
+        view = a[:, 1:-1, ::2, 1:]      # not contiguous: staged first
+        assert not view.flags.c_contiguous
+        assert block_checksum(view) == self.old_formula(view)
+        assert block_checksum(view) == block_checksum(view.copy())
+        assert block_checksum(view) != block_checksum(a)
+
+
 class TestCheckpointManager:
     def test_round_trip_is_bit_exact(self):
         reg = CounterRegistry()
@@ -34,13 +170,15 @@ class TestCheckpointManager:
         mon.sample(mesh)
         mgr = CheckpointManager(interval=1, registry=reg)
         mgr.save(mesh, mon)
-        saved_U = mesh.U.copy()
+        saved = mesh.interior.copy()
         saved_t, saved_steps = mesh.time, mesh.steps
         for _ in range(2):
             mesh.step(1e-3)
             mon.sample(mesh)
+        assert not np.array_equal(mesh.interior, saved)
         mgr.restore_latest(mesh, mon)
-        assert np.array_equal(mesh.U, saved_U)
+        # interiors are the state; the ghost shell is the next fill's job
+        assert np.array_equal(mesh.interior, saved)
         assert mesh.time == saved_t and mesh.steps == saved_steps
         assert len(mon.records) == 1
         assert reg.value("/resilience/checkpoint/saves") == 1.0
@@ -104,18 +242,19 @@ class TestBlockMeshCheckpoint:
         mon.sample(mesh)
         mgr = CheckpointManager(interval=1, registry=reg)
         cp = mgr.save(mesh, mon)
-        assert cp.U is None and set(cp.blocks) == set(mesh.blocks)
-        assert cp.nbytes == sum(b.nbytes for b in mesh.blocks.values())
-        saved = {ip: blk.copy() for ip, blk in mesh.blocks.items()}
+        assert set(cp.blocks) == set(mesh.blocks)
+        assert cp.nbytes == sum(interior(b).nbytes
+                                for b in mesh.blocks.values())
+        saved = {ip: interior(blk).copy() for ip, blk in mesh.blocks.items()}
         saved_t, saved_steps = mesh.time, mesh.steps
         for _ in range(2):
             mesh.step()
             mon.sample(mesh)
-        assert any(not np.array_equal(saved[ip], mesh.blocks[ip])
+        assert any(not np.array_equal(saved[ip], interior(mesh.blocks[ip]))
                    for ip in saved)  # the steps actually moved state
         mgr.restore_latest(mesh, mon)
-        for ip, blk in saved.items():
-            assert np.array_equal(mesh.blocks[ip], blk)
+        for ip, state in saved.items():
+            assert np.array_equal(interior(mesh.blocks[ip]), state)
         assert mesh.time == saved_t and mesh.steps == saved_steps
         assert len(mon.records) == 1
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import (BlockMesh, ConservationMonitor, DistBlockMesh,
-                        equilibrium_star, slab_partition)
+                        equilibrium_star, interior, slab_partition)
 from repro.resilience import (BuddyReplicatedStore, CheckpointError,
                               CheckpointManager, FaultInjector,
                               RecoveryCoordinator)
@@ -51,8 +51,7 @@ class TestBuddyReplicatedStore:
             assert (cp.generation, ip) in store.holdings(buddy)
         n = len(mesh.blocks)
         assert reg.value("/resilience/ckpt/replicas") == n
-        assert reg.value("/resilience/ckpt/replica-bytes") == sum(
-            b.nbytes for b in mesh.blocks.values())
+        assert reg.value("/resilience/ckpt/replica-bytes") == cp.nbytes
 
     def test_replication_is_charged_like_halo_traffic(self):
         reg = CounterRegistry()
@@ -177,7 +176,7 @@ class TestRecoveryCoordinator:
         mon = ConservationMonitor()
         mon.sample(mesh)
         cp = mgr.save(mesh, mon)
-        saved = {ip: blk.copy() for ip, blk in mesh.blocks.items()}
+        saved = {ip: interior(blk).copy() for ip, blk in mesh.blocks.items()}
         saved_t, saved_steps = mesh.time, mesh.steps
         for _ in range(2):
             mesh.step()
@@ -198,8 +197,8 @@ class TestRecoveryCoordinator:
         # already sit where the 2-locality slab partition puts them
         assert report.components_restored == 4
         assert report.components_migrated == 0
-        for ip, blk in saved.items():
-            assert np.array_equal(mesh.blocks[ip], blk)
+        for ip, state in saved.items():
+            assert np.array_equal(interior(mesh.blocks[ip]), state)
         assert mesh.time == saved_t and mesh.steps == saved_steps
         assert len(mon.records) == cp.monitor_len
         assert mesh.lost_blocks == set()
@@ -275,16 +274,16 @@ class TestCheckpointStoreFaults:
         """n saves at distinct steps; returns the state at each save."""
         states = []
         for _ in range(n):
-            states.append(({ip: b.copy() for ip, b in mesh.blocks.items()},
-                           mesh.steps))
+            states.append(({ip: interior(b).copy()
+                            for ip, b in mesh.blocks.items()}, mesh.steps))
             mgr.save(mesh)
             mesh.step()
         return states
 
     def assert_restored(self, mesh, state):
-        blocks, steps = state
-        for ip, blk in blocks.items():
-            assert np.array_equal(mesh.blocks[ip], blk)
+        interiors, steps = state
+        for ip, saved in interiors.items():
+            assert np.array_equal(interior(mesh.blocks[ip]), saved)
         assert mesh.steps == steps
 
     def test_scheduled_torn_write_falls_back_one_generation(self):
