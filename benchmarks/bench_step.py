@@ -52,7 +52,7 @@ hydro-RHS kernels to beat their retained reference implementations, and
 the dense M2L tilings the pair lists, by ``--min-kernel-speedup``
 (default 1.5x), and the ``halo_fill`` row to show a same-locality halo
 (direct copy) at least ``HALO_FILL_MIN_SPEEDUP`` times cheaper than a
-cross-locality one (channel).
+cross-locality one travelling alone (a one-slab route parcel).
 """
 
 from __future__ import annotations
@@ -74,12 +74,14 @@ from repro.core.scenario import equilibrium_star  # noqa: E402
 from repro.runtime import CudaDevice, WorkStealingScheduler  # noqa: E402
 from repro.runtime.counters import default_registry  # noqa: E402
 
-from kernels_micro import (M2L_ROWS, halo_fill_line,  # noqa: E402
+from kernels_micro import (M2L_ROWS, dist_fill_line,  # noqa: E402
+                           halo_fill_line,
                            m2l_dense_lines, rhs_batched_lines,
                            run_kernels_micro)
 
 #: ``--check``: the direct-copy route of a halo must be at least this many
-#: times cheaper than the channel route (``kernels_micro`` ``halo_fill``)
+#: times cheaper than a one-slab route parcel (``kernels_micro``
+#: ``halo_fill``)
 HALO_FILL_MIN_SPEEDUP = 2.0
 
 #: counters whose per-step delta feeds the interaction rate
@@ -262,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
               f"rhs {k['rhs']['ns_per_item']:.0f} ns/zone "
               f"({k['rhs_speedup']:.2f}x ref)")
         for line in (m2l_dense_lines(k) + rhs_batched_lines(k)
-                     + [halo_fill_line(k)]):
+                     + [halo_fill_line(k), dist_fill_line(k)]):
             print(line)
     print(f"wrote {args.out}")
 
@@ -305,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         halo = kernels["halo_fill"]["speedup"]
         if halo < HALO_FILL_MIN_SPEEDUP:
             print(f"CHECK FAILED: a local halo (direct copy) only "
-                  f"{halo:.2f}x cheaper than a remote one (channel) "
+                  f"{halo:.2f}x cheaper than a remote one (route parcel) "
                   f"< {HALO_FILL_MIN_SPEEDUP:.2f}x", file=sys.stderr)
             return 1
         print("check passed")

@@ -15,13 +15,18 @@ reference implementation exists (the einsum ``m2l_pair_reference`` and
 the allocate-per-stage ``compute_rhs_reference``) both variants are timed
 and the speedup of the fused path is reported — the CI gate asserts
 >= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
-``rhs_batched`` is what the meshes run: 1, 8 and 27 8^3 sub-grids through
-one batched ``compute_rhs`` call, beside the same sub-grids through a
+``rhs_batched`` is what the meshes run: 1, 8, 13, 14 and 27 8^3 sub-grids
+through one batched ``compute_rhs`` call (13 and 14 are the two balanced
+launches of a 27-sub-grid mesh), beside the same sub-grids through a
 per-block loop of batch-of-one calls.
 ``halo_fill`` is one ghost-fill stage of a 27-block ``DistBlockMesh`` with
-every neighbour pair on the channel route (27 localities) beside every
-pair on the direct-copy route (one locality): us per halo, and the bytes
-one fill moves (computed from the plan, not measured).
+every neighbour pair on a route of its own (27 localities: one slab per
+parcel, the worst case of the packed path) beside every pair on the
+direct-copy route (one locality): us per halo, and the bytes one fill
+moves (computed from the plan, not measured).  ``dist_fill`` is the same
+stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
+localities, reorder seed on: ms per stage and parcelport messages per
+stage, which must equal the directed locality pairs that share a halo.
 
 Used two ways:
 
@@ -77,10 +82,13 @@ M2L_ROWS = {"m2l_root_dense": 0, "m2l_sweep": 1}
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
-#: serial meshes' chunk, a whole 24^3 mesh
-RHS_BATCHES = (1, 8, 27)
-#: sub-grids per edge of the ``halo_fill`` mesh (27 blocks, 316 pairs)
+#: former serial chunk, the two balanced launches of 27, a whole 24^3 mesh
+RHS_BATCHES = (1, 8, 13, 14, 27)
+#: sub-grids per edge of the ``halo_fill`` / ``dist_fill`` mesh (27
+#: blocks, 316 pairs)
 HALO_BPE = 3
+#: localities of the ``dist_fill`` mesh (the ledger's distributed Sedov)
+DIST_LOCALITIES = 4
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -166,8 +174,9 @@ def m2l_dense_lines(kernels: dict) -> list[str]:
 
 def _halo_fill_row(repeats: int) -> dict:
     """One ghost-fill stage of the ``HALO_BPE``^3-block mesh per route:
-    one locality per block puts every pair on extract -> send -> channel
-    -> insert, a single locality puts every pair on the direct copy."""
+    one locality per block makes every pair a route of its own (pack ->
+    send -> channel -> unpack, one slab per parcel), a single locality
+    puts every pair on the direct copy."""
     n_blocks = HALO_BPE ** 3
     row = {}
     for route, n_localities in (("remote", n_blocks), ("local", 1)):
@@ -191,10 +200,43 @@ def halo_fill_line(kernels: dict) -> str:
     """The ``halo_fill`` row as a report line (us per halo)."""
     row = kernels["halo_fill"]
     return (f"  halo_fill          {row['remote']['us_per_halo']:8.2f} "
-            f"us/halo all remote (channels), "
+            f"us/halo all remote (a route each), "
             f"{row['local']['us_per_halo']:.2f} all local (direct copy) "
             f"({row['speedup']:.2f}x; {row['local']['items']} halos, "
             f"{row['bytes_per_fill']} bytes per fill)")
+
+
+def _dist_fill_row(repeats: int) -> dict:
+    """One ghost-fill stage of the ``HALO_BPE``^3-block mesh sharded over
+    ``DIST_LOCALITIES`` localities with seeded out-of-order delivery."""
+    mesh = DistBlockMesh(HALO_BPE, n_localities=DIST_LOCALITIES,
+                         reorder_seed=1309, registry=CounterRegistry())
+    generation = itertools.count()
+    seconds = _time(lambda: mesh._halo_exchange(mesh.blocks,
+                                                next(generation)),
+                    repeats=repeats)
+    owner = mesh.owners()
+    remote = [(owner[src], owner[dst], nbytes)
+              for dst, _, src, _, nbytes in mesh._fill_plan.pairs
+              if owner[src] != owner[dst]]
+    stats = mesh.transport.stats
+    return {"seconds": seconds,
+            "ms_per_stage": 1e3 * seconds,
+            "msgs_per_stage": stats.remote_msgs / (repeats + 1),
+            "locality_pairs": len({pair[:2] for pair in remote}),
+            "remote_halos": len(remote),
+            "remote_bytes_per_stage": stats.remote_bytes // (repeats + 1),
+            "plan_remote_bytes": sum(nbytes for *_, nbytes in remote)}
+
+
+def dist_fill_line(kernels: dict) -> str:
+    """The ``dist_fill`` row as a report line (ms per stage)."""
+    row = kernels["dist_fill"]
+    return (f"  dist_fill          {row['ms_per_stage']:8.2f} ms/stage on "
+            f"{DIST_LOCALITIES} localities, {row['msgs_per_stage']:.0f} "
+            f"messages/stage for {row['remote_halos']} remote halos over "
+            f"{row['locality_pairs']} locality pairs "
+            f"({row['remote_bytes_per_stage']} bytes)")
 
 
 def run_kernels_micro(repeats: int = 5) -> dict:
@@ -279,6 +321,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         **_m2l_level_rows(repeats),
         "rhs_batched": rhs_batched,
         "halo_fill": _halo_fill_row(repeats),
+        "dist_fill": _dist_fill_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -320,6 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     for line in rhs_batched_lines(kernels):
         print(line)
     print(halo_fill_line(kernels))
+    print(dist_fill_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

@@ -9,6 +9,9 @@ implementations (`m2l_pair_reference`, `kt_flux_reference`,
 block of ``BENCH_step.json`` via :mod:`kernels_micro`.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,9 @@ from repro.core.hydro.solver import (HydroOptions, compute_rhs,
                                      compute_rhs_reference)
 from repro.core.mesh import apply_boundary
 from repro.core.workspace import Workspace
+
+sys.path.insert(0, os.path.dirname(__file__))
+from kernels_micro import RHS_BATCHES, _dist_fill_row  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +133,15 @@ def test_hydro_rhs_32_reference(benchmark, hydro_block):
     U, opts = hydro_block
     benchmark.pedantic(compute_rhs_reference, args=(U, 1.0 / 32, opts),
                        rounds=3, iterations=1)
+
+
+def test_dist_fill_sends_one_message_per_locality_pair():
+    """The gate of the packed halo path: a stage of the 27-block mesh on
+    4 localities costs one parcelport message per directed locality pair
+    that shares a halo, and moves exactly the plan's remote bytes."""
+    row = _dist_fill_row(repeats=2)
+    assert row["msgs_per_stage"] == row["locality_pairs"] > 0
+    assert row["remote_halos"] > row["locality_pairs"]
+    assert row["remote_bytes_per_stage"] == row["plan_remote_bytes"]
+    # the two balanced launches of a 27-sub-grid mesh have rows
+    assert {13, 14} <= set(RHS_BATCHES)

@@ -55,20 +55,26 @@ REPRO006 *unaggregated-enqueue*
 
 REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
-    ``Channel.set(...)``, or a function that writes one block's slab
+    ``Channel.set(...)``; a function that writes one block's slab
     straight into another's (``blocks[a][ghost] = blocks[b][layer]``)
     without booking anything with the transport (``tally_local`` /
-    ``charge_onesided``).  Such a module is distribution-aware: the route
-    of each of its halos depends on who owns the two blocks, and the
-    :class:`repro.network.transport.HaloTransport` is where both routes
-    are counted — a direct set is a cross-locality halo the parcelport
-    never charged, an untallied direct copy a same-locality halo nobody
-    counted, and either way the ``/distmesh/*`` vs ``/parcels/*``
-    reconciliation silently rots.  Send remote halos through
-    ``transport.send(channel, ...)``; copy local ones with the node-level
-    ``BlockMesh._copy_halos`` and tally them.  The node-level
-    ``core/mesh.py`` does not import the network layer and is
-    deliberately out of scope.
+    ``charge_onesided``); a function that packs block slabs into a send
+    buffer (``payload[lo:hi]... = blocks[b][layer]``) without handing it
+    to ``transport.send``; or a function that unpacks buffer slices into
+    blocks (``blocks[a][ghost] = payload[lo:hi]...``) without draining a
+    future (``fut.get()``).  Such a module is distribution-aware: the
+    route of each of its halos depends on who owns the two blocks, and
+    the :class:`repro.network.transport.HaloTransport` is where both
+    routes are counted — a direct set is a cross-locality halo the
+    parcelport never charged, an untallied direct copy a same-locality
+    halo nobody counted, a packed payload that is not sent (or an unpack
+    of something no route delivered) cross-locality bytes that moved
+    beside the wire, and either way the ``/distmesh/*`` vs ``/parcels/*``
+    reconciliation silently rots.  Pack, ``transport.send(channel, ...)``,
+    drain and unpack a route in the one function that owns the exchange;
+    copy local halos with the node-level ``BlockMesh._copy_halos`` and
+    tally them.  The node-level ``core/mesh.py`` does not import the
+    network layer and is deliberately out of scope.
 
 REPRO008 *alloc-in-hot-kernel*
     An ``np.empty`` / ``np.zeros`` / ``np.empty_like`` /
@@ -182,11 +188,13 @@ RULES: dict[str, tuple[str, str]] = {
                  "aggregation region; route kernels through "
                  "ExecutionEngine.map / AggregationRegion"),
     "REPRO007": ("unaccounted-halo",
-                 "a direct Channel.set, or a block-to-block ghost write in "
-                 "a function that tallies nothing, in a network-aware "
-                 "core/ module bypasses the halo accounting; send remote "
-                 "halos through HaloTransport.send, tally local copies "
-                 "with HaloTransport.tally_local"),
+                 "a direct Channel.set, a block-to-block ghost write in a "
+                 "function that tallies nothing, a packed payload never "
+                 "handed to transport.send or an unpack outside the "
+                 "function that drains the route's future, in a network-"
+                 "aware core/ module bypasses the halo accounting; send "
+                 "remote halos through HaloTransport.send, tally local "
+                 "copies with HaloTransport.tally_local"),
     "REPRO008": ("alloc-in-hot-kernel",
                  "core/gravity/ and core/hydro/ kernels taking out=/ws "
                  "must not allocate unconditionally via np.empty/np.zeros/"
@@ -323,15 +331,31 @@ def _looks_like_channel(expr: ast.expr) -> bool:
     return tail == "ch" or "chan" in tail
 
 
-def _looks_like_block(expr: ast.expr) -> bool:
-    """Heuristic: is this a slab of a mesh block (``blocks[ip][sl]``,
-    ``blk[sl]``)?"""
-    if not isinstance(expr, ast.Subscript):
-        return False
-    while isinstance(expr, ast.Subscript):
-        expr = expr.value
+def _slab_kind(expr: ast.expr) -> str | None:
+    """``"block"`` for a slab of a mesh block, ``"buffer"`` for a slice
+    of anything else, both possibly seen through method calls
+    (``payload[lo:hi].reshape(shape)[...]``, ``blocks[b][layer].copy()``);
+    ``None`` for an expression that slices nothing."""
+    sliced = False
+    while True:
+        if isinstance(expr, ast.Subscript):
+            sliced, expr = True, expr.value
+        elif (isinstance(expr, ast.Call)
+                and isinstance(expr.func, ast.Attribute)):
+            expr = expr.func.value
+        else:
+            break
+    if not sliced:
+        return None
     tail = ast.unparse(expr).lower().split(".")[-1]
-    return "block" in tail or "blk" in tail
+    return "block" if "block" in tail or "blk" in tail else "buffer"
+
+
+def _calls_method(sub: ast.AST, attr: str, receiver: str) -> bool:
+    """Is ``sub`` a ``<...receiver...>.attr(...)`` call?"""
+    return (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == attr and receiver in
+            ast.unparse(sub.func.value).lower().split(".")[-1])
 
 
 #: transport calls that book a direct (channel-less) halo copy
@@ -577,32 +601,48 @@ class _Linter(ast.NodeVisitor):
                 if name in owned:
                     hit(sub, "np.copyto into", name)
 
-    # -- REPRO007 (direct copies) -----------------------------------------
+    # -- REPRO007 (direct copies, packed routes) ---------------------------
 
-    def _check_untallied_ghost_writes(self, fn) -> None:
-        """REPRO007: block-to-block slab writes in a function of a
-        network-aware ``core/`` module that books nothing with the
-        transport.  One ``tally_local`` / ``charge_onesided`` call
-        anywhere in the body exempts the function."""
+    def _check_halo_accounting(self, fn) -> None:
+        """REPRO007, per function of a network-aware ``core/`` module.
+        Block-to-block slab writes need one ``tally_local`` /
+        ``charge_onesided`` call anywhere in the body; block slabs packed
+        into a buffer need a ``transport.send``; buffer slices unpacked
+        into blocks need a drained future (``fut.get()``)."""
         if not (self.in_core and self.imports_network):
             return
-        writes = []
+        direct, packs, unpacks = [], [], []
+        tallied = sent = drained = False
         for sub in ast.walk(fn):
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _HALO_TALLIES):
-                return
-            if (isinstance(sub, ast.Assign)
-                    and _looks_like_block(sub.value)
-                    and any(_looks_like_block(t) for t in sub.targets)):
-                writes.append(sub)
-        for sub in writes:
-            self._hit(sub, "REPRO007",
-                      f"direct block-to-block ghost write in {fn.name!r} "
-                      "of a network-aware core/ module with no transport "
-                      "tally: the halo is counted on neither route; book "
-                      "it with HaloTransport.tally_local (or "
-                      "charge_onesided for a one-sided read)")
+            if isinstance(sub, ast.Call):
+                tallied |= (isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr in _HALO_TALLIES)
+                sent |= _calls_method(sub, "send", "transport")
+                drained |= _calls_method(sub, "get", "fut")
+            elif isinstance(sub, ast.Assign):
+                kinds = {(_slab_kind(t), _slab_kind(sub.value))
+                         for t in sub.targets}
+                for kind, hits in ((("block", "block"), direct),
+                                   (("buffer", "block"), packs),
+                                   (("block", "buffer"), unpacks)):
+                    if kind in kinds:
+                        hits.append(sub)
+        for hits, ok, what, fix in (
+                (direct, tallied, "direct block-to-block ghost write",
+                 "no transport tally: the halo is counted on neither "
+                 "route; book it with HaloTransport.tally_local (or "
+                 "charge_onesided for a one-sided read)"),
+                (packs, sent, "block slab packed into a send buffer",
+                 "no transport.send: the payload crosses a locality "
+                 "uncharged (or never leaves); hand it to "
+                 "HaloTransport.send"),
+                (unpacks, drained, "buffer slice unpacked into a block",
+                 "no drained future: the bytes were delivered by no "
+                 "route; unpack where the route's fut.get() is")):
+            for sub in () if ok else hits:
+                self._hit(sub, "REPRO007",
+                          f"{what} in {fn.name!r} of a network-aware "
+                          f"core/ module with {fix}")
 
     # -- visitors ---------------------------------------------------------
 
@@ -694,14 +734,14 @@ class _Linter(ast.NodeVisitor):
         self._check_lease_guards(node)
         self._check_hot_kernel_allocs(node)
         self._check_task_buffer_writes(node)
-        self._check_untallied_ghost_writes(node)
+        self._check_halo_accounting(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_lease_guards(node)
         self._check_hot_kernel_allocs(node)
         self._check_task_buffer_writes(node)
-        self._check_untallied_ghost_writes(node)
+        self._check_halo_accounting(node)
         self.generic_visit(node)
 
     # REPRO009: assignment / deletion targets that rewrite a checkpoint

@@ -174,6 +174,9 @@ def format_report(registry: CounterRegistry | None = None) -> str:
                 rows.append(["block migrations",
                              int(dmesh.get("block-migrations",
                                            dmesh.get("migrations", 0)))])
+            if "plan-rebuilds" in dmesh:
+                rows.append(["route-plan rebuilds",
+                             int(dmesh["plan-rebuilds"])])
             sections.append(format_table(
                 ["locality", "blocks"], rows,
                 title="block placement (/distmesh/blocks) — AGAS-sharded "

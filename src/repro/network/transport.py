@@ -1,22 +1,25 @@
 """Halo transport: the accounting seam between a mesh and the parcelport.
 
 The distributed :class:`~repro.core.distmesh.DistBlockMesh` decides the
-route of every halo from the current owners of the two blocks, and books
-each one here:
+route of every halo from the current owners of the two blocks (frozen in
+a route plan per ownership epoch), and books each one here:
 
 * **local tally** — sender and receiver share a locality; the mesh copies
   the slab straight out of the neighbour's memory (an intra-node copy,
   exactly what HPX does when the AGAS resolution is local) and
   :meth:`~HaloTransport.tally_local` counts it: no channel, no parcelport
   charge, nothing to reorder;
-* **remote path** — the halo is a parcel: :meth:`~HaloTransport.send`
-  charges the payload to a *dedicated* port (the configured transport
-  renamed ``halo:<name>``, so ``/parcels/halo:...`` counters isolate halo
-  traffic from other parcel users: eager vs rendezvous vs RMA by
-  ``EAGER_BYTES``), then delivers it into the pair's generation-matched
-  :class:`~repro.runtime.channel.Channel` (Sec. 5.2).  With a
-  ``reorder_seed`` the deliveries of one stage are buffered and
-  :meth:`~HaloTransport.flush`-ed in a seeded random order — the
+* **remote path** — all the halos of one directed locality pair are one
+  parcel per stage (HPX's unit: one active message per destination
+  locality): :meth:`~HaloTransport.send` charges the packed payload to a
+  *dedicated* port (the configured transport renamed ``halo:<name>``, so
+  ``/parcels/halo:...`` counters isolate halo traffic from other parcel
+  users: eager vs rendezvous vs RMA by ``EAGER_BYTES``), then delivers it
+  into the route's generation-matched
+  :class:`~repro.runtime.channel.Channel` (Sec. 5.2).  ``remote_msgs``
+  therefore counts route payloads, ``remote_bytes`` the halo bytes inside
+  them.  With a ``reorder_seed`` the deliveries of one stage are buffered
+  and :meth:`~HaloTransport.flush`-ed in a seeded random order — the
   generation matching of the channel protocol is what makes that
   reordering invisible to the receiver, and the distributed tests assert
   exactly that;
@@ -112,8 +115,10 @@ class HaloTransport:
     def send(self, channel, value, generation: int,
              src_locality: int, dst_locality: int) -> None:
         """Publish ``value`` for ``generation`` on ``channel``, charged to
-        the parcelport and — under a reorder seed — buffered until
-        :meth:`flush`.  Cross-locality only: a same-locality halo is a
+        the parcelport as one message and — under a reorder seed —
+        buffered until :meth:`flush`.  ``value`` is a route's packed
+        payload: every halo slab ``src_locality`` owes ``dst_locality``
+        this stage.  Cross-locality only: a same-locality halo is a
         direct copy booked with :meth:`tally_local`, and sending one would
         charge the wire for bytes that never left the node.
         """
@@ -160,8 +165,8 @@ class HaloTransport:
     def discard_pending(self) -> int:
         """Drop buffered remote sends without delivering them.
 
-        Used on checkpoint rollback: the buffered halos belong to the
-        timeline being discarded, and their channels are about to be
+        Used on checkpoint rollback: the buffered route payloads belong to
+        the timeline being discarded, and their channels are about to be
         reset.  Their parcelport charge stands — the bytes did travel.
         """
         dropped = len(self._pending)

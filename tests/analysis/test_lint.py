@@ -255,6 +255,63 @@ def test_repro007_tallied_or_out_of_scope_ghost_writes_are_clean():
                  rel="repro/core/distmesh.py") == []
 
 
+_PACK = """
+def _halo_exchange(self, blocks, generation):
+    for route in self._routes().routes:
+        payload = np.empty(route.size)
+        for _, _, src, layer, lo, hi, shape in route.slabs:
+            payload[lo:hi].reshape(shape)[...] = blocks[src][layer]
+"""
+
+_UNPACK = """
+def _unpack(self, blocks, route, payload):
+    for dst, ghost, _, _, lo, hi, shape in route.slabs:
+        blocks[dst][ghost] = payload[lo:hi].reshape(shape)
+"""
+
+
+def test_repro007_packed_payload_never_sent():
+    """Planted: a route's slabs are packed and the payload goes nowhere
+    near the transport (here: straight into the channel's future)."""
+    vs = _lint(_NETWORK_IMPORT + _PACK + "        promise.set_value(payload)",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    assert "transport.send" in vs[0].message
+    assert "_halo_exchange" in vs[0].message
+    # flat spellings of the same pack
+    vs = _lint(_NETWORK_IMPORT + "def pack(self, blk, buf, sl, lo, hi):\n"
+               "    buf[lo:hi] = blk[sl].ravel()",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    # handing the payload to the transport is the sanctioned route
+    assert _lint(_NETWORK_IMPORT + _PACK + "        self.transport.send("
+                 "route.channel, payload, generation, route.src, route.dst)",
+                 rel="repro/core/distmesh.py") == []
+    assert _lint(_PACK, rel="repro/core/mesh.py") == []
+
+
+def test_repro007_unpack_outside_the_function_that_drains_the_future():
+    """Planted: ghost slabs written from a buffer no route future
+    delivered — bytes that reached the block beside the wire."""
+    vs = _lint(_NETWORK_IMPORT + _UNPACK, rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    assert "fut.get()" in vs[0].message
+    assert "_unpack" in vs[0].message
+    # a dict lookup or a posted receive is not a drained future
+    vs = _lint(_NETWORK_IMPORT + _UNPACK
+               + "    fut = self.channels.get(pair).get(generation)",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    for drain in ("fut.get()", "pending_futures[i].get(timeout=1.0)"):
+        assert _lint(_NETWORK_IMPORT + "def f(self, blocks, route, fut):\n"
+                     f"    payload = {drain}\n"
+                     "    for dst, ghost, lo, hi, shape in route.slabs:\n"
+                     "        blocks[dst][ghost] = "
+                     "payload[lo:hi].reshape(shape)",
+                     rel="repro/core/distmesh.py") == []
+    assert _lint(_UNPACK, rel="repro/core/mesh.py") == []
+
+
 # -- REPRO008: unconditional allocations in out=/ws hot kernels -----------
 
 def test_repro008_unconditional_alloc_with_out_param():

@@ -119,10 +119,11 @@ class TestAnyRouteSplit:
            bc=st.sampled_from(["outflow", "reflect", "periodic"]))
     def test_any_partition_and_delivery_order_is_byte_identical(
             self, node_level, owners, reorder_seed, bc):
-        """Whatever mix of direct copies and channel halos a partition
-        produces, and in whatever order the remote ones arrive, the step
-        is the node-level one — and every halo is counted on exactly one
-        route."""
+        """Whatever mix of direct copies and route parcels a partition
+        produces, and in whatever order the parcels arrive, the step is
+        the node-level one — every halo byte is counted on exactly one
+        route and every directed locality pair sends one message a
+        stage."""
         opts, full, dts, expected = node_level[bc]
         reg = CounterRegistry()
         dist = DistBlockMesh(2, n_localities=4, port="libfabric",
@@ -136,14 +137,20 @@ class TestAnyRouteSplit:
         where = dist.owners()
         n_local = sum(where[dst] == where[src]
                       for dst, _, src, _, _ in pairs)
+        routes = {(where[src], where[dst]) for dst, _, src, _, _ in pairs
+                  if where[dst] != where[src]}
         stats = dist.transport.stats
         stages = 2 * _STEPS
         assert stats.local_msgs == n_local * stages
-        assert stats.remote_msgs == (len(pairs) - n_local) * stages
+        assert stats.remote_msgs == len(routes) * stages
+        assert stats.local_bytes == stages * sum(
+            nbytes for dst, _, src, _, nbytes in pairs
+            if where[dst] == where[src])
         assert stats.local_bytes + stats.remote_bytes == stages * sum(
             nbytes for *_, nbytes in pairs)
-        assert len(dist.channels) == len(pairs) - n_local
+        assert set(dist.channels) == routes
         snap = reg.snapshot()
+        assert snap["/distmesh/plan-rebuilds"] == 1
         assert snap["/distmesh/halo/sets"] == snap["/distmesh/halo/gets"] \
             == len(pairs) * stages
         assert dist.transport.reconciles()
@@ -209,9 +216,11 @@ class TestOwnership:
 
     def test_ownership_flips_switch_routes_mid_run(self, rng):
         """Evacuation makes remote pairs local, an ownership remap makes
-        some of them remote again: each exchange routes by the owners of
-        the moment, nothing is left posted on a channel whose pair went
-        local, and neither the counters nor the physics notice."""
+        some of them remote again: the route plan is rebuilt once per
+        ownership epoch (never in a steady run), a route that no longer
+        exists takes its channel with it, nothing is left posted on the
+        ones that remain, and neither the counters nor the physics
+        notice."""
         reg = CounterRegistry()
         ref, dist = _pair(rng, registry=reg)
         pairs = [(src, dst) for dst, _, src, _, _ in dist._fill_plan.pairs]
@@ -221,32 +230,38 @@ class TestOwnership:
             where = dist.owners()
             return {p for p in pairs if where[p[0]] != where[p[1]]}
 
-        def step():
+        def routes():
+            where = dist.owners()
+            return {(where[src], where[dst]) for src, dst in remote_pairs()}
+
+        def step(rebuilds):
             assert ref.step() == dist.step()
             np.testing.assert_array_equal(dist.gather_interior(),
                                           ref.gather_interior())
+            assert set(dist.channels) == routes()
             for ch in dist.channels.values():
                 assert ch.pending_generations() == []
                 assert ch.buffered_generations() == []
-            n_remote = len(remote_pairs())
-            expected["remote"] += 2 * n_remote
-            expected["local"] += 2 * (len(pairs) - n_remote)
+            expected["remote"] += 2 * len(routes())
+            expected["local"] += 2 * (len(pairs) - len(remote_pairs()))
             stats = dist.transport.stats
             assert stats.local_msgs == expected["local"]
             assert stats.remote_msgs == expected["remote"]
+            assert reg.snapshot()["/distmesh/plan-rebuilds"] == rebuilds
 
-        start = remote_pairs()
-        step()
-        assert set(dist.channels) == start
-        dist.fail_locality(0, evacuate=True)
+        start, start_routes = remote_pairs(), routes()
+        step(rebuilds=1)
+        step(rebuilds=1)                          # steady: plan stays frozen
+        dist.fail_locality(0, evacuate=True)      # many blocks, one epoch
         went_local = start - remote_pairs()
         assert went_local
-        step()
+        assert start_routes - routes()            # the dead locality's routes
+        step(rebuilds=2)
         ips = sorted(dist.blocks)
         dist.apply_ownership({ip: 1 + i % 2 for i, ip in enumerate(ips)})
         assert went_local & remote_pairs()        # ... and back
-        step()
-        step()
+        step(rebuilds=3)
+        step(rebuilds=3)
         snap = reg.snapshot()
         assert snap["/distmesh/halo/sets"] == snap["/distmesh/halo/gets"] \
             == len(pairs) * 2 * dist.steps
@@ -265,9 +280,12 @@ class TestCounters:
         assert dist.transport.reconciles()
         st = dist.transport.stats
         # every halo went one way or the other, none both
-        plan_sends = len(dist._fill_plan.pairs)
+        pairs = dist._fill_plan.pairs
         stages = 2 * dist.steps
-        assert st.local_msgs + st.remote_msgs == plan_sends * stages
+        assert snap["/distmesh/halo/sets"] == len(pairs) * stages
+        assert st.local_bytes + st.remote_bytes == stages * sum(
+            nbytes for *_, nbytes in pairs)
+        assert st.remote_msgs == len(dist.channels) * stages
         # periodic wraps crossed localities and were charged one-sided
         assert st.onesided_msgs > 0
 
@@ -309,6 +327,48 @@ class TestCounters:
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
         assert dist.transport.reconciles()
+
+    def test_kill_while_a_route_payload_is_pending(self, rng):
+        """A stage dies between the sends and the flush: every route's
+        coalesced payload sits in the reorder buffer and every route's
+        receive is posted.  The rollback drops both, and the replay is
+        byte-identical."""
+        from repro.resilience.checkpoint import CheckpointManager
+        from repro.runtime.channel import ChannelReset
+
+        ref, dist = _pair(rng, reorder_seed=9)
+        manager = CheckpointManager(interval=1, registry=CounterRegistry())
+        ref.step()
+        dist.step()
+        manager.save(dist)
+        transport = dist.transport
+        flush, calls = transport.flush, []
+
+        def dying_flush():
+            calls.append(len(transport._pending))
+            raise RuntimeError("locality died mid-stage")
+
+        transport.flush = dying_flush
+        with pytest.raises(RuntimeError, match="mid-stage"):
+            dist.step()
+        transport.flush = flush
+        assert calls == [len(dist.channels)] and calls[0] > 0
+        posted = [ch.get(2 * dist.steps) for ch in dist.channels.values()]
+        manager.restore_latest(dist)   # on_restore: reset + discard_pending
+        assert transport._pending == []
+        for fut in posted:
+            with pytest.raises(ChannelReset):
+                fut.get(timeout=1.0)
+        for ch in dist.channels.values():
+            assert ch.pending_generations() == []
+            assert ch.buffered_generations() == []
+        for _ in range(2):
+            ref.step()
+            dist.step()
+        assert ref.steps == dist.steps == 3
+        np.testing.assert_array_equal(dist.gather_interior(),
+                                      ref.gather_interior())
+        assert transport.reconciles()
 
 
 class TestRaceDeclarations:

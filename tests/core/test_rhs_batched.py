@@ -202,6 +202,42 @@ def test_futurized_is_byte_identical_for_any_chunking(serial, agg_slots):
     np.testing.assert_array_equal(state, serial[1])
 
 
+def test_chunks_are_balanced():
+    """``ceil(n / slots)`` launches of near-equal size, in order: no
+    ragged tail (27 -> 14 + 13, not 16 + 11 or 8 + 8 + 8 + 3)."""
+    keys = list(range(27))
+    for slots, sizes in ((16, [14, 13]), (8, [7, 7, 7, 6]), (14, [14, 13]),
+                         (13, [9, 9, 9]), (27, [27]), (40, [27]),
+                         (1, [1] * 27)):
+        chunks = mesh_module._balanced_chunks(keys, slots)
+        assert [len(c) for c in chunks] == sizes
+        assert sum(chunks, []) == keys
+    assert mesh_module._balanced_chunks(list(range(8)), 16) == [
+        list(range(8))]
+
+
+def test_rhs_of_a_block_is_identical_under_any_chunking():
+    """``k[key]`` of one stage under 8-, 14- and 27-sized launches (and
+    the serial default) is the bitwise per-block result."""
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    mesh = BlockMesh(BPE, options=opts, bc="periodic")
+    mesh.load_interior(_random_interior(BPE * SUBGRID_N))
+    mesh._fill(mesh.blocks, 0)
+    alone = {ip: compute_rhs(blk, mesh.dx, opts, origin=tuple(
+        mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)))
+        for ip, blk in mesh.blocks.items()}
+    sizes = {}
+    for slots in (None, 8, 14, 27):
+        mesh.engine = slots and ExecutionEngine(agg_slots=slots,
+                                                registry=CounterRegistry())
+        k = mesh._rhs(mesh.blocks, None, 0)
+        sizes[slots] = [out.shape[1] for out in mesh._rhs_out[0]]
+        for ip in mesh.blocks:
+            np.testing.assert_array_equal(k[ip], alone[ip])
+    assert sizes == {None: [14, 13], 8: [7, 7, 7, 6], 14: [14, 13],
+                     27: [27]}
+
+
 def test_distributed_is_byte_identical(serial):
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
     dts, state = _run(DistBlockMesh(BPE, n_localities=3, port="mpi",
@@ -267,8 +303,10 @@ def test_fault_after_a_partial_write_is_overwritten_by_the_retry(
 #: bytes of hydro scratch one thread of a 27-sub-grid mesh may hold.  The
 #: ledger bounds ``peak_rss_mb`` at +10 % and the interpreter plus imports
 #: are ~83 MB of ``sedov_serial``'s ~111 MB, so the whole step has ~11 MB
-#: of headroom; 8-block batches hold ~5.3 MB, 16-block ones ~10.5 MB.
-WORKSPACE_BUDGET = 8 * 2 ** 20
+#: of headroom; the balanced 14-block batches of a 27-sub-grid mesh hold
+#: ~9.4 MB (measured: ``sedov_serial`` ``peak_rss_mb`` 117.1 -> 121.2,
+#: +3.5 %), a full 16-block one ~10.5 MB.
+WORKSPACE_BUDGET = 10 * 2 ** 20
 
 
 def test_workspace_stays_inside_the_memory_budget():
@@ -281,10 +319,10 @@ def test_workspace_stays_inside_the_memory_budget():
     mesh.step()
     assert mesh._ws.nbytes() < WORKSPACE_BUDGET
     # one buffer per role: the three sweep axes, the two stages and the
-    # 3-block last chunk (27 = 8 + 8 + 8 + 3) all reuse the allocations
-    # of the first full chunk
+    # 13-block second chunk (27 = 14 + 13) all reuse the allocations of
+    # the first chunk
     names = [name for name, _, _ in held]
     assert len(names) == len(set(names))
     assert {key: id(arr) for key, arr in mesh._ws._bufs().items()} == held
     # and per-stage outputs are per chunk, not per block
-    assert [out.shape[1] for out in mesh._rhs_out[0]] == [8, 8, 8, 3]
+    assert [out.shape[1] for out in mesh._rhs_out[0]] == [14, 13]
