@@ -90,12 +90,8 @@ _RATE_KEYS = ("/fmm/interactions/multipole", "/fmm/interactions/monopole")
 
 def build_mesh(bpe: int, engine: ExecutionEngine | None = None) -> BlockMesh:
     """A Lane-Emden star tiled into ``bpe**3`` sub-grids."""
-    star = equilibrium_star(n=bpe * SUBGRID_N, domain=4.0)
-    mesh = BlockMesh(bpe, domain=star.domain, origin=star.origin,
-                     options=star.options, bc=star.bc,
-                     engine=engine, self_gravity=True)
-    mesh.load_interior(star.interior.copy())
-    return mesh
+    return BlockMesh.retile(
+        equilibrium_star(n=bpe * SUBGRID_N, domain=4.0), engine=engine)
 
 
 def timed_step(mesh: BlockMesh) -> tuple[float, float]:
@@ -115,7 +111,7 @@ def summarize(mesh: BlockMesh, walls: list[float],
               interactions: list[float]) -> dict:
     """Best-step throughput summary for one variant."""
     best = min(walls)
-    zones = mesh.n ** 3
+    zones = mesh.shape[0] ** 3
     per_step = interactions[walls.index(best)]
     return {
         "seconds": best,
@@ -218,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         "/fmm/interactions/multipole", "/fmm/interactions/monopole")}
     report = {
         "config": {
-            "blocks_per_edge": bpe, "grid": fut_mesh.n,
+            "blocks_per_edge": bpe, "grid": fut_mesh.shape[0],
             "steps": steps, "warmup": args.warmup,
             "workers": args.workers, "streams": args.streams,
             "gpu_workers": args.gpu_workers, "agg_slots": args.agg_slots,
@@ -241,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
 
-    print(f"grid {fut_mesh.n}^3 ({bpe}^3 blocks), "
+    print(f"grid {fut_mesh.shape[0]}^3 ({bpe}^3 blocks), "
           f"best of {steps} paired steps:")
     print(f"  serial     {serial['seconds']:8.3f} s   "
           f"{serial['zone_updates_per_s']:12.0f} zones/s")

@@ -27,6 +27,10 @@ moves (computed from the plan, not measured).  ``dist_fill`` is the same
 stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
 localities, reorder seed on: ms per stage and parcelport messages per
 stage, which must equal the directed locality pairs that share a halo.
+``subgrid_tax`` is what cutting a box into 8^3 sub-grids costs: the same
+24^3 Sedov steps on ``BlockMesh(1, n=24)`` and on its ``retile`` into
+3^3 sub-grids, ms per step each and their ratio, both ending on the same
+state CRC.
 
 Used two ways:
 
@@ -47,6 +51,7 @@ import json
 import os
 import sys
 import time
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -66,7 +71,8 @@ from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
                                       kt_flux, kt_flux_reference)
 from repro.core.hydro.solver import (HydroOptions, compute_rhs,  # noqa: E402
                                      compute_rhs_reference)
-from repro.core.mesh import apply_boundary  # noqa: E402
+from repro.core.mesh import BlockMesh, apply_boundary  # noqa: E402
+from repro.core.scenario import sedov_blast  # noqa: E402
 from repro.core.workspace import Workspace  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
 
@@ -89,6 +95,9 @@ RHS_BATCHES = (1, 8, 13, 14, 27)
 HALO_BPE = 3
 #: localities of the ``dist_fill`` mesh (the ledger's distributed Sedov)
 DIST_LOCALITIES = 4
+#: cells per edge of the ``subgrid_tax`` Sedov box (the ledger's
+#: ``sedov_serial`` input)
+TAX_N = HALO_BPE * SUBGRID_N
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -239,6 +248,34 @@ def dist_fill_line(kernels: dict) -> str:
             f"({row['remote_bytes_per_stage']} bytes)")
 
 
+def _subgrid_tax_row(repeats: int) -> dict:
+    """The same ``repeats + 1`` steps (one warmup) of a ``TAX_N``^3 Sedov
+    blast as one block and as 8^3 sub-grids: best step each, their ratio,
+    and the CRC both must end on."""
+    one_block = sedov_blast(TAX_N)
+    # both built before either steps: the same initial state
+    meshes = {"one_block": one_block, "subgrids": BlockMesh.retile(one_block)}
+    row = {}
+    for name, mesh in meshes.items():
+        seconds = _time(mesh.step, repeats=repeats)
+        row[name] = {"seconds": seconds, "ms_per_step": 1e3 * seconds,
+                     "blocks": len(mesh.blocks),
+                     "crc": zlib.crc32(mesh.gather_interior())}
+    assert row["one_block"]["crc"] == row["subgrids"]["crc"], row
+    row["ratio"] = row["subgrids"]["seconds"] / row["one_block"]["seconds"]
+    return row
+
+
+def subgrid_tax_line(kernels: dict) -> str:
+    """The ``subgrid_tax`` row as a report line (ms per step)."""
+    row = kernels["subgrid_tax"]
+    return (f"  subgrid_tax        {row['subgrids']['ms_per_step']:8.2f} "
+            f"ms/step as {row['subgrids']['blocks']} sub-grids, "
+            f"{row['one_block']['ms_per_step']:.2f} as one {TAX_N}^3 block "
+            f"({row['ratio']:.2f}x, same CRC "
+            f"{row['one_block']['crc']:#010x})")
+
+
 def run_kernels_micro(repeats: int = 5) -> dict:
     """Time every kernel; return the ``kernels`` block for the report.
 
@@ -322,6 +359,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "rhs_batched": rhs_batched,
         "halo_fill": _halo_fill_row(repeats),
         "dist_fill": _dist_fill_row(repeats),
+        "subgrid_tax": _subgrid_tax_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -364,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(halo_fill_line(kernels))
     print(dist_fill_line(kernels))
+    print(subgrid_tax_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

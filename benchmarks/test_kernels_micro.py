@@ -29,7 +29,8 @@ from repro.core.mesh import apply_boundary
 from repro.core.workspace import Workspace
 
 sys.path.insert(0, os.path.dirname(__file__))
-from kernels_micro import RHS_BATCHES, _dist_fill_row  # noqa: E402
+from kernels_micro import (RHS_BATCHES, _dist_fill_row,  # noqa: E402
+                           _subgrid_tax_row)
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +146,12 @@ def test_dist_fill_sends_one_message_per_locality_pair():
     assert row["remote_bytes_per_stage"] == row["plan_remote_bytes"]
     # the two balanced launches of a 27-sub-grid mesh have rows
     assert {13, 14} <= set(RHS_BATCHES)
+
+
+def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():
+    """The sub-grid tax is a row: one 24^3 block and its 3^3 sub-grids
+    take the same Sedov steps to the same CRC (no timing gate)."""
+    row = _subgrid_tax_row(repeats=1)
+    assert row["one_block"]["blocks"] == 1 and row["subgrids"]["blocks"] == 27
+    assert row["one_block"]["crc"] == row["subgrids"]["crc"]
+    assert row["ratio"] > 0

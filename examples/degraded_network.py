@@ -13,7 +13,7 @@ Run:  python examples/degraded_network.py
 
 from repro.analysis import format_table
 from repro.network import PARCELPORTS
-from repro.resilience import NETWORK_RETRY_POLICY
+from repro.network.retry import NETWORK_RETRY_POLICY
 from repro.runtime import CounterRegistry
 from repro.simulator import PIZ_DAINT, StepModel
 from repro.simulator.scaling import cached_profile

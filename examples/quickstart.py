@@ -18,7 +18,7 @@ def main() -> None:
     mesh = equilibrium_star(n=16, domain=4.0, n_poly=1.5,
                             radius=1.0, mass=1.0)
     rho0 = mesh.interior[RHO].copy()
-    print(f"initial model: {mesh.n}^3 cells, "
+    print(f"initial model: {mesh.shape[0]}^3 cells, "
           f"central density {rho0.max():.3f}, "
           f"mass {mesh.conserved_totals()['mass']:.4f}")
 

@@ -5,12 +5,13 @@ Also home of the repo-specific static lint pass
 static prong of the sanitizer subsystem (:mod:`repro.sanitize`).
 """
 
-from .flops import (STENCIL_SIZE, CELLS_PER_SUBGRID, INTERACTIONS_PER_LAUNCH,
-                    FLOPS_PER_MONOPOLE_INTERACTION,
-                    FLOPS_PER_MULTIPOLE_INTERACTION,
-                    MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
-                    OTHER_FLOPS_PER_SUBGRID, KernelCounts,
-                    fmm_flops_per_solve)
+from ..simulator.flops import (STENCIL_SIZE, CELLS_PER_SUBGRID,
+                               INTERACTIONS_PER_LAUNCH,
+                               FLOPS_PER_MONOPOLE_INTERACTION,
+                               FLOPS_PER_MULTIPOLE_INTERACTION,
+                               MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
+                               OTHER_FLOPS_PER_SUBGRID, KernelCounts,
+                               fmm_flops_per_solve)
 from .efficiency import speedup, parallel_efficiency, weak_efficiency
 from .lint import RULES, Violation, lint_paths, lint_source
 from .profile import format_report, group_snapshot, run_example_scenario

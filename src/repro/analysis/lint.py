@@ -231,10 +231,6 @@ LAYERING_EXCEPTIONS = {
         "publish_counters() writes explorer tallies into the registry",
     ("sanitize/futuregraph.py", "runtime.scheduler"):
         "the blocked-worker check reads the scheduler's worker TLS",
-    ("simulator/nodelevel.py", "analysis.flops"):
-        "FLOP constants; the analysis.profile harness sits above simulator",
-    ("simulator/distributed.py", "analysis.flops"):
-        "FLOP constants; the analysis.profile harness sits above simulator",
 }
 
 #: scheduler entry points whose callable arguments become task bodies

@@ -4,7 +4,7 @@ from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, NPASSIVE,
                    LX, LY, LZ, NF, NGHOST, SUBGRID_N, FIELD_NAMES)
 from .eos import IdealGas, DEFAULT_GAMMA
 from .exec import ExecutionEngine
-from .mesh import Mesh, BlockMesh, apply_boundary, interior
+from .mesh import BlockMesh, apply_boundary, interior
 from .distmesh import DistBlockMesh, BlockComponent, slab_partition
 from .octree import Octree, OctreeNode, prolong, restrict
 from .amr import AmrMesh
@@ -24,7 +24,7 @@ __all__ = [
     "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0",
     "NPASSIVE", "LX", "LY", "LZ", "NF", "NGHOST", "SUBGRID_N",
     "FIELD_NAMES", "IdealGas", "DEFAULT_GAMMA",
-    "Mesh", "BlockMesh", "apply_boundary", "interior",
+    "BlockMesh", "apply_boundary", "interior",
     "DistBlockMesh", "BlockComponent", "slab_partition",
     "ExecutionEngine",
     "Octree", "OctreeNode", "prolong", "restrict", "AmrMesh",

@@ -20,7 +20,8 @@ The driver requires a 2:1 balanced tree (which :class:`Octree.refine`
 maintains).  Gravity on AMR trees is available through
 ``Octree.fmm_levels`` + :class:`~repro.core.gravity.fmm.FmmSolver`; the
 driver here is hydro-only (the coupled AMR+gravity production path in
-the paper is exercised at fixed resolution by :class:`~repro.core.mesh.Mesh`).
+the paper is exercised at fixed resolution by
+:class:`~repro.core.mesh.BlockMesh`).
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ class DistBlockMesh(BlockMesh):
         sorted block index; default :func:`slab_partition`.
     """
 
-    def __init__(self, blocks_per_edge: int, *, n_localities: int = 2,
+    def __init__(self, blocks, *, n_localities: int = 2,
                  agas: AgasRuntime | None = None,
                  transport: HaloTransport | None = None,
                  port: str = "libfabric",
@@ -146,7 +146,7 @@ class DistBlockMesh(BlockMesh):
                  partition: Callable[[int, int, int], int] | None = None,
                  registry: CounterRegistry | None = None,
                  **mesh_kwargs):
-        super().__init__(blocks_per_edge, **mesh_kwargs)
+        super().__init__(blocks, **mesh_kwargs)
         self.registry = registry or default_registry()
         if agas is None:
             if n_localities < 1:

@@ -476,7 +476,7 @@ class FmmSolver:
                 lv.com[slots] = lv.centers()[slots]
                 self._leaf_slots[lv.level] = slots
         # the interaction plan depends only on geometry: built on the
-        # first solve and walked by every one (Mesh re-solves gravity
+        # first solve and walked by every one (a mesh re-solves gravity
         # every hydro stage on a fixed grid) — see _build_plan
         self._plan: list | None = None
         self._dense: list[_DenseLeaf] = []

@@ -1,31 +1,29 @@
-"""Meshes: the driver layer that owns state, boundaries and gravity.
+"""The uniform mesh: the driver layer that owns state, boundaries and gravity.
 
-Two implementations with identical physics:
+One class, :class:`BlockMesh`: a box of cells cut into a lattice of equal
+ghosted blocks — the paper's octree leaves at a fixed level, one
+multi-sub-grid node.  Lattice and tile shape are constructor data:
+``BlockMesh(3)`` is 3^3 blocks of the paper's 8^3 sub-grid,
+``BlockMesh(1, n=(128, 8, 8))`` the Sod tube as one block, and any cut of
+the same box advances byte-identically (tested as a property), which is
+the paper's point that the runtime integration "does not change the
+physics".
 
-* :class:`Mesh` — one contiguous block.  This is the fast path for the
-  verification problems (Sod, Sedov-Taylor, star equilibria) and small
-  production runs; self-gravity comes from the FMM solver when the edge
-  is ``8 * 2^L`` cells.
+Ghost shells are filled by direct slab copies out of the neighbour
+blocks (one address space; only a halo that crosses a locality needs a
+channel, see :class:`repro.core.distmesh.DistBlockMesh`); batched hydro
+tasks and futurized FMM gravity dispatch through a
+:class:`repro.core.exec.ExecutionEngine` (work-stealing scheduler + GPU
+streams with CPU overflow) when one is supplied — the futurized
+execution style of Sec. 4.1/5.1/5.2.  The hydro right-hand side of one
+aggregation chunk of blocks (``agg_slots`` of them) is one batched
+``compute_rhs`` task, and the engine coalesces the FMM interaction
+batches into aggregated launches (:mod:`repro.runtime.aggregate`), so a
+step issues a handful of slot-buffer-sized kernels instead of hundreds
+of per-sub-grid ones.  Self-gravity comes from the FMM solver when the
+box is a cube of edge ``8 * 2^L`` cells.
 
-* :class:`BlockMesh` — the same domain tiled into 8^3 sub-grids (the
-  paper's octree leaves at a fixed level, one multi-sub-grid node) with
-  ghost shells filled by direct slab copies out of the neighbour blocks
-  (one address space; only a halo that crosses a locality needs a
-  channel, see :class:`repro.core.distmesh.DistBlockMesh`),
-  batched hydro tasks and futurized FMM gravity dispatched through
-  a :class:`repro.core.exec.ExecutionEngine` (work-stealing scheduler +
-  GPU streams with CPU overflow) — the futurized execution style of
-  Sec. 4.1/5.1/5.2.  The hydro right-hand side of one aggregation chunk
-  of sub-grids (``agg_slots`` of them) is one batched ``compute_rhs``
-  task, and the engine coalesces the FMM interaction batches into
-  aggregated launches (:mod:`repro.runtime.aggregate`), so a step issues
-  a handful of slot-buffer-sized kernels instead of hundreds of
-  per-sub-grid ones.  Its
-  results match :class:`Mesh` bit-for-bit given the same inputs
-  (tested), demonstrating that the runtime integration "does not change
-  the physics".
-
-Both — and :class:`repro.core.amr.AmrMesh` — advance through the one
+The mesh — and :class:`repro.core.amr.AmrMesh` — advances through the one
 stepping core, :func:`rk2_step`; a mesh injects only its ghost fill, its
 right-hand-side evaluation and, optionally, a :class:`GravityCoupling`.
 
@@ -55,8 +53,9 @@ from .gravity.fmm import FmmSolver
 from .hydro.solver import HydroOptions, apply_floors, cfl_dt, compute_rhs
 from .workspace import Workspace
 
-__all__ = ["Mesh", "BlockMesh", "GravityCoupling", "apply_boundary",
-           "fill_wall", "interior", "min_cfl_dt", "rk2_step"]
+__all__ = ["BlockMesh", "GravityCoupling", "apply_boundary",
+           "fill_wall", "interior", "min_cfl_dt", "rk2_step",
+           "subgrid_lattice"]
 
 
 def interior(U: np.ndarray) -> np.ndarray:
@@ -100,8 +99,8 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
     """Fill the ghost slab of the low (``side`` -1) or high (+1) domain
     face along ``axis``.  The slab spans the full transverse extent, ghosts
     included, so sweeping the axes in order also fills edges and corners.
-    ``periodic`` wraps the block onto itself (single-block meshes only;
-    tiled meshes wrap through their neighbour blocks)."""
+    ``periodic`` wraps the block onto itself (a :class:`BlockMesh` wraps
+    through its fill plan's copies instead)."""
     g = NGHOST
     n = U.shape[1 + axis] - 2 * g
 
@@ -121,15 +120,15 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
         U[ghost] = U[edge]
     elif bc == "periodic":
         U[ghost] = U[wrap]
-    else:  # reflect
+    elif bc == "reflect":
         U[ghost] = np.flip(U[mirror], 1 + axis)
         U[(SX + axis,) + ghost[1:]] *= -1.0
+    else:
+        raise ValueError(f"unknown boundary condition {bc!r}")
 
 
 def apply_boundary(U: np.ndarray, bc: str) -> None:
     """Fill the ghost shell of a block according to ``bc``."""
-    if bc not in _BCS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
     for axis in range(3):
         for side in (-1, 1):
             fill_wall(U, axis, side, bc)
@@ -140,11 +139,11 @@ def apply_boundary(U: np.ndarray, bc: str) -> None:
 class GravityCoupling:
     """The FMM side of a self-gravitating uniform mesh: the shared
     :class:`FmmSolver` (built once, interaction plan built on the first
-    solve), the contiguous ``(n, n, n)`` density staging buffer it wants,
+    solve), the contiguous ``mesh.shape`` density staging buffer it wants,
     and the end-of-step cache — the closing solve of step N, keyed by the
     density it was solved for, serves the first stage of step N+1
     (bit-identical to a fresh solve: same solver, same plan, same
-    input).  ``mesh`` supplies ``n``, ``dx`` and ``engine``
+    input).  ``mesh`` supplies ``shape``, ``dx`` and ``engine``
     (read at every solve: harnesses swap it)."""
 
     def __init__(self, mesh) -> None:
@@ -158,12 +157,9 @@ class GravityCoupling:
     def _density(self, blocks: dict) -> np.ndarray:
         """Gather block-interior densities into the staging buffer."""
         if self._rho is None:
-            self._rho = np.empty((self._mesh.n,) * 3)
-        for (i, j, k), blk in blocks.items():
-            rho = interior(blk)[RHO]
-            a, b, c = rho.shape
-            self._rho[i * a:(i + 1) * a, j * b:(j + 1) * b,
-                      k * c:(k + 1) * c] = rho
+            self._rho = np.empty(self._mesh.shape)
+        for ip, blk in blocks.items():
+            self._rho[self._mesh._window(ip)[1:]] = interior(blk)[RHO]
         return self._rho
 
     def _solve(self, rho: np.ndarray) -> np.ndarray:
@@ -282,191 +278,6 @@ def _balanced_chunks(keys: list, slots: int) -> list[list]:
     return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-class _UniformMesh:
-    """What :class:`Mesh` and :class:`BlockMesh` share: lattice-keyed
-    blocks of one cell width ``dx`` stepped by :func:`rk2_step`, with an
-    optional :class:`GravityCoupling`."""
-
-    def _init_stepping(self, blocks: dict, self_gravity: bool) -> None:
-        #: ``{lattice index: ghosted block}``; the interiors are the
-        #: evolution state (what checkpoints store and guards scan)
-        self.blocks: dict[tuple[int, int, int], np.ndarray] = blocks
-        self.time = 0.0
-        self.steps = 0
-        self.self_gravity = self_gravity
-        self._gravity = GravityCoupling(self) if self_gravity else None
-        # predictor copies of every block, per-stage RHS outputs of every
-        # chunk and the kernel scratch, all reused across steps (the
-        # workspace is thread-local inside, so futurized RHS tasks never
-        # alias)
-        self._stage: dict = {}
-        self._rhs_out: dict[int, list[np.ndarray]] = {}
-        self._ws = Workspace()
-
-    @property
-    def phi(self) -> np.ndarray | None:
-        """Potential of the last gravity solve (``None`` before one)."""
-        return self._gravity.phi if self._gravity is not None else None
-
-    def solve_gravity(self) -> np.ndarray:
-        """FMM solve of the current density (futurized through
-        ``self.engine`` when set); returns acceleration (3, n, n, n) and
-        stores ``phi``."""
-        if self._gravity is None:
-            raise RuntimeError(
-                f"{type(self).__name__} built without self_gravity")
-        return self._gravity.solve(self.blocks)
-
-    def compute_dt(self) -> float:
-        """CFL reduction over all blocks."""
-        return min_cfl_dt(((blk, self.dx) for blk in self.blocks.values()),
-                          self.options, ws=self._ws)
-
-    def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int,
-             engine=None) -> dict:
-        """Batched :func:`compute_rhs`: the blocks are cut into balanced
-        chunks of at most ``engine.agg_slots`` (the engine default,
-        :data:`DEFAULT_AGG_SLOTS`, without an engine) and every chunk is
-        one call — run in turn on the calling thread, or
-        each posted as one engine task, so an aggregation chunk of
-        sub-grids is literally one kernel over its slots.  ``k[key]`` are
-        views of the per-chunk ``(NF, b, n, n, n)`` outputs; the two
-        stages' outputs must coexist, so each stage owns its own,
-        allocated once (again if the chunking changes)."""
-        keys = list(blocks)
-        chunks = _balanced_chunks(
-            keys, engine.agg_slots if engine is not None
-            else DEFAULT_AGG_SLOTS)
-        shape = interior(blocks[keys[0]]).shape[1:]
-        outs = self._rhs_out.get(stage)
-        if outs is None or [o.shape[1] for o in outs] != [
-                len(chunk) for chunk in chunks]:
-            outs = self._rhs_out[stage] = [
-                np.empty((NF, len(chunk)) + shape) for chunk in chunks]
-        calls = []
-        for chunk, out in zip(chunks, outs):
-            los = [[ip[d] * shape[d] for d in range(3)] for ip in chunk]
-            origins = [tuple(self.origin[d] + lo[d] * self.dx
-                             for d in range(3)) for lo in los]
-            chunk_acc = None if acc is None else [
-                acc[:, lo[0]:lo[0] + shape[0], lo[1]:lo[1] + shape[1],
-                    lo[2]:lo[2] + shape[2]] for lo in los]
-            calls.append(([blocks[ip] for ip in chunk], self.dx,
-                          self.options, origins, chunk_acc, False, out,
-                          self._ws))
-        if engine is None:
-            for args in calls:
-                compute_rhs(*args)
-        else:
-            # RHS chunks stay on CPU workers (use_device=False); a chunk
-            # fully overwrites its output, so a supervised retry of one
-            # is idempotent
-            for fut in [engine.submit(compute_rhs, *args, use_device=False)
-                        for args in calls]:
-                fut.get()
-        return {ip: out[:, b] for chunk, out in zip(chunks, outs)
-                for b, ip in enumerate(chunk)}
-
-    def on_restore(self) -> None:
-        """Rollback hook of
-        :class:`repro.resilience.checkpoint.CheckpointManager`: the gravity
-        cache holds post-fault state."""
-        if self._gravity is not None:
-            self._gravity.reset()
-
-
-class Mesh(_UniformMesh):
-    """A single uniform block with optional FMM self-gravity.
-
-    Parameters
-    ----------
-    n:
-        Cells per edge.
-    domain:
-        Physical edge length (cube); the lower corner sits at ``origin``.
-    bc:
-        Boundary condition name applied on all six faces.
-    self_gravity:
-        Solve gravity with the FMM each step (requires ``n = 8 * 2^L``).
-    engine:
-        Optional :class:`repro.core.exec.ExecutionEngine`; gravity
-        solves then dispatch their interaction batches through it
-        (futurized, bit-identical to serial).
-    """
-
-    def __init__(self, n: int | tuple[int, int, int], domain: float = 1.0,
-                 origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                 options: HydroOptions | None = None, bc: str = "outflow",
-                 self_gravity: bool = False, engine=None):
-        if bc not in _BCS:
-            raise ValueError(f"unknown boundary condition {bc!r}")
-        self.shape = (n, n, n) if isinstance(n, int) else tuple(n)
-        self.n = self.shape[0]
-        self.domain = float(domain)
-        self.origin = tuple(float(c) for c in origin)
-        self.dx = self.domain / self.shape[0]
-        self.options = options or HydroOptions(eos=IdealGas())
-        self.bc = bc
-        self.engine = engine
-        if self_gravity and len(set(self.shape)) != 1:
-            raise ValueError("self-gravity requires a cubic mesh")
-        dims = tuple(s + 2 * NGHOST for s in self.shape)
-        self.U = np.zeros((NF,) + dims)
-        # the single block speaks the same ``blocks`` protocol as a tiling
-        self._init_stepping({(0, 0, 0): self.U}, self_gravity)
-
-    # -- geometry / views --------------------------------------------------------
-
-    @property
-    def interior(self) -> np.ndarray:
-        return interior(self.U)
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ax = [self.origin[d] + (np.arange(self.shape[d]) + 0.5) * self.dx
-              for d in range(3)]
-        return (ax[0][:, None, None], ax[1][None, :, None],
-                ax[2][None, None, :])
-
-    # -- state setup --------------------------------------------------------------
-
-    def load_primitives(self, rho, vx, vy, vz, p) -> None:
-        """Initialize conserved state from primitive fields (broadcastable)."""
-        eos = self.options.eos
-        I = self.interior
-        shape = I.shape[1:]
-        rho = np.broadcast_to(np.asarray(rho, float), shape)
-        I[RHO] = rho
-        for d, v in enumerate((vx, vy, vz)):
-            I[SX + d] = rho * np.broadcast_to(np.asarray(v, float), shape)
-        p = np.broadcast_to(np.asarray(p, float), shape)
-        eint = p / (eos.gamma - 1.0)
-        kin = 0.5 * (I[SX] ** 2 + I[SX + 1] ** 2 + I[SX + 2] ** 2) \
-            / np.maximum(rho, self.options.rho_floor)
-        I[EGAS] = eint + kin
-        I[TAU] = eos.tau_from_eint(eint)
-
-    # -- stepping ----------------------------------------------------------------------
-
-    def _fill(self, blocks: dict, stage: int) -> None:
-        for U in blocks.values():
-            apply_boundary(U, self.bc)
-
-    def fill_ghosts(self) -> None:
-        self._fill(self.blocks, 0)
-
-    def step(self, dt: float | None = None) -> float:
-        """One SSP-RK2 step; returns the dt used."""
-        return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
-                        self._gravity)
-
-    # -- diagnostics ------------------------------------------------------------
-
-    def conserved_totals(self) -> dict[str, float | np.ndarray]:
-        """Mass, momentum, gas energy, total angular momentum (+spin)."""
-        return _conserved_totals(self.interior, self.dx, self.origin,
-                                 self.phi)
-
-
 class _FillPlan(NamedTuple):
     """The frozen ghost fill of a :class:`BlockMesh`.  ``pairs`` and
     ``wraps`` hold ``(dst block, ghost slab, src block, interior-layer
@@ -479,76 +290,187 @@ class _FillPlan(NamedTuple):
     walls: tuple
 
 
-class BlockMesh(_UniformMesh):
-    """The same physics tiled into 8^3 sub-grids with direct-copy halos.
+def _per_axis(name: str, value, least: int) -> tuple[int, int, int]:
+    """``value`` — an int or three of them — as a per-axis tuple of ints
+    of at least ``least``."""
+    axes = tuple(value) if isinstance(value, (tuple, list)) else (value,) * 3
+    if len(axes) != 3 or not all(
+            isinstance(v, (int, np.integer)) and v >= least for v in axes):
+        raise ValueError(f"{name} must be an int >= {least} or three of "
+                         f"them, got {value!r}")
+    return tuple(int(v) for v in axes)
 
-    Each sub-grid is an HPX-component-like unit: per step and per stage
-    its ghost shell is filled from the interior layers of its 26
-    neighbours — read straight out of their memory, since every block of
-    a node-level mesh shares one address space — and its RHS is evaluated
-    together with the rest of its aggregation chunk in one batched task
-    on a work-stealing scheduler when one is supplied — the paper's
-    futurized execution (Sec. 4.1) at the granularity of its work
-    aggregation.  Physics is identical to :class:`Mesh`.
 
-    With ``self_gravity=True`` (requires ``blocks_per_edge`` a power of
-    two) one FMM solver is shared across all blocks: it is built once
-    from the block geometry, its interaction plan is built on the
-    first solve, and every stage re-sets only the leaf densities from the
-    gathered block interiors.  Supplying a ``scheduler`` and/or
-    ``device`` (wrapped into an :class:`repro.core.exec.ExecutionEngine`,
-    or pass ``engine`` directly) futurizes both the batched hydro RHS
-    tasks and the FMM interaction batches — with a device, gravity
-    kernels go to GPU streams and overflow to CPU workers under the
-    paper's launch policy.  Serial and futurized runs are bit-identical.
+def subgrid_lattice(shape: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Blocks per axis of a ``shape``-cell box cut into ``SUBGRID_N``
+    cubes — what :meth:`BlockMesh.retile` builds."""
+    if any(s % SUBGRID_N for s in shape):
+        raise ValueError(f"mesh shape {tuple(shape)} is not a multiple of "
+                         f"the sub-grid edge {SUBGRID_N}")
+    return tuple(s // SUBGRID_N for s in shape)
+
+
+class BlockMesh:
+    """A uniform box of ``blocks`` x ``n`` cells: a lattice of equal
+    ghosted blocks with direct-copy halos, stepped by :func:`rk2_step`.
+
+    Parameters
+    ----------
+    blocks:
+        Blocks per edge, or per axis as a 3-tuple.
+    n:
+        Cells per block edge (at least the ghost width), or per axis;
+        the paper's sub-grid is the default ``SUBGRID_N`` cube.
+    domain:
+        Physical length of the x edge (cells are cubes of
+        ``dx = domain / (blocks[0] * n[0])``); the lower corner sits at
+        ``origin``.
+    bc:
+        Boundary condition name applied on all six faces.
+    engine:
+        Optional :class:`repro.core.exec.ExecutionEngine` (work-stealing
+        scheduler + GPU streams with CPU overflow): the batched hydro RHS
+        tasks and the FMM interaction batches then dispatch through it —
+        futurized, bit-identical to serial.
+    self_gravity:
+        Solve gravity with the FMM each step (a cube of edge ``8 * 2^L``
+        cells): one solver shared by all blocks, built on the first solve
+        from the gathered interior densities.
+
+    Each block is an HPX-component-like unit: per step and per stage its
+    ghost shell is filled from the interior layers of its 26 neighbours —
+    read straight out of their memory, since every block of a node-level
+    mesh shares one address space — and its RHS is evaluated together
+    with the rest of its aggregation chunk in one batched task: the
+    paper's futurized execution (Sec. 4.1) at the granularity of its work
+    aggregation.  The tiling is data, not physics: any ``blocks`` x ``n``
+    cut of the same box advances byte-identically (tested).
     """
 
-    def __init__(self, blocks_per_edge: int, domain: float = 1.0,
+    def __init__(self, blocks: int | tuple[int, int, int],
+                 n: int | tuple[int, int, int] = SUBGRID_N,
+                 domain: float = 1.0,
                  origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  options: HydroOptions | None = None, bc: str = "outflow",
-                 scheduler=None, device=None, engine=None,
-                 self_gravity: bool = False):
-        self.bpe = blocks_per_edge
-        self.nsub = SUBGRID_N
-        self.n = blocks_per_edge * SUBGRID_N
+                 engine=None, self_gravity: bool = False):
+        #: blocks per axis, cells per block per axis, cells per axis
+        self.lattice = _per_axis("blocks", blocks, 1)
+        # a block shows NGHOST interior layers to each neighbour (or wall)
+        self.tile = _per_axis("n", n, NGHOST)
+        self.shape = tuple(b * s for b, s in zip(self.lattice, self.tile))
+        if bc not in _BCS:
+            raise ValueError(f"bc must be one of {_BCS}, got {bc!r}")
+        if not domain > 0:
+            raise ValueError(f"domain must be positive, got {domain}")
+        leaves, odd = divmod(self.shape[0], SUBGRID_N)
+        if self_gravity and (len(set(self.shape)) != 1 or odd
+                             or leaves & (leaves - 1)):
+            raise ValueError(
+                f"self_gravity needs a cube of edge {SUBGRID_N} * 2^L cells "
+                f"(the FMM level hierarchy must reach a single root "
+                f"sub-grid), got {self.shape}")
         self.domain = float(domain)
         self.origin = tuple(float(c) for c in origin)
-        self.dx = self.domain / self.n
+        self.dx = self.domain / self.shape[0]
         self.options = options or HydroOptions(eos=IdealGas())
         self.bc = bc
-        if engine is None and (scheduler is not None or device is not None):
-            from .exec import ExecutionEngine
-            engine = ExecutionEngine(scheduler=scheduler, device=device)
         self.engine = engine
-        self.scheduler = scheduler if scheduler is not None else (
-            engine.scheduler if engine is not None else None)
-        if self_gravity and (blocks_per_edge & (blocks_per_edge - 1)):
-            raise ValueError(
-                "self-gravity needs blocks_per_edge = 2^k (the FMM level "
-                "hierarchy must reach a single root sub-grid)")
-        m = self.nsub + 2 * NGHOST
-        self._init_stepping(
-            {ip: np.zeros((NF, m, m, m))
-             for ip in np.ndindex(self.bpe, self.bpe, self.bpe)},
-            self_gravity)
+        dims = tuple(s + 2 * NGHOST for s in self.tile)
+        #: ``{lattice index: ghosted block}``; the interiors are the
+        #: evolution state (what checkpoints store and guards scan)
+        self.blocks: dict[tuple[int, int, int], np.ndarray] = {
+            ip: np.zeros((NF,) + dims) for ip in np.ndindex(*self.lattice)}
+        self.time = 0.0
+        self.steps = 0
+        self.self_gravity = self_gravity
+        self._gravity = GravityCoupling(self) if self_gravity else None
+        # predictor copies of every block, per-stage RHS outputs of every
+        # chunk and the kernel scratch, all reused across steps (the
+        # workspace is thread-local inside, so futurized RHS tasks never
+        # alias)
+        self._stage: dict = {}
+        self._rhs_out: dict[int, list[np.ndarray]] = {}
+        self._ws = Workspace()
         self._fill_plan = self._build_fill_plan()
 
-    # -- state interchange with a flat array ------------------------------------
+    @classmethod
+    def retile(cls, src: "BlockMesh", **kwargs) -> "BlockMesh":
+        """``src`` — geometry, options, boundaries, gravity and state —
+        cut into ``SUBGRID_N`` cubes; ``kwargs`` are the constructor's
+        remaining arguments (``engine``, a subclass's own)."""
+        mesh = cls(subgrid_lattice(src.shape), domain=src.domain,
+                   origin=src.origin, options=src.options, bc=src.bc,
+                   self_gravity=src.self_gravity, **kwargs)
+        mesh.load_interior(src.gather_interior())
+        return mesh
+
+    # -- geometry and state as one flat array -----------------------------------
+
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ax = [self.origin[d] + (np.arange(self.shape[d]) + 0.5) * self.dx
+              for d in range(3)]
+        return (ax[0][:, None, None], ax[1][None, :, None],
+                ax[2][None, None, :])
+
+    def _window(self, ip: tuple[int, int, int]) -> tuple:
+        """Where block ``ip`` sits in a ``(fields, *shape)`` array."""
+        return (slice(None),) + tuple(
+            slice(i * s, (i + 1) * s) for i, s in zip(ip, self.tile))
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Writable ``(NF, *shape)`` view of a one-block mesh's state; a
+        tiled mesh has :meth:`gather_interior` / :meth:`load_interior`."""
+        if len(self.blocks) != 1:
+            raise AttributeError(
+                f"a {self.lattice} tiling has no contiguous interior: use "
+                f"gather_interior() / load_interior()")
+        return interior(self.blocks[0, 0, 0])
 
     def load_interior(self, full: np.ndarray) -> None:
-        """Scatter a (NF, n, n, n) interior into the sub-grid blocks."""
-        s = self.nsub
-        for (i, j, k), blk in self.blocks.items():
-            interior(blk)[...] = full[:, i * s:(i + 1) * s,
-                                      j * s:(j + 1) * s, k * s:(k + 1) * s]
+        """Scatter a ``(NF, *shape)`` interior into the blocks."""
+        for ip, blk in self.blocks.items():
+            interior(blk)[...] = full[self._window(ip)]
 
     def gather_interior(self) -> np.ndarray:
-        s = self.nsub
-        full = np.zeros((NF, self.n, self.n, self.n))
-        for (i, j, k), blk in self.blocks.items():
-            full[:, i * s:(i + 1) * s, j * s:(j + 1) * s,
-                 k * s:(k + 1) * s] = interior(blk)
+        full = np.zeros((NF,) + self.shape)
+        for ip, blk in self.blocks.items():
+            full[self._window(ip)] = interior(blk)
         return full
+
+    def load_primitives(self, rho, vx, vy, vz, p) -> None:
+        """Initialize conserved state from primitive fields (broadcastable
+        to ``shape``); the other fields keep what they hold."""
+        eos = self.options.eos
+        I = self.gather_interior()
+        rho = np.broadcast_to(np.asarray(rho, float), self.shape)
+        I[RHO] = rho
+        for d, v in enumerate((vx, vy, vz)):
+            I[SX + d] = rho * np.broadcast_to(np.asarray(v, float),
+                                              self.shape)
+        p = np.broadcast_to(np.asarray(p, float), self.shape)
+        eint = p / (eos.gamma - 1.0)
+        kin = 0.5 * (I[SX] ** 2 + I[SX + 1] ** 2 + I[SX + 2] ** 2) \
+            / np.maximum(rho, self.options.rho_floor)
+        I[EGAS] = eint + kin
+        I[TAU] = eos.tau_from_eint(eint)
+        self.load_interior(I)
+
+    # -- gravity ------------------------------------------------------------------
+
+    @property
+    def phi(self) -> np.ndarray | None:
+        """Potential of the last gravity solve (``None`` before one)."""
+        return self._gravity.phi if self._gravity is not None else None
+
+    def solve_gravity(self) -> np.ndarray:
+        """FMM solve of the current density (futurized through
+        ``self.engine`` when set); returns acceleration ``(3, *shape)``
+        and stores ``phi``."""
+        if self._gravity is None:
+            raise RuntimeError(
+                f"{type(self).__name__} built without self_gravity")
+        return self._gravity.solve(self.blocks)
 
     # -- ghost fill by direct slab copy ------------------------------------------
 
@@ -557,23 +479,28 @@ class BlockMesh(_UniformMesh):
         is derived once: one copy entry per (block, offset) of the 26
         directions — a neighbour ``pair`` when the source is inside the
         lattice, a periodic ``wrap`` (source wrapped coordinate-wise:
-        faces, edges *and* corners) when it is not — and, for the other
-        boundary conditions, one wall entry per block face on the domain
-        boundary.  Pairs are listed source-major, the order a sender
-        publishes in; wraps and walls destination-major."""
-        g, s = NGHOST, self.nsub
+        faces, edges *and* corners; a one-block mesh wraps onto itself)
+        when it is not — and, for the other boundary conditions, one wall
+        entry per block face on the domain boundary.  Pairs are listed
+        source-major, the order a sender publishes in; wraps and walls
+        destination-major."""
+        g = NGHOST
         offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
                    if o != (0, 0, 0)]
 
-        def slabs(low, middle, high):
+        def slabs(pick):
+            """``{offset: slab}``; ``pick(s)`` gives the low / middle /
+            high slices along an axis whose tile edge is ``s``."""
+            axes = [pick(s) for s in self.tile]
             return {off: (slice(None),) + tuple(
-                (low, middle, high)[o + 1] for o in off) for off in offsets}
+                axes[d][o + 1] for d, o in enumerate(off)) for off in offsets}
 
         # the interior layer a block shows its neighbour at ``off`` and
         # the ghost slab that receives what the neighbour at ``off`` shows
-        layer = slabs(slice(g, 2 * g), slice(g, g + s), slice(s, g + s))
-        ghost = slabs(slice(0, g), slice(g, g + s),
-                      slice(g + s, 2 * g + s))
+        layer = slabs(lambda s: (slice(g, 2 * g), slice(g, g + s),
+                                 slice(s, g + s)))
+        ghost = slabs(lambda s: (slice(0, g), slice(g, g + s),
+                                 slice(g + s, 2 * g + s)))
         nbytes = {off: self.blocks[0, 0, 0][layer[off]].nbytes
                   for off in offsets}
         pairs, wraps, walls = [], [], []
@@ -585,13 +512,13 @@ class BlockMesh(_UniformMesh):
                     pairs.append((nb, ghost[mirror], ip, layer[off],
                                   nbytes[off]))
                 elif self.bc == "periodic":
-                    src = tuple(c % self.bpe for c in nb)
+                    src = tuple(c % b for c, b in zip(nb, self.lattice))
                     wraps.append((ip, ghost[off], src, layer[mirror],
                                   nbytes[off]))
             if self.bc != "periodic":
                 walls.extend((ip, axis, side) for axis in range(3)
                              for side in (-1, 1)
-                             if not 0 <= ip[axis] + side < self.bpe)
+                             if not 0 <= ip[axis] + side < self.lattice[axis])
         return _FillPlan(tuple(pairs), tuple(wraps), tuple(walls))
 
     @staticmethod
@@ -624,18 +551,68 @@ class BlockMesh(_UniformMesh):
 
     # -- stepping ------------------------------------------------------------------
 
+    def compute_dt(self) -> float:
+        """CFL reduction over all blocks."""
+        return min_cfl_dt(((blk, self.dx) for blk in self.blocks.values()),
+                          self.options, ws=self._ws)
+
     def _fill(self, blocks: dict, stage: int) -> None:
         # one halo generation per RK stage of every step
         self._halo_exchange(blocks, 2 * self.steps + stage)
 
-    def _rhs(self, blocks: dict, acc, stage: int) -> dict:
-        return super()._rhs(blocks, acc, stage, self.engine)
+    def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int) -> dict:
+        """Batched :func:`compute_rhs`: the blocks are cut into balanced
+        chunks of at most ``engine.agg_slots`` (the engine default,
+        :data:`DEFAULT_AGG_SLOTS`, without an engine) and every chunk is
+        one call — run in turn on the calling thread, or
+        each posted as one engine task, so an aggregation chunk of
+        sub-grids is literally one kernel over its slots.  ``k[key]`` are
+        views of the per-chunk ``(NF, b, *tile)`` outputs; the two
+        stages' outputs must coexist, so each stage owns its own,
+        allocated once (again if the chunking changes)."""
+        engine = self.engine
+        chunks = _balanced_chunks(
+            list(blocks), engine.agg_slots if engine is not None
+            else DEFAULT_AGG_SLOTS)
+        outs = self._rhs_out.get(stage)
+        if outs is None or [o.shape[1] for o in outs] != [
+                len(chunk) for chunk in chunks]:
+            outs = self._rhs_out[stage] = [
+                np.empty((NF, len(chunk)) + self.tile) for chunk in chunks]
+        calls = []
+        for chunk, out in zip(chunks, outs):
+            origins = [tuple(o + (i * s) * self.dx for o, i, s in
+                             zip(self.origin, ip, self.tile)) for ip in chunk]
+            chunk_acc = None if acc is None else [
+                acc[self._window(ip)] for ip in chunk]
+            calls.append(([blocks[ip] for ip in chunk], self.dx,
+                          self.options, origins, chunk_acc, False, out,
+                          self._ws))
+        if engine is None:
+            for args in calls:
+                compute_rhs(*args)
+        else:
+            # RHS chunks stay on CPU workers (use_device=False); a chunk
+            # fully overwrites its output, so a supervised retry of one
+            # is idempotent
+            for fut in [engine.submit(compute_rhs, *args, use_device=False)
+                        for args in calls]:
+                fut.get()
+        return {ip: out[:, b] for chunk, out in zip(chunks, outs)
+                for b, ip in enumerate(chunk)}
 
     def step(self, dt: float | None = None) -> float:
-        """One SSP-RK2 step across all sub-grids (futurized when a
-        scheduler/engine is present); returns the dt used."""
+        """One SSP-RK2 step across all blocks (futurized when an engine
+        is present); returns the dt used."""
         return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
                         self._gravity)
+
+    def on_restore(self) -> None:
+        """Rollback hook of
+        :class:`repro.resilience.checkpoint.CheckpointManager`: the gravity
+        cache holds post-fault state."""
+        if self._gravity is not None:
+            self._gravity.reset()
 
     # -- diagnostics ------------------------------------------------------------
 

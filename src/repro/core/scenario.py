@@ -21,7 +21,7 @@ import numpy as np
 from .eos import IdealGas
 from .grid import EGAS, LX, PASSIVE0, RHO, SX, TAU
 from .hydro.solver import HydroOptions
-from .mesh import Mesh
+from .mesh import BlockMesh
 from .scf.lane_emden import Polytrope
 from .scf.scf import scf_binary
 
@@ -42,11 +42,11 @@ def _require_positive(**values: float) -> None:
 
 
 def sod_tube(n: tuple[int, int, int] = (128, 8, 8), gamma: float = 1.4
-             ) -> Mesh:
+             ) -> BlockMesh:
     """The Sod tube along x on a thin box; analytic solution in
     :mod:`repro.validation.sod`."""
     opts = HydroOptions(eos=IdealGas(gamma=gamma))
-    mesh = Mesh(n=n, domain=1.0, options=opts, bc="outflow")
+    mesh = BlockMesh(1, n=n, domain=1.0, options=opts, bc="outflow")
     x, y, z = mesh.cell_centers()
     left = x < 0.5
     rho = np.where(left, 1.0, 0.125) + 0.0 * y + 0.0 * z
@@ -59,11 +59,12 @@ def sod_tube(n: tuple[int, int, int] = (128, 8, 8), gamma: float = 1.4
 
 
 def sedov_blast(n: int = 32, gamma: float = 1.4, E: float = 1.0,
-                rho0: float = 1.0, r_init: float | None = None) -> Mesh:
+                rho0: float = 1.0, r_init: float | None = None
+                ) -> BlockMesh:
     """Sedov-Taylor blast: energy E deposited in a small central sphere."""
     _require_positive(n=n)
     opts = HydroOptions(eos=IdealGas(gamma=gamma))
-    mesh = Mesh(n=n, domain=1.0, options=opts, bc="outflow")
+    mesh = BlockMesh(1, n=n, domain=1.0, options=opts, bc="outflow")
     x, y, z = mesh.cell_centers()
     r = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2)
     p_ambient = 1e-6
@@ -83,7 +84,7 @@ def sedov_blast(n: int = 32, gamma: float = 1.4, E: float = 1.0,
 def equilibrium_star(n: int = 32, domain: float = 4.0, n_poly: float = 1.5,
                      radius: float = 1.0, mass: float = 1.0,
                      velocity: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                     rho_floor: float = 1e-10) -> Mesh:
+                     rho_floor: float = 1e-10) -> BlockMesh:
     """A Lane-Emden polytrope in equilibrium, optionally in motion.
 
     Verification tests 3/4 of Sec. 4.2: the structure should persist.
@@ -92,8 +93,8 @@ def equilibrium_star(n: int = 32, domain: float = 4.0, n_poly: float = 1.5,
     _require_positive(n=n, domain=domain)
     gamma = 1.0 + 1.0 / n_poly
     opts = HydroOptions(eos=IdealGas(gamma=gamma), rho_floor=rho_floor)
-    mesh = Mesh(n=n, domain=domain, origin=(-domain / 2,) * 3,
-                options=opts, bc="outflow", self_gravity=True)
+    mesh = BlockMesh(1, n=n, domain=domain, origin=(-domain / 2,) * 3,
+                     options=opts, bc="outflow", self_gravity=True)
     x, y, z = mesh.cell_centers()
     r = np.sqrt(x * x + y * y + z * z)
     star = Polytrope(n=n_poly, radius=radius, mass=mass)
@@ -107,7 +108,8 @@ def equilibrium_star(n: int = 32, domain: float = 4.0, n_poly: float = 1.5,
 
 def v1309_binary(M: int = 32, mass_ratio: float = V1309_MASS_RATIO,
                  separation: float = 3.0, domain_factor: float = 8.0 / 3.0,
-                 rho_floor: float = 1e-8, scf_iters: int = 40) -> Mesh:
+                 rho_floor: float = 1e-8, scf_iters: int = 40
+                 ) -> BlockMesh:
     """Scaled-down V1309 contact-binary model, SCF-initialized.
 
     The mesh rotates with the binary (``options.omega`` is set to the SCF
@@ -125,8 +127,8 @@ def v1309_binary(M: int = 32, mass_ratio: float = V1309_MASS_RATIO,
     opts = HydroOptions(eos=IdealGas(gamma=gamma), rho_floor=rho_floor,
                         omega=scf.omega)
     domain = separation * domain_factor
-    mesh = Mesh(n=M, domain=domain, origin=(-domain / 2,) * 3,
-                options=opts, bc="outflow", self_gravity=True)
+    mesh = BlockMesh(1, n=M, domain=domain, origin=(-domain / 2,) * 3,
+                     options=opts, bc="outflow", self_gravity=True)
     rho = np.maximum(scf.rho, rho_floor)
     p = np.maximum(scf.pressure(), rho_floor * 1e-4)
     mesh.load_primitives(rho, 0.0, 0.0, 0.0, p)

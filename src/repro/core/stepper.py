@@ -8,11 +8,11 @@ assert/report drifts.
 
 Any object exposing ``compute_dt() -> float``, ``step(dt)``,
 ``conserved_totals()``, ``time`` and ``steps`` can be driven:
-:class:`~repro.core.mesh.Mesh`, the multi-sub-grid
-:class:`~repro.core.mesh.BlockMesh` (whose futurized scheduler/GPU
-execution is thereby exercised end to end) and
-:class:`~repro.core.amr.AmrMesh`.  Checkpoint/rollback additionally reads
-``blocks`` — ``{key: ghosted block}``, which all three expose — and treats
+:class:`~repro.core.mesh.BlockMesh` in any tiling (whose futurized
+scheduler/GPU execution is thereby exercised end to end), its
+distributed subclass and :class:`~repro.core.amr.AmrMesh`.
+Checkpoint/rollback additionally reads ``blocks`` — ``{key: ghosted
+block}``, which all of them expose — and treats
 the block *interiors* as the state: ``step`` refills every ghost shell
 before reading it, so a rollback restores interiors and leaves the shells
 to that fill.

@@ -23,10 +23,8 @@ Everything publishes ``/resilience/...`` counters into the registry from
 :mod:`repro.runtime.counters` and emits trace spans when tracing is on.
 """
 
-from .faults import (FaultInjector, InjectedFault, SimulationFault,
-                     TransientActionFault)
-from .retry import (DEFAULT_RETRY_POLICY, NETWORK_RETRY_POLICY,
-                    ResilientParcelSender, RetryBudgetExhausted, RetryPolicy)
+from .faults import FaultInjector
+from .retry import ResilientParcelSender, RetryBudgetExhausted
 from .checkpoint import (CheckpointError, CheckpointManager, ManifestRecord,
                          MeshCheckpoint, block_checksum)
 from .durability import (BlockRecord, BuddyReplicatedStore,
@@ -40,10 +38,7 @@ from .merger import (CHAOS, DUAL_KILL_CORRUPT, LOCALITY_KILL, FaultPlan,
                      run_reference)
 
 __all__ = [
-    "FaultInjector", "InjectedFault", "SimulationFault",
-    "TransientActionFault",
-    "RetryPolicy", "RetryBudgetExhausted", "ResilientParcelSender",
-    "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY",
+    "FaultInjector", "RetryBudgetExhausted", "ResilientParcelSender",
     "CheckpointError", "CheckpointManager", "ManifestRecord",
     "MeshCheckpoint", "block_checksum",
     "BlockRecord", "BuddyReplicatedStore",

@@ -7,8 +7,8 @@ state of a mesh every ``interval`` steps.  **Interiors are the state**:
 every mesh steps through :func:`repro.core.mesh.rk2_step`, whose first act
 is the stage-0 ghost fill, so a ghost shell is scratch that the next step
 rewrites before anything reads it.  A record therefore holds, for every
-block of ``mesh.blocks`` (one for a :class:`~repro.core.mesh.Mesh`, one per
-sub-grid for a :class:`~repro.core.mesh.BlockMesh`, one per leaf for an
+block of ``mesh.blocks`` (one per lattice block of a
+:class:`~repro.core.mesh.BlockMesh`, one per leaf of an
 :class:`~repro.core.amr.AmrMesh`), a contiguous copy of its *interior* —
 plus the simulation time, the step counter and the length of the
 conservation monitor's record list.  A restore copies the interiors back

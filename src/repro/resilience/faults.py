@@ -48,13 +48,9 @@ import random
 import threading
 
 from ..runtime.counters import CounterRegistry, default_registry
-from ..runtime.faults import (InjectedFault, SimulationFault,
-                              TransientActionFault)
+from ..runtime.faults import SimulationFault, TransientActionFault
 
-__all__ = [
-    "InjectedFault", "TransientActionFault", "SimulationFault",
-    "FaultInjector",
-]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:

@@ -36,7 +36,7 @@ class GuardedStepper(Recovery):
     byte-identical to the fault-free run); a second rejection of the
     *same* step halves its dt, up to ``max_halvings`` times, after which
     :class:`GuardViolation` is raised.  Announced
-    :class:`~repro.resilience.faults.InjectedFault` step faults are
+    :class:`~repro.runtime.faults.InjectedFault` step faults are
     recovered exactly as in :func:`~repro.core.stepper.evolve`, sharing
     the restore budget.
 

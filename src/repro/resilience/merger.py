@@ -23,15 +23,17 @@ time and delivery order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.distmesh import DistBlockMesh, slab_partition
 from ..core.exec import ExecutionEngine
-from ..core.grid import NGHOST, RHO, SUBGRID_N
-from ..core.mesh import BlockMesh
+from ..core.grid import NGHOST, RHO
+from ..core.mesh import BlockMesh, subgrid_lattice
 from ..core.stepper import ConservationMonitor, Recovery, drive, evolve
+from ..network.retry import RetryPolicy
 from ..runtime.agas import Component
 from ..runtime.counters import CounterRegistry
 from ..runtime.cuda import CudaDevice
@@ -44,7 +46,7 @@ from .durability import (BuddyReplicatedStore, RecoveryCoordinator,
 from .faults import FaultInjector
 from .guard import GuardedStepper
 from .health import FailureDetector
-from .retry import ResilientParcelSender, RetryPolicy
+from .retry import ResilientParcelSender
 from .supervisor import SupervisedEngine
 
 __all__ = ["Topology", "FaultPlan", "MergerResult",
@@ -255,17 +257,6 @@ class MergerResult:
         ])
 
 
-def _block_mesh_args(scenario) -> tuple[int, dict]:
-    """Blocks per edge and the block-mesh keywords of a scenario ``Mesh``."""
-    if scenario.n % SUBGRID_N:
-        raise ValueError(f"scenario edge {scenario.n} is not a multiple of "
-                         f"the sub-grid edge {SUBGRID_N}")
-    return scenario.n // SUBGRID_N, dict(
-        domain=scenario.domain, origin=scenario.origin,
-        options=scenario.options, bc=scenario.bc,
-        self_gravity=scenario.self_gravity)
-
-
 def _check_kill(n_blocks: int, n_loc: int, kill: tuple[int, ...]) -> None:
     """Reject kill sets the topology cannot host or survive."""
     outside = [v for v in kill if v >= n_loc]
@@ -291,9 +282,7 @@ def _check_kill(n_blocks: int, n_loc: int, kill: tuple[int, ...]) -> None:
 def run_reference(scenario, steps: int
                   ) -> tuple[BlockMesh, ConservationMonitor]:
     """The node-level fault-free run, ``steps`` steps: mesh and monitor."""
-    bpe, kwargs = _block_mesh_args(scenario)
-    mesh = BlockMesh(bpe, **kwargs)
-    mesh.load_interior(scenario.interior)
+    mesh = BlockMesh.retile(scenario)
     return mesh, evolve(mesh, t_end=T_END, max_steps=steps)
 
 
@@ -341,8 +330,8 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
     see it next to the rest.  ``reference`` reuses one
     :func:`run_reference` result (it depends only on scenario and steps).
     """
-    bpe, mesh_kwargs = _block_mesh_args(scenario)
-    _check_kill(bpe ** 3, topology.n_localities, plan.kill)
+    _check_kill(math.prod(subgrid_lattice(scenario.shape)),
+                topology.n_localities, plan.kill)
     registry = registry if registry is not None else CounterRegistry()
     # two adversaries (their constructors reject rates outside [0, 1]): task
     # faults are drawn from worker threads, the wire's from this thread
@@ -359,11 +348,10 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
         max_delay=MAX_DELAY_S, max_losses=MAX_LOSSES, registry=registry)
 
     ref_mesh, ref_monitor = reference or run_reference(scenario, plan.steps)
-    dist = DistBlockMesh(bpe, n_localities=topology.n_localities,
-                         port=topology.port,
-                         reorder_seed=topology.reorder_seed,
-                         registry=registry, **mesh_kwargs)
-    dist.load_interior(scenario.interior)
+    dist = DistBlockMesh.retile(scenario, n_localities=topology.n_localities,
+                                port=topology.port,
+                                reorder_seed=topology.reorder_seed,
+                                registry=registry)
     monitor = ConservationMonitor()
     checkpoints = CheckpointManager(interval=CHECKPOINT_INTERVAL,
                                     keep=KEEP_GENERATIONS,

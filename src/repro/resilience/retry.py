@@ -17,7 +17,7 @@ classic acknowledged-datagram one:
   re-fire into the same degraded-network window in lockstep; each
   sender's jitter stream is seeded (from ``jitter_seed`` or its
   injector's seed), keeping the schedule fully deterministic;
-* a :class:`~repro.resilience.faults.TransientActionFault` surfaced by the
+* a :class:`~repro.runtime.faults.TransientActionFault` surfaced by the
   action's future also counts as a failed attempt and is retried;
 * when the attempt budget is exhausted the caller gets an **exceptional
   future** carrying :class:`RetryBudgetExhausted` — never a hang, and
@@ -39,16 +39,15 @@ import random
 import time
 from typing import Callable
 
-from ..network.retry import (DEFAULT_RETRY_POLICY, NETWORK_RETRY_POLICY,
-                             RetryPolicy)
+from ..network.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..runtime import trace
 from ..runtime.counters import CounterRegistry, default_registry
+from ..runtime.faults import TransientActionFault
 from ..runtime.future import Future, FutureTimeout, make_exceptional_future
 from ..runtime.parcel import Parcel, ParcelHandler
-from .faults import FaultInjector, TransientActionFault
+from .faults import FaultInjector
 
-__all__ = ["RetryPolicy", "RetryBudgetExhausted", "ResilientParcelSender",
-           "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY"]
+__all__ = ["RetryBudgetExhausted", "ResilientParcelSender"]
 
 
 class RetryBudgetExhausted(RuntimeError):

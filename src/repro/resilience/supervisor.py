@@ -5,7 +5,7 @@ reliable; this module does the same for the *compute* hot path.  A
 :class:`SupervisedEngine` wraps an
 :class:`~repro.core.exec.ExecutionEngine` and re-executes any task whose
 future resolves with a transient fault — an injected
-:class:`~repro.resilience.faults.TransientActionFault` (e.g. from a
+:class:`~repro.runtime.faults.TransientActionFault` (e.g. from a
 poisoned CUDA stream) or a :class:`~repro.runtime.future.FutureTimeout` —
 up to ``max_retries`` times before surfacing the failure.
 
@@ -14,7 +14,7 @@ rely on: a retried task *recomputes into fresh buffers* (the kernel
 function is pure — same args in, new output array out), and callers such
 as :meth:`repro.core.gravity.fmm.FmmSolver.solve` accumulate results by
 calling ``fut.get()`` in plan order; a batched hydro RHS task
-(``repro.core.mesh._UniformMesh._rhs``) fully overwrites the chunk
+(``repro.core.mesh.BlockMesh._rhs``) fully overwrites the chunk
 output it was handed, so re-running it is idempotent.  A task that
 failed twice and succeeded on the third attempt therefore contributes
 exactly the bytes it would have contributed in a fault-free run — the
@@ -55,8 +55,9 @@ from typing import Any, Callable, Sequence
 from ..core.exec import ExecutionEngine
 from ..runtime import trace
 from ..runtime.counters import CounterRegistry, default_registry
+from ..runtime.faults import TransientActionFault
 from ..runtime.future import Future, FutureTimeout, Promise
-from .faults import FaultInjector, TransientActionFault
+from .faults import FaultInjector
 
 __all__ = ["SupervisedEngine", "DEFAULT_TASK_RETRIES"]
 
@@ -67,8 +68,8 @@ DEFAULT_TASK_RETRIES = 3
 class SupervisedEngine:
     """An :class:`~repro.core.exec.ExecutionEngine` with task supervision.
 
-    Drop-in for the engine everywhere one is accepted (``Mesh``,
-    ``BlockMesh``, ``FmmSolver.solve``): exposes the same ``submit`` /
+    Drop-in for the engine everywhere one is accepted (``BlockMesh``,
+    ``FmmSolver.solve``): exposes the same ``submit`` /
     ``map`` / ``synchronize`` / ``publish_counters`` surface and the same
     ``scheduler`` / ``devices`` / ``pool`` / ``agg_slots`` attributes.
 

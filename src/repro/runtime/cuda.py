@@ -267,7 +267,7 @@ class CudaStream:
 
         ``count=None`` poisons the stream permanently.  Failures surface
         through the kernel futures as transient faults (default:
-        :class:`repro.resilience.faults.TransientActionFault`), exactly
+        :class:`repro.runtime.faults.TransientActionFault`), exactly
         like a sick SM would — the supervision layer must retry the work
         elsewhere and the health machinery must quarantine the stream.
         """

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.flops import (MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
-                              OTHER_FLOPS_PER_SUBGRID)
 from ..network.parcelport import Parcelport
 from ..network.retry import NETWORK_RETRY_POLICY, RetryPolicy
 from ..network.topology import DragonflyTopology
 from ..runtime.counters import CounterRegistry
+from .flops import (MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
+                    OTHER_FLOPS_PER_SUBGRID)
 from .machine import NodeSpec
 from .taskgraph import WorkloadProfile
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.flops import MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS
 from .events import EventQueue
+from .flops import MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS
 from .machine import GpuSpec, NodeSpec
 
 __all__ = ["NodeLevelResult", "simulate_gravity_solve", "measure_node"]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import EGAS, RHO, SX, TAU, IdealGas, Mesh, Octree, evolve
+from repro.core import (EGAS, RHO, SX, TAU, BlockMesh, IdealGas, Octree,
+                        evolve)
 from repro.core.amr import AmrMesh
 from repro.core.hydro.solver import HydroOptions
 
@@ -146,14 +147,14 @@ class TestMeshProtocol:
 
 class TestAccuracy:
     def test_fully_refined_tree_matches_uniform_mesh(self):
-        """A tree refined uniformly to level 1 must track a 16^3 Mesh."""
+        """A tree refined uniformly to level 1 must track a 16^3 block."""
         tree = Octree(domain=1.0)
         tree.refine(0, (0, 0, 0))
         eos = _smooth_blob(tree)
         amr = AmrMesh(tree, HydroOptions(eos=eos), bc="outflow")
 
-        single = Mesh(n=16, domain=1.0,
-                      options=HydroOptions(eos=eos), bc="outflow")
+        single = BlockMesh(1, n=16, domain=1.0,
+                           options=HydroOptions(eos=eos), bc="outflow")
         x, y, z = single.cell_centers()
         r2 = (x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2
         eint = 1.0 + 1.0 * np.exp(-r2 / 0.02)

@@ -1,31 +1,27 @@
-"""BlockMesh gravity wiring: compute_dt, Mesh equivalence, evolve, phi."""
+"""BlockMesh gravity wiring: compute_dt, tiling equivalence, evolve, phi."""
 
 import numpy as np
 import pytest
 
-from repro.core import BlockMesh, IdealGas, Mesh, evolve
+from repro.core import BlockMesh, IdealGas, evolve
 from repro.core.hydro.solver import HydroOptions
 from repro.core.scenario import equilibrium_star
 
 
 def star_pair(n_poly=1.5):
-    """A Lane-Emden star as a single Mesh and the same state in a 2^3 BlockMesh."""
+    """A Lane-Emden star as one 16^3 block and the same state in 2^3 blocks."""
     single = equilibrium_star(n=16, domain=4.0, n_poly=n_poly)
-    block = BlockMesh(blocks_per_edge=2, domain=single.domain,
-                      origin=single.origin, options=single.options,
-                      bc=single.bc, self_gravity=True)
-    block.load_interior(single.interior.copy())
-    return single, block
+    return single, BlockMesh.retile(single)
 
 
 class TestComputeDt:
     def test_matches_single_mesh(self):
         opts = HydroOptions(eos=IdealGas(gamma=1.4))
-        single = Mesh(n=16, domain=1.0, options=opts)
+        single = BlockMesh(1, n=16, domain=1.0, options=opts)
         x, y, z = single.cell_centers()
         single.load_primitives(1.0 + 0.3 * np.sin(2 * np.pi * x) + 0 * y,
                                0.1, -0.05, 0.02, 1.0 + 0.2 * np.cos(z))
-        block = BlockMesh(blocks_per_edge=2, domain=1.0, options=opts)
+        block = BlockMesh(2, domain=1.0, options=opts)
         block.load_interior(single.interior.copy())
         # the CFL condition reads only interiors, so the min over blocks
         # is exactly the full-grid dt
@@ -33,11 +29,11 @@ class TestComputeDt:
 
     def test_step_without_dt_uses_cfl(self):
         opts = HydroOptions(eos=IdealGas(gamma=1.4))
-        single = Mesh(n=16, domain=1.0, options=opts)
+        single = BlockMesh(1, n=16, domain=1.0, options=opts)
         x, y, z = single.cell_centers()
         single.load_primitives(1.0 + 0 * x + 0 * y + 0 * z, 0.0, 0.0, 0.0,
                                1.0 + 0.1 * np.sin(2 * np.pi * x))
-        block = BlockMesh(blocks_per_edge=2, domain=1.0, options=opts)
+        block = BlockMesh(2, domain=1.0, options=opts)
         block.load_interior(single.interior.copy())
         dt = block.compute_dt()
         taken = block.step()
@@ -67,8 +63,8 @@ class TestMeshEquivalence:
 
 class TestEvolve:
     def test_evolve_drives_blockmesh(self):
-        """Regression: evolve() used to assume a single-block Mesh; it must
-        drive a self-gravitating BlockMesh end to end."""
+        """Regression: evolve() used to assume a one-block mesh; it must
+        drive a self-gravitating 2^3-block one end to end."""
         _, block = star_pair()
         monitor = evolve(block, t_end=1.0, max_steps=2)
         assert block.steps == 2
@@ -90,12 +86,12 @@ class TestPhiFreshness:
         assert np.array_equal(mesh.phi, reference.phi)
 
     def test_gravity_cache_survives_external_state_mutation(self):
-        """A checkpoint restore rewrites U behind the mesh's back; the
+        """A checkpoint restore rewrites the state behind the mesh's back; the
         cached acceleration must not be reused for the restored density."""
         mesh = equilibrium_star(n=16, domain=4.0)
-        saved = mesh.U.copy()
+        saved = mesh.blocks[0, 0, 0].copy()
         mesh.step()
-        mesh.U[:] = saved  # simulate CheckpointManager.restore
+        mesh.blocks[0, 0, 0][:] = saved  # simulate CheckpointManager.restore
         acc = mesh._gravity.for_state(mesh.blocks)
         fresh = equilibrium_star(n=16, domain=4.0)
         assert np.array_equal(acc, fresh.solve_gravity())
@@ -103,10 +99,10 @@ class TestPhiFreshness:
 
 class TestValidation:
     def test_gravity_requires_power_of_two_blocks(self):
-        with pytest.raises(ValueError, match="power|2\\^k"):
-            BlockMesh(blocks_per_edge=3, self_gravity=True)
+        with pytest.raises(ValueError, match="2\\^L"):
+            BlockMesh(3, self_gravity=True)
 
     def test_solve_gravity_requires_flag(self):
-        block = BlockMesh(blocks_per_edge=2)
+        block = BlockMesh(2)
         with pytest.raises(RuntimeError):
             block.solve_gravity()

@@ -6,7 +6,7 @@ corner ghost regions across the periodic seam held stale data.  The
 axis-sweep reconstruction of the node-level path happened to never read
 them; per-neighbour distributed halos do, and so does any future corner-
 aware kernel.  These tests assert the full ghost shell and bitwise
-equality with the single-block mesh (both failed on the old code).
+equality with the one-block mesh (both failed on the old code).
 """
 
 import itertools
@@ -14,14 +14,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import NF, NGHOST, SUBGRID_N, BlockMesh, IdealGas, Mesh
+from repro.core import NF, NGHOST, SUBGRID_N, BlockMesh, IdealGas
 from repro.core.hydro.solver import HydroOptions
 
 
 def _loaded_pair(rng, bpe=2, bc="periodic"):
     n = bpe * SUBGRID_N
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
-    single = Mesh(n=n, domain=1.0, options=opts, bc=bc)
+    single = BlockMesh(1, n=n, domain=1.0, options=opts, bc=bc)
     blocks = BlockMesh(bpe, domain=1.0, options=opts, bc=bc)
     full = np.zeros((NF, n, n, n))
     full[0] = 1.0 + 0.2 * rng.random((n, n, n))
@@ -41,13 +41,13 @@ def test_fill_plan_reproduces_the_single_mesh_ghost_shell(rng, bpe, bc):
     corners, seam or wall — exactly what the single-block mesh holds in
     the same place; 3^3 blocks include one with all 26 neighbours."""
     single, blocks, _full = _loaded_pair(rng, bpe, bc)
-    single.fill_ghosts()
+    single._halo_exchange(single.blocks, 0)
     blocks._halo_exchange(blocks.blocks, 0)
     g, s = NGHOST, SUBGRID_N
     for ip, blk in blocks.blocks.items():
         window = (slice(None),) + tuple(
             slice(ip[d] * s, ip[d] * s + s + 2 * g) for d in range(3))
-        np.testing.assert_array_equal(blk, single.U[window])
+        np.testing.assert_array_equal(blk, single.blocks[0, 0, 0][window])
 
 
 class TestPeriodicGhostShell:
@@ -56,7 +56,7 @@ class TestPeriodicGhostShell:
         extension of the global interior — faces, edges AND corners."""
         _single, blocks, full = _loaded_pair(rng)
         blocks._halo_exchange(blocks.blocks, 0)
-        g, s, n = NGHOST, SUBGRID_N, blocks.n
+        g, s, n = NGHOST, SUBGRID_N, blocks.shape[0]
         for ip, blk in blocks.blocks.items():
             idx = [[(ip[d] * s + local - g) % n for local in range(s + 2 * g)]
                    for d in range(3)]
@@ -115,4 +115,4 @@ class TestPeriodicGhostShell:
                     assert (kind, src) == ("pair", nb)
                 else:
                     assert (kind, src) == ("wrap", tuple(
-                        c % blocks.bpe for c in nb))
+                        c % blocks.lattice[0] for c in nb))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import FmmSolver, Mesh
+from repro.core import BlockMesh, FmmSolver
 from repro.runtime import default_registry
 
 
@@ -38,7 +38,7 @@ class TestCountersIntegration:
             before = reg.value("/hydro/steps")
         except KeyError:
             before = 0.0
-        mesh = Mesh(n=8)
+        mesh = BlockMesh(1, n=8)
         mesh.load_primitives(1.0, 0.0, 0.0, 0.0, 1.0)
         mesh.step(1e-4)
         assert reg.value("/hydro/steps") == before + 1

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (NF, SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas,
-                        Mesh)
+from repro.core import NF, SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas
 from repro.core.distmesh import slab_partition
 from repro.core.hydro.solver import HydroOptions, compute_rhs
 from repro.core.mesh import apply_boundary
@@ -93,14 +92,14 @@ _STEPS = 2
 @pytest.fixture(scope="module")
 def node_level():
     """Per boundary condition: the initial data and the state ``_STEPS``
-    steps later — stepped on a node-level ``BlockMesh`` and on the
-    single-block ``Mesh``, which must already agree."""
+    steps later — stepped on a 2^3-block ``BlockMesh`` and on the
+    one-block tiling of the same box, which must already agree."""
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
     n = 2 * SUBGRID_N
     full = _initial_data(np.random.default_rng(0xBEEF), n)
     runs = {}
     for bc in ("outflow", "reflect", "periodic"):
-        single = Mesh(n=n, domain=1.0, options=opts, bc=bc)
+        single = BlockMesh(1, n=n, domain=1.0, options=opts, bc=bc)
         single.interior[...] = full
         blocks = BlockMesh(2, domain=1.0, options=opts, bc=bc)
         blocks.load_interior(full)

@@ -11,12 +11,8 @@ from repro.runtime.counters import default_registry
 
 
 def make_star_block(engine=None):
-    star = equilibrium_star(n=16, domain=4.0)
-    block = BlockMesh(blocks_per_edge=2, domain=star.domain,
-                      origin=star.origin, options=star.options,
-                      bc=star.bc, engine=engine, self_gravity=True)
-    block.load_interior(star.interior.copy())
-    return block
+    return BlockMesh.retile(equilibrium_star(n=16, domain=4.0),
+                            engine=engine)
 
 
 class TestEngineBasics:

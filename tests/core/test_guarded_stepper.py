@@ -87,7 +87,7 @@ class TestRecovery:
         mon = st.evolve(0.05, max_steps=5)
         assert inj.stats()["corruption"] == 1
         assert st.rejected == 1 and st.restores == 1 and st.halvings == 0
-        assert np.array_equal(clean.U, guarded.U)
+        assert np.array_equal(clean.blocks[0, 0, 0], guarded.blocks[0, 0, 0])
         assert mon_clean.report() == mon.report()
         snap = reg.snapshot()
         assert snap["/resilience/steps/rejected"] == 1.0
@@ -103,7 +103,7 @@ class TestRecovery:
                             registry=CounterRegistry())
         st.evolve(0.05, max_steps=4)
         assert st.restores == 1 and st.rejected == 0
-        assert np.array_equal(clean.U, guarded.U)
+        assert np.array_equal(clean.blocks[0, 0, 0], guarded.blocks[0, 0, 0])
 
     def test_transient_violation_retried_at_same_dt(self):
         """One-shot corruption must NOT shrink the dt — budgets make the

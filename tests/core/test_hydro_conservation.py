@@ -9,8 +9,7 @@ closed control volume the scheme conserves L to machine precision.
 import numpy as np
 import pytest
 
-from repro.core import (EGAS, LX, NF, NGHOST, RHO, SX, TAU, IdealGas,
-                        Mesh)
+from repro.core import EGAS, LX, NF, NGHOST, RHO, SX, TAU, IdealGas
 from repro.core.hydro.solver import HydroOptions, cfl_dt, compute_rhs
 from repro.core.mesh import apply_boundary
 

@@ -1,11 +1,13 @@
-"""Mesh boundary conditions, distributed equivalence, AMR octree."""
+"""Boundary conditions, mesh construction, tiled equivalence, AMR octree."""
 
 import numpy as np
 import pytest
 
-from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh, IdealGas,
-                        Mesh, Octree, apply_boundary, prolong, restrict)
+from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh,
+                        ExecutionEngine, IdealGas, Octree, apply_boundary,
+                        prolong, restrict)
 from repro.core.hydro.solver import HydroOptions
+from repro.core.mesh import fill_wall
 from repro.runtime import WorkStealingScheduler
 
 
@@ -21,7 +23,7 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             apply_boundary(self._block(), "weird")
         with pytest.raises(ValueError):
-            Mesh(n=8, bc="weird")
+            BlockMesh(1, n=8, bc="weird")
 
     def test_periodic_wraps(self):
         U = self._block()
@@ -49,7 +51,7 @@ class TestBoundaries:
 
 class TestMesh:
     def test_load_primitives_roundtrip(self):
-        mesh = Mesh(n=8)
+        mesh = BlockMesh(1, n=8)
         mesh.load_primitives(2.0, 0.5, 0.0, 0.0, 1.0)
         I = mesh.interior
         assert np.allclose(I[RHO], 2.0)
@@ -58,17 +60,59 @@ class TestMesh:
         np.testing.assert_allclose(I[EGAS], eint + 0.5 * 2.0 * 0.25)
 
     def test_anisotropic_shape(self):
-        mesh = Mesh(n=(16, 8, 8), domain=1.0)
+        mesh = BlockMesh(1, n=(16, 8, 8), domain=1.0)
         assert mesh.interior.shape == (NF, 16, 8, 8)
         x, y, z = mesh.cell_centers()
         assert x.shape[0] == 16 and y.shape[1] == 8
 
     def test_self_gravity_requires_cube(self):
         with pytest.raises(ValueError):
-            Mesh(n=(16, 8, 8), self_gravity=True)
+            BlockMesh(1, n=(16, 8, 8), self_gravity=True)
+
+    @pytest.mark.parametrize("args,kwargs,name", [
+        ((2,), dict(bc="weird"), "bc"),
+        ((0,), {}, "blocks"),
+        (((2, 0, 2),), {}, "blocks"),
+        ((2,), dict(n=0), "n"),
+        (((2, 1, 1),), dict(n=(NGHOST - 1, 8, 8)), "n"),
+        ((1,), dict(n=(8, 8)), "n"),
+        ((2,), dict(domain=-1.0), "domain"),
+        ((1,), dict(n=8, domain=0.0), "domain"),
+        ((1,), dict(n=12, self_gravity=True), "self_gravity"),
+        ((3,), dict(self_gravity=True), "self_gravity"),
+        (((2, 1, 1),), dict(self_gravity=True), "self_gravity"),
+    ])
+    def test_constructor_rejects_bad_input_by_name(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            BlockMesh(*args, **kwargs)
+
+    def test_fill_wall_rejects_unknown_bc(self):
+        block = BlockMesh(1).blocks[0, 0, 0]
+        with pytest.raises(ValueError, match="weird"):
+            fill_wall(block, 0, -1, "weird")
+
+    def test_interior_is_the_view_of_one_block_only(self):
+        mesh = BlockMesh(1, n=(16, 8, 8))
+        mesh.interior[RHO] = 2.0
+        assert (mesh.blocks[0, 0, 0][RHO, NGHOST, NGHOST, NGHOST] == 2.0)
+        with pytest.raises(AttributeError, match="gather_interior"):
+            BlockMesh((2, 1, 1)).interior
+
+    def test_retile_cuts_into_subgrids_and_rejects_odd_edges(self):
+        src = BlockMesh(1, n=(16, 8, 24), domain=2.0, origin=(-1, 0, 0),
+                        bc="reflect")
+        x, y, z = src.cell_centers()
+        src.load_primitives(1.0 + x * x + y + z, 0.1, 0.0, 0.0, 1.0)
+        tiled = BlockMesh.retile(src)
+        assert tiled.lattice == (2, 1, 3) and tiled.tile == (8, 8, 8)
+        assert (tiled.dx, tiled.origin, tiled.bc, tiled.options) == (
+            src.dx, src.origin, src.bc, src.options)
+        np.testing.assert_array_equal(tiled.gather_interior(), src.interior)
+        with pytest.raises(ValueError, match="multiple"):
+            BlockMesh.retile(BlockMesh(1, n=12))
 
     def test_uniform_gas_is_static(self):
-        mesh = Mesh(n=8, bc="periodic")
+        mesh = BlockMesh(1, n=8, bc="periodic")
         mesh.load_primitives(1.0, 0.0, 0.0, 0.0, 1.0)
         before = mesh.interior.copy()
         mesh.step(0.01)
@@ -76,14 +120,14 @@ class TestMesh:
                                    atol=1e-13)
 
     def test_step_advances_time(self):
-        mesh = Mesh(n=8)
+        mesh = BlockMesh(1, n=8)
         mesh.load_primitives(1.0, 0.0, 0.0, 0.0, 1.0)
         mesh.step(0.001)
         assert mesh.time == pytest.approx(0.001)
         assert mesh.steps == 1
 
     def test_conserved_totals_shape(self):
-        mesh = Mesh(n=8)
+        mesh = BlockMesh(1, n=8)
         mesh.load_primitives(1.0, 0.1, 0.0, 0.0, 1.0)
         tot = mesh.conserved_totals()
         assert tot["mass"] == pytest.approx(1.0)
@@ -94,15 +138,15 @@ class TestMesh:
 class TestDistributedEquivalence:
     """The futurized multi-sub-grid mesh reproduces the single block."""
 
-    def _setup_pair(self, scheduler=None):
+    def _setup_pair(self, engine=None):
         opts = HydroOptions(eos=IdealGas(gamma=1.4))
         n = 16
-        single = Mesh(n=n, domain=1.0, options=opts, bc="outflow")
+        single = BlockMesh(1, n=n, domain=1.0, options=opts, bc="outflow")
         x, y, z = single.cell_centers()
         rho = 1.0 + 0.5 * np.sin(2 * np.pi * (x + y + z) / 3)
         single.load_primitives(rho, 0.1, 0.0, -0.05, 1.0 + 0 * rho)
-        dist = BlockMesh(blocks_per_edge=2, domain=1.0, options=opts,
-                         bc="outflow", scheduler=scheduler)
+        dist = BlockMesh(2, domain=1.0, options=opts, bc="outflow",
+                         engine=engine)
         dist.load_interior(single.interior.copy())
         return single, dist
 
@@ -119,7 +163,8 @@ class TestDistributedEquivalence:
         """Per-sub-grid RHS tasks on the work-stealing pool change nothing
         about the physics (the Sec. 4.1 promise)."""
         with WorkStealingScheduler(4) as sched:
-            single, dist = self._setup_pair(scheduler=sched)
+            single, dist = self._setup_pair(
+                engine=ExecutionEngine(scheduler=sched))
             dt = 0.002
             for _ in range(2):
                 single.step(dt)

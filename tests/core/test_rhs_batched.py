@@ -20,9 +20,9 @@ from repro.core.grid import EGAS, RHO, SX, TAU
 from repro.core.hydro.solver import (HydroOptions, compute_rhs,
                                      compute_rhs_reference)
 from repro.core.workspace import Workspace
-from repro.resilience import (FaultInjector, SupervisedEngine,
-                              TransientActionFault)
+from repro.resilience import FaultInjector, SupervisedEngine
 from repro.runtime import CounterRegistry, WorkStealingScheduler
+from repro.runtime.faults import TransientActionFault
 
 DX = 0.05
 

@@ -1,9 +1,9 @@
 """The stepping core is second-order in time — measured, not assumed.
 
-Every mesh class advances through one ``rk2_step``, so ``Mesh ==
-BlockMesh`` identities cannot catch a wrong stage weight: both sides would
-share it.  This pins the *algorithm*: a smooth periodic blob advected for a
-fixed time ``T`` in 4, 8 and 16 steps (fixed ``dx``, so the spatial error
+Every mesh advances through one ``rk2_step``, so tiling-invariance
+identities cannot catch a wrong stage weight: both sides would share it.
+This pins the *algorithm*: a smooth periodic blob advected for a fixed
+time ``T`` in 4, 8 and 16 steps (fixed ``dx``, so the spatial error
 cancels in the differences) must self-converge at order two.  Forward
 Euler, a half-weight predictor or a 0.4/0.6 corrector all measure ~1.0-1.3
 on this set-up.
@@ -12,7 +12,7 @@ on this set-up.
 import numpy as np
 import pytest
 
-from repro.core import RHO, IdealGas, Mesh
+from repro.core import RHO, BlockMesh, IdealGas
 from repro.core.hydro.solver import HydroOptions
 
 T = 0.04
@@ -21,7 +21,7 @@ T = 0.04
 def _advect(nsteps, reconstruction):
     opts = HydroOptions(eos=IdealGas(gamma=1.4),
                         reconstruction=reconstruction)
-    mesh = Mesh(16, domain=1.0, options=opts, bc="periodic")
+    mesh = BlockMesh(1, n=16, domain=1.0, options=opts, bc="periodic")
     x, y, z = mesh.cell_centers()
     blob = (np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)) ** 2
     mesh.load_primitives(1.0 + 0.2 * blob, 0.3, 0.2, 0.1, 0.25)

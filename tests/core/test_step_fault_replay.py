@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import BlockMesh, ExecutionEngine, evolve, sedov_blast
-from repro.resilience import (CheckpointManager, SupervisedEngine,
-                              TransientActionFault)
+from repro.resilience import CheckpointManager, SupervisedEngine
 from repro.runtime import WorkStealingScheduler
+from repro.runtime.faults import TransientActionFault
 
 
 class FailNthMap(ExecutionEngine):

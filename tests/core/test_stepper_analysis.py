@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import (KernelCounts, MONOPOLE_KERNEL_FLOPS,
                             MULTIPOLE_KERNEL_FLOPS, fmm_flops_per_solve,
                             format_table)
-from repro.core import Mesh, sod_tube
+from repro.core import sod_tube
 from repro.core.stepper import ConservationMonitor, evolve
 
 

@@ -33,7 +33,7 @@ from repro.resilience.merger import (DUAL_KILL_CORRUPT, FaultPlan, Topology,
 def _stub(n: int) -> SimpleNamespace:
     """A scenario only validation may touch: building a mesh from it
     (``options=None``) would raise something other than ``ValueError``."""
-    return SimpleNamespace(n=n, domain=1.0, origin=(0.0, 0.0, 0.0),
+    return SimpleNamespace(shape=(n,) * 3, domain=1.0, origin=(0.0, 0.0, 0.0),
                            options=None, bc="outflow", self_gravity=False)
 
 

@@ -9,8 +9,7 @@ in motion.
 import numpy as np
 import pytest
 
-from repro.core import EGAS, RHO, SX, Mesh, equilibrium_star, sedov_blast, \
-    sod_tube
+from repro.core import EGAS, RHO, SX, equilibrium_star, sedov_blast, sod_tube
 from repro.core.stepper import ConservationMonitor, evolve
 from repro.validation import shock_radius, sod_solution
 

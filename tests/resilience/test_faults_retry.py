@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.network.retry import RetryPolicy
 from repro.resilience import (FaultInjector, ResilientParcelSender,
-                              RetryBudgetExhausted, RetryPolicy,
-                              SimulationFault, TransientActionFault)
+                              RetryBudgetExhausted)
 from repro.runtime import (AgasRuntime, Component, CounterRegistry, Parcel,
                            ParcelHandler)
+from repro.runtime.faults import SimulationFault, TransientActionFault
 
 class Adder(Component):
     def __init__(self):

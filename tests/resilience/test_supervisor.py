@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.exec import ExecutionEngine
 from repro.core.gravity.fmm import FmmSolver
-from repro.resilience import (FaultInjector, SupervisedEngine,
-                              TransientActionFault)
+from repro.resilience import FaultInjector, SupervisedEngine
 from repro.runtime import (CounterRegistry, CudaDevice,
                            WorkStealingScheduler)
+from repro.runtime.faults import TransientActionFault
 
 
 class TestSupervisedExecution:

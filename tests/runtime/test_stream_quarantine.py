@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.core.exec import ExecutionEngine
-from repro.resilience.faults import TransientActionFault
+from repro.runtime.faults import TransientActionFault
 from repro.runtime import CudaDevice, StreamPool
 from repro.runtime.counters import default_registry
 

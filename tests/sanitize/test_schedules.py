@@ -147,9 +147,9 @@ class TestBitIdentityUnderSchedules:
         star = equilibrium_star(n=16, domain=4.0)
 
         def build(engine):
-            mesh = BlockMesh(blocks_per_edge=2, domain=star.domain,
-                             origin=star.origin, options=star.options,
-                             bc=star.bc, engine=engine)
+            mesh = BlockMesh(2, domain=star.domain, origin=star.origin,
+                             options=star.options, bc=star.bc,
+                             engine=engine)
             mesh.load_interior(star.interior.copy())
             return mesh
 
