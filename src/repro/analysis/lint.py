@@ -47,11 +47,15 @@ REPRO005 *bare-except*
 
 REPRO006 *unaggregated-enqueue*
     A direct ``lease.enqueue(...)`` / ``stream.enqueue_aggregated(...)``
-    call in ``core/``.  Solver-layer kernel launches must go through an
-    :class:`repro.runtime.aggregate.AggregationRegion` (usually via
-    :meth:`repro.core.exec.ExecutionEngine.map`) so they are coalesced
+    call, or a ``StreamPool.acquire()``, in any package above
+    ``runtime/`` (``network`` ... ``analysis``).  The GPU-else-CPU rule
+    is written once, in
+    :meth:`repro.runtime.aggregate.AggregationRegion._flush` — the one
+    sanctioned acquirer — and kernel launches reach it through
+    :meth:`repro.core.exec.ExecutionEngine.map`, so they are coalesced
     into aggregated launches and counted by the engine's placement
-    accounting; a bypassing enqueue is an unaggregated, uncounted launch.
+    accounting; a bypassing acquire or enqueue is a second launch path:
+    unaggregated, uncounted.
 
 REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
@@ -184,9 +188,10 @@ RULES: dict[str, tuple[str, str]] = {
                  "bare `except:` in runtime/ or resilience/ swallows "
                  "shutdown signals; name the exception type"),
     "REPRO006": ("unaggregated-enqueue",
-                 "direct lease/stream enqueue in core/ bypasses the work-"
-                 "aggregation region; route kernels through "
-                 "ExecutionEngine.map / AggregationRegion"),
+                 "direct lease/stream enqueue or StreamPool.acquire() above "
+                 "runtime/ is a second launch path beside the aggregation "
+                 "region; route kernels through ExecutionEngine.map / "
+                 "AggregationRegion"),
     "REPRO007": ("unaccounted-halo",
                  "a direct Channel.set, a block-to-block ghost write in a "
                  "function that tallies nothing, a packed payload never "
@@ -385,6 +390,8 @@ class _Linter(ast.NodeVisitor):
         parts = self.rel.split("/")
         self.parts = (parts[parts.index("repro") + 1:] if "repro" in parts
                       else parts)
+        #: a package layered above ``runtime/`` (REPRO006 scope)
+        self.above_runtime = LAYERS.get(self.parts[0], 0) > LAYERS["runtime"]
 
     def _hit(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
@@ -666,15 +673,17 @@ class _Linter(ast.NodeVisitor):
                           f"{base}.{func.attr}() in core/ breaks "
                           "bit-identical execution; inject a seeded "
                           "generator from the caller instead")
-        # REPRO006: kernel enqueues in core/ must go through aggregation
-        if (self.in_core and isinstance(func, ast.Attribute)
-                and func.attr in ("enqueue", "enqueue_aggregated")):
-            base = ast.unparse(func.value).lower()
-            if "lease" in base or "stream" in base:
+        # REPRO006: above runtime/, kernels launch through the region only
+        if self.above_runtime and isinstance(func, ast.Attribute):
+            base = ast.unparse(func.value)
+            direct_enqueue = (
+                func.attr in ("enqueue", "enqueue_aggregated")
+                and ("lease" in base.lower() or "stream" in base.lower()))
+            if direct_enqueue or self._is_pool_acquire(node):
                 self._hit(node, "REPRO006",
-                          f"direct {func.attr}() on {ast.unparse(func.value)!r} "
-                          "in core/ bypasses the aggregation region (and its "
-                          "launch accounting); use ExecutionEngine.map or an "
+                          f"direct {func.attr}() on {base!r} above runtime/ "
+                          "bypasses the aggregation region (and its launch "
+                          "accounting); use ExecutionEngine.map or an "
                           "AggregationRegion")
         # REPRO007: channel sends in network-aware core/ modules must be
         # routed (and charged) through the halo transport

@@ -10,7 +10,7 @@ bundles a runnable scenario so
     python -m repro.analysis.profile
 
 exercises the whole instrumented runtime stack (work-stealing scheduler,
-futures, simulated CUDA streams + launch policy, parcelport cost models,
+futures, simulated CUDA streams + aggregation regions, parcelport cost models,
 distributed step model), then writes ``trace.json`` (Chrome trace-event
 format, loadable in ``chrome://tracing`` / Perfetto) and prints the
 counters report.
@@ -35,8 +35,8 @@ __all__ = ["group_snapshot", "format_report", "run_example_scenario", "main"]
 def group_snapshot(snapshot: dict[str, float]) -> dict[str, dict[str, float]]:
     """Group a flat registry snapshot by top-level counter prefix.
 
-    ``{"/threads/executed": 10, "/cuda/launch/gpu": 3}`` becomes
-    ``{"threads": {"executed": 10}, "cuda": {"launch/gpu": 3}}``.
+    ``{"/threads/executed": 10, "/cuda/launched/gpu": 3}`` becomes
+    ``{"threads": {"executed": 10}, "cuda": {"launched/gpu": 3}}``.
     """
     groups: dict[str, dict[str, float]] = {}
     for name, value in snapshot.items():
@@ -83,16 +83,6 @@ def format_report(registry: CounterRegistry | None = None) -> str:
 
     cuda = groups.get("cuda")
     if cuda:
-        launch = {k.split("/", 1)[1]: v for k, v in cuda.items()
-                  if k.startswith("launch/")}
-        if launch:
-            rows = [["gpu", int(launch.get("gpu", 0))],
-                    ["cpu-fallback", int(launch.get("cpu", 0))],
-                    ["gpu-launch %", _pct(launch.get("gpu-fraction", 0.0))]]
-            sections.append(format_table(
-                ["launch target", "count"], rows,
-                title="kernel launch policy (/cuda/launch) — "
-                      "the Sec. 6.1.2 statistic"))
         launched = {k.split("/", 1)[1]: v for k, v in cuda.items()
                     if k.startswith("launched/")}
         if launched:
@@ -108,7 +98,7 @@ def format_report(registry: CounterRegistry | None = None) -> str:
             sections.append(format_table(
                 ["placement", "count"], rows,
                 title="execution engine placement (/cuda/launched) — "
-                      "live-solve launch ratio"))
+                      "the Sec. 6.1.2 statistic on live work"))
         if "agg-launches" in cuda or "aggregated-per-launch" in cuda:
             rows = [
                 ["aggregated launches", int(cuda.get("agg-launches", 0))],
@@ -131,8 +121,7 @@ def format_report(registry: CounterRegistry | None = None) -> str:
                 title="stream health (/cuda) — quarantine & lease "
                       "reclamation"))
         devices = sorted({k.split("/")[0] for k in cuda
-                          if not k.startswith(("launch/", "launched/",
-                                               "agg-flush/"))
+                          if not k.startswith(("launched/", "agg-flush/"))
                           and "/" in k})
         rows = []
         for dev in devices:
@@ -299,22 +288,23 @@ def run_example_scenario(registry: CounterRegistry | None = None,
                          seed: int = 1) -> dict[str, Any]:
     """Run the quickstart profiling scenario through the full runtime stack.
 
-    A batch of monopole FMM kernels is launched through the paper's
-    GPU-else-CPU policy with continuation chaining on a work-stealing
-    scheduler (the Sec. 5.1 node model); the same kernels are then
-    re-dispatched through an :class:`~repro.core.exec.ExecutionEngine`,
-    whose aggregation regions coalesce them into slot-buffer launches
-    (the ``/cuda/aggregated-per-launch`` statistic of the report);
-    finally the distributed step model evaluates a few node counts over
-    both parcelports (the Sec. 6.3 cost model).  All components publish
-    their counters into ``registry``.
+    A batch of monopole FMM kernels goes through an
+    :class:`~repro.core.exec.ExecutionEngine` with ``agg_slots=1`` — the
+    paper's one-kernel GPU-else-CPU rule, with continuation chaining on
+    a work-stealing scheduler (the Sec. 5.1 node model; its tallies stay
+    on a registry of its own and come back in the result); the same
+    kernels are then re-dispatched through a default-slot engine, whose
+    aggregation regions coalesce them into slot-buffer launches (the
+    ``/cuda/aggregated-per-launch`` statistic of the report); finally
+    the distributed step model evaluates a few node counts over both
+    parcelports (the Sec. 6.3 cost model).  Everything else publishes
+    its counters into ``registry``.
     """
     from ..core.exec import ExecutionEngine
     from ..core.gravity.kernels import p2p_pair
     from ..network.parcelport import PARCELPORTS
     from ..network import parcelport as parcelport_mod
-    from ..runtime import (CudaDevice, LaunchPolicy, StreamPool,
-                           WorkStealingScheduler, when_all)
+    from ..runtime import CudaDevice, WorkStealingScheduler, when_all
     from ..simulator.distributed import StepModel
     from ..simulator.scaling import cached_profile
     from ..simulator.platforms import PIZ_DAINT
@@ -336,26 +326,22 @@ def run_example_scenario(registry: CounterRegistry | None = None,
     with CudaDevice(n_streams=n_streams, n_workers=n_gpu_workers,
                     name="sim-gpu") as gpu, \
             WorkStealingScheduler(n_cpu_workers) as cpu:
-        policy = LaunchPolicy(StreamPool([gpu]))
+        batch = [(k,) for k in kernels]
+        one = ExecutionEngine(scheduler=cpu, devices=[gpu],
+                              registry=CounterRegistry(), agg_slots=1)
         with trace.span("gravity-solve", "phase"):
-            sends = []
-            for i, kern in enumerate(kernels):
-                fut = policy.launch(kern)
-                sends.append(fut.then(lambda f, i=i: (i, f.get()),
-                                      executor=cpu.post))
+            sends = [fut.then(lambda f, i=i: (i, f.get()), executor=cpu.post)
+                     for i, fut in enumerate(one.map(_call_kernel, batch))]
             results = when_all(sends).get()
             total = sum(f.get()[1] for f in results)
-        cpu.wait_idle(timeout=30.0)
-        engine = ExecutionEngine(scheduler=cpu, device=gpu,
+        one.synchronize()
+        engine = ExecutionEngine(scheduler=cpu, devices=[gpu],
                                  registry=registry)
         with trace.span("aggregated-solve", "phase"):
-            agg_futs = engine.map(_call_kernel, [(k,) for k in kernels])
+            agg_futs = engine.map(_call_kernel, batch)
             agg_total = sum(f.get(timeout=30.0) for f in agg_futs)
         engine.synchronize()
-        cpu.publish_counters(registry)
-        gpu.publish_counters(registry)
-        policy.publish_counters(registry)
-        engine.publish_counters(registry)
+        engine.publish_counters(registry)  # scheduler + device gauges too
 
     with trace.span("step-model", "phase"):
         profile = cached_profile(tree_level)
@@ -373,8 +359,8 @@ def run_example_scenario(registry: CounterRegistry | None = None,
     return {
         "kernel_sum": float(total),
         "aggregated_sum": float(agg_total),
-        "gpu_launches": policy.gpu_launches,
-        "cpu_launches": policy.cpu_launches,
+        "gpu_launches": one.gpu_launches,
+        "cpu_launches": one.cpu_launches,
         "aggregated_launches": engine.agg_launches,
         "aggregated_per_launch": engine.aggregated_per_launch,
         "step_results": step_results,

@@ -13,13 +13,15 @@ the hydro right-hand side of one aggregation chunk of sub-grids per task
 (``agg_slots`` blocks, one batched ``compute_rhs`` call) — instead of
 only for the synthetic kernels of the simulator.
 
-On top of that routing sits **work aggregation** (Daiß et al., arXiv
-2210.06438; :mod:`repro.runtime.aggregate`): :meth:`map` splits a batch
-into slot-buffer-sized chunks, and each chunk task opens an
-:class:`~repro.runtime.aggregate.AggregationRegion` that coalesces its
-kernels into a single aggregated stream launch.  Callers are oblivious —
-they still get one future per kernel, in input order — but the device
-sees one launch per filled slot buffer instead of one per kernel.
+The engine owns the *distribution* (chunks to workers) and the
+*accounting*; the GPU-or-CPU decision itself is made in exactly one
+place, :meth:`repro.runtime.aggregate.AggregationRegion._flush` (Daiß et
+al., arXiv 2210.06438): :meth:`map` splits a batch into
+slot-buffer-sized chunks, and each chunk task opens a region that
+coalesces its kernels into a single aggregated stream launch.  Callers
+are oblivious — they still get one future per kernel, in input order —
+but the device sees one launch per filled slot buffer instead of one per
+kernel; ``agg_slots=1`` is the paper's one-kernel-per-launch rule.
 
 Placement accounting: every task placement is counted, GPU placements
 under ``/cuda/launched/gpu`` and CPU placements (stream-less engines and
@@ -59,7 +61,7 @@ from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from ..runtime.aggregate import AggregationRegion, DEFAULT_AGG_SLOTS
 from ..runtime.counters import CounterRegistry, default_registry
-from ..runtime.cuda import CudaDevice, StreamPool, DEFAULT_LEASE_TIMEOUT_S
+from ..runtime.cuda import CudaDevice, StreamPool
 from ..runtime.future import Future, Promise
 from ..runtime.scheduler import WorkStealingScheduler
 
@@ -74,37 +76,31 @@ class ExecutionEngine:
     scheduler:
         Optional :class:`~repro.runtime.scheduler.WorkStealingScheduler`;
         when present, submitted work becomes stealable chunk tasks.
-    device / devices:
-        Optional :class:`~repro.runtime.cuda.CudaDevice` (or several);
-        when present, chunk regions acquire an idle stream from a shared
+    devices:
+        Optional :class:`~repro.runtime.cuda.CudaDevice` list; when
+        present, chunk regions lease an idle stream from a shared
         :class:`~repro.runtime.cuda.StreamPool` before overflowing to the
-        CPU — the paper's launch policy, with leases that cannot leak.
+        CPU — the paper's launch rule, with leases that cannot leak.
     registry:
         Counter registry for ``/cuda/launched/*``, ``/cuda/agg-*`` and
         ``/exec/*`` (default: the global registry).
-    aggregate / agg_slots:
+    agg_slots:
         Work aggregation: kernels are coalesced into aggregated launches
-        of up to ``agg_slots`` slots (``aggregate=False`` degrades to one
-        launch per kernel, keeping the same accounting).
+        of up to ``agg_slots`` slots (1 = one launch per kernel, same
+        rule and accounting).
     """
 
     def __init__(self, scheduler: WorkStealingScheduler | None = None,
-                 device: CudaDevice | None = None,
                  devices: Sequence[CudaDevice] | None = None,
                  registry: CounterRegistry | None = None,
-                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
-                 aggregate: bool = True,
                  agg_slots: int = DEFAULT_AGG_SLOTS):
         if agg_slots < 1:
             raise ValueError("need at least one aggregation slot")
-        devs = list(devices) if devices else []
-        if device is not None:
-            devs.insert(0, device)
         self.scheduler = scheduler
-        self.devices = devs
-        self.pool = StreamPool(devs, lease_timeout) if devs else None
+        self.devices = list(devices or ())
+        self.pool = StreamPool(self.devices) if self.devices else None
         self.registry = registry or default_registry()
-        self.agg_slots = agg_slots if aggregate else 1
+        self.agg_slots = agg_slots
         self._lock = threading.Lock()
         self.gpu_launches = 0    # kernels placed on GPU streams
         self.cpu_launches = 0    # kernels placed on CPU workers

@@ -414,7 +414,7 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
         if plan.poison_stream:
             gpu.streams[0].poison()
         engine = SupervisedEngine(
-            ExecutionEngine(scheduler=sched, device=gpu, registry=registry),
+            ExecutionEngine(scheduler=sched, devices=[gpu], registry=registry),
             injector=injector, max_retries=MAX_TASK_RETRIES,
             # the kill handler already picks local vs global recovery, so
             # a permanent task failure is only tallied before it surfaces

@@ -54,7 +54,7 @@ from typing import Any, Callable, Sequence
 
 from ..core.exec import ExecutionEngine
 from ..runtime import trace
-from ..runtime.counters import CounterRegistry, default_registry
+from ..runtime.counters import CounterRegistry
 from ..runtime.faults import TransientActionFault
 from ..runtime.future import Future, FutureTimeout, Promise
 from .faults import FaultInjector
@@ -63,6 +63,10 @@ __all__ = ["SupervisedEngine", "DEFAULT_TASK_RETRIES"]
 
 #: re-execution budget per task (attempts = 1 + retries)
 DEFAULT_TASK_RETRIES = 3
+
+#: exception types worth re-executing; anything else (application errors,
+#: cancelled futures, failed localities) surfaces on the first attempt
+TRANSIENT = (TransientActionFault, FutureTimeout)
 
 
 class SupervisedEngine:
@@ -76,17 +80,12 @@ class SupervisedEngine:
     Parameters
     ----------
     engine:
-        The engine to wrap; built from ``scheduler``/``device``/``devices``
-        when omitted.
+        The engine to wrap.
     injector:
         Optional fault injector consulted once per *attempt* (transient
         execution faults, budget-bounded).
     max_retries:
         Re-executions allowed per task after the first attempt.
-    transient:
-        Exception types worth re-executing; anything else (application
-        errors, cancelled futures, failed localities) surfaces unchanged
-        on the first attempt.
     escalate:
         Optional ``callback(exc, args, attempt)`` invoked for every
         *permanent* failure (non-transient, or transient budget
@@ -96,28 +95,19 @@ class SupervisedEngine:
         ``/resilience/tasks/escalation-errors`` and otherwise ignored).
     """
 
-    def __init__(self, engine: ExecutionEngine | None = None, *,
-                 scheduler=None, device=None, devices=None,
+    def __init__(self, engine: ExecutionEngine, *,
                  injector: FaultInjector | None = None,
                  max_retries: int = DEFAULT_TASK_RETRIES,
-                 transient: tuple[type[BaseException], ...] = (
-                     TransientActionFault, FutureTimeout),
                  escalate: Callable[[BaseException, tuple, int], None]
                      | None = None,
                  registry: CounterRegistry | None = None):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if engine is None:
-            engine = ExecutionEngine(scheduler=scheduler, device=device,
-                                     devices=devices, registry=registry)
-        elif scheduler is not None or device is not None or devices:
-            raise ValueError("pass either an engine or resources, not both")
         self.engine = engine
         self.injector = injector
         self.max_retries = max_retries
-        self.transient = transient
         self.escalate = escalate
-        self.registry = registry or engine.registry or default_registry()
+        self.registry = registry or engine.registry
 
     # -- engine surface ------------------------------------------------------
 
@@ -196,7 +186,7 @@ class SupervisedEngine:
             exc: BaseException = RuntimeError("unreachable")
         except BaseException as caught:
             exc = caught
-        if isinstance(exc, self.transient) and attempt <= self.max_retries:
+        if isinstance(exc, TRANSIENT) and attempt <= self.max_retries:
             r.increment("/resilience/tasks/retried")
             if trace.TRACING:
                 trace.instant("task-retry", "resilience", attempt=attempt)
@@ -206,7 +196,7 @@ class SupervisedEngine:
             self._supervise(run, args, use_device, promise, refut,
                             attempt + 1)
             return
-        if isinstance(exc, self.transient):
+        if isinstance(exc, TRANSIENT):
             r.increment("/resilience/tasks/gave-up")
             if trace.TRACING:
                 trace.instant("task-gave-up", "resilience", attempt=attempt)

@@ -17,7 +17,7 @@ from .parcel import Parcel, ParcelHandler, EAGER_THRESHOLD, serialized_size
 from .channel import (Channel, ChannelError, ChannelClosed, ChannelReset,
                       ChannelGenerationError)
 from .cuda import (CudaDevice, CudaStream, StreamPool, StreamLease,
-                   AggregatedOp, LaunchPolicy, DEFAULT_STREAMS_PER_GPU,
+                   AggregatedOp, DEFAULT_STREAMS_PER_GPU,
                    DEFAULT_LEASE_TIMEOUT_S)
 from .aggregate import AggregationRegion, DEFAULT_AGG_SLOTS
 from .counters import CounterRegistry, default_registry, counter, gauge, timer
@@ -33,7 +33,7 @@ __all__ = [
     "Channel", "ChannelError", "ChannelClosed", "ChannelReset",
     "ChannelGenerationError",
     "CudaDevice", "CudaStream", "StreamPool", "StreamLease", "AggregatedOp",
-    "LaunchPolicy", "DEFAULT_STREAMS_PER_GPU", "DEFAULT_LEASE_TIMEOUT_S",
+    "DEFAULT_STREAMS_PER_GPU", "DEFAULT_LEASE_TIMEOUT_S",
     "AggregationRegion", "DEFAULT_AGG_SLOTS",
     "CounterRegistry", "default_registry", "counter", "gauge", "timer",
     "trace",

@@ -17,11 +17,16 @@ a single :class:`~repro.runtime.cuda.AggregatedOp` on one leased stream:
 
 * **flush triggers** — buffer full (``slots`` pending), explicit
   :meth:`flush`, :meth:`synchronize`, or region exit (context manager);
-* **placement** — the flush acquires a stream lease from the pool and
-  enqueues the aggregated op; if no idle stream exists (or the enqueue
-  itself fails, e.g. a device shutting down mid-flush) the buffered
-  kernels run inline on the calling CPU worker, preserving the paper's
-  GPU-else-CPU overflow rule at aggregated granularity;
+* **placement** — :meth:`AggregationRegion._flush` is the one place in
+  ``src/`` that decides GPU-or-CPU and the one caller of
+  :meth:`~repro.runtime.cuda.StreamPool.acquire`: it takes a stream
+  lease from the pool and enqueues the aggregated op; if no idle stream
+  exists (or the enqueue itself fails, e.g. a device shutting down
+  mid-flush) the buffered kernels run inline on the calling CPU worker
+  — the paper's Sec. 5.1 GPU-else-CPU rule at aggregated granularity,
+  and exactly that rule, one kernel per launch, at ``slots=1``; an
+  overflowed buffer leaves one ``cuda`` trace span with
+  ``device="cpu-fallback"``;
 * **accounting** — placements are reported through ``on_flush(gpu, n)``
   only *after* a successful enqueue (or, for the CPU path, around the
   inline execution), so a faulting enqueue can never inflate the GPU
@@ -46,8 +51,10 @@ and fell back to the CPU).  The tasks-per-launch ratio is published by
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable
 
+from . import trace
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
@@ -203,11 +210,17 @@ class AggregationRegion:
         self.cpu_tasks += n
         if self._on_flush is not None:
             self._on_flush(False, n)
+        # a region with a pool got here by overflow: keep it on the timeline
+        traced = trace.TRACING and self.pool is not None
+        t0 = time.perf_counter() if traced else 0.0
         for fn, args, promise in pending:
             try:
                 promise.set_value(fn(*args))
             except BaseException as exc:
                 promise.set_exception(exc)
+        if traced:
+            trace.complete(getattr(pending[0][0], "__name__", "kernel"),
+                           "cuda", t0, device="cpu-fallback", slots=n)
 
     # -- context manager ---------------------------------------------------
 

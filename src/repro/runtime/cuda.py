@@ -8,14 +8,17 @@ The paper's GPU integration (Sec. 5.1) has three ingredients we reproduce:
    :meth:`CudaStream.enqueue` returns a future per operation and
    :meth:`CudaStream.record_event` returns a future for the stream frontier.
 
-2. **The launch policy** — "Each CPU thread manages a certain number of
+2. **The launch rule** — "Each CPU thread manages a certain number of
    CUDA streams.  When launching a kernel, a thread first checks whether all
    of the CUDA streams it manages are busy.  If not, the kernel will be
    launched on the GPU using an idle stream.  Otherwise, the kernel will be
-   executed on the CPU by the current CPU worker thread."  Implemented by
-   :class:`StreamPool.try_acquire` + :class:`LaunchPolicy`, whose
-   gpu/cpu launch counters reproduce the 97.4995 % / 99.9997 % / 99.5207 %
-   statistics of Sec. 6.1.2 (see ``repro.simulator.scaling``).
+   executed on the CPU by the current CPU worker thread."  This module
+   supplies the mechanism — :meth:`StreamPool.acquire` hands out an idle
+   stream as a :class:`StreamLease`, or ``None`` — and the rule itself is
+   written once, in :class:`repro.runtime.aggregate.AggregationRegion`
+   (one slot = the paper's one-kernel rule), whose gpu/cpu placement
+   counters reproduce the 97.4995 % / 99.9997 % / 99.5207 % statistics of
+   Sec. 6.1.2 (see ``repro.simulator.scaling``).
 
 3. **Asynchronous execution** — operations run on device worker threads
    while the submitting CPU worker continues; per-stream FIFO order is
@@ -30,7 +33,7 @@ cell function template for both targets.
 re-using a stream whose kernels keep failing (a sick SM, a poisoned
 context): after ``quarantine_threshold`` *consecutive* kernel faults a
 stream is **quarantined** — :meth:`CudaStream._try_reserve` stops handing
-it out, so the launch policy transparently overflows its work to healthy
+it out, so the launch rule transparently overflows its work to healthy
 streams or the CPU.  After ``quarantine_period`` seconds the stream is
 re-admitted **on probation**: one more fault re-quarantines it
 immediately, one success clears the probation.  Quarantines are counted
@@ -64,7 +67,7 @@ from .faults import TransientActionFault
 from .future import Future, Promise
 
 __all__ = ["CudaDevice", "CudaStream", "StreamPool", "StreamLease",
-           "AggregatedOp", "LaunchPolicy", "DEFAULT_STREAMS_PER_GPU",
+           "AggregatedOp", "DEFAULT_STREAMS_PER_GPU",
            "DEFAULT_LEASE_TIMEOUT_S", "DEFAULT_QUARANTINE_THRESHOLD",
            "DEFAULT_QUARANTINE_PERIOD_S"]
 
@@ -92,12 +95,12 @@ class AggregatedOp:
     launch future — amortizing the per-launch overhead the aggregation
     paper targets.
 
-    Stream-health semantics stay per *kernel*, not per launch: the
-    device worker draws poison and records a fault-streak outcome for
-    every slot individually (a sick stream faulting mid-buffer
-    quarantines exactly as it would under one-kernel-per-launch), and a
-    slot raising never takes its neighbours down.  The launch future
-    resolves with ``[(ok, value_or_exception), ...]`` in slot order;
+    Stream-health semantics stay per *kernel*, not per launch: every slot
+    goes through :meth:`CudaStream._run_kernel` — its own poison draw and
+    fault-streak outcome (a sick stream faulting mid-buffer quarantines
+    exactly as it would under one-kernel-per-launch) — and a slot raising
+    never takes its neighbours down.  The launch future resolves with
+    ``[(ok, value_or_exception), ...]`` in slot order;
     :func:`repro.runtime.aggregate._scatter` forwards these to the
     per-kernel futures.
     """
@@ -115,20 +118,7 @@ class AggregatedOp:
 
     def run(self, stream: "CudaStream") -> list[tuple[bool, Any]]:
         """Execute every slot on ``stream``; called by the device worker."""
-        outcomes: list[tuple[bool, Any]] = []
-        for fn, args in self.items:
-            poison = stream._consume_poison()
-            if poison is not None:
-                outcomes.append((False, poison))
-                stream._record_kernel_outcome(ok=False)
-                continue
-            try:
-                outcomes.append((True, fn(*args)))
-                stream._record_kernel_outcome(ok=True)
-            except BaseException as exc:
-                outcomes.append((False, exc))
-                stream._record_kernel_outcome(ok=False)
-        return outcomes
+        return [stream._run_kernel(fn, args) for fn, args in self.items]
 
 
 class CudaStream:
@@ -155,25 +145,31 @@ class CudaStream:
     def enqueue(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Submit ``fn(*args)`` to the device; returns its future.
 
-        Enqueueing consumes any outstanding :meth:`StreamPool.try_acquire`
+        Enqueueing consumes any outstanding :meth:`StreamPool.acquire`
         reservation on this stream (the acquired-for kernel is now queued,
         so ``busy()`` keeps reporting True through ``_in_flight`` instead).
+        A device that is shut down refuses *before* anything is queued
+        (the reservation is spent all the same): the stream stays idle
+        and ``synchronize()`` still returns.
         """
         promise = Promise()
         fut = promise.get_future()
-        with self._lock:
+        dev = self.device
+        # device lock outside the stream lock: acceptance and the hand-off
+        # to the workers are one step against a concurrent shutdown()
+        with dev._cond, self._lock:
             self._reserved = False
+            if dev._shutdown:
+                raise RuntimeError(f"device {dev.name} is shut down")
             if _sanitize_state.ACTIVE:
                 # submitter -> device-worker edge (per-stream FIFO, so one
                 # cumulative key per stream is exact for the head op)
                 _racecheck.send(("stream-op", id(self)))
             self._queue.append((fn, args, promise))
             self._last_future = fut
-            should_kick = not self._in_flight
-            if should_kick:
+            if not self._in_flight:
                 self._in_flight = True
-        if should_kick:
-            self.device._dispatch(self)
+                dev._dispatch(self)
         return fut
 
     def enqueue_aggregated(self, items: list[tuple[Callable[..., Any], tuple]]
@@ -243,16 +239,15 @@ class CudaStream:
                               device=self.device.name, stream=self.index)
         return token
 
-    def release(self, token: int | None = None) -> None:
+    def release(self, token: int) -> None:
         """Give back a reservation without enqueueing a kernel.
 
-        With a ``token`` (from :meth:`StreamPool.acquire` leases) the
-        release is a no-op unless the token still owns the reservation,
-        so a late release can never clobber a newer holder's claim.
+        A no-op unless ``token`` (from :meth:`_try_reserve`, carried by
+        the :class:`StreamLease`) still owns the reservation, so a late
+        release can never clobber a newer holder's claim.
         """
         with self._lock:
-            if token is None or (self._reserved
-                                 and self._lease_token == token):
+            if self._reserved and self._lease_token == token:
                 self._reserved = False
                 if _sanitize_state.ACTIVE:
                     # lease handoff: the holder's writes happen-before
@@ -293,6 +288,20 @@ class CudaStream:
             return factory()
         return TransientActionFault(
             f"poisoned stream {self.index} on {self.device.name}")
+
+    def _run_kernel(self, fn: Callable[..., Any], args: tuple
+                    ) -> tuple[bool, Any]:
+        """One kernel on this stream (device-worker side): poison draw,
+        run, health outcome; returns ``(ok, value_or_exception)``."""
+        exc = self._consume_poison()
+        value = None
+        if exc is None:
+            try:
+                value = fn(*args)
+            except BaseException as caught:
+                exc = caught
+        self._record_kernel_outcome(ok=exc is None)
+        return (True, value) if exc is None else (False, exc)
 
     def _record_kernel_outcome(self, ok: bool) -> None:
         """Track the consecutive-fault streak; quarantine past threshold."""
@@ -339,8 +348,6 @@ class CudaDevice:
     n_workers:
         Simulated concurrency of the device (number of host threads
         standing in for streaming multiprocessors).
-    peak_gflops:
-        Nominal peak, used only for bookkeeping/flop accounting.
     quarantine_threshold / quarantine_period:
         Consecutive kernel faults that quarantine a stream, and how long
         it sits out before probationary re-admission.  ``threshold=None``
@@ -348,8 +355,7 @@ class CudaDevice:
     """
 
     def __init__(self, n_streams: int = DEFAULT_STREAMS_PER_GPU,
-                 n_workers: int = 4, peak_gflops: float = 4700.0,
-                 name: str = "sim-gpu",
+                 n_workers: int = 4, name: str = "sim-gpu",
                  quarantine_threshold: int | None =
                  DEFAULT_QUARANTINE_THRESHOLD,
                  quarantine_period: float = DEFAULT_QUARANTINE_PERIOD_S):
@@ -360,7 +366,6 @@ class CudaDevice:
         if quarantine_period <= 0:
             raise ValueError("quarantine period must be positive")
         self.name = name
-        self.peak_gflops = peak_gflops
         self.quarantine_threshold = quarantine_threshold
         self.quarantine_period = quarantine_period
         self.streams = [CudaStream(self, i) for i in range(n_streams)]
@@ -378,11 +383,14 @@ class CudaDevice:
             t.start()
 
     def _dispatch(self, stream: CudaStream) -> None:
-        with self._cond:
-            if self._shutdown:
-                raise RuntimeError(f"device {self.name} is shut down")
-            self._work.append(stream)
-            self._cond.notify()
+        """Hand a stream with queued ops to the workers (``_cond`` held).
+
+        No shutdown check here: :meth:`CudaStream.enqueue` refuses new
+        work on a shut-down device, and whatever was accepted before
+        drains — workers exit only once ``_work`` is empty.
+        """
+        self._work.append(stream)
+        self._cond.notify()
 
     def _worker_loop(self) -> None:
         while True:
@@ -400,23 +408,16 @@ class CudaDevice:
                 _racecheck.recv(("stream-op", id(stream)))
             t0 = time.perf_counter() if trace.TRACING else 0.0
             if isinstance(fn, AggregatedOp):
-                # aggregated launch: one queue op, per-slot poison draws
-                # and health outcomes (see AggregatedOp.run)
+                # one queue op, one launch future, per-slot outcomes
                 executed = len(fn)
                 promise.set_value(fn.run(stream))
             else:
                 executed = 1
-                poison = stream._consume_poison()
-                if poison is not None:
-                    promise.set_exception(poison)
-                    stream._record_kernel_outcome(ok=False)
+                ok, value = stream._run_kernel(fn, args)
+                if ok:
+                    promise.set_value(value)
                 else:
-                    try:
-                        promise.set_value(fn(*args))
-                        stream._record_kernel_outcome(ok=True)
-                    except BaseException as exc:
-                        promise.set_exception(exc)
-                        stream._record_kernel_outcome(ok=False)
+                    promise.set_exception(value)
             if trace.TRACING:
                 trace.default_recorder().complete(
                     getattr(fn, "__name__", "kernel"), "cuda",
@@ -433,7 +434,8 @@ class CudaDevice:
                     # kernel completion happens-before the next reserve
                     _racecheck.send(("stream", id(stream)))
             if more:
-                self._dispatch(stream)
+                with self._cond:
+                    self._dispatch(stream)
 
     def synchronize(self) -> None:
         """Block until every stream has drained (cudaDeviceSynchronize)."""
@@ -561,79 +563,7 @@ class StreamPool:
                     return StreamLease(s, token)
         return None
 
-    def try_acquire(self) -> CudaStream | None:
-        """Legacy acquire: the reserved stream itself (lease implicit).
-
-        The reservation is consumed by :meth:`CudaStream.enqueue`,
-        released by :meth:`CudaStream.release`, or reclaimed after
-        ``lease_timeout`` — prefer :meth:`acquire`, whose lease object
-        cannot be leaked by an exception between acquire and enqueue.
-        """
-        lease = self.acquire()
-        if lease is None:
-            return None
-        if _sanitize_state.ACTIVE:
-            # the reservation now lives on the raw stream, not the lease
-            # object we are about to drop — not a leak
-            _sanitize_protocol.lease_handoff(lease)
-        return lease.stream
-
     @property
     def n_streams(self) -> int:
         return sum(len(d.streams) for d in self.devices)
 
-
-class LaunchPolicy:
-    """The paper's GPU-else-CPU kernel launch rule, with statistics.
-
-    ``launch(kernel, *args)`` runs the kernel on an idle GPU stream when one
-    exists, otherwise synchronously on the calling CPU worker; either way a
-    future is returned, so callers are oblivious to the placement — the
-    property that makes the whole scheme "mostly non-invasive" (Sec. 5.1).
-    """
-
-    def __init__(self, pool: StreamPool):
-        self.pool = pool
-        self._lock = _sanitize_lockdep.make_lock("cuda.launch-policy")
-        self.gpu_launches = 0
-        self.cpu_launches = 0
-
-    def launch(self, kernel: Callable[..., Any], *args: Any) -> Future:
-        lease = self.pool.acquire()
-        if lease is not None:
-            with lease:
-                with self._lock:
-                    self.gpu_launches += 1
-                return lease.enqueue(kernel, *args)
-        with self._lock:
-            self.cpu_launches += 1
-        promise = Promise()
-        t0 = time.perf_counter() if trace.TRACING else 0.0
-        try:
-            promise.set_value(kernel(*args))
-        except BaseException as exc:
-            promise.set_exception(exc)
-        if trace.TRACING:
-            trace.default_recorder().complete(
-                getattr(kernel, "__name__", "kernel"), "cuda",
-                t0, time.perf_counter(), device="cpu-fallback")
-        return promise.get_future()
-
-    @property
-    def gpu_fraction(self) -> float:
-        """Fraction of kernels that ran on the GPU (Sec. 6.1.2 statistic)."""
-        with self._lock:
-            total = self.gpu_launches + self.cpu_launches
-            return self.gpu_launches / total if total else 0.0
-
-    def publish_counters(self, registry: CounterRegistry | None = None
-                         ) -> None:
-        """Publish ``/cuda/launch/...`` decision gauges into ``registry``."""
-        registry = registry or default_registry()
-        with self._lock:
-            gpu, cpu = self.gpu_launches, self.cpu_launches
-        registry.set_gauge("/cuda/launch/gpu", float(gpu))
-        registry.set_gauge("/cuda/launch/cpu", float(cpu))
-        total = gpu + cpu
-        registry.set_gauge("/cuda/launch/gpu-fraction",
-                           gpu / total if total else 0.0)

@@ -4,7 +4,9 @@ Two runtime protocols carry invariants the type system cannot express:
 
 **Stream leases** (:class:`~repro.runtime.cuda.StreamLease`): a lease is
 *held* from ``StreamPool.acquire`` until exactly one of ``enqueue`` (the
-kernel consumes the reservation) or ``release`` (given back unused).  The
+kernel consumes the reservation) or ``release`` (given back unused) —
+the lease object is the only way to hold a stream, and
+``AggregationRegion._flush`` the only acquirer in ``src/``.  The
 hazards: a lease that reaches neither (the stream stays reserved until
 the timeout reclaims it — a silent throughput leak), and a lease used
 again after it was consumed or released (the reservation it represents
@@ -32,7 +34,7 @@ from typing import Any
 from . import state
 
 __all__ = ["lease_created", "lease_consumed", "lease_released",
-           "lease_handoff", "lease_reclaimed", "channel_closed_set",
+           "lease_reclaimed", "channel_closed_set",
            "channel_reset_generation", "sweep_leases", "reset"]
 
 _lock = threading.Lock()
@@ -93,22 +95,6 @@ def lease_consumed(lease: Any) -> None:
 def lease_released(lease: Any) -> None:
     """An *effective* release (the idempotent no-op path is not reported)."""
     _transition(lease, _RELEASED, "released")
-
-
-def lease_handoff(lease: Any) -> None:
-    """The reservation left the lease object by a sanctioned path.
-
-    ``StreamPool.try_acquire`` (the legacy API) extracts the raw stream
-    and drops the lease; the reservation is then governed by
-    ``CudaStream.enqueue``/``release`` directly, so lease lifecycle
-    tracking no longer applies — without this, the GC of the discarded
-    lease object would be reported as a leak.
-    """
-    seq = getattr(lease, "_san_seq", None)
-    if seq is None:
-        return
-    with _lock:
-        _leases.pop(seq, None)
 
 
 def lease_reclaimed() -> None:

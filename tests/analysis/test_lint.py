@@ -154,7 +154,7 @@ def test_repro005_typed_except_and_other_dirs_clean():
         == ["REPRO005"]
 
 
-# -- REPRO006: unaggregated enqueues in core/ -----------------------------
+# -- REPRO006: launches beside the aggregation region ----------------------
 
 def test_repro006_direct_lease_enqueue_in_core():
     vs = _lint("lease.enqueue(kernel, dR, m)", rel="repro/core/solver.py")
@@ -166,6 +166,23 @@ def test_repro006_stream_enqueue_aggregated_in_core():
     vs = _lint("self.stream.enqueue_aggregated(items)",
                rel="repro/core/gravity/fmm.py")
     assert [v.rule for v in vs] == ["REPRO006"]
+
+
+def test_repro006_covers_every_package_above_runtime():
+    vs = _lint("lease.enqueue(kernel, args)",
+               rel="repro/resilience/supervisor.py")
+    assert [v.rule for v in vs] == ["REPRO006"]
+    # the region is the one sanctioned acquirer: a guarded acquire above
+    # runtime/ is clean for REPRO002 and still a second launch path
+    vs = _lint("""
+        def launch(self):
+            with self.pool.acquire() as lease:
+                return lease
+    """, rel="repro/analysis/profile.py")
+    assert [v.rule for v in vs] == ["REPRO006"]
+    assert "acquire()" in vs[0].message
+    assert _lint("lease = self.pool.acquire()\nlease.release()",
+                 rel="repro/runtime/aggregate.py") == []
 
 
 def test_repro006_clean_outside_core_and_for_other_bases():

@@ -23,10 +23,10 @@ def clean_tracing():
 class TestGroupSnapshot:
     def test_groups_by_top_level_prefix(self):
         snap = {"/threads/executed": 10.0, "/threads/posted": 12.0,
-                "/cuda/launch/gpu": 3.0, "flat": 1.0}
+                "/cuda/launched/gpu": 3.0, "flat": 1.0}
         groups = group_snapshot(snap)
         assert groups["threads"] == {"executed": 10.0, "posted": 12.0}
-        assert groups["cuda"] == {"launch/gpu": 3.0}
+        assert groups["cuda"] == {"launched/gpu": 3.0}
         assert groups["flat"] == {"": 1.0}
 
     def test_empty(self):
@@ -42,9 +42,8 @@ class TestFormatReport:
         reg.set_gauge("/threads/executed", 4.0)
         reg.set_gauge("/threads/posted", 4.0)
         reg.set_gauge("/threads/worker/0/executed", 4.0)
-        reg.set_gauge("/cuda/launch/gpu", 3.0)
-        reg.set_gauge("/cuda/launch/cpu", 1.0)
-        reg.set_gauge("/cuda/launch/gpu-fraction", 0.75)
+        reg.set_gauge("/cuda/launched/gpu", 3.0)
+        reg.set_gauge("/cuda/launched/cpu", 1.0)
         reg.set_gauge("/cuda/sim-gpu/kernels-executed", 3.0)
         reg.set_gauge("/cuda/sim-gpu/streams", 8.0)
         reg.set_gauge("/parcels/mpi/messages", 2.0)
@@ -52,7 +51,7 @@ class TestFormatReport:
         reg.set_gauge("/simulator/steps-evaluated", 6.0)
         report = format_report(reg)
         for heading in ("scheduler (/threads)", "per-worker utilization",
-                        "kernel launch policy", "devices (/cuda)",
+                        "execution engine placement", "devices (/cuda)",
                         "parcelport cost components", "futures (/futures)",
                         "step model (/simulator)"):
             assert heading in report
@@ -69,7 +68,8 @@ class TestScenario:
         assert out["gpu_launches"] + out["cpu_launches"] == 24
         names = set(reg.names())
         for expect in ("/threads/executed", "/threads/idle-rate",
-                       "/cuda/launch/gpu-fraction",
+                       "/cuda/launched/gpu", "/exec/gpu-fraction",
+                       "/cuda/aggregated-per-launch",
                        "/cuda/sim-gpu/kernels-executed",
                        "/parcels/mpi/messages",
                        "/parcels/libfabric/messages",

@@ -1,12 +1,17 @@
 """Engine-level work aggregation: accounting, fast path, bit-identity."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlockMesh, ExecutionEngine
 from repro.core.scenario import equilibrium_star
 from repro.resilience.supervisor import SupervisedEngine
-from repro.runtime import CudaDevice, WorkStealingScheduler
+from repro.runtime import (CounterRegistry, CudaDevice,
+                           WorkStealingScheduler)
 from repro.runtime.counters import default_registry
 
 
@@ -79,9 +84,7 @@ class TestLaunchReconciliation:
 
     def test_aggregate_false_degrades_to_single_slot(self):
         with CudaDevice(n_streams=4, n_workers=2, name="one-gpu") as gpu:
-            engine = ExecutionEngine(devices=[gpu], aggregate=False,
-                                     agg_slots=16)
-            assert engine.agg_slots == 1
+            engine = ExecutionEngine(devices=[gpu], agg_slots=1)
             futs = engine.map(lambda x: -x, [(i,) for i in range(6)])
             assert [f.get(timeout=5.0) for f in futs] \
                 == [-i for i in range(6)]
@@ -134,6 +137,78 @@ class TestCountAfterEnqueue:
         assert engine.gpu_launches == 4  # placed, even though they faulted
         assert snap.get("/cuda/launched/gpu") + \
             snap.get("/cuda/launched/cpu", 0.0) == snap.get("/exec/tasks")
+
+    @pytest.mark.timeout(10)
+    def test_failed_enqueue_leaves_engine_synchronizable(self):
+        """Enqueue failure -> CPU overflow leaves nothing queued on the
+        dead device, so the barrier behind ``synchronize()`` returns."""
+        reg = CounterRegistry()
+        gpu = CudaDevice(n_streams=2, n_workers=1, name="dead-gpu2")
+        engine = ExecutionEngine(devices=[gpu], registry=reg, agg_slots=4)
+        gpu.shutdown()
+        futs = engine.map(lambda x: x + 1, [(i,) for i in range(4)])
+        # one flush, one refused enqueue, every slot from the CPU run
+        assert [f.get(timeout=5.0) for f in futs] == [1, 2, 3, 4]
+        assert reg.snapshot().get("/cuda/agg-enqueue-failed") == 1.0
+        assert (engine.gpu_launches, engine.cpu_launches) == (0, 4)
+        assert not any(s.busy() for s in gpu.streams)
+        waiter = threading.Thread(target=engine.synchronize, daemon=True)
+        waiter.start()
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+
+
+class TestOneLaunchRule:
+    """The GPU-else-CPU rule is written once (``AggregationRegion._flush``);
+    every engine shape must obey it."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_kernels=st.integers(0, 24), n_streams=st.integers(1, 6),
+           agg_slots=st.sampled_from([1, 4, 16]), threaded=st.booleans())
+    def test_placement_rule_over_engine_shapes(self, san, n_kernels,
+                                               n_streams, agg_slots,
+                                               threaded):
+        gate = threading.Event()
+
+        def kernel(i):
+            # a kernel that reached the device holds its stream until the
+            # gate opens; an overflowed one runs straight through
+            if threading.current_thread().name.startswith("rule-gpu-sm-"):
+                gate.wait(5.0)
+            return i
+
+        reg = CounterRegistry()
+        sched = WorkStealingScheduler(2) if threaded else None
+        try:
+            with CudaDevice(n_streams=n_streams, n_workers=2,
+                            name="rule-gpu") as gpu:
+                engine = ExecutionEngine(scheduler=sched, devices=[gpu],
+                                         registry=reg, agg_slots=agg_slots)
+                futs = engine.map(kernel, [(i,) for i in range(n_kernels)])
+                if sched is not None:
+                    sched.wait_idle()
+                # gates shut: no stream has come back yet, so the rule's
+                # GPU branch was taken at most once per stream
+                placed = engine.gpu_launches + engine.cpu_launches
+                assert placed == n_kernels
+                if agg_slots == 1:
+                    assert engine.gpu_launches == min(n_kernels, n_streams)
+                assert engine.agg_launches <= n_streams
+                gate.set()
+                assert [f.get(timeout=5.0) for f in futs] \
+                    == list(range(n_kernels))
+                engine.synchronize()
+        finally:
+            gate.set()
+            if sched is not None:
+                sched.shutdown()
+        snap = reg.snapshot()
+        assert snap.get("/cuda/launched/gpu", 0.0) \
+            + snap.get("/cuda/launched/cpu", 0.0) \
+            == snap.get("/exec/tasks") == n_kernels
+        # never a lease left held
+        assert san.sweep() == []
 
 
 class TestSingleTaskFastPath:

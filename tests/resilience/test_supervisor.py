@@ -16,7 +16,7 @@ from repro.runtime.faults import TransientActionFault
 class TestSupervisedExecution:
     def test_plain_execution_passes_through(self):
         reg = CounterRegistry()
-        eng = SupervisedEngine(registry=reg)
+        eng = SupervisedEngine(ExecutionEngine(registry=reg))
         futs = eng.map(lambda x: x + 1, [(i,) for i in range(5)])
         assert [f.get() for f in futs] == [1, 2, 3, 4, 5]
         snap = reg.snapshot()
@@ -27,7 +27,8 @@ class TestSupervisedExecution:
         reg = CounterRegistry()
         inj = FaultInjector(seed=11, action_fault_rate=1.0,
                             max_action_faults=4, registry=reg)
-        eng = SupervisedEngine(injector=inj, max_retries=5, registry=reg)
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), injector=inj,
+                               max_retries=5)
         futs = eng.map(lambda x: x * x, [(i,) for i in range(8)])
         assert [f.get(timeout=5.0) for f in futs] == [i * i
                                                      for i in range(8)]
@@ -42,8 +43,9 @@ class TestSupervisedExecution:
         inj = FaultInjector(seed=5, action_fault_rate=1.0,
                             max_action_faults=3, registry=reg)
         with WorkStealingScheduler(2) as sched:
-            eng = SupervisedEngine(scheduler=sched, injector=inj,
-                                   max_retries=4, registry=reg)
+            eng = SupervisedEngine(
+                ExecutionEngine(scheduler=sched, registry=reg),
+                injector=inj, max_retries=4)
             futs = eng.map(lambda x: -x, [(i,) for i in range(12)])
             assert [f.get(timeout=10.0) for f in futs] == \
                 [-i for i in range(12)]
@@ -51,7 +53,7 @@ class TestSupervisedExecution:
 
     def test_gives_up_after_budget(self):
         reg = CounterRegistry()
-        eng = SupervisedEngine(max_retries=2, registry=reg)
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), max_retries=2)
 
         def always_fails():
             raise TransientActionFault("permanent transient")
@@ -71,7 +73,7 @@ class TestSupervisedExecution:
             calls.append(1)
             raise ValueError("a real bug")
 
-        eng = SupervisedEngine(max_retries=5, registry=reg)
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), max_retries=5)
         with pytest.raises(ValueError, match="a real bug"):
             eng.submit(boom).get(timeout=5.0)
         assert len(calls) == 1
@@ -90,7 +92,8 @@ class TestSupervisedExecution:
         reg = CounterRegistry()
         inj = FaultInjector(seed=2, action_fault_rate=0.8,
                             max_action_faults=5, registry=reg)
-        eng = SupervisedEngine(injector=inj, max_retries=8, registry=reg)
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), injector=inj,
+                               max_retries=8)
         supervised = [f.get(timeout=10.0) for f in
                       eng.map(kernel, batches)]
         for a, b in zip(plain, supervised):
@@ -113,8 +116,9 @@ class TestSupervisedExecution:
             return i
 
         with WorkStealingScheduler(4) as sched:
-            eng = SupervisedEngine(scheduler=sched, injector=inj,
-                                   max_retries=6, registry=reg)
+            eng = SupervisedEngine(
+                ExecutionEngine(scheduler=sched, registry=reg),
+                injector=inj, max_retries=6)
             futs = eng.map(slow_id, [(i,) for i in range(16)])
             assert [f.get(timeout=10.0) for f in futs] == list(range(16))
 
@@ -146,10 +150,6 @@ class TestSupervisedExecution:
         assert inner.agg_launches > 0
         assert inner.aggregated_per_launch > 1.0
 
-    def test_rejects_engine_plus_resources(self):
-        with pytest.raises(ValueError):
-            SupervisedEngine(ExecutionEngine(), device=object())
-
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError):
-            SupervisedEngine(max_retries=-1)
+            SupervisedEngine(ExecutionEngine(), max_retries=-1)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (Channel, ChannelClosed, CounterRegistry,
-                           CudaDevice, LaunchPolicy, StreamPool)
+from repro.runtime import (AggregationRegion, Channel, ChannelClosed,
+                           CounterRegistry, CudaDevice, StreamPool)
 
 
 class TestChannel:
@@ -221,35 +221,64 @@ class TestCudaSim:
             # stream still usable
             assert dev.streams[0].enqueue(lambda: "ok").get() == "ok"
 
+    @pytest.mark.timeout(10)
+    def test_enqueue_on_shut_down_device_leaves_stream_idle(self):
+        """A refused enqueue queues nothing — a queued op no worker will
+        run would make ``synchronize()`` wait forever."""
+        dev = CudaDevice(n_streams=1, n_workers=1)
+        dev.shutdown()
+        stream = dev.streams[0]
+        with pytest.raises(RuntimeError, match="shut down"):
+            stream.enqueue(lambda: 1)
+        assert not stream.busy() and not stream._queue
+        waiter = threading.Thread(target=dev.synchronize, daemon=True)
+        waiter.start()
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+
+    def test_work_accepted_before_shutdown_drains(self):
+        """Ops queued behind a running one still resolve after shutdown."""
+        dev = CudaDevice(n_streams=1, n_workers=1)
+        gate = threading.Event()
+        first = dev.streams[0].enqueue(gate.wait, 5.0)
+        second = dev.streams[0].enqueue(lambda: "drained")
+        closer = threading.Thread(target=dev.shutdown)
+        closer.start()
+        gate.set()
+        assert first.get(timeout=5.0) is True
+        assert second.get(timeout=5.0) == "drained"
+        closer.join(5.0)
+        assert not closer.is_alive()
+
     def test_launch_policy_uses_gpu_when_idle(self):
+        """One slot per region is the paper's one-kernel launch rule."""
         with CudaDevice(n_streams=64, n_workers=4) as dev:
-            pol = LaunchPolicy(StreamPool([dev]))
-            futs = [pol.launch(lambda: 1) for _ in range(32)]
+            region = AggregationRegion(StreamPool([dev]), slots=1,
+                                       registry=CounterRegistry())
+            futs = [region.submit(lambda: 1) for _ in range(32)]
             assert sum(f.get() for f in futs) == 32
-            assert pol.gpu_launches > 0
+            assert region.gpu_tasks > 0
 
     def test_launch_policy_falls_back_when_streams_busy(self):
         """Sec. 5.1: busy streams mean CPU execution by the caller."""
         with CudaDevice(n_streams=2, n_workers=1) as dev:
-            pol = LaunchPolicy(StreamPool([dev]))
+            region = AggregationRegion(StreamPool([dev]), slots=1,
+                                       registry=CounterRegistry())
             release = threading.Event()
-            blockers = [pol.launch(release.wait, 5.0) for _ in range(2)]
-            f = pol.launch(lambda: "on cpu")
+            blockers = [region.submit(release.wait, 5.0) for _ in range(2)]
+            f = region.submit(lambda: "on cpu")
             assert f.get(timeout=1.0) == "on cpu"
-            assert pol.cpu_launches >= 1
+            assert (region.gpu_tasks, region.cpu_tasks) == (2, 1)
             release.set()
             for b in blockers:
                 b.get()
-        assert 0.0 < pol.gpu_fraction < 1.0
 
     def test_stream_pool_round_robins_devices(self):
         with CudaDevice(n_streams=2, n_workers=1, name="g0") as d0, \
                 CudaDevice(n_streams=2, n_workers=1, name="g1") as d1:
             pool = StreamPool([d0, d1])
-            first = pool.try_acquire()
-            second = pool.try_acquire()
-            assert {first.device.name, second.device.name} == {"g0", "g1"} \
-                or first.device is not second.device or True
+            with pool.acquire() as first, pool.acquire() as second:
+                assert first.stream is not second.stream
             assert pool.n_streams == 4
 
     def test_rejects_bad_config(self):
@@ -260,7 +289,7 @@ class TestCudaSim:
 
 
 class TestStreamPoolReservation:
-    """Regression: try_acquire() must *reserve* the stream it returns, so
+    """Regression: acquire() must *reserve* the stream it leases, so
     concurrent acquirers can never be handed the same stream before either
     has enqueued anything."""
 
@@ -274,9 +303,9 @@ class TestStreamPoolReservation:
 
             def acquire():
                 barrier.wait()
-                s = pool.try_acquire()
+                lease = pool.acquire()
                 with lock:
-                    got.append(s)
+                    got.append(lease)
 
             threads = [threading.Thread(target=acquire)
                        for _ in range(n_threads)]
@@ -284,37 +313,39 @@ class TestStreamPoolReservation:
                 t.start()
             for t in threads:
                 t.join(timeout=5.0)
-            streams = [s for s in got if s is not None]
+            leases = [lease for lease in got if lease is not None]
             # exactly the 4 streams once each; the other 4 callers got None
-            assert len(streams) == 4
-            assert len(set(id(s) for s in streams)) == len(streams)
-            for s in streams:
-                s.release()
+            assert len(leases) == 4
+            assert len(set(id(lease.stream) for lease in leases)) == 4
+            for lease in leases:
+                lease.release()
 
     def test_acquired_stream_reports_busy_until_released(self):
         with CudaDevice(n_streams=1, n_workers=1) as dev:
             pool = StreamPool([dev])
-            s = pool.try_acquire()
-            assert s is not None and s.busy()
-            assert pool.try_acquire() is None
-            s.release()
+            lease = pool.acquire()
+            s = lease.stream
+            assert s.busy()
+            assert pool.acquire() is None
+            lease.release()
             assert not s.busy()
-            assert pool.try_acquire() is s
+            with pool.acquire() as again:
+                assert again.stream is s
 
     def test_enqueue_consumes_reservation(self):
         with CudaDevice(n_streams=1, n_workers=1) as dev:
             pool = StreamPool([dev])
-            s = pool.try_acquire()
+            lease = pool.acquire()
+            s = lease.stream
             release = threading.Event()
-            fut = s.enqueue(release.wait, 5.0)
+            fut = lease.enqueue(release.wait, 5.0)
             assert s.busy()                     # in flight, not reserved
-            assert pool.try_acquire() is None
+            assert pool.acquire() is None
             release.set()
             fut.get(timeout=5.0)
             dev.synchronize()
-            again = pool.try_acquire()          # recycled once drained
-            assert again is s
-            again.release()
+            with pool.acquire() as again:       # recycled once drained
+                assert again.stream is s
 
     def test_direct_enqueue_unaffected_by_reservations(self):
         """Streams used without the pool (tests, record_event) still work."""

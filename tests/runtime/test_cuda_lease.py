@@ -82,14 +82,6 @@ class TestStreamLease:
         assert pool.acquire() is None
         current.release()
 
-    def test_legacy_try_acquire_release_roundtrip(self, gpu):
-        pool = StreamPool([gpu])
-        s = pool.try_acquire()
-        assert s is gpu.streams[0]
-        assert pool.try_acquire() is None
-        s.release()
-        assert pool.try_acquire() is s
-
     def test_pool_validates_lease_timeout(self, gpu):
         with pytest.raises(ValueError):
             StreamPool([gpu], lease_timeout=0.0)

@@ -89,11 +89,11 @@ class TestQuarantine:
         with CudaDevice(n_streams=1, n_workers=1, name="q-gpu",
                         quarantine_threshold=1,
                         quarantine_period=60.0) as gpu:
-            eng = ExecutionEngine(device=gpu)
+            eng = ExecutionEngine(devices=[gpu])
             eng.submit(boom).wait(5.0)
             gpu.synchronize()
             # the only stream is now quarantined: work still completes,
-            # via the CPU-overflow half of the launch policy
+            # via the CPU-overflow half of the launch rule
             assert eng.submit(lambda: 5).get(timeout=5.0) == 5
             assert eng.cpu_launches >= 1
 
@@ -136,7 +136,7 @@ class TestPoison:
                         quarantine_threshold=2,
                         quarantine_period=60.0) as gpu:
             gpu.streams[0].poison()  # forever
-            eng = ExecutionEngine(device=gpu)
+            eng = ExecutionEngine(devices=[gpu])
             # keep submitting; the poisoned stream faults its way into
             # quarantine while stream 1 and the CPU absorb the work
             results = []

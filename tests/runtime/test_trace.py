@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
-from repro.runtime import (CudaDevice, LaunchPolicy, StreamPool,
-                           WorkStealingScheduler, trace, when_all)
+from repro.runtime import (AggregationRegion, CounterRegistry, CudaDevice,
+                           StreamPool, WorkStealingScheduler, trace, when_all)
 
 
 @pytest.fixture(autouse=True)
@@ -147,18 +147,28 @@ class TestRuntimeIntegration:
     def test_cuda_emits_kernel_spans_with_stream_args(self):
         trace.enable()
         with CudaDevice(n_streams=2, n_workers=1, name="tgpu") as dev:
-            pol = LaunchPolicy(StreamPool([dev]))
-            futs = [pol.launch(lambda: 1) for _ in range(6)]
+            region = AggregationRegion(StreamPool([dev]), slots=3,
+                                       registry=CounterRegistry())
+            gate = threading.Event()
+            # two gated buffers pin both streams, the third overflows
+            futs = [region.submit(gate.wait, 5.0) for _ in range(6)]
+            futs += [region.submit(lambda: 1) for _ in range(3)]
+            gate.set()
             for f in futs:
                 f.get(timeout=5.0)
             dev.synchronize()
         kernels = [e for e in trace.default_recorder().events()
                    if e["ph"] == "X" and e["cat"] == "cuda"]
-        assert kernels
         gpu_kernels = [e for e in kernels
                        if e["args"].get("device") == "tgpu"]
+        assert len(gpu_kernels) == 2
         for e in gpu_kernels:
             assert e["args"]["stream"] in (0, 1)
+        # the overflowed buffer stays on the timeline: one span, its slots
+        overflow = [e["args"] for e in kernels
+                    if e["args"].get("device") == "cpu-fallback"]
+        assert overflow == [{"device": "cpu-fallback", "slots": 3}]
+        assert (region.gpu_tasks, region.cpu_tasks) == (6, 3)
 
     def test_continuation_spans(self):
         from repro.runtime import make_ready_future

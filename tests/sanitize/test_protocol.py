@@ -80,18 +80,6 @@ def test_clean_lease_lifecycles(san, device):
     assert san.finding_count() == 0
 
 
-def test_legacy_try_acquire_handoff_is_not_a_leak(san, device):
-    """try_acquire drops the lease object by design — the reservation
-    moves to the raw stream, and GC of the lease must not be a leak."""
-    pool = StreamPool([device])
-    stream = pool.try_acquire()
-    assert stream is not None
-    gc.collect()
-    stream.release()
-    assert san.sweep() == []
-    assert san.finding_count() == 0
-
-
 def test_double_set_reported_and_typed(san):
     ch = Channel("san-halo")
     ch.set(10, generation=0)

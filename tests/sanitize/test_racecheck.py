@@ -213,7 +213,7 @@ class TestSyncVocabulary:
                 racecheck.access(buf, "r", owner="sched/out", region=i)
         assert san.finding_count() == 0
 
-    def test_lease_handoff_orders_successive_holders(self, san):
+    def test_lease_release_orders_successive_holders(self, san):
         """Regression for the lease-handoff HB gap: the only edge between
         two holders of the same stream is release → next acquire; scratch
         written under lease A must be safely reusable under lease B."""
