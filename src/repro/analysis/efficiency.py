@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["speedup", "parallel_efficiency", "weak_efficiency"]
+__all__ = ["speedup", "parallel_efficiency"]
 
 
 def speedup(rate: float, reference_rate: float) -> float:
@@ -19,5 +19,3 @@ def parallel_efficiency(rate: float, n_nodes: int,
     if n_nodes < 1:
         raise ValueError("need at least one node")
     return speedup(rate, reference_rate) / n_nodes
-
-weak_efficiency = parallel_efficiency

@@ -15,8 +15,6 @@ from .scf import (LaneEmdenSolution, solve_lane_emden, Polytrope,
                   ScfResult, scf_single_star, scf_binary)
 from .scenario import (sod_tube, sedov_blast, equilibrium_star,
                        v1309_binary, V1309_MASS_RATIO)
-from .radiation import (RadiationField, RadiationOptions, m1_closure,
-                        radiation_rhs, couple_matter, radiation_dt)
 from .stepper import (ConservationMonitor, ConservationRecord, evolve,
                       FaultRecoveryExhausted)
 
@@ -37,6 +35,4 @@ __all__ = [
     "V1309_MASS_RATIO",
     "ConservationMonitor", "ConservationRecord", "evolve",
     "FaultRecoveryExhausted",
-    "RadiationField", "RadiationOptions", "m1_closure", "radiation_rhs",
-    "couple_matter", "radiation_dt",
 ]

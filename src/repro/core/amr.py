@@ -175,7 +175,6 @@ class AmrMesh:
     def _reflux(self, rhs: dict, fluxes: dict) -> None:
         """Replace coarse fluxes at coarse-fine faces with the restricted
         fine fluxes, so face transfers cancel exactly in the totals."""
-        n = self.tree.subgrid_n
         for node in self.tree.leaves():
             for ax in range(3):
                 for side in (-1, 1):
@@ -190,7 +189,6 @@ class AmrMesh:
                         ax: int, side: int, rhs: dict,
                         fluxes: dict) -> None:
         n = self.tree.subgrid_n
-        dx_f = self.tree.cell_width(fine.level)
         dx_c = self.tree.cell_width(coarse.level)
         F_f = fluxes[fine.key][ax]
         F_c = fluxes[coarse.key][ax]
@@ -203,7 +201,6 @@ class AmrMesh:
         t = fine_face.reshape(NF, n // 2, 2, n // 2, 2).mean(axis=(2, 4))
         # locate the coarse face cells this fine block touches
         axes_t = [a for a in range(3) if a != ax]
-        coarse_plane = None
         # global coarse index of the face plane
         fine_global_face = fine.ipos[ax] * n + (0 if side < 0 else n)
         coarse_face_idx = fine_global_face // 2 - coarse.ipos[ax] * n

@@ -123,15 +123,12 @@ class DistBlockMesh(BlockMesh):
     Parameters (beyond :class:`BlockMesh`'s)
     ----------------------------------------
     n_localities:
-        Simulated compute nodes to shard over (ignored when ``agas`` is
-        supplied — its locality count wins).
-    agas:
-        An existing :class:`AgasRuntime` to register blocks with; by
-        default a fresh one is created, so a failure detector can be
-        pointed at ``mesh.agas``.
-    transport / port / reorder_seed:
-        Either a ready :class:`HaloTransport`, or the parcelport (name or
-        instance) to build one around; ``reorder_seed`` enables seeded
+        Simulated compute nodes to shard over; the mesh creates its own
+        :class:`AgasRuntime` over them, so a failure detector is pointed
+        at ``mesh.agas``.
+    port / reorder_seed:
+        The parcelport (name or instance) the mesh's
+        :class:`HaloTransport` charges; ``reorder_seed`` enables seeded
         out-of-order delivery of remote halos.
     partition:
         ``partition(index, n_blocks, n_localities) -> locality`` over the
@@ -139,8 +136,6 @@ class DistBlockMesh(BlockMesh):
     """
 
     def __init__(self, blocks, *, n_localities: int = 2,
-                 agas: AgasRuntime | None = None,
-                 transport: HaloTransport | None = None,
                  port: str = "libfabric",
                  reorder_seed: int | None = None,
                  partition: Callable[[int, int, int], int] | None = None,
@@ -148,14 +143,9 @@ class DistBlockMesh(BlockMesh):
                  **mesh_kwargs):
         super().__init__(blocks, **mesh_kwargs)
         self.registry = registry or default_registry()
-        if agas is None:
-            if n_localities < 1:
-                raise ValueError("need at least one locality")
-            agas = AgasRuntime(n_localities, registry=self.registry)
-        self.agas = agas
-        self.n_localities = agas.n_localities
-        self.transport = transport or HaloTransport(
-            port, reorder_seed=reorder_seed)
+        self.agas = AgasRuntime(n_localities, registry=self.registry)
+        self.n_localities = n_localities
+        self.transport = HaloTransport(port, reorder_seed=reorder_seed)
         partition = partition or slab_partition
         ips = sorted(self.blocks)
         self._owner: dict[tuple[int, int, int], int] = {}
@@ -172,9 +162,6 @@ class DistBlockMesh(BlockMesh):
             self.gids[ip] = self.agas.register(comp, loc)
             self._components[ip] = comp
             self._owner[ip] = loc
-        #: blocks whose last live copy died with a locality (their GIDs
-        #: resolve to LocalityFailed until apply_ownership restores them)
-        self._lost_blocks: set[tuple[int, int, int]] = set()
         #: (src locality, dst locality) -> channel of that route; exactly
         #: the routes of the current plan
         self.channels: dict[tuple[int, int], Channel] = {}
@@ -214,15 +201,22 @@ class DistBlockMesh(BlockMesh):
         replicated checkpoint, can bring them back.
         """
         result = self.agas.fail_locality(locality, evacuate=evacuate)
-        by_gid = {gid: ip for ip, gid in self.gids.items()}
-        self._lost_blocks.update(by_gid[g] for g in result["lost"])
         self.registry.increment("/distmesh/localities-failed")
         return result
 
     @property
     def lost_blocks(self) -> set[tuple[int, int, int]]:
-        """Blocks whose only live copy died with a failed locality."""
-        return set(self._lost_blocks)
+        """Blocks whose only live copy died with a failed locality: their
+        GID resolves to :class:`LocalityFailed`, whoever declared the
+        failure (this mesh, or a detector calling ``agas.fail_locality``),
+        until :meth:`apply_ownership` restores them."""
+        lost = set()
+        for ip, gid in self.gids.items():
+            try:
+                self.agas.resolve(gid)
+            except LocalityFailed:
+                lost.add(ip)
+        return lost
 
     def apply_ownership(self, new_owner: dict[tuple[int, int, int], int]
                         ) -> dict[str, int]:
@@ -252,7 +246,6 @@ class DistBlockMesh(BlockMesh):
                 self._components[ip] = comp
                 self._owner[ip] = loc
                 self._epoch += 1
-                self._lost_blocks.discard(ip)
                 restored += 1
                 self.registry.increment("/distmesh/restorations")
                 continue

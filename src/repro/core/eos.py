@@ -35,28 +35,21 @@ _FLOOR = 1e-300
 class IdealGas:
     """p = (gamma - 1) rho e ideal gas with dual-energy bookkeeping.
 
-    ``rho_floor`` is the density below which a cell counts as vacuum.
-    It used to be an independent ``1e-300`` clamp inside
-    :meth:`sound_speed` / :meth:`kinetic`, which let a fault-corrupted
-    cell with ``rho ~ 1e-200`` and finite momentum report ~1e100
-    kinetic energies and signal speeds; it is now the *same* floor the
-    hydro solver applies to the state
-    (:class:`repro.core.hydro.solver.HydroOptions` syncs it), so every
-    layer agrees on what vacuum means.
+    ``rho_floor`` is the density below which a cell counts as vacuum:
+    the *same* floor the hydro solver applies to the state
+    (:class:`repro.core.hydro.solver.HydroOptions` owns the value and
+    syncs it here), so every layer agrees on what vacuum means.  An
+    independent, smaller clamp inside :meth:`sound_speed` /
+    :meth:`kinetic` would let a fault-corrupted cell with
+    ``rho ~ 1e-200`` and finite momentum report ~1e100 kinetic energies
+    and signal speeds.
     """
 
-    def __init__(self, gamma: float = DEFAULT_GAMMA,
-                 eta1: float = DUAL_ENERGY_ETA1,
-                 eta2: float = DUAL_ENERGY_ETA2,
-                 rho_floor: float = DEFAULT_RHO_FLOOR):
+    def __init__(self, gamma: float = DEFAULT_GAMMA):
         if gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
-        if rho_floor <= 0.0:
-            raise ValueError("rho_floor must be positive")
         self.gamma = float(gamma)
-        self.eta1 = float(eta1)
-        self.eta2 = float(eta2)
-        self.rho_floor = float(rho_floor)
+        self.rho_floor = DEFAULT_RHO_FLOOR
 
     # -- basic relations ---------------------------------------------------
 
@@ -94,7 +87,7 @@ class IdealGas:
         kin = self.kinetic(rho, sx, sy, sz)
         diff = egas - kin
         safe = np.maximum(egas, _FLOOR)
-        use_e = diff / safe > self.eta1
+        use_e = diff / safe > DUAL_ENERGY_ETA1
         return np.where(use_e, np.maximum(diff, 0.0),
                         self.eint_from_tau(tau))
 
@@ -105,5 +98,5 @@ class IdealGas:
         kin = self.kinetic(rho, sx, sy, sz)
         diff = egas - kin
         safe = np.maximum(egas, _FLOOR)
-        trust = diff / safe > self.eta2
+        trust = diff / safe > DUAL_ENERGY_ETA2
         return np.where(trust, self.tau_from_eint(np.maximum(diff, 0.0)), tau)

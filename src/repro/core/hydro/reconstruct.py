@@ -1,17 +1,16 @@
-"""Face reconstruction: piece-wise parabolic method (PPM) and minmod.
+"""Face reconstruction: the piece-wise parabolic method (PPM).
 
 Octo-Tiger computes thermodynamic variables at cell faces with PPM
 (Colella & Woodward 1984, Sec. 4.2).  The implementation reconstructs
 left/right states at every interior face along one axis, vectorized over
-the whole block; the minmod (MUSCL) limiter is available as the robust
-fallback and as the cheaper option for tests.
+the whole block.
 
 Conventions: input arrays have ``ng`` ghost layers on each side along the
 reconstruction axis; output face arrays cover the ``n + 1`` interior faces
 (face ``f`` sits between interior cells ``f-1`` and ``f``), with ``qL``
 the state just left of the face and ``qR`` just right.
 
-Both kernels take ``out=(qL, qR)`` so a caller-owned buffer pair absorbs
+The kernel takes ``out=(qL, qR)`` so a caller-owned buffer pair absorbs
 the per-stage face-state churn, and ``ws=`` (a
 :class:`repro.core.workspace.Workspace`) for the fully fused path: every
 intermediate lives in reused scratch, nothing is allocated, and the
@@ -21,8 +20,8 @@ buffer per role serves every axis and shape).  The values written are
 bitwise identical to the allocating path — only buffer reuse and
 ``out=`` routing change, never the arithmetic expressions.
 
-Layout: the kernels are elementwise across every dimension but ``axis``,
-so they accept any array.  The hydro RHS hands them *pencil-major*
+Layout: the kernel is elementwise across every dimension but ``axis``,
+so it accepts any array.  The hydro RHS hands it *pencil-major*
 batches ``(NF, m, B, n, n)`` — reconstruction axis right behind the
 field index, ``B`` sub-grids side by side — where every :func:`_ax`
 slice of one field is a single contiguous run of at least ``B * n^2``
@@ -33,43 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["minmod_faces", "ppm_faces"]
+__all__ = ["ppm_faces"]
 
 
 def _ax(q: np.ndarray, lo: int, hi: int | None, axis: int) -> np.ndarray:
     sl = [slice(None)] * q.ndim
     sl[axis] = slice(lo, hi)
     return q[tuple(sl)]
-
-
-def minmod_faces(q: np.ndarray, ng: int, axis: int,
-                 out: tuple[np.ndarray, np.ndarray] | None = None,
-                 ws=None) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order MUSCL states (qL, qR) at the n+1 interior faces."""
-    n = q.shape[axis] - 2 * ng
-    if out is None and ws is not None:
-        fshape = list(q.shape)
-        fshape[axis] = n + 1
-        out = (ws.buf("mm:L", tuple(fshape)), ws.buf("mm:R", tuple(fshape)))
-    qm = _ax(q, ng - 2, ng + n + 2, axis)           # cells -2 .. n+1
-    d_lo = _ax(qm, 1, -1, axis) - _ax(qm, 0, -2, axis)
-    d_hi = _ax(qm, 2, None, axis) - _ax(qm, 1, -1, axis)
-    slope = np.where(d_lo * d_hi > 0.0,
-                     np.where(np.abs(d_lo) < np.abs(d_hi), d_lo, d_hi), 0.0)
-    center = _ax(qm, 1, -1, axis)                   # cells -1 .. n
-    if out is None:
-        plus = center + 0.5 * slope
-        minus = center - 0.5 * slope
-        return _ax(plus, 0, -1, axis), _ax(minus, 1, None, axis)
-    # same arithmetic, sliced first and written straight into the caller's
-    # face buffers (0.5*slope then +/- center is elementwise, so slicing
-    # before or after the combine yields the same bits)
-    qL, qR = out
-    np.multiply(_ax(slope, 0, -1, axis), 0.5, out=qL)
-    np.add(qL, _ax(center, 0, -1, axis), out=qL)
-    np.multiply(_ax(slope, 1, None, axis), 0.5, out=qR)
-    np.subtract(_ax(center, 1, None, axis), qR, out=qR)
-    return qL, qR
 
 
 def ppm_faces(q: np.ndarray, ng: int, axis: int,

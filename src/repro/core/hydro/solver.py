@@ -1,6 +1,6 @@
 """The unsplit finite-volume update (Sec. 4.2).
 
-Combines PPM/minmod reconstruction with Kurganov-Tadmor fluxes into the
+Combines PPM reconstruction with Kurganov-Tadmor fluxes into the
 conservative right-hand side of a batch of blocks, adds gravity and
 rotating-frame sources, and implements the angular-momentum bookkeeping
 of Despres & Labourasse (2015) as used by Octo-Tiger: a spin field absorbs
@@ -60,7 +60,7 @@ from ...sanitize import state as _sanitize_state
 from ..eos import IdealGas
 from ..grid import EGAS, LX, NF, NGHOST, RHO, SX, TAU
 from ..workspace import Workspace
-from .reconstruct import minmod_faces, ppm_faces
+from .reconstruct import ppm_faces
 from .riemann import (conserved_signal_speed, conserved_to_primitive,
                       kt_flux, kt_flux_reference)
 
@@ -68,15 +68,11 @@ __all__ = ["HydroOptions", "compute_rhs", "compute_rhs_reference",
            "cfl_dt", "apply_floors"]
 
 
-_RECONSTRUCTIONS = {"ppm": ppm_faces, "minmod": minmod_faces}
-
-
-@dataclass
+@dataclass(frozen=True)
 class HydroOptions:
     """Solver configuration."""
 
     eos: IdealGas
-    reconstruction: str = "ppm"            # "ppm" | "minmod"
     cfl: float = 0.4
     rho_floor: float = 1e-12
     #: angular velocity of the rotating frame about z (Sec. 4.2: "a
@@ -86,10 +82,6 @@ class HydroOptions:
     spin_correction: bool = True
 
     def __post_init__(self):
-        if self.reconstruction not in _RECONSTRUCTIONS:
-            raise ValueError(
-                f"reconstruction: unknown scheme {self.reconstruction!r}, "
-                f"expected one of {sorted(_RECONSTRUCTIONS)}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl: need 0 < cfl <= 1, got {self.cfl!r}")
         if not (np.isfinite(self.rho_floor) and self.rho_floor > 0.0):
@@ -101,11 +93,6 @@ class HydroOptions:
         # state, or a cell below the solver floor divides by a smaller
         # number than the solver ever allows (see eos.IdealGas).
         self.eos.rho_floor = self.rho_floor
-
-
-def _faces(q: np.ndarray, ax: int, options: HydroOptions, ws=None):
-    """Face states of ``q`` along array dimension ``ax``."""
-    return _RECONSTRUCTIONS[options.reconstruction](q, NGHOST, ax, ws=ws)
 
 
 def _check_batch(blocks, single: bool, origin, gravity, out) -> tuple:
@@ -235,7 +222,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         pencil = np.moveaxis(W[tuple(sl)], 2 + axis, 1)
         Wp = ws.buf("rhs:pencil", pencil.shape)
         np.copyto(Wp, pencil)
-        WL, WR = _faces(Wp, 1, options, ws)
+        WL, WR = ppm_faces(Wp, NGHOST, 1, ws=ws)
         F = kt_flux(WL, WR, eos, axis, ws=ws)
         n = shape[axis]
         Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
@@ -274,7 +261,7 @@ def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
     W = conserved_to_primitive(U, eos, options.rho_floor)
     rhs = np.zeros((NF,) + shape)
     for axis in range(3):
-        WL, WR = _faces(W, axis + 1, options)
+        WL, WR = ppm_faces(W, NGHOST, axis + 1)
         sl = [slice(None)] + [slice(g, g + shape[d]) for d in range(3)]
         sl[1 + axis] = slice(None)
         F = kt_flux_reference(WL[tuple(sl)], WR[tuple(sl)], eos, axis)

@@ -6,7 +6,6 @@ the sender that *executes* the schedule is
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY"]
@@ -25,11 +24,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff: float = 0.1
     ack_timeout: float = 0.25
-    #: decorrelated jitter (AWS-style): each wait is drawn uniformly from
-    #: ``[base_backoff, 3 * previous wait]``, capped at ``max_backoff``.
-    #: Spreads synchronized retry storms; the draw stream lives in the
-    #: sender (seeded), so the policy object stays shareable and frozen.
-    jitter: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -38,25 +32,9 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
 
     def backoff(self, attempt: int) -> float:
-        """Deterministic wait after failed attempt number ``attempt``
-        (the no-jitter schedule, and the jittered schedule's anchor)."""
+        """Deterministic wait after failed attempt number ``attempt``."""
         return min(self.base_backoff * self.backoff_factor ** (attempt - 1),
                    self.max_backoff)
-
-    def jittered_backoff(self, previous: float,
-                         rng: random.Random) -> float:
-        """One decorrelated-jitter draw: ``min(cap, U(base, 3 * prev))``.
-
-        ``previous`` is the last wait (use ``base_backoff`` before the
-        first retry).  Growth is still geometric *in expectation* (~2x
-        per retry, like ``backoff_factor=2``), but two senders whose
-        failures coincide draw from different seeded streams and land in
-        different windows — the desynchronization property the
-        regression test asserts.
-        """
-        high = max(previous * 3.0, self.base_backoff)
-        return min(self.max_backoff,
-                   rng.uniform(self.base_backoff, high))
 
     # -- expectation helpers (used by the scaling model) --------------------
 

@@ -51,7 +51,6 @@ import numpy as np
 
 from ..core.distmesh import slab_partition
 from ..runtime import trace
-from ..runtime.agas import LocalityFailed
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import lockdep as _sanitize_lockdep
 from .checkpoint import (CheckpointError, CheckpointManager, ManifestRecord,
@@ -327,14 +326,13 @@ class RecoveryCoordinator:
     must roll back globally; :meth:`recover` performs the rollback.
     """
 
-    def __init__(self, mesh, manager: CheckpointManager,
-                 store: BuddyReplicatedStore | None = None, *,
+    def __init__(self, mesh, manager: CheckpointManager, *,
                  evacuation_capacity: int = 1,
                  registry: CounterRegistry | None = None):
         self.mesh = mesh
         self.manager = manager
         self.registry = registry or manager.registry
-        self.store = store or BuddyReplicatedStore(
+        self.store = BuddyReplicatedStore(
             mesh, keep=manager.keep, registry=self.registry)
         self.evacuation_capacity = evacuation_capacity
         self.rollbacks = 0
@@ -344,13 +342,7 @@ class RecoveryCoordinator:
 
     def lost_blocks(self) -> list:
         """Blocks whose GID currently resolves to a dead locality."""
-        lost = []
-        for ip, gid in sorted(self.mesh.gids.items()):
-            try:
-                self.mesh.agas.resolve(gid)
-            except LocalityFailed:
-                lost.append(ip)
-        return lost
+        return sorted(self.mesh.lost_blocks)
 
     def needs_global_recovery(self, concurrent_failures: int = 0) -> bool:
         """Evacuation cannot mask this event: roll back globally?

@@ -12,15 +12,12 @@ story: a :class:`FaultInjector` that, driven by a seeded RNG, injects
   retry policy's ack timeout are indistinguishable from loss, shorter
   delays let later parcels overtake the slow one
   (:meth:`FaultInjector.message_delay`);
-* **transient action exceptions** — a remotely-invoked action that fails
-  once and would succeed on retry (:meth:`FaultInjector.maybe_action_fault`,
-  consulted by :class:`repro.runtime.parcel.ParcelHandler`);
+* **transient action exceptions** — a task that fails once and would
+  succeed on retry (:meth:`FaultInjector.maybe_action_fault`, consulted by
+  :class:`repro.resilience.supervisor.SupervisedEngine`);
 * **step faults** — a failure in the middle of a timestep loop, recovered
   from checkpoint by :func:`repro.core.stepper.evolve`
   (:meth:`FaultInjector.maybe_step_fault`);
-* **whole-locality failure** — handled by
-  :meth:`repro.runtime.agas.AgasRuntime.fail_locality`; the injector only
-  schedules *when* (:meth:`FaultInjector.locality_failure_due`);
 * **torn checkpoint writes** — a checkpoint save that stages only part of
   its block records and never commits its manifest, as a crash mid-write
   leaves on a real filesystem (:meth:`FaultInjector.torn_write_due`,
@@ -30,13 +27,16 @@ story: a :class:`FaultInjector` that, driven by a seeded RNG, injects
   detectable only because records carry content checksums
   (:meth:`FaultInjector.checkpoint_corruption_due`).
 
+A fault on the timestep or checkpoint-store path is *scheduled data*
+(``fail_at_steps``, ``corrupt_at_steps``, ``*_at_saves``: each entry fires
+once); only the per-message and per-task classes are Bernoulli rates.
 Every draw comes from one ``random.Random(seed)`` stream behind a lock, so
 a fixed seed reproduces the exact same fault schedule — the property the
 deterministic regression tests and the "drift identical to the fault-free
 run" acceptance check rely on.  Optional budgets (``max_losses``,
-``max_action_faults``, ``max_step_faults``) make every fault *transient*:
-once a budget is exhausted the injector stops firing that fault class, so
-a retry loop with a finite budget is guaranteed to make progress.
+``max_action_faults``) make the rate-driven faults *transient*: once a
+budget is exhausted the injector stops firing that fault class, so a
+retry loop with a finite budget is guaranteed to make progress.
 
 All injected faults are tallied under ``/resilience/injected/...`` in the
 counter registry.
@@ -66,30 +66,24 @@ class FaultInjector:
         Probability that a delivered parcel is delayed, and the maximum
         injected delay in seconds (uniform on ``[0, max_delay]``).
     action_fault_rate:
-        Probability that a delivered parcel's action raises
+        Probability that a supervised task raises
         :class:`TransientActionFault` instead of running.
-    step_fault_rate:
-        Probability that :meth:`maybe_step_fault` raises on a given step.
     fail_at_steps:
-        Explicit step numbers at which :meth:`maybe_step_fault` raises
-        (each fires once) — deterministic scheduling for tests.
+        Step numbers at which :meth:`maybe_step_fault` raises (each
+        fires once).
     corrupt_at_steps:
         Step numbers at which :meth:`corruption_due` answers True (each
         fires once): silent data corruption for the post-stage guards of
         :class:`repro.resilience.guard.GuardedStepper` to catch.  Unlike a
         step fault, nothing raises — the run only survives if somebody
         *checks* the state.
-    fail_locality_at:
-        ``(step, locality)``: :meth:`locality_failure_due` returns the
-        locality once when asked about that step.
-    torn_write_at_saves / torn_write_rate:
+    torn_write_at_saves:
         Checkpoint save indices (0-based, each fires once) at which the
-        write is torn — partial records staged, manifest never committed —
-        plus an optional Bernoulli rate on every other save.
-    corrupt_ckpt_at_saves / ckpt_corruption_rate:
+        write is torn — partial records staged, manifest never committed.
+    corrupt_ckpt_at_saves:
         Checkpoint save indices at which the committed record's payload is
-        silently damaged after the write, plus an optional rate.
-    max_losses / max_action_faults / max_step_faults:
+        silently damaged after the write.
+    max_losses / max_action_faults:
         Budgets after which that fault class stops firing (``None`` means
         unlimited).  Finite budgets make faults transient by construction.
     """
@@ -99,54 +93,35 @@ class FaultInjector:
                  delay_rate: float = 0.0,
                  max_delay: float = 0.0,
                  action_fault_rate: float = 0.0,
-                 step_fault_rate: float = 0.0,
                  fail_at_steps: tuple[int, ...] = (),
                  corrupt_at_steps: tuple[int, ...] = (),
-                 fail_locality_at: tuple[int, int] | None = None,
                  torn_write_at_saves: tuple[int, ...] = (),
-                 torn_write_rate: float = 0.0,
                  corrupt_ckpt_at_saves: tuple[int, ...] = (),
-                 ckpt_corruption_rate: float = 0.0,
                  max_losses: int | None = None,
                  max_action_faults: int | None = None,
-                 max_step_faults: int | None = None,
-                 max_torn_writes: int | None = None,
-                 max_ckpt_corruptions: int | None = None,
                  registry: CounterRegistry | None = None):
         for name, rate in (("loss_rate", loss_rate),
                            ("delay_rate", delay_rate),
-                           ("action_fault_rate", action_fault_rate),
-                           ("step_fault_rate", step_fault_rate),
-                           ("torn_write_rate", torn_write_rate),
-                           ("ckpt_corruption_rate", ckpt_corruption_rate)):
+                           ("action_fault_rate", action_fault_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        self.seed = seed
         self.loss_rate = loss_rate
         self.delay_rate = delay_rate
         self.max_delay = max_delay
         self.action_fault_rate = action_fault_rate
-        self.step_fault_rate = step_fault_rate
-        self.torn_write_rate = torn_write_rate
-        self.ckpt_corruption_rate = ckpt_corruption_rate
         self._fail_at_steps = set(fail_at_steps)
         self._corrupt_at_steps = set(corrupt_at_steps)
-        self._fail_locality_at = fail_locality_at
         self._torn_write_at_saves = set(torn_write_at_saves)
         self._corrupt_ckpt_at_saves = set(corrupt_ckpt_at_saves)
         #: checkpoint saves observed so far (indexes the *_at_saves sets)
         self._saves_seen = 0
-        self._budgets = {"loss": max_losses,
-                         "action": max_action_faults,
-                         "step": max_step_faults,
-                         "torn-write": max_torn_writes,
-                         "ckpt-corruption": max_ckpt_corruptions}
+        self._budgets = {"loss": max_losses, "action": max_action_faults}
         self.registry = registry or default_registry()
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self.injected = {"loss": 0, "delay": 0, "action": 0, "step": 0,
-                         "corruption": 0, "locality": 0,
-                         "torn-write": 0, "ckpt-corruption": 0}
+                         "corruption": 0, "torn-write": 0,
+                         "ckpt-corruption": 0}
 
     # -- internals ----------------------------------------------------------
 
@@ -157,6 +132,15 @@ class FaultInjector:
             return False
         if rate <= 0.0 or self._rng.random() >= rate:
             return False
+        self.injected[kind] += 1
+        self.registry.increment(f"/resilience/injected/{kind}")
+        return True
+
+    def _scheduled(self, kind: str, schedule: set[int], index: int) -> bool:
+        """True, once, when ``index`` is on ``kind``'s schedule."""
+        if index not in schedule:
+            return False
+        schedule.discard(index)
         self.injected[kind] += 1
         self.registry.increment(f"/resilience/injected/{kind}")
         return True
@@ -175,31 +159,26 @@ class FaultInjector:
                 return 0.0
             return self._rng.random() * self.max_delay
 
-    def maybe_action_fault(self, parcel=None) -> TransientActionFault | None:
-        """A transient exception for this parcel's action, or ``None``.
+    def maybe_action_fault(self) -> TransientActionFault | None:
+        """A transient exception for the next task, or ``None``.
 
-        Consulted by :class:`repro.runtime.parcel.ParcelHandler.deliver`;
-        the returned exception is surfaced through the action's future so
-        a :class:`~repro.resilience.retry.ResilientParcelSender` can retry.
+        Consulted by
+        :class:`~repro.resilience.supervisor.SupervisedEngine` before each
+        task attempt; the engine re-executes the task.
         """
         with self._lock:
             if not self._fire("action", self.action_fault_rate):
                 return None
-        what = f"parcel #{parcel.seq}" if parcel is not None else "action"
-        return TransientActionFault(f"injected transient fault in {what}")
+        return TransientActionFault("injected transient fault in action")
 
     # -- timestep path ------------------------------------------------------
 
     def maybe_step_fault(self, step: int) -> None:
         """Raise :class:`SimulationFault` if a fault is due at ``step``."""
         with self._lock:
-            if step in self._fail_at_steps:
-                self._fail_at_steps.discard(step)
-                self.injected["step"] += 1
-                self.registry.increment("/resilience/injected/step")
-            elif not self._fire("step", self.step_fault_rate):
-                return
-        raise SimulationFault(f"injected failure at step {step}")
+            due = self._scheduled("step", self._fail_at_steps, step)
+        if due:
+            raise SimulationFault(f"injected failure at step {step}")
 
     def corruption_due(self, step: int) -> bool:
         """True when step ``step``'s result should be silently corrupted.
@@ -209,35 +188,9 @@ class FaultInjector:
         state damage, so the injector stays physics-agnostic.
         """
         with self._lock:
-            if step not in self._corrupt_at_steps:
-                return False
-            self._corrupt_at_steps.discard(step)
-            self.injected["corruption"] += 1
-            self.registry.increment("/resilience/injected/corruption")
-            return True
-
-    def locality_failure_due(self, step: int) -> int | None:
-        """Locality scheduled to die at ``step`` (fires at most once)."""
-        with self._lock:
-            due = self._fail_locality_at
-            if due is None or step < due[0]:
-                return None
-            self._fail_locality_at = None
-            self.injected["locality"] += 1
-            self.registry.increment("/resilience/injected/locality")
-            return due[1]
+            return self._scheduled("corruption", self._corrupt_at_steps, step)
 
     # -- checkpoint-store path ----------------------------------------------
-
-    def _ckpt_fault_due(self, kind: str, scheduled: set[int],
-                        rate: float, save_index: int) -> bool:
-        """Shared draw for the two checkpoint-store fault classes."""
-        if save_index in scheduled:
-            scheduled.discard(save_index)
-            self.injected[kind] += 1
-            self.registry.increment(f"/resilience/injected/{kind}")
-            return True
-        return self._fire(kind, rate)
 
     def torn_write_due(self) -> bool:
         """True when the current checkpoint save should be torn.
@@ -250,9 +203,8 @@ class FaultInjector:
         for the ``*_at_saves`` schedules.
         """
         with self._lock:
-            index = self._saves_seen
-            due = self._ckpt_fault_due("torn-write", self._torn_write_at_saves,
-                                       self.torn_write_rate, index)
+            due = self._scheduled("torn-write", self._torn_write_at_saves,
+                                  self._saves_seen)
             if due:
                 # a torn save is *also* this save for scheduling purposes
                 self._saves_seen += 1
@@ -268,9 +220,8 @@ class FaultInjector:
         with self._lock:
             index = self._saves_seen
             self._saves_seen += 1
-            return self._ckpt_fault_due(
-                "ckpt-corruption", self._corrupt_ckpt_at_saves,
-                self.ckpt_corruption_rate, index)
+            return self._scheduled("ckpt-corruption",
+                                   self._corrupt_ckpt_at_saves, index)
 
     # -- introspection ------------------------------------------------------
 

@@ -64,6 +64,9 @@ DEFAULT_PHI_THRESHOLD = 8.0
 #: heartbeat period in simulation seconds
 DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
 
+#: recent inter-arrival intervals kept per locality for the mean estimate
+INTERVAL_WINDOW = 32
+
 _LOG10_E = math.log10(math.e)
 
 
@@ -77,33 +80,26 @@ class FailureDetector:
         ``agas.fail_locality(loc)`` is called on detection.
     events:
         Simulation clock and scheduler for heartbeats and sweeps.
-    localities:
-        Which localities to monitor (default: all of ``agas``'s that have
-        not already failed).
     heartbeat_interval:
-        Period of each locality's heartbeat, in simulation seconds.
+        Period of each locality's heartbeat and of the detector's phi
+        sweep, in simulation seconds.
     phi_threshold:
         Suspicion level that triggers failure handling.
-    sweep_interval:
-        Period of the detector's phi sweep (default: the heartbeat
-        interval).
-    window:
-        Number of recent inter-arrival intervals kept per locality for
-        the mean estimate (seeded with the nominal interval so detection
-        works from the first heartbeat).
     evacuate:
         Passed through to ``fail_locality``.
     on_failure:
         Optional ``callback(locality, evacuation_dict)`` invoked after
         AGAS handling.
+
+    Every locality of ``agas`` that has not already failed is monitored;
+    the mean inter-arrival estimate runs over the last
+    :data:`INTERVAL_WINDOW` beats, seeded with the nominal interval so
+    detection works from the first heartbeat.
     """
 
-    def __init__(self, agas: AgasRuntime, events: EventQueue,
-                 localities: list[int] | None = None, *,
+    def __init__(self, agas: AgasRuntime, events: EventQueue, *,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL_S,
                  phi_threshold: float = DEFAULT_PHI_THRESHOLD,
-                 sweep_interval: float | None = None,
-                 window: int = 32,
                  evacuate: bool = True,
                  on_failure: Callable[[int, dict], None] | None = None,
                  registry: CounterRegistry | None = None):
@@ -115,19 +111,16 @@ class FailureDetector:
         self.events = events
         self.heartbeat_interval = heartbeat_interval
         self.phi_threshold = phi_threshold
-        self.sweep_interval = sweep_interval or heartbeat_interval
         self.evacuate = evacuate
         self.on_failure = on_failure
         self.registry = registry or default_registry()
-        if localities is None:
-            localities = [l for l in range(agas.n_localities)
-                          if l not in agas.failed_localities]
-        self._monitored = list(localities)
+        self._monitored = [l for l in range(agas.n_localities)
+                           if l not in agas.failed_localities]
         self._silenced: set[int] = set()
         self._declared: set[int] = set()
         self._last_beat: dict[int, float] = {}
         self._intervals: dict[int, deque[float]] = {
-            loc: deque([heartbeat_interval], maxlen=window)
+            loc: deque([heartbeat_interval], maxlen=INTERVAL_WINDOW)
             for loc in self._monitored}
         self._started = False
         self._stopped = False
@@ -146,7 +139,7 @@ class FailureDetector:
             self._last_beat[loc] = now
             self.events.schedule(self.heartbeat_interval,
                                  self._heartbeat, loc)
-        self.events.schedule(self.sweep_interval, self._sweep)
+        self.events.schedule(self.heartbeat_interval, self._sweep)
 
     def stop(self) -> None:
         """Stop rescheduling; in-flight events become no-ops."""
@@ -212,7 +205,7 @@ class FailureDetector:
             if p >= self.phi_threshold:
                 self._declare_failed(loc, p)
         if any(loc not in self._declared for loc in self._monitored):
-            self.events.schedule(self.sweep_interval, self._sweep)
+            self.events.schedule(self.heartbeat_interval, self._sweep)
 
     # -- detection -----------------------------------------------------------
 

@@ -11,12 +11,8 @@ classic acknowledged-datagram one:
   retried — delivery is at-least-once, like HPX parcel resends);
 * between attempts the sender backs off exponentially
   (``base_backoff * backoff_factor**(attempt-1)``, capped at
-  ``max_backoff``) — optionally with seeded **decorrelated jitter**
-  (``jitter=True``: wait ~ U(base, 3 * previous wait), capped), so a
-  congestion event that fails many senders at once cannot make them all
-  re-fire into the same degraded-network window in lockstep; each
-  sender's jitter stream is seeded (from ``jitter_seed`` or its
-  injector's seed), keeping the schedule fully deterministic;
+  ``max_backoff``) — a pure function of the attempt number, so a seeded
+  fault schedule fixes the whole send schedule;
 * a :class:`~repro.runtime.faults.TransientActionFault` surfaced by the
   action's future also counts as a failed attempt and is retried;
 * when the attempt budget is exhausted the caller gets an **exceptional
@@ -35,7 +31,6 @@ with the attempt count.
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Callable
 
@@ -63,35 +58,24 @@ class ResilientParcelSender:
         Destination parcel handler (its AGAS executes the actions).
     injector:
         Optional :class:`FaultInjector` supplying loss/delay on the send
-        path.  Action faults are injected by the *handler's* injector —
-        they model receive-side failures.
+        path.
     policy:
         Attempt budget and backoff schedule.
     sleep:
         Clock used for backoff/delay waits; tests pass a no-op or virtual
         clock.  Defaults to :func:`time.sleep`.
-    jitter_seed:
-        Seed for the decorrelated-jitter stream (only drawn from when
-        ``policy.jitter`` is set).  Defaults to the injector's seed when
-        one is supplied, so a seeded fault schedule fixes the jitter
-        schedule too; distinct senders should get distinct seeds — that
-        is what desynchronizes their retry storms.
     """
 
     def __init__(self, handler: ParcelHandler,
                  injector: FaultInjector | None = None,
                  policy: RetryPolicy = DEFAULT_RETRY_POLICY,
                  registry: CounterRegistry | None = None,
-                 sleep: Callable[[float], None] | None = None,
-                 jitter_seed: int | None = None):
+                 sleep: Callable[[float], None] | None = None):
         self.handler = handler
         self.injector = injector
         self.policy = policy
         self.registry = registry or default_registry()
         self._sleep = time.sleep if sleep is None else sleep
-        if jitter_seed is None and injector is not None:
-            jitter_seed = injector.seed
-        self._jitter_rng = random.Random(jitter_seed)
 
     # -- delivery -----------------------------------------------------------
 
@@ -108,7 +92,6 @@ class ResilientParcelSender:
         r.increment("/resilience/parcels/sent")
         t0 = trace.begin() if trace.TRACING else 0.0
         last_failure = "loss"
-        prev_wait = policy.base_backoff
         for attempt in range(1, policy.max_attempts + 1):
             r.increment("/resilience/parcels/attempts")
             fut = self._attempt(parcel)
@@ -130,12 +113,7 @@ class ResilientParcelSender:
                                        action=parcel.action, attempts=attempt)
                     return fut
             if attempt < policy.max_attempts:
-                if policy.jitter:
-                    wait = policy.jittered_backoff(prev_wait,
-                                                   self._jitter_rng)
-                    prev_wait = wait
-                else:
-                    wait = policy.backoff(attempt)
+                wait = policy.backoff(attempt)
                 r.increment("/resilience/parcels/retries")
                 r.increment("/resilience/backoff-seconds", wait)
                 if trace.TRACING:

@@ -403,8 +403,8 @@ class Promise:
 
     __slots__ = ("_future",)
 
-    def __init__(self, executor: Callable[[Callable[[], None]], None] | None = None):
-        self._future = Future(executor=executor)
+    def __init__(self) -> None:
+        self._future = Future()
 
     def get_future(self) -> Future:
         return self._future

@@ -96,22 +96,13 @@ class Parcel:
 
 
 class ParcelHandler:
-    """Receives parcels and executes their actions through AGAS.
+    """Receives parcels and executes their actions through AGAS."""
 
-    ``fault_injector`` (any object with a ``maybe_action_fault(parcel)``
-    method, e.g. :class:`repro.resilience.faults.FaultInjector`) models
-    receive-side failures: when it returns an exception the action is not
-    run and the exception comes back through the returned future, where a
-    resilient sender can spot the transient fault and resend.
-    """
-
-    def __init__(self, agas: AgasRuntime, fault_injector: Any | None = None):
+    def __init__(self, agas: AgasRuntime):
         self.agas = agas
-        self.fault_injector = fault_injector
         self._lock = threading.Lock()
         self.received = 0
         self.bytes_received = 0
-        self.action_faults = 0
         self.per_action: dict[str, int] = {}
 
     def deliver(self, parcel: Parcel) -> Future:
@@ -125,13 +116,6 @@ class ParcelHandler:
             self.received += 1
             self.bytes_received += parcel.size_bytes
             self.per_action[parcel.action] = self.per_action.get(parcel.action, 0) + 1
-        if self.fault_injector is not None:
-            exc = self.fault_injector.maybe_action_fault(parcel)
-            if exc is not None:
-                with self._lock:
-                    self.action_faults += 1
-                from .future import make_exceptional_future
-                return make_exceptional_future(exc)
         return self.agas.async_action(parcel.destination, parcel.action, *parcel.args)
 
     def stats(self) -> dict[str, Any]:
@@ -139,6 +123,5 @@ class ParcelHandler:
             return {
                 "received": self.received,
                 "bytes_received": self.bytes_received,
-                "action_faults": self.action_faults,
                 "per_action": dict(self.per_action),
             }

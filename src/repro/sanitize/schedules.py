@@ -55,20 +55,21 @@ POINTS = (
     "transport-flush",   # HaloTransport.flush batch (permutation point)
 )
 
+#: cap on one pause point's sleep, in seconds
+MAX_SLEEP_S = 5e-4
+
 
 class ScheduleExplorer:
     """Seeded source of schedule perturbations.
 
     ``intensity`` scales how often pause points actually sleep (1.0 is
-    the CI default); sleeps are capped at ``max_sleep`` seconds so even
+    the CI default); sleeps are capped at :data:`MAX_SLEEP_S` so even
     aggressive exploration stays inside test timeouts.
     """
 
-    def __init__(self, seed: int, intensity: float = 1.0,
-                 max_sleep: float = 5e-4) -> None:
+    def __init__(self, seed: int, intensity: float = 1.0) -> None:
         self.seed = int(seed)
         self.intensity = float(intensity)
-        self.max_sleep = float(max_sleep)
         self._lock = threading.Lock()
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self.perturbations = 0
@@ -94,7 +95,7 @@ class ScheduleExplorer:
             with self._lock:
                 self.perturbations += 1
             # sleep duration drawn from the same stream: replayable
-            time.sleep(rng.random() * self.max_sleep)
+            time.sleep(rng.random() * MAX_SLEEP_S)
         elif roll < 0.5 * self.intensity:
             with self._lock:
                 self.perturbations += 1

@@ -14,7 +14,7 @@ from .platforms import (V100, P100, XEON_E5_2660V3_10C, XEON_E5_2660V3_20C,
 from .treemodel import (RefinementRegion, ScenarioTree, build_tree,
                         v1309_tree, v1309_regions, TABLE4_PAPER_COUNTS,
                         MEMORY_GB_PER_SUBGRID)
-from .taskgraph import WorkloadProfile, profile_tree, morton_encode
+from .taskgraph import WorkloadProfile, profile_tree
 from .distributed import StepModel, StepResult
 from .nodelevel import NodeLevelResult, simulate_gravity_solve, measure_node
 from .scaling import (cached_profile, cached_tree, node_level_table,
@@ -29,7 +29,7 @@ __all__ = [
     "TABLE2_CONFIGS",
     "RefinementRegion", "ScenarioTree", "build_tree", "v1309_tree",
     "v1309_regions", "TABLE4_PAPER_COUNTS", "MEMORY_GB_PER_SUBGRID",
-    "WorkloadProfile", "profile_tree", "morton_encode",
+    "WorkloadProfile", "profile_tree",
     "StepModel", "StepResult",
     "NodeLevelResult", "simulate_gravity_solve", "measure_node",
     "cached_profile", "cached_tree", "node_level_table", "subgrid_table",

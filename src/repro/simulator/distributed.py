@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network.parcelport import Parcelport
-from ..network.retry import NETWORK_RETRY_POLICY, RetryPolicy
+from ..network.retry import NETWORK_RETRY_POLICY
 from ..network.topology import DragonflyTopology
 from ..runtime.counters import CounterRegistry
 from .flops import (MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
@@ -42,6 +42,8 @@ from .taskgraph import WorkloadProfile
 
 __all__ = ["StepModel", "StepResult"]
 
+#: fraction of the GPUs' FMM rate a saturated rank sustains
+GPU_DUTY = 0.70
 #: messages per remote neighbour pair per timestep (one hydro halo plus one
 #: gravity multipole/Taylor buffer per direction, batched per exchange)
 MSGS_PER_PAIR_PER_STEP = 2
@@ -70,17 +72,17 @@ class StepResult:
 
 
 class StepModel:
-    """Evaluate the per-step time of a workload on N nodes over a transport."""
+    """Evaluate the per-step time of a workload on N nodes over a transport.
+
+    The calibration (:data:`GPU_DUTY`, :data:`MSGS_PER_PAIR_PER_STEP`,
+    :data:`GPU_STARVATION_KNEE`, :data:`OVERLAP`,
+    :data:`NETWORK_PARALLELISM`) is module data; retries are priced with
+    :data:`~repro.network.retry.NETWORK_RETRY_POLICY`.
+    """
 
     def __init__(self, profile: WorkloadProfile, node: NodeSpec,
-                 gpu_duty: float = 0.70,
-                 msgs_per_pair: int = MSGS_PER_PAIR_PER_STEP,
-                 network_parallelism: float = NETWORK_PARALLELISM,
-                 overlap: float = OVERLAP,
-                 starvation_knee: float = GPU_STARVATION_KNEE,
                  registry: CounterRegistry | None = None,
-                 loss_rate: float = 0.0,
-                 retry_policy: "RetryPolicy | None" = None):
+                 loss_rate: float = 0.0):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         self.profile = profile
@@ -90,16 +92,10 @@ class StepModel:
         #: and wire, backoff stalls) is charged below so faulty-machine
         #: scaling curves can be produced alongside the Fig. 2/3 ones
         self.loss_rate = loss_rate
-        self.retry_policy = retry_policy or NETWORK_RETRY_POLICY
         #: optional APEX-style counter sink; every step_time() publishes
         #: /simulator/step/... gauges into it (per-message cost components
         #: are tallied by the parcelport module itself)
         self.registry = registry
-        self.gpu_duty = gpu_duty
-        self.msgs_per_pair = msgs_per_pair
-        self.network_parallelism = network_parallelism
-        self.overlap = overlap
-        self.starvation_knee = starvation_knee
         self._fmm_flops = np.where(profile.is_interior,
                                    MULTIPOLE_KERNEL_FLOPS,
                                    MONOPOLE_KERNEL_FLOPS).astype(np.float64)
@@ -112,7 +108,7 @@ class StepModel:
         node = self.node
         if node.has_gpu:
             fmm_rate = sum(node.fmm_gpu_rate(g) for g in node.gpus) \
-                * self.gpu_duty * 1e9
+                * GPU_DUTY * 1e9
         else:
             fmm_rate = node.cores * node.fmm_core_rate() * 1e9
         return (self._fmm_flops / fmm_rate
@@ -141,7 +137,7 @@ class StepModel:
                                 minlength=n_nodes)
         other_flops = counts * OTHER_FLOPS_PER_SUBGRID
         if node.has_gpu:
-            duty = self.gpu_duty * counts / (counts + self.starvation_knee)
+            duty = GPU_DUTY * counts / (counts + GPU_STARVATION_KNEE)
             gpu_rate = sum(node.fmm_gpu_rate(g) for g in node.gpus) * 1e9
             fmm_rate = np.maximum(gpu_rate * duty,
                                   node.cores * node.fmm_core_rate() * 1e9)
@@ -167,15 +163,15 @@ class StepModel:
             return result
 
         msgs, byts, pair_ranks, pair_counts = profile.remote_traffic(owner)
-        per_pair = self.msgs_per_pair / 2.0   # remote_traffic counts both ends
+        per_pair = MSGS_PER_PAIR_PER_STEP / 2.0   # remote_traffic counts both ends
         msgs = msgs.astype(np.float64) * per_pair
         byts = byts.astype(np.float64) * per_pair
 
         # degraded network: every logical message costs E[attempts] physical
         # sends (budget-capped geometric) plus the expected backoff stall,
         # which overlaps with compute exactly like wire time does
-        attempts = self.retry_policy.expected_attempts(self.loss_rate)
-        backoff_per_msg = self.retry_policy.expected_backoff(self.loss_rate)
+        attempts = NETWORK_RETRY_POLICY.expected_attempts(self.loss_rate)
+        backoff_per_msg = NETWORK_RETRY_POLICY.expected_backoff(self.loss_rate)
         t_backoff = msgs * backoff_per_msg
         logical_msgs = msgs.sum()
         msgs = msgs * attempts
@@ -205,11 +201,11 @@ class StepModel:
             recver = np.array([c.receiver_cpu for c in cost])
             wire = np.array([c.wire for c in cost])
             # transport CPU time, concentrated on the polling/progress cores
-            t_comm_cpu = msgs * (sender + recver) / self.network_parallelism
+            t_comm_cpu = msgs * (sender + recver) / NETWORK_PARALLELISM
             # NIC serialization + exposed wire time after overlap
             t_nic = byts / port.bandwidth + msgs * 0.2e-6 + t_backoff
             t_wire_exposed = np.maximum(
-                0.0, t_nic + wire - self.overlap * (t_comp + t_comm_cpu))
+                0.0, t_nic + wire - OVERLAP * (t_comp + t_comm_cpu))
             t_step_nodes = t_comp + t_comm_cpu + t_wire_exposed
             total = np.maximum(t_step_nodes, 1e-30)
             busy = np.clip(t_comp / total, 0.0, 1.0)
@@ -234,7 +230,7 @@ class StepModel:
         r.increment("/simulator/steps-evaluated")
         prefix = f"/simulator/step/{port.name}"
         if self.loss_rate > 0.0:
-            policy = self.retry_policy
+            policy = NETWORK_RETRY_POLICY
             r.set_gauge(f"{prefix}/loss-rate", self.loss_rate)
             r.set_gauge(f"{prefix}/retry-attempts-per-msg",
                         policy.expected_attempts(self.loss_rate))

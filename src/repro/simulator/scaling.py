@@ -1,7 +1,8 @@
 """Drivers for the paper's evaluation sweeps (Table 2, Table 4, Figs. 2/3).
 
-These functions produce exactly the rows/series the paper reports; the
-benchmark harness under ``benchmarks/`` prints them.  Workload profiles
+These functions produce exactly the rows/series the paper reports;
+``tests/simulator/`` asserts their shapes and
+``examples/scaling_study.py`` prints them.  Workload profiles
 are cached per refinement level because building the level-17 tree takes
 a few seconds.
 """

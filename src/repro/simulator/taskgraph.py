@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util import morton_encode
 from .treemodel import ScenarioTree
 
-__all__ = ["morton_encode", "WorkloadProfile", "profile_tree"]
+__all__ = ["WorkloadProfile", "profile_tree"]
 
 _NEIGHBOR_OFFSETS = np.array(
     [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
@@ -34,24 +35,6 @@ _NEIGHBOR_OFFSETS = np.array(
 #: 8x8x3 ghost cells x 15 fields x 8 B for faces, shrinking to edges/corners
 _HALO_BYTES = {1: 8 * 8 * 3 * 15 * 8, 2: 8 * 3 * 3 * 15 * 8,
                3: 3 * 3 * 3 * 15 * 8}
-
-
-def _spread_bits(x: np.ndarray) -> np.ndarray:
-    """Spread the low 21 bits of x so they occupy every third bit."""
-    x = x.astype(np.uint64) & np.uint64(0x1FFFFF)
-    x = (x | (x << np.uint64(32))) & np.uint64(0x1F00000000FFFF)
-    x = (x | (x << np.uint64(16))) & np.uint64(0x1F0000FF0000FF)
-    x = (x | (x << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
-    x = (x | (x << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
-    x = (x | (x << np.uint64(2))) & np.uint64(0x1249249249249249)
-    return x
-
-
-def morton_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
-    """Interleave three integer coordinates into Morton (Z-order) keys."""
-    return (_spread_bits(np.asarray(ix)) << np.uint64(2)) \
-        | (_spread_bits(np.asarray(iy)) << np.uint64(1)) \
-        | _spread_bits(np.asarray(iz))
 
 
 @dataclass

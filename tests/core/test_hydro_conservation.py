@@ -54,11 +54,6 @@ class TestRhsBasics:
         U[RHO] = 1.0
         assert cfl_dt(U, 0.1, opts) == np.inf
 
-    def test_unknown_reconstruction_rejected(self):
-        # rejected where the options are built, not at the first sweep
-        with pytest.raises(ValueError, match="reconstruction"):
-            HydroOptions(eos=IdealGas(), reconstruction="wrong")
-
 
 class TestConservationBookkeeping:
     """Forward-Euler budget checks: interior change == boundary flux."""

@@ -26,7 +26,7 @@ from repro.core.grid import LX
 from repro.core.gravity.kernels import (LEVI_CIVITA, greens, m2l_pair,
                                         m2l_pair_reference, p2p_pair,
                                         pair_torque)
-from repro.core.hydro.reconstruct import minmod_faces, ppm_faces
+from repro.core.hydro.reconstruct import ppm_faces
 from repro.core.hydro.riemann import (conserved_signal_speed,
                                       conserved_to_primitive, kt_flux,
                                       kt_flux_reference, max_signal_speed)
@@ -200,16 +200,6 @@ def test_ppm_workspace_path_bitwise_1d():
     np.testing.assert_array_equal(wsR, refR)
 
 
-@pytest.mark.parametrize("axis", [1, 2, 3])
-def test_minmod_workspace_path_bitwise(axis):
-    U = hydro_block()
-    W = conserved_to_primitive(U, IdealGas(), FLOOR)
-    refL, refR = minmod_faces(W, NGHOST, axis)
-    wsL, wsR = minmod_faces(W, NGHOST, axis, ws=Workspace())
-    np.testing.assert_array_equal(wsL, refL)
-    np.testing.assert_array_equal(wsR, refR)
-
-
 # -- fluxes and the full RHS ------------------------------------------------
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -227,14 +217,12 @@ def test_kt_flux_fused_bitwise(axis):
     np.testing.assert_array_equal(out, ref)
 
 
-@pytest.mark.parametrize("reconstruction", ["ppm", "minmod"])
-def test_compute_rhs_fused_bitwise(reconstruction):
+def test_compute_rhs_fused_bitwise():
     U = hydro_block()
     n = U.shape[1] - 2 * NGHOST
     rng = np.random.default_rng(13)
     gravity = rng.normal(size=(3, n, n, n)) * 0.1
-    opts = HydroOptions(eos=IdealGas(), reconstruction=reconstruction,
-                        omega=0.3)
+    opts = HydroOptions(eos=IdealGas(), omega=0.3)
     ref = compute_rhs_reference(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
                                 gravity=gravity)
     plain = compute_rhs(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
@@ -387,16 +375,15 @@ def test_floored_cell_flows_clean_through_dual_energy():
 
 
 def test_eos_floor_unified_with_solver_floor():
-    eos = IdealGas(rho_floor=1e-6)
+    # HydroOptions propagates its floor into the EOS it holds
+    eos = HydroOptions(eos=IdealGas(), rho_floor=1e-6).eos
+    assert eos.rho_floor == 1e-6
     # the clamp is the configured floor, not a hard-wired 1e-300
     assert eos.sound_speed(1e-30, 1.0) \
         == np.sqrt(eos.gamma * 1.0 / 1e-6)
     assert eos.kinetic(1e-30, 3.0, 0.0, 0.0) == 0.5 * 9.0 / 1e-6
     with pytest.raises(ValueError):
-        IdealGas(rho_floor=0.0)
-    # HydroOptions propagates its floor into the EOS it holds
-    opts = HydroOptions(eos=IdealGas(), rho_floor=1e-8)
-    assert opts.eos.rho_floor == 1e-8
+        HydroOptions(eos=IdealGas(), rho_floor=0.0)
 
 
 def test_spin_fields_survive_fusion():

@@ -1,4 +1,4 @@
-"""PPM/minmod reconstruction and the KT flux."""
+"""PPM reconstruction and the KT flux."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NF, NGHOST, RHO, SX, EGAS, IdealGas
-from repro.core.hydro.reconstruct import minmod_faces, ppm_faces
+from repro.core.hydro.reconstruct import ppm_faces
 from repro.core.hydro.riemann import (conserved_to_primitive, kt_flux,
                                       max_signal_speed, physical_flux,
                                       primitive_to_conserved)
@@ -22,13 +22,13 @@ def _block_1d(values: np.ndarray) -> np.ndarray:
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("method", [minmod_faces, ppm_faces])
+    @pytest.mark.parametrize("method", [ppm_faces])
     def test_constant_field_reconstructs_exactly(self, method):
         q = _block_1d(np.full(16 + 2 * NGHOST, 3.14))
         qL, qR = method(q, NGHOST, axis=0)
         assert np.allclose(qL, 3.14) and np.allclose(qR, 3.14)
 
-    @pytest.mark.parametrize("method", [minmod_faces, ppm_faces])
+    @pytest.mark.parametrize("method", [ppm_faces])
     def test_linear_profile_faces_exact(self, method):
         g = NGHOST
         x = np.arange(16 + 2 * g, dtype=float)
@@ -40,19 +40,21 @@ class TestReconstruction:
 
     def test_ppm_higher_order_on_smooth_data(self):
         g = NGHOST
-        n = 32
-        x = (np.arange(n + 2 * g) - g + 0.5) / n
-        q = _block_1d(np.sin(2 * np.pi * x))
-        faces_exact = np.sin(2 * np.pi * np.arange(n + 1) / n)
-        qLp, _ = ppm_faces(q, g, axis=0)
-        qLm, _ = minmod_faces(q, g, axis=0)
-        # mean error: PPM's monotonizer clips smooth extrema, so compare
-        # away from the max-norm (the standard PPM caveat)
-        err_ppm = np.abs(qLp[:, g, g] - faces_exact).mean()
-        err_mm = np.abs(qLm[:, g, g] - faces_exact).mean()
-        assert err_ppm < err_mm
 
-    @pytest.mark.parametrize("method", [minmod_faces, ppm_faces])
+        def mean_face_error(n):
+            x = (np.arange(n + 2 * g) - g + 0.5) / n
+            q = _block_1d(np.sin(2 * np.pi * x))
+            qL, _ = ppm_faces(q, g, axis=0)
+            # mean error: PPM's monotonizer clips smooth extrema, so stay
+            # away from the max-norm (the standard PPM caveat)
+            return np.abs(qL[:, g, g]
+                          - np.sin(2 * np.pi * np.arange(n + 1) / n)).mean()
+
+        # doubling the resolution beats a second-order scheme's 4x
+        # (measured: 5.7x)
+        assert mean_face_error(16) / mean_face_error(32) > 4.0
+
+    @pytest.mark.parametrize("method", [ppm_faces])
     def test_no_new_extrema(self, method):
         rng = np.random.default_rng(3)
         q = _block_1d(rng.uniform(0.1, 1.0, 24 + 2 * NGHOST))

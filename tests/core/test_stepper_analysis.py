@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (KernelCounts, MONOPOLE_KERNEL_FLOPS,
-                            MULTIPOLE_KERNEL_FLOPS, fmm_flops_per_solve,
-                            format_table)
+from repro.analysis import format_table
 from repro.core import sod_tube
 from repro.core.stepper import ConservationMonitor, evolve
+from repro.simulator.flops import (MONOPOLE_KERNEL_FLOPS,
+                                   MULTIPOLE_KERNEL_FLOPS, KernelCounts,
+                                   fmm_flops_per_solve)
 
 
 class TestMonitor:

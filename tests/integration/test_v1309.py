@@ -37,6 +37,10 @@ class TestV1309:
         assert acc > 0 and don > 0
         # accretor (primary) carries much more mass than the donor
         assert acc > 1.5 * don
+        # Sec. 3: 1.54 + 0.17 M_sun -> q ~ 0.11; the split at x = 0 agrees
+        rho = I[RHO]
+        left = np.broadcast_to(mesh.cell_centers()[0], rho.shape) < 0
+        assert 0.02 < rho[left].sum() / rho[~left].sum() < 0.7
 
     def test_short_evolution_conserves(self, mesh):
         mon = ConservationMonitor()

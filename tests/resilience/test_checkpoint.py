@@ -1,5 +1,6 @@
 """Checkpoint/restore of mesh state and fault-tolerant evolve()."""
 
+import random
 import threading
 import zlib
 
@@ -291,12 +292,12 @@ class TestFaultTolerantEvolve:
 
     def test_probabilistic_faults_with_fixed_seed_complete(self):
         mesh = small_mesh()
-        inj = FaultInjector(seed=2, step_fault_rate=0.3, max_step_faults=4,
-                            registry=CounterRegistry())
+        steps = tuple(random.Random(2).sample(range(6), 4))
+        inj = FaultInjector(fail_at_steps=steps, registry=CounterRegistry())
         mgr = CheckpointManager(interval=1, registry=CounterRegistry())
         evolve(mesh, 0.05, max_steps=6, checkpoints=mgr, fault_injector=inj)
         assert mesh.steps == 6
-        assert mgr.restores == inj.stats()["step"] > 0
+        assert mgr.restores == inj.stats()["step"] == 4
 
     def test_fault_without_checkpointing_propagates(self):
         inj = FaultInjector(seed=0, fail_at_steps=(1,),
@@ -305,7 +306,7 @@ class TestFaultTolerantEvolve:
             evolve(small_mesh(), 0.05, max_steps=4, fault_injector=inj)
 
     def test_restore_budget_fails_loudly_not_forever(self):
-        inj = FaultInjector(seed=0, step_fault_rate=1.0,
+        inj = FaultInjector(fail_at_steps=range(4),
                             registry=CounterRegistry())
         with pytest.raises(FaultRecoveryExhausted):
             evolve(small_mesh(), 0.05, max_steps=4,

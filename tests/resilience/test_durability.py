@@ -7,9 +7,10 @@ import pytest
 from repro.core import (BlockMesh, ConservationMonitor, DistBlockMesh,
                         equilibrium_star, interior, slab_partition)
 from repro.resilience import (BuddyReplicatedStore, CheckpointError,
-                              CheckpointManager, FaultInjector,
-                              RecoveryCoordinator)
+                              CheckpointManager, FailureDetector,
+                              FaultInjector, RecoveryCoordinator)
 from repro.runtime import CounterRegistry
+from repro.simulator.events import EventQueue
 
 
 def star_interior():
@@ -164,9 +165,37 @@ class TestRecoveryCoordinator:
         assert not coord.needs_global_recovery(1)  # evacuation absorbs one
         assert coord.needs_global_recovery(2)      # ...but not two at once
         # a lost last-copy forces global recovery regardless of the count
+        on_victim = sorted(ip for ip, loc in mesh.owners().items()
+                           if loc == 1)
         mesh.fail_locality(1, evacuate=False)
-        assert coord.lost_blocks() == sorted(mesh.lost_blocks)
+        assert coord.lost_blocks() == on_victim
         assert coord.needs_global_recovery(0)
+
+    def test_lost_blocks_follow_a_detector_kill(self):
+        """The mesh never hears ``fail_locality`` in a real run: the
+        phi-accrual detector calls AGAS directly.  Lost is whatever
+        resolves to LocalityFailed, whoever declared the failure."""
+        reg = CounterRegistry()
+        mesh = dist_mesh(n_localities=4, registry=reg)
+        mgr = CheckpointManager(interval=1, registry=reg)
+        coord = RecoveryCoordinator(mesh, mgr, registry=reg)
+        mgr.save(mesh)
+        victims = {ip for ip, loc in mesh.owners().items() if loc in (1, 3)}
+        events = EventQueue()
+        detector = FailureDetector(mesh.agas, events, heartbeat_interval=0.25,
+                                   phi_threshold=3.0, evacuate=False,
+                                   registry=reg)
+        detector.start()
+        events.run(until=2.0)
+        assert mesh.lost_blocks == set()
+        for victim in (1, 3):
+            detector.silence(victim)
+        events.run(until=20.0)
+        assert detector.declared_failed == {1, 3}
+        assert mesh.lost_blocks == victims and len(victims) == 4
+        assert coord.lost_blocks() == sorted(victims)
+        coord.recover()
+        assert mesh.lost_blocks == set()
 
     def test_recover_restores_byte_identical_state_on_survivors(self):
         reg = CounterRegistry()
@@ -317,26 +346,22 @@ class TestCheckpointStoreFaults:
         assert reg.value("/resilience/ckpt/corrupt") == 1.0
         assert reg.value("/resilience/ckpt/verified") == 1.0
 
-    def test_rate_based_faults_land_on_newest_verified(self):
+    def test_restore_lands_on_newest_verified(self):
         reg = CounterRegistry()
-        inj = FaultInjector(seed=5, torn_write_rate=0.5,
-                            ckpt_corruption_rate=0.5, max_torn_writes=2,
-                            max_ckpt_corruptions=2, registry=reg)
+        inj = FaultInjector(torn_write_at_saves=(1, 4),
+                            corrupt_ckpt_at_saves=(2, 5), registry=reg)
         mgr = CheckpointManager(interval=1, keep=6, registry=reg,
                                 injector=inj)
         mesh = self.small_mesh()
         states = self.saves_and_steps(mgr, mesh, 6)
-        stats = inj.stats()
-        assert stats["torn-write"] + stats["ckpt-corruption"] > 0
         expected = mgr.latest_verified
-        assert expected is not None
+        assert expected is not None and expected.step == 3
         restored = mgr.restore_latest(mesh)
         assert restored is expected
-        self.assert_restored(mesh, states[restored.step])
-        # everything newer than the restored record failed verification
-        # and was dropped on the way down
-        assert reg.snapshot().get("/resilience/ckpt/fallback", 0.0) \
-            == 5 - restored.step
+        self.assert_restored(mesh, states[3])
+        # everything newer than the restored record (#4 torn, #5 corrupt)
+        # failed verification and was dropped on the way down
+        assert reg.value("/resilience/ckpt/fallback") == 2.0
 
     def test_mixed_schedule_skips_both_fault_kinds(self):
         reg = CounterRegistry()

@@ -19,11 +19,11 @@ class Adder(Component):
         return self.value
 
 
-def make_target(fault_injector=None):
+def make_target(comp=None):
     ag = AgasRuntime(2)
-    comp = Adder()
+    comp = comp or Adder()
     gid = ag.register(comp)
-    return comp, gid, ParcelHandler(ag, fault_injector=fault_injector)
+    return comp, gid, ParcelHandler(ag)
 
 
 class TestFaultInjector:
@@ -47,13 +47,6 @@ class TestFaultInjector:
             inj.maybe_step_fault(5)
         inj.maybe_step_fault(5)  # consumed: no second failure
         assert inj.stats()["step"] == 1
-
-    def test_locality_failure_schedule(self):
-        inj = FaultInjector(seed=0, fail_locality_at=(3, 1),
-                            registry=CounterRegistry())
-        assert inj.locality_failure_due(2) is None
-        assert inj.locality_failure_due(3) == 1
-        assert inj.locality_failure_due(4) is None  # fires once
 
     def test_rates_validated(self):
         with pytest.raises(ValueError):
@@ -107,16 +100,24 @@ class TestResilientSend:
         assert reg.value("/resilience/parcels/attempts") == 3.0
 
     def test_transient_action_faults_are_retried(self):
+        class Flaky(Adder):
+            """Fails transiently twice, then behaves."""
+            faults = 2
+
+            def add(self, n):
+                if self.faults:
+                    self.faults -= 1
+                    raise TransientActionFault("receive-side hiccup")
+                return super().add(n)
+
         reg = CounterRegistry()
-        inj = FaultInjector(seed=3, action_fault_rate=1.0,
-                            max_action_faults=2, registry=reg)
-        comp, gid, handler = make_target(fault_injector=inj)
+        comp, gid, handler = make_target(Flaky())
         sender = ResilientParcelSender(
             handler, registry=reg,
             policy=RetryPolicy(max_attempts=5, base_backoff=1e-6),
             sleep=lambda _t: None)
         assert sender.send(Parcel(gid, "add", (4,))).get() == 4
-        assert handler.stats()["action_faults"] == 2
+        assert comp.value == 4 and comp.faults == 0
         assert reg.value("/resilience/parcels/action-faults") == 2.0
 
     def test_non_transient_errors_not_retried(self):
@@ -149,6 +150,23 @@ class TestResilientSend:
         assert reg.value("/resilience/parcels/delayed") == 1.0
         assert waits and waits[0] <= 1e-4
 
+    def test_sender_sleeps_the_policy_backoff_schedule(self):
+        """The waits are a pure function of the attempt number: any two
+        runs, whatever their fault seed, back off identically."""
+        policy = RetryPolicy(max_attempts=4, base_backoff=1e-3,
+                             backoff_factor=2.0, max_backoff=1.0)
+        for seed in (1, 1309):
+            _comp, gid, handler = make_target()
+            waits = []
+            sender = ResilientParcelSender(
+                handler, policy=policy, registry=CounterRegistry(),
+                injector=FaultInjector(seed=seed, loss_rate=1.0,
+                                       registry=CounterRegistry()),
+                sleep=waits.append)
+            with pytest.raises(RetryBudgetExhausted):
+                sender.send(Parcel(gid, "add", (1,))).get()
+            assert waits == [policy.backoff(k) for k in (1, 2, 3)]
+
     def test_backoff_schedule_is_exponential_and_capped(self):
         policy = RetryPolicy(max_attempts=6, base_backoff=1e-3,
                              backoff_factor=2.0, max_backoff=3e-3)
@@ -162,89 +180,3 @@ class TestResilientSend:
         assert policy.expected_attempts(p) == \
             pytest.approx(sum(p ** k for k in range(4)))
         assert policy.delivery_probability(p) == pytest.approx(1 - p ** 4)
-
-
-class TestDecorrelatedJitter:
-    """Seeded decorrelated jitter desynchronizes correlated retry storms
-    without giving up determinism."""
-
-    def lossy_sender(self, jitter_seed, policy, waits):
-        _comp, gid, handler = make_target()
-        inj = FaultInjector(seed=7, loss_rate=1.0,
-                            registry=CounterRegistry())
-        sender = ResilientParcelSender(
-            handler, injector=inj, policy=policy,
-            registry=CounterRegistry(), sleep=waits.append,
-            jitter_seed=jitter_seed)
-        return sender, gid
-
-    def test_correlated_failures_desynchronize(self):
-        """Two senders whose sends fail at the same instants must not
-        back off in lockstep: distinct seeds, distinct wait schedules."""
-        policy = RetryPolicy(max_attempts=6, base_backoff=1e-3,
-                             max_backoff=1.0, jitter=True)
-        waits_a, waits_b = [], []
-        sender_a, gid_a = self.lossy_sender(1, policy, waits_a)
-        sender_b, gid_b = self.lossy_sender(2, policy, waits_b)
-        with pytest.raises(RetryBudgetExhausted):
-            sender_a.send(Parcel(gid_a, "add", (1,))).get()
-        with pytest.raises(RetryBudgetExhausted):
-            sender_b.send(Parcel(gid_b, "add", (1,))).get()
-        assert len(waits_a) == len(waits_b) == policy.max_attempts - 1
-        assert waits_a != waits_b
-        # every wait stays inside [base, cap] and the draws are real
-        # waits, not the deterministic exponential anchor
-        for waits in (waits_a, waits_b):
-            assert all(policy.base_backoff <= w <= policy.max_backoff
-                       for w in waits)
-
-    def test_same_seed_reproduces_the_schedule_exactly(self):
-        policy = RetryPolicy(max_attempts=5, base_backoff=1e-3,
-                             max_backoff=1.0, jitter=True)
-        runs = []
-        for _ in range(2):
-            waits = []
-            sender, gid = self.lossy_sender(1309, policy, waits)
-            with pytest.raises(RetryBudgetExhausted):
-                sender.send(Parcel(gid, "add", (1,))).get()
-            runs.append(waits)
-        assert runs[0] == runs[1]
-
-    def test_jitter_seed_defaults_to_the_injector_seed(self):
-        policy = RetryPolicy(max_attempts=5, base_backoff=1e-3,
-                             max_backoff=1.0, jitter=True)
-        implicit, explicit = [], []
-        _c, gid, handler = make_target()
-        inj = FaultInjector(seed=7, loss_rate=1.0,
-                            registry=CounterRegistry())
-        sender = ResilientParcelSender(handler, injector=inj, policy=policy,
-                                       registry=CounterRegistry(),
-                                       sleep=implicit.append)
-        with pytest.raises(RetryBudgetExhausted):
-            sender.send(Parcel(gid, "add", (1,))).get()
-        sender2, gid2 = self.lossy_sender(7, policy, explicit)
-        with pytest.raises(RetryBudgetExhausted):
-            sender2.send(Parcel(gid2, "add", (1,))).get()
-        assert implicit == explicit
-
-    def test_no_jitter_keeps_the_deterministic_schedule(self):
-        policy = RetryPolicy(max_attempts=4, base_backoff=1e-3,
-                             backoff_factor=2.0, max_backoff=1.0)
-        waits = []
-        sender, gid = self.lossy_sender(1, policy, waits)
-        with pytest.raises(RetryBudgetExhausted):
-            sender.send(Parcel(gid, "add", (1,))).get()
-        assert waits == [policy.backoff(k) for k in (1, 2, 3)]
-
-    def test_jittered_backoff_grows_from_previous_wait(self):
-        import random
-        policy = RetryPolicy(base_backoff=1e-3, max_backoff=0.5,
-                             jitter=True)
-        rng = random.Random(0)
-        prev = policy.base_backoff
-        for _ in range(50):
-            wait = policy.jittered_backoff(prev, rng)
-            assert policy.base_backoff <= wait \
-                <= min(policy.max_backoff, max(3 * prev,
-                                               policy.base_backoff))
-            prev = wait

@@ -184,8 +184,9 @@ class TestStaleHeartbeatGate:
 
     def test_unmonitored_locality_is_ignored(self):
         agas, _gids, reg = make_world()
+        agas.fail_locality(3)         # dead before the detector existed
         ev = EventQueue()
-        det = FailureDetector(agas, ev, localities=[0, 1], registry=reg)
+        det = FailureDetector(agas, ev, registry=reg)
         det.start()
         assert det.receive_heartbeat(3) is False
         assert "/resilience/health/stale-heartbeats" not in reg.snapshot()

@@ -1,19 +1,46 @@
-"""Node-level DES (Table 2) and the distributed scaling model (Figs 2/3)."""
+"""Node-level DES (Table 2) and the distributed scaling model (Figs 2/3).
+
+These are the paper's evaluation tables and figures as assertions;
+``REPRO_FULL_SCALE=1`` adds the level-16/17 trees (minutes of tree
+building).
+"""
 
 import pytest
 
-from repro.analysis import (MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS,
-                            parallel_efficiency, speedup)
+from repro.analysis import parallel_efficiency, speedup
 from repro.network import PARCELPORTS
 from repro.simulator import (PIZ_DAINT, PIZ_DAINT_CPU, StepModel,
                              TABLE2_CONFIGS, XEON_E5_2660V3_10C,
                              XEON_E5_2660V3_20C, measure_node,
                              simulate_gravity_solve, with_gpus)
+from repro.simulator.flops import (MONOPOLE_KERNEL_FLOPS,
+                                   MULTIPOLE_KERNEL_FLOPS)
 from repro.simulator.platforms import V100
-from repro.simulator.scaling import cached_profile, reference_rate
+from repro.simulator.scaling import (PAPER_NODE_COUNTS, cached_profile,
+                                     node_level_table, parcelport_ratio,
+                                     reference_rate, scaling_sweep)
+
+from . import full_scale
 
 LF = PARCELPORTS["libfabric"]
 MPI = PARCELPORTS["mpi"]
+
+#: Table 2 as printed: name -> measured GFLOP/s
+PAPER_TABLE2_GFLOPS = {
+    "E5-2660v3 10c, CPU-only": 125,
+    "E5-2660v3 10c + 1x V100": 2271,
+    "E5-2660v3 10c + 2x V100": 3185,
+    "E5-2660v3 20c, CPU-only": 250,
+    "E5-2660v3 20c + 1x V100": 1516,
+    "E5-2660v3 20c + 2x V100": 5188,
+    "Xeon Phi 7210 64c": 459,
+    "Piz Daint node, CPU-only": 157,
+    "Piz Daint node + 1x P100": 973,
+}
+
+#: Sec. 6.3 headline efficiencies (libfabric, % of the 1-node reference)
+PAPER_EFFICIENCIES = {(16, 256): 71.4, (16, 5400): 21.2,
+                      (17, 1024): 78.4, (17, 2048): 68.1}
 
 
 class TestNodeLevel:
@@ -47,11 +74,15 @@ class TestNodeLevel:
         assert r.gpu_fraction > 0.85
 
     def test_starvation_inversion_one_gpu(self):
-        """Table 2: 10 cores + 1 V100 outperforms 20 cores + 1 V100."""
+        """Table 2: 10 cores + 1 V100 outperforms 20 cores + 1 V100;
+        Sec. 6.1.2: it launches ~99.9997% of kernels on the GPU, 20c +
+        1 V100 only ~97.4995% — more feeders saturate the streams."""
         ten = measure_node(with_gpus(XEON_E5_2660V3_10C, V100))
         twenty = measure_node(with_gpus(XEON_E5_2660V3_20C, V100))
         assert ten.gflops > twenty.gflops
         assert ten.gpu_fraction > twenty.gpu_fraction
+        assert ten.gpu_fraction > 0.97
+        assert twenty.gpu_fraction > 0.85
 
     def test_two_gpus_need_enough_cores(self):
         """Table 2: 20c + 2 V100 beats 10c + 2 V100."""
@@ -64,6 +95,17 @@ class TestNodeLevel:
         for name, node in TABLE2_CONFIGS:
             r = measure_node(node)
             assert 0.10 < r.fraction_of_peak < 0.45, name
+
+    def test_table2_rows_match_paper(self):
+        """CPU rows follow the paper's accounting exactly; GPU rows land
+        within a factor ~2 of the measurements."""
+        ours = {name: round(r.gflops) for name, r in node_level_table()}
+        assert ours["E5-2660v3 10c, CPU-only"] == 125
+        assert ours["E5-2660v3 20c, CPU-only"] == 250
+        assert ours["Xeon Phi 7210 64c"] in (458, 459)
+        assert ours["Piz Daint node, CPU-only"] == 157
+        for name, paper in PAPER_TABLE2_GFLOPS.items():
+            assert 0.45 < ours[name] / paper < 2.2, name
 
     def test_stalled_simulation_detected(self):
         with pytest.raises(ValueError):
@@ -115,6 +157,50 @@ class TestScalingModel:
         lf = m.step_time(2, LF).subgrids_per_second
         mpi = m.step_time(2, MPI).subgrids_per_second
         assert lf / mpi < 1.02
+
+    def test_fig2_sweep_shape(self):
+        """Fig. 2 over levels 14-15, 1..512 nodes, both parcelports."""
+        points = scaling_sweep(levels=(14, 15), max_nodes=512)
+        by_key = {(p.level, p.n_nodes, p.parcelport): p for p in points}
+        # weak scaling near-ideal along the constant-work diagonal
+        for level, n in ((14, 1), (15, 4)):
+            assert by_key[(level, n, "libfabric")].efficiency > 0.7
+        for level in (14, 15):
+            effs = [by_key[(level, n, "libfabric")].efficiency
+                    for n in PAPER_NODE_COUNTS
+                    if (level, n, "libfabric") in by_key]
+            assert effs[0] > effs[-1]         # strong scaling tails off
+        for (level, n, port), p in by_key.items():
+            if port == "libfabric" and n >= 256:
+                assert p.speedup >= by_key[(level, n, "mpi")].speedup
+
+    def test_fig3_ratio_shape(self):
+        """Fig. 3: at most parity at the smallest multi-node run, > 1.8x
+        at the largest, growing with node count on every level."""
+        series = parcelport_ratio(levels=(14, 15), max_nodes=1024)
+        by_key = {(lvl, n): r for lvl, n, r in series}
+        assert by_key[(14, 2)] < 1.05
+        assert by_key[(14, 1024)] > 1.8
+        for lvl in (14, 15):
+            ns = sorted(n for l, n, _ in series if l == lvl)
+            assert by_key[(lvl, ns[-1])] > by_key[(lvl, ns[0])]
+
+    @full_scale
+    def test_headline_efficiencies(self):
+        """Sec. 6.3: 78.4% @ L17/1024, 68.1% @ L17/2048, 71.4% @ L16/256,
+        21.2% @ L16/5400 (libfabric)."""
+        ref = reference_rate()
+        for (level, n), paper in PAPER_EFFICIENCIES.items():
+            model = StepModel(cached_profile(level), PIZ_DAINT)
+            rate = model.step_time(n, LF).subgrids_per_second
+            ours = parallel_efficiency(rate, n, ref) * 100
+            assert ours == pytest.approx(paper, abs=12.0), f"L{level}@{n}"
+
+    @full_scale
+    def test_peak_ratio_near_paper(self):
+        """At the largest runs the paper reports up to ~2.8x."""
+        series = parcelport_ratio(levels=(14, 15), max_nodes=5400)
+        assert 2.0 < max(r for _l, _n, r in series) < 3.2
 
     def test_speedup_arithmetic(self):
         assert speedup(200.0, 100.0) == 2.0

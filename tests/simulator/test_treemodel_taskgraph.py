@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator import (TABLE4_PAPER_COUNTS, WorkloadProfile,
-                             morton_encode, profile_tree, v1309_tree)
+                             profile_tree, v1309_tree)
+from repro.simulator.scaling import subgrid_table
 from repro.simulator.treemodel import (RefinementRegion, build_tree,
                                        v1309_regions)
+from repro.util import morton_encode
+
+from . import full_scale
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +57,18 @@ class TestTreeStructure:
         assert len(tree14.leaf_centers()) == tree14.n_leaves
 
 
+TABLE4_LEVELS = [13, 14, 15, pytest.param(16, marks=full_scale),
+                 pytest.param(17, marks=full_scale)]
+
+
 class TestTable4Reproduction:
-    @pytest.mark.parametrize("level", [13, 14, 15])
+    @pytest.mark.parametrize("level", TABLE4_LEVELS)
     def test_subgrid_counts_match_paper_within_25pct(self, level):
         tree = v1309_tree(level)
         paper, _mem = TABLE4_PAPER_COUNTS[level]
         assert tree.total_subgrids == pytest.approx(paper, rel=0.25)
 
-    @pytest.mark.parametrize("level", [13, 14, 15])
+    @pytest.mark.parametrize("level", TABLE4_LEVELS)
     def test_memory_matches_paper_within_30pct(self, level):
         tree = v1309_tree(level)
         _paper, mem = TABLE4_PAPER_COUNTS[level]
@@ -68,9 +76,9 @@ class TestTable4Reproduction:
 
     def test_growth_ratio_below_octree_factor(self):
         """Table 4 growth is sub-x8 (density-threshold refinement)."""
-        a = v1309_tree(14).total_subgrids
-        b = v1309_tree(15).total_subgrids
-        assert 2.0 < b / a < 8.0
+        n13, n14, n15 = (n for _lvl, n, _gb in subgrid_table((13, 14, 15)))
+        assert 1.5 < n14 / n13 < 8.0
+        assert 2.0 < n15 / n14 < 8.0
 
     def test_regions_shift_with_level(self):
         r13 = {r.name: r for r in v1309_regions(13)}
