@@ -104,14 +104,18 @@ def main() -> None:
     registry = default_registry()
     result = run_merger(v1309_binary(M=args.M, scf_iters=args.scf_iters),
                         topology, plan, registry)
+    if sanitize.enabled():
+        sanitize.sweep()
+        for path, tally in sanitize.tallies().items():
+            registry.set_gauge(path, tally)
 
     print(result.summary())
+    print()
+    print(format_report(registry))
     print()
     print("conservation drifts (reference == distributed, byte for byte):")
     for key, val in result.dist_monitor.report().items():
         print(f"  {key:<18} {val:.3e}")
-    print()
-    print(format_report(registry))
 
     # the record a restore would land on, against the state it protects
     record = result.coordinator.manager.latest_verified
@@ -122,8 +126,6 @@ def main() -> None:
           f"(block interiors: {interior_bytes})")
 
     if sanitize.enabled():
-        sanitize.sweep()
-        sanitize.publish_counters(registry)
         print()
         print(sanitize.report())
         if sanitize.finding_count():

@@ -7,9 +7,9 @@ static prong of the sanitizer subsystem (:mod:`repro.sanitize`).
 
 from .efficiency import speedup, parallel_efficiency
 from .lint import RULES, Violation, lint_paths, lint_source
-from .profile import format_report, group_snapshot, run_example_scenario
+from .profile import format_report, group_snapshot
 from .tables import format_table
 
 __all__ = ["speedup", "parallel_efficiency", "format_table",
-           "format_report", "group_snapshot", "run_example_scenario",
+           "format_report", "group_snapshot",
            "RULES", "Violation", "lint_paths", "lint_source"]

@@ -136,10 +136,9 @@ REPRO011 *layering*
     import does not break a cycle, it hides one: ``import repro.runtime``
     must never drag in ``repro.resilience``.  Move the shared piece down
     a layer (as the fault exception types live in ``runtime/faults.py``
-    and ``RetryPolicy`` in ``network/retry.py``) or inject it.  The
-    against-direction imports that remain are listed by file and target
-    module in :data:`LAYERING_EXCEPTIONS`, each with its reason, so they
-    cannot grow.
+    and ``RetryPolicy`` in ``network/retry.py``) or inject it.  There is
+    no exception list: ``sanitize/`` hands its tallies out as plain data
+    (``sanitize.tallies()``) instead of writing into ``runtime/counters``.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ from typing import Iterable, Iterator
 
 from ..runtime.counters import KNOWN_SECTIONS
 
-__all__ = ["Violation", "RULES", "LAYERS", "LAYERING_EXCEPTIONS",
-           "lint_source", "lint_file", "lint_paths", "main"]
+__all__ = ["Violation", "RULES", "LAYERS", "lint_source", "lint_file",
+           "lint_paths", "main"]
 
 
 @dataclass(frozen=True)
@@ -215,36 +214,18 @@ RULES: dict[str, tuple[str, str]] = {
     "REPRO011": ("layering",
                  "imports (top-level or function-local) follow sanitize <- "
                  "runtime <- network <- core|simulator <- resilience <- "
-                 "validation <- analysis; exceptions are named in "
-                 "LAYERING_EXCEPTIONS"),
+                 "validation <- analysis, without exceptions"),
 }
 
 #: package -> layer (REPRO011): a package imports only from lower layers
 LAYERS = {"sanitize": 0, "runtime": 1, "network": 2, "core": 3,
           "simulator": 3, "resilience": 4, "validation": 5, "analysis": 6}
 
-#: (file under repro/, imported module) -> why this against-direction
-#: import is tolerated (REPRO011); anything not listed is a violation
-LAYERING_EXCEPTIONS = {
-    ("sanitize/__init__.py", "runtime.counters"):
-        "publish_counters() writes finding tallies into the registry",
-    ("sanitize/state.py", "runtime.counters"):
-        "a recorded finding bumps its /sanitize counter",
-    ("sanitize/racecheck.py", "runtime.counters"):
-        "publish_counters() writes detector tallies into the registry",
-    ("sanitize/schedules.py", "runtime.counters"):
-        "publish_counters() writes explorer tallies into the registry",
-    ("sanitize/futuregraph.py", "runtime.scheduler"):
-        "the blocked-worker check reads the scheduler's worker TLS",
-}
-
 #: scheduler entry points whose callable arguments become task bodies
 _POST_METHODS = {"post", "post_batch", "submit"}
 
-#: registry methods / module-level helpers taking a counter-name literal
-_COUNTER_METHODS = {"increment", "set_gauge", "record_time", "timer_stats",
-                    "value", "time"}
-_COUNTER_FUNCS = {"counter", "gauge", "timer"}
+#: registry methods taking a counter-name literal
+_COUNTER_METHODS = {"increment", "set_gauge", "value"}
 
 #: wall-clock / randomness calls banned from core/ (REPRO003)
 _NONDET_TIME = {"time", "time_ns"}
@@ -717,14 +698,9 @@ class _Linter(ast.NodeVisitor):
                           "fallback accounting; go through "
                           "CheckpointManager.save / restore_latest")
         # REPRO004: counter-name sections
-        name_arg = None
         if (isinstance(func, ast.Attribute) and func.attr in _COUNTER_METHODS
                 and node.args):
             name_arg = node.args[0]
-        elif (isinstance(func, ast.Name) and func.id in _COUNTER_FUNCS
-                and node.args):
-            name_arg = node.args[0]
-        if name_arg is not None:
             literal = _counter_name_literal(name_arg)
             if literal is not None and literal.startswith("/"):
                 section = literal.split("/")[1] if "/" in literal[1:] else ""
@@ -787,12 +763,10 @@ class _Linter(ast.NodeVisitor):
         parts = self.parts
         if len(parts) < 2 or parts[0] not in LAYERS:
             return
-        here = "/".join(parts)
         for dotted in modules:
             target = dotted.split(".")[0]
             if (target == parts[0] or target not in LAYERS
-                    or LAYERS[target] < LAYERS[parts[0]]
-                    or (here, dotted) in LAYERING_EXCEPTIONS):
+                    or LAYERS[target] < LAYERS[parts[0]]):
                 continue
             self._hit(node, "REPRO011",
                       f"{parts[0]}/ imports repro.{dotted}, which is not a "

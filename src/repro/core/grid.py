@@ -115,9 +115,6 @@ class SubGrid:
                          float(self.field(SY).sum()),
                          float(self.field(SZ).sum())]) * v
 
-    def total_energy(self) -> float:
-        return float(self.field(EGAS).sum()) * self.cell_volume
-
     def total_angular_momentum(self) -> np.ndarray:
         """Orbital (x cross s) plus spin angular momentum of the interior."""
         x, y, z = self.cell_centers()

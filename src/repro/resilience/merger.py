@@ -198,17 +198,9 @@ class MergerResult:
                 and snap.get("/resilience/ckpt/verified", 0.0) >= rollbacks)
 
     def summary(self) -> str:
-        """Human-readable outcome digest for the soak / CI log."""
-        snap = self.registry.snapshot()
-
-        def c(name: str, root: str = "/resilience/") -> int:
-            return int(snap.get(root + name, 0.0))
-
-        st = self.dist.transport.stats
+        """The verdict and the facts of this result, for the soak / CI
+        log; every tally lives in ``registry`` (``format_report`` it)."""
         rep = self.report
-        injected = " ".join(f"{kind}={c('injected/' + kind)}" for kind in (
-            "loss", "delay", "action", "step", "corruption", "torn-write",
-            "ckpt-corruption"))
         return "\n".join([
             "merger under faults: outcome",
             f"steps completed         : {self.dist.steps}",
@@ -225,35 +217,8 @@ class MergerResult:
             "global rollback         : "
             + (rep.summary() if rep is not None else "(not triggered)"),
             f"quarantined streams     : {self.quarantined_streams}",
-            f"task escalations        : {c('tasks/escalated')}",
             f"halo parcels            : {self.halo_acked} acked, "
             f"{self.halo_failed} failed",
-            "",
-            f"injected : {injected} silenced={c('health/silenced')}",
-            f"recovered: parcel-retries={c('parcels/retries')} "
-            f"task-retries={c('tasks/retried')} "
-            f"step-restores={c('steps/restores')} "
-            f"rejected-steps={c('steps/rejected')} "
-            f"ckpt-restores={c('checkpoint/restores')}",
-            "",
-            "checkpoint store",
-            f"  saves / replicas      : {c('checkpoint/saves')} / "
-            f"{c('ckpt/replicas')}",
-            f"  verified / corrupt    : {c('ckpt/verified')} / "
-            f"{c('ckpt/corrupt')}",
-            f"  fallbacks / torn      : {c('ckpt/fallback')} / "
-            f"{c('ckpt/torn')}",
-            f"  replicas lost         : {c('ckpt/replicas-lost')}",
-            f"  blocks re-fetched     : {c('blocks-fetched', '/recovery/')} "
-            f"({c('bytes-fetched', '/recovery/')} B)",
-            "",
-            f"halo traffic ({self.dist.transport.port.name})",
-            f"  local  : {st.local_msgs} msgs, {st.local_bytes} B",
-            f"  remote : {st.remote_msgs} msgs, {st.remote_bytes} B "
-            f"({st.reordered} delivered out of order)",
-            f"   1-sided: {st.onesided_msgs} msgs, {st.onesided_bytes} B",
-            f"  path    : eager={st.eager} rendezvous={st.rendezvous} "
-            f"rma={st.rma}",
         ])
 
 

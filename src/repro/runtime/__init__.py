@@ -20,7 +20,7 @@ from .cuda import (CudaDevice, CudaStream, StreamPool, StreamLease,
                    AggregatedOp, DEFAULT_STREAMS_PER_GPU,
                    DEFAULT_LEASE_TIMEOUT_S)
 from .aggregate import AggregationRegion, DEFAULT_AGG_SLOTS
-from .counters import CounterRegistry, default_registry, counter, gauge, timer
+from .counters import CounterRegistry, default_registry
 
 __all__ = [
     "Future", "Promise", "FutureError", "FutureTimeout", "CancelledError",
@@ -35,6 +35,5 @@ __all__ = [
     "CudaDevice", "CudaStream", "StreamPool", "StreamLease", "AggregatedOp",
     "DEFAULT_STREAMS_PER_GPU", "DEFAULT_LEASE_TIMEOUT_S",
     "AggregationRegion", "DEFAULT_AGG_SLOTS",
-    "CounterRegistry", "default_registry", "counter", "gauge", "timer",
-    "trace",
+    "CounterRegistry", "default_registry", "trace",
 ]

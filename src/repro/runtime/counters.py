@@ -6,77 +6,54 @@ overheads, and network throughput; these diagnostic tools were instrumental
 in scaling Octo-Tiger to the full machine" (Sec. 4.1).
 
 Counters are named hierarchically (``/threads/count/cumulative``-style
-paths).  Three kinds exist: monotonically increasing counters, gauges
-(last-value), and timers (count + total + max).  A global default registry
-serves the common case; components may carry their own registry.
+paths).  Two kinds exist: monotonically increasing counters and gauges
+(last-value); wall time is what :mod:`repro.runtime.trace` spans record.
+A global default registry serves the common case; components may carry
+their own registry.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
-__all__ = ["CounterRegistry", "default_registry", "counter", "gauge", "timer",
-           "KNOWN_SECTIONS"]
+__all__ = ["CounterRegistry", "default_registry", "KNOWN_SECTIONS"]
 
-#: Registered top-level counter sections.  Counter names are hierarchical
-#: paths ``/section/name[/sub...]``; the first component must be one of
-#: these.  The lint pass (``python -m repro.analysis.lint``, rule
-#: REPRO004) enforces this against every counter-name literal in the
-#: source tree, so a typo like ``/thread/executed`` cannot silently
-#: create a parallel section that dashboards never aggregate.  Extend the
-#: set here when introducing a genuinely new subsystem.
-KNOWN_SECTIONS = frozenset({
-    "agas",        # global address space (runtime/agas.py)
-    "cuda",        # device/stream/launch statistics (runtime/cuda.py)
-    "distmesh",    # distributed block mesh (core/distmesh.py)
-    "exec",        # futurized execution engine (core/exec.py)
-    "fmm",         # fast multipole gravity solver (core/gravity/fmm.py)
-    "futures",     # future/continuation dispatch (runtime/future.py)
-    "hydro",       # hydrodynamics kernels (core/mesh.py)
-    "parcels",     # parcelport traffic (network/parcelport.py)
-    "recovery",    # global rollback / elastic restart (resilience/durability.py)
-    "resilience",  # faults, retry, checkpoints, supervision
-    "sanitize",    # sanitizer findings (sanitize/state.py)
-    "simulator",   # distributed-run simulator (simulator/distributed.py)
-    "threads",     # work-stealing scheduler (runtime/scheduler.py)
-})
-
-
-class _Timer:
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def record(self, elapsed: float) -> None:
-        self.count += 1
-        self.total += elapsed
-        if elapsed > self.max:
-            self.max = elapsed
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+#: Registered top-level counter sections -> the report title of each.
+#: Counter names are hierarchical paths ``/section/name[/sub...]``; the
+#: first component must be one of these.  The lint pass (``python -m
+#: repro.analysis.lint``, rule REPRO004) enforces this against every
+#: counter-name literal in the source tree, so a typo like
+#: ``/thread/executed`` cannot silently create a parallel section no
+#: report aggregates; :func:`repro.analysis.format_report` renders
+#: one table per section, in this order, under this title.  Extend the
+#: table here when introducing a genuinely new subsystem.
+KNOWN_SECTIONS = {
+    "threads": "scheduler (/threads) — work-stealing workers",
+    "futures": "futures (/futures) — continuation dispatch",
+    "cuda": "devices (/cuda) — streams, placement, work aggregation",
+    "exec": "execution engine (/exec) — the Sec. 6.1.2 GPU share",
+    "fmm": "gravity (/fmm) — FMM solves and interactions",
+    "hydro": "hydrodynamics (/hydro)",
+    "agas": "global address space (/agas)",
+    "parcels": "parcelports (/parcels) — traffic and cost components",
+    "distmesh": "distributed mesh (/distmesh) — placement and halos",
+    "resilience": "resilience (/resilience) — injected faults, recoveries",
+    "recovery": "global rollback & elastic restart (/recovery)",
+    "simulator": "step model (/simulator)",
+    "sanitize": "sanitizers (/sanitize) — findings and detector tallies",
+}
 
 
 class CounterRegistry:
-    """Thread-safe registry of named counters, gauges and timers."""
+    """Thread-safe registry of named counters and gauges."""
 
     def __init__(self) -> None:
         # Deliberately a *plain* lock, not a sanitize.make_lock: the
-        # registry is a leaf — the sanitizers themselves bump counters
-        # while recording findings, so a tracked lock here would recurse
-        # into the checker.  Nothing may call out of the registry while
-        # holding this lock.
+        # registry is a leaf every layer writes into, so nothing may call
+        # out of it while holding this lock.
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._timers: dict[str, _Timer] = {}
 
     # -- counters -------------------------------------------------------------
 
@@ -98,52 +75,23 @@ class CounterRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    # -- timers ---------------------------------------------------------------------
-
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._timers.setdefault(name, _Timer()).record(elapsed)
-
-    def record_time(self, name: str, elapsed: float) -> None:
-        with self._lock:
-            self._timers.setdefault(name, _Timer()).record(elapsed)
-
-    def timer_stats(self, name: str) -> dict[str, float]:
-        with self._lock:
-            t = self._timers.get(name)
-            if t is None:
-                raise KeyError(name)
-            return {"count": t.count, "total": t.total,
-                    "mean": t.mean, "max": t.max}
-
     # -- enumeration ---------------------------------------------------------------
 
     def names(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._counters) | set(self._gauges)
-                          | set(self._timers))
+            return sorted(set(self._counters) | set(self._gauges))
 
     def snapshot(self) -> dict[str, float]:
-        """Flat view: counters + gauges + timer totals (``name/total``)."""
+        """Flat view: counters + gauges."""
         with self._lock:
             out: dict[str, float] = dict(self._counters)
             out.update(self._gauges)
-            for name, t in self._timers.items():
-                out[f"{name}/count"] = float(t.count)
-                out[f"{name}/total"] = t.total
             return out
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
 
 
 _default = CounterRegistry()
@@ -151,17 +99,3 @@ _default = CounterRegistry()
 
 def default_registry() -> CounterRegistry:
     return _default
-
-
-def counter(name: str, by: float = 1.0) -> None:
-    """Increment a counter in the default registry."""
-    _default.increment(name, by)
-
-
-def gauge(name: str, value: float) -> None:
-    _default.set_gauge(name, value)
-
-
-def timer(name: str):
-    """Context manager timing a block into the default registry."""
-    return _default.time(name)

@@ -72,6 +72,10 @@ __all__ = [
 _dispatch_lock = _sanitize_lockdep.make_lock("future.dispatch-tally")
 _dispatched = 0
 
+#: ``.worker`` is the calling thread's scheduler worker, set by
+#: :mod:`repro.runtime.scheduler` (and read by ``get``'s stall detector)
+_TLS = threading.local()
+
 
 def continuations_dispatched() -> int:
     """Total continuations dispatched through any future so far."""
@@ -286,7 +290,7 @@ class Future:
         with self._cond:
             if self._state == _PENDING:
                 if (_sanitize_state.ACTIVE and bound is None
-                        and _sanitize_graph.on_scheduler_worker()):
+                        and getattr(_TLS, "worker", None) is not None):
                     # stall detector: an *unbounded* wait on a scheduler
                     # worker is the dynamic face of lint rule REPRO001 —
                     # give the future a grace period, then report

@@ -38,7 +38,7 @@ from ..sanitize import racecheck as _racecheck
 from ..sanitize import schedules as _schedules
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
-from .future import Future, async_execute
+from .future import _TLS, Future, async_execute
 
 __all__ = ["WorkStealingScheduler", "TaskStats"]
 
@@ -176,7 +176,6 @@ class _Worker(threading.Thread):
 
 
 _SHUTDOWN = object()
-_TLS = threading.local()
 
 
 class WorkStealingScheduler:
@@ -340,7 +339,8 @@ class WorkStealingScheduler:
         """Publish ``/threads/...`` gauges (APEX-style) into ``registry``.
 
         Idempotent (gauges, not increments), so it may be called at any
-        cadence; the profile report calls it once after a run.
+        cadence; ``ExecutionEngine.publish_counters`` calls it once after
+        a run.
         """
         registry = registry or default_registry()
         with self._stats_lock:

@@ -28,10 +28,12 @@ constructing the runtime objects to instrument: instrumentation is
 decided when locks/futures/leases are created, so a disabled sanitizer
 costs the hot paths nothing.
 
-Findings accumulate in :func:`findings` and publish ``/sanitize/...``
-counters; :func:`sweep` audits quiesce points (abandoned futures,
-swallowed errors, held leases); :func:`report` renders everything for
-humans.  Tests isolate injected hazards with :func:`scope`.
+Findings accumulate in :func:`findings`; :func:`tallies` hands them out
+as ``/sanitize/...`` paths for a counter registry (this package imports
+nothing from the runtime it instruments); :func:`sweep` audits quiesce
+points (abandoned futures, swallowed errors, held leases); :func:`report`
+renders everything for humans.  Tests isolate injected hazards with
+:func:`scope`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "Finding", "enable", "disable", "enabled", "configure",
     "findings", "finding_count", "clear", "scope", "record",
     "make_lock", "make_condition", "access",
-    "sweep", "report", "publish_counters", "reset_graphs",
+    "sweep", "report", "tallies", "reset_graphs",
     "state", "lockdep", "futuregraph", "protocol", "racecheck",
     "schedules",
 ]
@@ -74,17 +76,32 @@ def reset_graphs() -> None:
     clear()
 
 
-def publish_counters(registry=None) -> None:
-    """Publish ``/sanitize/...`` gauges into ``registry`` (default global)."""
-    from ..runtime.counters import default_registry
-    registry = registry or default_registry()
-    all_findings = findings()
-    registry.set_gauge("/sanitize/enabled", 1.0 if enabled() else 0.0)
-    registry.set_gauge("/sanitize/findings-live", float(len(all_findings)))
-    registry.set_gauge("/sanitize/futures-pending",
-                       float(futuregraph.pending_count()))
-    racecheck.publish_counters(registry)
-    schedules.publish_counters(registry)
+def tallies() -> dict[str, float]:
+    """Every ``/sanitize/...`` tally as ``{path: value}`` — plain data.
+
+    Findings are counted by kind (``/sanitize/<kind>``) over
+    :func:`findings`, so those diverted into a :func:`scope` are not;
+    the race detector's and the schedule explorer's tallies ride along.
+    A caller that wants them in a counter registry sets each as a gauge.
+    """
+    live = findings()
+    race = racecheck.stats()
+    exp = schedules.EXPLORER
+    explored = ((1, exp.seed, exp.perturbations, exp.permutations)
+                if exp is not None else (0, -1, 0, 0))
+    out = {"/sanitize/enabled": float(enabled()),
+           "/sanitize/findings": float(len(live)),
+           "/sanitize/futures-pending": float(futuregraph.pending_count()),
+           "/sanitize/race/accesses": float(race["accesses"]),
+           "/sanitize/race/hb-edges": float(race["edges"]),
+           "/sanitize/race/races": float(race["races"]),
+           "/sanitize/race/buffers-tracked": float(race["buffers"])}
+    for key, value in zip(("active", "seed", "perturbations",
+                           "permutations"), explored):
+        out[f"/sanitize/schedules/{key}"] = float(value)
+    for f in live:
+        out[f"/sanitize/{f.kind}"] = out.get(f"/sanitize/{f.kind}", 0.0) + 1
+    return out
 
 
 def report() -> str:

@@ -26,6 +26,9 @@ Finding kinds produced here:
   ``Future.get`` on a pending future for longer than
   ``state.config.stall_timeout`` seconds: the dynamic face of lint rule
   REPRO001 (a worker blocking on work that may be queued behind it).
+  ``Future.get`` decides whether the caller is a worker (the runtime
+  owns that thread-local) and reports through
+  :func:`record_blocked_worker`.
 
 Futures are keyed by a process-unique sequence number stamped on the
 future itself (``_san_seq``) — never by ``id()``, which CPython reuses
@@ -43,8 +46,8 @@ from typing import Any
 from . import state
 
 __all__ = ["register_future", "add_dependency", "on_resolved",
-           "mark_error_consumed", "on_scheduler_worker",
-           "record_blocked_worker", "sweep", "reset", "pending_count"]
+           "mark_error_consumed", "record_blocked_worker", "sweep", "reset",
+           "pending_count"]
 
 _lock = threading.Lock()
 _seq = itertools.count(1)
@@ -154,15 +157,6 @@ def mark_error_consumed(fut: Any) -> None:
         return
     with _lock:
         _unconsumed.pop(seq, None)
-
-
-def on_scheduler_worker() -> bool:
-    """True when the calling thread is a work-stealing scheduler worker."""
-    try:
-        from ..runtime.scheduler import _TLS
-    except Exception:  # pragma: no cover - scheduler not imported yet
-        return False
-    return getattr(_TLS, "worker", None) is not None
 
 
 def record_blocked_worker(fut: Any, waited: float) -> None:

@@ -34,7 +34,7 @@ problem — documented limitation).
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator
+from typing import Any
 
 from . import state
 
@@ -226,7 +226,3 @@ def reset() -> None:
     """Forget all observed edges (test isolation)."""
     with _graph_lock:
         _edges.clear()
-
-
-def _iter_threads_held() -> Iterator[tuple[str, int, str]]:  # pragma: no cover
-    yield from _held()

@@ -41,7 +41,7 @@ from typing import Any, Callable, Hashable
 from . import state
 
 __all__ = ["access", "send", "recv", "wrap_callback", "retire",
-           "new_token", "reset", "stats", "publish_counters"]
+           "new_token", "reset", "stats"]
 
 _lock = threading.Lock()
 _tls = threading.local()
@@ -53,7 +53,7 @@ _sync: dict[Hashable, dict[int, int]] = {}
 #: per-buffer shadow state: key -> _Shadow
 _shadow: dict[Hashable, "_Shadow"] = {}
 
-# tallies (under _lock), published as /sanitize/race/* gauges
+# tallies (under _lock), handed out as /sanitize/race/* by sanitize.tallies
 _n_accesses = 0
 _n_edges = 0
 _n_races = 0
@@ -307,18 +307,6 @@ def stats() -> dict[str, int]:
         return {"accesses": _n_accesses, "edges": _n_edges,
                 "races": _n_races, "buffers": len(_shadow),
                 "sync_objects": len(_sync)}
-
-
-def publish_counters(registry=None) -> None:
-    """Publish ``/sanitize/race/...`` gauges (default registry)."""
-    from ..runtime.counters import default_registry
-    registry = registry or default_registry()
-    snap = stats()
-    registry.set_gauge("/sanitize/race/accesses", float(snap["accesses"]))
-    registry.set_gauge("/sanitize/race/hb-edges", float(snap["edges"]))
-    registry.set_gauge("/sanitize/race/races", float(snap["races"]))
-    registry.set_gauge("/sanitize/race/buffers-tracked",
-                       float(snap["buffers"]))
 
 
 def reset() -> None:

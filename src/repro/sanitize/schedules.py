@@ -38,7 +38,7 @@ import zlib
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["ScheduleExplorer", "EXPLORER", "install", "uninstall",
-           "installed", "run_under_seeds", "publish_counters"]
+           "installed", "run_under_seeds"]
 
 #: the active explorer, or None (the only thing hot paths ever read)
 EXPLORER: "ScheduleExplorer | None" = None
@@ -165,21 +165,6 @@ def install_from_env() -> "ScheduleExplorer | None":
     if not raw:
         return None
     return install(int(raw))
-
-
-def publish_counters(registry=None) -> None:
-    """Publish ``/sanitize/schedules/...`` gauges (default registry)."""
-    from ..runtime.counters import default_registry
-    registry = registry or default_registry()
-    exp = EXPLORER
-    registry.set_gauge("/sanitize/schedules/active",
-                       1.0 if exp is not None else 0.0)
-    registry.set_gauge("/sanitize/schedules/seed",
-                       float(exp.seed) if exp is not None else -1.0)
-    registry.set_gauge("/sanitize/schedules/perturbations",
-                       float(exp.perturbations) if exp is not None else 0.0)
-    registry.set_gauge("/sanitize/schedules/permutations",
-                       float(exp.permutations) if exp is not None else 0.0)
 
 
 # Environment opt-in: importing any runtime module (scheduler, channel,

@@ -13,8 +13,7 @@ a process, call :func:`enable` before constructing the runtime objects
 under scrutiny.
 
 This module imports only the standard library — the runtime imports it
-from hot paths, so it must never import the runtime back at module level
-(counters are imported lazily inside :func:`record`).
+from hot paths, so it must never import the runtime back.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["Finding", "enable", "disable", "enabled", "findings",
            "finding_count", "clear", "record", "scope", "call_site",
@@ -125,9 +124,7 @@ def record(kind: str, message: str, site: str | None = None,
     """Store a finding; returns it, or ``None`` when deduplicated.
 
     ``dedupe_key`` suppresses repeats of the same structural hazard (the
-    same inverted lock edge fires on every acquisition otherwise).  The
-    matching ``/sanitize/...`` counters are bumped in the default
-    registry; the lazy import breaks the runtime<->sanitize cycle.
+    same inverted lock edge fires on every acquisition otherwise).
     """
     if dedupe_key is not None:
         with _findings_lock:
@@ -140,13 +137,6 @@ def record(kind: str, message: str, site: str | None = None,
     with _findings_lock:
         sink = _scopes[-1] if _scopes else _findings
         sink.append(f)
-    try:
-        from ..runtime.counters import default_registry
-        reg = default_registry()
-        reg.increment("/sanitize/findings")
-        reg.increment(f"/sanitize/{kind}")
-    except Exception:  # noqa: BLE001 - diagnostics must never take the run down
-        pass
     return f
 
 
@@ -205,10 +195,6 @@ def call_site(skip_runtime: bool = True) -> str:
             return desc
         frame = frame.f_back
     return fallback or "<unknown>"
-
-
-def iter_all_findings() -> Iterator[Finding]:  # pragma: no cover - debug aid
-    yield from findings()
 
 
 # Environment opt-in: importing any sanitize module (the runtime does, to

@@ -84,9 +84,6 @@ class ScenarioTree:
     def n_leaves(self) -> int:
         return self.total_subgrids - self.n_interior
 
-    def subgrids_at(self, level: int) -> int:
-        return len(self.levels[level]) if level < len(self.levels) else 0
-
     def memory_gb(self) -> float:
         return self.total_subgrids * MEMORY_GB_PER_SUBGRID
 

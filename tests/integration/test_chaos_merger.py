@@ -19,8 +19,9 @@ distributed V1309 merger — simultaneously.  The acceptance bar:
 import numpy as np
 import pytest
 
+from repro.analysis import format_report
 from repro.resilience.merger import CHAOS, Topology, run_merger
-from repro.runtime.counters import default_registry
+from repro.runtime.counters import CounterRegistry, default_registry
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +114,15 @@ class TestChaosMerger:
         text = res.summary()
         assert "bitwise identical state : True" in text
         assert "failed" in text
+
+    def test_report_renders_every_counter(self, chaos):
+        """The soak prints the registry with ``format_report`` after the
+        summary: every path of the chaos run is a row of it, once."""
+        _res, snap = chaos
+        registry = CounterRegistry()
+        for path, value in snap.items():
+            registry.set_gauge(path, value)
+        rows = [line.split()[0] for line in
+                format_report(registry).splitlines()
+                if line.split() and line.split()[0] in snap]
+        assert sorted(rows) == sorted(snap)

@@ -119,6 +119,22 @@ def test_bounded_get_on_worker_is_clean(san):
         san.configure(stall_timeout=5.0)
 
 
+@pytest.mark.sanitize_tolerated
+def test_tallies_count_live_findings_by_kind(san):
+    """``sanitize.tallies()`` is plain data: live findings by kind; the
+    ones diverted into a scope are not counted."""
+    with san.scope():
+        san.record("abandoned-future", "diverted")
+    assert san.tallies()["/sanitize/findings"] == 0.0
+    san.record("abandoned-future", "kept")
+    san.record("wait-cycle", "kept too")
+    tallies = san.tallies()
+    assert tallies["/sanitize/findings"] == 2.0
+    assert tallies["/sanitize/abandoned-future"] == 1.0
+    assert tallies["/sanitize/wait-cycle"] == 1.0
+    assert tallies["/sanitize/enabled"] == 1.0
+
+
 def test_async_execute_unwrap_is_tracked(san):
     """Legitimate unwrapping resolves and leaves a clean graph."""
     out = async_execute(lambda: async_execute(lambda: 41).then(

@@ -9,6 +9,7 @@ from repro.core import BlockMesh, ExecutionEngine
 from repro.core.scenario import equilibrium_star
 from repro.runtime import WorkStealingScheduler
 from repro.runtime.counters import CounterRegistry
+from repro import sanitize
 from repro.sanitize import schedules
 
 
@@ -113,12 +114,17 @@ class TestLifecycle:
         assert schedules.EXPLORER is None
 
     def test_publish_counters(self, no_explorer):
+        def publish(reg):
+            for path, value in sanitize.tallies().items():
+                reg.set_gauge(path, value)
+
         reg = CounterRegistry()
-        schedules.publish_counters(reg)
+        publish(reg)
         assert reg.snapshot()["/sanitize/schedules/active"] == 0.0
+        assert reg.snapshot()["/sanitize/schedules/seed"] == -1.0
         schedules.install(77)
         schedules.EXPLORER.pause("sched-post")
-        schedules.publish_counters(reg)
+        publish(reg)
         snap = reg.snapshot()
         assert snap["/sanitize/schedules/active"] == 1.0
         assert snap["/sanitize/schedules/seed"] == 77.0

@@ -242,6 +242,9 @@ class TestDegradedNetworkModel:
                       registry=reg)
         m.step_time(64, LF)
         snap = reg.snapshot()
+        assert snap["/simulator/steps-evaluated"] == 1.0
+        assert snap["/simulator/step/libfabric/n-nodes"] == 64.0
+        assert snap["/simulator/step/libfabric/t-step"] > 0.0
         assert snap["/simulator/step/libfabric/retry-attempts-per-msg"] > 1.0
         assert snap["/simulator/step/libfabric/retry-messages"] > 0.0
         assert 0.0 < snap["/simulator/step/libfabric/delivery-probability"] <= 1.0
