@@ -1,9 +1,9 @@
 """Repo-specific AST lint pass (the static prong of the sanitizers).
 
-Generic linters cannot know that this codebase's scheduler deadlocks when
-a worker blocks on an unbounded ``Future.get``, or that counter names
-must live under a registered section.  This module encodes those
-invariants as AST rules and runs them over the source tree::
+Generic linters cannot know that this codebase's solver layer is
+bit-identical by contract, or that counter names must live under a
+registered section.  This module encodes those invariants as AST rules
+and runs them over the source tree::
 
     python -m repro.analysis.lint src          # exit 0 when clean
     python -m repro.analysis.lint --rules      # rule catalogue
@@ -11,20 +11,10 @@ invariants as AST rules and runs them over the source tree::
 Rules
 -----
 
-REPRO001 *blocking-get-in-task*
-    An unbounded ``.get()`` / ``.result()`` call inside a thunk posted to
-    the scheduler (``post`` / ``post_batch`` / ``submit``).  A worker
-    blocking on an unresolved future is a lost core at best and — when
-    every worker does it — a deadlock; compose with ``then`` /
-    ``dataflow`` or pass a timeout instead.  (Checked on inline lambdas;
-    a thunk defined elsewhere is out of static reach — the dynamic
-    ``blocked-worker`` checker covers it at runtime.)
-
-REPRO002 *unguarded-lease*
-    A ``StreamPool.acquire()`` result bound to a name that is neither
-    used as a context manager nor released in a ``finally`` block in the
-    same function.  An exception between acquire and enqueue then leaks
-    the reservation until the lease timeout reclaims it.
+Every rule inspects a construct that ``src/`` contains
+(``tests/analysis/test_lint.py`` breaks each one's live site on
+purpose); a rule whose construct leaves the tree goes with it.  IDs are
+stable: REPRO001 and REPRO002, retired that way, are not reused.
 
 REPRO003 *nondeterminism-in-kernel*
     Wall-clock (``time.time`` / ``time.time_ns``) or random-number calls
@@ -34,9 +24,12 @@ REPRO003 *nondeterminism-in-kernel*
 
 REPRO004 *unknown-counter-section*
     A counter-name literal ``/section/...`` whose first component is not
-    registered in :data:`repro.runtime.counters.KNOWN_SECTIONS`.  A typo
-    such as ``/thread/executed`` silently creates a parallel section no
-    dashboard aggregates; new sections must be registered deliberately.
+    registered in :data:`repro.runtime.counters.KNOWN_SECTIONS`, or a
+    full literal without the ``/section/name`` shape (``"/solves"``).  A
+    typo such as ``/thread/executed`` silently creates a parallel section
+    no dashboard aggregates; new sections must be registered
+    deliberately.  An f-string whose literal head ends before the section
+    is complete (``f"/{section}/x"``) is out of static reach.
 
 REPRO005 *bare-except*
     A bare ``except:`` in ``runtime/`` or ``resilience/``.  The runtime
@@ -60,11 +53,12 @@ REPRO006 *unaggregated-enqueue*
 REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
     ``Channel.set(...)``; a function that writes one block's slab
-    straight into another's (``blocks[a][ghost] = blocks[b][layer]``)
-    without booking anything with the transport (``tally_local`` /
-    ``charge_onesided``); a function that packs block slabs into a send
-    buffer (``payload[lo:hi]... = blocks[b][layer]``) without handing it
-    to ``transport.send``; or a function that unpacks buffer slices into
+    straight into another's (``blocks[a][ghost] = blocks[b][layer]``, or
+    a call to the node-level ``_copy_halos``) without booking anything
+    with the transport (``tally_local`` / ``charge_onesided``); a
+    function that packs block slabs into a send buffer
+    (``payload[lo:hi]... = blocks[b][layer]``) without handing it to
+    ``transport.send``; or a function that unpacks buffer slices into
     blocks (``blocks[a][ghost] = payload[lo:hi]...``) without draining a
     future (``fut.get()``).  Such a module is distribution-aware: the
     route of each of its halos depends on who owns the two blocks, and
@@ -171,12 +165,6 @@ class Violation:
 
 #: rule id -> (slug, one-line description) — the ``--rules`` catalogue
 RULES: dict[str, tuple[str, str]] = {
-    "REPRO001": ("blocking-get-in-task",
-                 "unbounded .get()/.result() inside a thunk posted to the "
-                 "scheduler stalls a worker; use then/dataflow or a timeout"),
-    "REPRO002": ("unguarded-lease",
-                 "StreamPool.acquire() result must be guarded by `with` or "
-                 "released in a finally block"),
     "REPRO003": ("nondeterminism-in-kernel",
                  "core/ kernels are bit-identical by contract: no wall-clock "
                  "or random-number reads"),
@@ -221,9 +209,6 @@ RULES: dict[str, tuple[str, str]] = {
 LAYERS = {"sanitize": 0, "runtime": 1, "network": 2, "core": 3,
           "simulator": 3, "resilience": 4, "validation": 5, "analysis": 6}
 
-#: scheduler entry points whose callable arguments become task bodies
-_POST_METHODS = {"post", "post_batch", "submit"}
-
 #: registry methods taking a counter-name literal
 _COUNTER_METHODS = {"increment", "set_gauge", "value"}
 
@@ -267,25 +252,19 @@ def _collect_task_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _is_unbounded_get(node: ast.Call) -> bool:
-    """A zero-argument ``x.get()`` / ``x.result()`` call."""
-    return (isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "result")
-            and not node.args and not node.keywords)
-
-
-def _counter_name_literal(node: ast.expr) -> str | None:
-    """The literal prefix of a counter-name argument, if statically known.
+def _counter_name_literal(node: ast.expr) -> tuple[str, bool] | None:
+    """``(literal prefix, is the whole name)`` of a counter-name argument,
+    if statically known.
 
     Handles plain strings and f-strings whose *first* chunk is a literal
-    (``f"/cuda/{name}/busy"`` yields ``"/cuda/"``).
+    (``f"/cuda/{name}/busy"`` yields ``("/cuda/", False)``).
     """
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
+        return node.value, True
     if isinstance(node, ast.JoinedStr) and node.values:
         head = node.values[0]
         if isinstance(head, ast.Constant) and isinstance(head.value, str):
-            return head.value
+            return head.value, False
     return None
 
 
@@ -378,59 +357,12 @@ class _Linter(ast.NodeVisitor):
         self.violations.append(
             Violation(self.path, getattr(node, "lineno", 0), rule, message))
 
-    # -- REPRO001 ---------------------------------------------------------
-
-    def _check_task_body(self, fn: ast.expr) -> None:
-        if not isinstance(fn, ast.Lambda):
-            return
-        for sub in ast.walk(fn.body):
-            if isinstance(sub, ast.Call) and _is_unbounded_get(sub):
-                self._hit(sub, "REPRO001",
-                          f"unbounded .{sub.func.attr}() inside a task "
-                          "posted to the scheduler can stall a worker; "
-                          "chain with then/dataflow or pass a timeout")
-
-    # -- REPRO002 ---------------------------------------------------------
-
     @staticmethod
     def _is_pool_acquire(node: ast.expr) -> bool:
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "acquire"
                 and "pool" in ast.unparse(node.func.value).lower())
-
-    def _check_lease_guards(self, fn: ast.AST) -> None:
-        """Every ``x = <pool>.acquire()`` needs ``with x`` or a finally."""
-        acquired: dict[str, ast.AST] = {}
-        for sub in ast.walk(fn):
-            if (isinstance(sub, ast.Assign) and self._is_pool_acquire(sub.value)
-                    and len(sub.targets) == 1
-                    and isinstance(sub.targets[0], ast.Name)):
-                acquired[sub.targets[0].id] = sub
-        if not acquired:
-            return
-        guarded: set[str] = set()
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.With):
-                for item in sub.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Name):
-                        guarded.add(expr.id)
-            elif isinstance(sub, ast.Try) and sub.finalbody:
-                for stmt in sub.finalbody:
-                    for call in ast.walk(stmt):
-                        if (isinstance(call, ast.Call)
-                                and isinstance(call.func, ast.Attribute)
-                                and call.func.attr == "release"
-                                and isinstance(call.func.value, ast.Name)):
-                            guarded.add(call.func.value.id)
-        for name, node in acquired.items():
-            if name not in guarded:
-                self._hit(node, "REPRO002",
-                          f"lease {name!r} from StreamPool.acquire() is "
-                          "neither used as a context manager nor released "
-                          "in a finally block; an exception here leaks the "
-                          "stream until the lease timeout")
 
     # -- REPRO008 ---------------------------------------------------------
 
@@ -589,7 +521,8 @@ class _Linter(ast.NodeVisitor):
 
     def _check_halo_accounting(self, fn) -> None:
         """REPRO007, per function of a network-aware ``core/`` module.
-        Block-to-block slab writes need one ``tally_local`` /
+        Block-to-block slab writes (``_copy_halos`` calls included) need
+        one ``tally_local`` /
         ``charge_onesided`` call anywhere in the body; block slabs packed
         into a buffer need a ``transport.send``; buffer slices unpacked
         into blocks need a drained future (``fut.get()``)."""
@@ -603,6 +536,8 @@ class _Linter(ast.NodeVisitor):
                             and sub.func.attr in _HALO_TALLIES)
                 sent |= _calls_method(sub, "send", "transport")
                 drained |= _calls_method(sub, "get", "fut")
+                if getattr(sub.func, "attr", None) == "_copy_halos":
+                    direct.append(sub)
             elif isinstance(sub, ast.Assign):
                 kinds = {(_slab_kind(t), _slab_kind(sub.value))
                          for t in sub.targets}
@@ -632,16 +567,6 @@ class _Linter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        # REPRO001: thunks handed to the scheduler
-        if (isinstance(func, ast.Attribute) and func.attr in _POST_METHODS):
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                self._check_task_body(arg)
-                # post_batch takes an iterable of thunks
-                if isinstance(arg, (ast.List, ast.Tuple, ast.ListComp,
-                                    ast.GeneratorExp)):
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Lambda):
-                            self._check_task_body(sub)
         # REPRO003: nondeterminism in core kernels
         if self.in_core and isinstance(func, ast.Attribute):
             base = ast.unparse(func.value)
@@ -701,10 +626,15 @@ class _Linter(ast.NodeVisitor):
         if (isinstance(func, ast.Attribute) and func.attr in _COUNTER_METHODS
                 and node.args):
             name_arg = node.args[0]
-            literal = _counter_name_literal(name_arg)
-            if literal is not None and literal.startswith("/"):
-                section = literal.split("/")[1] if "/" in literal[1:] else ""
-                if section and section not in KNOWN_SECTIONS:
+            found = _counter_name_literal(name_arg)
+            if found is not None and found[0].startswith("/"):
+                literal, whole = found
+                section, sep, name = literal[1:].partition("/")
+                if whole and not (section and name):
+                    self._hit(name_arg, "REPRO004",
+                              f"counter name {literal!r} is not of the "
+                              "form /section/name")
+                elif sep and section not in KNOWN_SECTIONS:
                     self._hit(name_arg, "REPRO004",
                               f"counter section {section!r} (in "
                               f"{literal!r}) is not registered in "
@@ -712,14 +642,6 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_lease_guards(node)
-        self._check_hot_kernel_allocs(node)
-        self._check_task_buffer_writes(node)
-        self._check_halo_accounting(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_lease_guards(node)
         self._check_hot_kernel_allocs(node)
         self._check_task_buffer_writes(node)
         self._check_halo_accounting(node)
@@ -861,7 +783,7 @@ def lint_paths(paths: Iterable[str]) -> list[Violation]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="repo-specific AST lint pass (REPRO001..REPRO011)")
+        description="repo-specific AST lint pass (see --rules)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--rules", action="store_true",

@@ -1,7 +1,7 @@
 """Octo-Tiger core physics: grid, octree AMR, hydro, FMM gravity, SCF."""
 
-from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, NPASSIVE,
-                   LX, LY, LZ, NF, NGHOST, SUBGRID_N, FIELD_NAMES)
+from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, LX, NF,
+                   NGHOST, SUBGRID_N)
 from .eos import IdealGas, DEFAULT_GAMMA
 from .exec import ExecutionEngine
 from .mesh import BlockMesh, apply_boundary, interior
@@ -10,7 +10,7 @@ from .octree import Octree, OctreeNode, prolong, restrict
 from .amr import AmrMesh
 from .hydro.solver import HydroOptions, compute_rhs, cfl_dt
 from .gravity.fmm import FmmSolver, FmmLevel, GravityResult
-from .gravity.stencil import canonical_stencil, parity_stencils, p2p_stencil
+from .gravity.stencil import parity_stencils, p2p_stencil
 from .scf import (LaneEmdenSolution, solve_lane_emden, Polytrope,
                   ScfResult, scf_single_star, scf_binary)
 from .scenario import (sod_tube, sedov_blast, equilibrium_star,
@@ -19,16 +19,15 @@ from .stepper import (ConservationMonitor, ConservationRecord, evolve,
                       FaultRecoveryExhausted)
 
 __all__ = [
-    "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0",
-    "NPASSIVE", "LX", "LY", "LZ", "NF", "NGHOST", "SUBGRID_N",
-    "FIELD_NAMES", "IdealGas", "DEFAULT_GAMMA",
+    "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX",
+    "NF", "NGHOST", "SUBGRID_N", "IdealGas", "DEFAULT_GAMMA",
     "BlockMesh", "apply_boundary", "interior",
     "DistBlockMesh", "BlockComponent", "slab_partition",
     "ExecutionEngine",
     "Octree", "OctreeNode", "prolong", "restrict", "AmrMesh",
     "HydroOptions", "compute_rhs", "cfl_dt",
     "FmmSolver", "FmmLevel", "GravityResult",
-    "canonical_stencil", "parity_stencils", "p2p_stencil",
+    "parity_stencils", "p2p_stencil",
     "LaneEmdenSolution", "solve_lane_emden", "Polytrope",
     "ScfResult", "scf_single_star", "scf_binary",
     "sod_tube", "sedov_blast", "equilibrium_star", "v1309_binary",

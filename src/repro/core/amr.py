@@ -73,10 +73,6 @@ class AmrMesh:
             lvl -= 1
         return self.tree.get(lvl, tuple(pos))
 
-    def fill_ghosts(self) -> None:
-        """Populate every leaf's ghost shell from the tree."""
-        self._fill(self.blocks, 0)
-
     def _fill(self, blocks: dict, stage: int) -> None:
         """Ghost shells of ``blocks`` (leaf key -> block) from each other:
         tree neighbours first, then the domain walls."""

@@ -34,11 +34,11 @@ Contracts this class maintains (asserted by the distributed tests):
 * a distributed step is **byte-identical** to the node-level
   ``BlockMesh`` step on the same initial data, for any partition, any
   parcelport, and any delivery order;
-* killing a locality (via :meth:`fail_locality` or the phi-accrual
-  detector) evacuates its block components through AGAS — the blocks'
-  GIDs stay valid, ownership moves, the epoch is bumped, and the next
-  exchange rebuilds the route plan: subsequent halo traffic takes (and
-  is charged along) the new local/remote split by itself;
+* killing a locality (the phi-accrual detector calls
+  ``agas.fail_locality``) evacuates its block components through AGAS —
+  the blocks' GIDs stay valid, ownership moves, the epoch is bumped, and
+  the next exchange rebuilds the route plan: subsequent halo traffic
+  takes (and is charged along) the new local/remote split by itself;
 * every cross-locality halo byte is charged to the parcelport and every
   same-locality one tallied: the ``/distmesh/*`` and
   ``/parcels/halo:<port>/*`` counters reconcile exactly (halo sets ==
@@ -191,24 +191,11 @@ class DistBlockMesh(BlockMesh):
         self.block_migrations += 1
         self.registry.increment("/distmesh/migrations")
 
-    def fail_locality(self, locality: int,
-                      evacuate: bool = True) -> dict[str, list[Gid]]:
-        """Kill a locality; AGAS evacuates its blocks (GIDs stay valid).
-
-        With ``evacuate=False`` — or when the failure outruns evacuation
-        (correlated multi-node loss) — the locality's blocks are *lost*:
-        their GIDs invalidate and only :meth:`apply_ownership`, fed from a
-        replicated checkpoint, can bring them back.
-        """
-        result = self.agas.fail_locality(locality, evacuate=evacuate)
-        self.registry.increment("/distmesh/localities-failed")
-        return result
-
     @property
     def lost_blocks(self) -> set[tuple[int, int, int]]:
         """Blocks whose only live copy died with a failed locality: their
-        GID resolves to :class:`LocalityFailed`, whoever declared the
-        failure (this mesh, or a detector calling ``agas.fail_locality``),
+        GID resolves to :class:`LocalityFailed` once ``agas.fail_locality``
+        lost it (a correlated multi-node loss that outran evacuation),
         until :meth:`apply_ownership` restores them."""
         lost = set()
         for ip, gid in self.gids.items():

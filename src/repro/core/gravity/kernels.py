@@ -28,12 +28,12 @@ Fused component form (the Sec. 4.3 kernel rework): ``g2`` has 6 and
 ``g3`` 10 unique components, but the original einsum formulation
 materialized the full (n, 3, 3) and (n, 3, 3, 3) tensors — 27 doubles
 per pair for ``g3`` alone — plus einsum contraction temporaries.  The
-production kernels (:func:`m2l_pair`, :func:`p2p_pair`,
-:func:`pair_torque`) now expand the contractions into explicit
-arithmetic over only the unique components, and every pair kernel takes
-``out=`` so the solver's tiled compute writes results straight into
-preallocated batch outputs.  :func:`m2l_pair_reference` keeps the tensor
-formulation as the property-test oracle and microbenchmark baseline.
+production kernels (:func:`m2l_pair`, :func:`p2p_pair`) now expand the
+contractions into explicit arithmetic over only the unique components,
+and every pair kernel takes ``out=`` so the solver's tiled compute writes
+results straight into preallocated batch outputs.
+:func:`m2l_pair_reference` keeps the tensor formulation as the
+property-test oracle and microbenchmark baseline.
 
 On a fully populated leaf level the pair lists themselves go away:
 :func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
@@ -67,7 +67,7 @@ import numpy as np
 
 __all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
            "p2p_pair_staged",
-           "m2l_pair", "m2l_pair_reference", "pair_torque", "LEVI_CIVITA",
+           "m2l_pair", "m2l_pair_reference", "LEVI_CIVITA",
            "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
            "green_block", "m2l_dense", "m2l_assemble"]
 
@@ -570,40 +570,3 @@ def m2l_pair_reference(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
     HA = -mB[:, None, None] * g2
     HB = -mA[:, None, None] * g2
     return phiA, phiB, accA, accB, HA, HB
-
-
-def pair_torque(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
-                M2A: np.ndarray, M2B: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic spin torques (tau_A, tau_B) of one multipole pair.
-
-    tau_A_l = mB eps_{jlm} M2A_{mk} g2_{jk}; used by the conservation
-    tests to verify the Noether identity R x F + tau_A + tau_B = 0.
-    Expanded over the unique g2 components: with A_{jm} = M2_{mk} g2_{jk},
-    tau = (A_21 - A_12, A_02 - A_20, A_10 - A_01).
-    """
-    dR = np.asarray(dR, dtype=np.float64)
-    x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
-    r2 = x * x + y * y + z * z
-    if np.any(r2 == 0.0):
-        raise ValueError("coincident cells in interaction kernel")
-    inv = 1.0 / np.sqrt(r2)
-    inv2 = inv * inv
-    inv3 = inv * inv2
-    inv5 = inv3 * inv2
-    g2xx, g2yy, g2zz, g2xy, g2xz, g2yz = _g2_components(x, y, z, inv3, inv5)
-
-    def tau(m_other, M2):
-        a01 = M2[:, 1, 0] * g2xx + M2[:, 1, 1] * g2xy + M2[:, 1, 2] * g2xz
-        a02 = M2[:, 2, 0] * g2xx + M2[:, 2, 1] * g2xy + M2[:, 2, 2] * g2xz
-        a10 = M2[:, 0, 0] * g2xy + M2[:, 0, 1] * g2yy + M2[:, 0, 2] * g2yz
-        a12 = M2[:, 2, 0] * g2xy + M2[:, 2, 1] * g2yy + M2[:, 2, 2] * g2yz
-        a20 = M2[:, 0, 0] * g2xz + M2[:, 0, 1] * g2yz + M2[:, 0, 2] * g2zz
-        a21 = M2[:, 1, 0] * g2xz + M2[:, 1, 1] * g2yz + M2[:, 1, 2] * g2zz
-        t = np.empty((len(x), 3))
-        t[:, 0] = m_other * (a21 - a12)
-        t[:, 1] = m_other * (a02 - a20)
-        t[:, 2] = m_other * (a10 - a01)
-        return t
-
-    return tau(mB, M2A), tau(mA, M2B)

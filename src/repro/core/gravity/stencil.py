@@ -1,22 +1,18 @@
 """FMM interaction stencils (Sec. 4.3).
 
-Two related objects live here:
-
-* :func:`canonical_stencil` — the fixed 1074-element same-level stencil
-  the paper counts flops with: ``{w : ||w||_inf <= 5 and ||w||_2^2 > 16}``
-  (verified by brute force to contain exactly 1074 offsets, matching
-  "each cell interacts with 1074 of its close neighbors").
-
-* the **exact partition** used by our solver: with the opening criterion
-  ``well_separated(w) <=> ||w||_2^2 > OPENING_R2``, a cell pair is handled
-  by the multipole (M2L) pass at the *coarsest* level at which it is well
-  separated, and by direct summation (P2P) at leaf level otherwise.  The
-  resulting same-level list depends on the cell's parity within its parent
-  (:func:`parity_stencils`); the union over parities is close to, but not
-  identical to, the canonical stencil — the canonical one is what the GPU
-  kernels iterate, the parity lists are what makes the mathematical
-  partition exact (every pair handled exactly once, the property the
-  FMM-vs-direct tests rely on).
+The paper counts flops with a fixed 1074-element same-level stencil,
+``{w : ||w||_inf <= 5 and ||w||_2^2 > 16}`` ("each cell interacts with
+1074 of its close neighbors"; ``repro.simulator.flops.STENCIL_SIZE``).
+What lives here is the **exact partition** our solver uses instead: with
+the opening criterion ``well_separated(w) <=> ||w||_2^2 > OPENING_R2``, a
+cell pair is handled by the multipole (M2L) pass at the *coarsest* level
+at which it is well separated, and by direct summation (P2P) at leaf
+level otherwise.  The resulting same-level list depends on the cell's
+parity within its parent (:func:`parity_stencils`); the union over
+parities is close to, but not identical to, the canonical stencil — the
+canonical one is what the GPU kernels iterate, the parity lists are what
+makes the mathematical partition exact (every pair handled exactly once,
+the property the FMM-vs-direct tests rely on).
 
 The dense step-2 forms of :mod:`.fmm` take their geometry from here too:
 :func:`leaf_sweep_offsets` (parent offsets of the leaf-level near field)
@@ -31,34 +27,19 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["OPENING_R2", "well_separated", "canonical_stencil",
-           "parity_stencils", "root_stencil", "p2p_stencil",
-           "leaf_sweep_offsets", "m2l_sweep_offsets", "m2l_sweep_tiles",
-           "m2l_root_tiles", "lex_positive", "STENCIL_HALF_WIDTH"]
+__all__ = ["OPENING_R2", "well_separated", "parity_stencils", "root_stencil",
+           "p2p_stencil", "leaf_sweep_offsets", "m2l_sweep_offsets",
+           "m2l_sweep_tiles", "m2l_root_tiles", "lex_positive"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
 OPENING_R2 = 16
-#: the canonical stencil spans offsets -5..5 (an 11^3 box)
-STENCIL_HALF_WIDTH = 5
 
 
 def well_separated(w: np.ndarray) -> np.ndarray:
     """Vectorized opening criterion on integer offset rows (n, 3)."""
     w = np.asarray(w)
     return (w * w).sum(axis=-1) > OPENING_R2
-
-
-@lru_cache(maxsize=1)
-def canonical_stencil() -> np.ndarray:
-    """The paper's 1074-element same-level stencil, shape (1074, 3)."""
-    r = STENCIL_HALF_WIDTH
-    pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)),
-                   dtype=np.int64)
-    d2 = (pts * pts).sum(axis=1)
-    out = pts[d2 > OPENING_R2]
-    assert len(out) == 1074, f"canonical stencil has {len(out)} != 1074"
-    return out
 
 
 def _floor_div2(w: np.ndarray) -> np.ndarray:

@@ -27,27 +27,23 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "NPASSIVE",
-    "LX", "LY", "LZ", "NF", "NGHOST", "SUBGRID_N", "SubGrid",
-    "FIELD_NAMES",
+    "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX", "NF", "NGHOST",
+    "SUBGRID_N", "SubGrid",
 ]
 
 RHO = 0
 SX, SY, SZ = 1, 2, 3
 EGAS = 4
 TAU = 5
+#: five passive scalars, PASSIVE0 + k
 PASSIVE0 = 6
-NPASSIVE = 5
-LX, LY, LZ = 11, 12, 13
+#: spin angular momentum, LX + d for d = x, y, z
+LX = 11
 NF = 14
 #: ghost-cell width (PPM parabolas need 3 upstream cells)
 NGHOST = 3
 #: sub-grid edge length in cells, as in all the paper's runs
 SUBGRID_N = 8
-
-FIELD_NAMES = ("rho", "sx", "sy", "sz", "egas", "tau",
-               "frac0", "frac1", "frac2", "frac3", "frac4",
-               "lx", "ly", "lz")
 
 
 class SubGrid:
@@ -114,16 +110,6 @@ class SubGrid:
         return np.array([float(self.field(SX).sum()),
                          float(self.field(SY).sum()),
                          float(self.field(SZ).sum())]) * v
-
-    def total_angular_momentum(self) -> np.ndarray:
-        """Orbital (x cross s) plus spin angular momentum of the interior."""
-        x, y, z = self.cell_centers()
-        sx, sy, sz = (self.field(SX), self.field(SY), self.field(SZ))
-        v = self.cell_volume
-        lx = float((y * sz - z * sy).sum()) + float(self.field(LX).sum())
-        ly = float((z * sx - x * sz).sum()) + float(self.field(LY).sum())
-        lz = float((x * sy - y * sx).sum()) + float(self.field(LZ).sum())
-        return np.array([lx, ly, lz]) * v
 
     def copy(self) -> "SubGrid":
         out = SubGrid(self.origin, self.dx, self.n, self.level, self.ipos)

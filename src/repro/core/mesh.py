@@ -463,15 +463,6 @@ class BlockMesh:
         """Potential of the last gravity solve (``None`` before one)."""
         return self._gravity.phi if self._gravity is not None else None
 
-    def solve_gravity(self) -> np.ndarray:
-        """FMM solve of the current density (futurized through
-        ``self.engine`` when set); returns acceleration ``(3, *shape)``
-        and stores ``phi``."""
-        if self._gravity is None:
-            raise RuntimeError(
-                f"{type(self).__name__} built without self_gravity")
-        return self._gravity.solve(self.blocks)
-
     # -- ghost fill by direct slab copy ------------------------------------------
 
     def _build_fill_plan(self) -> _FillPlan:

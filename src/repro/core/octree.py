@@ -101,18 +101,6 @@ class Octree:
             if not node.refined:
                 yield node
 
-    def leaves_sfc(self) -> list[OctreeNode]:
-        """Leaves in depth-first SFC order (the distribution order)."""
-        max_level = max(n.level for n in self.nodes.values())
-
-        def sort_key(node: OctreeNode):
-            i, j, k = node.ipos
-            key = int(morton_encode(np.array([i]), np.array([j]),
-                                    np.array([k]))[0])
-            return (key << (3 * (max_level - node.level)), node.level)
-
-        return sorted(self.leaves(), key=sort_key)
-
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)

@@ -26,12 +26,10 @@ from .scf.lane_emden import Polytrope
 from .scf.scf import scf_binary
 
 __all__ = ["sod_tube", "sedov_blast", "equilibrium_star", "v1309_binary",
-           "V1309_MASS_RATIO", "V1309_SEPARATION_RSUN", "V1309_DOMAIN_RSUN"]
+           "V1309_MASS_RATIO"]
 
 #: Sec. 6: 1.54 + 0.17 M_sun components
 V1309_MASS_RATIO = 0.17 / 1.54
-V1309_SEPARATION_RSUN = 6.37
-V1309_DOMAIN_RSUN = 1.02e3
 
 
 def _require_positive(**values: float) -> None:

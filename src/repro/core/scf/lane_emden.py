@@ -93,9 +93,3 @@ class Polytrope:
         rho = rho_c * theta ** self.n
         p = K * rho ** (1.0 + 1.0 / self.n)
         return rho, p
-
-    def central_density(self, le: LaneEmdenSolution | None = None) -> float:
-        le = le or solve_lane_emden(self.n)
-        a = self.radius / le.xi1
-        return self.mass / (-4.0 * np.pi * a ** 3 * le.xi1 ** 2
-                            * le.dtheta_xi1)

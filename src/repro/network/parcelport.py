@@ -26,17 +26,15 @@ see EXPERIMENTS.md for paper-vs-measured values.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 #: eager/rendezvous switch-over — the single shared constant, so the cost
 #: model and the parcel serializer can never disagree on the boundary
 from ..runtime.parcel import EAGER_THRESHOLD as EAGER_BYTES
 from ..runtime.counters import CounterRegistry, default_registry
-from .retry import NETWORK_RETRY_POLICY
 
 __all__ = ["MessageCost", "Parcelport", "PARCELPORTS", "EAGER_BYTES",
-           "PortStats", "port_stats", "reset_port_stats", "publish_counters",
-           "DegradedParcelport", "degrade"]
+           "PortStats", "port_stats", "reset_port_stats", "publish_counters"]
 
 
 class PortStats:
@@ -204,59 +202,6 @@ class Parcelport:
             st.wire += cost.wire
             st.receiver_cpu += cost.receiver_cpu
         return cost
-
-
-@dataclass(frozen=True)
-class DegradedParcelport(Parcelport):
-    """A transport suffering iid message loss, with retries charged.
-
-    Lost sends are resent by the resilience layer
-    (:class:`repro.resilience.retry.ResilientParcelSender`); the *expected*
-    cost of that — extra transmissions on both CPUs and the wire, plus the
-    exponential-backoff waits — is folded into every
-    :meth:`~Parcelport.message_cost` evaluation, so degraded-network
-    scaling curves drop out of the existing simulator unchanged.  Receive
-    CPU is only charged for copies that actually arrive.
-    """
-
-    loss_rate: float = 0.0
-    #: retry budget/backoff; ``None`` means the package default policy
-    retry_policy: object | None = None
-
-    def _policy(self):
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return NETWORK_RETRY_POLICY
-
-    def message_cost(self, size: int, hops: int = 1,
-                     concurrent_senders: int = 1,
-                     busy_fraction: float = 0.0,
-                     comm_intensity: float = 1.0,
-                     storm: bool = False) -> MessageCost:
-        base = super().message_cost(size, hops=hops,
-                                    concurrent_senders=concurrent_senders,
-                                    busy_fraction=busy_fraction,
-                                    comm_intensity=comm_intensity,
-                                    storm=storm)
-        policy = self._policy()
-        attempts = policy.expected_attempts(self.loss_rate)
-        delivered = attempts * (1.0 - self.loss_rate)
-        backoff = policy.expected_backoff(self.loss_rate)
-        return MessageCost(
-            sender_cpu=base.sender_cpu * attempts,
-            wire=base.wire * attempts + backoff,
-            receiver_cpu=base.receiver_cpu * max(delivered, 1.0))
-
-
-def degrade(port: Parcelport, loss_rate: float,
-            retry_policy=None) -> DegradedParcelport:
-    """A lossy copy of ``port`` (named ``<port>+loss<rate>``)."""
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValueError("loss_rate must be in [0, 1)")
-    base = {f.name: getattr(port, f.name) for f in fields(Parcelport)}
-    base["name"] = f"{port.name}+loss{loss_rate:g}"
-    return DegradedParcelport(**base, loss_rate=loss_rate,
-                              retry_policy=retry_policy)
 
 
 def _mpi() -> Parcelport:

@@ -1,6 +1,6 @@
 """Retry budget and backoff schedule for acknowledged sends: a pure
-policy object.  It sits in the network layer because the degraded
-parcelport cost model and the cluster simulator price retries with it;
+policy object.  It sits in the network layer because the cluster
+simulator prices retries with it;
 the sender that *executes* the schedule is
 :class:`repro.resilience.retry.ResilientParcelSender`."""
 

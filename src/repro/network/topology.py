@@ -10,8 +10,6 @@ message *counts* and per-message overheads rather than by distance.
 
 from __future__ import annotations
 
-import math
-
 __all__ = ["DragonflyTopology"]
 
 
@@ -55,10 +53,6 @@ class DragonflyTopology:
         if not neighbours:
             return 0.0
         return sum(self.hops(a, b) for b in neighbours) / len(neighbours)
-
-    @property
-    def n_groups(self) -> int:
-        return math.ceil(self.n_nodes / self.nodes_per_group)
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

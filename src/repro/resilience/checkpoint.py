@@ -364,11 +364,6 @@ class CheckpointManager:
     # -- introspection ------------------------------------------------------
 
     @property
-    def latest(self) -> MeshCheckpoint | None:
-        with self._lock:
-            return self._checkpoints[-1] if self._checkpoints else None
-
-    @property
     def latest_verified(self) -> MeshCheckpoint | None:
         """Newest record that passes verification (no side effects)."""
         with self._lock:

@@ -274,25 +274,6 @@ class BuddyReplicatedStore:
         r.increment("/recovery/bytes-fetched", float(nbytes))
         return out
 
-    # -- adversary hooks (tests) --------------------------------------------
-
-    def damage_copy(self, generation: int, key, locality: int) -> bool:
-        """Flip one byte of a single replica (models per-node bit rot;
-        the buddy's copy is untouched, so recovery should route around
-        it).  Returns False when that shard holds no such record."""
-        with self._lock:
-            rec = self._shards.get(locality, {}).get((generation, key))
-            if rec is None:
-                return False
-            rec.payload.view(np.uint8).reshape(-1)[0] ^= 0xFF
-            return True
-
-    def holdings(self, locality: int) -> list[tuple]:
-        """The ``(generation, key)`` records a locality's shard holds."""
-        with self._lock:
-            return sorted(self._shards.get(locality, {}),
-                          key=lambda gk: (gk[0], repr(gk[1])))
-
 
 @dataclass
 class RecoveryReport:

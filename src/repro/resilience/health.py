@@ -155,7 +155,7 @@ class FailureDetector:
         trace.instant("locality-silenced", "resilience", locality=locality)
 
     def receive_heartbeat(self, locality: int) -> bool:
-        """An out-of-band heartbeat arrived (possibly delayed in flight).
+        """A heartbeat arrived: a scheduled one, or one delayed in flight.
 
         Returns True when it was accepted (liveness refreshed).  The
         one-way gate: once ``locality`` has been **declared** failed —
@@ -186,11 +186,7 @@ class FailureDetector:
         if self._stopped or locality in self._silenced \
                 or locality in self._declared:
             return
-        now = self.events.now
-        last = self._last_beat.get(locality, now)
-        self._intervals[locality].append(max(now - last, 1e-12))
-        self._last_beat[locality] = now
-        self.registry.increment("/resilience/health/heartbeats")
+        self.receive_heartbeat(locality)
         self.events.schedule(self.heartbeat_interval, self._heartbeat,
                              locality)
 
@@ -238,7 +234,3 @@ class FailureDetector:
     @property
     def declared_failed(self) -> set[int]:
         return set(self._declared)
-
-    def suspicion_levels(self) -> dict[int, float]:
-        return {loc: self.phi(loc) for loc in self._monitored
-                if loc not in self._declared}

@@ -65,7 +65,7 @@ __all__ = ["SupervisedEngine", "DEFAULT_TASK_RETRIES"]
 DEFAULT_TASK_RETRIES = 3
 
 #: exception types worth re-executing; anything else (application errors,
-#: cancelled futures, failed localities) surfaces on the first attempt
+#: failed localities) surfaces on the first attempt
 TRANSIENT = (TransientActionFault, FutureTimeout)
 
 

@@ -57,7 +57,7 @@ class Component:
     """Base class for objects addressable through AGAS.
 
     Subclasses expose *actions* — plain methods invoked remotely via
-    :meth:`AgasRuntime.apply` / :meth:`AgasRuntime.async_action`.
+    :meth:`AgasRuntime.async_action`.
 
     ``migratable`` controls locality-failure handling: migratable
     components (the default — Sec. 5.2's grid cells move freely) are
@@ -86,8 +86,8 @@ class AgasRuntime:
         Optional thunk executor (e.g. ``WorkStealingScheduler.post``) used
         to run remotely-invoked actions asynchronously.
     registry:
-        Counter sink for ``/agas/...`` and ``/resilience/agas/...``
-        counters (default: the process-wide registry).
+        Counter sink for the ``/resilience/agas/...`` counters (default:
+        the process-wide registry).
     """
 
     def __init__(self, n_localities: int = 1,
@@ -102,7 +102,6 @@ class AgasRuntime:
         self._seq = itertools.count()
         self._objects: dict[Gid, Component] = {}
         self._home: dict[Gid, int] = {}
-        self._migrations = 0
         self._failed: set[int] = set()
         #: GIDs invalidated by a locality failure -> the locality that died
         self._lost: dict[Gid, int] = {}
@@ -129,13 +128,6 @@ class AgasRuntime:
         component.gid = gid
         return gid
 
-    def unregister(self, gid: Gid) -> None:
-        with self._lock:
-            if gid not in self._objects:
-                raise AgasError(f"unknown gid {gid}")
-            del self._objects[gid]
-            del self._home[gid]
-
     # -- resolution -----------------------------------------------------------
 
     def resolve(self, gid: Gid) -> tuple[Component, int]:
@@ -153,14 +145,6 @@ class AgasRuntime:
             # acquire the registration/migration commit order for this GID
             _racecheck.recv(("agas", gid))
         return found
-
-    def locality_of(self, gid: Gid) -> int:
-        return self.resolve(gid)[1]
-
-    def components_on(self, locality: int) -> list[Gid]:
-        self._check_locality(locality)
-        with self._lock:
-            return [g for g, loc in self._home.items() if loc == locality]
 
     # -- migration --------------------------------------------------------------
 
@@ -187,7 +171,6 @@ class AgasRuntime:
             old = self._home[gid]
             self._home[gid] = new_locality
             comp = self._objects[gid]
-            self._migrations += 1
             if _sanitize_state.ACTIVE:
                 # migration commit: the mover's writes happen-before any
                 # post-migration resolve/notification of this GID
@@ -242,11 +225,6 @@ class AgasRuntime:
         if first_exc is not None:
             raise first_exc
 
-    @property
-    def migrations(self) -> int:
-        with self._lock:
-            return self._migrations
-
     # -- action invocation --------------------------------------------------------
 
     def async_action(self, gid: Gid, method: str, *args: Any) -> Future:
@@ -273,20 +251,6 @@ class AgasRuntime:
                 return make_exceptional_future(exc)
         from .future import async_execute
         return async_execute(fn, *args, executor=self._executor)
-
-    def apply(self, gid: Gid, method: str, *args: Any) -> None:
-        """Fire-and-forget action (HPX ``hpx::apply``).
-
-        Nobody holds the future, so nothing may leak to the caller: any
-        failure is swallowed and tallied under ``/agas/apply-errors``.
-        """
-        def consume(fut: Future) -> None:
-            try:
-                fut.get()
-            except BaseException:
-                self.registry.increment("/agas/apply-errors")
-
-        self.async_action(gid, method, *args).then(consume)
 
     # -- locality failure ------------------------------------------------------
 
@@ -317,7 +281,6 @@ class AgasRuntime:
                 if evacuate and survivors and comp.migratable:
                     new = survivors[len(migrated) % len(survivors)]
                     self._home[gid] = new
-                    self._migrations += 1
                     if _sanitize_state.ACTIVE:
                         _racecheck.send(("agas", gid))
                     if self._queue_notification(gid, comp, locality, new):
@@ -338,13 +301,6 @@ class AgasRuntime:
         trace.instant("locality-failed", "resilience", locality=locality,
                       migrated=len(migrated), lost=len(lost))
         return {"migrated": migrated, "lost": lost}
-
-    def recover_locality(self, locality: int) -> None:
-        """Bring a failed locality back (lost GIDs stay lost)."""
-        self._check_locality(locality)
-        with self._lock:
-            self._failed.discard(locality)
-        self.registry.increment("/resilience/agas/localities-recovered")
 
     def restore_component(self, component: Component, gid: Gid,
                           locality: int) -> Gid:

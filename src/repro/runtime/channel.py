@@ -28,8 +28,7 @@ from ..sanitize import schedules as _schedules
 from ..sanitize import state as _sanitize_state
 from .future import Future, Promise
 
-__all__ = ["Channel", "ChannelError", "ChannelClosed", "ChannelReset",
-           "ChannelGenerationError"]
+__all__ = ["Channel", "ChannelError", "ChannelReset", "ChannelGenerationError"]
 
 T = TypeVar("T")
 
@@ -38,17 +37,8 @@ class ChannelError(RuntimeError):
     """Base class for channel protocol violations."""
 
 
-class ChannelClosed(ChannelError):
-    """Raised when interacting with a closed channel."""
-
-
-class ChannelReset(ChannelClosed):
-    """Raised into gets outstanding when :meth:`Channel.reset` discards them.
-
-    A subclass of :class:`ChannelClosed` so existing handlers that treat a
-    reset like a close keep working, while rollback-aware callers can tell
-    the two apart (a reset channel is open again; a closed one is not).
-    """
+class ChannelReset(ChannelError):
+    """Raised into gets outstanding when :meth:`Channel.reset` discards them."""
 
 
 class ChannelGenerationError(ChannelError, ValueError):
@@ -77,14 +67,9 @@ class Channel(Generic[T]):
       consumed").  Halo exchange relies on this: a double-set means two
       timesteps computed the same boundary, and silently keeping either
       value would hide the divergence;
-    * ``set`` after :meth:`close` raises :class:`ChannelClosed` — the
-      value could never be delivered;
-    * :meth:`close` fails *unmatched* gets with :class:`ChannelClosed`
-      but lets already-set generations drain;
     * :meth:`reset` (checkpoint rollback) is the one sanctioned way to
-      re-use generation numbers: it discards all generation state, fails
-      outstanding gets with :class:`ChannelReset`, and reopens the
-      channel for the replay.
+      re-use generation numbers: it discards all generation state and
+      fails outstanding gets with :class:`ChannelReset`.
     """
 
     def __init__(self, name: str = ""):
@@ -94,7 +79,6 @@ class Channel(Generic[T]):
         self._ready: dict[int, Any] = {}
         self._next_get = 0
         self._next_set = 0
-        self._closed = False
         # consumed-generation tracking: a contiguous floor (every
         # generation below it has been matched) plus the sparse set of
         # matched generations at or above it — bounded for in-order
@@ -103,17 +87,7 @@ class Channel(Generic[T]):
         self._consumed: set[int] = set()
 
     def get(self, generation: int | None = None) -> Future:
-        """Future for the value of ``generation`` (default: next in order).
-
-        After :meth:`close`, generations whose value was already ``set``
-        still drain normally; only unmatched gets raise
-        :class:`ChannelClosed`.
-
-        The get cursor (``_next_get``) advances only when a get actually
-        succeeds: a get that raises :class:`ChannelClosed` must not burn
-        its generation number, or a later default get would skip past a
-        value still buffered at a lower generation and never drain it.
-        """
+        """Future for the value of ``generation`` (default: next in order)."""
         with self._lock:
             if generation is None:
                 generation = self._next_get
@@ -129,8 +103,6 @@ class Channel(Generic[T]):
                 p = Promise()
                 p.set_value(value)
                 return p.get_future()
-            if self._closed:
-                raise ChannelClosed(f"channel {self.name!r} is closed")
             self._next_get = max(self._next_get, generation + 1)
             promise = self._promises.get(generation)
             if promise is None:
@@ -144,14 +116,6 @@ class Channel(Generic[T]):
         if exp is not None:
             exp.pause("channel-set")
         with self._lock:
-            if self._closed:
-                if _sanitize_state.ACTIVE:
-                    _sanitize_protocol.channel_closed_set(
-                        self.name, generation)
-                raise ChannelClosed(
-                    f"set on closed channel {self.name!r} "
-                    f"(generation={generation}); the value can never be "
-                    "delivered")
             if generation is None:
                 generation = self._next_set
                 self._next_set += 1
@@ -183,23 +147,6 @@ class Channel(Generic[T]):
             self._mark_consumed(generation)
         promise.set_value(value)
 
-    def close(self) -> None:
-        """Close the channel; *unmatched* gets receive :class:`ChannelClosed`.
-
-        Values already ``set`` but not yet fetched stay buffered and drain
-        through later ``get`` calls — a receiver that posts its get after
-        a fast sender's set must not lose halo data on shutdown.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._promises.values())
-            self._promises.clear()
-        exc = ChannelClosed(f"channel {self.name!r} closed while waiting")
-        for p in pending:
-            p.set_exception(exc)
-
     def reset(self) -> None:
         """Forget all generation state (rollback support).
 
@@ -207,7 +154,8 @@ class Channel(Generic[T]):
         derived from it will be re-used; without a reset, :meth:`set` would
         reject them as already consumed.  Outstanding gets are failed with
         :class:`ChannelReset` (their step is being discarded), buffered
-        values are dropped, and the channel is reopened for the replay.
+        values are dropped, and both cursors rewind to generation 0 for
+        the replay.
         """
         with self._lock:
             pending = list(self._promises.values())
@@ -217,7 +165,6 @@ class Channel(Generic[T]):
             self._next_set = 0
             self._consumed_floor = 0
             self._consumed.clear()
-            self._closed = False
         exc = ChannelReset(f"channel {self.name!r} reset while waiting")
         for p in pending:
             p.set_exception(exc)
@@ -228,18 +175,3 @@ class Channel(Generic[T]):
         while self._consumed_floor in self._consumed:
             self._consumed.remove(self._consumed_floor)
             self._consumed_floor += 1
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def pending_generations(self) -> list[int]:
-        """Generations with an outstanding (unmatched) get."""
-        with self._lock:
-            return sorted(self._promises)
-
-    def buffered_generations(self) -> list[int]:
-        """Generations set but not yet fetched."""
-        with self._lock:
-            return sorted(self._ready)

@@ -34,7 +34,6 @@ KNOWN_SECTIONS = {
     "exec": "execution engine (/exec) — the Sec. 6.1.2 GPU share",
     "fmm": "gravity (/fmm) — FMM solves and interactions",
     "hydro": "hydrodynamics (/hydro)",
-    "agas": "global address space (/agas)",
     "parcels": "parcelports (/parcels) — traffic and cost components",
     "distmesh": "distributed mesh (/distmesh) — placement and halos",
     "resilience": "resilience (/resilience) — injected faults, recoveries",

@@ -7,7 +7,7 @@ that Octo-Tiger relies on for *futurization* (Sec. 4.1 of the paper):
 * ``then`` attaches a continuation that is scheduled when the value becomes
   ready (continuation-passing style — the paper's "dataflow execution
   trees");
-* :func:`when_all` / :func:`when_any` compose futures;
+* :func:`when_all` composes futures;
 * :func:`dataflow` schedules a callable once all of its future arguments
   are ready, passing the *unwrapped* values.
 
@@ -15,19 +15,6 @@ Unlike ``concurrent.futures``, continuations here are scheduled through a
 pluggable executor (by default the calling thread, in tests and in the
 scheduler a work-stealing pool), which mirrors HPX's behaviour of running
 continuations as ordinary tasks rather than on a dedicated callback thread.
-
-Two extensions underpin the supervision layer of
-:mod:`repro.resilience.supervisor`:
-
-* **cancellation** — :meth:`Future.cancel` resolves a pending future with
-  :class:`CancelledError` and, crucially, turns any *late* completion by
-  the producer into a silent no-op instead of a double-set error, so a
-  task that has been given up on cannot crash its worker or leak a
-  pending future;
-* **deadlines** — :meth:`Future.set_deadline` attaches an absolute
-  ``time.monotonic`` deadline that propagates through ``then`` /
-  ``when_all`` / ``dataflow`` derived futures; ``get``/``wait`` never
-  block past it (``get`` raises :class:`FutureTimeout`).
 
 When :mod:`repro.sanitize` is enabled at creation time, every future is
 registered with the future-graph watcher (creation site, dependency
@@ -53,11 +40,9 @@ __all__ = [
     "Promise",
     "FutureError",
     "FutureTimeout",
-    "CancelledError",
     "make_ready_future",
     "make_exceptional_future",
     "when_all",
-    "when_any",
     "dataflow",
     "async_execute",
     "continuations_dispatched",
@@ -96,17 +81,13 @@ class FutureError(RuntimeError):
 
 
 class FutureTimeout(FutureError):
-    """``get`` gave up waiting (explicit timeout or deadline expiry).
+    """``get`` gave up waiting after its explicit timeout.
 
     Distinct from a *stored* exception: a :class:`FutureTimeout` raised by
     ``get`` means the future is still pending — the resilience layers use
     the type (never message sniffing) to classify the outcome as
     transient and retry.
     """
-
-
-class CancelledError(FutureError):
-    """The future was cancelled before a value arrived."""
 
 
 _PENDING = "pending"
@@ -122,8 +103,7 @@ class Future:
     """
 
     __slots__ = ("_lock", "_cond", "_state", "_value", "_exception",
-                 "_callbacks", "_executor", "_cancelled", "_deadline",
-                 "_san_seq", "__weakref__")
+                 "_callbacks", "_executor", "_san_seq", "__weakref__")
 
     def __init__(self, executor: Callable[[Callable[[], None]], None] | None = None):
         self._lock = _sanitize_lockdep.make_lock("future.Future")
@@ -133,8 +113,6 @@ class Future:
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[[Future], None]] = []
         self._executor = executor
-        self._cancelled = False
-        self._deadline: float | None = None
         self._san_seq: int | None = None
         if _sanitize_state.ACTIVE:
             _sanitize_graph.register_future(self)
@@ -150,73 +128,11 @@ class Future:
         with self._lock:
             return self._state == _EXCEPTIONAL
 
-    def cancelled(self) -> bool:
-        """True when :meth:`cancel` resolved this future."""
-        with self._lock:
-            return self._cancelled
-
-    # -- deadlines ---------------------------------------------------------
-
-    @property
-    def deadline(self) -> float | None:
-        """Absolute ``time.monotonic`` deadline, or ``None``."""
-        with self._lock:
-            return self._deadline
-
-    def set_deadline(self, deadline: float | None) -> "Future":
-        """Attach an absolute monotonic deadline; returns ``self``.
-
-        ``get``/``wait`` never block past the deadline, and futures derived
-        through ``then``/``recover`` inherit it, so an entire continuation
-        chain is bounded by one supervision decision.  An earlier deadline
-        already present is kept.
-        """
-        with self._lock:
-            if deadline is not None and (self._deadline is None
-                                         or deadline < self._deadline):
-                self._deadline = deadline
-        return self
-
-    def _clamp_timeout(self, timeout: float | None) -> float | None:
-        """Effective wait bound: the smaller of ``timeout`` and deadline."""
-        with self._lock:
-            deadline = self._deadline
-        if deadline is None:
-            return timeout
-        remaining = max(deadline - time.monotonic(), 0.0)
-        return remaining if timeout is None else min(timeout, remaining)
-
-    # -- cancellation ------------------------------------------------------
-
-    def cancel(self, reason: str = "") -> bool:
-        """Resolve a pending future with :class:`CancelledError`.
-
-        Returns True when the cancellation won the race with the producer.
-        After a successful cancel, a late ``set_value``/``set_exception``
-        from the producer is silently dropped — the abandoned task cannot
-        crash its worker thread or resurrect the future.
-        """
-        with self._cond:
-            if self._state != _PENDING:
-                return False
-            self._cancelled = True
-            self._exception = CancelledError(reason or "future cancelled")
-            self._state = _EXCEPTIONAL
-            callbacks, self._callbacks = self._callbacks, []
-            self._cond.notify_all()
-        if self._san_seq is not None:
-            _sanitize_graph.on_resolved(self, self._exception, cancelled=True)
-            _racecheck.send(("fut", self._san_seq))
-        self._run_callbacks(callbacks)
-        return True
-
     # -- completion (used by Promise and combinators) ----------------------
 
     def _set_value(self, value: Any) -> None:
         with self._cond:
             if self._state != _PENDING:
-                if self._cancelled:
-                    return  # late completion of a cancelled future
                 raise FutureError("future already satisfied")
             self._value = value
             self._state = _READY
@@ -232,8 +148,6 @@ class Future:
     def _set_exception(self, exc: BaseException) -> None:
         with self._cond:
             if self._state != _PENDING:
-                if self._cancelled:
-                    return  # late failure of a cancelled future
                 raise FutureError("future already satisfied")
             self._exception = exc
             self._state = _EXCEPTIONAL
@@ -283,25 +197,24 @@ class Future:
     def get(self, timeout: float | None = None) -> Any:
         """Block until ready; return the value or raise the stored exception.
 
-        Raises :class:`FutureTimeout` when ``timeout`` (or the future's
-        deadline) expires first — the future itself stays pending.
+        Raises :class:`FutureTimeout` when ``timeout`` expires first — the
+        future itself stays pending.
         """
-        bound = self._clamp_timeout(timeout)
         with self._cond:
             if self._state == _PENDING:
-                if (_sanitize_state.ACTIVE and bound is None
+                if (_sanitize_state.ACTIVE and timeout is None
                         and getattr(_TLS, "worker", None) is not None):
-                    # stall detector: an *unbounded* wait on a scheduler
-                    # worker is the dynamic face of lint rule REPRO001 —
-                    # give the future a grace period, then report
+                    # stall detector: an *unbounded* wait parks this
+                    # scheduler worker until some other task resolves the
+                    # future — give it a grace period, then report
                     stall = _sanitize_state.config.stall_timeout
                     if not self._cond.wait_for(
                             lambda: self._state != _PENDING, stall):
                         _sanitize_graph.record_blocked_worker(self, stall)
                 if not self._cond.wait_for(
-                        lambda: self._state != _PENDING, bound):
+                        lambda: self._state != _PENDING, timeout):
                     raise FutureTimeout(
-                        f"timed out waiting for future after {bound}s")
+                        f"timed out waiting for future after {timeout}s")
             if self._state == _EXCEPTIONAL:
                 assert self._exception is not None
                 if _sanitize_state.ACTIVE and self._san_seq is not None:
@@ -315,13 +228,9 @@ class Future:
         return value
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until ready without consuming the value. Returns readiness.
-
-        Never blocks past the future's deadline (if one is set).
-        """
-        bound = self._clamp_timeout(timeout)
+        """Block until ready without consuming the value. Returns readiness."""
         with self._cond:
-            ready = self._cond.wait_for(lambda: self._state != _PENDING, bound)
+            ready = self._cond.wait_for(lambda: self._state != _PENDING, timeout)
         if ready and _sanitize_state.ACTIVE and self._san_seq is not None:
             _racecheck.recv(("fut", self._san_seq))
         return ready
@@ -334,11 +243,9 @@ class Future:
 
         Returns a new future holding ``fn``'s result.  If ``fn`` returns a
         future itself the result is unwrapped (monadic bind), matching
-        ``hpx::future::then`` + automatic unwrapping.  The derived future
-        inherits this future's deadline.
+        ``hpx::future::then`` + automatic unwrapping.
         """
         result = Future(executor=executor or self._executor)
-        result.set_deadline(self.deadline)
         if _sanitize_state.ACTIVE:
             _sanitize_graph.add_dependency(result, self)
 
@@ -361,24 +268,6 @@ class Future:
 
         self._on_ready(run)
         return result
-
-    def recover(self, fn: Callable[[BaseException], Any],
-                executor: Callable[[Callable[[], None]], None] | None = None
-                ) -> "Future":
-        """Map an exceptional outcome through ``fn``; values pass through.
-
-        The error-path dual of :meth:`then` — the building block for
-        retry/fallback logic in :mod:`repro.resilience`.
-        """
-        def handler(fut: "Future") -> Any:
-            if fut.has_exception():
-                try:
-                    fut.get()
-                except BaseException as exc:
-                    return fn(exc)
-            return fut.get()
-
-        return self.then(handler, executor=executor)
 
     def _on_ready(self, cb: Callable[["Future"], None]) -> None:
         if _sanitize_state.ACTIVE and self._san_seq is not None:
@@ -441,9 +330,8 @@ def when_all(futures: Iterable[Future]) -> Future:
     """
     futs = list(futures)
     result = Future()
-    for f in futs:
-        result.set_deadline(f.deadline)  # earliest input deadline wins
-        if _sanitize_state.ACTIVE:
+    if _sanitize_state.ACTIVE:
+        for f in futs:
             _sanitize_graph.add_dependency(result, f)
     if not futs:
         result._set_value([])
@@ -474,29 +362,6 @@ def when_all(futures: Iterable[Future]) -> Future:
     return result
 
 
-def when_any(futures: Iterable[Future]) -> Future:
-    """Future of ``(index, future)`` for the first input to become ready."""
-    futs = list(futures)
-    if not futs:
-        raise ValueError("when_any requires at least one future")
-    result = Future()
-    fired = threading.Event()
-
-    def arm(i: int, f: Future) -> None:
-        def done(fut: Future) -> None:
-            if not fired.is_set():
-                fired.set()
-                try:
-                    result._set_value((i, fut))
-                except FutureError:
-                    pass  # lost a benign race with another input
-        f._on_ready(done)
-
-    for i, f in enumerate(futs):
-        arm(i, f)
-    return result
-
-
 def dataflow(fn: Callable[..., Any], *args: Any,
              executor: Callable[[Callable[[], None]], None] | None = None) -> Future:
     """Run ``fn`` once every future among ``args`` is ready.
@@ -509,9 +374,8 @@ def dataflow(fn: Callable[..., Any], *args: Any,
     """
     fut_args = [a for a in args if isinstance(a, Future)]
     result = Future(executor=executor)
-    for a in fut_args:
-        result.set_deadline(a.deadline)
-        if _sanitize_state.ACTIVE:
+    if _sanitize_state.ACTIVE:
+        for a in fut_args:
             _sanitize_graph.add_dependency(result, a)
 
     def fire(_: Future) -> None:

@@ -90,10 +90,6 @@ class Parcel:
         # GID (16) + action name + framing, mirroring HPX parcel headers
         return 16 + len(self.action) + 32
 
-    @property
-    def is_eager(self) -> bool:
-        return self.size_bytes <= EAGER_THRESHOLD
-
 
 class ParcelHandler:
     """Receives parcels and executes their actions through AGAS."""

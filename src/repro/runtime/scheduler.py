@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import random
+import sys
 import threading
 import time
 from typing import Any, Callable
@@ -159,8 +160,12 @@ class _Worker(threading.Thread):
             _sanitize_lockdep.check_no_locks_held("scheduler task body")
         try:
             task()
-        except BaseException as exc:  # tasks must not kill workers
-            sched._record_error(exc)
+        except BaseException:
+            # tasks must not kill workers; submit() and ExecutionEngine.map
+            # deliver a task's failure through its future, so what lands
+            # here is a bare post() that raised: report it, as an uncaught
+            # exception in a thread would be
+            sys.excepthook(*sys.exc_info())
         finally:
             if trace.TRACING:
                 trace.default_recorder().complete(
@@ -202,7 +207,6 @@ class WorkStealingScheduler:
         self._idle_workers = 0
         self._pending = 0
         self._wake_seq = 0
-        self._errors: list[BaseException] = []
         self._shutdown = False   # post() rejects from here on
         self._stopped = False    # sentinels enqueued, workers exiting
         for w in self._workers:
@@ -317,16 +321,6 @@ class WorkStealingScheduler:
         for w in self._workers:
             # _SHUTDOWN sentinels are consumed via the shared inbox
             w.join(timeout=5.0)
-
-    def _record_error(self, exc: BaseException) -> None:
-        with self._stats_lock:
-            self._errors.append(exc)
-
-    @property
-    def errors(self) -> list[BaseException]:
-        """Exceptions raised by fire-and-forget tasks (submit() errors go to futures)."""
-        with self._stats_lock:
-            return list(self._errors)
 
     @property
     def n_workers(self) -> int:

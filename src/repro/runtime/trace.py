@@ -50,7 +50,7 @@ import time
 from typing import Any
 
 __all__ = [
-    "TRACING", "TraceRecorder", "enable", "disable", "is_enabled",
+    "TRACING", "TraceRecorder", "enable", "disable",
     "default_recorder", "span", "instant", "begin", "complete",
     "export_chrome", "clear",
 ]
@@ -167,10 +167,6 @@ def enable() -> None:
 def disable() -> None:
     global TRACING
     TRACING = False
-
-
-def is_enabled() -> bool:
-    return TRACING
 
 
 # -- convenience recording into the default recorder -----------------------

@@ -3,7 +3,7 @@
 The runtime registers every :class:`~repro.runtime.future.Future` created
 while the sanitizers are active, together with its creation site, and
 reports dependency edges as continuation chains are wired up
-(``then`` / ``when_all`` / ``when_any`` / ``dataflow`` / monadic
+(``then`` / ``when_all`` / ``dataflow`` / monadic
 unwrapping).  Resolved futures are pruned immediately, so the live graph
 only ever holds *pending* work — the part that can still deadlock.
 
@@ -19,13 +19,11 @@ Finding kinds produced here:
   shutdown/quiesce points): the producer was lost, nobody can ever
   resolve it.
 * ``swallowed-exception`` — a future resolved exceptionally whose error
-  was never consumed (no ``get`` raised it, no ``recover`` mapped it)
-  by :func:`sweep` time.  Cancelled futures are exempt: cancellation is
-  a deliberate abandonment with a well-defined owner.
+  was never consumed (no ``get`` raised it) by :func:`sweep` time.
 * ``blocked-worker`` — a scheduler worker thread sat in an *unbounded*
   ``Future.get`` on a pending future for longer than
-  ``state.config.stall_timeout`` seconds: the dynamic face of lint rule
-  REPRO001 (a worker blocking on work that may be queued behind it).
+  ``state.config.stall_timeout`` seconds (a worker blocking on work
+  that may be queued behind it).
   ``Future.get`` decides whether the caller is a worker (the runtime
   owns that thread-local) and reports through
   :func:`record_blocked_worker`.
@@ -137,21 +135,20 @@ def _describe(seq: int) -> str:
     return f"future#{seq} (created at {node.site})" if node else f"future#{seq}"
 
 
-def on_resolved(fut: Any, exception: BaseException | None = None,
-                cancelled: bool = False) -> None:
+def on_resolved(fut: Any, exception: BaseException | None = None) -> None:
     """Prune a resolved future; start tracking an unconsumed error."""
     seq = getattr(fut, "_san_seq", None)
     if seq is None:
         return
     with _lock:
         node = _nodes.pop(seq, None)
-        if (exception is not None and not cancelled and node is not None):
+        if exception is not None and node is not None:
             _unconsumed[seq] = (node.ref, node.site,
                                 f"{type(exception).__name__}: {exception}")
 
 
 def mark_error_consumed(fut: Any) -> None:
-    """The stored exception escaped to (or was mapped by) a consumer."""
+    """The stored exception escaped to a consumer."""
     seq = getattr(fut, "_san_seq", None)
     if seq is None:
         return

@@ -13,10 +13,10 @@ again after it was consumed or released (the reservation it represents
 belongs to someone else by then).
 
 **Channels** (:class:`~repro.runtime.channel.Channel`): each generation
-is set at most once and never after it was consumed or the channel was
-closed.  The channel itself raises typed errors for these; the checker
-records a finding *as well*, because a badly behaved caller may swallow
-the exception — the sanitizer report survives the swallow.
+is set at most once and never after it was consumed.  The channel itself
+raises typed errors for these; the checker records a finding *as well*,
+because a badly behaved caller may swallow the exception — the sanitizer
+report survives the swallow.
 
 Leases are stamped with a sequence number (``_san_seq``) just like
 futures; leases created while the sanitizers are inactive are invisible
@@ -34,8 +34,8 @@ from typing import Any
 from . import state
 
 __all__ = ["lease_created", "lease_consumed", "lease_released",
-           "lease_reclaimed", "channel_closed_set",
-           "channel_reset_generation", "sweep_leases", "reset"]
+           "lease_reclaimed", "channel_reset_generation", "sweep_leases",
+           "reset"]
 
 _lock = threading.Lock()
 _seq = itertools.count(1)
@@ -125,14 +125,6 @@ def sweep_leases(collect: bool = True) -> list[state.Finding]:
         if f is not None:
             out.append(f)
     return out
-
-
-def channel_closed_set(name: str, generation: int | None) -> None:
-    state.record(
-        "channel-closed-set",
-        f"set(generation={generation}) on closed channel {name!r} — the "
-        "value can never be delivered",
-        dedupe_key=None, channel=name, generation=generation)
 
 
 def channel_reset_generation(name: str, generation: int, why: str) -> None:

@@ -40,8 +40,8 @@ from typing import Any, Callable, Hashable
 
 from . import state
 
-__all__ = ["access", "send", "recv", "wrap_callback", "retire",
-           "new_token", "reset", "stats"]
+__all__ = ["access", "send", "recv", "wrap_callback", "new_token", "reset",
+           "stats"]
 
 _lock = threading.Lock()
 _tls = threading.local()
@@ -285,18 +285,6 @@ def access(buf: Any, mode: str = "r", owner: str | None = None,
             buffer=label,
             current_access=f"{word} at {site} (thread {t.name})",
             prior_access=f"{kind} at {psite} (thread {pname})")
-
-
-def retire(buf: Any, region: Hashable | None = None) -> None:
-    """Forget a buffer's shadow state (its storage is being freed/reused).
-
-    Optional hygiene for callers that recycle allocations outside the
-    instrumented sync vocabulary; unknown buffers are ignored.
-    """
-    if not state.ACTIVE:
-        return
-    with _lock:
-        _shadow.pop(_buffer_key(buf, region), None)
 
 
 # -- lifecycle / diagnostics --------------------------------------------------

@@ -38,7 +38,7 @@ import zlib
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["ScheduleExplorer", "EXPLORER", "install", "uninstall",
-           "installed", "run_under_seeds"]
+           "run_under_seeds"]
 
 #: the active explorer, or None (the only thing hot paths ever read)
 EXPLORER: "ScheduleExplorer | None" = None
@@ -127,10 +127,6 @@ def install(seed: int, intensity: float = 1.0) -> ScheduleExplorer:
 def uninstall() -> None:
     global EXPLORER
     EXPLORER = None
-
-
-def installed() -> "ScheduleExplorer | None":
-    return EXPLORER
 
 
 def run_under_seeds(fn: Callable[[], Any], seeds: Iterable[int],

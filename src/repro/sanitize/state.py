@@ -48,7 +48,7 @@ class Finding:
     ``kind`` is a stable slug (``lock-order``, ``lock-recursion``,
     ``callback-under-lock``, ``wait-cycle``, ``abandoned-future``,
     ``swallowed-exception``, ``blocked-worker``, ``lease-leak``,
-    ``lease-reuse``, ``channel-reset-generation``, ``channel-closed-set``).
+    ``lease-reuse``, ``channel-reset-generation``).
     ``site`` is the ``file:line in func`` of the first frame outside the
     instrumented runtime; ``details`` carries kind-specific context (for
     lock-order findings, both acquisition sites of the inverted edge).

@@ -34,13 +34,6 @@ class EventQueue:
             raise SimulationError(f"cannot schedule {delay}s into the past")
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule at an absolute time (>= now)."""
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when} < current time {self.now}")
-        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
-
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
         if not self._heap:

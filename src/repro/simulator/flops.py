@@ -14,13 +14,11 @@ the scaling simulator's per-sub-grid work model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "STENCIL_SIZE", "CELLS_PER_SUBGRID", "INTERACTIONS_PER_LAUNCH",
     "FLOPS_PER_MONOPOLE_INTERACTION", "FLOPS_PER_MULTIPOLE_INTERACTION",
     "MONOPOLE_KERNEL_FLOPS", "MULTIPOLE_KERNEL_FLOPS",
-    "OTHER_FLOPS_PER_SUBGRID", "KernelCounts", "fmm_flops_per_solve",
+    "OTHER_FLOPS_PER_SUBGRID",
 ]
 
 #: same-level interaction stencil size (Sec. 4.3)
@@ -44,30 +42,3 @@ MULTIPOLE_KERNEL_FLOPS = INTERACTIONS_PER_LAUNCH * FLOPS_PER_MULTIPOLE_INTERACTI
 #: lands at the paper's ~40% on AVX2 CPUs (Sec. 4.3, Table 2)
 OTHER_FLOPS_PER_SUBGRID = 8.75e6
 
-
-@dataclass(frozen=True)
-class KernelCounts:
-    """Kernel launches for one gravity solve over a tree.
-
-    Interior (refined) sub-grids hold multipoles and launch the combined
-    multipole kernel; leaves hold monopoles and launch the monopole-
-    monopole kernel.  The monopole-multipole kernel is ~2% of runtime and
-    ignored, as in the paper.
-    """
-
-    multipole_launches: int
-    monopole_launches: int
-
-    @property
-    def total_launches(self) -> int:
-        return self.multipole_launches + self.monopole_launches
-
-    @property
-    def flops(self) -> float:
-        return (self.multipole_launches * MULTIPOLE_KERNEL_FLOPS
-                + self.monopole_launches * MONOPOLE_KERNEL_FLOPS)
-
-
-def fmm_flops_per_solve(n_interior: int, n_leaves: int) -> float:
-    """Total FMM flops for one gravity solve over a tree."""
-    return KernelCounts(n_interior, n_leaves).flops

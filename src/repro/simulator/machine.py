@@ -60,10 +60,6 @@ class NodeSpec:
         return sum(g.peak_gflops for g in self.gpus)
 
     @property
-    def total_streams(self) -> int:
-        return sum(g.n_streams for g in self.gpus)
-
-    @property
     def has_gpu(self) -> bool:
         return bool(self.gpus)
 

@@ -87,11 +87,6 @@ class ScenarioTree:
     def memory_gb(self) -> float:
         return self.total_subgrids * MEMORY_GB_PER_SUBGRID
 
-    def leaf_centers(self) -> np.ndarray:
-        """Centres of all leaf sub-grids, ordered coarse-to-fine."""
-        parts = [c[~r] for c, r in zip(self.levels, self.refined) if len(c)]
-        return np.vstack(parts) if parts else np.empty((0, 3))
-
 
 def _cube_sphere_intersects(centers: np.ndarray, half: float,
                             sphere_c: np.ndarray, radius: float) -> np.ndarray:

@@ -1,68 +1,21 @@
-"""The repo-specific lint pass: every rule fires on its fixture, the
-repo's own source tree stays clean, and the CLI exit codes are right."""
+"""The repo-specific lint pass: every rule fires on its fixture and on a
+pinned edit of the live code it guards, the repo's own source tree stays
+clean, and the CLI exit codes are right."""
 
+import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import RULES, lint_paths, lint_source, main
+from repro.analysis.lint import (RULES, _collect_task_names, lint_paths,
+                                 lint_source, main)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _lint(src, rel="repro/somewhere/mod.py"):
     return lint_source(textwrap.dedent(src), path=rel, rel=rel)
-
-
-# -- REPRO001: blocking get in task bodies --------------------------------
-
-def test_repro001_unbounded_get_in_posted_lambda():
-    vs = _lint("sched.post(lambda: upstream.get())")
-    assert [v.rule for v in vs] == ["REPRO001"]
-    assert "stall a worker" in vs[0].message
-
-
-def test_repro001_result_in_submit_and_post_batch():
-    vs = _lint("""
-        sched.submit(lambda: f.result())
-        sched.post_batch([lambda: g.get() for g in futs])
-    """)
-    assert [v.rule for v in vs] == ["REPRO001", "REPRO001"]
-
-
-def test_repro001_timeout_and_non_task_gets_are_clean():
-    assert _lint("sched.post(lambda: f.get(1.0))") == []
-    assert _lint("value = f.get()") == []  # not inside a posted thunk
-    assert _lint("sched.post(lambda: mapping.get)") == []
-
-
-# -- REPRO002: unguarded stream leases ------------------------------------
-
-def test_repro002_unguarded_acquire():
-    vs = _lint("""
-        def launch(self):
-            lease = self.pool.acquire()
-            return lease.enqueue(kernel)
-    """)
-    assert [v.rule for v in vs] == ["REPRO002"]
-    assert "leaks the stream" in vs[0].message
-
-
-def test_repro002_with_and_finally_are_clean():
-    assert _lint("""
-        def launch(self):
-            lease = self.pool.acquire()
-            if lease is not None:
-                with lease:
-                    return lease.enqueue(kernel)
-            return None
-    """) == []
-    assert _lint("""
-        def launch(self):
-            lease = stream_pool.acquire()
-            try:
-                return lease.enqueue(kernel)
-            finally:
-                lease.release()
-    """) == []
 
 
 # -- REPRO003: nondeterminism in core kernels -----------------------------
@@ -110,6 +63,17 @@ def test_repro004_unknown_section():
 def test_repro004_fstring_head_is_checked():
     vs = _lint('registry.set_gauge(f"/gpu/{name}/busy", 1.0)')
     assert [v.rule for v in vs] == ["REPRO004"]
+
+
+def test_repro004_sectionless_name_fires():
+    vs = lint_source('reg.increment("/solves")', rel="repro/core/x.py")
+    assert [v.rule for v in vs] == ["REPRO004"]
+    assert "/section/name" in vs[0].message
+    assert [v.rule for v in _lint("reg.increment('/fmm/')")] == ["REPRO004"]
+    # an f-string whose literal head stops before the section is complete
+    # is out of static reach
+    assert _lint('reg.increment(f"/{section}/solves")') == []
+    assert _lint('reg.increment(f"/fm{x}/solves")') == []
 
 
 def test_repro004_known_sections_and_helpers_clean():
@@ -171,8 +135,8 @@ def test_repro006_covers_every_package_above_runtime():
     vs = _lint("lease.enqueue(kernel, args)",
                rel="repro/resilience/supervisor.py")
     assert [v.rule for v in vs] == ["REPRO006"]
-    # the region is the one sanctioned acquirer: a guarded acquire above
-    # runtime/ is clean for REPRO002 and still a second launch path
+    # the region is the one sanctioned acquirer: even a guarded acquire
+    # above runtime/ is a second launch path
     vs = _lint("""
         def launch(self):
             with self.pool.acquire() as lease:
@@ -251,6 +215,11 @@ def test_repro007_untallied_block_to_block_ghost_write():
     # other spellings of a block slab
     vs = _lint(_NETWORK_IMPORT + "def f(self, blk, ip, sl):\n"
                "    self.blocks[ip][sl] = blk[sl]",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
+    # the node-level copier writes block to block on the caller's behalf
+    vs = _lint(_NETWORK_IMPORT + "def f(self, blocks, plan):\n"
+               "    self._copy_halos(blocks, plan.local)",
                rel="repro/core/distmesh.py")
     assert [v.rule for v in vs] == ["REPRO007"]
 
@@ -633,9 +602,7 @@ def test_syntax_error_is_reported_not_raised():
 
 
 def test_repo_source_tree_is_clean():
-    from pathlib import Path
-    src = Path(__file__).resolve().parents[2] / "src"
-    assert lint_paths([str(src)]) == []
+    assert lint_paths([str(SRC)]) == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -646,7 +613,76 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(clean)]) == 0
     assert "clean" in capsys.readouterr().out
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("sched.post(lambda: f.get())\n")
+    dirty.write_text("registry.increment('/thread/executed')\n")
     assert main([str(dirty)]) == 1
     out = capsys.readouterr().out
-    assert "REPRO001" in out and "1 violation" in out
+    assert "REPRO004" in out and "1 violation" in out
+
+
+# -- every rule guards live code --------------------------------------------
+
+#: rule -> (file under src/repro, pinned text, replacement): an edit of
+#: the live code the rule exists for, which the rule must catch
+LIVE_SITES = {
+    "REPRO003": ("core/mesh.py", "    mesh.time += dt\n",
+                 "    mesh.time = time.time()\n"),
+    "REPRO004": ("core/distmesh.py",
+                 'self.registry.increment("/distmesh/migrations")',
+                 'self.registry.increment("/distmsh/migrations")'),
+    "REPRO005": ("runtime/scheduler.py", "        except BaseException:\n",
+                 "        except:\n"),
+    "REPRO006": ("core/exec.py", "region.push(fn, args, promise)",
+                 "lease.enqueue(fn, *args)"),
+    # a route's payload set straight into its channel, beside the wire
+    "REPRO007": ("core/distmesh.py",
+                 "            transport.send(route.channel, payload, "
+                 "generation, route.src,\n"
+                 "                           route.dst)\n",
+                 "            route.channel.set(payload, generation)\n"),
+    "REPRO008": ("core/hydro/riemann.py",
+                 "return ws.buf(name, shape) if ws is not None "
+                 "else np.empty(shape)", "return np.empty(shape)"),
+    "REPRO009": ("resilience/durability.py", "self.manager.reset()",
+                 "self.manager._checkpoints.clear()"),
+    # the compute_rhs task body's whole shadow-access declaration
+    "REPRO010": ("core/hydro/solver.py",
+                 "    if _sanitize_state.ACTIVE:\n"
+                 "        # shadow-access declarations: this task body reads "
+                 "its conserved\n"
+                 "        # blocks (and their gravity) and overwrites the "
+                 "shared out= buffer\n"
+                 "        for blk, acc in zip(U, gravity):\n"
+                 "            _racecheck.access(blk, \"r\", owner=\"hydro/U\")\n"
+                 "            if acc is not None:\n"
+                 "                _racecheck.access(acc, \"r\", "
+                 "owner=\"hydro/gravity\")\n"
+                 "        _racecheck.access(out, \"w\", "
+                 "owner=\"hydro/rhs-out\")\n", ""),
+    "REPRO011": ("runtime/cuda.py", "from .faults import TransientActionFault",
+                 "from ..resilience.faults import TransientActionFault"),
+}
+
+
+@pytest.fixture(scope="module")
+def tree_task_names():
+    names = set()
+    for f in sorted(SRC.rglob("*.py")):
+        names |= _collect_task_names(ast.parse(f.read_text()))
+    return names
+
+
+def test_every_rule_has_a_live_site():
+    assert sorted(LIVE_SITES) == sorted(RULES)
+    assert "REPRO001" not in RULES and "REPRO002" not in RULES
+
+
+@pytest.mark.parametrize("rule", sorted(LIVE_SITES))
+def test_rule_fires_on_an_edit_of_its_live_site(rule, tree_task_names):
+    rel, old, new = LIVE_SITES[rule]
+    text = (SRC / "repro" / rel).read_text()
+    assert text.count(old) == 1, f"{rule}: live site moved in {rel}"
+    rel = f"repro/{rel}"
+    assert lint_source(text, rel=rel, task_names=tree_task_names) == []
+    edited = lint_source(text.replace(old, new), rel=rel,
+                         task_names=tree_task_names)
+    assert {v.rule for v in edited} == {rule}

@@ -1,4 +1,4 @@
-"""Every option has a caller.
+"""Every option has a caller, and every function has a caller.
 
 A defaulted constructor parameter (or defaulted field of a frozen config
 dataclass) in ``src/repro`` must be set by some call site in ``src/``,
@@ -6,6 +6,15 @@ dataclass) in ``src/repro`` must be set by some call site in ``src/``,
 sets is a second configuration nobody runs: make it a module constant or
 delete it.  The exceptions are listed, each with its reason, in
 ``ALLOWED``; the table's length is pinned so it cannot grow silently.
+
+The same holds for code: every top-level function and class, every
+non-dunder method and every ``__all__`` name in ``src/repro`` needs a
+caller in those three trees — a load of the name, an attribute of that
+name, or a string equal to it (``getattr``, the ledger's
+``spans.TARGETS``) outside the definition's own body; imports and
+``__all__`` lists do not count, and neither do tests.  The audit is by
+name, so a dead method that shares its name with a live one is out of
+its reach.  Its exceptions are ``CALLERS_ALLOWED``, pinned the same way.
 """
 
 import ast
@@ -34,8 +43,8 @@ ALLOWED = {
         "False is the ablation reference for the Despres-Labourasse claim",
     ("HydroOptions", "cfl"):
         "validated boundary input; its range tests need both ends",
-    ("Octree", "origin"): "ROADMAP item 4 (AMR gravity) places trees off-origin",
-    ("Octree", "subgrid_n"): "ROADMAP item 4; the FMM depth follows it",
+    ("Octree", "origin"): "ROADMAP item 3 (AMR gravity) places trees off-origin",
+    ("Octree", "subgrid_n"): "ROADMAP item 3; the FMM depth follows it",
     ("AgasRuntime", "executor"):
         "HPX semantic model (actions run as scheduler tasks); one test "
         "drives it",
@@ -47,6 +56,42 @@ ALLOWED = {
     ("Finding", "timestamp"): "state: default_factory stamps the finding",
     ("GpuSpec", "n_streams"):
         "hardware datum (Sec. 5.1: 128 streams per GPU) every platform shares",
+}
+
+CALLERS_ALLOWED = {
+    # test oracles: what the tests judge the solver against
+    "direct_summation": "test oracle: O(N^2) gravity the FMM tests compare with",
+    "direct_potential": "test oracle: the direct-summation potential",
+    "post_shock_state": "test oracle: Sedov strong-shock jump conditions",
+    "total_mass": "conservation oracle of SubGrid / Octree: the prolong / "
+                  "restrict tests measure drift with it",
+    "total_momentum": "conservation oracle of SubGrid / Octree",
+    "acquired_before_edges": "sanitizer self-test oracle: the lockdep tests "
+                             "read the recorded order graph",
+    "held_classes": "sanitizer self-test oracle: the locks this thread holds",
+    # ROADMAP item 3: self-gravity on the AMR tree and regridding
+    "from_levels": "ROADMAP item 3 solves gravity on the AMR tree through it",
+    "fmm_levels": "ROADMAP item 3: feeds FmmSolver.from_levels from an Octree",
+    "coarsen": "ROADMAP item 3(b): regridding derefines with it",
+    "refine_by": "ROADMAP item 3(b): density-threshold regridding",
+    # the sanitizer harness that tests/conftest.py and the CI jobs drive
+    "scope": "sanitizer harness: conftest's finding guard captures with it",
+    "configure": "sanitizer harness: tests shrink the stall timeout with it",
+    "reset_graphs": "sanitizer harness: conftest isolates tests with it",
+    "uninstall": "schedule-explorer harness: conftest removes the explorer",
+    "run_under_seeds": "schedule-explorer harness: replays a body per seed",
+    "locked": "TrackedLock stands in for the threading.Lock that make_lock "
+              "returns with the sanitizers off, so it keeps Lock's API",
+    # paper tables and claims that DESIGN.md / EXPERIMENTS.md map to code
+    "node_level_table": "Table 2 reproduction",
+    "fraction_of_peak": "Table 2's fraction-of-peak column",
+    "subgrid_table": "Table 4 reproduction",
+    "startup_speedup": "Sec. 6.3 claim: libfabric cuts start-up ~10x",
+    "parallel_efficiency": "Sec. 6.3 efficiency relative to level 14 on one "
+                           "node",
+    "scf_single_star": "SCF verification: the non-rotating star must "
+                       "reproduce Lane-Emden, the analytic check of the "
+                       "iteration scf_binary runs",
 }
 
 
@@ -136,3 +181,90 @@ def test_allowed_table_is_exact(audit):
     stale = sorted(f"{cls}.{p}" for cls, p in ALLOWED
                    if p not in declared.get(cls, ((), ()))[1] or (cls, p) in used)
     assert not stale, f"ALLOWED entries that are gone or now have a caller: {stale}"
+
+
+# -- every function has a caller ---------------------------------------------
+
+def _is_all(node):
+    return (isinstance(node, (ast.Assign, ast.AugAssign))
+            and any(getattr(t, "id", None) == "__all__" for t in
+                    (node.targets if isinstance(node, ast.Assign)
+                     else [node.target])))
+
+
+def _subjects():
+    """Top-level defs and classes, non-dunder methods (``visit_*`` of an
+    ``ast.NodeVisitor`` aside) and ``__all__`` names of ``src/repro``."""
+    subpackages = {p.name for p in SRC.iterdir() if p.is_dir()}
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                visitor = any(getattr(b, "attr", getattr(b, "id", None))
+                              == "NodeVisitor" for b in node.bases)
+                names |= {m.name for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not (m.name.startswith("__")
+                                   and m.name.endswith("__"))
+                          and not (visitor and m.name.startswith("visit_"))}
+            if _is_all(node):
+                names |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant)
+                          and isinstance(c.value, str)
+                          and not (path == SRC / "__init__.py"
+                                   and c.value in subpackages)}
+    return names
+
+
+def _called():
+    """Names loaded, read as an attribute or spelled as a string outside
+    a definition of the same name (so recursion does not count)."""
+    seen = set()
+
+    def walk(node, enclosing):
+        if _is_all(node):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            seen.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing)
+
+    for root in CALLER_ROOTS:
+        for tree in _trees(root):
+            walk(tree, frozenset())
+    return seen
+
+
+@pytest.fixture(scope="module")
+def callers():
+    return _subjects(), _called()
+
+
+def test_every_function_has_a_caller(callers):
+    subjects, called = callers
+    orphans = sorted(subjects - called - set(CALLERS_ALLOWED))
+    assert not orphans, (
+        "definitions no code in src/, examples/ or benchmarks/ uses "
+        f"(delete each, or justify it in CALLERS_ALLOWED): {orphans}")
+
+
+def test_callers_allowed_table_is_exact(callers):
+    subjects, called = callers
+    assert len(CALLERS_ALLOWED) == 23
+    assert all(reason for reason in CALLERS_ALLOWED.values())
+    stale = sorted(n for n in CALLERS_ALLOWED
+                   if n not in subjects or n in called)
+    assert not stale, (
+        f"CALLERS_ALLOWED entries that are gone or now have a caller: {stale}")

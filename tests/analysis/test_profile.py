@@ -55,13 +55,12 @@ class TestFormatReport:
         reg.set_gauge("/exec/gpu-fraction", 0.75)
         reg.increment("/fmm/solves")
         reg.increment("/hydro/steps", 2.0)
-        reg.increment("/agas/apply-errors")
         reg.set_gauge("/parcels/mpi/messages", 2.0)
         reg.set_gauge("/futures/continuations-dispatched", 5.0)
         reg.set_gauge("/simulator/steps-evaluated", 6.0)
         reg.set_gauge("/gpu/typo", 1.0)
         report = format_report(reg)
-        for section in ("threads", "cuda", "exec", "fmm", "hydro", "agas",
+        for section in ("threads", "cuda", "exec", "fmm", "hydro",
                         "parcels", "futures", "simulator"):
             assert KNOWN_SECTIONS[section] in report
         # in KNOWN_SECTIONS order, the unregistered table last

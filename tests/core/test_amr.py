@@ -47,7 +47,7 @@ class TestGhostFill:
         tree.refine(0, (0, 0, 0))
         _fill_random(tree, rng)
         mesh = AmrMesh(tree)
-        mesh.fill_ghosts()
+        mesh._fill(mesh.blocks, 0)        # the stage-0 ghost fill
         from repro.core import NGHOST as g
         a = tree.get(1, (0, 0, 0)).grid
         b = tree.get(1, (1, 0, 0)).grid
@@ -61,7 +61,7 @@ class TestGhostFill:
         tree.refine(1, (0, 0, 0))
         _fill_random(tree, rng)
         mesh = AmrMesh(tree)
-        mesh.fill_ghosts()
+        mesh._fill(mesh.blocks, 0)        # the stage-0 ghost fill
         from repro.core import NGHOST as g
         fine = tree.get(2, (1, 0, 0)).grid      # fine leaf at +x edge
         coarse = tree.get(1, (1, 0, 0)).grid    # its coarse +x neighbour
@@ -112,7 +112,8 @@ class TestConservation:
         # remove the 2:1 guard's work by nothing - tree built by refine
         # is balanced, so this should just work:
         _fill_random(bad, rng)
-        AmrMesh(bad).fill_ghosts()
+        mesh = AmrMesh(bad)
+        mesh._fill(mesh.blocks, 0)
 
 
 class TestMeshProtocol:

@@ -82,7 +82,7 @@ class TestPhiFreshness:
         mesh.step()
         reference = equilibrium_star(n=16, domain=4.0)
         reference.interior[:] = mesh.interior
-        reference.solve_gravity()
+        reference._gravity.solve(reference.blocks)
         assert np.array_equal(mesh.phi, reference.phi)
 
     def test_gravity_cache_survives_external_state_mutation(self):
@@ -94,15 +94,10 @@ class TestPhiFreshness:
         mesh.blocks[0, 0, 0][:] = saved  # simulate CheckpointManager.restore
         acc = mesh._gravity.for_state(mesh.blocks)
         fresh = equilibrium_star(n=16, domain=4.0)
-        assert np.array_equal(acc, fresh.solve_gravity())
+        assert np.array_equal(acc, fresh._gravity.solve(fresh.blocks))
 
 
 class TestValidation:
     def test_gravity_requires_power_of_two_blocks(self):
         with pytest.raises(ValueError, match="2\\^L"):
             BlockMesh(3, self_gravity=True)
-
-    def test_solve_gravity_requires_flag(self):
-        block = BlockMesh(2)
-        with pytest.raises(RuntimeError):
-            block.solve_gravity()

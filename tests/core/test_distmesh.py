@@ -169,7 +169,7 @@ class TestOwnership:
         assert sum(counts.values()) == 8
         assert set(counts) == {0, 1, 2}
         for ip, gid in dist.gids.items():
-            assert dist.agas.locality_of(gid) == dist.owners()[ip]
+            assert dist.agas.resolve(gid)[1] == dist.owners()[ip]
 
     def test_partition_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -199,7 +199,7 @@ class TestOwnership:
         victim = 0
         doomed = [ip for ip, loc in dist.owners().items() if loc == victim]
         assert doomed
-        result = dist.fail_locality(victim)
+        result = dist.agas.fail_locality(victim)
         assert len(result["migrated"]) == len(doomed)
         assert not result["lost"]
         owners = dist.owners()
@@ -210,7 +210,7 @@ class TestOwnership:
             dist.step()
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
-        assert reg.snapshot()["/distmesh/localities-failed"] == 1
+        assert reg.snapshot()["/resilience/agas/localities-failed"] == 1
 
 
     def test_ownership_flips_switch_routes_mid_run(self, rng):
@@ -239,8 +239,8 @@ class TestOwnership:
                                           ref.gather_interior())
             assert set(dist.channels) == routes()
             for ch in dist.channels.values():
-                assert ch.pending_generations() == []
-                assert ch.buffered_generations() == []
+                assert not ch._promises          # no get left pending
+                assert not ch._ready             # no value left buffered
             expected["remote"] += 2 * len(routes())
             expected["local"] += 2 * (len(pairs) - len(remote_pairs()))
             stats = dist.transport.stats
@@ -251,7 +251,7 @@ class TestOwnership:
         start, start_routes = remote_pairs(), routes()
         step(rebuilds=1)
         step(rebuilds=1)                          # steady: plan stays frozen
-        dist.fail_locality(0, evacuate=True)      # many blocks, one epoch
+        dist.agas.fail_locality(0, evacuate=True)      # many blocks, one epoch
         went_local = start - remote_pairs()
         assert went_local
         assert start_routes - routes()            # the dead locality's routes
@@ -359,8 +359,8 @@ class TestCounters:
             with pytest.raises(ChannelReset):
                 fut.get(timeout=1.0)
         for ch in dist.channels.values():
-            assert ch.pending_generations() == []
-            assert ch.buffered_generations() == []
+            assert not ch._promises          # no get left pending
+            assert not ch._ready             # no value left buffered
         for _ in range(2):
             ref.step()
             dist.step()

@@ -23,9 +23,8 @@ import pytest
 
 from repro.core import IdealGas, NF, NGHOST, RHO, SX, EGAS, TAU
 from repro.core.grid import LX
-from repro.core.gravity.kernels import (LEVI_CIVITA, greens, m2l_pair,
-                                        m2l_pair_reference, p2p_pair,
-                                        pair_torque)
+from repro.core.gravity.kernels import (greens, m2l_pair, m2l_pair_reference,
+                                        p2p_pair)
 from repro.core.hydro.reconstruct import ppm_faces
 from repro.core.hydro.riemann import (conserved_signal_speed,
                                       conserved_to_primitive, kt_flux,
@@ -141,18 +140,6 @@ def test_greens_tensors_exactly_symmetric_and_traceless():
     np.testing.assert_allclose(np.einsum("niij->nj", g3), 0.0, atol=1e-15)
 
 
-def test_pair_torque_matches_levi_civita_oracle():
-    dR, mA, mB, M2A, M2B = pair_batch()
-    tA, tB = pair_torque(dR, mA, mB, M2A, M2B)
-    _, _, g2, _ = greens(dR)
-    oracle_A = mB[:, None] * np.einsum("jlm,nmk,njk->nl",
-                                       LEVI_CIVITA, M2A, g2)
-    oracle_B = mA[:, None] * np.einsum("jlm,nmk,njk->nl",
-                                       LEVI_CIVITA, M2B, g2)
-    np.testing.assert_allclose(tA, oracle_A, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(tB, oracle_B, rtol=1e-12, atol=1e-15)
-
-
 def test_coincidence_guard_hoisted_out_of_hot_kernels():
     # the r2 == 0 scan moved to plan-build time (FmmSolver._record checks
     # each recorded batch once); the per-call hot kernels no longer
@@ -162,8 +149,6 @@ def test_coincidence_guard_hoisted_out_of_hot_kernels():
     M2 = np.zeros((2, 3, 3))
     with pytest.raises(ValueError, match="coincident"):
         greens(dR)
-    with pytest.raises(ValueError, match="coincident"):
-        pair_torque(dR, m, m, M2, M2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phiA, _, accA, _ = p2p_pair(dR, m, m)
         res = m2l_pair(dR, m, m, M2, M2)

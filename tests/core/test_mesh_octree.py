@@ -239,16 +239,6 @@ class TestOctree:
         levels = {n.level for n in t.leaves()}
         assert max(levels) - min(levels) <= 2
 
-    def test_sfc_order_parents_before_descendants(self):
-        t = Octree()
-        t.refine(0, (0, 0, 0))
-        t.refine(1, (1, 0, 0))
-        order = t.leaves_sfc()
-        assert len(order) == t.n_leaves
-        # depth-first: the 8 children of (1,(1,0,0)) appear contiguously
-        lv2 = [i for i, n in enumerate(order) if n.level == 2]
-        assert lv2 == list(range(lv2[0], lv2[0] + 8))
-
     def test_refine_by_criterion(self, rng):
         t = Octree()
         root = t.get(0, (0, 0, 0))

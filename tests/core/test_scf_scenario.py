@@ -53,8 +53,9 @@ class TestPolytrope:
         assert rho[0] == 0.0 and p[0] == 0.0
 
     def test_central_density_scaling(self):
-        a = Polytrope(n=1.5, radius=1.0, mass=1.0).central_density()
-        b = Polytrope(n=1.5, radius=1.0, mass=2.0).central_density()
+        centre = np.array([0.0])
+        a = Polytrope(n=1.5, radius=1.0, mass=1.0).profile(centre)[0][0]
+        b = Polytrope(n=1.5, radius=1.0, mass=2.0).profile(centre)[0][0]
         assert b == pytest.approx(2 * a, rel=1e-10)
 
 

@@ -1,35 +1,46 @@
 """FMM stencils (the 1074-element set, the exact partition) and kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gravity.kernels import (greens, m2l_pair, p2p_pair,
-                                        pair_torque)
-from repro.core.gravity.stencil import (OPENING_R2, canonical_stencil,
-                                        p2p_stencil, parity_stencils,
-                                        root_stencil, well_separated)
+from repro.core.gravity.kernels import LEVI_CIVITA, greens, m2l_pair, p2p_pair
+from repro.core.gravity.stencil import (OPENING_R2, p2p_stencil,
+                                        parity_stencils, root_stencil,
+                                        well_separated)
+from repro.simulator.flops import INTERACTIONS_PER_LAUNCH, STENCIL_SIZE
+
+
+def paper_stencil():
+    """The paper's same-level stencil by brute force: the offsets of an
+    11^3 box outside the opening radius."""
+    r = 5
+    pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
+    return pts[well_separated(pts)]
 
 
 class TestCanonicalStencil:
     def test_has_exactly_1074_elements(self):
         """Sec. 4.3: 'each cell interacts with 1074 of its close
         neighbors'."""
-        assert len(canonical_stencil()) == 1074
+        assert len(paper_stencil()) == STENCIL_SIZE == 1074
 
     def test_interactions_per_launch(self):
-        assert 512 * len(canonical_stencil()) == 549_888
+        assert 512 * len(paper_stencil()) == INTERACTIONS_PER_LAUNCH \
+            == 549_888
 
     def test_bounded_by_11_cubed_box(self):
-        s = canonical_stencil()
+        s = paper_stencil()
         assert np.abs(s).max() == 5
 
     def test_all_elements_well_separated(self):
-        assert well_separated(canonical_stencil()).all()
+        assert well_separated(paper_stencil()).all()
 
     def test_symmetric_under_negation(self):
-        s = {tuple(w) for w in canonical_stencil()}
+        s = {tuple(w) for w in paper_stencil()}
         assert all((-a, -b, -c) in s for (a, b, c) in s)
 
 
@@ -155,7 +166,10 @@ class TestPairKernels:
         M2B = sym(rng.normal(size=(n, 3, 3)))
         _pa, _pb, aA, _aB, _HA, _HB = m2l_pair(dR, mA, mB, M2A, M2B)
         F = mA[:, None] * aA
-        tauA, tauB = pair_torque(dR, mA, mB, M2A, M2B)
+        # analytic spin torques tau_A_l = mB eps_jlm M2A_mk g2_jk
+        _g0, _g1, g2, _g3 = greens(dR)
+        tauA = mB[:, None] * np.einsum("jlm,nmk,njk->nl", LEVI_CIVITA, M2A, g2)
+        tauB = mA[:, None] * np.einsum("jlm,nmk,njk->nl", LEVI_CIVITA, M2B, g2)
         resid = np.cross(dR, F) + tauA + tauB
         scale = np.abs(np.cross(dR, F)).max()
         assert np.abs(resid).max() / scale < 1e-13

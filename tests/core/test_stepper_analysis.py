@@ -6,9 +6,7 @@ import pytest
 from repro.analysis import format_table
 from repro.core import sod_tube
 from repro.core.stepper import ConservationMonitor, evolve
-from repro.simulator.flops import (MONOPOLE_KERNEL_FLOPS,
-                                   MULTIPOLE_KERNEL_FLOPS, KernelCounts,
-                                   fmm_flops_per_solve)
+from repro.simulator.flops import MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS
 
 
 class TestMonitor:
@@ -52,18 +50,9 @@ class TestMonitor:
 
 
 class TestFlopAccounting:
-    def test_kernel_counts(self):
-        kc = KernelCounts(multipole_launches=2, monopole_launches=3)
-        assert kc.total_launches == 5
-        assert kc.flops == pytest.approx(
-            2 * MULTIPOLE_KERNEL_FLOPS + 3 * MONOPOLE_KERNEL_FLOPS)
-
     def test_paper_constants(self):
         assert MULTIPOLE_KERNEL_FLOPS == 549_888 * 455
         assert MONOPOLE_KERNEL_FLOPS == 549_888 * 12
-
-    def test_fmm_flops_per_solve(self):
-        assert fmm_flops_per_solve(1, 0) == MULTIPOLE_KERNEL_FLOPS
 
 
 class TestFormatTable:

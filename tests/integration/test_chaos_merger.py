@@ -82,7 +82,7 @@ class TestChaosMerger:
         assert snap["/resilience/health/evacuated"] >= 1.0
         # the victim's store now answers from a surviving locality
         for gid in res.stores:
-            assert res.dist.agas.locality_of(gid) != victim
+            assert res.dist.agas.resolve(gid)[1] != victim
 
     def test_poisoned_stream_quarantined_healthy_one_not(self, chaos):
         res, snap = chaos

@@ -55,7 +55,7 @@ class TestDistributedMerger:
         assert res.dist.locality_blocks()[victim] == 0
         assert snap["/resilience/agas/components-lost"] == 0
         for gid in res.evacuated:
-            assert res.dist.agas.locality_of(gid) != victim
+            assert res.dist.agas.resolve(gid)[1] != victim
 
     def test_rollback_and_replay_engaged(self, merger):
         res, snap = merger

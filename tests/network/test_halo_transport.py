@@ -107,7 +107,7 @@ class TestReordering:
     def test_same_seed_same_order(self):
         """Same (reorder seed, schedule seed) -> same delivery order."""
         orders = []
-        explorer = schedules.installed()
+        explorer = schedules.EXPLORER
         for _ in range(2):
             if explorer is not None:
                 # under REPRO_SCHEDULE_SEED the flush order also draws from

@@ -171,47 +171,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.hops(0, 10)
 
-    def test_group_count(self):
-        topo = DragonflyTopology(5400)
-        assert topo.n_groups == 15  # ceil(5400 / 384)
-
     def test_mean_hops(self):
         topo = DragonflyTopology(1000)
         assert 0.0 < topo.mean_hops(0, [1, 2, 500, 900]) <= 4.0
-
-
-class TestDegradedParcelport:
-    def test_degrade_preserves_base_and_renames(self):
-        from repro.network.parcelport import degrade
-        dp = degrade(LF, 0.1)
-        assert dp.name == "libfabric+loss0.1"
-        assert dp.latency == LF.latency and dp.bandwidth == LF.bandwidth
-
-    def test_loss_inflates_every_cost_component(self):
-        from repro.network.parcelport import degrade
-        dp = degrade(LF, 0.2)
-        base = LF.message_cost(8192)
-        worse = dp.message_cost(8192)
-        assert worse.sender_cpu > base.sender_cpu
-        assert worse.wire > base.wire
-        assert worse.receiver_cpu >= base.receiver_cpu
-        assert worse.total > base.total
-
-    def test_zero_loss_changes_nothing(self):
-        from repro.network.parcelport import degrade
-        dp = degrade(MPI, 0.0)
-        base = MPI.message_cost(1024)
-        same = dp.message_cost(1024)
-        assert same.sender_cpu == base.sender_cpu
-        assert same.wire == base.wire
-
-    def test_more_loss_costs_more(self):
-        from repro.network.parcelport import degrade
-        costs = [degrade(LF, p).message_cost(65536).total
-                 for p in (0.0, 0.05, 0.2, 0.5)]
-        assert costs == sorted(costs)
-
-    def test_bad_loss_rate_rejected(self):
-        from repro.network.parcelport import degrade
-        with pytest.raises(ValueError):
-            degrade(LF, 1.0)

@@ -85,7 +85,7 @@ class TestInteriorsAreTheState:
         else:
             # correlated dual kill: the victims' GIDs die with the memory
             for victim in (1, 3):
-                faulted.fail_locality(victim, evacuate=False)
+                faulted.agas.fail_locality(victim, evacuate=False)
             coordinator.recover()
         assert faulted.steps == 1
         for blk in faulted.blocks.values():
@@ -184,7 +184,7 @@ class TestCheckpointManager:
             mesh.step(1e-3)
             mgr.save(mesh)
         assert len(mgr) == 2
-        assert mgr.latest.step == 4
+        assert mgr.latest_verified.step == 4
 
     def test_maybe_save_respects_interval(self):
         mesh = small_mesh()

@@ -28,6 +28,18 @@ def dist_mesh(n_localities=4, registry=None):
     return mesh
 
 
+def holdings(store, locality):
+    """The ``(generation, key)`` records a locality's shard holds."""
+    return set(store._shards.get(locality, {}))
+
+
+def damage_copy(store, generation, key, locality):
+    """Flip one byte of a single replica (per-node bit rot; the buddy's
+    copy is untouched, so recovery should route around it)."""
+    rec = store._shards[locality][(generation, key)]
+    rec.payload.view(np.uint8).reshape(-1)[0] ^= 0xFF
+
+
 def wired(mesh, reg, **mgr_kwargs):
     """Manager + store with the commit hook connected (no coordinator)."""
     mgr = CheckpointManager(interval=1, registry=reg, **mgr_kwargs)
@@ -48,8 +60,8 @@ class TestBuddyReplicatedStore:
         for ip in mesh.blocks:
             owner = owners[ip]
             buddy = store._buddy_of(owner, alive)
-            assert (cp.generation, ip) in store.holdings(owner)
-            assert (cp.generation, ip) in store.holdings(buddy)
+            assert (cp.generation, ip) in holdings(store, owner)
+            assert (cp.generation, ip) in holdings(store, buddy)
         n = len(mesh.blocks)
         assert reg.value("/resilience/ckpt/replicas") == n
         assert reg.value("/resilience/ckpt/replica-bytes") == cp.nbytes
@@ -84,7 +96,7 @@ class TestBuddyReplicatedStore:
         cp = mgr.save(mesh)
         ip = sorted(mesh.blocks)[0]
         owner = mesh.owners()[ip]
-        assert store.damage_copy(cp.generation, ip, owner)
+        damage_copy(store, cp.generation, ip, owner)
         man, holders = store.recovery_plan()
         # the plan routes around the rotten replica to the buddy's copy
         assert man.generation == cp.generation
@@ -100,7 +112,7 @@ class TestBuddyReplicatedStore:
         mgr.save(mesh)
         dropped = store.locality_lost(1)
         assert dropped > 0
-        assert store.holdings(1) == []
+        assert holdings(store, 1) == set()
         assert 1 not in store.alive
         assert store.locality_lost(1) == 0  # idempotent
         assert reg.value("/resilience/ckpt/replicas-lost") == dropped
@@ -115,9 +127,9 @@ class TestBuddyReplicatedStore:
         alive = sorted(store.alive)
         for ip in mesh.blocks:  # both copies of every newest-gen block rot
             owner = owners[ip]
-            store.damage_copy(bad.generation, ip, owner)
-            store.damage_copy(bad.generation, ip,
-                              store._buddy_of(owner, alive))
+            damage_copy(store, bad.generation, ip, owner)
+            damage_copy(store, bad.generation, ip,
+                        store._buddy_of(owner, alive))
         man, holders = store.recovery_plan()
         assert man.generation == good.generation
         assert reg.value("/resilience/ckpt/fallback") == 1.0
@@ -141,7 +153,7 @@ class TestBuddyReplicatedStore:
         store = BuddyReplicatedStore(mesh, keep=2, registry=reg)
         mgr.on_commit = store.replicate
         cps = [mgr.save(mesh) for _ in range(4)]
-        gens = {gk[0] for loc in store.alive for gk in store.holdings(loc)}
+        gens = {gk[0] for loc in store.alive for gk in holdings(store, loc)}
         assert gens == {cps[-2].generation, cps[-1].generation}
 
 
@@ -167,7 +179,7 @@ class TestRecoveryCoordinator:
         # a lost last-copy forces global recovery regardless of the count
         on_victim = sorted(ip for ip, loc in mesh.owners().items()
                            if loc == 1)
-        mesh.fail_locality(1, evacuate=False)
+        mesh.agas.fail_locality(1, evacuate=False)
         assert coord.lost_blocks() == on_victim
         assert coord.needs_global_recovery(0)
 
@@ -213,7 +225,7 @@ class TestRecoveryCoordinator:
 
         # correlated, non-adjacent dual kill: GIDs lost with the memory
         for victim in (1, 3):
-            mesh.fail_locality(victim, evacuate=False)
+            mesh.agas.fail_locality(victim, evacuate=False)
         for ip in mesh.lost_blocks:
             mesh.blocks[ip][...] = np.nan
         assert coord.needs_global_recovery(2)
@@ -238,7 +250,7 @@ class TestRecoveryCoordinator:
                 [0, 2][slab_partition(i, len(ips), 2)]
         # the dead timeline's records are gone; durability is re-seeded
         assert len(mgr) == 1
-        assert mgr.latest.step == saved_steps
+        assert mgr.latest_verified.step == saved_steps
         assert reg.value("/recovery/global-rollbacks") == 1.0
         assert reg.value("/recovery/elastic-restarts") == 1.0
         assert reg.value("/recovery/blocks-fetched") == len(mesh.blocks)
@@ -262,7 +274,7 @@ class TestRecoveryCoordinator:
         for _ in range(2):
             mesh.step()
         for victim in (1, 3):
-            mesh.fail_locality(victim, evacuate=False)
+            mesh.agas.fail_locality(victim, evacuate=False)
         for ip in mesh.lost_blocks:
             mesh.blocks[ip][...] = np.nan
         report = coord.recover()
@@ -280,8 +292,8 @@ class TestRecoveryCoordinator:
         mgr = CheckpointManager(interval=1, registry=reg)
         coord = RecoveryCoordinator(mesh, mgr, registry=reg)
         mgr.save(mesh)
-        mesh.fail_locality(0, evacuate=False)
-        mesh.fail_locality(1, evacuate=False)
+        mesh.agas.fail_locality(0, evacuate=False)
+        mesh.agas.fail_locality(1, evacuate=False)
         with pytest.raises(CheckpointError, match="no locality survives"):
             coord.recover()
 
@@ -300,12 +312,13 @@ class TestCheckpointStoreFaults:
         return mesh
 
     def saves_and_steps(self, mgr, mesh, n):
-        """n saves at distinct steps; returns the state at each save."""
+        """n saves at distinct steps; returns the state at each save and
+        keeps the last saved record in ``self.newest``."""
         states = []
         for _ in range(n):
             states.append(({ip: interior(b).copy()
                             for ip, b in mesh.blocks.items()}, mesh.steps))
-            mgr.save(mesh)
+            self.newest = mgr.save(mesh)
             mesh.step()
         return states
 
@@ -323,7 +336,7 @@ class TestCheckpointStoreFaults:
         mesh = self.small_mesh()
         states = self.saves_and_steps(mgr, mesh, 2)
         assert inj.stats()["torn-write"] == 1
-        assert not mgr.latest.committed
+        assert not self.newest.committed
         mgr.restore_latest(mesh)
         self.assert_restored(mesh, states[0])  # save #1 was torn
         assert reg.value("/resilience/ckpt/torn") == 1.0
@@ -339,8 +352,8 @@ class TestCheckpointStoreFaults:
         mesh = self.small_mesh()
         states = self.saves_and_steps(mgr, mesh, 2)
         assert inj.stats()["ckpt-corruption"] == 1
-        assert mgr.latest.committed          # the save looked successful...
-        assert not mgr.latest.verify()       # ...but the content rotted
+        assert self.newest.committed         # the save looked successful...
+        assert not self.newest.verify()      # ...but the content rotted
         mgr.restore_latest(mesh)
         self.assert_restored(mesh, states[0])
         assert reg.value("/resilience/ckpt/corrupt") == 1.0

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (AggregationRegion, Channel, ChannelClosed,
-                           CounterRegistry, CudaDevice, StreamPool)
+from repro.runtime import (AggregationRegion, Channel, CounterRegistry,
+                           CudaDevice, StreamPool)
 
 
 class TestChannel:
@@ -50,41 +50,6 @@ class TestChannel:
 
     @pytest.mark.sanitize_tolerated
 
-    def test_close_fails_pending_gets(self):
-        ch = Channel("halo")
-        fut = ch.get()
-        ch.close()
-        with pytest.raises(ChannelClosed):
-            fut.get()
-        with pytest.raises(ChannelClosed):
-            ch.get()
-        with pytest.raises(ChannelClosed):
-            ch.set(1)
-
-    def test_close_drains_buffered_values(self):
-        """Regression: a fast sender's set posted before the receiver's
-        get must survive close() — halo data is not dropped on shutdown."""
-        ch = Channel("halo")
-        ch.set("gen0", 0)
-        ch.set("gen1", 1)
-        ch.close()
-        assert ch.get(0).get() == "gen0"
-        assert ch.get(1).get() == "gen1"
-        with pytest.raises(ChannelClosed):
-            ch.get(2)
-
-    def test_close_drains_fifo_gets_in_order(self):
-        ch = Channel()
-        ch.set("a")
-        ch.set("b")
-        ch.close()
-        assert ch.get().get() == "a"
-        assert ch.get().get() == "b"
-        with pytest.raises(ChannelClosed):
-            ch.get()
-
-    @pytest.mark.sanitize_tolerated
-
     def test_reset_of_consumed_generation_rejected(self):
         """Regression: once generation g is consumed, a second set(g) must
         raise instead of silently becoming a fresh value."""
@@ -117,13 +82,6 @@ class TestChannel:
         with pytest.raises(ValueError):
             ch.set("again", 3)
 
-    def test_pending_and_buffered_introspection(self):
-        ch = Channel()
-        ch.get(2)
-        ch.set("v", 9)
-        assert ch.pending_generations() == [2]
-        assert ch.buffered_generations() == [9]
-
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=30,
                     unique=True))
     @settings(max_examples=30, deadline=None)
@@ -151,7 +109,6 @@ class TestChannel:
         n = 64
         futs = [ch.get(g) for g in range(n)]       # all receives first
         assert not any(f.is_ready() for f in futs)
-        assert ch.pending_generations() == list(range(n))
 
         order = list(range(n))
         random.Random(3).shuffle(order)
@@ -169,9 +126,9 @@ class TestChannel:
         # receiver, values buffer until fetched
         for g in range(n, n + 8):
             ch.set(g, g)
-        assert ch.buffered_generations() == list(range(n, n + 8))
-        assert [ch.get(g).get() for g in range(n, n + 8)] == \
-            list(range(n, n + 8))
+        late = [ch.get(g) for g in range(n, n + 8)]
+        assert all(f.is_ready() for f in late)
+        assert [f.get() for f in late] == list(range(n, n + 8))
 
 
 class TestCudaSim:

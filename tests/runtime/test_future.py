@@ -6,7 +6,7 @@ import pytest
 
 from repro.runtime import (Future, FutureError, Promise, async_execute,
                            dataflow, make_exceptional_future,
-                           make_ready_future, when_all, when_any)
+                           make_ready_future, when_all)
 
 
 class TestBasics:
@@ -128,25 +128,6 @@ class TestWhenAll:
         got = when_all(futs).get()
         assert got[0].get() == 1
         assert got[1].has_exception()
-
-
-class TestWhenAny:
-    def test_requires_input(self):
-        with pytest.raises(ValueError):
-            when_any([])
-
-    def test_first_ready_wins(self):
-        p0, p1 = Promise(), Promise()
-        combined = when_any([p0.get_future(), p1.get_future()])
-        p1.set_value("second slot")
-        idx, fut = combined.get()
-        assert idx == 1
-        assert fut.get() == "second slot"
-
-    def test_tolerates_multiple_completions(self):
-        futs = [make_ready_future(i) for i in range(4)]
-        idx, fut = when_any(futs).get()
-        assert fut.get() == idx
 
 
 class TestDataflow:

@@ -47,16 +47,6 @@ def test_no_locks_held_when_set_exception_dispatches(san):
     assert san.finding_count() == 0
 
 
-def test_no_locks_held_when_cancel_dispatches(san):
-    seen = []
-    p = Promise()
-    fut = p.get_future()
-    fut.then(_observe(seen))
-    assert fut.cancel()
-    assert seen and all(held == [] for held in seen)
-    assert san.finding_count() == 0
-
-
 def test_no_locks_held_on_already_ready_then(san):
     seen = []
     make_ready_future(3).then(_observe(seen))

@@ -104,11 +104,11 @@ class TestErrors:
             # a failed task must not kill the worker
             assert s.submit(lambda: "alive").get() == "alive"
 
-    def test_posted_error_recorded_not_fatal(self):
+    def test_posted_error_not_fatal(self):
         with WorkStealingScheduler(1) as s:
             s.post(lambda: 1 / 0)
-            s.wait_idle(timeout=5.0)
-            assert any(isinstance(e, ZeroDivisionError) for e in s.errors)
+            assert s.wait_idle(timeout=5.0)
+            assert s.stats.executed == 1
             assert s.submit(lambda: 3).get() == 3
 
 
@@ -207,7 +207,6 @@ class TestStress:
             assert not any(t.is_alive() for t in posters)
             assert s.stats.executed == s.stats.posted
             assert ran[0] == s.stats.executed
-            assert not s.errors
 
 
 class TestIdleSignaling:

@@ -27,11 +27,11 @@ class TestToggle:
         assert len(trace.default_recorder()) == 0
 
     def test_enable_disable_flag(self):
-        assert not trace.is_enabled()
+        assert not trace.TRACING
         trace.enable()
-        assert trace.is_enabled() and trace.TRACING
+        assert trace.TRACING
         trace.disable()
-        assert not trace.is_enabled()
+        assert not trace.TRACING
 
     def test_disabled_span_is_shared_noop(self):
         # near-zero cost when off: no allocation per span

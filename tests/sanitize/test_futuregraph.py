@@ -67,14 +67,6 @@ def test_consumed_exception_is_clean(san):
     assert san.finding_count() == 0
 
 
-def test_cancelled_future_is_exempt(san):
-    p = Promise()
-    fut = p.get_future()
-    assert fut.cancel()
-    assert san.sweep() == []
-    assert san.finding_count() == 0
-
-
 def test_resolved_graph_is_clean(san):
     with WorkStealingScheduler(2) as sched:
         futs = [sched.submit(lambda x=i: x * x) for i in range(20)]

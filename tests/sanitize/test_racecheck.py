@@ -368,14 +368,6 @@ class TestMechanics:
             racecheck.access(buf, "w", owner="dup", site="b.py:2 in w")
         assert len(caught) == 1
 
-    def test_retire_forgets_shadow_state(self, san):
-        buf = np.zeros(8)
-        on_thread(lambda: racecheck.access(buf, "w", owner="freed"),
-                  "old-owner")
-        racecheck.retire(buf)
-        racecheck.access(buf, "w", owner="freed")  # fresh allocation reuse
-        assert san.finding_count() == 0
-
     def test_disabled_detector_records_nothing(self, san):
         san.disable()
         try:

@@ -75,11 +75,10 @@ class TestDeterminism:
 class TestLifecycle:
     def test_install_uninstall(self, no_explorer):
         exp = schedules.install(5, intensity=0.5)
-        assert schedules.installed() is exp
         assert schedules.EXPLORER is exp
         assert exp.seed == 5 and exp.intensity == 0.5
         schedules.uninstall()
-        assert schedules.installed() is None
+        assert schedules.EXPLORER is None
 
     def test_install_from_env(self, no_explorer, monkeypatch):
         monkeypatch.delenv("REPRO_SCHEDULE_SEED", raising=False)

@@ -53,9 +53,6 @@ class TestTreeStructure:
         for la, lb in zip(a.levels, b.levels):
             assert np.array_equal(la, lb)
 
-    def test_leaf_centers_cover_all_leaves(self, tree14):
-        assert len(tree14.leaf_centers()) == tree14.n_leaves
-
 
 TABLE4_LEVELS = [13, 14, 15, pytest.param(16, marks=full_scale),
                  pytest.param(17, marks=full_scale)]
