@@ -7,8 +7,9 @@ steps of a ``blocks_per_edge**3``-sub-grid :class:`repro.core.mesh.BlockMesh`
 twice from the same initial state —
 
 * **serial**: no scheduler, no device; the bit-identical reference;
-* **futurized**: one batched RHS task per aggregation chunk of
-  sub-grids on a work-stealing scheduler and FMM interaction batches
+* **futurized**: one RHS task per x-slab of the mesh's box (whole block
+  layers, ``agg_slots`` sub-grids' worth each) on a work-stealing
+  scheduler and FMM interaction batches
   coalesced into aggregated GPU-stream launches (with CPU overflow)
   through an :class:`repro.core.exec.ExecutionEngine`
 
@@ -33,7 +34,7 @@ Run from the repo root::
 ``--check`` exits nonzero if the futurized throughput falls below
 ``--threshold`` (default 0.9) times the serial throughput, if the two
 runs diverge bitwise, if the scheduler workers executed fewer tasks than
-the batched RHS chunks issued (``/threads/executed``), or if the
+the RHS slab tasks issued (``/threads/executed``), or if the
 aggregation ratio ``/cuda/aggregated-per-launch`` is not above
 ``--min-agg`` (default 4).  The throughput gate is "futurized costs no
 more than a tenth over serial", not "futurized wins": a gravity solve is
@@ -202,8 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     serial = summarize(serial_mesh, serial_walls, serial_inter)
     futurized = summarize(fut_mesh, fut_walls, fut_inter)
     bit_identical = bool(np.array_equal(serial_state, fut_state))
-    # every RK stage posts one batched RHS task per aggregation chunk
-    rhs_tasks = (args.warmup + steps) * 2 * -(-bpe ** 3 // args.agg_slots)
+    # every RK stage posts one RHS task per x-slab of the box: whole block
+    # layers, min(layers, ceil(blocks / agg_slots)) of them
+    rhs_tasks = (args.warmup + steps) * 2 * min(
+        bpe, -(-bpe ** 3 // args.agg_slots))
     ratio = (futurized["zone_updates_per_s"] / serial["zone_updates_per_s"]
              if serial["zone_updates_per_s"] > 0 else 0.0)
     counters = {k: snap.get(k, 0.0) for k in (
@@ -229,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             "per_launch": engine.aggregated_per_launch,
         },
         "bit_identical": bit_identical,
-        "rhs_chunk_tasks": rhs_tasks,
+        "rhs_slab_tasks": rhs_tasks,
         "counters": counters,
     }
     if not args.skip_kernels:
@@ -248,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{counters['/cuda/launched/cpu']:.0f} "
           f"({100 * engine.gpu_fraction:.1f}% gpu), "
           f"worker tasks {counters['/threads/executed']:.0f} "
-          f"({rhs_tasks} RHS chunks)")
+          f"({rhs_tasks} RHS slabs)")
     print(f"  aggregation: {engine.agg_tasks} kernels in "
           f"{engine.agg_launches} launches "
           f"({engine.aggregated_per_launch:.1f} per launch)")
@@ -280,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         if counters["/threads/executed"] < rhs_tasks:
             print(f"CHECK FAILED: scheduler workers executed "
                   f"{counters['/threads/executed']:.0f} tasks, fewer than "
-                  f"the {rhs_tasks} batched RHS chunks issued",
+                  f"the {rhs_tasks} RHS slab tasks issued",
                   file=sys.stderr)
             return 1
         if engine.aggregated_per_launch <= args.min_agg:

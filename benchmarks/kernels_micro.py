@@ -15,10 +15,10 @@ reference implementation exists (the einsum ``m2l_pair_reference`` and
 the allocate-per-stage ``compute_rhs_reference``) both variants are timed
 and the speedup of the fused path is reported — the CI gate asserts
 >= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
-``rhs_batched`` is what the meshes run: 1, 8, 13, 14 and 27 8^3 sub-grids
-through one batched ``compute_rhs`` call (13 and 14 are the two balanced
-launches of a 27-sub-grid mesh), beside the same sub-grids through a
-per-block loop of batch-of-one calls.
+``rhs_batched`` is what the sharded mesh runs: 1, 8, 13, 14 and 27 8^3
+sub-grids through one batched ``compute_rhs`` call (13 and 14 are the two
+balanced launches of a 27-sub-grid ``DistBlockMesh``), beside the same
+sub-grids through a per-block loop of batch-of-one calls.
 ``halo_fill`` is one ghost-fill stage of a 27-block ``DistBlockMesh`` with
 every neighbour pair on a route of its own (27 localities: one slab per
 parcel, the worst case of the packed path) beside every pair on the
@@ -27,10 +27,12 @@ moves (computed from the plan, not measured).  ``dist_fill`` is the same
 stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
 localities, reorder seed on: ms per stage and parcelport messages per
 stage, which must equal the directed locality pairs that share a halo.
-``subgrid_tax`` is what cutting a box into 8^3 sub-grids costs: the same
-24^3 Sedov steps on ``BlockMesh(1, n=24)`` and on its ``retile`` into
-3^3 sub-grids, ms per step each and their ratio, both ending on the same
-state CRC.
+``subgrid_tax`` is what cutting a box into 8^3 sub-grids still costs: the
+same 24^3 Sedov steps on ``BlockMesh(1, n=24)``, on its ``retile`` into
+3^3 sub-grids (views of one box: walls-only fill, one RHS sweep) and on
+``DistBlockMesh(3, n_localities=1)`` (the per-block path: 27 arrays,
+pair-copy fill, batched block chunks), ms per step each and the two
+ratios to the one block, all three ending on the same state CRC.
 
 Used two ways:
 
@@ -89,6 +91,7 @@ M2L_ROWS = {"m2l_root_dense": 0, "m2l_sweep": 1}
 HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
 #: former serial chunk, the two balanced launches of 27, a whole 24^3 mesh
+#: (per-block chunks of the sharded mesh)
 RHS_BATCHES = (1, 8, 13, 14, 27)
 #: sub-grids per edge of the ``halo_fill`` / ``dist_fill`` mesh (27
 #: blocks, 316 pairs)
@@ -250,19 +253,25 @@ def dist_fill_line(kernels: dict) -> str:
 
 def _subgrid_tax_row(repeats: int) -> dict:
     """The same ``repeats + 1`` steps (one warmup) of a ``TAX_N``^3 Sedov
-    blast as one block and as 8^3 sub-grids: best step each, their ratio,
-    and the CRC both must end on."""
+    blast as one block, as 8^3 sub-grids of one box and as 8^3 sub-grids
+    on the per-block path: best step each, the ratios to the one block,
+    and the CRC all must end on."""
     one_block = sedov_blast(TAX_N)
-    # both built before either steps: the same initial state
-    meshes = {"one_block": one_block, "subgrids": BlockMesh.retile(one_block)}
+    # all built before any steps: the same initial state
+    meshes = {"one_block": one_block,
+              "subgrids": BlockMesh.retile(one_block),
+              "per_block": DistBlockMesh.retile(
+                  one_block, n_localities=1, registry=CounterRegistry())}
     row = {}
     for name, mesh in meshes.items():
         seconds = _time(mesh.step, repeats=repeats)
         row[name] = {"seconds": seconds, "ms_per_step": 1e3 * seconds,
                      "blocks": len(mesh.blocks),
                      "crc": zlib.crc32(mesh.gather_interior())}
-    assert row["one_block"]["crc"] == row["subgrids"]["crc"], row
-    row["ratio"] = row["subgrids"]["seconds"] / row["one_block"]["seconds"]
+    assert len({row[name]["crc"] for name in meshes}) == 1, row
+    for name, ratio in (("subgrids", "ratio"),
+                        ("per_block", "per_block_ratio")):
+        row[ratio] = row[name]["seconds"] / row["one_block"]["seconds"]
     return row
 
 
@@ -270,10 +279,12 @@ def subgrid_tax_line(kernels: dict) -> str:
     """The ``subgrid_tax`` row as a report line (ms per step)."""
     row = kernels["subgrid_tax"]
     return (f"  subgrid_tax        {row['subgrids']['ms_per_step']:8.2f} "
-            f"ms/step as {row['subgrids']['blocks']} sub-grids, "
+            f"ms/step as {row['subgrids']['blocks']} sub-grids of one box "
+            f"({row['ratio']:.2f}x), "
+            f"{row['per_block']['ms_per_step']:.2f} per block "
+            f"({row['per_block_ratio']:.2f}x), "
             f"{row['one_block']['ms_per_step']:.2f} as one {TAX_N}^3 block "
-            f"({row['ratio']:.2f}x, same CRC "
-            f"{row['one_block']['crc']:#010x})")
+            f"(same CRC {row['one_block']['crc']:#010x})")
 
 
 def run_kernels_micro(repeats: int = 5) -> dict:

@@ -17,14 +17,17 @@ def test_dist_fill_sends_one_message_per_locality_pair():
     assert row["msgs_per_stage"] == row["locality_pairs"] > 0
     assert row["remote_halos"] > row["locality_pairs"]
     assert row["remote_bytes_per_stage"] == row["plan_remote_bytes"]
-    # the two balanced launches of a 27-sub-grid mesh have rows
+    # the two balanced launches of a 27-sub-grid sharded mesh have rows
     assert {13, 14} <= set(RHS_BATCHES)
 
 
 def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():
-    """The sub-grid tax is a row: one 24^3 block and its 3^3 sub-grids
-    take the same Sedov steps to the same CRC (no timing gate)."""
+    """The sub-grid tax is a row: one 24^3 block, its 3^3 sub-grids as
+    views of one box and the same sub-grids on the per-block path take
+    the same Sedov steps to the same CRC (no timing gate)."""
     row = _subgrid_tax_row(repeats=1)
-    assert row["one_block"]["blocks"] == 1 and row["subgrids"]["blocks"] == 27
-    assert row["one_block"]["crc"] == row["subgrids"]["crc"]
-    assert row["ratio"] > 0
+    assert row["one_block"]["blocks"] == 1
+    assert row["subgrids"]["blocks"] == row["per_block"]["blocks"] == 27
+    assert (row["one_block"]["crc"] == row["subgrids"]["crc"]
+            == row["per_block"]["crc"])
+    assert row["ratio"] > 0 and row["per_block_ratio"] > 0

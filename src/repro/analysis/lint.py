@@ -54,8 +54,9 @@ REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
     ``Channel.set(...)``; a function that writes one block's slab
     straight into another's (``blocks[a][ghost] = blocks[b][layer]``, or
-    a call to the node-level ``_copy_halos``) without booking anything
-    with the transport (``tally_local`` / ``charge_onesided``); a
+    a call to the direct copier ``DistBlockMesh._copy_halos``) without
+    booking anything with the transport (``tally_local`` /
+    ``charge_onesided``); a
     function that packs block slabs into a send buffer
     (``payload[lo:hi]... = blocks[b][layer]``) without handing it to
     ``transport.send``; or a function that unpacks buffer slices into
@@ -70,9 +71,11 @@ REPRO007 *unaccounted-halo*
     beside the wire, and either way the ``/distmesh/*`` vs ``/parcels/*``
     reconciliation silently rots.  Pack, ``transport.send(channel, ...)``,
     drain and unpack a route in the one function that owns the exchange;
-    copy local halos with the node-level ``BlockMesh._copy_halos`` and
-    tally them.  The node-level ``core/mesh.py`` does not import the
-    network layer and is deliberately out of scope.
+    copy local halos with ``DistBlockMesh._copy_halos`` — whose own body
+    is the one exempt block-to-block write, booked by its callers — and
+    tally them.  The node-level ``core/mesh.py`` moves no halos (its
+    blocks are views of one box), does not import the network layer and
+    is deliberately out of scope.
 
 REPRO008 *alloc-in-hot-kernel*
     An ``np.empty`` / ``np.zeros`` / ``np.empty_like`` /
@@ -525,8 +528,11 @@ class _Linter(ast.NodeVisitor):
         one ``tally_local`` /
         ``charge_onesided`` call anywhere in the body; block slabs packed
         into a buffer need a ``transport.send``; buffer slices unpacked
-        into blocks need a drained future (``fut.get()``)."""
-        if not (self.in_core and self.imports_network):
+        into blocks need a drained future (``fut.get()``).  The copier
+        ``_copy_halos`` itself is exempt: its calls are the direct writes
+        its callers must book."""
+        if not (self.in_core and self.imports_network) \
+                or fn.name == "_copy_halos":
             return
         direct, packs, unpacks = [], [], []
         tallied = sent = drained = False

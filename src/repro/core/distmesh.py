@@ -1,17 +1,20 @@
 """Distributed block mesh: AGAS-sharded sub-grids with parcelport halos.
 
-The node-level :class:`~repro.core.mesh.BlockMesh` fills every ghost
-shell by reading the neighbour block's memory directly — all its blocks
-share one address space and no halo ever crosses a locality.
-:class:`DistBlockMesh` closes ROADMAP item 2's first gap: each block
-becomes an AGAS-registered, migratable
-:class:`~repro.runtime.agas.Component` homed on one of ``n_localities``
-simulated localities, and the route of every halo is decided from the
-current owners of its two blocks — once per *ownership epoch*, frozen in
-a :class:`_RoutePlan` next to the mesh's ``_FillPlan``:
+The node-level :class:`~repro.core.mesh.BlockMesh` keeps its blocks as
+views of one ghosted box — all of them share one address space, so a
+block's ghost layers simply *are* its neighbours' interiors and no halo
+ever moves.  :class:`DistBlockMesh` is the sharded case, and the only
+user of per-block halos: each block is an array of its own (a killed
+locality's memory can be clobbered without touching a survivor's) and
+an AGAS-registered, migratable :class:`~repro.runtime.agas.Component`
+homed on one of ``n_localities`` simulated localities.  Its ghost fill
+is frozen once in a :class:`_FillPlan` (one copy entry per block and
+neighbour direction, periodic wraps, domain walls), and the route of
+every halo is decided from the current owners of its two blocks — once
+per *ownership epoch*, frozen in a :class:`_RoutePlan`:
 
-* a **same-locality** pair is the node-level direct slab copy, tallied
-  by the :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
+* a **same-locality** pair is a direct slab copy, tallied by the
+  :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
   local-communication optimisation: no channel, no charge);
 * the **cross-locality** pairs of one directed (source locality,
   destination locality) travel together, HPX-style one parcel per
@@ -27,13 +30,15 @@ a :class:`_RoutePlan` next to the mesh's ``_FillPlan``:
 
 The two routes write the same bytes into the same ghost cells (Sec. 4.1:
 "semantic and syntactic equivalence of local and remote operations" — of
-the results, not of the road taken).
+the results, not of the road taken).  The right-hand side runs per block
+too: balanced aggregation chunks of at most ``agg_slots`` blocks, one
+batched ``compute_rhs`` task each.
 
 Contracts this class maintains (asserted by the distributed tests):
 
 * a distributed step is **byte-identical** to the node-level
-  ``BlockMesh`` step on the same initial data, for any partition, any
-  parcelport, and any delivery order;
+  ``BlockMesh`` step (the box path) on the same initial data, for any
+  partition, any parcelport, and any delivery order;
 * killing a locality (the phi-accrual detector calls
   ``agas.fail_locality``) evacuates its block components through AGAS —
   the blocks' GIDs stay valid, ownership moves, the epoch is bumped, and
@@ -54,17 +59,20 @@ above cannot silently rot.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..network.transport import HaloTransport
+from ..runtime.aggregate import DEFAULT_AGG_SLOTS
 from ..runtime.agas import AgasRuntime, Component, Gid, LocalityFailed
 from ..runtime.channel import Channel
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
-from .mesh import BlockMesh
+from .grid import NF, NGHOST
+from .mesh import BlockMesh, fill_wall, min_cfl_dt
 
 __all__ = ["DistBlockMesh", "BlockComponent", "slab_partition"]
 
@@ -72,6 +80,30 @@ __all__ = ["DistBlockMesh", "BlockComponent", "slab_partition"]
 def slab_partition(index: int, n_blocks: int, n_localities: int) -> int:
     """Contiguous slabs of the block index space (the default layout)."""
     return index * n_localities // n_blocks
+
+
+def _balanced_chunks(keys: list, slots: int) -> list[list]:
+    """``keys`` cut into ``ceil(len / slots)`` near-equal runs (sizes
+    differ by at most one).  Every :func:`compute_rhs` call carries ~1.6 ms
+    of fixed ufunc dispatch whatever its batch, so 27 sub-grids run as
+    14 + 13, never as 16 + 11 or 8 + 8 + 8 + 3.  Without an engine the
+    engine's default slot count applies."""
+    n_chunks = -(-len(keys) // slots)
+    base, extra = divmod(len(keys), n_chunks)
+    bounds = [i * base + min(i, extra) for i in range(n_chunks + 1)]
+    return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _FillPlan(NamedTuple):
+    """The frozen ghost fill of a :class:`DistBlockMesh`.  ``pairs`` and
+    ``wraps`` hold ``(dst block, ghost slab, src block, interior-layer
+    slab, nbytes)`` copy entries — neighbours inside the lattice and
+    periodic images across the seam; ``walls`` holds ``(block, axis,
+    side)`` domain faces for :func:`~repro.core.mesh.fill_wall`."""
+
+    pairs: tuple
+    wraps: tuple
+    walls: tuple
 
 
 class _Route(NamedTuple):
@@ -133,6 +165,11 @@ class DistBlockMesh(BlockMesh):
     partition:
         ``partition(index, n_blocks, n_localities) -> locality`` over the
         sorted block index; default :func:`slab_partition`.
+
+    Storage, fill, RHS and CFL are per block here, where the node-level
+    mesh works on its box: every block is a separate ghosted array, its
+    shell is filled along the frozen fill and route plans, its RHS runs
+    in a batched chunk of blocks and the CFL reduction visits it alone.
     """
 
     def __init__(self, blocks, *, n_localities: int = 2,
@@ -142,6 +179,7 @@ class DistBlockMesh(BlockMesh):
                  registry: CounterRegistry | None = None,
                  **mesh_kwargs):
         super().__init__(blocks, **mesh_kwargs)
+        self._fill_plan = self._build_fill_plan()
         self.registry = registry or default_registry()
         self.agas = AgasRuntime(n_localities, registry=self.registry)
         self.n_localities = n_localities
@@ -241,6 +279,84 @@ class DistBlockMesh(BlockMesh):
                 migrated += 1
         return {"migrated": migrated, "restored": restored}
 
+    # -- per-block storage and the frozen fill plan ---------------------------
+
+    def _allocate(self) -> dict:
+        """One ghosted array per block: a dead locality's blocks can be
+        clobbered without touching a survivor's interior, and every halo
+        is a copy the transport books."""
+        dims = (NF,) + tuple(s + 2 * NGHOST for s in self.tile)
+        return {ip: np.zeros(dims) for ip in np.ndindex(*self.lattice)}
+
+    def _predictors(self) -> dict:
+        """One uninitialised predictor array per block."""
+        return {ip: np.empty_like(blk) for ip, blk in self.blocks.items()}
+
+    def _build_fill_plan(self) -> _FillPlan:
+        """Freeze the ghost fill.  The topology is fixed, so every slice
+        is derived once: one copy entry per (block, offset) of the 26
+        directions — a neighbour ``pair`` when the source is inside the
+        lattice, a periodic ``wrap`` (source wrapped coordinate-wise:
+        faces, edges *and* corners; a one-block mesh wraps onto itself)
+        when it is not — and, for the other boundary conditions, one wall
+        entry per block face on the domain boundary.  Pairs are listed
+        source-major, the order a sender publishes in; wraps and walls
+        destination-major."""
+        g = NGHOST
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
+                   if o != (0, 0, 0)]
+
+        def slabs(pick):
+            """``{offset: slab}``; ``pick(s)`` gives the low / middle /
+            high slices along an axis whose tile edge is ``s``."""
+            axes = [pick(s) for s in self.tile]
+            return {off: (slice(None),) + tuple(
+                axes[d][o + 1] for d, o in enumerate(off)) for off in offsets}
+
+        # the interior layer a block shows its neighbour at ``off`` and
+        # the ghost slab that receives what the neighbour at ``off`` shows
+        layer = slabs(lambda s: (slice(g, 2 * g), slice(g, g + s),
+                                 slice(s, g + s)))
+        ghost = slabs(lambda s: (slice(0, g), slice(g, g + s),
+                                 slice(g + s, 2 * g + s)))
+        nbytes = {off: self.blocks[0, 0, 0][layer[off]].nbytes
+                  for off in offsets}
+        pairs, wraps, walls = [], [], []
+        for ip in self.blocks:
+            for off in offsets:
+                nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
+                mirror = (-off[0], -off[1], -off[2])
+                if nb in self.blocks:
+                    pairs.append((nb, ghost[mirror], ip, layer[off],
+                                  nbytes[off]))
+                elif self.bc == "periodic":
+                    src = tuple(c % b for c, b in zip(nb, self.lattice))
+                    wraps.append((ip, ghost[off], src, layer[mirror],
+                                  nbytes[off]))
+            if self.bc != "periodic":
+                walls.extend((ip, axis, side) for axis in range(3)
+                             for side in (-1, 1)
+                             if not 0 <= ip[axis] + side < self.lattice[axis])
+        return _FillPlan(tuple(pairs), tuple(wraps), tuple(walls))
+
+    @staticmethod
+    def _copy_halos(blocks: dict, halos) -> None:
+        """``dst[ghost] = src[layer]`` for every entry: a strided copy
+        straight out of the source block's interior.  The caller books
+        the copies with the transport (lint rule REPRO007)."""
+        sanitize = _sanitize_state.ACTIVE
+        for dst, ghost, src, layer, _ in halos:
+            if sanitize:
+                _racecheck.access(blocks[src], "r", owner="halo/src-block")
+                _racecheck.access(blocks[dst], "w", owner="halo/dst-block")
+            blocks[dst][ghost] = blocks[src][layer]
+
+    def _fill_walls(self, blocks: dict) -> None:
+        """Domain walls, after the copies: a wall slab spans the
+        transverse ghosts the neighbours just filled."""
+        for ip, axis, side in self._fill_plan.walls:
+            fill_wall(blocks[ip], axis, side, self.bc)
+
     # -- halo exchange --------------------------------------------------------
 
     def _routes(self) -> _RoutePlan:
@@ -325,6 +441,47 @@ class DistBlockMesh(BlockMesh):
             transport.charge_onesided(nbytes, owner[src], owner[dst])
         self._copy_halos(blocks, self._fill_plan.wraps)
         self._fill_walls(blocks)
+
+    # -- per-block stepping ---------------------------------------------------
+
+    def _fill(self, blocks: dict, stage: int) -> None:
+        # one halo generation per RK stage of every step
+        self._halo_exchange(blocks, 2 * self.steps + stage)
+
+    def compute_dt(self) -> float:
+        """CFL reduction over the blocks one by one."""
+        return min_cfl_dt(((blk, self.dx) for blk in self.blocks.values()),
+                          self.options, ws=self._ws)
+
+    def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int) -> dict:
+        """Batched :func:`~repro.core.hydro.solver.compute_rhs` per block:
+        the blocks are cut into balanced chunks of at most
+        ``engine.agg_slots`` (:data:`DEFAULT_AGG_SLOTS` without an
+        engine) and every chunk is one call — run in turn on the calling
+        thread, or each posted as one engine task.  ``k[key]`` are views
+        of the per-chunk ``(NF, b, *tile)`` outputs; each stage owns its
+        own, allocated once (again if the chunking changes)."""
+        engine = self.engine
+        chunks = _balanced_chunks(
+            list(blocks), engine.agg_slots if engine is not None
+            else DEFAULT_AGG_SLOTS)
+        outs = self._rhs_out.get(stage)
+        if outs is None or [o.shape[1] for o in outs] != [
+                len(chunk) for chunk in chunks]:
+            outs = self._rhs_out[stage] = [
+                np.empty((NF, len(chunk)) + self.tile) for chunk in chunks]
+        calls = []
+        for chunk, out in zip(chunks, outs):
+            origins = [tuple(o + (i * s) * self.dx for o, i, s in
+                             zip(self.origin, ip, self.tile)) for ip in chunk]
+            chunk_acc = None if acc is None else [
+                acc[self._window(ip)] for ip in chunk]
+            calls.append(([blocks[ip] for ip in chunk], self.dx,
+                          self.options, origins, chunk_acc, False, out,
+                          self._ws))
+        self._run_rhs(calls)
+        return {ip: out[:, b] for chunk, out in zip(chunks, outs)
+                for b, ip in enumerate(chunk)}
 
     # -- rollback -------------------------------------------------------------
 

@@ -9,9 +9,10 @@ overflows onto the CPU worker itself.  The :class:`ExecutionEngine`
 reproduces exactly that routing for *real* solver work —
 :meth:`repro.core.gravity.fmm.FmmSolver.solve` hands it the recorded
 M2L/P2P interaction batches, :class:`repro.core.mesh.BlockMesh` hands it
-the hydro right-hand side of one aggregation chunk of sub-grids per task
-(``agg_slots`` blocks, one batched ``compute_rhs`` call) — instead of
-only for the synthetic kernels of the simulator.
+the hydro right-hand side of one x-slab of its box per task (whole block
+layers, about ``agg_slots`` sub-grids, one ``compute_rhs`` call), the
+sharded mesh one aggregation chunk of ``agg_slots`` blocks per task —
+instead of only for the synthetic kernels of the simulator.
 
 The engine owns the *distribution* (chunks to workers) and the
 *accounting*; the GPU-or-CPU decision itself is made in exactly one

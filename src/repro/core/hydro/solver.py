@@ -24,9 +24,11 @@ Batching and layout (Sec. 4.3 kernel rework, and the work aggregation of
 arXiv 2210.06438): :func:`compute_rhs` evaluates a whole *batch* of
 equally shaped blocks — one aggregation chunk of 8^3 sub-grids — in one
 pass, field-major ``(NF, B, ...)`` inside; a single block is a batch of
-one through the same body.  An 8^3 sub-grid alone is too small for numpy:
-its PPM sweep is ~33 ufunc calls per field on strided views of at most
-896 doubles, all interpreter and dispatch overhead.  So every sweep is
+one through the same body, and so is the node-level mesh's whole box
+(or an x-slab of it), whose sweeps are longer still.  An 8^3 sub-grid
+alone is too small for numpy: its PPM sweep is ~33 ufunc calls per field
+on strided views of at most 896 doubles, all interpreter and dispatch
+overhead.  So every sweep is
 *pencil-major*: per axis the primitives, restricted to the interior
 transversally, are copied once into ``(NF, m, B, n, n)`` with the sweep
 axis leading; reconstruction and fluxes then stream contiguous runs of
@@ -95,7 +97,8 @@ class HydroOptions:
         self.eos.rho_floor = self.rho_floor
 
 
-def _check_batch(blocks, single: bool, origin, gravity, out) -> tuple:
+def _check_batch(blocks, single: bool, origin, gravity, out,
+                 centers) -> tuple:
     """Reject a malformed batch before any arithmetic; returns the
     interior shape shared by its blocks."""
     g = NGHOST
@@ -126,6 +129,15 @@ def _check_batch(blocks, single: bool, origin, gravity, out) -> tuple:
                 raise ValueError(
                     f"gravity: block {b} needs shape {(3,) + shape}, "
                     f"got {np.shape(acc)}")
+    if centers is not None:
+        if len(centers) != B:
+            raise ValueError(
+                f"centers: {len(centers)} coordinate sets for {B} blocks")
+        for b, axes in enumerate(centers):
+            if [np.shape(a) for a in axes] != [(n,) for n in shape]:
+                raise ValueError(
+                    f"centers: block {b} needs axes of lengths {shape}, "
+                    f"got {[np.shape(a) for a in axes]}")
     if out is not None:
         want = (NF,) + shape if single else (NF, B) + shape
         if np.shape(out) != want:
@@ -136,7 +148,7 @@ def _check_batch(blocks, single: bool, origin, gravity, out) -> tuple:
 
 def compute_rhs(U, dx: float, options: HydroOptions,
                 origin=None, gravity=None, return_fluxes: bool = False,
-                out: np.ndarray | None = None, ws=None):
+                out: np.ndarray | None = None, ws=None, centers=None):
     """dU/dt of the interiors of a batch of ghost-filled blocks.
 
     Parameters
@@ -144,9 +156,9 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     U:
         A list of ``B`` equally shaped conserved blocks
         (NF, n+2g, n+2g, n+2g), ghosts filled — one aggregation chunk of
-        sub-grids — or a single such array (a batch of one; every
-        per-block argument and result below then loses its batch
-        dimension).
+        sub-grids — or a single such array (a batch of one, e.g. a whole
+        box of sub-grids; every per-block argument and result below then
+        loses its batch dimension).
     dx:
         Cell width, shared by the batch.
     origin:
@@ -167,6 +179,11 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     ws:
         Optional :class:`repro.core.workspace.Workspace` backing the
         primitive batch, pencils, face states and flux scratch.
+    centers:
+        Optional per-block ``(x, y, z)`` cell-centre coordinates of the
+        interior, one 1-D array per axis; they replace the ones derived
+        from ``origin`` in the rotating-frame sources (a box of tiles
+        passes the coordinates each tile derives from its own corner).
 
     Returns ``rhs`` with shape (NF, B, n, n, n) (plus fluxes if requested);
     block ``b`` of the batch is ``rhs[:, b]``.
@@ -182,12 +199,15 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         U = [U]
         origin = None if origin is None else [origin]
         gravity = None if gravity is None else [gravity]
-    shape = _check_batch(U, single, origin, gravity, out)
+        centers = None if centers is None else [centers]
+    shape = _check_batch(U, single, origin, gravity, out, centers)
     B = len(U)
     if origin is None:
         origin = [(0.0, 0.0, 0.0)] * B
     if gravity is None:
         gravity = [None] * B
+    if centers is None:
+        centers = [None] * B
     eos = options.eos
     if ws is None:
         ws = Workspace()
@@ -238,7 +258,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
 
     for b, blk in enumerate(U):
         _add_sources(rhs[:, b], blk, shape, dx, origin[b], options,
-                     gravity[b])
+                     gravity[b], centers[b])
     if return_fluxes:
         if single:
             fluxes = [F[:, 0] for F in fluxes]
@@ -304,7 +324,7 @@ def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
 
 def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple, dx: float,
                  origin: tuple[float, float, float], options: HydroOptions,
-                 gravity: np.ndarray | None) -> None:
+                 gravity: np.ndarray | None, centers=None) -> None:
     g = NGHOST
     inner = tuple(slice(g, g + shape[d]) for d in range(3))
     rho = U[(RHO,) + inner]
@@ -316,8 +336,8 @@ def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple, dx: float,
             + s[2] * gravity[2]
     om = options.omega
     if om != 0.0:
-        ax = [origin[d] + (np.arange(shape[d]) + 0.5) * dx
-              for d in range(3)]
+        ax = centers if centers is not None else [
+            origin[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(3)]
         x = ax[0][:, None, None]
         y = ax[1][None, :, None]
         # rotating frame about z: Coriolis -2 Omega x s, centrifugal

@@ -9,19 +9,23 @@ the same box advances byte-identically (tested as a property), which is
 the paper's point that the runtime integration "does not change the
 physics".
 
-Ghost shells are filled by direct slab copies out of the neighbour
-blocks (one address space; only a halo that crosses a locality needs a
-channel, see :class:`repro.core.distmesh.DistBlockMesh`); batched hydro
-tasks and futurized FMM gravity dispatch through a
+One address space holds one box: the state is a single ghosted
+``(NF, *(shape + 2 * NGHOST))`` array (a second one, made on the first
+step, holds the RK predictor), and every block is an overlapping ghosted *view* of it, so a
+block's ghost layers are its neighbours' interiors — the paper's
+same-locality sub-grids reading each other's memory directly (Sec. 4.1)
+with nothing left to copy.  A stage's ghost fill is the one-block fill
+of the box's six domain walls, and the hydro right-hand side is one
+``compute_rhs`` sweep over the box; with an
 :class:`repro.core.exec.ExecutionEngine` (work-stealing scheduler + GPU
-streams with CPU overflow) when one is supplied — the futurized
-execution style of Sec. 4.1/5.1/5.2.  The hydro right-hand side of one
-aggregation chunk of blocks (``agg_slots`` of them) is one batched
-``compute_rhs`` task, and the engine coalesces the FMM interaction
-batches into aggregated launches (:mod:`repro.runtime.aggregate`), so a
-step issues a handful of slot-buffer-sized kernels instead of hundreds
-of per-sub-grid ones.  Self-gravity comes from the FMM solver when the
-box is a cube of edge ``8 * 2^L`` cells.
+streams with CPU overflow) the box is cut into a few balanced x-slabs of
+whole block layers, each a zero-copy view posted as one task, and the
+engine coalesces the FMM interaction batches into aggregated launches
+(:mod:`repro.runtime.aggregate`) — the futurized execution style of
+Sec. 4.1/5.1/5.2.  The blocks stay the unit of checkpoints, guards and
+migration; only a mesh sharded over localities keeps one array per
+block (:class:`repro.core.distmesh.DistBlockMesh`).  Self-gravity comes
+from the FMM solver when the box is a cube of edge ``8 * 2^L`` cells.
 
 The mesh — and :class:`repro.core.amr.AmrMesh` — advances through the one
 stepping core, :func:`rk2_step`; a mesh injects only its ghost fill, its
@@ -38,12 +42,10 @@ the solve is reused, keeping the cost at two solves per step).
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ..runtime.aggregate import DEFAULT_AGG_SLOTS
 from ..runtime.counters import default_registry
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
@@ -99,8 +101,9 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
     """Fill the ghost slab of the low (``side`` -1) or high (+1) domain
     face along ``axis``.  The slab spans the full transverse extent, ghosts
     included, so sweeping the axes in order also fills edges and corners.
-    ``periodic`` wraps the block onto itself (a :class:`BlockMesh` wraps
-    through its fill plan's copies instead)."""
+    ``periodic`` wraps the block onto itself — a :class:`BlockMesh` box
+    included (a :class:`~repro.core.distmesh.DistBlockMesh` wraps through
+    its fill plan's copies instead)."""
     g = NGHOST
     n = U.shape[1 + axis] - 2 * g
 
@@ -203,8 +206,11 @@ class GravityCoupling:
 def min_cfl_dt(blocks_dx: Iterable[tuple[np.ndarray, float]],
                options: HydroOptions, ws=None) -> float:
     """CFL reduction over ``(block, dx)`` pairs.  :func:`cfl_dt` reads
-    interiors only, so ghost shells need not be filled first."""
-    return min(cfl_dt(U, dx, options, ws=ws) for U, dx in blocks_dx)
+    interiors only, so ghost shells need not be filled first.  A NaN dt
+    of any block is the result whatever the block order (Python's
+    ``min`` would drop it unless it came first)."""
+    return float(np.min([cfl_dt(U, dx, options, ws=ws)
+                         for U, dx in blocks_dx]))
 
 
 def rk2_step(mesh, blocks: dict, dt: float | None,
@@ -224,12 +230,20 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     ``gravity``
         the mesh's :class:`GravityCoupling`, or ``None``.
 
-    The predictor lives in ``mesh._stage`` buffers handed to the
+    The predictor lives in ``mesh._stage`` buffers (made here, per key,
+    where the mesh holds none) handed to the
     strategies explicitly — the mesh's own blocks are never rebound, so a
     fault raised mid-step leaves them in place for a checkpoint restore.
+    The update touches interiors only: blocks may be overlapping views of
+    one array (a :class:`BlockMesh` box), where a block's ghost layers
+    are a neighbour's interior, and every fill rewrites the ghosts before
+    anything reads them.  A ``dt`` that is not finite and positive is
+    rejected before any block is written.
     """
     if dt is None:
         dt = mesh.compute_dt()
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     options = mesh.options
     eos = options.eos
     acc = gravity.for_state(blocks) if gravity is not None else None
@@ -240,10 +254,10 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
         U1 = mesh._stage.get(key)
         if U1 is None:
             U1 = mesh._stage[key] = np.empty_like(U)
-        np.copyto(U1, U)
         I = interior(U1)
+        np.copyto(I, interior(U))
         I += dt * k1[key]
-        apply_floors(U1, options)
+        apply_floors(I, options)
         predicted[key] = U1
     fill(predicted, 1)
     if gravity is not None:
@@ -252,7 +266,7 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     for key, U in blocks.items():
         I = interior(U)
         I += 0.5 * dt * (k1[key] + k2[key])
-        apply_floors(U, options)
+        apply_floors(I, options)
         I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
                               I[EGAS], I[TAU])
     if gravity is not None:
@@ -261,33 +275,6 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     mesh.steps += 1
     default_registry().increment("/hydro/steps")
     return dt
-
-
-def _balanced_chunks(keys: list, slots: int) -> list[list]:
-    """``keys`` cut into ``ceil(len / slots)`` near-equal runs (sizes
-    differ by at most one).  Every :func:`compute_rhs` call carries ~1.6 ms
-    of fixed ufunc dispatch whatever its batch, so 27 sub-grids run as
-    14 + 13, never as 16 + 11 or 8 + 8 + 8 + 3.  The serial meshes use the
-    engine's default slot count: 14 sub-grids hold ~9 MB of scratch per
-    thread where the former serial batch of 8 held ~5 MB — ledger
-    ``sedov_serial`` ``peak_rss_mb`` 117.1 -> 121.2 (+3.5 %), inside its
-    10 % bound."""
-    n_chunks = -(-len(keys) // slots)
-    base, extra = divmod(len(keys), n_chunks)
-    bounds = [i * base + min(i, extra) for i in range(n_chunks + 1)]
-    return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-class _FillPlan(NamedTuple):
-    """The frozen ghost fill of a :class:`BlockMesh`.  ``pairs`` and
-    ``wraps`` hold ``(dst block, ghost slab, src block, interior-layer
-    slab, nbytes)`` copy entries — neighbours inside the lattice and
-    periodic images across the seam; ``walls`` holds ``(block, axis,
-    side)`` domain faces for :func:`fill_wall`."""
-
-    pairs: tuple
-    wraps: tuple
-    walls: tuple
 
 
 def _per_axis(name: str, value, least: int) -> tuple[int, int, int]:
@@ -312,7 +299,8 @@ def subgrid_lattice(shape: tuple[int, int, int]) -> tuple[int, int, int]:
 
 class BlockMesh:
     """A uniform box of ``blocks`` x ``n`` cells: a lattice of equal
-    ghosted blocks with direct-copy halos, stepped by :func:`rk2_step`.
+    ghosted blocks that are views of one ghosted box, stepped by
+    :func:`rk2_step`.
 
     Parameters
     ----------
@@ -329,22 +317,23 @@ class BlockMesh:
         Boundary condition name applied on all six faces.
     engine:
         Optional :class:`repro.core.exec.ExecutionEngine` (work-stealing
-        scheduler + GPU streams with CPU overflow): the batched hydro RHS
-        tasks and the FMM interaction batches then dispatch through it —
+        scheduler + GPU streams with CPU overflow): the hydro RHS slabs
+        and the FMM interaction batches then dispatch through it —
         futurized, bit-identical to serial.
     self_gravity:
         Solve gravity with the FMM each step (a cube of edge ``8 * 2^L``
         cells): one solver shared by all blocks, built on the first solve
         from the gathered interior densities.
 
-    Each block is an HPX-component-like unit: per step and per stage its
-    ghost shell is filled from the interior layers of its 26 neighbours —
-    read straight out of their memory, since every block of a node-level
-    mesh shares one address space — and its RHS is evaluated together
-    with the rest of its aggregation chunk in one batched task: the
-    paper's futurized execution (Sec. 4.1) at the granularity of its work
-    aggregation.  The tiling is data, not physics: any ``blocks`` x ``n``
-    cut of the same box advances byte-identically (tested).
+    Each block is an HPX-component-like unit — what checkpoints store,
+    guards scan and the gravity coupling gathers — but its memory is a
+    window of the mesh's one ghosted box: the blocks of one address space
+    read their neighbours' cells in place (the paper's local-communication
+    optimisation, Sec. 4.1, taken to its end), so a stage fills only the
+    box's domain walls and evaluates the RHS in a few long sweeps instead
+    of one short one per sub-grid.  The tiling is data, not physics: any
+    ``blocks`` x ``n`` cut of the same box advances byte-identically
+    (tested).
     """
 
     def __init__(self, blocks: int | tuple[int, int, int],
@@ -375,23 +364,52 @@ class BlockMesh:
         self.options = options or HydroOptions(eos=IdealGas())
         self.bc = bc
         self.engine = engine
-        dims = tuple(s + 2 * NGHOST for s in self.tile)
         #: ``{lattice index: ghosted block}``; the interiors are the
         #: evolution state (what checkpoints store and guards scan)
-        self.blocks: dict[tuple[int, int, int], np.ndarray] = {
-            ip: np.zeros((NF,) + dims) for ip in np.ndindex(*self.lattice)}
+        self.blocks: dict[tuple[int, int, int], np.ndarray] = \
+            self._allocate()
+        # the predictor blocks, made on the first step: a mesh that never
+        # steps (a scenario's source mesh) holds none
+        self._stage: dict = {}
         self.time = 0.0
         self.steps = 0
         self.self_gravity = self_gravity
         self._gravity = GravityCoupling(self) if self_gravity else None
-        # predictor copies of every block, per-stage RHS outputs of every
-        # chunk and the kernel scratch, all reused across steps (the
-        # workspace is thread-local inside, so futurized RHS tasks never
-        # alias)
-        self._stage: dict = {}
-        self._rhs_out: dict[int, list[np.ndarray]] = {}
+        # per-stage RHS outputs and the kernel scratch, reused across
+        # steps (the workspace is thread-local inside, so futurized RHS
+        # tasks never alias)
+        self._rhs_out: dict = {}
         self._ws = Workspace()
-        self._fill_plan = self._build_fill_plan()
+
+    def _allocate(self) -> dict:
+        """State storage: one ghosted box (``_boxes[0]``), the blocks
+        overlapping ghosted views of it."""
+        self._boxes = [np.zeros((NF,) + tuple(s + 2 * NGHOST
+                                              for s in self.shape))]
+        # cell centres along each axis the way a per-block evaluation
+        # derives them (block corner + local offset), so the box's
+        # frame sources match it bit for bit
+        self._centers = tuple(np.concatenate([
+            (o + (i * s) * self.dx) + (np.arange(s) + 0.5) * self.dx
+            for i in range(b)])
+            for o, b, s in zip(self.origin, self.lattice, self.tile))
+        return self._views(self._boxes[0])
+
+    def _predictors(self) -> dict:
+        """Predictor storage: a second box (``_boxes[1]``) and its views,
+        uninitialised — every step writes its interior and fills its
+        walls before reading it."""
+        self._boxes.append(np.empty_like(self._boxes[0]))
+        return self._views(self._boxes[1])
+
+    def _views(self, box: np.ndarray) -> dict:
+        """``{ip: ghosted view}``: block ``ip`` covers its window of the
+        box widened by ``NGHOST`` cells on every side, so its ghost
+        layers *are* its neighbours' interior layers."""
+        return {ip: box[(slice(None),) + tuple(
+            slice(i * s, (i + 1) * s + 2 * NGHOST)
+            for i, s in zip(ip, self.tile))]
+            for ip in np.ndindex(*self.lattice)}
 
     @classmethod
     def retile(cls, src: "BlockMesh", **kwargs) -> "BlockMesh":
@@ -463,138 +481,72 @@ class BlockMesh:
         """Potential of the last gravity solve (``None`` before one)."""
         return self._gravity.phi if self._gravity is not None else None
 
-    # -- ghost fill by direct slab copy ------------------------------------------
-
-    def _build_fill_plan(self) -> _FillPlan:
-        """Freeze the ghost fill.  The topology is fixed, so every slice
-        is derived once: one copy entry per (block, offset) of the 26
-        directions — a neighbour ``pair`` when the source is inside the
-        lattice, a periodic ``wrap`` (source wrapped coordinate-wise:
-        faces, edges *and* corners; a one-block mesh wraps onto itself)
-        when it is not — and, for the other boundary conditions, one wall
-        entry per block face on the domain boundary.  Pairs are listed
-        source-major, the order a sender publishes in; wraps and walls
-        destination-major."""
-        g = NGHOST
-        offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
-                   if o != (0, 0, 0)]
-
-        def slabs(pick):
-            """``{offset: slab}``; ``pick(s)`` gives the low / middle /
-            high slices along an axis whose tile edge is ``s``."""
-            axes = [pick(s) for s in self.tile]
-            return {off: (slice(None),) + tuple(
-                axes[d][o + 1] for d, o in enumerate(off)) for off in offsets}
-
-        # the interior layer a block shows its neighbour at ``off`` and
-        # the ghost slab that receives what the neighbour at ``off`` shows
-        layer = slabs(lambda s: (slice(g, 2 * g), slice(g, g + s),
-                                 slice(s, g + s)))
-        ghost = slabs(lambda s: (slice(0, g), slice(g, g + s),
-                                 slice(g + s, 2 * g + s)))
-        nbytes = {off: self.blocks[0, 0, 0][layer[off]].nbytes
-                  for off in offsets}
-        pairs, wraps, walls = [], [], []
-        for ip in self.blocks:
-            for off in offsets:
-                nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
-                mirror = (-off[0], -off[1], -off[2])
-                if nb in self.blocks:
-                    pairs.append((nb, ghost[mirror], ip, layer[off],
-                                  nbytes[off]))
-                elif self.bc == "periodic":
-                    src = tuple(c % b for c, b in zip(nb, self.lattice))
-                    wraps.append((ip, ghost[off], src, layer[mirror],
-                                  nbytes[off]))
-            if self.bc != "periodic":
-                walls.extend((ip, axis, side) for axis in range(3)
-                             for side in (-1, 1)
-                             if not 0 <= ip[axis] + side < self.lattice[axis])
-        return _FillPlan(tuple(pairs), tuple(wraps), tuple(walls))
-
-    @staticmethod
-    def _copy_halos(blocks: dict, halos) -> None:
-        """``dst[ghost] = src[layer]`` for every entry: a strided copy
-        straight out of the source block's interior."""
-        sanitize = _sanitize_state.ACTIVE
-        for dst, ghost, src, layer, _ in halos:
-            if sanitize:
-                _racecheck.access(blocks[src], "r", owner="halo/src-block")
-                _racecheck.access(blocks[dst], "w", owner="halo/dst-block")
-            blocks[dst][ghost] = blocks[src][layer]
-
-    def _fill_walls(self, blocks: dict) -> None:
-        """Domain walls, after the copies: a wall slab spans the
-        transverse ghosts the neighbours just filled."""
-        for ip, axis, side in self._fill_plan.walls:
-            fill_wall(blocks[ip], axis, side, self.bc)
-
-    def _halo_exchange(self, blocks: dict, generation: int) -> None:
-        """Fill every ghost shell of ``blocks`` for one stage.  All blocks
-        share one address space, so a block reads its neighbours' memory
-        directly (Octo-Tiger's local-communication optimisation);
-        ``generation`` only matters to the distributed override, whose
-        cross-locality halos are matched by it."""
-        plan = self._fill_plan
-        self._copy_halos(blocks, plan.pairs)
-        self._copy_halos(blocks, plan.wraps)
-        self._fill_walls(blocks)
-
-    # -- stepping ------------------------------------------------------------------
+    # -- stepping: fill, RHS and CFL on the box --------------------------------
 
     def compute_dt(self) -> float:
-        """CFL reduction over all blocks."""
-        return min_cfl_dt(((blk, self.dx) for blk in self.blocks.values()),
-                          self.options, ws=self._ws)
+        """CFL reduction: one :func:`cfl_dt` over the box interior (the
+        minimum over blocks, bit for bit; NaN wherever it sits)."""
+        return cfl_dt(self._boxes[0], self.dx, self.options, ws=self._ws)
 
     def _fill(self, blocks: dict, stage: int) -> None:
-        # one halo generation per RK stage of every step
-        self._halo_exchange(blocks, 2 * self.steps + stage)
+        """Ghost fill of the box of ``stage`` (``blocks`` are its views):
+        the one-block fill of its six domain walls — periodic wraps the
+        box onto itself.  Every ghost layer inside the box is a
+        neighbour's interior already."""
+        box = self._boxes[stage]
+        if _sanitize_state.ACTIVE:
+            _racecheck.access(box, "w", owner="halo/box")
+        apply_boundary(box, self.bc)
 
     def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int) -> dict:
-        """Batched :func:`compute_rhs`: the blocks are cut into balanced
-        chunks of at most ``engine.agg_slots`` (the engine default,
-        :data:`DEFAULT_AGG_SLOTS`, without an engine) and every chunk is
-        one call — run in turn on the calling thread, or
-        each posted as one engine task, so an aggregation chunk of
-        sub-grids is literally one kernel over its slots.  ``k[key]`` are
-        views of the per-chunk ``(NF, b, *tile)`` outputs; the two
-        stages' outputs must coexist, so each stage owns its own,
-        allocated once (again if the chunking changes)."""
+        """The hydro RHS on the ghost-filled box of ``stage`` (``blocks``
+        are its views): one :func:`compute_rhs` call without an engine.
+        With one, the box is cut into ``min(lattice[0], ceil(len(blocks)
+        / engine.agg_slots))`` balanced x-slabs of whole block layers,
+        each a zero-copy ghosted view of the box posted as one task that
+        writes its own window of the stage's ``(NF, *shape)`` output, so
+        ``agg_slots`` still sizes a task in sub-grids.  ``k[key]`` are
+        views of that output; the two stages' outputs must coexist, so
+        each stage owns its own, allocated once."""
+        box = self._boxes[stage]
+        out = self._rhs_out.get(stage)
+        if out is None:
+            out = self._rhs_out[stage] = np.empty((NF,) + self.shape)
         engine = self.engine
-        chunks = _balanced_chunks(
-            list(blocks), engine.agg_slots if engine is not None
-            else DEFAULT_AGG_SLOTS)
-        outs = self._rhs_out.get(stage)
-        if outs is None or [o.shape[1] for o in outs] != [
-                len(chunk) for chunk in chunks]:
-            outs = self._rhs_out[stage] = [
-                np.empty((NF, len(chunk)) + self.tile) for chunk in chunks]
+        layers, tx = self.lattice[0], self.tile[0]
+        n_slabs = 1 if engine is None else min(
+            layers, -(-len(blocks) // engine.agg_slots))
         calls = []
-        for chunk, out in zip(chunks, outs):
-            origins = [tuple(o + (i * s) * self.dx for o, i, s in
-                             zip(self.origin, ip, self.tile)) for ip in chunk]
-            chunk_acc = None if acc is None else [
-                acc[self._window(ip)] for ip in chunk]
-            calls.append(([blocks[ip] for ip in chunk], self.dx,
-                          self.options, origins, chunk_acc, False, out,
-                          self._ws))
-        if engine is None:
+        for s in range(n_slabs):
+            cells = slice(layers * s // n_slabs * tx,
+                          layers * (s + 1) // n_slabs * tx)
+            ghosted = slice(cells.start, cells.stop + 2 * NGHOST)
+            calls.append((box[:, ghosted], self.dx, self.options, None,
+                          None if acc is None else acc[:, cells], False,
+                          out[:, cells], self._ws,
+                          (self._centers[0][cells],) + self._centers[1:]))
+        self._run_rhs(calls)
+        return {ip: out[self._window(ip)] for ip in blocks}
+
+    def _run_rhs(self, calls: list) -> None:
+        """``compute_rhs(*args)`` for every call: in turn on the calling
+        thread without an engine, else each posted as one engine task.
+        RHS tasks stay on CPU workers (``use_device=False``); a call
+        fully overwrites its output, so a supervised retry of one is
+        idempotent."""
+        if self.engine is None:
             for args in calls:
                 compute_rhs(*args)
-        else:
-            # RHS chunks stay on CPU workers (use_device=False); a chunk
-            # fully overwrites its output, so a supervised retry of one
-            # is idempotent
-            for fut in [engine.submit(compute_rhs, *args, use_device=False)
-                        for args in calls]:
-                fut.get()
-        return {ip: out[:, b] for chunk, out in zip(chunks, outs)
-                for b, ip in enumerate(chunk)}
+            return
+        for fut in [self.engine.submit(compute_rhs, *args, use_device=False)
+                    for args in calls]:
+            fut.get()
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step across all blocks (futurized when an engine
         is present); returns the dt used."""
+        if not self._stage:
+            self._stage = self._predictors()
         return rk2_step(self, self.blocks, dt, self._fill, self._rhs,
                         self._gravity)
 

@@ -217,11 +217,17 @@ def test_repro007_untallied_block_to_block_ghost_write():
                "    self.blocks[ip][sl] = blk[sl]",
                rel="repro/core/distmesh.py")
     assert [v.rule for v in vs] == ["REPRO007"]
-    # the node-level copier writes block to block on the caller's behalf
+    # the distributed mesh's copier writes block to block on the
+    # caller's behalf ...
     vs = _lint(_NETWORK_IMPORT + "def f(self, blocks, plan):\n"
                "    self._copy_halos(blocks, plan.local)",
                rel="repro/core/distmesh.py")
     assert [v.rule for v in vs] == ["REPRO007"]
+    # ... so its own body is the one exempt write
+    assert _lint(_NETWORK_IMPORT + "def _copy_halos(blocks, halos):\n"
+                 "    for dst, ghost, src, layer, _ in halos:\n"
+                 "        blocks[dst][ghost] = blocks[src][layer]",
+                 rel="repro/core/distmesh.py") == []
 
 
 def test_repro007_tallied_or_out_of_scope_ghost_writes_are_clean():

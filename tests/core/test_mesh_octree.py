@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh,
-                        ExecutionEngine, IdealGas, Octree, apply_boundary,
-                        prolong, restrict)
+                        DistBlockMesh, ExecutionEngine, IdealGas, Octree,
+                        apply_boundary, prolong, restrict, sedov_blast)
 from repro.core.hydro.solver import HydroOptions
-from repro.core.mesh import fill_wall
-from repro.runtime import WorkStealingScheduler
+from repro.core.mesh import fill_wall, interior, min_cfl_dt
+from repro.runtime import CounterRegistry, WorkStealingScheduler
 
 
 class TestBoundaries:
@@ -125,6 +125,36 @@ class TestMesh:
         mesh.step(0.001)
         assert mesh.time == pytest.approx(0.001)
         assert mesh.steps == 1
+
+    @pytest.mark.parametrize("dt", [None, float("nan"), float("inf"), 0.0,
+                                    -1e-3])
+    def test_step_rejects_a_dt_that_is_not_finite_and_positive(self, dt):
+        """The default zero state has no signal speed, so its CFL dt is
+        inf; neither it nor a NaN, zero or negative dt may write a cell."""
+        for mesh in (BlockMesh(1), BlockMesh(2), DistBlockMesh(
+                2, n_localities=2, registry=CounterRegistry())):
+            with pytest.raises(ValueError, match="dt"):
+                mesh.step(dt)
+            assert mesh.steps == 0 and mesh.time == 0.0
+            for blk in mesh.blocks.values():
+                assert not blk.any()
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 1, 1)])
+    def test_cfl_dt_is_nan_wherever_the_nan_sits(self, where):
+        """A NaN density makes the CFL reduction NaN whatever the block
+        order: the box reduces it in one call, the sharded mesh and
+        ``min_cfl_dt`` over blocks one at a time."""
+        blast = sedov_blast(16)
+        clean = BlockMesh.retile(blast).compute_dt()
+        assert np.isfinite(clean) and clean > 0
+        dist = DistBlockMesh.retile(blast, n_localities=2,
+                                    registry=CounterRegistry())
+        for mesh in (BlockMesh.retile(blast), dist):
+            interior(mesh.blocks[where])[RHO, 1, 2, 3] = np.nan
+            assert np.isnan(mesh.compute_dt())
+        pairs = [(blk, dist.dx) for blk in dist.blocks.values()]
+        for order in (pairs, pairs[::-1]):
+            assert np.isnan(min_cfl_dt(order, dist.options))
 
     def test_conserved_totals_shape(self):
         mesh = BlockMesh(1, n=8)

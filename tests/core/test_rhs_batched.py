@@ -1,18 +1,23 @@
 """Batched pencil-major hydro RHS: layout and batching only, never bits.
 
-``compute_rhs`` evaluates a whole aggregation chunk of sub-grids in one
-call.  The contract asserted here: block ``b`` of a batch is bitwise
+``compute_rhs`` evaluates a whole aggregation chunk of sub-grids — or the
+node-level mesh's whole box, or an x-slab of it — in one call.  The
+contract asserted here: block ``b`` of a batch is bitwise
 ``compute_rhs_reference`` of that block alone — whatever else is in the
-batch, however the blocks are split into chunks and in whichever order —
-so serial, futurized (any ``agg_slots``), distributed and retried runs
-stay byte-identical; malformed input is rejected before any arithmetic;
-and the scratch a mesh holds stays inside the ledger's memory budget.
+batch, however the blocks are split into chunks or the box into slabs,
+and in whichever order — so serial, futurized (any ``agg_slots``),
+distributed and retried runs stay byte-identical; malformed input is
+rejected before any arithmetic; and the memory a mesh holds stays inside
+the ledger's budget.
 """
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.distmesh as distmesh_module
 import repro.core.mesh as mesh_module
 from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
                         ExecutionEngine, IdealGas, sedov_blast)
@@ -152,6 +157,10 @@ def test_compute_rhs_rejects_malformed_batches_before_any_arithmetic():
     rejected("origin", origin=(0.0, 0.0, 0.0))  # one tuple for three blocks
     rejected("gravity", gravity=gravity[:2])
     rejected("gravity", gravity=gravity[:2] + [np.zeros((3, 8, 8, 7))])
+    axes = (np.zeros(8),) * 3
+    rejected("centers", centers=[axes] * 2)
+    rejected("centers", centers=[axes] * 2 + [(np.zeros(8),) * 2])
+    rejected("centers", centers=[axes] * 2 + [(np.zeros(7),) * 3])
     rejected("out", out=np.empty((NF, 2) + shape))
     rejected("out", out=np.empty((NF,) + shape))
     # a single block takes a single (NF, n, n, n) output
@@ -199,39 +208,90 @@ def test_futurized_is_byte_identical_for_any_chunking(serial, agg_slots):
 
 
 def test_chunks_are_balanced():
-    """``ceil(n / slots)`` launches of near-equal size, in order: no
-    ragged tail (27 -> 14 + 13, not 16 + 11 or 8 + 8 + 8 + 3)."""
+    """The sharded mesh's per-block chunks: ``ceil(n / slots)`` launches
+    of near-equal size, in order, no ragged tail (27 -> 14 + 13, not
+    16 + 11 or 8 + 8 + 8 + 3)."""
     keys = list(range(27))
     for slots, sizes in ((16, [14, 13]), (8, [7, 7, 7, 6]), (14, [14, 13]),
                          (13, [9, 9, 9]), (27, [27]), (40, [27]),
                          (1, [1] * 27)):
-        chunks = mesh_module._balanced_chunks(keys, slots)
+        chunks = distmesh_module._balanced_chunks(keys, slots)
         assert [len(c) for c in chunks] == sizes
         assert sum(chunks, []) == keys
-    assert mesh_module._balanced_chunks(list(range(8)), 16) == [
+    assert distmesh_module._balanced_chunks(list(range(8)), 16) == [
         list(range(8))]
 
 
-def test_rhs_of_a_block_is_identical_under_any_chunking():
-    """``k[key]`` of one stage under 8-, 14- and 27-sized launches (and
-    the serial default) is the bitwise per-block result."""
+def _per_block_rhs(mesh, opts, acc):
+    """``compute_rhs`` of every ghost-filled block of ``mesh`` alone, at
+    its own corner, under its window of ``acc``."""
+    return {ip: compute_rhs(blk, mesh.dx, opts, origin=tuple(
+        mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)),
+        gravity=acc[mesh._window(ip)]) for ip, blk in mesh.blocks.items()}
+
+
+#: agg_slots (None: no engine) -> x-extents of the box slabs a stage of
+#: the 27-sub-grid mesh runs: min(3 layers, ceil(27 / slots)) of them
+SLABS = {None: [24], 1: [8, 8, 8], 8: [8, 8, 8], 14: [8, 16], 27: [24]}
+#: agg_slots -> blocks per chunk of the sharded mesh (None: the default)
+CHUNKS = {None: [14, 13], 1: [1] * 27, 8: [7, 7, 7, 6], 14: [14, 13],
+          27: [27]}
+
+
+def test_rhs_of_a_block_is_identical_under_any_chunking(monkeypatch):
+    """``k[key]`` of one stage — box slabs of the node-level mesh, block
+    chunks of the sharded one, in a rotating frame under gravity — is
+    the bitwise per-block result, whatever ``agg_slots`` cuts; both
+    paths call the kernel as ``repro.core.mesh.compute_rhs``."""
+    opts = HydroOptions(eos=IdealGas(gamma=1.4), omega=0.7)
+    geometry = dict(options=opts, bc="periodic", origin=(-0.4, 0.1, 0.3))
+    meshes = {"box": BlockMesh(BPE, **geometry),
+              "per-block": DistBlockMesh(BPE, n_localities=2,
+                                         registry=CounterRegistry(),
+                                         **geometry)}
+    acc = 0.1 * np.random.default_rng(2).standard_normal(
+        (3,) + (BPE * SUBGRID_N,) * 3)
+    calls = []
+
+    def counted(U, *args):
+        calls.append(U.shape[1] - 2 * NGHOST if isinstance(U, np.ndarray)
+                     else len(U))
+        return compute_rhs(U, *args)
+
+    monkeypatch.setattr(mesh_module, "compute_rhs", counted)
+    for name, mesh in meshes.items():
+        mesh.load_interior(_random_interior(BPE * SUBGRID_N))
+        mesh._fill(mesh.blocks, 0)
+        alone = _per_block_rhs(mesh, opts, acc)
+        for slots in SLABS:
+            mesh.engine = slots and ExecutionEngine(
+                agg_slots=slots, registry=CounterRegistry())
+            calls.clear()
+            k = mesh._rhs(mesh.blocks, acc, 0)
+            assert calls == (SLABS if name == "box" else CHUNKS)[slots], (
+                name, slots)
+            for ip in mesh.blocks:
+                np.testing.assert_array_equal(k[ip], alone[ip])
+
+
+def test_slab_tasks_under_dense_interleaving_are_byte_identical(serial):
+    """Three slab tasks that read overlapping ghosted views of one box
+    and write disjoint windows of one output, on more workers than this
+    host has cores, with the interpreter switching threads every 10 us:
+    no lost or torn write shows in the state."""
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
-    mesh = BlockMesh(BPE, options=opts, bc="periodic")
-    mesh.load_interior(_random_interior(BPE * SUBGRID_N))
-    mesh._fill(mesh.blocks, 0)
-    alone = {ip: compute_rhs(blk, mesh.dx, opts, origin=tuple(
-        mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)))
-        for ip, blk in mesh.blocks.items()}
-    sizes = {}
-    for slots in (None, 8, 14, 27):
-        mesh.engine = slots and ExecutionEngine(agg_slots=slots,
-                                                registry=CounterRegistry())
-        k = mesh._rhs(mesh.blocks, None, 0)
-        sizes[slots] = [out.shape[1] for out in mesh._rhs_out[0]]
-        for ip in mesh.blocks:
-            np.testing.assert_array_equal(k[ip], alone[ip])
-    assert sizes == {None: [14, 13], 8: [7, 7, 7, 6], 14: [14, 13],
-                     27: [27]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkStealingScheduler(4) as sched:
+            engine = ExecutionEngine(scheduler=sched, agg_slots=1,
+                                     registry=CounterRegistry())
+            dts, state = _run(BlockMesh(BPE, options=opts, bc="periodic",
+                                        engine=engine))
+    finally:
+        sys.setswitchinterval(interval)
+    assert dts == serial[0]
+    np.testing.assert_array_equal(state, serial[1])
 
 
 def test_distributed_is_byte_identical(serial):
@@ -267,17 +327,18 @@ def test_injected_action_fault_in_a_batched_task_is_retried(serial):
 def test_fault_after_a_partial_write_is_overwritten_by_the_retry(
         serial, monkeypatch):
     """The worst case for idempotency: the first attempt of every third
-    chunk task scribbles over its whole output and only then fails."""
+    slab task scribbles over its whole window and only then fails."""
     calls = {"n": 0, "faults": 0}
 
-    def faulty(U, dx, options, origin, gravity, return_fluxes, out, ws):
+    def faulty(U, dx, options, origin, gravity, return_fluxes, out, ws,
+               centers=None):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             calls["faults"] += 1
             out[...] = np.nan
             raise TransientActionFault("fault after a partial write")
         return compute_rhs(U, dx, options, origin, gravity, return_fluxes,
-                           out, ws)
+                           out, ws, centers)
 
     monkeypatch.setattr(mesh_module, "compute_rhs", faulty)
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
@@ -296,13 +357,12 @@ def test_fault_after_a_partial_write_is_overwritten_by_the_retry(
 
 # -- the ledger's memory bound, as a tier-1 guard -----------------------------
 
-#: bytes of hydro scratch one thread of a 27-sub-grid mesh may hold.  The
-#: ledger bounds ``peak_rss_mb`` at +10 % and the interpreter plus imports
-#: are ~83 MB of ``sedov_serial``'s ~111 MB, so the whole step has ~11 MB
-#: of headroom; the balanced 14-block batches of a 27-sub-grid mesh hold
-#: ~9.4 MB (measured: ``sedov_serial`` ``peak_rss_mb`` 117.1 -> 121.2,
-#: +3.5 %), a full 16-block one ~10.5 MB.
-WORKSPACE_BUDGET = 10 * 2 ** 20
+#: bytes of hydro memory the 27-sub-grid Sedov mesh held as 27 separate
+#: ghosted blocks: 9.4 MiB of kernel scratch (balanced 14-block batches)
+#: plus the blocks and their predictor copies, 2 x 8.3 MB.  The ledger
+#: bounds ``sedov_serial`` ``peak_rss_mb`` at +10 % of ~120 MB, so the box
+#: layout may trade storage for scratch but must not hold more in sum.
+PER_BLOCK_LAYOUT_BYTES = 9_882_112 + 2 * 8_297_856
 
 
 def test_workspace_stays_inside_the_memory_budget():
@@ -313,12 +373,18 @@ def test_workspace_stays_inside_the_memory_budget():
     mesh.step()
     held = {key: id(arr) for key, arr in mesh._ws._bufs().items()}
     mesh.step()
-    assert mesh._ws.nbytes() < WORKSPACE_BUDGET
-    # one buffer per role: the three sweep axes, the two stages and the
-    # 13-block second chunk (27 = 14 + 13) all reuse the allocations of
-    # the first chunk
+    # state and predictor are one ghosted box each, every block a view
+    boxes = {id(blk.base): blk.base for stage in (mesh.blocks, mesh._stage)
+             for blk in stage.values()}
+    assert len(boxes) == 2
+    storage = sum(box.nbytes for box in boxes.values())
+    assert storage == 2 * NF * 30 ** 3 * 8
+    assert mesh._ws.nbytes() + storage <= PER_BLOCK_LAYOUT_BYTES
+    # one buffer per role: the three sweep axes and the two stages reuse
+    # the allocations of the first sweep
     names = [name for name, _, _ in held]
     assert len(names) == len(set(names))
     assert {key: id(arr) for key, arr in mesh._ws._bufs().items()} == held
-    # and per-stage outputs are per chunk, not per block
-    assert [out.shape[1] for out in mesh._rhs_out[0]] == [14, 13]
+    # and per-stage outputs are one (NF, *shape) array each, not per block
+    assert [out.shape for out in mesh._rhs_out.values()] == [
+        (NF,) + mesh.shape] * 2

@@ -3,15 +3,19 @@
 One property instead of a hand-written pair per boundary condition: for
 any per-axis lattice and tile shape, the tiled mesh and the one-block mesh
 of the same box advance byte-identically, and ``retile`` moves a state
-between tilings without touching a bit.
+between tilings without touching a bit.  The same draw also steps the
+sharded mesh of that tiling on 1-3 localities, so the two storage paths
+check each other: the node-level box (walls-only fill, one RHS sweep) and
+the per-block one (fill plan and routes, batched block chunks).
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import SUBGRID_N, BlockMesh, IdealGas
+from repro.core import SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas
 from repro.core.hydro.solver import HydroOptions
+from repro.runtime import CounterRegistry
 
 _STEPS = 2
 
@@ -34,14 +38,19 @@ def _one_block(total, bc, seed):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(blocks=_per_axis([1, 2, 3]), n=_per_axis([4, 8, 16]),
        bc=st.sampled_from(["outflow", "reflect", "periodic"]),
-       seed=st.integers(0, 2 ** 16))
-@example(blocks=(4, 1, 1), n=(8, 8, 8), bc="outflow", seed=0)  # Sod's box
-def test_any_tiling_steps_byte_identically(blocks, n, bc, seed):
+       seed=st.integers(0, 2 ** 16), localities=st.integers(1, 3))
+@example(blocks=(4, 1, 1), n=(8, 8, 8), bc="outflow", seed=0,
+         localities=2)  # Sod's box
+def test_any_tiling_steps_byte_identically(blocks, n, bc, seed, localities):
     total = tuple(b * s for b, s in zip(blocks, n))
     single = _one_block(total, bc, seed)
     tiled = BlockMesh(blocks, n=n, domain=1.0, options=single.options, bc=bc)
-    tiled.load_interior(single.interior)
-    assert (tiled.shape, tiled.dx) == (single.shape, single.dx)
+    sharded = DistBlockMesh(blocks, n=n, domain=1.0, options=single.options,
+                            bc=bc, n_localities=localities,
+                            registry=CounterRegistry())
+    for mesh in (tiled, sharded):
+        mesh.load_interior(single.interior)
+        assert (mesh.shape, mesh.dx) == (single.shape, single.dx)
 
     if any(s % SUBGRID_N for s in total):
         with pytest.raises(ValueError, match="multiple"):
@@ -52,6 +61,9 @@ def test_any_tiling_steps_byte_identically(blocks, n, bc, seed):
         assert np.array_equal(cut.gather_interior(), single.interior)
 
     for _ in range(_STEPS):
-        assert tiled.step() == single.step()
-    assert tiled.time == single.time
-    assert np.array_equal(tiled.gather_interior(), single.gather_interior())
+        dt = single.step()
+        assert tiled.step() == dt and sharded.step() == dt
+    for mesh in (tiled, sharded):
+        assert mesh.time == single.time
+        assert np.array_equal(mesh.gather_interior(),
+                              single.gather_interior())
