@@ -210,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     ratio = (futurized["zone_updates_per_s"] / serial["zone_updates_per_s"]
              if serial["zone_updates_per_s"] > 0 else 0.0)
     counters = {k: snap.get(k, 0.0) for k in (
-        "/cuda/launched/gpu", "/cuda/launched/cpu", "/cuda/leases-reclaimed",
-        "/cuda/agg-launches", "/cuda/agg-tasks", "/cuda/aggregated-per-launch",
+        "/cuda/launched/gpu", "/cuda/launched/cpu", "/cuda/agg-launches",
+        "/cuda/agg-tasks", "/cuda/aggregated-per-launch",
         "/threads/stolen", "/threads/executed", "/exec/batches",
         "/exec/tasks", "/fmm/solves", "/fmm/solves-futurized",
         "/fmm/interactions/multipole", "/fmm/interactions/monopole")}

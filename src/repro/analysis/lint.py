@@ -39,15 +39,14 @@ REPRO005 *bare-except*
     Catch a concrete type, or ``BaseException`` *with* re-dispatch.
 
 REPRO006 *unaggregated-enqueue*
-    A direct ``lease.enqueue(...)`` / ``stream.enqueue_aggregated(...)``
-    call, or a ``StreamPool.acquire()``, in any package above
-    ``runtime/`` (``network`` ... ``analysis``).  The GPU-else-CPU rule
-    is written once, in
+    A direct ``stream.enqueue(...)`` or ``pool.launch(...)`` call in any
+    package above ``runtime/`` (``network`` ... ``analysis``).  The
+    GPU-else-CPU rule is written once, in
     :meth:`repro.runtime.aggregate.AggregationRegion._flush` — the one
-    sanctioned acquirer — and kernel launches reach it through
+    sanctioned launcher — and kernel launches reach it through
     :meth:`repro.core.exec.ExecutionEngine.map`, so they are coalesced
     into aggregated launches and counted by the engine's placement
-    accounting; a bypassing acquire or enqueue is a second launch path:
+    accounting; a bypassing launch or enqueue is a second launch path:
     unaggregated, uncounted.
 
 REPRO007 *unaccounted-halo*
@@ -178,7 +177,7 @@ RULES: dict[str, tuple[str, str]] = {
                  "bare `except:` in runtime/ or resilience/ swallows "
                  "shutdown signals; name the exception type"),
     "REPRO006": ("unaggregated-enqueue",
-                 "direct lease/stream enqueue or StreamPool.acquire() above "
+                 "direct stream.enqueue or StreamPool.launch above "
                  "runtime/ is a second launch path beside the aggregation "
                  "region; route kernels through ExecutionEngine.map / "
                  "AggregationRegion"),
@@ -359,13 +358,6 @@ class _Linter(ast.NodeVisitor):
     def _hit(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
             Violation(self.path, getattr(node, "lineno", 0), rule, message))
-
-    @staticmethod
-    def _is_pool_acquire(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "acquire"
-                and "pool" in ast.unparse(node.func.value).lower())
 
     # -- REPRO008 ---------------------------------------------------------
 
@@ -588,10 +580,8 @@ class _Linter(ast.NodeVisitor):
         # REPRO006: above runtime/, kernels launch through the region only
         if self.above_runtime and isinstance(func, ast.Attribute):
             base = ast.unparse(func.value)
-            direct_enqueue = (
-                func.attr in ("enqueue", "enqueue_aggregated")
-                and ("lease" in base.lower() or "stream" in base.lower()))
-            if direct_enqueue or self._is_pool_acquire(node):
+            if (func.attr == "enqueue" and "stream" in base.lower()
+                    or func.attr == "launch" and "pool" in base.lower()):
                 self._hit(node, "REPRO006",
                           f"direct {func.attr}() on {base!r} above runtime/ "
                           "bypasses the aggregation region (and its launch "

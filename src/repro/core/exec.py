@@ -28,9 +28,10 @@ Placement accounting: every task placement is counted, GPU placements
 under ``/cuda/launched/gpu`` and CPU placements (stream-less engines and
 ``use_device=False`` included) under ``/cuda/launched/cpu``, so
 ``/exec/launched/gpu + /exec/launched/cpu == /exec/tasks`` always
-reconciles.  GPU placements are recorded only *after* the aggregated
-enqueue succeeded — a faulting enqueue falls back to the CPU and is
-counted there — keeping the Sec. 6.1.2 launch-ratio statistic honest.
+reconciles.  GPU placements are recorded once the slot buffer is on a
+stream; a buffer no stream can take (all busy or quarantined, or the
+device shut down) runs on the CPU and is counted there — keeping the
+Sec. 6.1.2 launch-ratio statistic honest.
 :meth:`publish_counters` also publishes ``/cuda/aggregated-per-launch``
 (kernels carried per aggregated GPU launch) and republishes the
 scheduler's ``/threads/...`` gauges so one call snapshots the whole hot
@@ -79,9 +80,9 @@ class ExecutionEngine:
         when present, submitted work becomes stealable chunk tasks.
     devices:
         Optional :class:`~repro.runtime.cuda.CudaDevice` list; when
-        present, chunk regions lease an idle stream from a shared
-        :class:`~repro.runtime.cuda.StreamPool` before overflowing to the
-        CPU — the paper's launch rule, with leases that cannot leak.
+        present, chunk regions launch on an idle stream of a shared
+        :class:`~repro.runtime.cuda.StreamPool` or overflow to the CPU —
+        the paper's launch rule.
     registry:
         Counter registry for ``/cuda/launched/*``, ``/cuda/agg-*`` and
         ``/exec/*`` (default: the global registry).
@@ -113,10 +114,9 @@ class ExecutionEngine:
     def _count_flush(self, gpu: bool, n: int) -> None:
         """Region flush callback: count ``n`` placed kernels.
 
-        Called by :class:`AggregationRegion` only *after* a successful
-        aggregated enqueue (GPU) or for the inline overflow run (CPU), so
-        the launch gauges always reconcile with ``/exec/tasks`` and can
-        never run ahead of a faulting enqueue.
+        Called by :class:`AggregationRegion` once a slot buffer is on a
+        stream (GPU) or for the inline overflow run (CPU), so the launch
+        gauges always reconcile with ``/exec/tasks``.
         """
         with self._lock:
             if gpu:

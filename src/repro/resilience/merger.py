@@ -381,9 +381,7 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
         engine = SupervisedEngine(
             ExecutionEngine(scheduler=sched, devices=[gpu], registry=registry),
             injector=injector, max_retries=MAX_TASK_RETRIES,
-            # the kill handler already picks local vs global recovery, so
-            # a permanent task failure is only tallied before it surfaces
-            escalate=lambda *_: None, registry=registry)
+            registry=registry)
         dist.engine = engine
         # step faults / state corruption need the guards; same drive loop
         if plan.fail_at_steps or plan.corrupt_at_steps:

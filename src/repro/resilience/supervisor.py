@@ -35,12 +35,13 @@ injects).  With a finite ``max_action_faults`` budget every injected
 fault is transient by construction.
 
 Re-execution is the *local* recovery tier.  A failure the supervisor
-cannot retry away — a :class:`~repro.runtime.agas.LocalityFailed` from a
-dead node, or a transient budget exhausted — is **escalated**: the
-optional ``escalate`` callback fires (before the exception surfaces
-through the task's future) so a
-:class:`~repro.resilience.durability.RecoveryCoordinator` can decide
-whether the run needs a global rollback rather than another retry.
+cannot retry away — a non-transient exception such as a
+:class:`~repro.runtime.agas.LocalityFailed` from a dead node, or a
+transient one whose retries ran out — is **escalated**: counted once
+under ``/resilience/tasks/escalated`` and surfaced through the task's
+future with its original exception, where the caller (the merger's kill
+handler, a :class:`~repro.resilience.durability.RecoveryCoordinator`)
+decides whether the run needs a global rollback.
 
 Counters: ``/resilience/tasks/submitted``, ``/resilience/tasks/retried``,
 ``/resilience/tasks/recovered`` (tasks that ultimately succeeded after at
@@ -75,7 +76,7 @@ class SupervisedEngine:
     Drop-in for the engine everywhere one is accepted (``BlockMesh``,
     ``FmmSolver.solve``): exposes the same ``submit`` /
     ``map`` / ``synchronize`` / ``publish_counters`` surface and the same
-    ``scheduler`` / ``devices`` / ``pool`` / ``agg_slots`` attributes.
+    ``agg_slots``.
 
     Parameters
     ----------
@@ -86,50 +87,24 @@ class SupervisedEngine:
         execution faults, budget-bounded).
     max_retries:
         Re-executions allowed per task after the first attempt.
-    escalate:
-        Optional ``callback(exc, args, attempt)`` invoked for every
-        *permanent* failure (non-transient, or transient budget
-        exhausted) before it surfaces through the task's future — the
-        hand-off point to a global recovery layer.  Escalation observes;
-        it must not raise (a raising callback is tallied under
-        ``/resilience/tasks/escalation-errors`` and otherwise ignored).
     """
 
     def __init__(self, engine: ExecutionEngine, *,
                  injector: FaultInjector | None = None,
                  max_retries: int = DEFAULT_TASK_RETRIES,
-                 escalate: Callable[[BaseException, tuple, int], None]
-                     | None = None,
                  registry: CounterRegistry | None = None):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.engine = engine
         self.injector = injector
         self.max_retries = max_retries
-        self.escalate = escalate
         self.registry = registry or engine.registry
 
     # -- engine surface ------------------------------------------------------
 
     @property
-    def scheduler(self):
-        return self.engine.scheduler
-
-    @property
-    def devices(self):
-        return self.engine.devices
-
-    @property
-    def pool(self):
-        return self.engine.pool
-
-    @property
     def agg_slots(self) -> int:
         return self.engine.agg_slots
-
-    @property
-    def gpu_fraction(self) -> float:
-        return self.engine.gpu_fraction
 
     def synchronize(self) -> None:
         self.engine.synchronize()
@@ -200,15 +175,8 @@ class SupervisedEngine:
             r.increment("/resilience/tasks/gave-up")
             if trace.TRACING:
                 trace.instant("task-gave-up", "resilience", attempt=attempt)
-        if self.escalate is not None:
-            r.increment("/resilience/tasks/escalated")
-            if trace.TRACING:
-                trace.instant("task-escalated", "resilience",
-                              attempt=attempt, exc=type(exc).__name__)
-            try:
-                self.escalate(exc, args, attempt)
-            except BaseException:
-                # the task's future must still complete with the original
-                # failure; a broken escalation path may not eat it
-                r.increment("/resilience/tasks/escalation-errors")
+        r.increment("/resilience/tasks/escalated")
+        if trace.TRACING:
+            trace.instant("task-escalated", "resilience",
+                          attempt=attempt, exc=type(exc).__name__)
         promise.set_exception(exc)

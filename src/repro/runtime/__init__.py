@@ -15,9 +15,8 @@ from .faults import InjectedFault, SimulationFault, TransientActionFault
 from .parcel import Parcel, ParcelHandler, EAGER_THRESHOLD, serialized_size
 from .channel import (Channel, ChannelError, ChannelReset,
                       ChannelGenerationError)
-from .cuda import (CudaDevice, CudaStream, StreamPool, StreamLease,
-                   AggregatedOp, DEFAULT_STREAMS_PER_GPU,
-                   DEFAULT_LEASE_TIMEOUT_S)
+from .cuda import (CudaDevice, CudaStream, StreamPool,
+                   DEFAULT_STREAMS_PER_GPU)
 from .aggregate import AggregationRegion, DEFAULT_AGG_SLOTS
 from .counters import CounterRegistry, default_registry
 
@@ -30,8 +29,7 @@ __all__ = [
     "InjectedFault", "SimulationFault", "TransientActionFault",
     "Parcel", "ParcelHandler", "EAGER_THRESHOLD", "serialized_size",
     "Channel", "ChannelError", "ChannelReset", "ChannelGenerationError",
-    "CudaDevice", "CudaStream", "StreamPool", "StreamLease", "AggregatedOp",
-    "DEFAULT_STREAMS_PER_GPU", "DEFAULT_LEASE_TIMEOUT_S",
+    "CudaDevice", "CudaStream", "StreamPool", "DEFAULT_STREAMS_PER_GPU",
     "AggregationRegion", "DEFAULT_AGG_SLOTS",
     "CounterRegistry", "default_registry", "trace",
 ]

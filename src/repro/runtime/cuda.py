@@ -13,12 +13,13 @@ The paper's GPU integration (Sec. 5.1) has three ingredients we reproduce:
    of the CUDA streams it manages are busy.  If not, the kernel will be
    launched on the GPU using an idle stream.  Otherwise, the kernel will be
    executed on the CPU by the current CPU worker thread."  This module
-   supplies the mechanism — :meth:`StreamPool.acquire` hands out an idle
-   stream as a :class:`StreamLease`, or ``None`` — and the rule itself is
-   written once, in :class:`repro.runtime.aggregate.AggregationRegion`
-   (one slot = the paper's one-kernel rule), whose gpu/cpu placement
-   counters reproduce the 97.4995 % / 99.9997 % / 99.5207 % statistics of
-   Sec. 6.1.2 (see ``repro.simulator.scaling``).
+   supplies the mechanism — :meth:`StreamPool.launch` puts a slot buffer
+   on an idle stream in one step and returns its future, or returns
+   ``None`` — and the rule itself is written once, in
+   :class:`repro.runtime.aggregate.AggregationRegion` (one slot = the
+   paper's one-kernel rule), whose gpu/cpu placement counters reproduce
+   the 97.4995 % / 99.9997 % / 99.5207 % statistics of Sec. 6.1.2 (see
+   ``repro.simulator.scaling``).
 
 3. **Asynchronous execution** — operations run on device worker threads
    while the submitting CPU worker continues; per-stream FIFO order is
@@ -32,22 +33,22 @@ cell function template for both targets.
 **Stream health (supervision layer).**  A real production run cannot keep
 re-using a stream whose kernels keep failing (a sick SM, a poisoned
 context): after ``quarantine_threshold`` *consecutive* kernel faults a
-stream is **quarantined** — :meth:`CudaStream._try_reserve` stops handing
-it out, so the launch rule transparently overflows its work to healthy
-streams or the CPU.  After ``quarantine_period`` seconds the stream is
-re-admitted **on probation**: one more fault re-quarantines it
-immediately, one success clears the probation.  Quarantines are counted
-under ``/cuda/quarantined`` (re-admissions under ``/cuda/readmitted``)
-and per-device gauges; :meth:`CudaStream.poison` is the matching
-adversary hook used by the chaos tests.
+stream is **quarantined** — :meth:`StreamPool.launch` skips it, so the
+launch rule transparently overflows its work to healthy streams or the
+CPU.  After ``quarantine_period`` seconds the stream is re-admitted **on
+probation**: one more fault re-quarantines it immediately, one success
+clears the probation.  Quarantines are counted under
+``/cuda/quarantined`` (re-admissions under ``/cuda/readmitted``) and
+per-device gauges; :meth:`CudaStream.poison` is the matching adversary
+hook used by the chaos tests.
 
-**Work aggregation.**  :meth:`CudaStream.enqueue_aggregated` (and the
-lease equivalent) submits a whole slot buffer of kernels as *one*
-:class:`AggregatedOp` — one queue entry, one dispatch, one launch future
-— following the Octo-Tiger aggregated-kernel design (Daiß et al., arXiv
-2210.06438).  Poison draws and fault-streak accounting remain per slot,
-so quarantine behaviour is indistinguishable from unaggregated launches;
-the buffering/flush policy lives in :mod:`repro.runtime.aggregate`.
+**Work aggregation.**  Every stream operation is a slot buffer: a list
+of ``(fn, args)`` kernels that takes one queue entry, one dispatch and
+one launch future, following the Octo-Tiger aggregated-kernel design
+(Daiß et al., arXiv 2210.06438); a one-kernel launch is a one-slot
+buffer.  Poison draws and fault-streak accounting remain per slot, so
+quarantine behaviour does not depend on how kernels were buffered; the
+buffering/flush policy lives in :mod:`repro.runtime.aggregate`.
 """
 
 from __future__ import annotations
@@ -59,25 +60,18 @@ from typing import Any, Callable
 
 from . import trace
 from ..sanitize import lockdep as _sanitize_lockdep
-from ..sanitize import protocol as _sanitize_protocol
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
 from .faults import TransientActionFault
 from .future import Future, Promise
 
-__all__ = ["CudaDevice", "CudaStream", "StreamPool", "StreamLease",
-           "AggregatedOp", "DEFAULT_STREAMS_PER_GPU",
-           "DEFAULT_LEASE_TIMEOUT_S", "DEFAULT_QUARANTINE_THRESHOLD",
+__all__ = ["CudaDevice", "CudaStream", "StreamPool",
+           "DEFAULT_STREAMS_PER_GPU", "DEFAULT_QUARANTINE_THRESHOLD",
            "DEFAULT_QUARANTINE_PERIOD_S"]
 
 #: "usually 128 per GPU" (Sec. 5.1)
 DEFAULT_STREAMS_PER_GPU = 128
-
-#: reservation leases older than this are considered leaked (the holder
-#: acquired a stream but never enqueued, e.g. it raised in between) and
-#: may be reclaimed by the next acquirer
-DEFAULT_LEASE_TIMEOUT_S = 5.0
 
 #: consecutive kernel faults on one stream before it is quarantined
 DEFAULT_QUARANTINE_THRESHOLD = 3
@@ -86,43 +80,8 @@ DEFAULT_QUARANTINE_THRESHOLD = 3
 DEFAULT_QUARANTINE_PERIOD_S = 1.0
 
 
-class AggregatedOp:
-    """A filled slot buffer executed as **one** stream operation.
-
-    The device-side half of work aggregation (Daiß et al., arXiv
-    2210.06438; see :mod:`repro.runtime.aggregate`): many buffered
-    ``(fn, args)`` kernels occupy one queue slot, one dispatch, and one
-    launch future — amortizing the per-launch overhead the aggregation
-    paper targets.
-
-    Stream-health semantics stay per *kernel*, not per launch: every slot
-    goes through :meth:`CudaStream._run_kernel` — its own poison draw and
-    fault-streak outcome (a sick stream faulting mid-buffer quarantines
-    exactly as it would under one-kernel-per-launch) — and a slot raising
-    never takes its neighbours down.  The launch future resolves with
-    ``[(ok, value_or_exception), ...]`` in slot order;
-    :func:`repro.runtime.aggregate._scatter` forwards these to the
-    per-kernel futures.
-    """
-
-    __slots__ = ("items",)
-
-    #: trace label (the worker loop reads ``__name__`` off the op)
-    __name__ = "aggregated-op"
-
-    def __init__(self, items: list[tuple[Callable[..., Any], tuple]]):
-        self.items = list(items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def run(self, stream: "CudaStream") -> list[tuple[bool, Any]]:
-        """Execute every slot on ``stream``; called by the device worker."""
-        return [stream._run_kernel(fn, args) for fn, args in self.items]
-
-
 class CudaStream:
-    """A FIFO of asynchronous operations on a :class:`CudaDevice`."""
+    """A FIFO of asynchronous slot-buffer launches on a :class:`CudaDevice`."""
 
     def __init__(self, device: "CudaDevice", index: int):
         self.device = device
@@ -130,9 +89,6 @@ class CudaStream:
         self._lock = _sanitize_lockdep.make_lock("cuda.stream")
         self._queue: collections.deque = collections.deque()
         self._in_flight = False
-        self._reserved = False
-        self._lease_token = 0
-        self._lease_deadline = 0.0
         self._last_future: Future | None = None
         # stream-health state: consecutive-fault streak, quarantine expiry
         # (0.0 = healthy), probation flag, and the poison adversary hook
@@ -142,45 +98,76 @@ class CudaStream:
         self._poison_left: int | None = 0  # None = poisoned forever
         self._poison_exc: Callable[[], BaseException] | None = None
 
-    def enqueue(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Submit ``fn(*args)`` to the device; returns its future.
+    def enqueue(self, items: list[tuple[Callable[..., Any], tuple]]
+                ) -> Future:
+        """Queue a slot buffer behind whatever this stream already holds.
 
-        Enqueueing consumes any outstanding :meth:`StreamPool.acquire`
-        reservation on this stream (the acquired-for kernel is now queued,
-        so ``busy()`` keeps reporting True through ``_in_flight`` instead).
-        A device that is shut down refuses *before* anything is queued
-        (the reservation is spent all the same): the stream stays idle
-        and ``synchronize()`` still returns.
+        ``items`` are ``(fn, args)`` kernels run in slot order as *one*
+        stream operation; the returned launch future resolves with their
+        ``(ok, value_or_exception)`` outcomes in slot order, and a slot
+        raising never takes its neighbours down.  A device that is shut
+        down refuses *before* anything is queued: the stream stays idle
+        and ``synchronize()`` still returns.  The launch rule never queues
+        behind work — :meth:`StreamPool.launch` only picks idle streams.
         """
-        promise = Promise()
-        fut = promise.get_future()
         dev = self.device
         # device lock outside the stream lock: acceptance and the hand-off
         # to the workers are one step against a concurrent shutdown()
         with dev._cond, self._lock:
-            self._reserved = False
             if dev._shutdown:
                 raise RuntimeError(f"device {dev.name} is shut down")
+            return self._put(items)
+
+    def _launch_if_idle(self, items: list[tuple[Callable[..., Any], tuple]]
+                        ) -> Future | None:
+        """Launch ``items`` here if the stream can take them (pool-internal).
+
+        Returns ``None`` when the device is shut down, the stream is busy
+        or it is sitting out a quarantine.  The check and the hand-off are
+        one step under the device and stream locks, so no second caller
+        can slip in between.  A served quarantine is re-admitted here, on
+        probation, and counted under ``/cuda/readmitted``.
+        """
+        dev = self.device
+        readmitted = False
+        with dev._cond, self._lock:
+            if dev._shutdown or self._in_flight or self._queue:
+                return None
+            if self._quarantined_until > 0.0:
+                if time.monotonic() < self._quarantined_until:
+                    return None
+                # quarantine served: re-admit on probation (one more fault
+                # sends the stream straight back)
+                self._quarantined_until = 0.0
+                self._probation = True
+                readmitted = True
             if _sanitize_state.ACTIVE:
-                # submitter -> device-worker edge (per-stream FIFO, so one
-                # cumulative key per stream is exact for the head op)
-                _racecheck.send(("stream-op", id(self)))
-            self._queue.append((fn, args, promise))
-            self._last_future = fut
-            if not self._in_flight:
-                self._in_flight = True
-                dev._dispatch(self)
+                # acquire edge from the device worker that finished this
+                # stream's previous launch, so kernels of successive
+                # launches on one stream are ordered
+                _racecheck.recv(("stream", id(self)))
+            fut = self._put(items)
+        if readmitted:
+            default_registry().increment("/cuda/readmitted")
+            if trace.TRACING:
+                trace.instant("stream-readmitted", "cuda",
+                              device=dev.name, stream=self.index)
         return fut
 
-    def enqueue_aggregated(self, items: list[tuple[Callable[..., Any], tuple]]
-                           ) -> Future:
-        """Submit a slot buffer as one aggregated launch (one queue op).
-
-        The returned future resolves with per-slot ``(ok, value_or_exc)``
-        outcomes in slot order; see :class:`AggregatedOp` for the
-        stream-health semantics.
-        """
-        return self.enqueue(AggregatedOp(items))
+    def _put(self, items: list[tuple[Callable[..., Any], tuple]]) -> Future:
+        """Queue ``items`` as one op (device and stream locks held)."""
+        promise = Promise()
+        fut = promise.get_future()
+        if _sanitize_state.ACTIVE:
+            # submitter -> device-worker edge (per-stream FIFO, so one
+            # cumulative key per stream is exact for the head op)
+            _racecheck.send(("stream-op", id(self)))
+        self._queue.append((items, promise))
+        self._last_future = fut
+        if not self._in_flight:
+            self._in_flight = True
+            self.device._dispatch(self)
+        return fut
 
     def record_event(self) -> Future:
         """Future ready when everything enqueued so far has completed."""
@@ -193,66 +180,7 @@ class CudaStream:
 
     def busy(self) -> bool:
         with self._lock:
-            return self._in_flight or self._reserved or bool(self._queue)
-
-    def _try_reserve(self, timeout: float = DEFAULT_LEASE_TIMEOUT_S
-                     ) -> int | None:
-        """Atomically claim this stream if it is idle (pool-internal).
-
-        Returns a lease token, or ``None`` when the stream is busy.  A
-        reservation whose lease deadline has passed was leaked by its
-        holder (acquired, never enqueued) and is reclaimed here, counted
-        under ``/cuda/leases-reclaimed``.
-        """
-        readmitted = False
-        with self._lock:
-            if self._in_flight or self._queue:
-                return None
-            now = time.monotonic()
-            if self._quarantined_until > 0.0:
-                if now < self._quarantined_until:
-                    return None
-                # quarantine served: re-admit on probation (one more fault
-                # sends the stream straight back)
-                self._quarantined_until = 0.0
-                self._probation = True
-                readmitted = True
-            if self._reserved:
-                if now < self._lease_deadline:
-                    return None
-                default_registry().increment("/cuda/leases-reclaimed")
-                if _sanitize_state.ACTIVE:
-                    _sanitize_protocol.lease_reclaimed()
-            self._reserved = True
-            self._lease_token += 1
-            self._lease_deadline = now + timeout
-            token = self._lease_token
-            if _sanitize_state.ACTIVE:
-                # acquire edge from the previous holder's release (or the
-                # device worker finishing the previous kernel), so writes
-                # made under successive leases of one stream are ordered
-                _racecheck.recv(("stream", id(self)))
-        if readmitted:
-            default_registry().increment("/cuda/readmitted")
-            if trace.TRACING:
-                trace.instant("stream-readmitted", "cuda",
-                              device=self.device.name, stream=self.index)
-        return token
-
-    def release(self, token: int) -> None:
-        """Give back a reservation without enqueueing a kernel.
-
-        A no-op unless ``token`` (from :meth:`_try_reserve`, carried by
-        the :class:`StreamLease`) still owns the reservation, so a late
-        release can never clobber a newer holder's claim.
-        """
-        with self._lock:
-            if self._reserved and self._lease_token == token:
-                self._reserved = False
-                if _sanitize_state.ACTIVE:
-                    # lease handoff: the holder's writes happen-before
-                    # whoever reserves this stream next
-                    _racecheck.send(("stream", id(self)))
+            return self._in_flight or bool(self._queue)
 
     # -- stream health -------------------------------------------------------
 
@@ -291,7 +219,7 @@ class CudaStream:
 
     def _run_kernel(self, fn: Callable[..., Any], args: tuple
                     ) -> tuple[bool, Any]:
-        """One kernel on this stream (device-worker side): poison draw,
+        """One slot on this stream (device-worker side): poison draw,
         run, health outcome; returns ``(ok, value_or_exception)``."""
         exc = self._consume_poison()
         value = None
@@ -306,8 +234,6 @@ class CudaStream:
     def _record_kernel_outcome(self, ok: bool) -> None:
         """Track the consecutive-fault streak; quarantine past threshold."""
         dev = self.device
-        if dev.quarantine_threshold is None:
-            return
         quarantined = False
         with self._lock:
             if ok:
@@ -349,20 +275,19 @@ class CudaDevice:
         Simulated concurrency of the device (number of host threads
         standing in for streaming multiprocessors).
     quarantine_threshold / quarantine_period:
-        Consecutive kernel faults that quarantine a stream, and how long
-        it sits out before probationary re-admission.  ``threshold=None``
-        disables stream-health tracking entirely.
+        Consecutive kernel faults (at least one) that quarantine a
+        stream, and how long it sits out before probationary
+        re-admission.
     """
 
     def __init__(self, n_streams: int = DEFAULT_STREAMS_PER_GPU,
                  n_workers: int = 4, name: str = "sim-gpu",
-                 quarantine_threshold: int | None =
-                 DEFAULT_QUARANTINE_THRESHOLD,
+                 quarantine_threshold: int = DEFAULT_QUARANTINE_THRESHOLD,
                  quarantine_period: float = DEFAULT_QUARANTINE_PERIOD_S):
         if n_streams < 1 or n_workers < 1:
             raise ValueError("need at least one stream and one worker")
-        if quarantine_threshold is not None and quarantine_threshold < 1:
-            raise ValueError("quarantine threshold must be >= 1 (or None)")
+        if quarantine_threshold < 1:
+            raise ValueError("quarantine threshold must be >= 1")
         if quarantine_period <= 0:
             raise ValueError("quarantine period must be positive")
         self.name = name
@@ -385,9 +310,9 @@ class CudaDevice:
     def _dispatch(self, stream: CudaStream) -> None:
         """Hand a stream with queued ops to the workers (``_cond`` held).
 
-        No shutdown check here: :meth:`CudaStream.enqueue` refuses new
-        work on a shut-down device, and whatever was accepted before
-        drains — workers exit only once ``_work`` is empty.
+        No shutdown check here: nothing is queued on a shut-down device,
+        and whatever was accepted before drains — workers exit only once
+        ``_work`` is empty.
         """
         self._work.append(stream)
         self._cond.notify()
@@ -403,35 +328,26 @@ class CudaDevice:
             item = stream._pop()
             if item is None:
                 continue
-            fn, args, promise = item
+            items, promise = item
             if _sanitize_state.ACTIVE:
                 _racecheck.recv(("stream-op", id(stream)))
             t0 = time.perf_counter() if trace.TRACING else 0.0
-            if isinstance(fn, AggregatedOp):
-                # one queue op, one launch future, per-slot outcomes
-                executed = len(fn)
-                promise.set_value(fn.run(stream))
-            else:
-                executed = 1
-                ok, value = stream._run_kernel(fn, args)
-                if ok:
-                    promise.set_value(value)
-                else:
-                    promise.set_exception(value)
+            # one queue op, one launch future, per-slot outcomes
+            promise.set_value([stream._run_kernel(fn, args)
+                               for fn, args in items])
             if trace.TRACING:
-                trace.default_recorder().complete(
-                    getattr(fn, "__name__", "kernel"), "cuda",
-                    t0, time.perf_counter(),
-                    device=self.name, stream=stream.index)
+                trace.complete(getattr(items[0][0], "__name__", "kernel"),
+                               "cuda", t0, device=self.name,
+                               stream=stream.index, slots=len(items))
             with self._stats_lock:
-                self.kernels_executed += executed
+                self.kernels_executed += len(items)
             # keep per-stream FIFO: only after completion may the next op run
             with stream._lock:
                 more = bool(stream._queue)
                 if not more:
                     stream._in_flight = False
                 if _sanitize_state.ACTIVE:
-                    # kernel completion happens-before the next reserve
+                    # kernel completion happens-before the next launch
                     _racecheck.send(("stream", id(stream)))
             if more:
                 with self._cond:
@@ -471,99 +387,36 @@ class CudaDevice:
         self.shutdown()
 
 
-class StreamLease:
-    """A held stream reservation that cannot leak.
-
-    Returned by :meth:`StreamPool.acquire`.  Use as a context manager (or
-    call :meth:`release` explicitly): if the holder exits without having
-    enqueued a kernel — e.g. an exception between acquire and launch —
-    the reservation is given back immediately instead of pinning the
-    stream until the lease timeout reclaims it.
-    """
-
-    __slots__ = ("stream", "_token", "_consumed", "_san_seq", "__weakref__")
-
-    def __init__(self, stream: CudaStream, token: int):
-        self.stream = stream
-        self._token = token
-        self._consumed = False
-        if _sanitize_state.ACTIVE:
-            _sanitize_protocol.lease_created(self)
-
-    def enqueue(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Launch a kernel on the leased stream, consuming the lease."""
-        if _sanitize_state.ACTIVE:
-            _sanitize_protocol.lease_consumed(self)
-        self._consumed = True
-        return self.stream.enqueue(fn, *args)
-
-    def enqueue_aggregated(self, items: list[tuple[Callable[..., Any], tuple]]
-                           ) -> Future:
-        """Launch a slot buffer as one aggregated op, consuming the lease."""
-        if _sanitize_state.ACTIVE:
-            _sanitize_protocol.lease_consumed(self)
-        self._consumed = True
-        return self.stream.enqueue_aggregated(items)
-
-    def release(self) -> None:
-        """Return the reservation unless a kernel was already enqueued."""
-        if not self._consumed:
-            if _sanitize_state.ACTIVE:
-                _sanitize_protocol.lease_released(self)
-            self._consumed = True
-            self.stream.release(self._token)
-
-    def __enter__(self) -> "StreamLease":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
-
-
 class StreamPool:
-    """Non-blocking allocator of idle streams across one or more devices.
+    """The launch rule's mechanism: a slot buffer onto an idle stream.
 
-    Reservations are leases: they expire after ``lease_timeout`` seconds
-    if the holder never enqueues, so a crashed caller cannot permanently
-    remove a stream from circulation (reclaims are counted under
-    ``/cuda/leases-reclaimed``).
+    Round-robins across devices so multi-GPU nodes (the 2×V100 rows of
+    Table 2) share load.
     """
 
-    def __init__(self, devices: list[CudaDevice],
-                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S):
+    def __init__(self, devices: list[CudaDevice]):
         if not devices:
             raise ValueError("need at least one device")
-        if lease_timeout <= 0:
-            raise ValueError("lease timeout must be positive")
-        self.devices = devices
-        self.lease_timeout = lease_timeout
+        self._streams = [s for d in devices for s in d.streams]
         self._lock = _sanitize_lockdep.make_lock("cuda.pool")
         self._rr = 0
 
-    def acquire(self) -> StreamLease | None:
-        """Reserve an idle stream; returns a lease, or ``None`` if busy.
+    def launch(self, items: list[tuple[Callable[..., Any], tuple]]
+               ) -> Future | None:
+        """Put ``items`` on an idle stream; its launch future, or ``None``.
 
-        The leased stream is *reserved* (its ``busy()`` reports True) so
-        concurrent acquirers can never be handed the same stream before
-        either has enqueued anything; the reservation is consumed by
-        :meth:`StreamLease.enqueue` or returned by
-        :meth:`StreamLease.release` / lease expiry.
-
-        Round-robins across devices so multi-GPU nodes (the 2×V100 rows of
-        Table 2) share load.
+        Visits the streams round-robin and launches on the first one that
+        is idle, not quarantined and whose device is not shut down — the
+        check and the launch are one step under that stream's device and
+        stream locks, so concurrent callers are never handed the same
+        stream.  ``None`` means no stream can take the buffer: the caller
+        runs it on the CPU (Sec. 5.1).
         """
         with self._lock:
-            all_streams = [s for d in self.devices for s in d.streams]
-            n = len(all_streams)
+            n = len(self._streams)
             for k in range(n):
-                s = all_streams[(self._rr + k) % n]
-                token = s._try_reserve(self.lease_timeout)
-                if token is not None:
+                fut = self._streams[(self._rr + k) % n]._launch_if_idle(items)
+                if fut is not None:
                     self._rr = (self._rr + k + 1) % n
-                    return StreamLease(s, token)
+                    return fut
         return None
-
-    @property
-    def n_streams(self) -> int:
-        return sum(len(d.streams) for d in self.devices)
-

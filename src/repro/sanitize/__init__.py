@@ -1,23 +1,23 @@
 """Dynamic correctness sanitizers for the AMT runtime (opt-in).
 
 The runtime guarantees HPX-grade invariants — bit-identical futurized
-execution, leak-proof stream leases, generation-exact channels — but a
-latent lock-order inversion or an abandoned future violates them
-silently, and three of the last four PRs each fixed such a bug found by
-hand.  This package detects those hazard classes mechanically:
+execution, generation-exact channels — but a latent lock-order
+inversion or an abandoned future violates them silently, and three of
+the last four PRs each fixed such a bug found by hand.  This package
+detects those hazard classes mechanically:
 
 * :mod:`.lockdep` — lock-order (ABBA) inversions over the runtime's lock
   classes, recursive self-deadlocks, user callbacks invoked under locks;
 * :mod:`.futuregraph` — wait-for cycles through the future dependency
   graph, futures abandoned unresolved, exceptional futures whose error
   is never consumed, scheduler workers stalled in unbounded ``get``;
-* :mod:`.protocol` — stream-lease lifecycle (held → consumed xor
-  released, exactly once) and channel generation protocol (set at most
-  once, never after close/consume);
+* :mod:`.protocol` — the channel generation protocol (set at most
+  once, never after it was consumed);
 * :mod:`.racecheck` — FastTrack-style vector-clock happens-before data
   races on shared buffers declared through :func:`access`, with the
-  runtime's sync vocabulary (futures, channels, scheduler, leases,
-  aggregation, AGAS, parcels) publishing the happens-before edges;
+  runtime's sync vocabulary (futures, channels, scheduler, stream
+  launches, aggregation, AGAS, parcels) publishing the happens-before
+  edges;
 * :mod:`.schedules` — seeded, replayable adversarial schedule
   exploration (priority churn + delivery permutation) so the above run
   on many interleavings, not just the one the OS produced.
@@ -25,20 +25,20 @@ hand.  This package detects those hazard classes mechanically:
 Enable with ``REPRO_SANITIZE=1`` in the environment (instruments the
 whole process — how CI runs the suite) or :func:`enable` *before*
 constructing the runtime objects to instrument: instrumentation is
-decided when locks/futures/leases are created, so a disabled sanitizer
+decided when locks/futures are created, so a disabled sanitizer
 costs the hot paths nothing.
 
 Findings accumulate in :func:`findings`; :func:`tallies` hands them out
 as ``/sanitize/...`` paths for a counter registry (this package imports
 nothing from the runtime it instruments); :func:`sweep` audits quiesce
-points (abandoned futures, swallowed errors, held leases); :func:`report`
+points (abandoned futures, swallowed errors); :func:`report`
 renders everything for humans.  Tests isolate injected hazards with
 :func:`scope`.
 """
 
 from __future__ import annotations
 
-from . import futuregraph, lockdep, protocol, racecheck, schedules, state
+from . import futuregraph, lockdep, racecheck, schedules, state
 from .lockdep import make_condition, make_lock
 from .racecheck import access
 from .state import (Finding, clear, configure, disable, enable, enabled,
@@ -49,29 +49,25 @@ __all__ = [
     "findings", "finding_count", "clear", "scope", "record",
     "make_lock", "make_condition", "access",
     "sweep", "report", "tallies", "reset_graphs",
-    "state", "lockdep", "futuregraph", "protocol", "racecheck",
-    "schedules",
+    "state", "lockdep", "futuregraph", "racecheck", "schedules",
 ]
 
 
 def sweep() -> list[Finding]:
     """Quiesce-point audit across all checkers.
 
-    Reports futures still pending (abandoned), exceptional futures whose
-    error was never consumed (swallowed), and stream leases still held.
-    Call after a drain/shutdown; the chaos harness calls it after the
-    chaotic run completes.
+    Reports futures still pending (abandoned) and exceptional futures
+    whose error was never consumed (swallowed).  Call after a
+    drain/shutdown; the chaos harness calls it after the chaotic run
+    completes.
     """
-    out = futuregraph.sweep()
-    out.extend(protocol.sweep_leases(collect=False))
-    return out
+    return futuregraph.sweep()
 
 
 def reset_graphs() -> None:
     """Drop accumulated graph state *and* findings (test isolation)."""
     lockdep.reset()
     futuregraph.reset()
-    protocol.reset()
     racecheck.reset()
     clear()
 

@@ -13,7 +13,7 @@ algorithm (Flanagan & Freund, PLDI 2009):
 * the runtime's synchronization vocabulary publishes **happens-before
   edges** through :func:`send` / :func:`recv` on per-object keys — future
   resolution/consumption, channel generations, scheduler post/begin/drain,
-  stream-lease release/acquire and enqueue/execute, aggregation-region
+  stream completion/next launch and enqueue/execute, aggregation-region
   slot fill/flush, AGAS migration commit order, parcel send/deliver;
 * every shared buffer the solver layer touches is declared through the
   shadow-access API :func:`access`, which keeps **epoch** shadow state per

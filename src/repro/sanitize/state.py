@@ -6,7 +6,7 @@ the *site* (file:line of the offending frame outside the runtime), so a
 report can point at user code rather than at the sanitizer hook.
 
 Activation is **creation-time** for instrumented objects: enabling the
-sanitizers makes locks/futures/leases created *afterwards* tracked.  The
+sanitizers makes locks/futures/channels created *afterwards* tracked.  The
 ``REPRO_SANITIZE=1`` environment variable enables them before any runtime
 module is imported, which is how CI instruments a whole test run; inside
 a process, call :func:`enable` before constructing the runtime objects
@@ -47,8 +47,8 @@ class Finding:
 
     ``kind`` is a stable slug (``lock-order``, ``lock-recursion``,
     ``callback-under-lock``, ``wait-cycle``, ``abandoned-future``,
-    ``swallowed-exception``, ``blocked-worker``, ``lease-leak``,
-    ``lease-reuse``, ``channel-reset-generation``).
+    ``swallowed-exception``, ``blocked-worker``, ``data-race``,
+    ``channel-reset-generation``).
     ``site`` is the ``file:line in func`` of the first frame outside the
     instrumented runtime; ``details`` carries kind-specific context (for
     lock-order findings, both acquisition sites of the inverted edge).

@@ -119,40 +119,43 @@ def test_repro005_typed_except_and_other_dirs_clean():
 
 # -- REPRO006: launches beside the aggregation region ----------------------
 
-def test_repro006_direct_lease_enqueue_in_core():
-    vs = _lint("lease.enqueue(kernel, dR, m)", rel="repro/core/solver.py")
+def test_repro006_direct_stream_enqueue_in_core():
+    vs = _lint("self.stream.enqueue([(kernel, (dR, m))])",
+               rel="repro/core/solver.py")
     assert [v.rule for v in vs] == ["REPRO006"]
     assert "aggregation region" in vs[0].message
 
 
-def test_repro006_stream_enqueue_aggregated_in_core():
-    vs = _lint("self.stream.enqueue_aggregated(items)",
+def test_repro006_pool_launch_in_core():
+    vs = _lint("fut = self.pool.launch(items)",
                rel="repro/core/gravity/fmm.py")
     assert [v.rule for v in vs] == ["REPRO006"]
+    assert "launch()" in vs[0].message
 
 
 def test_repro006_covers_every_package_above_runtime():
-    vs = _lint("lease.enqueue(kernel, args)",
+    vs = _lint("stream.enqueue(items)",
                rel="repro/resilience/supervisor.py")
     assert [v.rule for v in vs] == ["REPRO006"]
-    # the region is the one sanctioned acquirer: even a guarded acquire
+    # the region is the one sanctioned launcher: even a checked launch
     # above runtime/ is a second launch path
     vs = _lint("""
-        def launch(self):
-            with self.pool.acquire() as lease:
-                return lease
+        def launch(self, items):
+            fut = self.pool.launch(items)
+            return fut if fut is not None else run_inline(items)
     """, rel="repro/analysis/profile.py")
     assert [v.rule for v in vs] == ["REPRO006"]
-    assert "acquire()" in vs[0].message
-    assert _lint("lease = self.pool.acquire()\nlease.release()",
+    assert _lint("fut = self.pool.launch(items)",
                  rel="repro/runtime/aggregate.py") == []
 
 
 def test_repro006_clean_outside_core_and_for_other_bases():
-    # the runtime layer implements aggregation, so it may enqueue directly
-    assert _lint("lease.enqueue(op)", rel="repro/runtime/aggregate.py") == []
-    # only lease/stream receivers are launch paths
+    # the runtime layer implements aggregation, so it may launch directly
+    assert _lint("stream.enqueue(items)",
+                 rel="repro/runtime/aggregate.py") == []
+    # only stream enqueues and pool launches are launch paths
     assert _lint("queue.enqueue(item)", rel="repro/core/mesh.py") == []
+    assert _lint("rocket.launch()", rel="repro/core/mesh.py") == []
     # engine-mediated dispatch is the sanctioned route
     assert _lint("engine.map(fn, argtuples)", rel="repro/core/mesh.py") == []
 
@@ -638,7 +641,7 @@ LIVE_SITES = {
     "REPRO005": ("runtime/scheduler.py", "        except BaseException:\n",
                  "        except:\n"),
     "REPRO006": ("core/exec.py", "region.push(fn, args, promise)",
-                 "lease.enqueue(fn, *args)"),
+                 "self.pool.launch([(fn, args)])"),
     # a route's payload set straight into its channel, beside the wire
     "REPRO007": ("core/distmesh.py",
                  "            transport.send(route.channel, payload, "

@@ -30,8 +30,6 @@ ALLOWED = {
     # deliberately configurable: the caller is a test, and has to be
     ("DistBlockMesh", "partition"):
         "the partition-independence property test varies it",
-    ("StreamPool", "lease_timeout"):
-        "safety mechanism; its reclaim tests need a short value",
     ("GuardedStepper", "max_restores"):
         "safety budget; exhaustion tests need a small value",
     ("GuardedStepper", "max_halvings"):
@@ -176,7 +174,7 @@ def test_every_option_has_a_caller(audit):
 
 def test_allowed_table_is_exact(audit):
     declared, used = audit
-    assert len(ALLOWED) == 14
+    assert len(ALLOWED) == 13
     assert all(reason for reason in ALLOWED.values())
     stale = sorted(f"{cls}.{p}" for cls, p in ALLOWED
                    if p not in declared.get(cls, ((), ()))[1] or (cls, p) in used)

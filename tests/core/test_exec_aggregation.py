@@ -98,15 +98,15 @@ class TestLaunchReconciliation:
 
 
 class TestCountAfterEnqueue:
-    def test_failed_enqueue_is_not_a_gpu_launch(self):
-        """Regression: a faulting enqueue used to be pre-counted as a GPU
-        launch.  The kernels overflow to the CPU, the gauges reconcile,
-        and /cuda/agg-enqueue-failed records the fault."""
+    def test_shut_down_device_is_not_a_gpu_launch(self):
+        """Regression: work meant for a dead device used to be pre-counted
+        as a GPU launch.  A shut-down device has no idle stream, so the
+        kernels overflow to the CPU and the gauges reconcile."""
         reg = default_registry()
         reg.reset()
         gpu = CudaDevice(n_streams=2, n_workers=1, name="dead-gpu")
         engine = ExecutionEngine(devices=[gpu], agg_slots=4)
-        gpu.shutdown()  # every enqueue now raises inside the flush
+        gpu.shutdown()  # no stream takes a launch any more
         futs = engine.map(lambda x: x + 1, [(i,) for i in range(6)])
         assert [f.get(timeout=5.0) for f in futs] == list(range(1, 7))
         snap = reg.snapshot()
@@ -114,7 +114,7 @@ class TestCountAfterEnqueue:
         assert engine.cpu_launches == 6
         assert snap.get("/cuda/launched/gpu", 0.0) == 0.0
         assert snap.get("/cuda/launched/cpu") == 6.0
-        assert snap.get("/cuda/agg-enqueue-failed", 0.0) > 0.0
+        assert snap.get("/cuda/agg-launches", 0.0) == 0.0
         assert snap.get("/cuda/launched/cpu") == snap.get("/exec/tasks")
 
     def test_poisoned_kernels_still_count_as_placed(self):
@@ -123,7 +123,7 @@ class TestCountAfterEnqueue:
         reg = default_registry()
         reg.reset()
         with CudaDevice(n_streams=1, n_workers=1, name="sick-gpu",
-                        quarantine_threshold=None) as gpu:
+                        quarantine_threshold=5) as gpu:
             gpu.streams[0].poison()  # every kernel faults, forever
             engine = ExecutionEngine(devices=[gpu], agg_slots=4)
             futs = engine.map(lambda x: x, [(i,) for i in range(4)])
@@ -139,17 +139,17 @@ class TestCountAfterEnqueue:
             snap.get("/cuda/launched/cpu", 0.0) == snap.get("/exec/tasks")
 
     @pytest.mark.timeout(10)
-    def test_failed_enqueue_leaves_engine_synchronizable(self):
-        """Enqueue failure -> CPU overflow leaves nothing queued on the
-        dead device, so the barrier behind ``synchronize()`` returns."""
+    def test_shut_down_device_leaves_engine_synchronizable(self):
+        """CPU overflow from a dead device leaves nothing queued on it,
+        so the barrier behind ``synchronize()`` returns."""
         reg = CounterRegistry()
         gpu = CudaDevice(n_streams=2, n_workers=1, name="dead-gpu2")
         engine = ExecutionEngine(devices=[gpu], registry=reg, agg_slots=4)
         gpu.shutdown()
         futs = engine.map(lambda x: x + 1, [(i,) for i in range(4)])
-        # one flush, one refused enqueue, every slot from the CPU run
+        # one flush, no stream to take it, every slot from the CPU run
         assert [f.get(timeout=5.0) for f in futs] == [1, 2, 3, 4]
-        assert reg.snapshot().get("/cuda/agg-enqueue-failed") == 1.0
+        assert reg.snapshot().get("/cuda/launched/cpu") == 4.0
         assert (engine.gpu_launches, engine.cpu_launches) == (0, 4)
         assert not any(s.busy() for s in gpu.streams)
         waiter = threading.Thread(target=engine.synchronize, daemon=True)
@@ -207,7 +207,7 @@ class TestOneLaunchRule:
         assert snap.get("/cuda/launched/gpu", 0.0) \
             + snap.get("/cuda/launched/cpu", 0.0) \
             == snap.get("/exec/tasks") == n_kernels
-        # never a lease left held
+        # no launch future left unresolved
         assert san.sweep() == []
 
 

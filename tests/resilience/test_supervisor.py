@@ -123,14 +123,49 @@ class TestSupervisedExecution:
             assert [f.get(timeout=10.0) for f in futs] == list(range(16))
 
     def test_engine_surface_is_passed_through(self):
+        reg = CounterRegistry()
         with WorkStealingScheduler(1) as sched:
-            inner = ExecutionEngine(scheduler=sched)
+            inner = ExecutionEngine(scheduler=sched, agg_slots=3)
             eng = SupervisedEngine(inner)
-            assert eng.scheduler is sched
-            assert eng.pool is None
-            assert eng.devices == []
-            assert eng.gpu_fraction == 0.0
+            assert eng.agg_slots == 3
+            assert eng.submit(lambda: 4).get(timeout=5.0) == 4
             eng.synchronize()
+            eng.publish_counters(reg)
+        assert reg.value("/exec/launched/cpu") == 1.0
+
+    def test_application_error_escalates_once_with_original_exception(self):
+        reg = CounterRegistry()
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), max_retries=3)
+        err = ValueError("a real bug")
+
+        def boom():
+            raise err
+
+        fut = eng.submit(boom)
+        with pytest.raises(ValueError) as caught:
+            fut.get(timeout=5.0)
+        assert caught.value is err
+        snap = reg.snapshot()
+        assert snap["/resilience/tasks/escalated"] == 1.0
+        assert snap.get("/resilience/tasks/gave-up", 0.0) == 0.0
+
+    def test_exhausted_transient_escalates_once_with_original_exception(self):
+        reg = CounterRegistry()
+        eng = SupervisedEngine(ExecutionEngine(registry=reg), max_retries=2)
+        raised = []
+
+        def flaky():
+            raised.append(TransientActionFault(f"attempt {len(raised) + 1}"))
+            raise raised[-1]
+
+        fut = eng.submit(flaky)
+        with pytest.raises(TransientActionFault) as caught:
+            fut.get(timeout=5.0)
+        assert len(raised) == 3                 # 1 attempt + max_retries
+        assert caught.value is raised[-1]       # the last attempt's fault
+        snap = reg.snapshot()
+        assert snap["/resilience/tasks/escalated"] == 1.0
+        assert snap["/resilience/tasks/gave-up"] == 1.0
 
     def test_supervised_fmm_solve_aggregates_launches(self):
         """The solver sizes its chunks from the engine's ``agg_slots``;

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.runtime import (AggregatedOp, AggregationRegion, CudaDevice,
-                           StreamPool)
+from repro.runtime import (AggregationRegion, CudaDevice, Promise,
+                           StreamPool, trace)
 from repro.runtime.counters import default_registry
 
 
 def make_pool(gpu):
     return StreamPool([gpu])
+
+
+def submit(region, fn, *args):
+    """Buffer ``fn(*args)`` in ``region``; returns its future."""
+    promise = Promise()
+    region.push(fn, args, promise)
+    return promise.get_future()
 
 
 class TestFlushTriggers:
@@ -17,8 +24,8 @@ class TestFlushTriggers:
         reg.reset()
         with CudaDevice(n_streams=2, n_workers=1, name="agg-gpu") as gpu:
             region = AggregationRegion(make_pool(gpu), slots=3)
-            futs = [region.submit(lambda x=x: x * 10) for x in range(3)]
-            # the third push filled the buffer: launched without flush()
+            futs = [submit(region, lambda x=x: x * 10) for x in range(3)]
+            # the third push filled the buffer: launched before exit
             assert [f.get(timeout=5.0) for f in futs] == [0, 10, 20]
             gpu.synchronize()
         snap = reg.snapshot()
@@ -31,35 +38,22 @@ class TestFlushTriggers:
         reg.reset()
         with CudaDevice(n_streams=2, n_workers=1, name="agg-gpu") as gpu:
             with AggregationRegion(make_pool(gpu), slots=16) as region:
-                futs = [region.submit(lambda x=x: -x) for x in range(5)]
+                futs = [submit(region, lambda x=x: -x) for x in range(5)]
             assert [f.get(timeout=5.0) for f in futs] == [0, -1, -2, -3, -4]
             gpu.synchronize()
         snap = reg.snapshot()
         assert snap.get("/cuda/agg-flush/exit") == 1.0
         assert snap.get("/cuda/aggregated-per-launch", None) is None  # gauge
-        assert region.launches == 1
-        assert region.gpu_tasks == 5
-
-    def test_explicit_flush_and_synchronize(self):
-        with CudaDevice(n_streams=2, n_workers=1, name="agg-gpu") as gpu:
-            region = AggregationRegion(make_pool(gpu), slots=16)
-            f1 = region.submit(lambda: "a")
-            region.flush()
-            f2 = region.submit(lambda: "b")
-            region.synchronize(timeout=5.0)
-            assert f1.get(timeout=0.0) == "a"
-            assert f2.get(timeout=0.0) == "b"
-            assert region.launches == 2
-            gpu.synchronize()
+        assert snap.get("/cuda/agg-launches") == 1.0
+        assert snap.get("/cuda/agg-tasks") == 5.0
 
     def test_empty_flush_is_a_noop(self):
         reg = default_registry()
         reg.reset()
         with CudaDevice(n_streams=1, n_workers=1, name="agg-gpu") as gpu:
-            with AggregationRegion(make_pool(gpu), slots=4) as region:
-                region.flush()
-            region.synchronize()
-        assert region.launches == 0
+            with AggregationRegion(make_pool(gpu), slots=4):
+                pass
+            assert gpu.kernels_executed == 0
         assert reg.snapshot().get("/cuda/agg-launches", 0.0) == 0.0
 
     def test_slots_validation(self):
@@ -73,7 +67,7 @@ class TestOrderingAndIdentity:
         in push order, however the buffer was cut into launches."""
         with CudaDevice(n_streams=4, n_workers=2, name="agg-gpu") as gpu:
             with AggregationRegion(make_pool(gpu), slots=4) as region:
-                futs = [region.submit(lambda i=i: i) for i in range(11)]
+                futs = [submit(region, lambda i=i: i) for i in range(11)]
             got = [f.get(timeout=5.0) for f in futs]
             gpu.synchronize()
         assert got == list(range(11))
@@ -85,12 +79,14 @@ class TestOrderingAndIdentity:
             order.append(i)
             return i
 
-        with AggregationRegion(None, slots=4) as region:
-            futs = [region.submit(record, i) for i in range(10)]
+        placed = []
+        with AggregationRegion(None, slots=4,
+                               on_flush=lambda g, n: placed.append((g, n))
+                               ) as region:
+            futs = [submit(region, record, i) for i in range(10)]
         assert [f.get(timeout=0.0) for f in futs] == list(range(10))
         assert order == list(range(10))
-        assert region.cpu_tasks == 10
-        assert region.launches == 0
+        assert placed == [(False, 4), (False, 4), (False, 2)]
 
     def test_slot_exception_is_isolated(self):
         def boom():
@@ -98,9 +94,9 @@ class TestOrderingAndIdentity:
 
         with CudaDevice(n_streams=1, n_workers=1, name="agg-gpu") as gpu:
             with AggregationRegion(make_pool(gpu), slots=8) as region:
-                ok1 = region.submit(lambda: 1)
-                bad = region.submit(boom)
-                ok2 = region.submit(lambda: 2)
+                ok1 = submit(region, lambda: 1)
+                bad = submit(region, boom)
+                ok2 = submit(region, lambda: 2)
             assert ok1.get(timeout=5.0) == 1
             with pytest.raises(ValueError, match="slot 1"):
                 bad.get(timeout=5.0)
@@ -113,7 +109,7 @@ class TestLaunchAccounting:
         """kernels-executed advances by the slot count, not by 1."""
         with CudaDevice(n_streams=1, n_workers=1, name="agg-gpu") as gpu:
             with AggregationRegion(make_pool(gpu), slots=8) as region:
-                futs = [region.submit(lambda: None) for _ in range(6)]
+                futs = [submit(region, lambda: None) for _ in range(6)]
             for f in futs:
                 f.wait(5.0)
             gpu.synchronize()
@@ -125,7 +121,7 @@ class TestLaunchAccounting:
             with AggregationRegion(make_pool(gpu), slots=2,
                                    on_flush=lambda g, n: events.append((g, n))
                                    ) as region:
-                futs = [region.submit(lambda: 0) for _ in range(2)]
+                futs = [submit(region, lambda: 0) for _ in range(2)]
             for f in futs:
                 f.wait(5.0)
             gpu.synchronize()
@@ -133,41 +129,27 @@ class TestLaunchAccounting:
         with AggregationRegion(None, slots=2,
                                on_flush=lambda g, n: events.append((g, n))
                                ) as region:
-            region.submit(lambda: 0).wait(1.0)
+            submit(region, lambda: 0).wait(1.0)
         assert events == [(True, 2), (False, 1)]
 
-    def test_failed_enqueue_falls_back_to_cpu_uncounted(self):
-        """A faulting enqueue must not count as a GPU launch (the
-        launch-accounting bug this PR fixes): the buffer overflows to
-        the CPU and the kernels still complete."""
+    @pytest.mark.timeout(10)
+    def test_shut_down_device_overflows_every_slot_to_cpu(self):
+        """A shut-down device has no idle stream: every buffer runs on
+        the CPU, is counted there and never as a GPU launch, and nothing
+        waits on the dead device."""
         reg = default_registry()
         reg.reset()
-
-        class RevokedLease:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def enqueue_aggregated(self, items):
-                raise RuntimeError("stream revoked mid-flush")
-
-        class RevokedPool:
-            def acquire(self):
-                return RevokedLease()
-
+        gpu = CudaDevice(n_streams=2, n_workers=1, name="dead-gpu")
+        gpu.shutdown()
         events = []
-        with AggregationRegion(RevokedPool(), slots=4,
+        with AggregationRegion(make_pool(gpu), slots=4,
                                on_flush=lambda g, n: events.append((g, n))
                                ) as region:
-            futs = [region.submit(lambda x=x: x + 1) for x in range(3)]
-        assert [f.get(timeout=1.0) for f in futs] == [1, 2, 3]
-        assert events == [(False, 3)]  # CPU placement, no GPU launch
-        assert region.launches == 0 and region.gpu_tasks == 0
-        snap = reg.snapshot()
-        assert snap.get("/cuda/agg-enqueue-failed") == 1.0
-        assert snap.get("/cuda/agg-launches", 0.0) == 0.0
+            futs = [submit(region, lambda x=x: x + 1) for x in range(6)]
+        assert [f.get(timeout=1.0) for f in futs] == [1, 2, 3, 4, 5, 6]
+        assert events == [(False, 4), (False, 2)]  # CPU only, no launch
+        assert not any(s.busy() for s in gpu.streams)
+        assert reg.snapshot().get("/cuda/agg-launches", 0.0) == 0.0
 
 
 class TestStreamHealth:
@@ -175,10 +157,10 @@ class TestStreamHealth:
         """A sick stream faults individual slots; healthy slots of the
         same aggregated launch still compute."""
         with CudaDevice(n_streams=1, n_workers=1, name="agg-gpu",
-                        quarantine_threshold=None) as gpu:
+                        quarantine_threshold=3) as gpu:
             gpu.streams[0].poison(count=2)
             with AggregationRegion(make_pool(gpu), slots=8) as region:
-                futs = [region.submit(lambda i=i: i) for i in range(4)]
+                futs = [submit(region, lambda i=i: i) for i in range(4)]
             outcomes = []
             for f in futs:
                 f.wait(5.0)
@@ -197,17 +179,34 @@ class TestStreamHealth:
             gpu.streams[0].poison()  # permanent
             pool = make_pool(gpu)
             with AggregationRegion(pool, slots=4) as region:
-                futs = [region.submit(lambda: 1) for _ in range(2)]
+                futs = [submit(region, lambda: 1) for _ in range(2)]
             for f in futs:
                 f.wait(5.0)
             gpu.synchronize()
             assert gpu.streams[0].quarantined()
-            assert pool.acquire() is None
+            assert pool.launch([(lambda: 1, ())]) is None
         assert reg.snapshot().get("/cuda/quarantined") == 1.0
 
 
-class TestAggregatedOp:
-    def test_len_and_trace_name(self):
-        op = AggregatedOp([(lambda: 1, ()), (lambda: 2, ())])
-        assert len(op) == 2
-        assert getattr(op, "__name__") == "aggregated-op"
+class TestSlotBufferOp:
+    def test_one_op_one_span_per_buffer(self):
+        """A slot buffer is one stream op: one launch future carrying
+        every slot's outcome, one ``cuda`` span, every slot executed."""
+        def kernel(x):
+            return x + 1
+
+        trace.clear()
+        trace.enable()
+        try:
+            with CudaDevice(n_streams=1, n_workers=1, name="op-gpu") as gpu:
+                fut = gpu.streams[0].enqueue([(kernel, (1,)), (kernel, (2,))])
+                assert fut.get(timeout=5.0) == [(True, 2), (True, 3)]
+                gpu.synchronize()
+                assert gpu.kernels_executed == 2
+            spans = [e for e in trace.default_recorder().events()
+                     if e["ph"] == "X" and e["cat"] == "cuda"]
+        finally:
+            trace.disable()
+            trace.clear()
+        assert [(e["name"], e["args"]) for e in spans] == [
+            ("kernel", {"device": "op-gpu", "stream": 0, "slots": 2})]

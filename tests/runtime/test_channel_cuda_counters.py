@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import (AggregationRegion, Channel, CounterRegistry,
-                           CudaDevice, StreamPool)
+                           CudaDevice, Promise, StreamPool)
 
 
 class TestChannel:
@@ -131,10 +131,22 @@ class TestChannel:
         assert [f.get() for f in late] == list(range(n, n + 8))
 
 
+def one(fn, *args):
+    """A one-slot buffer: the spelling of a single-kernel launch."""
+    return [(fn, args)]
+
+
+def submit(region, fn, *args):
+    """Buffer ``fn(*args)`` in ``region``; returns its future."""
+    promise = Promise()
+    region.push(fn, args, promise)
+    return promise.get_future()
+
+
 class TestCudaSim:
     def test_enqueue_returns_result(self):
         with CudaDevice(n_streams=4, n_workers=2) as dev:
-            assert dev.streams[0].enqueue(lambda: 5).get() == 5
+            assert dev.streams[0].enqueue(one(lambda: 5)).get() == [(True, 5)]
 
     def test_stream_preserves_fifo_order(self):
         with CudaDevice(n_streams=2, n_workers=2) as dev:
@@ -145,7 +157,7 @@ class TestCudaSim:
                 with lock:
                     order.append(i)
 
-            futs = [dev.streams[0].enqueue(op, i) for i in range(20)]
+            futs = [dev.streams[0].enqueue(one(op, i)) for i in range(20)]
             for f in futs:
                 f.get()
             assert order == list(range(20))
@@ -154,7 +166,7 @@ class TestCudaSim:
         with CudaDevice(n_streams=1, n_workers=1) as dev:
             results = []
             for i in range(5):
-                dev.streams[0].enqueue(lambda i=i: results.append(i))
+                dev.streams[0].enqueue(one(lambda i=i: results.append(i)))
             dev.streams[0].record_event().get()
             assert results == list(range(5))
 
@@ -166,17 +178,17 @@ class TestCudaSim:
         with CudaDevice(n_streams=8, n_workers=3) as dev:
             for s in dev.streams:
                 for _ in range(3):
-                    s.enqueue(time.sleep, 0.001)
+                    s.enqueue(one(time.sleep, 0.001))
             dev.synchronize()
             assert dev.kernels_executed == 24
 
     def test_kernel_exception_goes_to_future(self):
         with CudaDevice(n_streams=1, n_workers=1) as dev:
-            f = dev.streams[0].enqueue(lambda: 1 / 0)
-            with pytest.raises(ZeroDivisionError):
-                f.get()
+            [(ok, exc)] = dev.streams[0].enqueue(one(lambda: 1 / 0)).get()
+            assert not ok and isinstance(exc, ZeroDivisionError)
             # stream still usable
-            assert dev.streams[0].enqueue(lambda: "ok").get() == "ok"
+            assert dev.streams[0].enqueue(one(lambda: "ok")).get() \
+                == [(True, "ok")]
 
     @pytest.mark.timeout(10)
     def test_enqueue_on_shut_down_device_leaves_stream_idle(self):
@@ -186,8 +198,10 @@ class TestCudaSim:
         dev.shutdown()
         stream = dev.streams[0]
         with pytest.raises(RuntimeError, match="shut down"):
-            stream.enqueue(lambda: 1)
+            stream.enqueue(one(lambda: 1))
         assert not stream.busy() and not stream._queue
+        # the launch rule sees no idle stream on a shut-down device
+        assert StreamPool([dev]).launch(one(lambda: 1)) is None
         waiter = threading.Thread(target=dev.synchronize, daemon=True)
         waiter.start()
         waiter.join(5.0)
@@ -197,35 +211,38 @@ class TestCudaSim:
         """Ops queued behind a running one still resolve after shutdown."""
         dev = CudaDevice(n_streams=1, n_workers=1)
         gate = threading.Event()
-        first = dev.streams[0].enqueue(gate.wait, 5.0)
-        second = dev.streams[0].enqueue(lambda: "drained")
+        first = dev.streams[0].enqueue(one(gate.wait, 5.0))
+        second = dev.streams[0].enqueue(one(lambda: "drained"))
         closer = threading.Thread(target=dev.shutdown)
         closer.start()
         gate.set()
-        assert first.get(timeout=5.0) is True
-        assert second.get(timeout=5.0) == "drained"
+        assert first.get(timeout=5.0) == [(True, True)]
+        assert second.get(timeout=5.0) == [(True, "drained")]
         closer.join(5.0)
         assert not closer.is_alive()
 
     def test_launch_policy_uses_gpu_when_idle(self):
         """One slot per region is the paper's one-kernel launch rule."""
         with CudaDevice(n_streams=64, n_workers=4) as dev:
+            reg = CounterRegistry()
             region = AggregationRegion(StreamPool([dev]), slots=1,
-                                       registry=CounterRegistry())
-            futs = [region.submit(lambda: 1) for _ in range(32)]
+                                       registry=reg)
+            futs = [submit(region, lambda: 1) for _ in range(32)]
             assert sum(f.get() for f in futs) == 32
-            assert region.gpu_tasks > 0
+            assert reg.value("/cuda/agg-tasks") > 0
 
     def test_launch_policy_falls_back_when_streams_busy(self):
         """Sec. 5.1: busy streams mean CPU execution by the caller."""
         with CudaDevice(n_streams=2, n_workers=1) as dev:
-            region = AggregationRegion(StreamPool([dev]), slots=1,
-                                       registry=CounterRegistry())
+            placed = []
+            region = AggregationRegion(
+                StreamPool([dev]), slots=1, registry=CounterRegistry(),
+                on_flush=lambda gpu, n: placed.append(gpu))
             release = threading.Event()
-            blockers = [region.submit(release.wait, 5.0) for _ in range(2)]
-            f = region.submit(lambda: "on cpu")
+            blockers = [submit(region, release.wait, 5.0) for _ in range(2)]
+            f = submit(region, lambda: "on cpu")
             assert f.get(timeout=1.0) == "on cpu"
-            assert (region.gpu_tasks, region.cpu_tasks) == (2, 1)
+            assert placed == [True, True, False]
             release.set()
             for b in blockers:
                 b.get()
@@ -234,80 +251,21 @@ class TestCudaSim:
         with CudaDevice(n_streams=2, n_workers=1, name="g0") as d0, \
                 CudaDevice(n_streams=2, n_workers=1, name="g1") as d1:
             pool = StreamPool([d0, d1])
-            with pool.acquire() as first, pool.acquire() as second:
-                assert first.stream is not second.stream
-            assert pool.n_streams == 4
+            gate = threading.Event()
+            first = pool.launch(one(gate.wait, 5.0))
+            second = pool.launch(one(gate.wait, 5.0))
+            # two launches, two different streams: both are now busy
+            assert [s.busy() for s in d0.streams + d1.streams] \
+                == [True, True, False, False]
+            gate.set()
+            first.get(timeout=5.0)
+            second.get(timeout=5.0)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             CudaDevice(n_streams=0)
         with pytest.raises(ValueError):
             StreamPool([])
-
-
-class TestStreamPoolReservation:
-    """Regression: acquire() must *reserve* the stream it leases, so
-    concurrent acquirers can never be handed the same stream before either
-    has enqueued anything."""
-
-    def test_concurrent_acquire_never_duplicates(self):
-        with CudaDevice(n_streams=4, n_workers=1) as dev:
-            pool = StreamPool([dev])
-            n_threads = 8
-            barrier = threading.Barrier(n_threads, timeout=5.0)
-            got = []
-            lock = threading.Lock()
-
-            def acquire():
-                barrier.wait()
-                lease = pool.acquire()
-                with lock:
-                    got.append(lease)
-
-            threads = [threading.Thread(target=acquire)
-                       for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5.0)
-            leases = [lease for lease in got if lease is not None]
-            # exactly the 4 streams once each; the other 4 callers got None
-            assert len(leases) == 4
-            assert len(set(id(lease.stream) for lease in leases)) == 4
-            for lease in leases:
-                lease.release()
-
-    def test_acquired_stream_reports_busy_until_released(self):
-        with CudaDevice(n_streams=1, n_workers=1) as dev:
-            pool = StreamPool([dev])
-            lease = pool.acquire()
-            s = lease.stream
-            assert s.busy()
-            assert pool.acquire() is None
-            lease.release()
-            assert not s.busy()
-            with pool.acquire() as again:
-                assert again.stream is s
-
-    def test_enqueue_consumes_reservation(self):
-        with CudaDevice(n_streams=1, n_workers=1) as dev:
-            pool = StreamPool([dev])
-            lease = pool.acquire()
-            s = lease.stream
-            release = threading.Event()
-            fut = lease.enqueue(release.wait, 5.0)
-            assert s.busy()                     # in flight, not reserved
-            assert pool.acquire() is None
-            release.set()
-            fut.get(timeout=5.0)
-            dev.synchronize()
-            with pool.acquire() as again:       # recycled once drained
-                assert again.stream is s
-
-    def test_direct_enqueue_unaffected_by_reservations(self):
-        """Streams used without the pool (tests, record_event) still work."""
-        with CudaDevice(n_streams=2, n_workers=1) as dev:
-            assert dev.streams[0].enqueue(lambda: 11).get(timeout=5.0) == 11
 
 
 class TestCounters:

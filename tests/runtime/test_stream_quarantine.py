@@ -10,14 +10,17 @@ from repro.runtime import CudaDevice, StreamPool
 from repro.runtime.counters import default_registry
 
 
-def run_kernel(pool, fn):
-    """Acquire-enqueue-wait one kernel through the pool; returns future."""
-    lease = pool.acquire()
-    assert lease is not None
-    with lease:
-        fut = lease.enqueue(fn)
-    fut.wait(5.0)
-    return fut
+def run_kernel(gpu, pool, fn):
+    """Launch ``fn`` as a one-slot buffer and wait until its stream is
+    idle again; returns the slot's ``(ok, value_or_exception)``."""
+    fut = pool.launch([(fn, ())])
+    assert fut is not None
+    [outcome] = fut.get(timeout=5.0)
+    deadline = time.monotonic() + 5.0
+    while any(s.busy() for s in gpu.streams):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    return outcome
 
 
 def boom():
@@ -33,10 +36,9 @@ class TestQuarantine:
                         quarantine_period=60.0) as gpu:
             pool = StreamPool([gpu])
             for _ in range(2):
-                assert run_kernel(pool, boom).has_exception()
-            gpu.synchronize()
+                assert not run_kernel(gpu, pool, boom)[0]
             assert gpu.streams[0].quarantined()
-            assert pool.acquire() is None  # the only stream is sick
+            assert pool.launch([(lambda: 1, ())]) is None  # the only stream
             assert reg.snapshot()["/cuda/quarantined"] == 1.0
 
     def test_success_resets_the_streak(self):
@@ -44,13 +46,14 @@ class TestQuarantine:
                         quarantine_threshold=2,
                         quarantine_period=60.0) as gpu:
             pool = StreamPool([gpu])
-            assert run_kernel(pool, boom).has_exception()
-            assert run_kernel(pool, lambda: 1).get() == 1  # streak broken
-            assert run_kernel(pool, boom).has_exception()
-            gpu.synchronize()
+            assert not run_kernel(gpu, pool, boom)[0]
+            assert run_kernel(gpu, pool, lambda: 1) == (True, 1)  # broken
+            assert not run_kernel(gpu, pool, boom)[0]
             assert not gpu.streams[0].quarantined()
 
     def test_probation_readmits_then_requarantines_on_one_fault(self):
+        """An expired quarantine is re-admitted by the next launch, counted
+        once under /cuda/readmitted; one more fault re-quarantines it."""
         reg = default_registry()
         reg.reset()
         with CudaDevice(n_streams=1, n_workers=1, name="q-gpu",
@@ -58,14 +61,13 @@ class TestQuarantine:
                         quarantine_period=0.05) as gpu:
             pool = StreamPool([gpu])
             for _ in range(2):
-                run_kernel(pool, boom)
-            gpu.synchronize()
-            assert pool.acquire() is None
+                run_kernel(gpu, pool, boom)
+            assert pool.launch([(lambda: 1, ())]) is None
+            assert reg.snapshot().get("/cuda/readmitted", 0.0) == 0.0
             time.sleep(0.08)  # quarantine served: probation re-admission
-            fut = run_kernel(pool, boom)  # ONE fault on probation
-            assert fut.has_exception()
-            gpu.synchronize()
+            assert not run_kernel(gpu, pool, boom)[0]  # ONE fault on probation
             assert gpu.streams[0].quarantined()
+            assert pool.launch([(lambda: 1, ())]) is None
             snap = reg.snapshot()
             assert snap["/cuda/quarantined"] == 2.0
             assert snap["/cuda/readmitted"] == 1.0
@@ -76,13 +78,11 @@ class TestQuarantine:
                         quarantine_period=0.05) as gpu:
             pool = StreamPool([gpu])
             for _ in range(2):
-                run_kernel(pool, boom)
-            gpu.synchronize()
+                run_kernel(gpu, pool, boom)
             time.sleep(0.08)
-            assert run_kernel(pool, lambda: "ok").get() == "ok"
+            assert run_kernel(gpu, pool, lambda: "ok") == (True, "ok")
             # back to the full threshold: one fault is not enough
-            run_kernel(pool, boom)
-            gpu.synchronize()
+            run_kernel(gpu, pool, boom)
             assert not gpu.streams[0].quarantined()
 
     def test_quarantined_stream_overflows_to_cpu(self):
@@ -97,21 +97,20 @@ class TestQuarantine:
             assert eng.submit(lambda: 5).get(timeout=5.0) == 5
             assert eng.cpu_launches >= 1
 
-    def test_threshold_none_disables_tracking(self):
+    def test_faults_below_threshold_keep_the_stream_in_service(self):
         with CudaDevice(n_streams=1, n_workers=1, name="q-gpu",
-                        quarantine_threshold=None) as gpu:
+                        quarantine_threshold=6) as gpu:
             pool = StreamPool([gpu])
             for _ in range(5):
-                run_kernel(pool, boom)
-            gpu.synchronize()
+                run_kernel(gpu, pool, boom)
             assert not gpu.streams[0].quarantined()
-            lease = pool.acquire()
-            assert lease is not None
-            lease.release()
+            assert run_kernel(gpu, pool, lambda: 1) == (True, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CudaDevice(n_streams=1, quarantine_threshold=0)
+        with pytest.raises(TypeError):
+            CudaDevice(n_streams=1, quarantine_threshold=None)
         with pytest.raises(ValueError):
             CudaDevice(n_streams=1, quarantine_period=0.0)
 
@@ -119,15 +118,14 @@ class TestQuarantine:
 class TestPoison:
     def test_poison_count_surfaces_transient_faults(self):
         with CudaDevice(n_streams=1, n_workers=1, name="p-gpu",
-                        quarantine_threshold=None) as gpu:
+                        quarantine_threshold=3) as gpu:
             gpu.streams[0].poison(count=2)
             pool = StreamPool([gpu])
             for _ in range(2):
-                fut = run_kernel(pool, lambda: 1)
-                with pytest.raises(TransientActionFault):
-                    fut.get()
+                ok, exc = run_kernel(gpu, pool, lambda: 1)
+                assert not ok and isinstance(exc, TransientActionFault)
             # poison exhausted: the stream computes again
-            assert run_kernel(pool, lambda: 1).get() == 1
+            assert run_kernel(gpu, pool, lambda: 1) == (True, 1)
 
     def test_permanent_poison_quarantines(self):
         reg = default_registry()
@@ -153,10 +151,9 @@ class TestPoison:
 
     def test_custom_poison_exception(self):
         with CudaDevice(n_streams=1, n_workers=1, name="p-gpu",
-                        quarantine_threshold=None) as gpu:
+                        quarantine_threshold=2) as gpu:
             gpu.streams[0].poison(
                 count=1, exc_factory=lambda: OSError("xid error"))
-            pool = StreamPool([gpu])
-            fut = run_kernel(pool, lambda: 0)
-            with pytest.raises(OSError, match="xid"):
-                fut.get()
+            ok, exc = run_kernel(gpu, StreamPool([gpu]), lambda: 0)
+            assert not ok
+            assert isinstance(exc, OSError) and "xid" in str(exc)

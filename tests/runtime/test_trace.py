@@ -6,7 +6,15 @@ import threading
 import pytest
 
 from repro.runtime import (AggregationRegion, CounterRegistry, CudaDevice,
-                           StreamPool, WorkStealingScheduler, trace, when_all)
+                           Promise, StreamPool, WorkStealingScheduler, trace,
+                           when_all)
+
+
+def submit(region, fn, *args):
+    """Buffer ``fn(*args)`` in ``region``; returns its future."""
+    promise = Promise()
+    region.push(fn, args, promise)
+    return promise.get_future()
 
 
 @pytest.fixture(autouse=True)
@@ -147,12 +155,14 @@ class TestRuntimeIntegration:
     def test_cuda_emits_kernel_spans_with_stream_args(self):
         trace.enable()
         with CudaDevice(n_streams=2, n_workers=1, name="tgpu") as dev:
-            region = AggregationRegion(StreamPool([dev]), slots=3,
-                                       registry=CounterRegistry())
+            placed = []
+            region = AggregationRegion(
+                StreamPool([dev]), slots=3, registry=CounterRegistry(),
+                on_flush=lambda gpu, n: placed.append((gpu, n)))
             gate = threading.Event()
             # two gated buffers pin both streams, the third overflows
-            futs = [region.submit(gate.wait, 5.0) for _ in range(6)]
-            futs += [region.submit(lambda: 1) for _ in range(3)]
+            futs = [submit(region, gate.wait, 5.0) for _ in range(6)]
+            futs += [submit(region, lambda: 1) for _ in range(3)]
             gate.set()
             for f in futs:
                 f.get(timeout=5.0)
@@ -168,7 +178,7 @@ class TestRuntimeIntegration:
         overflow = [e["args"] for e in kernels
                     if e["args"].get("device") == "cpu-fallback"]
         assert overflow == [{"device": "cpu-fallback", "slots": 3}]
-        assert (region.gpu_tasks, region.cpu_tasks) == (6, 3)
+        assert placed == [(True, 3), (True, 3), (False, 3)]
 
     def test_continuation_spans(self):
         from repro.runtime import make_ready_future

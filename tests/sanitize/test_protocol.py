@@ -1,12 +1,11 @@
-"""Adversarial tests for the lease/channel protocol checkers."""
-
-import gc
-import time
+"""Protocol checkers: channel generations, and a clean launch path."""
 
 import pytest
 
+from repro.runtime.aggregate import AggregationRegion
 from repro.runtime.channel import Channel, ChannelGenerationError, ChannelReset
 from repro.runtime.cuda import CudaDevice, StreamPool
+from repro.runtime.future import Promise
 
 
 @pytest.fixture
@@ -15,65 +14,13 @@ def device():
         yield dev
 
 
-def test_leaked_lease_reported_at_sweep(san, device):
+def test_clean_launches_leave_no_findings(san, device):
     pool = StreamPool([device])
-    with san.scope() as caught:
-        lease = pool.acquire()
-        assert lease is not None
-        found = san.sweep()
-        assert [f.kind for f in found] == ["lease-leak"]
-        assert "test_protocol.py" in found[0].site
-        lease.release()  # cleanup; already reported
-    assert [f.kind for f in caught] == ["lease-leak"]
-
-
-def test_gc_of_held_lease_reported(san, device):
-    pool = StreamPool([device])
-    with san.scope() as caught:
-        lease = pool.acquire()
-        assert lease is not None
-        del lease
-        gc.collect()
-    assert [f.kind for f in caught] == ["lease-leak"]
-    assert "dropped without" in caught[0].message
-
-
-def test_lease_use_after_release_reported(san, device):
-    pool = StreamPool([device])
-    with san.scope() as caught:
-        lease = pool.acquire()
-        lease.release()
-        fut = lease.enqueue(lambda: 5)  # reservation no longer ours
-        assert fut.get(timeout=5.0) == 5
-        device.synchronize()
-    assert [f.kind for f in caught] == ["lease-reuse"]
-    assert "released" in caught[0].message
-
-
-def test_timeout_reclaim_reported(san, device):
-    pool = StreamPool([device], lease_timeout=0.05)
-    with san.scope() as caught:
-        stale = pool.acquire()
-        assert stale is not None
-        time.sleep(0.1)
-        # every stream idle but reserved-and-expired: the next acquire
-        # reclaims the reservation some holder leaked
-        leases = [pool.acquire() for _ in range(len(device.streams))]
-        assert any(lease is not None for lease in leases)
-        for lease in leases:
-            if lease is not None:
-                lease.release()
-        stale.release()
-    assert "lease-leak" in [f.kind for f in caught]
-    assert any("reclaimed" in f.message for f in caught)
-
-
-def test_clean_lease_lifecycles(san, device):
-    pool = StreamPool([device])
-    with pool.acquire() as lease:
-        assert lease.enqueue(lambda: 1).get(timeout=5.0) == 1
-    released = pool.acquire()
-    released.release()
+    assert pool.launch([(lambda: 1, ())]).get(timeout=5.0) == [(True, 1)]
+    with AggregationRegion(pool, slots=2) as region:
+        promise = Promise()
+        region.push(lambda: 2, (), promise)
+    assert promise.get_future().get(timeout=5.0) == 2
     device.synchronize()
     assert san.sweep() == []
     assert san.finding_count() == 0

@@ -5,17 +5,18 @@ shared workspace buffer, read-write across an un-awaited future, a
 channel-generation skip, aggregation-slot overlap, migrate-vs-halo),
 each asserting an actionable two-access report; plus false-positive
 guards for the legitimate patterns the runtime relies on (double-
-buffered halos, ``_pool_out`` slot reuse, lease handoff) that must stay
-silent.
+buffered halos, ``_pool_out`` slot reuse, successive stream launches)
+that must stay silent.
 
 Thread joins are deliberately *not* a happens-before edge here — the
 detector models only the runtime's synchronization vocabulary — so the
 planted fixtures are deterministic: a join serializes the accesses in
-time, but without a future/channel/lease edge they are still unordered
+time, but without a future/channel/stream edge they are still unordered
 to the detector, exactly like the schedule CI never sees.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -214,49 +215,52 @@ class TestSyncVocabulary:
                 racecheck.access(buf, "r", owner="sched/out", region=i)
         assert san.finding_count() == 0
 
-    def test_lease_release_orders_successive_holders(self, san):
-        """Regression for the lease-handoff HB gap: the only edge between
-        two holders of the same stream is release → next acquire; scratch
-        written under lease A must be safely reusable under lease B."""
+    def test_launch_orders_successive_launchers(self, san):
+        """Scratch a launcher wrote before its launch is safely reusable by
+        the next launcher of the same stream: launcher A -> device worker
+        -> kernel completion -> launcher B's launch is the only edge."""
         buf = np.zeros(8)
-        with CudaDevice(n_streams=1, n_workers=1, name="lease-hb") as gpu:
+        with CudaDevice(n_streams=1, n_workers=1, name="launch-hb") as gpu:
             pool = StreamPool([gpu])
+            stream = gpu.streams[0]
 
-            def use():
-                lease = pool.acquire()
-                assert lease is not None
-                try:
-                    racecheck.access(buf, "w", owner="lease/scratch")
-                finally:
-                    lease.release()
+            def fill_and_launch():
+                racecheck.access(buf, "w", owner="launch/scratch")
+                assert pool.launch([(lambda: None, ())]) is not None
 
-            on_thread(use, "holder-a")
-            on_thread(use, "holder-b")
+            def launch_and_reuse():
+                assert pool.launch([(lambda: None, ())]) is not None
+                racecheck.access(buf, "w", owner="launch/scratch")
+
+            on_thread(fill_and_launch, "launcher-a")
+            while stream.busy():    # no HB edge: wait for the hand-back
+                time.sleep(0.001)
+            on_thread(launch_and_reuse, "launcher-b")
+            gpu.synchronize()
         assert san.finding_count() == 0
 
-    def test_stream_kernel_completion_orders_next_holder(self, san):
-        """Enqueued work: the worker's completion (not just release) must
-        publish before the next reserve of the same stream."""
+    def test_successive_launches_on_one_stream_are_ordered(self, san):
+        """Two launches on one stream whose kernels write one buffer: the
+        only edge between them is the first kernel's completion -> the
+        second launch, which must publish before the second kernel runs
+        (on whichever device worker picks it up)."""
         buf = np.zeros(8)
-        with CudaDevice(n_streams=1, n_workers=1, name="lease-hb2") as gpu:
+        with CudaDevice(n_streams=1, n_workers=2, name="stream-hb") as gpu:
             pool = StreamPool([gpu])
+            stream = gpu.streams[0]
 
             def kernel():
                 racecheck.access(buf, "w", owner="stream/out")
 
-            lease = pool.acquire()
-            lease.enqueue(kernel).get()
-            gpu.synchronize()
+            def launcher():
+                fut = pool.launch([(kernel, ())])
+                assert fut is not None
+                fut.get(timeout=5.0)
 
-            def next_holder():
-                lease2 = pool.acquire()
-                assert lease2 is not None
-                try:
-                    racecheck.access(buf, "w", owner="stream/out")
-                finally:
-                    lease2.release()
-
-            on_thread(next_holder, "holder-next")
+            on_thread(launcher, "launcher-a")
+            while stream.busy():    # no HB edge: wait for the hand-back
+                time.sleep(0.001)
+            on_thread(launcher, "launcher-b")
         assert san.finding_count() == 0
 
 
