@@ -54,9 +54,8 @@ REPRO007 *unaccounted-halo*
     ``Channel.set(...)``; a function that writes one block's slab
     straight into another's (``blocks[a][ghost] = blocks[b][layer]``, or
     a call to the direct copier ``DistBlockMesh._copy_halos``) without
-    booking anything with the transport (``tally_local`` /
-    ``charge_onesided``); a
-    function that packs block slabs into a send buffer
+    booking it with the transport (``tally_local``); a function that
+    packs block slabs into a send buffer
     (``payload[lo:hi]... = blocks[b][layer]``) without handing it to
     ``transport.send``; or a function that unpacks buffer slices into
     blocks (``blocks[a][ghost] = payload[lo:hi]...``) without draining a
@@ -321,10 +320,6 @@ def _calls_method(sub: ast.AST, attr: str, receiver: str) -> bool:
             ast.unparse(sub.func.value).lower().split(".")[-1])
 
 
-#: transport calls that book a direct (channel-less) halo copy
-_HALO_TALLIES = ("tally_local", "charge_onesided")
-
-
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, rel: str, imports_network: bool = False,
                  task_names: set[str] | None = None):
@@ -517,8 +512,7 @@ class _Linter(ast.NodeVisitor):
     def _check_halo_accounting(self, fn) -> None:
         """REPRO007, per function of a network-aware ``core/`` module.
         Block-to-block slab writes (``_copy_halos`` calls included) need
-        one ``tally_local`` /
-        ``charge_onesided`` call anywhere in the body; block slabs packed
+        one ``tally_local`` call anywhere in the body; block slabs packed
         into a buffer need a ``transport.send``; buffer slices unpacked
         into blocks need a drained future (``fut.get()``).  The copier
         ``_copy_halos`` itself is exempt: its calls are the direct writes
@@ -531,7 +525,7 @@ class _Linter(ast.NodeVisitor):
         for sub in ast.walk(fn):
             if isinstance(sub, ast.Call):
                 tallied |= (isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in _HALO_TALLIES)
+                            and sub.func.attr == "tally_local")
                 sent |= _calls_method(sub, "send", "transport")
                 drained |= _calls_method(sub, "get", "fut")
                 if getattr(sub.func, "attr", None) == "_copy_halos":
@@ -547,8 +541,7 @@ class _Linter(ast.NodeVisitor):
         for hits, ok, what, fix in (
                 (direct, tallied, "direct block-to-block ghost write",
                  "no transport tally: the halo is counted on neither "
-                 "route; book it with HaloTransport.tally_local (or "
-                 "charge_onesided for a one-sided read)"),
+                 "route; book it with HaloTransport.tally_local"),
                 (packs, sent, "block slab packed into a send buffer",
                  "no transport.send: the payload crosses a locality "
                  "uncharged (or never leaves); hand it to "

@@ -247,7 +247,8 @@ class AmrMesh:
         for node in self.tree.leaves():
             rhs[node.key], fluxes[node.key] = compute_rhs(
                 blocks[node.key], self.tree.cell_width(node.level),
-                self.options, origin=node.grid.origin, return_fluxes=True)
+                self.options, return_fluxes=True, centers=tuple(
+                    np.ravel(ax) for ax in node.grid.cell_centers()))
         self._reflux(rhs, fluxes)
         return rhs
 

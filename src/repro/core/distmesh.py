@@ -6,12 +6,15 @@ block's ghost layers simply *are* its neighbours' interiors and no halo
 ever moves.  :class:`DistBlockMesh` is the sharded case, and the only
 user of per-block halos: each block is an array of its own (a killed
 locality's memory can be clobbered without touching a survivor's) and
-an AGAS-registered, migratable :class:`~repro.runtime.agas.Component`
-homed on one of ``n_localities`` simulated localities.  Its ghost fill
-is frozen once in a :class:`_FillPlan` (one copy entry per block and
-neighbour direction, periodic wraps, domain walls), and the route of
-every halo is decided from the current owners of its two blocks — once
-per *ownership epoch*, frozen in a :class:`_RoutePlan`:
+an AGAS-registered :class:`~repro.runtime.agas.Component` homed on one
+of ``n_localities`` simulated localities.  AGAS's home table is the one
+record of which locality owns which block: the mesh keeps no copy of it
+and is never told of a move.  Its ghost fill is frozen once in a
+:class:`_FillPlan` (one copy entry per block and neighbour direction —
+the periodic image across a seam is one more neighbour — and the domain
+walls), and the route of every halo is decided from the homes of its
+two blocks — once per *AGAS generation*, frozen in a
+:class:`_RoutePlan`:
 
 * a **same-locality** pair is a direct slab copy, tallied by the
   :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
@@ -41,9 +44,10 @@ Contracts this class maintains (asserted by the distributed tests):
   partition, any parcelport, and any delivery order;
 * killing a locality (the phi-accrual detector calls
   ``agas.fail_locality``) evacuates its block components through AGAS —
-  the blocks' GIDs stay valid, ownership moves, the epoch is bumped, and
-  the next exchange rebuilds the route plan: subsequent halo traffic
-  takes (and is charged along) the new local/remote split by itself;
+  the blocks' GIDs stay valid, their homes move, the AGAS generation goes
+  up, and the next exchange rebuilds the route plan: subsequent halo
+  traffic takes (and is charged along) the new local/remote split by
+  itself;
 * every cross-locality halo byte is charged to the parcelport and every
   same-locality one tallied: the ``/distmesh/*`` and
   ``/parcels/halo:<port>/*`` counters reconcile exactly (halo sets ==
@@ -66,7 +70,7 @@ import numpy as np
 
 from ..network.transport import HaloTransport
 from ..runtime.aggregate import DEFAULT_AGG_SLOTS
-from ..runtime.agas import AgasRuntime, Component, Gid, LocalityFailed
+from ..runtime.agas import AgasRuntime, Component, Gid
 from ..runtime.channel import Channel
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import racecheck as _racecheck
@@ -74,7 +78,7 @@ from ..sanitize import state as _sanitize_state
 from .grid import NF, NGHOST
 from .mesh import BlockMesh, fill_wall, min_cfl_dt
 
-__all__ = ["DistBlockMesh", "BlockComponent", "slab_partition"]
+__all__ = ["DistBlockMesh", "slab_partition"]
 
 
 def slab_partition(index: int, n_blocks: int, n_localities: int) -> int:
@@ -95,14 +99,13 @@ def _balanced_chunks(keys: list, slots: int) -> list[list]:
 
 
 class _FillPlan(NamedTuple):
-    """The frozen ghost fill of a :class:`DistBlockMesh`.  ``pairs`` and
-    ``wraps`` hold ``(dst block, ghost slab, src block, interior-layer
-    slab, nbytes)`` copy entries — neighbours inside the lattice and
-    periodic images across the seam; ``walls`` holds ``(block, axis,
-    side)`` domain faces for :func:`~repro.core.mesh.fill_wall`."""
+    """The frozen ghost fill of a :class:`DistBlockMesh`.  ``pairs``
+    holds ``(dst block, ghost slab, src block, interior-layer slab,
+    nbytes)`` copy entries, one per block and neighbour direction — the
+    periodic image across a seam included; ``walls`` holds ``(block,
+    axis, side)`` domain faces for :func:`~repro.core.mesh.fill_wall`."""
 
     pairs: tuple
-    wraps: tuple
     walls: tuple
 
 
@@ -120,33 +123,15 @@ class _Route(NamedTuple):
 
 
 class _RoutePlan(NamedTuple):
-    """The ``_FillPlan`` pairs split by the owners of one ownership
-    epoch: ``local`` entries are direct copies (``local_bytes`` in all),
-    every other pair sits in the :class:`_Route` of its locality pair."""
+    """The ``_FillPlan`` pairs split by the block homes of one AGAS
+    generation: ``local`` entries are direct copies (``local_bytes`` in
+    all), every other pair sits in the :class:`_Route` of its locality
+    pair."""
 
-    epoch: int
+    generation: int
     local: tuple
     local_bytes: int
     routes: tuple
-
-
-class BlockComponent(Component):
-    """The AGAS face of one sub-grid block.
-
-    Holds no state of its own — the block array stays in the mesh, as the
-    paper's grid cells stay in the octree — but its GID is the name the
-    runtime migrates, and :meth:`on_migrate` is where the mesh learns
-    that a block changed locality (evacuation or load balancing alike).
-    """
-
-    def __init__(self, mesh: "DistBlockMesh",
-                 ip: tuple[int, int, int]) -> None:
-        super().__init__()
-        self._mesh = mesh
-        self.ip = ip
-
-    def on_migrate(self, old_locality: int, new_locality: int) -> None:
-        self._mesh._block_moved(self.ip, old_locality, new_locality)
 
 
 class DistBlockMesh(BlockMesh):
@@ -186,62 +171,47 @@ class DistBlockMesh(BlockMesh):
         self.transport = HaloTransport(port, reorder_seed=reorder_seed)
         partition = partition or slab_partition
         ips = sorted(self.blocks)
-        self._owner: dict[tuple[int, int, int], int] = {}
-        self._components: dict[tuple[int, int, int], BlockComponent] = {}
         self.gids: dict[tuple[int, int, int], Gid] = {}
-        self.block_migrations = 0
         for index, ip in enumerate(ips):
             loc = partition(index, len(ips), self.n_localities)
             if not 0 <= loc < self.n_localities:
                 raise ValueError(
                     f"partition put block {ip} on locality {loc}, outside "
                     f"[0, {self.n_localities})")
-            comp = BlockComponent(self, ip)
-            self.gids[ip] = self.agas.register(comp, loc)
-            self._components[ip] = comp
-            self._owner[ip] = loc
+            self.gids[ip] = self.agas.register(Component(), loc)
         #: (src locality, dst locality) -> channel of that route; exactly
         #: the routes of the current plan
         self.channels: dict[tuple[int, int], Channel] = {}
-        #: bumped whenever a block changes owner; the route plan of an
-        #: older epoch is rebuilt by the next exchange
-        self._epoch = 0
         self._route_plan: _RoutePlan | None = None
 
     # -- ownership ------------------------------------------------------------
 
+    def _homes(self) -> tuple[int, dict[tuple[int, int, int], int]]:
+        """One AGAS read: the home-table generation and every block's
+        home (a lost block's is the locality it died with)."""
+        generation, homes = self.agas.homes(list(self.gids.values()))
+        return generation, dict(zip(self.gids, homes))
+
     def owners(self) -> dict[tuple[int, int, int], int]:
-        """Current block -> locality map (a copy)."""
-        return dict(self._owner)
+        """Current block -> locality map, as AGAS records it."""
+        return self._homes()[1]
 
     def locality_blocks(self) -> dict[int, int]:
         """Blocks hosted per locality (every locality listed, even empty)."""
         counts = {loc: 0 for loc in range(self.n_localities)}
-        for loc in self._owner.values():
+        for loc in self.owners().values():
             counts[loc] += 1
         return counts
 
-    def _block_moved(self, ip: tuple[int, int, int], old: int,
-                     new: int) -> None:
-        """AGAS moved a block component (evacuation or load balancing)."""
-        self._owner[ip] = new
-        self._epoch += 1
-        self.block_migrations += 1
-        self.registry.increment("/distmesh/migrations")
-
     @property
     def lost_blocks(self) -> set[tuple[int, int, int]]:
-        """Blocks whose only live copy died with a failed locality: their
-        GID resolves to :class:`LocalityFailed` once ``agas.fail_locality``
-        lost it (a correlated multi-node loss that outran evacuation),
-        until :meth:`apply_ownership` restores them."""
-        lost = set()
-        for ip, gid in self.gids.items():
-            try:
-                self.agas.resolve(gid)
-            except LocalityFailed:
-                lost.add(ip)
-        return lost
+        """Blocks whose only live copy died with a failed locality: AGAS
+        lost their GID in ``agas.fail_locality`` (a correlated multi-node
+        loss that outran evacuation) and homes it on the dead locality
+        until :meth:`apply_ownership` restores it.  A live GID is never
+        homed on a failed locality."""
+        dead = self.agas.failed_localities
+        return {ip for ip, loc in self.owners().items() if loc in dead}
 
     def apply_ownership(self, new_owner: dict[tuple[int, int, int], int]
                         ) -> dict[str, int]:
@@ -253,28 +223,20 @@ class DistBlockMesh(BlockMesh):
         migrated through AGAS as usual; blocks whose GIDs were *lost* with
         their node are resurrected via
         :meth:`~repro.runtime.agas.AgasRuntime.restore_component` — the
-        same GID, a fresh :class:`BlockComponent`, a surviving home.  The
-        block *data* is the recovery coordinator's problem (it restores
-        payloads from the replicated store); this method only fixes the
-        name service and the owner map the halo accounting charges
-        against.
+        same GID, a fresh :class:`~repro.runtime.agas.Component`, a
+        surviving home.  The block *data* is the recovery coordinator's
+        problem (it restores payloads from the replicated store); this
+        method only fixes the name service the halo routes are read from.
         """
         migrated = restored = 0
+        lost, homes = self.lost_blocks, self.owners()
         for ip in sorted(new_owner):
-            loc = new_owner[ip]
-            gid = self.gids[ip]
-            try:
-                _, current = self.agas.resolve(gid)
-            except LocalityFailed:
-                comp = BlockComponent(self, ip)
-                self.agas.restore_component(comp, gid, loc)
-                self._components[ip] = comp
-                self._owner[ip] = loc
-                self._epoch += 1
+            loc, gid = new_owner[ip], self.gids[ip]
+            if ip in lost:
+                self.agas.restore_component(Component(), gid, loc)
                 restored += 1
                 self.registry.increment("/distmesh/restorations")
-                continue
-            if current != loc:
+            elif homes[ip] != loc:
                 self.agas.migrate(gid, loc)
                 migrated += 1
         return {"migrated": migrated, "restored": restored}
@@ -294,14 +256,13 @@ class DistBlockMesh(BlockMesh):
 
     def _build_fill_plan(self) -> _FillPlan:
         """Freeze the ghost fill.  The topology is fixed, so every slice
-        is derived once: one copy entry per (block, offset) of the 26
-        directions — a neighbour ``pair`` when the source is inside the
-        lattice, a periodic ``wrap`` (source wrapped coordinate-wise:
-        faces, edges *and* corners; a one-block mesh wraps onto itself)
-        when it is not — and, for the other boundary conditions, one wall
-        entry per block face on the domain boundary.  Pairs are listed
-        source-major, the order a sender publishes in; wraps and walls
-        destination-major."""
+        is derived once: one copy ``pair`` per (source block, offset) of
+        the 26 directions whose destination is a block — under periodic
+        boundaries the destination is wrapped coordinate-wise (faces,
+        edges *and* corners; a one-block mesh wraps onto itself), so
+        every block gets all 26 — and, for the other boundary conditions,
+        one wall entry per block face on the domain boundary.  Pairs are
+        listed source-major, the order a sender publishes in."""
         g = NGHOST
         offsets = [o for o in itertools.product((-1, 0, 1), repeat=3)
                    if o != (0, 0, 0)]
@@ -321,23 +282,21 @@ class DistBlockMesh(BlockMesh):
                                  slice(g + s, 2 * g + s)))
         nbytes = {off: self.blocks[0, 0, 0][layer[off]].nbytes
                   for off in offsets}
-        pairs, wraps, walls = [], [], []
+        periodic = self.bc == "periodic"
+        pairs, walls = [], []
         for ip in self.blocks:
             for off in offsets:
-                nb = (ip[0] + off[0], ip[1] + off[1], ip[2] + off[2])
-                mirror = (-off[0], -off[1], -off[2])
+                nb = tuple(c + o for c, o in zip(ip, off))
+                if periodic:
+                    nb = tuple(c % b for c, b in zip(nb, self.lattice))
                 if nb in self.blocks:
-                    pairs.append((nb, ghost[mirror], ip, layer[off],
-                                  nbytes[off]))
-                elif self.bc == "periodic":
-                    src = tuple(c % b for c, b in zip(nb, self.lattice))
-                    wraps.append((ip, ghost[off], src, layer[mirror],
-                                  nbytes[off]))
-            if self.bc != "periodic":
+                    pairs.append((nb, ghost[tuple(-o for o in off)], ip,
+                                  layer[off], nbytes[off]))
+            if not periodic:
                 walls.extend((ip, axis, side) for axis in range(3)
                              for side in (-1, 1)
                              if not 0 <= ip[axis] + side < self.lattice[axis])
-        return _FillPlan(tuple(pairs), tuple(wraps), tuple(walls))
+        return _FillPlan(tuple(pairs), tuple(walls))
 
     @staticmethod
     def _copy_halos(blocks: dict, halos) -> None:
@@ -360,14 +319,16 @@ class DistBlockMesh(BlockMesh):
     # -- halo exchange --------------------------------------------------------
 
     def _routes(self) -> _RoutePlan:
-        """The route plan of the current ownership epoch, rebuilt when a
-        block changed owner since it was frozen.  Routes that no longer
+        """The route plan of the current AGAS generation, rebuilt when
+        the home table changed since it was frozen.  The generation and
+        the homes come from one AGAS read, so a move after it shows as a
+        newer generation at the next exchange.  Routes that no longer
         exist — their pairs went local, or their locality died and its
         blocks were re-homed — take their channels with them."""
+        generation, owner = self._homes()
         plan = self._route_plan
-        if plan is not None and plan.epoch == self._epoch:
+        if plan is not None and plan.generation == generation:
             return plan
-        owner = self._owner
         local, by_route = [], {}
         for halo in self._fill_plan.pairs:
             dst, _, src, _, _ = halo
@@ -389,7 +350,7 @@ class DistBlockMesh(BlockMesh):
             routes.append(_Route(*pair, self.channels[pair], tuple(slabs),
                                  lo))
         plan = self._route_plan = _RoutePlan(
-            self._epoch, tuple(local), sum(nbytes for *_, nbytes in local),
+            generation, tuple(local), sum(nbytes for *_, nbytes in local),
             tuple(routes))
         self.registry.increment("/distmesh/plan-rebuilds")
         return plan
@@ -402,10 +363,9 @@ class DistBlockMesh(BlockMesh):
         transport), buffered deliveries are flushed in the transport's
         possibly shuffled order, the same-locality pairs are copied
         directly and tallied, and one future per route is drained and
-        unpacked into the ghost slabs.  Periodic wraps read the wrapped
-        block's interior directly whoever owns it — a one-sided get,
-        charged when it crosses a locality.  Same data into the same
-        cells as the node-level fill: bitwise identity is untouched.
+        unpacked into the ghost slabs; the domain walls come last.  Same
+        data into the same cells as the node-level fill: bitwise identity
+        is untouched.
         """
         plan = self._routes()
         n_halos = len(self._fill_plan.pairs)
@@ -436,10 +396,6 @@ class DistBlockMesh(BlockMesh):
             for dst, ghost, _, _, lo, hi, shape in route.slabs:
                 blocks[dst][ghost] = payload[lo:hi].reshape(shape)
         self.registry.increment("/distmesh/halo/gets", n_halos)
-        owner = self._owner
-        for dst, _, src, _, nbytes in self._fill_plan.wraps:
-            transport.charge_onesided(nbytes, owner[src], owner[dst])
-        self._copy_halos(blocks, self._fill_plan.wraps)
         self._fill_walls(blocks)
 
     # -- per-block stepping ---------------------------------------------------
@@ -472,13 +428,13 @@ class DistBlockMesh(BlockMesh):
                 np.empty((NF, len(chunk)) + self.tile) for chunk in chunks]
         calls = []
         for chunk, out in zip(chunks, outs):
-            origins = [tuple(o + (i * s) * self.dx for o, i, s in
-                             zip(self.origin, ip, self.tile)) for ip in chunk]
-            chunk_acc = None if acc is None else [
-                acc[self._window(ip)] for ip in chunk]
+            windows = [self._window(ip) for ip in chunk]
+            chunk_acc = None if acc is None else [acc[w] for w in windows]
+            centers = [tuple(c[sl] for c, sl in zip(self._centers, w[1:]))
+                       for w in windows]
             calls.append(([blocks[ip] for ip in chunk], self.dx,
-                          self.options, origins, chunk_acc, False, out,
-                          self._ws))
+                          self.options, chunk_acc, False, out, self._ws,
+                          centers))
         self._run_rhs(calls)
         return {ip: out[:, b] for chunk, out in zip(chunks, outs)
                 for b, ip in enumerate(chunk)}
@@ -507,8 +463,6 @@ class DistBlockMesh(BlockMesh):
         for loc, count in self.locality_blocks().items():
             registry.set_gauge(f"/distmesh/blocks/loc{loc}", float(count))
         registry.set_gauge("/distmesh/localities", float(self.n_localities))
-        registry.set_gauge("/distmesh/block-migrations",
-                           float(self.block_migrations))
         for key, value in self.transport.stats.snapshot().items():
             registry.set_gauge(f"/distmesh/halo/{key.replace('_', '-')}",
                                float(value))

@@ -97,8 +97,7 @@ class HydroOptions:
         self.eos.rho_floor = self.rho_floor
 
 
-def _check_batch(blocks, single: bool, origin, gravity, out,
-                 centers) -> tuple:
+def _check_batch(blocks, single: bool, gravity, out, centers) -> tuple:
     """Reject a malformed batch before any arithmetic; returns the
     interior shape shared by its blocks."""
     g = NGHOST
@@ -116,10 +115,6 @@ def _check_batch(blocks, single: bool, origin, gravity, out,
                 f"block 0 {full}")
     shape = tuple(m - 2 * g for m in full[1:])
     B = len(blocks)
-    if origin is not None and np.shape(origin) != (B, 3):
-        raise ValueError(
-            f"origin: need one (x, y, z) per block, shape ({B}, 3), "
-            f"got {np.shape(origin)}")
     if gravity is not None:
         if len(gravity) != B:
             raise ValueError(
@@ -147,7 +142,7 @@ def _check_batch(blocks, single: bool, origin, gravity, out,
 
 
 def compute_rhs(U, dx: float, options: HydroOptions,
-                origin=None, gravity=None, return_fluxes: bool = False,
+                gravity=None, return_fluxes: bool = False,
                 out: np.ndarray | None = None, ws=None, centers=None):
     """dU/dt of the interiors of a batch of ghost-filled blocks.
 
@@ -161,10 +156,6 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         loses its batch dimension).
     dx:
         Cell width, shared by the batch.
-    origin:
-        Per block, the physical coordinates of the lower corner of its
-        interior (spin-correction torque arms and frame sources);
-        ``None`` puts every block at the coordinate origin.
     gravity:
         Optional per-block (3, n, n, n) acceleration fields on the
         interiors.
@@ -181,9 +172,10 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         primitive batch, pencils, face states and flux scratch.
     centers:
         Optional per-block ``(x, y, z)`` cell-centre coordinates of the
-        interior, one 1-D array per axis; they replace the ones derived
-        from ``origin`` in the rotating-frame sources (a box of tiles
-        passes the coordinates each tile derives from its own corner).
+        interior, one 1-D array per axis: the positions the
+        rotating-frame sources see (a mesh passes the coordinates each
+        sub-grid derives from its own corner).  ``None`` puts every
+        block's lower interior corner at the coordinate origin.
 
     Returns ``rhs`` with shape (NF, B, n, n, n) (plus fluxes if requested);
     block ``b`` of the batch is ``rhs[:, b]``.
@@ -197,17 +189,14 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     single = isinstance(U, np.ndarray)
     if single:
         U = [U]
-        origin = None if origin is None else [origin]
         gravity = None if gravity is None else [gravity]
         centers = None if centers is None else [centers]
-    shape = _check_batch(U, single, origin, gravity, out, centers)
+    shape = _check_batch(U, single, gravity, out, centers)
     B = len(U)
-    if origin is None:
-        origin = [(0.0, 0.0, 0.0)] * B
     if gravity is None:
         gravity = [None] * B
     if centers is None:
-        centers = [None] * B
+        centers = [tuple((np.arange(n) + 0.5) * dx for n in shape)] * B
     eos = options.eos
     if ws is None:
         ws = Workspace()
@@ -257,8 +246,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
             fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
 
     for b, blk in enumerate(U):
-        _add_sources(rhs[:, b], blk, shape, dx, origin[b], options,
-                     gravity[b], centers[b])
+        _add_sources(rhs[:, b], blk, shape, options, gravity[b], centers[b])
     if return_fluxes:
         if single:
             fluxes = [F[:, 0] for F in fluxes]
@@ -293,7 +281,8 @@ def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
         rhs += (F[tuple(lo)] - F[tuple(hi)]) / dx
         if options.spin_correction:
             _add_spin_correction(rhs, F[tuple(lo)], F[tuple(hi)], axis)
-    _add_sources(rhs, U, shape, dx, origin, options, gravity)
+    _add_sources(rhs, U, shape, options, gravity, [
+        origin[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(3)])
     return rhs
 
 
@@ -322,9 +311,9 @@ def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
     rhs[LX + 2] += -0.5 * cz
 
 
-def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple, dx: float,
-                 origin: tuple[float, float, float], options: HydroOptions,
-                 gravity: np.ndarray | None, centers=None) -> None:
+def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple,
+                 options: HydroOptions, gravity: np.ndarray | None,
+                 centers) -> None:
     g = NGHOST
     inner = tuple(slice(g, g + shape[d]) for d in range(3))
     rho = U[(RHO,) + inner]
@@ -336,10 +325,8 @@ def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple, dx: float,
             + s[2] * gravity[2]
     om = options.omega
     if om != 0.0:
-        ax = centers if centers is not None else [
-            origin[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(3)]
-        x = ax[0][:, None, None]
-        y = ax[1][None, :, None]
+        x = centers[0][:, None, None]
+        y = centers[1][None, :, None]
         # rotating frame about z: Coriolis -2 Omega x s, centrifugal
         # rho Omega^2 x_perp; the centrifugal term does work on the gas
         rhs[SX] += 2.0 * om * s[1] + rho * om * om * x

@@ -364,6 +364,14 @@ class BlockMesh:
         self.options = options or HydroOptions(eos=IdealGas())
         self.bc = bc
         self.engine = engine
+        # cell centres along each axis the way a per-block evaluation
+        # derives them (block corner + local offset), so every RHS call —
+        # on the box, a slab or one block — sees the same coordinates bit
+        # for bit
+        self._centers = tuple(np.concatenate([
+            (o + (i * s) * self.dx) + (np.arange(s) + 0.5) * self.dx
+            for i in range(b)])
+            for o, b, s in zip(self.origin, self.lattice, self.tile))
         #: ``{lattice index: ghosted block}``; the interiors are the
         #: evolution state (what checkpoints store and guards scan)
         self.blocks: dict[tuple[int, int, int], np.ndarray] = \
@@ -386,13 +394,6 @@ class BlockMesh:
         overlapping ghosted views of it."""
         self._boxes = [np.zeros((NF,) + tuple(s + 2 * NGHOST
                                               for s in self.shape))]
-        # cell centres along each axis the way a per-block evaluation
-        # derives them (block corner + local offset), so the box's
-        # frame sources match it bit for bit
-        self._centers = tuple(np.concatenate([
-            (o + (i * s) * self.dx) + (np.arange(s) + 0.5) * self.dx
-            for i in range(b)])
-            for o, b, s in zip(self.origin, self.lattice, self.tile))
         return self._views(self._boxes[0])
 
     def _predictors(self) -> dict:
@@ -521,7 +522,7 @@ class BlockMesh:
             cells = slice(layers * s // n_slabs * tx,
                           layers * (s + 1) // n_slabs * tx)
             ghosted = slice(cells.start, cells.stop + 2 * NGHOST)
-            calls.append((box[:, ghosted], self.dx, self.options, None,
+            calls.append((box[:, ghosted], self.dx, self.options,
                           None if acc is None else acc[:, cells], False,
                           out[:, cells], self._ws,
                           (self._centers[0][cells],) + self._centers[1:]))

@@ -1,8 +1,9 @@
 """Halo transport: the accounting seam between a mesh and the parcelport.
 
 The distributed :class:`~repro.core.distmesh.DistBlockMesh` decides the
-route of every halo from the current owners of the two blocks (frozen in
-a route plan per ownership epoch), and books each one here:
+route of every halo — periodic images across a seam included — from the
+AGAS homes of the two blocks (frozen in a route plan per AGAS
+generation), and books each one here:
 
 * **local tally** — sender and receiver share a locality; the mesh copies
   the slab straight out of the neighbour's memory (an intra-node copy,
@@ -23,10 +24,12 @@ a route plan per ownership epoch), and books each one here:
   generation matching of the channel protocol is what makes that
   reordering invisible to the receiver, and the distributed tests assert
   exactly that;
-* **one-sided charge** — periodic wraps are direct RMA-style copies with
-  no channel in between; :meth:`~HaloTransport.charge_onesided` books
-  their cross-locality cost so "every cross-locality halo is charged"
-  reconciles.
+* **one-sided charge** — not a halo route: the checkpoint store of
+  :mod:`repro.resilience.durability` puts block replicas and manifests
+  straight into another locality's shard, and fetches them back on
+  recovery; :meth:`~HaloTransport.charge_onesided` books each such
+  cross-locality RMA so the port's tallies reconcile with the
+  transport's.
 
 The transport keeps its own tallies (:class:`TransportStats`) so a test
 can reconcile them against the port's ``/parcels/halo:<name>/*`` stats:
@@ -177,11 +180,12 @@ class HaloTransport:
 
     def charge_onesided(self, nbytes: int, src_locality: int,
                         dst_locality: int) -> None:
-        """Book the cost of a direct (channel-less) halo copy.
+        """Book the cost of a direct (channel-less) one-sided transfer.
 
-        Periodic wraps read the source block's interior directly; when
-        the two blocks live on different localities that read is a
-        one-sided get over the wire and must be charged like one.
+        Checkpoint replication puts a block's payload straight into a
+        buddy's store (and recovery fetches it back); when the two
+        localities differ that transfer crosses the wire and must be
+        charged like one.
         """
         if src_locality == dst_locality:
             return

@@ -14,7 +14,7 @@ i.e. ``-log10`` of the probability that a heartbeat this late is still
 in flight under an exponential inter-arrival model.  When ``phi`` crosses
 ``phi_threshold`` the locality is declared dead and
 :meth:`~repro.runtime.agas.AgasRuntime.fail_locality` is invoked
-*automatically* — evacuating its migratable components — with no manual
+*automatically* — evacuating its components — with no manual
 failure call anywhere (the chaos acceptance test asserts exactly this).
 
 Time here is **simulation time**: heartbeats and detector sweeps are

@@ -138,7 +138,8 @@ DUAL_KILL_CORRUPT = FaultPlan(kill=(1, 3), corrupt_saves=(1,))
 
 
 class _HaloStore(Component):
-    """Side-channel destination for per-step halo parcels (migratable)."""
+    """Side-channel destination for per-step halo parcels (evacuated
+    with the other components of a failed locality)."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -11,7 +11,11 @@ address transparently").
 This module implements that registry for the in-process model: components
 register under fresh GIDs, live on a *locality* (an integer rank), can
 migrate, and remote method invocation routes through :class:`AgasRuntime`
-so callers never need to know where a component lives.
+so callers never need to know where a component lives.  The home table is
+the one record of placement: a caller that derives something from it
+(the sharded mesh's halo routes) reads it with :meth:`AgasRuntime.homes`
+and rebuilds when its generation moves; no component is ever called back
+when it migrates.
 """
 
 from __future__ import annotations
@@ -57,22 +61,13 @@ class Component:
     """Base class for objects addressable through AGAS.
 
     Subclasses expose *actions* — plain methods invoked remotely via
-    :meth:`AgasRuntime.async_action`.
-
-    ``migratable`` controls locality-failure handling: migratable
-    components (the default — Sec. 5.2's grid cells move freely) are
-    evacuated to a surviving locality when their node dies; pinned ones
-    (``migratable = False``) are lost and their GIDs invalidated.
+    :meth:`AgasRuntime.async_action`.  Where a component lives is AGAS's
+    record alone (:meth:`AgasRuntime.homes`): nobody is told when it
+    moves, callers resolve its GID.
     """
-
-    #: may this component be evacuated off a failed locality?
-    migratable: bool = True
 
     def __init__(self) -> None:
         self.gid: Gid | None = None
-
-    def on_migrate(self, old_locality: int, new_locality: int) -> None:
-        """Hook called after the component has been moved."""
 
 
 class AgasRuntime:
@@ -105,11 +100,9 @@ class AgasRuntime:
         self._failed: set[int] = set()
         #: GIDs invalidated by a locality failure -> the locality that died
         self._lost: dict[Gid, int] = {}
-        #: per-gid FIFO of move notifications not yet delivered; whichever
-        #: thread queues onto an *empty* FIFO owns draining it, so
-        #: ``on_migrate`` callbacks always arrive in commit order even
-        #: when migrations race (and never run under ``self._lock``)
-        self._notify: dict[Gid, list[tuple[Component, int, int]]] = {}
+        #: goes up on every change of the home table (register, migrate,
+        #: fail_locality, restore_component)
+        self._generation = 0
 
     # -- registration -------------------------------------------------------
 
@@ -121,6 +114,7 @@ class AgasRuntime:
             gid = Gid(locality, next(self._seq))
             self._objects[gid] = component
             self._home[gid] = locality
+            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # registrant -> resolver edge: the component's constructed
                 # state happens-before any access through its GID
@@ -146,19 +140,26 @@ class AgasRuntime:
             _racecheck.recv(("agas", gid))
         return found
 
+    def homes(self, gids: list[Gid]) -> tuple[int, list[int]]:
+        """The home-table generation and the home of every GID in
+        ``gids``, read together under one lock: a caller that keys a
+        placement-derived plan by the generation rebuilds it on the next
+        read after any move.  A lost GID reports the locality it was lost
+        with; an unknown one raises :class:`AgasError`."""
+        with self._lock:
+            generation = self._generation
+            homes = [self._home.get(g, self._lost.get(g)) for g in gids]
+        if None in homes:
+            raise AgasError(f"unknown gid {gids[homes.index(None)]}")
+        if _sanitize_state.ACTIVE:
+            for gid in gids:
+                _racecheck.recv(("agas", gid))
+        return generation, homes
+
     # -- migration --------------------------------------------------------------
 
     def migrate(self, gid: Gid, new_locality: int) -> None:
-        """Move a component; its GID remains valid (the AGAS promise).
-
-        The ``on_migrate`` notification is committed under ``self._lock``
-        together with the home-table update and delivered through a
-        per-gid FIFO: two racing migrations of the same gid can therefore
-        never observe their callbacks out of order (the old code invoked
-        the hook after dropping the lock, so the second mover's callback
-        could arrive first, leaving the component believing in a stale
-        home).
-        """
+        """Move a component; its GID remains valid (the AGAS promise)."""
         self._check_locality(new_locality)
         self._check_alive(new_locality)
         with self._lock:
@@ -168,62 +169,13 @@ class AgasRuntime:
                         f"{gid} was lost when locality "
                         f"{self._lost[gid]} failed")
                 raise AgasError(f"unknown gid {gid}")
-            old = self._home[gid]
             self._home[gid] = new_locality
-            comp = self._objects[gid]
+            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # migration commit: the mover's writes happen-before any
-                # post-migration resolve/notification of this GID
+                # post-migration resolve of this GID
                 _racecheck.send(("agas", gid))
-            owner = self._queue_notification(gid, comp, old, new_locality)
-        if owner:
-            self._drain_notifications(gid)
-
-    def _queue_notification(self, gid: Gid, comp: Component,
-                            old: int, new: int) -> bool:
-        """Append a move notification (caller holds ``self._lock``).
-
-        Returns True when the caller became the drainer: the FIFO was
-        empty, so no other thread is currently delivering for this gid.
-        """
-        pending = self._notify.setdefault(gid, [])
-        pending.append((comp, old, new))
-        return len(pending) == 1
-
-    def _drain_notifications(self, gid: Gid) -> None:
-        """Deliver queued ``on_migrate`` callbacks in commit order.
-
-        Runs without ``self._lock`` held during the callback (the hook may
-        re-enter the runtime).  An entry is popped only *after* its
-        callback returns, so racing migrators see a non-empty FIFO and
-        leave delivery — including of their own entry — to this thread.
-        A raising callback does not strand the entries queued behind it;
-        the first exception is re-raised once the FIFO is dry.
-        """
-        first_exc: BaseException | None = None
-        while True:
-            with self._lock:
-                pending = self._notify.get(gid)
-                if not pending:
-                    self._notify.pop(gid, None)
-                    break
-                comp, old, new = pending[0]
-            if _sanitize_state.ACTIVE:
-                # the drainer may not be the migrator: order the callback
-                # after the migration commit it delivers
-                _racecheck.recv(("agas", gid))
-            try:
-                comp.on_migrate(old, new)
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-            finally:
-                with self._lock:
-                    pending.pop(0)
-                    if not pending:
-                        del self._notify[gid]
-        if first_exc is not None:
-            raise first_exc
+        self.registry.increment("/resilience/agas/components-migrated")
 
     # -- action invocation --------------------------------------------------------
 
@@ -256,16 +208,15 @@ class AgasRuntime:
 
     def fail_locality(self, locality: int,
                       evacuate: bool = True) -> dict[str, list[Gid]]:
-        """Kill a locality; evacuate what can move, invalidate the rest.
+        """Kill a locality; evacuate its components or invalidate them.
 
-        Migratable components are re-homed round-robin across the
-        surviving localities (their GIDs stay valid — the AGAS promise
-        outlives the node); pinned components, or everything when no
-        locality survives or ``evacuate`` is false, are *lost*: their GIDs
-        resolve to :class:`LocalityFailed` from now on.  Idempotent.
+        With ``evacuate`` and a surviving locality, its components are
+        re-homed round-robin across the survivors (their GIDs stay valid
+        — the AGAS promise outlives the node); otherwise they are *lost*:
+        their GIDs resolve to :class:`LocalityFailed` from now on.
+        Idempotent.
         """
         self._check_locality(locality)
-        drains: list[Gid] = []
         with self._lock:
             if locality in self._failed:
                 return {"migrated": [], "lost": []}
@@ -277,22 +228,17 @@ class AgasRuntime:
             migrated: list[Gid] = []
             lost: list[Gid] = []
             for gid in homed:
-                comp = self._objects[gid]
-                if evacuate and survivors and comp.migratable:
-                    new = survivors[len(migrated) % len(survivors)]
-                    self._home[gid] = new
+                if evacuate and survivors:
+                    self._home[gid] = survivors[len(migrated) % len(survivors)]
                     if _sanitize_state.ACTIVE:
                         _racecheck.send(("agas", gid))
-                    if self._queue_notification(gid, comp, locality, new):
-                        drains.append(gid)
                     migrated.append(gid)
                 else:
                     del self._objects[gid]
                     del self._home[gid]
                     self._lost[gid] = locality
                     lost.append(gid)
-        for gid in drains:
-            self._drain_notifications(gid)
+            self._generation += 1
         self.registry.increment("/resilience/agas/localities-failed")
         self.registry.increment("/resilience/agas/components-migrated",
                                 len(migrated))
@@ -325,6 +271,7 @@ class AgasRuntime:
             del self._lost[gid]
             self._objects[gid] = component
             self._home[gid] = locality
+            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # restore commit: the rebuilt state happens-before any
                 # resolve of the resurrected GID

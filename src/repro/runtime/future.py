@@ -134,28 +134,32 @@ class Future:
         with self._cond:
             if self._state != _PENDING:
                 raise FutureError("future already satisfied")
+            if self._san_seq is not None:
+                # release edge: everything the producer did happens-before
+                # any consumer that observes readiness (get/wait/callbacks)
+                # — published before the state turns, since a woken
+                # consumer may return before this thread runs another line
+                _racecheck.send(("fut", self._san_seq))
             self._value = value
             self._state = _READY
             callbacks, self._callbacks = self._callbacks, []
             self._cond.notify_all()
         if self._san_seq is not None:
             _sanitize_graph.on_resolved(self)
-            # release edge: everything the producer did happens-before
-            # any consumer that observes readiness (get/wait/callbacks)
-            _racecheck.send(("fut", self._san_seq))
         self._run_callbacks(callbacks)
 
     def _set_exception(self, exc: BaseException) -> None:
         with self._cond:
             if self._state != _PENDING:
                 raise FutureError("future already satisfied")
+            if self._san_seq is not None:
+                _racecheck.send(("fut", self._san_seq))
             self._exception = exc
             self._state = _EXCEPTIONAL
             callbacks, self._callbacks = self._callbacks, []
             self._cond.notify_all()
         if self._san_seq is not None:
             _sanitize_graph.on_resolved(self, exc)
-            _racecheck.send(("fut", self._san_seq))
         self._run_callbacks(callbacks)
 
     def _run_callbacks(self, callbacks: Sequence[Callable[[Future], None]]) -> None:

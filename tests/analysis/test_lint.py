@@ -235,10 +235,14 @@ def test_repro007_untallied_block_to_block_ghost_write():
 
 def test_repro007_tallied_or_out_of_scope_ghost_writes_are_clean():
     # booking the copies with the transport is the sanctioned route ...
-    for tally in ("self.transport.tally_local(n, nbytes)",
-                  "transport.charge_onesided(nbytes, a, b)"):
-        assert _lint(_NETWORK_IMPORT + _DIRECT_COPY + f"    {tally}\n",
-                     rel="repro/core/distmesh.py") == []
+    assert _lint(_NETWORK_IMPORT + _DIRECT_COPY
+                 + "    self.transport.tally_local(n, nbytes)\n",
+                 rel="repro/core/distmesh.py") == []
+    # ... a one-sided charge (checkpoint replication's) books no copy ...
+    vs = _lint(_NETWORK_IMPORT + _DIRECT_COPY
+               + "    transport.charge_onesided(nbytes, a, b)\n",
+               rel="repro/core/distmesh.py")
+    assert [v.rule for v in vs] == ["REPRO007"]
     # ... the node-level mesh has no transport to book with ...
     assert _lint(_DIRECT_COPY, rel="repro/core/mesh.py") == []
     assert _lint(_NETWORK_IMPORT + _DIRECT_COPY,
@@ -636,8 +640,8 @@ LIVE_SITES = {
     "REPRO003": ("core/mesh.py", "    mesh.time += dt\n",
                  "    mesh.time = time.time()\n"),
     "REPRO004": ("core/distmesh.py",
-                 'self.registry.increment("/distmesh/migrations")',
-                 'self.registry.increment("/distmsh/migrations")'),
+                 'self.registry.increment("/distmesh/plan-rebuilds")',
+                 'self.registry.increment("/distmsh/plan-rebuilds")'),
     "REPRO005": ("runtime/scheduler.py", "        except BaseException:\n",
                  "        except:\n"),
     "REPRO006": ("core/exec.py", "region.push(fn, args, promise)",

@@ -59,8 +59,8 @@ def _assert_shells_match_the_single_mesh(single, blocks):
 @pytest.mark.parametrize("bc", ["outflow", "reflect", "periodic"])
 @pytest.mark.parametrize("bpe", [2, 3])
 def test_fill_plan_reproduces_the_single_mesh_ghost_shell(rng, bpe, bc):
-    """One pass over the frozen plan (neighbour copies over both routes,
-    wraps, then walls) leaves in every ghost cell of every block exactly
+    """One pass over the frozen plan (neighbour copies over both routes —
+    periodic images among them — then walls) leaves in every ghost cell of every block exactly
     what the single-block mesh holds in the same place; 3^3 blocks
     include one with all 26 neighbours."""
     single, blocks, _full = _loaded_pair(rng, bpe, bc, make=_dist)
@@ -119,9 +119,9 @@ class TestPeriodicGhostShell:
 
     def test_offsets_cover_all_26_directions(self):
         """The distributed mesh's frozen fill plan gives every block all
-        26 ghost regions exactly once: a neighbour pair where the source
-        is inside the lattice, a wrap from the coordinate-wise wrapped
-        block where it is not."""
+        26 ghost regions exactly once, each a neighbour pair: the source
+        is the neighbour inside the lattice, or the coordinate-wise
+        wrapped block across the seam."""
         blocks = _dist(2, bc="periodic")
         g, s = NGHOST, SUBGRID_N
         side_of = {(0, g): -1, (g, g + s): 0, (g + s, 2 * g + s): 1}
@@ -133,22 +133,17 @@ class TestPeriodicGhostShell:
         plan = blocks._fill_plan
         assert not plan.walls
         filled = {ip: {} for ip in blocks.blocks}
-        for kind, halos in (("pair", plan.pairs), ("wrap", plan.wraps)):
-            for dst, ghost, src, layer, nbytes in halos:
-                o = off(ghost, side_of)
-                assert o not in filled[dst]
-                # the source shows the layer facing back at us
-                assert off(layer, layer_of) == tuple(-c for c in o)
-                assert nbytes == blocks.blocks[dst][ghost].nbytes
-                filled[dst][o] = (kind, src)
+        for dst, ghost, src, layer, nbytes in plan.pairs:
+            o = off(ghost, side_of)
+            assert o not in filled[dst]
+            # the source shows the layer facing back at us
+            assert off(layer, layer_of) == tuple(-c for c in o)
+            assert nbytes == blocks.blocks[dst][ghost].nbytes
+            filled[dst][o] = src
         every = sorted(o for o in itertools.product((-1, 0, 1), repeat=3)
                        if o != (0, 0, 0))
         for ip, regions in filled.items():
             assert sorted(regions) == every
-            for o, (kind, src) in regions.items():
-                nb = tuple(ip[d] + o[d] for d in range(3))
-                if nb in blocks.blocks:
-                    assert (kind, src) == ("pair", nb)
-                else:
-                    assert (kind, src) == ("wrap", tuple(
-                        c % blocks.lattice[0] for c in nb))
+            for o, src in regions.items():
+                assert src == tuple((ip[d] + o[d]) % blocks.lattice[d]
+                                    for d in range(3))

@@ -1,10 +1,10 @@
 """DistBlockMesh: AGAS-sharded blocks, parcelport halos, bitwise physics.
 
-The distribution contract (ISSUE 7 / ROADMAP item 2): a distributed step
-is byte-identical to the node-level ``BlockMesh`` step for any partition,
-parcelport and delivery order; block components migrate through AGAS with
-ownership tracked; every cross-locality halo is charged and the counters
-reconcile exactly.
+The distribution contract: a distributed step is byte-identical to the
+node-level ``BlockMesh`` step for any partition, parcelport and delivery
+order; block components migrate through AGAS, whose home table is the
+only record of ownership; every cross-locality halo — periodic images
+included — travels a route and the counters reconcile exactly.
 """
 
 import threading
@@ -77,6 +77,23 @@ class TestBitwiseEquivalence:
                                       ref.gather_interior())
         assert dist.transport.stats.remote_msgs == 0
         assert dist.transport.stats.local_msgs > 0
+
+    @pytest.mark.parametrize("n_localities", [1, 2, 3])
+    def test_periodic_images_travel_the_routes(self, rng, n_localities):
+        """A periodic image is an ordinary neighbour: it is a direct copy
+        or a slab of its locality pair's payload, never a one-sided
+        charge, and the state is the node-level one to the byte."""
+        ref, dist = _pair(rng, bc="periodic", n_localities=n_localities,
+                          reorder_seed=11)
+        for _ in range(3):
+            assert ref.step() == dist.step()
+        np.testing.assert_array_equal(dist.gather_interior(),
+                                      ref.gather_interior())
+        st = dist.transport.stats
+        assert st.onesided_msgs == 0
+        assert st.local_bytes + st.remote_bytes == 2 * dist.steps * sum(
+            nbytes for *_, nbytes in dist._fill_plan.pairs)
+        assert dist.transport.reconciles()
 
     def test_self_gravity_distributed(self, rng):
         ref, dist = _pair(rng, n_localities=4, self_gravity=True)
@@ -155,6 +172,94 @@ class TestAnyRouteSplit:
         assert dist.transport.reconciles()
 
 
+_EVENT_STEPS = 4
+
+
+@pytest.fixture(scope="module")
+def periodic_reference():
+    """Initial data and the node-level ``(dt, state)`` after each of
+    ``_EVENT_STEPS`` periodic steps."""
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    full = _initial_data(np.random.default_rng(0xCAFE), 2 * SUBGRID_N)
+    ref = BlockMesh(2, domain=1.0, options=opts, bc="periodic")
+    ref.load_interior(full)
+    after = [(ref.step(), ref.gather_interior()) for _ in range(_EVENT_STEPS)]
+    return opts, full, after
+
+
+_EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("migrate"), st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.just("evacuate"), st.integers(0, 3)),
+    st.tuples(st.just("lose"), st.integers(0, 3)),
+    st.tuples(st.just("remap"))), min_size=1, max_size=_EVENT_STEPS)
+
+
+class TestOwnershipEvents:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(events=_EVENTS, reorder_seed=st.integers(0, 2 ** 16))
+    def test_any_ownership_history_is_byte_identical(
+            self, periodic_reference, events, reorder_seed):
+        """Between steps: migrate one block, evacuate a locality, lose
+        one and re-home its blocks over the survivors, or remap to the
+        same owners.  The mesh reads every placement from AGAS, so after
+        each event its owners are AGAS's homes, the route plan is rebuilt
+        exactly when an exchange sees a new generation, the state is the
+        node-level one to the byte and the counters reconcile."""
+        opts, full, after = periodic_reference
+        reg = CounterRegistry()
+        dist = DistBlockMesh(2, n_localities=4, port="libfabric",
+                             reorder_seed=reorder_seed, registry=reg,
+                             domain=1.0, options=opts, bc="periodic")
+        dist.load_interior(full)
+        ips = sorted(dist.blocks)
+        agas, seen, rebuilds = dist.agas, None, 0
+        for step, event in enumerate(events):
+            alive = [loc for loc in range(dist.n_localities)
+                     if loc not in agas.failed_localities]
+            kind = event[0]
+            if kind == "migrate":
+                agas.migrate(dist.gids[ips[event[1]]],
+                             alive[event[2] % len(alive)])
+            elif kind in ("evacuate", "lose") and len(alive) > 1:
+                victim = alive[event[1] % len(alive)]
+                doomed = {ip for ip, loc in dist.owners().items()
+                          if loc == victim}
+                agas.fail_locality(victim, evacuate=kind == "evacuate")
+                if kind == "lose":
+                    assert dist.lost_blocks == doomed
+                    survivors = [loc for loc in alive if loc != victim]
+                    moves = dist.apply_ownership({
+                        ip: survivors[slab_partition(i, len(ips),
+                                                     len(survivors))]
+                        for i, ip in enumerate(ips)})
+                    assert moves["restored"] == len(doomed)
+                assert dist.lost_blocks == set()
+            elif kind == "remap":
+                assert dist.apply_ownership(dist.owners()) == {
+                    "migrated": 0, "restored": 0}
+            generation = agas.homes([])[0]
+            rebuilds += generation != seen
+            seen = generation
+            stats = dist.transport.stats
+            sent = stats.local_msgs, stats.remote_msgs
+            dt, state = after[step]
+            assert dist.step() == dt
+            np.testing.assert_array_equal(dist.gather_interior(), state)
+            where = dist.owners()
+            assert where == {
+                ip: agas.resolve(gid)[1] for ip, gid in dist.gids.items()}
+            # both stages took the routes these homes call for
+            pairs = [(src, dst) for dst, _, src, _, _ in dist._fill_plan.pairs]
+            routes = {(where[a], where[b]) for a, b in pairs
+                      if where[a] != where[b]}
+            assert stats.local_msgs - sent[0] == 2 * sum(
+                where[a] == where[b] for a, b in pairs)
+            assert stats.remote_msgs - sent[1] == 2 * len(routes)
+            assert reg.snapshot()["/distmesh/plan-rebuilds"] == rebuilds
+            assert dist.transport.reconciles()
+        assert dist.transport.stats.onesided_msgs == 0
+
+
 class TestOwnership:
     def test_slab_partition_covers_all_localities(self):
         locs = [slab_partition(i, 8, 3) for i in range(8)]
@@ -177,21 +282,28 @@ class TestOwnership:
                           partition=lambda i, n, k: 5)
 
     def test_migration_updates_owner_and_counters(self, rng):
+        """Ownership lives in AGAS alone: a move made behind the mesh's
+        back shows in ``owners()`` and reroutes the next exchange."""
         reg = CounterRegistry()
         ref, dist = _pair(rng, registry=reg)
+        ref.step()
+        dist.step()
         ip = next(iter(dist.blocks))
         old = dist.owners()[ip]
         new = (old + 1) % dist.n_localities
+        generation = dist.agas.homes([])[0]
         dist.agas.migrate(dist.gids[ip], new)
         assert dist.owners()[ip] == new
-        assert dist.block_migrations == 1
-        assert reg.snapshot()["/distmesh/migrations"] == 1
+        assert dist.agas.homes([])[0] > generation
+        assert reg.snapshot()["/resilience/agas/components-migrated"] == 1
         # physics is unaffected by where blocks live
         for _ in range(2):
             ref.step()
             dist.step()
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
+        assert reg.snapshot()["/distmesh/plan-rebuilds"] == 2
+        assert dist._route_plan.generation == dist.agas.homes([])[0]
 
     def test_fail_locality_evacuates_and_physics_survives(self, rng):
         reg = CounterRegistry()
@@ -216,7 +328,7 @@ class TestOwnership:
     def test_ownership_flips_switch_routes_mid_run(self, rng):
         """Evacuation makes remote pairs local, an ownership remap makes
         some of them remote again: the route plan is rebuilt once per
-        ownership epoch (never in a steady run), a route that no longer
+        AGAS generation (never in a steady run), a route that no longer
         exists takes its channel with it, nothing is left posted on the
         ones that remain, and neither the counters nor the physics
         notice."""
@@ -251,7 +363,7 @@ class TestOwnership:
         start, start_routes = remote_pairs(), routes()
         step(rebuilds=1)
         step(rebuilds=1)                          # steady: plan stays frozen
-        dist.agas.fail_locality(0, evacuate=True)      # many blocks, one epoch
+        dist.agas.fail_locality(0, evacuate=True)   # many blocks, one read
         went_local = start - remote_pairs()
         assert went_local
         assert start_routes - routes()            # the dead locality's routes
@@ -285,8 +397,9 @@ class TestCounters:
         assert st.local_bytes + st.remote_bytes == stages * sum(
             nbytes for *_, nbytes in pairs)
         assert st.remote_msgs == len(dist.channels) * stages
-        # periodic wraps crossed localities and were charged one-sided
-        assert st.onesided_msgs > 0
+        # periodic images crossed localities along the routes: nothing
+        # was charged one-sided
+        assert st.onesided_msgs == 0
 
     def test_publish_counters_gauges(self, rng):
         reg = CounterRegistry()

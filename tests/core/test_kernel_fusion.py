@@ -208,20 +208,22 @@ def test_compute_rhs_fused_bitwise():
     rng = np.random.default_rng(13)
     gravity = rng.normal(size=(3, n, n, n)) * 0.1
     opts = HydroOptions(eos=IdealGas(), omega=0.3)
-    ref = compute_rhs_reference(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
+    origin = (-0.3, 0.0, 0.2)
+    ref = compute_rhs_reference(U, 0.05, opts, origin=origin,
                                 gravity=gravity)
-    plain = compute_rhs(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
-                        gravity=gravity)
+    # the cell centres the oracle derives from its corner, bit for bit
+    centers = tuple(o + (np.arange(n) + 0.5) * 0.05 for o in origin)
+    plain = compute_rhs(U, 0.05, opts, gravity=gravity, centers=centers)
     np.testing.assert_array_equal(plain, ref)
     ws = Workspace()
     out = np.empty((NF, n, n, n))
     for _ in range(3):      # steady-state reuse of both out and ws
-        got = compute_rhs(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
-                          gravity=gravity, out=out, ws=ws)
+        got = compute_rhs(U, 0.05, opts, gravity=gravity, out=out, ws=ws,
+                          centers=centers)
         assert got is out
         np.testing.assert_array_equal(out, ref)
-    ws_only = compute_rhs(U, 0.05, opts, origin=(-0.3, 0.0, 0.2),
-                          gravity=gravity, ws=Workspace())
+    ws_only = compute_rhs(U, 0.05, opts, gravity=gravity, ws=Workspace(),
+                          centers=centers)
     np.testing.assert_array_equal(ws_only, ref)
 
 

@@ -32,6 +32,12 @@ from repro.runtime.faults import TransientActionFault
 DX = 0.05
 
 
+def _centers(corner, shape, dx=DX):
+    """Cell-centre axes of a block whose interior starts at ``corner``,
+    as :func:`compute_rhs_reference` derives them from its origin."""
+    return tuple(c + (np.arange(n) + 0.5) * dx for c, n in zip(corner, shape))
+
+
 def _block(rng, shape, floored):
     """A random ghosted conserved block with ``floored`` vacuum cells."""
     m = tuple(n + 2 * NGHOST for n in shape)
@@ -60,6 +66,7 @@ def test_batched_equals_per_block_equals_reference(
     opts = HydroOptions(eos=IdealGas(), omega=omega, spin_correction=spin)
     blocks = [_block(rng, shape, floored) for _ in range(B)]
     origins = [tuple(rng.normal(size=3)) for _ in range(B)]
+    centers = [_centers(o, shape) for o in origins]
     gravity = ([0.1 * rng.standard_normal((3,) + shape) for _ in range(B)]
                if with_gravity else None)
 
@@ -71,15 +78,15 @@ def test_batched_equals_per_block_equals_reference(
         gravity=None if gravity is None else gravity[b]) for b in range(B)]
 
     ws = Workspace()
-    whole = compute_rhs(blocks, DX, opts, origin=origins, gravity=gravity,
-                        ws=ws)
+    whole = compute_rhs(blocks, DX, opts, gravity=gravity, ws=ws,
+                        centers=centers)
     assert whole.shape == (NF, B) + shape
     for b in range(B):
         np.testing.assert_array_equal(whole[:, b], ref[b])
         # a single block is a batch of one through the same body
-        one = compute_rhs(blocks[b], DX, opts, origin=origins[b],
+        one = compute_rhs(blocks[b], DX, opts,
                           gravity=None if gravity is None else gravity[b],
-                          ws=ws)
+                          ws=ws, centers=centers[b])
         np.testing.assert_array_equal(one, ref[b])
 
     # any order, any split into chunks, one shared workspace
@@ -89,8 +96,8 @@ def test_batched_equals_per_block_equals_reference(
         idx = order[lo:hi]
         out = np.full((NF, len(idx)) + shape, np.nan)
         got = compute_rhs([blocks[i] for i in idx], DX, opts,
-                          origin=[origins[i] for i in idx],
-                          gravity=grav(idx), out=out, ws=ws)
+                          gravity=grav(idx), out=out, ws=ws,
+                          centers=[centers[i] for i in idx])
         assert got is out
         for slot, i in enumerate(idx):
             np.testing.assert_array_equal(out[:, slot], ref[i])
@@ -139,7 +146,6 @@ def test_compute_rhs_rejects_malformed_batches_before_any_arithmetic():
     opts = HydroOptions(eos=IdealGas())
     shape = (8, 8, 8)
     blocks = [_block(rng, shape, 0) for _ in range(3)]
-    origins = [(0.0, 0.0, 0.0)] * 3
     gravity = [np.zeros((3,) + shape)] * 3
     out = np.full((NF, 3) + shape, 7.0)
 
@@ -153,8 +159,6 @@ def test_compute_rhs_rejects_malformed_batches_before_any_arithmetic():
     rejected("ragged", U=blocks[:2] + [_block(rng, (6, 4, 5), 0)])
     rejected("ghosted", U=[np.zeros((NF, 6, 6, 6))])
     rejected("ghosted", U=[np.zeros((3, 14, 14, 14))])
-    rejected("origin", origin=origins[:2])
-    rejected("origin", origin=(0.0, 0.0, 0.0))  # one tuple for three blocks
     rejected("gravity", gravity=gravity[:2])
     rejected("gravity", gravity=gravity[:2] + [np.zeros((3, 8, 8, 7))])
     axes = (np.zeros(8),) * 3
@@ -225,8 +229,9 @@ def test_chunks_are_balanced():
 def _per_block_rhs(mesh, opts, acc):
     """``compute_rhs`` of every ghost-filled block of ``mesh`` alone, at
     its own corner, under its window of ``acc``."""
-    return {ip: compute_rhs(blk, mesh.dx, opts, origin=tuple(
-        mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)),
+    return {ip: compute_rhs(blk, mesh.dx, opts, centers=_centers(
+        [mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)],
+        (SUBGRID_N,) * 3, mesh.dx),
         gravity=acc[mesh._window(ip)]) for ip, blk in mesh.blocks.items()}
 
 
@@ -330,15 +335,15 @@ def test_fault_after_a_partial_write_is_overwritten_by_the_retry(
     slab task scribbles over its whole window and only then fails."""
     calls = {"n": 0, "faults": 0}
 
-    def faulty(U, dx, options, origin, gravity, return_fluxes, out, ws,
+    def faulty(U, dx, options, gravity, return_fluxes, out, ws,
                centers=None):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             calls["faults"] += 1
             out[...] = np.nan
             raise TransientActionFault("fault after a partial write")
-        return compute_rhs(U, dx, options, origin, gravity, return_fluxes,
-                           out, ws, centers)
+        return compute_rhs(U, dx, options, gravity, return_fluxes, out, ws,
+                           centers)
 
     monkeypatch.setattr(mesh_module, "compute_rhs", faulty)
     opts = HydroOptions(eos=IdealGas(gamma=1.4))

@@ -8,23 +8,15 @@ from repro.runtime import AgasRuntime, Component, LocalityFailed
 class Cell(Component):
     def __init__(self):
         super().__init__()
-        self.moves = []
         self.value = 0
 
     def add(self, n):
         self.value += n
         return self.value
 
-    def on_migrate(self, old, new):
-        self.moves.append((old, new))
-
-
-class PinnedCell(Cell):
-    migratable = False
-
 
 class TestLocalityFailure:
-    def test_migratable_components_are_evacuated(self):
+    def test_components_are_evacuated(self):
         ag = AgasRuntime(4)
         gids = [ag.register(Cell(), 2) for _ in range(5)]
         out = ag.fail_locality(2)
@@ -43,18 +35,13 @@ class TestLocalityFailure:
         homes = {ag.resolve(g)[1] for g in gids}
         assert homes == {0, 2}
 
-    def test_migration_hook_fires_on_evacuation(self):
-        ag = AgasRuntime(2)
-        c = Cell()
-        ag.register(c, 1)
-        ag.fail_locality(1)
-        assert c.moves == [(1, 0)]
-
     def test_pinned_components_are_lost_with_distinct_error(self):
+        """A component that dies with its node (no evacuation) is lost
+        even with a survivor at hand."""
         ag = AgasRuntime(2)
-        gid = ag.register(PinnedCell(), 1)
-        out = ag.fail_locality(1)
-        assert out["lost"] == [gid]
+        gid = ag.register(Cell(), 1)
+        out = ag.fail_locality(1, evacuate=False)
+        assert out == {"migrated": [], "lost": [gid]}
         with pytest.raises(LocalityFailed, match="lost when locality 1"):
             ag.resolve(gid)
         fut = ag.async_action(gid, "add", 1)
@@ -89,11 +76,12 @@ class TestLocalityFailure:
         from repro.runtime import default_registry
         reg = default_registry()
         before = reg.snapshot().get("/resilience/agas/localities-failed", 0.0)
-        ag = AgasRuntime(2)
+        ag = AgasRuntime(3)
         ag.register(Cell(), 1)
-        ag.register(PinnedCell(), 1)
+        ag.register(Cell(), 2)
         ag.fail_locality(1)
+        ag.fail_locality(2, evacuate=False)
         snap = reg.snapshot()
-        assert snap["/resilience/agas/localities-failed"] == before + 1
+        assert snap["/resilience/agas/localities-failed"] == before + 2
         assert snap["/resilience/agas/components-migrated"] >= 1
         assert snap["/resilience/agas/components-lost"] >= 1

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.runtime import (AgasError, AgasRuntime, Component,
-                           EAGER_THRESHOLD, Gid, Parcel, ParcelHandler,
-                           WorkStealingScheduler, serialized_size)
+                           CounterRegistry, EAGER_THRESHOLD, Gid, Parcel,
+                           ParcelHandler, WorkStealingScheduler,
+                           serialized_size)
 
 #: a GID no runtime in these tests ever hands out
 UNKNOWN = Gid(0, 10**9)
@@ -15,7 +16,6 @@ class Counter(Component):
     def __init__(self):
         super().__init__()
         self.value = 0
-        self.moves = []
 
     def add(self, n):
         self.value += n
@@ -23,9 +23,6 @@ class Counter(Component):
 
     def fail(self):
         raise RuntimeError("action failed")
-
-    def on_migrate(self, old, new):
-        self.moves.append((old, new))
 
 
 class TestAgasRegistry:
@@ -68,21 +65,49 @@ class TestMigration:
         assert ag.resolve(gid)[1] == 3
         assert ag.async_action(gid, "add", 1).get() == 1
 
-    def test_migration_hook_called(self):
-        ag = AgasRuntime(2)
-        c = Counter()
-        gid = ag.register(c, 0)
-        ag.migrate(gid, 1)
-        assert c.moves == [(0, 1)]
+    def test_migration_moves_the_home_and_the_generation(self):
+        """AGAS is the one record of placement: a move shows in the next
+        ``homes`` read, together with a newer generation, and nobody is
+        called back."""
+        ag = AgasRuntime(3)
+        a, b = ag.register(Counter(), 0), ag.register(Counter(), 2)
+        before, homes = ag.homes([a, b])
+        assert homes == [0, 2]
+        ag.migrate(a, 1)
+        after, homes = ag.homes([a, b])
+        assert homes == [1, 2] and after > before
+        assert ag.homes([])[0] == after     # reads do not move it
+
+    def test_every_change_of_home_moves_the_generation(self):
+        ag = AgasRuntime(3)
+        seen = [ag.homes([])[0]]
+        gid = ag.register(Counter(), 1)
+        seen.append(ag.homes([])[0])
+        ag.migrate(gid, 2)
+        seen.append(ag.homes([])[0])
+        ag.fail_locality(2, evacuate=False)
+        seen.append(ag.homes([])[0])
+        # a lost GID is homed where it died, until it is restored
+        assert ag.homes([gid])[1] == [2]
+        ag.restore_component(Counter(), gid, 0)
+        seen.append(ag.homes([])[0])
+        assert seen == sorted(set(seen))
+        assert ag.homes([gid])[1] == [0]
+
+    def test_homes_of_an_unknown_gid_raise(self):
+        ag = AgasRuntime(1)
+        with pytest.raises(AgasError, match="unknown gid"):
+            ag.homes([UNKNOWN])
 
     def test_migration_counter(self):
-        ag = AgasRuntime(2)
-        c = Counter()
-        gid = ag.register(c, 0)
+        reg = CounterRegistry()
+        ag = AgasRuntime(2, registry=reg)
+        gid = ag.register(Counter(), 0)
         for _ in range(5):
             ag.migrate(gid, 1)
             ag.migrate(gid, 0)
-        assert c.moves == [(0, 1), (1, 0)] * 5
+        assert ag.resolve(gid)[1] == 0
+        assert reg.snapshot()["/resilience/agas/components-migrated"] == 10
 
 
 class TestActions:

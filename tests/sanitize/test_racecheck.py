@@ -168,6 +168,45 @@ class TestSyncVocabulary:
         racecheck.access(buf, "r", owner="fut/out")
         assert san.finding_count() == 0
 
+    def test_consumer_woken_before_the_resolver_returns_is_ordered(
+            self, san, monkeypatch):
+        """A consumer blocked in ``get`` wakes the moment the state turns
+        ready, possibly before the resolving thread runs another line.
+        The release edge must already be published by then.  This forces
+        that interleaving: the resolver's publish of this future's edge
+        stalls until the consumer has read the buffer (or 0.2 s passed).
+        An edge published after the state flip leaves the read unordered
+        with the producer's write — a false race, the one that leaked
+        from dense-interleaving runs of the slab tasks."""
+        buf = np.zeros(8)
+        p = Promise()
+        fut = p.get_future()
+        consumed = threading.Event()
+        send = racecheck.send
+
+        def stalled_send(key):
+            if key == ("fut", fut._san_seq):
+                consumed.wait(0.2)
+            send(key)
+
+        monkeypatch.setattr(racecheck, "send", stalled_send)
+
+        def consumer():
+            fut.get(timeout=5.0)
+            racecheck.access(buf, "r", owner="fut/out")
+            consumed.set()
+
+        def producer():
+            racecheck.access(buf, "w", owner="fut/out")
+            p.set_value(None)
+
+        reader = threading.Thread(target=consumer, name="consumer")
+        reader.start()
+        on_thread(producer, "producer")
+        reader.join(timeout=5.0)
+        assert consumed.is_set()
+        assert san.finding_count() == 0
+
     def test_consumed_generation_orders_the_read(self, san):
         ch = Channel("halo-ok")
         buf = np.zeros(8)
