@@ -15,24 +15,25 @@ reference implementation exists (the einsum ``m2l_pair_reference`` and
 the allocate-per-stage ``compute_rhs_reference``) both variants are timed
 and the speedup of the fused path is reported — the CI gate asserts
 >= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
-``rhs_batched`` is what the sharded mesh runs: 1, 8, 13, 14 and 27 8^3
-sub-grids through one batched ``compute_rhs`` call (13 and 14 are the two
-balanced launches of a 27-sub-grid ``DistBlockMesh``), beside the same
-sub-grids through a per-block loop of batch-of-one calls.
+``rhs_batched`` is batching itself: 1, 8, 16 and 27 8^3 sub-grids
+through one batched ``compute_rhs`` call (16 is the default
+``agg_slots``, the most sub-grids a ``DistBlockMesh`` call batches), beside
+the same sub-grids through a per-block loop of batch-of-one calls.
 ``halo_fill`` is one ghost-fill stage of a 27-block ``DistBlockMesh`` with
-every neighbour pair on a route of its own (27 localities: one slab per
-parcel, the worst case of the packed path) beside every pair on the
-direct-copy route (one locality): us per halo, and the bytes one fill
-moves (computed from the plan, not measured).  ``dist_fill`` is the same
-stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
-localities, reorder seed on: ms per stage and parcelport messages per
-stage, which must equal the directed locality pairs that share a halo.
+one locality per block — every box one block, every halo a route of its
+own (one rectangle per parcel, the worst case of the packed path) —
+beside the same rectangles as direct copies: us per halo, and the bytes
+one fill moves (computed from the plan, not measured).  ``dist_fill`` is
+a stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
+localities, one box each, reorder seed on: ms per stage, parcelport
+messages per stage, which must equal the directed locality pairs whose
+blocks touch, and the direct copies, of which a box needs none.
 ``subgrid_tax`` is what cutting a box into 8^3 sub-grids still costs: the
 same 24^3 Sedov steps on ``BlockMesh(1, n=24)``, on its ``retile`` into
 3^3 sub-grids (views of one box: walls-only fill, one RHS sweep) and on
-``DistBlockMesh(3, n_localities=1)`` (the per-block path: 27 arrays,
-pair-copy fill, batched block chunks), ms per step each and the two
-ratios to the one block, all three ending on the same state CRC.
+``DistBlockMesh(3, n_localities=4)`` (the sharded mesh: four boxes, their
+halos over the parcelport, batched box RHS calls), ms per step each and
+the two ratios to the one block, all three ending on the same state CRC.
 
 Used two ways:
 
@@ -76,6 +77,7 @@ from repro.core.hydro.solver import (HydroOptions, compute_rhs,  # noqa: E402
 from repro.core.mesh import BlockMesh, apply_boundary  # noqa: E402
 from repro.core.scenario import sedov_blast  # noqa: E402
 from repro.core.workspace import Workspace  # noqa: E402
+from repro.runtime.aggregate import DEFAULT_AGG_SLOTS  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
 
 #: pair-batch size for the gravity kernels (one aggregated launch's worth)
@@ -90,13 +92,14 @@ M2L_ROWS = {"m2l_root_dense": 0, "m2l_sweep": 1}
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
-#: former serial chunk, the two balanced launches of 27, a whole 24^3 mesh
-#: (per-block chunks of the sharded mesh)
-RHS_BATCHES = (1, 8, 13, 14, 27)
+#: former serial chunk, the largest batch of the sharded mesh's default
+#: engine, a whole 24^3 mesh
+RHS_BATCHES = (1, 8, DEFAULT_AGG_SLOTS, 27)
 #: sub-grids per edge of the ``halo_fill`` / ``dist_fill`` mesh (27
-#: blocks, 316 pairs)
+#: blocks; one block per box: 316 halos)
 HALO_BPE = 3
-#: localities of the ``dist_fill`` mesh (the ledger's distributed Sedov)
+#: localities of the ``dist_fill`` and ``subgrid_tax`` sharded meshes (the
+#: ledger's distributed Sedov)
 DIST_LOCALITIES = 4
 #: cells per edge of the ``subgrid_tax`` Sedov box (the ledger's
 #: ``sedov_serial`` input)
@@ -185,26 +188,26 @@ def m2l_dense_lines(kernels: dict) -> list[str]:
 
 
 def _halo_fill_row(repeats: int) -> dict:
-    """One ghost-fill stage of the ``HALO_BPE``^3-block mesh per route:
-    one locality per block makes every pair a route of its own (pack ->
-    send -> channel -> unpack, one slab per parcel), a single locality
-    puts every pair on the direct copy."""
-    n_blocks = HALO_BPE ** 3
-    row = {}
-    for route, n_localities in (("remote", n_blocks), ("local", 1)):
-        mesh = DistBlockMesh(HALO_BPE, n_localities=n_localities,
-                             registry=CounterRegistry())
-        generation = itertools.count()
-        seconds = _time(lambda: mesh._halo_exchange(mesh.blocks,
-                                                    next(generation)),
-                        repeats=repeats)
-        pairs = mesh._fill_plan.pairs
-        stats = mesh.transport.stats
-        assert getattr(stats, f"{route}_msgs") == (repeats + 1) * len(pairs)
-        row[route] = {"seconds": seconds, "items": len(pairs),
-                      "us_per_halo": 1e6 * seconds / len(pairs)}
-    row["bytes_per_fill"] = sum(nbytes for *_, nbytes in pairs)
-    row["speedup"] = row["remote"]["seconds"] / row["local"]["seconds"]
+    """One ghost-fill stage of the ``HALO_BPE``^3-block mesh with one
+    locality per block: every box is one block and every halo a route of
+    its own (pack -> send -> channel -> unpack, one rectangle per
+    parcel), beside the same rectangles copied directly."""
+    mesh = DistBlockMesh(HALO_BPE, n_localities=HALO_BPE ** 3,
+                         registry=CounterRegistry())
+    boxes = mesh._arrays[0]
+    halos = [(dst, ghost, src, layer, 8 * (hi - lo))
+             for route in mesh._layout.routes
+             for dst, ghost, src, layer, lo, hi, _ in route.slabs]
+    generation = itertools.count()
+    remote = _time(lambda: mesh._halo_exchange(boxes, next(generation)),
+                   repeats=repeats)
+    assert mesh.transport.stats.remote_msgs == (repeats + 1) * len(halos)
+    local = _time(lambda: mesh._copy_halos(boxes, halos), repeats=repeats)
+    row = {route: {"seconds": seconds, "items": len(halos),
+                   "us_per_halo": 1e6 * seconds / len(halos)}
+           for route, seconds in (("remote", remote), ("local", local))}
+    row["bytes_per_fill"] = sum(nbytes for *_, nbytes in halos)
+    row["speedup"] = remote / local
     return row
 
 
@@ -212,56 +215,67 @@ def halo_fill_line(kernels: dict) -> str:
     """The ``halo_fill`` row as a report line (us per halo)."""
     row = kernels["halo_fill"]
     return (f"  halo_fill          {row['remote']['us_per_halo']:8.2f} "
-            f"us/halo all remote (a route each), "
-            f"{row['local']['us_per_halo']:.2f} all local (direct copy) "
+            f"us/halo a route each, "
+            f"{row['local']['us_per_halo']:.2f} as direct copies "
             f"({row['speedup']:.2f}x; {row['local']['items']} halos, "
             f"{row['bytes_per_fill']} bytes per fill)")
 
 
 def _dist_fill_row(repeats: int) -> dict:
     """One ghost-fill stage of the ``HALO_BPE``^3-block mesh sharded over
-    ``DIST_LOCALITIES`` localities with seeded out-of-order delivery."""
+    ``DIST_LOCALITIES`` localities (one box each) with seeded out-of-order
+    delivery.  ``locality_pairs`` are the directed pairs whose blocks
+    touch, read off the owners alone — what the stage must send."""
     mesh = DistBlockMesh(HALO_BPE, n_localities=DIST_LOCALITIES,
                          reorder_seed=1309, registry=CounterRegistry())
     generation = itertools.count()
-    seconds = _time(lambda: mesh._halo_exchange(mesh.blocks,
+    seconds = _time(lambda: mesh._halo_exchange(mesh._arrays[0],
                                                 next(generation)),
                     repeats=repeats)
     owner = mesh.owners()
-    remote = [(owner[src], owner[dst], nbytes)
-              for dst, _, src, _, nbytes in mesh._fill_plan.pairs
-              if owner[src] != owner[dst]]
+    seams = {(owner[nb], loc) for ip, loc in owner.items()
+             for nb in itertools.product(*(range(max(c - 1, 0),
+                                                 min(c + 2, HALO_BPE))
+                                           for c in ip))
+             if owner[nb] != loc}
+    routes = mesh._layout.routes
     stats = mesh.transport.stats
+    stages = repeats + 1
     return {"seconds": seconds,
             "ms_per_stage": 1e3 * seconds,
-            "msgs_per_stage": stats.remote_msgs / (repeats + 1),
-            "locality_pairs": len({pair[:2] for pair in remote}),
-            "remote_halos": len(remote),
-            "remote_bytes_per_stage": stats.remote_bytes // (repeats + 1),
-            "plan_remote_bytes": sum(nbytes for *_, nbytes in remote)}
+            "msgs_per_stage": stats.remote_msgs / stages,
+            "locality_pairs": len(seams),
+            "boxes": len(mesh._arrays[0]),
+            "remote_halos": sum(len(route.slabs) for route in routes),
+            "local_copies_per_stage": stats.local_msgs / stages,
+            "remote_bytes_per_stage": stats.remote_bytes // stages,
+            "plan_remote_bytes": 8 * sum(route.size for route in routes)}
 
 
 def dist_fill_line(kernels: dict) -> str:
     """The ``dist_fill`` row as a report line (ms per stage)."""
     row = kernels["dist_fill"]
     return (f"  dist_fill          {row['ms_per_stage']:8.2f} ms/stage on "
-            f"{DIST_LOCALITIES} localities, {row['msgs_per_stage']:.0f} "
-            f"messages/stage for {row['remote_halos']} remote halos over "
+            f"{DIST_LOCALITIES} localities ({row['boxes']} boxes), "
+            f"{row['msgs_per_stage']:.0f} messages/stage for "
+            f"{row['remote_halos']} remote halos over "
             f"{row['locality_pairs']} locality pairs "
-            f"({row['remote_bytes_per_stage']} bytes)")
+            f"({row['remote_bytes_per_stage']} bytes), "
+            f"{row['local_copies_per_stage']:.0f} direct copies")
 
 
 def _subgrid_tax_row(repeats: int) -> dict:
     """The same ``repeats + 1`` steps (one warmup) of a ``TAX_N``^3 Sedov
     blast as one block, as 8^3 sub-grids of one box and as 8^3 sub-grids
-    on the per-block path: best step each, the ratios to the one block,
-    and the CRC all must end on."""
+    sharded over ``DIST_LOCALITIES`` localities: best step each, the
+    ratios to the one block, and the CRC all must end on."""
     one_block = sedov_blast(TAX_N)
     # all built before any steps: the same initial state
     meshes = {"one_block": one_block,
               "subgrids": BlockMesh.retile(one_block),
-              "per_block": DistBlockMesh.retile(
-                  one_block, n_localities=1, registry=CounterRegistry())}
+              "sharded": DistBlockMesh.retile(
+                  one_block, n_localities=DIST_LOCALITIES,
+                  registry=CounterRegistry())}
     row = {}
     for name, mesh in meshes.items():
         seconds = _time(mesh.step, repeats=repeats)
@@ -270,7 +284,7 @@ def _subgrid_tax_row(repeats: int) -> dict:
                      "crc": zlib.crc32(mesh.gather_interior())}
     assert len({row[name]["crc"] for name in meshes}) == 1, row
     for name, ratio in (("subgrids", "ratio"),
-                        ("per_block", "per_block_ratio")):
+                        ("sharded", "sharded_ratio")):
         row[ratio] = row[name]["seconds"] / row["one_block"]["seconds"]
     return row
 
@@ -281,8 +295,8 @@ def subgrid_tax_line(kernels: dict) -> str:
     return (f"  subgrid_tax        {row['subgrids']['ms_per_step']:8.2f} "
             f"ms/step as {row['subgrids']['blocks']} sub-grids of one box "
             f"({row['ratio']:.2f}x), "
-            f"{row['per_block']['ms_per_step']:.2f} per block "
-            f"({row['per_block_ratio']:.2f}x), "
+            f"{row['sharded']['ms_per_step']:.2f} sharded over "
+            f"{DIST_LOCALITIES} localities ({row['sharded_ratio']:.2f}x), "
             f"{row['one_block']['ms_per_step']:.2f} as one {TAX_N}^3 block "
             f"(same CRC {row['one_block']['crc']:#010x})")
 

@@ -5,29 +5,31 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-from kernels_micro import (RHS_BATCHES, _dist_fill_row,  # noqa: E402
-                           _subgrid_tax_row)
+from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
+                           _dist_fill_row, _subgrid_tax_row)
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
     """The gate of the packed halo path: a stage of the 27-block mesh on
-    4 localities costs one parcelport message per directed locality pair
-    that shares a halo, and moves exactly the plan's remote bytes."""
+    4 localities — one box each — costs one parcelport message per
+    directed locality pair whose blocks touch, moves exactly the plan's
+    remote bytes and copies nothing inside a box."""
     row = _dist_fill_row(repeats=2)
+    assert row["boxes"] == 4
     assert row["msgs_per_stage"] == row["locality_pairs"] > 0
-    assert row["remote_halos"] > row["locality_pairs"]
     assert row["remote_bytes_per_stage"] == row["plan_remote_bytes"]
-    # the two balanced launches of a 27-sub-grid sharded mesh have rows
-    assert {13, 14} <= set(RHS_BATCHES)
+    assert row["local_copies_per_stage"] == 0
+    # the largest batch the sharded mesh's default engine makes has a row
+    assert DEFAULT_AGG_SLOTS in RHS_BATCHES
 
 
 def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():
     """The sub-grid tax is a row: one 24^3 block, its 3^3 sub-grids as
-    views of one box and the same sub-grids on the per-block path take
-    the same Sedov steps to the same CRC (no timing gate)."""
+    views of one box and the same sub-grids sharded over 4 localities
+    take the same Sedov steps to the same CRC (no timing gate)."""
     row = _subgrid_tax_row(repeats=1)
     assert row["one_block"]["blocks"] == 1
-    assert row["subgrids"]["blocks"] == row["per_block"]["blocks"] == 27
+    assert row["subgrids"]["blocks"] == row["sharded"]["blocks"] == 27
     assert (row["one_block"]["crc"] == row["subgrids"]["crc"]
-            == row["per_block"]["crc"])
-    assert row["ratio"] > 0 and row["per_block_ratio"] > 0
+            == row["sharded"]["crc"])
+    assert row["ratio"] > 0 and row["sharded_ratio"] > 0

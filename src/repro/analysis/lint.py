@@ -51,16 +51,17 @@ REPRO006 *unaggregated-enqueue*
 
 REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
-    ``Channel.set(...)``; a function that writes one block's slab
-    straight into another's (``blocks[a][ghost] = blocks[b][layer]``, or
-    a call to the direct copier ``DistBlockMesh._copy_halos``) without
-    booking it with the transport (``tally_local``); a function that
-    packs block slabs into a send buffer
-    (``payload[lo:hi]... = blocks[b][layer]``) without handing it to
-    ``transport.send``; or a function that unpacks buffer slices into
-    blocks (``blocks[a][ghost] = payload[lo:hi]...``) without draining a
-    future (``fut.get()``).  Such a module is distribution-aware: the
-    route of each of its halos depends on who owns the two blocks, and
+    ``Channel.set(...)``; a function that writes one block's or box's
+    slab straight into another's (``boxes[a][ghost] = boxes[b][layer]``,
+    ``blocks[a][ghost] = blocks[b][layer]``, or a call to the direct
+    copier ``DistBlockMesh._copy_halos``) without booking it with the
+    transport (``tally_local``); a function that packs block or box
+    slabs into a send buffer (``payload[lo:hi]... = boxes[b][layer]``)
+    without handing it to ``transport.send``; or a function that unpacks
+    buffer slices into blocks or boxes (``boxes[a][ghost] =
+    payload[lo:hi]...``) without draining a future (``fut.get()``).
+    Such a module is distribution-aware: the route of each of its halos
+    depends on who owns the two boxes, and
     the :class:`repro.network.transport.HaloTransport` is where both
     routes are counted — a direct set is a cross-locality halo the
     parcelport never charged, an untallied direct copy a same-locality
@@ -70,7 +71,7 @@ REPRO007 *unaccounted-halo*
     reconciliation silently rots.  Pack, ``transport.send(channel, ...)``,
     drain and unpack a route in the one function that owns the exchange;
     copy local halos with ``DistBlockMesh._copy_halos`` — whose own body
-    is the one exempt block-to-block write, booked by its callers — and
+    is the one exempt box-to-box write, booked by its callers — and
     tally them.  The node-level ``core/mesh.py`` moves no halos (its
     blocks are views of one box), does not import the network layer and
     is deliberately out of scope.
@@ -181,7 +182,7 @@ RULES: dict[str, tuple[str, str]] = {
                  "region; route kernels through ExecutionEngine.map / "
                  "AggregationRegion"),
     "REPRO007": ("unaccounted-halo",
-                 "a direct Channel.set, a block-to-block ghost write in a "
+                 "a direct Channel.set, a box-to-box ghost write in a "
                  "function that tallies nothing, a packed payload never "
                  "handed to transport.send or an unpack outside the "
                  "function that drains the route's future, in a network-"
@@ -294,10 +295,11 @@ def _looks_like_channel(expr: ast.expr) -> bool:
 
 
 def _slab_kind(expr: ast.expr) -> str | None:
-    """``"block"`` for a slab of a mesh block, ``"buffer"`` for a slice
-    of anything else, both possibly seen through method calls
-    (``payload[lo:hi].reshape(shape)[...]``, ``blocks[b][layer].copy()``);
-    ``None`` for an expression that slices nothing."""
+    """``"block"`` for a slab of mesh storage — a block or a box of
+    blocks — ``"buffer"`` for a slice of anything else, both possibly
+    seen through method calls (``payload[lo:hi].reshape(shape)[...]``,
+    ``boxes[b][layer].copy()``); ``None`` for an expression that slices
+    nothing."""
     sliced = False
     while True:
         if isinstance(expr, ast.Subscript):
@@ -310,7 +312,8 @@ def _slab_kind(expr: ast.expr) -> str | None:
     if not sliced:
         return None
     tail = ast.unparse(expr).lower().split(".")[-1]
-    return "block" if "block" in tail or "blk" in tail else "buffer"
+    storage = ("block", "blk", "box")
+    return "block" if any(word in tail for word in storage) else "buffer"
 
 
 def _calls_method(sub: ast.AST, attr: str, receiver: str) -> bool:
@@ -511,7 +514,7 @@ class _Linter(ast.NodeVisitor):
 
     def _check_halo_accounting(self, fn) -> None:
         """REPRO007, per function of a network-aware ``core/`` module.
-        Block-to-block slab writes (``_copy_halos`` calls included) need
+        Box-to-box slab writes (``_copy_halos`` calls included) need
         one ``tally_local`` call anywhere in the body; block slabs packed
         into a buffer need a ``transport.send``; buffer slices unpacked
         into blocks need a drained future (``fut.get()``).  The copier
@@ -539,14 +542,14 @@ class _Linter(ast.NodeVisitor):
                     if kind in kinds:
                         hits.append(sub)
         for hits, ok, what, fix in (
-                (direct, tallied, "direct block-to-block ghost write",
+                (direct, tallied, "direct box-to-box ghost write",
                  "no transport tally: the halo is counted on neither "
                  "route; book it with HaloTransport.tally_local"),
-                (packs, sent, "block slab packed into a send buffer",
+                (packs, sent, "box slab packed into a send buffer",
                  "no transport.send: the payload crosses a locality "
                  "uncharged (or never leaves); hand it to "
                  "HaloTransport.send"),
-                (unpacks, drained, "buffer slice unpacked into a block",
+                (unpacks, drained, "buffer slice unpacked into a box",
                  "no drained future: the bytes were delivered by no "
                  "route; unpack where the route's fut.get() is")):
             for sub in () if ok else hits:

@@ -5,7 +5,7 @@ from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, LX, NF,
 from .eos import IdealGas, DEFAULT_GAMMA
 from .exec import ExecutionEngine
 from .mesh import BlockMesh, apply_boundary, interior
-from .distmesh import DistBlockMesh, slab_partition
+from .distmesh import DistBlockMesh, box_partition
 from .octree import Octree, OctreeNode, prolong, restrict
 from .amr import AmrMesh
 from .hydro.solver import HydroOptions, compute_rhs, cfl_dt
@@ -22,7 +22,7 @@ __all__ = [
     "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX",
     "NF", "NGHOST", "SUBGRID_N", "IdealGas", "DEFAULT_GAMMA",
     "BlockMesh", "apply_boundary", "interior",
-    "DistBlockMesh", "slab_partition",
+    "DistBlockMesh", "box_partition",
     "ExecutionEngine",
     "Octree", "OctreeNode", "prolong", "restrict", "AmrMesh",
     "HydroOptions", "compute_rhs", "cfl_dt",

@@ -23,8 +23,8 @@ whole block layers, each a zero-copy view posted as one task, and the
 engine coalesces the FMM interaction batches into aggregated launches
 (:mod:`repro.runtime.aggregate`) — the futurized execution style of
 Sec. 4.1/5.1/5.2.  The blocks stay the unit of checkpoints, guards and
-migration; only a mesh sharded over localities keeps one array per
-block (:class:`repro.core.distmesh.DistBlockMesh`).  Self-gravity comes
+migration; a mesh sharded over localities keeps one such box per
+locality (:class:`repro.core.distmesh.DistBlockMesh`).  Self-gravity comes
 from the FMM solver when the box is a cube of edge ``8 * 2^L`` cells.
 
 The mesh — and :class:`repro.core.amr.AmrMesh` — advances through the one
@@ -103,7 +103,7 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
     included, so sweeping the axes in order also fills edges and corners.
     ``periodic`` wraps the block onto itself — a :class:`BlockMesh` box
     included (a :class:`~repro.core.distmesh.DistBlockMesh` wraps through
-    its fill plan's copies instead)."""
+    its box-to-box copies instead)."""
     g = NGHOST
     n = U.shape[1 + axis] - 2 * g
 

@@ -1,15 +1,17 @@
 """Halo transport: the accounting seam between a mesh and the parcelport.
 
-The distributed :class:`~repro.core.distmesh.DistBlockMesh` decides the
-route of every halo — periodic images across a seam included — from the
-AGAS homes of the two blocks (frozen in a route plan per AGAS
-generation), and books each one here:
+The distributed :class:`~repro.core.distmesh.DistBlockMesh` stores each
+locality's blocks in boxes and decides the route of every box-to-box
+halo rectangle — periodic images across a seam included — from the AGAS
+homes of the two boxes (frozen with the layout for one homes map), and
+books each one here:
 
 * **local tally** — sender and receiver share a locality; the mesh copies
-  the slab straight out of the neighbour's memory (an intra-node copy,
-  exactly what HPX does when the AGAS resolution is local) and
-  :meth:`~HaloTransport.tally_local` counts it: no channel, no parcelport
-  charge, nothing to reorder;
+  the rectangle straight out of the neighbour box's memory (an
+  intra-node copy, exactly what HPX does when the AGAS resolution is
+  local) and :meth:`~HaloTransport.tally_local` counts it: no channel, no
+  parcelport charge, nothing to reorder (cells inside one box are never
+  copied at all);
 * **remote path** — all the halos of one directed locality pair are one
   parcel per stage (HPX's unit: one active message per destination
   locality): :meth:`~HaloTransport.send` charges the packed payload to a

@@ -28,7 +28,8 @@ two missing layers:
   finds the newest generation that is **globally consistent** (manifest
   survives, every block has a verified copy on a survivor), remaps block
   ownership over the *remaining* localities through
-  :func:`~repro.core.distmesh.slab_partition`, resurrects lost GIDs via
+  :func:`~repro.core.distmesh.box_partition` (one box per survivor),
+  resurrects lost GIDs via
   :meth:`~repro.runtime.agas.AgasRuntime.restore_component`, fetches the
   payloads from whichever shard holds a good copy (charged
   holder→new-owner), and rolls the whole run back through the one
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.distmesh import slab_partition
+from ..core.distmesh import box_partition
 from ..runtime import trace
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import lockdep as _sanitize_lockdep
@@ -342,7 +343,7 @@ class RecoveryCoordinator:
 
         Steps: drop the dead localities' shards; plan (newest verified
         globally-consistent generation); remap ownership over the
-        survivors via ``slab_partition`` (migrating live components,
+        survivors via ``box_partition`` (migrating live components,
         resurrecting lost GIDs); fetch payloads from surviving replicas;
         restore mesh state/time/step and truncate the monitor; reset the
         local manager (its records described a dead timeline) and re-seed
@@ -357,10 +358,8 @@ class RecoveryCoordinator:
             raise CheckpointError("no locality survives; nothing to restart")
 
         manifest, holders = self.store.recovery_plan()
-        ips = sorted(mesh.blocks)
-        new_owner = {ip: survivors[slab_partition(i, len(ips),
-                                                  len(survivors))]
-                     for i, ip in enumerate(ips)}
+        new_owner = {ip: survivors[k] for ip, k in
+                     box_partition(mesh.lattice, len(survivors)).items()}
         moves = mesh.apply_ownership(new_owner)
         payloads = self.store.fetch(manifest, holders, new_owner)
         restore_state(mesh, manifest, payloads, monitor)

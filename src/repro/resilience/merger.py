@@ -23,12 +23,11 @@ time and delivery order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.distmesh import DistBlockMesh, slab_partition
+from ..core.distmesh import DistBlockMesh, box_partition
 from ..core.exec import ExecutionEngine
 from ..core.grid import NGHOST, RHO
 from ..core.mesh import BlockMesh, subgrid_lattice
@@ -223,8 +222,10 @@ class MergerResult:
         ])
 
 
-def _check_kill(n_blocks: int, n_loc: int, kill: tuple[int, ...]) -> None:
-    """Reject kill sets the topology cannot host or survive."""
+def _check_kill(lattice: tuple[int, int, int], n_loc: int,
+                kill: tuple[int, ...]) -> None:
+    """Reject kill sets the topology cannot host or survive: the block
+    owners are those of the mesh's default :func:`box_partition`."""
     outside = [v for v in kill if v >= n_loc]
     if outside:
         raise ValueError(f"kill names localities {outside} outside "
@@ -235,7 +236,7 @@ def _check_kill(n_blocks: int, n_loc: int, kill: tuple[int, ...]) -> None:
         return
     # beyond capacity the victims' GIDs are lost and only the buddy
     # replicas bring their blocks back
-    owners = {slab_partition(i, n_blocks, n_loc) for i in range(n_blocks)}
+    owners = set(box_partition(lattice, n_loc).values())
     everyone = list(range(n_loc))
     doomed = sorted(v for v in owners.intersection(kill)
                     if BuddyReplicatedStore._buddy_of(v, everyone) in kill)
@@ -296,8 +297,8 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
     see it next to the rest.  ``reference`` reuses one
     :func:`run_reference` result (it depends only on scenario and steps).
     """
-    _check_kill(math.prod(subgrid_lattice(scenario.shape)),
-                topology.n_localities, plan.kill)
+    _check_kill(subgrid_lattice(scenario.shape), topology.n_localities,
+                plan.kill)
     registry = registry if registry is not None else CounterRegistry()
     # two adversaries (their constructors reject rates outside [0, 1]): task
     # faults are drawn from worker threads, the wire's from this thread

@@ -13,9 +13,9 @@ register under fresh GIDs, live on a *locality* (an integer rank), can
 migrate, and remote method invocation routes through :class:`AgasRuntime`
 so callers never need to know where a component lives.  The home table is
 the one record of placement: a caller that derives something from it
-(the sharded mesh's halo routes) reads it with :meth:`AgasRuntime.homes`
-and rebuilds when its generation moves; no component is ever called back
-when it migrates.
+(the sharded mesh's storage layout and halo routes) reads it with
+:meth:`AgasRuntime.homes` and rebuilds when a home moves; no component
+is ever called back when it migrates.
 """
 
 from __future__ import annotations

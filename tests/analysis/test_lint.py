@@ -204,9 +204,9 @@ def test_repro007_absolute_import_spelling_also_counts():
 
 
 _DIRECT_COPY = """
-def _halo_exchange(self, blocks, generation):
-    for dst, ghost, src, layer, nbytes in self._fill_plan.pairs:
-        blocks[dst][ghost] = blocks[src][layer]
+def _halo_exchange(self, boxes, generation):
+    for dst, ghost, src, layer, nbytes in self._layout.local:
+        boxes[dst][ghost] = boxes[src][layer]
 """
 
 
@@ -215,21 +215,25 @@ def test_repro007_untallied_block_to_block_ghost_write():
     assert [v.rule for v in vs] == ["REPRO007"]
     assert "tally_local" in vs[0].message
     assert "_halo_exchange" in vs[0].message
-    # other spellings of a block slab
-    vs = _lint(_NETWORK_IMPORT + "def f(self, blk, ip, sl):\n"
-               "    self.blocks[ip][sl] = blk[sl]",
-               rel="repro/core/distmesh.py")
-    assert [v.rule for v in vs] == ["REPRO007"]
-    # the distributed mesh's copier writes block to block on the
-    # caller's behalf ...
-    vs = _lint(_NETWORK_IMPORT + "def f(self, blocks, plan):\n"
-               "    self._copy_halos(blocks, plan.local)",
+    # other spellings of mesh storage: a block slab, a box array
+    for snippet in ("def f(self, blk, ip, sl):\n"
+                    "    self.blocks[ip][sl] = blk[sl]",
+                    "def f(self, box, b, sl):\n"
+                    "    self._arrays[0][b][sl] = box[sl]",
+                    "def f(self, blocks, a, b, sl):\n"
+                    "    blocks[a][sl] = blocks[b][sl]"):
+        vs = _lint(_NETWORK_IMPORT + snippet, rel="repro/core/distmesh.py")
+        assert [v.rule for v in vs] == ["REPRO007"], snippet
+    # the distributed mesh's copier writes box to box on the caller's
+    # behalf ...
+    vs = _lint(_NETWORK_IMPORT + "def f(self, boxes, layout):\n"
+               "    self._copy_halos(boxes, layout.local)",
                rel="repro/core/distmesh.py")
     assert [v.rule for v in vs] == ["REPRO007"]
     # ... so its own body is the one exempt write
-    assert _lint(_NETWORK_IMPORT + "def _copy_halos(blocks, halos):\n"
+    assert _lint(_NETWORK_IMPORT + "def _copy_halos(boxes, halos):\n"
                  "    for dst, ghost, src, layer, _ in halos:\n"
-                 "        blocks[dst][ghost] = blocks[src][layer]",
+                 "        boxes[dst][ghost] = boxes[src][layer]",
                  rel="repro/core/distmesh.py") == []
 
 
@@ -255,17 +259,17 @@ def test_repro007_tallied_or_out_of_scope_ghost_writes_are_clean():
 
 
 _PACK = """
-def _halo_exchange(self, blocks, generation):
-    for route in self._routes().routes:
+def _halo_exchange(self, boxes, generation):
+    for route in self._layout.routes:
         payload = np.empty(route.size)
         for _, _, src, layer, lo, hi, shape in route.slabs:
-            payload[lo:hi].reshape(shape)[...] = blocks[src][layer]
+            payload[lo:hi].reshape(shape)[...] = boxes[src][layer]
 """
 
 _UNPACK = """
-def _unpack(self, blocks, route, payload):
+def _unpack(self, boxes, route, payload):
     for dst, ghost, _, _, lo, hi, shape in route.slabs:
-        blocks[dst][ghost] = payload[lo:hi].reshape(shape)
+        boxes[dst][ghost] = payload[lo:hi].reshape(shape)
 """
 
 
@@ -646,12 +650,10 @@ LIVE_SITES = {
                  "        except:\n"),
     "REPRO006": ("core/exec.py", "region.push(fn, args, promise)",
                  "self.pool.launch([(fn, args)])"),
-    # a route's payload set straight into its channel, beside the wire
+    # the box-to-box direct copies of a stage, booked with nobody
     "REPRO007": ("core/distmesh.py",
-                 "            transport.send(route.channel, payload, "
-                 "generation, route.src,\n"
-                 "                           route.dst)\n",
-                 "            route.channel.set(payload, generation)\n"),
+                 "        transport.tally_local(len(layout.local), "
+                 "layout.local_bytes)\n", ""),
     "REPRO008": ("core/hydro/riemann.py",
                  "return ws.buf(name, shape) if ws is not None "
                  "else np.empty(shape)", "return np.empty(shape)"),

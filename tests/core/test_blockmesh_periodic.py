@@ -8,7 +8,7 @@ distributed halos do, and so does any future corner-aware kernel.  These
 tests assert the full ghost shell and bitwise equality with the
 one-block mesh (both failed on the old code), for the two fills there
 are: the node-level box (walls only: a block's ghosts are its
-neighbours' interiors) and the distributed mesh's frozen fill plan.
+neighbours' interiors) and the distributed mesh's box-to-box plan.
 """
 
 import itertools
@@ -27,7 +27,7 @@ def _dist(bpe, **kwargs):
                          **kwargs)
 
 
-#: the node-level box and the per-block fill plan of the sharded mesh
+#: the node-level box and the box-to-box plan of the sharded mesh
 MESHES = (BlockMesh, _dist)
 
 
@@ -59,10 +59,10 @@ def _assert_shells_match_the_single_mesh(single, blocks):
 @pytest.mark.parametrize("bc", ["outflow", "reflect", "periodic"])
 @pytest.mark.parametrize("bpe", [2, 3])
 def test_fill_plan_reproduces_the_single_mesh_ghost_shell(rng, bpe, bc):
-    """One pass over the frozen plan (neighbour copies over both routes —
-    periodic images among them — then walls) leaves in every ghost cell of every block exactly
-    what the single-block mesh holds in the same place; 3^3 blocks
-    include one with all 26 neighbours."""
+    """One pass over the frozen plan (box-to-box copies over both routes
+    — periodic images among them — then walls) leaves in every ghost cell
+    of every block exactly what the single-block mesh holds in the same
+    place; 3^3 blocks include one with all 26 neighbours."""
     single, blocks, _full = _loaded_pair(rng, bpe, bc, make=_dist)
     single._fill(single.blocks, 0)
     blocks._fill(blocks.blocks, 0)
@@ -118,11 +118,12 @@ class TestPeriodicGhostShell:
                                           single.interior)
 
     def test_offsets_cover_all_26_directions(self):
-        """The distributed mesh's frozen fill plan gives every block all
-        26 ghost regions exactly once, each a neighbour pair: the source
-        is the neighbour inside the lattice, or the coordinate-wise
-        wrapped block across the seam."""
-        blocks = _dist(2, bc="periodic")
+        """With one locality per block every box is one block, and the
+        box-to-box plan gives each all 26 ghost regions exactly once,
+        each from a neighbour: the one inside the lattice, or the
+        coordinate-wise wrapped block across the seam."""
+        blocks = DistBlockMesh(2, n_localities=8, bc="periodic",
+                               registry=CounterRegistry())
         g, s = NGHOST, SUBGRID_N
         side_of = {(0, g): -1, (g, g + s): 0, (g + s, 2 * g + s): 1}
         layer_of = {(g, 2 * g): -1, (g, g + s): 0, (s, g + s): 1}
@@ -130,16 +131,19 @@ class TestPeriodicGhostShell:
         def off(slab, table):
             return tuple(table[sl.start, sl.stop] for sl in slab[1:])
 
-        plan = blocks._fill_plan
-        assert not plan.walls
+        layout = blocks._layout
+        assert not layout.walls and not layout.local
+        block_of = {box: ip for ip, (box, _, _) in layout.views.items()}
+        assert len(block_of) == 8
         filled = {ip: {} for ip in blocks.blocks}
-        for dst, ghost, src, layer, nbytes in plan.pairs:
-            o = off(ghost, side_of)
-            assert o not in filled[dst]
-            # the source shows the layer facing back at us
-            assert off(layer, layer_of) == tuple(-c for c in o)
-            assert nbytes == blocks.blocks[dst][ghost].nbytes
-            filled[dst][o] = src
+        for route in layout.routes:
+            for dst, ghost, src, layer, lo, hi, shape in route.slabs:
+                o = off(ghost, side_of)
+                assert o not in filled[block_of[dst]]
+                # the source shows the layer facing back at us
+                assert off(layer, layer_of) == tuple(-c for c in o)
+                assert hi - lo == blocks._arrays[0][dst][ghost].size
+                filled[block_of[dst]][o] = block_of[src]
         every = sorted(o for o in itertools.product((-1, 0, 1), repeat=3)
                        if o != (0, 0, 0))
         for ip, regions in filled.items():

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.distmesh as distmesh_module
 import repro.core.mesh as mesh_module
 from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
                         ExecutionEngine, IdealGas, sedov_blast)
@@ -211,19 +210,24 @@ def test_futurized_is_byte_identical_for_any_chunking(serial, agg_slots):
     np.testing.assert_array_equal(state, serial[1])
 
 
-def test_chunks_are_balanced():
-    """The sharded mesh's per-block chunks: ``ceil(n / slots)`` launches
-    of near-equal size, in order, no ragged tail (27 -> 14 + 13, not
-    16 + 11 or 8 + 8 + 8 + 3)."""
-    keys = list(range(27))
-    for slots, sizes in ((16, [14, 13]), (8, [7, 7, 7, 6]), (14, [14, 13]),
-                         (13, [9, 9, 9]), (27, [27]), (40, [27]),
-                         (1, [1] * 27)):
-        chunks = distmesh_module._balanced_chunks(keys, slots)
-        assert [len(c) for c in chunks] == sizes
-        assert sum(chunks, []) == keys
-    assert distmesh_module._balanced_chunks(list(range(8)), 16) == [
-        list(range(8))]
+def test_boxes_of_one_shape_batch_up_to_agg_slots(monkeypatch):
+    """The sharded mesh's RHS calls: boxes of one shape share a call of
+    at most ``agg_slots`` sub-grids, a larger box runs alone.  One
+    locality per block is one box per block: 27 boxes of one shape."""
+    sizes = []
+    monkeypatch.setattr(mesh_module, "compute_rhs",
+                        lambda U, *args: sizes.append(len(U)))
+    opts = HydroOptions(eos=IdealGas(gamma=1.4))
+    for n_localities, slots, expected in (
+            (27, 16, [16, 11]), (27, 8, [8, 8, 8, 3]), (27, 1, [1] * 27),
+            (2, 16, [1, 1]), (2, 27, [1, 1]), (1, 1, [1])):
+        mesh = DistBlockMesh(BPE, n_localities=n_localities, options=opts,
+                             registry=CounterRegistry(),
+                             engine=ExecutionEngine(
+                                 agg_slots=slots, registry=CounterRegistry()))
+        sizes.clear()
+        mesh._rhs(mesh.blocks, None, 0)
+        assert sizes == expected, (n_localities, slots)
 
 
 def _per_block_rhs(mesh, opts, acc):
@@ -238,20 +242,22 @@ def _per_block_rhs(mesh, opts, acc):
 #: agg_slots (None: no engine) -> x-extents of the box slabs a stage of
 #: the 27-sub-grid mesh runs: min(3 layers, ceil(27 / slots)) of them
 SLABS = {None: [24], 1: [8, 8, 8], 8: [8, 8, 8], 14: [8, 16], 27: [24]}
-#: agg_slots -> blocks per chunk of the sharded mesh (None: the default)
-CHUNKS = {None: [14, 13], 1: [1] * 27, 8: [7, 7, 7, 6], 14: [14, 13],
-          27: [27]}
+#: agg_slots -> boxes per call of the sharded mesh on 4 localities (None:
+#: the default): a 9-sub-grid slab alone, then the 6-sub-grid bars by
+#: shape — 2x1x3 alone, the two 1x2x3 together once two fit
+CHUNKS = {None: [1, 1, 2], 1: [1, 1, 1, 1], 8: [1, 1, 1, 1],
+          14: [1, 1, 2], 27: [1, 1, 2]}
 
 
 def test_rhs_of_a_block_is_identical_under_any_chunking(monkeypatch):
-    """``k[key]`` of one stage — box slabs of the node-level mesh, block
-    chunks of the sharded one, in a rotating frame under gravity — is
-    the bitwise per-block result, whatever ``agg_slots`` cuts; both
-    paths call the kernel as ``repro.core.mesh.compute_rhs``."""
+    """``k[key]`` of one stage — box slabs of the node-level mesh,
+    batched locality boxes of the sharded one, in a rotating frame under
+    gravity — is the bitwise per-block result, whatever ``agg_slots``
+    cuts; both paths call the kernel as ``repro.core.mesh.compute_rhs``."""
     opts = HydroOptions(eos=IdealGas(gamma=1.4), omega=0.7)
     geometry = dict(options=opts, bc="periodic", origin=(-0.4, 0.1, 0.3))
     meshes = {"box": BlockMesh(BPE, **geometry),
-              "per-block": DistBlockMesh(BPE, n_localities=2,
+              "per-box": DistBlockMesh(BPE, n_localities=4,
                                          registry=CounterRegistry(),
                                          **geometry)}
     acc = 0.1 * np.random.default_rng(2).standard_normal(

@@ -4,9 +4,11 @@ One property instead of a hand-written pair per boundary condition: for
 any per-axis lattice and tile shape, the tiled mesh and the one-block mesh
 of the same box advance byte-identically, and ``retile`` moves a state
 between tilings without touching a bit.  The same draw also steps the
-sharded mesh of that tiling on 1-3 localities, so the two storage paths
-check each other: the node-level box (walls-only fill, one RHS sweep) and
-the per-block one (fill plan and routes, batched block chunks).
+sharded mesh of that tiling under a drawn owner map — the default box
+partition or scattered owners on 1-4 localities, or one locality per
+block — with a drawn reorder seed, so the two storage paths check each
+other: the node-level box (walls-only fill, one RHS sweep) and the
+sharded boxes (box-to-box copies and routes, batched box RHS calls).
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas
+from repro.core.distmesh import _box_cover
 from repro.core.hydro.solver import HydroOptions
 from repro.runtime import CounterRegistry
 
@@ -35,19 +38,40 @@ def _one_block(total, bc, seed):
     return mesh
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+def _owner_map(blocks, owners, localities, seed):
+    """``(n_localities, partition)`` of a drawn owner map: the default
+    box partition, scattered owners, or one locality per block."""
+    ips = list(np.ndindex(*blocks))
+    if owners == "box":
+        return localities, None
+    if owners == "scattered":
+        rng = np.random.default_rng(seed)
+        return localities, {ip: int(rng.integers(localities)) for ip in ips}
+    return len(ips), {ip: i for i, ip in enumerate(ips)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(blocks=_per_axis([1, 2, 3]), n=_per_axis([4, 8, 16]),
        bc=st.sampled_from(["outflow", "reflect", "periodic"]),
-       seed=st.integers(0, 2 ** 16), localities=st.integers(1, 3))
+       seed=st.integers(0, 2 ** 16), localities=st.integers(1, 4),
+       owners=st.sampled_from(["box", "scattered", "per-block"]),
+       reorder_seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
 @example(blocks=(4, 1, 1), n=(8, 8, 8), bc="outflow", seed=0,
-         localities=2)  # Sod's box
-def test_any_tiling_steps_byte_identically(blocks, n, bc, seed, localities):
+         localities=2, owners="box", reorder_seed=None)  # Sod's box
+def test_any_tiling_steps_byte_identically(blocks, n, bc, seed, localities,
+                                           owners, reorder_seed):
     total = tuple(b * s for b, s in zip(blocks, n))
     single = _one_block(total, bc, seed)
     tiled = BlockMesh(blocks, n=n, domain=1.0, options=single.options, bc=bc)
+    n_localities, partition = _owner_map(blocks, owners, localities, seed)
     sharded = DistBlockMesh(blocks, n=n, domain=1.0, options=single.options,
-                            bc=bc, n_localities=localities,
+                            bc=bc, n_localities=n_localities,
+                            partition=partition, reorder_seed=reorder_seed,
                             registry=CounterRegistry())
+    # one state array per box of the cover of the owners, blocks its views
+    assert len(sharded._arrays[0]) == len(_box_cover(sharded.owners()))
+    assert {id(blk.base) for blk in sharded.blocks.values()} == {
+        id(a) for a in sharded._arrays[0]}
     for mesh in (tiled, sharded):
         mesh.load_interior(single.interior)
         assert (mesh.shape, mesh.dx) == (single.shape, single.dx)
@@ -67,3 +91,4 @@ def test_any_tiling_steps_byte_identically(blocks, n, bc, seed, localities):
         assert mesh.time == single.time
         assert np.array_equal(mesh.gather_interior(),
                               single.gather_interior())
+    assert sharded.transport.reconciles()

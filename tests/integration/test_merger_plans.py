@@ -23,11 +23,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro.core import DistBlockMesh
 from repro.core.scenario import equilibrium_star, sedov_blast, v1309_binary
 from repro.core.stepper import FaultRecoveryExhausted
-from repro.resilience import CheckpointError, GuardViolation
-from repro.resilience.merger import (DUAL_KILL_CORRUPT, FaultPlan, Topology,
+from repro.resilience import (BuddyReplicatedStore, CheckpointError,
+                              GuardViolation)
+from repro.resilience.merger import (DUAL_KILL_CORRUPT, EVACUATION_CAPACITY,
+                                     FaultPlan, Topology, _check_kill,
                                      run_merger)
+from repro.runtime import CounterRegistry
 
 
 def _stub(n: int) -> SimpleNamespace:
@@ -122,6 +126,34 @@ def test_degraded_network_loses_parcels_but_not_the_state(
     assert degraded.halo_acked == clean.halo_acked
     assert np.array_equal(clean.dist.gather_interior(),
                           degraded.dist.gather_interior())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lattice=st.tuples(*[st.integers(1, 3)] * 3),
+       n_loc=st.integers(2, 6),
+       kill=st.sets(st.integers(0, 5), max_size=4))
+def test_kill_check_rejects_exactly_the_kills_the_real_owners_make_fatal(
+        lattice, n_loc, kill):
+    """``_check_kill`` judges a kill against the owners the mesh will
+    really have (its default partition): beyond evacuation capacity it
+    is fatal exactly when some block owner dies with its checkpoint
+    buddy."""
+    kill = tuple(sorted(v for v in kill if v < n_loc))
+    if len(kill) >= n_loc:
+        with pytest.raises(ValueError, match="survive"):
+            _check_kill(lattice, n_loc, kill)
+        return
+    mesh = DistBlockMesh(lattice, n_localities=n_loc,
+                         registry=CounterRegistry())
+    everyone = list(range(n_loc))
+    fatal = len(kill) > EVACUATION_CAPACITY and any(
+        v in kill and BuddyReplicatedStore._buddy_of(v, everyone) in kill
+        for v in set(mesh.owners().values()))
+    if fatal:
+        with pytest.raises(ValueError, match="buddies"):
+            _check_kill(lattice, n_loc, kill)
+    else:
+        _check_kill(lattice, n_loc, kill)
 
 
 #: what a plan the boundary let through may still end in, typed: every

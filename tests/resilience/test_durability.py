@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import (BlockMesh, ConservationMonitor, DistBlockMesh,
-                        equilibrium_star, interior, slab_partition)
+                        box_partition, equilibrium_star, interior)
 from repro.resilience import (BuddyReplicatedStore, CheckpointError,
                               CheckpointManager, FailureDetector,
                               FaultInjector, RecoveryCoordinator)
@@ -235,7 +235,7 @@ class TestRecoveryCoordinator:
         assert report.survivors == [0, 2]
         assert report.blocks_fetched == len(mesh.blocks)
         # the victims' 4 blocks are resurrected; the survivors' blocks
-        # already sit where the 2-locality slab partition puts them
+        # already sit where the 2-locality box partition puts them
         assert report.components_restored == 4
         assert report.components_migrated == 0
         for ip, state in saved.items():
@@ -244,10 +244,8 @@ class TestRecoveryCoordinator:
         assert len(mon.records) == cp.monitor_len
         assert mesh.lost_blocks == set()
         # ownership remapped over the survivors only
-        ips = sorted(mesh.blocks)
-        for i, ip in enumerate(ips):
-            assert mesh.owners()[ip] == \
-                [0, 2][slab_partition(i, len(ips), 2)]
+        assert mesh.owners() == {
+            ip: [0, 2][k] for ip, k in box_partition((2, 2, 2), 2).items()}
         # the dead timeline's records are gone; durability is re-seeded
         assert len(mgr) == 1
         assert mgr.latest_verified.step == saved_steps
@@ -282,8 +280,11 @@ class TestRecoveryCoordinator:
         for _ in range(2):
             mesh.step()
         assert mesh.steps == straight.steps
+        # interiors: a ghost layer is a neighbour's interior inside a box
+        # and a filled shell cell at its edge, so it follows the layout
         for ip in straight.blocks:
-            assert np.array_equal(straight.blocks[ip], mesh.blocks[ip])
+            assert np.array_equal(interior(straight.blocks[ip]),
+                                  interior(mesh.blocks[ip]))
         assert mesh.time == straight.time
 
     def test_recover_raises_when_no_locality_survives(self):
