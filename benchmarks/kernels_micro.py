@@ -139,17 +139,43 @@ def _hydro_block(n: int = HYDRO_N):
     return U, opts
 
 
+def _m2l_solver(dense: bool = True) -> fmm.FmmSolver:
+    """The ``M2L_GRID``^3 hierarchy the ``M2L_ROWS`` run on, its plan
+    built — with the dense M2L declined (pair lists) unless ``dense``."""
+    rho = np.random.default_rng(9).uniform(0.1, 1.0, (M2L_GRID,) * 3)
+    solver = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
+    if dense:
+        solver.solve()
+    else:
+        with mock.patch.object(fmm._DenseM2L, "of",
+                               classmethod(lambda cls, *args: None)):
+            solver.solve()
+    return solver
+
+
+def m2l_dense_counts(solver: fmm.FmmSolver) -> dict:
+    """Per ``M2L_ROWS`` row, counts only: the dense M2L plan entries of
+    its level, the far pairs they cover and the Green values their tiles
+    evaluate (``I x J`` per batch entry, masked or not)."""
+    rows = {}
+    for name, level in M2L_ROWS.items():
+        entries = [i for i, e in enumerate(solver._plan)
+                   if e.kind == "m2l-dense" and e.dense.lv.level == level]
+        V = solver._plan[entries[0]].dense.V
+        rows[name] = {
+            "entries": entries,
+            "pairs": sum(solver._plan[i].pairs for i in entries),
+            "evaluated": sum(V[tgt][..., 0].size * V[src].shape[-2]
+                             for i in entries
+                             for tgt, src, _ in solver._plan[i].tiles)}
+    return rows
+
+
 def _m2l_level_rows(repeats: int) -> dict:
     """The ``M2L_ROWS``: per level, every dense M2L plan entry computed
     and accumulated, beside the pair-list entries of the same solver
     with the dense M2L declined — the same pairs, counted the same."""
-    rho = np.random.default_rng(9).uniform(0.1, 1.0, (M2L_GRID,) * 3)
-    dense = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
-    dense.solve()
-    lists = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
-    with mock.patch.object(fmm._DenseM2L, "of",
-                           classmethod(lambda cls, *args: None)):
-        lists.solve()
+    dense, lists = _m2l_solver(), _m2l_solver(dense=False)
 
     def run(solver, entries):
         for i in entries:
@@ -157,23 +183,17 @@ def _m2l_level_rows(repeats: int) -> dict:
                                      solver._compute_entry(i, 0))
 
     rows = {}
-    for name, level in M2L_ROWS.items():
-        on_dense = [i for i, e in enumerate(dense._plan)
-                    if e.kind == "m2l-dense" and e.dense.lv.level == level]
+    for name, count in m2l_dense_counts(dense).items():
+        on_dense, pairs = count["entries"], count["pairs"]
         on_lists = [i for i, e in enumerate(lists._plan)
-                    if e.kind == "m2l" and e.la.level == level]
-        pairs = sum(dense._plan[i].pairs for i in on_dense)
+                    if e.kind == "m2l" and e.la.level == M2L_ROWS[name]]
         assert pairs == sum(lists._plan[i].pairs for i in on_lists)
-        V = dense._plan[on_dense[0]].dense.V
-        evaluated = sum(V[tgt][..., 0].size * V[src].shape[-2]
-                        for i in on_dense
-                        for tgt, src, _ in dense._plan[i].tiles)
         t_dense = _time(lambda: run(dense, on_dense), repeats=repeats)
         t_lists = _time(lambda: run(lists, on_lists), repeats=repeats)
         rows[name] = {"seconds": t_dense, "items": pairs,
                       "ns_per_item": 1e9 * t_dense / pairs,
                       "pair_list_ns_per_item": 1e9 * t_lists / pairs,
-                      "evaluated_per_useful": evaluated / pairs}
+                      "evaluated_per_useful": count["evaluated"] / pairs}
         rows[f"{name}_speedup"] = t_lists / t_dense
     return rows
 

@@ -6,7 +6,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
-                           _dist_fill_row, _subgrid_tax_row)
+                           _dist_fill_row, _m2l_solver, _subgrid_tax_row,
+                           m2l_dense_counts)
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -33,3 +34,13 @@ def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():
     assert (row["one_block"]["crc"] == row["subgrids"]["crc"]
             == row["sharded"]["crc"])
     assert row["ratio"] > 0 and row["sharded_ratio"] > 0
+
+
+def test_m2l_root_dense_evaluates_at_most_1_30_per_far_pair():
+    """The gate of the root tiling (counts, no timing): the 8^3 root
+    evaluates at most 1.30 Green values per far pair it covers — each
+    Morton cube against the cells after it plus face-against-face tiles
+    inside the cubes, no masked diagonal block."""
+    row = m2l_dense_counts(_m2l_solver())["m2l_root_dense"]
+    assert row["pairs"] == 95_472
+    assert row["evaluated"] / row["pairs"] <= 1.30

@@ -271,7 +271,7 @@ class DistBlockMesh(BlockMesh):
     def owners(self) -> dict[Block, int]:
         """Current block -> locality map, as AGAS records it (a lost
         block's home is the locality it died with)."""
-        _, homes = self.agas.homes(list(self.gids.values()))
+        homes = self.agas.homes(list(self.gids.values()))
         return dict(zip(self.gids, homes))
 
     def locality_blocks(self) -> dict[int, int]:
@@ -501,8 +501,9 @@ class DistBlockMesh(BlockMesh):
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step; first lays the storage out again if AGAS
-        reports other homes than the layout was frozen for (a generation
-        bump that moved nothing rebuilds nothing)."""
+        reports other homes than the layout was frozen for (a change to
+        the home table that moved none of these blocks rebuilds
+        nothing)."""
         homes = self.owners()
         if homes != self._layout.homes:
             self._relayout(homes)

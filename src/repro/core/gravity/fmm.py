@@ -45,12 +45,17 @@ nothing else:
   ``0 / +inf`` mask on ``r^2`` selects the pairs that belong to the level,
   each Green component is contracted against the packed moments of all
   partners by one matmul per side (both partners from one evaluation),
-  and the Taylor coefficients are assembled per cell.  The **root** level
-  is tiled as row blocks of its whole-level matrix, upper trapezoid only;
-  an **interior** level that is a full cube with an even edge is swept
-  one shifted-slice pair per lex-positive near parent offset over the
-  same parent grid the leaf sweep uses, the parity partition being the
-  static 8 x 8 mask.
+  and the Taylor coefficients are assembled per cell.  Each Green
+  component is contracted as soon as it is made, so a tile never holds
+  more than one component block.  The **root** level is one plan entry,
+  tiled along its 4^3 Morton cubes: each cube's rows against every cell
+  after it, and the far pairs inside the cubes — all of them on opposite
+  faces — as three face-against-face tiles batched over the cubes, so no
+  masked diagonal block is evaluated (1.27 evaluations per far pair on
+  an 8^3 root).  An **interior** level that is a full cube with an even
+  edge is swept one shifted-slice pair per lex-positive near parent
+  offset over the same parent grid the leaf sweep uses, the parity
+  partition being the static 8 x 8 mask.
 * **Pair lists** — everything irregular (every level of an adaptive tree
   that has leaf cells or is not a full even cube, odd edges, mixed-level
   AMR boundaries): cells matched per stencil offset by Morton-key
@@ -86,15 +91,15 @@ from .stencil import (OPENING_R2, leaf_sweep_offsets, lex_positive,
 
 __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 
-#: number of plan entries a dense level's offsets (or root row tiles) are
-#: cut into — a constant, so every solve (inline, futurized, distributed)
-#: runs the same matmuls in the same groups and adds the same partials in
-#: the same order.  Eight keeps an aggregated launch well filled.
+#: number of plan entries the parent offsets of a dense leaf or interior
+#: level are cut into — a constant, so every solve (inline, futurized,
+#: distributed) runs the same matmuls in the same groups and adds the
+#: same partials in the same order.  Eight keeps an aggregated launch
+#: well filled.  The root's M2L is one entry: an entry zeroes, fills and
+#: assembles a whole-level partial, and on the 8^3 root (2-core host)
+#: eight entries took 7.9-8.9 ms, eight that share one assemble 7.5-7.8
+#: ms and one entry 6.8-6.9 ms
 _DENSE_GROUPS = 8
-
-#: rows per tile of the root level's whole-level M2L matrix (measured
-#: best on the 8^3 root: 64 x 512 separations per pass)
-_ROOT_ROWS = 64
 
 #: parents per tile of the interior-level M2L sweep: keeps a tile's
 #: Green block (8 KB per parent pair) and scratch cache-sized, the way
@@ -366,9 +371,11 @@ class _DenseM2L:
     Two tilings, one kernel (:func:`.kernels.m2l_dense`):
 
     * the **root** level has no parent to sweep over and most of its
-      pairs are far (73 % on an 8^3 root), so it is tiled as row blocks
-      of the whole-level matrix, upper trapezoid only
-      (:func:`.stencil.m2l_root_tiles`), cells in Morton order;
+      pairs are far (73 % on an 8^3 root), so it is tiled along its
+      Morton cubes — rows of a cube against the cells after it, plus
+      face-against-face tiles inside the cubes
+      (:func:`.stencil.m2l_root_tiles`), cells in Morton order, all in
+      one plan entry (see :data:`_DENSE_GROUPS`);
     * an **interior** level that is a fully populated cube with an even
       edge is seen as a ``(P, P, P, 8)`` parent grid as in
       :class:`_DenseLeaf` and swept one shifted-slice pair per
@@ -390,10 +397,7 @@ class _DenseM2L:
         if lv.leaf.any():
             return None
         if root:
-            starts = np.arange(0, lv.n, _ROOT_ROWS)
-            groups = [m2l_root_tiles(lv.coords, _ROOT_ROWS, part)
-                      for part in np.array_split(
-                          starts, min(_DENSE_GROUPS, len(starts)))]
+            groups = [m2l_root_tiles(lv.coords)]
             order, cells = slice(None), (lv.n,)
         else:
             to_grid = _parent_grid(lv)

@@ -43,14 +43,15 @@ shifted-slice matmul per offset.
 
 On a level without leaf cells the same happens to M2L, except that its
 separations join centres of mass and so cannot be tabulated:
-:func:`m2l_dense` evaluates the independent Green components of a whole
-block of separations (:func:`green_block`: broadcast slice differences,
-a static ``+inf`` mask on ``r^2`` for the pairs that do not belong),
-contracts each against the packed moments (:func:`pack_moments`) with one
-matmul per side, and :func:`m2l_assemble` turns the contracted components
-into ``phi`` / ``acc`` / Hessian per cell — the per-pair 455-flop body of
+:func:`m2l_dense` makes the independent Green components of a whole
+block of separations one plane at a time (:func:`green_block`: broadcast
+differences of the tile's cells, a static ``+inf`` mask on ``r^2`` for
+the pairs that do not belong), contracts each plane against the packed
+moments (:func:`pack_moments`) with one matmul per side as soon as it is
+made, and :func:`m2l_assemble` turns the contracted components into
+``phi`` / ``acc`` / Hessian per cell — the per-pair 455-flop body of
 :func:`m2l_pair` becomes BLAS plus ~50 array passes.  The tilings
-(which slices, which mask) are :mod:`.stencil`'s.
+(which cells, which mask) are :mod:`.stencil`'s.
 
 Hot-path kernels do **not** guard against coincident points: the solver
 validates separations geometrically once, when its plan is built
@@ -383,20 +384,23 @@ def pack_moments(m: np.ndarray, M2: np.ndarray, out: np.ndarray
     return out
 
 
-def green_block(x, y, z, mask, G, scratch) -> None:
-    """The ``N_GREEN`` independent derivative components of ``1/r`` on a
-    block of separations, in 43 in-place passes over contiguous planes.
+def green_block(x, y, z, mask, g, scratch):
+    """Generate the ``N_GREEN`` independent derivative components of
+    ``1/r`` on a block of separations, one plane at a time.
 
     ``x, y, z`` are equally shaped separation blocks, ``mask`` broadcasts
-    against them and holds ``0`` (evaluate) or ``+inf`` (skip), ``G`` is
-    ``(N_GREEN,) + x.shape`` and is overwritten, ``scratch`` is
-    ``(7,) + x.shape``.  The mask is added to ``r^2``: a masked entry
-    has ``1/r == 0`` and with it every component exactly ``0`` — no
-    ``inf * 0`` is ever formed, whatever ``x, y, z`` hold there (the
-    diagonal of a level paired with itself included).
+    against them and holds ``0`` (evaluate) or ``+inf`` (skip), ``g`` and
+    ``scratch`` (``(8,) + x.shape``) are overwritten.  Yields ``(c,
+    plane)``: component ``c`` of :data:`N_GREEN` (in no fixed order), its
+    values in ``plane`` — ``g`` or a scratch plane, valid until the next
+    yield, so a consumer contracts it right away and no block ever holds
+    more than one component.  44 in-place passes over contiguous planes
+    in all.  The mask is added to ``r^2``: a masked entry has ``1/r ==
+    0`` and with it every component exactly ``0`` — no ``inf * 0`` is
+    ever formed, whatever ``x, y, z`` hold there (the diagonal of a level
+    paired with itself included).
     """
-    xx, yy, inv2, inv3, p3, n15, a = scratch
-    inv = G[0]
+    xx, yy, inv, inv2, inv3, p3, n15, a = scratch
     np.multiply(x, x, out=xx)
     np.multiply(y, y, out=yy)
     np.multiply(z, z, out=a)
@@ -411,45 +415,53 @@ def green_block(x, y, z, mask, G, scratch) -> None:
     np.multiply(p3, inv2, out=n15)
     n15 *= -15.0                                 # -15/r^7
     p3 *= 3.0                                    # 3/r^5
+    yield 0, inv
     # g2_ij = 3 x_i x_j / r^5 - delta_ij / r^3
-    np.multiply(p3, xx, out=G[1])
-    G[1] -= inv3
-    np.multiply(p3, yy, out=G[2])
-    G[2] -= inv3
+    np.multiply(p3, xx, out=g)
+    g -= inv3
+    yield 1, g
+    np.multiply(p3, yy, out=g)
+    g -= inv3
+    yield 2, g
     np.multiply(x, y, out=a)
-    np.multiply(p3, a, out=G[3])
+    np.multiply(p3, a, out=g)
+    yield 3, g
     a *= z
-    np.multiply(n15, a, out=G[13])               # g3_xyz = -15 xyz / r^7
+    np.multiply(n15, a, out=g)                   # g3_xyz = -15 xyz / r^7
+    yield 13, g
     np.multiply(x, z, out=a)
-    np.multiply(p3, a, out=G[4])
+    np.multiply(p3, a, out=g)
+    yield 4, g
     np.multiply(y, z, out=a)
-    np.multiply(p3, a, out=G[5])
+    np.multiply(p3, a, out=g)
+    yield 5, g
     # g1_i = -x_i / r^3
     np.negative(inv3, out=inv3)
-    np.multiply(x, inv3, out=G[6])
-    np.multiply(y, inv3, out=G[7])
-    np.multiply(z, inv3, out=G[8])
+    for c, xi in ((6, x), (7, y), (8, z)):
+        np.multiply(xi, inv3, out=g)
+        yield c, g
     # g3_iij = x_j A_i (j != i), g3_iii = x_i (A_i + 6/r^5),
     # A_i = 3/r^5 - 15 x_i^2 / r^7
     for ss in (xx, yy):
         ss *= n15
         ss += p3
-    np.multiply(y, xx, out=G[10])
-    np.multiply(z, xx, out=G[11])
-    np.multiply(x, yy, out=G[12])
-    np.multiply(z, yy, out=G[15])
+    for c, xi, ss in ((10, y, xx), (11, z, xx), (12, x, yy), (15, z, yy)):
+        np.multiply(xi, ss, out=g)
+        yield c, g
     p3 *= 2.0
     xx += p3
-    np.multiply(x, xx, out=G[9])
+    np.multiply(x, xx, out=g)
+    yield 9, g
     yy += p3
-    np.multiply(y, yy, out=G[14])
+    np.multiply(y, yy, out=g)
+    yield 14, g
 
 
 def m2l_dense(com: np.ndarray, V: np.ndarray, tiles, P: np.ndarray,
               ws) -> np.ndarray:
-    """Dense same-level M2L over staged tiles: the Green components of
-    every tile contracted against the packed moments, both partners of a
-    pair updated from one evaluation.
+    """Dense same-level M2L over staged tiles: every Green component of
+    a tile contracted against the packed moments as soon as it is made,
+    both partners of a pair updated from one evaluation.
 
     ``com`` is ``(3, *cells)`` (centres of mass, one contiguous plane per
     axis), ``V`` the ``(*cells, N_MOMENT)`` packed moments
@@ -457,32 +469,36 @@ def m2l_dense(com: np.ndarray, V: np.ndarray, tiles, P: np.ndarray,
     result, overwritten: ``P[c, i] = sum_j +-G_c(x_i - x_j) V[j]`` over
     the unmasked pairs of ``tiles`` (``(target index, partner index,
     mask)``, see :func:`.stencil.m2l_sweep_tiles` /
-    :func:`.stencil.m2l_root_tiles`; the last cell axis is the one a tile
-    pairs ``I x J``, leading ones are batch).  Separations are broadcast
-    differences of slices of ``com`` — no index arrays, no gathers — and
-    each side is one batched matmul per tile: ``G_c @ V[j]`` into the
-    targets, ``G_c^T @ V[i]`` into the partners with the odd components'
-    sign flipped, so a pair's two contributions come from the very same
-    Green values.  ``ws`` is a :class:`~repro.core.workspace.Workspace`.
+    :func:`.stencil.m2l_root_tiles`; the last axis an index selects is
+    the one a tile pairs ``I x J``, leading ones are batch).  An index is
+    a tuple of slices or of one integer array without repeats; the
+    separations are broadcast differences of ``com`` under it.  Each
+    component plane :func:`green_block` yields is two batched matmuls:
+    ``G_c @ V[j]`` for the targets and ``G_c^T @ V[i]`` for the partners,
+    so a pair's two contributions come from the very same Green values.
+    A tile's contracted planes go into ``P`` with one ``P[:, index] +=``
+    per side (the partners' odd components negated first): an in-place
+    add through a view for slices, gather-add-scatter for an index array
+    — which is why an array must not repeat a cell, and why the partner
+    side is never added through an intermediate ``P[:, index]`` (a copy
+    for an array).  ``ws`` is a :class:`~repro.core.workspace.Workspace`.
     """
     P[...] = 0.0
     for tgt, src, mask in tiles:
         Vi, Vj = V[tgt], V[src]
         block = Vi.shape[:-1] + Vj.shape[-2:-1]          # (*batch, I, J)
-        t = ws.buf("m2l:t", (10,) + block)
+        t = ws.buf("m2l:t", (12,) + block)
         for d in range(3):
             np.subtract(com[d][tgt][..., :, None],
                         com[d][src][..., None, :], out=t[d])
-        G = ws.buf("m2l:G", (N_GREEN,) + block)
-        green_block(t[0], t[1], t[2], mask, G, t[3:])
-        r = ws.buf("m2l:Pi", (N_GREEN,) + Vi.shape)
-        np.matmul(G, Vj, out=r)
-        P[(slice(None),) + tgt] += r
-        r = ws.buf("m2l:Pj", (N_GREEN,) + Vj.shape)
-        np.matmul(np.swapaxes(G, -1, -2), Vi, out=r)
-        Pj = P[(slice(None),) + src]
-        Pj[:_N_EVEN] += r[:_N_EVEN]
-        Pj[_N_EVEN:] -= r[_N_EVEN:]
+        ri = ws.buf("m2l:Pi", (N_GREEN,) + Vi.shape)
+        rj = ws.buf("m2l:Pj", (N_GREEN,) + Vj.shape)
+        for c, g in green_block(t[0], t[1], t[2], mask, t[3], t[4:]):
+            np.matmul(g, Vj, out=ri[c])
+            np.matmul(np.swapaxes(g, -1, -2), Vi, out=rj[c])
+        P[(slice(None),) + tgt] += ri
+        np.negative(rj[_N_EVEN:], out=rj[_N_EVEN:])
+        P[(slice(None),) + src] += rj
     return P
 
 

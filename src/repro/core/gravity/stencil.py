@@ -17,7 +17,8 @@ the property the FMM-vs-direct tests rely on).
 The dense step-2 forms of :mod:`.fmm` take their geometry from here too:
 :func:`leaf_sweep_offsets` (parent offsets of the leaf-level near field)
 and, for the dense M2L, :func:`m2l_sweep_tiles` / :func:`m2l_root_tiles`
-— the same partition restated as shifted slices plus static masks.
+— the same partition restated as shifted slices (and, inside the root's
+Morton cubes, face index arrays) plus static masks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 __all__ = ["OPENING_R2", "well_separated", "parity_stencils", "root_stencil",
            "p2p_stencil", "leaf_sweep_offsets", "m2l_sweep_offsets",
-           "m2l_sweep_tiles", "m2l_root_tiles", "lex_positive"]
+           "m2l_sweep_tiles", "m2l_root_tiles", "ROOT_CUBE",
+           "lex_positive"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
@@ -168,27 +170,60 @@ def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
     return tiles, pairs
 
 
-def m2l_root_tiles(coords: np.ndarray, rows: int, starts
-                   ) -> tuple[list[tuple], int]:
-    """Row-block tiles of the root level's whole-level M2L matrix, one
-    per first row in ``starts``: ``(tiles, pairs)`` as
-    :func:`m2l_sweep_tiles` returns them.
+#: edge of the Morton cubes the root level is tiled by: the largest edge
+#: ``e`` on which two cells less than ``e - 1`` apart on every axis are
+#: never well separated (``3 (e - 2)^2 <= OPENING_R2``), so every far
+#: pair inside a cube sits on two opposite faces of it
+ROOT_CUBE = 4
+
+
+def m2l_root_tiles(coords: np.ndarray) -> tuple[list[tuple], int]:
+    """Tiles of the root level's whole-level M2L: ``(tiles, pairs)`` as
+    :func:`m2l_sweep_tiles` returns them, for Morton-sorted ``coords``.
 
     Nothing coarser exists on the root level, so every well-separated
-    pair is handled there (:func:`root_stencil`).  A tile is ``rows``
-    cells ``[lo:hi]`` against every cell from ``lo`` on — the upper
-    trapezoid, each pair evaluated once — and its mask is ``0`` where
-    ``j > i`` and the integer cell separation is well separated, else
-    ``+inf``.  Tiles without a far pair are dropped.
+    pair is handled there (:func:`root_stencil`).  The cells of one
+    aligned :data:`ROOT_CUBE`^3 cube are contiguous in Morton order, and
+    the level is cut along those cubes, each pair landing in one tile:
+
+    * a pair of two cubes: the rows ``[lo:hi]`` of a cube against every
+      cell after it, ``[hi:n]`` — one tile per cube;
+    * a pair inside a cube: it is far only if the two cells sit on
+      opposite faces (``|d| = ROOT_CUBE - 1`` on some axis; see
+      :data:`ROOT_CUBE`), so per axis the cells on the low face of each
+      cube are tiled against those on its high face.  Cubes whose faces
+      hold equally many cells are batched into one tile; its index is an
+      integer array ``(cubes, face cells)``.  A pair on opposite faces of
+      two axes belongs to the first.
+
+    A mask is ``0`` where the pair is well separated (and, inside a cube,
+    belongs to the tile's axis), else ``+inf``; masked diagonal blocks are
+    not tiled at all.  Tiles without a far pair are dropped.
     """
-    n = len(coords)
-    tiles, pairs = [], 0
-    for lo in np.asarray(starts).tolist():
-        hi = min(lo + rows, n)
-        far = well_separated(coords[lo:hi, None, :] - coords[None, lo:, :])
-        far &= np.arange(lo, n)[None, :] > np.arange(lo, hi)[:, None]
-        if far.any():
-            tiles.append(((slice(lo, hi),), (slice(lo, n),),
-                          np.where(far, 0.0, np.inf)))
-            pairs += int(far.sum())
-    return tiles, pairs
+    n, edge = len(coords), ROOT_CUBE - 1
+    cube = coords // ROOT_CUBE
+    cubes = np.split(np.arange(n), np.flatnonzero(
+        (cube[1:] != cube[:-1]).any(axis=1)) + 1)
+    local = coords % ROOT_CUBE
+    tiles = []
+    for cells in cubes:
+        lo, hi = cells[0], cells[-1] + 1
+        tiles.append(((slice(lo, hi),), (slice(hi, n),), well_separated(
+            coords[lo:hi, None, :] - coords[None, hi:, :])))
+    for axis in range(3):
+        faces: dict[tuple, list] = {}
+        for cells in cubes:
+            low = cells[local[cells, axis] == 0]
+            high = cells[local[cells, axis] == edge]
+            d = coords[low, None, :] - coords[None, high, :]
+            far = well_separated(d) \
+                & ~(np.abs(d[..., :axis]) == edge).any(axis=-1)
+            if far.any():
+                faces.setdefault(far.shape, []).append((low, high, far))
+        for batch in faces.values():
+            low, high, far = map(np.stack, zip(*batch))
+            tiles.append(((low,), (high,), far))
+    tiles = [(tgt, src, far) for tgt, src, far in tiles if far.any()]
+    return ([(tgt, src, np.where(far, 0.0, np.inf))
+             for tgt, src, far in tiles],
+            sum(int(far.sum()) for _, _, far in tiles))

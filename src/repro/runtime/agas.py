@@ -100,9 +100,6 @@ class AgasRuntime:
         self._failed: set[int] = set()
         #: GIDs invalidated by a locality failure -> the locality that died
         self._lost: dict[Gid, int] = {}
-        #: goes up on every change of the home table (register, migrate,
-        #: fail_locality, restore_component)
-        self._generation = 0
 
     # -- registration -------------------------------------------------------
 
@@ -114,7 +111,6 @@ class AgasRuntime:
             gid = Gid(locality, next(self._seq))
             self._objects[gid] = component
             self._home[gid] = locality
-            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # registrant -> resolver edge: the component's constructed
                 # state happens-before any access through its GID
@@ -140,21 +136,19 @@ class AgasRuntime:
             _racecheck.recv(("agas", gid))
         return found
 
-    def homes(self, gids: list[Gid]) -> tuple[int, list[int]]:
-        """The home-table generation and the home of every GID in
-        ``gids``, read together under one lock: a caller that keys a
-        placement-derived plan by the generation rebuilds it on the next
-        read after any move.  A lost GID reports the locality it was lost
-        with; an unknown one raises :class:`AgasError`."""
+    def homes(self, gids: list[Gid]) -> list[int]:
+        """The home of every GID in ``gids``, read under one lock: a
+        caller that keys a placement-derived plan by the homes rebuilds it
+        on the next read after any move.  A lost GID reports the locality
+        it was lost with; an unknown one raises :class:`AgasError`."""
         with self._lock:
-            generation = self._generation
             homes = [self._home.get(g, self._lost.get(g)) for g in gids]
         if None in homes:
             raise AgasError(f"unknown gid {gids[homes.index(None)]}")
         if _sanitize_state.ACTIVE:
             for gid in gids:
                 _racecheck.recv(("agas", gid))
-        return generation, homes
+        return homes
 
     # -- migration --------------------------------------------------------------
 
@@ -170,7 +164,6 @@ class AgasRuntime:
                         f"{self._lost[gid]} failed")
                 raise AgasError(f"unknown gid {gid}")
             self._home[gid] = new_locality
-            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # migration commit: the mover's writes happen-before any
                 # post-migration resolve of this GID
@@ -238,7 +231,6 @@ class AgasRuntime:
                     del self._home[gid]
                     self._lost[gid] = locality
                     lost.append(gid)
-            self._generation += 1
         self.registry.increment("/resilience/agas/localities-failed")
         self.registry.increment("/resilience/agas/components-migrated",
                                 len(migrated))
@@ -271,7 +263,6 @@ class AgasRuntime:
             del self._lost[gid]
             self._objects[gid] = component
             self._home[gid] = locality
-            self._generation += 1
             if _sanitize_state.ACTIVE:
                 # restore commit: the rebuilt state happens-before any
                 # resolve of the resurrected GID

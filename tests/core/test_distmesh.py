@@ -259,7 +259,7 @@ class TestOwnershipEvents:
         same owners.  The mesh reads every placement from AGAS, so after
         each event its owners are AGAS's homes, the layout is rebuilt
         exactly when a step sees other homes (a migration onto the same
-        locality bumps the generation and rebuilds nothing), the state is
+        locality rebuilds nothing), the state is
         the node-level one to the byte and the counters reconcile."""
         opts, full, after = periodic_reference
         reg = CounterRegistry()
@@ -385,21 +385,22 @@ class TestLayout:
         assert stats.remote_bytes == 2 * _shell_bytes(dist)
         assert reg.snapshot()["/distmesh/plan-rebuilds"] == 1
 
-    def test_a_generation_bump_that_moves_nothing_rebuilds_nothing(
+    def test_a_home_table_change_that_moves_nothing_rebuilds_nothing(
             self, rng):
         """Registering an unrelated component (or migrating a block onto
-        its own home) bumps the AGAS generation without moving a home:
-        the layout, its arrays and its channels stay."""
+        its own home) changes the AGAS home table without moving a home
+        of the mesh: the layout, its arrays and its channels stay."""
         reg = CounterRegistry()
         ref, dist = _pair(rng, registry=reg)
         ref.step()
         dist.step()
         arrays, channels = dist._arrays[0], dict(dist.channels)
-        generation = dist.agas.homes([])[0]
-        dist.agas.register(Component(), 1)
+        homes = dist.owners()
+        other = dist.agas.register(Component(), 1)
         ip = (1, 1, 1)
-        dist.agas.migrate(dist.gids[ip], dist.owners()[ip])
-        assert dist.agas.homes([])[0] == generation + 2
+        dist.agas.migrate(dist.gids[ip], homes[ip])
+        assert dist.agas.homes([other]) == [1]
+        assert dist.owners() == homes
         for _ in range(2):
             assert ref.step() == dist.step()
         np.testing.assert_array_equal(dist.gather_interior(),
@@ -461,14 +462,13 @@ class TestOwnership:
         bad_tail = {ip: 0 for ip in ips}
         bad_tail[ips[-1]] = 7
         dist.agas.fail_locality(2, evacuate=False)
-        before, generation = dist.owners(), dist.agas.homes([])[0]
+        before = dist.owners()
         onto_dead = {ip: i % 4 for i, ip in enumerate(ips)}
         missing = {ip: 0 for ip in ips[:-1]}
         for bad in (bad_tail, onto_dead, missing):
             with pytest.raises(ValueError):
                 dist.apply_ownership(bad)
             assert dist.owners() == before
-            assert dist.agas.homes([])[0] == generation
         assert reg.value("/resilience/agas/components-migrated") == 0
 
     def test_migration_updates_owner_and_counters(self, rng):
@@ -481,10 +481,10 @@ class TestOwnership:
         ip = next(iter(dist.blocks))
         old = dist.owners()[ip]
         new = (old + 1) % dist.n_localities
-        generation = dist.agas.homes([])[0]
         dist.agas.migrate(dist.gids[ip], new)
         assert dist.owners()[ip] == new
-        assert dist.agas.homes([])[0] > generation
+        assert dist.agas.homes([dist.gids[ip]]) == [new]
+        assert reg.snapshot()["/distmesh/plan-rebuilds"] == 1
         assert reg.snapshot()["/resilience/agas/components-migrated"] == 1
         # physics is unaffected by where blocks live
         for _ in range(2):

@@ -59,11 +59,14 @@ from hypothesis import strategies as st
 from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
-from repro.core.gravity.kernels import green_table
-from repro.core.gravity.stencil import (leaf_sweep_offsets,
-                                        m2l_sweep_offsets)
+from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, green_table,
+                                        m2l_dense)
+from repro.core.gravity.stencil import (leaf_sweep_offsets, m2l_root_tiles,
+                                        m2l_sweep_offsets, well_separated)
+from repro.core.workspace import Workspace
 from repro.runtime import CudaDevice, WorkStealingScheduler
 from repro.runtime.counters import default_registry
+from repro.util import morton_key
 
 SUBGRID_N = 4
 FIELD_BOUND = 1e-13
@@ -251,3 +254,76 @@ def test_green_table_rejects_coincident_cells():
     broken[1] = broken[0]
     with pytest.raises(ValueError, match="coincident"):
         green_table((0, 0, 0), broken, 0.5)
+
+
+@st.composite
+def _root_cells(draw):
+    """Morton-sorted integer cells of a root level: the full 8^3 root, a
+    random part of a box (a partial ``from_levels`` root) or a whole box
+    of odd or non-cube shape, anywhere on the lattice."""
+    kind = draw(st.sampled_from(["full", "partial", "box"]))
+    shape = (8, 8, 8) if kind == "full" else tuple(
+        draw(st.lists(st.integers(1, 9), min_size=3, max_size=3)))
+    grid = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    if kind == "partial":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        keep = rng.random(len(grid)) < draw(st.sampled_from([0.2, 0.6, 0.9]))
+        keep[rng.integers(len(grid))] = True
+        grid = grid[keep]
+    if kind != "full":
+        grid = grid + np.array(draw(st.lists(st.integers(0, 5),
+                                             min_size=3, max_size=3)))
+    return grid[np.argsort(morton_key(grid))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(coords=_root_cells())
+def test_root_tiles_unmask_every_far_pair_exactly_once(coords):
+    """Every well-separated pair of the root is unmasked in exactly one
+    tile (in either orientation), every near pair and every cell with
+    itself stays masked, ``pairs`` counts the far pairs, an index array
+    never repeats a cell, and no tile is all mask."""
+    n = len(coords)
+    tiles, pairs = m2l_root_tiles(coords)
+    seen = np.zeros((n, n), dtype=np.int64)
+    for tgt, src, mask in tiles:
+        (ti,), (si,) = tgt, src
+        for ix in (ti, si):
+            if isinstance(ix, np.ndarray):
+                assert len(np.unique(ix)) == ix.size
+        i, j = np.arange(n)[ti], np.arange(n)[si]
+        i, j = np.broadcast_arrays(i[..., :, None], j[..., None, :], mask)[:2]
+        hit = mask == 0.0
+        assert hit.any()
+        np.add.at(seen, (np.minimum(i, j)[hit], np.maximum(i, j)[hit]), 1)
+    far = np.triu(well_separated(coords[:, None, :] - coords[None, :, :]),
+                  k=1)
+    np.testing.assert_array_equal(seen, far.astype(np.int64))
+    assert pairs == int(far.sum())
+
+
+def test_index_array_tiles_land_partner_contributions_in_p():
+    """Regression: a tile indexed by integer arrays updates both sides
+    in ``P``.  ``P[:, index]`` is a view only for slices — for an array
+    it is a copy, and partner contributions added through it would
+    silently vanish.  The same cells made contiguous and tiled by slices
+    are the oracle."""
+    rng = np.random.default_rng(11)
+    n = 12
+    com = rng.normal(size=(3, n)) * 10.0
+    V = rng.normal(size=(n, N_MOMENT))
+    tgt, src = np.array([[7, 0, 3]]), np.array([[10, 2, 5, 11]])
+    mask = np.zeros((1, 3, 4))
+    mask[0, 1, 2] = np.inf
+    P = m2l_dense(com, V, [((tgt,), (src,), mask)],
+                  np.empty((N_GREEN, n, N_MOMENT)), Workspace())
+
+    perm = np.concatenate([tgt[0], src[0]])
+    rest = np.setdiff1d(np.arange(n), perm)
+    ref = m2l_dense(com[:, perm], V[perm],
+                    [((slice(0, 3),), (slice(3, 7),), mask[0])],
+                    np.empty((N_GREEN, len(perm), N_MOMENT)), Workspace())
+    np.testing.assert_array_equal(P[:, perm], ref)
+    assert np.all(P[:, src[0]].any(axis=(0, 2)))
+    assert not P[:, rest].any()
