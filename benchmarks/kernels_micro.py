@@ -17,7 +17,7 @@ and the speedup of the fused path is reported — the CI gate asserts
 >= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
 ``rhs_batched`` is batching itself: 1, 8, 16 and 27 8^3 sub-grids
 through one batched ``compute_rhs`` call (16 is the default
-``agg_slots``, the most sub-grids a ``DistBlockMesh`` call batches), beside
+``agg_slots``, the most sub-grids one mesh RHS call batches), beside
 the same sub-grids through a per-block loop of batch-of-one calls.
 ``halo_fill`` is one ghost-fill stage of a 27-block ``DistBlockMesh`` with
 one locality per block — every box one block, every halo a route of its
@@ -28,6 +28,10 @@ a stage the way the ledger's distributed Sedov runs it — 27 blocks on 4
 localities, one box each, reorder seed on: ms per stage, parcelport
 messages per stage, which must equal the directed locality pairs whose
 blocks touch, and the direct copies, of which a box needs none.
+``rhs_calls`` counts (no timing) the ``compute_rhs`` calls of one RK
+stage and the sub-grids in each, on the layouts the ledger's hydro
+stages run: a 24^3 serial Sedov, 24^3 and 16^3 on 4 localities, and 24^3
+restarted on the 2 survivors of a kill, all at ``agg_slots`` 16.
 ``subgrid_tax`` is what cutting a box into 8^3 sub-grids still costs: the
 same 24^3 Sedov steps on ``BlockMesh(1, n=24)``, on its ``retile`` into
 3^3 sub-grids (views of one box: walls-only fill, one RHS sweep) and on
@@ -63,7 +67,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import (IdealGas, NF, NGHOST, RHO, EGAS,  # noqa: E402
                         SUBGRID_N, TAU)
-from repro.core.distmesh import DistBlockMesh  # noqa: E402
+from repro.core import mesh as mesh_module  # noqa: E402
+from repro.core.distmesh import DistBlockMesh, box_partition  # noqa: E402
+from repro.core.exec import ExecutionEngine  # noqa: E402
 from repro.core.gravity import fmm  # noqa: E402
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         m2l_pair, m2l_pair_reference,
@@ -92,7 +98,7 @@ M2L_ROWS = {"m2l_root_dense": 0, "m2l_sweep": 1}
 #: hydro block edge (interior zones per side)
 HYDRO_N = 32
 #: batch sizes (8^3 sub-grids) of the ``rhs_batched`` rows: one block, the
-#: former serial chunk, the largest batch of the sharded mesh's default
+#: former serial chunk, the largest batch of a mesh's default
 #: engine, a whole 24^3 mesh
 RHS_BATCHES = (1, 8, DEFAULT_AGG_SLOTS, 27)
 #: sub-grids per edge of the ``halo_fill`` / ``dist_fill`` mesh (27
@@ -104,6 +110,11 @@ DIST_LOCALITIES = 4
 #: cells per edge of the ``subgrid_tax`` Sedov box (the ledger's
 #: ``sedov_serial`` input)
 TAX_N = HALO_BPE * SUBGRID_N
+#: the ``rhs_calls`` layouts: (Sedov cells per edge, localities — 0 is the
+#: node-level mesh without an engine —, localities killed and recovered
+#: from, the ledger's ``VICTIMS``)
+RHS_LAYOUTS = {"serial_24": (24, 0, ()), "dist_24": (24, 4, ()),
+               "dist_16": (16, 4, ()), "survivors_24": (24, 4, (1, 3))}
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -214,7 +225,7 @@ def _halo_fill_row(repeats: int) -> dict:
     parcel), beside the same rectangles copied directly."""
     mesh = DistBlockMesh(HALO_BPE, n_localities=HALO_BPE ** 3,
                          registry=CounterRegistry())
-    boxes = mesh._arrays[0]
+    boxes = mesh._boxes
     halos = [(dst, ghost, src, layer, 8 * (hi - lo))
              for route in mesh._layout.routes
              for dst, ghost, src, layer, lo, hi, _ in route.slabs]
@@ -249,7 +260,7 @@ def _dist_fill_row(repeats: int) -> dict:
     mesh = DistBlockMesh(HALO_BPE, n_localities=DIST_LOCALITIES,
                          reorder_seed=1309, registry=CounterRegistry())
     generation = itertools.count()
-    seconds = _time(lambda: mesh._halo_exchange(mesh._arrays[0],
+    seconds = _time(lambda: mesh._halo_exchange(mesh._boxes,
                                                 next(generation)),
                     repeats=repeats)
     owner = mesh.owners()
@@ -265,7 +276,7 @@ def _dist_fill_row(repeats: int) -> dict:
             "ms_per_stage": 1e3 * seconds,
             "msgs_per_stage": stats.remote_msgs / stages,
             "locality_pairs": len(seams),
-            "boxes": len(mesh._arrays[0]),
+            "boxes": len(mesh._boxes),
             "remote_halos": sum(len(route.slabs) for route in routes),
             "local_copies_per_stage": stats.local_msgs / stages,
             "remote_bytes_per_stage": stats.remote_bytes // stages,
@@ -282,6 +293,50 @@ def dist_fill_line(kernels: dict) -> str:
             f"{row['locality_pairs']} locality pairs "
             f"({row['remote_bytes_per_stage']} bytes), "
             f"{row['local_copies_per_stage']:.0f} direct copies")
+
+
+def rhs_calls_row() -> dict:
+    """Counts only: per ``RHS_LAYOUTS`` layout, the sub-grids of every
+    ``compute_rhs`` call of one RK stage (the first of a real step), at
+    the ledger's ``agg_slots``: ``DEFAULT_AGG_SLOTS`` (16), the sharded
+    meshes' engine default and what the node-level mesh batches by
+    without an engine.  The survivors' layout is the recovery's:
+    ``box_partition`` over the localities left after the kill."""
+    calls: list[int] = []
+    kernel = mesh_module.compute_rhs
+
+    def counted(U, *args):
+        arrays = [U] if isinstance(U, np.ndarray) else U
+        calls.append(sum(int(np.prod([n - 2 * NGHOST for n in u.shape[1:]]))
+                         for u in arrays) // SUBGRID_N ** 3)
+        return kernel(U, *args)
+
+    rows = {}
+    with mock.patch.object(mesh_module, "compute_rhs", counted):
+        for name, (n, localities, killed) in RHS_LAYOUTS.items():
+            src = sedov_blast(n)
+            if not localities:
+                mesh = BlockMesh.retile(src)
+            else:
+                mesh = DistBlockMesh.retile(
+                    src, n_localities=localities, registry=CounterRegistry(),
+                    engine=ExecutionEngine(registry=CounterRegistry()))
+                for loc in killed:
+                    mesh.agas.fail_locality(loc, evacuate=False)
+                alive = sorted(set(range(localities)) - set(killed))
+                mesh.apply_ownership({ip: alive[k] for ip, k in box_partition(
+                    mesh.lattice, len(alive)).items()})
+            calls.clear()
+            mesh.step()
+            rows[name] = calls[:len(calls) // 2]
+    return rows
+
+
+def rhs_calls_line(kernels: dict) -> str:
+    """The ``rhs_calls`` row as a report line (sub-grids per call)."""
+    return "  rhs_calls          " + ", ".join(
+        f"{name} {subgrids}"
+        for name, subgrids in kernels["rhs_calls"].items())
 
 
 def _subgrid_tax_row(repeats: int) -> dict:
@@ -404,6 +459,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "rhs_batched": rhs_batched,
         "halo_fill": _halo_fill_row(repeats),
         "dist_fill": _dist_fill_row(repeats),
+        "rhs_calls": rhs_calls_row(),
         "subgrid_tax": _subgrid_tax_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
@@ -447,6 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(halo_fill_line(kernels))
     print(dist_fill_line(kernels))
+    print(rhs_calls_line(kernels))
     print(subgrid_tax_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))

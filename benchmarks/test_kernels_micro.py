@@ -7,7 +7,14 @@ import sys
 sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
-                           m2l_dense_counts)
+                           m2l_dense_counts, rhs_calls_row)
+
+#: sub-grids per ``compute_rhs`` call of one stage on the ``rhs_calls``
+#: layouts before the one RHS rule (node-level box slabs beside sharded
+#: box batches): the rule must reproduce them but for the survivors'
+#: 2x3x3 box of 18 sub-grids, which is now cut into two slabs of 9
+BEFORE_ONE_RULE = {"serial_24": [27], "dist_24": [9, 6, 12],
+                   "dist_16": [8], "survivors_24": [9, 18]}
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -20,8 +27,15 @@ def test_dist_fill_sends_one_message_per_locality_pair():
     assert row["msgs_per_stage"] == row["locality_pairs"] > 0
     assert row["remote_bytes_per_stage"] == row["plan_remote_bytes"]
     assert row["local_copies_per_stage"] == 0
-    # the largest batch the sharded mesh's default engine makes has a row
+    # the largest batch a mesh's default engine makes has a row
     assert DEFAULT_AGG_SLOTS in RHS_BATCHES
+
+
+def test_rhs_calls_keep_the_ledger_shapes():
+    """The gate of the one RHS rule (counts, no timing): the calls and
+    sub-grids of a stage on the ledger-shaped layouts are the ones the
+    two rules made before, except the survivors' cut box (2 -> 3 calls)."""
+    assert rhs_calls_row() == {**BEFORE_ONE_RULE, "survivors_24": [9, 9, 9]}
 
 
 def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():

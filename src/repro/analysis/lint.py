@@ -54,7 +54,7 @@ REPRO007 *unaccounted-halo*
     ``Channel.set(...)``; a function that writes one block's or box's
     slab straight into another's (``boxes[a][ghost] = boxes[b][layer]``,
     ``blocks[a][ghost] = blocks[b][layer]``, or a call to the direct
-    copier ``DistBlockMesh._copy_halos``) without booking it with the
+    copier ``BlockMesh._copy_halos``) without booking it with the
     transport (``tally_local``); a function that packs block or box
     slabs into a send buffer (``payload[lo:hi]... = boxes[b][layer]``)
     without handing it to ``transport.send``; or a function that unpacks
@@ -70,11 +70,11 @@ REPRO007 *unaccounted-halo*
     beside the wire, and either way the ``/distmesh/*`` vs ``/parcels/*``
     reconciliation silently rots.  Pack, ``transport.send(channel, ...)``,
     drain and unpack a route in the one function that owns the exchange;
-    copy local halos with ``DistBlockMesh._copy_halos`` — whose own body
-    is the one exempt box-to-box write, booked by its callers — and
-    tally them.  The node-level ``core/mesh.py`` moves no halos (its
-    blocks are views of one box), does not import the network layer and
-    is deliberately out of scope.
+    copy local halos with ``BlockMesh._copy_halos`` — whose own body is
+    the one exempt box-to-box write, booked by its callers — and tally
+    them.  ``core/mesh.py`` copies the same-address-space entries of its
+    layout itself but imports no network layer — with one locality there
+    is no route to count them on — and is deliberately out of scope.
 
 REPRO008 *alloc-in-hot-kernel*
     An ``np.empty`` / ``np.zeros`` / ``np.empty_like`` /

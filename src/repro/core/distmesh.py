@@ -1,29 +1,23 @@
 """Distributed block mesh: AGAS-sharded sub-grids, one ghosted box per locality.
 
-The node-level :class:`~repro.core.mesh.BlockMesh` keeps its blocks as
-views of one ghosted box — all of them share one address space, so a
-block's ghost layers simply *are* its neighbours' interiors.
-:class:`DistBlockMesh` is the sharded case: every block is an
-AGAS-registered :class:`~repro.runtime.agas.Component` homed on one of
-``n_localities`` simulated localities, and AGAS's home table is the one
-record of which locality owns which block (the mesh keeps no copy of it
-and is never told of a move).
+:class:`~repro.core.mesh.BlockMesh` already stores its blocks as a
+*layout*: boxes covering each locality's blocks, every block a view of its
+box, and a box-to-box ghost fill plan of copy entries and domain walls.
+The node-level mesh homes every block on one locality, so its layout is
+one box.  :class:`DistBlockMesh` is the same layout over real homes:
+every block is an AGAS-registered :class:`~repro.runtime.agas.Component`
+homed on one of ``n_localities`` simulated localities, and AGAS's home
+table is the one record of which locality owns which block (the mesh
+keeps no copy of it and is never told of a move).  No two localities
+share an array, so a dead locality's memory can be clobbered without
+touching a survivor's; the default :func:`box_partition` gives every
+locality exactly one box.
 
-Storage follows the homes.  A *layout* covers each locality's blocks
-with a few boxes (:func:`_box_cover`; the default
-:func:`box_partition` gives every locality exactly one), and each box
-owns one ghosted state array (plus a predictor array, made on the first
-step): the blocks of one box are overlapping views of it, as in
-``BlockMesh``, and no two localities share an array — a dead locality's
-memory can be clobbered without touching a survivor's.  Cells inside a
-box copy nothing.  The rest of the ghost fill is a box-to-box plan: for
-each destination box, source box and periodic image, the destination's
-ghost shell meets the source's interior in one rectangle, and that
-rectangle is one copy entry.  Its route follows the homes of the two
-boxes:
+What this module adds is the homes, the routes and the transport.  Each
+copy entry's route follows the homes of its two boxes:
 
-* a **same-locality** entry is a direct copy, tallied by the
-  :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
+* a **same-locality** entry is the base mesh's direct copy, tallied by
+  the :class:`~repro.network.transport.HaloTransport` (Octo-Tiger's
   local-communication optimisation: no channel, no charge);
 * the **cross-locality** entries of one directed (source locality,
   destination locality) pair travel together, HPX-style one parcel per
@@ -37,13 +31,11 @@ boxes:
   same plan; generation matching is what keeps the physics
   byte-identical under any delivery order.
 
-The domain walls come last, per box face on the domain boundary.  The
-right-hand side and the CFL reduction run per box too: boxes of one
-shape batch into one ``compute_rhs`` call of at most ``agg_slots``
-sub-grids (a larger box runs alone), and ``cfl_dt`` visits each box
-once.  A layout is frozen for one homes map: :meth:`DistBlockMesh.step`
-rebuilds it when AGAS reports different homes — a migration, an
-evacuation, a recovery — and carries every block's interior over.
+The domain walls, the right-hand side and the CFL reduction are the base
+mesh's, per box.  A layout is frozen for one homes map:
+:meth:`DistBlockMesh.step` rebuilds it when AGAS reports different homes
+— a migration, an evacuation, a recovery — and carries every block's
+interior over.
 
 Contracts this class maintains (asserted by the distributed tests):
 
@@ -77,18 +69,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ..network.transport import HaloTransport
-from ..runtime.aggregate import DEFAULT_AGG_SLOTS
 from ..runtime.agas import AgasRuntime, Component, Gid
 from ..runtime.channel import Channel
 from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
-from .grid import NF, NGHOST
-from .mesh import BlockMesh, fill_wall, interior, min_cfl_dt
+from .grid import NF
+from .mesh import Block, BlockMesh
 
 __all__ = ["DistBlockMesh", "box_partition"]
-
-Block = tuple[int, int, int]
 
 
 def box_partition(lattice: tuple[int, int, int], n_localities: int
@@ -135,40 +124,6 @@ def box_partition(lattice: tuple[int, int, int], n_localities: int
     return owner
 
 
-def _box_cover(owner: dict[Block, int]) -> list[tuple[int, Block, Block]]:
-    """Greedy box cover of every locality's blocks: ``(locality, first
-    block, past the last block)`` boxes.  From each block not yet covered
-    (in sorted order) a box grows along z, then y, then x while every
-    block it would take is uncovered and homed on the same locality — so
-    a locality whose blocks form a box gets exactly that box."""
-    free = set(owner)
-    boxes = []
-    for ip in sorted(owner):
-        if ip not in free:
-            continue
-        loc, lo, hi = owner[ip], ip, [c + 1 for c in ip]
-        for axis in (2, 1, 0):
-            while True:
-                face = list(zip(lo, hi))
-                face[axis] = (hi[axis], hi[axis] + 1)
-                grow = list(itertools.product(*(range(*f) for f in face)))
-                if not all(b in free and owner[b] == loc for b in grow):
-                    break
-                hi[axis] += 1
-        boxes.append((loc, lo, tuple(hi)))
-        free -= set(itertools.product(*map(range, lo, hi)))
-    return boxes
-
-
-class _Box(NamedTuple):
-    """One storage box: its locality, its window of the cell space and
-    the blocks it holds."""
-
-    locality: int
-    cells: tuple
-    n_blocks: int
-
-
 class _Route(NamedTuple):
     """The halos of one directed locality pair, one parcel per stage.
     ``slabs`` holds ``(dst box, ghost slab, src box, interior slab, lo,
@@ -180,29 +135,6 @@ class _Route(NamedTuple):
     channel: Channel
     slabs: tuple
     size: int
-
-
-class _Layout(NamedTuple):
-    """The storage and ghost fill frozen for one homes map.
-
-    ``boxes`` are the cover's boxes; ``views`` maps a block to ``(box,
-    ghosted view, interior window)`` slices of that box's arrays;
-    ``local`` holds the same-locality ``(dst box, ghost slab, src box,
-    interior slab, nbytes)`` copy entries (``local_bytes`` in all),
-    ``routes`` the cross-locality ones; ``walls`` holds ``(box, axis,
-    side)`` domain faces for :func:`~repro.core.mesh.fill_wall`."""
-
-    homes: dict
-    boxes: tuple
-    views: dict
-    local: tuple
-    local_bytes: int
-    routes: tuple
-    walls: tuple
-
-    @property
-    def n_halos(self) -> int:
-        return len(self.local) + sum(len(r.slabs) for r in self.routes)
 
 
 class DistBlockMesh(BlockMesh):
@@ -219,13 +151,13 @@ class DistBlockMesh(BlockMesh):
         :class:`HaloTransport` charges; ``reorder_seed`` enables seeded
         out-of-order delivery of remote halos.
     partition:
-        ``{block: locality}`` for every block; default
-        :func:`box_partition` (one box per locality).
+        ``{block: locality}`` for every block, localities integers of the
+        live set; default :func:`box_partition` (one box per locality).
 
-    Storage, fill, RHS and CFL are per box: each box of the layout is one
-    ghosted array (its blocks are views of it), its shell is filled along
-    the layout's box-to-box plan, its RHS runs in a batched call with the
-    boxes of its shape and the CFL reduction visits it once.
+    Storage, walls, RHS and CFL are :class:`BlockMesh`'s, per box of its
+    layout; this class homes the blocks through AGAS (the :meth:`_place`
+    hook) and carries the cross-locality copy entries on routes
+    (:meth:`_routes`, :meth:`_halo_exchange`).
     """
 
     def __init__(self, blocks, *, n_localities: int = 2,
@@ -234,37 +166,34 @@ class DistBlockMesh(BlockMesh):
                  partition: dict[Block, int] | None = None,
                  registry: CounterRegistry | None = None,
                  **mesh_kwargs):
-        super().__init__(blocks, **mesh_kwargs)
         self.registry = registry or default_registry()
         self.agas = AgasRuntime(n_localities, registry=self.registry)
         self.n_localities = n_localities
         self.transport = HaloTransport(port, reorder_seed=reorder_seed)
-        if partition is None:
-            partition = box_partition(self.lattice, n_localities)
-        self._check_owner_map(partition)
-        self.gids: dict[Block, Gid] = {
-            ip: self.agas.register(Component(), partition[ip])
-            for ip in np.ndindex(*self.lattice)}
         #: (src locality, dst locality) -> channel of that route; exactly
         #: the routes of the current layout
         self.channels: dict[tuple[int, int], Channel] = {}
-        self._relayout(self.owners())
+        self._partition = partition
+        super().__init__(blocks, **mesh_kwargs)
 
     def _check_owner_map(self, owner: dict[Block, int]) -> None:
         """Reject an owner map that misses or invents a block or names a
-        locality outside the mesh or a failed one."""
+        locality that is not an integer, lies outside the mesh or has
+        failed."""
         if set(owner) != set(np.ndindex(*self.lattice)):
             raise ValueError(
                 f"an owner map must name every block of the "
                 f"{self.lattice} lattice exactly once")
         dead = self.agas.failed_localities
         bad = {ip: loc for ip, loc in sorted(owner.items())
-               if not 0 <= loc < self.n_localities or loc in dead}
+               if not isinstance(loc, (int, np.integer))
+               or isinstance(loc, bool)
+               or not 0 <= loc < self.n_localities or loc in dead}
         if bad:
             raise ValueError(
-                f"owner map puts blocks on localities outside the live set "
-                f"of [0, {self.n_localities}) (failed: {sorted(dead)}): "
-                f"{bad}")
+                f"owner map puts blocks on localities outside the live "
+                f"integers of [0, {self.n_localities}) (failed: "
+                f"{sorted(dead)}): {bad}")
 
     # -- ownership ------------------------------------------------------------
 
@@ -321,43 +250,26 @@ class DistBlockMesh(BlockMesh):
                 migrated += 1
         return {"migrated": migrated, "restored": restored}
 
-    # -- per-box storage and the frozen layout --------------------------------
+    # -- the layout's two hooks -----------------------------------------------
 
-    def _allocate(self) -> dict:
-        """No storage before the homes are known: the constructor lays
-        the blocks out once AGAS has placed them."""
-        self._arrays: list[list[np.ndarray]] = []
-        return {}
+    def _place(self) -> dict[Block, int]:
+        """Register every block with AGAS on its ``partition`` locality
+        (default :func:`box_partition`); the first layout follows the
+        homes AGAS then reports."""
+        partition = self._partition
+        if partition is None:
+            partition = box_partition(self.lattice, self.n_localities)
+        self._check_owner_map(partition)
+        self.gids: dict[Block, Gid] = {
+            ip: self.agas.register(Component(), partition[ip])
+            for ip in np.ndindex(*self.lattice)}
+        return self.owners()
 
-    def _predictors(self) -> dict:
-        """One uninitialised predictor array per box, and its views."""
-        self._arrays[1:] = [[np.empty_like(a) for a in self._arrays[0]]]
-        return self._views(self._arrays[1])
-
-    def _views(self, arrays: list[np.ndarray]) -> dict:
-        return {ip: arrays[box][view]
-                for ip, (box, view, _) in self._layout.views.items()}
-
-    def _relayout(self, homes: dict[Block, int]) -> None:
-        """Freeze storage and ghost fill for ``homes``: the box cover,
-        one zeroed ghosted array per box with every block's interior
-        copied over from its previous view, the copy entries and their
-        routes (a route that no longer exists takes its channel with it),
-        and the domain walls.  The predictors follow on the next step."""
-        g, tile = NGHOST, self.tile
-        boxes, views = [], {}
-        for loc, lo, hi in _box_cover(homes):
-            boxes.append(_Box(loc, tuple(
-                slice(l * s, h * s) for l, h, s in zip(lo, hi, tile)),
-                math.prod(h - l for l, h in zip(lo, hi))))
-            for ip in itertools.product(*map(range, lo, hi)):
-                at = [(c - l) * s for c, l, s in zip(ip, lo, tile)]
-                views[ip] = (len(boxes) - 1, (slice(None),) + tuple(
-                    slice(a, a + s + 2 * g) for a, s in zip(at, tile)),
-                    (slice(None),) + tuple(
-                        slice(a, a + s) for a, s in zip(at, tile)))
-        old = self.blocks
-        local, by_route, walls = self._halo_entries(boxes)
+    def _routes(self, by_route: dict) -> tuple:
+        """One :class:`_Route` per directed locality pair of the new
+        layout: its channel (kept while the pair still shares halos; a
+        route that no longer exists takes its channel with it) and every
+        entry's offsets in the route's payload."""
         self.channels = {
             pair: self.channels.get(pair) or Channel(
                 name=f"loc{pair[0]}->loc{pair[1]}") for pair in by_route}
@@ -371,94 +283,14 @@ class DistBlockMesh(BlockMesh):
                 lo += math.prod(shape)
             routes.append(_Route(*pair, self.channels[pair], tuple(slabs),
                                  lo))
-        self._layout = _Layout(
-            dict(homes), tuple(boxes), views, tuple(local),
-            sum(nbytes for *_, nbytes in local), tuple(routes), tuple(walls))
-        self._arrays = [[np.zeros((NF,) + tuple(
-            sl.stop - sl.start + 2 * g for sl in box.cells))
-            for box in boxes]]
-        self.blocks = self._views(self._arrays[0])
-        for ip, blk in old.items():
-            np.copyto(interior(self.blocks[ip]), interior(blk))
-        self._stage = {}
-        self._rhs_out = {}
         self.registry.increment("/distmesh/plan-rebuilds")
-
-    def _halo_entries(self, boxes: list[_Box]) -> tuple[list, dict, list]:
-        """The box-to-box ghost fill: one copy entry per (dst box, src
-        box, periodic image) whose ghost shell and interior meet — split
-        into same-locality entries and per-route ones — and, for the
-        non-periodic boundary conditions, one wall per box face on the
-        domain boundary.  A box's own cells copy nothing; under periodic
-        boundaries its image across the seam is one more source (a
-        one-box mesh wraps onto itself)."""
-        g, shape = NGHOST, self.shape
-        periodic = self.bc == "periodic"
-        local, by_route, walls = [], {}, []
-        for d, dst in enumerate(boxes):
-            origin = [sl.start - g for sl in dst.cells]
-            end = [sl.stop + g for sl in dst.cells]
-            # a source image shifted by a whole domain matters only where
-            # the ghosted box reaches past that side of the domain
-            images = itertools.product(*(
-                [0] + ([-n] if o < 0 else []) + ([n] if e > n else [])
-                if periodic else [0]
-                for o, e, n in zip(origin, end, shape)))
-            for shift in images:
-                for s, src in enumerate(boxes):
-                    if s == d and not any(shift):
-                        continue
-                    lo = [max(o, sl.start + t) for o, sl, t in
-                          zip(origin, src.cells, shift)]
-                    hi = [min(e, sl.stop + t) for e, sl, t in
-                          zip(end, src.cells, shift)]
-                    if any(a >= b for a, b in zip(lo, hi)):
-                        continue
-                    ghost = (slice(None),) + tuple(
-                        slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))
-                    layer = (slice(None),) + tuple(
-                        slice(a - t - sl.start + g, b - t - sl.start + g)
-                        for a, b, t, sl in zip(lo, hi, shift, src.cells))
-                    entry = (d, ghost, s, layer,
-                             8 * NF * math.prod(b - a for a, b in zip(lo, hi)))
-                    if src.locality == dst.locality:
-                        local.append(entry)
-                    else:
-                        by_route.setdefault((src.locality, dst.locality),
-                                            []).append(entry)
-            if not periodic:
-                walls.extend(
-                    (d, axis, side) for axis in range(3) for side in (-1, 1)
-                    if (dst.cells[axis].start == 0 if side < 0
-                        else dst.cells[axis].stop == shape[axis]))
-        return local, by_route, walls
-
-    @staticmethod
-    def _copy_halos(boxes: list, halos) -> None:
-        """``dst[ghost] = src[layer]`` for every entry: a strided copy
-        straight out of the source box's interior.  The caller books the
-        copies with the transport (lint rule REPRO007)."""
-        sanitize = _sanitize_state.ACTIVE
-        for dst, ghost, src, layer, _ in halos:
-            if sanitize:
-                _racecheck.access(boxes[src], "r", owner="halo/src-box")
-                _racecheck.access(boxes[dst], "w", owner="halo/dst-box")
-            boxes[dst][ghost] = boxes[src][layer]
-
-    def _fill_walls(self, boxes: list) -> None:
-        """Domain walls, after the copies: a wall slab spans the
-        transverse ghosts the neighbours just filled."""
-        sanitize = _sanitize_state.ACTIVE
-        for box, axis, side in self._layout.walls:
-            if sanitize:
-                _racecheck.access(boxes[box], "w", owner="halo/dst-box")
-            fill_wall(boxes[box], axis, side, self.bc)
+        return tuple(routes)
 
     # -- halo exchange --------------------------------------------------------
 
-    def _halo_exchange(self, boxes: list, generation: int) -> None:
-        """One stage of halos into ``boxes`` (one array per layout box)
-        along the frozen layout.
+    def _halo_exchange(self, boxes: dict, generation: int) -> None:
+        """One stage of halos into ``boxes`` ({box index: array}) along
+        the frozen layout.
 
         One receive is posted per route, then every route packs its
         rectangles into one payload and makes one send (charged by the
@@ -497,7 +329,7 @@ class DistBlockMesh(BlockMesh):
         self.registry.increment("/distmesh/halo/gets", layout.n_halos)
         self._fill_walls(boxes)
 
-    # -- per-box stepping -----------------------------------------------------
+    # -- stepping -------------------------------------------------------------
 
     def step(self, dt: float | None = None) -> float:
         """One SSP-RK2 step; first lays the storage out again if AGAS
@@ -509,57 +341,9 @@ class DistBlockMesh(BlockMesh):
             self._relayout(homes)
         return super().step(dt)
 
-    def _fill(self, blocks: dict, stage: int) -> None:
+    def _fill(self, boxes: dict, stage: int) -> None:
         # one halo generation per RK stage of every step
-        self._halo_exchange(self._arrays[stage], 2 * self.steps + stage)
-
-    def compute_dt(self) -> float:
-        """CFL reduction: one :func:`cfl_dt` per box."""
-        return min_cfl_dt(((a, self.dx) for a in self._arrays[0]),
-                          self.options, ws=self._ws)
-
-    def _rhs(self, blocks: dict, acc: np.ndarray | None, stage: int) -> dict:
-        """The hydro RHS of every box of ``stage``: boxes of one shape
-        batch into one :func:`~repro.core.hydro.solver.compute_rhs` call
-        of at most ``engine.agg_slots`` sub-grids
-        (:data:`DEFAULT_AGG_SLOTS` without an engine; a larger box runs
-        alone) — run in turn on the calling thread, or each posted as one
-        engine task.  Centres and accelerations are box windows.
-        ``k[key]`` are views of the per-call ``(NF, b, *box)`` outputs;
-        each stage owns its own, allocated once (again if the batching
-        changes)."""
-        engine = self.engine
-        slots = engine.agg_slots if engine is not None else DEFAULT_AGG_SLOTS
-        boxes, arrays = self._layout.boxes, self._arrays[stage]
-        by_shape = {}
-        for b, box in enumerate(boxes):
-            by_shape.setdefault(arrays[b].shape, []).append(b)
-        batches = []
-        for members in by_shape.values():
-            per_call = max(1, slots // boxes[members[0]].n_blocks)
-            batches.extend(members[i:i + per_call]
-                           for i in range(0, len(members), per_call))
-        outs = self._rhs_out.get(stage)
-        if outs is None or [o.shape[1] for o in outs] != [
-                len(batch) for batch in batches]:
-            outs = self._rhs_out[stage] = [
-                np.empty((NF, len(batch)) + tuple(
-                    sl.stop - sl.start for sl in boxes[batch[0]].cells))
-                for batch in batches]
-        box_rhs, calls = {}, []
-        for batch, out in zip(batches, outs):
-            windows = [boxes[b].cells for b in batch]
-            calls.append((
-                [arrays[b] for b in batch], self.dx, self.options,
-                None if acc is None else [
-                    acc[(slice(None),) + w] for w in windows],
-                False, out, self._ws,
-                [tuple(c[sl] for c, sl in zip(self._centers, w))
-                 for w in windows]))
-            box_rhs.update((b, out[:, i]) for i, b in enumerate(batch))
-        self._run_rhs(calls)
-        return {ip: box_rhs[box][window]
-                for ip, (box, _, window) in self._layout.views.items()}
+        self._halo_exchange(boxes, 2 * self.steps + stage)
 
     # -- rollback -------------------------------------------------------------
 

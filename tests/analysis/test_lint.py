@@ -219,7 +219,7 @@ def test_repro007_untallied_block_to_block_ghost_write():
     for snippet in ("def f(self, blk, ip, sl):\n"
                     "    self.blocks[ip][sl] = blk[sl]",
                     "def f(self, box, b, sl):\n"
-                    "    self._arrays[0][b][sl] = box[sl]",
+                    "    self._boxes[b][sl] = box[sl]",
                     "def f(self, blocks, a, b, sl):\n"
                     "    blocks[a][sl] = blocks[b][sl]"):
         vs = _lint(_NETWORK_IMPORT + snippet, rel="repro/core/distmesh.py")

@@ -82,7 +82,7 @@ class TestPhiFreshness:
         mesh.step()
         reference = equilibrium_star(n=16, domain=4.0)
         reference.interior[:] = mesh.interior
-        reference._gravity.solve(reference.blocks)
+        reference._gravity.solve(reference._boxes)
         assert np.array_equal(mesh.phi, reference.phi)
 
     def test_gravity_cache_survives_external_state_mutation(self):
@@ -92,9 +92,9 @@ class TestPhiFreshness:
         saved = mesh.blocks[0, 0, 0].copy()
         mesh.step()
         mesh.blocks[0, 0, 0][:] = saved  # simulate CheckpointManager.restore
-        acc = mesh._gravity.for_state(mesh.blocks)
+        acc = mesh._gravity.for_state(mesh._boxes)
         fresh = equilibrium_star(n=16, domain=4.0)
-        assert np.array_equal(acc, fresh._gravity.solve(fresh.blocks))
+        assert np.array_equal(acc, fresh._gravity.solve(fresh._boxes))
 
 
 class TestValidation:

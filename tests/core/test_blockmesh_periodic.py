@@ -7,8 +7,9 @@ axis-sweep reconstruction happened to never read them; per-neighbour
 distributed halos do, and so does any future corner-aware kernel.  These
 tests assert the full ghost shell and bitwise equality with the
 one-block mesh (both failed on the old code), for the two fills there
-are: the node-level box (walls only: a block's ghosts are its
-neighbours' interiors) and the distributed mesh's box-to-box plan.
+are: the node-level box (its shell only — periodic images of itself or
+walls — since a block's inner ghosts are its neighbours' interiors) and
+the distributed mesh's box-to-box plan.
 """
 
 import itertools
@@ -64,20 +65,21 @@ def test_fill_plan_reproduces_the_single_mesh_ghost_shell(rng, bpe, bc):
     of every block exactly what the single-block mesh holds in the same
     place; 3^3 blocks include one with all 26 neighbours."""
     single, blocks, _full = _loaded_pair(rng, bpe, bc, make=_dist)
-    single._fill(single.blocks, 0)
-    blocks._fill(blocks.blocks, 0)
+    single._fill(single._boxes, 0)
+    blocks._fill(blocks._boxes, 0)
     _assert_shells_match_the_single_mesh(single, blocks)
 
 
 @pytest.mark.parametrize("bc", ["outflow", "reflect", "periodic"])
 @pytest.mark.parametrize("bpe", [2, 3])
 def test_every_ghost_view_equals_the_one_block_shell(rng, bpe, bc):
-    """The node-level fill touches the box's domain walls only; every
-    block's ghosted view then holds the one-block shell, because its
-    inner ghost layers are its neighbours' interiors."""
+    """The node-level fill touches the box's shell only (its periodic
+    images or its walls); every block's ghosted view then holds the
+    one-block shell, because its inner ghost layers are its neighbours'
+    interiors."""
     single, blocks, _full = _loaded_pair(rng, bpe, bc)
-    single._fill(single.blocks, 0)
-    blocks._fill(blocks.blocks, 0)
+    single._fill(single._boxes, 0)
+    blocks._fill(blocks._boxes, 0)
     _assert_shells_match_the_single_mesh(single, blocks)
     # the views share one array: nothing was copied between blocks
     assert len({id(blk.base) for blk in blocks.blocks.values()}) == 1
@@ -89,7 +91,7 @@ class TestPeriodicGhostShell:
         extension of the global interior — faces, edges AND corners."""
         for make in MESHES:
             _single, blocks, full = _loaded_pair(rng, make=make)
-            blocks._fill(blocks.blocks, 0)
+            blocks._fill(blocks._boxes, 0)
             g, s, n = NGHOST, SUBGRID_N, blocks.shape[0]
             for ip, blk in blocks.blocks.items():
                 idx = [[(ip[d] * s + local - g) % n
@@ -103,7 +105,7 @@ class TestPeriodicGhostShell:
         stale."""
         for make in MESHES:
             _single, blocks, full = _loaded_pair(rng, make=make)
-            blocks._fill(blocks.blocks, 0)
+            blocks._fill(blocks._boxes, 0)
             g = NGHOST
             corner = blocks.blocks[(0, 0, 0)][:, :g, :g, :g]
             np.testing.assert_array_equal(corner, full[:, -g:, -g:, -g:])
@@ -133,7 +135,7 @@ class TestPeriodicGhostShell:
 
         layout = blocks._layout
         assert not layout.walls and not layout.local
-        block_of = {box: ip for ip, (box, _, _) in layout.views.items()}
+        block_of = {box: ip for ip, (box, _) in layout.views.items()}
         assert len(block_of) == 8
         filled = {ip: {} for ip in blocks.blocks}
         for route in layout.routes:
@@ -142,7 +144,7 @@ class TestPeriodicGhostShell:
                 assert o not in filled[block_of[dst]]
                 # the source shows the layer facing back at us
                 assert off(layer, layer_of) == tuple(-c for c in o)
-                assert hi - lo == blocks._arrays[0][dst][ghost].size
+                assert hi - lo == blocks._boxes[dst][ghost].size
                 filled[block_of[dst]][o] = block_of[src]
         every = sorted(o for o in itertools.product((-1, 0, 1), repeat=3)
                        if o != (0, 0, 0))

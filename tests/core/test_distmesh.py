@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
                         IdealGas)
-from repro.core.distmesh import _box_cover, box_partition
+from repro.core.distmesh import box_partition
+from repro.core.mesh import _box_cover
 from repro.core.hydro.solver import HydroOptions, compute_rhs
 from repro.core.mesh import apply_boundary
 from repro.runtime.agas import Component
@@ -91,10 +92,10 @@ def _assert_layout_follows_the_homes(dist):
     where = dist.owners()
     assert dist._layout.homes == where
     cover = _box_cover(where)
-    assert len(dist._arrays[0]) == len(cover)
+    assert len(dist._boxes) == len(cover)
     for ip, blk in dist.blocks.items():
         box = dist._layout.views[ip][0]
-        assert blk.base is dist._arrays[0][box]
+        assert blk.base is dist._boxes[box]
         assert dist._layout.boxes[box].locality == where[ip]
 
 
@@ -131,7 +132,7 @@ class TestBitwiseEquivalence:
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
         # one box: its own cells copy nothing, the walls do the rest
-        assert len(dist._arrays[0]) == 1
+        assert len(dist._boxes) == 1
         assert dist.transport.stats.remote_msgs == 0
         assert dist.transport.stats.local_msgs == 0
 
@@ -371,13 +372,15 @@ class TestLayout:
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
         where = dist.owners()
-        for stage in (dist.blocks, dist._stage):
-            bases = {}
-            for ip, blk in stage.items():
-                bases.setdefault(where[ip], set()).add(id(blk.base))
-            assert all(len(ids) == 1 for ids in bases.values())
-            assert len(bases) == 4
-        assert all(len(arrays) == 4 for arrays in dist._arrays)
+        bases = {}
+        for ip, blk in dist.blocks.items():
+            bases.setdefault(where[ip], set()).add(id(blk.base))
+        assert all(len(ids) == 1 for ids in bases.values())
+        assert len(bases) == 4
+        # the predictors are rk2_step's, one per box
+        assert len(dist._boxes) == len(dist._stage) == 4
+        assert all(dist._stage[b].shape == box.shape
+                   for b, box in dist._boxes.items())
         stats = dist.transport.stats
         assert stats.local_msgs == 0            # outflow: no self-images
         assert stats.remote_msgs == 2 * len(_seams(dist))
@@ -394,7 +397,7 @@ class TestLayout:
         ref, dist = _pair(rng, registry=reg)
         ref.step()
         dist.step()
-        arrays, channels = dist._arrays[0], dict(dist.channels)
+        arrays, channels = dist._boxes, dict(dist.channels)
         homes = dist.owners()
         other = dist.agas.register(Component(), 1)
         ip = (1, 1, 1)
@@ -405,7 +408,7 @@ class TestLayout:
             assert ref.step() == dist.step()
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
-        assert dist._arrays[0] is arrays and dist.channels == channels
+        assert dist._boxes is arrays and dist.channels == channels
         assert reg.snapshot()["/distmesh/plan-rebuilds"] == 1
 
     def test_a_rebuild_carries_interiors_written_between_steps(self, rng):
@@ -419,9 +422,9 @@ class TestLayout:
         dist.load_interior(np.full_like(state, 7.0))
         dist.agas.migrate(dist.gids[0, 0, 0], 3)
         dist.load_interior(state)                # into the old layout
-        old = dist._arrays[0]
+        old = dist._boxes
         assert ref.step() == dist.step()
-        assert dist._arrays[0] is not old
+        assert dist._boxes is not old
         np.testing.assert_array_equal(dist.gather_interior(),
                                       ref.gather_interior())
 
@@ -454,8 +457,9 @@ class TestOwnership:
     def test_apply_ownership_rejects_a_bad_map_and_moves_nothing(self):
         """Regression: a map whose last block names a locality outside
         the mesh, or a map onto a failed locality, used to migrate the
-        blocks before the bad one and only then raise.  The whole map is
-        checked first; the homes do not move."""
+        blocks before the bad one and only then raise; a locality that is
+        no integer (``1.5``, ``0.0``, ``True``) used to pass the range
+        check.  The whole map is checked first; the homes do not move."""
         reg = CounterRegistry()
         dist = DistBlockMesh(2, n_localities=4, registry=reg)
         ips = sorted(dist.blocks)
@@ -465,7 +469,10 @@ class TestOwnership:
         before = dist.owners()
         onto_dead = {ip: i % 4 for i, ip in enumerate(ips)}
         missing = {ip: 0 for ip in ips[:-1]}
-        for bad in (bad_tail, onto_dead, missing):
+        # all on locality 0 would be a good map
+        not_integers = [{**dict.fromkeys(ips, 0), ips[0]: value}
+                        for value in (1.5, 0.0, True)]
+        for bad in (bad_tail, onto_dead, missing, *not_integers):
             with pytest.raises(ValueError):
                 dist.apply_ownership(bad)
             assert dist.owners() == before
@@ -599,7 +606,7 @@ class TestOwnership:
         assert sorted(dist.locality_blocks().values()) == [0, 0, 9, 18]
         dist.agas.fail_locality(2, evacuate=True)
         agree()
-        assert len(dist._arrays[0]) == 1
+        assert len(dist._boxes) == 1
         assert dist.transport.reconciles()
 
 
@@ -720,7 +727,7 @@ class TestRaceDeclarations:
                              domain=1.0, options=opts, bc="periodic")
         dist.load_interior(_initial_data(np.random.default_rng(3),
                                          2 * SUBGRID_N))
-        apply_boundary(dist._arrays[0][0], "periodic")  # undeclared
+        apply_boundary(dist._boxes[0], "periodic")  # undeclared
         assert dist._layout.local and not dist._layout.routes
         victim = dist.blocks[0, 0, 0]
         task = threading.Thread(
@@ -730,7 +737,7 @@ class TestRaceDeclarations:
             task.start()
             task.join()     # serialized in time; NOT a happens-before edge
             # BUG: the task's future was never awaited before the refill
-            dist._fill(dist.blocks, 0)
+            dist._fill(dist._boxes, 0)
         assert [f.kind for f in caught] == ["data-race"]
         f = caught[0]
         assert f.details["buffer"] == "halo/dst-box"

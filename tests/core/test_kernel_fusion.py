@@ -276,7 +276,7 @@ def test_conserved_signal_speed_bitwise_vs_primitives():
 
 def test_cfl_dt_identical_on_equilibrium_star():
     mesh = equilibrium_star(n=16, domain=4.0)
-    mesh._fill(mesh.blocks, 0)
+    mesh._fill(mesh._boxes, 0)
     ref = reference_cfl_dt(mesh.blocks[0, 0, 0], mesh.dx, mesh.options)
     assert mesh.compute_dt() == ref
 

@@ -210,23 +210,36 @@ def test_futurized_is_byte_identical_for_any_chunking(serial, agg_slots):
     np.testing.assert_array_equal(state, serial[1])
 
 
+def _subgrids(U):
+    """Sub-grids in one ``compute_rhs`` call's list of ghosted arrays."""
+    return sum(int(np.prod([n - 2 * NGHOST for n in u.shape[1:]]))
+               for u in U) // SUBGRID_N ** 3
+
+
 def test_boxes_of_one_shape_batch_up_to_agg_slots(monkeypatch):
-    """The sharded mesh's RHS calls: boxes of one shape share a call of
-    at most ``agg_slots`` sub-grids, a larger box runs alone.  One
-    locality per block is one box per block: 27 boxes of one shape."""
+    """The one RHS rule, as sub-grids per ``compute_rhs`` call: boxes of
+    one shape share a call of at most ``agg_slots`` sub-grids, and with
+    an engine a larger box is cut into ``min(layers, ceil(blocks /
+    agg_slots))`` x-slabs.  One locality per block is 27 one-block boxes;
+    the node-level mesh and one locality are one 3x3x3 box; two
+    localities are a 1x3x3 and a 2x3x3 box (9/18 sub-grids), and the 18
+    are cut in two once they exceed ``agg_slots``."""
     sizes = []
     monkeypatch.setattr(mesh_module, "compute_rhs",
-                        lambda U, *args: sizes.append(len(U)))
+                        lambda U, *args: sizes.append(_subgrids(U)))
     opts = HydroOptions(eos=IdealGas(gamma=1.4))
     for n_localities, slots, expected in (
             (27, 16, [16, 11]), (27, 8, [8, 8, 8, 3]), (27, 1, [1] * 27),
-            (2, 16, [1, 1]), (2, 27, [1, 1]), (1, 1, [1])):
-        mesh = DistBlockMesh(BPE, n_localities=n_localities, options=opts,
-                             registry=CounterRegistry(),
-                             engine=ExecutionEngine(
-                                 agg_slots=slots, registry=CounterRegistry()))
+            (2, 16, [9, 9, 9]), (2, 27, [9, 18]), (2, None, [9, 18]),
+            (1, 1, [9, 9, 9]), (1, 16, [9, 18]), (1, None, [27]),
+            (0, 16, [9, 18]), (0, None, [27])):
+        mesh = (BlockMesh(BPE, options=opts) if not n_localities
+                else DistBlockMesh(BPE, n_localities=n_localities,
+                                   options=opts, registry=CounterRegistry()))
+        mesh.engine = slots and ExecutionEngine(
+            agg_slots=slots, registry=CounterRegistry())
         sizes.clear()
-        mesh._rhs(mesh.blocks, None, 0)
+        mesh._rhs(mesh._boxes, None, 0)
         assert sizes == expected, (n_localities, slots)
 
 
@@ -239,50 +252,56 @@ def _per_block_rhs(mesh, opts, acc):
         gravity=acc[mesh._window(ip)]) for ip, blk in mesh.blocks.items()}
 
 
-#: agg_slots (None: no engine) -> x-extents of the box slabs a stage of
-#: the 27-sub-grid mesh runs: min(3 layers, ceil(27 / slots)) of them
-SLABS = {None: [24], 1: [8, 8, 8], 8: [8, 8, 8], 14: [8, 16], 27: [24]}
-#: agg_slots -> boxes per call of the sharded mesh on 4 localities (None:
-#: the default): a 9-sub-grid slab alone, then the 6-sub-grid bars by
-#: shape — 2x1x3 alone, the two 1x2x3 together once two fit
-CHUNKS = {None: [1, 1, 2], 1: [1, 1, 1, 1], 8: [1, 1, 1, 1],
-          14: [1, 1, 2], 27: [1, 1, 2]}
+#: mesh -> agg_slots (None: no engine) -> sub-grids per ``compute_rhs``
+#: call of one stage of the 27-sub-grid mesh.  The node-level box is cut
+#: into min(3 layers, ceil(27 / slots)) slabs; on 4 localities (a 1x3x3
+#: slab of 9, a 2x1x3 bar and two 1x2x3 bars of 6) the bars of one shape
+#: batch while two fit and the 2x1x3 bar is cut in two once it exceeds
+#: ``agg_slots``; on 2 localities the 2x3x3 box of 18 is cut in two.
+CALLS = {"box": {None: [27], 1: [9, 9, 9], 8: [9, 9, 9], 14: [9, 18],
+                 27: [27]},
+         "4 localities": {None: [9, 6, 12], 1: [9, 3, 3, 6, 6],
+                          8: [9, 6, 6, 6], 14: [9, 6, 12], 27: [9, 6, 12]},
+         "2 localities": {None: [9, 18], 1: [9, 9, 9], 8: [9, 9, 9],
+                          14: [9, 9, 9], 27: [9, 18]}}
 
 
 def test_rhs_of_a_block_is_identical_under_any_chunking(monkeypatch):
-    """``k[key]`` of one stage — box slabs of the node-level mesh,
-    batched locality boxes of the sharded one, in a rotating frame under
-    gravity — is the bitwise per-block result, whatever ``agg_slots``
-    cuts; both paths call the kernel as ``repro.core.mesh.compute_rhs``."""
+    """``k[box]`` of one stage — whole boxes, slabs of a box and batches
+    of same-shape boxes, in a rotating frame under gravity — holds the
+    bitwise per-block result in every block's window, whatever
+    ``agg_slots`` cuts; every mesh calls the kernel as
+    ``repro.core.mesh.compute_rhs``."""
     opts = HydroOptions(eos=IdealGas(gamma=1.4), omega=0.7)
     geometry = dict(options=opts, bc="periodic", origin=(-0.4, 0.1, 0.3))
-    meshes = {"box": BlockMesh(BPE, **geometry),
-              "per-box": DistBlockMesh(BPE, n_localities=4,
-                                         registry=CounterRegistry(),
-                                         **geometry)}
+    meshes = {"box": BlockMesh(BPE, **geometry)}
+    for n in (4, 2):
+        meshes[f"{n} localities"] = DistBlockMesh(
+            BPE, n_localities=n, registry=CounterRegistry(), **geometry)
     acc = 0.1 * np.random.default_rng(2).standard_normal(
         (3,) + (BPE * SUBGRID_N,) * 3)
     calls = []
 
     def counted(U, *args):
-        calls.append(U.shape[1] - 2 * NGHOST if isinstance(U, np.ndarray)
-                     else len(U))
+        calls.append(_subgrids(U))
         return compute_rhs(U, *args)
 
     monkeypatch.setattr(mesh_module, "compute_rhs", counted)
     for name, mesh in meshes.items():
         mesh.load_interior(_random_interior(BPE * SUBGRID_N))
-        mesh._fill(mesh.blocks, 0)
+        mesh._fill(mesh._boxes, 0)
         alone = _per_block_rhs(mesh, opts, acc)
-        for slots in SLABS:
+        for slots, expected in CALLS[name].items():
             mesh.engine = slots and ExecutionEngine(
                 agg_slots=slots, registry=CounterRegistry())
             calls.clear()
-            k = mesh._rhs(mesh.blocks, acc, 0)
-            assert calls == (SLABS if name == "box" else CHUNKS)[slots], (
-                name, slots)
-            for ip in mesh.blocks:
-                np.testing.assert_array_equal(k[ip], alone[ip])
+            k = mesh._rhs(mesh._boxes, acc, 0)
+            assert calls == expected, (name, slots)
+            for ip, (b, view) in mesh._layout.views.items():
+                window = tuple(slice(sl.start, sl.stop - 2 * NGHOST)
+                               for sl in view[1:])
+                np.testing.assert_array_equal(
+                    k[b][(slice(None),) + window], alone[ip])
 
 
 def test_slab_tasks_under_dense_interleaving_are_byte_identical(serial):
@@ -385,10 +404,11 @@ def test_workspace_stays_inside_the_memory_budget():
     held = {key: id(arr) for key, arr in mesh._ws._bufs().items()}
     mesh.step()
     # state and predictor are one ghosted box each, every block a view
-    boxes = {id(blk.base): blk.base for stage in (mesh.blocks, mesh._stage)
-             for blk in stage.values()}
-    assert len(boxes) == 2
-    storage = sum(box.nbytes for box in boxes.values())
+    assert {id(blk.base) for blk in mesh.blocks.values()} == {
+        id(mesh._boxes[0])}
+    boxes = [mesh._boxes[0], mesh._stage[0]]
+    assert len({id(box) for box in boxes}) == 2
+    storage = sum(box.nbytes for box in boxes)
     assert storage == 2 * NF * 30 ** 3 * 8
     assert mesh._ws.nbytes() + storage <= PER_BLOCK_LAYOUT_BYTES
     # one buffer per role: the three sweep axes and the two stages reuse
@@ -396,6 +416,7 @@ def test_workspace_stays_inside_the_memory_budget():
     names = [name for name, _, _ in held]
     assert len(names) == len(set(names))
     assert {key: id(arr) for key, arr in mesh._ws._bufs().items()} == held
-    # and per-stage outputs are one (NF, *shape) array each, not per block
-    assert [out.shape for out in mesh._rhs_out.values()] == [
-        (NF,) + mesh.shape] * 2
+    # and per-stage outputs are one (NF, 1, *shape) array each, not per
+    # block
+    assert [[out.shape for out in outs] for outs in mesh._rhs_out.values()
+            ] == [[(NF, 1) + mesh.shape]] * 2

@@ -6,9 +6,10 @@ of the same box advance byte-identically, and ``retile`` moves a state
 between tilings without touching a bit.  The same draw also steps the
 sharded mesh of that tiling under a drawn owner map — the default box
 partition or scattered owners on 1-4 localities, or one locality per
-block — with a drawn reorder seed, so the two storage paths check each
-other: the node-level box (walls-only fill, one RHS sweep) and the
-sharded boxes (box-to-box copies and routes, batched box RHS calls).
+block — with a drawn reorder seed, so the one layout is checked across
+homes: the node-level box (its own periodic images or its walls, one RHS
+call) and the sharded boxes (box-to-box copies and routes, batched box
+RHS calls); the node-level mesh freezes exactly the one-locality layout.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import SUBGRID_N, BlockMesh, DistBlockMesh, IdealGas
-from repro.core.distmesh import _box_cover
+from repro.core.mesh import _box_cover
 from repro.core.hydro.solver import HydroOptions
 from repro.runtime import CounterRegistry
 
@@ -69,9 +70,18 @@ def test_any_tiling_steps_byte_identically(blocks, n, bc, seed, localities,
                             partition=partition, reorder_seed=reorder_seed,
                             registry=CounterRegistry())
     # one state array per box of the cover of the owners, blocks its views
-    assert len(sharded._arrays[0]) == len(_box_cover(sharded.owners()))
+    assert len(sharded._boxes) == len(_box_cover(sharded.owners()))
     assert {id(blk.base) for blk in sharded.blocks.values()} == {
-        id(a) for a in sharded._arrays[0]}
+        id(a) for a in sharded._boxes.values()}
+    # the node-level mesh is the one-locality layout: the same box, views,
+    # direct copy entries and walls, and no routes
+    alone = DistBlockMesh(blocks, n=n, domain=1.0, options=single.options,
+                          bc=bc, n_localities=1, registry=CounterRegistry())
+    assert tiled._layout == alone._layout
+    assert len(tiled._layout.boxes) == 1 and not tiled._layout.routes
+    # image entries under periodic boundaries, its six walls otherwise
+    assert bool(tiled._layout.local) == (bc == "periodic")
+    assert len(tiled._layout.walls) == (0 if bc == "periodic" else 6)
     for mesh in (tiled, sharded):
         mesh.load_interior(single.interior)
         assert (mesh.shape, mesh.dx) == (single.shape, single.dx)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.core import DistBlockMesh
+from repro.core import BlockMesh, DistBlockMesh
 from repro.core.scenario import equilibrium_star, sedov_blast, v1309_binary
 from repro.core.stepper import FaultRecoveryExhausted
 from repro.resilience import (BuddyReplicatedStore, CheckpointError,
@@ -88,6 +88,15 @@ REJECTIONS = {
     "star: no cells": (lambda: equilibrium_star(n=0), "n must be"),
     "star: no domain": (lambda: equilibrium_star(n=8, domain=0.0), "domain"),
     "sedov: no cells": (lambda: sedov_blast(n=0), "n must be"),
+    "mesh: infinite domain":
+        (lambda: BlockMesh(1, domain=float("inf")), "domain"),
+    "mesh: NaN origin":
+        (lambda: BlockMesh(1, origin=(float("nan"), 0.0, 0.0)), "origin"),
+    "mesh: two-axis origin":
+        (lambda: BlockMesh(1, origin=(0.0, 0.0)), "origin"),
+    "mesh: locality not an integer":
+        (lambda: DistBlockMesh(1, n_localities=2, partition={(0, 0, 0): 1.5},
+                               registry=CounterRegistry()), "integers"),
 }
 
 
