@@ -3,14 +3,15 @@
 Times each building-block kernel on representative batch sizes and
 reports ns per interaction (gravity pair kernels) or ns per zone/face
 (hydro kernels).  ``p2p_dense`` is the Green-table sweep of a whole 32^3
-leaf level, per leaf pair, beside the pair-list ``p2p`` kernel it
+leaf level, per leaf pair, beside the per-pair ``p2p`` kernel it
 replaced there (which additionally pays gathers and scatter-adds the
 microbenchmark does not time).  ``m2l_root_dense`` (the 8^3 root level)
 and ``m2l_sweep`` (the 16^3 interior level, P = 8) are the two tilings of
-the dense M2L, each beside the pair-list path over the very same pairs of
-a 32^3 hierarchy (gathers, ``m2l_pair`` and ``bincount`` scatter-adds
-against Green blocks, matmuls and per-cell assembly): ns per *useful*
-pair plus the evaluated/useful ratio the static masks cost.  Where a
+the dense M2L, each beside per-pair ``m2l_pair`` over the very same far
+pairs of a 32^3 hierarchy, gathered in ``_TILE`` tiles and scatter-added
+with ``bincount`` as the retired pair-list engine ran them (against Green
+blocks, matmuls and per-cell assembly): ns per *useful* pair plus the
+evaluated/useful ratio the static masks cost.  Where a
 reference implementation exists (the einsum ``m2l_pair_reference`` and
 the allocate-per-stage ``compute_rhs_reference``) both variants are timed
 and the speedup of the fused path is reported — the CI gate asserts
@@ -150,17 +151,12 @@ def _hydro_block(n: int = HYDRO_N):
     return U, opts
 
 
-def _m2l_solver(dense: bool = True) -> fmm.FmmSolver:
+def _m2l_solver() -> fmm.FmmSolver:
     """The ``M2L_GRID``^3 hierarchy the ``M2L_ROWS`` run on, its plan
-    built — with the dense M2L declined (pair lists) unless ``dense``."""
+    built."""
     rho = np.random.default_rng(9).uniform(0.1, 1.0, (M2L_GRID,) * 3)
     solver = fmm.FmmSolver.from_uniform(rho, 1.0 / M2L_GRID)
-    if dense:
-        solver.solve()
-    else:
-        with mock.patch.object(fmm._DenseM2L, "of",
-                               classmethod(lambda cls, *args: None)):
-            solver.solve()
+    solver.solve()
     return solver
 
 
@@ -182,25 +178,81 @@ def m2l_dense_counts(solver: fmm.FmmSolver) -> dict:
     return rows
 
 
+def _far_pairs(solver: fmm.FmmSolver, entries: list[int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The far pairs the dense M2L ``entries`` of one level cover, as
+    level slots ``(a, b)``: every unmasked entry of every tile, in the
+    order the retired pair-list engine recorded them (by lex-positive
+    offset ``b - a``, then by ``a``)."""
+    dense = solver._plan[entries[0]].dense
+    staged = np.arange(dense.V.size // fmm.N_MOMENT).reshape(
+        dense.V.shape[:-1])
+    slot = np.empty(len(staged.reshape(-1)), dtype=np.int64)
+    slot[dense.flat] = np.arange(len(dense.flat))
+    a, b = [], []
+    for i in entries:
+        for tgt, src, mask in solver._plan[i].tiles:
+            ti, sj, hit = np.broadcast_arrays(staged[tgt][..., :, None],
+                                              staged[src][..., None, :],
+                                              mask == 0.0)
+            a.append(slot[ti[hit]])
+            b.append(slot[sj[hit]])
+    a, b = np.concatenate(a), np.concatenate(b)
+    w = dense.lv.coords[b] - dense.lv.coords[a]
+    flip = (w[:, 0] < 0) | ((w[:, 0] == 0) & (
+        (w[:, 1] < 0) | ((w[:, 1] == 0) & (w[:, 2] < 0))))
+    a, b, w = np.where(flip, b, a), np.where(flip, a, b), \
+        np.where(flip[:, None], -w, w)
+    order = np.lexsort((a, w[:, 2], w[:, 1], w[:, 0]))
+    return a[order], b[order]
+
+
+def _m2l_pairs(lv: fmm.FmmLevel, a: np.ndarray, b: np.ndarray,
+               outs: tuple) -> None:
+    """Per-pair M2L over ``(a, b)``: ``m2l_pair`` on ``fmm._TILE``-sized
+    gathered tiles into ``outs``, then ``bincount`` scatter-adds into the
+    level's accumulators."""
+    tiny = fmm.TINY_MASS
+    for lo in range(0, len(a), fmm._TILE):
+        sl = slice(lo, lo + fmm._TILE)
+        at, bt = a[sl], b[sl]
+        m2l_pair(lv.com[at] - lv.com[bt], np.maximum(lv.m[at], tiny),
+                 np.maximum(lv.m[bt], tiny), lv.M2[at], lv.M2[bt],
+                 out=tuple(o[sl] for o in outs))
+    phiA, phiB, accA, accB, HA, HB = outs
+    for idx, phi, acc, H in ((a, phiA, accA, HA), (b, phiB, accB, HB)):
+        lv.phi += np.bincount(idx, weights=phi, minlength=lv.n)
+        for d in range(3):
+            lv.acc[:, d] += np.bincount(idx, weights=acc[:, d],
+                                        minlength=lv.n)
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            h = np.bincount(idx, weights=H[:, i, j], minlength=lv.n)
+            lv.hess[:, i, j] += h
+            if i != j:
+                lv.hess[:, j, i] += h
+
+
 def _m2l_level_rows(repeats: int) -> dict:
     """The ``M2L_ROWS``: per level, every dense M2L plan entry computed
-    and accumulated, beside the pair-list entries of the same solver
-    with the dense M2L declined — the same pairs, counted the same."""
-    dense, lists = _m2l_solver(), _m2l_solver(dense=False)
+    and accumulated, beside per-pair ``m2l_pair`` over the same far pairs
+    (:func:`_m2l_pairs`) — the same pairs, counted the same."""
+    solver = _m2l_solver()
 
-    def run(solver, entries):
+    def run(entries):
         for i in entries:
             solver._accumulate_entry(solver._plan[i],
                                      solver._compute_entry(i, 0))
 
     rows = {}
-    for name, count in m2l_dense_counts(dense).items():
-        on_dense, pairs = count["entries"], count["pairs"]
-        on_lists = [i for i, e in enumerate(lists._plan)
-                    if e.kind == "m2l" and e.la.level == M2L_ROWS[name]]
-        assert pairs == sum(lists._plan[i].pairs for i in on_lists)
-        t_dense = _time(lambda: run(dense, on_dense), repeats=repeats)
-        t_lists = _time(lambda: run(lists, on_lists), repeats=repeats)
+    for name, count in m2l_dense_counts(solver).items():
+        entries, pairs = count["entries"], count["pairs"]
+        a, b = _far_pairs(solver, entries)
+        assert len(a) == pairs
+        lv = solver.levels[M2L_ROWS[name]]
+        outs = tuple(np.empty((pairs,) + shape) for shape in
+                     ((), (), (3,), (3,), (3, 3), (3, 3)))
+        t_dense = _time(lambda: run(entries), repeats=repeats)
+        t_lists = _time(lambda: _m2l_pairs(lv, a, b, outs), repeats=repeats)
         rows[name] = {"seconds": t_dense, "items": pairs,
                       "ns_per_item": 1e9 * t_dense / pairs,
                       "pair_list_ns_per_item": 1e9 * t_lists / pairs,
@@ -404,7 +456,8 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
     sweeps, n_dense = green_sweeps(DENSE_EDGE,
                                    leaf_sweep_offsets(DENSE_EDGE), child,
-                                   0.5 / DENSE_EDGE)
+                                   0.5 / DENSE_EDGE,
+                                   np.ones((DENSE_EDGE,) * 3 + (8,), bool))
     m8 = np.random.default_rng(8).uniform(0.5, 2.0, (DENSE_EDGE,) * 3 + (8,))
     dense_out = np.empty((DENSE_EDGE,) * 3 + (32,))
     t_dense = _time(lambda: p2p_pair_staged(m8, sweeps, out=dense_out),

@@ -10,7 +10,7 @@ from .octree import Octree, OctreeNode, prolong, restrict
 from .amr import AmrMesh
 from .hydro.solver import HydroOptions, compute_rhs, cfl_dt
 from .gravity.fmm import FmmSolver, FmmLevel, GravityResult
-from .gravity.stencil import parity_stencils, p2p_stencil
+from .gravity.stencil import p2p_stencil
 from .scf import (LaneEmdenSolution, solve_lane_emden, Polytrope,
                   ScfResult, scf_single_star, scf_binary)
 from .scenario import (sod_tube, sedov_blast, equilibrium_star,
@@ -27,7 +27,7 @@ __all__ = [
     "Octree", "OctreeNode", "prolong", "restrict", "AmrMesh",
     "HydroOptions", "compute_rhs", "cfl_dt",
     "FmmSolver", "FmmLevel", "GravityResult",
-    "parity_stencils", "p2p_stencil",
+    "p2p_stencil",
     "LaneEmdenSolution", "solve_lane_emden", "Polytrope",
     "ScfResult", "scf_single_star", "scf_binary",
     "sod_tube", "sedov_blast", "equilibrium_star", "v1309_binary",

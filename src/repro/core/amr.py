@@ -18,10 +18,12 @@ the tree ghost fill and the refluxed right-hand side.
 
 The driver requires a 2:1 balanced tree (which :class:`Octree.refine`
 maintains).  Gravity on AMR trees is available through
-``Octree.fmm_levels`` + :class:`~repro.core.gravity.fmm.FmmSolver`; the
-driver here is hydro-only (the coupled AMR+gravity production path in
-the paper is exercised at fixed resolution by
-:class:`~repro.core.mesh.BlockMesh`).
+``Octree.fmm_levels`` + :meth:`~repro.core.gravity.fmm.FmmSolver.from_levels`,
+on the same dense sweeps as the uniform meshes plus one coarse-fine
+batch per level (which raises if a leaf lies near a refined cell whose
+children are refined); the driver here is hydro-only (the coupled
+AMR+gravity production path in the paper is exercised at fixed
+resolution by :class:`~repro.core.mesh.BlockMesh`).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Steps, exactly as the paper lays them out:
    selected by the opening criterion.  Our partition is parity-exact
    (see :mod:`.stencil`): a pair is processed by the multipole kernel at
    the coarsest level at which it is well separated; leaf-level near
-   pairs go through the 12-flop monopole P2P kernel; near pairs between a
-   leaf and a refined cell descend on the refined side (the paper's
+   pairs go through the 12-flop monopole P2P kernel; a leaf near a
+   refined cell meets that cell's children (the paper's
    monopole-multipole / multipole-monopole AMR-boundary kernels).
 
 3. **Downward** (top-down): Taylor expansions (potential, acceleration,
@@ -21,58 +21,55 @@ Conservation comes from construction: every pair force is applied
 antisymmetrically, and the Hessian term of the downward pass realizes
 the quadrupole (tidal) torques on child cells, so total linear and
 angular momentum of the resulting field are conserved to machine
-precision (see ``tests/core/test_fmm_conservation.py``).
+precision (see ``tests/core/test_fmm.py``).
 
-Step 2 has three forms, chosen per level from the level's own shape and
-nothing else:
+Step 2 is one rule on every level of every tree.  The level is staged
+into the parent grid of its bounding cube — a ``(P, P, P, 8)`` grid of
+parents, absent cells at their geometric centres with zero moments, so
+a full even cube stages exactly as itself — and runs up to three plan
+entries, each over one fixed stencil of the grid:
 
-* **Dense Green-table sweep** — a fully populated all-leaf level (the
-  finest level of every :meth:`FmmSolver.from_uniform` solver) is viewed
-  as a ``(P, P, P, 8)`` grid of parents.  Two leaves interact at leaf
-  level exactly when their parents are not well separated, and for each
+* **Leaf sweep** (if the level has leaf cells).  Two leaves interact at
+  leaf level when their parents are not well separated, and for each
   such parent offset the 8 x 8 child separations are constants of the
-  grid.  So the whole leaf-level near field is one ``(8, 32)`` Green
-  table per offset (:func:`.kernels.green_table`, built once) and, per
-  solve, one shifted-slice matmul per offset
-  (:func:`.kernels.p2p_pair_staged`): no index arrays, no gathers, no
-  scatter-adds — the paper's stencil-over-SoA redesign of Sec. 4.3.
-* **Dense M2L** — a level without leaf cells runs its same-level
-  multipole interactions through one kernel (:func:`.kernels.m2l_dense`)
-  in one of two tilings.  Expansions are centred on centres of mass, so
-  the Green tensors depend on the density and are evaluated every solve;
-  what the dense form removes is everything around them.  Separations are
-  broadcast differences of two slices of the staged level, a static
-  ``0 / +inf`` mask on ``r^2`` selects the pairs that belong to the level,
-  each Green component is contracted against the packed moments of all
-  partners by one matmul per side (both partners from one evaluation),
-  and the Taylor coefficients are assembled per cell.  Each Green
-  component is contracted as soon as it is made, so a tile never holds
-  more than one component block.  The **root** level is one plan entry,
-  tiled along its 4^3 Morton cubes: each cube's rows against every cell
-  after it, and the far pairs inside the cubes — all of them on opposite
-  faces — as three face-against-face tiles batched over the cubes, so no
-  masked diagonal block is evaluated (1.27 evaluations per far pair on
-  an 8^3 root).  An **interior** level that is a full cube with an even
-  edge is swept one shifted-slice pair per lex-positive near parent
-  offset over the same parent grid the leaf sweep uses, the parity
-  partition being the static 8 x 8 mask.
-* **Pair lists** — everything irregular (every level of an adaptive tree
-  that has leaf cells or is not a full even cube, odd edges, mixed-level
-  AMR boundaries): cells matched per stencil offset by Morton-key
-  ``searchsorted`` once, when the plan is built, then whole pair batches
-  gathered tile by tile through the vectorized pair kernels and
-  scatter-added with ``bincount``.
+  grid.  So the near field is one ``(8, 32)`` Green table per offset
+  (:func:`.kernels.green_table`, built once) and, per solve, one
+  shifted-slice matmul per offset (:func:`.kernels.p2p_pair_staged`)
+  over the leaf masses: no index arrays, no gathers, no scatter-adds —
+  the paper's stencil-over-SoA redesign of Sec. 4.3.  Outputs are kept
+  at leaf targets.  On a level that also has refined cells the table
+  zeroes the well-separated child pairs, which the M2L below takes.
+* **Dense M2L** (if the level has refined cells): every well-separated
+  pair whose parents are not, with every present cell's moments, through
+  one kernel (:func:`.kernels.m2l_dense`).  Expansions are centred on
+  centres of mass, so the Green tensors depend on the density and are
+  evaluated every solve; what the dense form removes is everything
+  around them.  Separations are broadcast differences of two slices of
+  the staged level, a static ``0 / +inf`` mask on ``r^2`` selects the
+  pairs that belong to the level, each Green component is contracted
+  against the packed moments of all partners by one matmul per side
+  (both partners from one evaluation) as soon as it is made, and the
+  Taylor coefficients are assembled per cell.  The **root** is tiled
+  along its 4^3 Morton cubes — each cube's rows against every cell after
+  it, and the far pairs inside the cubes as face-against-face tiles
+  batched over the cubes (1.27 evaluations per far pair on an 8^3 root)
+  — in one plan entry; a level below it is swept one shifted-slice pair
+  per lex-positive near parent offset over the same parent grid the leaf
+  sweep uses, the parity partition being the static 8 x 8 mask.
+* **Coarse-fine boundary** (if the level has both): one ``p2p_pair``
+  batch of every leaf against the children of its near refined
+  neighbours — the paper's monopole-multipole AMR-boundary kernels.  2:1
+  balance makes those children leaves, which :meth:`FmmSolver.from_levels`
+  checks.
 
 All three are entries of one plan with one shape (``kind``, ``pairs``,
 ``compute(outs)``, ``accumulate(outs)``) that every solve walks the same
-way, inline or through an execution engine; an even-edged uniform solver
-records no pair list at any level.
+way, inline or through an execution engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,30 +79,34 @@ from ...sanitize import state as _sanitize_state
 from ...util import morton_key
 from ..workspace import Workspace
 from .kernels import (N_GREEN, N_MOMENT, TINY_MASS, green_sweeps,
-                      m2l_assemble, m2l_dense, m2l_pair, p2p_pair,
-                      p2p_pair_staged, pack_moments)
+                      m2l_assemble, m2l_dense, p2p_pair, p2p_pair_staged,
+                      pack_moments)
+# not called here: re-exported because the perf ledger's spans.TARGETS
+# rebinds ``fmm.m2l_pair`` (and ``fmm.p2p_pair``) by name
+from .kernels import m2l_pair  # noqa: F401
 from .multipole import aggregate_m2m, taylor_shift
-from .stencil import (OPENING_R2, leaf_sweep_offsets, lex_positive,
-                      m2l_root_tiles, m2l_sweep_offsets, m2l_sweep_tiles,
-                      p2p_stencil, parity_stencils, root_stencil)
+from .stencil import (leaf_sweep_offsets, m2l_root_tiles, m2l_sweep_offsets,
+                      m2l_sweep_tiles, p2p_stencil)
 
 __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 
-#: number of plan entries the parent offsets of a dense leaf or interior
-#: level are cut into — a constant, so every solve (inline, futurized,
-#: distributed) runs the same matmuls in the same groups and adds the
-#: same partials in the same order.  Eight keeps an aggregated launch
-#: well filled.  The root's M2L is one entry: an entry zeroes, fills and
+#: number of plan entries the parent offsets of a leaf sweep or of a
+#: below-root M2L sweep are cut into — a constant, so every solve
+#: (inline, futurized, distributed) runs the same matmuls in the same
+#: groups and adds the same partials in the same order.  Eight keeps an
+#: aggregated launch well filled.  The root's M2L is one entry: an entry zeroes, fills and
 #: assembles a whole-level partial, and on the 8^3 root (2-core host)
 #: eight entries took 7.9-8.9 ms, eight that share one assemble 7.5-7.8
 #: ms and one entry 6.8-6.9 ms
 _DENSE_GROUPS = 8
 
 #: parents per tile of the interior-level M2L sweep: keeps a tile's
-#: Green block (8 KB per parent pair) and scratch cache-sized, the way
-#: ``_TILE`` does for the pair lists (measured flat from 128 to 1024 on a
-#: P = 8 level, slower below)
+#: Green block (8 KB per parent pair) and scratch cache-sized (measured
+#: flat from 128 to 1024 on a P = 8 level, slower below)
 _SWEEP_BLOCKS = 256
+
+#: the eight children of a parent in Morton order
+_CHILD = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
 
 _MONOPOLE = "/fmm/interactions/monopole"
 _MULTIPOLE = "/fmm/interactions/multipole"
@@ -168,46 +169,36 @@ class GravityResult:
     leaf_slots: dict[int, np.ndarray]  # level -> slots into the level SoA
 
 
-@lru_cache(maxsize=1)
-def _parity_offset_table() -> tuple[np.ndarray, np.ndarray]:
-    """Union of the parity M2L lists (lex-positive) plus a per-offset map
-    of which parities use it."""
-    par_lists = parity_stencils()
-    union = {tuple(w) for lst in par_lists.values() for w in lst}
-    offsets = lex_positive(np.array(sorted(union), dtype=np.int64))
-    sets = {p: {tuple(w) for w in lst} for p, lst in par_lists.items()}
-    par_ok = np.zeros((len(offsets), 8), dtype=bool)
-    for wi, w in enumerate(offsets):
-        tw = tuple(int(c) for c in w)
-        for p, lst in sets.items():
-            par_ok[wi, (p[0] << 2) | (p[1] << 1) | p[2]] = tw in lst
-    return offsets, par_ok
+def _parent_grid(lv: FmmLevel) -> tuple[int, np.ndarray, np.ndarray]:
+    """The level staged into the parent grid of its bounding cube:
+    ``(P, flat, cells)`` — the grid edge, each slot's position in the
+    flattened ``(P, P, P, 8)`` grid (parent, then child in Morton order)
+    and the integer coordinates of every grid cell, ``(P, P, P, 8, 3)``.
+
+    On a full cube with an even edge ``flat`` is a permutation: Morton
+    order keeps siblings contiguous, so only the parents move."""
+    parents = lv.coords >> 1
+    corner = parents.min(axis=0)
+    P = int((parents.max(axis=0) - corner).max()) + 1
+    grid = np.stack(np.meshgrid(*[np.arange(P)] * 3, indexing="ij"), -1)
+    cells = 2 * (corner + grid)[..., None, :] + _CHILD
+    flat = 8 * np.ravel_multi_index(tuple((parents - corner).T), (P,) * 3) \
+        + (lv.coords & 1) @ np.array([4, 2, 1])
+    return P, flat, cells
 
 
 def _accumulate(lv: FmmLevel, idx: np.ndarray, phi: np.ndarray,
-                acc: np.ndarray, hess: np.ndarray | None) -> None:
+                acc: np.ndarray) -> None:
     """Scatter-add pair contributions (bincount: much faster than add.at)."""
-    n = lv.n
-    lv.phi += np.bincount(idx, weights=phi, minlength=n)
+    lv.phi += np.bincount(idx, weights=phi, minlength=lv.n)
     for d in range(3):
-        lv.acc[:, d] += np.bincount(idx, weights=acc[:, d], minlength=n)
-    if hess is not None:
-        for i in range(3):
-            for j in range(i, 3):
-                h = np.bincount(idx, weights=hess[:, i, j], minlength=n)
-                lv.hess[:, i, j] += h
-                if i != j:
-                    lv.hess[:, j, i] += h
+        lv.acc[:, d] += np.bincount(idx, weights=acc[:, d], minlength=lv.n)
 
 
-#: pair-tile size of the pair-list compute path.  A recorded batch can be
-#: any size (a level's near-field and AMR-boundary lists are one entry
-#: each) and a large one churns hundreds of MB of Green-function
-#: temporaries (``g3`` alone is 216 B/pair); running the kernel over
-#: cache-sized sub-batches keeps the temporaries resident and is
-#: measurably faster on the same flops.  All pair kernels are elementwise
-#: along the pair axis, so tiling is bitwise identical to the one-shot
-#: call.
+#: pair-tile size of the boundary batch: running the kernel over
+#: cache-sized sub-batches keeps its temporaries resident.  The pair
+#: kernel is elementwise along the pair axis, so tiling is bitwise
+#: identical to the one-shot call.
 _TILE = 16384
 
 
@@ -224,15 +215,18 @@ _TILE = 16384
 
 @dataclass
 class _PairList:
-    """One recorded batch of cell pairs: the irregular path (adaptive
-    levels, odd edges, mixed-level boundaries)."""
+    """The coarse-fine boundary of one level: leaf ``a`` of ``la``
+    against child ``b`` of ``lb`` (the next level), pair by pair."""
 
-    kind: str                 # "p2p" | "m2l"
     la: FmmLevel
     a: np.ndarray
     lb: FmmLevel
     b: np.ndarray
+    kind = "p2p"
     owner = "fmm/pair-out"
+    counter = _MONOPOLE
+    # (phiA, phiB, accA, accB) per pair
+    out_shapes = ((), (), (3,), (3,))
 
     @property
     def pairs(self) -> int:
@@ -240,97 +234,62 @@ class _PairList:
 
     rows = pairs              # one output row per pair
 
-    @property
-    def counter(self) -> str:
-        return _MULTIPOLE if self.kind == "m2l" else _MONOPOLE
-
-    @property
-    def out_shapes(self) -> tuple:
-        # (phiA, phiB, accA, accB[, HA, HB]) per pair
-        pair = ((), (), (3,), (3,))
-        return pair + ((3, 3), (3, 3)) if self.kind == "m2l" else pair
-
     def compute(self, outs) -> None:
         """Run the pair kernel in :data:`_TILE`-sized sub-batches,
-        gathering *per tile* (rather than the whole batch up front) so
-        each gathered tile stays cache-resident through the kernel call;
-        every tile writes straight into slices of the batch outputs via
-        the kernels' ``out=``."""
+        gathering *per tile* so each gathered tile stays cache-resident
+        through the kernel call, which writes straight into slices of the
+        batch outputs via ``out=``."""
         la, a, lb, b = self.la, self.a, self.lb, self.b
         for lo in range(0, len(a), _TILE):
             sl = slice(lo, min(lo + _TILE, len(a)))
             at, bt = a[sl], b[sl]
-            args = (la.com[at] - lb.com[bt],
-                    np.maximum(la.m[at], TINY_MASS),
-                    np.maximum(lb.m[bt], TINY_MASS))
-            out = tuple(o[sl] for o in outs)
-            if self.kind == "m2l":
-                m2l_pair(*args, la.M2[at], lb.M2[bt], out=out)
-            else:
-                p2p_pair(*args, out=out)
+            p2p_pair(la.com[at] - lb.com[bt],
+                     np.maximum(la.m[at], TINY_MASS),
+                     np.maximum(lb.m[bt], TINY_MASS),
+                     out=tuple(o[sl] for o in outs))
 
     def accumulate(self, outs) -> None:
-        if self.kind == "m2l":
-            phiA, phiB, accA, accB, HA, HB = outs
-        else:
-            phiA, phiB, accA, accB = outs
-            HA = HB = None
-        _accumulate(self.la, self.a, phiA, accA, HA)
-        _accumulate(self.lb, self.b, phiB, accB, HB)
-
-
-def _parent_grid(lv: FmmLevel) -> np.ndarray | None:
-    """A fully populated level with an even edge seen as a ``(P, P, P)``
-    grid of parents: the Morton parent slot at each grid index, or
-    ``None`` if the level's shape rules the view out.
-
-    Morton order keeps siblings contiguous, so ``lv.m.reshape(-1, 8)``
-    is already (parent, child); only the parents need permuting between
-    Morton and grid order, and one index grid does both directions."""
-    edge = round(lv.n ** (1.0 / 3.0))
-    if not lv.n or edge % 2 or edge ** 3 != lv.n \
-            or lv.coords.max() != edge - 1:
-        return None
-    P = edge // 2
-    parents = lv.coords[::8] >> 1
-    to_grid = np.empty((P, P, P), dtype=np.int64)
-    to_grid[parents[:, 0], parents[:, 1], parents[:, 2]] = np.arange(P ** 3)
-    return to_grid
+        phiA, phiB, accA, accB = outs
+        _accumulate(self.la, self.a, phiA, accA)
+        _accumulate(self.lb, self.b, phiB, accB)
 
 
 @dataclass
 class _DenseLeaf:
-    """Dense-sweep state of one fully populated all-leaf level: the
-    level seen as a ``(P, P, P)`` grid of parents with 8 children each
-    (:func:`_parent_grid`)."""
+    """Leaf-sweep state of one level: its leaf masses staged on the
+    parent grid (:func:`_parent_grid`), everything else massless."""
 
     lv: FmmLevel
-    to_grid: np.ndarray      # (P, P, P): Morton parent slot at grid index
+    slots: np.ndarray | slice  # the level's leaf slots (all: a slice)
+    flat: np.ndarray         # their positions in the flattened grid
     m8: np.ndarray           # (P, P, P, 8) leaf masses, refilled per solve
     groups: list[tuple[list, int]]  # per group: sweeps, leaf pairs covered
 
     @classmethod
-    def of(cls, lv: FmmLevel, root: bool) -> "_DenseLeaf | None":
-        """The dense plan of ``lv``, or ``None`` if its shape rules it
-        out (not all-leaf, not a full cube, or an odd edge)."""
-        to_grid = _parent_grid(lv) if lv.leaf.all() else None
-        if to_grid is None:
-            return None
-        P = len(to_grid)
-        child = lv.coords[:8] & 1
-        groups = [green_sweeps(P, offsets, child, lv.width)
+    def of(cls, lv: FmmLevel, root: bool) -> "_DenseLeaf":
+        """The leaf sweep of ``lv`` (which has leaf cells).  On a level
+        with refined cells the tables zero the well-separated pairs,
+        which the level's M2L covers."""
+        P, flat, _ = _parent_grid(lv)
+        slots = slice(None) if lv.leaf.all() else np.flatnonzero(lv.leaf)
+        leaf = np.zeros(8 * P ** 3, dtype=bool)
+        leaf[flat[slots]] = True
+        leaf = leaf.reshape(P, P, P, 8)
+        groups = [green_sweeps(P, offsets, _CHILD, lv.width, leaf,
+                               near_only=not lv.leaf.all())
                   for offsets in np.array_split(leaf_sweep_offsets(P, root),
                                                 _DENSE_GROUPS)]
-        return cls(lv, to_grid, np.empty((P, P, P, 8)), groups)
+        return cls(lv, slots, flat[slots], np.zeros((P, P, P, 8)),
+                   [g for g in groups if g[0]])
 
     def stage(self) -> None:
         """Refill the mass grid from the level (once per solve)."""
-        np.take(self.lv.m.reshape(-1, 8), self.to_grid, axis=0, out=self.m8)
+        self.m8.reshape(-1)[self.flat] = self.lv.m[self.slots]
 
 
 @dataclass
 class _LeafSweep:
-    """One offset group of a dense leaf level's Green-table sweep."""
+    """One offset group of a level's Green-table leaf sweep."""
 
     dense: _DenseLeaf
     sweeps: list
@@ -343,7 +302,7 @@ class _LeafSweep:
 
     @property
     def rows(self) -> int:
-        return self.dense.lv.n // 8
+        return self.dense.m8.size // 8
 
     def compute(self, outs) -> None:
         m8 = self.dense.m8
@@ -352,10 +311,9 @@ class _LeafSweep:
 
     def accumulate(self, outs) -> None:
         dense = self.dense
-        lv = dense.lv
-        part = outs[0].reshape(dense.m8.shape + (4,))
-        lv.phi.reshape(-1, 8)[dense.to_grid] += part[..., 0]
-        lv.acc.reshape(-1, 8, 3)[dense.to_grid] += part[..., 1:]
+        part = np.take(outs[0].reshape(-1, 4), dense.flat, axis=0)
+        dense.lv.phi[dense.slots] += part[:, 0]
+        dense.lv.acc[dense.slots] += part[:, 1:]
 
 
 #: column of a dense M2L partial (phi, acc x3, H xx yy zz xy xz yz) that
@@ -365,62 +323,55 @@ _HESS_OF = 4 + np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
 @dataclass
 class _DenseM2L:
-    """Dense same-level M2L state of one level without leaf cells: its
-    moments staged once per solve in the layout its tiling slices.
+    """Dense same-level M2L state of one level with refined cells: every
+    present cell's moments staged once per solve in the layout its
+    tiling slices.
 
     Two tilings, one kernel (:func:`.kernels.m2l_dense`):
 
     * the **root** level has no parent to sweep over and most of its
-      pairs are far (73 % on an 8^3 root), so it is tiled along its
-      Morton cubes — rows of a cube against the cells after it, plus
-      face-against-face tiles inside the cubes
-      (:func:`.stencil.m2l_root_tiles`), cells in Morton order, all in
-      one plan entry (see :data:`_DENSE_GROUPS`);
-    * an **interior** level that is a fully populated cube with an even
-      edge is seen as a ``(P, P, P, 8)`` parent grid as in
-      :class:`_DenseLeaf` and swept one shifted-slice pair per
-      lex-positive near parent offset
-      (:func:`.stencil.m2l_sweep_tiles`).
+      pairs are far (73 % on an 8^3 root), so its cells are tiled in
+      Morton order along their Morton cubes — rows of a cube against the
+      cells after it, plus face-against-face tiles inside the cubes
+      (:func:`.stencil.m2l_root_tiles`), all in one plan entry (see
+      :data:`_DENSE_GROUPS`);
+    * a level below it is staged on the parent grid as the leaf sweep's
+      is (:func:`_parent_grid`) and swept one shifted-slice pair per
+      lex-positive near parent offset (:func:`.stencil.m2l_sweep_tiles`).
     """
 
     lv: FmmLevel
-    order: np.ndarray | slice   # Morton slot of each staged cell
+    flat: np.ndarray            # staged position of each slot
     com: np.ndarray             # (3, *cells) centres of mass
     V: np.ndarray               # (*cells, N_MOMENT) packed moments
     groups: list[tuple[list, int]]  # per group: tiles, far pairs covered
 
     @classmethod
-    def of(cls, lv: FmmLevel, root: bool) -> "_DenseM2L | None":
-        """The dense M2L plan of ``lv``, or ``None`` if its shape rules
-        it out (leaf cells; below the root also not a full cube or an
-        odd edge)."""
-        if lv.leaf.any():
-            return None
+    def of(cls, lv: FmmLevel, root: bool) -> "_DenseM2L":
+        """The dense M2L plan of ``lv``.  Absent grid cells sit at their
+        geometric centres with zero moments, so they add nothing."""
         if root:
             groups = [m2l_root_tiles(lv.coords)]
-            order, cells = slice(None), (lv.n,)
+            flat, cells = np.arange(lv.n), lv.coords
         else:
-            to_grid = _parent_grid(lv)
-            if to_grid is None:
-                return None
-            P = len(to_grid)
-            child = lv.coords[:8] & 1
-            groups = [m2l_sweep_tiles(P, offsets, child, _SWEEP_BLOCKS)
+            P, flat, cells = _parent_grid(lv)
+            present = np.zeros(8 * P ** 3, dtype=bool)
+            present[flat] = True
+            groups = [m2l_sweep_tiles(P, offsets, _CHILD, _SWEEP_BLOCKS,
+                                      present.reshape(P, P, P, 8))
                       for offsets in np.array_split(m2l_sweep_offsets(P),
                                                     _DENSE_GROUPS)]
-            order = (8 * to_grid[..., None] + np.arange(8)).reshape(-1)
-            cells = (P, P, P, 8)
-        return cls(lv, order, np.empty((3,) + cells),
-                   np.empty(cells + (N_MOMENT,)),
+        com = np.moveaxis((cells + 0.5) * lv.width, -1, 0).copy()
+        return cls(lv, flat, com, np.zeros(cells.shape[:-1] + (N_MOMENT,)),
                    [g for g in groups if g[1]])
 
     def stage(self) -> None:
         """Restage moments and centres of mass from the level (once per
         solve, after the upward pass)."""
-        lv, order = self.lv, self.order
-        pack_moments(lv.m[order], lv.M2[order],
-                     self.V.reshape(-1, N_MOMENT))
-        self.com.reshape(3, -1)[...] = lv.com.T[:, order]
+        lv = self.lv
+        self.V.reshape(-1, N_MOMENT)[self.flat] = pack_moments(
+            lv.m, lv.M2, np.empty((lv.n, N_MOMENT)))
+        self.com.reshape(3, -1)[:, self.flat] = lv.com.T
 
 
 @dataclass
@@ -439,7 +390,7 @@ class _M2LSweep:
 
     @property
     def rows(self) -> int:
-        return self.dense.lv.n
+        return self.dense.V.size // N_MOMENT
 
     def compute(self, outs) -> None:
         d = self.dense
@@ -450,10 +401,57 @@ class _M2LSweep:
                      d.V.reshape(-1, N_MOMENT), outs[0])
 
     def accumulate(self, outs) -> None:
-        lv, order, part = self.dense.lv, self.dense.order, outs[0]
-        lv.phi[order] += part[:, 0]
-        lv.acc[order] += part[:, 1:4]
-        lv.hess.reshape(-1, 9)[order] += part[:, _HESS_OF]
+        lv, part = self.dense.lv, np.take(outs[0], self.dense.flat, axis=0)
+        lv.phi += part[:, 0]
+        lv.acc += part[:, 1:4]
+        lv.hess.reshape(-1, 9)[...] += part[:, _HESS_OF]
+
+
+def _spec_problem(lvl, width, coords: np.ndarray, leaf: np.ndarray,
+                  prev: FmmLevel | None) -> str | None:
+    """What is wrong with one :meth:`FmmSolver.from_levels` spec that
+    follows level ``prev``, or ``None``."""
+    if prev is not None and lvl != prev.level + 1:
+        return "is not one below the level before it"
+    if not (np.isfinite(width) and width > 0):
+        return "needs a finite positive width"
+    if prev is not None and not np.isclose(width, 0.5 * prev.width,
+                                           rtol=1e-12, atol=0):
+        return "is not half as wide as its parent"
+    if coords.dtype.kind not in "iu" or coords.shape[1:] != (3,) \
+            or not len(coords):
+        return "needs non-empty (n, 3) integer coordinates"
+    if (coords < 0).any():
+        return "has negative coordinates"
+    if leaf.dtype != bool or leaf.shape != (len(coords),):
+        return f"needs a ({len(coords)},) bool leaf mask"
+    return None
+
+
+def _boundary(lv: FmmLevel, child: FmmLevel) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+    """The coarse-fine boundary of ``lv``: ``(leaf slots, child slots)``,
+    every leaf against the children (on ``child``, the next level) of the
+    refined cells near it.  Raises ``ValueError`` if one of those children
+    is refined itself: the tree is then not 2:1 balanced where the
+    boundary batch needs it."""
+    a, b = [], []
+    for w in p2p_stencil():
+        slots, found = lv.find(lv.coords + w)
+        sel = found & lv.leaf & ~lv.leaf[slots]
+        a.append(np.flatnonzero(sel))
+        b.append(slots[sel])
+    a, b = np.concatenate(a), np.concatenate(b)
+    # children are Morton-contiguous, so parent_slot is sorted
+    first = np.searchsorted(child.parent_slot, b)
+    count = np.searchsorted(child.parent_slot, b, side="right") - first
+    take = np.arange(8) < count[:, None]
+    kids = (first[:, None] + np.arange(8))[take]
+    if not child.leaf[kids].all():
+        raise ValueError(
+            f"level {child.level} refines cells near leaves of level "
+            f"{lv.level}: the tree is not 2:1 balanced")
+    return np.repeat(a, count), kids
 
 
 class FmmSolver:
@@ -479,12 +477,17 @@ class FmmSolver:
                 slots = np.nonzero(lv.leaf)[0]
                 lv.com[slots] = lv.centers()[slots]
                 self._leaf_slots[lv.level] = slots
+        # the coarse-fine boundary of every level with leaf and refined
+        # cells: geometry only, checked here so a tree the boundary batch
+        # cannot serve fails at construction
+        self._boundary = {li: _boundary(lv, levels[li + 1])
+                          for li, lv in enumerate(levels)
+                          if lv.leaf.any() and not lv.leaf.all()}
         # the interaction plan depends only on geometry: built on the
         # first solve and walked by every one (a mesh re-solves gravity
         # every hydro stage on a fixed grid) — see _build_plan
         self._plan: list | None = None
-        self._dense: list[_DenseLeaf] = []
-        self._dense_m2l: list[_DenseM2L] = []
+        self._staged: list[_DenseLeaf | _DenseM2L] = []
         # per-entry output pool, keyed by (kind, chunk slot): _run_plan
         # fully accumulates each dispatched chunk before issuing the
         # next, so slot j's buffers are free again by the time the next
@@ -533,12 +536,28 @@ class FmmSolver:
     @classmethod
     def from_levels(cls, specs: list[tuple[int, float, np.ndarray, np.ndarray]]
                     ) -> "FmmSolver":
-        """Adaptive solver from (level, width, coords, leaf_mask) specs."""
-        levels = []
+        """Adaptive solver from (level, width, coords, leaf_mask) specs,
+        coarsest first.
+
+        Checked here, each failure a ``ValueError`` naming the level:
+        levels are consecutive, each of finite positive width and half
+        as wide as its parent; ``coords`` is a non-empty ``(n, 3)``
+        integer array of non-negative cells, ``leaf_mask`` an ``(n,)``
+        bool array; every cell has a parent, every leaf no children and
+        every refined cell some; and the tree is 2:1 balanced wherever a
+        leaf meets a refined cell (see :func:`_boundary`).
+        """
+        levels: list[FmmLevel] = []
         for lvl, width, coords, leaf in specs:
+            coords, leaf = np.asarray(coords), np.asarray(leaf)
+            problem = _spec_problem(lvl, width, coords, leaf,
+                                    levels[-1] if levels else None)
+            if problem:
+                raise ValueError(f"level {lvl} {problem}")
             order = np.argsort(morton_key(coords), kind="stable")
-            levels.append(FmmLevel(level=lvl, width=width,
-                                   coords=coords[order], leaf=leaf[order]))
+            levels.append(FmmLevel(level=lvl, width=float(width),
+                                   coords=coords[order].astype(np.int64),
+                                   leaf=leaf[order]))
         return cls(levels)
 
     def _link_parents(self) -> None:
@@ -550,6 +569,16 @@ class FmmSolver:
                 raise ValueError(
                     f"level {lvl} has cells without a parent at {lvl - 1}")
             child.parent_slot = slots
+        for lvl, lv in enumerate(self.levels):
+            kids = np.zeros(lv.n, dtype=np.int64)
+            if lvl + 1 < len(self.levels):
+                kids = np.bincount(self.levels[lvl + 1].parent_slot,
+                                   minlength=lv.n)
+            if kids[lv.leaf].any():
+                raise ValueError(f"level {lvl} has leaf cells with children")
+            if not kids[~lv.leaf].all():
+                raise ValueError(
+                    f"level {lvl} has refined cells without children")
 
     # -- state input -------------------------------------------------------------
 
@@ -638,8 +667,8 @@ class FmmSolver:
 
     def _compute_entry(self, i: int, slot: int):
         """Pure compute half of plan entry ``i`` (engine task): its
-        kernel batch — a tiled pair list, a group of shifted-slice
-        matmuls, a group of dense M2L tiles — written into outputs from
+        kernel batch — a group of shifted-slice matmuls, a group of dense
+        M2L tiles, the tiled boundary batch — written into outputs from
         the slot-indexed pool (see :meth:`_pool_out`).  No accumulation
         happens here, so entries are safe to compute concurrently and in
         any order.
@@ -680,7 +709,7 @@ class FmmSolver:
         host.  Accumulation runs here, in plan order, so the result is
         byte-identical however the entries were placed or aggregated.
         """
-        for staged in self._dense + self._dense_m2l:
+        for staged in self._staged:
             staged.stage()
         plan = self._plan
         if engine is None:
@@ -719,171 +748,27 @@ class FmmSolver:
 
     def _build_plan(self) -> None:
         """Record every same-level and near-field interaction, geometry
-        only, as entries with one shape (see "plan entries" above).  The
-        form of step 2 on a level follows from the level's own shape: a
-        dense leaf level is :class:`_LeafSweep` groups, a level without
-        leaf cells :class:`_M2LSweep` groups (it has no near field of its
-        own: interior x interior near pairs are their children's), and
-        anything else records :class:`_PairList` batches."""
-        self._plan, self._dense, self._dense_m2l = [], [], []
-        mixed: list[tuple[int, np.ndarray, int, np.ndarray]] = []
-        root_offsets = lex_positive(root_stencil())
-        offsets_p, par_ok = _parity_offset_table()
+        only, as entries with one shape (see "plan entries" above), level
+        by level: the leaf sweep's :class:`_LeafSweep` groups if the level
+        has leaf cells, the dense M2L's :class:`_M2LSweep` groups if it
+        has refined cells (refined x refined near pairs are their
+        children's), and the coarse-fine :class:`_PairList` if it has
+        both."""
+        self._plan, self._staged = [], []
         for li, lv in enumerate(self.levels):
-            leaf = _DenseLeaf.of(lv, li == 0)
-            if leaf is not None:
-                self._dense.append(leaf)
+            if lv.leaf.any():
+                leaf = _DenseLeaf.of(lv, li == 0)
+                self._staged.append(leaf)
                 self._plan += [_LeafSweep(leaf, sweeps, pairs)
                                for sweeps, pairs in leaf.groups]
-                continue
-            m2l = _DenseM2L.of(lv, li == 0)
-            if m2l is not None:
-                self._dense_m2l.append(m2l)
+            if not lv.leaf.all():
+                m2l = _DenseM2L.of(lv, li == 0)
+                self._staged.append(m2l)
                 self._plan += [_M2LSweep(m2l, tiles, pairs, self._ws)
                                for tiles, pairs in m2l.groups]
-                continue
-            par_code = ((lv.coords[:, 0] & 1) << 2) \
-                | ((lv.coords[:, 1] & 1) << 1) | (lv.coords[:, 2] & 1)
-            if li == 0:
-                self._m2l_offsets(lv, root_offsets, par_code, None)
-            else:
-                self._m2l_offsets(lv, offsets_p, par_code, par_ok)
-            self._near_field(lv, mixed)
-        self._mixed_descent(mixed)
-
-    #: pair-batch flush threshold (keeps kernel temporaries ~100 MB)
-    _CHUNK = 250_000
-
-    def _m2l_offsets(self, lv: FmmLevel, offsets: np.ndarray,
-                     par_code: np.ndarray,
-                     par_ok: np.ndarray | None) -> None:
-        buf_a: list[np.ndarray] = []
-        buf_b: list[np.ndarray] = []
-        buffered = 0
-        for wi, w in enumerate(offsets):
-            nb = lv.coords + w
-            slots, found = lv.find(nb)
-            sel = found
-            if par_ok is not None:
-                sel = sel & par_ok[wi][par_code]
-            if not sel.any():
-                continue
-            buf_a.append(np.nonzero(sel)[0])
-            buf_b.append(slots[sel])
-            buffered += len(buf_a[-1])
-            if buffered >= self._CHUNK:
-                self._record_m2l(lv, np.concatenate(buf_a), lv,
-                                 np.concatenate(buf_b))
-                buf_a, buf_b, buffered = [], [], 0
-        if buffered:
-            self._record_m2l(lv, np.concatenate(buf_a), lv,
-                             np.concatenate(buf_b))
-
-    def _record_m2l(self, la: FmmLevel, a: np.ndarray,
-                    lb: FmmLevel, b: np.ndarray) -> None:
-        # leaf-leaf pairs carry no quadrupoles (M2 = 0) and need no
-        # Hessian (no children to shift to): route them through the cheap
-        # monopole kernel — the paper's 12-flop vs 455-flop split
-        both_leaf = la.leaf[a] & lb.leaf[b]
-        if both_leaf.any():
-            self._record("p2p", la, a[both_leaf], lb, b[both_leaf])
-            a, b = a[~both_leaf], b[~both_leaf]
-        if len(a):
-            self._record("m2l", la, a, lb, b)
-
-    def _record(self, kind: str, la: FmmLevel, a: np.ndarray,
-                lb: FmmLevel, b: np.ndarray) -> None:
-        """Append one validated pair-list entry to the plan.
-
-        The separation guard is hoisted out of the kernels: distinct
-        cells always have distinct geometric centres (and the COMs the
-        kernels divide by lie strictly inside their cells), so a zero
-        geometric separation means the pair lists are broken — e.g. a
-        cell paired with itself.  Checking once per recorded batch
-        replaces a per-call ``r2 == 0`` scan on every solve.
-        """
-        cA = (la.coords[a] + 0.5) * la.width
-        cB = (lb.coords[b] + 0.5) * lb.width
-        d = cA - cB
-        if np.any(np.einsum("ni,ni->n", d, d) == 0.0):
-            raise ValueError("coincident cells in interaction kernel")
-        self._plan.append(_PairList(kind, la, a, lb, b))
-
-    def _near_field(self, lv: FmmLevel, mixed: list) -> None:
-        buf_a: list[np.ndarray] = []
-        buf_b: list[np.ndarray] = []
-        for w in lex_positive(p2p_stencil()):
-            nb = lv.coords + w
-            slots, found = lv.find(nb)
-            if not found.any():
-                continue
-            a = np.nonzero(found)[0]
-            b = slots[found]
-            a_leaf = lv.leaf[a]
-            b_leaf = lv.leaf[b]
-            both_leaf = a_leaf & b_leaf
-            if both_leaf.any():
-                buf_a.append(a[both_leaf])
-                buf_b.append(b[both_leaf])
-            # leaf x interior: descend on the interior side
-            am = a_leaf & ~b_leaf
-            if am.any():
-                mixed.append((lv.level, a[am], lv.level, b[am]))
-            bm = ~a_leaf & b_leaf
-            if bm.any():
-                mixed.append((lv.level, b[bm], lv.level, a[bm]))
-            # interior x interior: children handle it (parity partition)
-        if buf_a:
-            self._record("p2p", lv, np.concatenate(buf_a), lv,
-                         np.concatenate(buf_b))
-
-    def _mixed_descent(self, queue: list) -> None:
-        """AMR-boundary near-field: leaf cell vs refined cell.
-
-        The refined side splits until the pair is well separated at the
-        child scale (mixed M2L) or hits a leaf (P2P) — the paper's
-        monopole-multipole / multipole-monopole kernel cases.
-        """
-        level_by_id = {lv.level: lv for lv in self.levels}
-        while queue:
-            leaf_lvl, leaf_idx, int_lvl, int_idx = queue.pop()
-            lleaf = level_by_id[leaf_lvl]
-            lint = level_by_id[int_lvl]
-            lchild = level_by_id.get(int_lvl + 1)
-            if lchild is None:
-                # unbalanced input tree: treat as direct interaction
-                self._record("p2p", lleaf, leaf_idx, lint, int_idx)
-                continue
-            # children of the interior cells (Morton-contiguous)
-            child_parent = lchild.parent_slot
-            order = np.argsort(child_parent, kind="stable")
-            sorted_parents = child_parent[order]
-            starts = np.searchsorted(sorted_parents, int_idx, side="left")
-            ends = np.searchsorted(sorted_parents, int_idx, side="right")
-            reps = ends - starts
-            if (reps == 0).any():
-                raise RuntimeError("interior cell without children")
-            child_slots = np.concatenate([
-                order[s:e] for s, e in zip(starts, ends)])
-            leaf_rep = np.repeat(leaf_idx, reps)
-            # separation test at the child scale, on geometric centres
-            ctr_leaf = (lleaf.coords[leaf_rep] + 0.5) * lleaf.width
-            ctr_child = (lchild.coords[child_slots] + 0.5) * lchild.width
-            d2 = ((ctr_leaf - ctr_child) ** 2).sum(axis=1)
-            far = d2 > OPENING_R2 * lchild.width ** 2
-            if far.any():
-                self._record_m2l(lleaf, leaf_rep[far], lchild,
-                                 child_slots[far])
-            near = ~far
-            if near.any():
-                c_leaf = lchild.leaf[child_slots[near]]
-                if c_leaf.any():
-                    self._record("p2p", lleaf, leaf_rep[near][c_leaf],
-                                 lchild, child_slots[near][c_leaf])
-                deeper = ~c_leaf
-                if deeper.any():
-                    queue.append((leaf_lvl, leaf_rep[near][deeper],
-                                  int_lvl + 1, child_slots[near][deeper]))
+            if li in self._boundary:
+                a, b = self._boundary[li]
+                self._plan.append(_PairList(lv, a, self.levels[li + 1], b))
 
     def _downward(self) -> None:
         """Step 3: L2L Taylor shifts, coarsest to finest."""

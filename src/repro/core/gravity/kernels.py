@@ -35,13 +35,14 @@ results straight into preallocated batch outputs.
 :func:`m2l_pair_reference` keeps the tensor formulation as the
 property-test oracle and microbenchmark baseline.
 
-On a fully populated leaf level the pair lists themselves go away:
+On the leaf cells of a level the pair lists themselves go away:
 :func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
 child separations of every near parent offset once, and
 :func:`p2p_pair_staged` is the whole leaf-level near field as one
-shifted-slice matmul per offset.
+shifted-slice matmul per offset.  :func:`p2p_pair` is left with the
+coarse-fine boundary, a leaf against a refined neighbour's children.
 
-On a level without leaf cells the same happens to M2L, except that its
+On a level with refined cells the same happens to M2L, except that its
 separations join centres of mass and so cannot be tabulated:
 :func:`m2l_dense` makes the independent Green components of a whole
 block of separations one plane at a time (:func:`green_block`: broadcast
@@ -53,18 +54,20 @@ made, and :func:`m2l_assemble` turns the contracted components into
 :func:`m2l_pair` becomes BLAS plus ~50 array passes.  The tilings
 (which cells, which mask) are :mod:`.stencil`'s.
 
-Hot-path kernels do **not** guard against coincident points: the solver
-validates separations geometrically once, when its plan is built
-(:meth:`repro.core.gravity.fmm.FmmSolver` — distinct cells always have
-distinct geometric centres; :func:`green_table` for the dense tables;
-the dense M2L masks out everything that is not a well-separated pair of
-distinct cells), instead of scanning ``r2 == 0`` on every call.  The test-facing
-:func:`greens` keeps its guard.
+Hot-path kernels do **not** guard against coincident points: the
+solver's geometry rules them out once, when its plan is built
+(:func:`green_table` checks the dense tables, the dense M2L masks out
+everything that is not a well-separated pair of distinct cells, and a
+boundary pair joins a leaf with another cell's child, whose centre lies
+inside that cell), instead of scanning ``r2 == 0`` on every call.  The
+test-facing :func:`greens` keeps its guard.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .stencil import well_separated
 
 __all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
            "p2p_pair_staged",
@@ -194,27 +197,31 @@ def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
     return phiA, phiB, accA, accB
 
 
-def green_table(w, child: np.ndarray, width: float) -> np.ndarray:
+def green_table(w, child: np.ndarray, width: float,
+                near_only: bool = False) -> np.ndarray:
     """The (8, 32) monopole Green table of one parent offset ``w``.
 
-    On a fully populated leaf level the eight children of the parent at
-    ``I + w`` (sources, row ``j``) sit at fixed separations from the
-    eight children of the parent at ``I`` (targets, column block ``i``):
-    ``dR = (child[i] - 2 w - child[j]) * width``, whatever ``I`` is.
-    Column ``4 i`` holds ``-1/r`` and columns ``4 i + 1 .. 4 i + 3`` hold
-    ``-dR/r^3``, so ``m8 @ table`` is the potential and acceleration the
-    source parent's masses ``m8`` exert on every target child.
+    On a parent grid the eight children of the parent at ``I + w``
+    (sources, row ``j``) sit at fixed separations from the eight children
+    of the parent at ``I`` (targets, column block ``i``): ``dR = (child[i]
+    - 2 w - child[j]) * width``, whatever ``I`` is.  Column ``4 i`` holds
+    ``-1/r`` and columns ``4 i + 1 .. 4 i + 3`` hold ``-dR/r^3``, so ``m8
+    @ table`` is the potential and acceleration the source parent's
+    masses ``m8`` exert on every target child.
 
     ``w == 0`` pairs a parent with itself: the diagonal (a cell and
-    itself) is zeroed.  Any other zero separation means broken geometry
-    and is rejected here, once, the way the pair lists are validated when
-    they are recorded.
+    itself) is zeroed, and with ``near_only`` so is every well-separated
+    child pair (a level's M2L takes those).  Any other zero separation
+    means broken geometry and is rejected here, once.
     """
     w = np.asarray(w, dtype=np.int64)
-    dR = (child[None, :, :] - 2 * w - child[:, None, :]) * float(width)
+    sep = child[None, :, :] - 2 * w - child[:, None, :]
+    dR = sep * float(width)
     r2 = np.einsum("jic,jic->ji", dR, dR)
     if not w.any():
         r2[np.diag_indices(8)] = np.inf
+    if near_only:
+        r2[well_separated(sep)] = np.inf
     if np.any(r2 == 0.0):
         raise ValueError("coincident cells in interaction kernel")
     inv = 1.0 / np.sqrt(r2)
@@ -226,27 +233,32 @@ def green_table(w, child: np.ndarray, width: float) -> np.ndarray:
 
 
 def green_sweeps(edge: int, offsets: np.ndarray, child: np.ndarray,
-                 width: float) -> tuple[list[tuple], int]:
+                 width: float, leaf: np.ndarray, near_only: bool = False
+                 ) -> tuple[list[tuple], int]:
     """Stage parent ``offsets`` for :func:`p2p_pair_staged` on an
     ``edge``^3 parent grid: ``(sweeps, pairs)``.
 
     ``sweeps`` holds one ``(target slices, source slices, table)`` per
-    offset — the parents ``I`` with ``I + w`` inside the grid, the same
-    block shifted by ``w``, and the offset's :func:`green_table`.
-    ``pairs`` is the number of leaf pairs the offsets cover, each counted
-    once: ``w`` and ``-w`` visit every pair once per direction, so an
-    offset contributes half of what it sweeps.
+    offset whose :func:`green_table` is not all zero — the parents ``I``
+    with ``I + w`` inside the grid, the same block shifted by ``w``, and
+    the table.  ``pairs`` is the number of pairs of leaves (``leaf``, the
+    ``(edge, edge, edge, 8)`` bool grid of them) the offsets cover, each
+    counted once: ``w`` and ``-w`` visit every pair once per direction,
+    so it is credited to the lex-positive one (half of ``w = 0``'s).
     """
     sweeps, swept = [], 0
     for w in np.asarray(offsets).tolist():
+        table = green_table(w, child, width, near_only)
+        hit = table.reshape(8, 8, 4)[..., 0] != 0.0
+        if not hit.any():
+            continue
         target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
         source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
-        sweeps.append((target, source, green_table(w, child, width)))
-        blocks = 1
-        for x in w:
-            blocks *= edge - abs(x)
-        # siblings pair 8 * 7 ways, two distinct parents 8 * 8
-        swept += (64 if any(w) else 56) * blocks
+        sweeps.append((target, source, table))
+        credit = 2 if w > [0, 0, 0] else 1 if w == [0, 0, 0] else 0
+        if credit:
+            swept += credit * int(((leaf[source] @ hit.astype(np.int64))
+                                   * leaf[target]).sum())
     return sweeps, swept // 2
 
 

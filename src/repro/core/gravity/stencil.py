@@ -6,19 +6,21 @@ The paper counts flops with a fixed 1074-element same-level stencil,
 What lives here is the **exact partition** our solver uses instead: with
 the opening criterion ``well_separated(w) <=> ||w||_2^2 > OPENING_R2``, a
 cell pair is handled by the multipole (M2L) pass at the *coarsest* level
-at which it is well separated, and by direct summation (P2P) at leaf
-level otherwise.  The resulting same-level list depends on the cell's
-parity within its parent (:func:`parity_stencils`); the union over
-parities is close to, but not identical to, the canonical stencil — the
-canonical one is what the GPU kernels iterate, the parity lists are what
-makes the mathematical partition exact (every pair handled exactly once,
-the property the FMM-vs-direct tests rely on).
+at which it is well separated — the level where the cells are well
+separated and their parents are not, or the root — and by direct
+summation (P2P) at leaf level otherwise.  Seen from the parents, the
+same-level list depends on the cell's parity within its parent; the
+union over parities is close to, but not identical to, the canonical
+stencil — the canonical one is what the GPU kernels iterate, the parity
+partition is what makes the mathematical partition exact (every pair
+handled exactly once, the property the FMM-vs-direct tests rely on).
 
-The dense step-2 forms of :mod:`.fmm` take their geometry from here too:
-:func:`leaf_sweep_offsets` (parent offsets of the leaf-level near field)
-and, for the dense M2L, :func:`m2l_sweep_tiles` / :func:`m2l_root_tiles`
-— the same partition restated as shifted slices (and, inside the root's
-Morton cubes, face index arrays) plus static masks.
+Every step-2 form of :mod:`.fmm` takes its geometry from here, the
+partition restated as shifted slices of a parent grid plus static masks:
+:func:`leaf_sweep_offsets` (parent offsets of the leaf-level near field),
+:func:`m2l_sweep_tiles` / :func:`m2l_root_tiles` (the dense M2L, inside
+the root's Morton cubes with face index arrays) and :func:`p2p_stencil`
+(the near cells a leaf meets refined neighbours at).
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["OPENING_R2", "well_separated", "parity_stencils", "root_stencil",
-           "p2p_stencil", "leaf_sweep_offsets", "m2l_sweep_offsets",
-           "m2l_sweep_tiles", "m2l_root_tiles", "ROOT_CUBE",
-           "lex_positive"]
+__all__ = ["OPENING_R2", "well_separated", "p2p_stencil",
+           "leaf_sweep_offsets", "m2l_sweep_offsets", "m2l_sweep_tiles",
+           "m2l_root_tiles", "ROOT_CUBE", "lex_positive"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
@@ -42,46 +43,6 @@ def well_separated(w: np.ndarray) -> np.ndarray:
     """Vectorized opening criterion on integer offset rows (n, 3)."""
     w = np.asarray(w)
     return (w * w).sum(axis=-1) > OPENING_R2
-
-
-def _floor_div2(w: np.ndarray) -> np.ndarray:
-    """Floor division by 2 (matches parent-coordinate arithmetic)."""
-    return np.floor_divide(w, 2)
-
-
-@lru_cache(maxsize=8)
-def parity_stencils(max_w: int = 9) -> dict[tuple[int, int, int], np.ndarray]:
-    """Same-level M2L offset lists keyed by the cell's parity in its parent.
-
-    For a cell ``a`` with parity ``p = a & 1``, the list contains offsets
-    ``w`` such that ``a`` and ``a + w`` are well separated at this level
-    while their parents were *not* well separated — i.e. the pair is
-    handled here and nowhere else.
-    """
-    rng = range(-max_w, max_w + 1)
-    pts = np.array(list(itertools.product(rng, repeat=3)), dtype=np.int64)
-    pts = pts[(pts != 0).any(axis=1)]
-    far = well_separated(pts)
-    out: dict[tuple[int, int, int], np.ndarray] = {}
-    for p in itertools.product((0, 1), repeat=3):
-        parent_off = _floor_div2(pts + np.asarray(p))
-        parent_near = ~well_separated(parent_off)
-        sel = pts[far & parent_near]
-        out[p] = sel
-    return out
-
-
-@lru_cache(maxsize=1)
-def root_stencil(n: int = 8) -> np.ndarray:
-    """Coarsest-level M2L offsets: every well-separated pair in an n^3 box.
-
-    The root sub-grid's cells have no parent pass, so all well-separated
-    pairs are handled here (near pairs descend / go to P2P).
-    """
-    rng = range(-(n - 1), n)
-    pts = np.array(list(itertools.product(rng, repeat=3)), dtype=np.int64)
-    pts = pts[(pts != 0).any(axis=1)]
-    return pts[well_separated(pts)]
 
 
 @lru_cache(maxsize=1)
@@ -99,8 +60,8 @@ def leaf_sweep_offsets(edge: int, root: bool = False) -> np.ndarray:
     parent grid, in lexicographic order (``W = 0`` included: siblings).
 
     Two leaf cells interact at leaf level exactly when their parents are
-    *not* well separated (:func:`parity_stencils` plus
-    :func:`p2p_stencil`, seen from the parents): ``||W||^2 <=
+    *not* well separated (the parity partition plus :func:`p2p_stencil`,
+    seen from the parents): ``||W||^2 <=
     OPENING_R2``, 257 offsets.  On the ``root`` level nothing coarser
     exists, so every pair is handled here and every offset that fits the
     grid is swept.
@@ -127,7 +88,7 @@ def m2l_sweep_offsets(edge: int) -> np.ndarray:
     wide enough).
 
     Two cells meet in the same-level M2L pass exactly when they are well
-    separated and their parents are not (:func:`parity_stencils`, seen
+    separated and their parents are not (the parity partition, seen
     from the parents); siblings (``W = 0``) are never well separated,
     and ``W`` / ``-W`` visit the same parent pairs, so one of each is
     swept and both partners are updated from it.
@@ -136,7 +97,8 @@ def m2l_sweep_offsets(edge: int) -> np.ndarray:
 
 
 def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
-                    blocks: int) -> tuple[list[tuple], int]:
+                    blocks: int, present: np.ndarray
+                    ) -> tuple[list[tuple], int]:
     """Stage parent ``offsets`` of the interior-level M2L sweep on an
     ``edge``^3 parent grid: ``(tiles, pairs)``.
 
@@ -147,7 +109,8 @@ def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
     separation ``child[i] - 2 W - child[j]``) are well separated, i.e.
     the pair belongs to this level, ``+inf`` where it descends.  The
     mask is *added to r^2*, which zeroes every Green component of a
-    masked entry exactly.  ``pairs`` counts the unmasked cell pairs, each
+    masked entry exactly.  ``pairs`` counts the unmasked pairs of cells
+    that are ``present`` (an ``(edge, edge, edge, 8)`` bool grid), each
     once.  Offsets none of whose child pairs are far are dropped.
     """
     tiles, pairs = [], 0
@@ -166,7 +129,8 @@ def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
             hi = min(lo + step, ext[0])
             tiles.append(((slice(t0 + lo, t0 + hi),) + rest_t,
                           (slice(s0 + lo, s0 + hi),) + rest_s, mask))
-        pairs += int(far.sum()) * ext[0] * ext[1] * ext[2]
+            pairs += int(((present[tiles[-1][0]] @ far.astype(np.int64))
+                          * present[tiles[-1][1]]).sum())
     return tiles, pairs
 
 
@@ -182,7 +146,7 @@ def m2l_root_tiles(coords: np.ndarray) -> tuple[list[tuple], int]:
     :func:`m2l_sweep_tiles` returns them, for Morton-sorted ``coords``.
 
     Nothing coarser exists on the root level, so every well-separated
-    pair is handled there (:func:`root_stencil`).  The cells of one
+    pair is handled there.  The cells of one
     aligned :data:`ROOT_CUBE`^3 cube are contiguous in Morton order, and
     the level is cut along those cubes, each pair landing in one tile:
 

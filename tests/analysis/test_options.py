@@ -41,8 +41,8 @@ ALLOWED = {
         "False is the ablation reference for the Despres-Labourasse claim",
     ("HydroOptions", "cfl"):
         "validated boundary input; its range tests need both ends",
-    ("Octree", "origin"): "ROADMAP item 3 (AMR gravity) places trees off-origin",
-    ("Octree", "subgrid_n"): "ROADMAP item 3; the FMM depth follows it",
+    ("Octree", "origin"): "ROADMAP item 5 (AMR gravity) places trees off-origin",
+    ("Octree", "subgrid_n"): "ROADMAP item 5; the FMM depth follows it",
     ("AgasRuntime", "executor"):
         "HPX semantic model (actions run as scheduler tasks); one test "
         "drives it",
@@ -67,11 +67,11 @@ CALLERS_ALLOWED = {
     "acquired_before_edges": "sanitizer self-test oracle: the lockdep tests "
                              "read the recorded order graph",
     "held_classes": "sanitizer self-test oracle: the locks this thread holds",
-    # ROADMAP item 3: self-gravity on the AMR tree and regridding
-    "from_levels": "ROADMAP item 3 solves gravity on the AMR tree through it",
-    "fmm_levels": "ROADMAP item 3: feeds FmmSolver.from_levels from an Octree",
-    "coarsen": "ROADMAP item 3(b): regridding derefines with it",
-    "refine_by": "ROADMAP item 3(b): density-threshold regridding",
+    # ROADMAP item 5: self-gravity on the AMR tree and regridding
+    "from_levels": "ROADMAP item 5 solves gravity on the AMR tree through it",
+    "fmm_levels": "ROADMAP item 5: feeds FmmSolver.from_levels from an Octree",
+    "coarsen": "ROADMAP item 5(b): regridding derefines with it",
+    "refine_by": "ROADMAP item 5(b): density-threshold regridding",
     # the sanitizer harness that tests/conftest.py and the CI jobs drive
     "scope": "sanitizer harness: conftest's finding guard captures with it",
     "configure": "sanitizer harness: tests shrink the stall timeout with it",

@@ -206,3 +206,71 @@ class TestAdaptiveSolver:
             FmmSolver.from_levels([
                 (0, 1.0, coords0, np.array([False])),
                 (1, 0.5, coords2, np.array([True]))])
+
+
+def _small_tree_specs():
+    """A valid 3-level tree of 4^3 sub-grids: a refined root, one of its
+    children refined, so level 1 holds leaves and refined cells."""
+    tree = Octree(subgrid_n=4)
+    tree.refine(0, (0, 0, 0))
+    tree.refine(1, (0, 0, 0))
+    return tree.fmm_levels()[0]
+
+
+def _respec(level, **change):
+    """Mutator of one spec field (``width``, ``coords`` or ``leaf``, each
+    a function of the old value) of ``level``."""
+    def mutate(specs):
+        lvl, width, coords, leaf = specs[level]
+        new = {"width": width, "coords": coords, "leaf": leaf}
+        new.update({k: fn(new[k]) for k, fn in change.items()})
+        specs[level] = (lvl, new["width"], new["coords"], new["leaf"])
+        return specs
+    return mutate
+
+
+def _unbalanced(_specs):
+    """A leaf of level 1 four cells from a refined cell whose children
+    are refined: balanced node by node (Octree's rule), but its boundary
+    batch would meet a refined child."""
+    tree = Octree(subgrid_n=4)
+    tree.refine(0, (0, 0, 0))
+    tree.refine(1, (1, 0, 0))
+    tree.refine(2, (3, 0, 0))
+    return tree.fmm_levels()[0]
+
+
+def _renumbered(specs):
+    lvl, width, coords, leaf = specs[2]
+    return specs[:2] + [(lvl + 1, width, coords, leaf)]
+
+
+def _childless(specs):
+    lvl, width, coords, leaf = specs[2]
+    return specs[:2] + [(lvl, width, coords, np.zeros_like(leaf))]
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_respec(1, width=lambda w: 0.6 * w), "level 1 is not half as wide"),
+    (_respec(0, width=lambda w: np.nan), "level 0 needs a finite positive"),
+    (_renumbered, "level 3 is not one below"),
+    (_respec(0, coords=lambda c: c - 4), "level 0 has negative coord"),
+    (_respec(1, leaf=lambda m: m[:-1]), r"level 1 needs a \(512,\) bool"),
+    (_respec(1, coords=lambda c: c.astype(float)),
+     r"level 1 needs non-empty \(n, 3\) integer"),
+    (_respec(1, coords=lambda c: c[:, :2]),
+     r"level 1 needs non-empty \(n, 3\) integer"),
+    (_respec(1, leaf=lambda m: np.ones_like(m)),
+     "level 1 has leaf cells with children"),
+    (_childless, "level 2 has refined cells without children"),
+    (_unbalanced, "level 2 refines cells near leaves of level 1: the tree "
+                  "is not 2:1 balanced"),
+], ids=["width", "nan-width", "level-gap", "negative", "short-mask",
+        "float-coords", "2d-coords", "leaf-with-children", "childless",
+        "unbalanced"])
+def test_from_levels_rejects_bad_specs(mutate, match):
+    """Bad adaptive specs fail at the boundary with a ``ValueError``
+    naming the level, never deep in the solver or silently."""
+    FmmSolver.from_levels(_small_tree_specs())
+    with pytest.raises(ValueError, match=match):
+        FmmSolver.from_levels(mutate(_small_tree_specs()))

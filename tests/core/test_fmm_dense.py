@@ -1,66 +1,62 @@
-"""Dense step-2 forms against the retained pair-list path.
+"""Every FMM level of every tree on the dense sweeps, against an oracle
+of the partition.
 
-A fully populated all-leaf level runs its whole leaf-level near field as
-shifted-slice matmuls over constant Green tables, and a level without
-leaf cells runs its same-level M2L as masked Green-block contractions
-(row tiles of the whole-level matrix on the root, parent-offset sweeps
-below it); everything irregular stays on recorded pair lists.  The
-oracle is always the *same* solver with one dense form switched off
-(``_DenseLeaf.of`` / ``_DenseM2L.of`` patched to decline), so both sides
-cover the identical pair set and differ only in arithmetic.
+Step 2 of the solver is one rule on every level: a Green-table leaf
+sweep, a dense M2L and one coarse-fine ``p2p_pair`` batch.  The oracle
+here (:func:`_partition`, :func:`_oracle_solve`) takes the partition
+from its definition instead, level by level: it enumerates integer cell
+offsets, applies ``well_separated`` to the cell offset and to the parent
+offset, and sends every pair the level handles through the pair kernels
+— ``p2p_pair`` when both cells are leaves, ``m2l_pair`` otherwise — and
+every leaf near a refined cell against that cell's children through
+``p2p_pair``.  It runs through the solver's own upward and downward
+passes, so the two differ only in step 2.
 
 The whole module runs under ``np.errstate(all="raise")``: a masked
 ``inf * 0``, a zero-mass division or an overflow in a dense kernel is an
-error here, not a silent NaN.  Only the pair-list oracle relaxes
-``under`` (see below).
+error here, not a silent NaN.  Only the oracle relaxes ``under`` (see
+below).
 
-Tolerance policy: leaf P2P
---------------------------
-The pair kernel forms ``f = -(mA mB / r^3) dR`` and divides by the
-receiving mass; the table holds ``-dR / r^3`` and the matmul multiplies
-by the source mass and sums 8 sources at a time.  Same terms, different
-rounding and summation order: fields agree to a few ULPs of the largest
-value on the level — bounded here at ``1e-13 * max|phi|`` and
-``1e-13 * max|acc|`` (measured: ~1e-15).  Interaction *counts* are exact,
-and a futurized dense solve is byte-identical to the serial one (fixed
-offset groups, partials added in group order).
+Tolerance policy
+----------------
+The pair kernels form ``f = -(mA mB / r^3) dR`` (plus the quadrupole
+terms) per pair, divide by the receiving mass and scatter-add; the leaf
+sweep's table holds ``-dR / r^3`` and multiplies by the source masses 8
+at a time, and the dense M2L contracts each Green component against the
+packed moments of all partners before assembling per cell.  Same terms,
+other rounding and summation order: fields agree to a few ULPs of the
+largest value — bounded here at ``FIELD_BOUND * max|phi|`` and
+``FIELD_BOUND * max|acc|`` (measured: ~1e-15).  On uniform trees the
+interaction counts agree kind by kind; on adaptive ones the solver sends
+far leaf-leaf pairs of a level with refined cells through its M2L (their
+quadrupoles are zero), so only the totals agree.  A futurized solve is
+byte-identical to the serial one (fixed groups, partials added in plan
+order).
 
-The bound holds for cell masses above ~1e-7: the pair path stands in
-``1e-300`` for a zero mass and divides it back out, which for smaller
-partners underflows into denormals and costs *the oracle* bits on
-zero-mass cells (the dense path never forms that product).
-
-Tolerance policy: M2L
----------------------
-``m2l_pair`` assembles ``quad = mA M2B + mB M2A``, the force and both
-accelerations per pair and scatter-adds them; the dense kernel contracts
-each Green component against the packed moments of all partners first
-(one matmul per side) and assembles per cell.  Same terms, other order:
-the bound is again ``1e-13 * max|.|`` on ``phi`` and ``acc`` (measured:
-~1e-15 at depth 1 and 2).  The zero-mass caveat is the same and bites
-earlier, because the multipole force also carries ``mA M2B``: with the
-``1e-300`` stand-in that product is denormal for *any* realistic
-``M2B`` (hence ``under="ignore"`` around the oracle), so the oracle's
-acceleration on an empty cell — and on the leaves that inherit it
-through L2L — loses bits of its quadrupole part (measured 4e-15 of
-``max|acc|`` at the 1e-6 scale, growing as the scale shrinks).  ``acc``
-is therefore compared on cells that carry mass, ``phi`` (which never
-divides by the receiving mass) everywhere, and both everywhere when no
-cell is empty.
+The pair kernels stand in ``1e-300`` for a zero mass and divide it back
+out, which underflows into denormals (hence ``under="ignore"`` around
+the oracle, and around solves with a coarse-fine boundary batch) and
+costs *the oracle* bits on zero-mass cells — and, through
+``mA M2B``, on the quadrupole part of their acceleration and of the
+leaves that inherit it through L2L.  ``acc`` is therefore compared on
+cells that carry mass, ``phi`` (which never divides by the receiving
+mass) everywhere.
 """
 
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import RHO, Octree
 from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
-from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, green_table,
-                                        m2l_dense)
+from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, TINY_MASS,
+                                        green_table, m2l_dense, m2l_pair,
+                                        p2p_pair)
 from repro.core.gravity.stencil import (leaf_sweep_offsets, m2l_root_tiles,
                                         m2l_sweep_offsets, well_separated)
 from repro.core.workspace import Workspace
@@ -79,29 +75,105 @@ def _fp_errors_raise():
         yield
 
 
-def _solvers(depth, _cache={}):
-    """(dense, leaf level on pair lists, M2L on pair lists) solvers of
-    one depth, plans built once."""
+# -- the oracle ---------------------------------------------------------------
+
+def _pairs(lv, root):
+    """Every pair of cells of ``lv`` once: ``(a, b, w)`` with ``b = a +
+    w`` and ``w`` lexicographically positive.  Below the root only the
+    offsets some pair of not-well-separated parents can have."""
+    c = lv.coords
+    r = int((c.max(axis=0) - c.min(axis=0)).max()) if root else 9
+    w = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
+    w = w[(w[:, 0] > 0) | ((w[:, 0] == 0) & (w[:, 1] > 0))
+          | ((w[:, 0] == 0) & (w[:, 1] == 0) & (w[:, 2] > 0))]
+    if not root:
+        w = w[~well_separated(np.abs(w) // 2)]
+    lo = c.min(axis=0) - r
+    slot = np.full(c.max(axis=0) + r + 1 - lo, -1)
+    slot[tuple((c - lo).T)] = np.arange(lv.n)
+    b = slot[tuple(np.moveaxis(c[None] + w[:, None] - lo, -1, 0))]
+    wi, a = np.nonzero(b >= 0)
+    return a, b[wi, a], w[wi]
+
+
+def _partition(solver):
+    """Step 2 by definition: ``[(kind, la, a, lb, b)]`` batches.
+
+    A pair of one level is handled there when it is well separated and
+    its parents are not (on the root: when it is well separated) — by
+    ``p2p`` if both cells are leaves, else ``m2l`` —, and a near pair of
+    two leaves is a ``p2p`` pair.  A leaf near a refined cell meets that
+    cell's children by ``p2p`` (the coarse-fine boundary)."""
+    batches = []
+    levels = solver.levels
+    for li, lv in enumerate(levels):
+        a, b, w = _pairs(lv, li == 0)
+        far = well_separated(w)
+        if li:
+            far &= ~well_separated((lv.coords[b] >> 1) - (lv.coords[a] >> 1))
+            near = ~well_separated(w)
+        else:
+            near = ~far
+        leaf_a, leaf_b = lv.leaf[a], lv.leaf[b]
+        both = leaf_a & leaf_b
+        batches.append(("p2p", lv, a[(far | near) & both], lv,
+                        b[(far | near) & both]))
+        batches.append(("m2l", lv, a[far & ~both], lv, b[far & ~both]))
+        leaf = np.concatenate([a[near & leaf_a & ~leaf_b],
+                               b[near & ~leaf_a & leaf_b]])
+        refined = np.concatenate([b[near & leaf_a & ~leaf_b],
+                                  a[near & ~leaf_a & leaf_b]])
+        if len(leaf):
+            child = levels[li + 1]
+            for bits in itertools.product((0, 1), repeat=3):
+                kids, found = child.find(2 * lv.coords[refined] + bits)
+                batches.append(("p2p", lv, leaf[found], child, kids[found]))
+    return batches
+
+
+def _accumulate(lv, idx, phi, acc, hess=None):
+    lv.phi += np.bincount(idx, phi, lv.n)
+    for d in range(3):
+        lv.acc[:, d] += np.bincount(idx, acc[:, d], lv.n)
+    if hess is not None:
+        for i, j in itertools.product(range(3), repeat=2):
+            lv.hess[:, i, j] += np.bincount(idx, hess[:, i, j], lv.n)
+
+
+def _oracle_solve(solver, batches):
+    """The oracle's field and ``(p2p, m2l)`` pair counts: the solver's
+    upward pass, ``batches`` through the pair kernels, its downward
+    pass."""
+    solver._reset_taylor()
+    solver._upward()
+    counts = {"p2p": 0, "m2l": 0}
+    with np.errstate(under="ignore"):
+        for kind, la, a, lb, b in batches:
+            counts[kind] += len(a)
+            args = (la.com[a] - lb.com[b], np.maximum(la.m[a], TINY_MASS),
+                    np.maximum(lb.m[b], TINY_MASS))
+            if kind == "p2p":
+                phiA, phiB, accA, accB = p2p_pair(*args)
+                HA = HB = None
+            else:
+                phiA, phiB, accA, accB, HA, HB = m2l_pair(
+                    *args, la.M2[a], lb.M2[b])
+            _accumulate(la, a, phiA, accA, HA)
+            _accumulate(lb, b, phiB, accB, HB)
+        solver._downward()
+    return solver._collect(), (counts["p2p"], counts["m2l"])
+
+
+# -- solving and comparing -------------------------------------------------------
+
+def _uniform(depth, _cache={}):
+    """(solver, oracle solver, oracle batches) of one uniform depth."""
     if depth not in _cache:
         M = SUBGRID_N << depth
-        rho = np.ones((M, M, M))
-        decline = classmethod(lambda cls, *args: None)
-        solvers = []
-        for declined in (None, fmm._DenseLeaf, fmm._DenseM2L):
-            solver = FmmSolver.from_uniform(rho, 1.0 / M,
-                                            subgrid_n=SUBGRID_N)
-            if declined is None:
-                solver.solve()
-            else:
-                with mock.patch.object(declined, "of", decline), \
-                        np.errstate(under="ignore"):
-                    solver.solve()
-            solvers.append(solver)
-        dense, leaf_lists, m2l_lists = solvers
-        assert dense._dense and not leaf_lists._dense
-        assert m2l_lists._dense and not m2l_lists._dense_m2l
-        assert bool(dense._dense_m2l) == (depth > 0)
-        _cache[depth] = solvers
+        solvers = [FmmSolver.from_uniform(np.ones((M, M, M)), 1.0 / M,
+                                          subgrid_n=SUBGRID_N)
+                   for _ in range(2)]
+        _cache[depth] = (*solvers, _partition(solvers[1]))
     return _cache[depth]
 
 
@@ -115,17 +187,42 @@ def _density(M, seed, zero_frac, scale):
     return rho
 
 
-def _solve(solver, depth, rho, engine=None, oracle=False):
+def _solve(solver, rho_by_level, engine=None):
+    """The solver's leaf field and its ``(monopole, multipole)`` counts.
+    A coarse-fine boundary batch runs the pair kernel, whose zero-mass
+    stand-in underflows by design (module docstring); nothing else may."""
     reg = default_registry()
     before = reg.snapshot()
-    solver.set_leaf_density({depth: rho})
-    # the pair kernels' 1e-300 stand-in for a zero mass underflows by
-    # design (module docstring); nothing else may
-    with np.errstate(under="ignore" if oracle else "raise"):
-        phi, acc = solver.uniform_field(solver.solve(executor=engine))
+    solver.set_leaf_density(rho_by_level)
+    with np.errstate(under="ignore" if solver._boundary else "raise"):
+        result = solver.solve(executor=engine)
     after = reg.snapshot()
-    return phi, acc, [after.get(c, 0.0) - before.get(c, 0.0)
-                      for c in COUNTERS]
+    return result, tuple(after.get(c, 0.0) - before.get(c, 0.0)
+                         for c in COUNTERS)
+
+
+def _assert_fields_agree(result, ref, solver):
+    """``phi`` everywhere, ``acc`` on cells with mass, both within
+    :data:`FIELD_BOUND` of the largest oracle value."""
+    phi_max = max(np.abs(v).max() for v in ref.phi.values())
+    acc_max = max(np.abs(v).max() for v in ref.acc.values())
+    for lvl, phi in ref.phi.items():
+        massive = solver.levels[lvl].m[ref.leaf_slots[lvl]] > 0.0
+        assert np.abs(result.phi[lvl] - phi).max() <= FIELD_BOUND * phi_max
+        assert np.abs(result.acc[lvl] - ref.acc[lvl])[massive].max(
+            initial=0.0) <= FIELD_BOUND * acc_max
+
+
+def _assert_momentum_conserved(solver, result):
+    """Linear and angular momentum of the leaf field at the thresholds of
+    ``test_fmm.py``'s conservation tests."""
+    force = np.concatenate([solver.levels[lvl].m[s, None] * result.acc[lvl]
+                            for lvl, s in result.leaf_slots.items()])
+    pos = np.concatenate([solver.levels[lvl].com[s]
+                          for lvl, s in result.leaf_slots.items()])
+    assert np.abs(force.sum(0)).max() <= 1e-13 * np.abs(force).sum()
+    torque = np.cross(pos, force)
+    assert np.abs(torque.sum(0)).max() <= 1e-12 * np.abs(torque).sum()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -134,33 +231,18 @@ def _solve(solver, depth, rho, engine=None, oracle=False):
        zero_frac=st.sampled_from([0.0, 0.3, 0.95]),
        scale=st.sampled_from([0.1, 1.0, 1e8]))
 def test_dense_sweep_matches_pair_lists(depth, seed, zero_frac, scale):
-    dense, lists, _ = _solvers(depth)
-    M = SUBGRID_N << depth
-    rho = _density(M, seed, zero_frac, scale)
-    phi, acc, counts = _solve(dense, depth, rho)
-    phi_ref, acc_ref, counts_ref = _solve(lists, depth, rho, oracle=True)
+    """Uniform depths 0-2 against the oracle: fields, counts kind by
+    kind, conservation."""
+    solver, oracle, batches = _uniform(depth)
+    rho = {depth: _density(SUBGRID_N << depth, seed, zero_frac, scale)}
+    result, counts = _solve(solver, rho)
+    oracle.set_leaf_density(rho)
+    ref, counts_ref = _oracle_solve(oracle, batches)
 
-    assert np.abs(phi - phi_ref).max() <= FIELD_BOUND * np.abs(phi_ref).max()
-    assert np.abs(acc - acc_ref).max() <= FIELD_BOUND * np.abs(acc_ref).max()
+    _assert_fields_agree(result, ref, solver)
     assert counts == counts_ref and counts[0] > 0
-    _assert_momentum_conserved(M, rho, acc)
-
-
-def _assert_momentum_conserved(M, rho, acc):
-    """Linear and angular momentum of the field at the thresholds of
-    ``test_fmm.py``'s conservation tests."""
-    dx = 1.0 / M
-    g = (np.arange(M) + 0.5) * dx
-    pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
-    force = (rho * dx ** 3).reshape(-1, 1) * acc.reshape(-1, 3)
-    assert np.abs(force.sum(0)).max() <= 1e-13 * np.abs(force).sum()
-    torque = np.cross(pos, force)
-    assert np.abs(torque.sum(0)).max() <= 1e-12 * np.abs(torque).sum()
-
-
-#: multipole interactions of one solve on the production sub-grid size
-#: (8^3 root): the counts the perf ledger pins as exact metrics
-MULTIPOLE_PER_SOLVE = {16: 95_472, 32: 1_979_056}
+    assert (counts[1] > 0) == (depth > 0)
+    _assert_momentum_conserved(solver, result)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -169,19 +251,94 @@ MULTIPOLE_PER_SOLVE = {16: 95_472, 32: 1_979_056}
        zero_frac=st.sampled_from([0.0, 0.3, 0.95]),
        scale=st.sampled_from([1e-6, 1.0, 1e6]))
 def test_dense_m2l_matches_pair_lists(depth, seed, zero_frac, scale):
-    dense, _, lists = _solvers(depth)
-    M = SUBGRID_N << depth
-    rho = _density(M, seed, zero_frac, scale)
-    phi, acc, counts = _solve(dense, depth, rho)
-    phi_ref, acc_ref, counts_ref = _solve(lists, depth, rho, oracle=True)
+    """The interior levels' M2L over a 1e-6 ... 1e6 mass scale."""
+    solver, oracle, batches = _uniform(depth)
+    rho = {depth: _density(SUBGRID_N << depth, seed, zero_frac, scale)}
+    result, counts = _solve(solver, rho)
+    oracle.set_leaf_density(rho)
+    ref, counts_ref = _oracle_solve(oracle, batches)
 
-    assert np.abs(phi - phi_ref).max() <= FIELD_BOUND * np.abs(phi_ref).max()
-    massive = slice(None) if zero_frac == 0.0 else rho > 0.0
-    assert np.abs(acc - acc_ref)[massive].max() \
-        <= FIELD_BOUND * np.abs(acc_ref).max()
+    _assert_fields_agree(result, ref, solver)
     assert counts == counts_ref and counts[1] > 0
-    if depth == 2:
-        _assert_momentum_conserved(M, rho, acc)
+
+
+@pytest.mark.parametrize("M, subgrid_n", [(3, 3), (5, 5), (7, 7), (9, 9),
+                                          (6, 3), (10, 5)])
+def test_odd_edge_grid_runs_dense(M, subgrid_n):
+    """An odd edge stages into the even parent grid around it: the
+    solver records no pair list and agrees with the oracle.  A root
+    wider than 8 cells is covered to its far corner (the retired root
+    stencil stopped at offsets of 7)."""
+    rho = {0: _density(M, M, 0.3, 1.0)}
+    solver, oracle = (FmmSolver.from_uniform(rho[0], 1.0 / M,
+                                             subgrid_n=subgrid_n)
+                      for _ in range(2))
+    depth = len(solver.levels) - 1
+    rho = {depth: rho[0]}
+    result, counts = _solve(solver, rho)
+    oracle.set_leaf_density(rho)
+    ref, counts_ref = _oracle_solve(oracle, _partition(oracle))
+
+    assert {e.kind for e in solver._plan} <= {"dense", "m2l-dense"}
+    _assert_fields_agree(result, ref, solver)
+    assert counts == counts_ref
+    _assert_momentum_conserved(solver, result)
+
+
+@st.composite
+def _trees(draw):
+    """A refined ``Octree`` of 4^3 sub-grids, up to four levels, with a
+    random leaf density (exact zeros included): ``(specs, rho)``."""
+    tree = Octree(subgrid_n=SUBGRID_N)
+    for _ in range(draw(st.integers(1, 6))):
+        leaves = sorted(leaf.key for leaf in tree.leaves() if leaf.level < 3)
+        tree.refine(*draw(st.sampled_from(leaves)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero_frac = draw(st.sampled_from([0.0, 0.3]))
+    for leaf in tree.leaves():
+        rho = rng.uniform(0.1, 1.0, leaf.grid.interior[RHO].shape)
+        rho[rng.random(rho.shape) < zero_frac] = 0.0
+        leaf.grid.interior[RHO] = rho
+    return tree.fmm_levels()
+
+
+def _balanced_solvers(specs):
+    """Solver and oracle solver of ``specs``; trees the dense engine
+    cannot serve (:func:`test_from_levels_rejects_bad_specs` covers them)
+    and oversized ones are not drawn."""
+    assume(sum(len(coords) for _, _, coords, _ in specs) <= 6000)
+    try:
+        return FmmSolver.from_levels(specs), FmmSolver.from_levels(specs)
+    except ValueError as exc:
+        assert "2:1 balanced" in str(exc)
+        assume(False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(tree=_trees())
+def test_adaptive_tree_matches_oracle(tree):
+    """Drawn adaptive trees: fields within the bound, the interaction
+    total, conservation, and one plan of dense entries plus at most one
+    boundary ``p2p`` batch per level with leaf and refined cells."""
+    specs, rho = tree
+    solver, oracle = _balanced_solvers(specs)
+    result, counts = _solve(solver, rho)
+    oracle.set_leaf_density(rho)
+    ref, counts_ref = _oracle_solve(oracle, _partition(oracle))
+
+    _assert_fields_agree(result, ref, solver)
+    assert sum(counts) == sum(counts_ref)
+    _assert_momentum_conserved(solver, result)
+    mixed = [lv for lv in solver.levels if lv.leaf.any() and not lv.leaf.all()]
+    boundary = [e for e in solver._plan if e.kind == "p2p"]
+    assert {e.kind for e in solver._plan} <= {"dense", "m2l-dense", "p2p"}
+    assert len(boundary) <= len(mixed)
+    assert len({e.la.level for e in boundary}) == len(boundary)
+
+
+#: multipole interactions of one solve on the production sub-grid size
+#: (8^3 root): the counts the perf ledger pins as exact metrics
+MULTIPOLE_PER_SOLVE = {16: 95_472, 32: 1_979_056}
 
 
 @pytest.mark.parametrize("M", sorted(MULTIPOLE_PER_SOLVE))
@@ -190,50 +347,64 @@ def test_dense_m2l_counts_exactly_the_far_pairs(M):
     solver = FmmSolver.from_uniform(rho, 1.0 / M)
     depth = len(solver.levels) - 1
     for _ in range(2):        # the plan-building solve and a replay
-        _, _, counts = _solve(solver, depth, rho)
+        _, counts = _solve(solver, {depth: rho})
         assert counts[1] == MULTIPOLE_PER_SOLVE[M]
     assert {e.kind for e in solver._plan} == {"dense", "m2l-dense"}
 
 
-def test_futurized_dense_solve_is_byte_identical_to_serial():
-    depth = 2
-    M = SUBGRID_N << depth
-    dense = _solvers(depth)[0]
+def _assert_futurized_matches_serial(solver, densities):
     with WorkStealingScheduler(1) as sched, \
             CudaDevice(n_streams=2, n_workers=1, name="dense-gpu") as gpu:
         # tiny slot buffer: the plan spans several aggregated launches
         engine = ExecutionEngine(scheduler=sched, devices=[gpu], agg_slots=3)
-        for seed in (1, 2, 3):
-            rho = _density(M, seed, 0.3, 1.0)
-            phi, acc, counts = _solve(dense, depth, rho)
-            phi_f, acc_f, counts_f = _solve(dense, depth, rho, engine)
-            assert phi_f.tobytes() == phi.tobytes()
-            assert acc_f.tobytes() == acc.tobytes()
+        for rho in densities:
+            result, counts = _solve(solver, rho)
+            result_f, counts_f = _solve(solver, rho, engine)
+            for lvl in result.phi:
+                assert result_f.phi[lvl].tobytes() == result.phi[lvl].tobytes()
+                assert result_f.acc[lvl].tobytes() == result.acc[lvl].tobytes()
             assert counts_f == counts
         engine.synchronize()
     assert engine.aggregated_per_launch > 1.0
+
+
+def test_futurized_dense_solve_is_byte_identical_to_serial():
+    depth = 2
+    solver = _uniform(depth)[0]
+    _assert_futurized_matches_serial(solver, [
+        {depth: _density(SUBGRID_N << depth, seed, 0.3, 1.0)}
+        for seed in (1, 2, 3)])
+
+
+def test_futurized_adaptive_solve_is_byte_identical_to_serial():
+    """An adaptive tree walks the same dense plan through the engine,
+    its coarse-fine boundary batch included."""
+    tree = Octree(subgrid_n=SUBGRID_N)
+    tree.refine(0, (0, 0, 0))
+    tree.refine(1, (0, 1, 0))
+    tree.refine(2, (1, 2, 1))
+    specs, _ = tree.fmm_levels()
+    solver = FmmSolver.from_levels(specs)
+    densities = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for leaf in tree.leaves():
+            leaf.grid.interior[RHO] = rng.uniform(
+                0.1, 1.0, leaf.grid.interior[RHO].shape)
+        densities.append(tree.fmm_levels()[1])
+    _assert_futurized_matches_serial(solver, densities)
+    kinds = [e.kind for e in solver._plan]
+    assert kinds.count("p2p") == 1 and "m2l-dense" in kinds
 
 
 def test_uniform_solver_records_no_leaf_level_pair_lists():
     """Stronger than the name: an even-edged uniform solver records no
     pair list of any kind, at any level."""
     for depth in (0, 1, 2):
-        dense, leaf_lists, m2l_lists = _solvers(depth)
-        kinds = [e.kind for e in dense._plan]
+        kinds = [e.kind for e in _uniform(depth)[0]._plan]
         assert kinds.count("dense") == fmm._DENSE_GROUPS
         assert set(kinds) <= {"dense", "m2l-dense"}
         assert ("m2l-dense" in kinds) == (depth > 0)
-        # each oracle really is on lists for the part it declines
-        assert any(e.kind == "p2p" and e.la.leaf.all() and e.lb.leaf.all()
-                   for e in leaf_lists._plan)
-        assert ("m2l" in {e.kind for e in m2l_lists._plan}) == (depth > 0)
-
-
-def test_odd_edge_level_stays_on_pair_lists():
-    rho = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3, 3))
-    solver = FmmSolver.from_uniform(rho, 0.5, subgrid_n=3)
-    phi, _acc = solver.uniform_field(solver.solve())
-    assert not solver._dense and np.isfinite(phi).all()
 
 
 def test_sweep_offsets_are_the_parent_near_set():
@@ -254,6 +425,16 @@ def test_green_table_rejects_coincident_cells():
     broken[1] = broken[0]
     with pytest.raises(ValueError, match="coincident"):
         green_table((0, 0, 0), broken, 0.5)
+
+
+def test_green_table_near_only_zeroes_exactly_the_far_pairs():
+    child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
+    for w in ((2, 0, 0), (2, 1, 1), (0, 0, 0), (3, 0, 0)):
+        full = green_table(w, child, 0.5).reshape(8, 8, 4)
+        near = green_table(w, child, 0.5, near_only=True).reshape(8, 8, 4)
+        far = well_separated(child[None] - 2 * np.array(w) - child[:, None])
+        assert not near[far].any()
+        np.testing.assert_array_equal(near[~far], full[~far])
 
 
 @st.composite

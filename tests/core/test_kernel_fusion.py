@@ -141,9 +141,10 @@ def test_greens_tensors_exactly_symmetric_and_traceless():
 
 
 def test_coincidence_guard_hoisted_out_of_hot_kernels():
-    # the r2 == 0 scan moved to plan-build time (FmmSolver._record checks
-    # each recorded batch once); the per-call hot kernels no longer
-    # pay for it, while the geometry-level helpers keep their guard
+    # the r2 == 0 scan moved to plan-build time (green_table checks each
+    # table once; a boundary batch pairs a leaf with another cell's
+    # children); the per-call hot kernels no longer pay for it, while the
+    # geometry-level helpers keep their guard
     dR = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     m = np.ones(2)
     M2 = np.zeros((2, 3, 3))
@@ -154,7 +155,7 @@ def test_coincidence_guard_hoisted_out_of_hot_kernels():
         res = m2l_pair(dR, m, m, M2, M2)
     assert np.isfinite(phiA[0]) and np.isfinite(accA[0]).all()
     assert not np.isfinite(res[0][1])     # garbage in, garbage out — the
-    # solver's recorded pair lists are what guarantee this never happens
+    # solver's plan geometry is what guarantees this never happens
 
 
 # -- reconstruction ---------------------------------------------------------

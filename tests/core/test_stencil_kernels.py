@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gravity.kernels import LEVI_CIVITA, greens, m2l_pair, p2p_pair
-from repro.core.gravity.stencil import (OPENING_R2, p2p_stencil,
-                                        parity_stencils, root_stencil,
+from repro.core.gravity.stencil import (m2l_sweep_tiles, p2p_stencil,
                                         well_separated)
 from repro.simulator.flops import INTERACTIONS_PER_LAUNCH, STENCIL_SIZE
 
@@ -57,10 +56,6 @@ class TestExactPartition:
         w_arr = np.array([w])
         if not w_arr.any():
             return
-        par = parity_stencils()
-        in_parity_list = any((w_arr == row).all()
-                             for row in par[parity]) if np.abs(
-            w_arr).max() <= 9 else False
         parent = np.floor_divide(w_arr + np.array(parity), 2)
         handled_by_parent_or_higher = bool(well_separated(parent)[0])
         is_p2p = not well_separated(w_arr)[0]
@@ -69,29 +64,25 @@ class TestExactPartition:
         # exactly one of: handled coarser, handled here, P2P at leaf
         assert int(handled_by_parent_or_higher) + int(is_m2l_here) \
             + int(is_p2p) == 1
-        # and the parity list is exactly the "handled here" set
-        if np.abs(w_arr).max() <= 9:
-            assert in_parity_list == is_m2l_here
-
-    def test_parity_lists_symmetric(self):
-        par = parity_stencils()
-        for p, lst in par.items():
-            s = {tuple(w) for w in lst}
-            for (a, b, c) in list(s)[:50]:
-                q = tuple((np.array(p) + (a, b, c)) & 1)
-                back = {tuple(w) for w in par[tuple(int(v) for v in q)]}
-                assert (-a, -b, -c) in back
+        if handled_by_parent_or_higher:
+            return
+        # and the dense M2L sweep's static mask is exactly the "handled
+        # here" set: parent offset W, target child = the parity, partner
+        # child = (parity + w) mod 2 (seen from the lex-positive side)
+        W, i, j = parent[0], np.array(parity), (np.array(parity) + w) % 2
+        if tuple(W) < (0, 0, 0):
+            W, i, j = -W, j, i
+        child = np.array(list(itertools.product((0, 1), repeat=3)))
+        tiles, _ = m2l_sweep_tiles(5, [W], child, 1 << 10,
+                                   np.ones((5, 5, 5, 8), dtype=bool))
+        masked = not tiles or tiles[0][2][
+            (child == i).all(1).argmax(), (child == j).all(1).argmax()] > 0
+        assert (not masked) == is_m2l_here
 
     def test_p2p_stencil_is_near_region(self):
         s = p2p_stencil()
         assert (~well_separated(s)).all()
         assert ((s * s).sum(axis=1) > 0).all()
-
-    def test_root_stencil_covers_all_separated_offsets(self):
-        s = root_stencil()
-        d2 = (s * s).sum(axis=1)
-        assert (d2 > OPENING_R2).all()
-        assert np.abs(s).max() == 7
 
 
 class TestGreens:
