@@ -96,12 +96,15 @@ REPRO009 *unverified-checkpoint-record*
     payloads in a ``MeshCheckpoint``), so records must round-trip through
     its verified store API: constructing a ``MeshCheckpoint`` or a
     ``ManifestRecord`` directly bypasses checksum stamping (the record
-    would never fail verification, however damaged), and mutating a
-    manager's ``_checkpoints`` list — append/pop/assignment/deletion —
-    bypasses the write-then-commit protocol and the fallback accounting.
-    Both are flagged everywhere outside ``resilience/checkpoint.py``;
-    snapshot through ``CheckpointManager.save`` and restore through
-    ``restore_latest`` (or ``restore_state`` with a fetched record).
+    would never fail verification, however damaged), and mutating the
+    one store's records — a ``BuddyReplicatedStore``'s ``_shards`` or
+    ``_manifests``, or any shard in them: a mutating method call,
+    assignment, augmented assignment or deletion — bypasses the
+    write-then-commit protocol, the buddy charge and the fallback
+    accounting.  Both are flagged everywhere outside
+    ``resilience/checkpoint.py``; snapshot through
+    ``CheckpointManager.save`` and restore through ``restore_latest``
+    (or ``RecoveryCoordinator.recover``).
 
 REPRO010 *unsanitized-task-buffer-write*
     A ``core/`` function that is dispatched as an engine/scheduler task
@@ -196,7 +199,8 @@ RULES: dict[str, tuple[str, str]] = {
     "REPRO009": ("unverified-checkpoint-record",
                  "checkpoint records round-trip through the verified store: "
                  "no MeshCheckpoint / ManifestRecord construction or "
-                 "_checkpoints mutation outside resilience/checkpoint.py"),
+                 "_shards / _manifests mutation outside "
+                 "resilience/checkpoint.py"),
     "REPRO010": ("unsanitized-task-buffer-write",
                  "core/ task bodies mutating engine-owned buffers (out=/ws/"
                  "_pool_out and aliases) must declare sanitize.access so the "
@@ -222,8 +226,18 @@ _ALLOC_FUNCS = {"empty", "zeros", "empty_like", "zeros_like", "concatenate"}
 #: parameter names that mark a function as workspace-aware
 _SCRATCH_PARAMS = {"out", "ws"}
 
-#: list methods that mutate a checkpoint store in place (REPRO009)
-_CKPT_MUTATORS = {"append", "pop", "clear", "extend", "insert", "remove"}
+#: the checkpoint store's record attributes and the container methods
+#: that mutate them in place (REPRO009)
+_CKPT_RECORDS = {"_shards", "_manifests"}
+_CKPT_MUTATORS = {"append", "pop", "clear", "extend", "insert", "remove",
+                  "update", "setdefault", "popitem"}
+
+
+def _is_ckpt_records(node: ast.AST) -> bool:
+    """``x._shards``, ``x._manifests[loc]``, ...: the store's records."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in _CKPT_RECORDS
 
 #: call methods whose first positional argument is dispatched as a task
 #: body on worker threads (REPRO010 collection pass)
@@ -607,10 +621,9 @@ class _Linter(ast.NodeVisitor):
                           "snapshot through CheckpointManager.save")
             if (isinstance(func, ast.Attribute)
                     and func.attr in _CKPT_MUTATORS
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "_checkpoints"):
+                    and _is_ckpt_records(func.value)):
                 self._hit(node, "REPRO009",
-                          f"{func.attr}() on a manager's _checkpoints list "
+                          f"{func.attr}() on a checkpoint store's records "
                           "bypasses the write-then-commit protocol and the "
                           "fallback accounting; go through "
                           "CheckpointManager.save / restore_latest")
@@ -640,19 +653,20 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
     # REPRO009: assignment / deletion targets that rewrite a checkpoint
-    # store in place (``mgr._checkpoints = ...``, ``mgr._checkpoints[i] =``,
-    # ``del mgr._checkpoints[:]``, ``mgr._checkpoints += ...``)
+    # store's records in place (``store._shards = ...``,
+    # ``store._shards[loc][gen, key] =``, ``del store._manifests[loc]``,
+    # ``store._manifests[loc] |= ...``)
 
     def _check_ckpt_store_target(self, target: ast.AST) -> None:
         if not self.outside_ckpt_store:
             return
         for sub in ast.walk(target):
-            if isinstance(sub, ast.Attribute) and sub.attr == "_checkpoints":
+            if isinstance(sub, ast.Attribute) and sub.attr in _CKPT_RECORDS:
                 self._hit(sub, "REPRO009",
-                          "rewriting a manager's _checkpoints list bypasses "
-                          "the write-then-commit protocol and the fallback "
-                          "accounting; go through CheckpointManager.save / "
-                          "restore_latest / reset")
+                          f"rewriting a checkpoint store's {sub.attr} "
+                          "bypasses the write-then-commit protocol and the "
+                          "fallback accounting; go through "
+                          "CheckpointManager.save / restore_latest")
                 return
 
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -25,10 +25,10 @@ Everything publishes ``/resilience/...`` counters into the registry from
 
 from .faults import FaultInjector
 from .retry import ResilientParcelSender, RetryBudgetExhausted
-from .checkpoint import (CheckpointError, CheckpointManager, ManifestRecord,
-                         MeshCheckpoint, block_checksum)
-from .durability import (BlockRecord, BuddyReplicatedStore,
-                         RecoveryCoordinator, RecoveryReport)
+from .checkpoint import (BuddyReplicatedStore, CheckpointError,
+                         CheckpointManager, ManifestRecord, MeshCheckpoint,
+                         block_checksum)
+from .durability import RecoveryCoordinator, RecoveryReport
 from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
 from .guard import GuardViolation, GuardedStepper
 from .health import (DEFAULT_HEARTBEAT_INTERVAL_S, DEFAULT_PHI_THRESHOLD,
@@ -41,7 +41,7 @@ __all__ = [
     "FaultInjector", "RetryBudgetExhausted", "ResilientParcelSender",
     "CheckpointError", "CheckpointManager", "ManifestRecord",
     "MeshCheckpoint", "block_checksum",
-    "BlockRecord", "BuddyReplicatedStore",
+    "BuddyReplicatedStore",
     "RecoveryCoordinator", "RecoveryReport",
     "SupervisedEngine", "DEFAULT_TASK_RETRIES",
     "GuardedStepper", "GuardViolation",

@@ -1,4 +1,4 @@
-"""Periodic checkpoint/restore of mesh state, with content verification.
+"""Checkpoint records and the one store that holds them.
 
 The conservation results of Sec. 4.2/4.3 (mass and angular momentum to
 machine precision) are only worth having if a fault mid-run does not force
@@ -24,46 +24,58 @@ header (generation, step, time, monitor length, per-block stamps, manifest
 CRC) and a :class:`MeshCheckpoint` = header + ``{block key: interior}``
 payloads.  Headers are built, committed and verified here;
 :func:`restore_state` is the one routine that writes a record back into a
-mesh, shared by :meth:`CheckpointManager.restore_latest` and the global
-rollback of :class:`repro.resilience.durability.RecoveryCoordinator`.
+mesh.
 
-Snapshots are **verified records** (the durable-recovery layer of
-arXiv 2412.15518's fault-tolerance gap): every per-block payload is
-stamped with a content checksum at snapshot time, and the record's
-*manifest* — a checksum over the metadata and the sorted per-block
-checksums — is committed only after all payloads are staged.  The write
-path is therefore an atomic write-then-commit protocol: a crash (or an
-injected :meth:`~repro.resilience.faults.FaultInjector.torn_write_due`)
-mid-write leaves a staged record with no manifest, which
-:meth:`CheckpointManager.restore_latest` detects and skips; a silently
-damaged payload (bit rot,
+Records are **verified** (the durable-recovery layer of arXiv
+2412.15518's fault-tolerance gap): every payload is stamped with a
+content checksum at snapshot time, and the record's *manifest* — a
+checksum over the metadata and the sorted stamps — is committed only
+after all payloads are staged.  A crash (or an injected
+:meth:`~repro.resilience.faults.FaultInjector.torn_write_due`) mid-write
+leaves a record with no manifest; a silently damaged payload (bit rot,
 :meth:`~repro.resilience.faults.FaultInjector.checkpoint_corruption_due`)
-fails its checksum the same way.  ``restore_latest`` falls back
-generation by generation past torn and corrupt records to the newest
-*verified* one, and raises :class:`CheckpointError` only when no verified
-generation survives.  Verification traffic is tallied under
+fails its checksum.  A restore falls back generation by generation past
+both to the newest *verified* one, and raises :class:`CheckpointError`
+only when none survives.  Verification is tallied under
 ``/resilience/ckpt/{verified,corrupt,torn,fallback}``.
+
+**One store.**  The manager keeps the cadence, the snapshot, the stamps,
+the write-then-commit and the fault injection, and no record of its own:
+every record it writes, torn ones included, goes into its
+:class:`BuddyReplicatedStore`, and a block's snapshot array *is* the
+owner's copy there.  On a node-level mesh the store is one locality with
+no homes, no buddy and no charge.  A
+:class:`~repro.resilience.durability.RecoveryCoordinator` binds the
+owner-plus-buddy case over a :class:`~repro.core.distmesh.DistBlockMesh`:
+each committed payload also gets a copy on the next live locality,
+charged to the halo parcelport as a one-sided put, and its header goes to
+every live locality.  Liveness is AGAS's: the store reads
+``mesh.agas.failed_localities`` at every write and scan and drops a dead
+locality's shard there, so no record lands on a dead node or is read
+from one.  Every reader goes through the store's one scan,
+:meth:`BuddyReplicatedStore.recovery_plan` (the newest generation whose
+header verifies and whose every block has a verified live copy, the copy
+already at the block's destination first), then one
+:meth:`~BuddyReplicatedStore.fetch` and :func:`restore_state`; a restore
+drops the generations newer than the one it landed on.  The ``keep``
+newest generations are retained, in memory (the model has no node-local
+disk to lose).
 
 After copying state back, a restore invokes the mesh's optional
 ``on_restore()`` hook — the uniform meshes drop their gravity cache, and
 :class:`~repro.core.distmesh.DistBlockMesh` resets the channels of its
 cross-locality halos, whose generation numbers are derived from the step
-counter and would otherwise reject the replayed generations.
+counter and would otherwise reject the replayed generations.  Saves and
+restores are tallied under ``/resilience/checkpoint/...``, buddy copies
+under ``/resilience/ckpt/replicas``, fetches under ``/recovery/...``.
 
-Checkpoints live in memory (``keep`` most recent are retained; the model
-has no node-local disk to lose) — replication of records across
-localities, so they survive the node they protect, is layered on top by
-:class:`repro.resilience.durability.BuddyReplicatedStore`.  Saves and
-restores are tallied under ``/resilience/checkpoint/...`` and emit trace
-instants.
-
-The interval check in :meth:`CheckpointManager.maybe_save` and the
-append in :meth:`CheckpointManager.save` are one atomic claim: two worker
-threads asking at the same step cannot double-save it.
+The interval check in :meth:`CheckpointManager.maybe_save` and the claim
+of the step are one atomic operation: two worker threads asking at the
+same step cannot double-save it.
 
 Records round-trip through this module's API only: constructing a
 :class:`MeshCheckpoint` or a :class:`ManifestRecord` elsewhere bypasses
-checksum stamping, and mutating ``CheckpointManager._checkpoints``
+checksum stamping, and mutating a store's ``_shards`` or ``_manifests``
 directly bypasses the commit protocol — both are flagged by lint rule
 REPRO009.
 """
@@ -81,7 +93,8 @@ from ..runtime.counters import CounterRegistry, default_registry
 from ..sanitize import lockdep as _sanitize_lockdep
 
 __all__ = ["CheckpointError", "ManifestRecord", "MeshCheckpoint",
-           "CheckpointManager", "block_checksum", "restore_state"]
+           "BuddyReplicatedStore", "CheckpointManager", "block_checksum",
+           "restore_state"]
 
 
 class CheckpointError(RuntimeError):
@@ -104,9 +117,8 @@ def block_checksum(arr: np.ndarray) -> int:
 class ManifestRecord:
     """The header of a record: metadata, per-block stamps, commit marker.
 
-    Small (no payloads), so the durable layer replicates it to *every*
-    survivor — any one of them can then validate any generation's block
-    records.
+    Small (no payloads), so the store keeps it on *every* live locality —
+    any one of them can then validate any generation's block records.
     """
 
     #: monotonically increasing save index within one manager/store
@@ -195,22 +207,238 @@ def restore_state(mesh, header: ManifestRecord, payloads: dict,
         del monitor.records[header.monitor_len:]
 
 
+class BuddyReplicatedStore:
+    """Every checkpoint record, sharded by locality.
+
+    ``mesh=None`` is the node-level case: one locality, no homes, no
+    buddy, no charge.  Over a :class:`~repro.core.distmesh.DistBlockMesh`
+    a committed record's payloads stay on their blocks' owners and get a
+    copy on the next live locality (cyclically), charged as a one-sided
+    put over the mesh's halo parcelport; its header is stored as is on
+    every live locality, so any survivor can validate any generation.
+    The two copies are independent arrays: bit rot on one node does not
+    touch the other.  A torn record stays where its write died: staged
+    payloads on their owners, the uncommitted header on the first live
+    locality, nothing copied or charged.
+
+    Liveness is read from ``mesh.agas.failed_localities`` at every write
+    and scan; a dead locality's shard and headers are dropped there,
+    like the memory of a dead node.
+    """
+
+    def __init__(self, mesh=None, *, keep: int = 4,
+                 registry: CounterRegistry | None = None):
+        if keep < 1:
+            raise ValueError("must keep at least one generation")
+        self.mesh = mesh
+        self.keep = keep
+        self.registry = registry or default_registry()
+        self._lock = _sanitize_lockdep.make_lock("checkpoint.store")
+        n = 1 if mesh is None else mesh.n_localities
+        #: locality -> {(generation, key) -> payload}
+        self._shards: dict[int, dict[tuple, np.ndarray]] = {
+            loc: {} for loc in range(n)}
+        #: locality -> {generation -> ManifestRecord}
+        self._manifests: dict[int, dict[int, ManifestRecord]] = {
+            loc: {} for loc in range(n)}
+        self.replicated = 0
+
+    @staticmethod
+    def _buddy_of(owner: int, live: list[int]) -> int | None:
+        """Next live locality after ``owner``, cyclically."""
+        if len(live) < 2:
+            return None
+        after = [loc for loc in live if loc > owner]
+        return after[0] if after else live[0]
+
+    def homes(self) -> dict:
+        """Block -> locality as AGAS records it now (one locality: none)."""
+        return {} if self.mesh is None else self.mesh.owners()
+
+    def _put(self, nbytes: int, src: int, dst: int) -> None:
+        if self.mesh is not None:
+            self.mesh.transport.charge_onesided(nbytes, src, dst)
+
+    def _headers(self) -> tuple[list[int], dict[int, ManifestRecord]]:
+        """The live localities and ``generation -> header`` over them; a
+        dead locality's shard and headers are dropped here.  Caller holds
+        the lock."""
+        dead = (set() if self.mesh is None
+                else self.mesh.agas.failed_localities)
+        lost = sum(len(self._shards[loc]) for loc in dead)
+        for loc in dead:
+            self._shards[loc], self._manifests[loc] = {}, {}
+        if lost:
+            self.registry.increment("/resilience/ckpt/replicas-lost",
+                                    float(lost))
+        live = [loc for loc in self._shards if loc not in dead]
+        return live, {gen: man for loc in live
+                      for gen, man in self._manifests[loc].items()}
+
+    def _retain(self, wanted) -> None:
+        """Keep the generations ``wanted`` accepts (caller holds the lock)."""
+        for loc in self._shards:
+            self._manifests[loc] = {g: m for g, m in
+                                    self._manifests[loc].items() if wanted(g)}
+            self._shards[loc] = {gk: a for gk, a in self._shards[loc].items()
+                                 if wanted(gk[0])}
+
+    # -- write path ---------------------------------------------------------
+
+    def replicate(self, cp: MeshCheckpoint) -> None:
+        """Write one record into the shards, then keep the ``keep`` newest
+        generations (see the class docstring for where each copy goes)."""
+        homes, gen = self.homes(), cp.generation
+        copies = copied = 0
+        with self._lock:
+            live, _ = self._headers()
+            if not live:
+                return
+            for key, arr in cp.blocks.items():
+                owner = homes.get(key)
+                if owner not in live:
+                    owner = live[0]
+                self._shards[owner][gen, key] = arr
+                buddy = self._buddy_of(owner, live)
+                if cp.committed and buddy is not None:
+                    self._shards[buddy][gen, key] = arr.copy()
+                    self._put(arr.nbytes, owner, buddy)
+                    copies, copied = copies + 1, copied + arr.nbytes
+            for loc in live if cp.committed else live[:1]:
+                self._manifests[loc][gen] = cp.header
+                self._put(cp.header.nbytes, live[0], loc)
+            gens = sorted(self._headers()[1])
+            if len(gens) > self.keep:
+                self._retain(lambda g: g >= gens[-self.keep])
+            if cp.committed:
+                self.replicated += 1
+        if copies:
+            self.registry.increment("/resilience/ckpt/replicas", float(copies))
+            self.registry.increment("/resilience/ckpt/replica-bytes",
+                                    float(copied))
+        if cp.committed:
+            trace.instant("checkpoint-replicated", "resilience",
+                          generation=gen, step=cp.step)
+
+    # -- read path ----------------------------------------------------------
+
+    def _scan(self, destination: dict):
+        """The one scan, newest generation first (caller holds the lock).
+
+        Returns the first generation whose header verifies and whose every
+        block has a verified live copy — the one at ``destination[key]``
+        tried first — as ``(header, {key: holder})``, plus ``(generation,
+        saw a rotten copy)`` for every newer generation passed over; the
+        header is ``None`` when no generation qualifies.
+        """
+        live, headers = self._headers()
+        passed = []
+        for gen in sorted(headers, reverse=True):
+            man, holders, rotten = headers[gen], {}, False
+            verified = man.verify()
+            for key, crc in man.checksums.items() if verified else ():
+                near = destination.get(key)
+                for loc in sorted(live, key=lambda loc: loc != near):
+                    payload = self._shards[loc].get((gen, key))
+                    if payload is None:
+                        continue
+                    if block_checksum(payload) == crc:
+                        holders[key] = loc
+                        break
+                    rotten = True
+                if key not in holders:
+                    break
+            if verified and len(holders) == len(man.checksums):
+                return man, holders, passed
+            passed.append((gen, rotten))
+        return None, {}, passed
+
+    def recovery_plan(self, destination: dict) -> tuple[ManifestRecord, dict]:
+        """The scan, tallied: the newest restorable generation's header
+        and ``key -> holder locality``, or :class:`CheckpointError`."""
+        with self._lock:
+            man, holders, passed = self._scan(destination)
+        r = self.registry
+        for gen, rotten in passed:
+            if rotten:
+                r.increment("/resilience/ckpt/corrupt")
+            r.increment("/resilience/ckpt/fallback")
+            trace.instant("checkpoint-fallback", "resilience", generation=gen)
+        if man is None:
+            raise CheckpointError(
+                "no verified checkpoint survives: no globally-consistent "
+                "generation (each is torn, corrupt or lost with its "
+                "localities)")
+        r.increment("/resilience/ckpt/verified")
+        return man, holders
+
+    def fetch(self, manifest: ManifestRecord, holders: dict,
+              destination: dict) -> dict:
+        """Read every block of a planned generation for its post-restore
+        owner, charged holder -> ``destination[key]`` like any one-sided
+        transfer.  Returns ``key -> payload``, read in place."""
+        out: dict = {}
+        with self._lock:
+            for key, holder in holders.items():
+                out[key] = payload = self._shards[holder][
+                    manifest.generation, key]
+                self._put(payload.nbytes, holder,
+                          destination.get(key, holder))
+        r = self.registry
+        r.increment("/recovery/blocks-fetched", float(len(out)))
+        r.increment("/recovery/bytes-fetched",
+                    float(sum(p.nbytes for p in out.values())))
+        return out
+
+    def restore(self, mesh, destination: dict,
+                monitor=None) -> MeshCheckpoint:
+        """Plan, fetch, :func:`restore_state`; then drop every generation
+        newer than the restored one (it belongs to the abandoned
+        timeline)."""
+        man, holders = self.recovery_plan(destination)
+        payloads = self.fetch(man, holders, destination)
+        restore_state(mesh, man, payloads, monitor)
+        with self._lock:
+            self._retain(lambda g: g <= man.generation)
+        return MeshCheckpoint(man, payloads)
+
+    def latest(self) -> MeshCheckpoint | None:
+        """The record a restore would land on now, read in place: the
+        scan without its tallies and without fetch traffic."""
+        with self._lock:
+            man, holders, _ = self._scan({})
+            if man is None:
+                return None
+            return MeshCheckpoint(man, {
+                key: self._shards[loc][man.generation, key]
+                for key, loc in holders.items()})
+
+    def __len__(self) -> int:
+        """Generations retained on the live localities (torn included)."""
+        with self._lock:
+            return len(self._headers()[1])
+
+
 class CheckpointManager:
-    """Keeps the ``keep`` most recent verified snapshots of one mesh.
+    """Saves verified snapshots of one mesh into its store and rolls the
+    mesh back to the newest one the store can restore.
 
     Works with any object exposing ``time`` (float), ``steps`` (int) and
     ``blocks`` (``{key: ghosted block}`` — every mesh of
     :mod:`repro.core`); the optional monitor argument is a
     :class:`repro.core.stepper.ConservationMonitor` whose record list is
     truncated on restore so post-restore samples line up with the replay.
+    The records live in :attr:`store`: the one-locality store, until a
+    :class:`~repro.resilience.durability.RecoveryCoordinator` binds the
+    owner-plus-buddy one (before the first save).
 
     An optional ``injector`` makes the manager its own adversary: each
     save first asks :meth:`~repro.resilience.faults.FaultInjector.torn_write_due`
     (stage a partial record, never commit) and then
     :meth:`~repro.resilience.faults.FaultInjector.checkpoint_corruption_due`
-    (damage the committed payload in place).  Both are only *detectable*
-    because of the checksums — the save path reports success either way,
-    exactly like a real filesystem.
+    (damage the committed payload in place, before it is copied).  Both
+    are only *detectable* because of the checksums — the save path
+    reports success either way, exactly like a real filesystem.
     """
 
     def __init__(self, interval: int = 10, keep: int = 2,
@@ -225,16 +453,13 @@ class CheckpointManager:
         self.registry = registry or default_registry()
         self.injector = injector
         self._lock = _sanitize_lockdep.make_lock("checkpoint.manager")
-        self._checkpoints: list[MeshCheckpoint] = []
         self._generation = 0
         #: step of the newest save (claimed atomically in maybe_save so
         #: concurrent callers cannot double-save one step)
         self._last_saved_step: int | None = None
         self.saves = 0
         self.restores = 0
-        #: hook invoked with each newly committed record (the durability
-        #: layer replicates it to a buddy locality from here)
-        self.on_commit = None
+        self.store = BuddyReplicatedStore(keep=keep, registry=self.registry)
 
     # -- saving -------------------------------------------------------------
 
@@ -275,33 +500,29 @@ class CheckpointManager:
             trace.instant("checkpoint-corrupted", "resilience", step=cp.step)
         return committed
 
-    def _store(self, cp: MeshCheckpoint) -> MeshCheckpoint:
+    def _write(self, cp: MeshCheckpoint) -> MeshCheckpoint:
         cp = self._commit(cp)
+        self.store.replicate(cp)
         with self._lock:
-            self._checkpoints.append(cp)
-            del self._checkpoints[:-self.keep]
             self.saves += 1
         r = self.registry
         r.increment("/resilience/checkpoint/saves")
         r.increment("/resilience/checkpoint/bytes-saved", float(cp.nbytes))
         trace.instant("checkpoint-save", "resilience", step=cp.step)
-        if cp.committed and self.on_commit is not None:
-            self.on_commit(cp)
         return cp
 
     def save(self, mesh, monitor=None) -> MeshCheckpoint:
         """Snapshot ``mesh`` now (regardless of the interval)."""
         with self._lock:
             self._last_saved_step = mesh.steps
-        return self._store(self._snapshot(mesh, monitor))
+        return self._write(self._snapshot(mesh, monitor))
 
     def maybe_save(self, mesh, monitor=None) -> MeshCheckpoint | None:
         """Snapshot if ``interval`` steps have passed since the last one.
 
         The interval check and the claim of the step are one atomic
-        operation: when several worker threads reach the same step, exactly
-        one performs the save (the old read-unlock-save sequence let two
-        threads both observe a stale last step and double-save).
+        operation: when several worker threads reach the same step,
+        exactly one performs the save.
         """
         step = mesh.steps
         with self._lock:
@@ -309,69 +530,29 @@ class CheckpointManager:
                     and step - self._last_saved_step < self.interval):
                 return None
             self._last_saved_step = step
-        return self._store(self._snapshot(mesh, monitor))
+        return self._write(self._snapshot(mesh, monitor))
 
     # -- restoring ----------------------------------------------------------
 
-    def _newest_verified(self) -> MeshCheckpoint:
-        """Scan newest-to-oldest for a record that verifies, dropping the
-        torn/corrupt ones passed over on the way (they can never be
-        restored and must not shadow older good generations again)."""
-        r = self.registry
-        with self._lock:
-            while self._checkpoints:
-                cp = self._checkpoints[-1]
-                if cp.verify():
-                    r.increment("/resilience/ckpt/verified")
-                    return cp
-                self._checkpoints.pop()
-                r.increment("/resilience/ckpt/corrupt")
-                r.increment("/resilience/ckpt/fallback")
-                trace.instant("checkpoint-fallback", "resilience",
-                              step=cp.step,
-                              cause="torn" if not cp.committed else "corrupt")
-        raise CheckpointError("no verified checkpoint survives "
-                              "(all generations torn or corrupt)")
-
     def restore_latest(self, mesh, monitor=None) -> MeshCheckpoint:
         """Roll ``mesh`` (and ``monitor``) back to the newest *verified*
-        checkpoint, falling back past torn/corrupt generations."""
-        cp = self._newest_verified()
+        generation, falling back past torn/corrupt ones; each block is
+        read from the copy at its current home when that one verifies."""
+        cp = self.store.restore(mesh, self.store.homes(), monitor)
         with self._lock:
             self.restores += 1
             # replay re-arms the save cadence from the restored step
             self._last_saved_step = cp.step
-        restore_state(mesh, cp.header, cp.blocks, monitor)
         self.registry.increment("/resilience/checkpoint/restores")
         trace.instant("checkpoint-restore", "resilience", step=cp.step)
         return cp
-
-    # -- durability hooks ----------------------------------------------------
-
-    def reset(self) -> int:
-        """Drop every retained record (the durable layer calls this when
-        the localities whose memory held them are gone); the save cadence
-        and generation counter keep running.  Returns the drop count."""
-        with self._lock:
-            dropped = len(self._checkpoints)
-            self._checkpoints.clear()
-            self._last_saved_step = None
-        if dropped:
-            self.registry.increment("/resilience/ckpt/invalidated",
-                                    float(dropped))
-        return dropped
 
     # -- introspection ------------------------------------------------------
 
     @property
     def latest_verified(self) -> MeshCheckpoint | None:
-        """Newest record that passes verification (no side effects)."""
-        with self._lock:
-            for cp in reversed(self._checkpoints):
-                if cp.verify():
-                    return cp
-        return None
+        """The record a restore would land on (no tallies, no traffic)."""
+        return self.store.latest()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._checkpoints)
+        return len(self.store)

@@ -39,9 +39,8 @@ from ..runtime.cuda import CudaDevice
 from ..runtime.parcel import Parcel, ParcelHandler
 from ..runtime.scheduler import WorkStealingScheduler
 from ..simulator.events import EventQueue
-from .checkpoint import CheckpointManager
-from .durability import (BuddyReplicatedStore, RecoveryCoordinator,
-                         RecoveryReport)
+from .checkpoint import BuddyReplicatedStore, CheckpointManager
+from .durability import RecoveryCoordinator, RecoveryReport
 from .faults import FaultInjector
 from .guard import GuardedStepper
 from .health import FailureDetector

@@ -406,13 +406,20 @@ def test_repro009_mesh_checkpoint_construction_outside_store():
 
 
 def test_repro009_checkpoint_list_mutation_fires():
-    for src in ("mgr._checkpoints.append(cp)",
-                "mgr._checkpoints.pop()",
-                "mgr._checkpoints.clear()",
-                "mgr._checkpoints = [cp]",
-                "mgr._checkpoints[0] = cp",
-                "mgr._checkpoints += [cp]",
-                "del mgr._checkpoints[:-1]"):
+    # the store's records and every shard in them: method calls,
+    # assignment, augmented assignment and deletion
+    for src in ("store._shards[0].update({(gen, key): arr})",
+                "store._shards[1].pop((gen, key))",
+                "mgr.store._manifests.clear()",
+                "store._manifests[0].setdefault(gen, man)",
+                "store._shards.popitem()",
+                "store._manifests[0].append(man)",
+                "store._shards = {0: {}}",
+                "store._shards[0][gen, key] = arr",
+                "store._manifests[loc][gen] = man",
+                "store._manifests[0] |= {gen: man}",
+                "del store._shards[1]",
+                "del mgr.store._manifests[0][gen]"):
         vs = _lint(src)
         assert [v.rule for v in vs] == ["REPRO009"], src
 
@@ -421,15 +428,19 @@ def test_repro009_store_module_and_reads_are_clean():
     # the verified store itself implements the protocol
     assert _lint("""
         cp = MeshCheckpoint(ManifestRecord(0, 0, 0.0, 0, stamps), blocks)
-        self._checkpoints.append(cp)
-        del self._checkpoints[:-self.keep]
+        self._shards[owner][gen, key] = arr
+        self._manifests[loc], self._shards[loc] = {}, {}
+        self._manifests[loc].clear()
     """, rel="repro/resilience/checkpoint.py") == []
     # read-only access is fine everywhere (tests inspect the store)
-    assert _lint("n = len(mgr._checkpoints)") == []
-    assert _lint("newest = mgr._checkpoints[-1].step") == []
+    assert _lint("n = len(store._shards[1])") == []
+    assert _lint("payload = store._shards[loc].get((gen, key))") == []
+    assert _lint("gens = sorted(store._manifests[0])") == []
     # unrelated attributes with similar shape stay clean
     assert _lint("mgr._records.append(x)") == []
-    assert _lint("mgr._checkpoint = cp") == []
+    assert _lint("mgr._shard = cp") == []
+    assert _lint("mesh.shards.clear()") == []
+    assert _lint("f(store._shards).pop()") == []
 
 
 # -- REPRO010: task-body buffer writes invisible to the race detector -----
@@ -657,8 +668,11 @@ LIVE_SITES = {
     "REPRO008": ("core/hydro/riemann.py",
                  "return ws.buf(name, shape) if ws is not None "
                  "else np.empty(shape)", "return np.empty(shape)"),
-    "REPRO009": ("resilience/durability.py", "self.manager.reset()",
-                 "self.manager._checkpoints.clear()"),
+    # the global rollback restores through the store, never around it
+    "REPRO009": ("resilience/durability.py",
+                 "cp = self.store.restore(mesh, new_owner, monitor)",
+                 "cp = self.store.latest()\n"
+                 "        self.store._manifests[survivors[0]].clear()"),
     # the compute_rhs task body's whole shadow-access declaration
     "REPRO010": ("core/hydro/solver.py",
                  "    if _sanitize_state.ACTIVE:\n"

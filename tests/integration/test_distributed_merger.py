@@ -19,16 +19,33 @@ mid-merger.  The acceptance bar (ISSUE 7):
 import numpy as np
 import pytest
 
+from repro.core.distmesh import box_partition
+from repro.resilience import BuddyReplicatedStore
 from repro.resilience.merger import LOCALITY_KILL, Topology, run_merger
 from repro.runtime.counters import CounterRegistry
 
 
 @pytest.fixture(scope="module")
-def merger(merger_scenario, merger_reference):
+def merger_run(merger_scenario, merger_reference):
+    """The run, its counters and the ``holders`` map of every fetch its
+    checkpoint store served."""
     registry = CounterRegistry()
-    result = run_merger(merger_scenario, Topology(), LOCALITY_KILL, registry,
-                        reference=merger_reference)
-    return result, registry.snapshot()
+    fetched, fetch = [], BuddyReplicatedStore.fetch
+
+    def spy(store, manifest, holders, destination):
+        fetched.append(dict(holders))
+        return fetch(store, manifest, holders, destination)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BuddyReplicatedStore, "fetch", spy)
+        result = run_merger(merger_scenario, Topology(), LOCALITY_KILL,
+                            registry, reference=merger_reference)
+    return result, registry.snapshot(), fetched
+
+
+@pytest.fixture(scope="module")
+def merger(merger_run):
+    return merger_run[:2]
 
 
 @pytest.mark.slow
@@ -56,6 +73,19 @@ class TestDistributedMerger:
         assert snap["/resilience/agas/components-lost"] == 0
         for gid in res.evacuated:
             assert res.dist.agas.resolve(gid)[1] != victim
+
+    def test_victims_blocks_come_back_from_buddy_copies(self, merger_run):
+        """The rollback reads the victim's blocks from their buddy copies
+        (its own shard died with it), every other block from its owner."""
+        res, _snap, fetched = merger_run
+        (victim,) = res.plan.kill
+        live = list(range(res.topology.n_localities))
+        buddy = BuddyReplicatedStore._buddy_of(victim, live)
+        owners = box_partition(res.dist.lattice, len(live))
+        (holders,) = fetched
+        assert holders == {ip: buddy if loc == victim else loc
+                           for ip, loc in owners.items()}
+        assert res.bitwise_identical and res.counters_reconcile
 
     def test_rollback_and_replay_engaged(self, merger):
         res, snap = merger

@@ -130,7 +130,7 @@ class TestInteriorsAreTheState:
         assert not torn.committed and not torn.verify()
         assert torn.blocks == {}
         mesh.step()
-        assert mgr.restore_latest(mesh) is good
+        assert mgr.restore_latest(mesh).generation == good.generation
         assert mesh.steps == 0 and np.array_equal(mesh.interior, saved)
         assert reg.value("/resilience/ckpt/torn") == 1.0
         assert reg.value("/resilience/ckpt/fallback") == 1.0

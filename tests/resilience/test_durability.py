@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import (BlockMesh, ConservationMonitor, DistBlockMesh,
-                        box_partition, equilibrium_star, interior)
+                        box_partition, equilibrium_star, interior,
+                        sedov_blast)
 from repro.resilience import (BuddyReplicatedStore, CheckpointError,
                               CheckpointManager, FailureDetector,
                               FaultInjector, RecoveryCoordinator)
@@ -36,17 +37,28 @@ def holdings(store, locality):
 def damage_copy(store, generation, key, locality):
     """Flip one byte of a single replica (per-node bit rot; the buddy's
     copy is untouched, so recovery should route around it)."""
-    rec = store._shards[locality][(generation, key)]
-    rec.payload.view(np.uint8).reshape(-1)[0] ^= 0xFF
+    payload = store._shards[locality][(generation, key)]
+    payload.view(np.uint8).reshape(-1)[0] ^= 0xFF
 
 
 def wired(mesh, reg, **mgr_kwargs):
-    """Manager + store with the commit hook connected (no coordinator)."""
+    """Manager whose store a coordinator bound to ``mesh``: the
+    owner-plus-buddy case."""
+    mgr_kwargs.setdefault("keep", 4)
     mgr = CheckpointManager(interval=1, registry=reg, **mgr_kwargs)
-    store = BuddyReplicatedStore(mesh, keep=mgr_kwargs.get("keep", 4),
-                                 registry=reg)
-    mgr.on_commit = store.replicate
-    return mgr, store
+    return mgr, RecoveryCoordinator(mesh, mgr, registry=reg).store
+
+
+def spy_fetch(store):
+    """Record the ``holders`` map of every fetch the store serves."""
+    calls, fetch = [], store.fetch
+
+    def spy(manifest, holders, destination):
+        calls.append(dict(holders))
+        return fetch(manifest, holders, destination)
+
+    store.fetch = spy
+    return calls
 
 
 class TestBuddyReplicatedStore:
@@ -56,10 +68,10 @@ class TestBuddyReplicatedStore:
         mgr, store = wired(mesh, reg)
         cp = mgr.save(mesh)
         owners = mesh.owners()
-        alive = sorted(store.alive)
+        live = list(range(mesh.n_localities))
         for ip in mesh.blocks:
             owner = owners[ip]
-            buddy = store._buddy_of(owner, alive)
+            buddy = store._buddy_of(owner, live)
             assert (cp.generation, ip) in holdings(store, owner)
             assert (cp.generation, ip) in holdings(store, buddy)
         n = len(mesh.blocks)
@@ -76,7 +88,7 @@ class TestBuddyReplicatedStore:
         # one buddy put per block plus the manifest broadcast (the
         # origin's own manifest copy is a local fast path — uncharged)
         assert st.onesided_msgs == before + len(mesh.blocks) \
-            + len(store.alive) - 1
+            + mesh.n_localities - 1
         assert mesh.transport.reconciles()
 
     def test_torn_saves_are_never_replicated(self):
@@ -97,7 +109,7 @@ class TestBuddyReplicatedStore:
         ip = sorted(mesh.blocks)[0]
         owner = mesh.owners()[ip]
         damage_copy(store, cp.generation, ip, owner)
-        man, holders = store.recovery_plan()
+        man, holders = store.recovery_plan(mesh.owners())
         # the plan routes around the rotten replica to the buddy's copy
         assert man.generation == cp.generation
         assert holders[ip] != owner
@@ -106,15 +118,21 @@ class TestBuddyReplicatedStore:
         assert reg.value("/resilience/ckpt/verified") == 1.0
 
     def test_locality_loss_wipes_the_shard_idempotently(self):
+        """The store reads liveness from AGAS: the scan after a failure
+        drops the dead locality's shard, once, and no later write lands
+        there."""
         reg = CounterRegistry()
         mesh = dist_mesh(registry=reg)
         mgr, store = wired(mesh, reg)
         mgr.save(mesh)
-        dropped = store.locality_lost(1)
+        dropped = len(holdings(store, 1))
         assert dropped > 0
-        assert holdings(store, 1) == set()
-        assert 1 not in store.alive
-        assert store.locality_lost(1) == 0  # idempotent
+        mesh.agas.fail_locality(1)
+        store.recovery_plan(mesh.owners())
+        assert holdings(store, 1) == set() and store._manifests[1] == {}
+        mesh.agas.fail_locality(1)  # idempotent
+        mgr.save(mesh)
+        assert holdings(store, 1) == set() and store._manifests[1] == {}
         assert reg.value("/resilience/ckpt/replicas-lost") == dropped
 
     def test_plan_falls_back_past_a_fully_damaged_generation(self):
@@ -124,13 +142,13 @@ class TestBuddyReplicatedStore:
         good = mgr.save(mesh)
         bad = mgr.save(mesh)
         owners = mesh.owners()
-        alive = sorted(store.alive)
+        live = list(range(mesh.n_localities))
         for ip in mesh.blocks:  # both copies of every newest-gen block rot
             owner = owners[ip]
             damage_copy(store, bad.generation, ip, owner)
             damage_copy(store, bad.generation, ip,
-                        store._buddy_of(owner, alive))
-        man, holders = store.recovery_plan()
+                        store._buddy_of(owner, live))
+        man, holders = store.recovery_plan(owners)
         assert man.generation == good.generation
         assert reg.value("/resilience/ckpt/fallback") == 1.0
         assert reg.value("/resilience/ckpt/corrupt") == 1.0
@@ -141,29 +159,57 @@ class TestBuddyReplicatedStore:
         mesh = dist_mesh(n_localities=2, registry=reg)
         mgr, store = wired(mesh, reg)
         mgr.save(mesh)
-        store.locality_lost(0)
-        store.locality_lost(1)
+        mesh.agas.fail_locality(0, evacuate=False)
+        mesh.agas.fail_locality(1, evacuate=False)
         with pytest.raises(CheckpointError, match="no globally-consistent"):
-            store.recovery_plan()
+            store.recovery_plan(mesh.owners())
 
     def test_prune_retains_only_keep_generations(self):
         reg = CounterRegistry()
         mesh = dist_mesh(registry=reg)
-        mgr = CheckpointManager(interval=1, keep=2, registry=reg)
-        store = BuddyReplicatedStore(mesh, keep=2, registry=reg)
-        mgr.on_commit = store.replicate
+        mgr, store = wired(mesh, reg, keep=2)
         cps = [mgr.save(mesh) for _ in range(4)]
-        gens = {gk[0] for loc in store.alive for gk in holdings(store, loc)}
+        gens = {gk[0] for loc in range(mesh.n_localities)
+                for gk in holdings(store, loc)}
         assert gens == {cps[-2].generation, cps[-1].generation}
+        assert len(mgr) == 2
+
+    def test_two_payload_arrays_per_block_per_generation(self):
+        """The snapshot array is the owner's copy: a retained generation
+        holds each block twice on a distributed mesh (owner and buddy),
+        once on a node-level one — and the manager holds none itself."""
+        reg = CounterRegistry()
+        mesh = dist_mesh(registry=reg)
+        mgr, store = wired(mesh, reg, keep=2)
+        cps = [mgr.save(mesh) for _ in range(3)]
+        node = TestCheckpointStoreFaults().small_mesh()
+        node_mgr = CheckpointManager(interval=1, keep=2, registry=reg)
+        node_cps = [node_mgr.save(node) for _ in range(3)]
+        for m, saved, copies in ((mgr, cps, 2), (node_mgr, node_cps, 1)):
+            held: dict = {}
+            for shard in m.store._shards.values():
+                for gen_key, payload in shard.items():
+                    held.setdefault(gen_key, []).append(payload)
+            assert {gk[0] for gk in held} == {cp.generation
+                                             for cp in saved[-2:]}
+            for (gen, key), payloads in held.items():
+                assert len({id(p) for p in payloads}) == copies
+                cp = next(c for c in saved if c.generation == gen)
+                assert any(p is cp.blocks[key] for p in payloads)
+            assert not any(isinstance(v, (list, dict, set))
+                           for v in vars(m).values())
 
 
 class TestRecoveryCoordinator:
     def test_construction_wires_the_commit_hook(self):
+        """Construction binds the manager's one store to the mesh: the
+        owner-plus-buddy case replaces the one-locality store."""
         reg = CounterRegistry()
         mesh = dist_mesh(registry=reg)
         mgr = CheckpointManager(interval=1, registry=reg)
+        assert mgr.store.mesh is None
         coord = RecoveryCoordinator(mesh, mgr, registry=reg)
-        assert mgr.on_commit == coord.store.replicate
+        assert mgr.store is coord.store and coord.store.mesh is mesh
         mgr.save(mesh)
         assert coord.store.replicated == 1
 
@@ -246,8 +292,9 @@ class TestRecoveryCoordinator:
         # ownership remapped over the survivors only
         assert mesh.owners() == {
             ip: [0, 2][k] for ip, k in box_partition((2, 2, 2), 2).items()}
-        # the dead timeline's records are gone; durability is re-seeded
-        assert len(mgr) == 1
+        # the restored generation stays, durability is re-seeded next to it
+        assert len(mgr) == 2
+        assert mgr.latest_verified.generation == cp.generation + 1
         assert mgr.latest_verified.step == saved_steps
         assert reg.value("/recovery/global-rollbacks") == 1.0
         assert reg.value("/recovery/elastic-restarts") == 1.0
@@ -371,11 +418,12 @@ class TestCheckpointStoreFaults:
         expected = mgr.latest_verified
         assert expected is not None and expected.step == 3
         restored = mgr.restore_latest(mesh)
-        assert restored is expected
+        assert restored.generation == expected.generation
         self.assert_restored(mesh, states[3])
         # everything newer than the restored record (#4 torn, #5 corrupt)
         # failed verification and was dropped on the way down
         assert reg.value("/resilience/ckpt/fallback") == 2.0
+        assert len(mgr) == 4
 
     def test_mixed_schedule_skips_both_fault_kinds(self):
         reg = CounterRegistry()
@@ -403,7 +451,7 @@ class TestCheckpointStoreFaults:
         assert reg.value("/resilience/ckpt/fallback") == 3.0
         # a later good save makes restore work again
         good = mgr.save(mesh)
-        assert mgr.restore_latest(mesh) is good
+        assert mgr.restore_latest(mesh).generation == good.generation
 
     def test_wiring_the_injector_does_not_perturb_other_schedules(self):
         """rate=0 checkpoint checks must not consume RNG draws — the
@@ -416,3 +464,98 @@ class TestCheckpointStoreFaults:
             b.torn_write_due()           # the manager asks every save...
             b.checkpoint_corruption_due()  # ...rate 0 => no RNG draw
             assert a.drop_message() == b.drop_message()
+
+
+class TestLivenessFromAgas:
+    """The store reads liveness from AGAS at every write and scan, and
+    every restore reads the copy already at each block's destination
+    first."""
+
+    def test_evacuate_then_lose_recovers_the_newest_generation(self):
+        """An evacuated locality stays dead to the store: the saves after
+        it put nothing there, so losing another locality later still
+        leaves a live copy of every block of the newest generation."""
+        reg = CounterRegistry()
+        mesh = DistBlockMesh.retile(sedov_blast(n=24), n_localities=4,
+                                    port="libfabric", registry=reg)
+        mgr = CheckpointManager(interval=1, keep=4, registry=reg)
+        coord = RecoveryCoordinator(mesh, mgr, registry=reg)
+        store = coord.store
+        mgr.save(mesh)
+        mesh.agas.fail_locality(1)
+        puts = []
+        charge = mesh.transport.charge_onesided
+
+        def spy(nbytes, src, dst):
+            puts.append((src, dst))
+            charge(nbytes, src, dst)
+
+        mesh.transport.charge_onesided = spy
+        landed = []  # what locality 1 holds after each save
+        for _ in range(2):
+            mesh.step()
+            mgr.save(mesh)
+            landed += [*holdings(store, 1), *store._manifests[1]]
+
+        mesh.agas.fail_locality(0, evacuate=False)
+        report = coord.recover()
+        assert landed == []
+        assert puts and all(1 not in pair for pair in puts)
+        assert (report.generation, report.step) == (2, 2)
+        assert report.survivors == [2, 3]
+        clean = BlockMesh.retile(sedov_blast(n=24))
+        for _ in range(2):
+            clean.step()
+        assert mesh.steps == clean.steps and mesh.time == clean.time
+        assert np.array_equal(mesh.gather_interior(),
+                              clean.gather_interior())
+        assert mesh.transport.reconciles()
+
+    def test_step_fault_rollback_reads_owner_copies_for_free(self):
+        """No locality died: every block comes back from its owner's
+        copy, so the restore charges no one-sided byte."""
+        reg = CounterRegistry()
+        mesh = dist_mesh(registry=reg)
+        mgr, store = wired(mesh, reg)
+        mgr.save(mesh)
+        saved = {ip: interior(b).copy() for ip, b in mesh.blocks.items()}
+        mesh.step()
+        fetched = spy_fetch(store)
+        before = mesh.transport.stats.onesided_bytes
+        mgr.restore_latest(mesh)
+        assert fetched == [mesh.owners()]
+        assert mesh.transport.stats.onesided_bytes == before
+        for ip, state in saved.items():
+            assert np.array_equal(interior(mesh.blocks[ip]), state)
+        assert mesh.transport.reconciles()
+
+    def test_evacuated_blocks_come_back_from_buddy_copies(self):
+        """An evacuated victim's shard is gone: its blocks come from their
+        buddy copies, charged buddy -> new home, and the replay still
+        matches a run that never failed."""
+        straight = dist_mesh()
+        for _ in range(2):
+            straight.step()
+        reg = CounterRegistry()
+        mesh = dist_mesh(registry=reg)
+        mgr, store = wired(mesh, reg)
+        mesh.step()
+        owners = mesh.owners()
+        mgr.save(mesh)
+        mesh.step()
+        victim = 2
+        mesh.agas.fail_locality(victim)
+        for ip, loc in owners.items():
+            if loc == victim:
+                mesh.blocks[ip][...] = np.nan
+        fetched = spy_fetch(store)
+        mgr.restore_latest(mesh)
+        buddy = BuddyReplicatedStore._buddy_of(victim, [0, 1, 2, 3])
+        (holders,) = fetched
+        assert holders == {ip: buddy if loc == victim else loc
+                           for ip, loc in owners.items()}
+        mesh.step()
+        for ip in straight.blocks:
+            assert np.array_equal(interior(straight.blocks[ip]),
+                                  interior(mesh.blocks[ip]))
+        assert mesh.transport.reconciles()
