@@ -16,7 +16,7 @@ from .scf import (LaneEmdenSolution, solve_lane_emden, Polytrope,
 from .scenario import (sod_tube, sedov_blast, equilibrium_star,
                        v1309_binary, V1309_MASS_RATIO)
 from .stepper import (ConservationMonitor, ConservationRecord, evolve,
-                      FaultRecoveryExhausted)
+                      FaultRecoveryExhausted, GuardViolation)
 
 __all__ = [
     "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX",
@@ -33,5 +33,5 @@ __all__ = [
     "sod_tube", "sedov_blast", "equilibrium_star", "v1309_binary",
     "V1309_MASS_RATIO",
     "ConservationMonitor", "ConservationRecord", "evolve",
-    "FaultRecoveryExhausted",
+    "FaultRecoveryExhausted", "GuardViolation",
 ]

@@ -14,10 +14,9 @@ AMR astrophysics.  This package supplies both halves of the story:
   localities with automatic AGAS evacuation),
   :meth:`repro.runtime.agas.AgasRuntime.fail_locality` (component
   migration / invalidation on node death), :class:`CheckpointManager`
-  (periodic verified snapshots of the block interiors, consumed by
-  :func:`repro.core.stepper.evolve` and
-  :class:`repro.resilience.guard.GuardedStepper`) and stream quarantine in
-  :mod:`repro.runtime.cuda`.
+  (periodic verified snapshots of the block interiors, which the one
+  recovery policy :class:`repro.core.stepper.Recovery` rolls back to) and
+  stream quarantine in :mod:`repro.runtime.cuda`.
 
 Everything publishes ``/resilience/...`` counters into the registry from
 :mod:`repro.runtime.counters` and emits trace spans when tracing is on.
@@ -30,7 +29,6 @@ from .checkpoint import (BuddyReplicatedStore, CheckpointError,
                          block_checksum)
 from .durability import RecoveryCoordinator, RecoveryReport
 from .supervisor import DEFAULT_TASK_RETRIES, SupervisedEngine
-from .guard import GuardViolation, GuardedStepper
 from .health import (DEFAULT_HEARTBEAT_INTERVAL_S, DEFAULT_PHI_THRESHOLD,
                      FailureDetector)
 from .merger import (CHAOS, DUAL_KILL_CORRUPT, LOCALITY_KILL, FaultPlan,
@@ -44,7 +42,6 @@ __all__ = [
     "BuddyReplicatedStore",
     "RecoveryCoordinator", "RecoveryReport",
     "SupervisedEngine", "DEFAULT_TASK_RETRIES",
-    "GuardedStepper", "GuardViolation",
     "FailureDetector", "DEFAULT_PHI_THRESHOLD",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
     "Topology", "FaultPlan", "MergerResult", "run_reference", "run_merger",

@@ -47,6 +47,8 @@ from .checkpoint import (BuddyReplicatedStore, CheckpointError,
 
 __all__ = ["RecoveryCoordinator", "RecoveryReport"]
 
+EVACUATION_CAPACITY = 1   # concurrent deaths AGAS evacuation absorbs
+
 
 @dataclass
 class RecoveryReport:
@@ -76,20 +78,18 @@ class RecoveryCoordinator:
     over ``mesh`` (before the first save), so every committed record is
     durable from then on.  The coordinator is consulted when localities
     fail: :meth:`needs_global_recovery` decides whether local evacuation
-    suffices (at most ``evacuation_capacity`` concurrent failures *and*
+    suffices (at most :data:`EVACUATION_CAPACITY` concurrent failures *and*
     no block's last copy destroyed) or the run must roll back globally;
     :meth:`recover` performs the rollback.
     """
 
     def __init__(self, mesh, manager: CheckpointManager, *,
-                 evacuation_capacity: int = 1,
                  registry: CounterRegistry | None = None):
         self.mesh = mesh
         self.manager = manager
         self.registry = registry or manager.registry
         self.store = manager.store = BuddyReplicatedStore(
             mesh, keep=manager.keep, registry=self.registry)
-        self.evacuation_capacity = evacuation_capacity
         self.rollbacks = 0
 
     # -- policy -------------------------------------------------------------
@@ -104,7 +104,7 @@ class RecoveryCoordinator:
         True when more localities failed at once than evacuation can
         absorb, or when some block's last live copy is already gone.
         """
-        return (concurrent_failures > self.evacuation_capacity
+        return (concurrent_failures > EVACUATION_CAPACITY
                 or bool(self.lost_blocks()))
 
     # -- recovery -----------------------------------------------------------

@@ -73,8 +73,8 @@ class FaultInjector:
         fires once).
     corrupt_at_steps:
         Step numbers at which :meth:`corruption_due` answers True (each
-        fires once): silent data corruption for the post-stage guards of
-        :class:`repro.resilience.guard.GuardedStepper` to catch.  Unlike a
+        fires once): silent data corruption for the post-step check of
+        :class:`repro.core.stepper.Recovery` to catch.  Unlike a
         step fault, nothing raises — the run only survives if somebody
         *checks* the state.
     torn_write_at_saves:
@@ -183,8 +183,8 @@ class FaultInjector:
     def corruption_due(self, step: int) -> bool:
         """True when step ``step``'s result should be silently corrupted.
 
-        Fires at most once per listed step; the caller (e.g.
-        :class:`repro.resilience.guard.GuardedStepper`) applies the actual
+        Fires at most once per listed step; the caller
+        (:class:`repro.core.stepper.Recovery`) applies the actual
         state damage, so the injector stays physics-agnostic.
         """
         with self._lock:

@@ -40,9 +40,9 @@ from ..runtime.parcel import Parcel, ParcelHandler
 from ..runtime.scheduler import WorkStealingScheduler
 from ..simulator.events import EventQueue
 from .checkpoint import BuddyReplicatedStore, CheckpointManager
-from .durability import RecoveryCoordinator, RecoveryReport
+from .durability import (EVACUATION_CAPACITY, RecoveryCoordinator,
+                         RecoveryReport)
 from .faults import FaultInjector
-from .guard import GuardedStepper
 from .health import FailureDetector
 from .retry import ResilientParcelSender
 from .supervisor import SupervisedEngine
@@ -70,7 +70,6 @@ QUARANTINE_THRESHOLD = 2
 QUARANTINE_PERIOD_S = 30.0   # outlasts the run: still benched at the end
 CHECKPOINT_INTERVAL = 1
 KEEP_GENERATIONS = 4
-EVACUATION_CAPACITY = 1      # concurrent deaths AGAS evacuation absorbs
 
 
 @dataclass(frozen=True)
@@ -322,9 +321,7 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
     checkpoints = CheckpointManager(interval=CHECKPOINT_INTERVAL,
                                     keep=KEEP_GENERATIONS,
                                     registry=registry, injector=injector)
-    coordinator = RecoveryCoordinator(
-        dist, checkpoints, evacuation_capacity=EVACUATION_CAPACITY,
-        registry=registry)
+    coordinator = RecoveryCoordinator(dist, checkpoints, registry=registry)
     events = EventQueue()
 
     def on_failure(_locality, moved) -> None:
@@ -384,14 +381,8 @@ def run_merger(scenario, topology: Topology, plan: FaultPlan,
             injector=injector, max_retries=MAX_TASK_RETRIES,
             registry=registry)
         dist.engine = engine
-        # step faults / state corruption need the guards; same drive loop
-        if plan.fail_at_steps or plan.corrupt_at_steps:
-            policy = GuardedStepper(dist, checkpoints=checkpoints,
-                                    monitor=monitor, fault_injector=injector,
-                                    registry=registry)
-        else:
-            policy = Recovery(dist, checkpoints, monitor, injector)
-        drive(policy, T_END, plan.steps, per_step)
+        drive(Recovery(dist, checkpoints, monitor, injector, registry),
+              T_END, plan.steps, per_step)
         engine.synchronize()
         engine.publish_counters(registry)
         result.quarantined_streams = [s.index for s in gpu.streams

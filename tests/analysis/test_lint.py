@@ -599,7 +599,7 @@ def test_repro011_downward_and_same_package_imports_are_clean():
         from ..simulator.events import EventQueue
         from .checkpoint import CheckpointManager
         import numpy as np
-    """, rel="repro/resilience/guard.py") == []
+    """, rel="repro/resilience/merger.py") == []
     assert _lint("from ...sanitize import racecheck\nfrom ..grid import NF",
                  rel="repro/core/hydro/solver.py") == []
     # top-level modules and files outside the package are out of scope

@@ -30,13 +30,6 @@ ALLOWED = {
     # deliberately configurable: the caller is a test, and has to be
     ("DistBlockMesh", "partition"):
         "the partition-independence property test varies it",
-    ("GuardedStepper", "max_restores"):
-        "safety budget; exhaustion tests need a small value",
-    ("GuardedStepper", "max_halvings"):
-        "safety budget; exhaustion tests need a small value",
-    ("GuardedStepper", "checkpoint_interval"):
-        "guard tests roll back one step at a time; production passes "
-        "checkpoints=",
     ("HydroOptions", "spin_correction"):
         "False is the ablation reference for the Despres-Labourasse claim",
     ("HydroOptions", "cfl"):
@@ -174,7 +167,7 @@ def test_every_option_has_a_caller(audit):
 
 def test_allowed_table_is_exact(audit):
     declared, used = audit
-    assert len(ALLOWED) == 13
+    assert len(ALLOWED) == 10
     assert all(reason for reason in ALLOWED.values())
     stale = sorted(f"{cls}.{p}" for cls, p in ALLOWED
                    if p not in declared.get(cls, ((), ()))[1] or (cls, p) in used)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import sod_tube
-from repro.core.stepper import ConservationMonitor, evolve
+from repro.core.stepper import ConservationMonitor, Recovery, drive, evolve
 from repro.simulator.flops import MONOPOLE_KERNEL_FLOPS, MULTIPOLE_KERNEL_FLOPS
 
 
@@ -47,6 +47,26 @@ class TestMonitor:
         rep = mon.report()
         assert set(rep) == {"mass", "momentum", "angular_momentum", "egas"}
         assert rep["mass"] < 1e-12
+
+    def test_report_without_records_raises(self):
+        with pytest.raises(ValueError, match="no conservation records"):
+            ConservationMonitor().report()
+
+    def test_non_finite_t_end_rejected(self):
+        mesh = sod_tube(n=(16, 8, 8))
+        with pytest.raises(ValueError, match="t_end"):
+            evolve(mesh, t_end=float("nan"))
+        with pytest.raises(ValueError, match="t_end"):
+            drive(Recovery(mesh, None, ConservationMonitor()),
+                  float("inf"), 3)
+        assert mesh.steps == 0
+
+    def test_negative_max_steps_rejected(self):
+        mesh = sod_tube(n=(16, 8, 8))
+        with pytest.raises(ValueError, match="max_steps"):
+            evolve(mesh, t_end=0.02, max_steps=-1)
+        with pytest.raises(ValueError, match="max_steps"):
+            drive(Recovery(mesh, None, ConservationMonitor()), 0.02, -1)
 
 
 class TestFlopAccounting:

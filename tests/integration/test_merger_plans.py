@@ -25,12 +25,11 @@ from hypothesis import strategies as st
 
 from repro.core import BlockMesh, DistBlockMesh
 from repro.core.scenario import equilibrium_star, sedov_blast, v1309_binary
-from repro.core.stepper import FaultRecoveryExhausted
-from repro.resilience import (BuddyReplicatedStore, CheckpointError,
-                              GuardViolation)
-from repro.resilience.merger import (DUAL_KILL_CORRUPT, EVACUATION_CAPACITY,
-                                     FaultPlan, Topology, _check_kill,
-                                     run_merger)
+from repro.core.stepper import FaultRecoveryExhausted, GuardViolation
+from repro.resilience import BuddyReplicatedStore, CheckpointError
+from repro.resilience.durability import EVACUATION_CAPACITY
+from repro.resilience.merger import (DUAL_KILL_CORRUPT, FaultPlan, Topology,
+                                     _check_kill, run_merger)
 from repro.runtime import CounterRegistry
 
 

@@ -11,7 +11,7 @@ from repro.core import (EGAS, NF, RHO, SUBGRID_N, TAU, AmrMesh, BlockMesh,
                         ConservationMonitor, DistBlockMesh,
                         FaultRecoveryExhausted, HydroOptions, IdealGas,
                         Octree, equilibrium_star, evolve, interior,
-                        sedov_blast)
+                        sedov_blast, stepper)
 from repro.resilience import (CheckpointError, CheckpointManager,
                               FaultInjector, RecoveryCoordinator,
                               block_checksum)
@@ -305,10 +305,11 @@ class TestFaultTolerantEvolve:
         with pytest.raises(SimulationFault):
             evolve(small_mesh(), 0.05, max_steps=4, fault_injector=inj)
 
-    def test_restore_budget_fails_loudly_not_forever(self):
+    def test_restore_budget_fails_loudly_not_forever(self, monkeypatch):
+        monkeypatch.setattr(stepper, "MAX_RESTORES", 3)
         inj = FaultInjector(fail_at_steps=range(4),
                             registry=CounterRegistry())
         with pytest.raises(FaultRecoveryExhausted):
             evolve(small_mesh(), 0.05, max_steps=4,
                    checkpoints=CheckpointManager(interval=1),
-                   fault_injector=inj, max_restores=3)
+                   fault_injector=inj)

@@ -217,8 +217,7 @@ class TestRecoveryCoordinator:
         reg = CounterRegistry()
         mesh = dist_mesh(registry=reg)
         mgr = CheckpointManager(interval=1, registry=reg)
-        coord = RecoveryCoordinator(mesh, mgr, evacuation_capacity=1,
-                                    registry=reg)
+        coord = RecoveryCoordinator(mesh, mgr, registry=reg)
         assert not coord.needs_global_recovery(0)
         assert not coord.needs_global_recovery(1)  # evacuation absorbs one
         assert coord.needs_global_recovery(2)      # ...but not two at once
