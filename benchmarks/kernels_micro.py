@@ -3,10 +3,11 @@
 Times each building-block kernel on representative batch sizes and
 reports ns per interaction (gravity pair kernels) or ns per zone/face
 (hydro kernels).  ``p2p_dense`` is the Green-table sweep of a whole 32^3
-leaf level, per leaf pair, beside the per-pair ``p2p`` kernel it
-replaced there (which additionally pays gathers and scatter-adds the
-microbenchmark does not time).  ``m2l_root_dense`` (the 8^3 root level)
-and ``m2l_sweep`` (the 16^3 interior level, P = 8) are the two tilings of
+leaf level (``p2p_dense_16`` of a 16^3 one), per leaf pair, beside the
+per-pair ``p2p`` kernel it replaced there (which additionally pays
+gathers and scatter-adds the microbenchmark does not time).
+``m2l_root_dense`` (the 8^3 root level) and ``m2l_sweep`` (the 16^3
+interior level, P = 8) are the two tilings of
 the dense M2L, each beside per-pair ``m2l_pair`` over the very same far
 pairs of a 32^3 hierarchy, gathered in ``_TILE`` tiles and scatter-added
 with ``bincount`` as the retired pair-list engine ran them (against Green
@@ -74,7 +75,8 @@ from repro.core.exec import ExecutionEngine  # noqa: E402
 from repro.core.gravity import fmm  # noqa: E402
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         m2l_pair, m2l_pair_reference,
-                                        p2p_pair, p2p_pair_staged)
+                                        p2p_pair, p2p_pair_staged,
+                                        sweep_pad)
 from repro.core.gravity.stencil import leaf_sweep_offsets  # noqa: E402
 from repro.core.hydro.reconstruct import ppm_faces  # noqa: E402
 from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
@@ -89,8 +91,9 @@ from repro.runtime.counters import CounterRegistry  # noqa: E402
 
 #: pair-batch size for the gravity kernels (one aggregated launch's worth)
 PAIR_N = 16384
-#: parent-grid edge of the dense leaf sweep (a 32^3 leaf level)
-DENSE_EDGE = 16
+#: dense leaf sweep row name -> parent-grid edge: a 32^3 leaf level and
+#: the 16^3 one every gravity workload of the perf ledger runs
+DENSE_EDGES = {"p2p_dense": 16, "p2p_dense_16": 8}
 #: grid edge of the hierarchy the dense M2L rows run on: an 8^3 root
 #: (matrix tiling) over a 16^3 interior level (P = 8 sweep)
 M2L_GRID = 32
@@ -127,6 +130,29 @@ def _time(fn, *, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def dense_sweep(edge: int) -> tuple[list, int, tuple[int, int]]:
+    """The Green-table leaf sweep of a whole ``(2 edge)``^3 leaf level:
+    every parent offset's sweep in one list, the leaf pairs they cover
+    and the y / z pad of the staged mass grid."""
+    offsets = leaf_sweep_offsets(edge)
+    pad = sweep_pad(offsets)
+    sweeps, pairs = green_sweeps(edge, offsets, fmm._CHILD, 0.5 / edge,
+                                 np.ones((edge,) * 3 + (8,), bool), pad)
+    return sweeps, pairs, pad
+
+
+def _dense_sweep_seconds(edge: int, repeats: int) -> tuple[float, int]:
+    """Best time of :func:`dense_sweep` on random masses and its pairs."""
+    sweeps, pairs, (py, pz) = dense_sweep(edge)
+    m8 = np.pad(np.random.default_rng(8).uniform(0.5, 2.0,
+                                                 (edge,) * 3 + (8,)),
+                [(0, 0), (py, py), (pz, pz), (0, 0)])
+    out = np.empty((edge,) * 3 + (32,))
+    ws = Workspace()
+    return _time(lambda: p2p_pair_staged(m8, sweeps, out, ws),
+                 repeats=repeats), pairs
 
 
 def _pair_batch(n: int = PAIR_N):
@@ -453,15 +479,8 @@ def run_kernels_micro(repeats: int = 5) -> dict:
                       repeats=repeats)
     t_greens = _time(lambda: greens(dR), repeats=repeats)
 
-    child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
-    sweeps, n_dense = green_sweeps(DENSE_EDGE,
-                                   leaf_sweep_offsets(DENSE_EDGE), child,
-                                   0.5 / DENSE_EDGE,
-                                   np.ones((DENSE_EDGE,) * 3 + (8,), bool))
-    m8 = np.random.default_rng(8).uniform(0.5, 2.0, (DENSE_EDGE,) * 3 + (8,))
-    dense_out = np.empty((DENSE_EDGE,) * 3 + (32,))
-    t_dense = _time(lambda: p2p_pair_staged(m8, sweeps, out=dense_out),
-                    repeats=repeats)
+    t_dense = {edge: _dense_sweep_seconds(edge, repeats)
+               for edge in DENSE_EDGES.values()}
 
     U, opts = _hydro_block()
     ws = Workspace()
@@ -517,7 +536,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
-        "p2p_dense": entry(t_dense, n_dense),
+        **{name: entry(*t_dense[edge]) for name, edge in DENSE_EDGES.items()},
         "m2l": entry(t_m2l, n_pairs),
         "m2l_reference": entry(t_m2l_ref, n_pairs),
         "greens": entry(t_greens, n_pairs),
@@ -542,7 +561,7 @@ def rhs_batched_lines(kernels: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     kernels = run_kernels_micro()
-    for name in ("p2p", "p2p_dense", "m2l", "m2l_reference", "greens",
+    for name in ("p2p", *DENSE_EDGES, "m2l", "m2l_reference", "greens",
                  "reconstruct", "kt_flux", "kt_flux_reference", "rhs",
                  "rhs_reference"):
         e = kernels[name]

@@ -4,9 +4,13 @@ timings themselves are ``python benchmarks/kernels_micro.py``)."""
 import os
 import sys
 
+import numpy as np
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
+                           dense_sweep, fmm, leaf_sweep_offsets,
                            m2l_dense_counts, rhs_calls_row)
 
 #: sub-grids per ``compute_rhs`` call of one stage on the ``rhs_calls``
@@ -15,6 +19,10 @@ from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
 #: 2x3x3 box of 18 sub-grids, which is now cut into two slabs of 9
 BEFORE_ONE_RULE = {"serial_24": [27], "dist_24": [9, 6, 12],
                    "dist_16": [8], "survivors_24": [9, 18]}
+
+#: leaf pairs the leaf sweep of one uniform solve covers, per grid edge
+#: (the perf ledger's monopole interactions at 16^3)
+LEAF_PAIRS = {16: 2_276_352, 32: 25_251_840}
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -58,3 +66,28 @@ def test_m2l_root_dense_evaluates_at_most_1_30_per_far_pair():
     row = m2l_dense_counts(_m2l_solver())["m2l_root_dense"]
     assert row["pairs"] == 95_472
     assert row["evaluated"] / row["pairs"] <= 1.30
+
+
+@pytest.mark.parametrize("M", sorted(LEAF_PAIRS))
+def test_dense_sweep_adds_every_offset_into_one_contiguous_slab(M):
+    """The gate of the padded leaf sweep (counts, no timing): in the plan
+    of a uniform M^3 solve every parent offset adds into one contiguous
+    x-slab of the output, reading a window of the staged masses of the
+    same rows, and the plan covers the leaf pairs ``green_sweeps`` counts
+    for all offsets at once."""
+    solver = fmm.FmmSolver.from_uniform(np.ones((M,) * 3), 1.0 / M)
+    solver.solve()
+    P = M // 2
+    entries = [e for e in solver._plan if e.kind == "dense"]
+    out = np.empty((P ** 3, 32))
+    offsets = 0
+    for entry in entries:
+        assert entry.rows == P ** 3
+        for slab, window, _ in entry.sweeps:
+            assert slab.step is None
+            assert slab.start % P ** 2 == 0 == slab.stop % P ** 2
+            assert out[slab].flags.c_contiguous
+            assert entry.dense.m8[window].size == 8 * len(out[slab])
+            offsets += 1
+    assert offsets == len(leaf_sweep_offsets(P)) == 257
+    assert sum(e.pairs for e in entries) == dense_sweep(P)[1] == LEAF_PAIRS[M]

@@ -33,12 +33,15 @@ entries, each over one fixed stencil of the grid:
   leaf level when their parents are not well separated, and for each
   such parent offset the 8 x 8 child separations are constants of the
   grid.  So the near field is one ``(8, 32)`` Green table per offset
-  (:func:`.kernels.green_table`, built once) and, per solve, one
-  shifted-slice matmul per offset (:func:`.kernels.p2p_pair_staged`)
-  over the leaf masses: no index arrays, no gathers, no scatter-adds —
-  the paper's stencil-over-SoA redesign of Sec. 4.3.  Outputs are kept
-  at leaf targets.  On a level that also has refined cells the table
-  zeroes the well-separated child pairs, which the M2L below takes.
+  (:func:`.kernels.green_table`, built once) and, per solve, one BLAS
+  ``C += A @ B`` per offset (:func:`.kernels.p2p_pair_staged`): the leaf
+  masses are staged on the parent grid padded with massless parents in
+  y and z by the widest offset, so every offset adds a fixed window of
+  them into one contiguous x-slab of the output.  No index arrays, no
+  gathers, no scatter-adds — the paper's stencil-over-SoA redesign of
+  Sec. 4.3.  Outputs are kept at leaf targets.  On a level that also
+  has refined cells the table zeroes the well-separated child pairs,
+  which the M2L below takes.
 * **Dense M2L** (if the level has refined cells): every well-separated
   pair whose parents are not, with every present cell's moments, through
   one kernel (:func:`.kernels.m2l_dense`).  Expansions are centred on
@@ -80,7 +83,7 @@ from ...util import morton_key
 from ..workspace import Workspace
 from .kernels import (N_GREEN, N_MOMENT, TINY_MASS, green_sweeps,
                       m2l_assemble, m2l_dense, p2p_pair, p2p_pair_staged,
-                      pack_moments)
+                      pack_moments, sweep_pad)
 # not called here: re-exported because the perf ledger's spans.TARGETS
 # rebinds ``fmm.m2l_pair`` (and ``fmm.p2p_pair``) by name
 from .kernels import m2l_pair  # noqa: F401
@@ -257,12 +260,15 @@ class _PairList:
 @dataclass
 class _DenseLeaf:
     """Leaf-sweep state of one level: its leaf masses staged on the
-    parent grid (:func:`_parent_grid`), everything else massless."""
+    parent grid (:func:`_parent_grid`), everything else massless, with
+    massless parents padding y and z by the sweep's widest offsets (see
+    :func:`.kernels.green_sweeps`)."""
 
     lv: FmmLevel
     slots: np.ndarray | slice  # the level's leaf slots (all: a slice)
     flat: np.ndarray         # their positions in the flattened grid
-    m8: np.ndarray           # (P, P, P, 8) leaf masses, refilled per solve
+    padded: np.ndarray       # ... and in the flattened padded grid
+    m8: np.ndarray           # (P, P + 2 py, P + 2 pz, 8) leaf masses
     groups: list[tuple[list, int]]  # per group: sweeps, leaf pairs covered
 
     @classmethod
@@ -272,19 +278,26 @@ class _DenseLeaf:
         which the level's M2L covers."""
         P, flat, _ = _parent_grid(lv)
         slots = slice(None) if lv.leaf.all() else np.flatnonzero(lv.leaf)
+        flat = flat[slots]
         leaf = np.zeros(8 * P ** 3, dtype=bool)
-        leaf[flat[slots]] = True
+        leaf[flat] = True
         leaf = leaf.reshape(P, P, P, 8)
-        groups = [green_sweeps(P, offsets, _CHILD, lv.width, leaf,
+        offsets = leaf_sweep_offsets(P, root)
+        pad = sweep_pad(offsets)
+        m8 = np.zeros((P, P + 2 * pad[0], P + 2 * pad[1], 8))
+        parent = np.unravel_index(flat // 8, (P,) * 3)
+        padded = 8 * np.ravel_multi_index(
+            (parent[0], parent[1] + pad[0], parent[2] + pad[1]),
+            m8.shape[:3]) + flat % 8
+        groups = [green_sweeps(P, part, _CHILD, lv.width, leaf, pad,
                                near_only=not lv.leaf.all())
-                  for offsets in np.array_split(leaf_sweep_offsets(P, root),
-                                                _DENSE_GROUPS)]
-        return cls(lv, slots, flat[slots], np.zeros((P, P, P, 8)),
-                   [g for g in groups if g[0]])
+                  for part in np.array_split(offsets, _DENSE_GROUPS)]
+        return cls(lv, slots, flat, padded, m8, [g for g in groups if g[0]])
 
     def stage(self) -> None:
-        """Refill the mass grid from the level (once per solve)."""
-        self.m8.reshape(-1)[self.flat] = self.lv.m[self.slots]
+        """Refill the mass grid from the level (once per solve); the pad
+        is never written."""
+        self.m8.reshape(-1)[self.padded] = self.lv.m[self.slots]
 
 
 @dataclass
@@ -294,6 +307,7 @@ class _LeafSweep:
     dense: _DenseLeaf
     sweeps: list
     pairs: int
+    ws: Workspace             # thread-local kernel scratch
     kind = "dense"
     owner = "fmm/pair-out"
     counter = _MONOPOLE
@@ -302,12 +316,12 @@ class _LeafSweep:
 
     @property
     def rows(self) -> int:
-        return self.dense.m8.size // 8
+        return len(self.dense.m8) ** 3
 
     def compute(self, outs) -> None:
         m8 = self.dense.m8
         p2p_pair_staged(m8, self.sweeps,
-                        out=outs[0].reshape(m8.shape[:3] + (32,)))
+                        outs[0].reshape((len(m8),) * 3 + (32,)), self.ws)
 
     def accumulate(self, outs) -> None:
         dense = self.dense
@@ -493,7 +507,9 @@ class FmmSolver:
         # next, so slot j's buffers are free again by the time the next
         # chunk's entry j starts computing
         self._out_pool: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
-        # thread-local kernel scratch of the dense M2L tiles
+        # (leaf level, grid edge) of a from_uniform solver
+        self._uniform_shape: tuple[int, int] | None = None
+        # thread-local kernel scratch of the dense sweeps
         self._ws = Workspace()
 
     # -- constructors -----------------------------------------------------
@@ -667,7 +683,7 @@ class FmmSolver:
 
     def _compute_entry(self, i: int, slot: int):
         """Pure compute half of plan entry ``i`` (engine task): its
-        kernel batch — a group of shifted-slice matmuls, a group of dense
+        kernel batch — a group of leaf-sweep offsets, a group of dense
         M2L tiles, the tiled boundary batch — written into outputs from
         the slot-indexed pool (see :meth:`_pool_out`).  No accumulation
         happens here, so entries are safe to compute concurrently and in
@@ -759,7 +775,7 @@ class FmmSolver:
             if lv.leaf.any():
                 leaf = _DenseLeaf.of(lv, li == 0)
                 self._staged.append(leaf)
-                self._plan += [_LeafSweep(leaf, sweeps, pairs)
+                self._plan += [_LeafSweep(leaf, sweeps, pairs, self._ws)
                                for sweeps, pairs in leaf.groups]
             if not lv.leaf.all():
                 m2l = _DenseM2L.of(lv, li == 0)
@@ -799,12 +815,26 @@ class FmmSolver:
 
     def uniform_field(self, result: GravityResult
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """For ``from_uniform`` solvers: (phi, acc) as cubic grids."""
+        """For ``from_uniform`` solvers: (phi, acc) as cubic grids.
+
+        ``result`` must be a field of this solver's leaf cells (its
+        :meth:`solve`, or one of a solver of the same grid): a
+        ``ValueError`` names what does not fit, instead of scattering
+        values onto the wrong cells."""
+        if self._uniform_shape is None:
+            raise ValueError("uniform_field needs a from_uniform solver; "
+                             "this one was built from levels")
         depth, M = self._uniform_shape
+        sel = result.leaf_slots.get(depth)
+        if result.leaf_slots.keys() != {depth} \
+                or not np.array_equal(sel, self._leaf_slots[depth]):
+            raise ValueError(
+                f"result is not a field of this solver's {M}^3 grid: it "
+                f"holds leaves on levels {sorted(result.leaf_slots)}, not "
+                f"all {M ** 3} cells of level {depth} alone")
         lv = self.levels[depth]
         phi = np.zeros((M, M, M))
         acc = np.zeros((M, M, M, 3))
-        sel = result.leaf_slots[depth]
         c = lv.coords[sel]
         phi[c[:, 0], c[:, 1], c[:, 2]] = result.phi[depth]
         acc[c[:, 0], c[:, 1], c[:, 2]] = result.acc[depth]

@@ -38,9 +38,11 @@ property-test oracle and microbenchmark baseline.
 On the leaf cells of a level the pair lists themselves go away:
 :func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
 child separations of every near parent offset once, and
-:func:`p2p_pair_staged` is the whole leaf-level near field as one
-shifted-slice matmul per offset.  :func:`p2p_pair` is left with the
-coarse-fine boundary, a leaf against a refined neighbour's children.
+:func:`p2p_pair_staged` is the whole leaf-level near field as one BLAS
+``C += A @ B`` per offset: the masses sit on a parent grid padded with
+massless parents in y and z, so every offset adds into one contiguous
+x-slab of the output.  :func:`p2p_pair` is left with the coarse-fine
+boundary, a leaf against a refined neighbour's children.
 
 On a level with refined cells the same happens to M2L, except that its
 separations join centres of mass and so cannot be tabulated:
@@ -66,11 +68,12 @@ test-facing :func:`greens` keeps its guard.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm
 
 from .stencil import well_separated
 
 __all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
-           "p2p_pair_staged",
+           "sweep_pad", "p2p_pair_staged",
            "m2l_pair", "m2l_pair_reference", "LEVI_CIVITA",
            "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
            "green_block", "m2l_dense", "m2l_assemble"]
@@ -233,49 +236,82 @@ def green_table(w, child: np.ndarray, width: float,
 
 
 def green_sweeps(edge: int, offsets: np.ndarray, child: np.ndarray,
-                 width: float, leaf: np.ndarray, near_only: bool = False
-                 ) -> tuple[list[tuple], int]:
+                 width: float, leaf: np.ndarray, pad: tuple[int, int],
+                 near_only: bool = False) -> tuple[list[tuple], int]:
     """Stage parent ``offsets`` for :func:`p2p_pair_staged` on an
-    ``edge``^3 parent grid: ``(sweeps, pairs)``.
+    ``edge``^3 parent grid whose masses sit in a grid padded with ``pad =
+    (py, pz)`` massless parents on both sides of y and z (at least
+    :func:`sweep_pad` of ``offsets``): ``(sweeps, pairs)``.
 
-    ``sweeps`` holds one ``(target slices, source slices, table)`` per
-    offset whose :func:`green_table` is not all zero — the parents ``I``
-    with ``I + w`` inside the grid, the same block shifted by ``w``, and
-    the table.  ``pairs`` is the number of pairs of leaves (``leaf``, the
+    ``sweeps`` holds one ``(slab, window, table)`` per offset ``w`` whose
+    :func:`green_table` is not all zero: ``slab``, the target parents
+    ``I`` with ``I_x + w_x`` inside the grid, as a row range of the
+    flattened ``(edge^3, 32)`` output — every y and z, so it is one
+    contiguous block; ``window``, the block of the padded grid their
+    sources ``I + w`` fill (massless parents where ``I + w`` leaves the
+    grid in y or z, so ``|w_y| <= py`` and ``|w_z| <= pz``); and the
+    table.  ``pairs`` is the number of pairs of leaves (``leaf``, the
     ``(edge, edge, edge, 8)`` bool grid of them) the offsets cover, each
     counted once: ``w`` and ``-w`` visit every pair once per direction,
     so it is credited to the lex-positive one (half of ``w = 0``'s).
     """
     sweeps, swept = [], 0
+    plane = edge * edge
     for w in np.asarray(offsets).tolist():
         table = green_table(w, child, width, near_only)
         hit = table.reshape(8, 8, 4)[..., 0] != 0.0
         if not hit.any():
             continue
-        target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
-        source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
-        sweeps.append((target, source, table))
+        lo, hi = max(0, -w[0]), edge - max(0, w[0])
+        window = (slice(lo + w[0], hi + w[0]),) + tuple(
+            slice(p + x, p + x + edge) for p, x in zip(pad, w[1:]))
+        sweeps.append((slice(lo * plane, hi * plane), window, table))
         credit = 2 if w > [0, 0, 0] else 1 if w == [0, 0, 0] else 0
         if credit:
+            target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
+            source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
             swept += credit * int(((leaf[source] @ hit.astype(np.int64))
                                    * leaf[target]).sum())
     return sweeps, swept // 2
 
 
-def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray) -> np.ndarray:
+def sweep_pad(offsets: np.ndarray) -> list[int]:
+    """``[py, pz]``: the massless parents :func:`p2p_pair_staged` needs on
+    both sides of y and z to sweep ``offsets`` — their largest ``|w_y|``,
+    ``|w_z|``."""
+    return np.abs(np.asarray(offsets)[:, 1:]).max(axis=0).tolist()
+
+
+def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray, ws
+                    ) -> np.ndarray:
     """Dense leaf P2P over pre-staged Green tables (Sec. 4.3's stencil
     kernel): ``out[I] = sum_w m8[I + w] @ table_w``.
 
-    ``m8`` is the ``(P, P, P, 8)`` parent grid of leaf masses, ``sweeps``
-    the staged offsets (:func:`green_sweeps`) and ``out`` the
-    ``(P, P, P, 32)`` result (4 values per target child, see
-    :func:`green_table`), overwritten.  No index arrays, no scatter: the
-    separations are constants of the grid, so only the masses move.
-    Offsets are summed in the order given.
+    ``m8`` is the padded parent grid of leaf masses, ``(P, P + 2 py, P +
+    2 pz, 8)`` with zeros outside the ``P``^3 parents, ``sweeps`` the
+    staged offsets (:func:`green_sweeps`), ``out`` the ``(P, P, P, 32)``
+    result (4 values per target child, see :func:`green_table`),
+    overwritten, and ``ws`` a :class:`~repro.core.workspace.Workspace`.
+    No index arrays, no scatter: the separations are constants of the
+    grid, so only the masses move.  Per offset the source window is
+    copied into one contiguous scratch block and BLAS adds ``window @
+    table`` into the target slab in place (``dgemm`` with ``beta = 1``,
+    on the transposed, column-major views): one call, no product
+    temporary.  A massless pad parent adds an exact ``+0.0``.  Offsets
+    are summed in the order given.  ``out`` must be C-contiguous: BLAS
+    writes through its views.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("p2p_pair_staged needs a C-contiguous out")
     out[...] = 0.0
-    for target, source, table in sweeps:
-        out[target] += m8[source] @ table
+    rows = out.reshape(-1, out.shape[-1])
+    scratch = ws.take("p2p:window", len(rows), (8,))
+    for slab, window, table in sweeps:
+        src = m8[window]
+        block = scratch[:slab.stop - slab.start]
+        np.copyto(block.reshape(src.shape), src)
+        # rows[slab] += block @ table, column-major: beta = 1, overwrite_c
+        _dgemm(1.0, table.T, block.T, 1.0, rows[slab].T, 0, 0, 1)
     return out
 
 

@@ -296,19 +296,15 @@ def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
     Derivation: choosing dl_i/dt = -(dx/2) e_ax cross (F_{i+1/2} +
     F_{i-1/2}) / dx makes sum(x cross s + l) follow the conservative
     angular-momentum flux x_face cross F_face, which telescopes.
+
+    Only the momentum fluxes are summed, and the identically zero
+    component of ``e_ax cross s`` (along ``ax``) is never added: ``rhs``
+    accumulates from ``+0.0``, so adding it would change no bit.
     """
-    fsum = Flo + Fhi                            # F_minus + F_plus
-    sx, sy, sz = fsum[SX], fsum[SX + 1], fsum[SX + 2]
-    # e_ax cross (sx, sy, sz); factor -(1/2) from the derivation
-    if axis == 0:
-        cx, cy, cz = 0.0 * sx, -sz, sy
-    elif axis == 1:
-        cx, cy, cz = sz, 0.0 * sx, -sx
-    else:
-        cx, cy, cz = -sy, sx, 0.0 * sx
-    rhs[LX] += -0.5 * cx
-    rhs[LX + 1] += -0.5 * cy
-    rhs[LX + 2] += -0.5 * cz
+    a, b = (axis + 1) % 3, (axis + 2) % 3
+    # e_ax cross s = s_a e_b - s_b e_a; factor -(1/2) from the derivation
+    rhs[LX + a] += 0.5 * (Flo[SX + b] + Fhi[SX + b])
+    rhs[LX + b] -= 0.5 * (Flo[SX + a] + Fhi[SX + a])
 
 
 def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple,

@@ -144,6 +144,48 @@ class TestUniformSolver:
         assert np.isfinite(phi2).all()
 
 
+class TestUniformField:
+    """``uniform_field`` takes only fields of its own uniform grid."""
+
+    @staticmethod
+    def _adaptive():
+        tree = Octree(domain=1.0)
+        tree.refine(0, (0, 0, 0))
+        tree.refine(1, (0, 1, 0))
+        specs, rho_by_level = tree.fmm_levels()
+        solver = FmmSolver.from_levels(specs)
+        solver.set_leaf_density(rho_by_level)
+        return solver
+
+    def test_own_result_scatters_onto_the_grid(self, uniform16):
+        _rng, M, _rho, solver, result = uniform16
+        phi, acc = solver.uniform_field(result)
+        c = solver.levels[-1].coords
+        np.testing.assert_array_equal(phi[c[:, 0], c[:, 1], c[:, 2]],
+                                      result.phi[len(solver.levels) - 1])
+        assert acc.shape == (M, M, M, 3)
+
+    def test_solver_built_from_levels_is_refused(self):
+        solver = self._adaptive()
+        with pytest.raises(ValueError, match="needs a from_uniform solver"):
+            solver.uniform_field(solver.solve())
+
+    def test_result_of_another_grid_size_is_refused(self, uniform16):
+        result = uniform16[4]
+        big = FmmSolver.from_uniform(np.ones((32,) * 3), 1.0 / 32)
+        with pytest.raises(ValueError, match="32\\^3 grid.*levels \\[1\\]"):
+            big.uniform_field(result)
+
+    def test_same_sized_adaptive_result_is_refused(self, uniform16):
+        """The adaptive tree spans the same 16^3 finest-uniform level, but
+        its leaves sit on two levels: nothing is scattered."""
+        solver = uniform16[3]
+        result = self._adaptive().solve()
+        assert 1 in result.leaf_slots
+        with pytest.raises(ValueError, match="levels \\[1, 2\\]"):
+            solver.uniform_field(result)
+
+
 class TestAdaptiveSolver:
     def test_amr_matches_direct(self):
         rng = np.random.default_rng(11)

@@ -55,8 +55,9 @@ from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
 from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, TINY_MASS,
-                                        green_table, m2l_dense, m2l_pair,
-                                        p2p_pair)
+                                        green_sweeps, green_table, m2l_dense,
+                                        m2l_pair, p2p_pair, p2p_pair_staged,
+                                        sweep_pad)
 from repro.core.gravity.stencil import (leaf_sweep_offsets, m2l_root_tiles,
                                         m2l_sweep_offsets, well_separated)
 from repro.core.workspace import Workspace
@@ -352,6 +353,37 @@ def test_dense_m2l_counts_exactly_the_far_pairs(M):
     assert {e.kind for e in solver._plan} == {"dense", "m2l-dense"}
 
 
+#: (monopole, multipole) interactions of one solve: uniform grids by
+#: edge, and the tree of :func:`_adaptive_specs` on 8^3 sub-grids
+COUNTS_PER_SOLVE = {16: (2_276_352, 95_472), 32: (25_251_840, 1_979_056),
+                    "adaptive": (6_309_552, 23_585_040)}
+
+
+def _adaptive_specs(subgrid_n):
+    """A three-times refined ``Octree`` (one refinement per level, a
+    coarse-fine boundary on every refined level): its ``fmm_levels``."""
+    tree = Octree(subgrid_n=subgrid_n)
+    tree.refine(0, (0, 0, 0))
+    tree.refine(1, (0, 1, 0))
+    tree.refine(2, (1, 2, 1))
+    return tree, tree.fmm_levels()
+
+
+@pytest.mark.parametrize("grid", list(COUNTS_PER_SOLVE))
+def test_interaction_counts_per_solve(grid):
+    """Every solve — the plan-building one and a replay — counts the
+    same monopole and multipole interactions."""
+    if grid == "adaptive":
+        specs, rho = _adaptive_specs(8)[1]
+        solver = FmmSolver.from_levels(specs)
+    else:
+        rho = _density(grid, 5, 0.3, 1.0)
+        solver = FmmSolver.from_uniform(rho, 1.0 / grid)
+        rho = {len(solver.levels) - 1: rho}
+    for _ in range(2):
+        assert _solve(solver, rho)[1] == COUNTS_PER_SOLVE[grid]
+
+
 def _assert_futurized_matches_serial(solver, densities):
     with WorkStealingScheduler(1) as sched, \
             CudaDevice(n_streams=2, n_workers=1, name="dense-gpu") as gpu:
@@ -379,11 +411,7 @@ def test_futurized_dense_solve_is_byte_identical_to_serial():
 def test_futurized_adaptive_solve_is_byte_identical_to_serial():
     """An adaptive tree walks the same dense plan through the engine,
     its coarse-fine boundary batch included."""
-    tree = Octree(subgrid_n=SUBGRID_N)
-    tree.refine(0, (0, 0, 0))
-    tree.refine(1, (0, 1, 0))
-    tree.refine(2, (1, 2, 1))
-    specs, _ = tree.fmm_levels()
+    tree, (specs, _) = _adaptive_specs(SUBGRID_N)
     solver = FmmSolver.from_levels(specs)
     densities = []
     for seed in (1, 2, 3):
@@ -415,6 +443,79 @@ def test_sweep_offsets_are_the_parent_near_set():
     # two siblings are well separated), one of every {W, -W}
     assert len(m2l_sweep_offsets(16)) == 128
     assert len(m2l_sweep_offsets(2)) == 13
+
+
+def _plain_sweep(m8, offsets, width, near_only):
+    """The leaf sweep as one shifted-slice matmul per offset on the
+    unpadded grid, each added into the targets it has."""
+    P = len(m8)
+    out = np.zeros((P, P, P, 32))
+    for w in offsets.tolist():
+        target = tuple(slice(max(0, -x), P - max(0, x)) for x in w)
+        source = tuple(slice(max(0, x), P + min(0, x)) for x in w)
+        out[target] += m8[source] @ green_table(w, fmm._CHILD, width,
+                                                near_only)
+    return out
+
+
+@pytest.mark.parametrize("P, root", [(4, False), (8, False), (16, False),
+                                     (2, True), (4, True)])
+@pytest.mark.parametrize("near_only", [False, True])
+def test_padded_sweep_matches_plain_loop(P, root, near_only):
+    """The staged sweep — masses on the y/z-padded grid, one BLAS add per
+    offset into a contiguous x-slab — against :func:`_plain_sweep`: the
+    same products summed in the same order, so within 4 ulps of the
+    largest value of each of the four output components."""
+    rng = np.random.default_rng(P)
+    m8 = rng.uniform(0.5, 2.0, (P, P, P, 8))
+    m8[rng.random(m8.shape) < 0.3] = 0.0
+    offsets = leaf_sweep_offsets(P, root)
+    py, pz = pad = sweep_pad(offsets)
+    sweeps, _ = green_sweeps(P, offsets, fmm._CHILD, 0.5 / P,
+                             np.ones(m8.shape, bool), pad, near_only)
+    got = p2p_pair_staged(np.pad(m8, [(0, 0), (py, py), (pz, pz), (0, 0)]),
+                          sweeps, np.full((P, P, P, 32), np.nan),
+                          Workspace()).reshape(-1, 4)
+    ref = _plain_sweep(m8, offsets, 0.5 / P, near_only).reshape(-1, 4)
+    bound = 4 * np.spacing(np.abs(ref).max(axis=0))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_staged_sweep_refuses_a_strided_out():
+    """BLAS adds into views of ``out``: a strided one is refused, not
+    silently left unwritten."""
+    out = np.zeros((2, 2, 2, 64))[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        p2p_pair_staged(np.zeros((2, 4, 4, 8)), [], out, Workspace())
+
+
+def test_pad_margins_stay_zero_across_restages():
+    """Only the level's leaf masses are ever staged: the massless pad
+    around them stays exactly ``+0.0`` through three solves with
+    different densities, on a uniform and on an adaptive tree."""
+    tree, (specs, _) = _adaptive_specs(SUBGRID_N)
+    uniform = _uniform(2)[0]
+    for solver in (uniform, FmmSolver.from_levels(specs)):
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            if solver is uniform:
+                rho = {2: _density(SUBGRID_N << 2, seed, 0.3, 10.0 ** seed)}
+            else:
+                for leaf in tree.leaves():
+                    leaf.grid.interior[RHO] = rng.uniform(
+                        0.1, 10.0 ** seed, leaf.grid.interior[RHO].shape)
+                rho = tree.fmm_levels()[1]
+            _solve(solver, rho)
+            for dense in solver._staged:
+                if not isinstance(dense, fmm._DenseLeaf):
+                    continue
+                P, ny, nz, _ = dense.m8.shape
+                py, pz = (ny - P) // 2, (nz - P) // 2
+                margin = dense.m8.copy()
+                margin[:, py:py + P, pz:pz + P] = 0.0
+                assert py > 0 and pz > 0
+                assert not margin.any() and not np.signbit(margin).any()
+                assert dense.m8[:, py:py + P, pz:pz + P].any()
 
 
 def test_green_table_rejects_coincident_cells():
