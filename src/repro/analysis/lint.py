@@ -1,9 +1,9 @@
 """Repo-specific AST lint pass (the static prong of the sanitizers).
 
-Generic linters cannot know that this codebase's solver layer is
-bit-identical by contract, or that counter names must live under a
-registered section.  This module encodes those invariants as AST rules
-and runs them over the source tree::
+Generic linters cannot know that counter names must live under a
+registered section, or that kernels reach a GPU through one launcher.
+This module encodes such invariants as AST rules and runs them over the
+source tree::
 
     python -m repro.analysis.lint src          # exit 0 when clean
     python -m repro.analysis.lint --rules      # rule catalogue
@@ -11,133 +11,98 @@ and runs them over the source tree::
 Rules
 -----
 
-Every rule inspects a construct that ``src/`` contains
-(``tests/analysis/test_lint.py`` breaks each one's live site on
-purpose); a rule whose construct leaves the tree goes with it.  IDs are
-stable: REPRO001 and REPRO002, retired that way, are not reused.
-
-REPRO003 *nondeterminism-in-kernel*
-    Wall-clock (``time.time`` / ``time.time_ns``) or random-number calls
-    in ``core/`` — the solver layer is bit-identical by contract
-    (futurized and serial executions must produce the same bits), so
-    kernels must not read nondeterministic sources.
+A rule stays only while it kills a mutant of live code that the rest of
+the tier-1 suite, ``ruff`` and the merger soak all pass; each entry names
+that mutant, and ``tests/analysis/test_lint.py::LIVE_SITES`` applies it.
+IDs are stable and never reused.
 
 REPRO004 *unknown-counter-section*
     A counter-name literal ``/section/...`` whose first component is not
     registered in :data:`repro.runtime.counters.KNOWN_SECTIONS`, or a
     full literal without the ``/section/name`` shape (``"/solves"``).  A
     typo such as ``/thread/executed`` silently creates a parallel section
-    no dashboard aggregates; new sections must be registered
-    deliberately.  An f-string whose literal head ends before the section
-    is complete (``f"/{section}/x"``) is out of static reach.
-
-REPRO005 *bare-except*
-    A bare ``except:`` in ``runtime/`` or ``resilience/``.  The runtime
-    redistributes failures on purpose (futures carry exceptions, the
-    supervisor replays tasks); a bare except also traps
-    ``KeyboardInterrupt``/``SystemExit`` and turns shutdown into a hang.
-    Catch a concrete type, or ``BaseException`` *with* re-dispatch.
+    no report aggregates.  An f-string whose literal head ends before the
+    section is complete (``f"/{section}/x"``) is out of static reach.
+    *Only it kills:* ``"/distmsh/restorations"`` in ``core/distmesh.py``
+    (no test reads that counter).
 
 REPRO006 *unaggregated-enqueue*
     A direct ``stream.enqueue(...)`` or ``pool.launch(...)`` call in any
     package above ``runtime/`` (``network`` ... ``analysis``).  The
     GPU-else-CPU rule is written once, in
-    :meth:`repro.runtime.aggregate.AggregationRegion._flush` — the one
-    sanctioned launcher — and kernel launches reach it through
-    :meth:`repro.core.exec.ExecutionEngine.map`, so they are coalesced
-    into aggregated launches and counted by the engine's placement
-    accounting; a bypassing launch or enqueue is a second launch path:
-    unaggregated, uncounted.
+    :meth:`repro.runtime.aggregate.AggregationRegion._flush`, and kernels
+    reach it through :meth:`repro.core.exec.ExecutionEngine.map`; any
+    other launch is unaggregated and uncounted.  *Only it kills:* a
+    ``gpu.streams[1].enqueue(...)`` beside the engine in
+    ``resilience/merger.py``.
 
 REPRO007 *unaccounted-halo*
     In a ``core/`` module that imports from ``repro.network``: a direct
     ``Channel.set(...)``; a function that writes one block's or box's
     slab straight into another's (``boxes[a][ghost] = boxes[b][layer]``,
-    ``blocks[a][ghost] = blocks[b][layer]``, or a call to the direct
-    copier ``BlockMesh._copy_halos``) without booking it with the
-    transport (``tally_local``); a function that packs block or box
-    slabs into a send buffer (``payload[lo:hi]... = boxes[b][layer]``)
-    without handing it to ``transport.send``; or a function that unpacks
-    buffer slices into blocks or boxes (``boxes[a][ghost] =
-    payload[lo:hi]...``) without draining a future (``fut.get()``).
-    Such a module is distribution-aware: the route of each of its halos
-    depends on who owns the two boxes, and
-    the :class:`repro.network.transport.HaloTransport` is where both
-    routes are counted — a direct set is a cross-locality halo the
-    parcelport never charged, an untallied direct copy a same-locality
-    halo nobody counted, a packed payload that is not sent (or an unpack
-    of something no route delivered) cross-locality bytes that moved
-    beside the wire, and either way the ``/distmesh/*`` vs ``/parcels/*``
-    reconciliation silently rots.  Pack, ``transport.send(channel, ...)``,
-    drain and unpack a route in the one function that owns the exchange;
-    copy local halos with ``BlockMesh._copy_halos`` — whose own body is
-    the one exempt box-to-box write, booked by its callers — and tally
-    them.  ``core/mesh.py`` copies the same-address-space entries of its
-    layout itself but imports no network layer — with one locality there
-    is no route to count them on — and is deliberately out of scope.
+    or a call to the direct copier ``_copy_halos``) without booking it
+    with ``tally_local``; a function that packs block or box slabs into
+    a buffer (``payload[lo:hi]... = boxes[b][layer]``) without
+    ``transport.send``; or a function that unpacks buffer slices into
+    boxes (``boxes[a][ghost] = payload[lo:hi]...``) without draining a
+    future (``fut.get()``).  The
+    :class:`repro.network.transport.HaloTransport` is where both halo
+    routes are counted, so each of these moves bytes beside it.
+    ``_copy_halos``'s own body is the one exempt box-to-box write; the
+    node-level ``core/mesh.py`` imports no network layer and is out of
+    scope.  *Only it kills:* remote halos unpacked from the sender's
+    buffer by a helper, while the route is still sent and drained: the
+    counters reconcile and the bytes are equal, but none crossed the
+    wire.
 
 REPRO008 *alloc-in-hot-kernel*
     An ``np.empty`` / ``np.zeros`` / ``np.empty_like`` /
     ``np.zeros_like`` / ``np.concatenate`` call in a ``core/gravity/``
     or ``core/hydro/`` function that takes an ``out=`` or ``ws``
-    (workspace) parameter, outside any branch conditioned on those
-    parameters.  Such functions are the per-step hot kernels: when the
-    caller supplies scratch, allocating anyway reintroduces exactly the
-    per-stage churn the workspace plumbing removed.  Allocation is fine
-    in the fallback branch for workspace-less callers (``if ws is
-    None: ...`` / ``x if out is not None else np.empty(...)``) — the
-    rule only fires on unconditional allocations.  Reference kernels
-    without an ``out=``/``ws`` parameter are out of scope by
-    construction.
+    parameter, outside any branch conditioned on those parameters: the
+    caller supplied scratch, and the kernel allocates per stage anyway.
+    Allocation in the fallback branch (``if ws is None: ...`` / ``x if
+    out is not None else np.empty(...)``) is fine.  *Only it kills:*
+    ``core/hydro/riemann.py``'s scratch helper returning
+    ``np.empty(shape)`` whatever ``ws`` holds.
 
 REPRO009 *unverified-checkpoint-record*
-    ``resilience/checkpoint.py`` is the only module that knows the
-    record format (a ``ManifestRecord`` header + ``{block: interior}``
-    payloads in a ``MeshCheckpoint``), so records must round-trip through
-    its verified store API: constructing a ``MeshCheckpoint`` or a
-    ``ManifestRecord`` directly bypasses checksum stamping (the record
-    would never fail verification, however damaged), and mutating the
-    one store's records — a ``BuddyReplicatedStore``'s ``_shards`` or
-    ``_manifests``, or any shard in them: a mutating method call,
-    assignment, augmented assignment or deletion — bypasses the
-    write-then-commit protocol, the buddy charge and the fallback
-    accounting.  Both are flagged everywhere outside
-    ``resilience/checkpoint.py``; snapshot through
-    ``CheckpointManager.save`` and restore through ``restore_latest``
-    (or ``RecoveryCoordinator.recover``).
-
-REPRO010 *unsanitized-task-buffer-write*
-    A ``core/`` function that is dispatched as an engine/scheduler task
-    (its name appears as the callable argument of some ``.map(...)`` /
-    ``.submit(...)`` call anywhere in the linted tree) mutates an
-    engine-owned buffer — an ``out``/``outs`` parameter, a buffer taken
-    from a workspace (``ws.take(...)``, ``self._ws...``) or the
-    futurized output pool (``_pool_out``), or any local alias of one —
-    via subscript assignment, in-place ``+=``, or ``np.copyto``,
-    without declaring a single shadow access
-    (:func:`repro.sanitize.racecheck.access`) anywhere in its body.
-    Such writes run concurrently on worker threads; without the paired
-    ``sanitize.access`` declaration the race detector is blind to them,
-    so an aliasing bug between two tasks would ship silently.  Declaring
-    one access in the function (``_racecheck.access(buf, "w", ...)``)
-    brings every buffer it touches under the happens-before check and
-    silences the rule.  (Collection is a two-pass affair: ``lint_paths``
-    first gathers dispatched-callable names over the whole tree, then
-    lints each file against that set; single-file ``lint_source`` runs
-    collect the same-file dispatches only.)
+    ``resilience/checkpoint.py`` alone knows the record format, so
+    outside it nothing constructs a ``MeshCheckpoint`` or a
+    ``ManifestRecord`` (checksum stamping bypassed) or mutates a
+    ``BuddyReplicatedStore``'s ``_shards`` / ``_manifests`` (method
+    call, assignment, augmented assignment or deletion: the
+    write-then-commit protocol bypassed).  Snapshot through
+    ``CheckpointManager.save``, restore through ``restore_latest`` or
+    ``RecoveryCoordinator.recover``.  *Only it kills:* a global rollback
+    that assembles its ``MeshCheckpoint`` from ``recovery_plan`` /
+    ``fetch`` / ``restore_state`` beside ``store.restore``, which keeps
+    the abandoned timeline's newer generations in the store.
 
 REPRO011 *layering*
     An import — top-level *or* function-local — against the package
     direction ``sanitize <- runtime <- network <- core | simulator <-
-    resilience <- validation <- analysis``: a package may import only
-    from packages to its left (``core`` and ``simulator`` are peers and
-    import neither each other nor anything above).  A function-local
-    import does not break a cycle, it hides one: ``import repro.runtime``
-    must never drag in ``repro.resilience``.  Move the shared piece down
-    a layer (as the fault exception types live in ``runtime/faults.py``
-    and ``RetryPolicy`` in ``network/retry.py``) or inject it.  There is
-    no exception list: ``sanitize/`` hands its tallies out as plain data
-    (``sanitize.tallies()``) instead of writing into ``runtime/counters``.
+    resilience <- validation <- analysis``: a package imports only from
+    packages to its left (``core`` and ``simulator`` are peers).  A
+    function-local import does not break a cycle, it hides one.  There
+    is no exception list.  *Only it kills:* a function-local ``from
+    ..resilience.faults import TransientActionFault`` in
+    ``runtime/cuda.py`` (a top-level one already fails at import).
+
+Retired
+-------
+
+REPRO001 and REPRO002 went with the constructs they inspected.  These
+went because other checks already kill every mutant they were written
+for:
+
+* REPRO003 *nondeterminism-in-kernel* (wall clock or random numbers in
+  ``core/``): the bit-identity and protocol tests of ``tests/core``;
+* REPRO005 *bare-except* (in ``runtime/`` and ``resilience/``):
+  ``ruff``'s E722, selected in ``pyproject.toml``, over every tree;
+* REPRO010 *unsanitized-task-buffer-write* (a task body writing an
+  engine buffer without declaring a shadow access):
+  ``tests/core/test_distmesh.py::TestRaceDeclarations``.
 """
 
 from __future__ import annotations
@@ -170,15 +135,9 @@ class Violation:
 
 #: rule id -> (slug, one-line description) — the ``--rules`` catalogue
 RULES: dict[str, tuple[str, str]] = {
-    "REPRO003": ("nondeterminism-in-kernel",
-                 "core/ kernels are bit-identical by contract: no wall-clock "
-                 "or random-number reads"),
     "REPRO004": ("unknown-counter-section",
                  "counter names are /section/name with a registered section "
                  "(see repro.runtime.counters.KNOWN_SECTIONS)"),
-    "REPRO005": ("bare-except",
-                 "bare `except:` in runtime/ or resilience/ swallows "
-                 "shutdown signals; name the exception type"),
     "REPRO006": ("unaggregated-enqueue",
                  "direct stream.enqueue or StreamPool.launch above "
                  "runtime/ is a second launch path beside the aggregation "
@@ -201,10 +160,6 @@ RULES: dict[str, tuple[str, str]] = {
                  "no MeshCheckpoint / ManifestRecord construction or "
                  "_shards / _manifests mutation outside "
                  "resilience/checkpoint.py"),
-    "REPRO010": ("unsanitized-task-buffer-write",
-                 "core/ task bodies mutating engine-owned buffers (out=/ws/"
-                 "_pool_out and aliases) must declare sanitize.access so the "
-                 "race detector sees the write"),
     "REPRO011": ("layering",
                  "imports (top-level or function-local) follow sanitize <- "
                  "runtime <- network <- core|simulator <- resilience <- "
@@ -217,9 +172,6 @@ LAYERS = {"sanitize": 0, "runtime": 1, "network": 2, "core": 3,
 
 #: registry methods taking a counter-name literal
 _COUNTER_METHODS = {"increment", "set_gauge", "value"}
-
-#: wall-clock / randomness calls banned from core/ (REPRO003)
-_NONDET_TIME = {"time", "time_ns"}
 
 #: numpy allocators banned from unconditional hot-kernel paths (REPRO008)
 _ALLOC_FUNCS = {"empty", "zeros", "empty_like", "zeros_like", "concatenate"}
@@ -238,34 +190,6 @@ def _is_ckpt_records(node: ast.AST) -> bool:
     while isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in _CKPT_RECORDS
-
-#: call methods whose first positional argument is dispatched as a task
-#: body on worker threads (REPRO010 collection pass)
-_DISPATCH_METHODS = {"map", "submit"}
-#: parameter names that hand a function an engine-owned output buffer
-_ENGINE_BUFFER_PARAMS = {"out", "outs", "rhs"}
-#: receiver spellings that mark a call result as workspace/pool-backed
-_WS_RECEIVERS = {"ws", "_ws"}
-
-
-def _collect_task_names(tree: ast.AST) -> set[str]:
-    """Names of callables handed to ``.map(...)`` / ``.submit(...)``.
-
-    The terminal identifier is collected for both ``engine.map(fn, ...)``
-    (yields ``fn``) and ``engine.map(self._kernel, ...)`` (yields
-    ``_kernel``); lambdas and other expressions are out of static reach.
-    """
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DISPATCH_METHODS and node.args):
-            fn = node.args[0]
-            if isinstance(fn, ast.Name):
-                names.add(fn.id)
-            elif isinstance(fn, ast.Attribute):
-                names.add(fn.attr)
-    return names
 
 
 def _counter_name_literal(node: ast.expr) -> tuple[str, bool] | None:
@@ -338,15 +262,12 @@ def _calls_method(sub: ast.AST, attr: str, receiver: str) -> bool:
 
 
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str, rel: str, imports_network: bool = False,
-                 task_names: set[str] | None = None):
+    def __init__(self, path: str, rel: str, imports_network: bool = False):
         self.path = path
         #: repo-relative path with forward slashes, for scoped rules
         self.rel = rel.replace("\\", "/")
         self.violations: list[Violation] = []
         self.in_core = "/core/" in f"/{self.rel}"
-        self.guarded_scope = ("/runtime/" in f"/{self.rel}"
-                              or "/resilience/" in f"/{self.rel}")
         #: per-step hot-kernel directories (REPRO008 scope)
         self.hot_kernel_scope = ("/core/gravity/" in f"/{self.rel}"
                                  or "/core/hydro/" in f"/{self.rel}")
@@ -356,9 +277,6 @@ class _Linter(ast.NodeVisitor):
         #: everywhere except the verified store itself (REPRO009 scope)
         self.outside_ckpt_store = not self.rel.endswith(
             "resilience/checkpoint.py")
-        #: engine-dispatched callable names from the collection pass
-        #: (REPRO010 scope: core/ functions with one of these names)
-        self.task_names = task_names or set()
         #: path components below ``repro/`` (REPRO011 resolves imports
         #: against them)
         parts = self.rel.split("/")
@@ -424,106 +342,6 @@ class _Linter(ast.NodeVisitor):
 
         walk(fn, False)
 
-    # -- REPRO010 ---------------------------------------------------------
-
-    @staticmethod
-    def _root_name(expr: ast.expr) -> str | None:
-        """The base ``Name`` under any chain of subscripts/attributes."""
-        while isinstance(expr, (ast.Subscript, ast.Attribute)):
-            expr = expr.value
-        return expr.id if isinstance(expr, ast.Name) else None
-
-    def _is_engine_buffer(self, value: ast.expr, owned: set[str]) -> bool:
-        """Does this assignment RHS yield an engine-owned buffer?
-
-        True for aliases of already-owned names (``x = out``,
-        ``x = out[sl]``), either arm of a conditional alias
-        (``out if out is not None else ...``), and workspace/pool
-        allocations (``ws.take(...)``, ``self._ws.buf(...)``,
-        ``self._pool_out(...)``).
-        """
-        if isinstance(value, (ast.Name, ast.Subscript)):
-            return self._root_name(value) in owned
-        if isinstance(value, ast.IfExp):
-            return (self._is_engine_buffer(value.body, owned)
-                    or self._is_engine_buffer(value.orelse, owned))
-        if (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)):
-            if value.func.attr == "_pool_out":
-                return True
-            tail = ast.unparse(value.func.value).split(".")[-1]
-            return tail in _WS_RECEIVERS
-        return False
-
-    def _check_task_buffer_writes(self, fn) -> None:
-        """REPRO010: engine-task writes invisible to the race detector.
-
-        Scope: ``core/`` functions whose name was collected as a
-        dispatched callable.  A single ``.access(...)`` call anywhere in
-        the body exempts the whole function — it participates in the
-        shadow-access contract, and the dynamic detector takes over from
-        there.
-        """
-        if not self.in_core or fn.name not in self.task_names:
-            return
-        for sub in ast.walk(fn):
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "access"):
-                return
-        args = fn.args
-        owned = {a.arg for a in (args.posonlyargs + args.args
-                                 + args.kwonlyargs)
-                 if a.arg in _ENGINE_BUFFER_PARAMS}
-        # alias propagation to a fixpoint: ws/pool allocations seed new
-        # owned names, plain/conditional aliases spread them
-        changed = True
-        while changed:
-            changed = False
-            for sub in ast.walk(fn):
-                if not (isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Name)):
-                    continue
-                tgt = sub.targets[0].id
-                if tgt not in owned and self._is_engine_buffer(sub.value,
-                                                               owned):
-                    owned.add(tgt)
-                    changed = True
-        if not owned:
-            return
-
-        def hit(node: ast.AST, what: str, name: str) -> None:
-            self._hit(node, "REPRO010",
-                      f"{what} engine-owned buffer {name!r} in task body "
-                      f"{fn.name!r} without a sanitize.access declaration; "
-                      "the race detector cannot see this write — declare "
-                      f"racecheck.access({name}, \"w\", owner=...) in the "
-                      "function")
-
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Assign):
-                for t in sub.targets:
-                    if isinstance(t, ast.Subscript):
-                        name = self._root_name(t)
-                        if name in owned:
-                            hit(sub, "subscript assignment to", name)
-            elif isinstance(sub, ast.AugAssign):
-                t = sub.target
-                name = (self._root_name(t)
-                        if isinstance(t, (ast.Subscript, ast.Name))
-                        else None)
-                if name in owned:
-                    hit(sub, "in-place update of", name)
-            elif (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "copyto"
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id in ("np", "numpy") and sub.args):
-                name = self._root_name(sub.args[0])
-                if name in owned:
-                    hit(sub, "np.copyto into", name)
-
     # -- REPRO007 (direct copies, packed routes) ---------------------------
 
     def _check_halo_accounting(self, fn) -> None:
@@ -575,18 +393,6 @@ class _Linter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        # REPRO003: nondeterminism in core kernels
-        if self.in_core and isinstance(func, ast.Attribute):
-            base = ast.unparse(func.value)
-            if base == "time" and func.attr in _NONDET_TIME:
-                self._hit(node, "REPRO003",
-                          f"time.{func.attr}() in core/ breaks bit-identical "
-                          "execution; take timestamps in the runtime layer")
-            elif base in ("random", "np.random", "numpy.random"):
-                self._hit(node, "REPRO003",
-                          f"{base}.{func.attr}() in core/ breaks "
-                          "bit-identical execution; inject a seeded "
-                          "generator from the caller instead")
         # REPRO006: above runtime/, kernels launch through the region only
         if self.above_runtime and isinstance(func, ast.Attribute):
             base = ast.unparse(func.value)
@@ -648,7 +454,6 @@ class _Linter(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_hot_kernel_allocs(node)
-        self._check_task_buffer_writes(node)
         self._check_halo_accounting(node)
         self.generic_visit(node)
 
@@ -721,42 +526,24 @@ class _Linter(ast.NodeVisitor):
         self._check_layering(node, [".".join(base)] if base else
                              [a.name for a in node.names])
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if self.guarded_scope and node.type is None:
-            self._hit(node, "REPRO005",
-                      "bare `except:` traps KeyboardInterrupt/SystemExit "
-                      "and hides faults from the supervisor; catch a "
-                      "concrete exception type")
-        self.generic_visit(node)
-
 
 def lint_source(source: str, path: str = "<string>",
-                rel: str | None = None,
-                task_names: set[str] | None = None) -> list[Violation]:
-    """Lint one source string; ``rel`` scopes the path-dependent rules.
-
-    ``task_names`` extends the REPRO010 collection set with dispatched
-    callables found elsewhere in the tree; same-file dispatches are
-    always collected.
-    """
+                rel: str | None = None) -> list[Violation]:
+    """Lint one source string; ``rel`` scopes the path-dependent rules."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [Violation(path, exc.lineno or 0, "REPRO000",
                           f"syntax error: {exc.msg}")]
-    names = _collect_task_names(tree) | (task_names or set())
     linter = _Linter(path, rel if rel is not None else path,
-                     imports_network=_imports_network(tree),
-                     task_names=names)
+                     imports_network=_imports_network(tree))
     linter.visit(tree)
     return sorted(linter.violations, key=lambda v: (v.line, v.rule))
 
 
-def lint_file(path: Path, root: Path | None = None,
-              task_names: set[str] | None = None) -> list[Violation]:
+def lint_file(path: Path, root: Path | None = None) -> list[Violation]:
     rel = str(path.relative_to(root)) if root else str(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path), rel,
-                       task_names=task_names)
+    return lint_source(path.read_text(encoding="utf-8"), str(path), rel)
 
 
 def _iter_files(paths: Iterable[str]) -> Iterator[tuple[Path, Path]]:
@@ -770,20 +557,7 @@ def _iter_files(paths: Iterable[str]) -> Iterator[tuple[Path, Path]]:
 
 
 def lint_paths(paths: Iterable[str]) -> list[Violation]:
-    files = list(_iter_files(paths))
-    # pass 1 (REPRO010): gather dispatched-callable names over the whole
-    # tree, so a core/ kernel is matched against dispatches anywhere
-    task_names: set[str] = set()
-    for f, _root in files:
-        try:
-            task_names |= _collect_task_names(
-                ast.parse(f.read_text(encoding="utf-8"), filename=str(f)))
-        except SyntaxError:
-            pass  # pass 2 reports it as REPRO000
-    out: list[Violation] = []
-    for f, root in files:
-        out.extend(lint_file(f, root, task_names=task_names))
-    return out
+    return [v for f, root in _iter_files(paths) for v in lint_file(f, root)]
 
 
 def main(argv: list[str] | None = None) -> int:

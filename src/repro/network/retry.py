@@ -6,7 +6,10 @@ the sender that *executes* the schedule is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from ..util import is_integer
 
 __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "NETWORK_RETRY_POLICY"]
 
@@ -26,10 +29,15 @@ class RetryPolicy:
     ack_timeout: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if not is_integer(self.max_attempts) or self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be an integer >= 1, got "
+                             f"{self.max_attempts!r}")
+        for name, least in (("base_backoff", 0.0), ("backoff_factor", 1.0),
+                            ("max_backoff", 0.0), ("ack_timeout", 0.0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= least):
+                raise ValueError(f"{name} must be finite and >= {least}, "
+                                 f"got {value!r}")
 
     def backoff(self, attempt: int) -> float:
         """Deterministic wait after failed attempt number ``attempt``."""

@@ -44,11 +44,13 @@ counter registry.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
 from ..runtime.counters import CounterRegistry, default_registry
 from ..runtime.faults import SimulationFault, TransientActionFault
+from ..util import is_integer
 
 __all__ = ["FaultInjector"]
 
@@ -105,6 +107,14 @@ class FaultInjector:
                            ("action_fault_rate", action_fault_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if not (math.isfinite(max_delay) and max_delay >= 0.0):
+            raise ValueError(f"max_delay must be finite and >= 0, got "
+                             f"{max_delay!r}")
+        for name, budget in (("max_losses", max_losses),
+                             ("max_action_faults", max_action_faults)):
+            if budget is not None and not (is_integer(budget) and budget >= 0):
+                raise ValueError(f"{name} must be None or an integer >= 0, "
+                                 f"got {budget!r}")
         self.loss_rate = loss_rate
         self.delay_rate = delay_rate
         self.max_delay = max_delay

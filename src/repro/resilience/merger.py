@@ -32,6 +32,7 @@ from ..core.exec import ExecutionEngine
 from ..core.grid import NGHOST, RHO
 from ..core.mesh import BlockMesh, subgrid_lattice
 from ..core.stepper import ConservationMonitor, Recovery, drive, evolve
+from ..network.parcelport import PARCELPORTS
 from ..network.retry import RetryPolicy
 from ..runtime.agas import Component
 from ..runtime.counters import CounterRegistry
@@ -39,6 +40,7 @@ from ..runtime.cuda import CudaDevice
 from ..runtime.parcel import Parcel, ParcelHandler
 from ..runtime.scheduler import WorkStealingScheduler
 from ..simulator.events import EventQueue
+from ..util import is_integer
 from .checkpoint import BuddyReplicatedStore, CheckpointManager
 from .durability import (EVACUATION_CAPACITY, RecoveryCoordinator,
                          RecoveryReport)
@@ -82,8 +84,12 @@ class Topology:
     reorder_seed: int | None = 1309
 
     def __post_init__(self) -> None:
-        if self.n_localities < 1:
-            raise ValueError(f"need >= 1 locality, got {self.n_localities}")
+        if not is_integer(self.n_localities) or self.n_localities < 1:
+            raise ValueError(f"n_localities must be an integer >= 1 "
+                             f"locality, got {self.n_localities!r}")
+        if self.port not in PARCELPORTS:
+            raise ValueError(f"port must be one of {sorted(PARCELPORTS)}, "
+                             f"got {self.port!r}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +116,19 @@ class FaultPlan:
     torn_saves: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.steps < 1 or self.kill_after_steps < 0:
-            raise ValueError(f"need steps >= 1 and kill_after_steps >= 0, got "
-                             f"{self.steps} and {self.kill_after_steps}")
+        for name, least in (("steps", 1), ("kill_after_steps", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         for name in ("kill", "fail_at_steps", "corrupt_at_steps",
                      "corrupt_saves", "torn_saves"):
-            if any(i < 0 for i in getattr(self, name)):
-                raise ValueError(f"{name} holds a negative index: "
-                                 f"{getattr(self, name)}")
+            indices = getattr(self, name)
+            if not all(is_integer(i) for i in indices):
+                raise ValueError(f"{name} holds a non-integer index: "
+                                 f"{indices!r}")
+            if any(i < 0 for i in indices):
+                raise ValueError(f"{name} holds a negative index: {indices}")
         if len(set(self.kill)) != len(self.kill):
             raise ValueError(f"kill lists a locality twice: {self.kill}")
 

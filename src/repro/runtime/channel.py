@@ -13,7 +13,7 @@ timesteps ahead without overwriting anything.
 
 Protocol violations raise typed errors (the :class:`ChannelError`
 hierarchy) and — when the sanitizers are enabled — are additionally
-recorded as findings by :mod:`repro.sanitize.protocol`, so a caller that
+recorded as ``channel-reset-generation`` findings, so a caller that
 swallows the exception cannot also swallow the report.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Generic, TypeVar
 
 from ..sanitize import lockdep as _sanitize_lockdep
-from ..sanitize import protocol as _sanitize_protocol
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import schedules as _schedules
 from ..sanitize import state as _sanitize_state
@@ -123,15 +122,13 @@ class Channel(Generic[T]):
                 self._next_set = max(self._next_set, generation + 1)
             if generation in self._ready:
                 if _sanitize_state.ACTIVE:
-                    _sanitize_protocol.channel_reset_generation(
-                        self.name, generation, "already set")
+                    self._record_reset(generation, "already set")
                 raise ChannelGenerationError(
                     f"generation {generation} already set on channel {self.name!r}")
             if (generation < self._consumed_floor
                     or generation in self._consumed):
                 if _sanitize_state.ACTIVE:
-                    _sanitize_protocol.channel_reset_generation(
-                        self.name, generation, "already consumed")
+                    self._record_reset(generation, "already consumed")
                 raise ChannelGenerationError(
                     f"generation {generation} already consumed on channel "
                     f"{self.name!r}; refusing to re-set")
@@ -168,6 +165,15 @@ class Channel(Generic[T]):
         exc = ChannelReset(f"channel {self.name!r} reset while waiting")
         for p in pending:
             p.set_exception(exc)
+
+    def _record_reset(self, generation: int, why: str) -> None:
+        """Sanitizer finding for a refused re-set: it survives a caller
+        that swallows the :class:`ChannelGenerationError`."""
+        _sanitize_state.record(
+            "channel-reset-generation",
+            f"re-set of generation {generation} on channel {self.name!r} "
+            f"({why}) — generations are single-assignment; a re-set "
+            "clobbers ordering", channel=self.name, generation=generation)
 
     def _mark_consumed(self, generation: int) -> None:
         """Record a matched generation (caller holds the lock)."""

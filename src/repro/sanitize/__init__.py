@@ -11,8 +11,6 @@ detects those hazard classes mechanically:
 * :mod:`.futuregraph` — wait-for cycles through the future dependency
   graph, futures abandoned unresolved, exceptional futures whose error
   is never consumed, scheduler workers stalled in unbounded ``get``;
-* :mod:`.protocol` — the channel generation protocol (set at most
-  once, never after it was consumed);
 * :mod:`.racecheck` — FastTrack-style vector-clock happens-before data
   races on shared buffers declared through :func:`access`, with the
   runtime's sync vocabulary (futures, channels, scheduler, stream
@@ -27,6 +25,11 @@ whole process — how CI runs the suite) or :func:`enable` *before*
 constructing the runtime objects to instrument: instrumentation is
 decided when locks/futures are created, so a disabled sanitizer
 costs the hot paths nothing.
+
+The channel generation protocol (set at most once, never after it was
+consumed) needs no checker of its own: :meth:`repro.runtime.channel.Channel.set`
+records the ``channel-reset-generation`` finding through :func:`record`
+beside the typed error it raises.
 
 Findings accumulate in :func:`findings`; :func:`tallies` hands them out
 as ``/sanitize/...`` paths for a counter registry (this package imports

@@ -1,4 +1,5 @@
-"""Small shared utilities: Morton (Z-order) encoding.
+"""Small shared utilities: Morton (Z-order) encoding, and the integer
+check of constructor arguments.
 
 Octo-Tiger distributes octree nodes along a space-filling curve (Sec. 4.2)
 and our FMM levels index cells by Morton key; both use these helpers.
@@ -8,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spread_bits", "morton_encode", "morton_key"]
+__all__ = ["spread_bits", "morton_encode", "morton_key", "is_integer"]
+
+
+def is_integer(value) -> bool:
+    """An ``int`` or numpy integer, but not a ``bool``: ``2.5`` steps or
+    locality ``True`` are caller bugs, not counts or indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def spread_bits(x: np.ndarray) -> np.ndarray:

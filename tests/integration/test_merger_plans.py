@@ -48,6 +48,12 @@ def _run(n=16, n_localities=4, **plan):
 REJECTIONS = {
     "edge not a multiple of the sub-grid": (_run(n=12), "multiple"),
     "no locality": (lambda: Topology(n_localities=0), "locality"),
+    "fractional locality count":
+        (lambda: Topology(n_localities=2.5), "n_localities"),
+    "unknown parcelport": (lambda: Topology(port="bogus"), "port"),
+    "fractional step count": (lambda: FaultPlan(steps=2.5), "steps"),
+    "fractional kill index": (lambda: FaultPlan(kill=(1.5,)), "kill"),
+    "boolean kill index": (lambda: FaultPlan(kill=(True,)), "kill"),
     "kill set repeats a locality":
         (lambda: FaultPlan(kill=(1, 1)), "twice"),
     "kill set outside the topology": (_run(kill=(4,)), "outside"),

@@ -52,6 +52,19 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultInjector(loss_rate=1.5)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"delay_rate": 1.0, "max_delay": -1.0}, "max_delay"),
+        ({"max_delay": float("nan")}, "max_delay"),
+        ({"max_losses": -1}, "max_losses"),
+        ({"max_losses": 2.5}, "max_losses"),
+        ({"max_action_faults": -1}, "max_action_faults"),
+    ])
+    def test_bounds_rejected_naming_the_field(self, kwargs, field):
+        """A negative delay bound drew negative delays, and a negative
+        budget was accepted as a budget."""
+        with pytest.raises(ValueError, match=field):
+            FaultInjector(**kwargs)
+
     def test_injected_counters_published(self):
         reg = CounterRegistry()
         inj = FaultInjector(seed=0, loss_rate=1.0, registry=reg)
@@ -172,6 +185,18 @@ class TestResilientSend:
                              backoff_factor=2.0, max_backoff=3e-3)
         assert [policy.backoff(k) for k in range(1, 5)] == \
             pytest.approx([1e-3, 2e-3, 3e-3, 3e-3])
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"ack_timeout": -1.0}, "ack_timeout"),
+        ({"base_backoff": float("nan")}, "base_backoff"),
+        ({"base_backoff": -1e-3}, "base_backoff"),
+        ({"max_backoff": float("inf")}, "max_backoff"),
+        ({"backoff_factor": float("nan")}, "backoff_factor"),
+        ({"max_attempts": 2.5}, "max_attempts"),
+    ])
+    def test_policy_bounds_rejected_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**kwargs)
 
     def test_expected_attempts_matches_capped_geometric(self):
         policy = RetryPolicy(max_attempts=4)
