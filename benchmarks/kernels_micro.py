@@ -68,7 +68,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import (IdealGas, NF, NGHOST, RHO, EGAS,  # noqa: E402
-                        SUBGRID_N, TAU)
+                        SUBGRID_N, SX, TAU)
+from repro.core.grid import LX, PASSIVE0  # noqa: E402
 from repro.core import mesh as mesh_module  # noqa: E402
 from repro.core.distmesh import DistBlockMesh, box_partition  # noqa: E402
 from repro.core.exec import ExecutionEngine  # noqa: E402
@@ -78,13 +79,16 @@ from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
                                         p2p_pair, p2p_pair_staged,
                                         sweep_pad)
 from repro.core.gravity.stencil import leaf_sweep_offsets  # noqa: E402
+from repro.core.hydro import reconstruct  # noqa: E402
+from repro.core.hydro import solver as solver_module  # noqa: E402
 from repro.core.hydro.reconstruct import ppm_faces  # noqa: E402
 from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
                                       kt_flux, kt_flux_reference)
 from repro.core.hydro.solver import (HydroOptions, compute_rhs,  # noqa: E402
                                      compute_rhs_reference)
 from repro.core.mesh import BlockMesh, apply_boundary  # noqa: E402
-from repro.core.scenario import sedov_blast  # noqa: E402
+from repro.core.scenario import (equilibrium_star, sedov_blast,  # noqa: E402
+                                 v1309_binary)
 from repro.core.workspace import Workspace  # noqa: E402
 from repro.runtime.aggregate import DEFAULT_AGG_SLOTS  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
@@ -119,6 +123,12 @@ TAX_N = HALO_BPE * SUBGRID_N
 #: from, the ledger's ``VICTIMS``)
 RHS_LAYOUTS = {"serial_24": (24, 0, ()), "dist_24": (24, 4, ()),
                "dist_16": (16, 4, ()), "survivors_24": (24, 4, (1, 3))}
+#: the ``uniform_fields`` states: the ledger's scenarios at its sizes,
+#: each stepped ``UNIFORM_STEPS`` times
+UNIFORM_SCENARIOS = {"sedov": lambda: sedov_blast(24),
+                     "star": lambda: equilibrium_star(16),
+                     "v1309": lambda: v1309_binary(M=16, scf_iters=12)}
+UNIFORM_STEPS = 5
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -173,6 +183,11 @@ def _hydro_block(n: int = HYDRO_N):
     U[RHO] = rng.uniform(0.5, 2.0, (m, m, m))
     U[EGAS] = rng.uniform(0.5, 2.0, (m, m, m))
     U[TAU] = opts.eos.tau_from_eint(U[EGAS])
+    # every field has structure: PPM copies a uniform field through
+    # without its arithmetic, and the rows time the arithmetic
+    U[SX:SX + 3] = rng.normal(0.0, 0.1, (3, m, m, m))
+    U[PASSIVE0:LX] = rng.uniform(0.0, 0.1, (LX - PASSIVE0, m, m, m)) * U[RHO]
+    U[LX:] = rng.normal(0.0, 0.01, (NF - LX, m, m, m))
     apply_boundary(U, "periodic")
     return U, opts
 
@@ -407,6 +422,35 @@ def rhs_calls_row() -> dict:
             calls.clear()
             mesh.step()
             rows[name] = calls[:len(calls) // 2]
+    return rows
+
+
+def uniform_fields_row() -> dict:
+    """Counts only: per ``UNIFORM_SCENARIOS`` scenario, stepped
+    ``UNIFORM_STEPS`` times, the fields PPM reconstructs along each axis
+    of the first RHS of the next step (the others are uniform and copy
+    through)."""
+    runs: list[int] = []
+    faces, one = solver_module.ppm_faces, reconstruct._ppm_one_ws
+
+    def per_axis(*args, **kwargs):
+        runs.append(0)
+        return faces(*args, **kwargs)
+
+    def counted(*args):
+        runs[-1] += 1
+        return one(*args)
+
+    rows = {}
+    for name, make in UNIFORM_SCENARIOS.items():
+        mesh = make()
+        for _ in range(UNIFORM_STEPS):
+            mesh.step()
+        runs.clear()
+        with mock.patch.object(solver_module, "ppm_faces", per_axis), \
+                mock.patch.object(reconstruct, "_ppm_one_ws", counted):
+            mesh.step()
+        rows[name] = runs[:3]
     return rows
 
 

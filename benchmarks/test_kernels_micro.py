@@ -11,7 +11,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
                            dense_sweep, fmm, leaf_sweep_offsets,
-                           m2l_dense_counts, rhs_calls_row)
+                           m2l_dense_counts, rhs_calls_row,
+                           uniform_fields_row)
 
 #: sub-grids per ``compute_rhs`` call of one stage on the ``rhs_calls``
 #: layouts before the one RHS rule (node-level box slabs beside sharded
@@ -44,6 +45,15 @@ def test_rhs_calls_keep_the_ledger_shapes():
     sub-grids of a stage on the ledger-shaped layouts are the ones the
     two rules made before, except the survivors' cut box (2 -> 3 calls)."""
     assert rhs_calls_row() == {**BEFORE_ONE_RULE, "survivors_24": [9, 9, 9]}
+
+
+def test_uniform_fields_leave_ppm_the_fields_with_structure():
+    """The gate of the uniform-field copy (counts, no timing): after 5
+    steps PPM reconstructs 9 / 10 / 12 of the 14 fields along each axis
+    of a Sedov / star / V1309 RHS; the unused passive scalars are
+    uniform and copy through."""
+    assert uniform_fields_row() == {"sedov": [9] * 3, "star": [10] * 3,
+                                    "v1309": [12] * 3}
 
 
 def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():

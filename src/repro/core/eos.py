@@ -46,8 +46,8 @@ class IdealGas:
     """
 
     def __init__(self, gamma: float = DEFAULT_GAMMA):
-        if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+        if not (np.isfinite(gamma) and gamma > 1.0):
+            raise ValueError(f"gamma: need a finite gamma > 1, got {gamma!r}")
         self.gamma = float(gamma)
         self.rho_floor = DEFAULT_RHO_FLOOR
 

@@ -26,6 +26,18 @@ batches ``(NF, m, B, n, n)`` — reconstruction axis right behind the
 field index, ``B`` sub-grids side by side — where every :func:`_ax`
 slice of one field is a single contiguous run of at least ``B * n^2``
 doubles instead of ``n`` strided rows of ``n``.
+
+Uniform fields: if every value of a field compares equal to one ``v``
+and ``v + v`` is finite, PPM returns the cells themselves, bit for bit
+(signs of zero included, also for a mix of ``+0.0`` and ``-0.0``): each
+face is clipped into ``[v, v]``, and the extremum test then resets both
+parabola ends to the cell.  The bound is ``2v``, not ``v``: for
+``|v| >= 2^1023`` the face sum ``7/12 (C1 + C2)`` overflows and the
+arithmetic yields NaN faces, as it does for inf and NaN fields.  The
+workspace path copies such fields through instead of running ~37
+passes (the unused passive scalars of every ledger input); everything
+else, and the whole allocating path, keeps the full arithmetic, which
+is the oracle the copy is tested against.
 """
 
 from __future__ import annotations
@@ -104,6 +116,12 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
     a single field and stay resident in cache across the ~30 elementwise
     passes instead of streaming the whole batch from DRAM every pass.
     Per-field chunking of elementwise arithmetic is bitwise-neutral.
+
+    A field that is uniform with ``v + v`` finite is copied through
+    (cells ``-1 .. n`` into both parabola ends), which is what the
+    arithmetic would produce; see the module docstring for the identity
+    and its ``2v`` bound.  The allocating path keeps the arithmetic for
+    every field so that it stays an independent oracle of the copy.
     """
     fieldless = axis == 0
     if fieldless:                                   # one field, unbatched
@@ -118,7 +136,14 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
                ws.buf("ppm:a", sh2[1:]), ws.buf("ppm:b", sh2[1:]),
                ws.buf("ppm:dqf", sh2[1:]), ws.buf("ppm:six", sh2[1:]),
                ws.buf("ppm:mask", sh2[1:], dtype=bool))
+    centre = tuple(s // 2 for s in q.shape[1:])
     for f in range(q.shape[0]):
+        if _uniform(q[f], centre):
+            # a uniform field reconstructs to itself, bit for bit
+            c = _ax(q[f], ng - 1, ng + n + 1, axis - 1)     # cells -1 .. n
+            np.copyto(lo[f], c)
+            np.copyto(hi[f], c)
+            continue
         _ppm_one_ws(q[f], ng, axis - 1, lo[f], hi[f], scratch)
     if fieldless:
         lo, hi, axis = lo[0], hi[0], 0
@@ -128,6 +153,16 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
     np.copyto(qL, _ax(hi, 0, -1, axis))
     np.copyto(qR, _ax(lo, 1, None, axis))
     return qL, qR
+
+
+def _uniform(q: np.ndarray, centre: tuple) -> bool:
+    """Whether every value of ``q`` compares equal to one ``v`` with
+    ``v + v`` finite.  A field whose first and centre values differ (or
+    either is NaN) has structure, so most fields skip both reductions."""
+    if q.flat[0] != q[centre]:
+        return False
+    v = q.min()
+    return v == q.max() and bool(np.isfinite(v + v))
 
 
 def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,

@@ -38,7 +38,11 @@ expression keeps its operands and order and is elementwise across
 blocks — so each block's result is bitwise
 :func:`compute_rhs_reference` of that block, which keeps the original
 per-block allocate-per-stage kernel composition as the test oracle and
-microbenchmark baseline.
+microbenchmark baseline.  The one shortcut is in reconstruction: a
+pencil field that is uniform over the whole batch (an unused passive
+scalar, the momenta of a gas at rest) reconstructs to itself bit for
+bit, so the fused PPM copies it instead of running the arithmetic
+(:mod:`.reconstruct`); the oracle still runs it.
 
 Scratch: :func:`compute_rhs` and :func:`cfl_dt` accept a
 :class:`repro.core.workspace.Workspace` (and ``compute_rhs`` an ``out=``
@@ -90,6 +94,9 @@ class HydroOptions:
             raise ValueError(
                 f"rho_floor: need a finite positive density, got "
                 f"{self.rho_floor!r}")
+        if not np.isfinite(self.omega):
+            raise ValueError(
+                f"omega: need a finite angular velocity, got {self.omega!r}")
         # one definition of vacuum for the whole stack: the EOS clamps in
         # sound_speed/kinetic must agree with the floor applied to the
         # state, or a cell below the solver floor divides by a smaller
@@ -97,9 +104,15 @@ class HydroOptions:
         self.eos.rho_floor = self.rho_floor
 
 
-def _check_batch(blocks, single: bool, gravity, out, centers) -> tuple:
+def _check_dx(dx) -> None:
+    if not (np.isfinite(dx) and dx > 0.0):
+        raise ValueError(f"dx: need a finite positive cell width, got {dx!r}")
+
+
+def _check_batch(blocks, single: bool, dx, gravity, out, centers) -> tuple:
     """Reject a malformed batch before any arithmetic; returns the
     interior shape shared by its blocks."""
+    _check_dx(dx)
     g = NGHOST
     if not blocks:
         raise ValueError("compute_rhs needs at least one block")
@@ -191,7 +204,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         U = [U]
         gravity = None if gravity is None else [gravity]
         centers = None if centers is None else [centers]
-    shape = _check_batch(U, single, gravity, out, centers)
+    shape = _check_batch(U, single, dx, gravity, out, centers)
     B = len(U)
     if gravity is None:
         gravity = [None] * B
@@ -339,6 +352,7 @@ def cfl_dt(U: np.ndarray, dx: float, options: HydroOptions,
     to read density, velocities and pressure.  The resulting dt is
     bitwise identical.
     """
+    _check_dx(dx)
     g = NGHOST
     inner = (slice(None),) + tuple(
         slice(g, U.shape[1 + d] - g) for d in range(3))

@@ -1,5 +1,7 @@
 """FMM gravity solver: accuracy against direct summation, conservation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,34 @@ def test_from_levels_rejects_bad_specs(mutate, match):
     FmmSolver.from_levels(_small_tree_specs())
     with pytest.raises(ValueError, match=match):
         FmmSolver.from_levels(mutate(_small_tree_specs()))
+
+
+class TestRaceDeclarations:
+    def test_m2l_pool_slot_read_without_its_future_is_reported(self, san):
+        """Planted race: a worker computes a dense M2L entry into pool
+        slot 0 and the accumulating thread reads that slot without the
+        future that would order the two.  Only ``_compute_entry``'s
+        write declaration lets the detector see the worker's write: the
+        body writes through ``entry.compute(outs)``."""
+        M = 16
+        solver = FmmSolver.from_uniform(
+            np.random.default_rng(7).uniform(0.1, 1.0, (M, M, M)), 1.0 / M)
+        solver.solve()                      # builds the plan, runs inline
+        san.reset_graphs()      # forget the inline solve's own accesses
+        i = next(i for i, e in enumerate(solver._plan)
+                 if e.kind == "m2l-dense")
+        done = []
+        task = threading.Thread(
+            target=lambda: done.append(solver._compute_entry(i, 0)),
+            name="m2l-task")
+        with san.scope() as caught:
+            task.start()
+            task.join()     # serialized in time; NOT a happens-before edge
+            # BUG: the entry's future was never consumed before the read
+            solver._accumulate_entry(solver._plan[i], done[0])
+        assert [f.kind for f in caught] == ["data-race"]
+        f = caught[0]
+        assert f.details["buffer"] == "fmm/m2l-out"
+        assert "read" in f.details["current_access"]
+        assert "write" in f.details["prior_access"]
+        assert "m2l-task" in f.details["prior_access"]

@@ -20,9 +20,10 @@ relative tolerance instead.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import IdealGas, NF, NGHOST, RHO, SX, EGAS, TAU
-from repro.core.grid import LX
+from repro.core.grid import LX, PASSIVE0
 from repro.core.gravity.kernels import (greens, m2l_pair, m2l_pair_reference,
                                         p2p_pair)
 from repro.core.hydro.reconstruct import ppm_faces
@@ -184,6 +185,100 @@ def test_ppm_workspace_path_bitwise_1d():
     wsL, wsR = ppm_faces(q, NGHOST, 0, ws=Workspace())
     np.testing.assert_array_equal(wsL, refL)
     np.testing.assert_array_equal(wsR, refR)
+
+
+# -- the uniform-field identity -----------------------------------------------
+#
+# For a field whose values all compare equal to one v with v + v finite,
+# PPM returns the cells themselves, and the workspace path copies them
+# instead of running the arithmetic.  Bits and signbits must still match
+# the reference, and fields outside the premise (|v| >= 2^1023, where
+# 7/12 (C1 + C2) overflows, inf, NaN) must take the full path to the
+# reference's NaN faces.
+
+#: uniform values whose faces are the cells themselves, bit for bit
+EXACT = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5,
+         8.98e307, -8.98e307]
+#: uniform values the reference turns into NaN faces
+NAN_FACES = [8.99e307, -8.99e307, np.inf, -np.inf, np.nan]
+
+
+def _assert_same_bits(got, ref):
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    bits = np.ascontiguousarray(got).view(np.uint64)
+    np.testing.assert_array_equal(
+        bits[~nan], np.ascontiguousarray(ref).view(np.uint64)[~nan])
+
+
+@st.composite
+def ppm_batches(draw):
+    """A field-major batch ``(nf, ...)`` with the reconstruction axis at
+    a drawn position, each field uniform (a drawn value or a random
+    +-0 mix) or random, and the kinds of its fields."""
+    ng = draw(st.sampled_from([3, 4]))
+    dims = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    axis = draw(st.integers(1, len(dims) + 1))
+    dims.insert(axis - 1, 2 * ng + draw(st.integers(1, 6)))
+    nf = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.empty((nf,) + tuple(dims))
+    kinds = []
+    for f in range(nf):
+        kind = draw(st.sampled_from(["exact", "nan", "zeros", "random"]))
+        if kind == "exact":
+            q[f] = draw(st.sampled_from(EXACT))
+        elif kind == "nan":
+            q[f] = draw(st.sampled_from(NAN_FACES))
+        elif kind == "zeros":
+            q[f] = np.where(rng.random(dims) < 0.5, 0.0, -0.0)
+        else:
+            q[f] = rng.normal(size=dims)
+        kinds.append(kind)
+    return q, ng, axis, kinds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ppm_batches())
+def test_ppm_uniform_fields_match_the_reference_bit_for_bit(batch):
+    q, ng, axis, kinds = batch
+    with np.errstate(all="ignore"):
+        refL, refR = ppm_faces(q, ng, axis)
+        wsL, wsR = ppm_faces(q, ng, axis, ws=Workspace())
+    _assert_same_bits(wsL, refL)
+    _assert_same_bits(wsR, refR)
+    n = q.shape[axis] - 2 * ng
+    for f, kind in enumerate(kinds):
+        if kind in ("exact", "zeros"):          # the cells themselves
+            cells = np.moveaxis(q[f], axis - 1, 0)
+            _assert_same_bits(np.moveaxis(wsL[f], axis - 1, 0),
+                              cells[ng - 1:ng + n])
+            _assert_same_bits(np.moveaxis(wsR[f], axis - 1, 0),
+                              cells[ng:ng + n + 1])
+        elif kind == "nan":
+            assert np.isnan(wsL[f]).all() and np.isnan(wsR[f]).all()
+
+
+@pytest.mark.parametrize("v", EXACT + NAN_FACES)
+def test_ppm_uniform_pencil_1d_matches_the_reference(v):
+    q = np.full(3 * NGHOST, v)
+    with np.errstate(all="ignore"):
+        refL, refR = ppm_faces(q, NGHOST, 0)
+        wsL, wsR = ppm_faces(q, NGHOST, 0, ws=Workspace())
+    _assert_same_bits(wsL, refL)
+    _assert_same_bits(wsR, refR)
+
+
+def test_compute_rhs_zero_passives_with_a_negative_zero_field_bitwise():
+    """Every passive scalar zero, one of them ``-0.0``: the fused RHS
+    skips all five in PPM and still matches the oracle bit for bit."""
+    U = hydro_block(nasty=False)
+    U[PASSIVE0:PASSIVE0 + 5] = 0.0
+    U[PASSIVE0 + 2] = -0.0
+    opts = HydroOptions(eos=IdealGas())
+    ref = compute_rhs_reference(U, 0.05, opts)
+    got = compute_rhs(U, 0.05, opts, ws=Workspace())
+    _assert_same_bits(got, ref)
 
 
 # -- fluxes and the full RHS ------------------------------------------------

@@ -21,7 +21,7 @@ import repro.core.mesh as mesh_module
 from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
                         ExecutionEngine, IdealGas, sedov_blast)
 from repro.core.grid import EGAS, RHO, SX, TAU
-from repro.core.hydro.solver import (HydroOptions, compute_rhs,
+from repro.core.hydro.solver import (HydroOptions, cfl_dt, compute_rhs,
                                      compute_rhs_reference)
 from repro.core.workspace import Workspace
 from repro.resilience import FaultInjector, SupervisedEngine
@@ -130,10 +130,30 @@ def test_batched_fluxes_are_fresh_block_layout_arrays():
     ("rho_floor", {"rho_floor": 0.0}), ("rho_floor", {"rho_floor": -1e-12}),
     ("rho_floor", {"rho_floor": float("inf")}),
     ("rho_floor", {"rho_floor": float("nan")}),
+    ("omega", {"omega": float("nan")}), ("omega", {"omega": float("inf")}),
+    ("omega", {"omega": -float("inf")}),
 ])
 def test_hydro_options_reject_bad_values_naming_the_field(field, kwargs):
     with pytest.raises(ValueError, match=field):
         HydroOptions(eos=IdealGas(), **kwargs)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1.0, 0.5])
+def test_ideal_gas_rejects_bad_gamma_naming_the_field(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        IdealGas(gamma=gamma)
+
+
+@pytest.mark.parametrize("dx", [0.0, -1.0, float("nan"), float("inf")])
+def test_compute_rhs_and_cfl_dt_reject_a_bad_dx(dx):
+    U = _block(np.random.default_rng(5), (8, 8, 8), 0)
+    opts = HydroOptions(eos=IdealGas())
+    out = np.full((NF, 8, 8, 8), 7.0)
+    with pytest.raises(ValueError, match="dx"):
+        compute_rhs(U, dx, opts, out=out)
+    assert (out == 7.0).all()                   # nothing was written
+    with pytest.raises(ValueError, match="dx"):
+        cfl_dt(U, dx, opts)
 
 
 def test_hydro_options_accept_the_range_ends():
