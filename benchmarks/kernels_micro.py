@@ -427,15 +427,18 @@ def rhs_calls_row() -> dict:
 
 def uniform_fields_row() -> dict:
     """Counts only: per ``UNIFORM_SCENARIOS`` scenario, stepped
-    ``UNIFORM_STEPS`` times, the fields PPM reconstructs along each axis
-    of the first RHS of the next step (the others are uniform and copy
-    through)."""
+    ``UNIFORM_STEPS`` times, along each axis of the first RHS of the next
+    step the fields the sweep carries into PPM (the advected fields that
+    are zero over the batch never enter it) and the fields PPM
+    reconstructs (the carried ones that are uniform copy through)."""
+    carried: list[int] = []
     runs: list[int] = []
     faces, one = solver_module.ppm_faces, reconstruct._ppm_one_ws
 
-    def per_axis(*args, **kwargs):
+    def per_axis(q, *args, **kwargs):
+        carried.append(len(q))
         runs.append(0)
-        return faces(*args, **kwargs)
+        return faces(q, *args, **kwargs)
 
     def counted(*args):
         runs[-1] += 1
@@ -446,11 +449,12 @@ def uniform_fields_row() -> dict:
         mesh = make()
         for _ in range(UNIFORM_STEPS):
             mesh.step()
+        carried.clear()
         runs.clear()
         with mock.patch.object(solver_module, "ppm_faces", per_axis), \
                 mock.patch.object(reconstruct, "_ppm_one_ws", counted):
             mesh.step()
-        rows[name] = runs[:3]
+        rows[name] = {"carried": carried[:3], "reconstructed": runs[:3]}
     return rows
 
 

@@ -48,12 +48,14 @@ def test_rhs_calls_keep_the_ledger_shapes():
 
 
 def test_uniform_fields_leave_ppm_the_fields_with_structure():
-    """The gate of the uniform-field copy (counts, no timing): after 5
-    steps PPM reconstructs 9 / 10 / 12 of the 14 fields along each axis
-    of a Sedov / star / V1309 RHS; the unused passive scalars are
-    uniform and copy through."""
-    assert uniform_fields_row() == {"sedov": [9] * 3, "star": [10] * 3,
-                                    "v1309": [12] * 3}
+    """The gate of the null-row sweep and the uniform-field copy (counts,
+    no timing): after 5 steps a Sedov / star / V1309 RHS carries 9 / 10
+    / 12 of the 14 fields along each axis, the advected fields that are
+    zero over the batch (the unused passive scalars) left out, and PPM
+    reconstructs every field it is handed: none is uniform but nonzero."""
+    assert uniform_fields_row() == {
+        name: {"carried": [rows] * 3, "reconstructed": [rows] * 3}
+        for name, rows in (("sedov", 9), ("star", 10), ("v1309", 12))}
 
 
 def test_subgrid_tax_row_steps_both_tilings_to_the_same_state():

@@ -22,10 +22,11 @@ bitwise identical to the allocating path — only buffer reuse and
 
 Layout: the kernel is elementwise across every dimension but ``axis``,
 so it accepts any array.  The hydro RHS hands it *pencil-major*
-batches ``(NF, m, B, n, n)`` — reconstruction axis right behind the
-field index, ``B`` sub-grids side by side — where every :func:`_ax`
-slice of one field is a single contiguous run of at least ``B * n^2``
-doubles instead of ``n`` strided rows of ``n``.
+batches ``(rows, m, B, n, n)`` of the fields it carries —
+reconstruction axis right behind the field index, ``B`` sub-grids side
+by side — where every :func:`_ax` slice of one field is a single
+contiguous run of at least ``B * n^2`` doubles instead of ``n`` strided
+rows of ``n``.
 
 Uniform fields: if every value of a field compares equal to one ``v``
 and ``v + v`` is finite, PPM returns the cells themselves, bit for bit
@@ -35,7 +36,8 @@ parabola ends to the cell.  The bound is ``2v``, not ``v``: for
 ``|v| >= 2^1023`` the face sum ``7/12 (C1 + C2)`` overflows and the
 arithmetic yields NaN faces, as it does for inf and NaN fields.  The
 workspace path copies such fields through instead of running ~37
-passes (the unused passive scalars of every ledger input); everything
+passes (a uniform but nonzero field: the hydro RHS leaves fields that
+are zero over its batch out of the sweep altogether); everything
 else, and the whole allocating path, keeps the full arithmetic, which
 is the oracle the copy is tested against.
 """

@@ -172,6 +172,11 @@ def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
     surviving floating-point operation matches the reference expression
     order, so the result is bitwise identical (asserted by
     ``tests/core/test_kernel_fusion.py``).
+
+    Rows: RHO..EGAS lead, and every row after EGAS is an advected
+    scalar, however many there are.  The hydro RHS passes only the
+    advected fields it carries (see :mod:`.solver`); a full 14-row
+    state is the same call with all of them.
     """
     rhoL, rhoR = WL[RHO], WR[RHO]
     unL, unR = WL[SX + axis], WR[SX + axis]
@@ -198,7 +203,7 @@ def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
         + 0.5 * rhoR * (WR[SX] ** 2 + WR[SX + 1] ** 2 + WR[SX + 2] ** 2)
     F[EGAS] = 0.5 * ((ekL + pL) * unL + (ekR + pR) * unR) \
         - half_a * (ekR - ekL)
-    for f in range(TAU, NF):
+    for f in range(TAU, len(WL)):
         mL = rhoL * WL[f]
         mR = rhoR * WR[f]
         F[f] = 0.5 * (mL * unL + mR * unR) - half_a * (mR - mL)

@@ -29,20 +29,40 @@ one through the same body, and so is the node-level mesh's whole box
 alone is too small for numpy: its PPM sweep is ~33 ufunc calls per field
 on strided views of at most 896 doubles, all interpreter and dispatch
 overhead.  So every sweep is
-*pencil-major*: per axis the primitives, restricted to the interior
-transversally, are copied once into ``(NF, m, B, n, n)`` with the sweep
-axis leading; reconstruction and fluxes then stream contiguous runs of
-at least ``B * n^2`` doubles, and the flux difference is added back
-through a ``moveaxis`` view of the output.  This is layout only — every
+*pencil-major*: per axis the carried primitives (the live rows below),
+restricted to the interior transversally, are copied once into
+``(rows, m, B, n, n)`` with the sweep axis leading; reconstruction and
+fluxes then stream contiguous runs of at least ``B * n^2`` doubles, and
+the flux difference is added back through a ``moveaxis`` view of the
+output.  This is layout only — every
 expression keeps its operands and order and is elementwise across
 blocks — so each block's result is bitwise
 :func:`compute_rhs_reference` of that block, which keeps the original
 per-block allocate-per-stage kernel composition as the test oracle and
-microbenchmark baseline.  The one shortcut is in reconstruction: a
-pencil field that is uniform over the whole batch (an unused passive
-scalar, the momenta of a gas at rest) reconstructs to itself bit for
-bit, so the fused PPM copies it instead of running the arithmetic
-(:mod:`.reconstruct`); the oracle still runs it.
+microbenchmark baseline.
+
+Two shortcuts skip arithmetic whose result is known bit for bit; the
+oracle runs all of it.  Null rows: an advected field (TAU..NF-1) whose
+primitives are +-0 over the whole batch, ghosts included (``not
+W[f].any()``, NaN counting as nonzero), has faces equal to its cells
+(see below), so every KT term ``rho (+-0) u_n`` and ``half_a (+-0 -
++-0)`` is +-0 as long as ``rho``, ``u_n`` and ``half_a`` are finite on
+every face, and ``+0.0 + (+-0)`` is ``+0.0``.  Each call therefore
+decides once which fields it carries ("live rows": RHO..EGAS first,
+then the advected fields that are not null), and the pencils, PPM,
+:func:`kt_flux` and the flux difference hold only those; the null rows
+of ``rhs`` keep the ``+0.0`` they were zeroed to.  The spin correction
+writes the spin rows from the momentum fluxes, which are always live,
+and a row summed from ``+0.0`` never holds ``-0.0``, so the ``+-0`` it
+skips would change no bit.  The guard: a non-finite ``rho``, ``u_n`` or
+``half_a`` makes the density flux non-finite, so if ``F[RHO]`` is not
+all finite on some axis the call is redone with every field carried,
+and non-finite input gets the oracle's NaN rows.  ``return_fluxes``
+carries every row, because AMR refluxing reads them all.  Uniform
+fields: a carried pencil field that is uniform over the whole batch
+(the momenta of a gas at rest, an AMR sub-grid in a quiet atmosphere)
+reconstructs to itself bit for bit, so the fused PPM copies it instead
+of running the arithmetic (:mod:`.reconstruct`).
 
 Scratch: :func:`compute_rhs` and :func:`cfl_dt` accept a
 :class:`repro.core.workspace.Workspace` (and ``compute_rhs`` an ``out=``
@@ -210,7 +230,6 @@ def compute_rhs(U, dx: float, options: HydroOptions,
         gravity = [None] * B
     if centers is None:
         centers = [tuple((np.arange(n) + 0.5) * dx for n in shape)] * B
-    eos = options.eos
     if ws is None:
         ws = Workspace()
     if out is None:
@@ -227,36 +246,15 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     # primitives, each block converted straight into its slot of the batch
     W = ws.buf("rhs:W", (NF, B) + tuple(n + 2 * g for n in shape))
     for b, blk in enumerate(U):
-        conserved_to_primitive(blk, eos, options.rho_floor, out=W[:, b])
-    rhs[...] = 0.0
-    fluxes = []
-
-    for axis in range(3):
-        # Pencil-major sweep: copy the primitives once into
-        # (NF, m, B, n, n), sweep axis leading, so every slice the
-        # reconstruction takes along it is one contiguous run.  The
-        # transverse extents are restricted to the interior on the way:
-        # PPM is elementwise across transverse columns, so skipping ghost
-        # columns whose faces would be discarded is bitwise-neutral and
-        # trims (n+2g)^2/n^2 of the reconstruction.
-        sl = [slice(None), slice(None)] + [slice(g, g + n) for n in shape]
-        sl[2 + axis] = slice(None)
-        pencil = np.moveaxis(W[tuple(sl)], 2 + axis, 1)
-        Wp = ws.buf("rhs:pencil", pencil.shape)
-        np.copyto(Wp, pencil)
-        WL, WR = ppm_faces(Wp, NGHOST, 1, ws=ws)
-        F = kt_flux(WL, WR, eos, axis, ws=ws)
-        n = shape[axis]
-        Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
-        sweep = np.moveaxis(rhs, 2 + axis, 1)       # rhs, pencil-major view
-        dF = ws.buf("rhs:dF", Flo.shape)
-        np.subtract(Flo, Fhi, out=dF)
-        dF /= dx
-        sweep += dF
-        if options.spin_correction:
-            _add_spin_correction(sweep, Flo, Fhi, axis)
-        if return_fluxes:
-            fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
+        conserved_to_primitive(blk, options.eos, options.rho_floor,
+                               out=W[:, b])
+    fluxes = [] if return_fluxes else None
+    # AMR refluxing reads every row of the fluxes, so they carry all
+    live = _ALL_ROWS if return_fluxes else _live_rows(W)
+    if not _sweep(W, rhs, live, shape, dx, options, ws, fluxes):
+        # guard: a non-finite density flux means a null row's fluxes
+        # are not all +-0 there, so every field takes the arithmetic
+        _sweep(W, rhs, _ALL_ROWS, shape, dx, options, ws, fluxes)
 
     for b, blk in enumerate(U):
         _add_sources(rhs[:, b], blk, shape, options, gravity[b], centers[b])
@@ -265,6 +263,87 @@ def compute_rhs(U, dx: float, options: HydroOptions,
             fluxes = [F[:, 0] for F in fluxes]
         return out, fluxes
     return out
+
+
+#: every field carried, in order: one run of NF rows
+_ALL_ROWS = tuple(range(NF))
+
+
+def _live_rows(W: np.ndarray) -> tuple[int, ...]:
+    """The fields a sweep carries: RHO..EGAS, then every advected field
+    (TAU..NF-1) with a value other than +-0 anywhere in the primitive
+    batch ``W``, ghosts included (NaN counts as nonzero)."""
+    return tuple(range(TAU)) + tuple(f for f in range(TAU, NF)
+                                     if W[f].any())
+
+
+def _runs(live: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """``(first field, first row, rows)`` of each contiguous run of
+    fields in ``live``, row ``r`` of the sweep carrying ``live[r]``."""
+    runs = []
+    for r, f in enumerate(live):
+        if runs and runs[-1][0] + runs[-1][2] == f:
+            f0, r0, k = runs[-1]
+            runs[-1] = (f0, r0, k + 1)
+        else:
+            runs.append((f, r, 1))
+    return runs
+
+
+def _sweep(W: np.ndarray, rhs: np.ndarray, live: tuple[int, ...],
+           shape: tuple, dx: float, options: HydroOptions, ws,
+           fluxes: list | None) -> bool:
+    """Zero ``rhs`` and add the flux differences (and spin correction)
+    of the three axes, carrying only the ``live`` fields through the
+    pencils, PPM and the KT fluxes; the other rows of ``rhs`` keep their
+    ``+0.0``.  Returns ``False``, with ``rhs`` partly updated, if
+    ``live`` is not every field and some density flux is not finite.
+    ``fluxes`` (a list, or ``None``) receives every axis's face fluxes
+    in block layout."""
+    g = NGHOST
+    rows = len(live)
+    runs = _runs(live)
+    rhs[...] = 0.0
+    for axis in range(3):
+        # Pencil-major sweep: copy the primitives once into
+        # (rows, m, B, n, n), sweep axis leading, so every slice the
+        # reconstruction takes along it is one contiguous run.  The
+        # transverse extents are restricted to the interior on the way:
+        # PPM is elementwise across transverse columns, so skipping ghost
+        # columns whose faces would be discarded is bitwise-neutral and
+        # trims (n+2g)^2/n^2 of the reconstruction.
+        sl = [slice(None), slice(None)] + [slice(g, g + n) for n in shape]
+        sl[2 + axis] = slice(None)
+        pencil = np.moveaxis(W[tuple(sl)], 2 + axis, 1)
+        n = shape[axis]
+        cells, faces = pencil.shape[1:], (n + 1,) + pencil.shape[2:]
+        # every row-scaled role is sized for NF rows from the first call,
+        # so calls that carry different rows share one allocation each
+        Wp = ws.buf("rhs:pencil", (NF,) + cells)[:rows]
+        for role in ("ppm:lo", "ppm:hi"):           # ppm_faces's own
+            ws.buf(role, (NF, n + 2) + faces[1:])
+        for f0, r0, k in runs:
+            np.copyto(Wp[r0:r0 + k], pencil[f0:f0 + k])
+        WL, WR = ppm_faces(Wp, NGHOST, 1, ws=ws)
+        F = kt_flux(WL, WR, options.eos, axis,
+                    out=ws.buf("rhs:F", (NF,) + faces)[:rows])
+        # F[RHO] is finite only where rho, u_n and half_a are; its sum
+        # is non-finite if any face is (or, costing only the redo, if
+        # it overflows)
+        if rows < NF and not np.isfinite(F[RHO].sum()):
+            return False
+        Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
+        sweep = np.moveaxis(rhs, 2 + axis, 1)       # rhs, pencil-major view
+        dF = ws.buf("rhs:dF", (NF,) + Flo.shape[1:])[:rows]
+        np.subtract(Flo, Fhi, out=dF)
+        dF /= dx
+        for f0, r0, k in runs:
+            sweep[f0:f0 + k] += dF[r0:r0 + k]
+        if options.spin_correction:
+            _add_spin_correction(sweep, Flo, Fhi, axis)
+        if fluxes is not None:
+            fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
+    return True
 
 
 def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,

@@ -24,6 +24,7 @@ from .hydro.solver import HydroOptions
 from .mesh import BlockMesh
 from .scf.lane_emden import Polytrope
 from .scf.scf import scf_binary
+from ..util import is_integer
 
 __all__ = ["sod_tube", "sedov_blast", "equilibrium_star", "v1309_binary",
            "V1309_MASS_RATIO"]
@@ -60,7 +61,7 @@ def sedov_blast(n: int = 32, gamma: float = 1.4, E: float = 1.0,
                 rho0: float = 1.0, r_init: float | None = None
                 ) -> BlockMesh:
     """Sedov-Taylor blast: energy E deposited in a small central sphere."""
-    _require_positive(n=n)
+    _require_positive(n=n, E=E, rho0=rho0)
     opts = HydroOptions(eos=IdealGas(gamma=gamma))
     mesh = BlockMesh(1, n=n, domain=1.0, options=opts, bc="outflow")
     x, y, z = mesh.cell_centers()
@@ -88,7 +89,11 @@ def equilibrium_star(n: int = 32, domain: float = 4.0, n_poly: float = 1.5,
     Verification tests 3/4 of Sec. 4.2: the structure should persist.
     gamma = 1 + 1/n so the polytropic relation is adiabatic.
     """
-    _require_positive(n=n, domain=domain)
+    _require_positive(n=n, domain=domain, n_poly=n_poly, radius=radius,
+                      mass=mass)
+    if len(velocity) != 3 or not np.isfinite(velocity).all():
+        raise ValueError(
+            f"velocity must be three finite components, got {velocity!r}")
     gamma = 1.0 + 1.0 / n_poly
     opts = HydroOptions(eos=IdealGas(gamma=gamma), rho_floor=rho_floor)
     mesh = BlockMesh(1, n=n, domain=domain, origin=(-domain / 2,) * 3,
@@ -116,8 +121,17 @@ def v1309_binary(M: int = 32, mass_ratio: float = V1309_MASS_RATIO,
     """
     _require_positive(M=M, separation=separation, domain_factor=domain_factor,
                       scf_iters=scf_iters)
+    if not is_integer(scf_iters):
+        raise ValueError(f"scf_iters must be an integer, got {scf_iters!r}")
     if not 0.0 < mass_ratio <= 1.0:
         raise ValueError(f"mass_ratio must be in (0, 1], got {mass_ratio}")
+    # the secondary's centre sits separation / (1 + q) from the centre of
+    # mass, which is the centre of the domain
+    if not domain_factor > 2.0 / (1.0 + mass_ratio):
+        raise ValueError(
+            f"domain_factor must exceed 2 / (1 + mass_ratio) = "
+            f"{2.0 / (1.0 + mass_ratio):.4g} for the domain to hold both "
+            f"stars, got {domain_factor}")
     scf = scf_binary(M=M, domain=separation * domain_factor,
                      separation=separation, mass_ratio=mass_ratio,
                      max_iter=scf_iters)

@@ -281,6 +281,143 @@ def test_compute_rhs_zero_passives_with_a_negative_zero_field_bitwise():
     _assert_same_bits(got, ref)
 
 
+# -- the null-row identity ----------------------------------------------------
+#
+# An advected field that is +-0 over the whole primitive batch, ghosts
+# included, has +-0 fluxes wherever rho, u_n and half_a are finite, so
+# compute_rhs leaves it out of the sweep and its rhs row keeps +0.0.
+# The batches below zero random subsets of TAU..NF-1 (+0.0, -0.0 or a
+# mix), zero some only in the interior or in all blocks but one (those
+# stay in the sweep), and are compared bit for bit with the oracle.
+
+DX = 0.05
+#: how a drawn advected field is zeroed: over the whole block, in the
+#: interior only (its ghosts keep structure), or in every block of the
+#: batch but the last
+ZERO_KINDS = ("+0", "-0", "mix", "interior", "elsewhere")
+#: one workspace for every drawn batch: calls that carry different rows
+#: share (and must fully overwrite) its buffers
+SHARED_WS = Workspace()
+
+
+def _random_block(rng, shape, zeroed):
+    """A ghosted conserved block of interior ``shape`` with structure in
+    every field, then the ``zeroed`` fields zeroed by their kind."""
+    g = NGHOST
+    m = tuple(n + 2 * g for n in shape)
+    U = np.empty((NF,) + m)
+    U[RHO] = rng.uniform(0.5, 2.0, m)
+    for d in range(3):
+        U[SX + d] = rng.normal(size=m) * 0.3
+    eint = rng.uniform(0.2, 1.5, m)
+    U[EGAS] = eint + 0.5 * (U[SX] ** 2 + U[SX + 1] ** 2
+                            + U[SX + 2] ** 2) / U[RHO]
+    U[TAU] = IdealGas().tau_from_eint(eint)
+    for f in range(TAU + 1, NF):
+        U[f] = rng.uniform(-0.5, 0.5, m) * U[RHO]
+    for f, kind in zeroed.items():
+        if kind == "+0":
+            U[f] = 0.0
+        elif kind == "-0":
+            U[f] = -0.0
+        elif kind == "mix":
+            U[f] = np.where(rng.random(m) < 0.5, 0.0, -0.0)
+        elif kind == "interior":
+            U[(f,) + tuple(slice(g, g + n) for n in shape)] = 0.0
+    return U
+
+
+@st.composite
+def rhs_batches(draw):
+    """Equally shaped blocks with random advected fields zeroed, their
+    gravity and corners, and the options (spin correction on or off,
+    inertial or rotating frame)."""
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    B = draw(st.integers(1, 3))
+    zeroed = draw(st.dictionaries(st.integers(TAU, NF - 1),
+                                  st.sampled_from(ZERO_KINDS)))
+    opts = HydroOptions(eos=IdealGas(),
+                        omega=draw(st.sampled_from([0.0, 0.3])),
+                        spin_correction=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [_random_block(rng, shape, zeroed) for _ in range(B)]
+    for f, kind in zeroed.items():
+        if kind == "elsewhere":
+            for U in blocks[:-1]:
+                U[f] = 0.0
+    gravity = [rng.normal(size=(3,) + shape) * 0.1 for _ in range(B)]
+    origins = [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(B)]
+    return blocks, gravity, origins, opts
+
+
+def _batched_rhs(batch, **kwargs):
+    blocks, gravity, origins, opts = batch
+    centers = [tuple(o + (np.arange(n) + 0.5) * DX
+                     for o, n in zip(origin, np.shape(gravity[0])[1:]))
+               for origin in origins]
+    return compute_rhs(blocks, DX, opts, gravity=gravity, centers=centers,
+                       ws=SHARED_WS, **kwargs)
+
+
+def _assert_blocks_match_the_oracle(batch, rhs):
+    blocks, gravity, origins, opts = batch
+    for b, U in enumerate(blocks):
+        ref = compute_rhs_reference(U, DX, opts, origin=origins[b],
+                                    gravity=gravity[b])
+        _assert_same_bits(rhs[:, b], ref)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rhs_batches())
+def test_compute_rhs_null_rows_match_the_reference_bit_for_bit(batch):
+    _assert_blocks_match_the_oracle(batch, _batched_rhs(batch))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rhs_batches(), st.sampled_from([RHO, EGAS]),
+       st.sampled_from([np.nan, np.inf]), st.data())
+def test_non_finite_density_or_pressure_gives_the_reference_nans(
+        batch, field, value, data):
+    """A NaN or inf density or energy (so pressure) in one interior
+    cell makes fluxes of +-0 fields NaN in the oracle; the guard must
+    then carry every field, so the NaNs land in the null rows too."""
+    blocks = batch[0]
+    b = data.draw(st.integers(0, len(blocks) - 1))
+    cell = tuple(data.draw(st.integers(NGHOST, m - NGHOST - 1))
+                 for m in blocks[b].shape[1:])
+    blocks[b][(field,) + cell] = value
+    with np.errstate(all="ignore"):
+        rhs = _batched_rhs(batch)
+        _assert_blocks_match_the_oracle(batch, rhs)
+
+
+def _reference_fluxes(U, opts):
+    """The oracle's face fluxes of each axis, transverse interior only:
+    what ``return_fluxes`` hands AMR refluxing, row for row."""
+    g = NGHOST
+    shape = tuple(m - 2 * g for m in U.shape[1:])
+    W = conserved_to_primitive(U, opts.eos, opts.rho_floor)
+    fluxes = []
+    for axis in range(3):
+        WL, WR = ppm_faces(W, g, axis + 1)
+        sl = [slice(None)] + [slice(g, g + n) for n in shape]
+        sl[1 + axis] = slice(None)
+        fluxes.append(kt_flux_reference(WL[tuple(sl)], WR[tuple(sl)],
+                                        opts.eos, axis))
+    return fluxes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rhs_batches())
+def test_return_fluxes_carries_every_row(batch):
+    rhs, fluxes = _batched_rhs(batch, return_fluxes=True)
+    _assert_blocks_match_the_oracle(batch, rhs)
+    for b, U in enumerate(batch[0]):
+        for F, ref in zip(fluxes, _reference_fluxes(U, batch[3])):
+            assert F.shape[0] == NF
+            _assert_same_bits(F[:, b], ref)
+
+
 # -- fluxes and the full RHS ------------------------------------------------
 
 @pytest.mark.parametrize("axis", [0, 1, 2])

@@ -1,5 +1,10 @@
 """Lane-Emden / SCF initial models and scenario builders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +117,28 @@ class TestScenarios:
         peak = np.unravel_index(np.argmax(I[EGAS]), I[EGAS].shape)
         centre = ((np.array(peak) + 0.5) * mesh.dx)
         assert np.abs(centre - 0.5).max() <= 2.0 * mesh.dx
+
+
+#: steps a Sedov blast, then builds a star, reporting after each whether
+#: scipy.integrate is loaded
+IMPORT_PROBE = """
+import sys
+import repro.core
+from repro.core.scenario import equilibrium_star, sedov_blast
+sedov_blast(8).step()
+print("scipy.integrate" in sys.modules)
+equilibrium_star(8)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_scipy_integrate_loads_only_when_a_star_is_built():
+    """``import repro.core`` and a Sedov step leave scipy.integrate (~23
+    MB of resident memory) unloaded; solving a Lane-Emden profile loads
+    it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

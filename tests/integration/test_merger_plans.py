@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BlockMesh, DistBlockMesh
+from repro.core import BlockMesh, DistBlockMesh, solve_lane_emden
 from repro.core.scenario import equilibrium_star, sedov_blast, v1309_binary
 from repro.core.stepper import FaultRecoveryExhausted, GuardViolation
 from repro.resilience import BuddyReplicatedStore, CheckpointError
@@ -31,6 +31,8 @@ from repro.resilience.durability import EVACUATION_CAPACITY
 from repro.resilience.merger import (DUAL_KILL_CORRUPT, FaultPlan, Topology,
                                      _check_kill, run_merger)
 from repro.runtime import CounterRegistry
+
+NAN = float("nan")
 
 
 def _stub(n: int) -> SimpleNamespace:
@@ -90,9 +92,30 @@ REJECTIONS = {
         (lambda: v1309_binary(M=8, domain_factor=-1.0), "domain_factor"),
     "v1309: no SCF iteration":
         (lambda: v1309_binary(M=8, scf_iters=0), "scf_iters"),
+    "v1309: fractional SCF iterations":
+        (lambda: v1309_binary(M=8, scf_iters=2.5), "scf_iters"),
+    "v1309: domain narrower than the binary":
+        (lambda: v1309_binary(M=8, domain_factor=0.5), "domain_factor"),
     "star: no cells": (lambda: equilibrium_star(n=0), "n must be"),
     "star: no domain": (lambda: equilibrium_star(n=8, domain=0.0), "domain"),
+    "star: no radius":
+        (lambda: equilibrium_star(n=8, radius=0.0), "radius must be"),
+    "star: negative radius":
+        (lambda: equilibrium_star(n=8, radius=-1.0), "radius must be"),
+    "star: negative mass":
+        (lambda: equilibrium_star(n=8, mass=-1.0), "mass must be"),
+    "star: NaN mass": (lambda: equilibrium_star(n=8, mass=NAN), "mass must"),
+    "star: zero polytropic index":
+        (lambda: equilibrium_star(n=8, n_poly=0.0), "n_poly must be"),
+    "star: NaN velocity":
+        (lambda: equilibrium_star(n=8, velocity=(NAN, 0.0, 0.0)), "velocity"),
+    "lane-emden: NaN index": (lambda: solve_lane_emden(NAN), "n must be"),
     "sedov: no cells": (lambda: sedov_blast(n=0), "n must be"),
+    "sedov: NaN energy": (lambda: sedov_blast(n=8, E=NAN), "E must be"),
+    "sedov: negative energy": (lambda: sedov_blast(n=8, E=-1.0), "E must be"),
+    "sedov: NaN density":
+        (lambda: sedov_blast(n=8, rho0=NAN), "rho0 must be"),
+    "sedov: no density": (lambda: sedov_blast(n=8, rho0=0.0), "rho0 must be"),
     "mesh: infinite domain":
         (lambda: BlockMesh(1, domain=float("inf")), "domain"),
     "mesh: NaN origin":
