@@ -13,10 +13,14 @@ pairs of a 32^3 hierarchy, gathered in ``_TILE`` tiles and scatter-added
 with ``bincount`` as the retired pair-list engine ran them (against Green
 blocks, matmuls and per-cell assembly): ns per *useful* pair plus the
 evaluated/useful ratio the static masks cost.  Where a
-reference implementation exists (the einsum ``m2l_pair_reference`` and
-the allocate-per-stage ``compute_rhs_reference``) both variants are timed
+reference implementation exists in :mod:`repro.validation.reference`
+(the einsum ``m2l_pair_reference``, ``kt_flux_reference`` and the
+allocate-per-stage ``compute_rhs_reference``) both variants are timed
 and the speedup of the fused path is reported — the CI gate asserts
 >= 1.5x for fused m2l, the full RHS and both dense M2L tilings.
+``reconstruct`` and ``kt_flux`` time the calls the hydro sweep makes:
+PPM of the pencil-major ``(NF, m, 1, n, n)`` batch of one block into
+caller-owned parabola ends, and the KT flux into a caller-owned ``out``.
 ``rhs_batched`` is batching itself: 1, 8, 16 and 27 8^3 sub-grids
 through one batched ``compute_rhs`` call (16 is the default
 ``agg_slots``, the most sub-grids one mesh RHS call batches), beside
@@ -75,23 +79,25 @@ from repro.core.distmesh import DistBlockMesh, box_partition  # noqa: E402
 from repro.core.exec import ExecutionEngine  # noqa: E402
 from repro.core.gravity import fmm  # noqa: E402
 from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
-                                        m2l_pair, m2l_pair_reference,
-                                        p2p_pair, p2p_pair_staged,
-                                        sweep_pad)
+                                        m2l_pair, p2p_pair,
+                                        p2p_pair_staged, sweep_pad)
 from repro.core.gravity.stencil import leaf_sweep_offsets  # noqa: E402
 from repro.core.hydro import reconstruct  # noqa: E402
 from repro.core.hydro import solver as solver_module  # noqa: E402
 from repro.core.hydro.reconstruct import ppm_faces  # noqa: E402
 from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
-                                      kt_flux, kt_flux_reference)
-from repro.core.hydro.solver import (HydroOptions, compute_rhs,  # noqa: E402
-                                     compute_rhs_reference)
-from repro.core.mesh import BlockMesh, apply_boundary  # noqa: E402
+                                      kt_flux)
+from repro.core.hydro.solver import HydroOptions, compute_rhs  # noqa: E402
+from repro.core.mesh import BlockMesh  # noqa: E402
 from repro.core.scenario import (equilibrium_star, sedov_blast,  # noqa: E402
                                  v1309_binary)
 from repro.core.workspace import Workspace  # noqa: E402
 from repro.runtime.aggregate import DEFAULT_AGG_SLOTS  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
+from repro.validation.reference import (apply_boundary,  # noqa: E402
+                                        compute_rhs_reference,
+                                        kt_flux_reference,
+                                        m2l_pair_reference)
 
 #: pair-batch size for the gravity kernels (one aggregated launch's worth)
 PAIR_N = 16384
@@ -433,7 +439,7 @@ def uniform_fields_row() -> dict:
     reconstructs (the carried ones that are uniform copy through)."""
     carried: list[int] = []
     runs: list[int] = []
-    faces, one = solver_module.ppm_faces, reconstruct._ppm_one_ws
+    faces, one = solver_module.ppm_faces, reconstruct._ppm_one
 
     def per_axis(q, *args, **kwargs):
         carried.append(len(q))
@@ -452,7 +458,7 @@ def uniform_fields_row() -> dict:
         carried.clear()
         runs.clear()
         with mock.patch.object(solver_module, "ppm_faces", per_axis), \
-                mock.patch.object(reconstruct, "_ppm_one_ws", counted):
+                mock.patch.object(reconstruct, "_ppm_one", counted):
             mesh.step()
         rows[name] = {"carried": carried[:3], "reconstructed": runs[:3]}
     return rows
@@ -535,14 +541,20 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     W = conserved_to_primitive(U, opts.eos, opts.rho_floor)
     n_zones = HYDRO_N ** 3
 
-    # reconstruction along x: array axis 1 (dim 0 is the field index)
-    t_rec = _time(lambda: ppm_faces(W, NGHOST, 1, ws=ws),
+    # reconstruction along x as the sweep calls it: the pencil-major
+    # (NF, m, B, n, n) batch of one block, transversally its interior,
+    # into parabola ends of cells -1 .. n
+    g = NGHOST
+    pencil = np.ascontiguousarray(W[:, :, None, g:-g, g:-g])
+    ends = tuple(np.empty((NF, HYDRO_N + 2) + pencil.shape[2:])
+                 for _ in range(2))
+    t_rec = _time(lambda: ppm_faces(pencil, g, 1, out=ends, ws=ws),
                   repeats=repeats)
 
-    WL, WR = (f.copy() for f in ppm_faces(W, NGHOST, 1))
+    WL, WR = (f.copy() for f in ppm_faces(pencil, g, 1, out=ends, ws=ws))
     n_faces = int(np.prod(WL.shape[1:]))
     flux_out = np.empty_like(WL)
-    t_ktf = _time(lambda: kt_flux(WL, WR, opts.eos, 0, out=flux_out, ws=ws),
+    t_ktf = _time(lambda: kt_flux(WL, WR, opts.eos, 0, out=flux_out),
                   repeats=repeats)
     t_ktf_ref = _time(lambda: kt_flux_reference(WL, WR, opts.eos, 0),
                       repeats=repeats)

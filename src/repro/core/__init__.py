@@ -4,7 +4,7 @@ from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, LX, NF,
                    NGHOST, SUBGRID_N)
 from .eos import IdealGas, DEFAULT_GAMMA
 from .exec import ExecutionEngine
-from .mesh import BlockMesh, apply_boundary, interior
+from .mesh import BlockMesh, interior
 from .distmesh import DistBlockMesh, box_partition
 from .octree import Octree, OctreeNode, prolong, restrict
 from .amr import AmrMesh
@@ -21,7 +21,7 @@ from .stepper import (ConservationMonitor, ConservationRecord, evolve,
 __all__ = [
     "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX",
     "NF", "NGHOST", "SUBGRID_N", "IdealGas", "DEFAULT_GAMMA",
-    "BlockMesh", "apply_boundary", "interior",
+    "BlockMesh", "interior",
     "DistBlockMesh", "box_partition",
     "ExecutionEngine",
     "Octree", "OctreeNode", "prolong", "restrict", "AmrMesh",

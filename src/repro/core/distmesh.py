@@ -68,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..network import parcelport
 from ..network.transport import HaloTransport
 from ..runtime.agas import AgasRuntime, Component, Gid
 from ..runtime.channel import Channel
@@ -364,7 +365,6 @@ class DistBlockMesh(BlockMesh):
                          ) -> None:
         """Publish ``/distmesh/...`` gauges (and the halo port's
         ``/parcels/halo:<name>/...``) into ``registry``."""
-        from ..network import parcelport
         registry = registry or self.registry
         for loc, count in self.locality_blocks().items():
             registry.set_gauge(f"/distmesh/blocks/loc{loc}", float(count))

@@ -32,8 +32,8 @@ production kernels (:func:`m2l_pair`, :func:`p2p_pair`) now expand the
 contractions into explicit arithmetic over only the unique components,
 and every pair kernel takes ``out=`` so the solver's tiled compute writes
 results straight into preallocated batch outputs.
-:func:`m2l_pair_reference` keeps the tensor formulation as the
-property-test oracle and microbenchmark baseline.
+:func:`repro.validation.reference.m2l_pair_reference` keeps the tensor
+formulation as the property-test oracle and microbenchmark baseline.
 
 On the leaf cells of a level the pair lists themselves go away:
 :func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
@@ -74,7 +74,7 @@ from .stencil import well_separated
 
 __all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
            "sweep_pad", "p2p_pair_staged",
-           "m2l_pair", "m2l_pair_reference", "LEVI_CIVITA",
+           "m2l_pair", "LEVI_CIVITA",
            "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
            "green_block", "m2l_dense", "m2l_assemble"]
 
@@ -334,9 +334,9 @@ def m2l_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
 
     Every contraction is expanded over the 6 unique ``g2`` and 10 unique
     ``g3`` components; no (n, 3, 3[, 3]) Green tensors are materialized.
-    Agrees with :func:`m2l_pair_reference` to the last few ulps (the
-    einsum contraction sums in a different order; the property tests
-    document the tolerance).
+    Agrees with :func:`repro.validation.reference.m2l_pair_reference`
+    to the last few ulps (the einsum contraction sums in a different
+    order; the property tests document the tolerance).
     """
     dR = np.asarray(dR, dtype=np.float64)
     x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
@@ -613,24 +613,3 @@ def _hessian(H, scale, g2xx, g2yy, g2zz, g2xy, g2xz, g2yz):
     H[:, 2, 0] = H[:, 0, 2]
     H[:, 2, 1] = H[:, 1, 2]
 
-
-def m2l_pair_reference(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
-                       M2A: np.ndarray, M2B: np.ndarray
-                       ) -> tuple[np.ndarray, ...]:
-    """The M2L interaction via full Green tensors and einsum contractions.
-
-    The original formulation, kept as the property-test oracle and the
-    baseline side of the ``kernels_micro`` benchmark; see
-    :func:`m2l_pair` for the production kernel.
-    """
-    g0, g1, g2, g3 = greens(dR)
-    quad = mA[:, None, None] * M2B + mB[:, None, None] * M2A
-    force = (mA * mB)[:, None] * g1 \
-        + 0.5 * np.einsum("njk,nijk->ni", quad, g3)
-    accA = force / mA[:, None]
-    accB = -force / mB[:, None]
-    phiA = -(mB * g0 + 0.5 * np.einsum("njk,njk->n", M2B, g2))
-    phiB = -(mA * g0 + 0.5 * np.einsum("njk,njk->n", M2A, g2))
-    HA = -mB[:, None, None] * g2
-    HB = -mA[:, None, None] * g2
-    return phiA, phiB, accA, accB, HA, HB

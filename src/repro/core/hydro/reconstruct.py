@@ -10,19 +10,17 @@ reconstruction axis; output face arrays cover the ``n + 1`` interior faces
 (face ``f`` sits between interior cells ``f-1`` and ``f``), with ``qL``
 the state just left of the face and ``qR`` just right.
 
-The kernel takes ``out=(qL, qR)`` so a caller-owned buffer pair absorbs
-the per-stage face-state churn, and ``ws=`` (a
-:class:`repro.core.workspace.Workspace`) for the fully fused path: every
-intermediate lives in reused scratch, nothing is allocated, and the
-returned face arrays are views into workspace buffers (valid until the
-next reconstruction through the same workspace: one capacity-grown
-buffer per role serves every axis and shape).  The values written are
-bitwise identical to the allocating path — only buffer reuse and
-``out=`` routing change, never the arithmetic expressions.
+The kernel is the fused form: the caller owns the two parabola-end
+buffers (``out=(lo, hi)``, cells ``-1 .. n`` along the axis) and a
+:class:`repro.core.workspace.Workspace` for the per-field intermediates,
+every pass is an in-place ufunc, nothing is allocated, and the returned
+face arrays are views into ``lo`` / ``hi``.  The allocate-per-stage
+original is :func:`repro.validation.reference.ppm_faces_reference`, the
+oracle the kernel is tested against bit for bit.
 
 Layout: the kernel is elementwise across every dimension but ``axis``,
-so it accepts any array.  The hydro RHS hands it *pencil-major*
-batches ``(rows, m, B, n, n)`` of the fields it carries —
+so it accepts any field-major batch.  The hydro RHS hands it
+*pencil-major* batches ``(rows, m, B, n, n)`` of the fields it carries —
 reconstruction axis right behind the field index, ``B`` sub-grids side
 by side — where every :func:`_ax` slice of one field is a single
 contiguous run of at least ``B * n^2`` doubles instead of ``n`` strided
@@ -35,11 +33,11 @@ face is clipped into ``[v, v]``, and the extremum test then resets both
 parabola ends to the cell.  The bound is ``2v``, not ``v``: for
 ``|v| >= 2^1023`` the face sum ``7/12 (C1 + C2)`` overflows and the
 arithmetic yields NaN faces, as it does for inf and NaN fields.  The
-workspace path copies such fields through instead of running ~37
-passes (a uniform but nonzero field: the hydro RHS leaves fields that
-are zero over its batch out of the sweep altogether); everything
-else, and the whole allocating path, keeps the full arithmetic, which
-is the oracle the copy is tested against.
+kernel copies such fields through instead of running ~37 passes (a
+uniform but nonzero field: the hydro RHS leaves fields that are zero
+over its batch out of the sweep altogether); everything else keeps the
+full arithmetic, and the reference runs it for every field, so it stays
+an independent oracle of the copy.
 """
 
 from __future__ import annotations
@@ -55,89 +53,34 @@ def _ax(q: np.ndarray, lo: int, hi: int | None, axis: int) -> np.ndarray:
     return q[tuple(sl)]
 
 
-def ppm_faces(q: np.ndarray, ng: int, axis: int,
-              out: tuple[np.ndarray, np.ndarray] | None = None,
-              ws=None) -> tuple[np.ndarray, np.ndarray]:
-    """PPM states (qL, qR) at the n+1 interior faces.
+def ppm_faces(q: np.ndarray, ng: int, axis: int, *,
+              out: tuple[np.ndarray, np.ndarray],
+              ws) -> tuple[np.ndarray, np.ndarray]:
+    """PPM states (qL, qR) at the n+1 interior faces along ``axis`` of
+    every field of the field-major batch ``q`` (``axis >= 1``).
 
-    Fourth-order face interpolation followed by the Colella-Woodward
-    monotonization of each cell's parabola.  With ``ws`` the whole
-    kernel runs in reused scratch with in-place ufuncs (the fused hot
-    path); the returned faces are then views into workspace buffers.
+    ``out=(lo, hi)`` receives the parabola ends of cells ``-1 .. n``
+    (``q``'s shape with ``n + 2`` along ``axis``); the returned faces are
+    views into them.  ``ws`` backs one field's intermediates, shared by
+    all fields: the ~10 scratch arrays then cover a single field and stay
+    resident in cache across the ~30 elementwise passes instead of
+    streaming the whole batch from DRAM every pass.  Every step mirrors
+    an expression of the reference exactly — scalar multiplies are
+    commuted (exact), ``np.where`` becomes a masked ``np.copyto`` onto
+    the same "else" values, and ``np.clip`` its two halves — so the
+    results are bitwise identical.  A uniform field with ``v + v``
+    finite is copied through (see the module docstring).
     """
     if ng < 3:
         raise ValueError("PPM needs at least 3 ghost layers")
-    if ws is not None:
-        return _ppm_faces_ws(q, ng, axis, out, ws)
+    lo, hi = out
     n = q.shape[axis] - 2 * ng
-    # C holds cells -3 .. n+2 (length n+6) along `axis`
-    C = _ax(q, ng - 3, ng + n + 3, axis)
-    # F[j] = face value left of cell j-1, for j = 0 .. n+2
-    F = (7.0 / 12.0) * (_ax(C, 1, -2, axis) + _ax(C, 2, -1, axis)) \
-        - (1.0 / 12.0) * (_ax(C, 0, -3, axis) + _ax(C, 3, None, axis))
-    # parabola cells -1 .. n
-    c = _ax(C, 2, -2, axis)
-    left = _ax(C, 1, -3, axis)                      # cell i-1
-    right = _ax(C, 3, -1, axis)                     # cell i+1
-    lo = _ax(F, 0, -1, axis)
-    hi = _ax(F, 1, None, axis)
-
-    lo = np.clip(lo, np.minimum(left, c), np.maximum(left, c))
-    hi = np.clip(hi, np.minimum(c, right), np.maximum(c, right))
-    extremum = (hi - c) * (c - lo) <= 0.0
-    lo = np.where(extremum, c, lo)
-    hi = np.where(extremum, c, hi)
-    dqf = hi - lo
-    avg = 0.5 * (lo + hi)
-    six = dqf * dqf / 6.0
-    steep_hi = dqf * (c - avg) > six
-    lo = np.where(steep_hi, 3.0 * c - 2.0 * hi, lo)
-    steep_lo = -six > dqf * (c - avg)
-    hi = np.where(steep_lo, 3.0 * c - 2.0 * lo, hi)
-
-    if out is None:
-        return _ax(hi, 0, -1, axis), _ax(lo, 1, None, axis)
-    qL, qR = out
-    np.copyto(qL, _ax(hi, 0, -1, axis))             # cells -1 .. n-1
-    np.copyto(qR, _ax(lo, 1, None, axis))           # cells  0 .. n
-    return qL, qR
-
-
-def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
-                  out: tuple[np.ndarray, np.ndarray] | None,
-                  ws) -> tuple[np.ndarray, np.ndarray]:
-    """Workspace-fused PPM: identical arithmetic, zero allocations.
-
-    Every step mirrors an expression of :func:`ppm_faces` exactly —
-    scalar multiplies are commuted (exact), ``np.where`` becomes a
-    masked ``np.copyto`` onto the same "else" values, and ``np.clip``
-    runs with ``out=`` — so the results are bitwise identical.
-
-    Field-major arrays (any reconstruction axis but the leading one) are
-    processed one field at a time: the ~10 intermediate arrays then cover
-    a single field and stay resident in cache across the ~30 elementwise
-    passes instead of streaming the whole batch from DRAM every pass.
-    Per-field chunking of elementwise arithmetic is bitwise-neutral.
-
-    A field that is uniform with ``v + v`` finite is copied through
-    (cells ``-1 .. n`` into both parabola ends), which is what the
-    arithmetic would produce; see the module docstring for the identity
-    and its ``2v`` bound.  The allocating path keeps the arithmetic for
-    every field so that it stays an independent oracle of the copy.
-    """
-    fieldless = axis == 0
-    if fieldless:                                   # one field, unbatched
-        q, axis = q[None], 1
-    n = q.shape[axis] - 2 * ng
-    sh2 = q.shape[:axis] + (n + 2,) + q.shape[axis + 1:]
+    sh1 = lo.shape[1:]
     shF = q.shape[1:axis] + (n + 3,) + q.shape[axis + 1:]
-    lo = ws.buf("ppm:lo", sh2)
-    hi = ws.buf("ppm:hi", sh2)
-    # one field's intermediates, shared by all fields
     scratch = (ws.buf("ppm:F", shF), ws.buf("ppm:t", shF),
-               ws.buf("ppm:a", sh2[1:]), ws.buf("ppm:b", sh2[1:]),
-               ws.buf("ppm:dqf", sh2[1:]), ws.buf("ppm:six", sh2[1:]),
-               ws.buf("ppm:mask", sh2[1:], dtype=bool))
+               ws.buf("ppm:a", sh1), ws.buf("ppm:b", sh1),
+               ws.buf("ppm:dqf", sh1), ws.buf("ppm:six", sh1),
+               ws.buf("ppm:mask", sh1, dtype=bool))
     centre = tuple(s // 2 for s in q.shape[1:])
     for f in range(q.shape[0]):
         if _uniform(q[f], centre):
@@ -146,15 +89,8 @@ def _ppm_faces_ws(q: np.ndarray, ng: int, axis: int,
             np.copyto(lo[f], c)
             np.copyto(hi[f], c)
             continue
-        _ppm_one_ws(q[f], ng, axis - 1, lo[f], hi[f], scratch)
-    if fieldless:
-        lo, hi, axis = lo[0], hi[0], 0
-    if out is None:
-        return _ax(hi, 0, -1, axis), _ax(lo, 1, None, axis)
-    qL, qR = out
-    np.copyto(qL, _ax(hi, 0, -1, axis))
-    np.copyto(qR, _ax(lo, 1, None, axis))
-    return qL, qR
+        _ppm_one(q[f], ng, axis - 1, lo[f], hi[f], scratch)
+    return _ax(hi, 0, -1, axis), _ax(lo, 1, None, axis)
 
 
 def _uniform(q: np.ndarray, centre: tuple) -> bool:
@@ -167,8 +103,8 @@ def _uniform(q: np.ndarray, centre: tuple) -> bool:
     return v == q.max() and bool(np.isfinite(v + v))
 
 
-def _ppm_one_ws(q: np.ndarray, ng: int, axis: int,
-                lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
+def _ppm_one(q: np.ndarray, ng: int, axis: int,
+             lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
     """One PPM reconstruction into ``lo``/``hi`` using the caller's
     ``scratch`` arrays (two of ``n + 3`` faces, four of ``n + 2`` cells
     and a mask of ``n + 2`` cells along ``axis``)."""

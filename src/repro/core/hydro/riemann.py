@@ -9,20 +9,16 @@ states and the maximal local signal speed,
 States are primitive: (rho, u, v, w, p, plus advected scalars); the flux
 acts on the conserved vector of :mod:`repro.core.grid`.
 
-Two implementations live here, mirroring the paper's Sec. 4.3 kernel
-rework:
-
-* :func:`kt_flux` — the production kernel: one fused pass over each face
-  batch that computes primitives-to-flux, conserved states and signal
-  speeds **per component**, never materializing the ``FL``/``FR``/
-  ``UL``/``UR`` full-field intermediates.  It is *bitwise identical* to
-  the reference (the fusion only removes temporaries; every surviving
-  operation runs in the reference order) and accepts ``out=``/``ws=``
-  scratch so steady-state stepping allocates nothing.
-* :func:`kt_flux_reference` — the original composition of
-  :func:`physical_flux` / :func:`primitive_to_conserved` /
-  :func:`max_signal_speed`, kept as the property-test oracle and the
-  microbenchmark baseline.
+This is the production kernel of the paper's Sec. 4.3 kernel rework:
+:func:`kt_flux` makes one fused pass over each face batch that computes
+primitives-to-flux, conserved states and signal speeds **per
+component**, never materializing the ``FL``/``FR``/``UL``/``UR``
+full-field intermediates, and writes into the caller's ``out=`` array
+so steady-state stepping allocates nothing.  It is *bitwise identical*
+to the original composition, kept as the oracle
+:func:`repro.validation.reference.kt_flux_reference` (the fusion only
+removes temporaries; every surviving operation runs in the reference
+order).
 
 Floored cells (the headline bugfix): :func:`conserved_to_primitive` used
 to divide the raw momenta by the *floored* density, so a vacuum or
@@ -41,9 +37,7 @@ import numpy as np
 from ..eos import IdealGas
 from ..grid import EGAS, NF, RHO, SX, TAU
 
-__all__ = ["kt_flux", "kt_flux_reference", "conserved_to_primitive",
-           "primitive_to_conserved", "physical_flux", "max_signal_speed",
-           "conserved_signal_speed"]
+__all__ = ["kt_flux", "conserved_to_primitive", "conserved_signal_speed"]
 
 
 def _scratch(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -83,43 +77,6 @@ def conserved_to_primitive(U: np.ndarray, eos: IdealGas,
     return W
 
 
-def primitive_to_conserved(W: np.ndarray, eos: IdealGas) -> np.ndarray:
-    """Inverse of :func:`conserved_to_primitive`."""
-    U = np.empty_like(W)
-    rho = W[RHO]
-    U[RHO] = rho
-    for d in range(3):
-        U[SX + d] = rho * W[SX + d]
-    eint = W[EGAS] / (eos.gamma - 1.0)
-    kin = 0.5 * rho * (W[SX] ** 2 + W[SX + 1] ** 2 + W[SX + 2] ** 2)
-    U[EGAS] = eint + kin
-    for f in range(TAU, NF):
-        U[f] = rho * W[f]
-    return U
-
-
-def physical_flux(W: np.ndarray, eos: IdealGas, axis: int) -> np.ndarray:
-    """Euler flux of the conserved vector along ``axis`` from primitives."""
-    rho = W[RHO]
-    un = W[SX + axis]
-    p = W[EGAS]
-    F = np.empty_like(W)
-    F[RHO] = rho * un
-    for d in range(3):
-        F[SX + d] = rho * W[SX + d] * un
-    F[SX + axis] = F[SX + axis] + p
-    eint = p / (eos.gamma - 1.0)
-    kin = 0.5 * rho * (W[SX] ** 2 + W[SX + 1] ** 2 + W[SX + 2] ** 2)
-    F[EGAS] = (eint + kin + p) * un
-    for f in range(TAU, NF):
-        F[f] = rho * W[f] * un
-    return F
-
-
-def max_signal_speed(W: np.ndarray, eos: IdealGas, axis: int) -> np.ndarray:
-    return np.abs(W[SX + axis]) + eos.sound_speed(W[RHO], W[EGAS])
-
-
 def conserved_signal_speed(U: np.ndarray, eos: IdealGas, rho_floor: float,
                            ws=None) -> np.ndarray:
     """Per-cell max signal speed ``max_d(|u_d| + c)`` of a conserved batch.
@@ -149,29 +106,17 @@ def conserved_signal_speed(U: np.ndarray, eos: IdealGas, rho_floor: float,
     return vmax
 
 
-def kt_flux_reference(WL: np.ndarray, WR: np.ndarray, eos: IdealGas,
-                      axis: int) -> np.ndarray:
-    """The KT flux as the original kernel composition (test/bench oracle)."""
-    FL = physical_flux(WL, eos, axis)
-    FR = physical_flux(WR, eos, axis)
-    a = np.maximum(max_signal_speed(WL, eos, axis),
-                   max_signal_speed(WR, eos, axis))
-    UL = primitive_to_conserved(WL, eos)
-    UR = primitive_to_conserved(WR, eos)
-    return 0.5 * (FL + FR) - 0.5 * a[None] * (UR - UL)
-
-
 def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
-            out: np.ndarray | None = None, ws=None) -> np.ndarray:
+            out: np.ndarray) -> np.ndarray:
     """Fused KT/local-Lax-Friedrichs flux from face-left/right primitives.
 
     Single pass per face batch: per-side signal speeds, kinetic/internal
     energies and per-field fluxes are formed component-wise and combined
-    straight into ``out`` — the eight full-field ``FL``/``FR``/``UL``/
-    ``UR`` temporaries of :func:`kt_flux_reference` never exist.  Every
-    surviving floating-point operation matches the reference expression
-    order, so the result is bitwise identical (asserted by
-    ``tests/core/test_kernel_fusion.py``).
+    straight into ``out`` (shaped like ``WL``) — the eight full-field
+    ``FL``/``FR``/``UL``/``UR`` temporaries of the reference never
+    exist.  Every surviving floating-point operation matches the
+    reference expression order, so the result is bitwise identical
+    (asserted by ``tests/core/test_kernel_fusion.py``).
 
     Rows: RHO..EGAS lead, and every row after EGAS is an advected
     scalar, however many there are.  The hydro RHS passes only the
@@ -181,8 +126,6 @@ def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
     rhoL, rhoR = WL[RHO], WR[RHO]
     unL, unR = WL[SX + axis], WR[SX + axis]
     pL, pR = WL[EGAS], WR[EGAS]
-    if out is None:
-        out = _scratch(ws, "kt:F", WL.shape)
     F = out
     # a = max(|u|+c over L,R); the 0.5 a prefactor is shared by all fields
     half_a = 0.5 * np.maximum(np.abs(unL) + eos.sound_speed(rhoL, pL),

@@ -37,9 +37,9 @@ the flux difference is added back through a ``moveaxis`` view of the
 output.  This is layout only — every
 expression keeps its operands and order and is elementwise across
 blocks — so each block's result is bitwise
-:func:`compute_rhs_reference` of that block, which keeps the original
-per-block allocate-per-stage kernel composition as the test oracle and
-microbenchmark baseline.
+:func:`repro.validation.reference.compute_rhs_reference` of that block,
+the original per-block allocate-per-stage kernel composition kept as the
+test oracle and microbenchmark baseline.
 
 Two shortcuts skip arithmetic whose result is known bit for bit; the
 oracle runs all of it.  Null rows: an advected field (TAU..NF-1) whose
@@ -87,11 +87,9 @@ from ..eos import IdealGas
 from ..grid import EGAS, LX, NF, NGHOST, RHO, SX, TAU
 from ..workspace import Workspace
 from .reconstruct import ppm_faces
-from .riemann import (conserved_signal_speed, conserved_to_primitive,
-                      kt_flux, kt_flux_reference)
+from .riemann import conserved_signal_speed, conserved_to_primitive, kt_flux
 
-__all__ = ["HydroOptions", "compute_rhs", "compute_rhs_reference",
-           "cfl_dt", "apply_floors"]
+__all__ = ["HydroOptions", "compute_rhs", "cfl_dt", "apply_floors"]
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,8 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     Every expression is elementwise across blocks and transverse columns,
     so the result of block ``b`` does not depend on what else is in the
     batch, on ``B``, or on the order of the blocks: it is bitwise
-    :func:`compute_rhs_reference` of that block alone.
+    :func:`repro.validation.reference.compute_rhs_reference` of that
+    block alone.
     """
     g = NGHOST
     single = isinstance(U, np.ndarray)
@@ -320,11 +319,12 @@ def _sweep(W: np.ndarray, rhs: np.ndarray, live: tuple[int, ...],
         # every row-scaled role is sized for NF rows from the first call,
         # so calls that carry different rows share one allocation each
         Wp = ws.buf("rhs:pencil", (NF,) + cells)[:rows]
-        for role in ("ppm:lo", "ppm:hi"):           # ppm_faces's own
-            ws.buf(role, (NF, n + 2) + faces[1:])
+        ends = (n + 2,) + faces[1:]                 # parabolas of cells -1..n
+        lo = ws.buf("rhs:lo", (NF,) + ends)[:rows]
+        hi = ws.buf("rhs:hi", (NF,) + ends)[:rows]
         for f0, r0, k in runs:
             np.copyto(Wp[r0:r0 + k], pencil[f0:f0 + k])
-        WL, WR = ppm_faces(Wp, NGHOST, 1, ws=ws)
+        WL, WR = ppm_faces(Wp, NGHOST, 1, out=(lo, hi), ws=ws)
         F = kt_flux(WL, WR, options.eos, axis,
                     out=ws.buf("rhs:F", (NF,) + faces)[:rows])
         # F[RHO] is finite only where rho, u_n and half_a are; its sum
@@ -344,38 +344,6 @@ def _sweep(W: np.ndarray, rhs: np.ndarray, live: tuple[int, ...],
         if fluxes is not None:
             fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
     return True
-
-
-def compute_rhs_reference(U: np.ndarray, dx: float, options: HydroOptions,
-                          origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                          gravity: np.ndarray | None = None):
-    """The RHS as the original allocate-per-stage kernel composition.
-
-    Kept as the bitwise oracle for ``tests/core/test_kernel_fusion.py``
-    and the baseline side of the ``kernels_micro`` benchmark; production
-    callers use :func:`compute_rhs`.
-    """
-    g = NGHOST
-    shape = tuple(U.shape[1 + d] - 2 * g for d in range(3))
-    eos = options.eos
-    W = conserved_to_primitive(U, eos, options.rho_floor)
-    rhs = np.zeros((NF,) + shape)
-    for axis in range(3):
-        WL, WR = ppm_faces(W, NGHOST, axis + 1)
-        sl = [slice(None)] + [slice(g, g + shape[d]) for d in range(3)]
-        sl[1 + axis] = slice(None)
-        F = kt_flux_reference(WL[tuple(sl)], WR[tuple(sl)], eos, axis)
-        n = shape[axis]
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[1 + axis] = slice(0, n)
-        hi[1 + axis] = slice(1, n + 1)
-        rhs += (F[tuple(lo)] - F[tuple(hi)]) / dx
-        if options.spin_correction:
-            _add_spin_correction(rhs, F[tuple(lo)], F[tuple(hi)], axis)
-    _add_sources(rhs, U, shape, options, gravity, [
-        origin[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(3)])
-    return rhs
 
 
 def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,

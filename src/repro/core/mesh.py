@@ -69,9 +69,8 @@ from .gravity.fmm import FmmSolver
 from .hydro.solver import HydroOptions, apply_floors, cfl_dt, compute_rhs
 from .workspace import Workspace
 
-__all__ = ["BlockMesh", "GravityCoupling", "apply_boundary",
-           "fill_wall", "interior", "min_cfl_dt", "rk2_step",
-           "subgrid_lattice"]
+__all__ = ["BlockMesh", "GravityCoupling", "fill_wall", "interior",
+           "min_cfl_dt", "rk2_step", "subgrid_lattice"]
 
 
 def interior(U: np.ndarray) -> np.ndarray:
@@ -143,13 +142,6 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
         U[(SX + axis,) + ghost[1:]] *= -1.0
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-
-
-def apply_boundary(U: np.ndarray, bc: str) -> None:
-    """Fill the ghost shell of a block according to ``bc``."""
-    for axis in range(3):
-        for side in (-1, 1):
-            fill_wall(U, axis, side, bc)
 
 
 # -- gravity coupling -----------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..util import morton_encode
-from .grid import NF, NGHOST, SUBGRID_N, SubGrid
+from .grid import NF, NGHOST, RHO, SUBGRID_N, SubGrid
 
 __all__ = ["OctreeNode", "Octree", "prolong", "restrict"]
 
@@ -219,7 +219,6 @@ class Octree:
         (level, width, coords, leaf_mask) and densities are flat arrays in
         each level's Morton order.
         """
-        from .grid import RHO
         n = self.subgrid_n
         local = np.stack(np.meshgrid(np.arange(n), np.arange(n),
                                      np.arange(n), indexing="ij"),

@@ -31,6 +31,7 @@ import numpy as np
 from ..runtime import trace
 from ..runtime.counters import default_registry
 from ..runtime.faults import InjectedFault
+from ..util import is_integer
 from .grid import RHO
 from .mesh import interior
 
@@ -222,8 +223,9 @@ def drive(recovery: Recovery, t_end: float, max_steps: int,
     step is replayed; without a checkpoint manager it propagates."""
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not is_integer(max_steps) or max_steps < 0:
+        raise ValueError(
+            f"max_steps must be an integer >= 0, got {max_steps!r}")
     mesh, monitor = recovery.mesh, recovery.monitor
     manager, injector = recovery.checkpoints, recovery.injector
     if not monitor.records:

@@ -29,7 +29,8 @@ from . import trace
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
-from .future import Future, make_exceptional_future, make_ready_future
+from .future import (Future, async_execute, make_exceptional_future,
+                     make_ready_future)
 
 __all__ = ["Gid", "Component", "AgasRuntime", "AgasError", "LocalityFailed"]
 
@@ -194,7 +195,6 @@ class AgasRuntime:
                 return make_ready_future(fn(*args))
             except BaseException as exc:
                 return make_exceptional_future(exc)
-        from .future import async_execute
         return async_execute(fn, *args, executor=self._executor)
 
     # -- locality failure ------------------------------------------------------

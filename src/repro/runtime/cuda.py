@@ -64,7 +64,7 @@ from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
 from .counters import CounterRegistry, default_registry
 from .faults import TransientActionFault
-from .future import Future, Promise
+from .future import Future, Promise, make_ready_future
 
 __all__ = ["CudaDevice", "CudaStream", "StreamPool",
            "DEFAULT_STREAMS_PER_GPU", "DEFAULT_QUARANTINE_THRESHOLD",
@@ -174,7 +174,6 @@ class CudaStream:
         with self._lock:
             last = self._last_future
         if last is None:
-            from .future import make_ready_future
             return make_ready_future(None)
         return last.then(lambda _f: None)
 

@@ -34,6 +34,7 @@ from ..sanitize import futuregraph as _sanitize_graph
 from ..sanitize import lockdep as _sanitize_lockdep
 from ..sanitize import racecheck as _racecheck
 from ..sanitize import state as _sanitize_state
+from .counters import default_registry
 
 __all__ = [
     "Future",
@@ -70,7 +71,6 @@ def continuations_dispatched() -> int:
 
 def publish_counters(registry=None) -> None:
     """Publish ``/futures/...`` gauges into ``registry`` (default global)."""
-    from .counters import default_registry
     registry = registry or default_registry()
     registry.set_gauge("/futures/continuations-dispatched",
                        float(continuations_dispatched()))

@@ -7,14 +7,19 @@ sets is a second configuration nobody runs: make it a module constant or
 delete it.  The exceptions are listed, each with its reason, in
 ``ALLOWED``; the table's length is pinned so it cannot grow silently.
 
-The same holds for code: every top-level function and class, every
-non-dunder method and every ``__all__`` name in ``src/repro`` needs a
-caller in those three trees — a load of the name, an attribute of that
-name, or a string equal to it (``getattr``, the ledger's
-``spans.TARGETS``) outside the definition's own body; imports and
-``__all__`` lists do not count, and neither do tests.  The audit is by
-name, so a dead method that shares its name with a live one is out of
-its reach.  Its exceptions are ``CALLERS_ALLOWED``, pinned the same way.
+The same holds for code, against a narrower set of callers: every
+top-level function and class, every non-dunder method and every
+``__all__`` name in ``src/repro`` needs a caller in ``src/``,
+``examples/`` or ``benchmarks/ledger/`` — a load of the name, an
+attribute of that name, or a string equal to it (``getattr``, the
+ledger's ``spans.TARGETS``) outside the definition's own body; imports
+and ``__all__`` lists do not count.  The microbenchmarks do not count:
+code that only an instrument times is not production code.  Neither do
+tests, except for the names defined under ``validation/``: the oracles
+and analytic solutions there exist for the tests that judge the solver
+against them.  The audit is by name, so a dead method that shares its
+name with a live one is out of its reach.  Its exceptions are
+``CALLERS_ALLOWED``, pinned the same way.
 """
 
 import ast
@@ -24,7 +29,11 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
-CALLER_ROOTS = (REPO / "src", REPO / "examples", REPO / "benchmarks")
+OPTION_ROOTS = (REPO / "src", REPO / "examples", REPO / "benchmarks")
+CALLER_ROOTS = (REPO / "src", REPO / "examples", REPO / "benchmarks" / "ledger")
+VALIDATION = SRC / "validation"
+#: the callers of a name defined under ``VALIDATION``, besides ``CALLER_ROOTS``
+ORACLE_ROOTS = (REPO / "tests",)
 
 ALLOWED = {
     # deliberately configurable: the caller is a test, and has to be
@@ -34,8 +43,11 @@ ALLOWED = {
         "False is the ablation reference for the Despres-Labourasse claim",
     ("HydroOptions", "cfl"):
         "validated boundary input; its range tests need both ends",
-    ("Octree", "origin"): "ROADMAP item 5 (AMR gravity) places trees off-origin",
-    ("Octree", "subgrid_n"): "ROADMAP item 5; the FMM depth follows it",
+    ("Octree", "origin"):
+        "ROADMAP \"The merger the paper ran\" (AMR gravity) places trees "
+        "off-origin",
+    ("Octree", "subgrid_n"):
+        "ROADMAP \"The merger the paper ran\"; the FMM depth follows it",
     ("AgasRuntime", "executor"):
         "HPX semantic model (actions run as scheduler tasks); one test "
         "drives it",
@@ -51,20 +63,22 @@ ALLOWED = {
 
 CALLERS_ALLOWED = {
     # test oracles: what the tests judge the solver against
-    "direct_summation": "test oracle: O(N^2) gravity the FMM tests compare with",
-    "direct_potential": "test oracle: the direct-summation potential",
-    "post_shock_state": "test oracle: Sedov strong-shock jump conditions",
     "total_mass": "conservation oracle of SubGrid / Octree: the prolong / "
                   "restrict tests measure drift with it",
     "total_momentum": "conservation oracle of SubGrid / Octree",
     "acquired_before_edges": "sanitizer self-test oracle: the lockdep tests "
                              "read the recorded order graph",
     "held_classes": "sanitizer self-test oracle: the locks this thread holds",
-    # ROADMAP item 5: self-gravity on the AMR tree and regridding
-    "from_levels": "ROADMAP item 5 solves gravity on the AMR tree through it",
-    "fmm_levels": "ROADMAP item 5: feeds FmmSolver.from_levels from an Octree",
-    "coarsen": "ROADMAP item 5(b): regridding derefines with it",
-    "refine_by": "ROADMAP item 5(b): density-threshold regridding",
+    # ROADMAP "The merger the paper ran": self-gravity on the AMR tree
+    # and regridding
+    "from_levels": "ROADMAP \"The merger the paper ran\" solves gravity on "
+                   "the AMR tree through it",
+    "fmm_levels": "ROADMAP \"The merger the paper ran\": feeds "
+                  "FmmSolver.from_levels from an Octree",
+    "coarsen": "ROADMAP \"The merger the paper ran\" (b): regridding "
+               "derefines with it",
+    "refine_by": "ROADMAP \"The merger the paper ran\" (b): "
+                 "density-threshold regridding",
     # the sanitizer harness that tests/conftest.py and the CI jobs drive
     "scope": "sanitizer harness: conftest's finding guard captures with it",
     "configure": "sanitizer harness: tests shrink the stall timeout with it",
@@ -136,7 +150,7 @@ def _set_somewhere(declared):
     ``Mesh.retile(src, param=...)``, which forward their keywords to the
     constructor of whatever class they are handed)."""
     used = set()
-    for root in CALLER_ROOTS:
+    for root in OPTION_ROOTS:
         for tree in _trees(root):
             for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
                 name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -183,12 +197,12 @@ def _is_all(node):
                      else [node.target])))
 
 
-def _subjects():
+def _subjects(root=SRC):
     """Top-level defs and classes, non-dunder methods (``visit_*`` of an
-    ``ast.NodeVisitor`` aside) and ``__all__`` names of ``src/repro``."""
+    ``ast.NodeVisitor`` aside) and ``__all__`` names under ``root``."""
     subpackages = {p.name for p in SRC.iterdir() if p.is_dir()}
     names = set()
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
@@ -209,9 +223,10 @@ def _subjects():
     return names
 
 
-def _called():
-    """Names loaded, read as an attribute or spelled as a string outside
-    a definition of the same name (so recursion does not count)."""
+def _called(roots):
+    """Names loaded, read as an attribute or spelled as a string under
+    ``roots``, outside a definition of the same name (so recursion does
+    not count)."""
     seen = set()
 
     def walk(node, enclosing):
@@ -232,7 +247,7 @@ def _called():
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
-    for root in CALLER_ROOTS:
+    for root in roots:
         for tree in _trees(root):
             walk(tree, frozenset())
     return seen
@@ -240,22 +255,49 @@ def _called():
 
 @pytest.fixture(scope="module")
 def callers():
-    return _subjects(), _called()
+    oracles = _subjects(VALIDATION) & _called(ORACLE_ROOTS)
+    return _subjects(), _called(CALLER_ROOTS) | oracles
 
 
 def test_every_function_has_a_caller(callers):
     subjects, called = callers
     orphans = sorted(subjects - called - set(CALLERS_ALLOWED))
     assert not orphans, (
-        "definitions no code in src/, examples/ or benchmarks/ uses "
+        "definitions no code in src/, examples/ or benchmarks/ledger/ "
+        "uses (nor, for validation/, a test) "
         f"(delete each, or justify it in CALLERS_ALLOWED): {orphans}")
 
 
 def test_callers_allowed_table_is_exact(callers):
     subjects, called = callers
-    assert len(CALLERS_ALLOWED) == 23
+    assert len(CALLERS_ALLOWED) == 20
     assert all(reason for reason in CALLERS_ALLOWED.values())
     stale = sorted(n for n in CALLERS_ALLOWED
                    if n not in subjects or n in called)
     assert not stale, (
         f"CALLERS_ALLOWED entries that are gone or now have a caller: {stale}")
+
+
+# -- the oracles live in validation/ -----------------------------------------
+
+def _oracle_name(name):
+    return (name.endswith("_reference") or name.startswith("direct_")
+            or name == "apply_boundary")
+
+
+def test_core_neither_defines_nor_imports_an_oracle():
+    """A kernel and the oracle it is judged against live apart, so a
+    change to one cannot change the other: ``core/`` defines and imports
+    no ``*_reference``, ``direct_*`` or ``apply_boundary``."""
+    found = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}: {n}" for n in names
+                      if _oracle_name(n)]
+    assert not found

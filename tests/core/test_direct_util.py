@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gravity.direct import (direct_field, direct_potential,
-                                       direct_summation)
 from repro.core.gravity.fmm import FmmSolver
 from repro.util import morton_encode, morton_key, spread_bits
+from repro.validation.reference import (direct_field, direct_potential,
+                                        direct_summation)
 
 
 class TestDirectField:

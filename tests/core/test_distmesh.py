@@ -23,9 +23,9 @@ from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
 from repro.core.distmesh import box_partition
 from repro.core.mesh import _box_cover
 from repro.core.hydro.solver import HydroOptions, compute_rhs
-from repro.core.mesh import apply_boundary
 from repro.runtime.agas import Component
 from repro.runtime.counters import CounterRegistry
+from repro.validation.reference import apply_boundary
 
 #: the 26 neighbour directions of a block
 OFFSETS = [o for o in itertools.product((-1, 0, 1), repeat=3)

@@ -12,7 +12,7 @@ import pytest
 from repro.core import EGAS, LX, NF, NGHOST, RHO, SX, TAU, IdealGas
 from repro.core.hydro.solver import (HydroOptions, _add_spin_correction,
                                      cfl_dt, compute_rhs)
-from repro.core.mesh import apply_boundary
+from repro.validation.reference import apply_boundary
 
 
 def _random_block(rng, n=12):

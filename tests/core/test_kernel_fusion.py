@@ -1,10 +1,11 @@
 """Property tests for the Sec. 4.3 kernel rework: the fused SoA kernels
-against their retained reference implementations, plus the floored-cell
-regression suite.
+against their reference implementations in
+:mod:`repro.validation.reference`, plus the floored-cell regression
+suite.
 
 Tolerance policy
 ----------------
-Hydro fusion (``kt_flux``, the workspace PPM path, ``compute_rhs``,
+Hydro fusion (``kt_flux``, ``ppm_faces``, ``compute_rhs``,
 ``conserved_signal_speed``) is **bitwise**: the fusion only removes
 temporaries and routes results through ``out=``/workspace scratch; every
 surviving floating-point operation runs in the reference order, so the
@@ -24,17 +25,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import IdealGas, NF, NGHOST, RHO, SX, EGAS, TAU
 from repro.core.grid import LX, PASSIVE0
-from repro.core.gravity.kernels import (greens, m2l_pair, m2l_pair_reference,
-                                        p2p_pair)
+from repro.core.gravity.kernels import greens, m2l_pair, p2p_pair
 from repro.core.hydro.reconstruct import ppm_faces
 from repro.core.hydro.riemann import (conserved_signal_speed,
-                                      conserved_to_primitive, kt_flux,
-                                      kt_flux_reference, max_signal_speed)
+                                      conserved_to_primitive, kt_flux)
 from repro.core.hydro.solver import (HydroOptions, apply_floors, cfl_dt,
-                                     compute_rhs, compute_rhs_reference)
-from repro.core.mesh import apply_boundary
+                                     compute_rhs)
 from repro.core.scenario import equilibrium_star
 from repro.core.workspace import Workspace
+from repro.validation.reference import (apply_boundary,
+                                        compute_rhs_reference,
+                                        kt_flux_reference,
+                                        m2l_pair_reference, max_signal_speed,
+                                        ppm_faces_reference)
 
 FLOOR = 1e-12
 
@@ -90,7 +93,7 @@ def hydro_block(n=12, seed=3, nasty=True):
 def face_states(axis, seed=7):
     U = hydro_block(seed=seed)
     W = conserved_to_primitive(U, IdealGas(), FLOOR)
-    WL, WR = ppm_faces(W, NGHOST, axis + 1)
+    WL, WR = ppm_faces_reference(W, NGHOST, axis + 1)
     return np.ascontiguousarray(WL), np.ascontiguousarray(WR)
 
 
@@ -161,30 +164,37 @@ def test_coincidence_guard_hoisted_out_of_hot_kernels():
 
 # -- reconstruction ---------------------------------------------------------
 
+def parabola_ends(q, ng, axis):
+    """A fresh ``(lo, hi)`` pair for :func:`ppm_faces` on ``q``: its
+    shape with the ``n + 2`` cells ``-1 .. n`` along ``axis``."""
+    shape = list(q.shape)
+    shape[axis] -= 2 * ng - 2
+    return np.empty(shape), np.empty(shape)
+
+
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_ppm_workspace_path_bitwise(axis):
     U = hydro_block()
     W = conserved_to_primitive(U, IdealGas(), FLOOR)
-    refL, refR = ppm_faces(W, NGHOST, axis)
+    refL, refR = ppm_faces_reference(W, NGHOST, axis)
     ws = Workspace()
+    ends = parabola_ends(W, NGHOST, axis)
     for _ in range(3):      # reuse must not leak state between calls
-        wsL, wsR = ppm_faces(W, NGHOST, axis, ws=ws)
+        wsL, wsR = ppm_faces(W, NGHOST, axis, out=ends, ws=ws)
+        assert wsL.base is ends[1] and wsR.base is ends[0]
         np.testing.assert_array_equal(wsL, refL)
         np.testing.assert_array_equal(wsR, refR)
-    out = (np.empty_like(refL), np.empty_like(refR))
-    outL, outR = ppm_faces(W, NGHOST, axis, out=out)
-    assert outL is out[0] and outR is out[1]
-    np.testing.assert_array_equal(outL, refL)
-    np.testing.assert_array_equal(outR, refR)
 
 
 def test_ppm_workspace_path_bitwise_1d():
     rng = np.random.default_rng(9)
     q = rng.uniform(0.5, 2.0, 40)
-    refL, refR = ppm_faces(q, NGHOST, 0)
-    wsL, wsR = ppm_faces(q, NGHOST, 0, ws=Workspace())
-    np.testing.assert_array_equal(wsL, refL)
-    np.testing.assert_array_equal(wsR, refR)
+    refL, refR = ppm_faces_reference(q, NGHOST, 0)
+    wsL, wsR = ppm_faces(q[None], NGHOST, 1,
+                         out=parabola_ends(q[None], NGHOST, 1),
+                         ws=Workspace())
+    np.testing.assert_array_equal(wsL[0], refL)
+    np.testing.assert_array_equal(wsR[0], refR)
 
 
 # -- the uniform-field identity -----------------------------------------------
@@ -243,8 +253,9 @@ def ppm_batches(draw):
 def test_ppm_uniform_fields_match_the_reference_bit_for_bit(batch):
     q, ng, axis, kinds = batch
     with np.errstate(all="ignore"):
-        refL, refR = ppm_faces(q, ng, axis)
-        wsL, wsR = ppm_faces(q, ng, axis, ws=Workspace())
+        refL, refR = ppm_faces_reference(q, ng, axis)
+        wsL, wsR = ppm_faces(q, ng, axis, out=parabola_ends(q, ng, axis),
+                             ws=Workspace())
     _assert_same_bits(wsL, refL)
     _assert_same_bits(wsR, refR)
     n = q.shape[axis] - 2 * ng
@@ -263,10 +274,12 @@ def test_ppm_uniform_fields_match_the_reference_bit_for_bit(batch):
 def test_ppm_uniform_pencil_1d_matches_the_reference(v):
     q = np.full(3 * NGHOST, v)
     with np.errstate(all="ignore"):
-        refL, refR = ppm_faces(q, NGHOST, 0)
-        wsL, wsR = ppm_faces(q, NGHOST, 0, ws=Workspace())
-    _assert_same_bits(wsL, refL)
-    _assert_same_bits(wsR, refR)
+        refL, refR = ppm_faces_reference(q, NGHOST, 0)
+        wsL, wsR = ppm_faces(q[None], NGHOST, 1,
+                             out=parabola_ends(q[None], NGHOST, 1),
+                             ws=Workspace())
+    _assert_same_bits(wsL[0], refL)
+    _assert_same_bits(wsR[0], refR)
 
 
 def test_compute_rhs_zero_passives_with_a_negative_zero_field_bitwise():
@@ -399,7 +412,7 @@ def _reference_fluxes(U, opts):
     W = conserved_to_primitive(U, opts.eos, opts.rho_floor)
     fluxes = []
     for axis in range(3):
-        WL, WR = ppm_faces(W, g, axis + 1)
+        WL, WR = ppm_faces_reference(W, g, axis + 1)
         sl = [slice(None)] + [slice(g, g + n) for n in shape]
         sl[1 + axis] = slice(None)
         fluxes.append(kt_flux_reference(WL[tuple(sl)], WR[tuple(sl)],
@@ -424,15 +437,10 @@ def test_return_fluxes_carries_every_row(batch):
 def test_kt_flux_fused_bitwise(axis):
     WL, WR = face_states(axis)
     ref = kt_flux_reference(WL, WR, IdealGas(), axis)
-    eos = IdealGas()
-    np.testing.assert_array_equal(kt_flux(WL, WR, eos, axis), ref)
-    ws = Workspace()
-    for _ in range(2):
-        np.testing.assert_array_equal(
-            kt_flux(WL, WR, eos, axis, ws=ws), ref)
     out = np.empty_like(ref)
-    assert kt_flux(WL, WR, eos, axis, out=out) is out
-    np.testing.assert_array_equal(out, ref)
+    for _ in range(2):      # reuse must not leak state between calls
+        assert kt_flux(WL, WR, IdealGas(), axis, out=out) is out
+        np.testing.assert_array_equal(out, ref)
 
 
 def test_compute_rhs_fused_bitwise():

@@ -5,10 +5,11 @@ import pytest
 
 from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh,
                         DistBlockMesh, ExecutionEngine, IdealGas, Octree,
-                        apply_boundary, prolong, restrict, sedov_blast)
+                        prolong, restrict, sedov_blast)
 from repro.core.hydro.solver import HydroOptions
 from repro.core.mesh import fill_wall, interior, min_cfl_dt
 from repro.runtime import CounterRegistry, WorkStealingScheduler
+from repro.validation.reference import apply_boundary
 
 
 class TestBoundaries:

@@ -6,10 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NF, NGHOST, RHO, SX, EGAS, IdealGas
-from repro.core.hydro.reconstruct import ppm_faces
-from repro.core.hydro.riemann import (conserved_to_primitive, kt_flux,
-                                      max_signal_speed, physical_flux,
-                                      primitive_to_conserved)
+from repro.core.hydro import reconstruct
+from repro.core.hydro.riemann import conserved_to_primitive, kt_flux
+from repro.core.workspace import Workspace
+from repro.validation.reference import (max_signal_speed, physical_flux,
+                                        primitive_to_conserved)
+
+
+def ppm_faces(q: np.ndarray, ng: int, axis: int):
+    """The PPM kernel on one unbatched array: ``q`` as a batch of one
+    field, with fresh parabola ends and workspace."""
+    shape = [1, *q.shape]
+    shape[axis + 1] -= 2 * ng - 2
+    qL, qR = reconstruct.ppm_faces(q[None], ng, axis + 1, ws=Workspace(),
+                                   out=(np.empty(shape), np.empty(shape)))
+    return qL[0], qR[0]
 
 
 def _block_1d(values: np.ndarray) -> np.ndarray:
@@ -114,7 +125,7 @@ class TestKtFlux:
         W[RHO] = rng.uniform(0.5, 2.0, 10)
         W[SX] = rng.uniform(-1, 1, 10)
         W[EGAS] = rng.uniform(0.1, 2.0, 10)
-        F = kt_flux(W, W, eos, axis=0)
+        F = kt_flux(W, W, eos, 0, out=np.empty_like(W))
         np.testing.assert_allclose(F, physical_flux(W, eos, axis=0),
                                    rtol=1e-13)
 
@@ -147,7 +158,7 @@ class TestKtFlux:
         WL = W.copy()
         WR = W.copy()
         WR[RHO] += 0.5
-        F_eq = kt_flux(WL, WL, eos, 0)
-        F_ne = kt_flux(WL, WR, eos, 0)
+        F_eq = kt_flux(WL, WL, eos, 0, out=np.empty_like(W))
+        F_ne = kt_flux(WL, WR, eos, 0, out=np.empty_like(W))
         # unequal states produce a dissipative difference in mass flux
         assert not np.allclose(F_eq[RHO], F_ne[RHO])

@@ -18,15 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.mesh as mesh_module
+import repro.core.hydro.solver as solver_module
 from repro.core import (NF, NGHOST, SUBGRID_N, BlockMesh, DistBlockMesh,
                         ExecutionEngine, IdealGas, sedov_blast)
-from repro.core.grid import EGAS, RHO, SX, TAU
-from repro.core.hydro.solver import (HydroOptions, cfl_dt, compute_rhs,
-                                     compute_rhs_reference)
+from repro.core.grid import EGAS, LX, PASSIVE0, RHO, SX, TAU
+from repro.core.hydro.solver import HydroOptions, cfl_dt, compute_rhs
 from repro.core.workspace import Workspace
 from repro.resilience import FaultInjector, SupervisedEngine
 from repro.runtime import CounterRegistry, WorkStealingScheduler
 from repro.runtime.faults import TransientActionFault
+from repro.validation.reference import compute_rhs_reference
 
 DX = 0.05
 
@@ -440,3 +441,26 @@ def test_workspace_stays_inside_the_memory_budget():
     # block
     assert [[out.shape for out in outs] for outs in mesh._rhs_out.values()
             ] == [[(NF, 1) + mesh.shape]] * 2
+
+
+def test_calls_that_carry_different_rows_share_every_buffer(monkeypatch):
+    """A call that carries 9 rows sizes every row-scaled role for all 14,
+    so a call that then carries all of them allocates nothing new."""
+    carried = []
+    kernel = solver_module.ppm_faces
+
+    def counted(q, *args, **kwargs):
+        carried.append(len(q))
+        return kernel(q, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "ppm_faces", counted)
+    full = _block(np.random.default_rng(5), (8, 8, 8), 0)
+    U = full.copy()
+    U[PASSIVE0:LX] = 0.0                # the five passive scalars
+    opts = HydroOptions(eos=IdealGas())
+    ws = Workspace()
+    compute_rhs(U, DX, opts, ws=ws)
+    held = {key: id(arr) for key, arr in ws._bufs().items()}
+    compute_rhs(full, DX, opts, ws=ws)
+    assert carried == [9] * 3 + [NF] * 3
+    assert {key: id(arr) for key, arr in ws._bufs().items()} == held

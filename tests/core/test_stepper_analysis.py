@@ -68,6 +68,14 @@ class TestMonitor:
         with pytest.raises(ValueError, match="max_steps"):
             drive(Recovery(mesh, None, ConservationMonitor()), 0.02, -1)
 
+    @pytest.mark.parametrize("max_steps", [2.5, float("nan"), True])
+    def test_non_integer_max_steps_rejected(self, max_steps):
+        # 2.5 used to run 3 steps, nan none and True one
+        mesh = sod_tube(n=(16, 8, 8))
+        with pytest.raises(ValueError, match="max_steps"):
+            evolve(mesh, t_end=10.0, max_steps=max_steps)
+        assert mesh.steps == 0
+
 
 class TestFlopAccounting:
     def test_paper_constants(self):
