@@ -64,6 +64,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -78,15 +79,15 @@ from repro.core import mesh as mesh_module  # noqa: E402
 from repro.core.distmesh import DistBlockMesh, box_partition  # noqa: E402
 from repro.core.exec import ExecutionEngine  # noqa: E402
 from repro.core.gravity import fmm  # noqa: E402
-from repro.core.gravity.kernels import (green_sweeps, greens,  # noqa: E402
+from repro.core.gravity.kernels import (green_sweeps,  # noqa: E402
                                         m2l_pair, p2p_pair,
                                         p2p_pair_staged, sweep_pad)
 from repro.core.gravity.stencil import leaf_sweep_offsets  # noqa: E402
 from repro.core.hydro import reconstruct  # noqa: E402
 from repro.core.hydro import solver as solver_module  # noqa: E402
 from repro.core.hydro.reconstruct import ppm_faces  # noqa: E402
-from repro.core.hydro.riemann import (conserved_to_primitive,  # noqa: E402
-                                      kt_flux)
+from repro.core.hydro.riemann import (KT_SCRATCH,  # noqa: E402
+                                      conserved_to_primitive, kt_flux)
 from repro.core.hydro.solver import HydroOptions, compute_rhs  # noqa: E402
 from repro.core.mesh import BlockMesh  # noqa: E402
 from repro.core.scenario import (equilibrium_star, sedov_blast,  # noqa: E402
@@ -95,7 +96,7 @@ from repro.core.workspace import Workspace  # noqa: E402
 from repro.runtime.aggregate import DEFAULT_AGG_SLOTS  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
 from repro.validation.reference import (apply_boundary,  # noqa: E402
-                                        compute_rhs_reference,
+                                        compute_rhs_reference, greens,
                                         kt_flux_reference,
                                         m2l_pair_reference)
 
@@ -464,6 +465,35 @@ def uniform_fields_row() -> dict:
     return rows
 
 
+def rhs_alloc_row() -> dict:
+    """Counts only: the peak of the bytes ``tracemalloc`` traces during
+    a second ``compute_rhs`` call on the ghost-filled ``TAX_N``^3 Sedov
+    box (the ledger's ``sedov_serial`` box, one call), with the first
+    call's ``Workspace`` and ``out`` — what a steady-state RHS allocates
+    — beside one face row of the box, ``(TAX_N + 1) TAX_N^2`` doubles."""
+    mesh = BlockMesh.retile(sedov_blast(TAX_N))
+    mesh._fill(mesh._boxes, 0)
+    box = mesh._boxes[0]
+    ws = Workspace()
+    out = np.empty((NF,) + mesh.shape)
+    compute_rhs(box, mesh.dx, mesh.options, out=out, ws=ws)
+    tracemalloc.start()
+    try:
+        compute_rhs(box, mesh.dx, mesh.options, out=out, ws=ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"peak_bytes": peak, "face_row_bytes": 8 * (TAX_N + 1) * TAX_N ** 2}
+
+
+def rhs_alloc_line(kernels: dict) -> str:
+    """The ``rhs_alloc`` row as a report line."""
+    row = kernels["rhs_alloc"]
+    return (f"  rhs_alloc          {row['peak_bytes']} B traced peak of a "
+            f"steady-state {TAX_N}^3 RHS call (one face row: "
+            f"{row['face_row_bytes']} B)")
+
+
 def rhs_calls_line(kernels: dict) -> str:
     """The ``rhs_calls`` row as a report line (sub-grids per call)."""
     return "  rhs_calls          " + ", ".join(
@@ -554,8 +584,9 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     WL, WR = (f.copy() for f in ppm_faces(pencil, g, 1, out=ends, ws=ws))
     n_faces = int(np.prod(WL.shape[1:]))
     flux_out = np.empty_like(WL)
-    t_ktf = _time(lambda: kt_flux(WL, WR, opts.eos, 0, out=flux_out),
-                  repeats=repeats)
+    kt_scratch = np.empty((KT_SCRATCH,) + WL.shape[1:])
+    t_ktf = _time(lambda: kt_flux(WL, WR, opts.eos, 0, out=flux_out,
+                                  scratch=kt_scratch), repeats=repeats)
     t_ktf_ref = _time(lambda: kt_flux_reference(WL, WR, opts.eos, 0),
                       repeats=repeats)
 
@@ -592,6 +623,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "halo_fill": _halo_fill_row(repeats),
         "dist_fill": _dist_fill_row(repeats),
         "rhs_calls": rhs_calls_row(),
+        "rhs_alloc": rhs_alloc_row(),
         "subgrid_tax": _subgrid_tax_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
@@ -636,6 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     print(halo_fill_line(kernels))
     print(dist_fill_line(kernels))
     print(rhs_calls_line(kernels))
+    print(rhs_alloc_line(kernels))
     print(subgrid_tax_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))

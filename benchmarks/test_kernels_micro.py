@@ -11,7 +11,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
                            dense_sweep, fmm, leaf_sweep_offsets,
-                           m2l_dense_counts, rhs_calls_row,
+                           m2l_dense_counts, rhs_alloc_row, rhs_calls_row,
                            uniform_fields_row)
 
 #: sub-grids per ``compute_rhs`` call of one stage on the ``rhs_calls``
@@ -45,6 +45,16 @@ def test_rhs_calls_keep_the_ledger_shapes():
     sub-grids of a stage on the ledger-shaped layouts are the ones the
     two rules made before, except the survivors' cut box (2 -> 3 calls)."""
     assert rhs_calls_row() == {**BEFORE_ONE_RULE, "survivors_24": [9, 9, 9]}
+
+
+def test_steady_state_rhs_allocates_no_face_sized_buffer():
+    """The gate of the in-place hydro step (counts, no timing): a second
+    RHS call on the 24^3 Sedov box with the first call's workspace and
+    output allocates less, at its peak, than one face row of the box —
+    no primitive, face, flux or spin temporary."""
+    row = rhs_alloc_row()
+    assert row["face_row_bytes"] == 115_200
+    assert row["peak_bytes"] < row["face_row_bytes"]
 
 
 def test_uniform_fields_leave_ppm_the_fields_with_structure():

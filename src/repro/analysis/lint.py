@@ -64,7 +64,7 @@ REPRO008 *alloc-in-hot-kernel*
     Allocation in the fallback branch (``if ws is None: ...`` / ``x if
     out is not None else np.empty(...)``) is fine.  *Only it kills:*
     ``core/hydro/riemann.py``'s scratch helper returning
-    ``np.empty(shape)`` whatever ``ws`` holds.
+    ``np.empty(shape, dtype)`` whatever ``ws`` holds.
 
 REPRO009 *unverified-checkpoint-record*
     ``resilience/checkpoint.py`` alone knows the record format, so

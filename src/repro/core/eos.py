@@ -61,6 +61,25 @@ class IdealGas:
         return np.sqrt(self.gamma * np.maximum(p, 0.0)
                        / np.maximum(rho, self.rho_floor))
 
+    # The ``*_into`` methods are the allocation-free forms the hydro
+    # kernels call: the operations of their namesakes, in the same order
+    # (so the same bits), written into the caller's ``out`` with the
+    # caller's scratch; ``out`` may be one of the inputs.
+
+    def pressure_into(self, eint: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`pressure` into ``out``."""
+        np.maximum(eint, 0.0, out=out)
+        return np.multiply(self.gamma - 1.0, out, out=out)
+
+    def sound_speed_into(self, rho: np.ndarray, p: np.ndarray,
+                         out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """:meth:`sound_speed` into ``out``, ``tmp`` shaped like it."""
+        np.maximum(p, 0.0, out=out)
+        np.multiply(self.gamma, out, out=out)
+        np.maximum(rho, self.rho_floor, out=tmp)
+        np.divide(out, tmp, out=out)
+        return np.sqrt(out, out=out)
+
     def tau_from_eint(self, eint: np.ndarray) -> np.ndarray:
         """Entropy tracer from internal energy density."""
         return np.maximum(eint, 0.0) ** (1.0 / self.gamma)
@@ -90,6 +109,35 @@ class IdealGas:
         use_e = diff / safe > DUAL_ENERGY_ETA1
         return np.where(use_e, np.maximum(diff, 0.0),
                         self.eint_from_tau(tau))
+
+    def internal_energy_into(self, rho: np.ndarray, sx: np.ndarray,
+                             sy: np.ndarray, sz: np.ndarray,
+                             egas: np.ndarray, tau: np.ndarray,
+                             out: np.ndarray, tmp: tuple[np.ndarray, ...],
+                             mask: np.ndarray) -> np.ndarray:
+        """:meth:`internal_energy` into ``out``, with two float arrays
+        ``tmp`` and the bool ``mask``, all shaped like it.  ``tau **
+        gamma`` is evaluated only in the cells that select it: ``pow``
+        is the costliest pass, and evaluated where ``np.where`` takes it
+        it gives the same bits."""
+        t, u = tmp
+        # kin = 0.5 (sx sx + sy sy + sz sz) / max(rho, floor)
+        np.multiply(sx, sx, out=t)
+        np.multiply(sy, sy, out=u)
+        np.add(t, u, out=t)
+        np.multiply(sz, sz, out=u)
+        np.add(t, u, out=t)
+        np.multiply(0.5, t, out=t)
+        np.maximum(rho, self.rho_floor, out=u)
+        np.divide(t, u, out=t)
+        np.subtract(egas, t, out=t)                 # diff = egas - kin
+        np.maximum(egas, _FLOOR, out=u)             # safe
+        np.divide(t, u, out=u)
+        np.greater(u, DUAL_ENERGY_ETA1, out=mask)   # use_e
+        np.maximum(t, 0.0, out=out)
+        np.logical_not(mask, out=mask)              # NaN ratios take tau
+        np.maximum(tau, 0.0, out=u, where=mask)
+        return np.power(u, self.gamma, out=out, where=mask)
 
     def sync_tau(self, rho: np.ndarray, sx: np.ndarray, sy: np.ndarray,
                  sz: np.ndarray, egas: np.ndarray,

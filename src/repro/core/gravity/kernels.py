@@ -62,33 +62,24 @@ solver's geometry rules them out once, when its plan is built
 everything that is not a well-separated pair of distinct cells, and a
 boundary pair joins a leaf with another cell's child, whose centre lies
 inside that cell), instead of scanning ``r2 == 0`` on every call.  The
-test-facing :func:`greens` keeps its guard.
+full tensors of :func:`repro.validation.reference.greens`, the oracle,
+keep the guard.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm as _dgemm
 
 from .stencil import well_separated
 
-__all__ = ["greens", "p2p_pair", "green_table", "green_sweeps",
-           "sweep_pad", "p2p_pair_staged",
-           "m2l_pair", "LEVI_CIVITA",
+__all__ = ["p2p_pair", "green_table", "green_sweeps",
+           "sweep_pad", "p2p_pair_staged", "m2l_pair",
            "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
            "green_block", "m2l_dense", "m2l_assemble"]
 
 #: stand-in for a zero receiving mass wherever a pair force is divided
 #: back into an acceleration
 TINY_MASS = 1e-300
-
-#: Levi-Civita tensor for torque contractions
-LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-    LEVI_CIVITA[_i, _j, _k] = _s
-
-_EYE = np.eye(3)
 
 
 def _inv_powers(x, y, z):
@@ -111,64 +102,6 @@ def _g2_components(x, y, z, inv3, inv5):
             3.0 * (x * y) * inv5,
             3.0 * (x * z) * inv5,
             3.0 * (y * z) * inv5)
-
-
-def greens(dR: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]:
-    """Derivative tensors g0..g3 of 1/r at separations ``dR`` (n, 3).
-
-    g0 = 1/r, g1_i = d_i(1/r), g2_ij = d_i d_j (1/r),
-    g3_ijk = d_i d_j d_k (1/r).
-
-    Built from the 6 unique g2 / 10 unique g3 components (no full outer
-    products); the assembled tensors are exactly symmetric because the
-    unique components are written to every symmetric slot.
-    """
-    dR = np.asarray(dR, dtype=np.float64)
-    x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
-    r2 = x * x + y * y + z * z
-    if np.any(r2 == 0.0):
-        raise ValueError("coincident cells in interaction kernel")
-    inv = 1.0 / np.sqrt(r2)
-    inv2 = inv * inv
-    inv3 = inv * inv2
-    inv5 = inv3 * inv2
-    inv7 = inv5 * inv2
-    g0 = inv
-    g1 = -dR * inv3[:, None]
-    n = len(dR)
-    g2 = np.empty((n, 3, 3))
-    xx, yy, zz, xy, xz, yz = _g2_components(x, y, z, inv3, inv5)
-    g2[:, 0, 0] = xx
-    g2[:, 1, 1] = yy
-    g2[:, 2, 2] = zz
-    g2[:, 0, 1] = g2[:, 1, 0] = xy
-    g2[:, 0, 2] = g2[:, 2, 0] = xz
-    g2[:, 1, 2] = g2[:, 2, 1] = yz
-    # g3_ijk = -15 x_i x_j x_k / r^7 + 3 (d_ij x_k + d_ik x_j + d_jk x_i)/r^5
-    p3 = 3.0 * inv5
-    p9 = 9.0 * inv5
-    p15 = 15.0 * inv7
-    g3 = np.empty((n, 3, 3, 3))
-    comps = _g3_components(x, y, z, p3, p9, p15)
-    for (i, j, k), val in comps:
-        g3[:, i, j, k] = g3[:, i, k, j] = g3[:, j, i, k] = val
-        g3[:, j, k, i] = g3[:, k, i, j] = g3[:, k, j, i] = val
-    return g0, g1, g2, g3
-
-
-def _g3_components(x, y, z, p3, p9, p15):
-    """The 10 unique components of g3, tagged with one index triple each."""
-    return (((0, 0, 0), p9 * x - p15 * (x * x) * x),
-            ((0, 0, 1), p3 * y - p15 * (x * x) * y),
-            ((0, 0, 2), p3 * z - p15 * (x * x) * z),
-            ((0, 1, 1), p3 * x - p15 * x * (y * y)),
-            ((0, 1, 2), -p15 * (x * y) * z),
-            ((0, 2, 2), p3 * x - p15 * x * (z * z)),
-            ((1, 1, 1), p9 * y - p15 * (y * y) * y),
-            ((1, 1, 2), p3 * z - p15 * (y * y) * z),
-            ((1, 2, 2), p3 * y - p15 * y * (z * z)),
-            ((2, 2, 2), p9 * z - p15 * (z * z) * z))
 
 
 def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
@@ -303,6 +236,10 @@ def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray, ws
     """
     if not out.flags.c_contiguous:
         raise ValueError("p2p_pair_staged needs a C-contiguous out")
+    # imported here, not with the package: scipy.linalg maps scipy's own
+    # OpenBLAS (~28 MB of resident memory) into every process that
+    # imports repro.core, and only a gravity solve needs it
+    from scipy.linalg.blas import dgemm
     out[...] = 0.0
     rows = out.reshape(-1, out.shape[-1])
     scratch = ws.take("p2p:window", len(rows), (8,))
@@ -311,7 +248,7 @@ def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray, ws
         block = scratch[:slab.stop - slab.start]
         np.copyto(block.reshape(src.shape), src)
         # rows[slab] += block @ table, column-major: beta = 1, overwrite_c
-        _dgemm(1.0, table.T, block.T, 1.0, rows[slab].T, 0, 0, 1)
+        dgemm(1.0, table.T, block.T, 1.0, rows[slab].T, 0, 0, 1)
     return out
 
 

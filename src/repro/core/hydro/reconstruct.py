@@ -18,6 +18,19 @@ face arrays are views into ``lo`` / ``hi``.  The allocate-per-stage
 original is :func:`repro.validation.reference.ppm_faces_reference`, the
 oracle the kernel is tested against bit for bit.
 
+It computes each face once: 33 array passes per field and axis.  The
+face between cells j and j+1 is ``hi`` of cell j, clipped into
+``[np.minimum(c, right), np.maximum(c, right)]``, and ``lo`` of cell
+j+1, clipped into ``[np.minimum(left, c), np.maximum(left, c)]``: the
+same two cells in the same argument order both times, so the two clips
+give the same bits — signed zeros included, where ``np.minimum`` /
+``np.maximum`` return one argument of a ``-0.0`` / ``+0.0`` tie by
+position.  The kernel raises the ``n + 3`` faces to their lower bounds
+once (2 passes) and clamps them to their upper bounds straight into the
+two parabola ends (3 passes: the bounds, then ``lo`` and ``hi``), where
+the reference clips ``lo`` and ``hi`` apart (8 passes); and it forms
+``3c`` once for both steepening tests.
+
 Layout: the kernel is elementwise across every dimension but ``axis``,
 so it accepts any field-major batch.  The hydro RHS hands it
 *pencil-major* batches ``(rows, m, B, n, n)`` of the fields it carries —
@@ -33,7 +46,7 @@ face is clipped into ``[v, v]``, and the extremum test then resets both
 parabola ends to the cell.  The bound is ``2v``, not ``v``: for
 ``|v| >= 2^1023`` the face sum ``7/12 (C1 + C2)`` overflows and the
 arithmetic yields NaN faces, as it does for inf and NaN fields.  The
-kernel copies such fields through instead of running ~37 passes (a
+kernel copies such fields through instead of running the 33 passes (a
 uniform but nonzero field: the hydro RHS leaves fields that are zero
 over its batch out of the sweep altogether); everything else keeps the
 full arithmetic, and the reference runs it for every field, so it stays
@@ -62,8 +75,8 @@ def ppm_faces(q: np.ndarray, ng: int, axis: int, *,
     ``out=(lo, hi)`` receives the parabola ends of cells ``-1 .. n``
     (``q``'s shape with ``n + 2`` along ``axis``); the returned faces are
     views into them.  ``ws`` backs one field's intermediates, shared by
-    all fields: the ~10 scratch arrays then cover a single field and stay
-    resident in cache across the ~30 elementwise passes instead of
+    all fields: the seven scratch arrays then cover a single field and stay
+    resident in cache across the 33 elementwise passes instead of
     streaming the whole batch from DRAM every pass.  Every step mirrors
     an expression of the reference exactly — scalar multiplies are
     commuted (exact), ``np.where`` becomes a masked ``np.copyto`` onto
@@ -107,7 +120,8 @@ def _ppm_one(q: np.ndarray, ng: int, axis: int,
              lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
     """One PPM reconstruction into ``lo``/``hi`` using the caller's
     ``scratch`` arrays (two of ``n + 3`` faces, four of ``n + 2`` cells
-    and a mask of ``n + 2`` cells along ``axis``)."""
+    and a mask of ``n + 2`` cells along ``axis``): 33 passes, each face
+    clipped once for both cells it bounds (see the module docstring)."""
     n = q.shape[axis] - 2 * ng
     F, t, a, b, dqf, six, mask = scratch
 
@@ -120,19 +134,20 @@ def _ppm_one(q: np.ndarray, ng: int, axis: int,
     F -= t
 
     c = _ax(C, 2, -2, axis)
-    left = _ax(C, 1, -3, axis)
-    right = _ax(C, 3, -1, axis)
 
-    np.minimum(left, c, out=a)
-    np.maximum(left, c, out=b)
-    # clip(F, a, b) spelled as its two halves (a <= b by construction):
-    # same bits, half the ufunc dispatch cost at this size
-    np.maximum(_ax(F, 0, -1, axis), a, out=lo)
-    np.minimum(lo, b, out=lo)
-    np.minimum(c, right, out=a)
-    np.maximum(c, right, out=b)
-    np.maximum(_ax(F, 1, None, axis), a, out=hi)
-    np.minimum(hi, b, out=hi)
+    # clip every face once into the range of the two cells it joins:
+    # face j is `lo` of cell j and `hi` of cell j-1, and both clips take
+    # min/max of (cell j-1, cell j) in that argument order, so they agree
+    # bit for bit (signed zeros included).  clip(F, a, b) is spelled as
+    # its two halves (a <= b by construction), the last one writing the
+    # parabola ends straight out of the clipped faces.
+    below = _ax(C, 1, -2, axis)                     # cell left of each face
+    above = _ax(C, 2, -1, axis)                     # cell right of it
+    np.minimum(below, above, out=t)
+    np.maximum(F, t, out=F)
+    np.maximum(below, above, out=t)
+    np.minimum(_ax(F, 0, -1, axis), _ax(t, 0, -1, axis), out=lo)
+    np.minimum(_ax(F, 1, None, axis), _ax(t, 1, None, axis), out=hi)
 
     # extremum = (hi - c) * (c - lo) <= 0  ->  lo = hi = c there
     np.subtract(hi, c, out=a)
@@ -152,14 +167,15 @@ def _ppm_one(q: np.ndarray, ng: int, axis: int,
     # same expression twice on unchanged inputs, so reuse is exact
     np.subtract(c, a, out=a)                        # a = c - avg
     np.multiply(dqf, a, out=a)                      # a = prod
+    # 3c: formed once, the reference forms it twice from the same cells
+    c3 = _ax(t, 0, -1, axis)                        # t is free again
+    np.multiply(c, 3.0, out=c3)
     np.greater(a, six, out=mask)                    # steep toward hi
     np.multiply(hi, 2.0, out=dqf)                   # dqf now scratch
-    np.multiply(c, 3.0, out=b)
-    b -= dqf                                        # 3c - 2 hi
+    np.subtract(c3, dqf, out=b)                     # 3c - 2 hi
     np.copyto(lo, b, where=mask)
     np.negative(six, out=six)
     np.greater(six, a, out=mask)                    # steep toward lo
     np.multiply(lo, 2.0, out=dqf)                   # uses the updated lo
-    np.multiply(c, 3.0, out=b)
-    b -= dqf                                        # 3c - 2 lo
+    np.subtract(c3, dqf, out=b)                     # 3c - 2 lo
     np.copyto(hi, b, where=mask)

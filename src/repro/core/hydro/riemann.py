@@ -13,9 +13,13 @@ This is the production kernel of the paper's Sec. 4.3 kernel rework:
 :func:`kt_flux` makes one fused pass over each face batch that computes
 primitives-to-flux, conserved states and signal speeds **per
 component**, never materializing the ``FL``/``FR``/``UL``/``UR``
-full-field intermediates, and writes into the caller's ``out=`` array
-so steady-state stepping allocates nothing.  It is *bitwise identical*
-to the original composition, kept as the oracle
+full-field intermediates.  Every sub-expression is an ``out=`` ufunc:
+the fluxes go into the caller's ``out``, the intermediates into
+``KT_SCRATCH`` face arrays the caller lends (the hydro sweep lends its
+primitive pencil, dead once PPM has read it), and
+:func:`conserved_to_primitive` writes each product straight into its
+row, so a steady-state RHS allocates no array.  The kernels are
+*bitwise identical* to the original composition, kept as the oracle
 :func:`repro.validation.reference.kt_flux_reference` (the fusion only
 removes temporaries; every surviving operation runs in the reference
 order).
@@ -40,14 +44,18 @@ from ..grid import EGAS, NF, RHO, SX, TAU
 __all__ = ["kt_flux", "conserved_to_primitive", "conserved_signal_speed"]
 
 
-def _scratch(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _scratch(ws, name: str, shape: tuple[int, ...],
+             dtype=np.float64) -> np.ndarray:
     """A workspace buffer, or a throwaway array without a workspace."""
-    return ws.buf(name, shape) if ws is not None else np.empty(shape)
+    if ws is None:
+        return np.empty(shape, dtype)
+    return ws.buf(name, shape, dtype)
 
 
 def conserved_to_primitive(U: np.ndarray, eos: IdealGas,
                            rho_floor: float = 1e-12,
-                           out: np.ndarray | None = None) -> np.ndarray:
+                           out: np.ndarray | None = None,
+                           ws=None) -> np.ndarray:
     """Primitive variables W from a conserved block (NF, ...).
 
     W layout matches U, with velocities in slots 1..3 and pressure in the
@@ -57,23 +65,28 @@ def conserved_to_primitive(U: np.ndarray, eos: IdealGas,
     floored density would manufacture enormous velocities out of noise.
 
     ``out`` (an (NF, ...) array matching ``U``, any strides: the hydro RHS
-    passes one block's slot of its batch) receives the result.
+    passes one block's slot of its batch) receives the result.  Every
+    product is written straight into its row, and the rows not yet
+    written are the float scratch (``1/rho`` waits in the last one,
+    which is written last, in place), so with ``ws`` (for the one bool
+    mask) nothing is allocated.
     """
     W = out if out is not None else np.empty(U.shape)
-    np.maximum(U[RHO], rho_floor, out=W[RHO])
-    rho = W[RHO]
-    inv = 1.0 / rho
+    mask = _scratch(ws, "c2p:mask", U.shape[1:], bool)
+    rho = np.maximum(U[RHO], rho_floor, out=W[RHO])
+    inv = np.divide(1.0, rho, out=W[NF - 1])
     for d in range(3):
-        W[SX + d] = U[SX + d] * inv
-    eint = eos.internal_energy(rho, U[SX], U[SX + 1], U[SX + 2],
-                               U[EGAS], U[TAU])
-    W[EGAS] = eos.pressure(rho, eint)
+        np.multiply(U[SX + d], inv, out=W[SX + d])
+    eos.internal_energy_into(rho, U[SX], U[SX + 1], U[SX + 2], U[EGAS],
+                             U[TAU], out=W[EGAS],
+                             tmp=(W[TAU], W[TAU + 1]), mask=mask)
+    eos.pressure_into(W[EGAS], out=W[EGAS])
     for f in range(TAU, NF):
-        W[f] = U[f] * inv
-    floored = U[RHO] <= rho_floor
+        np.multiply(U[f], inv, out=W[f])
+    floored = np.less_equal(U[RHO], rho_floor, out=mask)
     if floored.any():
         for f in (SX, SX + 1, SX + 2, *range(TAU, NF)):
-            W[f][floored] = 0.0
+            np.copyto(W[f], 0.0, where=floored)
     return W
 
 
@@ -106,17 +119,24 @@ def conserved_signal_speed(U: np.ndarray, eos: IdealGas, rho_floor: float,
     return vmax
 
 
+#: face arrays of scratch :func:`kt_flux` needs beside ``out``
+KT_SCRATCH = 7
+
+
 def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
-            out: np.ndarray) -> np.ndarray:
+            out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Fused KT/local-Lax-Friedrichs flux from face-left/right primitives.
 
     Single pass per face batch: per-side signal speeds, kinetic/internal
     energies and per-field fluxes are formed component-wise and combined
     straight into ``out`` (shaped like ``WL``) — the eight full-field
     ``FL``/``FR``/``UL``/``UR`` temporaries of the reference never
-    exist.  Every surviving floating-point operation matches the
-    reference expression order, so the result is bitwise identical
-    (asserted by ``tests/core/test_kernel_fusion.py``).
+    exist, and neither does any other: every sub-expression is an
+    ``out=`` ufunc into ``scratch``, the caller's ``(KT_SCRATCH, *faces)``
+    array (any leading length of at least ``KT_SCRATCH``; its contents
+    are overwritten).  Every floating-point operation keeps the operands
+    and order of the reference expression, so the result is bitwise
+    identical (asserted by ``tests/core/test_kernel_fusion.py``).
 
     Rows: RHO..EGAS lead, and every row after EGAS is an advected
     scalar, however many there are.  The hydro RHS passes only the
@@ -127,27 +147,55 @@ def kt_flux(WL: np.ndarray, WR: np.ndarray, eos: IdealGas, axis: int,
     unL, unR = WL[SX + axis], WR[SX + axis]
     pL, pR = WL[EGAS], WR[EGAS]
     F = out
+    half_a, mL, mR, fL, fR, ekL, ekR = scratch[:KT_SCRATCH]
     # a = max(|u|+c over L,R); the 0.5 a prefactor is shared by all fields
-    half_a = 0.5 * np.maximum(np.abs(unL) + eos.sound_speed(rhoL, pL),
-                              np.abs(unR) + eos.sound_speed(rhoR, pR))
-    F[RHO] = 0.5 * (rhoL * unL + rhoR * unR) - half_a * (rhoR - rhoL)
-    for d in range(3):
-        mL = rhoL * WL[SX + d]        # momentum density, also the U slot
-        mR = rhoR * WR[SX + d]
-        fL = mL * unL
-        fR = mR * unR
-        if d == axis:
-            fL = fL + pL
-            fR = fR + pR
-        F[SX + d] = 0.5 * (fL + fR) - half_a * (mR - mL)
-    ekL = pL / (eos.gamma - 1.0) \
-        + 0.5 * rhoL * (WL[SX] ** 2 + WL[SX + 1] ** 2 + WL[SX + 2] ** 2)
-    ekR = pR / (eos.gamma - 1.0) \
-        + 0.5 * rhoR * (WR[SX] ** 2 + WR[SX + 1] ** 2 + WR[SX + 2] ** 2)
-    F[EGAS] = 0.5 * ((ekL + pL) * unL + (ekR + pR) * unR) \
-        - half_a * (ekR - ekL)
-    for f in range(TAU, len(WL)):
-        mL = rhoL * WL[f]
-        mR = rhoR * WR[f]
-        F[f] = 0.5 * (mL * unL + mR * unR) - half_a * (mR - mL)
+    # (the per-side speeds sit in the ek buffers until those are formed)
+    sL, sR = ekL, ekR
+    for un, rho, p, s, tmp in ((unL, rhoL, pL, sL, mL),
+                               (unR, rhoR, pR, sR, mR)):
+        eos.sound_speed_into(rho, p, s, tmp)
+        np.abs(un, out=tmp)
+        np.add(tmp, s, out=s)
+    np.maximum(sL, sR, out=half_a)
+    np.multiply(0.5, half_a, out=half_a)
+
+    def combine(row, dq):
+        # F[row] = 0.5 (fL + fR) - half_a dq, dq = qR - qL (spent here)
+        np.add(fL, fR, out=F[row])
+        np.multiply(0.5, F[row], out=F[row])
+        np.multiply(half_a, dq, out=dq)
+        np.subtract(F[row], dq, out=F[row])
+
+    np.multiply(rhoL, unL, out=fL)
+    np.multiply(rhoR, unR, out=fR)
+    np.subtract(rhoR, rhoL, out=mR)
+    combine(RHO, mR)
+    # the momenta, then the advected scalars: m = rho q is the U slot
+    for f in (SX, SX + 1, SX + 2, *range(TAU, len(WL))):
+        np.multiply(rhoL, WL[f], out=mL)
+        np.multiply(rhoR, WR[f], out=mR)
+        np.multiply(mL, unL, out=fL)
+        np.multiply(mR, unR, out=fR)
+        if f == SX + axis:
+            np.add(fL, pL, out=fL)
+            np.add(fR, pR, out=fR)
+        np.subtract(mR, mL, out=mR)
+        combine(f, mR)
+    # ek = p / (gamma - 1) + 0.5 rho (u^2 + v^2 + w^2)
+    for W, rho, p, ek in ((WL, rhoL, pL, ekL), (WR, rhoR, pR, ekR)):
+        np.divide(p, eos.gamma - 1.0, out=ek)
+        np.multiply(0.5, rho, out=fL)
+        np.square(W[SX], out=fR)
+        np.square(W[SX + 1], out=mL)
+        np.add(fR, mL, out=fR)
+        np.square(W[SX + 2], out=mL)
+        np.add(fR, mL, out=fR)
+        np.multiply(fL, fR, out=fR)
+        np.add(ek, fR, out=ek)
+    np.add(ekL, pL, out=fL)
+    np.multiply(fL, unL, out=fL)
+    np.add(ekR, pR, out=fR)
+    np.multiply(fR, unR, out=fR)
+    np.subtract(ekR, ekL, out=ekR)
+    combine(EGAS, ekR)
     return F

@@ -67,16 +67,27 @@ of running the arithmetic (:mod:`.reconstruct`).
 Scratch: :func:`compute_rhs` and :func:`cfl_dt` accept a
 :class:`repro.core.workspace.Workspace` (and ``compute_rhs`` an ``out=``
 array) so steady-state stepping reuses the primitive batch, pencils, face
-states and flux arrays across axes, chunks, stages and steps.  Memory is
-the constraint on the batch size: the scratch of an 8-block batch of 8^3
-sub-grids is ~5 MB per calling thread (the primitive batch is half of
-it), so blocks are converted to primitives one by one straight into the
-batch and sources are added per block from the live blocks — nothing
-conserved is staged.
+states and flux arrays across axes, chunks, stages and steps.  Each
+quantity is computed once into memory that already exists: the
+primitives straight into their slot of the batch, every face clipped
+once (:mod:`.reconstruct`), the KT intermediates into the pencil buffer,
+which is dead once PPM has read it (its ``NF`` rows of ``n + 6`` cells
+hold :data:`.riemann.KT_SCRATCH` face arrays), and the flux difference
+and the spin term ``0.5 (Flo + Fhi)`` into ``rhs:dF``, laid out like
+``rhs`` so the adds into it walk one memory order.  A steady-state call
+on the 24^3 Sedov box allocates no array; its traced peak is one 64 KB
+buffer numpy's iterator takes where the flux difference changes layout
+(gated below one face row by ``benchmarks/test_kernels_micro.py``).
+Memory is the constraint on the batch size: the scratch of an 8-block
+batch of 8^3 sub-grids is ~5 MB per calling thread (the primitive batch
+is half of it), so blocks are converted to primitives one by one
+straight into the batch and sources are added per block from the live
+blocks — nothing conserved is staged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +98,8 @@ from ..eos import IdealGas
 from ..grid import EGAS, LX, NF, NGHOST, RHO, SX, TAU
 from ..workspace import Workspace
 from .reconstruct import ppm_faces
-from .riemann import conserved_signal_speed, conserved_to_primitive, kt_flux
+from .riemann import (KT_SCRATCH, conserved_signal_speed,
+                      conserved_to_primitive, kt_flux)
 
 __all__ = ["HydroOptions", "compute_rhs", "cfl_dt", "apply_floors"]
 
@@ -246,7 +258,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     W = ws.buf("rhs:W", (NF, B) + tuple(n + 2 * g for n in shape))
     for b, blk in enumerate(U):
         conserved_to_primitive(blk, options.eos, options.rho_floor,
-                               out=W[:, b])
+                               out=W[:, b], ws=ws)
     fluxes = [] if return_fluxes else None
     # AMR refluxing reads every row of the fluxes, so they carry all
     live = _ALL_ROWS if return_fluxes else _live_rows(W)
@@ -318,15 +330,21 @@ def _sweep(W: np.ndarray, rhs: np.ndarray, live: tuple[int, ...],
         cells, faces = pencil.shape[1:], (n + 1,) + pencil.shape[2:]
         # every row-scaled role is sized for NF rows from the first call,
         # so calls that carry different rows share one allocation each
-        Wp = ws.buf("rhs:pencil", (NF,) + cells)[:rows]
+        cell_rows = ws.buf("rhs:pencil", (NF,) + cells)
+        Wp = cell_rows[:rows]
         ends = (n + 2,) + faces[1:]                 # parabolas of cells -1..n
         lo = ws.buf("rhs:lo", (NF,) + ends)[:rows]
         hi = ws.buf("rhs:hi", (NF,) + ends)[:rows]
         for f0, r0, k in runs:
             np.copyto(Wp[r0:r0 + k], pencil[f0:f0 + k])
         WL, WR = ppm_faces(Wp, NGHOST, 1, out=(lo, hi), ws=ws)
+        # the pencil is dead once PPM returns: its NF rows of n + 6 cells
+        # hold KT's KT_SCRATCH face arrays
+        scratch = cell_rows.reshape(-1)[:KT_SCRATCH * math.prod(faces)] \
+            .reshape((KT_SCRATCH,) + faces)
         F = kt_flux(WL, WR, options.eos, axis,
-                    out=ws.buf("rhs:F", (NF,) + faces)[:rows])
+                    out=ws.buf("rhs:F", (NF,) + faces)[:rows],
+                    scratch=scratch)
         # F[RHO] is finite only where rho, u_n and half_a are; its sum
         # is non-finite if any face is (or, costing only the redo, if
         # it overflows)
@@ -334,20 +352,24 @@ def _sweep(W: np.ndarray, rhs: np.ndarray, live: tuple[int, ...],
             return False
         Flo, Fhi = F[:, 0:n], F[:, 1:n + 1]
         sweep = np.moveaxis(rhs, 2 + axis, 1)       # rhs, pencil-major view
-        dF = ws.buf("rhs:dF", (NF,) + Flo.shape[1:])[:rows]
+        # dF is laid out like rhs and seen pencil-major like it: the adds
+        # into rhs walk one memory order (numpy buffers the operands of a
+        # ufunc whose memory orders disagree, 64 KB apiece)
+        dF = np.moveaxis(ws.buf("rhs:dF", (NF,) + rhs.shape[1:])[:rows],
+                         2 + axis, 1)
         np.subtract(Flo, Fhi, out=dF)
         dF /= dx
         for f0, r0, k in runs:
             sweep[f0:f0 + k] += dF[r0:r0 + k]
         if options.spin_correction:
-            _add_spin_correction(sweep, Flo, Fhi, axis)
+            _add_spin_correction(sweep, Flo, Fhi, axis, dF[0])
         if fluxes is not None:
             fluxes.append(np.moveaxis(F, 1, 2 + axis).copy())
     return True
 
 
 def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
-                         axis: int) -> None:
+                         axis: int, tmp: np.ndarray | None = None) -> None:
     """Despres-Labourasse spin source: the face momentum fluxes deposit
     the angular momentum that the cell-centred arms x_i cross s_i miss.
     ``Flo``/``Fhi`` are the fluxes through the low/high face of every
@@ -360,11 +382,18 @@ def _add_spin_correction(rhs: np.ndarray, Flo: np.ndarray, Fhi: np.ndarray,
     Only the momentum fluxes are summed, and the identically zero
     component of ``e_ax cross s`` (along ``ax``) is never added: ``rhs``
     accumulates from ``+0.0``, so adding it would change no bit.
+
+    ``tmp`` (shaped like one row of ``Flo``) holds ``0.5 (Flo + Fhi)``;
+    the sweep lends it, a caller without one gets a fresh array.
     """
     a, b = (axis + 1) % 3, (axis + 2) % 3
+    if tmp is None:
+        tmp = np.empty(Flo.shape[1:])
     # e_ax cross s = s_a e_b - s_b e_a; factor -(1/2) from the derivation
-    rhs[LX + a] += 0.5 * (Flo[SX + b] + Fhi[SX + b])
-    rhs[LX + b] -= 0.5 * (Flo[SX + a] + Fhi[SX + a])
+    np.add(Flo[SX + b], Fhi[SX + b], out=tmp)
+    rhs[LX + a] += np.multiply(0.5, tmp, out=tmp)
+    np.add(Flo[SX + a], Fhi[SX + a], out=tmp)
+    rhs[LX + b] -= np.multiply(0.5, tmp, out=tmp)
 
 
 def _add_sources(rhs: np.ndarray, U: np.ndarray, shape: tuple,

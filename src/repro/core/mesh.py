@@ -117,31 +117,34 @@ def fill_wall(U: np.ndarray, axis: int, side: int, bc: str) -> None:
     ``periodic`` wraps the block onto itself; a :class:`BlockMesh` (and
     so a :class:`~repro.core.distmesh.DistBlockMesh`) wraps through its
     boxes' periodic image copies instead and fills walls only for the
-    other conditions."""
+    other conditions.
+
+    The slab is filled one ghost layer at a time: on the last axis a
+    whole-slab copy runs in inner loops of ``NGHOST`` doubles, and a
+    layer copy in one long strided loop, about twice as fast."""
     g = NGHOST
     n = U.shape[1 + axis] - 2 * g
+    if bc not in _BCS:
+        raise ValueError(f"unknown boundary condition {bc!r}")
 
-    def sl(a, b):
+    def layer(i):
         s = [slice(None)] * 4
-        s[1 + axis] = slice(a, b)
+        s[1 + axis] = slice(i, i + 1)
         return tuple(s)
 
-    if side < 0:
-        ghost, edge, mirror, wrap = (sl(0, g), sl(g, g + 1), sl(g, 2 * g),
-                                     sl(n, n + g))
-    else:
-        ghost, edge, mirror, wrap = (sl(n + g, n + 2 * g),
-                                     sl(n + g - 1, n + g), sl(n, n + g),
-                                     sl(g, 2 * g))
-    if bc == "outflow":
-        U[ghost] = U[edge]
-    elif bc == "periodic":
-        U[ghost] = U[wrap]
-    elif bc == "reflect":
-        U[ghost] = np.flip(U[mirror], 1 + axis)
-        U[(SX + axis,) + ghost[1:]] *= -1.0
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    first = 0 if side < 0 else n + g            # the ghost layers' first
+    for i in range(g):
+        if bc == "outflow":                     # the edge cell, repeated
+            src = g if side < 0 else n + g - 1
+        elif bc == "reflect":                   # mirrored about the face
+            src = 2 * g - 1 - i if side < 0 else n + g - 1 - i
+        else:                                   # periodic: the far side
+            src = n + i if side < 0 else g + i
+        U[layer(first + i)] = U[layer(src)]
+    if bc == "reflect":
+        ghost = [slice(None)] * 3
+        ghost[axis] = slice(first, first + g)
+        U[(SX + axis,) + tuple(ghost)] *= -1.0
 
 
 # -- gravity coupling -----------------------------------------------------------
@@ -237,7 +240,9 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     ``rhs(blocks, acc, stage) -> {key: dU/dt}``
         interior right-hand sides of ghost-filled ``blocks`` under the
         acceleration ``acc`` (or ``None``) — per-block cell width and
-        origin, task dispatch and refluxing live here;
+        origin, task dispatch and refluxing live here; the step may
+        overwrite the arrays it returns (the combine forms
+        ``0.5 dt (k1 + k2)`` in the stage-1 ones);
     ``gravity``
         the mesh's :class:`GravityCoupling`, or ``None``.
 
@@ -265,8 +270,9 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
         if U1 is None:
             U1 = mesh._stage[key] = np.empty_like(U)
         I = interior(U1)
-        np.copyto(I, interior(U))
-        I += dt * k1[key]
+        # U + dt k1, formed in the predictor itself
+        np.multiply(dt, k1[key], out=I)
+        np.add(interior(U), I, out=I)
         apply_floors(I, options)
         predicted[key] = U1
     fill(predicted, 1)
@@ -275,7 +281,9 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     k2 = rhs(predicted, acc, 1)
     for key, U in blocks.items():
         I = interior(U)
-        I += 0.5 * dt * (k1[key] + k2[key])
+        # 0.5 dt (k1 + k2), formed in k2, which nothing reads after this
+        k = np.add(k1[key], k2[key], out=k2[key])
+        I += np.multiply(0.5 * dt, k, out=k)
         apply_floors(I, options)
         I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
                               I[EGAS], I[TAU])

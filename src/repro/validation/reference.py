@@ -17,7 +17,8 @@ and ``benchmarks/kernels_micro.py`` times them side by side.
 * :func:`compute_rhs_reference` — the hydro RHS of one block, allocate
   per stage, every field through every axis;
 * :func:`m2l_pair_reference` — the M2L pair interaction through full
-  Green tensors and einsum contractions;
+  Green tensors (:func:`greens`, the derivative tensors of ``1/r``) and
+  einsum contractions, with :data:`LEVI_CIVITA` for the torque checks;
 * :func:`direct_field` / :func:`direct_potential` /
   :func:`direct_summation` — direct O(N^2) gravity, the verification
   reference for the FMM;
@@ -33,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.eos import IdealGas
-from ..core.gravity.kernels import greens
+from ..core.gravity.kernels import _g2_components
 from ..core.grid import EGAS, NF, NGHOST, RHO, SX, TAU
 from ..core.hydro.riemann import conserved_to_primitive
 from ..core.hydro.solver import (HydroOptions, _add_sources,
@@ -42,7 +43,8 @@ from ..core.mesh import fill_wall
 
 __all__ = ["ppm_faces_reference", "primitive_to_conserved",
            "physical_flux", "max_signal_speed", "kt_flux_reference",
-           "compute_rhs_reference", "m2l_pair_reference", "direct_field",
+           "compute_rhs_reference", "LEVI_CIVITA", "greens",
+           "m2l_pair_reference", "direct_field",
            "direct_potential", "direct_summation", "apply_boundary"]
 
 
@@ -177,6 +179,71 @@ def apply_boundary(U: np.ndarray, bc: str) -> None:
 
 
 # -- gravity ----------------------------------------------------------------------
+
+#: Levi-Civita tensor for the torque contractions of the M2L property tests
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
+    LEVI_CIVITA[_i, _j, _k] = _s
+
+
+def greens(dR: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+    """Derivative tensors g0..g3 of 1/r at separations ``dR`` (n, 3).
+
+    g0 = 1/r, g1_i = d_i(1/r), g2_ij = d_i d_j (1/r),
+    g3_ijk = d_i d_j d_k (1/r).
+
+    Built from the 6 unique g2 / 10 unique g3 components (no full outer
+    products); the assembled tensors are exactly symmetric because the
+    unique components are written to every symmetric slot.
+    """
+    dR = np.asarray(dR, dtype=np.float64)
+    x, y, z = dR[:, 0], dR[:, 1], dR[:, 2]
+    r2 = x * x + y * y + z * z
+    if np.any(r2 == 0.0):
+        raise ValueError("coincident cells in interaction kernel")
+    inv = 1.0 / np.sqrt(r2)
+    inv2 = inv * inv
+    inv3 = inv * inv2
+    inv5 = inv3 * inv2
+    inv7 = inv5 * inv2
+    g0 = inv
+    g1 = -dR * inv3[:, None]
+    n = len(dR)
+    g2 = np.empty((n, 3, 3))
+    xx, yy, zz, xy, xz, yz = _g2_components(x, y, z, inv3, inv5)
+    g2[:, 0, 0] = xx
+    g2[:, 1, 1] = yy
+    g2[:, 2, 2] = zz
+    g2[:, 0, 1] = g2[:, 1, 0] = xy
+    g2[:, 0, 2] = g2[:, 2, 0] = xz
+    g2[:, 1, 2] = g2[:, 2, 1] = yz
+    # g3_ijk = -15 x_i x_j x_k / r^7 + 3 (d_ij x_k + d_ik x_j + d_jk x_i)/r^5
+    p3 = 3.0 * inv5
+    p9 = 9.0 * inv5
+    p15 = 15.0 * inv7
+    g3 = np.empty((n, 3, 3, 3))
+    comps = _g3_components(x, y, z, p3, p9, p15)
+    for (i, j, k), val in comps:
+        g3[:, i, j, k] = g3[:, i, k, j] = g3[:, j, i, k] = val
+        g3[:, j, k, i] = g3[:, k, i, j] = g3[:, k, j, i] = val
+    return g0, g1, g2, g3
+
+
+def _g3_components(x, y, z, p3, p9, p15):
+    """The 10 unique components of g3, tagged with one index triple each."""
+    return (((0, 0, 0), p9 * x - p15 * (x * x) * x),
+            ((0, 0, 1), p3 * y - p15 * (x * x) * y),
+            ((0, 0, 2), p3 * z - p15 * (x * x) * z),
+            ((0, 1, 1), p3 * x - p15 * x * (y * y)),
+            ((0, 1, 2), -p15 * (x * y) * z),
+            ((0, 2, 2), p3 * x - p15 * x * (z * z)),
+            ((1, 1, 1), p9 * y - p15 * (y * y) * y),
+            ((1, 1, 2), p3 * z - p15 * (y * y) * z),
+            ((1, 2, 2), p3 * y - p15 * y * (z * z)),
+            ((2, 2, 2), p9 * z - p15 * (z * z) * z))
+
 
 def m2l_pair_reference(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray,
                        M2A: np.ndarray, M2B: np.ndarray

@@ -493,8 +493,8 @@ LIVE_SITES = {
          "                boxes[dst][ghost] = payload[lo:hi].reshape(shape)\n"
          "        self.registry", "        self.registry"))),
     "REPRO008": ("core/hydro/riemann.py", (
-        ("return ws.buf(name, shape) if ws is not None else np.empty(shape)",
-         "return np.empty(shape)"),)),
+        ("    return ws.buf(name, shape, dtype)\n",
+         "    return np.empty(shape, dtype)\n"),)),
     # a global rollback that assembles its record beside the store: the
     # abandoned timeline's newer generations are never dropped
     "REPRO009": ("resilience/durability.py", (

@@ -223,17 +223,45 @@ def _subjects(root=SRC):
     return names
 
 
+def _own_stores(tree):
+    """The ``ast.Name`` nodes (by ``id()``) through which a module writes
+    into one of its own top-level names outside any def or class
+    (``TABLE[i, j] = v``): a module initialising its own table is not a
+    caller of it."""
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets for t in ast.walk(target)
+            if isinstance(t, ast.Name)}
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found.update(id(n) for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and n.id in own)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
 def _called(roots):
     """Names loaded, read as an attribute or spelled as a string under
     ``roots``, outside a definition of the same name (so recursion does
-    not count)."""
+    not count) and outside the stores of the module that defines the
+    name into it (see :func:`_own_stores`)."""
     seen = set()
 
-    def walk(node, enclosing):
+    def walk(node, enclosing, skip):
         if _is_all(node):
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
+            name = None if id(node) in skip else node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -245,11 +273,11 @@ def _called(roots):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         for child in ast.iter_child_nodes(node):
-            walk(child, enclosing)
+            walk(child, enclosing, skip)
 
     for root in roots:
         for tree in _trees(root):
-            walk(tree, frozenset())
+            walk(tree, frozenset(), _own_stores(tree))
     return seen
 
 

@@ -25,16 +25,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import IdealGas, NF, NGHOST, RHO, SX, EGAS, TAU
 from repro.core.grid import LX, PASSIVE0
-from repro.core.gravity.kernels import greens, m2l_pair, p2p_pair
+from repro.core.gravity.kernels import m2l_pair, p2p_pair
 from repro.core.hydro.reconstruct import ppm_faces
-from repro.core.hydro.riemann import (conserved_signal_speed,
+from repro.core.hydro.riemann import (KT_SCRATCH, conserved_signal_speed,
                                       conserved_to_primitive, kt_flux)
 from repro.core.hydro.solver import (HydroOptions, apply_floors, cfl_dt,
                                      compute_rhs)
 from repro.core.scenario import equilibrium_star
 from repro.core.workspace import Workspace
 from repro.validation.reference import (apply_boundary,
-                                        compute_rhs_reference,
+                                        compute_rhs_reference, greens,
                                         kt_flux_reference,
                                         m2l_pair_reference, max_signal_speed,
                                         ppm_faces_reference)
@@ -282,6 +282,51 @@ def test_ppm_uniform_pencil_1d_matches_the_reference(v):
     _assert_same_bits(wsR[0], refR)
 
 
+#: cell values that make min/max ties (+-0), subnormals and non-finite
+#: faces common; "normal" draws a fresh N(0, 1) value
+TIE_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+            -1.0, np.inf, -np.inf, np.nan, "normal"]
+
+
+@st.composite
+def tie_batches(draw):
+    """A field-major batch whose cells come from a drawn subset of
+    ``TIE_POOL``: zeros of both signs meet at faces, next to subnormal,
+    infinite and NaN cells."""
+    ng = draw(st.sampled_from([3, 4]))
+    dims = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    axis = draw(st.integers(1, len(dims) + 1))
+    dims.insert(axis - 1, 2 * ng + draw(st.integers(1, 5)))
+    nf = draw(st.integers(1, 3))
+    # by str: +0.0 == -0.0, and both must be drawable into one pool
+    pool = draw(st.lists(st.sampled_from(TIE_POOL), min_size=2, max_size=5,
+                         unique_by=str))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (nf,) + tuple(dims)
+    picks = rng.integers(0, len(pool), shape)
+    q = np.empty(shape)
+    for k, v in enumerate(pool):
+        where = picks == k
+        q[where] = rng.normal(size=where.sum()) if v == "normal" else v
+    return q, ng, axis
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tie_batches())
+def test_ppm_clips_each_face_once_bit_for_bit(batch):
+    """Each face is clipped once and serves as ``hi`` of the cell on its
+    left and ``lo`` of the cell on its right: with zeros of both signs,
+    subnormals and non-finite cells around the faces, both parabola
+    ends still equal the reference's two separate clips bit for bit."""
+    q, ng, axis = batch
+    with np.errstate(all="ignore"):
+        refL, refR = ppm_faces_reference(q, ng, axis)
+        wsL, wsR = ppm_faces(q, ng, axis, out=parabola_ends(q, ng, axis),
+                             ws=Workspace())
+    _assert_same_bits(wsL, refL)
+    _assert_same_bits(wsR, refR)
+
+
 def test_compute_rhs_zero_passives_with_a_negative_zero_field_bitwise():
     """Every passive scalar zero, one of them ``-0.0``: the fused RHS
     skips all five in PPM and still matches the oracle bit for bit."""
@@ -438,9 +483,80 @@ def test_kt_flux_fused_bitwise(axis):
     WL, WR = face_states(axis)
     ref = kt_flux_reference(WL, WR, IdealGas(), axis)
     out = np.empty_like(ref)
+    scratch = np.empty((KT_SCRATCH,) + ref.shape[1:])
     for _ in range(2):      # reuse must not leak state between calls
-        assert kt_flux(WL, WR, IdealGas(), axis, out=out) is out
+        assert kt_flux(WL, WR, IdealGas(), axis, out=out,
+                       scratch=scratch) is out
         np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_kt_flux_lent_scratch_bitwise_for_any_row_count(axis):
+    """One lent scratch serves calls of 5 to 14 rows in any order: the
+    flux of the first ``k`` rows (RHO..EGAS, then advected fields) is
+    the reference's, bit for bit, on face states with floored cells and
+    NaN / infinite faces, and nothing of an earlier call leaks in."""
+    WL, WR = face_states(axis)
+    rng = np.random.default_rng(axis)
+    for W, f, v in ((WL, RHO, np.nan), (WR, EGAS, np.inf),
+                    (WL, SX + axis, -np.inf), (WR, TAU, np.nan),
+                    (WL, SX + (axis + 1) % 3, np.inf)):
+        W[f].flat[rng.integers(0, W[f].size, 3)] = v
+    with np.errstate(all="ignore"):
+        ref = kt_flux_reference(WL, WR, IdealGas(), axis)
+        scratch = np.empty((KT_SCRATCH,) + ref.shape[1:])
+        for k in [14, 5, 9, 6, 12, 7, 14, 8, 13, 10, 11, 5]:
+            out = np.empty((k,) + ref.shape[1:])
+            kt_flux(np.ascontiguousarray(WL[:k]), np.ascontiguousarray(WR[:k]),
+                    IdealGas(), axis, out=out, scratch=scratch)
+            _assert_same_bits(out, ref[:k])
+
+
+def _c2p_allocating(U, eos, rho_floor):
+    """The primitive conversion as the allocating composition of the EOS
+    relations: the expressions ``conserved_to_primitive`` runs in place."""
+    W = np.empty(U.shape)
+    rho = np.maximum(U[RHO], rho_floor)
+    W[RHO] = rho
+    inv = 1.0 / rho
+    for d in range(3):
+        W[SX + d] = U[SX + d] * inv
+    eint = eos.internal_energy(rho, U[SX], U[SX + 1], U[SX + 2],
+                               U[EGAS], U[TAU])
+    W[EGAS] = eos.pressure(rho, eint)
+    for f in range(TAU, NF):
+        W[f] = U[f] * inv
+    floored = U[RHO] <= rho_floor
+    for f in (SX, SX + 1, SX + 2, *range(TAU, NF)):
+        W[f][floored] = 0.0
+    return W
+
+
+def test_c2p_in_place_matches_the_allocating_composition():
+    """``conserved_to_primitive`` writes into ``out`` with its own
+    unwritten rows as scratch and evaluates ``tau ** gamma`` only where
+    the dual-energy switch takes it: the same bits as the allocating
+    composition, on floored, denormal, high-Mach and non-finite cells,
+    into a strided slot of a batch and with or without a workspace."""
+    eos = IdealGas()
+    U = hydro_block()
+    g = NGHOST
+    U[SX, g + 2, g + 2] *= 1e3        # a high-Mach row: tau takes over
+    U[EGAS, g + 3, g + 1, g + 1] = np.nan
+    U[TAU, g + 3, g + 2, g + 1] = -np.inf
+    U[SX + 1, g + 1, g + 4, g + 5] = np.inf
+    U[RHO, g + 5, g + 5, g + 5] = -0.0
+    with np.errstate(all="ignore"):
+        ref = _c2p_allocating(U, eos, FLOOR)
+        batch = np.full((NF, 3) + U.shape[1:], 7.0)
+        ws = Workspace()
+        for ws_ in (None, ws, ws):
+            W = conserved_to_primitive(U, eos, FLOOR, out=batch[:, 1],
+                                       ws=ws_)
+            assert W.base is batch
+            _assert_same_bits(W, ref)
+        _assert_same_bits(conserved_to_primitive(U, eos, FLOOR), ref)
+    assert (batch[:, 0] == 7.0).all() and (batch[:, 2] == 7.0).all()
 
 
 def test_compute_rhs_fused_bitwise():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core import NF, NGHOST, RHO, SX, EGAS, IdealGas
 from repro.core.hydro import reconstruct
-from repro.core.hydro.riemann import conserved_to_primitive, kt_flux
+from repro.core.hydro.riemann import (KT_SCRATCH, conserved_to_primitive,
+                                      kt_flux)
 from repro.core.workspace import Workspace
 from repro.validation.reference import (max_signal_speed, physical_flux,
                                         primitive_to_conserved)
@@ -125,7 +126,8 @@ class TestKtFlux:
         W[RHO] = rng.uniform(0.5, 2.0, 10)
         W[SX] = rng.uniform(-1, 1, 10)
         W[EGAS] = rng.uniform(0.1, 2.0, 10)
-        F = kt_flux(W, W, eos, 0, out=np.empty_like(W))
+        F = kt_flux(W, W, eos, 0, out=np.empty_like(W),
+                    scratch=np.empty((KT_SCRATCH,) + W.shape[1:]))
         np.testing.assert_allclose(F, physical_flux(W, eos, axis=0),
                                    rtol=1e-13)
 
@@ -158,7 +160,8 @@ class TestKtFlux:
         WL = W.copy()
         WR = W.copy()
         WR[RHO] += 0.5
-        F_eq = kt_flux(WL, WL, eos, 0, out=np.empty_like(W))
-        F_ne = kt_flux(WL, WR, eos, 0, out=np.empty_like(W))
+        scratch = np.empty((KT_SCRATCH,) + W.shape[1:])
+        F_eq = kt_flux(WL, WL, eos, 0, out=np.empty_like(W), scratch=scratch)
+        F_ne = kt_flux(WL, WR, eos, 0, out=np.empty_like(W), scratch=scratch)
         # unequal states produce a dissipative difference in mass flux
         assert not np.allclose(F_eq[RHO], F_ne[RHO])

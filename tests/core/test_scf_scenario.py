@@ -119,26 +119,36 @@ class TestScenarios:
         assert np.abs(centre - 0.5).max() <= 2.0 * mesh.dx
 
 
-#: steps a Sedov blast, then builds a star, reporting after each whether
-#: scipy.integrate is loaded
+#: steps a Sedov blast, then a self-gravitating mesh, then builds a star,
+#: reporting after each whether scipy.integrate and scipy.linalg are
+#: loaded
 IMPORT_PROBE = """
 import sys
 import repro.core
+from repro.core import BlockMesh
 from repro.core.scenario import equilibrium_star, sedov_blast
+def loaded():
+    print("scipy.integrate" in sys.modules, "scipy.linalg" in sys.modules)
 sedov_blast(8).step()
-print("scipy.integrate" in sys.modules)
+loaded()
+mesh = BlockMesh(2, self_gravity=True)
+mesh.load_primitives(1.0, 0.0, 0.0, 0.0, 1.0)
+mesh.step()
+loaded()
 equilibrium_star(8)
-print("scipy.integrate" in sys.modules)
+loaded()
 """
 
 
 def test_scipy_integrate_loads_only_when_a_star_is_built():
     """``import repro.core`` and a Sedov step leave scipy.integrate (~23
-    MB of resident memory) unloaded; solving a Lane-Emden profile loads
-    it."""
+    MB of resident memory) and scipy.linalg (scipy's own OpenBLAS, ~28
+    MB) unloaded; a self-gravity step loads scipy.linalg, and solving a
+    Lane-Emden profile loads scipy.integrate."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False", "True",
+                                   "True", "True"]

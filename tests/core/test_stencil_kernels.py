@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gravity.kernels import LEVI_CIVITA, greens, m2l_pair, p2p_pair
+from repro.core.gravity.kernels import m2l_pair, p2p_pair
 from repro.core.gravity.stencil import (m2l_sweep_tiles, p2p_stencil,
                                         well_separated)
 from repro.simulator.flops import INTERACTIONS_PER_LAUNCH, STENCIL_SIZE
+from repro.validation.reference import LEVI_CIVITA, greens
 
 
 def paper_stencil():
