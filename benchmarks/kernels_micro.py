@@ -475,11 +475,11 @@ def rhs_alloc_row() -> dict:
     mesh._fill(mesh._boxes, 0)
     box = mesh._boxes[0]
     ws = Workspace()
-    out = np.empty((NF,) + mesh.shape)
-    compute_rhs(box, mesh.dx, mesh.options, out=out, ws=ws)
+    out = np.empty((NF, 1) + mesh.shape)
+    compute_rhs([box], mesh.dx, mesh.options, out=out, ws=ws)
     tracemalloc.start()
     try:
-        compute_rhs(box, mesh.dx, mesh.options, out=out, ws=ws)
+        compute_rhs([box], mesh.dx, mesh.options, out=out, ws=ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -590,8 +590,8 @@ def run_kernels_micro(repeats: int = 5) -> dict:
     t_ktf_ref = _time(lambda: kt_flux_reference(WL, WR, opts.eos, 0),
                       repeats=repeats)
 
-    rhs_out = np.empty((NF, HYDRO_N, HYDRO_N, HYDRO_N))
-    t_rhs = _time(lambda: compute_rhs(U, 1.0 / HYDRO_N, opts,
+    rhs_out = np.empty((NF, 1, HYDRO_N, HYDRO_N, HYDRO_N))
+    t_rhs = _time(lambda: compute_rhs([U], 1.0 / HYDRO_N, opts,
                                       out=rhs_out, ws=ws),
                   repeats=repeats)
     t_rhs_ref = _time(lambda: compute_rhs_reference(U, 1.0 / HYDRO_N, opts),
@@ -603,12 +603,13 @@ def run_kernels_micro(repeats: int = 5) -> dict:
 
     sub, _ = _hydro_block(SUBGRID_N)
     subs = [sub.copy() for _ in range(max(RHS_BATCHES))]
-    one_out = np.empty((NF,) + (SUBGRID_N,) * 3)
+    one_out = np.empty((NF, 1) + (SUBGRID_N,) * 3)
     dx = 1.0 / SUBGRID_N
     rhs_batched = {}
     for B in RHS_BATCHES:
         all_out = np.empty((NF, B) + (SUBGRID_N,) * 3)
-        t_loop = _time(lambda: [compute_rhs(U1, dx, opts, out=one_out, ws=ws)
+        t_loop = _time(lambda: [compute_rhs([U1], dx, opts, out=one_out,
+                                            ws=ws)
                                 for U1 in subs[:B]], repeats=repeats)
         t_batch = _time(lambda: compute_rhs(subs[:B], dx, opts, out=all_out,
                                             ws=ws), repeats=repeats)

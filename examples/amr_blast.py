@@ -11,7 +11,7 @@ Run:  python examples/amr_blast.py
 
 import numpy as np
 
-from repro.core import EGAS, RHO, TAU, IdealGas, Octree
+from repro.core import EGAS, RHO, TAU, IdealGas, Octree, interior
 from repro.core.amr import AmrMesh
 from repro.core.hydro.solver import HydroOptions
 
@@ -23,17 +23,17 @@ def main() -> None:
     tree.refine(1, (0, 0, 0))       # extra resolution near the corner blast
 
     for leaf in tree.leaves():
-        I = leaf.grid.interior
+        I = interior(leaf.U)
         I[RHO] = 1.0
         I[EGAS] = 1e-6 / (eos.gamma - 1.0)
         I[TAU] = eos.tau_from_eint(np.asarray(I[EGAS]))
-        x, y, z = leaf.grid.cell_centers()
+        x, y, z = tree.cell_centers(leaf.level, leaf.ipos)
         # blast centred on the coarse-fine boundary at (0.5, 0.45, 0.45)
         src = ((x - 0.5) ** 2 + (y - 0.45) ** 2
                + (z - 0.45) ** 2) < 0.09 ** 2
         n_src = int(src.sum())
         if n_src:
-            eint = 0.05 / (n_src * leaf.grid.cell_volume)
+            eint = 0.05 / (n_src * tree.cell_width(leaf.level) ** 3)
             I[EGAS][src] = eint
             I[TAU][src] = eos.tau_from_eint(np.full(n_src, eint))
 
@@ -53,7 +53,8 @@ def main() -> None:
           f"{abs(t1['mass'] - t0['mass']) / t0['mass']:.2e}")
     print(f"energy drift:                     "
           f"{abs(t1['egas'] - t0['egas']) / t0['egas']:.2e}")
-    peak = max(float(l.grid.interior[RHO].max()) for l in tree.leaves())
+    peak = max(float(interior(leaf.U)[RHO].max())
+               for leaf in tree.leaves())
     print(f"peak compression: {peak:.2f} "
           f"(strong-shock limit {(1.4 + 1) / (1.4 - 1):.0f})")
 

@@ -1,7 +1,6 @@
 """Octo-Tiger core physics: grid, octree AMR, hydro, FMM gravity, SCF."""
 
-from .grid import (SubGrid, RHO, SX, SY, SZ, EGAS, TAU, PASSIVE0, LX, NF,
-                   NGHOST, SUBGRID_N)
+from .grid import RHO, SX, EGAS, TAU, PASSIVE0, LX, NF, NGHOST, SUBGRID_N
 from .eos import IdealGas, DEFAULT_GAMMA
 from .exec import ExecutionEngine
 from .mesh import BlockMesh, interior
@@ -19,8 +18,8 @@ from .stepper import (ConservationMonitor, ConservationRecord, evolve,
                       FaultRecoveryExhausted, GuardViolation)
 
 __all__ = [
-    "SubGrid", "RHO", "SX", "SY", "SZ", "EGAS", "TAU", "PASSIVE0", "LX",
-    "NF", "NGHOST", "SUBGRID_N", "IdealGas", "DEFAULT_GAMMA",
+    "RHO", "SX", "EGAS", "TAU", "PASSIVE0", "LX", "NF", "NGHOST",
+    "SUBGRID_N", "IdealGas", "DEFAULT_GAMMA",
     "BlockMesh", "interior",
     "DistBlockMesh", "box_partition",
     "ExecutionEngine",

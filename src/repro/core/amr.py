@@ -1,12 +1,19 @@
 """AMR time-stepping driver with flux correction (refluxing).
 
 Evolves an :class:`~repro.core.octree.Octree` of sub-grids with a global
-CFL timestep, mirroring Octo-Tiger's execution per level (Sec. 4.2):
+CFL timestep, mirroring Octo-Tiger's execution per level (Sec. 4.2).
+A leaf is a ghosted block (``OctreeNode.U``), exactly what a
+:class:`~repro.core.mesh.BlockMesh` block is, and the mesh is stepped
+the same way:
 
 * ghost shells fill from same-level neighbours (direct copy), coarser
   neighbours (conservative piecewise-constant prolongation) or finer
-  neighbours (conservative restriction of the interface cells);
-* each leaf updates with the shared PPM/KT right-hand side;
+  neighbours (conservative restriction of the interface cells), each
+  found by the tree's one neighbour walk (:meth:`Octree.neighbor`);
+* the leaves of one level share cell width and shape, so each level is
+  one batched :func:`~repro.core.hydro.solver.compute_rhs` call (the
+  kernel is elementwise across blocks: bit for bit the per-leaf
+  result);
 * at every coarse-fine face the coarse cell's flux is *replaced* by the
   area-weighted sum of the fine fluxes (refluxing), so mass, momentum and
   energy totals are conserved across resolution jumps to machine
@@ -16,8 +23,9 @@ The time integration itself is the stepping core shared with the
 uniform meshes (:func:`repro.core.mesh.rk2_step`); this module injects
 the tree ghost fill and the refluxed right-hand side.
 
-The driver requires a 2:1 balanced tree (which :class:`Octree.refine`
-maintains).  Gravity on AMR trees is available through
+The driver requires a 2:1 balanced tree (which :meth:`Octree.refine`
+maintains and :meth:`Octree.coarsen` refuses to break).  Gravity on AMR
+trees is available through
 ``Octree.fmm_levels`` + :meth:`~repro.core.gravity.fmm.FmmSolver.from_levels`,
 on the same dense sweeps as the uniform meshes plus one coarse-fine
 batch per level (which raises if a leaf lies near a refined cell whose
@@ -35,7 +43,8 @@ from .grid import NF, NGHOST
 from .hydro.solver import HydroOptions, compute_rhs
 from .mesh import (_conserved_totals, fill_wall, interior, min_cfl_dt,
                    rk2_step)
-from .octree import Octree, OctreeNode, restrict
+from .octree import _OFFSETS, Octree, OctreeNode, restrict
+from .workspace import Workspace
 
 __all__ = ["AmrMesh"]
 
@@ -53,27 +62,15 @@ class AmrMesh:
         self.time = 0.0
         self.steps = 0
         self._stage: dict = {}
+        # the kernel scratch, reused across stages and steps
+        self._ws = Workspace()
 
     @property
     def blocks(self) -> dict:
         """``{leaf key: ghosted block}`` of the current tree."""
-        return {leaf.key: leaf.grid.U for leaf in self.tree.leaves()}
+        return {leaf.key: leaf.U for leaf in self.tree.leaves()}
 
     # -- ghost filling ----------------------------------------------------
-
-    def _find_neighbor(self, node: OctreeNode, off: tuple[int, int, int]
-                       ) -> OctreeNode | None:
-        """Leaf or interior node covering the neighbour position, or None
-        at a domain wall."""
-        level, ipos = node.level, node.ipos
-        nb = tuple(ipos[d] + off[d] for d in range(3))
-        if any(c < 0 or c >= (1 << level) for c in nb):
-            return None
-        lvl, pos = level, nb
-        while lvl > 0 and self.tree.get(lvl, tuple(pos)) is None:
-            pos = tuple(c // 2 for c in pos)
-            lvl -= 1
-        return self.tree.get(lvl, tuple(pos))
 
     def _fill(self, blocks: dict, stage: int) -> None:
         """Ghost shells of ``blocks`` (leaf key -> block) from each other:
@@ -81,11 +78,8 @@ class AmrMesh:
         virtual: dict = {}
         for node in self.tree.leaves():
             U = blocks[node.key]
-            for off in np.ndindex(3, 3, 3):
-                d = tuple(int(c) - 1 for c in off)
-                if d == (0, 0, 0):
-                    continue
-                nb = self._find_neighbor(node, d)
+            for d in _OFFSETS:
+                nb = self.tree.neighbor(node, d)
                 if nb is None:
                     continue        # wall handled below
                 self._copy_halo(U, node, nb, d, blocks, virtual)
@@ -116,49 +110,28 @@ class AmrMesh:
         out = virtual[node.key] = restrict(merged)
         return out
 
-    def _region(self, d: int, side: int, n: int, ghost: bool
-                ) -> slice:
-        """Slice along one axis: the ghost strip (ghost=True) or the
-        interior strip a neighbour needs (ghost=False)."""
-        g = NGHOST
-        if side == 0:
-            return slice(g, g + n)
-        if ghost:
-            return slice(0, g) if side < 0 else slice(g + n, g + n + g)
-        return slice(g, 2 * g) if side < 0 else slice(n, g + n)
-
-    def _interior_region(self, ax: int, side: int, n: int) -> slice:
-        """Same as _region(ghost=False) but in interior coordinates
-        (for virtual blocks without a ghost shell)."""
-        g = NGHOST
-        if side == 0:
-            return slice(0, n)
-        return slice(0, g) if side < 0 else slice(n - g, n)
-
     def _copy_halo(self, U: np.ndarray, node: OctreeNode, nb: OctreeNode,
                    d: tuple[int, int, int], blocks: dict,
                    virtual: dict) -> None:
         """Fill the ghost region of ``U`` (the block of ``node``) that
         faces the neighbour ``nb`` at offset ``d``."""
         n = self.tree.subgrid_n
-        g = NGHOST
-        dst = tuple([slice(None)]
-                    + [self._region(ax, d[ax], n, ghost=True)
-                       for ax in range(3)])
+        dst = (slice(None),) + tuple(_strip(d[ax], n, NGHOST)
+                                     for ax in range(3))
         src = self._virtual_interior(nb, blocks, virtual)
         if nb.level == node.level:
-            # interior-coordinate source strip (virtual if nb is refined)
-            U[dst] = src[tuple([slice(None)]
-                               + [self._interior_region(ax, -d[ax], n)
-                                  for ax in range(3)])]
+            # the same strip in the neighbour's interior coordinates
+            # (virtual if nb is refined)
+            U[dst] = src[(slice(None),) + tuple(
+                _strip(d[ax], n, -d[ax] * n) for ax in range(3))]
         elif nb.level == node.level - 1:
             # coarse neighbour: piecewise-constant prolongation of the
             # coarse strip covering our halo — fine ghost cell (node
             # frame) -> global fine index -> coarse cell
             idx = []
             for ax in range(3):
-                r = dst[1 + ax]
-                fine_local = np.arange(r.start, r.stop) - g
+                r = _strip(d[ax], n, 0)
+                fine_local = np.arange(r.start, r.stop)
                 fine_global = node.ipos[ax] * n + fine_local
                 coarse_local = fine_global // 2 - nb.ipos[ax] * n
                 idx.append(np.clip(coarse_local, 0, n - 1))
@@ -177,7 +150,7 @@ class AmrMesh:
             for ax in range(3):
                 for side in (-1, 1):
                     d = tuple(side if a == ax else 0 for a in range(3))
-                    nb = self._find_neighbor(node, d)
+                    nb = self.tree.neighbor(node, d)
                     if nb is None or nb.refined or nb.level >= node.level:
                         continue
                     # `node` is fine, `nb` coarse: fix nb's rhs at the face
@@ -239,18 +212,28 @@ class AmrMesh:
     # -- stepping --------------------------------------------------------------
 
     def compute_dt(self) -> float:
-        return min_cfl_dt(((leaf.grid.U, self.tree.cell_width(leaf.level))
-                           for leaf in self.tree.leaves()), self.options)
+        return min_cfl_dt(((leaf.U, self.tree.cell_width(leaf.level))
+                           for leaf in self.tree.leaves()), self.options,
+                          ws=self._ws)
 
     def _rhs(self, blocks: dict, acc, stage: int) -> dict:
-        """Refluxed right-hand sides of every leaf (hydro only)."""
+        """Refluxed right-hand sides of every leaf (hydro only): one
+        batched :func:`compute_rhs` call per level."""
+        by_level: dict = {}
+        for node in self.tree.leaves():
+            by_level.setdefault(node.level, []).append(node.key)
         rhs: dict = {}
         fluxes: dict = {}
-        for node in self.tree.leaves():
-            rhs[node.key], fluxes[node.key] = compute_rhs(
-                blocks[node.key], self.tree.cell_width(node.level),
-                self.options, return_fluxes=True, centers=tuple(
-                    np.ravel(ax) for ax in node.grid.cell_centers()))
+        for level, keys in by_level.items():
+            out, flux = compute_rhs(
+                [blocks[key] for key in keys], self.tree.cell_width(level),
+                self.options, return_fluxes=True, ws=self._ws,
+                centers=[tuple(np.ravel(ax)
+                               for ax in self.tree.cell_centers(*key))
+                         for key in keys])
+            for b, key in enumerate(keys):
+                rhs[key] = out[:, b]
+                fluxes[key] = [F[:, b] for F in flux]
         self._reflux(rhs, fluxes)
         return rhs
 
@@ -264,8 +247,18 @@ class AmrMesh:
     def conserved_totals(self) -> dict[str, float | np.ndarray]:
         """Mass, momentum, gas energy, angular momentum summed over the
         leaves (same keys as the uniform meshes; no potential energy)."""
-        parts = [_conserved_totals(leaf.grid.interior,
+        parts = [_conserved_totals(interior(leaf.U),
                                    self.tree.cell_width(leaf.level),
-                                   leaf.grid.origin, None)
+                                   self.tree.cell_centers(*leaf.key), None)
                  for leaf in self.tree.leaves()]
         return {key: sum(part[key] for part in parts) for key in parts[0]}
+
+
+def _strip(side: int, n: int, shift: int) -> slice:
+    """Along one axis of ``n`` interior cells, the cells a ghost shell
+    covers on ``side`` (-1 low, +1 high; 0 the interior itself), in
+    interior coordinates plus ``shift``: ``NGHOST`` gives the ghost
+    strip in ghosted coordinates, ``-side * n`` the interior strip a
+    same-level neighbour on ``side`` fills it from."""
+    lo, hi = {-1: (-NGHOST, 0), 0: (0, n), 1: (n, n + NGHOST)}[side]
+    return slice(lo + shift, hi + shift)

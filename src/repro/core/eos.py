@@ -110,6 +110,24 @@ class IdealGas:
         return np.where(use_e, np.maximum(diff, 0.0),
                         self.eint_from_tau(tau))
 
+    def _energy_split(self, rho: np.ndarray, sx: np.ndarray,
+                      sy: np.ndarray, sz: np.ndarray, egas: np.ndarray,
+                      t: np.ndarray, u: np.ndarray) -> None:
+        """The dual-energy switch's operands, with :meth:`kinetic`'s
+        operations in their order: ``diff = egas - kin`` into ``t`` and
+        ``diff / max(egas, tiny)`` into ``u``."""
+        np.multiply(sx, sx, out=t)
+        np.multiply(sy, sy, out=u)
+        np.add(t, u, out=t)
+        np.multiply(sz, sz, out=u)
+        np.add(t, u, out=t)
+        np.multiply(0.5, t, out=t)
+        np.maximum(rho, self.rho_floor, out=u)
+        np.divide(t, u, out=t)
+        np.subtract(egas, t, out=t)
+        np.maximum(egas, _FLOOR, out=u)
+        np.divide(t, u, out=u)
+
     def internal_energy_into(self, rho: np.ndarray, sx: np.ndarray,
                              sy: np.ndarray, sz: np.ndarray,
                              egas: np.ndarray, tau: np.ndarray,
@@ -121,18 +139,7 @@ class IdealGas:
         is the costliest pass, and evaluated where ``np.where`` takes it
         it gives the same bits."""
         t, u = tmp
-        # kin = 0.5 (sx sx + sy sy + sz sz) / max(rho, floor)
-        np.multiply(sx, sx, out=t)
-        np.multiply(sy, sy, out=u)
-        np.add(t, u, out=t)
-        np.multiply(sz, sz, out=u)
-        np.add(t, u, out=t)
-        np.multiply(0.5, t, out=t)
-        np.maximum(rho, self.rho_floor, out=u)
-        np.divide(t, u, out=t)
-        np.subtract(egas, t, out=t)                 # diff = egas - kin
-        np.maximum(egas, _FLOOR, out=u)             # safe
-        np.divide(t, u, out=u)
+        self._energy_split(rho, sx, sy, sz, egas, t, u)
         np.greater(u, DUAL_ENERGY_ETA1, out=mask)   # use_e
         np.maximum(t, 0.0, out=out)
         np.logical_not(mask, out=mask)              # NaN ratios take tau
@@ -140,11 +147,16 @@ class IdealGas:
         return np.power(u, self.gamma, out=out, where=mask)
 
     def sync_tau(self, rho: np.ndarray, sx: np.ndarray, sy: np.ndarray,
-                 sz: np.ndarray, egas: np.ndarray,
-                 tau: np.ndarray) -> np.ndarray:
-        """Re-derive tau from E - K where the energy update is reliable."""
-        kin = self.kinetic(rho, sx, sy, sz)
-        diff = egas - kin
-        safe = np.maximum(egas, _FLOOR)
-        trust = diff / safe > DUAL_ENERGY_ETA2
-        return np.where(trust, self.tau_from_eint(np.maximum(diff, 0.0)), tau)
+                 sz: np.ndarray, egas: np.ndarray, tau: np.ndarray,
+                 tmp: tuple[np.ndarray, np.ndarray],
+                 mask: np.ndarray) -> None:
+        """Re-derive ``tau`` in place from E - K where the energy update
+        is reliable ((E - K)/E > :data:`DUAL_ENERGY_ETA2`), with two
+        float arrays ``tmp`` and the bool ``mask``, all shaped like
+        ``tau``.  :meth:`tau_from_eint`'s ``pow`` runs only in the
+        trusted cells, where E - K is positive; the other cells keep
+        their bits."""
+        t, u = tmp
+        self._energy_split(rho, sx, sy, sz, egas, t, u)
+        np.greater(u, DUAL_ENERGY_ETA2, out=mask)
+        np.power(t, 1.0 / self.gamma, out=tau, where=mask)

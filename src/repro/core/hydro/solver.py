@@ -14,8 +14,8 @@ closed domain — the Sec. 4.2 claim, tested in
 ``tests/core/test_hydro_conservation.py``).
 
 The module is dimension-agnostic: blocks are (NF, m, m, m) arrays with
-``NGHOST`` ghost layers, of any interior size (one 8^3 sub-grid or a whole
-mesh block).
+``NGHOST`` ghost layers, of any interior size (one 8^3 sub-grid — a
+uniform mesh's block or an AMR leaf — or a whole box of them).
 
 Time integration is not here: the SSP-RK2 stepping core every mesh shares
 is :func:`repro.core.mesh.rk2_step`.
@@ -23,14 +23,15 @@ is :func:`repro.core.mesh.rk2_step`.
 Batching and layout (Sec. 4.3 kernel rework, and the work aggregation of
 arXiv 2210.06438): :func:`compute_rhs` evaluates a whole *batch* of
 equally shaped blocks — one aggregation chunk of 8^3 sub-grids — in one
-pass, field-major ``(NF, B, ...)`` inside; a single block is a batch of
-one through the same body, and so is the node-level mesh's whole box
-(or an x-slab of it), whose sweeps are longer still.  An 8^3 sub-grid
-alone is too small for numpy: its PPM sweep is ~33 ufunc calls per field
-on strided views of at most 896 doubles, all interpreter and dispatch
-overhead.  So every sweep is
-*pencil-major*: per axis the carried primitives (the live rows below),
-restricted to the interior transversally, are copied once into
+pass, field-major ``(NF, B, ...)`` inside.  There is one call shape, a
+list of blocks: a single block is a batch of one (``[U]``, result
+``[:, 0]``), and so is the node-level mesh's whole box (or an x-slab of
+it), whose sweeps are longer still; an AMR tree batches each level's
+leaves.  An 8^3 sub-grid alone is too small for numpy: its PPM sweep is
+~33 ufunc calls per field on strided views of at most 896 doubles, all
+interpreter and dispatch overhead.  So every sweep is *pencil-major*:
+per axis the carried primitives (the live rows below), restricted to
+the interior transversally, are copied once into
 ``(rows, m, B, n, n)`` with the sweep axis leading; reconstruction and
 fluxes then stream contiguous runs of at least ``B * n^2`` doubles, and
 the flux difference is added back through a ``moveaxis`` view of the
@@ -139,12 +140,12 @@ def _check_dx(dx) -> None:
         raise ValueError(f"dx: need a finite positive cell width, got {dx!r}")
 
 
-def _check_batch(blocks, single: bool, dx, gravity, out, centers) -> tuple:
+def _check_batch(blocks, dx, gravity, out, centers) -> tuple:
     """Reject a malformed batch before any arithmetic; returns the
     interior shape shared by its blocks."""
     _check_dx(dx)
     g = NGHOST
-    if not blocks:
+    if len(blocks) == 0:
         raise ValueError("compute_rhs needs at least one block")
     full = np.shape(blocks[0])
     if len(full) != 4 or full[0] != NF or min(full[1:]) <= 2 * g:
@@ -177,7 +178,7 @@ def _check_batch(blocks, single: bool, dx, gravity, out, centers) -> tuple:
                     f"centers: block {b} needs axes of lengths {shape}, "
                     f"got {[np.shape(a) for a in axes]}")
     if out is not None:
-        want = (NF,) + shape if single else (NF, B) + shape
+        want = (NF, B) + shape
         if np.shape(out) != want:
             raise ValueError(
                 f"out: need shape {want}, got {np.shape(out)}")
@@ -194,9 +195,8 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     U:
         A list of ``B`` equally shaped conserved blocks
         (NF, n+2g, n+2g, n+2g), ghosts filled — one aggregation chunk of
-        sub-grids — or a single such array (a batch of one, e.g. a whole
-        box of sub-grids; every per-block argument and result below then
-        loses its batch dimension).
+        sub-grids, one AMR level, or ``[box]``, a whole box of
+        sub-grids as a batch of one.
     dx:
         Cell width, shared by the batch.
     gravity:
@@ -230,12 +230,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     block alone.
     """
     g = NGHOST
-    single = isinstance(U, np.ndarray)
-    if single:
-        U = [U]
-        gravity = None if gravity is None else [gravity]
-        centers = None if centers is None else [centers]
-    shape = _check_batch(U, single, dx, gravity, out, centers)
+    shape = _check_batch(U, dx, gravity, out, centers)
     B = len(U)
     if gravity is None:
         gravity = [None] * B
@@ -244,8 +239,7 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     if ws is None:
         ws = Workspace()
     if out is None:
-        out = np.empty((NF,) + shape if single else (NF, B) + shape)
-    rhs = out[:, None] if single else out
+        out = np.empty((NF, B) + shape)
     if _sanitize_state.ACTIVE:
         # shadow-access declarations: this task body reads its conserved
         # blocks (and their gravity) and overwrites the shared out= buffer
@@ -262,16 +256,14 @@ def compute_rhs(U, dx: float, options: HydroOptions,
     fluxes = [] if return_fluxes else None
     # AMR refluxing reads every row of the fluxes, so they carry all
     live = _ALL_ROWS if return_fluxes else _live_rows(W)
-    if not _sweep(W, rhs, live, shape, dx, options, ws, fluxes):
+    if not _sweep(W, out, live, shape, dx, options, ws, fluxes):
         # guard: a non-finite density flux means a null row's fluxes
         # are not all +-0 there, so every field takes the arithmetic
-        _sweep(W, rhs, _ALL_ROWS, shape, dx, options, ws, fluxes)
+        _sweep(W, out, _ALL_ROWS, shape, dx, options, ws, fluxes)
 
     for b, blk in enumerate(U):
-        _add_sources(rhs[:, b], blk, shape, options, gravity[b], centers[b])
+        _add_sources(out[:, b], blk, shape, options, gravity[b], centers[b])
     if return_fluxes:
-        if single:
-            fluxes = [F[:, 0] for F in fluxes]
         return out, fluxes
     return out
 

@@ -80,15 +80,13 @@ def interior(U: np.ndarray) -> np.ndarray:
     return U[:, g:-g, g:-g, g:-g]
 
 
-def _conserved_totals(I: np.ndarray, dx: float,
-                      origin: tuple[float, float, float],
+def _conserved_totals(I: np.ndarray, dx: float, centers: tuple,
                       phi: np.ndarray | None) -> dict:
-    """Mass, momentum, gas energy, angular momentum of an interior array."""
+    """Mass, momentum, gas energy, angular momentum of an interior array
+    whose cell centres are the broadcastable ``centers`` (x, y, z) — the
+    one definition of the conservation sums every mesh reports."""
     v = dx ** 3
-    ax = [origin[d] + (np.arange(I.shape[1 + d]) + 0.5) * dx
-          for d in range(3)]
-    x, y, z = (ax[0][:, None, None], ax[1][None, :, None],
-               ax[2][None, None, :])
+    x, y, z = centers
     mom = np.array([I[SX].sum(), I[SX + 1].sum(), I[SX + 2].sum()]) * v
     lz = ((x * I[SX + 1] - y * I[SX]).sum() + I[LX + 2].sum()) * v
     lx = ((y * I[SX + 2] - z * I[SX + 1]).sum() + I[LX].sum()) * v
@@ -251,9 +249,10 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
     handed to the strategies explicitly — the mesh's own arrays are never
     rebound, so a fault raised mid-step leaves them in place for a
     checkpoint restore.  The update touches interiors only, and every
-    fill rewrites the ghost shells before anything reads them.  A ``dt``
-    that is not finite and positive is rejected before any block is
-    written.
+    fill rewrites the ghost shells before anything reads them.  The
+    closing dual-energy tau sync works in place, on scratch from the
+    mesh's :class:`Workspace` ``mesh._ws``.  A ``dt`` that is not finite
+    and positive is rejected before any block is written.
     """
     if dt is None:
         dt = mesh.compute_dt()
@@ -285,8 +284,11 @@ def rk2_step(mesh, blocks: dict, dt: float | None,
         k = np.add(k1[key], k2[key], out=k2[key])
         I += np.multiply(0.5 * dt, k, out=k)
         apply_floors(I, options)
-        I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
-                              I[EGAS], I[TAU])
+        cells = I.shape[1:]
+        eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2], I[EGAS], I[TAU],
+                     (mesh._ws.buf("tau:t", cells),
+                      mesh._ws.buf("tau:u", cells)),
+                     mesh._ws.buf("tau:mask", cells, np.bool_))
     if gravity is not None:
         gravity.close_step(blocks)
     mesh.time += dt
@@ -760,4 +762,4 @@ class BlockMesh:
     def conserved_totals(self) -> dict[str, float | np.ndarray]:
         """Mass, momentum, gas energy, total angular momentum (+spin)."""
         return _conserved_totals(self.gather_interior(), self.dx,
-                                 self.origin, self.phi)
+                                 self.cell_centers(), self.phi)

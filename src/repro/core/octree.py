@@ -5,23 +5,37 @@ adaptive mesh refinement (AMR).  It is based on an adaptive octree
 structure.  Each node is an N^3 sub-grid (with N = 8 ...) containing the
 evolved variables, and can be further refined into eight child nodes."
 
+A leaf's sub-grid is a plain ghosted block, ``OctreeNode.U`` — the same
+``(NF, n + 2 NGHOST, ...)`` array a :class:`~repro.core.mesh.BlockMesh`
+block is — read and written through :func:`repro.core.mesh.interior`;
+a refined node holds none.  Its geometry comes from the tree:
+:meth:`Octree.cell_width` and :meth:`Octree.cell_centers` of its level
+and position.
+
 This module provides the tree structure itself: creation, density-based
 refinement with 2:1 balance, conservative prolongation/restriction between
-levels, Morton-ordered traversal (the paper's SFC distribution order), and
-the bridge to the FMM solver (:meth:`Octree.fmm_levels`).
+levels, the one neighbour walk (:meth:`Octree.neighbor`) that both the
+balance rule and the AMR ghost fill use, Morton-ordered traversal (the
+paper's SFC distribution order), and the bridge to the FMM solver
+(:meth:`Octree.fmm_levels`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ..util import morton_encode
-from .grid import NF, NGHOST, RHO, SUBGRID_N, SubGrid
+from .grid import NF, NGHOST, RHO, SUBGRID_N
+from .mesh import interior
 
 __all__ = ["OctreeNode", "Octree", "prolong", "restrict"]
+
+#: the 26 offsets of a node's face, edge and corner neighbours
+_OFFSETS = [tuple(int(c) - 1 for c in off) for off in np.ndindex(3, 3, 3)
+            if off != (1, 1, 1)]
 
 
 def prolong(parent_interior: np.ndarray) -> np.ndarray:
@@ -41,12 +55,13 @@ def restrict(child_interior: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OctreeNode:
-    """One octree node: a sub-grid when leaf, structural when refined."""
+    """One octree node: a leaf holds its sub-grid ``U``, a ghosted
+    block; a refined node is structural (``U`` is ``None``)."""
 
     level: int
     ipos: tuple[int, int, int]
     refined: bool = False
-    grid: SubGrid | None = None
+    U: np.ndarray | None = None
 
     @property
     def key(self) -> tuple[int, tuple[int, int, int]]:
@@ -61,20 +76,21 @@ class OctreeNode:
 class Octree:
     """Adaptive octree of N^3 sub-grids over a cubic domain.
 
-    The tree always contains the root; leaves carry :class:`SubGrid`
-    state.  ``domain`` is the physical edge length, with the lower corner
-    at ``origin``.
+    The tree always contains the root; leaves carry a ghosted block
+    of ``subgrid_n``^3 interior cells.  ``domain`` is the physical edge
+    length, with the lower corner at ``origin``.
     """
 
     def __init__(self, domain: float = 1.0,
                  origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  subgrid_n: int = SUBGRID_N):
+        if subgrid_n < 1:
+            raise ValueError("sub-grid edge must be positive")
         self.domain = float(domain)
         self.origin = tuple(float(c) for c in origin)
         self.subgrid_n = subgrid_n
         self.nodes: dict[tuple[int, tuple[int, int, int]], OctreeNode] = {}
-        root = OctreeNode(level=0, ipos=(0, 0, 0))
-        root.grid = self._make_grid(0, (0, 0, 0))
+        root = OctreeNode(level=0, ipos=(0, 0, 0), U=self._block())
         self.nodes[root.key] = root
 
     # -- geometry ----------------------------------------------------------
@@ -85,11 +101,22 @@ class Octree:
     def cell_width(self, level: int) -> float:
         return self.subgrid_edge(level) / self.subgrid_n
 
-    def _make_grid(self, level: int, ipos: tuple[int, int, int]) -> SubGrid:
-        edge = self.subgrid_edge(level)
-        org = tuple(self.origin[d] + ipos[d] * edge for d in range(3))
-        return SubGrid(origin=org, dx=self.cell_width(level),
-                       n=self.subgrid_n, level=level, ipos=ipos)
+    def cell_centers(self, level: int, ipos: tuple[int, int, int]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interior cell-centre coordinates of the node at ``(level,
+        ipos)``, broadcastable 3-D like
+        :meth:`repro.core.mesh.BlockMesh.cell_centers`: the node's
+        corner plus the local offsets."""
+        edge, dx = self.subgrid_edge(level), self.cell_width(level)
+        ax = [(self.origin[d] + ipos[d] * edge)
+              + (np.arange(self.subgrid_n) + 0.5) * dx for d in range(3)]
+        return (ax[0][:, None, None], ax[1][None, :, None],
+                ax[2][None, None, :])
+
+    def _block(self) -> np.ndarray:
+        """A zeroed ghosted block for one leaf."""
+        m = self.subgrid_n + 2 * NGHOST
+        return np.zeros((NF, m, m, m))
 
     # -- queries ------------------------------------------------------------
 
@@ -112,6 +139,20 @@ class Octree:
     def max_level(self) -> int:
         return max(n.level for n in self.nodes.values())
 
+    def neighbor(self, node: OctreeNode, off: tuple[int, int, int]
+                 ) -> OctreeNode | None:
+        """The node at ``node``'s level offset by ``off``, else the
+        coarser leaf that covers that position; ``None`` past a domain
+        wall."""
+        level = node.level
+        pos = tuple(p + o for p, o in zip(node.ipos, off))
+        if any(c < 0 or c >= (1 << level) for c in pos):
+            return None
+        while level > 0 and (level, pos) not in self.nodes:
+            pos = tuple(c // 2 for c in pos)
+            level -= 1
+        return self.nodes[level, pos]
+
     # -- refinement ----------------------------------------------------------------
 
     def refine(self, level: int, ipos: tuple[int, int, int]) -> list[OctreeNode]:
@@ -121,66 +162,62 @@ class Octree:
             raise KeyError(f"no node at level {level}, {ipos}")
         if node.refined:
             raise ValueError(f"node {node.key} is already refined")
-        assert node.grid is not None
-        fine = prolong(node.grid.interior)
+        fine = prolong(interior(node.U))
         n = self.subgrid_n
         children = []
         for cip in node.children_ipos():
-            child = OctreeNode(level=level + 1, ipos=cip)
-            child.grid = self._make_grid(level + 1, cip)
+            child = OctreeNode(level=level + 1, ipos=cip, U=self._block())
             a = (cip[0] & 1) * n
             b = (cip[1] & 1) * n
             c = (cip[2] & 1) * n
-            child.grid.interior[...] = fine[:, a:a + n, b:b + n, c:c + n]
+            interior(child.U)[...] = fine[:, a:a + n, b:b + n, c:c + n]
             self.nodes[child.key] = child
             children.append(child)
         node.refined = True
-        node.grid = None
+        node.U = None
         self._enforce_balance(node)
         return children
 
     def coarsen(self, level: int, ipos: tuple[int, int, int]) -> OctreeNode:
-        """Merge 8 leaf children back into their parent (restriction)."""
+        """Merge 8 leaf children back into their parent (restriction).
+
+        Raises ``ValueError``, with the tree unchanged, unless every
+        child is a leaf and no refined node neighbours a child: that
+        node would face a leaf two levels coarser (2:1 balance)."""
         node = self.nodes.get((level, ipos))
         if node is None or not node.refined:
             raise ValueError(f"node ({level}, {ipos}) is not refined")
+        children = [self.nodes.get((level + 1, cip))
+                    for cip in node.children_ipos()]
+        if any(child is None or child.refined for child in children):
+            raise ValueError("can only coarsen a node with leaf children")
+        for child in children:
+            for off in _OFFSETS:
+                nb = self.neighbor(child, off)
+                if nb is not None and nb.refined:
+                    raise ValueError(
+                        f"coarsening ({level}, {ipos}) would break 2:1 "
+                        f"balance at refined node {nb.key}")
         n = self.subgrid_n
         merged = np.zeros((NF, 2 * n, 2 * n, 2 * n))
-        for cip in node.children_ipos():
-            child = self.nodes.get((level + 1, cip))
-            if child is None or child.refined:
-                raise ValueError("can only coarsen a node with leaf children")
-            a = (cip[0] & 1) * n
-            b = (cip[1] & 1) * n
-            c = (cip[2] & 1) * n
-            merged[:, a:a + n, b:b + n, c:c + n] = child.grid.interior
+        for child in children:
+            a = (child.ipos[0] & 1) * n
+            b = (child.ipos[1] & 1) * n
+            c = (child.ipos[2] & 1) * n
+            merged[:, a:a + n, b:b + n, c:c + n] = interior(child.U)
             del self.nodes[child.key]
         node.refined = False
-        node.grid = self._make_grid(level, ipos)
-        node.grid.interior[...] = restrict(merged)
+        node.U = self._block()
+        interior(node.U)[...] = restrict(merged)
         return node
 
     def _enforce_balance(self, node: OctreeNode) -> None:
         """2:1 balance: neighbours of a refined node may be at most one
-        level coarser."""
-        level, ipos = node.level, node.ipos
-        for off in np.ndindex(3, 3, 3):
-            d = np.array(off) - 1
-            if not d.any():
-                continue
-            nb = tuple(np.array(ipos) + d)
-            if any(c < 0 or c >= (1 << level) for c in nb):
-                continue
-            # walk up to find the containing leaf
-            lvl, pos = level, nb
-            while lvl > 0 and (lvl, tuple(pos)) not in self.nodes:
-                pos = tuple(int(c) // 2 for c in pos)
-                lvl -= 1
-            neighbor = self.nodes.get((lvl, tuple(pos)))
-            if neighbor is not None and not neighbor.refined \
-                    and lvl < level - 0:
-                if level - lvl >= 1:
-                    self.refine(lvl, tuple(pos))
+        level coarser, so a coarser leaf beside it is refined too."""
+        for off in _OFFSETS:
+            nb = self.neighbor(node, off)
+            if nb is not None and nb.level < node.level:
+                self.refine(nb.level, nb.ipos)
 
     def refine_by(self, criterion: Callable[[OctreeNode], bool],
                   max_level: int) -> int:
@@ -199,15 +236,6 @@ class Octree:
                     count += 1
                     changed = True
         return count
-
-    # -- conservation diagnostics ----------------------------------------------------
-
-    def total_mass(self) -> float:
-        return sum(leaf.grid.total_mass() for leaf in self.leaves())
-
-    def total_momentum(self) -> np.ndarray:
-        return sum((leaf.grid.total_momentum() for leaf in self.leaves()),
-                   np.zeros(3))
 
     # -- FMM bridge ---------------------------------------------------------------------
 
@@ -243,7 +271,7 @@ class Octree:
             keys = morton_encode(coords[:, 0], coords[:, 1], coords[:, 2])
             order = np.argsort(keys, kind="stable")
             rho_flat = np.concatenate([
-                (node.grid.interior[RHO].reshape(-1)
+                (interior(node.U)[RHO].reshape(-1)
                  if not node.refined else np.zeros(len(c)))
                 for c, _leaf, node in per_level[lvl]])
             leaf_sorted = leaf[order]

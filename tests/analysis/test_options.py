@@ -63,9 +63,6 @@ ALLOWED = {
 
 CALLERS_ALLOWED = {
     # test oracles: what the tests judge the solver against
-    "total_mass": "conservation oracle of SubGrid / Octree: the prolong / "
-                  "restrict tests measure drift with it",
-    "total_momentum": "conservation oracle of SubGrid / Octree",
     "acquired_before_edges": "sanitizer self-test oracle: the lockdep tests "
                              "read the recorded order graph",
     "held_classes": "sanitizer self-test oracle: the locks this thread holds",
@@ -298,7 +295,7 @@ def test_every_function_has_a_caller(callers):
 
 def test_callers_allowed_table_is_exact(callers):
     subjects, called = callers
-    assert len(CALLERS_ALLOWED) == 20
+    assert len(CALLERS_ALLOWED) == 18
     assert all(reason for reason in CALLERS_ALLOWED.values())
     stale = sorted(n for n in CALLERS_ALLOWED
                    if n not in subjects or n in called)

@@ -1,10 +1,12 @@
 """AMR time-stepping with refluxing: conservation across level jumps."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import (EGAS, RHO, SX, TAU, BlockMesh, IdealGas, Octree,
-                        evolve)
+                        evolve, interior)
 from repro.core.amr import AmrMesh
 from repro.core.hydro.solver import HydroOptions
 
@@ -12,7 +14,7 @@ from repro.core.hydro.solver import HydroOptions
 def _fill_random(tree, rng):
     eos = IdealGas()
     for leaf in tree.leaves():
-        I = leaf.grid.interior
+        I = interior(leaf.U)
         I[RHO] = rng.uniform(0.5, 1.5, I[RHO].shape)
         for d in range(3):
             I[SX + d] = rng.uniform(-0.1, 0.1, I[RHO].shape) * I[RHO]
@@ -27,8 +29,8 @@ def _smooth_blob(tree):
     """A smooth Gaussian pressure blob (same function on every leaf)."""
     eos = IdealGas()
     for leaf in tree.leaves():
-        I = leaf.grid.interior
-        x, y, z = leaf.grid.cell_centers()
+        I = interior(leaf.U)
+        x, y, z = tree.cell_centers(leaf.level, leaf.ipos)
         r2 = (x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2
         I[RHO] = 1.0 + 0.5 * np.exp(-r2 / 0.02)
         eint = 1.0 + 1.0 * np.exp(-r2 / 0.02)
@@ -49,8 +51,8 @@ class TestGhostFill:
         mesh = AmrMesh(tree)
         mesh._fill(mesh.blocks, 0)        # the stage-0 ghost fill
         from repro.core import NGHOST as g
-        a = tree.get(1, (0, 0, 0)).grid
-        b = tree.get(1, (1, 0, 0)).grid
+        a = tree.get(1, (0, 0, 0))
+        b = tree.get(1, (1, 0, 0))
         np.testing.assert_array_equal(
             a.U[:, g + 8:g + 8 + g, g:g + 8, g:g + 8],
             b.U[:, g:2 * g, g:g + 8, g:g + 8])
@@ -63,8 +65,8 @@ class TestGhostFill:
         mesh = AmrMesh(tree)
         mesh._fill(mesh.blocks, 0)        # the stage-0 ghost fill
         from repro.core import NGHOST as g
-        fine = tree.get(2, (1, 0, 0)).grid      # fine leaf at +x edge
-        coarse = tree.get(1, (1, 0, 0)).grid    # its coarse +x neighbour
+        fine = tree.get(2, (1, 0, 0))       # fine leaf at +x edge
+        coarse = tree.get(1, (1, 0, 0))     # its coarse +x neighbour
         # fine's +x ghost layer equals the coarse neighbour's first
         # interior layer (piecewise-constant prolongation)
         ghost = fine.U[RHO, g + 8, g, g]
@@ -172,7 +174,7 @@ class TestAccuracy:
         for leaf in tree.leaves():
             i, j, k = leaf.ipos
             full[i * 8:(i + 1) * 8, j * 8:(j + 1) * 8,
-                 k * 8:(k + 1) * 8] = leaf.grid.interior[RHO]
+                 k * 8:(k + 1) * 8] = interior(leaf.U)[RHO]
         np.testing.assert_allclose(full, single.interior[RHO],
                                    rtol=5e-12, atol=1e-13)
 
@@ -185,5 +187,41 @@ class TestAccuracy:
         for _ in range(4):
             mesh.step(min(mesh.compute_dt(), 0.002))
         for leaf in tree.leaves():
-            assert np.isfinite(leaf.grid.interior).all()
-            assert (leaf.grid.interior[RHO] > 0).all()
+            assert np.isfinite(interior(leaf.U)).all()
+            assert (interior(leaf.U)[RHO] > 0).all()
+
+
+class TestBitwisePin:
+    def test_blast_state_after_twelve_steps(self):
+        """The ``examples/amr_blast.py`` run, pinned to the bit: a
+        reflect-walled 15-leaf tree (root and its (0, 0, 0) child
+        refined), 12 steps at ``min(compute_dt(), 0.003)``, then one
+        running CRC-32 over the leaf interiors in key order.  Any change
+        to the ghost fill, the per-level batching, refluxing or the
+        stepping core that moves a bit fails here."""
+        eos = IdealGas(gamma=1.4)
+        tree = Octree(domain=1.0)
+        tree.refine(0, (0, 0, 0))
+        tree.refine(1, (0, 0, 0))
+        assert tree.n_leaves == 15
+        for leaf in tree.leaves():
+            I = interior(leaf.U)
+            I[RHO] = 1.0
+            I[EGAS] = 1e-6 / (eos.gamma - 1.0)
+            I[TAU] = eos.tau_from_eint(np.asarray(I[EGAS]))
+            x, y, z = tree.cell_centers(leaf.level, leaf.ipos)
+            src = ((x - 0.5) ** 2 + (y - 0.45) ** 2
+                   + (z - 0.45) ** 2) < 0.09 ** 2
+            n_src = int(src.sum())
+            if n_src:
+                eint = 0.05 / (n_src * tree.cell_width(leaf.level) ** 3)
+                I[EGAS][src] = eint
+                I[TAU][src] = eos.tau_from_eint(np.full(n_src, eint))
+        mesh = AmrMesh(tree, HydroOptions(eos=eos), bc="reflect")
+        for _ in range(12):
+            mesh.step(min(mesh.compute_dt(), 0.003))
+        crc = 0
+        for _key, U in sorted(mesh.blocks.items()):
+            crc = zlib.crc32(np.ascontiguousarray(interior(U)), crc)
+        assert mesh.time == 0.022915234075199017
+        assert crc == 1269618831

@@ -731,7 +731,7 @@ class TestRaceDeclarations:
         assert dist._layout.local and not dist._layout.routes
         victim = dist.blocks[0, 0, 0]
         task = threading.Thread(
-            target=compute_rhs, args=(victim, dist.dx, opts),
+            target=compute_rhs, args=([victim], dist.dx, opts),
             name="rhs-task")
         with san.scope() as caught:
             task.start()

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import FmmSolver, Octree, RHO
+from repro.core import FmmSolver, Octree, RHO, interior
 from repro.core.gravity.multipole import aggregate_m2m, taylor_shift
 
 
@@ -195,8 +195,8 @@ class TestAdaptiveSolver:
         tree.refine(0, (0, 0, 0))
         tree.refine(1, (0, 1, 0))
         for leaf in tree.leaves():
-            leaf.grid.interior[RHO] = rng.uniform(
-                0.1, 1.0, leaf.grid.interior[RHO].shape)
+            interior(leaf.U)[RHO] = rng.uniform(
+                0.1, 1.0, interior(leaf.U)[RHO].shape)
         specs, rho_by_level = tree.fmm_levels()
         solver = FmmSolver.from_levels(specs)
         solver.set_leaf_density(rho_by_level)
@@ -229,8 +229,8 @@ class TestAdaptiveSolver:
         tree.refine(0, (0, 0, 0))
         tree.refine(1, (1, 1, 1))
         for leaf in tree.leaves():
-            leaf.grid.interior[RHO] = rng.uniform(
-                0.1, 1.0, leaf.grid.interior[RHO].shape)
+            interior(leaf.U)[RHO] = rng.uniform(
+                0.1, 1.0, interior(leaf.U)[RHO].shape)
         specs, rho_by_level = tree.fmm_levels()
         solver = FmmSolver.from_levels(specs)
         solver.set_leaf_density(rho_by_level)

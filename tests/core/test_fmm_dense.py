@@ -50,7 +50,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RHO, Octree
+from repro.core import RHO, Octree, interior
 from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
@@ -297,9 +297,9 @@ def _trees(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     zero_frac = draw(st.sampled_from([0.0, 0.3]))
     for leaf in tree.leaves():
-        rho = rng.uniform(0.1, 1.0, leaf.grid.interior[RHO].shape)
+        rho = rng.uniform(0.1, 1.0, interior(leaf.U)[RHO].shape)
         rho[rng.random(rho.shape) < zero_frac] = 0.0
-        leaf.grid.interior[RHO] = rho
+        interior(leaf.U)[RHO] = rho
     return tree.fmm_levels()
 
 
@@ -417,8 +417,8 @@ def test_futurized_adaptive_solve_is_byte_identical_to_serial():
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         for leaf in tree.leaves():
-            leaf.grid.interior[RHO] = rng.uniform(
-                0.1, 1.0, leaf.grid.interior[RHO].shape)
+            interior(leaf.U)[RHO] = rng.uniform(
+                0.1, 1.0, interior(leaf.U)[RHO].shape)
         densities.append(tree.fmm_levels()[1])
     _assert_futurized_matches_serial(solver, densities)
     kinds = [e.kind for e in solver._plan]
@@ -502,8 +502,8 @@ def test_pad_margins_stay_zero_across_restages():
                 rho = {2: _density(SUBGRID_N << 2, seed, 0.3, 10.0 ** seed)}
             else:
                 for leaf in tree.leaves():
-                    leaf.grid.interior[RHO] = rng.uniform(
-                        0.1, 10.0 ** seed, leaf.grid.interior[RHO].shape)
+                    interior(leaf.U)[RHO] = rng.uniform(
+                        0.1, 10.0 ** seed, interior(leaf.U)[RHO].shape)
                 rho = tree.fmm_levels()[1]
             _solve(solver, rho)
             for dense in solver._staged:

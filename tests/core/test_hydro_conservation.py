@@ -15,6 +15,16 @@ from repro.core.hydro.solver import (HydroOptions, _add_spin_correction,
 from repro.validation.reference import apply_boundary
 
 
+def _one_block_rhs(U, dx, opts, gravity=None, return_fluxes=False):
+    """``compute_rhs`` of one block: the batch ``[U]``, read at
+    ``[:, 0]`` (its fluxes too)."""
+    got = compute_rhs([U], dx, opts, return_fluxes=return_fluxes,
+                      gravity=None if gravity is None else [gravity])
+    if return_fluxes:
+        return got[0][:, 0], [F[:, 0] for F in got[1]]
+    return got[:, 0]
+
+
 def _random_block(rng, n=12):
     m = n + 2 * NGHOST
     U = np.zeros((NF, m, m, m))
@@ -36,7 +46,7 @@ class TestRhsBasics:
         U[RHO] = 1.0
         U[EGAS] = 1.0
         U[TAU] = IdealGas().tau_from_eint(np.array(1.0))
-        rhs = compute_rhs(U, 0.1, opts)
+        rhs = _one_block_rhs(U, 0.1, opts)
         assert np.abs(rhs).max() < 1e-12
 
     def test_cfl_dt_scales_with_dx(self):
@@ -107,7 +117,7 @@ class TestConservationBookkeeping:
         dx = 1.0 / n
         U = _random_block(rng, n)
         apply_boundary(U, "periodic")
-        rhs, fluxes = compute_rhs(U, dx, opts, return_fluxes=True)
+        rhs, fluxes = _one_block_rhs(U, dx, opts, return_fluxes=True)
         return U, rhs, fluxes, dx, n
 
     def test_mass_momentum_energy_telescope_periodic(self, rng):
@@ -127,7 +137,7 @@ class TestConservationBookkeeping:
         dx = 1.0 / n
         U = _random_block(rng, n)
         apply_boundary(U, "periodic")
-        rhs = compute_rhs(U, dx, opts)
+        rhs = _one_block_rhs(U, dx, opts)
         ax = (np.arange(n) + 0.5) * dx
         x = ax[:, None, None]
         y = ax[None, :, None]
@@ -135,7 +145,7 @@ class TestConservationBookkeeping:
         dlz = (x * rhs[SX + 1] - y * rhs[SX] + rhs[LX + 2]).sum() * dx ** 3
         # boundary contribution under periodic wrap: the arm jumps by the
         # domain length L across the seam, dL/dt = -L dx^2 (e_ax x F)
-        rhs2, fluxes = compute_rhs(U, dx, opts, return_fluxes=True)
+        rhs2, fluxes = _one_block_rhs(U, dx, opts, return_fluxes=True)
         Fx = fluxes[0]      # momentum fluxes on x-faces
         Fy = fluxes[1]
         L = n * dx
@@ -152,7 +162,7 @@ class TestConservationBookkeeping:
         dx = 1.0 / n
         U = _random_block(rng, n)
         apply_boundary(U, "periodic")
-        rhs, fluxes = compute_rhs(U, dx, opts_off, return_fluxes=True)
+        rhs, fluxes = _one_block_rhs(U, dx, opts_off, return_fluxes=True)
         ax = (np.arange(n) + 0.5) * dx
         x = ax[:, None, None]
         y = ax[None, :, None]
@@ -172,8 +182,8 @@ class TestConservationBookkeeping:
         U = _random_block(rng, n)
         apply_boundary(U, "periodic")
         grav = rng.normal(size=(3, n, n, n)) * 0.1
-        rhs0 = compute_rhs(U, dx, opts)
-        rhs1 = compute_rhs(U, dx, opts, gravity=grav)
+        rhs0 = _one_block_rhs(U, dx, opts)
+        rhs1 = _one_block_rhs(U, dx, opts, gravity=grav)
         g = NGHOST
         inner = (slice(g, g + n),) * 3
         for d in range(3):
@@ -193,8 +203,8 @@ class TestConservationBookkeeping:
         opts0 = HydroOptions(eos=IdealGas(), omega=0.0)
         opts1 = HydroOptions(eos=IdealGas(), omega=0.7)
         apply_boundary(U, "periodic")
-        rhs0 = compute_rhs(U, dx, opts0)
-        rhs1 = compute_rhs(U, dx, opts1)
+        rhs0 = _one_block_rhs(U, dx, opts0)
+        rhs1 = _one_block_rhs(U, dx, opts1)
         g = NGHOST
         inner = (slice(g, g + n),) * 3
         ax = (np.arange(n) + 0.5) * dx

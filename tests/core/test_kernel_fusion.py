@@ -335,7 +335,7 @@ def test_compute_rhs_zero_passives_with_a_negative_zero_field_bitwise():
     U[PASSIVE0 + 2] = -0.0
     opts = HydroOptions(eos=IdealGas())
     ref = compute_rhs_reference(U, 0.05, opts)
-    got = compute_rhs(U, 0.05, opts, ws=Workspace())
+    got = compute_rhs([U], 0.05, opts, ws=Workspace())[:, 0]
     _assert_same_bits(got, ref)
 
 
@@ -570,27 +570,28 @@ def test_compute_rhs_fused_bitwise():
                                 gravity=gravity)
     # the cell centres the oracle derives from its corner, bit for bit
     centers = tuple(o + (np.arange(n) + 0.5) * 0.05 for o in origin)
-    plain = compute_rhs(U, 0.05, opts, gravity=gravity, centers=centers)
-    np.testing.assert_array_equal(plain, ref)
+    plain = compute_rhs([U], 0.05, opts, gravity=[gravity],
+                        centers=[centers])
+    np.testing.assert_array_equal(plain[:, 0], ref)
     ws = Workspace()
-    out = np.empty((NF, n, n, n))
+    out = np.empty((NF, 1, n, n, n))
     for _ in range(3):      # steady-state reuse of both out and ws
-        got = compute_rhs(U, 0.05, opts, gravity=gravity, out=out, ws=ws,
-                          centers=centers)
+        got = compute_rhs([U], 0.05, opts, gravity=[gravity], out=out,
+                          ws=ws, centers=[centers])
         assert got is out
-        np.testing.assert_array_equal(out, ref)
-    ws_only = compute_rhs(U, 0.05, opts, gravity=gravity, ws=Workspace(),
-                          centers=centers)
-    np.testing.assert_array_equal(ws_only, ref)
+        np.testing.assert_array_equal(out[:, 0], ref)
+    ws_only = compute_rhs([U], 0.05, opts, gravity=[gravity],
+                          ws=Workspace(), centers=[centers])
+    np.testing.assert_array_equal(ws_only[:, 0], ref)
 
 
 def test_compute_rhs_return_fluxes_detached_from_workspace():
     U = hydro_block()
     opts = HydroOptions(eos=IdealGas())
     ws = Workspace()
-    _, fluxes = compute_rhs(U, 0.05, opts, return_fluxes=True, ws=ws)
+    _, fluxes = compute_rhs([U], 0.05, opts, return_fluxes=True, ws=ws)
     kept = [F.copy() for F in fluxes]
-    compute_rhs(U, 0.04, opts, ws=ws)   # must not overwrite held fluxes
+    compute_rhs([U], 0.04, opts, ws=ws)     # must not overwrite held fluxes
     for F, K in zip(fluxes, kept):
         np.testing.assert_array_equal(F, K)
 
@@ -715,7 +716,10 @@ def test_floored_cell_flows_clean_through_dual_energy():
     args = tuple(U[(f,) + cell] for f in (RHO, SX, SX + 1, SX + 2,
                                           EGAS, TAU))
     assert eos.internal_energy(*args) == U[(EGAS,) + cell]
-    assert eos.sync_tau(*args) == eos.tau_from_eint(U[(EGAS,) + cell])
+    tau = U[(TAU,) + cell][None]
+    eos.sync_tau(*args[:-1], tau, (np.empty(1), np.empty(1)),
+                 np.empty(1, bool))
+    assert tau[0] == eos.tau_from_eint(U[(EGAS,) + cell])
 
 
 def test_eos_floor_unified_with_solver_floor():
@@ -736,5 +740,5 @@ def test_spin_fields_survive_fusion():
     U = hydro_block()
     opts = HydroOptions(eos=IdealGas(), omega=0.5)
     ref = compute_rhs_reference(U, 0.05, opts)
-    got = compute_rhs(U, 0.05, opts, ws=Workspace())
+    got = compute_rhs([U], 0.05, opts, ws=Workspace())[:, 0]
     np.testing.assert_array_equal(got[LX:LX + 3], ref[LX:LX + 3])

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (EGAS, NF, NGHOST, RHO, SX, TAU, BlockMesh,
                         DistBlockMesh, ExecutionEngine, IdealGas, Octree,
                         prolong, restrict, sedov_blast)
+from repro.core.amr import AmrMesh
 from repro.core.hydro.solver import HydroOptions
 from repro.core.mesh import fill_wall, interior, min_cfl_dt
 from repro.runtime import CounterRegistry, WorkStealingScheduler
@@ -241,21 +242,50 @@ class TestOctree:
     def test_refinement_conserves_mass(self, rng):
         t = Octree(domain=2.0)
         root = t.get(0, (0, 0, 0))
-        root.grid.interior[RHO] = rng.uniform(0.5, 1.5, (8, 8, 8))
-        m0 = t.total_mass()
+        interior(root.U)[RHO] = rng.uniform(0.5, 1.5, (8, 8, 8))
+        m0 = AmrMesh(t).conserved_totals()["mass"]
         t.refine(0, (0, 0, 0))
-        assert t.total_mass() == pytest.approx(m0, rel=1e-13)
+        assert root.U is None
+        assert AmrMesh(t).conserved_totals()["mass"] == pytest.approx(
+            m0, rel=1e-13)
 
     def test_coarsen_conserves_mass(self, rng):
         t = Octree(domain=2.0)
         t.refine(0, (0, 0, 0))
         for leaf in t.leaves():
-            leaf.grid.interior[RHO] = rng.uniform(
+            interior(leaf.U)[RHO] = rng.uniform(
                 0.5, 1.5, (8, 8, 8))
-        m0 = t.total_mass()
+        m0 = AmrMesh(t).conserved_totals()["mass"]
         t.coarsen(0, (0, 0, 0))
-        assert t.total_mass() == pytest.approx(m0, rel=1e-13)
+        assert AmrMesh(t).conserved_totals()["mass"] == pytest.approx(
+            m0, rel=1e-13)
         assert t.n_nodes == 1
+
+    def test_coarsen_checks_every_child_before_deleting_any(self):
+        t = Octree()
+        t.refine(0, (0, 0, 0))
+        t.refine(1, (1, 1, 1))
+        before = dict(t.nodes)
+        with pytest.raises(ValueError):
+            t.coarsen(0, (0, 0, 0))
+        assert t.nodes == before and t.n_nodes == 17
+        assert t.get(0, (0, 0, 0)).refined
+
+    def test_coarsen_rejects_a_2to1_balance_break(self):
+        t = Octree()
+        t.refine(0, (0, 0, 0))
+        t.refine(1, (0, 0, 0))
+        t.refine(1, (1, 0, 0))
+        t.refine(2, (1, 0, 0))
+        before = dict(t.nodes)
+        # (2, (1, 0, 0)) is refined and faces (2, (2, 0, 0)), a child of
+        # (1, (1, 0, 0)): merging those children puts a level-1 leaf
+        # beside level-3 leaves
+        with pytest.raises(ValueError, match="2:1"):
+            t.coarsen(1, (1, 0, 0))
+        assert t.nodes == before
+        assert all(n.U is not None for n in t.leaves())
+        AmrMesh(t).step(1e-4)
 
     def test_two_to_one_balance_enforced(self):
         t = Octree()
@@ -273,9 +303,9 @@ class TestOctree:
     def test_refine_by_criterion(self, rng):
         t = Octree()
         root = t.get(0, (0, 0, 0))
-        root.grid.interior[RHO] = 1.0
+        interior(root.U)[RHO] = 1.0
         count = t.refine_by(
-            lambda node: float(node.grid.interior[RHO].max()) > 0.5,
+            lambda node: float(interior(node.U)[RHO].max()) > 0.5,
             max_level=2)
         assert t.max_level() == 2
         assert count == 1 + 8

@@ -84,10 +84,10 @@ def test_batched_equals_per_block_equals_reference(
     for b in range(B):
         np.testing.assert_array_equal(whole[:, b], ref[b])
         # a single block is a batch of one through the same body
-        one = compute_rhs(blocks[b], DX, opts,
-                          gravity=None if gravity is None else gravity[b],
-                          ws=ws, centers=centers[b])
-        np.testing.assert_array_equal(one, ref[b])
+        one = compute_rhs([blocks[b]], DX, opts,
+                          gravity=None if gravity is None else [gravity[b]],
+                          ws=ws, centers=[centers[b]])
+        np.testing.assert_array_equal(one[:, 0], ref[b])
 
     # any order, any split into chunks, one shared workspace
     order = data.draw(st.permutations(range(B)))
@@ -109,7 +109,7 @@ def test_batched_fluxes_are_fresh_block_layout_arrays():
     blocks = [_block(rng, (8, 8, 8), 0) for _ in range(3)]
     ws = Workspace()
     _, fluxes = compute_rhs(blocks, DX, opts, return_fluxes=True, ws=ws)
-    singles = [compute_rhs(U, DX, opts, return_fluxes=True)[1]
+    singles = [compute_rhs([U], DX, opts, return_fluxes=True)[1]
                for U in blocks]
     kept = [F.copy() for F in fluxes]
     compute_rhs(blocks, 0.04, opts, ws=ws)      # must not touch held fluxes
@@ -119,7 +119,7 @@ def test_batched_fluxes_are_fresh_block_layout_arrays():
         assert F.shape == (NF, 3) + tuple(face)
         np.testing.assert_array_equal(F, kept[axis])
         for b in range(3):
-            np.testing.assert_array_equal(F[:, b], singles[b][axis])
+            np.testing.assert_array_equal(F[:, b], singles[b][axis][:, 0])
 
 
 # -- fail at the boundary -----------------------------------------------------
@@ -149,9 +149,9 @@ def test_ideal_gas_rejects_bad_gamma_naming_the_field(gamma):
 def test_compute_rhs_and_cfl_dt_reject_a_bad_dx(dx):
     U = _block(np.random.default_rng(5), (8, 8, 8), 0)
     opts = HydroOptions(eos=IdealGas())
-    out = np.full((NF, 8, 8, 8), 7.0)
+    out = np.full((NF, 1, 8, 8, 8), 7.0)
     with pytest.raises(ValueError, match="dx"):
-        compute_rhs(U, dx, opts, out=out)
+        compute_rhs([U], dx, opts, out=out)
     assert (out == 7.0).all()                   # nothing was written
     with pytest.raises(ValueError, match="dx"):
         cfl_dt(U, dx, opts)
@@ -187,9 +187,8 @@ def test_compute_rhs_rejects_malformed_batches_before_any_arithmetic():
     rejected("centers", centers=[axes] * 2 + [(np.zeros(7),) * 3])
     rejected("out", out=np.empty((NF, 2) + shape))
     rejected("out", out=np.empty((NF,) + shape))
-    # a single block takes a single (NF, n, n, n) output
-    with pytest.raises(ValueError, match="out"):
-        compute_rhs(blocks[0], DX, opts, out=out)
+    # one call shape: a bare block is not a batch, [block] is
+    rejected("ghosted", U=blocks[0])
 
 
 # -- the meshes: serial == futurized (any chunking) == distributed ------------
@@ -267,10 +266,11 @@ def test_boxes_of_one_shape_batch_up_to_agg_slots(monkeypatch):
 def _per_block_rhs(mesh, opts, acc):
     """``compute_rhs`` of every ghost-filled block of ``mesh`` alone, at
     its own corner, under its window of ``acc``."""
-    return {ip: compute_rhs(blk, mesh.dx, opts, centers=_centers(
+    return {ip: compute_rhs([blk], mesh.dx, opts, centers=[_centers(
         [mesh.origin[d] + ip[d] * SUBGRID_N * mesh.dx for d in range(3)],
-        (SUBGRID_N,) * 3, mesh.dx),
-        gravity=acc[mesh._window(ip)]) for ip, blk in mesh.blocks.items()}
+        (SUBGRID_N,) * 3, mesh.dx)],
+        gravity=[acc[mesh._window(ip)]])[:, 0]
+        for ip, blk in mesh.blocks.items()}
 
 
 #: mesh -> agg_slots (None: no engine) -> sub-grids per ``compute_rhs``
@@ -459,8 +459,8 @@ def test_calls_that_carry_different_rows_share_every_buffer(monkeypatch):
     U[PASSIVE0:LX] = 0.0                # the five passive scalars
     opts = HydroOptions(eos=IdealGas())
     ws = Workspace()
-    compute_rhs(U, DX, opts, ws=ws)
+    compute_rhs([U], DX, opts, ws=ws)
     held = {key: id(arr) for key, arr in ws._bufs().items()}
-    compute_rhs(full, DX, opts, ws=ws)
+    compute_rhs([full], DX, opts, ws=ws)
     assert carried == [9] * 3 + [NF] * 3
     assert {key: id(arr) for key, arr in ws._bufs().items()} == held

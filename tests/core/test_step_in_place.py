@@ -48,8 +48,10 @@ def _rk2_step_allocating(mesh, blocks, dt, fill, rhs, gravity=None):
         I = interior(U)
         I += 0.5 * dt * (k1[key] + k2[key])
         apply_floors(I, options)
-        I[TAU] = eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2],
-                              I[EGAS], I[TAU])
+        cells = I.shape[1:]
+        eos.sync_tau(I[RHO], I[SX], I[SX + 1], I[SX + 2], I[EGAS], I[TAU],
+                     (np.empty(cells), np.empty(cells)),
+                     np.empty(cells, bool))
     if gravity is not None:
         gravity.close_step(blocks)
     mesh.time += dt
@@ -64,8 +66,8 @@ def _amr_blob():
     tree.refine(1, (1, 1, 1))
     eos = IdealGas()
     for leaf in tree.leaves():
-        I = leaf.grid.interior
-        x, y, z = leaf.grid.cell_centers()
+        I = interior(leaf.U)
+        x, y, z = tree.cell_centers(leaf.level, leaf.ipos)
         r2 = (x - 0.4) ** 2 + (y - 0.5) ** 2 + (z - 0.45) ** 2
         I[RHO] = 1.0 + 0.5 * np.exp(-r2 / 0.02)
         I[SX] = 0.2 * I[RHO]

@@ -40,8 +40,8 @@ def small_amrmesh():
     tree.refine(1, (1, 1, 1))
     eos = IdealGas()
     for leaf in tree.leaves():
-        I = leaf.grid.interior
-        x, y, z = leaf.grid.cell_centers()
+        I = interior(leaf.U)
+        x, y, z = tree.cell_centers(leaf.level, leaf.ipos)
         blob = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2
                         + (z - 0.5) ** 2) / 0.02)
         I[RHO] = 1.0 + 0.5 * blob
