@@ -44,6 +44,11 @@ same 24^3 Sedov steps on ``BlockMesh(1, n=24)``, on its ``retile`` into
 ``DistBlockMesh(3, n_localities=4)`` (the sharded mesh: four boxes, their
 halos over the parcelport, batched box RHS calls), ms per step each and
 the two ratios to the one block, all three ending on the same state CRC.
+``plan_build`` is the FMM plan set-up of a fresh uniform 16^3 and 32^3
+solver (every table, slab, window, mask and pair count): best ms per
+build, and, counted under ``sys.setprofile``, the Python calls the
+package's own code makes while the 16^3 plan builds — a count that a
+Python loop over the 257 parent offsets would multiply.
 
 Used two ways:
 
@@ -136,6 +141,9 @@ UNIFORM_SCENARIOS = {"sedov": lambda: sedov_blast(24),
                      "star": lambda: equilibrium_star(16),
                      "v1309": lambda: v1309_binary(M=16, scf_iters=12)}
 UNIFORM_STEPS = 5
+#: grid edges of the ``plan_build`` rows; the call count is taken on the
+#: first, the grid of every gravity workload of the perf ledger
+PLAN_GRIDS = (16, 32)
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -538,6 +546,55 @@ def subgrid_tax_line(kernels: dict) -> str:
             f"(same CRC {row['one_block']['crc']:#010x})")
 
 
+def _uniform_solver(M: int) -> fmm.FmmSolver:
+    return fmm.FmmSolver.from_uniform(np.ones((M,) * 3), 1.0 / M)
+
+
+def _plan_build_seconds(M: int, repeats: int) -> float:
+    """Best time of building the plan of a fresh uniform M^3 solver."""
+    solvers = [_uniform_solver(M) for _ in range(repeats + 1)]
+    return _time(lambda: solvers.pop()._build_plan(), repeats=repeats)
+
+
+def plan_build_row(repeats: int) -> dict:
+    """Per ``PLAN_GRIDS`` edge, the best time of building the plan of a
+    fresh uniform solver (``_build_plan``: the leaf sweep's tables, slabs
+    and windows, the M2L tiles and masks, every pair count), and on the
+    first edge the parent offsets of its leaf sweep and the Python
+    ``call`` events (``sys.setprofile``) of code under ``repro`` while
+    one plan builds.  numpy's own Python helpers are left out of the
+    count: how many a numpy call makes varies from release to release.
+    """
+    package = os.path.dirname(fmm.__file__).rsplit(os.sep, 2)[0]
+    row = {f"ms_{M}": 1e3 * _plan_build_seconds(M, repeats)
+           for M in PLAN_GRIDS}
+    solver = _uniform_solver(PLAN_GRIDS[0])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+    sys.setprofile(count)
+    try:
+        solver._build_plan()
+    finally:
+        sys.setprofile(None)
+    row["calls"] = calls
+    row["offsets"] = sum(len(e.sweeps) for e in solver._plan
+                         if e.kind == "dense")
+    return row
+
+
+def plan_build_line(kernels: dict) -> str:
+    """The ``plan_build`` row as a report line."""
+    row = kernels["plan_build"]
+    return ("  plan_build         " + ", ".join(
+        f"{row[f'ms_{M}']:.2f} ms at {M}^3" for M in PLAN_GRIDS)
+        + f"; {row['calls']} Python calls of repro code for the "
+        f"{row['offsets']} leaf-sweep offsets of a {PLAN_GRIDS[0]}^3 plan")
+
+
 def run_kernels_micro(repeats: int = 5) -> dict:
     """Time every kernel; return the ``kernels`` block for the report.
 
@@ -626,6 +683,7 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "rhs_calls": rhs_calls_row(),
         "rhs_alloc": rhs_alloc_row(),
         "subgrid_tax": _subgrid_tax_row(repeats),
+        "plan_build": plan_build_row(repeats),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -671,6 +729,7 @@ def main(argv: list[str] | None = None) -> int:
     print(rhs_calls_line(kernels))
     print(rhs_alloc_line(kernels))
     print(subgrid_tax_line(kernels))
+    print(plan_build_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

@@ -11,8 +11,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
                            dense_sweep, fmm, leaf_sweep_offsets,
-                           m2l_dense_counts, rhs_alloc_row, rhs_calls_row,
-                           uniform_fields_row)
+                           m2l_dense_counts, plan_build_row, rhs_alloc_row,
+                           rhs_calls_row, uniform_fields_row)
 
 #: sub-grids per ``compute_rhs`` call of one stage on the ``rhs_calls``
 #: layouts before the one RHS rule (node-level box slabs beside sharded
@@ -24,6 +24,13 @@ BEFORE_ONE_RULE = {"serial_24": [27], "dist_24": [9, 6, 12],
 #: leaf pairs the leaf sweep of one uniform solve covers, per grid edge
 #: (the perf ledger's monopole interactions at 16^3)
 LEAF_PAIRS = {16: 2_276_352, 32: 25_251_840}
+
+#: Python calls of ``repro`` code while a 16^3 plan builds.  Built as
+#: arrays the plan makes 83 (numpy 2.4, Python 3.11; fewer on 3.12,
+#: which inlines comprehensions); built one parent offset at a time it
+#: made 2 127, one Green-table call and seven generator resumptions
+#: per offset.
+PLAN_BUILD_CALLS = 100
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -113,3 +120,13 @@ def test_dense_sweep_adds_every_offset_into_one_contiguous_slab(M):
             offsets += 1
     assert offsets == len(leaf_sweep_offsets(P)) == 257
     assert sum(e.pairs for e in entries) == dense_sweep(P)[1] == LEAF_PAIRS[M]
+
+
+def test_fmm_plan_build_has_no_per_offset_python_loop():
+    """The gate of the array-built plan (counts, no timing): the 257
+    leaf-sweep offsets of a 16^3 plan are staged without a Python
+    function call per offset — the package's own code makes at most
+    ``PLAN_BUILD_CALLS`` calls for the whole plan, root tiles included."""
+    row = plan_build_row(repeats=1)
+    assert row["offsets"] == 257
+    assert 0 < row["calls"] <= PLAN_BUILD_CALLS

@@ -33,7 +33,7 @@ entries, each over one fixed stencil of the grid:
   leaf level when their parents are not well separated, and for each
   such parent offset the 8 x 8 child separations are constants of the
   grid.  So the near field is one ``(8, 32)`` Green table per offset
-  (:func:`.kernels.green_table`, built once) and, per solve, one BLAS
+  (:func:`.kernels.green_tables`, built once) and, per solve, one BLAS
   ``C += A @ B`` per offset (:func:`.kernels.p2p_pair_staged`): the leaf
   masses are staged on the parent grid padded with massless parents in
   y and z by the widest offset, so every offset adds a fixed window of
@@ -311,7 +311,7 @@ class _LeafSweep:
     kind = "dense"
     owner = "fmm/pair-out"
     counter = _MONOPOLE
-    #: 4 values per target child (see :func:`.kernels.green_table`)
+    #: 4 values per target child (see :func:`.kernels.green_tables`)
     out_shapes = ((32,),)
 
     @property

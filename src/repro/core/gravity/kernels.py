@@ -36,7 +36,7 @@ results straight into preallocated batch outputs.
 formulation as the property-test oracle and microbenchmark baseline.
 
 On the leaf cells of a level the pair lists themselves go away:
-:func:`green_table` / :func:`green_sweeps` stage the constant 8 x 8
+:func:`green_tables` / :func:`green_sweeps` stage the constant 8 x 8
 child separations of every near parent offset once, and
 :func:`p2p_pair_staged` is the whole leaf-level near field as one BLAS
 ``C += A @ B`` per offset: the masses sit on a parent grid padded with
@@ -58,7 +58,7 @@ made, and :func:`m2l_assemble` turns the contracted components into
 
 Hot-path kernels do **not** guard against coincident points: the
 solver's geometry rules them out once, when its plan is built
-(:func:`green_table` checks the dense tables, the dense M2L masks out
+(:func:`green_tables` checks the dense tables, the dense M2L masks out
 everything that is not a well-separated pair of distinct cells, and a
 boundary pair joins a leaf with another cell's child, whose centre lies
 inside that cell), instead of scanning ``r2 == 0`` on every call.  The
@@ -70,9 +70,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stencil import well_separated
+from .stencil import lex_positive, pair_counts, well_separated
 
-__all__ = ["p2p_pair", "green_table", "green_sweeps",
+__all__ = ["p2p_pair", "green_tables", "green_sweeps",
            "sweep_pad", "p2p_pair_staged", "m2l_pair",
            "TINY_MASS", "N_GREEN", "N_MOMENT", "pack_moments",
            "green_block", "m2l_dense", "m2l_assemble"]
@@ -133,9 +133,10 @@ def p2p_pair(dR: np.ndarray, mA: np.ndarray, mB: np.ndarray, out=None
     return phiA, phiB, accA, accB
 
 
-def green_table(w, child: np.ndarray, width: float,
-                near_only: bool = False) -> np.ndarray:
-    """The (8, 32) monopole Green table of one parent offset ``w``.
+def green_tables(offsets: np.ndarray, child: np.ndarray, width: float,
+                 near_only: bool = False) -> np.ndarray:
+    """The ``(n, 8, 32)`` monopole Green tables of parent offsets ``(n,
+    3)``, all in one broadcast.
 
     On a parent grid the eight children of the parent at ``I + w``
     (sources, row ``j``) sit at fixed separations from the eight children
@@ -148,24 +149,27 @@ def green_table(w, child: np.ndarray, width: float,
     ``w == 0`` pairs a parent with itself: the diagonal (a cell and
     itself) is zeroed, and with ``near_only`` so is every well-separated
     child pair (a level's M2L takes those).  Any other zero separation
-    means broken geometry and is rejected here, once.
+    means broken geometry and is rejected here, once.  Every operation is
+    elementwise along the offsets, so a table is the same to the bit
+    whichever offsets it is built with.
     """
-    w = np.asarray(w, dtype=np.int64)
-    sep = child[None, :, :] - 2 * w - child[:, None, :]
+    w = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    sep = (child[None, None, :, :] - 2 * w[:, None, None, :]
+           - child[None, :, None, :])
     dR = sep * float(width)
-    r2 = np.einsum("jic,jic->ji", dR, dR)
-    if not w.any():
-        r2[np.diag_indices(8)] = np.inf
+    r2 = np.einsum("wjic,wjic->wji", dR, dR)
+    self_pair = ~w.any(axis=1)[:, None, None] & np.eye(8, dtype=bool)
+    r2[self_pair] = np.inf
     if near_only:
         r2[well_separated(sep)] = np.inf
     if np.any(r2 == 0.0):
         raise ValueError("coincident cells in interaction kernel")
     inv = 1.0 / np.sqrt(r2)
     inv3 = inv / r2
-    table = np.empty((8, 8, 4))
-    table[:, :, 0] = -inv
-    table[:, :, 1:] = -dR * inv3[:, :, None]
-    return table.reshape(8, 32)
+    table = np.empty(r2.shape + (4,))
+    table[..., 0] = -inv
+    table[..., 1:] = -dR * inv3[..., None]
+    return table.reshape(-1, 8, 32)
 
 
 def green_sweeps(edge: int, offsets: np.ndarray, child: np.ndarray,
@@ -177,35 +181,44 @@ def green_sweeps(edge: int, offsets: np.ndarray, child: np.ndarray,
     :func:`sweep_pad` of ``offsets``): ``(sweeps, pairs)``.
 
     ``sweeps`` holds one ``(slab, window, table)`` per offset ``w`` whose
-    :func:`green_table` is not all zero: ``slab``, the target parents
-    ``I`` with ``I_x + w_x`` inside the grid, as a row range of the
-    flattened ``(edge^3, 32)`` output — every y and z, so it is one
-    contiguous block; ``window``, the block of the padded grid their
-    sources ``I + w`` fill (massless parents where ``I + w`` leaves the
-    grid in y or z, so ``|w_y| <= py`` and ``|w_z| <= pz``); and the
-    table.  ``pairs`` is the number of pairs of leaves (``leaf``, the
-    ``(edge, edge, edge, 8)`` bool grid of them) the offsets cover, each
-    counted once: ``w`` and ``-w`` visit every pair once per direction,
-    so it is credited to the lex-positive one (half of ``w = 0``'s).
+    :func:`green_tables` entry is not all zero, in the order given:
+    ``slab``, the target parents ``I`` with ``I_x + w_x`` inside the grid,
+    as a row range of the flattened ``(edge^3, 32)`` output — every y and
+    z, so it is one contiguous block; ``window``, the block of the padded
+    grid their sources ``I + w`` fill (massless parents where ``I + w``
+    leaves the grid in y or z, so ``|w_y| <= py`` and ``|w_z| <= pz``);
+    and the table.  ``pairs`` is the number of pairs of leaves (``leaf``,
+    the ``(edge, edge, edge, 8)`` bool grid of them) the offsets cover,
+    each counted once: ``w`` and ``-w`` visit every pair once per
+    direction, so it is credited to the lex-positive one (half of ``w =
+    0``'s).
+
+    Built as arrays: the tables in one broadcast, the slab and window
+    bounds as integer rows, the pair credits by one
+    :func:`.stencil.pair_counts` pass; only the slices themselves are
+    made one offset at a time.  A sweep's table is a view of its row of
+    the one table array.
     """
-    sweeps, swept = [], 0
-    plane = edge * edge
-    for w in np.asarray(offsets).tolist():
-        table = green_table(w, child, width, near_only)
-        hit = table.reshape(8, 8, 4)[..., 0] != 0.0
-        if not hit.any():
-            continue
-        lo, hi = max(0, -w[0]), edge - max(0, w[0])
-        window = (slice(lo + w[0], hi + w[0]),) + tuple(
-            slice(p + x, p + x + edge) for p, x in zip(pad, w[1:]))
-        sweeps.append((slice(lo * plane, hi * plane), window, table))
-        credit = 2 if w > [0, 0, 0] else 1 if w == [0, 0, 0] else 0
-        if credit:
-            target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
-            source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
-            swept += credit * int(((leaf[source] @ hit.astype(np.int64))
-                                   * leaf[target]).sum())
-    return sweeps, swept // 2
+    w = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    tables = green_tables(w, child, width, near_only)
+    hit = tables.reshape(-1, 8, 8, 4)[..., 0] != 0.0
+    keep = hit.any(axis=(1, 2))
+    w, tables, hit = w[keep], tables[keep], hit[keep]
+    # target x layers [lo, hi): I_x and I_x + w_x inside the grid; the
+    # window starts at I + w of the first target, shifted by the pad
+    lo, hi = np.maximum(0, -w[:, 0]), edge - np.maximum(0, w[:, 0])
+    first = w + [0, *pad]
+    first[:, 0] += lo
+    extent = np.full_like(w, edge)
+    extent[:, 0] = hi - lo
+    sweeps = [(slice(a, b), tuple(map(slice, x, x_end)), table)
+              for a, b, x, x_end, table in zip(
+                  (lo * edge * edge).tolist(), (hi * edge * edge).tolist(),
+                  first.tolist(), (first + extent).tolist(), tables)]
+    zero = ~w.any(axis=1)
+    credit = lex_positive(w) | zero
+    counts = pair_counts(leaf, w[credit], hit[credit].swapaxes(1, 2))
+    return sweeps, int((counts * np.where(zero[credit], 1, 2)).sum()) // 2
 
 
 def sweep_pad(offsets: np.ndarray) -> list[int]:
@@ -223,7 +236,7 @@ def p2p_pair_staged(m8: np.ndarray, sweeps, out: np.ndarray, ws
     ``m8`` is the padded parent grid of leaf masses, ``(P, P + 2 py, P +
     2 pz, 8)`` with zeros outside the ``P``^3 parents, ``sweeps`` the
     staged offsets (:func:`green_sweeps`), ``out`` the ``(P, P, P, 32)``
-    result (4 values per target child, see :func:`green_table`),
+    result (4 values per target child, see :func:`green_tables`),
     overwritten, and ``ws`` a :class:`~repro.core.workspace.Workspace`.
     No index arrays, no scatter: the separations are constants of the
     grid, so only the masses move.  Per offset the source window is

@@ -25,14 +25,14 @@ the root's Morton cubes with face index arrays) and :func:`p2p_stencil`
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["OPENING_R2", "well_separated", "p2p_stencil",
            "leaf_sweep_offsets", "m2l_sweep_offsets", "m2l_sweep_tiles",
-           "m2l_root_tiles", "ROOT_CUBE", "lex_positive"]
+           "m2l_root_tiles", "ROOT_CUBE", "lex_positive", "pair_counts"]
 
 #: squared opening radius: pairs with ||w||^2 > 16 (distance > 4 cells) are
 #: far enough for a quadrupole expansion at theta ~ 0.5
@@ -45,12 +45,18 @@ def well_separated(w: np.ndarray) -> np.ndarray:
     return (w * w).sum(axis=-1) > OPENING_R2
 
 
+def _cube(r: int) -> np.ndarray:
+    """Every integer offset in ``[-r, r]^3``, ``(n, 3)`` in lexicographic
+    order."""
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
 @lru_cache(maxsize=1)
 def p2p_stencil() -> np.ndarray:
     """Leaf-level direct-summation offsets: near, non-zero offsets."""
-    r = 4  # ||w||^2 <= 16 implies |w_i| <= 4
-    pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)),
-                   dtype=np.int64)
+    pts = _cube(4)  # ||w||^2 <= 16 implies |w_i| <= 4
     pts = pts[(pts != 0).any(axis=1)]
     return pts[~well_separated(pts)]
 
@@ -66,19 +72,53 @@ def leaf_sweep_offsets(edge: int, root: bool = False) -> np.ndarray:
     exists, so every pair is handled here and every offset that fits the
     grid is swept.
     """
-    r = edge - 1 if root else min(edge - 1, int(OPENING_R2 ** 0.5))
-    pts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)),
-                   dtype=np.int64)
+    pts = _cube(edge - 1 if root else min(edge - 1, int(OPENING_R2 ** 0.5)))
     return pts if root else pts[~well_separated(pts)]
 
 
-def lex_positive(offsets: np.ndarray) -> np.ndarray:
-    """Keep one representative of every ``{w, -w}`` pair (``w``
-    lexicographically greater than zero)."""
-    w = offsets
-    key = (w[:, 0] > 0) | ((w[:, 0] == 0) & (w[:, 1] > 0)) \
+def lex_positive(w: np.ndarray) -> np.ndarray:
+    """Which rows of the offsets ``w`` (n, 3) are lexicographically
+    greater than zero: one representative of every ``{w, -w}`` pair."""
+    return (w[:, 0] > 0) | ((w[:, 0] == 0) & (w[:, 1] > 0)) \
         | ((w[:, 0] == 0) & (w[:, 1] == 0) & (w[:, 2] > 0))
-    return w[key]
+
+
+#: ``float64`` entries of one :func:`pair_counts` chunk of windows (1 MB)
+_COUNT_CHUNK = 1 << 17
+
+
+def pair_counts(cells: np.ndarray, offsets: np.ndarray, masks: np.ndarray
+                ) -> np.ndarray:
+    """Cell pairs a mask selects, per parent offset: ``sum_I cells[I] @
+    masks[k] @ cells[I + w_k]`` over the parents ``I`` with ``I`` and
+    ``I + w_k`` inside the ``(P, P, P, 8)`` bool grid ``cells``, for
+    every row ``w_k`` of ``offsets`` — ``masks[k][i, j]`` selects child
+    ``i`` of ``I`` against child ``j`` of ``I + w_k``.
+
+    One array pass for all offsets: the grid is zero-padded by the widest
+    offset, the windows ``cells[I + w_k]`` are gathered from a sliding
+    view of it, and one matmul per chunk of :data:`_COUNT_CHUNK` entries
+    counts every child pair ``(j, i)`` of every offset in it.  The counts
+    are sums of ``0.0`` / ``1.0`` (exact in ``float64``)."""
+    P = len(cells)
+    w = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    counts = np.zeros(len(w), dtype=np.int64)
+    if not len(w):
+        return counts
+    r = np.abs(w).max(axis=0)
+    windows = sliding_window_view(
+        np.pad(cells, [(x, x) for x in r.tolist()] + [(0, 0)]), (P, P, P),
+        axis=(0, 1, 2))                       # (*2r + 1, 8, P, P, P)
+    at = tuple((w + r).T)
+    own = cells.reshape(-1, 8).astype(np.float64)
+    step = max(1, _COUNT_CHUNK // (8 * P ** 3))
+    for lo in range(0, len(w), step):
+        k = slice(lo, lo + step)
+        src = windows[at[0][k], at[1][k], at[2][k]].reshape(-1, 8, P ** 3)
+        # seen[k, j, i]: parents with child j of I + w_k and child i of I
+        seen = src.astype(np.float64) @ own
+        counts[k] = (seen * masks[k].swapaxes(1, 2)).sum(axis=(1, 2))
+    return counts
 
 
 def m2l_sweep_offsets(edge: int) -> np.ndarray:
@@ -93,7 +133,8 @@ def m2l_sweep_offsets(edge: int) -> np.ndarray:
     and ``W`` / ``-W`` visit the same parent pairs, so one of each is
     swept and both partners are updated from it.
     """
-    return lex_positive(leaf_sweep_offsets(edge))
+    offsets = leaf_sweep_offsets(edge)
+    return offsets[lex_positive(offsets)]
 
 
 def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
@@ -111,27 +152,38 @@ def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
     mask is *added to r^2*, which zeroes every Green component of a
     masked entry exactly.  ``pairs`` counts the unmasked pairs of cells
     that are ``present`` (an ``(edge, edge, edge, 8)`` bool grid), each
-    once.  Offsets none of whose child pairs are far are dropped.
+    once (:func:`pair_counts`).  Offsets none of whose child pairs are
+    far are dropped.
+
+    Built as arrays: the masks of all offsets in one broadcast, the
+    slab bounds of every tile as integer rows, the pair counts in one
+    :func:`pair_counts` pass; only the slices themselves are made one
+    tile at a time.  A tile's mask is a view of its offset's row of the
+    one mask array.
     """
-    tiles, pairs = [], 0
-    for w in np.asarray(offsets).tolist():
-        sep = child[:, None, :] - 2 * np.asarray(w) - child[None, :, :]
-        far = well_separated(sep)
-        if not far.any():
-            continue
-        mask = np.where(far, 0.0, np.inf)
-        ext = [edge - abs(x) for x in w]
-        rest_t = tuple(slice(max(0, -x), edge - max(0, x)) for x in w[1:])
-        rest_s = tuple(slice(max(0, x), edge + min(0, x)) for x in w[1:])
-        t0, s0 = max(0, -w[0]), max(0, w[0])
-        step = max(1, blocks // (ext[1] * ext[2]))
-        for lo in range(0, ext[0], step):
-            hi = min(lo + step, ext[0])
-            tiles.append(((slice(t0 + lo, t0 + hi),) + rest_t,
-                          (slice(s0 + lo, s0 + hi),) + rest_s, mask))
-            pairs += int(((present[tiles[-1][0]] @ far.astype(np.int64))
-                          * present[tiles[-1][1]]).sum())
-    return tiles, pairs
+    w = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    far = well_separated(child[None, :, None, :] - 2 * w[:, None, None, :]
+                         - child[None, None, :, :])
+    keep = far.any(axis=(1, 2))
+    w, far = w[keep], far[keep]
+    masks = np.where(far, 0.0, np.inf)
+    ext = edge - np.abs(w)
+    step = np.maximum(1, blocks // (ext[:, 1] * ext[:, 2]))
+    # one row per tile: its offset ``of``, its first x layer and extent
+    count = -(-ext[:, 0] // step)
+    of = np.repeat(np.arange(len(w)), count)
+    span = ext[of]
+    layer = (np.arange(len(of)) - (np.cumsum(count) - count)[of]) * step[of]
+    span[:, 0] = np.minimum(step[of], span[:, 0] - layer)
+    tgt, src = np.maximum(0, -w[of]), np.maximum(0, w[of])
+    tgt[:, 0] += layer
+    src[:, 0] += layer
+    tiles = [(tuple(map(slice, t, t_end)), tuple(map(slice, s, s_end)),
+              masks[k])
+             for t, t_end, s, s_end, k in zip(
+                 tgt.tolist(), (tgt + span).tolist(), src.tolist(),
+                 (src + span).tolist(), of.tolist())]
+    return tiles, int(pair_counts(present, w, far).sum())
 
 
 #: edge of the Morton cubes the root level is tiled by: the largest edge
@@ -163,31 +215,48 @@ def m2l_root_tiles(coords: np.ndarray) -> tuple[list[tuple], int]:
     A mask is ``0`` where the pair is well separated (and, inside a cube,
     belongs to the tile's axis), else ``+inf``; masked diagonal blocks are
     not tiled at all.  Tiles without a far pair are dropped.
+
+    Built as arrays: a cube tile's mask is one matmul of the cube's
+    coordinates against those after it, and the face cells of every cube
+    of one face shape are found and masked in one pass per axis; the
+    tiles come in the order above (cube tiles in Morton order, then per
+    axis the face batches in the order of their first cube).
     """
     n, edge = len(coords), ROOT_CUBE - 1
     cube = coords // ROOT_CUBE
-    cubes = np.split(np.arange(n), np.flatnonzero(
-        (cube[1:] != cube[:-1]).any(axis=1)) + 1)
+    start = np.flatnonzero(np.r_[True, (cube[1:] != cube[:-1]).any(axis=1)])
+    stop = np.r_[start[1:], n]
+    cube_of = np.repeat(np.arange(len(start)), stop - start)
+    # a cube's rows against every cell after it: r^2 = |a|^2 + |b|^2 -
+    # 2 a.b by one matmul per cube, integer-valued doubles, so exact
+    x = coords.astype(np.float64)
+    sq = np.einsum("nc,nc->n", x, x)
+    tiles = [((slice(lo, hi),), (slice(hi, n),),
+              (-2.0 * x[lo:hi]) @ x[hi:].T + sq[lo:hi, None] + sq[hi:]
+              > OPENING_R2)
+             for lo, hi in zip(start.tolist(), stop.tolist())]
     local = coords % ROOT_CUBE
-    tiles = []
-    for cells in cubes:
-        lo, hi = cells[0], cells[-1] + 1
-        tiles.append(((slice(lo, hi),), (slice(hi, n),), well_separated(
-            coords[lo:hi, None, :] - coords[None, hi:, :])))
     for axis in range(3):
-        faces: dict[tuple, list] = {}
-        for cells in cubes:
-            low = cells[local[cells, axis] == 0]
-            high = cells[local[cells, axis] == edge]
-            d = coords[low, None, :] - coords[None, high, :]
-            far = well_separated(d) \
+        low, high = local[:, axis] == 0, local[:, axis] == edge
+        shape = np.stack([np.bincount(cube_of[low], minlength=len(start)),
+                          np.bincount(cube_of[high], minlength=len(start))],
+                         axis=1)
+        # the cubes of one face shape as one batch, batches in the order
+        # of their first cube that has a far pair
+        batches = []
+        for nl, nh in np.unique(shape[shape.all(axis=1)], axis=0).tolist():
+            mine = (shape == (nl, nh)).all(axis=1)
+            lows = np.flatnonzero(low & mine[cube_of]).reshape(-1, nl)
+            highs = np.flatnonzero(high & mine[cube_of]).reshape(-1, nh)
+            d = coords[lows][:, :, None, :] - coords[highs][:, None, :, :]
+            f = well_separated(d) \
                 & ~(np.abs(d[..., :axis]) == edge).any(axis=-1)
-            if far.any():
-                faces.setdefault(far.shape, []).append((low, high, far))
-        for batch in faces.values():
-            low, high, far = map(np.stack, zip(*batch))
-            tiles.append(((low,), (high,), far))
-    tiles = [(tgt, src, far) for tgt, src, far in tiles if far.any()]
-    return ([(tgt, src, np.where(far, 0.0, np.inf))
-             for tgt, src, far in tiles],
-            sum(int(far.sum()) for _, _, far in tiles))
+            keep = f.any(axis=(1, 2))
+            if keep.any():
+                batches.append((cube_of[lows[keep, 0]][0], lows[keep],
+                                highs[keep], f[keep]))
+        batches.sort(key=lambda batch: batch[0])
+        tiles += [((lows,), (highs,), f) for _, lows, highs, f in batches]
+    tiles = [(tgt, src, f) for tgt, src, f in tiles if f.any()]
+    return ([(tgt, src, np.where(f, 0.0, np.inf)) for tgt, src, f in tiles],
+            sum(int(f.sum()) for _, _, f in tiles))

@@ -35,7 +35,7 @@ Layout: the kernel is elementwise across every dimension but ``axis``,
 so it accepts any field-major batch.  The hydro RHS hands it
 *pencil-major* batches ``(rows, m, B, n, n)`` of the fields it carries —
 reconstruction axis right behind the field index, ``B`` sub-grids side
-by side — where every :func:`_ax` slice of one field is a single
+by side — where every :func:`_along` slice of one field is a single
 contiguous run of at least ``B * n^2`` doubles instead of ``n`` strided
 rows of ``n``.
 
@@ -60,10 +60,12 @@ import numpy as np
 __all__ = ["ppm_faces"]
 
 
-def _ax(q: np.ndarray, lo: int, hi: int | None, axis: int) -> np.ndarray:
-    sl = [slice(None)] * q.ndim
-    sl[axis] = slice(lo, hi)
-    return q[tuple(sl)]
+def _along(axis: int, *bounds: tuple[int, int | None]) -> tuple[tuple, ...]:
+    """Index tuples taking ``[lo:hi]`` along ``axis``, one per ``(lo,
+    hi)`` of ``bounds``: formed once per :func:`ppm_faces` call and shared
+    by every field, not rebuilt for every slice."""
+    head = (slice(None),) * axis
+    return tuple(head + (slice(lo, hi),) for lo, hi in bounds)
 
 
 def ppm_faces(q: np.ndarray, ng: int, axis: int, *,
@@ -95,15 +97,19 @@ def ppm_faces(q: np.ndarray, ng: int, axis: int, *,
                ws.buf("ppm:dqf", sh1), ws.buf("ppm:six", sh1),
                ws.buf("ppm:mask", sh1, dtype=bool))
     centre = tuple(s // 2 for s in q.shape[1:])
+    # along the axis of one field: cells -1 .. n, then _ppm_one's slices
+    cells, *ix = _along(axis - 1, (ng - 1, ng + n + 1), (ng - 3, ng + n + 3),
+                        (1, -2), (2, -1), (0, -3), (3, None), (2, -2),
+                        (0, -1), (1, None))
     for f in range(q.shape[0]):
         if _uniform(q[f], centre):
             # a uniform field reconstructs to itself, bit for bit
-            c = _ax(q[f], ng - 1, ng + n + 1, axis - 1)     # cells -1 .. n
-            np.copyto(lo[f], c)
-            np.copyto(hi[f], c)
+            np.copyto(lo[f], q[f][cells])
+            np.copyto(hi[f], q[f][cells])
             continue
-        _ppm_one(q[f], ng, axis - 1, lo[f], hi[f], scratch)
-    return _ax(hi, 0, -1, axis), _ax(lo, 1, None, axis)
+        _ppm_one(q[f], lo[f], hi[f], scratch, ix)
+    left, right = _along(axis, (0, -1), (1, None))
+    return hi[left], lo[right]
 
 
 def _uniform(q: np.ndarray, centre: tuple) -> bool:
@@ -116,24 +122,25 @@ def _uniform(q: np.ndarray, centre: tuple) -> bool:
     return v == q.max() and bool(np.isfinite(v + v))
 
 
-def _ppm_one(q: np.ndarray, ng: int, axis: int,
-             lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
+def _ppm_one(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             scratch: tuple, ix: list[tuple]) -> None:
     """One PPM reconstruction into ``lo``/``hi`` using the caller's
     ``scratch`` arrays (two of ``n + 3`` faces, four of ``n + 2`` cells
-    and a mask of ``n + 2`` cells along ``axis``): 33 passes, each face
+    and a mask of ``n + 2`` cells along the axis) and its index tuples
+    ``ix`` along the axis (:func:`ppm_faces`): 33 passes, each face
     clipped once for both cells it bounds (see the module docstring)."""
-    n = q.shape[axis] - 2 * ng
     F, t, a, b, dqf, six, mask = scratch
+    stencil, c12, c21, c03, c30, centre, head, tail = ix
 
-    C = _ax(q, ng - 3, ng + n + 3, axis)            # view: cells -3 .. n+2
+    C = q[stencil]                                  # view: cells -3 .. n+2
     # F = 7/12 (C1 + C2) - 1/12 (C0 + C3)
-    np.add(_ax(C, 1, -2, axis), _ax(C, 2, -1, axis), out=F)
+    np.add(C[c12], C[c21], out=F)
     F *= 7.0 / 12.0
-    np.add(_ax(C, 0, -3, axis), _ax(C, 3, None, axis), out=t)
+    np.add(C[c03], C[c30], out=t)
     t *= 1.0 / 12.0
     F -= t
 
-    c = _ax(C, 2, -2, axis)
+    c = C[centre]
 
     # clip every face once into the range of the two cells it joins:
     # face j is `lo` of cell j and `hi` of cell j-1, and both clips take
@@ -141,13 +148,13 @@ def _ppm_one(q: np.ndarray, ng: int, axis: int,
     # bit for bit (signed zeros included).  clip(F, a, b) is spelled as
     # its two halves (a <= b by construction), the last one writing the
     # parabola ends straight out of the clipped faces.
-    below = _ax(C, 1, -2, axis)                     # cell left of each face
-    above = _ax(C, 2, -1, axis)                     # cell right of it
+    below = C[c12]                                  # cell left of each face
+    above = C[c21]                                  # cell right of it
     np.minimum(below, above, out=t)
     np.maximum(F, t, out=F)
     np.maximum(below, above, out=t)
-    np.minimum(_ax(F, 0, -1, axis), _ax(t, 0, -1, axis), out=lo)
-    np.minimum(_ax(F, 1, None, axis), _ax(t, 1, None, axis), out=hi)
+    np.minimum(F[head], t[head], out=lo)
+    np.minimum(F[tail], t[tail], out=hi)
 
     # extremum = (hi - c) * (c - lo) <= 0  ->  lo = hi = c there
     np.subtract(hi, c, out=a)
@@ -168,7 +175,7 @@ def _ppm_one(q: np.ndarray, ng: int, axis: int,
     np.subtract(c, a, out=a)                        # a = c - avg
     np.multiply(dqf, a, out=a)                      # a = prod
     # 3c: formed once, the reference forms it twice from the same cells
-    c3 = _ax(t, 0, -1, axis)                        # t is free again
+    c3 = t[head]                                    # t is free again
     np.multiply(c, 3.0, out=c3)
     np.greater(a, six, out=mask)                    # steep toward hi
     np.multiply(hi, 2.0, out=dqf)                   # dqf now scratch

@@ -132,9 +132,14 @@ def v1309_binary(M: int = 32, mass_ratio: float = V1309_MASS_RATIO,
             f"domain_factor must exceed 2 / (1 + mass_ratio) = "
             f"{2.0 / (1.0 + mass_ratio):.4g} for the domain to hold both "
             f"stars, got {domain_factor}")
-    scf = scf_binary(M=M, domain=separation * domain_factor,
-                     separation=separation, mass_ratio=mass_ratio,
-                     max_iter=scf_iters)
+    try:
+        scf = scf_binary(M=M, domain=separation * domain_factor,
+                         separation=separation, mass_ratio=mass_ratio,
+                         max_iter=scf_iters)
+    except ValueError as exc:
+        raise ValueError(f"v1309_binary(M={M}, domain_factor="
+                         f"{domain_factor:.4g}) has no SCF model: {exc}"
+                         ) from exc
     gamma = 1.0 + 1.0 / scf.n_poly
     opts = HydroOptions(eos=IdealGas(gamma=gamma), rho_floor=rho_floor,
                         omega=scf.omega)

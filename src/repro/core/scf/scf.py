@@ -169,22 +169,22 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
     omega2 = separation ** (-3)             # Keplerian seed
     K = 1.0
 
-    def sample(phi, px):
-        i = int(np.clip((px - origin[0]) / dx, 0, M - 1))
-        j = int(np.clip((0.0 - origin[1]) / dx, 0, M - 1))
-        return phi[i, j, j]
+    def cell(px):
+        return int(np.clip((px - origin[0]) / dx, 0, M - 1))
+
+    # Hachisu's three boundary points: the outer and inner edges of the
+    # primary fix (C1, omega^2); the outer edge of the secondary fixes
+    # C2.  Each side of the binary uses its own constant.  phi is
+    # sampled in the cell on the x axis that holds each point.
+    pA = x1 + radius1        # primary outer edge
+    pB = x1 - radius1        # primary inner edge
+    pC = x2 - radius2        # secondary outer edge
+    cells = [cell(px) for px in (pA, pB, pC)]
+    j = cell(0.0)
 
     for it in range(max_iter):
         phi = _solve_phi(rho, dx, solver_box)
-        # Hachisu's three boundary points: the outer and inner edges of
-        # the primary fix (C1, omega^2); the outer edge of the secondary
-        # fixes C2.  Each side of the binary uses its own constant.
-        pA = x1 + radius1        # primary outer edge
-        pB = x1 - radius1        # primary inner edge
-        pC = x2 - radius2        # secondary outer edge
-        phiA = sample(phi, pA)
-        phiB = sample(phi, pB)
-        phiC = sample(phi, pC)
+        phiA, phiB, phiC = (phi[i, j, j] for i in cells)
         denom = pA ** 2 - pB ** 2
         if abs(denom) < 1e-12:
             omega2 = separation ** (-3)
@@ -197,7 +197,11 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
         H1max = H[side1 & allowed].max()
         H2max = H[(~side1) & allowed].max()
         if H1max <= 0:
-            raise RuntimeError("SCF lost the primary component")
+            raise ValueError(
+                f"SCF lost the primary component at iteration {it} on "
+                f"M={M} cells over a domain of {domain:g}: its boundary "
+                f"points (primary outer and inner edge, secondary outer "
+                f"edge) sample phi in x cells {cells}")
         if H2max <= 0:
             # the secondary's Bernoulli surface closed this iteration —
             # reseed its lobe and keep iterating (common for extreme q on

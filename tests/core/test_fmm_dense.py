@@ -55,11 +55,12 @@ from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
 from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, TINY_MASS,
-                                        green_sweeps, green_table, m2l_dense,
+                                        green_sweeps, green_tables, m2l_dense,
                                         m2l_pair, p2p_pair, p2p_pair_staged,
                                         sweep_pad)
-from repro.core.gravity.stencil import (leaf_sweep_offsets, m2l_root_tiles,
-                                        m2l_sweep_offsets, well_separated)
+from repro.core.gravity.stencil import (ROOT_CUBE, leaf_sweep_offsets,
+                                        m2l_root_tiles, m2l_sweep_offsets,
+                                        well_separated)
 from repro.core.workspace import Workspace
 from repro.runtime import CudaDevice, WorkStealingScheduler
 from repro.runtime.counters import default_registry
@@ -453,8 +454,8 @@ def _plain_sweep(m8, offsets, width, near_only):
     for w in offsets.tolist():
         target = tuple(slice(max(0, -x), P - max(0, x)) for x in w)
         source = tuple(slice(max(0, x), P + min(0, x)) for x in w)
-        out[target] += m8[source] @ green_table(w, fmm._CHILD, width,
-                                                near_only)
+        out[target] += m8[source] @ _table_oracle(w, fmm._CHILD, width,
+                                                  near_only)
     return out
 
 
@@ -520,22 +521,230 @@ def test_pad_margins_stay_zero_across_restages():
 
 def test_green_table_rejects_coincident_cells():
     child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
-    table = green_table((0, 0, 0), child, 0.5)
+    table, = green_tables([(0, 0, 0)], child, 0.5)
     assert np.all(table.reshape(8, 8, 4)[np.arange(8), np.arange(8)] == 0.0)
     broken = child.copy()
     broken[1] = broken[0]
     with pytest.raises(ValueError, match="coincident"):
-        green_table((0, 0, 0), broken, 0.5)
+        green_tables([(1, 0, 0), (0, 0, 0)], broken, 0.5)
 
 
 def test_green_table_near_only_zeroes_exactly_the_far_pairs():
     child = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
-    for w in ((2, 0, 0), (2, 1, 1), (0, 0, 0), (3, 0, 0)):
-        full = green_table(w, child, 0.5).reshape(8, 8, 4)
-        near = green_table(w, child, 0.5, near_only=True).reshape(8, 8, 4)
-        far = well_separated(child[None] - 2 * np.array(w) - child[:, None])
-        assert not near[far].any()
-        np.testing.assert_array_equal(near[~far], full[~far])
+    w = np.array([(2, 0, 0), (2, 1, 1), (0, 0, 0), (3, 0, 0)])
+    full = green_tables(w, child, 0.5).reshape(-1, 8, 8, 4)
+    near = green_tables(w, child, 0.5, near_only=True).reshape(-1, 8, 8, 4)
+    far = well_separated(child[None, None] - 2 * w[:, None, None]
+                         - child[None, :, None])
+    assert not near[far].any()
+    np.testing.assert_array_equal(near[~far], full[~far])
+
+
+# -- the plan, one offset at a time -------------------------------------------
+#
+# The solver builds its plan as arrays: all Green tables or masks of an
+# offset group in one broadcast, slab and window bounds as integer
+# columns, pair credits in one pass over the grid, the root's tiles and
+# masks from one pair-distance matrix.  The oracle below builds the same
+# plan the way its definitions read — one parent offset, one tile and
+# one Morton cube at a time — and the two must agree bit for bit: every
+# table, mask and index array (dtype included), every slice, every pair
+# count and the order of all of them.
+
+def _table_oracle(w, child, width, near_only=False):
+    """The ``(8, 32)`` Green table of one parent offset ``w``."""
+    w = np.asarray(w, dtype=np.int64)
+    sep = child[None, :, :] - 2 * w - child[:, None, :]
+    dR = sep * float(width)
+    r2 = np.einsum("jic,jic->ji", dR, dR)
+    if not w.any():
+        r2[np.diag_indices(8)] = np.inf
+    if near_only:
+        r2[well_separated(sep)] = np.inf
+    assert not np.any(r2 == 0.0)
+    inv = 1.0 / np.sqrt(r2)
+    inv3 = inv / r2
+    table = np.empty((8, 8, 4))
+    table[:, :, 0] = -inv
+    table[:, :, 1:] = -dR * inv3[:, :, None]
+    return table.reshape(8, 32)
+
+
+def _sweeps_oracle(edge, offsets, child, width, leaf, pad, near_only):
+    """:func:`green_sweeps`, one offset at a time."""
+    sweeps, swept = [], 0
+    plane = edge * edge
+    for w in np.asarray(offsets).tolist():
+        table = _table_oracle(w, child, width, near_only)
+        hit = table.reshape(8, 8, 4)[..., 0] != 0.0
+        if not hit.any():
+            continue
+        lo, hi = max(0, -w[0]), edge - max(0, w[0])
+        window = (slice(lo + w[0], hi + w[0]),) + tuple(
+            slice(p + x, p + x + edge) for p, x in zip(pad, w[1:]))
+        sweeps.append((slice(lo * plane, hi * plane), window, table))
+        credit = 2 if w > [0, 0, 0] else 1 if w == [0, 0, 0] else 0
+        if credit:
+            target = tuple(slice(max(0, -x), edge - max(0, x)) for x in w)
+            source = tuple(slice(max(0, x), edge + min(0, x)) for x in w)
+            swept += credit * int(((leaf[source] @ hit.astype(np.int64))
+                                   * leaf[target]).sum())
+    return sweeps, swept // 2
+
+
+def _sweep_tiles_oracle(edge, offsets, child, blocks, present):
+    """:func:`.stencil.m2l_sweep_tiles`, one offset and one tile at a
+    time."""
+    tiles, pairs = [], 0
+    for w in np.asarray(offsets).tolist():
+        sep = child[:, None, :] - 2 * np.asarray(w) - child[None, :, :]
+        far = well_separated(sep)
+        if not far.any():
+            continue
+        mask = np.where(far, 0.0, np.inf)
+        ext = [edge - abs(x) for x in w]
+        rest_t = tuple(slice(max(0, -x), edge - max(0, x)) for x in w[1:])
+        rest_s = tuple(slice(max(0, x), edge + min(0, x)) for x in w[1:])
+        t0, s0 = max(0, -w[0]), max(0, w[0])
+        step = max(1, blocks // (ext[1] * ext[2]))
+        for lo in range(0, ext[0], step):
+            hi = min(lo + step, ext[0])
+            tiles.append(((slice(t0 + lo, t0 + hi),) + rest_t,
+                          (slice(s0 + lo, s0 + hi),) + rest_s, mask))
+            pairs += int(((present[tiles[-1][0]] @ far.astype(np.int64))
+                          * present[tiles[-1][1]]).sum())
+    return tiles, pairs
+
+
+def _root_tiles_oracle(coords):
+    """:func:`m2l_root_tiles`, one Morton cube and one axis at a time."""
+    n, edge = len(coords), ROOT_CUBE - 1
+    cube = coords // ROOT_CUBE
+    cubes = np.split(np.arange(n), np.flatnonzero(
+        (cube[1:] != cube[:-1]).any(axis=1)) + 1)
+    local = coords % ROOT_CUBE
+    tiles = []
+    for cells in cubes:
+        lo, hi = int(cells[0]), int(cells[-1]) + 1
+        tiles.append(((slice(lo, hi),), (slice(hi, n),), well_separated(
+            coords[lo:hi, None, :] - coords[None, hi:, :])))
+    for axis in range(3):
+        faces = {}
+        for cells in cubes:
+            low = cells[local[cells, axis] == 0]
+            high = cells[local[cells, axis] == edge]
+            d = coords[low, None, :] - coords[None, high, :]
+            far = well_separated(d) \
+                & ~(np.abs(d[..., :axis]) == edge).any(axis=-1)
+            if far.any():
+                faces.setdefault(far.shape, []).append((low, high, far))
+        for batch in faces.values():
+            low, high, far = map(np.stack, zip(*batch))
+            tiles.append(((low,), (high,), far))
+    tiles = [(tgt, src, far) for tgt, src, far in tiles if far.any()]
+    return ([(tgt, src, np.where(far, 0.0, np.inf))
+             for tgt, src, far in tiles],
+            sum(int(far.sum()) for _, _, far in tiles))
+
+
+def _plan_oracle(solver):
+    """``[(kind, sweeps or tiles, pairs)]`` of the solver's dense plan
+    entries, in plan order, built by the oracles above."""
+    plan = []
+    for li, lv in enumerate(solver.levels):
+        root = li == 0
+        if lv.leaf.any():
+            P, flat, _ = fmm._parent_grid(lv)
+            leaf = np.zeros(8 * P ** 3, dtype=bool)
+            leaf[flat[lv.leaf]] = True
+            offsets = leaf_sweep_offsets(P, root)
+            for part in np.array_split(offsets, fmm._DENSE_GROUPS):
+                sweeps, pairs = _sweeps_oracle(
+                    P, part, fmm._CHILD, lv.width, leaf.reshape(P, P, P, 8),
+                    sweep_pad(offsets), not lv.leaf.all())
+                if sweeps:
+                    plan.append(("dense", sweeps, pairs))
+        if not lv.leaf.all():
+            if root:
+                groups = [_root_tiles_oracle(lv.coords)]
+            else:
+                P, flat, _ = fmm._parent_grid(lv)
+                present = np.zeros(8 * P ** 3, dtype=bool)
+                present[flat] = True
+                groups = [_sweep_tiles_oracle(P, part, fmm._CHILD,
+                                              fmm._SWEEP_BLOCKS,
+                                              present.reshape(P, P, P, 8))
+                          for part in np.array_split(m2l_sweep_offsets(P),
+                                                     fmm._DENSE_GROUPS)]
+            plan += [("m2l-dense", tiles, pairs)
+                     for tiles, pairs in groups if pairs]
+    return plan
+
+
+def _built_plan(solver):
+    """The same view of the plan the solver built."""
+    solver._build_plan()
+    return [(e.kind, e.sweeps, e.pairs) if e.kind == "dense"
+            else (e.kind, e.tiles, e.pairs)
+            for e in solver._plan if e.kind != "p2p"]
+
+
+def _assert_same(got, ref, where="plan"):
+    """Equal to the bit: the same nesting, slices with the same bounds,
+    arrays of the same dtype, shape and bytes, equal values of the same
+    type."""
+    if isinstance(ref, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), where
+        assert got.tobytes() == ref.tobytes(), where
+    elif isinstance(ref, (list, tuple)):
+        assert type(got) is type(ref) and len(got) == len(ref), where
+        for i, (g, r) in enumerate(zip(got, ref)):
+            _assert_same(g, r, f"{where}[{i}]")
+    elif isinstance(ref, slice):
+        assert isinstance(got, slice), where
+        for g, r in ((got.start, ref.start), (got.stop, ref.stop),
+                     (got.step, ref.step)):
+            assert g == r and (g is None) == (r is None), where
+    else:
+        assert type(got) is type(ref) and got == ref, where
+
+
+@pytest.mark.parametrize("M, subgrid_n", [(8, 8), (16, 8), (32, 8),
+                                          (16, 16)])
+def test_uniform_plan_matches_the_per_offset_oracle(M, subgrid_n):
+    """The plan of a uniform M^3 solver: on 8^3 sub-grids an all-leaf
+    root, an 8^3 root plus leaves, and a 16^3 interior M2L level between;
+    on one 16^3 sub-grid the root leaf sweep over all 3 375 offsets of
+    its 8^3 parent grid."""
+    solver = FmmSolver.from_uniform(np.ones((M,) * 3), 1.0 / M,
+                                    subgrid_n=subgrid_n)
+    _assert_same(_built_plan(solver), _plan_oracle(solver))
+
+
+@st.composite
+def _trees_8(draw):
+    """The FMM levels of an ``Octree`` of 8^3 sub-grids with up to three
+    random refinements on its two coarsest levels."""
+    tree = Octree(subgrid_n=8)
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = sorted(leaf.key for leaf in tree.leaves() if leaf.level < 2)
+        tree.refine(*draw(st.sampled_from(leaves)))
+    return tree.fmm_levels()[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(specs=_trees_8())
+def test_adaptive_plan_matches_the_per_offset_oracle(specs):
+    """Drawn ``from_levels`` trees: the near-only leaf sweeps of levels
+    with refined cells, interior M2L sweeps over partly present parent
+    grids, and the root's tiles."""
+    try:
+        solver = FmmSolver.from_levels(specs)
+    except ValueError as exc:
+        assert "2:1 balanced" in str(exc)
+        assume(False)
+    _assert_same(_built_plan(solver), _plan_oracle(solver))
 
 
 @st.composite
@@ -583,6 +792,14 @@ def test_root_tiles_unmask_every_far_pair_exactly_once(coords):
                   k=1)
     np.testing.assert_array_equal(seen, far.astype(np.int64))
     assert pairs == int(far.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(coords=_root_cells())
+def test_root_tiles_match_the_per_cube_oracle(coords):
+    """Partial, odd and off-lattice roots: the same tiles, masks and far
+    pair count, in the same order, as the per-cube oracle."""
+    _assert_same(m2l_root_tiles(coords), _root_tiles_oracle(coords))
 
 
 def test_index_array_tiles_land_partner_contributions_in_p():

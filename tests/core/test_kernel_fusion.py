@@ -145,7 +145,7 @@ def test_greens_tensors_exactly_symmetric_and_traceless():
 
 
 def test_coincidence_guard_hoisted_out_of_hot_kernels():
-    # the r2 == 0 scan moved to plan-build time (green_table checks each
+    # the r2 == 0 scan moved to plan-build time (green_tables checks each
     # table once; a boundary batch pairs a leaf with another cell's
     # children); the per-call hot kernels no longer pay for it, while the
     # geometry-level helpers keep their guard

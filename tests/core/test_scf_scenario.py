@@ -13,22 +13,47 @@ from repro.core import (EGAS, PASSIVE0, RHO, SX, IdealGas, Polytrope,
                         solve_lane_emden)
 
 
+#: ``(xi1, -xi1^2 theta'(xi1))`` of the polytropes without a closed form,
+#: from a 25-digit Taylor-series integration (mpmath ``odefun``, series
+#: start at xi = 1e-4); scipy's DOP853 at rtol 1e-14 / atol 1e-18 agrees
+#: to 1e-13
+LANE_EMDEN_REFERENCE = {1.5: (3.65375373621912, 2.71405512010865),
+                        3.0: (6.89684861937696, 2.01823595096623)}
+
+#: relative accuracy asserted for the surface and the mass integral:
+#: the solver measures within 1.2e-11 of every value here
+LE_REL = 1e-10
+
+
+def _surface_and_mass(n):
+    le = solve_lane_emden(n)
+    return le.xi1, -le.xi1 ** 2 * le.dtheta_xi1
+
+
 class TestLaneEmden:
     def test_n0_analytic(self):
-        """n = 0: theta = 1 - xi^2/6, surface at sqrt(6)."""
-        le = solve_lane_emden(0.0)
-        assert le.xi1 == pytest.approx(np.sqrt(6.0), rel=1e-6)
+        """n = 0: theta = 1 - xi^2/6, surface at sqrt(6), theta'(xi1) =
+        -xi1/3."""
+        xi1, mass = _surface_and_mass(0.0)
+        assert xi1 == pytest.approx(np.sqrt(6.0), rel=LE_REL)
+        assert mass == pytest.approx(2.0 * np.sqrt(6.0), rel=LE_REL)
 
     def test_n1_analytic(self):
-        """n = 1: theta = sin(xi)/xi, surface at pi."""
-        le = solve_lane_emden(1.0)
-        assert le.xi1 == pytest.approx(np.pi, rel=1e-6)
+        """n = 1: theta = sin(xi)/xi, surface at pi, theta'(xi1) =
+        -1/pi."""
+        xi1, mass = _surface_and_mass(1.0)
+        assert xi1 == pytest.approx(np.pi, rel=LE_REL)
+        assert mass == pytest.approx(np.pi, rel=LE_REL)
 
     def test_n15_literature_values(self):
-        le = solve_lane_emden(1.5)
-        assert le.xi1 == pytest.approx(3.65375, rel=1e-4)
-        assert -le.xi1 ** 2 * le.dtheta_xi1 == pytest.approx(2.71406,
-                                                             rel=1e-4)
+        xi1, mass = _surface_and_mass(1.5)
+        assert (xi1, mass) == pytest.approx(LANE_EMDEN_REFERENCE[1.5],
+                                            rel=LE_REL)
+
+    def test_n3_reference_values(self):
+        xi1, mass = _surface_and_mass(3.0)
+        assert (xi1, mass) == pytest.approx(LANE_EMDEN_REFERENCE[3.0],
+                                            rel=LE_REL)
 
     def test_theta_monotone_decreasing(self):
         le = solve_lane_emden(1.5)

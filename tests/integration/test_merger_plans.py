@@ -96,6 +96,17 @@ REJECTIONS = {
         (lambda: v1309_binary(M=8, scf_iters=2.5), "scf_iters"),
     "v1309: domain narrower than the binary":
         (lambda: v1309_binary(M=8, domain_factor=0.5), "domain_factor"),
+    # coarse grids on which the SCF loses the primary: a ValueError that
+    # names the geometry and the cells its boundary points sample
+    "v1309: SCF loses the primary at domain_factor 1.9":
+        (lambda: v1309_binary(M=8, domain_factor=1.9, scf_iters=12),
+         r"M=8, domain_factor=1\.9\).*x cells \[5, 3, 0\]"),
+    "v1309: SCF loses the primary at domain_factor 2.0":
+        (lambda: v1309_binary(M=8, domain_factor=2.0, scf_iters=12),
+         r"M=8, domain_factor=2\).*x cells \[5, 3, 0\]"),
+    "v1309: SCF loses the primary at domain_factor 2.5":
+        (lambda: v1309_binary(M=8, domain_factor=2.5, scf_iters=12),
+         r"M=8, domain_factor=2\.5\).*x cells \[5, 3, 0\]"),
     "star: no cells": (lambda: equilibrium_star(n=0), "n must be"),
     "star: no domain": (lambda: equilibrium_star(n=8, domain=0.0), "domain"),
     "star: no radius":
@@ -133,6 +144,17 @@ def test_bad_input_is_rejected_at_the_boundary(case):
     call, match = REJECTIONS[case]
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("M, domain_factor",
+                         [(8, 2.2), (8, 8.0 / 3.0), (8, 3.0)]
+                         + [(16, f) for f in (1.9, 2.0, 2.2, 2.5, 8.0 / 3.0,
+                                              3.0)])
+def test_v1309_builds_where_the_scf_keeps_the_primary(M, domain_factor):
+    """The neighbours of the rejected coarse geometries still build: the
+    rejection is the SCF's verdict on those three, not a blanket one."""
+    mesh = v1309_binary(M=M, domain_factor=domain_factor, scf_iters=12)
+    assert np.isfinite(mesh.interior).all()
 
 
 def test_degraded_network_loses_parcels_but_not_the_state(
