@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.scenario import v1309_binary
+
 sys.path.insert(0, os.path.dirname(__file__))
 from kernels_micro import (DEFAULT_AGG_SLOTS, RHS_BATCHES,  # noqa: E402
                            _dist_fill_row, _m2l_solver, _subgrid_tax_row,
@@ -31,6 +33,11 @@ LEAF_PAIRS = {16: 2_276_352, 32: 25_251_840}
 #: made 2 127, one Green-table call and seven generator resumptions
 #: per offset.
 PLAN_BUILD_CALLS = 100
+
+#: leaves of the largest FMM solve allowed while ``v1309_binary(16,
+#: scf_iters=12)`` builds: its SCF solves on the tree of its support,
+#: 192 leaves (24 root cells); the full grid has 4 096
+SCF_SOLVE_LEAVES = 512
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -130,3 +137,27 @@ def test_fmm_plan_build_has_no_per_offset_python_loop():
     row = plan_build_row(repeats=1)
     assert row["offsets"] == 257
     assert 0 < row["calls"] <= PLAN_BUILD_CALLS
+
+
+def test_v1309_scf_solves_on_its_support(monkeypatch):
+    """The gate of the support-tree SCF (counts, no timing): while the
+    ledger's V1309 model builds, no full-grid solver is made
+    (``FmmSolver.from_uniform``) and no solve covers more than
+    ``SCF_SOLVE_LEAVES`` leaves."""
+    builds, leaves = [], []
+    from_uniform = fmm.FmmSolver.from_uniform.__func__
+    solve = fmm.FmmSolver.solve
+
+    def counting_build(cls, rho, *args, **kwargs):
+        builds.append(np.shape(rho))
+        return from_uniform(cls, rho, *args, **kwargs)
+
+    def counting_solve(self, *args, **kwargs):
+        leaves.append(sum(int(lv.leaf.sum()) for lv in self.levels))
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(fmm.FmmSolver, "from_uniform",
+                        classmethod(counting_build))
+    monkeypatch.setattr(fmm.FmmSolver, "solve", counting_solve)
+    v1309_binary(M=16, scf_iters=12)
+    assert builds == []
+    assert len(leaves) == 12 and max(leaves) <= SCF_SOLVE_LEAVES

@@ -72,6 +72,7 @@ way, inline or through an execution engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,6 +443,39 @@ def _spec_problem(lvl, width, coords: np.ndarray, leaf: np.ndarray,
     return None
 
 
+#: cells of the largest dense lookup grid :func:`_near_slots` builds (8
+#: MB), and the most cells it looks up per Morton search pass without one
+_LOOKUP_CELLS = 1 << 20
+
+
+def _near_slots(lv: FmmLevel, wanted: np.ndarray, cells: np.ndarray,
+                offsets: np.ndarray) -> np.ndarray:
+    """``(len(offsets), len(cells))``: the slot of the ``wanted`` cell of
+    ``lv`` at each cell of ``cells`` moved by each row of ``offsets``,
+    ``-1`` where there is none.  Looked up in a dense grid of the wanted
+    cells' slots over the box the moved cells span, or by Morton search
+    where that grid would exceed :data:`_LOOKUP_CELLS`."""
+    at = lv.coords[cells]
+    reach = np.abs(offsets).max(axis=0)
+    lo = at.min(axis=0) - reach
+    shape = at.max(axis=0) + reach + 1 - lo
+    if math.prod(shape.tolist()) > _LOOKUP_CELLS:
+        step = max(1, _LOOKUP_CELLS // len(cells))
+        out = []
+        for k in range(0, len(offsets), step):
+            slots, found = lv.find((at + offsets[k:k + step, None])
+                                   .reshape(-1, 3))
+            out.append(np.where(found & wanted[slots], slots, -1))
+        return np.concatenate(out).reshape(len(offsets), len(cells))
+    stride = np.array([shape[1] * shape[2], shape[2], 1])
+    grid = np.full(math.prod(shape.tolist()), -1)
+    other = np.flatnonzero(wanted)
+    there = lv.coords[other] - lo
+    inside = ((there >= 0) & (there < shape)).all(axis=1)
+    grid[there[inside] @ stride] = other[inside]
+    return grid[(at - lo) @ stride + (offsets @ stride)[:, None]]
+
+
 def _boundary(lv: FmmLevel, child: FmmLevel) -> tuple[np.ndarray,
                                                        np.ndarray]:
     """The coarse-fine boundary of ``lv``: ``(leaf slots, child slots)``,
@@ -449,13 +483,19 @@ def _boundary(lv: FmmLevel, child: FmmLevel) -> tuple[np.ndarray,
     refined cells near it.  Raises ``ValueError`` if one of those children
     is refined itself: the tree is then not 2:1 balanced where the
     boundary batch needs it."""
-    a, b = [], []
-    for w in p2p_stencil():
-        slots, found = lv.find(lv.coords + w)
-        sel = found & lv.leaf & ~lv.leaf[slots]
-        a.append(np.flatnonzero(sel))
-        b.append(slots[sel])
-    a, b = np.concatenate(a), np.concatenate(b)
+    # look up the near cells of the smaller side (leaves, or refined
+    # cells with the offsets negated) for every offset at once, then put
+    # the pairs in offset-major, leaf-ascending order
+    w = p2p_stencil()
+    from_leaves = bool(2 * lv.leaf.sum() <= lv.n)
+    mine = np.flatnonzero(lv.leaf == from_leaves)
+    slots = _near_slots(lv, lv.leaf != from_leaves, mine,
+                        w if from_leaves else -w)
+    k, i = np.nonzero(slots >= 0)
+    cell, other = mine[i], slots[k, i]
+    a, b = (cell, other) if from_leaves else (other, cell)
+    order = np.lexsort((a, k))
+    a, b = a[order], b[order]
     # children are Morton-contiguous, so parent_slot is sorted
     first = np.searchsorted(child.parent_slot, b)
     count = np.searchsorted(child.parent_slot, b, side="right") - first

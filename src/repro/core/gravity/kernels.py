@@ -491,13 +491,33 @@ def m2l_dense(com: np.ndarray, V: np.ndarray, tiles, P: np.ndarray,
                         com[d][src][..., None, :], out=t[d])
         ri = ws.buf("m2l:Pi", (N_GREEN,) + Vi.shape)
         rj = ws.buf("m2l:Pj", (N_GREEN,) + Vj.shape)
+        gemm = np.matmul if 1 not in block[-2:] else _one_row_gemm(ws)
         for c, g in green_block(t[0], t[1], t[2], mask, t[3], t[4:]):
-            np.matmul(g, Vj, out=ri[c])
-            np.matmul(np.swapaxes(g, -1, -2), Vi, out=rj[c])
+            gemm(g, Vj, out=ri[c])
+            gemm(np.swapaxes(g, -1, -2), Vi, out=rj[c])
         P[(slice(None),) + tgt] += ri
         np.negative(rj[_N_EVEN:], out=rj[_N_EVEN:])
         P[(slice(None),) + src] += rj
     return P
+
+
+def _one_row_gemm(ws):
+    """``matmul(a, b, out=out)`` as BLAS ``gemm`` sums it also when ``a``
+    has one row: numpy hands a one-row product to ``gemv``, which sums
+    in another order, so such an ``a`` is multiplied as the first of two
+    rows (the second zero).  A tile of a partial level is one row wide
+    where a full level's tiles never are (:func:`m2l_dense`)."""
+    def gemm(a, b, out):
+        if a.shape[-2] != 1:
+            return np.matmul(a, b, out=out)
+        two = ws.buf("m2l:two", a.shape[:-2] + (2, a.shape[-1]))
+        two[..., :1, :] = a
+        two[..., 1:, :] = 0.0
+        res = ws.buf("m2l:two-out", out.shape[:-2] + (2, out.shape[-1]))
+        np.matmul(two, b, out=res)
+        out[...] = res[..., :1, :]
+        return out
+    return gemm
 
 
 def m2l_assemble(P: np.ndarray, V: np.ndarray, out: np.ndarray

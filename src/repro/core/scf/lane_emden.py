@@ -28,10 +28,21 @@ class LaneEmdenSolution:
     dtheta_xi1: float
 
     def theta_at(self, xi: np.ndarray) -> np.ndarray:
-        """theta interpolated (zero outside the surface)."""
-        out = np.interp(np.asarray(xi, float), self.xi, self.theta,
-                        right=0.0)
-        return np.clip(out, 0.0, None)
+        """theta at ``xi`` (zero outside the surface): the cubic Hermite
+        interpolant of the samples ``(xi, theta, dtheta)``, good to a few
+        1e-12 where linear interpolation between them was good to 1e-7."""
+        x = np.asarray(xi, float)
+        k = np.clip(np.searchsorted(self.xi, x) - 1, 0, len(self.xi) - 2)
+        h = self.xi[k + 1] - self.xi[k]
+        t = (x - self.xi[k]) / h
+        s = 1.0 - t
+        # Hermite basis in Bernstein form: theta at both ends, slopes
+        # scaled by the interval
+        out = s * s * ((1.0 + 2.0 * t) * self.theta[k]
+                       + t * h * self.dtheta[k]) \
+            + t * t * ((3.0 - 2.0 * t) * self.theta[k + 1]
+                       - s * h * self.dtheta[k + 1])
+        return np.where(x <= self.xi[-1], np.clip(out, 0.0, None), 0.0)
 
 
 #: integrator of :func:`solve_lane_emden` and its tolerances, chosen by

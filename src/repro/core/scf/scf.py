@@ -17,15 +17,29 @@ polar surface radii; for a binary, two constants C1, C2 (one per star)
 and Omega^2 follow from three boundary points (the outer equatorial edge
 of each star plus one inner point).  Enthalpy maps back to density through
 the polytropic relation H = (n + 1) K rho^(1/n).
+
+Gravity is solved where the stars can be, as Octo-Tiger refines its
+octree only where they are.  An iteration reads phi only on its
+*support*: the cells that can hold mass (for a binary, the two lobes)
+and the cells of its boundary points.  Each call builds one FMM solver
+(:meth:`FmmSolver.from_levels`) on the tree of that support, the full
+grid's levels cut down to the root cells whose subtrees hold a support
+cell (:func:`_support_gravity`), and phi there is the full grid's to the
+bit.  For the V1309 binary on 16^3 cells that is 24 of 512 root cells
+and 192 of 4 096 leaves.  A single star has no mask, so its support is
+every cell and its tree the full one.  :attr:`ScfResult.phi`, the
+full-grid potential of the returned density, is solved only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..gravity.fmm import FmmSolver
+from ..gravity.stencil import OPENING_R2
 from .lane_emden import Polytrope, solve_lane_emden
 
 __all__ = ["ScfResult", "scf_single_star", "scf_binary"]
@@ -36,7 +50,6 @@ class ScfResult:
     """Converged SCF model on a uniform grid (G = 1 units)."""
 
     rho: np.ndarray
-    phi: np.ndarray
     omega: float
     K: float
     n_poly: float
@@ -48,21 +61,99 @@ class ScfResult:
     def pressure(self) -> np.ndarray:
         return self.K * self.rho ** (1.0 + 1.0 / self.n_poly)
 
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The full-grid potential of ``rho``, solved on first read."""
+        solver = FmmSolver.from_uniform(self.rho, self.dx)
+        return solver.uniform_field(solver.solve())[0]
+
 
 def _grid_axes(M: int, dx: float, origin):
     ax = [origin[d] + (np.arange(M) + 0.5) * dx for d in range(3)]
     return (ax[0][:, None, None], ax[1][None, :, None], ax[2][None, None, :])
 
 
-def _solve_phi(rho: np.ndarray, dx: float,
-               solver_box: list) -> np.ndarray:
-    if not solver_box:
-        solver_box.append(FmmSolver.from_uniform(rho, dx))
-    solver = solver_box[0]
-    depth = solver._uniform_shape[0]
-    solver.set_leaf_density({depth: rho})
-    phi, _acc = solver.uniform_field(solver.solve())
-    return phi
+#: the widest parent offset of the near field (:mod:`..gravity.stencil`)
+_NEAR = int(OPENING_R2 ** 0.5)
+
+#: root edge of :meth:`FmmSolver.from_uniform`'s trees
+_ROOT = 8
+
+
+def _widen(roots: np.ndarray, depth: int) -> None:
+    """Add root cells on the x axis so that every level of a ``depth``
+    tree below its root sweeps as the full grid's does (see
+    :func:`_support_gravity`)."""
+    R = len(roots)
+    at = np.argwhere(roots)
+    x, y, z = at[0]
+    if depth != 1:
+        roots[[0, R - 1], y, z] = True
+        return
+    need = min(R, _NEAR + 1)
+    if np.ptp(at, axis=0).max() + 1 < need:
+        lo = min(x, R - need)
+        roots[[lo, lo + need - 1], y, z] = True
+
+
+def _support_gravity(support: np.ndarray, dx: float):
+    """The SCF's gravity: ``solve(rho) -> phi`` on the ``(M, M, M)`` grid,
+    for densities that vanish outside the bool grid ``support``, with
+    ``phi`` set at the ``support`` cells (zero elsewhere) and equal there
+    to :meth:`FmmSolver.from_uniform`'s to the bit.
+
+    The solver keeps ``from_uniform``'s level structure, cut down to the
+    tree of the support: every root cell (edge :data:`_ROOT`) whose
+    subtree holds a support cell, with its complete subtree down to the
+    ``M``^3 leaves.  Every level stays pure (all refined, or all leaf),
+    so there is no coarse-fine boundary, and every pair of support cells
+    is split between the root M2L and the leaf sweep as on the full
+    grid.  The cells left out are massless: on the full grid they add
+    exact zeros to the same sums.  Below the root the sums must also
+    come in the full grid's groups and order, which :func:`_widen`
+    secures with a few massless root cells where the support is narrow:
+
+    * one level under the root (``M = 2 _ROOT``), the leaf sweep's
+      parent offsets, and with them its groups, are the full grid's once
+      the tree is more than the near field (:data:`_NEAR`) wide;
+    * a one-level tree sweeps every offset its root grid holds, and a
+      level between root and leaves cuts its M2L sweep into x slabs whose
+      edges follow the grid's edge and origin (a cell's two terms of one
+      offset are added in slab order), so there the tree spans the root
+      in x.
+
+    The root's M2L runs on the tree's root cells alone.  BLAS ``gemm``
+    (OpenBLAS, Haswell kernels) sums each entry of a matmul in the same
+    order however many zero terms the full grid adds; numpy sends a
+    one-row product to ``gemv`` instead, which
+    :func:`..gravity.kernels.m2l_dense` avoids.  A full ``support`` is
+    the full tree.
+    """
+    M = support.shape[0]
+    depth = max(M // _ROOT, 1).bit_length() - 1
+    if support.shape != (M, M, M) or _ROOT << depth != M:
+        raise ValueError(f"grid edge {M} is not {_ROOT} * 2^L for any L")
+    s = M // _ROOT
+    roots = support.reshape((_ROOT, s) * 3).any(axis=(1, 3, 5))
+    _widen(roots, depth)
+    specs = []
+    for lvl in range(depth + 1):
+        k = 1 << lvl
+        cells = np.argwhere(roots.repeat(k, 0).repeat(k, 1).repeat(k, 2))
+        specs.append((lvl, dx * (M // (_ROOT * k)), cells,
+                      np.full(len(cells), lvl == depth)))
+    solver = FmmSolver.from_levels(specs)
+    leaves = np.ravel_multi_index(tuple(solver.levels[depth].coords.T),
+                                  support.shape)
+    read = support.reshape(-1)[leaves]
+    cells, slots = leaves[read], np.flatnonzero(read)
+
+    def solve(rho: np.ndarray) -> np.ndarray:
+        solver.set_leaf_density({depth: rho.reshape(-1)[leaves]})
+        phi = np.zeros(M ** 3)
+        phi[cells] = solver.solve().phi[depth][slots]
+        return phi.reshape(M, M, M)
+    return solve
 
 
 def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
@@ -84,7 +175,7 @@ def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
     rho = np.where(r < radius_eq, rho_max * (1 - (r / radius_eq) ** 2), 0.0)
     rho = np.clip(rho, 0.0, None) ** n_poly
     rho *= rho_max / max(rho.max(), 1e-300)
-    solver_box: list = []
+    solve_phi = _support_gravity(np.ones((M, M, M), dtype=bool), dx)
     residuals: list[float] = []
     omega2 = 0.0
     K = 1.0
@@ -97,7 +188,7 @@ def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
         return phi[idx]
 
     for it in range(max_iter):
-        phi = _solve_phi(rho, dx, solver_box)
+        phi = solve_phi(rho)
         # boundary points: equatorial surface (radius_eq, 0, 0) and pole
         pA = (radius_eq, 0.0, 0.0)
         pB = (0.0, 0.0, axis_ratio * radius_eq)
@@ -121,8 +212,7 @@ def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
         rho = 0.5 * rho + 0.5 * rho_new     # under-relaxation
         if res < tol:
             break
-    phi = _solve_phi(rho, dx, solver_box)
-    return ScfResult(rho=rho, phi=phi, omega=float(np.sqrt(omega2)), K=K,
+    return ScfResult(rho=rho, omega=float(np.sqrt(omega2)), K=K,
                      n_poly=n_poly, dx=dx, origin=origin,
                      iterations=it + 1, residuals=residuals)
 
@@ -164,7 +254,6 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
     lobe1 = (x - x1) ** 2 + y * y + z * z <= (1.25 * radius1) ** 2
     lobe2 = (x - x2) ** 2 + y * y + z * z <= (1.25 * radius2) ** 2
     allowed = lobe1 | lobe2
-    solver_box: list = []
     residuals: list[float] = []
     omega2 = separation ** (-3)             # Keplerian seed
     K = 1.0
@@ -181,9 +270,14 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
     pC = x2 - radius2        # secondary outer edge
     cells = [cell(px) for px in (pA, pB, pC)]
     j = cell(0.0)
+    # gravity where mass can be (the lobes) and where phi is read (the
+    # boundary-point cells, which may lie outside the lobes)
+    support = allowed.copy()
+    support[cells, j, j] = True
+    solve_phi = _support_gravity(support, dx)
 
     for it in range(max_iter):
-        phi = _solve_phi(rho, dx, solver_box)
+        phi = solve_phi(rho)
         phiA, phiB, phiC = (phi[i, j, j] for i in cells)
         denom = pA ** 2 - pB ** 2
         if abs(denom) < 1e-12:
@@ -225,7 +319,6 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
         rho = 0.5 * rho + 0.5 * rho_new
         if res < tol:
             break
-    phi = _solve_phi(rho, dx, solver_box)
-    return ScfResult(rho=rho, phi=phi, omega=float(np.sqrt(omega2)), K=K,
+    return ScfResult(rho=rho, omega=float(np.sqrt(omega2)), K=K,
                      n_poly=n_poly, dx=dx, origin=origin,
                      iterations=it + 1, residuals=residuals)

@@ -68,8 +68,6 @@ CALLERS_ALLOWED = {
     "held_classes": "sanitizer self-test oracle: the locks this thread holds",
     # ROADMAP "The merger the paper ran": self-gravity on the AMR tree
     # and regridding
-    "from_levels": "ROADMAP \"The merger the paper ran\" solves gravity on "
-                   "the AMR tree through it",
     "fmm_levels": "ROADMAP \"The merger the paper ran\": feeds "
                   "FmmSolver.from_levels from an Octree",
     "coarsen": "ROADMAP \"The merger the paper ran\" (b): regridding "
@@ -295,7 +293,7 @@ def test_every_function_has_a_caller(callers):
 
 def test_callers_allowed_table_is_exact(callers):
     subjects, called = callers
-    assert len(CALLERS_ALLOWED) == 18
+    assert len(CALLERS_ALLOWED) == 17
     assert all(reason for reason in CALLERS_ALLOWED.values())
     stale = sorted(n for n in CALLERS_ALLOWED
                    if n not in subjects or n in called)

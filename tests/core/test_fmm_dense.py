@@ -60,7 +60,7 @@ from repro.core.gravity.kernels import (N_GREEN, N_MOMENT, TINY_MASS,
                                         sweep_pad)
 from repro.core.gravity.stencil import (ROOT_CUBE, leaf_sweep_offsets,
                                         m2l_root_tiles, m2l_sweep_offsets,
-                                        well_separated)
+                                        p2p_stencil, well_separated)
 from repro.core.workspace import Workspace
 from repro.runtime import CudaDevice, WorkStealingScheduler
 from repro.runtime.counters import default_registry
@@ -826,3 +826,110 @@ def test_index_array_tiles_land_partner_contributions_in_p():
     np.testing.assert_array_equal(P[:, perm], ref)
     assert np.all(P[:, src[0]].any(axis=(0, 2)))
     assert not P[:, rest].any()
+
+
+@pytest.mark.parametrize("rows, partners", [(1, 5), (1, 1), (4, 1), (1, 60)])
+def test_one_row_tiles_sum_as_the_wider_tile(rows, partners):
+    """A tile with one target row or one partner sums each entry as a
+    wider tile does whose extra cells carry zero moments: what a partial
+    root's tiles must do for the support-tree SCF to match the full grid
+    bit for bit (numpy's one-row ``gemv`` sums in another order)."""
+    rng = np.random.default_rng(rows * 100 + partners)
+    n = 2 * (rows + partners) + 6
+    com = rng.normal(size=(3, n)) * 10.0
+    V = rng.normal(size=(n, N_MOMENT))
+    tgt, src = slice(0, rows), slice(n // 2, n // 2 + partners)
+    P = m2l_dense(com, V, [((tgt,), (src,), np.zeros((rows, partners)))],
+                  np.empty((N_GREEN, n, N_MOMENT)), Workspace())
+    # the same pairs in a 3 x 4-wider tile, the added cells massless
+    wide = V.copy()
+    wide[rows:n // 2] = 0.0
+    wide[n // 2 + partners:] = 0.0
+    wtgt, wsrc = slice(0, rows + 3), slice(n // 2, n // 2 + partners + 4)
+    ref = m2l_dense(com, wide, [((wtgt,), (wsrc,),
+                                 np.zeros((rows + 3, partners + 4)))],
+                    np.empty((N_GREEN, n, N_MOMENT)), Workspace())
+    np.testing.assert_array_equal(P[:, tgt], ref[:, tgt])
+    np.testing.assert_array_equal(P[:, src], ref[:, src])
+
+
+def _boundary_oracle(lv, child):
+    """``fmm._boundary`` one stencil offset at a time, as it was written
+    before it searched every offset at once."""
+    a, b = [], []
+    for w in p2p_stencil():
+        slots, found = lv.find(lv.coords + w)
+        sel = found & lv.leaf & ~lv.leaf[slots]
+        a.append(np.flatnonzero(sel))
+        b.append(slots[sel])
+    a, b = np.concatenate(a), np.concatenate(b)
+    first = np.searchsorted(child.parent_slot, b)
+    count = np.searchsorted(child.parent_slot, b, side="right") - first
+    take = np.arange(8) < count[:, None]
+    kids = (first[:, None] + np.arange(8))[take]
+    if not child.leaf[kids].all():
+        raise ValueError(
+            f"level {child.level} refines cells near leaves of level "
+            f"{lv.level}: the tree is not 2:1 balanced")
+    return np.repeat(a, count), kids
+
+
+def _linked_levels(specs):
+    """The Morton-sorted, parent-linked levels of ``specs``, without the
+    solver (whose constructor runs ``_boundary`` and may raise)."""
+    levels = []
+    for lvl, width, coords, leaf in specs:
+        order = np.argsort(morton_key(coords), kind="stable")
+        lv = fmm.FmmLevel(level=lvl, width=width,
+                          coords=coords[order].astype(np.int64),
+                          leaf=leaf[order])
+        if levels:
+            lv.parent_slot = levels[-1].find(lv.coords >> 1)[0]
+        levels.append(lv)
+    return levels
+
+
+def _assert_boundary_is_the_oracle(specs, mixed_kinds):
+    levels = _linked_levels(specs)
+    for lv, child in zip(levels, levels[1:]):
+        if not lv.leaf.any() or lv.leaf.all():
+            continue
+        mixed_kinds.add(bool(2 * lv.leaf.sum() <= lv.n))
+        for cap in (fmm._LOOKUP_CELLS, 0):     # dense grid, Morton search
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fmm, "_LOOKUP_CELLS", cap)
+                try:
+                    ref = _boundary_oracle(lv, child)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        fmm._boundary(lv, child)
+                    continue
+                got = fmm._boundary(lv, child)
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype
+                np.testing.assert_array_equal(g, r)
+
+
+def test_boundary_matches_the_per_offset_loop_on_fixed_trees():
+    """The coarse-fine boundary of trees searched from the leaf side and
+    from the refined side, one not 2:1 balanced, and the 8^3-sub-grid
+    tree refined twice: the old loop's pairs in the old order, or its
+    ``ValueError``."""
+    kinds = set()
+    for refs, n in (([(0, (0, 0, 0)), (1, (1, 0, 0))], 4),
+                    ([(0, (0, 0, 0))] + [(1, (i >> 2 & 1, i >> 1 & 1, i & 1))
+                                         for i in range(5)], 4),
+                    ([(0, (0, 0, 0)), (1, (1, 0, 0)), (2, (3, 0, 0))], 4),
+                    ([(0, (0, 0, 0)), (1, (0, 0, 0))], 8)):
+        tree = Octree(subgrid_n=n)
+        for key in refs:
+            tree.refine(*key)
+        _assert_boundary_is_the_oracle(tree.fmm_levels()[0], kinds)
+    assert kinds == {False, True}
+
+
+@settings(max_examples=20, deadline=None)
+@given(tree=_trees())
+def test_boundary_matches_the_per_offset_loop(tree):
+    """Drawn adaptive trees, balanced or not."""
+    _assert_boundary_is_the_oracle(tree[0], set())
