@@ -49,6 +49,10 @@ solver (every table, slab, window, mask and pair count): best ms per
 build, and, counted under ``sys.setprofile``, the Python calls the
 package's own code makes while the 16^3 plan builds — a count that a
 Python loop over the 257 parent offsets would multiply.
+``scf_support`` is the V1309 SCF the ledger's binary starts from
+(``scf_binary`` at mass ratio ``V1309_MASS_RATIO``, separation 3 in a
+domain of 8, 12 iterations) on a 32^3 grid, which solves gravity on the
+tree of its support: best s per model.
 
 Used two ways:
 
@@ -95,8 +99,10 @@ from repro.core.hydro.riemann import (KT_SCRATCH,  # noqa: E402
                                       conserved_to_primitive, kt_flux)
 from repro.core.hydro.solver import HydroOptions, compute_rhs  # noqa: E402
 from repro.core.mesh import BlockMesh  # noqa: E402
-from repro.core.scenario import (equilibrium_star, sedov_blast,  # noqa: E402
+from repro.core.scenario import (V1309_MASS_RATIO,  # noqa: E402
+                                 equilibrium_star, sedov_blast,
                                  v1309_binary)
+from repro.core.scf import scf_binary  # noqa: E402
 from repro.core.workspace import Workspace  # noqa: E402
 from repro.runtime.aggregate import DEFAULT_AGG_SLOTS  # noqa: E402
 from repro.runtime.counters import CounterRegistry  # noqa: E402
@@ -144,6 +150,10 @@ UNIFORM_STEPS = 5
 #: grid edges of the ``plan_build`` rows; the call count is taken on the
 #: first, the grid of every gravity workload of the perf ledger
 PLAN_GRIDS = (16, 32)
+#: the ``scf_support`` model: ``scf_binary`` arguments of the V1309 SCF
+#: on a 32^3 grid
+SCF_SUPPORT = dict(M=32, domain=8.0, separation=3.0,
+                   mass_ratio=V1309_MASS_RATIO, max_iter=12)
 
 
 def _time(fn, *, repeats: int = 5) -> float:
@@ -161,7 +171,7 @@ def dense_sweep(edge: int) -> tuple[list, int, tuple[int, int]]:
     """The Green-table leaf sweep of a whole ``(2 edge)``^3 leaf level:
     every parent offset's sweep in one list, the leaf pairs they cover
     and the y / z pad of the staged mass grid."""
-    offsets = leaf_sweep_offsets(edge)
+    offsets = leaf_sweep_offsets()
     pad = sweep_pad(offsets)
     sweeps, pairs = green_sweeps(edge, offsets, fmm._CHILD, 0.5 / edge,
                                  np.ones((edge,) * 3 + (8,), bool), pad)
@@ -595,6 +605,13 @@ def plan_build_line(kernels: dict) -> str:
         f"{row['offsets']} leaf-sweep offsets of a {PLAN_GRIDS[0]}^3 plan")
 
 
+def scf_support_line(kernels: dict) -> str:
+    """The ``scf_support`` row (best s per model) as a report line."""
+    return (f"  scf_support        {kernels['scf_support']:8.2f} s per V1309 "
+            f"SCF at {SCF_SUPPORT['M']}^3, {SCF_SUPPORT['max_iter']} "
+            f"iterations")
+
+
 def run_kernels_micro(repeats: int = 5) -> dict:
     """Time every kernel; return the ``kernels`` block for the report.
 
@@ -684,6 +701,8 @@ def run_kernels_micro(repeats: int = 5) -> dict:
         "rhs_alloc": rhs_alloc_row(),
         "subgrid_tax": _subgrid_tax_row(repeats),
         "plan_build": plan_build_row(repeats),
+        "scf_support": _time(lambda: scf_binary(**SCF_SUPPORT),
+                             repeats=min(repeats, 2)),
         "pair_batch": n_pairs,
         "hydro_grid": HYDRO_N,
         "p2p": entry(t_p2p, n_pairs),
@@ -730,6 +749,7 @@ def main(argv: list[str] | None = None) -> int:
     print(rhs_alloc_line(kernels))
     print(subgrid_tax_line(kernels))
     print(plan_build_line(kernels))
+    print(scf_support_line(kernels))
     if argv and "--json" in argv:
         print(json.dumps(kernels, indent=2))
     return 0

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core import SUBGRID_N
 from repro.core.scenario import v1309_binary
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -34,10 +35,11 @@ LEAF_PAIRS = {16: 2_276_352, 32: 25_251_840}
 #: per offset.
 PLAN_BUILD_CALLS = 100
 
-#: leaves of the largest FMM solve allowed while ``v1309_binary(16,
-#: scf_iters=12)`` builds: its SCF solves on the tree of its support,
-#: 192 leaves (24 root cells); the full grid has 4 096
-SCF_SOLVE_LEAVES = 512
+#: leaves of the largest FMM solve allowed while ``v1309_binary(M,
+#: scf_iters=12)`` builds, per M: its SCF solves on the tree of its
+#: support, 192 leaves (24 root cells) at M = 16 and 2 304 (36) at M =
+#: 32; the full grids have 4 096 and 32 768
+SCF_SOLVE_LEAVES = {16: 512, 32: 4096}
 
 
 def test_dist_fill_sends_one_message_per_locality_pair():
@@ -125,7 +127,7 @@ def test_dense_sweep_adds_every_offset_into_one_contiguous_slab(M):
             assert out[slab].flags.c_contiguous
             assert entry.dense.m8[window].size == 8 * len(out[slab])
             offsets += 1
-    assert offsets == len(leaf_sweep_offsets(P)) == 257
+    assert offsets == len(leaf_sweep_offsets()) == 257
     assert sum(e.pairs for e in entries) == dense_sweep(P)[1] == LEAF_PAIRS[M]
 
 
@@ -139,12 +141,17 @@ def test_fmm_plan_build_has_no_per_offset_python_loop():
     assert 0 < row["calls"] <= PLAN_BUILD_CALLS
 
 
-def test_v1309_scf_solves_on_its_support(monkeypatch):
+@pytest.mark.parametrize("M", sorted(SCF_SOLVE_LEAVES))
+def test_v1309_scf_solves_on_its_support(M, monkeypatch):
     """The gate of the support-tree SCF (counts, no timing): while the
-    ledger's V1309 model builds, no full-grid solver is made
-    (``FmmSolver.from_uniform``) and no solve covers more than
-    ``SCF_SOLVE_LEAVES`` leaves."""
-    builds, leaves = [], []
+    V1309 model builds, no full-grid solver is made
+    (``FmmSolver.from_uniform``), no solve covers more than
+    ``SCF_SOLVE_LEAVES`` leaves, and every level below the root is
+    staged on a parent grid narrower than the full grid's (at M = 32
+    the interior M2L on 6^3 parents of 8^3, the leaves on 12^3 of
+    16^3): the FMM sums in the same order on any grid, so the support
+    tree needs no padding."""
+    builds, leaves, narrow = [], [], []
     from_uniform = fmm.FmmSolver.from_uniform.__func__
     solve = fmm.FmmSolver.solve
 
@@ -153,11 +160,18 @@ def test_v1309_scf_solves_on_its_support(monkeypatch):
         return from_uniform(cls, rho, *args, **kwargs)
 
     def counting_solve(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
         leaves.append(sum(int(lv.leaf.sum()) for lv in self.levels))
-        return solve(self, *args, **kwargs)
+        for staged in self._staged:
+            grid = staged.m8 if hasattr(staged, "m8") else staged.V
+            if staged.lv.level:
+                full = SUBGRID_N << staged.lv.level >> 1
+                narrow.append(len(grid) < full)
+        return result
     monkeypatch.setattr(fmm.FmmSolver, "from_uniform",
                         classmethod(counting_build))
     monkeypatch.setattr(fmm.FmmSolver, "solve", counting_solve)
-    v1309_binary(M=16, scf_iters=12)
+    v1309_binary(M=M, scf_iters=12)
     assert builds == []
-    assert len(leaves) == 12 and max(leaves) <= SCF_SOLVE_LEAVES
+    assert len(leaves) == 12 and max(leaves) <= SCF_SOLVE_LEAVES[M]
+    assert narrow and all(narrow)

@@ -67,7 +67,11 @@ entries, each over one fixed stencil of the grid:
 
 All three are entries of one plan with one shape (``kind``, ``pairs``,
 ``compute(outs)``, ``accumulate(outs)``) that every solve walks the same
-way, inline or through an execution engine.
+way, inline or through an execution engine.  Below the root a cell's
+sums come in the same order whatever grid its level is staged on (the
+offset groups of one fixed table, :func:`_offset_groups`, and the M2L
+slabs of the level's full grid, :func:`.stencil.m2l_sweep_tiles`), so a
+complete sub-tree, the rest massless, gets the full tree's bits.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ from ...runtime.counters import default_registry
 from ...sanitize import racecheck as _racecheck
 from ...sanitize import state as _sanitize_state
 from ...util import morton_key
+from ..grid import SUBGRID_N
 from ..workspace import Workspace
 from .kernels import (N_GREEN, N_MOMENT, TINY_MASS, green_sweeps,
                       m2l_assemble, m2l_dense, p2p_pair, p2p_pair_staged,
@@ -98,11 +103,23 @@ __all__ = ["FmmLevel", "FmmSolver", "GravityResult"]
 #: below-root M2L sweep are cut into — a constant, so every solve
 #: (inline, futurized, distributed) runs the same matmuls in the same
 #: groups and adds the same partials in the same order.  Eight keeps an
-#: aggregated launch well filled.  The root's M2L is one entry: an entry zeroes, fills and
-#: assembles a whole-level partial, and on the 8^3 root (2-core host)
-#: eight entries took 7.9-8.9 ms, eight that share one assemble 7.5-7.8
-#: ms and one entry 6.8-6.9 ms
+#: aggregated launch well filled.  The root's M2L is one entry: an
+#: entry zeroes, fills and assembles a whole-level partial, and on the
+#: 8^3 root (2-core host) eight entries took 7.9-8.9 ms, eight that
+#: share one assemble 7.5-7.8 ms and one entry 6.8-6.9 ms
 _DENSE_GROUPS = 8
+
+
+def _offset_groups(offsets: np.ndarray, P: int) -> list[np.ndarray]:
+    """The plan groups of a sweep over ``offsets`` on a ``P``^3 parent
+    grid: ``offsets`` cut into :data:`_DENSE_GROUPS` lexicographic runs,
+    each keeping the offsets the grid holds (``|W_i| < P``).  Below the
+    root ``offsets`` is the fixed near set, so an offset lands in the
+    same group on every grid, and where a grid does not hold it, it adds
+    an exact ``+0.0`` on a larger one."""
+    return [part[(np.abs(part) < P).all(axis=1)]
+            for part in np.array_split(offsets, _DENSE_GROUPS)]
+
 
 #: parents per tile of the interior-level M2L sweep: keeps a tile's
 #: Green block (8 KB per parent pair) and scratch cache-sized (measured
@@ -280,11 +297,10 @@ class _DenseLeaf:
         P, flat, _ = _parent_grid(lv)
         slots = slice(None) if lv.leaf.all() else np.flatnonzero(lv.leaf)
         flat = flat[slots]
-        leaf = np.zeros(8 * P ** 3, dtype=bool)
-        leaf[flat] = True
-        leaf = leaf.reshape(P, P, P, 8)
-        offsets = leaf_sweep_offsets(P, root)
-        pad = sweep_pad(offsets)
+        leaf = np.zeros((P, P, P, 8), dtype=bool)
+        leaf.reshape(-1)[flat] = True
+        parts = _offset_groups(leaf_sweep_offsets(P if root else None), P)
+        pad = sweep_pad(np.concatenate(parts))
         m8 = np.zeros((P, P + 2 * pad[0], P + 2 * pad[1], 8))
         parent = np.unravel_index(flat // 8, (P,) * 3)
         padded = 8 * np.ravel_multi_index(
@@ -292,7 +308,7 @@ class _DenseLeaf:
             m8.shape[:3]) + flat % 8
         groups = [green_sweeps(P, part, _CHILD, lv.width, leaf, pad,
                                near_only=not lv.leaf.all())
-                  for part in np.array_split(offsets, _DENSE_GROUPS)]
+                  for part in parts]
         return cls(lv, slots, flat, padded, m8, [g for g in groups if g[0]])
 
     def stage(self) -> None:
@@ -370,12 +386,14 @@ class _DenseM2L:
             flat, cells = np.arange(lv.n), lv.coords
         else:
             P, flat, cells = _parent_grid(lv)
-            present = np.zeros(8 * P ** 3, dtype=bool)
-            present[flat] = True
-            groups = [m2l_sweep_tiles(P, offsets, _CHILD, _SWEEP_BLOCKS,
-                                      present.reshape(P, P, P, 8))
-                      for offsets in np.array_split(m2l_sweep_offsets(P),
-                                                    _DENSE_GROUPS)]
+            present = np.zeros((P, P, P, 8), dtype=bool)
+            present.reshape(-1)[flat] = True
+            # slabs cut as on the level's full grid (a SUBGRID_N^3 root
+            # refined), from the grid's absolute first parent layer x0
+            x0, full = lv.coords[:, 0].min() >> 1, SUBGRID_N << lv.level >> 1
+            groups = [m2l_sweep_tiles(part, _CHILD, present, x0, full,
+                                      _SWEEP_BLOCKS)
+                      for part in _offset_groups(m2l_sweep_offsets(), P)]
         com = np.moveaxis((cells + 0.5) * lv.width, -1, 0).copy()
         return cls(lv, flat, com, np.zeros(cells.shape[:-1] + (N_MOMENT,)),
                    [g for g in groups if g[1]])
@@ -556,7 +574,7 @@ class FmmSolver:
 
     @classmethod
     def from_uniform(cls, rho: np.ndarray, dx: float,
-                     subgrid_n: int = 8) -> "FmmSolver":
+                     subgrid_n: int = SUBGRID_N) -> "FmmSolver":
         """Solver for a uniform (M, M, M) density grid, M = subgrid_n * 2^L.
 
         Builds the full level hierarchy; only the finest level is leaf.

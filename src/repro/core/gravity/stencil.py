@@ -61,19 +61,21 @@ def p2p_stencil() -> np.ndarray:
     return pts[~well_separated(pts)]
 
 
-def leaf_sweep_offsets(edge: int, root: bool = False) -> np.ndarray:
-    """Parent offsets of the dense leaf-level sweep on an ``edge``^3
-    parent grid, in lexicographic order (``W = 0`` included: siblings).
+def leaf_sweep_offsets(root_edge: int | None = None) -> np.ndarray:
+    """Parent offsets of the dense leaf-level sweep, in lexicographic
+    order (``W = 0`` included: siblings).
 
     Two leaf cells interact at leaf level exactly when their parents are
     *not* well separated (the parity partition plus :func:`p2p_stencil`,
-    seen from the parents): ``||W||^2 <=
-    OPENING_R2``, 257 offsets.  On the ``root`` level nothing coarser
-    exists, so every pair is handled here and every offset that fits the
-    grid is swept.
+    seen from the parents): ``||W||^2 <= OPENING_R2``, 257 offsets,
+    whatever grid the level is staged on.  A root level has nothing
+    coarser, so every pair is handled there: on a root parent grid of
+    edge ``root_edge`` every offset that fits the grid is swept.
     """
-    pts = _cube(edge - 1 if root else min(edge - 1, int(OPENING_R2 ** 0.5)))
-    return pts if root else pts[~well_separated(pts)]
+    if root_edge is not None:
+        return _cube(root_edge - 1)
+    pts = _cube(int(OPENING_R2 ** 0.5))
+    return pts[~well_separated(pts)]
 
 
 def lex_positive(w: np.ndarray) -> np.ndarray:
@@ -121,11 +123,10 @@ def pair_counts(cells: np.ndarray, offsets: np.ndarray, masks: np.ndarray
     return counts
 
 
-def m2l_sweep_offsets(edge: int) -> np.ndarray:
-    """Parent offsets of the dense interior-level M2L sweep on an
-    ``edge``^3 parent grid: the lex-positive half of the near parent
-    offsets (128 of :func:`leaf_sweep_offsets`' 257 once the grid is
-    wide enough).
+def m2l_sweep_offsets() -> np.ndarray:
+    """Parent offsets of the dense interior-level M2L sweep: the
+    lex-positive half of the near parent offsets, 128 of
+    :func:`leaf_sweep_offsets`' 257.
 
     Two cells meet in the same-level M2L pass exactly when they are well
     separated and their parents are not (the parity partition, seen
@@ -133,27 +134,36 @@ def m2l_sweep_offsets(edge: int) -> np.ndarray:
     and ``W`` / ``-W`` visit the same parent pairs, so one of each is
     swept and both partners are updated from it.
     """
-    offsets = leaf_sweep_offsets(edge)
+    offsets = leaf_sweep_offsets()
     return offsets[lex_positive(offsets)]
 
 
-def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
-                    blocks: int, present: np.ndarray
+def m2l_sweep_tiles(offsets: np.ndarray, child: np.ndarray,
+                    present: np.ndarray, x0: int, full: int, blocks: int
                     ) -> tuple[list[tuple], int]:
-    """Stage parent ``offsets`` of the interior-level M2L sweep on an
-    ``edge``^3 parent grid: ``(tiles, pairs)``.
+    """Stage parent ``offsets`` of the interior-level M2L sweep on a
+    parent grid: ``(tiles, pairs)``.
 
-    A tile is ``(target slices, partner slices, mask)``: a slab of at
-    most ~``blocks`` parents ``I`` with ``I + W`` inside the grid, the
-    same slab shifted by ``W``, and the offset's static ``(8, 8)`` mask —
-    ``0`` where target child ``i`` and partner child ``j`` (cell
-    separation ``child[i] - 2 W - child[j]``) are well separated, i.e.
-    the pair belongs to this level, ``+inf`` where it descends.  The
-    mask is *added to r^2*, which zeroes every Green component of a
-    masked entry exactly.  ``pairs`` counts the unmasked pairs of cells
-    that are ``present`` (an ``(edge, edge, edge, 8)`` bool grid), each
-    once (:func:`pair_counts`).  Offsets none of whose child pairs are
-    far are dropped.
+    ``present`` is the ``(P, P, P, 8)`` bool grid of the cells the level
+    has, its first x layer is absolute parent x ``x0``, and ``full`` is
+    the edge of the level's full parent grid.  A tile is ``(target
+    slices, partner slices, mask)``: a slab of parents ``I`` with ``I +
+    W`` inside the grid, the same slab shifted by ``W``, and the offset's
+    static ``(8, 8)`` mask — ``0`` where target child ``i`` and partner
+    child ``j`` (cell separation ``child[i] - 2 W - child[j]``) are well
+    separated, i.e. the pair belongs to this level, ``+inf`` where it
+    descends.  The mask is *added to r^2*, which zeroes every Green
+    component of a masked entry exactly.  ``pairs`` counts the unmasked
+    pairs of ``present`` cells, each once (:func:`pair_counts`).
+    Offsets none of whose child pairs are far are dropped.
+
+    The slabs are the full grid's, restricted to this grid: the full
+    grid cuts the targets of ``W`` into x slabs of ``max(1, blocks //
+    ((full - |W_y|) (full - |W_z|)))`` parent layers (about ``blocks``
+    parents each) from its first target layer ``max(0, -W_x)`` on, at
+    absolute positions.  A cell's target and partner terms of one offset
+    are added in slab order, so they come in the same order on every
+    grid that holds the cell.
 
     Built as arrays: the masks of all offsets in one broadcast, the
     slab bounds of every tile as integer rows, the pair counts in one
@@ -167,22 +177,27 @@ def m2l_sweep_tiles(edge: int, offsets: np.ndarray, child: np.ndarray,
     keep = far.any(axis=(1, 2))
     w, far = w[keep], far[keep]
     masks = np.where(far, 0.0, np.inf)
-    ext = edge - np.abs(w)
-    step = np.maximum(1, blocks // (ext[:, 1] * ext[:, 2]))
-    # one row per tile: its offset ``of``, its first x layer and extent
-    count = -(-ext[:, 0] // step)
+    ext = len(present) - np.abs(w)
+    step = np.maximum(1, blocks // np.prod(full - np.abs(w[:, 1:]), axis=1))
+    # one row per tile: its offset ``of`` and ``cut``, the first layer
+    # of its full-grid slab counted from the offset's first target layer
+    # here (the full grid's slabs start at multiples of ``step`` from its
+    # own first target layer, which is ``-x0`` here); a tile's partners
+    # are its targets shifted by W
+    first = x0 // step
+    count = (x0 + ext[:, 0] - 1) // step - first + 1
     of = np.repeat(np.arange(len(w)), count)
-    span = ext[of]
-    layer = (np.arange(len(of)) - (np.cumsum(count) - count)[of]) * step[of]
-    span[:, 0] = np.minimum(step[of], span[:, 0] - layer)
-    tgt, src = np.maximum(0, -w[of]), np.maximum(0, w[of])
-    tgt[:, 0] += layer
-    src[:, 0] += layer
+    cut = (np.arange(len(of)) - (np.cumsum(count) - count)[of]
+           + first[of]) * step[of] - x0
+    tgt = np.maximum(0, -w[of])
+    end = tgt + ext[of]
+    end[:, 0] = tgt[:, 0] + np.minimum(ext[of, 0], cut + step[of])
+    tgt[:, 0] += np.maximum(0, cut)
     tiles = [(tuple(map(slice, t, t_end)), tuple(map(slice, s, s_end)),
               masks[k])
              for t, t_end, s, s_end, k in zip(
-                 tgt.tolist(), (tgt + span).tolist(), src.tolist(),
-                 (src + span).tolist(), of.tolist())]
+                 tgt.tolist(), end.tolist(), (tgt + w[of]).tolist(),
+                 (end + w[of]).tolist(), of.tolist())]
     return tiles, int(pair_counts(present, w, far).sum())
 
 

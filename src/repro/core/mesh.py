@@ -176,8 +176,7 @@ class GravityCoupling:
 
     def _solve(self, rho: np.ndarray) -> np.ndarray:
         if self.solver is None:
-            self.solver = FmmSolver.from_uniform(rho, self._mesh.dx,
-                                                 subgrid_n=SUBGRID_N)
+            self.solver = FmmSolver.from_uniform(rho, self._mesh.dx)
         depth = self.solver._uniform_shape[0]
         self.solver.set_leaf_density({depth: rho})
         self.phi, acc = self.solver.uniform_field(

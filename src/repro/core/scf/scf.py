@@ -38,8 +38,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ...util import is_integer
 from ..gravity.fmm import FmmSolver
-from ..gravity.stencil import OPENING_R2
+from ..grid import SUBGRID_N
 from .lane_emden import Polytrope, solve_lane_emden
 
 __all__ = ["ScfResult", "scf_single_star", "scf_binary"]
@@ -73,27 +74,14 @@ def _grid_axes(M: int, dx: float, origin):
     return (ax[0][:, None, None], ax[1][None, :, None], ax[2][None, None, :])
 
 
-#: the widest parent offset of the near field (:mod:`..gravity.stencil`)
-_NEAR = int(OPENING_R2 ** 0.5)
-
-#: root edge of :meth:`FmmSolver.from_uniform`'s trees
-_ROOT = 8
-
-
-def _widen(roots: np.ndarray, depth: int) -> None:
-    """Add root cells on the x axis so that every level of a ``depth``
-    tree below its root sweeps as the full grid's does (see
-    :func:`_support_gravity`)."""
-    R = len(roots)
-    at = np.argwhere(roots)
-    x, y, z = at[0]
-    if depth != 1:
-        roots[[0, R - 1], y, z] = True
-        return
-    need = min(R, _NEAR + 1)
-    if np.ptp(at, axis=0).max() + 1 < need:
-        lo = min(x, R - need)
-        roots[[lo, lo + need - 1], y, z] = True
+def _check_iteration(domain: float, max_iter: int, tol: float) -> None:
+    """Reject bad iteration arguments here, not as an unbound name or a
+    NaN-sized grid deep inside."""
+    if not is_integer(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer: {max_iter!r}")
+    for name, value in (("domain", domain), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive: {value!r}")
 
 
 def _support_gravity(support: np.ndarray, dx: float):
@@ -103,24 +91,15 @@ def _support_gravity(support: np.ndarray, dx: float):
     to :meth:`FmmSolver.from_uniform`'s to the bit.
 
     The solver keeps ``from_uniform``'s level structure, cut down to the
-    tree of the support: every root cell (edge :data:`_ROOT`) whose
+    tree of the support: every root cell (``SUBGRID_N`` per edge) whose
     subtree holds a support cell, with its complete subtree down to the
     ``M``^3 leaves.  Every level stays pure (all refined, or all leaf),
     so there is no coarse-fine boundary, and every pair of support cells
     is split between the root M2L and the leaf sweep as on the full
     grid.  The cells left out are massless: on the full grid they add
-    exact zeros to the same sums.  Below the root the sums must also
-    come in the full grid's groups and order, which :func:`_widen`
-    secures with a few massless root cells where the support is narrow:
-
-    * one level under the root (``M = 2 _ROOT``), the leaf sweep's
-      parent offsets, and with them its groups, are the full grid's once
-      the tree is more than the near field (:data:`_NEAR`) wide;
-    * a one-level tree sweeps every offset its root grid holds, and a
-      level between root and leaves cuts its M2L sweep into x slabs whose
-      edges follow the grid's edge and origin (a cell's two terms of one
-      offset are added in slab order), so there the tree spans the root
-      in x.
+    exact zeros to the same sums, which the FMM adds in the same order
+    on any grid a level is staged on.  A one-level tree is the whole
+    root: an all-leaf root sweeps every offset its grid holds.
 
     The root's M2L runs on the tree's root cells alone.  BLAS ``gemm``
     (OpenBLAS, Haswell kernels) sums each entry of a matmul in the same
@@ -130,17 +109,16 @@ def _support_gravity(support: np.ndarray, dx: float):
     the full tree.
     """
     M = support.shape[0]
-    depth = max(M // _ROOT, 1).bit_length() - 1
-    if support.shape != (M, M, M) or _ROOT << depth != M:
-        raise ValueError(f"grid edge {M} is not {_ROOT} * 2^L for any L")
-    s = M // _ROOT
-    roots = support.reshape((_ROOT, s) * 3).any(axis=(1, 3, 5))
-    _widen(roots, depth)
+    depth = max(M // SUBGRID_N, 1).bit_length() - 1
+    if support.shape != (M, M, M) or SUBGRID_N << depth != M:
+        raise ValueError(f"grid edge {M} is not {SUBGRID_N} * 2^L for any L")
+    s = M // SUBGRID_N
+    roots = support.reshape((SUBGRID_N, s) * 3).any((1, 3, 5)) | (depth == 0)
     specs = []
     for lvl in range(depth + 1):
         k = 1 << lvl
         cells = np.argwhere(roots.repeat(k, 0).repeat(k, 1).repeat(k, 2))
-        specs.append((lvl, dx * (M // (_ROOT * k)), cells,
+        specs.append((lvl, dx * (M // (SUBGRID_N * k)), cells,
                       np.full(len(cells), lvl == depth)))
     solver = FmmSolver.from_levels(specs)
     leaves = np.ravel_multi_index(tuple(solver.levels[depth].coords.T),
@@ -167,6 +145,7 @@ def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
     """
     if not 0.0 < axis_ratio <= 1.0:
         raise ValueError("axis ratio must be in (0, 1]")
+    _check_iteration(domain, max_iter, tol)
     dx = domain / M
     origin = (-domain / 2.0,) * 3
     x, y, z = _grid_axes(M, dx, origin)
@@ -228,6 +207,7 @@ def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
     stars fix (C1 shared with Omega^2); densities renormalize so the
     maxima of each lobe keep the requested mass ratio.
     """
+    _check_iteration(domain, max_iter, tol)
     dx = domain / M
     origin = (-domain / 2.0,) * 3
     x, y, z = _grid_axes(M, dx, origin)

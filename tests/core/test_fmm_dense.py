@@ -47,10 +47,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RHO, Octree, interior
+from repro.core import RHO, Octree, grid, interior
 from repro.core.exec import ExecutionEngine
 from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
@@ -437,13 +437,14 @@ def test_uniform_solver_records_no_leaf_level_pair_lists():
 
 
 def test_sweep_offsets_are_the_parent_near_set():
-    assert len(leaf_sweep_offsets(16)) == 257
-    assert len(leaf_sweep_offsets(2)) == 27          # clipped to the grid
-    assert len(leaf_sweep_offsets(4, root=True)) == 7 ** 3
+    """Below the root the near parent offsets, whatever grid holds them;
+    on a root every offset its grid holds."""
+    near = leaf_sweep_offsets()
+    assert len(near) == 257 and np.abs(near).max() == 4
+    assert len(leaf_sweep_offsets(4)) == 7 ** 3
     # the M2L sweep visits each near parent pair once: W = 0 dropped (no
     # two siblings are well separated), one of every {W, -W}
-    assert len(m2l_sweep_offsets(16)) == 128
-    assert len(m2l_sweep_offsets(2)) == 13
+    assert len(m2l_sweep_offsets()) == 128
 
 
 def _plain_sweep(m8, offsets, width, near_only):
@@ -470,7 +471,8 @@ def test_padded_sweep_matches_plain_loop(P, root, near_only):
     rng = np.random.default_rng(P)
     m8 = rng.uniform(0.5, 2.0, (P, P, P, 8))
     m8[rng.random(m8.shape) < 0.3] = 0.0
-    offsets = leaf_sweep_offsets(P, root)
+    offsets = leaf_sweep_offsets(P if root else None)
+    offsets = offsets[(np.abs(offsets) < P).all(axis=1)]
     py, pz = pad = sweep_pad(offsets)
     sweeps, _ = green_sweeps(P, offsets, fmm._CHILD, 0.5 / P,
                              np.ones(m8.shape, bool), pad, near_only)
@@ -592,9 +594,12 @@ def _sweeps_oracle(edge, offsets, child, width, leaf, pad, near_only):
     return sweeps, swept // 2
 
 
-def _sweep_tiles_oracle(edge, offsets, child, blocks, present):
+def _sweep_tiles_oracle(offsets, child, present, x0, full, blocks):
     """:func:`.stencil.m2l_sweep_tiles`, one offset and one tile at a
-    time."""
+    time: the full grid's x slabs of each offset (from its first target
+    layer on, at absolute parent x) restricted to the grid, whose first
+    layer is ``x0``."""
+    edge = len(present)
     tiles, pairs = [], 0
     for w in np.asarray(offsets).tolist():
         sep = child[:, None, :] - 2 * np.asarray(w) - child[None, :, :]
@@ -602,18 +607,37 @@ def _sweep_tiles_oracle(edge, offsets, child, blocks, present):
         if not far.any():
             continue
         mask = np.where(far, 0.0, np.inf)
-        ext = [edge - abs(x) for x in w]
         rest_t = tuple(slice(max(0, -x), edge - max(0, x)) for x in w[1:])
         rest_s = tuple(slice(max(0, x), edge + min(0, x)) for x in w[1:])
-        t0, s0 = max(0, -w[0]), max(0, w[0])
-        step = max(1, blocks // (ext[1] * ext[2]))
-        for lo in range(0, ext[0], step):
-            hi = min(lo + step, ext[0])
-            tiles.append(((slice(t0 + lo, t0 + hi),) + rest_t,
-                          (slice(s0 + lo, s0 + hi),) + rest_s, mask))
+        step = max(1, blocks // ((full - abs(w[1])) * (full - abs(w[2]))))
+        lo, hi = x0 + max(0, -w[0]), x0 + edge - max(0, w[0])
+        for cut in range(max(0, -w[0]), hi, step):
+            a, b = max(lo, cut) - x0, min(hi, cut + step) - x0
+            if a >= b:
+                continue
+            tiles.append(((slice(a, b),) + rest_t,
+                          (slice(a + w[0], b + w[0]),) + rest_s, mask))
             pairs += int(((present[tiles[-1][0]] @ far.astype(np.int64))
                           * present[tiles[-1][1]]).sum())
     return tiles, pairs
+
+
+def _groups_oracle(offsets, P):
+    """The plan groups of a sweep over ``offsets`` on a ``P``^3 parent
+    grid, one offset at a time: the fixed table gives offset ``k`` of
+    ``n`` the group ``g`` whose run holds it (``n // G`` offsets a run,
+    one more for the first ``n % G``), and a group keeps the offsets
+    the grid holds."""
+    n, G = len(offsets), fmm._DENSE_GROUPS
+    runs = [n // G + (g < n % G) for g in range(G)]
+    groups, k = [], 0
+    for run in runs:
+        held = [w for w in offsets[k:k + run].tolist()
+                if all(abs(x) < P for x in w)]
+        k += run
+        if held:
+            groups.append(np.array(held, dtype=np.int64))
+    return groups
 
 
 def _root_tiles_oracle(coords):
@@ -653,29 +677,31 @@ def _plan_oracle(solver):
     plan = []
     for li, lv in enumerate(solver.levels):
         root = li == 0
+        P, flat, _ = fmm._parent_grid(lv)
         if lv.leaf.any():
-            P, flat, _ = fmm._parent_grid(lv)
             leaf = np.zeros(8 * P ** 3, dtype=bool)
             leaf[flat[lv.leaf]] = True
-            offsets = leaf_sweep_offsets(P, root)
-            for part in np.array_split(offsets, fmm._DENSE_GROUPS):
+            parts = _groups_oracle(
+                leaf_sweep_offsets(P) if root else leaf_sweep_offsets(), P)
+            for part in parts:
                 sweeps, pairs = _sweeps_oracle(
                     P, part, fmm._CHILD, lv.width, leaf.reshape(P, P, P, 8),
-                    sweep_pad(offsets), not lv.leaf.all())
+                    sweep_pad(np.concatenate(parts)), not lv.leaf.all())
                 if sweeps:
                     plan.append(("dense", sweeps, pairs))
         if not lv.leaf.all():
             if root:
                 groups = [_root_tiles_oracle(lv.coords)]
             else:
-                P, flat, _ = fmm._parent_grid(lv)
                 present = np.zeros(8 * P ** 3, dtype=bool)
                 present[flat] = True
-                groups = [_sweep_tiles_oracle(P, part, fmm._CHILD,
-                                              fmm._SWEEP_BLOCKS,
-                                              present.reshape(P, P, P, 8))
-                          for part in np.array_split(m2l_sweep_offsets(P),
-                                                     fmm._DENSE_GROUPS)]
+                # the level's full grid: a SUBGRID_N^3 root refined
+                full = (grid.SUBGRID_N << lv.level) // 2
+                groups = [_sweep_tiles_oracle(
+                    part, fmm._CHILD, present.reshape(P, P, P, 8),
+                    int(lv.coords[:, 0].min()) // 2, full,
+                    fmm._SWEEP_BLOCKS)
+                    for part in _groups_oracle(m2l_sweep_offsets(), P)]
             plan += [("m2l-dense", tiles, pairs)
                      for tiles, pairs in groups if pairs]
     return plan
@@ -851,6 +877,54 @@ def test_one_row_tiles_sum_as_the_wider_tile(rows, partners):
                     np.empty((N_GREEN, n, N_MOMENT)), Workspace())
     np.testing.assert_array_equal(P[:, tgt], ref[:, tgt])
     np.testing.assert_array_equal(P[:, src], ref[:, src])
+
+
+#: ``from_uniform`` solvers of M^3 grids on 8^3 roots, by M
+_FULL_TREES = {}
+
+
+def _full_tree(M):
+    if M not in _FULL_TREES:
+        _FULL_TREES[M] = FmmSolver.from_uniform(np.zeros((M,) * 3), 1.0 / M)
+    return _FULL_TREES[M]
+
+
+@settings(max_examples=20, deadline=None)
+@given(M=st.sampled_from([16, 32]),
+       lo=st.tuples(*[st.integers(0, 7)] * 3),
+       width=st.tuples(*[st.integers(1, 4)] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(M=16, lo=(5, 5, 5), width=(1, 2, 2), seed=924)
+@example(M=16, lo=(2, 1, 3), width=(3, 1, 3), seed=873)
+@example(M=32, lo=(1, 4, 4), width=(1, 4, 3), seed=28)
+@example(M=32, lo=(6, 4, 6), width=(2, 4, 3), seed=809)
+def test_sub_tree_field_is_the_full_tree_field(M, lo, width, seed):
+    """The complete sub-tree of a box of 1-4 root cells per axis, cut
+    from ``from_uniform``'s levels and built by ``from_levels``, gets on
+    its leaves the full tree's phi and acc bit for bit, the cells outside
+    it massless: a level's sums come in an order that does not depend on
+    the grid it is staged on.  Its plan is the per-offset oracle's: the
+    fixed offset groups, and the full grid's M2L slabs cut at the
+    sub-tree's absolute parent x."""
+    full = _full_tree(M)
+    depth = len(full.levels) - 1
+    lo = np.array(lo)
+    hi = np.minimum(lo + width, 8)
+    specs = []
+    for lv in full.levels:
+        root = lv.coords >> lv.level
+        k = ((root >= lo) & (root < hi)).all(axis=1)
+        specs.append((lv.level, lv.width, lv.coords[k], lv.leaf[k]))
+    rng = np.random.default_rng(seed)      # k: the sub-tree's leaves
+    rho = np.zeros(full.levels[depth].n)
+    rho[k] = np.where(rng.random(k.sum()) < 0.3, 0.0,
+                      rng.uniform(0.0, 2.0, k.sum()))
+    sub = FmmSolver.from_levels(specs)
+    got = _solve(sub, {depth: rho[k]})[0]
+    ref = _solve(full, {depth: rho})[0]
+    np.testing.assert_array_equal(got.phi[depth], ref.phi[depth][k])
+    np.testing.assert_array_equal(got.acc[depth], ref.acc[depth][k])
+    _assert_same(_built_plan(sub), _plan_oracle(sub))
 
 
 def _boundary_oracle(lv, child):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import (EGAS, PASSIVE0, RHO, SX, IdealGas, Polytrope,
-                        scf_single_star, sedov_blast, sod_tube,
+                        scf_binary, scf_single_star, sedov_blast, sod_tube,
                         solve_lane_emden)
 
 
@@ -139,6 +139,19 @@ class TestScfSingle:
     def test_bad_axis_ratio_rejected(self):
         with pytest.raises(ValueError):
             scf_single_star(axis_ratio=1.5)
+
+
+@pytest.mark.parametrize("scf", [scf_single_star, scf_binary])
+@pytest.mark.parametrize("name, bad", [
+    ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
+    ("domain", float("nan")), ("domain", float("inf")), ("domain", 0.0),
+    ("tol", float("nan")), ("tol", -1e-6), ("tol", 0.0)])
+def test_scf_rejects_bad_iteration_arguments(scf, name, bad):
+    """A ``max_iter`` that is not a positive integer, a ``domain`` or
+    ``tol`` that is not finite and positive: a ``ValueError`` naming the
+    argument before any solve, not an unbound name or a NaN-sized grid."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        scf(M=8, **{name: bad})
 
 
 class TestScenarios:

@@ -74,8 +74,9 @@ class TestExactPartition:
         if tuple(W) < (0, 0, 0):
             W, i, j = -W, j, i
         child = np.array(list(itertools.product((0, 1), repeat=3)))
-        tiles, _ = m2l_sweep_tiles(5, [W], child, 1 << 10,
-                                   np.ones((5, 5, 5, 8), dtype=bool))
+        tiles, _ = m2l_sweep_tiles([W], child,
+                                   np.ones((5, 5, 5, 8), dtype=bool), 0, 5,
+                                   1 << 10)
         masked = not tiles or tiles[0][2][
             (child == i).all(1).argmax(), (child == j).all(1).argmax()] > 0
         assert (not masked) == is_m2l_here
