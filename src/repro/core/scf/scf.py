@@ -5,45 +5,54 @@ Field technique alongside the FMM solver.  Octo-Tiger can produce initial
 models for binary systems that are in contact, semi-detached, or
 detached."
 
-The Hachisu (1986) iteration for a rigidly rotating polytrope: given the
-current density, solve gravity (with the FMM), then impose the Bernoulli
-integral
+The Hachisu (1986) iteration for rigidly rotating n = 1.5 polytropes:
+given the current density, solve gravity (with the FMM), then impose the
+Bernoulli integral
 
-    H + Phi - 1/2 Omega^2 varpi^2 = C
+    H + Phi - 1/2 Omega^2 varpi^2 = C_k
 
-fixing the integration constants from boundary points.  For a single
-rotating star the constants are (C, Omega^2) fixed by the equatorial and
-polar surface radii; for a binary, two constants C1, C2 (one per star)
-and Omega^2 follow from three boundary points (the outer equatorial edge
-of each star plus one inner point).  Enthalpy maps back to density through
-the polytropic relation H = (n + 1) K rho^(1/n).
+on the side of each star k, fixing the constants from surface points,
+where H = 0: each star's C_k from one point, Omega^2 from a *spin pair*
+of points.  Enthalpy maps back to density through the polytropic
+relation H = (n + 1) K rho^(1/n).  One loop (:func:`_iterate`) runs
+every model.  :func:`scf_single_star` is its one-star case, spun by its
+equator and pole (at rest without them); :func:`scf_binary` its
+two-star case, spun by the primary's outer and inner edge.  A star is
+seeded with a (1 - r^2/R^2)^n cap of its seed radius R and keeps to its
+*lobe*, the ball of 1.25 R: beyond the corotation radius the Bernoulli
+surface H = 0 reopens (centrifugal wins), and Hachisu's prescription
+keeps matter only inside the lobes.
 
 Gravity is solved where the stars can be, as Octo-Tiger refines its
 octree only where they are.  An iteration reads phi only on its
-*support*: the cells that can hold mass (for a binary, the two lobes)
-and the cells of its boundary points.  Each call builds one FMM solver
-(:meth:`FmmSolver.from_levels`) on the tree of that support, the full
-grid's levels cut down to the root cells whose subtrees hold a support
-cell (:func:`_support_gravity`), and phi there is the full grid's to the
-bit.  For the V1309 binary on 16^3 cells that is 24 of 512 root cells
-and 192 of 4 096 leaves.  A single star has no mask, so its support is
-every cell and its tree the full one.  :attr:`ScfResult.phi`, the
-full-grid potential of the returned density, is solved only when read.
+*support*: the lobes and the cells of its surface points.  Each call
+builds one FMM solver (:meth:`FmmSolver.from_levels`) on the tree of
+that support, the full grid's levels cut down to the root cells whose
+subtrees hold a support cell (:func:`_support_gravity`), and phi there
+is the full grid's to the bit.  For the V1309 binary on 16^3 cells that
+is 24 of 512 root cells and 192 of 4 096 leaves.
+:attr:`ScfResult.phi`, the full-grid potential of the returned density,
+is solved only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ...util import is_integer
 from ..gravity.fmm import FmmSolver
 from ..grid import SUBGRID_N
-from .lane_emden import Polytrope, solve_lane_emden
 
 __all__ = ["ScfResult", "scf_single_star", "scf_binary"]
+
+#: the polytropic index of every SCF model
+N_POLY = 1.5
+#: a star's lobe radius, in seed radii: no matter lies outside the lobes
+LOBE = 1.25
 
 
 @dataclass
@@ -69,17 +78,38 @@ class ScfResult:
         return solver.uniform_field(solver.solve())[0]
 
 
+class _Star(NamedTuple):
+    """One component, centred on the x axis at ``centre``: its seed
+    radius, its peak density, and the point whose phi fixes its C."""
+
+    centre: float
+    radius: float
+    peak: float
+    surface: tuple[float, float, float]
+
+
 def _grid_axes(M: int, dx: float, origin):
     ax = [origin[d] + (np.arange(M) + 0.5) * dx for d in range(3)]
     return (ax[0][:, None, None], ax[1][None, :, None], ax[2][None, None, :])
 
 
-def _check_iteration(domain: float, max_iter: int, tol: float) -> None:
-    """Reject bad iteration arguments here, not as an unbound name or a
-    NaN-sized grid deep inside."""
+def _octree_depth(M) -> int:
+    """``L`` of a grid edge ``M = SUBGRID_N * 2^L``."""
+    if is_integer(M) and M >= SUBGRID_N:
+        depth = (M // SUBGRID_N).bit_length() - 1
+        if SUBGRID_N << depth == M:
+            return depth
+    raise ValueError(f"M must be a grid edge {SUBGRID_N} * 2^L: {M!r} is "
+                     f"not {SUBGRID_N} * 2^L for any integer L >= 0")
+
+
+def _check_arguments(M, max_iter, **positive: float) -> None:
+    """Reject bad arguments here, before any array is made, not as a zero
+    division, an unbound name or a NaN-sized grid deep inside."""
+    _octree_depth(M)
     if not is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer: {max_iter!r}")
-    for name, value in (("domain", domain), ("tol", tol)):
+    for name, value in positive.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive: {value!r}")
 
@@ -109,9 +139,7 @@ def _support_gravity(support: np.ndarray, dx: float):
     the full tree.
     """
     M = support.shape[0]
-    depth = max(M // SUBGRID_N, 1).bit_length() - 1
-    if support.shape != (M, M, M) or SUBGRID_N << depth != M:
-        raise ValueError(f"grid edge {M} is not {SUBGRID_N} * 2^L for any L")
+    depth = _octree_depth(M)
     s = M // SUBGRID_N
     roots = support.reshape((SUBGRID_N, s) * 3).any((1, 3, 5)) | (depth == 0)
     specs = []
@@ -134,171 +162,135 @@ def _support_gravity(support: np.ndarray, dx: float):
     return solve
 
 
-def scf_single_star(M: int = 32, domain: float = 4.0, n_poly: float = 1.5,
-                    radius_eq: float = 1.0, axis_ratio: float = 1.0,
-                    rho_max: float = 1.0, max_iter: int = 60,
-                    tol: float = 1e-6) -> ScfResult:
-    """SCF model of a single (optionally rotating) polytrope.
+def _varpi2(point) -> float:
+    return point[0] ** 2 + point[1] ** 2
 
-    ``axis_ratio`` = polar/equatorial surface radius; 1.0 gives the
-    non-rotating Lane-Emden star (Omega = 0), smaller values spin it up.
+
+def _iterate(stars: list[_Star], spin, M: int, domain: float,
+             max_iter: int, tol: float) -> ScfResult:
+    """The SCF iteration of ``stars`` on an ``M``^3 grid centred on the
+    origin.
+
+    The stars sit on the x axis in descending x, and each owns the cells
+    between the midplanes to its neighbours.  ``spin`` is the pair of
+    surface points that fixes Omega^2, ``None`` for stars at rest.
+    phi at a point is read in the cell that holds it.  The first star's
+    peak density fixes K and is the unit of the residuals; every other
+    star is rescaled to its own peak.
     """
-    if not 0.0 < axis_ratio <= 1.0:
-        raise ValueError("axis ratio must be in (0, 1]")
-    _check_iteration(domain, max_iter, tol)
+    if spin and _varpi2(spin[0]) == _varpi2(spin[1]):
+        raise ValueError(f"the spin pair {spin} fixes no Omega^2: both "
+                         f"points lie at one distance from the axis")
     dx = domain / M
     origin = (-domain / 2.0,) * 3
     x, y, z = _grid_axes(M, dx, origin)
-    r = np.sqrt(x * x + y * y + z * z)
-    # seed with a sphere
-    rho = np.where(r < radius_eq, rho_max * (1 - (r / radius_eq) ** 2), 0.0)
-    rho = np.clip(rho, 0.0, None) ** n_poly
-    rho *= rho_max / max(rho.max(), 1e-300)
-    solve_phi = _support_gravity(np.ones((M, M, M), dtype=bool), dx)
-    residuals: list[float] = []
-    omega2 = 0.0
-    K = 1.0
     varpi2 = x * x + y * y
-
-    def interp_phi(phi, point):
-        # nearest-cell sample (adequate on the SCF grid)
-        idx = tuple(int(np.clip((point[d] - origin[d]) / dx, 0, M - 1))
-                    for d in range(3))
-        return phi[idx]
+    owner = np.zeros((M, M, M), dtype=int)
+    for a, b in zip(stars, stars[1:]):
+        owner += x <= 0.5 * (a.centre + b.centre)
+    allowed = np.zeros((M, M, M), dtype=bool)
+    seeds = []
+    for s in stars:
+        r2 = (x - s.centre) ** 2 + y * y + z * z
+        allowed |= r2 <= (LOBE * s.radius) ** 2
+        r = np.sqrt(r2)
+        seeds.append(np.where(r < s.radius, s.peak * np.clip(
+            1 - (r / s.radius) ** 2, 0, None) ** N_POLY, 0.0))
+    sides = [(owner == k) & allowed for k in range(len(stars))]
+    points = dict.fromkeys([*(spin or ()), *(s.surface for s in stars)])
+    cells = [tuple(int(np.clip((p[d] - origin[d]) / dx, 0, M - 1))
+                   for d in range(3)) for p in points]
+    # gravity where mass can be (the lobes) and where phi is read (the
+    # surface points' cells, which may lie outside the lobes)
+    support = allowed.copy()
+    for c in cells:
+        support[c] = True
+    solve_phi = _support_gravity(support, dx)
+    rho = sum(seeds)
+    residuals: list[float] = []
+    omega2, K = 0.0, 1.0
 
     for it in range(max_iter):
         phi = solve_phi(rho)
-        # boundary points: equatorial surface (radius_eq, 0, 0) and pole
-        pA = (radius_eq, 0.0, 0.0)
-        pB = (0.0, 0.0, axis_ratio * radius_eq)
-        phiA = interp_phi(phi, pA)
-        phiB = interp_phi(phi, pB)
-        if axis_ratio < 1.0:
-            # H = 0 at both surface points:
-            # C = phiA - 1/2 w2 Req^2 (equator) and C = phiB (pole)
-            omega2 = max(2.0 * (phiA - phiB) / radius_eq ** 2, 0.0)
-        C = phiA - 0.5 * omega2 * radius_eq ** 2
-        H = C - phi + 0.5 * omega2 * varpi2
-        H = np.clip(H, 0.0, None)
-        Hmax = H.max()
-        if Hmax <= 0:
-            raise RuntimeError("SCF enthalpy collapsed to zero")
-        # K from normalizing the maximum density
-        K = Hmax / ((n_poly + 1.0) * rho_max ** (1.0 / n_poly))
-        rho_new = (H / ((n_poly + 1.0) * K)) ** n_poly
-        res = float(np.abs(rho_new - rho).max() / rho_max)
+        at = {p: phi[c] for p, c in zip(points, cells)}
+        if spin:
+            pA, pB = spin
+            omega2 = max(2.0 * (at[pA] - at[pB])
+                         / (_varpi2(pA) - _varpi2(pB)), 0.0)
+        C = np.array([at[s.surface] - 0.5 * omega2 * _varpi2(s.surface)
+                      for s in stars])
+        H = np.clip(C[owner] - phi + 0.5 * omega2 * varpi2, 0.0, None)
+        hmax = [H[side].max() for side in sides]
+        if hmax[0] <= 0:
+            raise ValueError(
+                f"SCF lost its first star at iteration {it} on M={M} cells "
+                f"over a domain of {domain:g}: its boundary points sample "
+                f"phi in x cells {[c[0] for c in cells]}")
+        closed = [k for k, h in enumerate(hmax) if h <= 0]
+        if closed:
+            # a companion's Bernoulli surface closed this iteration —
+            # reseed it and keep iterating (common for extreme q on
+            # coarse grids)
+            for k in closed:
+                rho = np.where(sides[k], np.maximum(rho, seeds[k]), rho)
+            residuals.append(1.0)
+            continue
+        K = hmax[0] / ((N_POLY + 1.0) * stars[0].peak ** (1.0 / N_POLY))
+        rho_new = np.where(allowed,
+                           (H / ((N_POLY + 1.0) * K)) ** N_POLY, 0.0)
+        for side, s in zip(sides[1:], stars[1:]):
+            rho_new[side] *= s.peak / rho_new[side].max()
+        res = float(np.abs(rho_new - rho).max() / stars[0].peak)
         residuals.append(res)
         rho = 0.5 * rho + 0.5 * rho_new     # under-relaxation
         if res < tol:
             break
     return ScfResult(rho=rho, omega=float(np.sqrt(omega2)), K=K,
-                     n_poly=n_poly, dx=dx, origin=origin,
+                     n_poly=N_POLY, dx=dx, origin=origin,
                      iterations=it + 1, residuals=residuals)
 
 
-def scf_binary(M: int = 32, domain: float = 8.0, n_poly: float = 1.5,
-               separation: float = 3.0, mass_ratio: float = 0.35,
-               radius1: float = 1.0, rho_max: float = 1.0,
-               max_iter: int = 80, tol: float = 1e-5) -> ScfResult:
+def scf_single_star(M: int = 32, domain: float = 4.0,
+                    axis_ratio: float = 1.0, max_iter: int = 60,
+                    tol: float = 1e-6) -> ScfResult:
+    """SCF model of a single (optionally rotating) polytrope at the
+    origin, of unit equatorial radius and unit peak density.
+
+    ``axis_ratio`` = polar/equatorial surface radius; 1.0 gives the
+    non-rotating star (Omega = 0), whose profile is Lane-Emden's;
+    smaller values spin it up.
+    """
+    if not 0.0 < axis_ratio <= 1.0:
+        raise ValueError("axis ratio must be in (0, 1]")
+    _check_arguments(M, max_iter, domain=domain, tol=tol)
+    equator = (1.0, 0.0, 0.0)
+    spin = None if axis_ratio == 1.0 else (equator, (0.0, 0.0, axis_ratio))
+    return _iterate([_Star(0.0, 1.0, 1.0, equator)], spin, M, domain,
+                    max_iter, tol)
+
+
+def scf_binary(M: int = 32, domain: float = 8.0, separation: float = 3.0,
+               mass_ratio: float = 0.35, max_iter: int = 80,
+               tol: float = 1e-5) -> ScfResult:
     """SCF model of a synchronously rotating binary (Hachisu 1986 II).
 
-    The primary sits at x1 > 0, the secondary at x2 < 0 (centre of mass at
-    the origin).  Boundary points: the outer equatorial edges of the two
-    stars fix (C1 shared with Omega^2); densities renormalize so the
-    maxima of each lobe keep the requested mass ratio.
+    The primary (unit seed radius, unit peak density) sits at x1 > 0, the
+    secondary (peak density ``mass_ratio``) at x2 < 0, with the centre of
+    mass at the origin.  Boundary points on the x axis: the outer and
+    inner edges of the primary fix its C and Omega^2, the outer edge of
+    the secondary fixes its C.
     """
-    _check_iteration(domain, max_iter, tol)
-    dx = domain / M
-    origin = (-domain / 2.0,) * 3
-    x, y, z = _grid_axes(M, dx, origin)
+    _check_arguments(M, max_iter, domain=domain, tol=tol,
+                     separation=separation)
+    if not 0.0 < mass_ratio <= 1.0:
+        raise ValueError(f"mass_ratio must be in (0, 1]: {mass_ratio!r}")
     q = mass_ratio
     x1 = separation * q / (1.0 + q)         # primary offset (+x)
     x2 = x1 - separation                    # secondary offset (-x)
     # Roche-ish secondary radius, floored to stay resolvable on the grid
-    radius2 = max(radius1 * max(q, 1e-3) ** 0.4, 2.0 * dx)
-    r1 = np.sqrt((x - x1) ** 2 + y * y + z * z)
-    r2 = np.sqrt((x - x2) ** 2 + y * y + z * z)
-    rho = np.where(r1 < radius1,
-                   rho_max * np.clip(1 - (r1 / radius1) ** 2, 0, None)
-                   ** n_poly, 0.0)
-    rho = rho + np.where(
-        r2 < radius2,
-        q * rho_max * np.clip(1 - (r2 / radius2) ** 2, 0, None) ** n_poly,
-        0.0)
-    varpi2 = x * x + y * y
-    side1 = np.broadcast_to(x > 0.5 * (x1 + x2),
-                            (M, M, M))
-    # the Bernoulli surface H = 0 reopens beyond the corotation radius
-    # (centrifugal wins); Hachisu's prescription keeps matter only inside
-    # the two stellar lobes bounded by the edge points
-    lobe1 = (x - x1) ** 2 + y * y + z * z <= (1.25 * radius1) ** 2
-    lobe2 = (x - x2) ** 2 + y * y + z * z <= (1.25 * radius2) ** 2
-    allowed = lobe1 | lobe2
-    residuals: list[float] = []
-    omega2 = separation ** (-3)             # Keplerian seed
-    K = 1.0
-
-    def cell(px):
-        return int(np.clip((px - origin[0]) / dx, 0, M - 1))
-
-    # Hachisu's three boundary points: the outer and inner edges of the
-    # primary fix (C1, omega^2); the outer edge of the secondary fixes
-    # C2.  Each side of the binary uses its own constant.  phi is
-    # sampled in the cell on the x axis that holds each point.
-    pA = x1 + radius1        # primary outer edge
-    pB = x1 - radius1        # primary inner edge
-    pC = x2 - radius2        # secondary outer edge
-    cells = [cell(px) for px in (pA, pB, pC)]
-    j = cell(0.0)
-    # gravity where mass can be (the lobes) and where phi is read (the
-    # boundary-point cells, which may lie outside the lobes)
-    support = allowed.copy()
-    support[cells, j, j] = True
-    solve_phi = _support_gravity(support, dx)
-
-    for it in range(max_iter):
-        phi = solve_phi(rho)
-        phiA, phiB, phiC = (phi[i, j, j] for i in cells)
-        denom = pA ** 2 - pB ** 2
-        if abs(denom) < 1e-12:
-            omega2 = separation ** (-3)
-        else:
-            omega2 = max(2.0 * (phiA - phiB) / denom, 0.0)
-        C1 = phiA - 0.5 * omega2 * pA ** 2
-        C2 = phiC - 0.5 * omega2 * pC ** 2
-        Cfield = np.where(side1, C1, C2)
-        H = np.clip(Cfield - phi + 0.5 * omega2 * varpi2, 0.0, None)
-        H1max = H[side1 & allowed].max()
-        H2max = H[(~side1) & allowed].max()
-        if H1max <= 0:
-            raise ValueError(
-                f"SCF lost the primary component at iteration {it} on "
-                f"M={M} cells over a domain of {domain:g}: its boundary "
-                f"points (primary outer and inner edge, secondary outer "
-                f"edge) sample phi in x cells {cells}")
-        if H2max <= 0:
-            # the secondary's Bernoulli surface closed this iteration —
-            # reseed its lobe and keep iterating (common for extreme q on
-            # coarse grids)
-            seed2 = np.where(
-                r2 < radius2,
-                q * rho_max * np.clip(1 - (r2 / radius2) ** 2, 0,
-                                      None) ** n_poly, 0.0)
-            rho = np.where(~side1, np.maximum(rho, seed2), rho)
-            residuals.append(1.0)
-            continue
-        K = H1max / ((n_poly + 1.0) * rho_max ** (1.0 / n_poly))
-        rho_new = np.where(allowed,
-                           (H / ((n_poly + 1.0) * K)) ** n_poly, 0.0)
-        # keep the secondary's peak density at q^x of the primary's
-        peak2 = rho_new[(~side1) & allowed].max()
-        if peak2 > 0:
-            rho_new[~side1] *= (q * rho_max) / peak2
-        res = float(np.abs(rho_new - rho).max() / rho_max)
-        residuals.append(res)
-        rho = 0.5 * rho + 0.5 * rho_new
-        if res < tol:
-            break
-    return ScfResult(rho=rho, omega=float(np.sqrt(omega2)), K=K,
-                     n_poly=n_poly, dx=dx, origin=origin,
-                     iterations=it + 1, residuals=residuals)
+    radius2 = max(max(q, 1e-3) ** 0.4, 2.0 * (domain / M))
+    outer = (x1 + 1.0, 0.0, 0.0)
+    stars = [_Star(x1, 1.0, 1.0, outer),
+             _Star(x2, radius2, q, (x2 - radius2, 0.0, 0.0))]
+    return _iterate(stars, (outer, (x1 - 1.0, 0.0, 0.0)), M, domain,
+                    max_iter, tol)

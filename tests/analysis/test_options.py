@@ -89,9 +89,9 @@ CALLERS_ALLOWED = {
     "startup_speedup": "Sec. 6.3 claim: libfabric cuts start-up ~10x",
     "parallel_efficiency": "Sec. 6.3 efficiency relative to level 14 on one "
                            "node",
-    "scf_single_star": "SCF verification: the non-rotating star must "
-                       "reproduce Lane-Emden, the analytic check of the "
-                       "iteration scf_binary runs",
+    "scf_single_star": "SCF verification: the one-component case of the "
+                       "loop scf_binary runs, whose non-rotating star "
+                       "converges to Lane-Emden",
 }
 
 

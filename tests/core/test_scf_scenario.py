@@ -114,27 +114,53 @@ class TestPolytrope:
         assert b == pytest.approx(2 * a, rel=1e-10)
 
 
+#: L1 relative error of the non-rotating SCF star against Lane-Emden
+#: (n = 1.5, scaled to the model's central density and to the radius
+#: 1 + dx/2 of the edge cell's centre): 0.267 at M = 16 and 0.0743 at
+#: M = 32, an order of 1.85
+LANE_EMDEN_ORDER = (1.7, 2.0)
+LANE_EMDEN_L1_32 = 0.08
+
+
+def _radii(res):
+    """Distance of each cell centre of an SCF model from the origin."""
+    x = res.origin[0] + (np.arange(res.rho.shape[0]) + 0.5) * res.dx
+    return np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
+                   + x[None, None, :] ** 2)
+
+
 class TestScfSingle:
     def test_converges_and_matches_lane_emden(self):
-        res = scf_single_star(M=16, domain=4.0, radius_eq=1.0,
-                              max_iter=30, tol=1e-5)
-        assert res.residuals[-1] < 1e-4
-        assert res.omega == pytest.approx(0.0)
-        # central density should be near the requested maximum
-        assert res.rho.max() == pytest.approx(1.0, rel=0.05)
-        # density is compactly supported well inside the box
-        edge_mass = res.rho[0].sum() + res.rho[-1].sum()
-        assert edge_mass < 1e-8
+        """The non-rotating model converges to the Lane-Emden profile at
+        the measured order from M = 16 to 32."""
+        errors = []
+        for M in (16, 32):
+            res = scf_single_star(M=M, domain=4.0, tol=1e-6)
+            assert res.residuals[-1] < 1e-6
+            assert res.omega == 0.0
+            assert res.rho.max() == pytest.approx(1.0, rel=0.05)
+            star = Polytrope(n=1.5, radius=1.0 + res.dx / 2, mass=1.0)
+            shape = star.profile(_radii(res))[0] / star.profile([0.0])[0]
+            ref = res.rho.max() * shape
+            errors.append(np.abs(res.rho - ref).sum() / ref.sum())
+        order = np.log2(errors[0] / errors[1])
+        assert LANE_EMDEN_ORDER[0] < order < LANE_EMDEN_ORDER[1], errors
+        assert errors[1] < LANE_EMDEN_L1_32
 
     def test_rotating_model_flattens(self):
-        res = scf_single_star(M=16, domain=4.0, axis_ratio=0.85,
-                              max_iter=30, tol=1e-4)
-        assert res.omega > 0.0
-        # oblate: more mass spread in the equatorial plane than the axis
-        mid = 8
-        eq_extent = (res.rho[:, :, mid].sum(axis=1) > 1e-6).sum()
-        ax_extent = (res.rho[mid, mid, :] > 1e-6).sum()
-        assert eq_extent >= ax_extent
+        """A spun-up star converges, holds no density outside its lobe of
+        1.25 equatorial radii or on a box face, and is oblate."""
+        for axis_ratio in (0.85, 0.7):
+            res = scf_single_star(M=16, domain=4.0, axis_ratio=axis_ratio,
+                                  max_iter=30, tol=1e-4)
+            assert res.residuals[-1] < 1e-4
+            assert res.omega > 0.0
+            assert not res.rho[_radii(res) > 1.25].any()
+            for axis in range(3):
+                assert not res.rho.take([0, -1], axis=axis).any()
+            eq_extent = (res.rho[:, 8, 8] > 0).sum()
+            ax_extent = (res.rho[8, 8, :] > 0).sum()
+            assert eq_extent > ax_extent
 
     def test_bad_axis_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -145,13 +171,32 @@ class TestScfSingle:
 @pytest.mark.parametrize("name, bad", [
     ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
     ("domain", float("nan")), ("domain", float("inf")), ("domain", 0.0),
-    ("tol", float("nan")), ("tol", -1e-6), ("tol", 0.0)])
+    ("tol", float("nan")), ("tol", -1e-6), ("tol", 0.0),
+    ("M", 0), ("M", -8), ("M", 8.0), ("M", True), ("M", 4), ("M", 12)])
 def test_scf_rejects_bad_iteration_arguments(scf, name, bad):
-    """A ``max_iter`` that is not a positive integer, a ``domain`` or
-    ``tol`` that is not finite and positive: a ``ValueError`` naming the
-    argument before any solve, not an unbound name or a NaN-sized grid."""
+    """A grid edge ``M`` that is not ``SUBGRID_N * 2^L`` cells, a
+    ``max_iter`` that is not a positive integer, a ``domain`` or ``tol``
+    that is not finite and positive: a ``ValueError`` naming the argument
+    before any array is made, not a zero division, an unbound name or a
+    NaN-sized grid."""
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        scf(M=8, **{name: bad})
+        scf(**{"M": 8, name: bad})
+
+
+@pytest.mark.parametrize("name, bad, match", [
+    ("mass_ratio", 0.0, None), ("mass_ratio", -0.5, None),
+    ("mass_ratio", 1.5, None), ("mass_ratio", float("nan"), None),
+    ("separation", 0.0, None), ("separation", -3.0, None),
+    ("separation", float("inf"), None), ("separation", float("nan"), None),
+    # the primary's edges x1 +- 1 square to one float: no Omega^2
+    ("mass_ratio", 1e-20, "^the spin pair .* fixes no Omega"),
+    ("separation", 1e-20, "^the spin pair .* fixes no Omega")])
+def test_scf_binary_rejects_a_bad_binary(name, bad, match):
+    """A mass ratio outside (0, 1] or a separation that is not finite and
+    positive, or a binary so tight that its spin pair fixes no Omega^2:
+    a ``ValueError`` naming it, before any solve."""
+    with pytest.raises(ValueError, match=match or f"^{name} must be"):
+        scf_binary(M=8, **{name: bad})
 
 
 class TestScenarios:

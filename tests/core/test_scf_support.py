@@ -5,8 +5,8 @@ cells whose subtrees can hold mass or are read (``_support_gravity``).
 The claim is exact: phi on the support cells is
 :meth:`FmmSolver.from_uniform`'s to the bit, so every SCF output is the
 full-grid iteration's.  The full-grid iteration is kept here as the
-oracle: the same ``scf_binary`` with its gravity swapped for one
-full-grid solver, as it was solved before the support tree.
+oracle: the same SCF with its gravity swapped for one full-grid solver,
+as it was solved before the support tree.
 """
 
 import numpy as np
@@ -18,7 +18,8 @@ from repro.core.gravity import fmm
 from repro.core.gravity.fmm import FmmSolver
 from repro.core.scenario import V1309_MASS_RATIO
 from repro.core.scf import scf as scf_module
-from repro.core.scf.scf import _support_gravity, scf_binary
+from repro.core.scf.scf import (_support_gravity, scf_binary,
+                                scf_single_star)
 
 
 def _full_grid_phi(rho, dx):
@@ -94,18 +95,22 @@ def test_support_phi_is_the_full_grid_phi(M, kind, seed, zero_frac):
 #: outside the lobes at domain_factor 3.0
 SCF_CONFIGS = [(16, 12, 8 / 3), (16, 40, 8 / 3), (16, 12, 1.9),
                (8, 12, 2.2), (8, 12, 3.0), (8, 12, 8 / 3)]
+#: (M, axis_ratio) of the single stars: at rest and spun up
+SINGLE_CONFIGS = [(8, 1.0), (8, 0.85), (16, 1.0), (16, 0.85)]
 
 
-@pytest.mark.parametrize("M, iters, domain_factor", SCF_CONFIGS)
-def test_scf_binary_is_the_full_grid_iteration(M, iters, domain_factor,
-                                               monkeypatch):
-    """``rho``, ``omega``, ``K`` and the residuals equal a full-grid SCF's
-    bit for bit."""
-    kwargs = dict(M=M, domain=3.0 * domain_factor, separation=3.0,
-                  mass_ratio=V1309_MASS_RATIO, max_iter=iters)
-    res = scf_binary(**kwargs)
+@pytest.mark.parametrize("scf, kwargs", [
+    pytest.param(scf_binary, dict(M=M, domain=3.0 * f, separation=3.0,
+                                  mass_ratio=V1309_MASS_RATIO, max_iter=it),
+                 id=f"{M}-{it}-{f}") for M, it, f in SCF_CONFIGS] + [
+    pytest.param(scf_single_star, dict(M=M, axis_ratio=a, max_iter=20),
+                 id=f"single-{M}-{a}") for M, a in SINGLE_CONFIGS])
+def test_scf_binary_is_the_full_grid_iteration(scf, kwargs, monkeypatch):
+    """``rho``, ``omega``, ``K`` and the residuals of the binary and of
+    the single star equal a full-grid SCF's bit for bit."""
+    res = scf(**kwargs)
     monkeypatch.setattr(scf_module, "_support_gravity", _full_grid_gravity)
-    ref = scf_binary(**kwargs)
+    ref = scf(**kwargs)
     np.testing.assert_array_equal(res.rho, ref.rho)
     assert (res.omega, res.K, res.residuals, res.iterations) \
         == (ref.omega, ref.K, ref.residuals, ref.iterations)

@@ -82,6 +82,7 @@ REJECTIONS = {
         (_run(action_fault_rate=2.0), "action_fault_rate"),
     "v1309: no cells": (lambda: v1309_binary(M=0), "M must be positive"),
     "v1309: negative cells": (lambda: v1309_binary(M=-8), "M must be"),
+    "v1309: fractional cells": (lambda: v1309_binary(M=8.0), "M must be"),
     "v1309: zero mass ratio":
         (lambda: v1309_binary(M=8, mass_ratio=0.0), "mass_ratio"),
     "v1309: mass ratio above one":
